@@ -252,73 +252,6 @@ func BenchmarkT1TraditionalVsSession(b *testing.B) {
 	}
 }
 
-// BenchmarkE8WireCodec measures the wire codec itself (experiment E8 in
-// DESIGN.md): binary envelope framing vs the JSON fallback, encode and
-// decode, for a small text body and a bitmap-carrying body. The binary
-// encode path must be allocation-free at steady state (buffers pooled or
-// caller-reused).
-func BenchmarkE8WireCodec(b *testing.B) {
-	cases := []struct {
-		name string
-		body wire.Msg
-	}{
-		{"text32", &wire.Text{S: "payload-payload-payload-payload"}},
-		{"bytes1k", &wire.Bytes{B: make([]byte, 1024)}},
-	}
-	for _, tc := range cases {
-		env := &wire.Envelope{
-			To:          wire.InboxRef{Dapplet: netsim.Addr{Host: "caltech", Port: 4021}, Inbox: "students"},
-			FromDapplet: netsim.Addr{Host: "anu.au", Port: 999},
-			FromOutbox:  "out",
-			Session:     "s-1",
-			Lamport:     1 << 40,
-			Body:        tc.body,
-		}
-		bin, err := wire.MarshalEnvelope(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		js, err := wire.MarshalEnvelopeJSON(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("encode/binary/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			buf := make([]byte, 0, len(bin))
-			for i := 0; i < b.N; i++ {
-				buf, err = wire.AppendEnvelope(buf[:0], env)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("encode/json/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.MarshalEnvelopeJSON(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("decode/binary/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.UnmarshalEnvelope(bin); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("decode/json/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.UnmarshalEnvelope(js); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE1ReliableLayer measures the ordered-delivery layer's
 // throughput and retransmission overhead across loss rates.
 func BenchmarkE1ReliableLayer(b *testing.B) {

@@ -43,7 +43,6 @@ func e13Config(gossip bool) swarm.Config {
 		ChurnRate:     float64(n) / 8,
 		SessionRate:   float64(n) / 4,
 		Duration:      *flagE13Dur,
-		TickCostPeers: -1,
 	}
 	if gossip {
 		cfg.Quorum = 2

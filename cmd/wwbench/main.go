@@ -1,8 +1,8 @@
-// Command wwbench regenerates every experiment table in EXPERIMENTS.md:
+// Command wwbench prints the tables of DESIGN.md's experiment matrix:
 // the paper's three figures as runnable scenarios (F1-F3), the
 // traditional-vs-session comparison its introduction argues for (T1), and
 // a characterization experiment per mechanism the paper specifies
-// (E1-E13). Run all experiments or select one with -exp.
+// (E1-E14). Run all experiments or select one with -exp.
 //
 // Latencies labelled "vlat" are critical-path virtual latencies under the
 // configured WAN/LAN delay models (see internal/netsim); wall-clock
@@ -64,7 +64,7 @@ func newNet(defaultSeed int64, extra ...netsim.Option) *netsim.Network {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: f1,f2,f3,t1,e1,...,e13 or all")
+	exp := flag.String("exp", "all", "experiment to run: f1,f2,f3,t1,e1,...,e14 or all")
 	flag.Parse()
 
 	experiments := []experiment{
@@ -79,7 +79,6 @@ func main() {
 		{"e5", "RPC over inboxes: sync vs async", runE5},
 		{"e6", "Distributed synchronization constructs", runE6},
 		{"e7", "Session interference control", runE7},
-		{"e8", "Wire codec: binary envelope framing vs JSON", runE8},
 		{"e9", "Failure detection latency and checkpoint-restore recovery", runE9},
 		{"e10", "Replicated directory service: lookup scaling, caching, replica failover", runE10},
 		{"e11", "Swarm-scale churn harness: join/leave/crash churn, detector cost, footprint", runE11},

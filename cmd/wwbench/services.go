@@ -415,76 +415,6 @@ func runE7() {
 	}
 }
 
-// runE8 measures the wire codec: the binary envelope framing against the
-// JSON fallback, encode and decode, per body shape. The binary encode
-// path reuses one buffer, the steady-state shape of the dapplet send path.
-func runE8() {
-	mkEnv := func(body wire.Msg) *wire.Envelope {
-		return &wire.Envelope{
-			To:          wire.InboxRef{Dapplet: netsim.Addr{Host: "caltech", Port: 4021}, Inbox: "students"},
-			FromDapplet: netsim.Addr{Host: "anu.au", Port: 999},
-			FromOutbox:  "out",
-			Session:     "s-1",
-			Lamport:     1 << 40,
-			Body:        body,
-		}
-	}
-	bodies := []struct {
-		name string
-		body wire.Msg
-	}{
-		{"text-32B", &wire.Text{S: "payload-payload-payload-payload"}},
-		{"bytes-1KB", &wire.Bytes{B: make([]byte, 1024)}},
-	}
-	const iters = 50000
-	row("body", "enc-bin ns", "enc-json ns", "enc-speedup", "dec-bin ns", "dec-json ns", "size-bin", "size-json")
-	for _, tc := range bodies {
-		env := mkEnv(tc.body)
-		bin, err := wire.MarshalEnvelope(env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		js, err := wire.MarshalEnvelopeJSON(env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		perOp := func(f func()) float64 {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				f()
-			}
-			return float64(time.Since(start).Nanoseconds()) / iters
-		}
-		buf := make([]byte, 0, len(bin))
-		encBin := perOp(func() {
-			buf, err = wire.AppendEnvelope(buf[:0], env)
-			if err != nil {
-				log.Fatal(err)
-			}
-		})
-		encJSON := perOp(func() {
-			if _, err := wire.MarshalEnvelopeJSON(env); err != nil {
-				log.Fatal(err)
-			}
-		})
-		decBin := perOp(func() {
-			if _, err := wire.UnmarshalEnvelope(bin); err != nil {
-				log.Fatal(err)
-			}
-		})
-		decJSON := perOp(func() {
-			if _, err := wire.UnmarshalEnvelope(js); err != nil {
-				log.Fatal(err)
-			}
-		})
-		row(tc.name,
-			fmt.Sprintf("%.0f", encBin), fmt.Sprintf("%.0f", encJSON),
-			fmt.Sprintf("%.1fx", encJSON/encBin),
-			fmt.Sprintf("%.0f", decBin), fmt.Sprintf("%.0f", decJSON),
-			len(bin), len(js))
-	}
-}
-
 func newDirectory(ds ...*core.Dapplet) *dirT {
 	d := dirNew()
 	for _, dd := range ds {

@@ -96,10 +96,6 @@ func runE11() {
 	row("watch edges", fmt.Sprintf("%d peers watched, %d wheel timers", rep.WatchedPeers, rep.WheelTimers))
 	row("footprint", fmt.Sprintf("%.0f B/dapplet heap, %.2f goroutines/dapplet (%d goroutines)",
 		rep.HeapBytesPerDapplet, rep.GoroutinesPerDapplet, rep.Goroutines))
-	if rep.TickCost.Speedup > 0 {
-		row("tick cost", fmt.Sprintf("linear scan %.0fns vs wheel %.0fns per tick at %d peers (%.0fx)",
-			rep.TickCost.LinearNsPerTick, rep.TickCost.WheelNsPerTick, rep.TickCost.Peers, rep.TickCost.Speedup))
-	}
 
 	if *flagE11Out != "" {
 		data, err := rep.JSON()

@@ -25,31 +25,15 @@ var gossipKinds = []string{
 	"fail.iprobe", "fail.iprobe-rep", "fail.rumor",
 }
 
-// newBinaryKind instantiates a registered kind and asserts it rides the
-// binary fast path — every gossip-era kind must, they are hot-path
-// frames.
-func newBinaryKind(t testing.TB, kind string) wire.BinaryMessage {
-	t.Helper()
-	m, err := wire.NewOf(kind)
-	if err != nil {
-		t.Fatalf("%s: not registered: %v", kind, err)
-	}
-	bm, ok := m.(wire.BinaryMessage)
-	if !ok {
-		t.Fatalf("%s: not a binary fast-path message", kind)
-	}
-	return bm
-}
-
 // quickRand seeds the randomized-value generator; fixed so failures
 // reproduce.
 var quickRand = rand.New(rand.NewSource(99))
 
 // quickValue fills one message of the kind with randomized field values
 // via testing/quick's generator.
-func quickValue(t testing.TB, kind string) wire.BinaryMessage {
+func quickValue(t testing.TB, kind string) wire.Msg {
 	t.Helper()
-	m := newBinaryKind(t, kind)
+	m := newPopulated(t, kind, false)
 	v, ok := quick.Value(reflect.TypeOf(m).Elem(), quickRand)
 	if !ok {
 		t.Fatalf("%s: quick.Value failed", kind)
@@ -71,7 +55,7 @@ func TestGossipKindsQuickRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: encode: %v", kind, err)
 				}
-				back := newBinaryKind(t, kind)
+				back := newPopulated(t, kind, false)
 				if err := back.UnmarshalBinary(bin); err != nil {
 					t.Fatalf("%s: decode of own encoding: %v\nvalue: %#v", kind, err, m)
 				}
@@ -95,14 +79,14 @@ func TestGossipKindsTruncationWalk(t *testing.T) {
 	for _, kind := range gossipKinds {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			m := newBinaryKind(t, kind)
+			m := newPopulated(t, kind, false)
 			populateValue(reflect.ValueOf(m).Elem(), 5)
 			bin, err := m.AppendBinary(nil)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
 			for cut := 0; cut < len(bin); cut++ {
-				back := newBinaryKind(t, kind)
+				back := newPopulated(t, kind, false)
 				if err := back.UnmarshalBinary(bin[:cut]); err != nil {
 					continue
 				}
@@ -110,7 +94,7 @@ func TestGossipKindsTruncationWalk(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: decoded message does not re-encode: %v", cut, err)
 				}
-				again := newBinaryKind(t, kind)
+				again := newPopulated(t, kind, false)
 				if err := again.UnmarshalBinary(re); err != nil {
 					t.Fatalf("cut %d: re-encoded message does not decode: %v", cut, err)
 				}
@@ -129,10 +113,10 @@ func TestGossipNestedBodyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EncodeBody: %v", err)
 		}
-		id, isBin := enc.ID(), enc.Binary()
+		id := enc.ID()
 		body := append([]byte(nil), enc.Bytes()...)
 		enc.Release()
-		back, err := wire.DecodeBody(id, isBin, body)
+		back, err := wire.DecodeBody(id, body)
 		if err != nil {
 			t.Fatalf("DecodeBody: %v\nvalue: %#v", err, inner)
 		}
@@ -151,7 +135,7 @@ func TestGossipNestedBodyRoundTrip(t *testing.T) {
 // decodes must round-trip to a fixed point.
 func FuzzGossipRoundTrip(f *testing.F) {
 	for _, kind := range gossipKinds {
-		m := newBinaryKind(f, kind)
+		m := newPopulated(f, kind, false)
 		if bin, err := m.AppendBinary(nil); err == nil {
 			f.Add(bin)
 		}
@@ -162,7 +146,7 @@ func FuzzGossipRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range gossipKinds {
-			m := newBinaryKind(t, kind)
+			m := newPopulated(t, kind, false)
 			if err := m.UnmarshalBinary(data); err != nil {
 				continue
 			}
@@ -170,7 +154,7 @@ func FuzzGossipRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: decoded message does not re-encode: %v", kind, err)
 			}
-			back := newBinaryKind(t, kind)
+			back := newPopulated(t, kind, false)
 			if err := back.UnmarshalBinary(bin); err != nil {
 				t.Fatalf("%s: re-encoded message does not decode: %v", kind, err)
 			}

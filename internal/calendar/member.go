@@ -42,21 +42,20 @@ const (
 // schedReq flows downward (head -> secretary -> member) and from the
 // traditional director to members.
 type schedReq struct {
-	ID    uint64 `json:"id"`
-	RKind string `json:"k"`
-	Lo    int    `json:"lo,omitempty"`
-	Hi    int    `json:"hi,omitempty"`
-	Slot  int    `json:"slot,omitempty"`
+	ID    uint64
+	RKind string
+	Lo    int
+	Hi    int
+	Slot  int
 	// ReplyTo is set by the traditional director (point-to-point);
 	// session members reply on their MemberUp outbox instead.
-	ReplyTo wire.InboxRef `json:"re,omitempty"`
+	ReplyTo wire.InboxRef
 }
 
 // Kind implements wire.Msg.
 func (*schedReq) Kind() string { return "calendar.req" }
 
-// AppendBinary implements wire.BinaryMessage: scheduling requests are the
-// per-round unit of Figure 1 / T1 traffic, so they take the binary path.
+// AppendBinary implements wire.Msg.
 func (m *schedReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.ID)
 	dst = wire.AppendString(dst, m.RKind)
@@ -67,7 +66,7 @@ func (m *schedReq) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *schedReq) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.ID = r.Uvarint()
@@ -81,18 +80,18 @@ func (m *schedReq) UnmarshalBinary(data []byte) error {
 
 // schedRep flows upward.
 type schedRep struct {
-	ID    uint64  `json:"id"`
-	From  string  `json:"f"`
-	RKind string  `json:"k"`
-	Free  SlotSet `json:"free,omitempty"`
-	OK    bool    `json:"ok,omitempty"`
+	ID    uint64
+	From  string
+	RKind string
+	Free  SlotSet
+	OK    bool
 }
 
 // Kind implements wire.Msg.
 func (*schedRep) Kind() string { return "calendar.rep" }
 
-// AppendBinary implements wire.BinaryMessage. The free-slot bitmap is
-// encoded word by word, a fraction of its decimal-array JSON cost.
+// AppendBinary implements wire.Msg. The free-slot bitmap is
+// encoded word by word.
 func (m *schedRep) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.ID)
 	dst = wire.AppendString(dst, m.From)
@@ -105,7 +104,7 @@ func (m *schedRep) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *schedRep) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.ID = r.Uvarint()

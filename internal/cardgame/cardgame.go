@@ -36,13 +36,13 @@ const (
 
 // dealMsg gives a player its initial hand.
 type dealMsg struct {
-	Hand []int `json:"h"`
+	Hand []int
 }
 
 // Kind implements wire.Msg.
 func (*dealMsg) Kind() string { return "cards.deal" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *dealMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(len(m.Hand)))
 	for _, c := range m.Hand {
@@ -51,7 +51,7 @@ func (m *dealMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *dealMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if n := r.Count(); n > 0 {
@@ -67,17 +67,16 @@ func (m *dealMsg) UnmarshalBinary(data []byte) error {
 
 // turnMsg passes the turn token and one card to the successor.
 type turnMsg struct {
-	Card    int  `json:"c"`
-	HasCard bool `json:"hc"`
-	Hops    int  `json:"hops"`
-	MaxHops int  `json:"max"`
+	Card    int
+	HasCard bool
+	Hops    int
+	MaxHops int
 }
 
 // Kind implements wire.Msg.
 func (*turnMsg) Kind() string { return "cards.turn" }
 
-// AppendBinary implements wire.BinaryMessage: the turn token is the
-// per-hop unit of ring traffic, so it takes the binary fast path.
+// AppendBinary implements wire.Msg.
 func (m *turnMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendVarint(dst, int64(m.Card))
 	dst = wire.AppendBool(dst, m.HasCard)
@@ -86,7 +85,7 @@ func (m *turnMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *turnMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Card = int(r.Varint())
@@ -98,16 +97,16 @@ func (m *turnMsg) UnmarshalBinary(data []byte) error {
 
 // announceMsg reports the game result to the dealer.
 type announceMsg struct {
-	Player string `json:"p"`
-	Rank   int    `json:"r"`
-	Winner bool   `json:"w"`
-	Hops   int    `json:"hops"`
+	Player string
+	Rank   int
+	Winner bool
+	Hops   int
 }
 
 // Kind implements wire.Msg.
 func (*announceMsg) Kind() string { return "cards.announce" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *announceMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Player)
 	dst = wire.AppendVarint(dst, int64(m.Rank))
@@ -116,7 +115,7 @@ func (m *announceMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *announceMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Player = r.String()

@@ -23,8 +23,6 @@ var (
 	// ErrStopped is returned by operations on a stopped dapplet or a
 	// closed inbox.
 	ErrStopped = errors.New("core: dapplet stopped")
-	// ErrTimeout is returned by timed receives when the deadline passes.
-	ErrTimeout = errors.New("core: receive timeout")
 	// ErrNotBound is returned when deleting an address an outbox is not
 	// bound to; it corresponds to the paper's delete exception.
 	ErrNotBound = errors.New("core: address not in outbox binding list")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -36,13 +37,21 @@ func (w *testWorld) dapplet(host, name string) *Dapplet {
 	return d
 }
 
+// recvWithin is ReceiveEnvelopeContext under a deadline of d: it returns
+// context.DeadlineExceeded if nothing arrives in time.
+func recvWithin(in *Inbox, d time.Duration) (*wire.Envelope, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return in.ReceiveEnvelopeContext(ctx)
+}
+
 func recvText(t *testing.T, in *Inbox) string {
 	t.Helper()
-	m, err := in.ReceiveTimeout(5 * time.Second)
+	env, err := recvWithin(in, 5*time.Second)
 	if err != nil {
 		t.Fatalf("receive on %s: %v", in.Name(), err)
 	}
-	return m.(*wire.Text).S
+	return env.Body.(*wire.Text).S
 }
 
 func TestPointToPointChannel(t *testing.T) {
@@ -136,7 +145,7 @@ func TestOutboxAddIdempotentDeleteStrict(t *testing.T) {
 	if got := recvText(t, in); got != "once" {
 		t.Fatal("message lost")
 	}
-	if _, err := in.ReceiveTimeout(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := recvWithin(in, 50*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("duplicate binding delivered twice")
 	}
 	if err := out.Delete(in.Ref()); err != nil {
@@ -161,7 +170,7 @@ func TestSendAfterDeleteDoesNotDeliver(t *testing.T) {
 	if err := out.Send(&wire.Text{S: "ghost"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ReceiveTimeout(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := recvWithin(in, 50*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("message delivered on deleted channel")
 	}
 }
@@ -259,7 +268,7 @@ func TestEnvelopeMetadata(t *testing.T) {
 	if err := out.Send(&wire.Text{S: "m"}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := in.ReceiveEnvelopeTimeout(5 * time.Second)
+	env, err := recvWithin(in, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +294,7 @@ func TestClockSnapshotCriterionAcrossDapplets(t *testing.T) {
 	if err := out.Send(&wire.Text{S: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := in.ReceiveEnvelopeTimeout(5 * time.Second)
+	env, err := recvWithin(in, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +370,7 @@ func TestSendDirect(t *testing.T) {
 	if err := a.SendDirect(in.Ref(), "sess-9", &wire.Text{S: "direct"}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := in.ReceiveEnvelopeTimeout(5 * time.Second)
+	env, err := recvWithin(in, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

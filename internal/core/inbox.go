@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -14,9 +12,8 @@ import (
 // on the inbox's incoming channels. The inbox method set follows the paper:
 // IsEmpty, AwaitNonEmpty, and Receive (which suspends until non-empty and
 // removes the head). Context-bounded and non-blocking variants are
-// provided as conveniences (the timed variants remain as deprecated
-// wrappers), as is access to the full envelope (sender, session and
-// logical timestamp).
+// provided as conveniences, as is access to the full envelope (sender,
+// session and logical timestamp).
 type Inbox struct {
 	d    *Dapplet
 	name string
@@ -147,32 +144,6 @@ func (in *Inbox) ReceiveEnvelopeContext(ctx context.Context) (*wire.Envelope, er
 	env := in.q[0]
 	in.q = in.q[1:]
 	return env, nil
-}
-
-// ReceiveTimeout is Receive with a deadline; it returns ErrTimeout on
-// expiry.
-//
-// Deprecated: use ReceiveContext with a deadline context, which returns
-// context.DeadlineExceeded and composes with cancellation.
-func (in *Inbox) ReceiveTimeout(d time.Duration) (wire.Msg, error) {
-	env, err := in.ReceiveEnvelopeTimeout(d)
-	if err != nil {
-		return nil, err
-	}
-	return env.Body, nil
-}
-
-// ReceiveEnvelopeTimeout is ReceiveEnvelope with a deadline.
-//
-// Deprecated: use ReceiveEnvelopeContext with a deadline context.
-func (in *Inbox) ReceiveEnvelopeTimeout(d time.Duration) (*wire.Envelope, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d) //wwlint:allow ctxcheck deprecated shim with no caller context; bounded by d
-	defer cancel()
-	env, err := in.ReceiveEnvelopeContext(ctx)
-	if errors.Is(err, context.DeadlineExceeded) {
-		err = ErrTimeout
-	}
-	return env, err
 }
 
 // TryReceive removes and returns the head message without blocking,

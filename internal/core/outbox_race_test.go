@@ -79,11 +79,11 @@ func TestOutboxConcurrentMutation(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m, err := sink.Inbox("in0").ReceiveTimeout(time.Until(deadline))
+		env, err := recvWithin(sink.Inbox("in0"), time.Until(deadline))
 		if err != nil {
 			t.Fatalf("outbox dead after concurrent mutation: %v", err)
 		}
-		if m.(*wire.Text).S == "alive" {
+		if env.Body.(*wire.Text).S == "alive" {
 			break
 		}
 	}
@@ -131,7 +131,7 @@ func TestSendToDeleteRace(t *testing.T) {
 	}
 	drained := 0
 	for {
-		if _, err := dst.Inbox("in").ReceiveTimeout(200 * time.Millisecond); err != nil {
+		if _, err := recvWithin(dst.Inbox("in"), 200*time.Millisecond); err != nil {
 			break
 		}
 		drained++

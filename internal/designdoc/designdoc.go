@@ -48,11 +48,29 @@ type Part struct {
 
 // editMsg announces a new part version.
 type editMsg struct {
-	Part Part `json:"p"`
+	Part Part
 }
 
 // Kind implements wire.Msg.
 func (*editMsg) Kind() string { return "design.edit" }
+
+// AppendBinary implements wire.Msg.
+func (m *editMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Part.Name)
+	dst = wire.AppendVarint(dst, int64(m.Part.Version))
+	dst = wire.AppendString(dst, m.Part.Text)
+	return wire.AppendString(dst, m.Part.Editor), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *editMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Part.Name = r.String()
+	m.Part.Version = int(r.Varint())
+	m.Part.Text = r.String()
+	m.Part.Editor = r.String()
+	return r.Done()
+}
 
 func init() { wire.Register(&editMsg{}) }
 

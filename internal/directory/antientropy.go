@@ -32,14 +32,14 @@ const GossipTopic = "dir"
 // dirDigestMsg is a replica's version vector, sorted by writer: the
 // digest offered with every anti-entropy pull.
 type dirDigestMsg struct {
-	Writers []string `json:"w,omitempty"`
-	Seqs    []uint64 `json:"s,omitempty"`
+	Writers []string
+	Seqs    []uint64
 }
 
 // Kind implements wire.Msg.
 func (*dirDigestMsg) Kind() string { return "dir.digest" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *dirDigestMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendStringSlice(dst, m.Writers)
 	dst = wire.AppendUvarint(dst, uint64(len(m.Seqs)))
@@ -49,7 +49,7 @@ func (m *dirDigestMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *dirDigestMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Writers = r.StringSlice()
@@ -67,30 +67,30 @@ func (m *dirDigestMsg) UnmarshalBinary(data []byte) error {
 // deltaRec carries one record — live or tombstoned — with its governing
 // write stamp, the unit of anti-entropy transfer.
 type deltaRec struct {
-	Name    string `json:"n"`
-	Typ     string `json:"t,omitempty"`
-	Host    string `json:"h,omitempty"`
-	Port    uint16 `json:"p,omitempty"`
-	Dead    bool   `json:"d,omitempty"`
-	Expired bool   `json:"x,omitempty"`
-	Lam     uint64 `json:"l"`
-	Writer  string `json:"w"`
-	Seq     uint64 `json:"s"`
+	Name    string
+	Typ     string
+	Host    string
+	Port    uint16
+	Dead    bool
+	Expired bool
+	Lam     uint64
+	Writer  string
+	Seq     uint64
 }
 
 // dirDeltaMsg answers a pull with the records the peer's digest shows it
 // is missing, plus the sender's own version vector for the receiver to
 // merge after applying them.
 type dirDeltaMsg struct {
-	Recs    []deltaRec `json:"r,omitempty"`
-	Writers []string   `json:"w,omitempty"`
-	Seqs    []uint64   `json:"s,omitempty"`
+	Recs    []deltaRec
+	Writers []string
+	Seqs    []uint64
 }
 
 // Kind implements wire.Msg.
 func (*dirDeltaMsg) Kind() string { return "dir.delta" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *dirDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(len(m.Recs)))
 	for _, rec := range m.Recs {
@@ -112,7 +112,7 @@ func (m *dirDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *dirDeltaMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if n := r.Count(); n > 0 {

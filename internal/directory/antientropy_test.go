@@ -210,8 +210,8 @@ func TestClientRotatesBackAfterHomeRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cliD := newDap(t, net, "hc", "cli")
-	cli := directory.NewClient(cliD, cl, directory.WithRotateBack(100*time.Millisecond))
-	cli.SetTimeout(300 * time.Millisecond)
+	cli := directory.NewClient(cliD, cl, directory.WithRotateBack(100*time.Millisecond),
+		directory.WithClientTimeout(300*time.Millisecond))
 	ctx := context.Background()
 
 	// Establish the home subscription, then kill the home replica and

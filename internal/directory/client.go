@@ -88,8 +88,10 @@ type Client struct {
 	writer string
 	wseq   atomic.Uint64
 
+	// timeout is the per-replica request bound, fixed at construction.
+	timeout time.Duration
+
 	mu         sync.Mutex
-	timeout    time.Duration
 	rotateBack time.Duration
 	cache      map[string]cached
 	pref       []int       // per-shard index of the preferred replica
@@ -155,24 +157,6 @@ func NewClient(d *core.Dapplet, cluster *Cluster, opts ...ClientOption) *Client 
 		c.subscribe(shard)
 	}
 	return c
-}
-
-// SetTimeout changes the per-replica request timeout.
-//
-// Deprecated: pass WithClientTimeout to NewClient, and bound individual
-// requests with their context; the per-replica timeout only sets the
-// failover latency.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
-
-// replicaTimeout returns the current per-replica bound.
-func (c *Client) replicaTimeout() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeout
 }
 
 // Stats returns a snapshot of the client's cache and failover counters.
@@ -310,7 +294,6 @@ func (c *Client) subscribe(shard int) {
 	}
 	c.subPending[shard] = true
 	gen := c.subGen[shard]
-	timeout := c.timeout
 	c.mu.Unlock()
 	settle := func(acked bool) {
 		c.mu.Lock()
@@ -328,7 +311,7 @@ func (c *Client) subscribe(shard int) {
 		return
 	}
 	c.d.Spawn(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout) //wwlint:allow ctxcheck detached resubscribe probe spawned on the dapplet; bounded by the client timeout
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout) //wwlint:allow ctxcheck detached resubscribe probe spawned on the dapplet; bounded by the client timeout
 		defer cancel()
 		settle(pend.Await(ctx, nil) == nil)
 	})
@@ -351,7 +334,6 @@ func (c *Client) maybeRotateBack(shard int) {
 	}
 	c.rotating[shard] = true
 	gen := c.subGen[shard]
-	timeout := c.timeout
 	c.mu.Unlock()
 	pend, err := c.caller.Send(rs[0], "", &watchMsg{})
 	if err != nil {
@@ -362,7 +344,7 @@ func (c *Client) maybeRotateBack(shard int) {
 		return
 	}
 	c.d.Spawn(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout) //wwlint:allow ctxcheck detached rotate-back probe spawned on the dapplet; bounded by the client timeout
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout) //wwlint:allow ctxcheck detached rotate-back probe spawned on the dapplet; bounded by the client timeout
 		err := pend.Await(ctx, nil)
 		cancel()
 		c.mu.Lock()
@@ -418,13 +400,12 @@ func (c *Client) mutate(ctx context.Context, shard int, mk func(i int) wire.Msg,
 	c.mu.Lock()
 	rs := c.cluster.shards[shard]
 	prefIdx := c.pref[shard] % len(rs)
-	timeout := c.timeout
 	c.mu.Unlock()
 
 	// The fan-out context: the caller's cancellation propagated to every
 	// straggler, bounded by the per-replica timeout. It is released when
 	// the last replica's outcome is in.
-	fctx, cancel := context.WithTimeout(ctx, timeout)
+	fctx, cancel := context.WithTimeout(ctx, c.timeout)
 	var outcomes atomic.Int64
 	_, _, err := c.caller.CallFirst(fctx, rs, mk, func(i int, m wire.Msg, err error) {
 		if err == nil && i == prefIdx && onPrefAck != nil {
@@ -546,7 +527,7 @@ func (c *Client) lookupRemote(ctx context.Context, name string) (Entry, uint64, 
 			return Entry{}, 0, false, err
 		}
 		ref := c.preferred(shard)
-		tctx, cancel := context.WithTimeout(ctx, c.replicaTimeout())
+		tctx, cancel := context.WithTimeout(ctx, c.timeout)
 		var rep lookupRepMsg
 		err := c.caller.Call(tctx, ref, &lookupMsg{Name: name}, &rep)
 		cancel()

@@ -18,18 +18,18 @@ import (
 // the shard, so they all order this write identically for
 // last-writer-wins reconciliation (see wstamp).
 type registerMsg struct {
-	Name   string      `json:"n"`
-	Typ    string      `json:"t"`
-	Addr   netsim.Addr `json:"a"`
-	Lam    uint64      `json:"l"`
-	Writer string      `json:"w"`
-	Seq    uint64      `json:"s"`
+	Name   string
+	Typ    string
+	Addr   netsim.Addr
+	Lam    uint64
+	Writer string
+	Seq    uint64
 }
 
 // Kind implements wire.Msg.
 func (*registerMsg) Kind() string { return "dir.reg" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *registerMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Name)
 	dst = wire.AppendString(dst, m.Typ)
@@ -40,7 +40,7 @@ func (m *registerMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendUvarint(dst, m.Seq), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *registerMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()
@@ -56,16 +56,16 @@ func (m *registerMsg) UnmarshalBinary(data []byte) error {
 // removeMsg deletes one entry by name, under the client's write stamp
 // (same role as in registerMsg).
 type removeMsg struct {
-	Name   string `json:"n"`
-	Lam    uint64 `json:"l"`
-	Writer string `json:"w"`
-	Seq    uint64 `json:"s"`
+	Name   string
+	Lam    uint64
+	Writer string
+	Seq    uint64
 }
 
 // Kind implements wire.Msg.
 func (*removeMsg) Kind() string { return "dir.rm" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *removeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Name)
 	dst = wire.AppendUvarint(dst, m.Lam)
@@ -73,7 +73,7 @@ func (m *removeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendUvarint(dst, m.Seq), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *removeMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()
@@ -85,18 +85,18 @@ func (m *removeMsg) UnmarshalBinary(data []byte) error {
 
 // lookupMsg resolves one name.
 type lookupMsg struct {
-	Name string `json:"n"`
+	Name string
 }
 
 // Kind implements wire.Msg.
 func (*lookupMsg) Kind() string { return "dir.lookup" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *lookupMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendString(dst, m.Name), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *lookupMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()
@@ -110,10 +110,10 @@ type watchMsg struct{}
 // Kind implements wire.Msg.
 func (*watchMsg) Kind() string { return "dir.watch" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *watchMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *watchMsg) UnmarshalBinary(data []byte) error {
 	return wire.NewReader(data).Done()
 }
@@ -123,18 +123,18 @@ func (m *watchMsg) UnmarshalBinary(data []byte) error {
 // (best effort, no reply) so the abandoned replica stops pushing events
 // it would discard anyway.
 type unwatchMsg struct {
-	ReplyTo wire.InboxRef `json:"re"`
+	ReplyTo wire.InboxRef
 }
 
 // Kind implements wire.Msg.
 func (*unwatchMsg) Kind() string { return "dir.unwatch" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *unwatchMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendInboxRef(dst, m.ReplyTo), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *unwatchMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.ReplyTo = r.InboxRef()
@@ -145,20 +145,20 @@ func (m *unwatchMsg) UnmarshalBinary(data []byte) error {
 // replica's version counter after the mutation (unchanged for a remove of
 // an unknown name); OK reports whether the request changed anything.
 type ackMsg struct {
-	Version uint64 `json:"v"`
-	OK      bool   `json:"ok"`
+	Version uint64
+	OK      bool
 }
 
 // Kind implements wire.Msg.
 func (*ackMsg) Kind() string { return "dir.ack" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *ackMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.Version)
 	return wire.AppendBool(dst, m.OK), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *ackMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Version = r.Uvarint()
@@ -170,17 +170,17 @@ func (m *ackMsg) UnmarshalBinary(data []byte) error {
 // replica's version counter at resolution time, the basis of the client
 // cache's staleness check.
 type lookupRepMsg struct {
-	Name    string      `json:"n"`
-	Typ     string      `json:"t"`
-	Addr    netsim.Addr `json:"a"`
-	Version uint64      `json:"v"`
-	Found   bool        `json:"f"`
+	Name    string
+	Typ     string
+	Addr    netsim.Addr
+	Version uint64
+	Found   bool
 }
 
 // Kind implements wire.Msg.
 func (*lookupRepMsg) Kind() string { return "dir.rep" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *lookupRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Name)
 	dst = wire.AppendString(dst, m.Typ)
@@ -190,7 +190,7 @@ func (m *lookupRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendBool(dst, m.Found), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *lookupRepMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()
@@ -206,17 +206,17 @@ func (m *lookupRepMsg) UnmarshalBinary(data []byte) error {
 // false, entry fields set) or a removal/expiry (Removed true). A watcher
 // applies the event if its version exceeds the version it has cached.
 type eventMsg struct {
-	Name    string      `json:"n"`
-	Typ     string      `json:"t"`
-	Addr    netsim.Addr `json:"a"`
-	Version uint64      `json:"v"`
-	Removed bool        `json:"rm"`
+	Name    string
+	Typ     string
+	Addr    netsim.Addr
+	Version uint64
+	Removed bool
 }
 
 // Kind implements wire.Msg.
 func (*eventMsg) Kind() string { return "dir.event" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *eventMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Name)
 	dst = wire.AppendString(dst, m.Typ)
@@ -226,7 +226,7 @@ func (m *eventMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendBool(dst, m.Removed), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *eventMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()

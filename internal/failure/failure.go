@@ -118,24 +118,22 @@ func (c Config) withDefaults() Config {
 
 // heartbeatMsg is the periodic liveness beacon.
 type heartbeatMsg struct {
-	From string `json:"f"`
-	Seq  uint64 `json:"s"`
-	Inc  uint64 `json:"i"`
+	From string
+	Seq  uint64
+	Inc  uint64
 }
 
 // Kind implements wire.Msg.
 func (*heartbeatMsg) Kind() string { return "fail.hb" }
 
-// AppendBinary implements wire.BinaryMessage: heartbeats are steady
-// background traffic on every watched channel, so they take the binary
-// fast path.
+// AppendBinary implements wire.Msg.
 func (m *heartbeatMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.From)
 	dst = wire.AppendUvarint(dst, m.Seq)
 	return wire.AppendUvarint(dst, m.Inc), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *heartbeatMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.From = r.String()
@@ -149,20 +147,20 @@ func (m *heartbeatMsg) UnmarshalBinary(data []byte) error {
 // the one-way heartbeat, the pair proves the channel alive in both
 // directions in one exchange, without requiring the peer to watch back.
 type probeMsg struct {
-	From string `json:"f"`
-	Inc  uint64 `json:"i"`
+	From string
+	Inc  uint64
 }
 
 // Kind implements wire.Msg.
 func (*probeMsg) Kind() string { return "fail.probe" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *probeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.From)
 	return wire.AppendUvarint(dst, m.Inc), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *probeMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.From = r.String()
@@ -175,20 +173,20 @@ func (m *probeMsg) UnmarshalBinary(data []byte) error {
 // incarnation number distinguishes a recovered peer from a dead
 // incarnation's lingering frames).
 type probeRepMsg struct {
-	Name string `json:"n"`
-	Inc  uint64 `json:"i"`
+	Name string
+	Inc  uint64
 }
 
 // Kind implements wire.Msg.
 func (*probeRepMsg) Kind() string { return "fail.probe-rep" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *probeRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Name)
 	return wire.AppendUvarint(dst, m.Inc), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *probeRepMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()

@@ -39,17 +39,17 @@ const (
 // sender's behalf; it travels bare (one-way) on the "@fail" inbox so the
 // relay's svc dispatch thread never blocks on the probe itself.
 type iprobeMsg struct {
-	Target string `json:"t"`
-	Host   string `json:"h"`
-	Port   uint16 `json:"p"`
-	Inc    uint64 `json:"i"`
-	From   string `json:"f"`
+	Target string
+	Host   string
+	Port   uint16
+	Inc    uint64
+	From   string
 }
 
 // Kind implements wire.Msg.
 func (*iprobeMsg) Kind() string { return "fail.iprobe" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *iprobeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Target)
 	dst = wire.AppendString(dst, m.Host)
@@ -58,7 +58,7 @@ func (m *iprobeMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendString(dst, m.From), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *iprobeMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Target = r.String()
@@ -74,16 +74,16 @@ func (m *iprobeMsg) UnmarshalBinary(data []byte) error {
 // answered with when Reachable, or an echo of the suspected incarnation
 // otherwise, so the watcher can discard outcomes about a stale suspicion.
 type iprobeRepMsg struct {
-	Target    string `json:"t"`
-	Relay     string `json:"r"`
-	Inc       uint64 `json:"i"`
-	Reachable bool   `json:"a"`
+	Target    string
+	Relay     string
+	Inc       uint64
+	Reachable bool
 }
 
 // Kind implements wire.Msg.
 func (*iprobeRepMsg) Kind() string { return "fail.iprobe-rep" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *iprobeRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Target)
 	dst = wire.AppendString(dst, m.Relay)
@@ -91,7 +91,7 @@ func (m *iprobeRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendBool(dst, m.Reachable), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *iprobeRepMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Target = r.String()
@@ -105,17 +105,17 @@ func (m *iprobeRepMsg) UnmarshalBinary(data []byte) error {
 // down verdict about Target's incarnation, or an alive refutation
 // (usually from the target itself).
 type verdictRumor struct {
-	Target  string `json:"t"`
-	Host    string `json:"h"`
-	Port    uint16 `json:"p"`
-	Inc     uint64 `json:"i"`
-	Verdict uint8  `json:"v"`
+	Target  string
+	Host    string
+	Port    uint16
+	Inc     uint64
+	Verdict uint8
 }
 
 // Kind implements wire.Msg.
 func (*verdictRumor) Kind() string { return "fail.rumor" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *verdictRumor) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Target)
 	dst = wire.AppendString(dst, m.Host)
@@ -124,7 +124,7 @@ func (m *verdictRumor) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendUvarint(dst, uint64(m.Verdict)), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *verdictRumor) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Target = r.String()

@@ -85,8 +85,8 @@ func NewHost(granularity time.Duration) *Host {
 	return h
 }
 
-// newWheel builds the wheel without starting the loop; tests and
-// MeasureTickCost drive advance by hand.
+// newWheel builds the wheel without starting the loop; tests drive
+// advance by hand.
 func newWheel(granularity time.Duration) *Host {
 	if granularity <= 0 {
 		granularity = 10 * time.Millisecond

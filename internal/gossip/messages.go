@@ -9,38 +9,33 @@ import (
 // requester offers its digest, the responder answers with what the
 // requester is missing); rumors travel bare and one-way, forwarded
 // epidemic-style with a decrementing hop budget. All three nest their
-// consumer payload as an encoded body — the same BodyID/BodyBin/Body
-// triple the svc request frame uses — so the substrate never needs to
-// know what a digest, delta or rumor means to its topic.
+// consumer payload as an encoded body — the same wire.AppendBody pair
+// the svc request frame ends with — so the substrate never needs to know
+// what a digest, delta or rumor means to its topic.
 
 // pullMsg asks a peer for the entries this node is missing: Body is the
 // requesting node's digest (a topic-defined summary of its state, e.g.
 // the directory's per-writer version vector).
 type pullMsg struct {
-	Topic   string `json:"t"`
-	BodyID  uint16 `json:"k"`
-	BodyBin bool   `json:"bb,omitempty"`
-	Body    []byte `json:"b,omitempty"`
+	Topic  string
+	BodyID uint16
+	Body   []byte
 }
 
 // Kind implements wire.Msg.
 func (*pullMsg) Kind() string { return "gsp.pull" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *pullMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Topic)
-	dst = wire.AppendUvarint(dst, uint64(m.BodyID))
-	dst = wire.AppendBool(dst, m.BodyBin)
-	return wire.AppendBytes(dst, m.Body), nil
+	return wire.AppendBody(dst, m.BodyID, m.Body), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *pullMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Topic = r.String()
-	m.BodyID = uint16(r.Uvarint())
-	m.BodyBin = r.Bool()
-	m.Body = r.Bytes()
+	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
 
@@ -48,33 +43,28 @@ func (m *pullMsg) UnmarshalBinary(data []byte) error {
 // requester up to date. Empty reports that the requester's digest already
 // covers everything the responder holds (no body travels).
 type deltaMsg struct {
-	Topic   string `json:"t"`
-	Empty   bool   `json:"e,omitempty"`
-	BodyID  uint16 `json:"k,omitempty"`
-	BodyBin bool   `json:"bb,omitempty"`
-	Body    []byte `json:"b,omitempty"`
+	Topic  string
+	Empty  bool
+	BodyID uint16
+	Body   []byte
 }
 
 // Kind implements wire.Msg.
 func (*deltaMsg) Kind() string { return "gsp.delta" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *deltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Topic)
 	dst = wire.AppendBool(dst, m.Empty)
-	dst = wire.AppendUvarint(dst, uint64(m.BodyID))
-	dst = wire.AppendBool(dst, m.BodyBin)
-	return wire.AppendBytes(dst, m.Body), nil
+	return wire.AppendBody(dst, m.BodyID, m.Body), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *deltaMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Topic = r.String()
 	m.Empty = r.Bool()
-	m.BodyID = uint16(r.Uvarint())
-	m.BodyBin = r.Bool()
-	m.Body = r.Bytes()
+	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
 
@@ -83,39 +73,34 @@ func (m *deltaMsg) UnmarshalBinary(data []byte) error {
 // duplicate suppression) and forwarded peer-to-peer until TTL hops are
 // spent.
 type rumorMsg struct {
-	Topic   string `json:"t"`
-	Origin  string `json:"o"`
-	Seq     uint64 `json:"s"`
-	TTL     uint8  `json:"l"`
-	BodyID  uint16 `json:"k"`
-	BodyBin bool   `json:"bb,omitempty"`
-	Body    []byte `json:"b,omitempty"`
+	Topic  string
+	Origin string
+	Seq    uint64
+	TTL    uint8
+	BodyID uint16
+	Body   []byte
 }
 
 // Kind implements wire.Msg.
 func (*rumorMsg) Kind() string { return "gsp.rumor" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *rumorMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Topic)
 	dst = wire.AppendString(dst, m.Origin)
 	dst = wire.AppendUvarint(dst, m.Seq)
 	dst = wire.AppendUvarint(dst, uint64(m.TTL))
-	dst = wire.AppendUvarint(dst, uint64(m.BodyID))
-	dst = wire.AppendBool(dst, m.BodyBin)
-	return wire.AppendBytes(dst, m.Body), nil
+	return wire.AppendBody(dst, m.BodyID, m.Body), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *rumorMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Topic = r.String()
 	m.Origin = r.String()
 	m.Seq = r.Uvarint()
 	m.TTL = uint8(r.Uvarint())
-	m.BodyID = uint16(r.Uvarint())
-	m.BodyBin = r.Bool()
-	m.Body = r.Bytes()
+	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
 

@@ -2,8 +2,8 @@
 // enforce this repository's cross-cutting invariants — determinism of
 // the seeded/replay packages, mutex discipline on annotated fields,
 // context-first blocking APIs, goroutine-leak hygiene in long-lived
-// services, wire-codec test coverage, godoc discipline, and the
-// deprecated-timeout ban. The analyzers follow the golang.org/x/tools
+// services, wire-codec test coverage, and godoc discipline. The
+// analyzers follow the golang.org/x/tools
 // go/analysis pattern (Analyzer + Pass + Diagnostic, analysistest-style
 // fixtures under testdata/), but the driver is a small self-contained
 // reimplementation: the build is hermetic, so instead of vendoring

@@ -27,7 +27,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"goleak", []string{"./transport"}},
 		{"ctxcheck", []string{"./api"}},
 		{"doccheck", []string{"./docs"}},
-		{"depcheck", []string{"./internal/core", "./caller"}},
 		{"wirecheck", []string{"./internal/wire", "./msg", "./linkedmsg", "./wiretest"}},
 	}
 	for _, tc := range cases {

@@ -206,7 +206,6 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 		Epoch:        st.epoch,
 		TTL:          ttlFor(st.tree),
 		BodyID:       body.ID(),
-		BodyBin:      body.Binary(),
 		Body:         body.Bytes(),
 	}
 	// The replay copy owns its bytes: body's buffer is pooled and
@@ -382,7 +381,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 // the origin's identity and Lamport stamp so the application cannot
 // distinguish tree delivery from a direct send.
 func (r *Relay) deliverLocal(f *wire.RelayFrame) {
-	msg, err := wire.DecodeBody(f.BodyID, f.BodyBin, f.Body)
+	msg, err := wire.DecodeBody(f.BodyID, f.Body)
 	if err != nil {
 		r.unbound.Add(1)
 		return

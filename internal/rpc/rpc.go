@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/svc"
@@ -30,9 +29,6 @@ import (
 var (
 	// ErrClosed is returned when the client's dapplet has stopped.
 	ErrClosed = errors.New("rpc: closed")
-	// ErrTimeout is returned by the deprecated CallTimeout on expiry;
-	// context-first calls return context.DeadlineExceeded instead.
-	ErrTimeout = errors.New("rpc: call timeout")
 	// ErrNoMethod is returned (remotely) for unknown method names.
 	ErrNoMethod = errors.New("rpc: no such method")
 )
@@ -69,20 +65,20 @@ func (r Ref) IsZero() bool { return r.Inbox.IsZero() }
 // bare it is an asynchronous RPC (no reply); inside an svc frame the
 // framework's correlation id and reply inbox make it synchronous.
 type callMsg struct {
-	Method string          `json:"m"`
-	Args   json.RawMessage `json:"a,omitempty"`
+	Method string
+	Args   json.RawMessage
 }
 
 func (*callMsg) Kind() string { return "rpc.call" }
 
-// AppendBinary implements wire.BinaryMessage (the hot-path codec).
+// AppendBinary implements wire.Msg.
 func (c *callMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, c.Method)
 	dst = wire.AppendBytes(dst, c.Args)
 	return dst, nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (c *callMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	c.Method = r.String()
@@ -93,17 +89,17 @@ func (c *callMsg) UnmarshalBinary(data []byte) error {
 // replyMsg carries a successful call's result; errors travel as typed
 // svc error codes instead.
 type replyMsg struct {
-	Result json.RawMessage `json:"r,omitempty"`
+	Result json.RawMessage
 }
 
 func (*replyMsg) Kind() string { return "rpc.reply" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *replyMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendBytes(dst, m.Result), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *replyMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Result = r.Bytes()
@@ -206,24 +202,6 @@ func (c *Client) Call(ctx context.Context, ref Ref, method string, args any, out
 		}
 	}
 	return nil
-}
-
-// CallTimeout is Call with a deadline, returning ErrTimeout on expiry.
-//
-// Deprecated: use Call with a deadline context, which returns
-// context.DeadlineExceeded and composes with cancellation.
-func (c *Client) CallTimeout(ref Ref, method string, args any, out any, d time.Duration) error {
-	ctx := context.Background() //wwlint:allow ctxcheck deprecated shim with no caller context; bounded by d when positive
-	if d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	err := c.Call(ctx, ref, method, args, out)
-	if errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("%w: %s", ErrTimeout, method)
-	}
-	return err
 }
 
 func marshalArgs(args any) (json.RawMessage, error) {

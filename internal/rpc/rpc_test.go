@@ -147,16 +147,22 @@ func TestNoSuchMethod(t *testing.T) {
 	}
 }
 
-func TestCallTimeout(t *testing.T) {
+// callWithin is Call under a deadline of d.
+func callWithin(cli *rpc.Client, ref rpc.Ref, method string, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return cli.Call(ctx, ref, method, nil, nil)
+}
+
+func TestCallDeadlineAcrossPartition(t *testing.T) {
 	w := newRWorld(t)
 	w.net.Partition([]string{"h1"}, []string{"h2"})
 	server := w.dapplet("h1", "server")
 	cli := rpc.NewClient(w.dapplet("h2", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
-	err := cli.CallTimeout(ref, "get", nil, nil, 100*time.Millisecond)
-	if !errors.Is(err, rpc.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if err := callWithin(cli, ref, "get", 100*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

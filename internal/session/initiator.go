@@ -20,13 +20,6 @@ import (
 // of its own.
 const DefaultTimeout = 10 * time.Second
 
-// ErrTimeout reports that participants did not respond in time.
-//
-// Deprecated: context-first calls return context.DeadlineExceeded (or
-// context.Canceled); this sentinel is retained only so older callers
-// keep compiling.
-var ErrTimeout = errors.New("session: timed out waiting for participants")
-
 // Rejection records one participant's refusal to join.
 type Rejection struct {
 	Name   string
@@ -56,31 +49,24 @@ var sessionSeq atomic.Uint64
 // on the svc framework: one caller multiplexes every handshake, and
 // every blocking method takes a context.Context.
 type Initiator struct {
-	d       *core.Dapplet
-	dir     directory.Resolver
-	caller  *svc.Caller
-	timeout time.Duration
+	d      *core.Dapplet
+	dir    directory.Resolver
+	caller *svc.Caller
 }
 
 // NewInitiator creates an initiator on the given dapplet with the given
 // address directory (a *directory.Directory or a *directory.Client).
 func NewInitiator(d *core.Dapplet, dir directory.Resolver) *Initiator {
-	return &Initiator{d: d, dir: dir, caller: svc.NewCaller(d), timeout: DefaultTimeout}
+	return &Initiator{d: d, dir: dir, caller: svc.NewCaller(d)}
 }
 
-// SetTimeout changes the fallback handshake timeout applied when a
-// caller's context has no deadline.
-//
-// Deprecated: bound each call with its context instead.
-func (ini *Initiator) SetTimeout(d time.Duration) { ini.timeout = d }
-
-// withDeadline applies the initiator's fallback timeout to a context that
-// has no deadline of its own.
-func (ini *Initiator) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, has := ctx.Deadline(); has || ini.timeout <= 0 {
+// withDeadline applies DefaultTimeout to a context that has no deadline
+// of its own.
+func withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, has := ctx.Deadline(); has {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, ini.timeout)
+	return context.WithTimeout(ctx, DefaultTimeout)
 }
 
 // resolved is a link with the destination inbox resolved to an address.
@@ -169,11 +155,10 @@ func callAll[T wire.Msg](ctx context.Context, caller *svc.Caller, sid string, ps
 // rejection — or any failure, including ctx ending mid-handshake — the
 // session is aborted everywhere, tearing it down even at participants
 // whose commit had already landed. The context bounds the whole
-// handshake (the initiator's fallback timeout applies when it has no
-// deadline). On success it returns a Handle for growing, shrinking and
-// terminating the session.
+// handshake (DefaultTimeout applies when it has no deadline). On success
+// it returns a Handle for growing, shrinking and terminating the session.
 func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) {
-	ctx, cancel := ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	if spec.ID == "" {
 		spec.ID = fmt.Sprintf("sess-%s-%d", ini.d.Name(), sessionSeq.Add(1))
@@ -338,7 +323,7 @@ func (h *Handle) Terminate(ctx context.Context) error {
 	roster := h.rosterLocked()
 	h.mu.Unlock()
 
-	ctx, cancel := h.ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	_, err := callAll(ctx, h.ini.caller, h.id, roster, func(Participant) wire.Msg {
 		return &terminateMsg{SessionID: h.id}
@@ -363,7 +348,7 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 	}
 	h.mu.Unlock()
 
-	ctx, cancel := h.ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 
 	if p.Addr.IsZero() {
@@ -488,7 +473,7 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 // repair needs only the name. Use ReincarnateAt when the address is
 // known out-of-band instead.
 func (h *Handle) Reincarnate(ctx context.Context, name string) error {
-	ctx, cancel := h.ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	e, err := h.ini.dir.MustLookup(ctx, name)
 	if err != nil {
@@ -553,7 +538,7 @@ func (h *Handle) ReincarnateAt(ctx context.Context, name string, newAddr netsim.
 	epoch := h.bumpEpochLocked()
 	h.mu.Unlock()
 
-	ctx, cancel := h.ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	// On tree sessions the relink also rebuilds every member's tree with
 	// the reincarnation's new address, so frames the dead incarnation
@@ -632,7 +617,7 @@ func (h *Handle) Shrink(ctx context.Context, name string) error {
 	epoch := h.bumpEpochLocked()
 	h.mu.Unlock()
 
-	ctx, cancel := h.ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 
 	// The victim fully unlinks (terminate semantics for it alone).
@@ -707,7 +692,7 @@ func (h *Handle) RepairTree(ctx context.Context, name string) error {
 	epoch := h.bumpEpochLocked()
 	h.mu.Unlock()
 
-	ctx, cancel := h.ini.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	if _, err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
 		return &relinkMsg{

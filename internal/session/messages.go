@@ -78,29 +78,28 @@ type Spec struct {
 // request (the framework carries the correlation id and reply inbox);
 // the reply is an inviteRepMsg.
 type inviteMsg struct {
-	SessionID string          `json:"sid"`
-	Task      string          `json:"task,omitempty"`
-	Role      string          `json:"role"`
-	Access    state.AccessSet `json:"acc"`
+	SessionID string
+	Task      string
+	Role      string
+	Access    state.AccessSet
 	// Bindings are the outbox bindings this participant must create at
 	// commit time.
-	Bindings []Binding `json:"b,omitempty"`
+	Bindings []Binding
 	// Inboxes are inbox names this participant must ensure exist.
-	Inboxes []string `json:"in,omitempty"`
+	Inboxes []string
 	// Roster is the full participant list (names, addresses and roles),
 	// so behaviours can find their peers.
-	Roster []Participant `json:"roster"`
+	Roster []Participant
 	// Tree, when non-nil, wires this participant into the session's
 	// relay multicast tree at commit time.
-	Tree *TreeSpec `json:"tree,omitempty"`
+	Tree *TreeSpec
 	// Epoch is the tree version this invite installs (1 at Initiate).
-	Epoch uint64 `json:"e,omitempty"`
+	Epoch uint64
 }
 
 func (*inviteMsg) Kind() string { return "session.invite" }
 
-// appendTreeSpec / readTreeSpec encode an optional TreeSpec for the
-// binary path.
+// appendTreeSpec / readTreeSpec encode an optional TreeSpec.
 func appendTreeSpec(dst []byte, t *TreeSpec) []byte {
 	dst = wire.AppendBool(dst, t != nil)
 	if t == nil {
@@ -124,7 +123,7 @@ func readTreeSpec(r *wire.Reader) *TreeSpec {
 	}
 }
 
-// appendAccess / readAccess encode a state.AccessSet for the binary path.
+// appendAccess / readAccess encode a state.AccessSet.
 func appendAccess(dst []byte, a state.AccessSet) []byte {
 	dst = wire.AppendStringSlice(dst, a.Read)
 	return wire.AppendStringSlice(dst, a.Write)
@@ -132,6 +131,28 @@ func appendAccess(dst []byte, a state.AccessSet) []byte {
 
 func readAccess(r *wire.Reader) state.AccessSet {
 	return state.AccessSet{Read: r.StringSlice(), Write: r.StringSlice()}
+}
+
+func appendBindings(dst []byte, bs []Binding) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(bs)))
+	for _, b := range bs {
+		dst = wire.AppendString(dst, b.Outbox)
+		dst = wire.AppendInboxRef(dst, b.To)
+	}
+	return dst
+}
+
+func readBindings(r *wire.Reader) []Binding {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Binding, n)
+	for i := range out {
+		out[i].Outbox = r.String()
+		out[i].To = r.InboxRef()
+	}
+	return out
 }
 
 func appendParticipants(dst []byte, ps []Participant) []byte {
@@ -162,41 +183,28 @@ func readParticipants(r *wire.Reader) []Participant {
 	return out
 }
 
-// AppendBinary implements wire.BinaryMessage: invitations are the
-// per-participant unit of session setup cost (Figure 2), so they take the
-// binary fast path.
+// AppendBinary implements wire.Msg. Invitations are the per-participant
+// unit of session setup cost (Figure 2).
 func (m *inviteMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.SessionID)
 	dst = wire.AppendString(dst, m.Task)
 	dst = wire.AppendString(dst, m.Role)
 	dst = appendAccess(dst, m.Access)
-	dst = wire.AppendUvarint(dst, uint64(len(m.Bindings)))
-	for _, b := range m.Bindings {
-		dst = wire.AppendString(dst, b.Outbox)
-		dst = wire.AppendInboxRef(dst, b.To)
-	}
+	dst = appendBindings(dst, m.Bindings)
 	dst = wire.AppendStringSlice(dst, m.Inboxes)
 	dst = appendParticipants(dst, m.Roster)
 	dst = appendTreeSpec(dst, m.Tree)
 	return wire.AppendUvarint(dst, m.Epoch), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *inviteMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.SessionID = r.String()
 	m.Task = r.String()
 	m.Role = r.String()
 	m.Access = readAccess(r)
-	if n := r.Count(); n > 0 {
-		m.Bindings = make([]Binding, n)
-		for i := range m.Bindings {
-			m.Bindings[i].Outbox = r.String()
-			m.Bindings[i].To = r.InboxRef()
-		}
-	} else {
-		m.Bindings = nil
-	}
+	m.Bindings = readBindings(r)
 	m.Inboxes = r.StringSlice()
 	m.Roster = readParticipants(r)
 	m.Tree = readTreeSpec(r)
@@ -209,15 +217,15 @@ func (m *inviteMsg) UnmarshalBinary(data []byte) error {
 // protocol outcomes the initiator aggregates per participant, so they
 // ride in the reply body rather than as svc errors.
 type inviteRepMsg struct {
-	SessionID string `json:"sid"`
-	Name      string `json:"n"`
-	Accepted  bool   `json:"ok"`
-	Reason    string `json:"why,omitempty"`
+	SessionID string
+	Name      string
+	Accepted  bool
+	Reason    string
 }
 
 func (*inviteRepMsg) Kind() string { return "session.invite-rep" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *inviteRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.SessionID)
 	dst = wire.AppendString(dst, m.Name)
@@ -225,7 +233,7 @@ func (m *inviteRepMsg) AppendBinary(dst []byte) ([]byte, error) {
 	return wire.AppendString(dst, m.Reason), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *inviteRepMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.SessionID = r.String()
@@ -237,72 +245,176 @@ func (m *inviteRepMsg) UnmarshalBinary(data []byte) error {
 
 // commitMsg tells an accepted participant to apply its bindings.
 type commitMsg struct {
-	SessionID string `json:"sid"`
+	SessionID string
 }
 
 func (*commitMsg) Kind() string { return "session.commit" }
 
+// AppendBinary implements wire.Msg.
+func (m *commitMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendString(dst, m.SessionID), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *commitMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	return r.Done()
+}
+
 // commitAckMsg confirms a participant is linked.
 type commitAckMsg struct {
-	SessionID string `json:"sid"`
-	Name      string `json:"n"`
+	SessionID string
+	Name      string
 }
 
 func (*commitAckMsg) Kind() string { return "session.commit-ack" }
 
+// AppendBinary implements wire.Msg.
+func (m *commitAckMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SessionID)
+	return wire.AppendString(dst, m.Name), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *commitAckMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	m.Name = r.String()
+	return r.Done()
+}
+
 // abortMsg cancels a pending session at an accepted participant.
 type abortMsg struct {
-	SessionID string `json:"sid"`
-	Reason    string `json:"why"`
+	SessionID string
+	Reason    string
 }
 
 func (*abortMsg) Kind() string { return "session.abort" }
 
+// AppendBinary implements wire.Msg.
+func (m *abortMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SessionID)
+	return wire.AppendString(dst, m.Reason), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *abortMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	m.Reason = r.String()
+	return r.Done()
+}
+
 // terminateMsg ends a session: the participant unlinks its bindings and
 // releases its state access.
 type terminateMsg struct {
-	SessionID string `json:"sid"`
+	SessionID string
 }
 
 func (*terminateMsg) Kind() string { return "session.terminate" }
 
+// AppendBinary implements wire.Msg.
+func (m *terminateMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendString(dst, m.SessionID), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *terminateMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	return r.Done()
+}
+
 // terminateAckMsg confirms a participant has unlinked.
 type terminateAckMsg struct {
-	SessionID string `json:"sid"`
-	Name      string `json:"n"`
+	SessionID string
+	Name      string
 }
 
 func (*terminateAckMsg) Kind() string { return "session.terminate-ack" }
+
+// AppendBinary implements wire.Msg.
+func (m *terminateAckMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SessionID)
+	return wire.AppendString(dst, m.Name), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *terminateAckMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	m.Name = r.String()
+	return r.Done()
+}
 
 // relinkMsg grows or shrinks a live session at a participant: Add
 // bindings are applied, Remove bindings are deleted, and the roster is
 // replaced.
 type relinkMsg struct {
-	SessionID string        `json:"sid"`
-	Add       []Binding     `json:"add,omitempty"`
-	Remove    []Binding     `json:"rm,omitempty"`
-	Roster    []Participant `json:"roster,omitempty"`
+	SessionID string
+	Add       []Binding
+	Remove    []Binding
+	Roster    []Participant
 	// Tree re-ships the session's tree spec on tree-bound sessions so a
 	// reconfiguration rebuilds the tree from the new roster.
-	Tree *TreeSpec `json:"tree,omitempty"`
+	Tree *TreeSpec
 	// Epoch is the tree version this relink installs; participants
 	// ignore relinks older than the tree they already hold.
-	Epoch uint64 `json:"e,omitempty"`
+	Epoch uint64
 	// Redrive asks the participant to re-flood its replay ring after
 	// rebinding — set on repair relinks so frames a failed relay
 	// swallowed reach the re-parented subtree.
-	Redrive bool `json:"rd,omitempty"`
+	Redrive bool
 }
 
 func (*relinkMsg) Kind() string { return "session.relink" }
 
+// AppendBinary implements wire.Msg.
+func (m *relinkMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SessionID)
+	dst = appendBindings(dst, m.Add)
+	dst = appendBindings(dst, m.Remove)
+	dst = appendParticipants(dst, m.Roster)
+	dst = appendTreeSpec(dst, m.Tree)
+	dst = wire.AppendUvarint(dst, m.Epoch)
+	return wire.AppendBool(dst, m.Redrive), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *relinkMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	m.Add = readBindings(r)
+	m.Remove = readBindings(r)
+	m.Roster = readParticipants(r)
+	m.Tree = readTreeSpec(r)
+	m.Epoch = r.Uvarint()
+	m.Redrive = r.Bool()
+	return r.Done()
+}
+
 // relinkAckMsg confirms a membership change was applied.
 type relinkAckMsg struct {
-	SessionID string `json:"sid"`
-	Name      string `json:"n"`
+	SessionID string
+	Name      string
 }
 
 func (*relinkAckMsg) Kind() string { return "session.relink-ack" }
+
+// AppendBinary implements wire.Msg.
+func (m *relinkAckMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SessionID)
+	return wire.AppendString(dst, m.Name), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *relinkAckMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SessionID = r.String()
+	m.Name = r.String()
+	return r.Done()
+}
 
 func init() {
 	wire.Register(&inviteMsg{})

@@ -55,7 +55,6 @@ func (w *sworld) initiator(host, name string) *session.Initiator {
 		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
 	w.t.Cleanup(d.Stop)
 	ini := session.NewInitiator(d, w.dir)
-	ini.SetTimeout(5 * time.Second)
 	return ini
 }
 
@@ -526,7 +525,6 @@ func TestReincarnateAfterCrashRestart(t *testing.T) {
 		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
 	t.Cleanup(iniD.Stop)
 	ini := session.NewInitiator(iniD, dir)
-	ini.SetTimeout(5 * time.Second)
 
 	spec := session.Spec{
 		ID: "recov",

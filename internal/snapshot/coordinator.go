@@ -54,7 +54,7 @@ func (c *Coordinator) gatherReports(ctx context.Context, in *core.Inbox, snapID 
 	g := &Global{
 		ID:       snapID,
 		States:   make(map[string]json.RawMessage),
-		Channels: make(map[ChannelKey][]json.RawMessage),
+		Channels: make(map[ChannelKey][][]byte),
 		Sent:     make(map[ChannelKey]uint64),
 		Recv:     make(map[ChannelKey]uint64),
 	}

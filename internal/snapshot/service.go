@@ -55,7 +55,7 @@ type ChannelMsg struct {
 	// Lamport is the message's original logical stamp.
 	Lamport uint64 `json:"lam"`
 	// Body is the kind-tagged message payload (wire.Marshal form).
-	Body json.RawMessage `json:"b"`
+	Body []byte `json:"b"`
 }
 
 // LastCheckpoint reads the most recent local checkpoint from a store
@@ -103,7 +103,7 @@ type markerSnap struct {
 	sentAt    map[string]uint64
 	recvAt    map[string]uint64
 	recording map[string]bool
-	channels  map[string][]json.RawMessage
+	channels  map[string][][]byte
 	awaiting  int
 }
 
@@ -115,7 +115,7 @@ type clockSnap struct {
 	state     json.RawMessage
 	sentAt    map[string]uint64
 	recvAt    map[string]uint64
-	channels  map[string][]json.RawMessage
+	channels  map[string][][]byte
 	flushed   map[string]bool
 	awaiting  int
 	flushSent bool
@@ -285,7 +285,7 @@ func (s *Service) startMarker(id string, replyTo wire.InboxRef, fromPeer string)
 		ms = &markerSnap{
 			replyTo:   replyTo,
 			recording: make(map[string]bool),
-			channels:  make(map[string][]json.RawMessage),
+			channels:  make(map[string][][]byte),
 		}
 		s.markers[id] = ms
 	}
@@ -406,7 +406,7 @@ func (s *Service) armClockLocked(id string, t uint64, replyTo wire.InboxRef) *cl
 	cs := &clockSnap{
 		t:        t,
 		replyTo:  replyTo,
-		channels: make(map[string][]json.RawMessage),
+		channels: make(map[string][][]byte),
 		flushed:  make(map[string]bool),
 		awaiting: len(s.peers),
 	}

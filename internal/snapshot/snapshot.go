@@ -3,6 +3,8 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/wire"
@@ -32,8 +34,8 @@ type Global struct {
 	// States maps participant name to its recorded local state (JSON).
 	States map[string]json.RawMessage
 	// Channels maps directed channels to the in-flight messages captured
-	// in the channel state (JSON-encoded message bodies).
-	Channels map[ChannelKey][]json.RawMessage
+	// in the channel state (message bodies in wire.Marshal form).
+	Channels map[ChannelKey][][]byte
 	// Sent and Recv are the per-channel cumulative application-message
 	// counters at each participant's record point.
 	Sent map[ChannelKey]uint64
@@ -81,63 +83,212 @@ func (g *Global) CheckConsistent() error {
 
 // markerMsg is the Chandy–Lamport marker.
 type markerMsg struct {
-	SnapID  string        `json:"sid"`
-	From    string        `json:"f"`
-	ReplyTo wire.InboxRef `json:"re"`
+	SnapID  string
+	From    string
+	ReplyTo wire.InboxRef
 }
 
 func (*markerMsg) Kind() string { return "snap.marker" }
 
+// AppendBinary implements wire.Msg.
+func (m *markerMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SnapID)
+	dst = wire.AppendString(dst, m.From)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *markerMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SnapID = r.String()
+	m.From = r.String()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
 // startMsg tells one member to initiate a marker snapshot.
 type startMsg struct {
-	SnapID  string        `json:"sid"`
-	ReplyTo wire.InboxRef `json:"re"`
+	SnapID  string
+	ReplyTo wire.InboxRef
 }
 
 func (*startMsg) Kind() string { return "snap.start" }
 
+// AppendBinary implements wire.Msg.
+func (m *startMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SnapID)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *startMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SnapID = r.String()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
 // takeMsg arms a clock-based checkpoint at logical time T.
 type takeMsg struct {
-	SnapID  string        `json:"sid"`
-	T       uint64        `json:"t"`
-	ReplyTo wire.InboxRef `json:"re"`
+	SnapID  string
+	T       uint64
+	ReplyTo wire.InboxRef
 }
 
 func (*takeMsg) Kind() string { return "snap.take" }
+
+// AppendBinary implements wire.Msg.
+func (m *takeMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SnapID)
+	dst = wire.AppendUvarint(dst, m.T)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *takeMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SnapID = r.String()
+	m.T = r.Uvarint()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
 
 // collectMsg asks a member to finalize a clock checkpoint. Its Lamport
 // stamp exceeds T by construction, so any member not yet triggered records
 // upon its arrival; the member then sends flushMsg on every outgoing
 // channel and reports once flushes from all peers have arrived.
 type collectMsg struct {
-	SnapID string `json:"sid"`
+	SnapID string
 }
 
 func (*collectMsg) Kind() string { return "snap.collect" }
+
+// AppendBinary implements wire.Msg.
+func (m *collectMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendString(dst, m.SnapID), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *collectMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SnapID = r.String()
+	return r.Done()
+}
 
 // flushMsg terminates channel-state recording for a clock checkpoint:
 // because send stamps are monotonic and the flush is stamped after T, no
 // pre-T message can follow it on the FIFO channel from its sender.
 type flushMsg struct {
-	SnapID  string        `json:"sid"`
-	T       uint64        `json:"t"`
-	From    string        `json:"f"`
-	ReplyTo wire.InboxRef `json:"re"`
+	SnapID  string
+	T       uint64
+	From    string
+	ReplyTo wire.InboxRef
 }
 
 func (*flushMsg) Kind() string { return "snap.flush" }
 
-// reportMsg carries one member's contribution to the coordinator.
+// AppendBinary implements wire.Msg.
+func (m *flushMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SnapID)
+	dst = wire.AppendUvarint(dst, m.T)
+	dst = wire.AppendString(dst, m.From)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *flushMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SnapID = r.String()
+	m.T = r.Uvarint()
+	m.From = r.String()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
+// reportMsg carries one member's contribution to the coordinator. The
+// maps are keyed by peer name and written in sorted key order, so equal
+// reports encode to equal bytes.
 type reportMsg struct {
-	SnapID   string                       `json:"sid"`
-	Name     string                       `json:"n"`
-	State    json.RawMessage              `json:"st"`
-	SentAt   map[string]uint64            `json:"sent"`
-	RecvAt   map[string]uint64            `json:"recv"`
-	Channels map[string][]json.RawMessage `json:"ch"`
+	SnapID string
+	Name   string
+	// State is the member's recorded local state (JSON, as StateFunc
+	// produced it; opaque to the codec).
+	State  json.RawMessage
+	SentAt map[string]uint64
+	RecvAt map[string]uint64
+	// Channels holds each inbound channel's captured messages in
+	// wire.Marshal form.
+	Channels map[string][][]byte
 }
 
 func (*reportMsg) Kind() string { return "snap.report" }
+
+func appendCounts(dst []byte, m map[string]uint64) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(m)))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		dst = wire.AppendString(dst, k)
+		dst = wire.AppendUvarint(dst, m[k])
+	}
+	return dst
+}
+
+func readCounts(r *wire.Reader) map[string]uint64 {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]uint64, n)
+	for i := 0; i < n; i++ {
+		k := r.String()
+		m[k] = r.Uvarint()
+	}
+	return m
+}
+
+// AppendBinary implements wire.Msg.
+func (m *reportMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.SnapID)
+	dst = wire.AppendString(dst, m.Name)
+	dst = wire.AppendBytes(dst, m.State)
+	dst = appendCounts(dst, m.SentAt)
+	dst = appendCounts(dst, m.RecvAt)
+	dst = wire.AppendUvarint(dst, uint64(len(m.Channels)))
+	for _, peer := range slices.Sorted(maps.Keys(m.Channels)) {
+		msgs := m.Channels[peer]
+		dst = wire.AppendString(dst, peer)
+		dst = wire.AppendUvarint(dst, uint64(len(msgs)))
+		for _, body := range msgs {
+			dst = wire.AppendBytes(dst, body)
+		}
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *reportMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.SnapID = r.String()
+	m.Name = r.String()
+	m.State = r.Bytes()
+	m.SentAt = readCounts(r)
+	m.RecvAt = readCounts(r)
+	m.Channels = nil
+	if n := r.Count(); n > 0 {
+		m.Channels = make(map[string][][]byte, n)
+		for i := 0; i < n; i++ {
+			peer := r.String()
+			var msgs [][]byte
+			if k := r.Count(); k > 0 {
+				msgs = make([][]byte, k)
+				for j := range msgs {
+					msgs[j] = r.Bytes()
+				}
+			}
+			m.Channels[peer] = msgs
+		}
+	}
+	return r.Done()
+}
 
 func init() {
 	wire.Register(&markerMsg{})

@@ -245,8 +245,8 @@ func TestCheckConsistentDetectsViolations(t *testing.T) {
 	g := &snapshot.Global{
 		Sent: map[snapshot.ChannelKey]uint64{{From: "a", To: "b"}: 5},
 		Recv: map[snapshot.ChannelKey]uint64{{From: "a", To: "b"}: 3},
-		Channels: map[snapshot.ChannelKey][]json.RawMessage{
-			{From: "a", To: "b"}: {json.RawMessage(`1`), json.RawMessage(`2`)},
+		Channels: map[snapshot.ChannelKey][][]byte{
+			{From: "a", To: "b"}: {[]byte("1"), []byte("2")},
 		},
 	}
 	if err := g.CheckConsistent(); err != nil {

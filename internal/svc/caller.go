@@ -106,7 +106,7 @@ func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending,
 	ch := make(chan *repMsg, 1)
 	c.waiting[seq] = ch
 	c.mu.Unlock()
-	rm := &reqMsg{Seq: seq, ReplyTo: c.in.Ref(), BodyID: body.ID(), BodyBin: body.Binary(), Body: body.Bytes()}
+	rm := &reqMsg{Seq: seq, ReplyTo: c.in.Ref(), BodyID: body.ID(), Body: body.Bytes()}
 	err = c.d.SendDirect(to, session, rm)
 	body.Release()
 	if err != nil {
@@ -143,7 +143,7 @@ func (p *Pending) AwaitMsg(ctx context.Context) (wire.Msg, error) {
 	if rep.BodyID == 0 {
 		return nil, nil
 	}
-	return wire.DecodeBody(rep.BodyID, rep.BodyBin, rep.Body)
+	return wire.DecodeBody(rep.BodyID, rep.Body)
 }
 
 // Cancel abandons the pending call: a late reply is dropped.
@@ -169,7 +169,7 @@ func decodeReply(rep *repMsg, resp wire.Msg) error {
 	if resp == nil || rep.BodyID == 0 {
 		return nil
 	}
-	return wire.DecodeBodyInto(rep.BodyID, rep.BodyBin, rep.Body, resp)
+	return wire.DecodeBodyInto(rep.BodyID, rep.Body, resp)
 }
 
 // Call issues one synchronous request — the paper's pair of asynchronous

@@ -24,7 +24,7 @@
 //     application protocol riding on svc.
 //
 // The wire format nests the application message inside the svc frame via
-// wire.EncodeBody/DecodeBody (dense kind id + form flag + payload), so a
+// wire.EncodeBody/DecodeBody (dense kind id + payload), so a
 // request type needs no svc-specific fields — see DESIGN.md's "Service
 // framework" section for the exact layout and the old→new migration
 // table.

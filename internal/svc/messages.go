@@ -71,69 +71,59 @@ func asError(err error) *Error {
 // reqMsg frames one correlated request: the caller's sequence number, its
 // reply inbox, and the application request as a nested encoded body.
 type reqMsg struct {
-	Seq     uint64        `json:"q"`
-	ReplyTo wire.InboxRef `json:"re"`
-	BodyID  uint16        `json:"k"`
-	BodyBin bool          `json:"bb,omitempty"`
-	Body    []byte        `json:"b,omitempty"`
+	Seq     uint64
+	ReplyTo wire.InboxRef
+	BodyID  uint16
+	Body    []byte
 }
 
 // Kind implements wire.Msg.
 func (*reqMsg) Kind() string { return "svc.req" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.Seq)
 	dst = wire.AppendInboxRef(dst, m.ReplyTo)
-	dst = wire.AppendUvarint(dst, uint64(m.BodyID))
-	dst = wire.AppendBool(dst, m.BodyBin)
-	return wire.AppendBytes(dst, m.Body), nil
+	return wire.AppendBody(dst, m.BodyID, m.Body), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *reqMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Seq = r.Uvarint()
 	m.ReplyTo = r.InboxRef()
-	m.BodyID = uint16(r.Uvarint())
-	m.BodyBin = r.Bool()
-	m.Body = r.Bytes()
+	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
 
 // repMsg answers a correlated request: the request's sequence number,
 // either an error (code + message) or a nested encoded response body.
 type repMsg struct {
-	Seq     uint64 `json:"q"`
-	Code    uint16 `json:"c,omitempty"`
-	Err     string `json:"e,omitempty"`
-	BodyID  uint16 `json:"k,omitempty"`
-	BodyBin bool   `json:"bb,omitempty"`
-	Body    []byte `json:"b,omitempty"`
+	Seq    uint64
+	Code   uint16
+	Err    string
+	BodyID uint16
+	Body   []byte
 }
 
 // Kind implements wire.Msg.
 func (*repMsg) Kind() string { return "svc.rep" }
 
-// AppendBinary implements wire.BinaryMessage.
+// AppendBinary implements wire.Msg.
 func (m *repMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.Seq)
 	dst = wire.AppendUvarint(dst, uint64(m.Code))
 	dst = wire.AppendString(dst, m.Err)
-	dst = wire.AppendUvarint(dst, uint64(m.BodyID))
-	dst = wire.AppendBool(dst, m.BodyBin)
-	return wire.AppendBytes(dst, m.Body), nil
+	return wire.AppendBody(dst, m.BodyID, m.Body), nil
 }
 
-// UnmarshalBinary implements wire.BinaryMessage.
+// UnmarshalBinary implements wire.Msg.
 func (m *repMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Seq = r.Uvarint()
 	m.Code = uint16(r.Uvarint())
 	m.Err = r.String()
-	m.BodyID = uint16(r.Uvarint())
-	m.BodyBin = r.Bool()
-	m.Body = r.Bytes()
+	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
 

@@ -91,7 +91,7 @@ func (s *Server) dispatch(env *wire.Envelope) {
 		resp wire.Msg
 		herr error
 	)
-	req, err := wire.DecodeBody(rm.BodyID, rm.BodyBin, rm.Body)
+	req, err := wire.DecodeBody(rm.BodyID, rm.Body)
 	switch {
 	case err != nil:
 		herr = &Error{Code: CodeBadRequest, Msg: err.Error()}
@@ -123,7 +123,7 @@ func (s *Server) dispatch(env *wire.Envelope) {
 		_ = s.d.SendDirect(rm.ReplyTo, env.Session, rep)
 		return
 	}
-	rep.BodyID, rep.BodyBin, rep.Body = body.ID(), body.Binary(), body.Bytes()
+	rep.BodyID, rep.Body = body.ID(), body.Bytes()
 	// SendDirect copies the reply (body bytes included) into its own
 	// transmit frame before returning, so the encode buffer can be
 	// released immediately after.

@@ -17,9 +17,4 @@
 // so a run over a single-shard network (netsim.WithShards(1)) with a
 // fixed seed produces a bit-identical event log — the determinism
 // harness that makes churn bugs replayable.
-//
-// Each run also embeds the measured per-tick cost of the retired
-// per-detector linear scan against the shared hashed timer wheel
-// (failure.MeasureTickCost), documenting the scaling fix the harness
-// exists to guard.
 package swarm

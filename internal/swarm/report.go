@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"sort"
 	"time"
-
-	"repro/internal/failure"
 )
 
 // LatencyStats summarizes one latency population in milliseconds.
@@ -134,9 +132,8 @@ type PhaseStats struct {
 }
 
 // Report is the outcome of one swarm run: per-phase throughput and cost
-// deltas, verdict and session latency distributions, end-state memory
-// and goroutine footprints, and the measured tick-cost comparison
-// between the retired linear detector scan and the timer wheel.
+// deltas, verdict and session latency distributions, and end-state
+// memory and goroutine footprints.
 type Report struct {
 	// N, Hosts, Seed and Lockstep echo the run's configuration.
 	N        int   `json:"n"`
@@ -187,10 +184,6 @@ type Report struct {
 	HeapBytesPerDapplet  float64 `json:"heap_bytes_per_dapplet"`
 	Goroutines           int     `json:"goroutines"`
 	GoroutinesPerDapplet float64 `json:"goroutines_per_dapplet"`
-
-	// TickCost is the measured linear-scan vs timer-wheel per-tick cost
-	// at Config.TickCostPeers watched peers.
-	TickCost failure.TickCost `json:"tick_cost"`
 
 	// EventLog is the ordered churn log of a lockstep run (empty
 	// otherwise): one line per op recording only awaited outcomes, so

@@ -32,11 +32,23 @@ const (
 // member echoes the nonce back, so a completed call proves directory
 // resolution plus a request/reply round trip to the resolved address.
 type echoMsg struct {
-	Nonce uint64 `json:"n"`
+	Nonce uint64
 }
 
 // Kind implements wire.Msg.
 func (*echoMsg) Kind() string { return "swarm.echo" }
+
+// AppendBinary implements wire.Msg.
+func (m *echoMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return wire.AppendUvarint(dst, m.Nonce), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *echoMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Nonce = r.Uvarint()
+	return r.Done()
+}
 
 func init() { wire.Register(&echoMsg{}) }
 
@@ -85,9 +97,6 @@ type Config struct {
 	// Wheels is the number of shared timer-wheel Hosts detectors are
 	// spread over (default GOMAXPROCS clamped to [1, 8]).
 	Wheels int
-	// TickCostPeers sizes the embedded linear-vs-wheel tick cost
-	// measurement (default 10000; negative skips it).
-	TickCostPeers int
 	// NoCoalesce disables transport frame coalescing. The swarm runs
 	// with coalescing on by default — heartbeats, acks and session
 	// frames to the same peer share datagrams — and the per-phase report
@@ -158,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Wheels <= 0 {
 		c.Wheels = clampInt(runtime.GOMAXPROCS(0), 1, 8)
-	}
-	if c.TickCostPeers == 0 {
-		c.TickCostPeers = 10_000
 	}
 	if c.PartitionDur <= 0 {
 		c.PartitionDur = time.Second
@@ -352,9 +358,6 @@ func Run(cfg Config) (*Report, error) {
 	rep := s.buildReport(base, joinEnd, churnEnd, ms.HeapAlloc, goro)
 	rep.DirConvergeRounds = conv
 	s.teardown()
-	if cfg.TickCostPeers > 0 {
-		rep.TickCost = failure.MeasureTickCost(cfg.TickCostPeers)
-	}
 	return rep, nil
 }
 

@@ -21,9 +21,6 @@ func lockstepConfig(seed int64) Config {
 		Multiplier:  3,
 		Lockstep:    true,
 		LockstepOps: 40,
-		// The embedded tick-cost benchmark is covered elsewhere; skip it
-		// here so the test time is all churn.
-		TickCostPeers: -1,
 	}
 }
 
@@ -110,9 +107,6 @@ func TestSwarmChurnUnderRace(t *testing.T) {
 		ChurnRate:   120,
 		SessionRate: 200,
 		Duration:    4 * time.Second,
-		// Tick-cost measurement under -race measures the race detector,
-		// not the wheel; skip it.
-		TickCostPeers: -1,
 	})
 	if err != nil {
 		t.Fatalf("swarm run: %v", err)
@@ -188,7 +182,6 @@ func TestSwarmPartitionChurnUnderRace(t *testing.T) {
 		ChurnRate:      60,
 		SessionRate:    100,
 		Duration:       4 * time.Second,
-		TickCostPeers:  -1,
 	})
 	if err != nil {
 		t.Fatalf("swarm run: %v", err)
@@ -232,18 +225,16 @@ func TestSwarmPartitionChurnUnderRace(t *testing.T) {
 }
 
 // TestSwarmReportShape pins the report contract a tiny throughput run
-// must fill in: both phases present, watch edges counted, per-dapplet
-// footprint computed, and the embedded tick-cost sample showing the
-// wheel ahead of the linear scan.
+// must fill in: both phases present, watch edges counted, and per-dapplet
+// footprint computed.
 func TestSwarmReportShape(t *testing.T) {
 	rep, err := Run(Config{
-		N:             64,
-		Seed:          3,
-		Interval:      50 * time.Millisecond,
-		ChurnRate:     40,
-		SessionRate:   80,
-		Duration:      1500 * time.Millisecond,
-		TickCostPeers: 2000,
+		N:           64,
+		Seed:        3,
+		Interval:    50 * time.Millisecond,
+		ChurnRate:   40,
+		SessionRate: 80,
+		Duration:    1500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("swarm run: %v", err)
@@ -258,9 +249,6 @@ func TestSwarmReportShape(t *testing.T) {
 	if rep.HeapBytesPerDapplet <= 0 || rep.GoroutinesPerDapplet <= 0 {
 		t.Fatalf("footprint not computed: %f B/dapplet, %f goroutines/dapplet",
 			rep.HeapBytesPerDapplet, rep.GoroutinesPerDapplet)
-	}
-	if rep.TickCost.Peers != 2000 || rep.TickCost.Speedup <= 1 {
-		t.Fatalf("tick cost sample missing or not showing wheel advantage: %+v", rep.TickCost)
 	}
 	if _, err := rep.JSON(); err != nil {
 		t.Fatalf("report JSON: %v", err)

@@ -22,52 +22,148 @@ const (
 // --- wire messages ---
 
 type arriveMsg struct {
-	Barrier string        `json:"b"`
-	Parties int           `json:"p"`
-	ReqID   uint64        `json:"id"`
-	ReplyTo wire.InboxRef `json:"re"`
+	Barrier string
+	Parties int
+	ReqID   uint64
+	ReplyTo wire.InboxRef
 }
 
 func (*arriveMsg) Kind() string { return "sync.arrive" }
 
+// AppendBinary implements wire.Msg.
+func (m *arriveMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Barrier)
+	dst = wire.AppendVarint(dst, int64(m.Parties))
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *arriveMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Barrier = r.String()
+	m.Parties = int(r.Varint())
+	m.ReqID = r.Uvarint()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
 type releaseMsg struct {
-	Barrier string `json:"b"`
-	Round   int    `json:"r"`
-	ReqID   uint64 `json:"id"`
+	Barrier string
+	Round   int
+	ReqID   uint64
 }
 
 func (*releaseMsg) Kind() string { return "sync.release" }
 
+// AppendBinary implements wire.Msg.
+func (m *releaseMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Barrier)
+	dst = wire.AppendVarint(dst, int64(m.Round))
+	return wire.AppendUvarint(dst, m.ReqID), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *releaseMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Barrier = r.String()
+	m.Round = int(r.Varint())
+	m.ReqID = r.Uvarint()
+	return r.Done()
+}
+
 type regSetMsg struct {
-	Name    string        `json:"n"`
-	Value   []byte        `json:"v"`
-	ReqID   uint64        `json:"id"`
-	ReplyTo wire.InboxRef `json:"re"`
+	Name    string
+	Value   []byte
+	ReqID   uint64
+	ReplyTo wire.InboxRef
 }
 
 func (*regSetMsg) Kind() string { return "sync.reg-set" }
 
+// AppendBinary implements wire.Msg.
+func (m *regSetMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Name)
+	dst = wire.AppendBytes(dst, m.Value)
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *regSetMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Name = r.String()
+	m.Value = r.Bytes()
+	m.ReqID = r.Uvarint()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
 type regSetReply struct {
-	ReqID uint64 `json:"id"`
-	Won   bool   `json:"w"`
+	ReqID uint64
+	Won   bool
 }
 
 func (*regSetReply) Kind() string { return "sync.reg-set-reply" }
 
+// AppendBinary implements wire.Msg.
+func (m *regSetReply) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return wire.AppendBool(dst, m.Won), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *regSetReply) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.Won = r.Bool()
+	return r.Done()
+}
+
 type regGetMsg struct {
-	Name    string        `json:"n"`
-	ReqID   uint64        `json:"id"`
-	ReplyTo wire.InboxRef `json:"re"`
+	Name    string
+	ReqID   uint64
+	ReplyTo wire.InboxRef
 }
 
 func (*regGetMsg) Kind() string { return "sync.reg-get" }
 
+// AppendBinary implements wire.Msg.
+func (m *regGetMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Name)
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *regGetMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Name = r.String()
+	m.ReqID = r.Uvarint()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
 type regValueMsg struct {
-	ReqID uint64 `json:"id"`
-	Value []byte `json:"v"`
+	ReqID uint64
+	Value []byte
 }
 
 func (*regValueMsg) Kind() string { return "sync.reg-value" }
+
+// AppendBinary implements wire.Msg.
+func (m *regValueMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return wire.AppendBytes(dst, m.Value), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *regValueMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.Value = r.Bytes()
+	return r.Done()
+}
 
 func init() {
 	wire.Register(&arriveMsg{})

@@ -1,69 +1,217 @@
 package tokens
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/lclock"
 	"repro/internal/wire"
 )
+
+// appendBag / readBag encode a Bag. Colours are written in sorted order
+// so equal bags encode to equal bytes; an empty bag decodes as nil.
+func appendBag(dst []byte, b Bag) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(b)))
+	for _, c := range slices.Sorted(maps.Keys(b)) {
+		dst = wire.AppendString(dst, string(c))
+		dst = wire.AppendVarint(dst, int64(b[c]))
+	}
+	return dst
+}
+
+func readBag(r *wire.Reader) Bag {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	b := make(Bag, n)
+	for i := 0; i < n; i++ {
+		c := Color(r.String())
+		b[c] = int(r.Varint())
+	}
+	return b
+}
 
 // reqMsg asks the allocator for tokens. Want lists explicit counts;
 // AllOf lists colours for which the dapplet wants every token in the
 // system ("the request can ask for all tokens of a given color").
 type reqMsg struct {
-	ReqID   uint64        `json:"id"`
-	Client  string        `json:"c"`
-	Stamp   lclock.Stamp  `json:"ts"`
-	Want    Bag           `json:"w,omitempty"`
-	AllOf   []Color       `json:"all,omitempty"`
-	ReplyTo wire.InboxRef `json:"re"`
+	ReqID   uint64
+	Client  string
+	Stamp   lclock.Stamp
+	Want    Bag
+	AllOf   []Color
+	ReplyTo wire.InboxRef
 }
 
 func (*reqMsg) Kind() string { return "tokens.request" }
+
+// AppendBinary implements wire.Msg.
+func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	dst = wire.AppendString(dst, m.Client)
+	dst = wire.AppendUvarint(dst, m.Stamp.Time)
+	dst = wire.AppendString(dst, m.Stamp.ID)
+	dst = appendBag(dst, m.Want)
+	dst = wire.AppendUvarint(dst, uint64(len(m.AllOf)))
+	for _, c := range m.AllOf {
+		dst = wire.AppendString(dst, string(c))
+	}
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *reqMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.Client = r.String()
+	m.Stamp.Time = r.Uvarint()
+	m.Stamp.ID = r.String()
+	m.Want = readBag(r)
+	m.AllOf = nil
+	if n := r.Count(); n > 0 {
+		m.AllOf = make([]Color, n)
+		for i := range m.AllOf {
+			m.AllOf[i] = Color(r.String())
+		}
+	}
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
 
 // grantMsg satisfies a request; Granted resolves AllOf colours to counts.
 // Serials carries, for each granted colour, the cumulative number of
 // grants of that colour — a total order over acquisitions that clients can
 // use as a sequencer (e.g. document version numbers).
 type grantMsg struct {
-	ReqID   uint64           `json:"id"`
-	Granted Bag              `json:"g"`
-	Serials map[Color]uint64 `json:"s,omitempty"`
+	ReqID   uint64
+	Granted Bag
+	Serials map[Color]uint64
 }
 
 func (*grantMsg) Kind() string { return "tokens.grant" }
 
+// AppendBinary implements wire.Msg.
+func (m *grantMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	dst = appendBag(dst, m.Granted)
+	dst = wire.AppendUvarint(dst, uint64(len(m.Serials)))
+	for _, c := range slices.Sorted(maps.Keys(m.Serials)) {
+		dst = wire.AppendString(dst, string(c))
+		dst = wire.AppendUvarint(dst, m.Serials[c])
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *grantMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.Granted = readBag(r)
+	m.Serials = nil
+	if n := r.Count(); n > 0 {
+		m.Serials = make(map[Color]uint64, n)
+		for i := 0; i < n; i++ {
+			c := Color(r.String())
+			m.Serials[c] = r.Uvarint()
+		}
+	}
+	return r.Done()
+}
+
 // denyMsg fails a request, e.g. on deadlock or an unknown colour.
 type denyMsg struct {
-	ReqID    uint64 `json:"id"`
-	Reason   string `json:"why"`
-	Deadlock bool   `json:"dl,omitempty"`
-	BadColor bool   `json:"bc,omitempty"`
+	ReqID    uint64
+	Reason   string
+	Deadlock bool
+	BadColor bool
 }
 
 func (*denyMsg) Kind() string { return "tokens.deny" }
 
+// AppendBinary implements wire.Msg.
+func (m *denyMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	dst = wire.AppendString(dst, m.Reason)
+	dst = wire.AppendBool(dst, m.Deadlock)
+	return wire.AppendBool(dst, m.BadColor), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *denyMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.Reason = r.String()
+	m.Deadlock = r.Bool()
+	m.BadColor = r.Bool()
+	return r.Done()
+}
+
 // relMsg returns tokens to the allocator.
 type relMsg struct {
-	Client string `json:"c"`
-	Give   Bag    `json:"g"`
+	Client string
+	Give   Bag
 }
 
 func (*relMsg) Kind() string { return "tokens.release" }
 
+// AppendBinary implements wire.Msg.
+func (m *relMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Client)
+	return appendBag(dst, m.Give), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *relMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.Client = r.String()
+	m.Give = readBag(r)
+	return r.Done()
+}
+
 // totalReqMsg queries the fixed token totals.
 type totalReqMsg struct {
-	ReqID   uint64        `json:"id"`
-	ReplyTo wire.InboxRef `json:"re"`
+	ReqID   uint64
+	ReplyTo wire.InboxRef
 }
 
 func (*totalReqMsg) Kind() string { return "tokens.total-req" }
 
+// AppendBinary implements wire.Msg.
+func (m *totalReqMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *totalReqMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.ReplyTo = r.InboxRef()
+	return r.Done()
+}
+
 // totalRepMsg answers a totals query.
 type totalRepMsg struct {
-	ReqID uint64 `json:"id"`
-	Total Bag    `json:"t"`
+	ReqID uint64
+	Total Bag
 }
 
 func (*totalRepMsg) Kind() string { return "tokens.total-rep" }
+
+// AppendBinary implements wire.Msg.
+func (m *totalRepMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, m.ReqID)
+	return appendBag(dst, m.Total), nil
+}
+
+// UnmarshalBinary implements wire.Msg.
+func (m *totalRepMsg) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	m.ReqID = r.Uvarint()
+	m.Total = readBag(r)
+	return r.Done()
+}
 
 func init() {
 	wire.Register(&reqMsg{})

@@ -6,22 +6,12 @@ import (
 	"fmt"
 )
 
-// This file is the low-level binary codec the fast message path is built
-// from: length-prefixed (varint-framed) primitives written append-style
-// into caller-owned buffers, and a forgiving-but-bounded Reader for the
-// decode side. Message types implement BinaryMessage with these helpers;
-// the envelope framing in envelope.go uses them for the header words.
-
-// BinaryMessage is the optional fast path a Msg type can implement.
-// AppendBinary appends the message's binary form to dst and returns the
-// extended slice, allocating only when dst lacks capacity; UnmarshalBinary
-// reconstructs the message from exactly those bytes. Types that do not
-// implement it fall back to JSON transparently.
-type BinaryMessage interface {
-	Msg
-	AppendBinary(dst []byte) ([]byte, error)
-	UnmarshalBinary(data []byte) error
-}
+// This file is the low-level codec every message is built from:
+// length-prefixed (varint-framed) primitives written append-style into
+// caller-owned buffers, and a forgiving-but-bounded Reader for the decode
+// side. Message types implement Msg's AppendBinary/UnmarshalBinary with
+// these helpers; the envelope framing in envelope.go uses them for the
+// header words.
 
 // ErrTruncated reports that a binary frame ended before a field did.
 var ErrTruncated = errors.New("wire: truncated binary frame")
@@ -71,6 +61,15 @@ func AppendInboxRef(dst []byte, r InboxRef) []byte {
 	dst = AppendString(dst, r.Dapplet.Host)
 	dst = binary.AppendUvarint(dst, uint64(r.Dapplet.Port))
 	return AppendString(dst, r.Inbox)
+}
+
+// AppendBody appends a nested encoded message — its dense kind id, then
+// its length-prefixed EncodeBody bytes. Every frame that carries another
+// message opaquely (svc.req/rep, gsp.pull/delta/rumor, relay.fwd) ends
+// with this pair, payload last.
+func AppendBody(dst []byte, id uint16, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(id))
+	return AppendBytes(dst, body)
 }
 
 // Reader decodes the primitives written by the Append helpers. It is
@@ -210,16 +209,25 @@ func (r *Reader) StringSlice() []string {
 	return out
 }
 
-// Port reads a uvarint and range-checks it as a port number.
-func (r *Reader) Port() uint16 {
+// uint16 reads a uvarint and range-checks it.
+func (r *Reader) uint16(what string) uint16 {
 	v := r.Uvarint()
 	if v > 0xFFFF {
 		if r.err == nil {
-			r.err = fmt.Errorf("wire: port %d out of range", v)
+			r.err = fmt.Errorf("wire: %s %d out of range", what, v)
 		}
 		return 0
 	}
 	return uint16(v)
+}
+
+// Port reads a uvarint and range-checks it as a port number.
+func (r *Reader) Port() uint16 { return r.uint16("port") }
+
+// Body reads the pair written by AppendBody, ready for DecodeBody. The
+// bytes alias the Reader's input.
+func (r *Reader) Body() (id uint16, body []byte) {
+	return r.uint16("kind id"), r.Bytes()
 }
 
 // InboxRef reads a global inbox address.

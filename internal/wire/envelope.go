@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -28,26 +27,25 @@ func (r InboxRef) IsZero() bool { return r.Dapplet.IsZero() && r.Inbox == "" }
 // application message travelling from an outbox to an inbox.
 type Envelope struct {
 	// To identifies the destination inbox.
-	To InboxRef `json:"to"`
+	To InboxRef
 	// FromDapplet is the sending dapplet's global address.
-	FromDapplet netsim.Addr `json:"fd"`
+	FromDapplet netsim.Addr
 	// FromOutbox is the name of the sending outbox.
-	FromOutbox string `json:"fo"`
+	FromOutbox string
 	// Session, when non-empty, tags the session on whose behalf the
 	// message travels.
-	Session string `json:"s,omitempty"`
+	Session string
 	// Lamport is the sender's logical timestamp (§4.2 "Clocks"); the
 	// receiving layer advances its clock past this value, establishing
 	// the global snapshot criterion.
-	Lamport uint64 `json:"lt"`
+	Lamport uint64
 	// Body is the application message.
-	Body Msg `json:"-"`
+	Body Msg
 }
 
-// Binary envelope framing. A binary frame is:
+// Envelope framing. A frame is:
 //
-//	[0]      envMagic (0xBF — can never begin a JSON frame, which starts '{')
-//	[1]      flags (bit 0: body is binary, else JSON)
+//	[0]      envMagic (0xBF; anything else is not an envelope)
 //	uvarint  kind id (dense, assigned at registration)
 //	string   To.Dapplet.Host      ─┐
 //	uvarint  To.Dapplet.Port       │
@@ -57,22 +55,13 @@ type Envelope struct {
 //	string   FromOutbox            │
 //	string   Session               │
 //	uvarint  Lamport              ─┘
-//	...      body bytes (to end of frame)
-//
-// The body is the message's AppendBinary form when its type implements
-// BinaryMessage, else its plain JSON encoding — marshalled once, with no
-// second encoding pass over the result (the JSON path marshalled the body
-// into a RawMessage and then marshalled the frame again).
-const (
-	envMagic      = 0xBF
-	flagBodyIsBin = 1 << 0
-)
+//	...      body bytes (to end of frame): the message's AppendBinary form
+const envMagic = 0xBF
 
-// bodyPool recycles body encode buffers so steady-state marshalling of
-// binary-capable messages performs no allocation. Buffers grow to fit and
-// keep their capacity across uses; ones grown past MaxPooledBuf are
-// dropped on release so one huge payload cannot pin memory for the
-// lifetime of the pool.
+// bodyPool recycles body encode buffers so steady-state marshalling
+// performs no allocation. Buffers grow to fit and keep their capacity
+// across uses; ones grown past MaxPooledBuf are dropped on release so one
+// huge payload cannot pin memory for the lifetime of the pool.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // MaxPooledBuf is the largest buffer capacity the wire and send-path
@@ -92,7 +81,6 @@ func releaseBodyBuf(bufp *[]byte) {
 // handed to the transport, and must not retain Bytes past Release.
 type Body struct {
 	id  uint16
-	bin bool
 	buf *[]byte
 }
 
@@ -107,9 +95,6 @@ func (b Body) Bytes() []byte {
 // ID returns the dense kind id the body was encoded under.
 func (b Body) ID() uint16 { return b.id }
 
-// Binary reports whether Bytes holds the binary form (else JSON).
-func (b Body) Binary() bool { return b.bin }
-
 // Len returns the encoded body length.
 func (b Body) Len() int { return len(b.Bytes()) }
 
@@ -121,8 +106,7 @@ func (b *Body) Release() {
 	}
 }
 
-// EncodeBody marshals a registered message body once, using its binary
-// fast path when available and JSON otherwise.
+// EncodeBody marshals a registered message body once.
 func EncodeBody(m Msg) (Body, error) {
 	if m == nil {
 		return Body{}, fmt.Errorf("wire: marshal nil message")
@@ -132,48 +116,41 @@ func EncodeBody(m Msg) (Body, error) {
 		return Body{}, fmt.Errorf("wire: kind %q not registered", m.Kind())
 	}
 	bufp := bodyPool.Get().(*[]byte)
-	b := (*bufp)[:0]
-	if bm, ok := m.(BinaryMessage); ok && e.binary {
-		var err error
-		b, err = bm.AppendBinary(b)
-		if err != nil {
-			releaseBodyBuf(bufp)
-			return Body{}, fmt.Errorf("wire: marshal %q body: %w", m.Kind(), err)
-		}
-		*bufp = b
-		return Body{id: e.id, bin: true, buf: bufp}, nil
-	}
-	data, err := json.Marshal(m)
+	b, err := m.AppendBinary((*bufp)[:0])
 	if err != nil {
 		releaseBodyBuf(bufp)
 		return Body{}, fmt.Errorf("wire: marshal %q body: %w", m.Kind(), err)
 	}
-	*bufp = append(b, data...)
-	return Body{id: e.id, bin: false, buf: bufp}, nil
+	*bufp = b
+	return Body{id: e.id, buf: bufp}, nil
 }
 
 // DecodeBody reconstructs a registered message from an encoded body — the
-// inverse of EncodeBody. The nested framing (dense kind id, form flag,
-// payload bytes) is how the svc request/response layer carries an
-// application message inside its own frames.
-func DecodeBody(id uint16, bin bool, data []byte) (Msg, error) {
+// inverse of EncodeBody. The nested framing (dense kind id, payload
+// bytes; see AppendBody) is how the svc, gossip and relay layers carry an
+// application message inside their own frames.
+func DecodeBody(id uint16, data []byte) (Msg, error) {
 	e := entryByID(id)
 	if e == nil {
 		return nil, fmt.Errorf("wire: unknown message kind id %d", id)
 	}
-	m, err := NewOf(e.kind)
+	return decodeBody(e, data)
+}
+
+func decodeBody(e *regEntry, data []byte) (Msg, error) {
+	m, err := newMsg(e)
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeBodyInto(e, bin, data, m); err != nil {
-		return nil, err
+	if err := m.UnmarshalBinary(data); err != nil {
+		return nil, fmt.Errorf("wire: decode %q body: %w", e.kind, err)
 	}
 	return m, nil
 }
 
 // DecodeBodyInto decodes an encoded body into an existing message, whose
 // kind must match the one registered under id.
-func DecodeBodyInto(id uint16, bin bool, data []byte, into Msg) error {
+func DecodeBodyInto(id uint16, data []byte, into Msg) error {
 	e := entryByID(id)
 	if e == nil {
 		return fmt.Errorf("wire: unknown message kind id %d", id)
@@ -181,35 +158,17 @@ func DecodeBodyInto(id uint16, bin bool, data []byte, into Msg) error {
 	if into.Kind() != e.kind {
 		return fmt.Errorf("wire: body is %q, not %q", e.kind, into.Kind())
 	}
-	return decodeBodyInto(e, bin, data, into)
-}
-
-func decodeBodyInto(e *regEntry, bin bool, data []byte, m Msg) error {
-	if bin {
-		bm, ok := m.(BinaryMessage)
-		if !ok {
-			return fmt.Errorf("wire: binary body for kind %q, which has no binary decoder", e.kind)
-		}
-		if err := bm.UnmarshalBinary(data); err != nil {
-			return fmt.Errorf("wire: decode %q body: %w", e.kind, err)
-		}
-		return nil
-	}
-	if err := json.Unmarshal(data, m); err != nil {
+	if err := into.UnmarshalBinary(data); err != nil {
 		return fmt.Errorf("wire: decode %q body: %w", e.kind, err)
 	}
 	return nil
 }
 
-// AppendEnvelopeBody appends the binary frame for header e around an
+// AppendEnvelopeBody appends the frame for header e around an
 // already-encoded body, allocating only if dst lacks capacity. e.Body is
 // ignored; the body bytes come from body.
 func AppendEnvelopeBody(dst []byte, e *Envelope, body Body) []byte {
-	var flags byte
-	if body.bin {
-		flags = flagBodyIsBin
-	}
-	dst = append(dst, envMagic, flags)
+	dst = append(dst, envMagic)
 	dst = AppendUvarint(dst, uint64(body.id))
 	dst = AppendString(dst, e.To.Dapplet.Host)
 	dst = AppendUvarint(dst, uint64(e.To.Dapplet.Port))
@@ -222,9 +181,9 @@ func AppendEnvelopeBody(dst []byte, e *Envelope, body Body) []byte {
 	return append(dst, body.Bytes()...)
 }
 
-// AppendEnvelope appends the binary frame for a complete envelope
-// (header + registered body) to dst. With a caller-reused dst and a
-// binary-capable body the encode performs zero heap allocations.
+// AppendEnvelope appends the frame for a complete envelope (header +
+// registered body) to dst. With a caller-reused dst the encode performs
+// zero heap allocations.
 func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	body, err := EncodeBody(e.Body)
 	if err != nil {
@@ -235,74 +194,19 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	return dst, nil
 }
 
-// MarshalEnvelope converts an envelope to its binary wire form.
+// MarshalEnvelope converts an envelope to its wire form.
 func MarshalEnvelope(e *Envelope) ([]byte, error) {
 	return AppendEnvelope(nil, e)
 }
 
-// envFrame is the JSON wire form of an Envelope with the body inlined as
-// a registered message frame. It is kept as the fallback/interop format;
-// UnmarshalEnvelope accepts both forms.
-type envFrame struct {
-	To          InboxRef        `json:"to"`
-	FromDapplet netsim.Addr     `json:"fd"`
-	FromOutbox  string          `json:"fo"`
-	Session     string          `json:"s,omitempty"`
-	Lamport     uint64          `json:"lt"`
-	Body        json.RawMessage `json:"b"`
-}
-
-// MarshalEnvelopeJSON converts an envelope (header + registered body) to
-// its string (JSON) form — the paper's original encoding, retained as the
-// fallback for frames produced before the binary codec and as the
-// comparison baseline for experiment E8.
-func MarshalEnvelopeJSON(e *Envelope) ([]byte, error) {
-	body, err := Marshal(e.Body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: envelope body: %w", err)
-	}
-	return json.Marshal(envFrame{
-		To:          e.To,
-		FromDapplet: e.FromDapplet,
-		FromOutbox:  e.FromOutbox,
-		Session:     e.Session,
-		Lamport:     e.Lamport,
-		Body:        body,
-	})
-}
-
-// UnmarshalEnvelope reconstructs an envelope and its typed body from
-// either wire form: binary frames are recognized by their magic byte,
-// anything else is treated as the JSON form.
+// UnmarshalEnvelope reconstructs an envelope and its typed body from a
+// frame. A frame that does not start with the magic byte is an error.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	if len(data) > 0 && data[0] == envMagic {
-		return unmarshalEnvelopeBinary(data)
+	if len(data) == 0 || data[0] != envMagic {
+		return nil, fmt.Errorf("wire: bad envelope: no magic byte")
 	}
-	var f envFrame
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("wire: bad envelope: %w", err)
-	}
-	body, err := Unmarshal(f.Body)
-	if err != nil {
-		return nil, err
-	}
-	return &Envelope{
-		To:          f.To,
-		FromDapplet: f.FromDapplet,
-		FromOutbox:  f.FromOutbox,
-		Session:     f.Session,
-		Lamport:     f.Lamport,
-		Body:        body,
-	}, nil
-}
-
-func unmarshalEnvelopeBinary(data []byte) (*Envelope, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("wire: bad envelope: %w", ErrTruncated)
-	}
-	flags := data[1]
-	r := &Reader{data: data, off: 2}
-	id := r.Uvarint()
+	r := &Reader{data: data, off: 1}
+	id := r.uint16("kind id")
 	var env Envelope
 	env.To.Dapplet.Host = r.String()
 	env.To.Dapplet.Port = r.Port()
@@ -312,33 +216,13 @@ func unmarshalEnvelopeBinary(data []byte) (*Envelope, error) {
 	env.FromOutbox = r.String()
 	env.Session = r.String()
 	env.Lamport = r.Uvarint()
-	bodyBytes := r.Rest()
+	body := r.Rest()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wire: bad envelope: %w", err)
 	}
-	if id > 0xFFFF {
-		return nil, fmt.Errorf("wire: unknown message kind id %d", id)
-	}
-	e := entryByID(uint16(id))
-	if e == nil {
-		return nil, fmt.Errorf("wire: unknown message kind id %d", id)
-	}
-	m, err := NewOf(e.kind)
+	m, err := DecodeBody(id, body)
 	if err != nil {
 		return nil, err
-	}
-	if flags&flagBodyIsBin != 0 {
-		bm, ok := m.(BinaryMessage)
-		if !ok {
-			return nil, fmt.Errorf("wire: binary body for kind %q, which has no binary decoder", e.kind)
-		}
-		if err := bm.UnmarshalBinary(bodyBytes); err != nil {
-			return nil, fmt.Errorf("wire: decode %q body: %w", e.kind, err)
-		}
-	} else {
-		if err := json.Unmarshal(bodyBytes, m); err != nil {
-			return nil, fmt.Errorf("wire: decode %q body: %w", e.kind, err)
-		}
 	}
 	env.Body = m
 	return &env, nil

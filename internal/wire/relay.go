@@ -13,47 +13,44 @@ import "repro/internal/netsim"
 // FIFO-per-channel and the clock's snapshot criterion are unchanged.
 type RelayFrame struct {
 	// SessionID names the session whose tree carries the frame.
-	SessionID string `json:"sid"`
+	SessionID string
 	// Origin is the originating dapplet's instance name; receivers key
 	// their per-origin ordered-delivery state by it (names survive
 	// reincarnation, addresses do not).
-	Origin string `json:"o"`
+	Origin string
 	// OriginAddr is the originating dapplet's address at send time; the
 	// synthesized delivery envelope carries it as FromDapplet.
-	OriginAddr netsim.Addr `json:"oa"`
+	OriginAddr netsim.Addr
 	// OriginOutbox is the tree-bound outbox the message left through.
-	OriginOutbox string `json:"oo"`
+	OriginOutbox string
 	// Inbox is the destination inbox name at every member.
-	Inbox string `json:"in"`
+	Inbox string
 	// Lamport is the origin's logical stamp at Send time (§4.2); relays
 	// advance their clocks past it transitively via the carrier
 	// envelopes, and the delivery envelope presents it to the
 	// application.
-	Lamport uint64 `json:"lt"`
+	Lamport uint64
 	// Seq is the per-(session, origin) sequence number, starting at 1;
 	// receivers deliver in Seq order and drop duplicates, which makes
 	// post-repair replay idempotent.
-	Seq uint64 `json:"q"`
+	Seq uint64
 	// Epoch is the origin's tree epoch when the frame was sent; it is
 	// diagnostic (forwarding always uses the relay's current view).
-	Epoch uint64 `json:"e"`
+	Epoch uint64
 	// TTL is the remaining hop budget, decremented per forward. It only
 	// binds while tree views disagree mid-reconfiguration: on a
 	// consistent tree the flood is cycle-free by construction.
-	TTL uint32 `json:"ttl"`
-	// BodyID, BodyBin and Body are the nested application message in
-	// EncodeBody form: dense kind id, binary-vs-JSON flag, encoded
-	// bytes.
-	BodyID  uint16 `json:"bid"`
-	BodyBin bool   `json:"bb"`
-	Body    []byte `json:"b"`
+	TTL uint32
+	// BodyID and Body are the nested application message in EncodeBody
+	// form: dense kind id, encoded bytes.
+	BodyID uint16
+	Body   []byte
 }
 
 // Kind implements Msg.
 func (*RelayFrame) Kind() string { return "relay.fwd" }
 
-// AppendBinary implements BinaryMessage: relay frames are the unit of
-// large-group broadcast cost, so they take the binary fast path.
+// AppendBinary implements Msg.
 func (m *RelayFrame) AppendBinary(dst []byte) ([]byte, error) {
 	dst = AppendString(dst, m.SessionID)
 	dst = AppendString(dst, m.Origin)
@@ -65,12 +62,10 @@ func (m *RelayFrame) AppendBinary(dst []byte) ([]byte, error) {
 	dst = AppendUvarint(dst, m.Seq)
 	dst = AppendUvarint(dst, m.Epoch)
 	dst = AppendUvarint(dst, uint64(m.TTL))
-	dst = AppendUvarint(dst, uint64(m.BodyID))
-	dst = AppendBool(dst, m.BodyBin)
-	return AppendBytes(dst, m.Body), nil
+	return AppendBody(dst, m.BodyID, m.Body), nil
 }
 
-// UnmarshalBinary implements BinaryMessage. The decoded Body aliases the
+// UnmarshalBinary implements Msg. The decoded Body aliases the
 // input buffer; callers that retain the frame past the buffer's lifetime
 // must copy it (see CopyBody).
 func (m *RelayFrame) UnmarshalBinary(data []byte) error {
@@ -89,16 +84,7 @@ func (m *RelayFrame) UnmarshalBinary(data []byte) error {
 		ttl = 0xFFFFFFFF
 	}
 	m.TTL = uint32(ttl)
-	id := r.Uvarint()
-	if id > 0xFFFF {
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return ErrTruncated
-	}
-	m.BodyID = uint16(id)
-	m.BodyBin = r.Bool()
-	m.Body = r.Bytes()
+	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
 

@@ -21,7 +21,7 @@ func relayFrameEqual(a, b *RelayFrame) bool {
 // encode → decode must be identity for every field.
 func TestRelayFrameRoundTrip(t *testing.T) {
 	f := func(sid, origin, host string, port uint16, outbox, inbox string,
-		lamport, seq, epoch uint64, ttl uint32, bodyID uint16, bodyBin bool, body []byte) bool {
+		lamport, seq, epoch uint64, ttl uint32, bodyID uint16, body []byte) bool {
 		in := &RelayFrame{
 			SessionID:    sid,
 			Origin:       origin,
@@ -33,7 +33,6 @@ func TestRelayFrameRoundTrip(t *testing.T) {
 			Epoch:        epoch,
 			TTL:          ttl,
 			BodyID:       bodyID,
-			BodyBin:      bodyBin,
 			Body:         body,
 		}
 		enc, err := in.AppendBinary(nil)
@@ -65,7 +64,6 @@ func TestRelayFrameTruncation(t *testing.T) {
 		Epoch:        2,
 		TTL:          12,
 		BodyID:       3,
-		BodyBin:      true,
 		Body:         []byte("payload-bytes"),
 	}
 	enc, err := in.AppendBinary(nil)
@@ -119,7 +117,6 @@ func FuzzRelayFrame(f *testing.F) {
 		Epoch:        1,
 		TTL:          8,
 		BodyID:       2,
-		BodyBin:      true,
 		Body:         []byte{1, 2, 3},
 	}
 	enc, err := seed.AppendBinary(nil)

@@ -11,16 +11,40 @@ import (
 )
 
 type testMsg struct {
-	N int      `json:"n"`
-	S string   `json:"s"`
-	L []string `json:"l"`
+	N int
+	S string
+	L []string
 }
 
 func (*testMsg) Kind() string { return "wire_test.msg" }
 
+func (m *testMsg) AppendBinary(dst []byte) ([]byte, error) {
+	dst = AppendVarint(dst, int64(m.N))
+	dst = AppendString(dst, m.S)
+	return AppendStringSlice(dst, m.L), nil
+}
+
+func (m *testMsg) UnmarshalBinary(data []byte) error {
+	r := NewReader(data)
+	m.N = int(r.Varint())
+	m.S = r.String()
+	m.L = r.StringSlice()
+	return r.Done()
+}
+
 type otherMsg struct{ X int }
 
 func (*otherMsg) Kind() string { return "wire_test.other" }
+
+func (m *otherMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return AppendVarint(dst, int64(m.X)), nil
+}
+
+func (m *otherMsg) UnmarshalBinary(data []byte) error {
+	r := NewReader(data)
+	m.X = int(r.Varint())
+	return r.Done()
+}
 
 func init() {
 	Register(&testMsg{})
@@ -47,19 +71,22 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestMarshalIsString(t *testing.T) {
-	// The paper requires conversion to a string; our wire form must be
-	// valid UTF-8 JSON text.
-	data, err := Marshal(&testMsg{S: "日本語 unicode", N: -1})
+	// The paper converts a message to a string that names its type; ours
+	// is the kind name, length-prefixed, followed by the body — no dense
+	// id, so the form survives a rebuild that renumbers kinds.
+	m := &testMsg{S: "日本語 unicode", N: -1}
+	data, err := Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, []byte("{")) {
-		t.Fatalf("wire form not a JSON string: %q", data)
+	body, _ := m.AppendBinary(nil)
+	if want := append(AppendString(nil, m.Kind()), body...); !bytes.Equal(data, want) {
+		t.Fatalf("wire form = %q, want kind name then body %q", data, want)
 	}
 }
 
 func TestUnmarshalUnknownKind(t *testing.T) {
-	if _, err := Unmarshal([]byte(`{"k":"never.registered","b":{}}`)); err == nil {
+	if _, err := Unmarshal(AppendString(nil, "never.registered")); err == nil {
 		t.Fatal("unknown kind accepted")
 	} else if !strings.Contains(err.Error(), "never.registered") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -67,7 +94,11 @@ func TestUnmarshalUnknownKind(t *testing.T) {
 }
 
 func TestUnmarshalGarbage(t *testing.T) {
-	for _, s := range []string{"", "{", "[]", `{"k":123}`} {
+	valid, err := Marshal(&testMsg{S: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"", "{", "[]", `{"k":"wire.text","b":{}}`, string(valid[:len(valid)-1]), string(valid) + "x"} {
 		if _, err := Unmarshal([]byte(s)); err == nil {
 			t.Errorf("garbage %q accepted", s)
 		}
@@ -103,6 +134,10 @@ func TestDuplicateRegistrationDifferentTypePanics(t *testing.T) {
 type clashMsg struct{ Y int }
 
 func (clashMsg) Kind() string { return "wire_test.msg" } // collides with testMsg
+
+func (clashMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
+
+func (clashMsg) UnmarshalBinary([]byte) error { return nil }
 
 func TestTextAndBytesBuiltins(t *testing.T) {
 	d1, err := Marshal(&Text{S: "hi"})
@@ -192,6 +227,9 @@ func TestEnvelopePropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryEnvelopeBothBodyPaths round-trips built-in and test-registered
+// bodies through the one frame format. (The name dates from when the
+// second group took a JSON path.)
 func TestBinaryEnvelopeBothBodyPaths(t *testing.T) {
 	hdr := Envelope{
 		To:          InboxRef{Dapplet: netsim.Addr{Host: "caltech", Port: 99}, Inbox: "students"},
@@ -201,10 +239,11 @@ func TestBinaryEnvelopeBothBodyPaths(t *testing.T) {
 		Lamport:     31337,
 	}
 	bodies := []Msg{
-		&Text{S: "binary fast path"},    // implements BinaryMessage
-		&otherMsg{X: 7},                 // JSON fallback body inside binary frame
-		&Bytes{B: []byte{0, 1, 2, 255}}, // opaque binary
-		&testMsg{N: -3, S: "x", L: nil}, // JSON fallback with slices
+		&Text{S: "a string"},
+		&otherMsg{X: 7},
+		&Bytes{B: []byte{0, 1, 2, 255}},
+		&testMsg{N: -3, S: "x", L: nil},
+		&testMsg{N: 1 << 40, L: []string{"", "b"}},
 	}
 	for _, body := range bodies {
 		env := hdr
@@ -214,7 +253,7 @@ func TestBinaryEnvelopeBothBodyPaths(t *testing.T) {
 			t.Fatalf("%T: %v", body, err)
 		}
 		if data[0] != envMagic {
-			t.Fatalf("%T: binary frame does not start with magic: % x", body, data[:4])
+			t.Fatalf("%T: frame does not start with magic: % x", body, data[:4])
 		}
 		got, err := UnmarshalEnvelope(data)
 		if err != nil {
@@ -231,30 +270,25 @@ func TestBinaryEnvelopeBothBodyPaths(t *testing.T) {
 	}
 }
 
-func TestBinaryAndJSONEnvelopesCrossDecode(t *testing.T) {
-	env := &Envelope{
-		To:      InboxRef{Dapplet: netsim.Addr{Host: "h", Port: 1}, Inbox: "in"},
-		Lamport: 5,
-		Body:    &Text{S: "same message either way"},
-	}
-	bin, err := MarshalEnvelope(env)
+// TestEnvelopeWithoutMagicRejected asserts there is one frame format: a
+// datagram that does not start with the magic byte — including what used
+// to be a valid JSON envelope — is an error, not a second decode path.
+func TestEnvelopeWithoutMagicRejected(t *testing.T) {
+	valid, err := MarshalEnvelope(&Envelope{Body: &Text{S: "x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := MarshalEnvelopeJSON(env)
-	if err != nil {
-		t.Fatal(err)
+	bad := [][]byte{
+		nil,
+		[]byte(`{"to":{"d":{"h":"h","p":1},"i":"in"},"fd":{"h":"","p":0},"fo":"","lt":5,"b":{"k":"wire.text","b":{"s":"x"}}}`),
+		[]byte("{}"),
+		valid[1:],
+		append([]byte{0x00}, valid[1:]...),
 	}
-	fromBin, err := UnmarshalEnvelope(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJS, err := UnmarshalEnvelope(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromBin, fromJS) {
-		t.Fatalf("paths disagree: %+v != %+v", fromBin, fromJS)
+	for _, b := range bad {
+		if env, err := UnmarshalEnvelope(b); err == nil {
+			t.Errorf("frame %q without magic decoded to %+v", b, env)
+		}
 	}
 }
 
@@ -262,8 +296,9 @@ func TestBinaryEnvelopeRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
 		{envMagic},
 		{envMagic, 0},
-		{envMagic, 0, 0xFF, 0xFF, 0xFF}, // unterminated varint / unknown id
-		{envMagic, flagBodyIsBin, 1},    // truncated header
+		{envMagic, 0xFF, 0xFF, 0xFF},       // unterminated varint
+		{envMagic, 0xFF, 0xFF, 0x7F, 0, 0}, // kind id past uint16
+		{envMagic, 1},                      // truncated header
 	}
 	for _, b := range bad {
 		if _, err := UnmarshalEnvelope(b); err == nil {
@@ -276,7 +311,7 @@ func TestBinaryEnvelopeRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[2] = 0 // kind id 0 is reserved invalid
+	data[1] = 0 // kind id 0 is reserved invalid
 	if _, err := UnmarshalEnvelope(data); err == nil {
 		t.Error("reserved kind id accepted")
 	}
@@ -297,6 +332,28 @@ func TestKindIDsDense(t *testing.T) {
 	}
 	if _, ok := m.(*Text); !ok {
 		t.Fatalf("NewOf returned %T", m)
+	}
+}
+
+// TestReservedKindHasNoCodec pins what the id-0 registry entry is: listed
+// and instantiable, but not a Msg, and refused by both decoders.
+func TestReservedKindHasNoCodec(t *testing.T) {
+	id, ok := KindID("wire.reserved")
+	if !ok || id != 0 {
+		t.Fatalf("reserved kind id = %d (%v), want 0", id, ok)
+	}
+	v, err := NewOf("wire.reserved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, isMsg := v.(Msg); isMsg {
+		t.Fatal("reserved kind has a codec")
+	}
+	if _, err := DecodeBody(0, nil); err == nil {
+		t.Error("DecodeBody accepted the reserved id")
+	}
+	if _, err := Unmarshal(AppendString(nil, "wire.reserved")); err == nil {
+		t.Error("Unmarshal accepted the reserved kind")
 	}
 }
 
@@ -329,10 +386,9 @@ func TestBodyFanOutSharesEncoding(t *testing.T) {
 }
 
 func TestBinaryEncodeZeroAlloc(t *testing.T) {
-	// The acceptance contract of the binary codec: steady-state encode of
-	// a binary-capable body into a reused buffer allocates nothing (body
-	// buffers pooled, header appended in place). BenchmarkE8WireCodec
-	// reports the same number; this test gates it.
+	// The acceptance contract of the codec: steady-state encode into a
+	// reused buffer allocates nothing (body buffers pooled, header
+	// appended in place).
 	env := &Envelope{
 		To:          InboxRef{Dapplet: netsim.Addr{Host: "caltech", Port: 99}, Inbox: "students"},
 		FromDapplet: netsim.Addr{Host: "rice", Port: 12},
@@ -354,7 +410,7 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("binary envelope encode allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("envelope encode allocates %.1f times per op, want 0", allocs)
 	}
 }
 

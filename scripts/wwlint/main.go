@@ -1,7 +1,7 @@
 // Command wwlint runs the repository's static-analysis suite (see
 // internal/lint and DESIGN.md "Static analysis") as one pass: the
-// determinism, lockcheck, ctxcheck, goleak, wirecheck, doccheck and
-// depcheck analyzers over every package matched by the given patterns.
+// determinism, lockcheck, ctxcheck, goleak, wirecheck and doccheck
+// analyzers over every package matched by the given patterns.
 // It is the single lint gate CI runs:
 //
 //	go run ./scripts/wwlint ./...

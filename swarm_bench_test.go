@@ -51,9 +51,6 @@ func reportE11(b *testing.B, rep *swarm.Report) {
 	if rep.DownLatency.Count > 0 {
 		b.ReportMetric(rep.DownLatency.P50Ms, "down-p50-ms")
 	}
-	if rep.TickCost.Speedup > 0 {
-		b.ReportMetric(rep.TickCost.Speedup, "wheel-x")
-	}
 }
 
 // BenchmarkE11Swarm runs the swarm-scale churn harness (E11): a member
@@ -103,7 +100,6 @@ func BenchmarkE13GossipSmoke(b *testing.B) {
 			ChurnRate:      25,
 			SessionRate:    50,
 			Duration:       2 * time.Second,
-			TickCostPeers:  -1,
 		})
 		if err != nil {
 			b.Fatalf("gossip smoke run melted: %v", err)
@@ -135,13 +131,12 @@ func BenchmarkE11SwarmSmoke(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		rep, err := swarm.Run(swarm.Config{
-			N:             n,
-			Seed:          int64(7 + i),
-			Interval:      100 * time.Millisecond,
-			ChurnRate:     40,
-			SessionRate:   80,
-			Duration:      2 * time.Second,
-			TickCostPeers: 2000,
+			N:           n,
+			Seed:        int64(7 + i),
+			Interval:    100 * time.Millisecond,
+			ChurnRate:   40,
+			SessionRate: 80,
+			Duration:    2 * time.Second,
 		})
 		if err != nil {
 			b.Fatalf("swarm smoke run melted: %v", err)

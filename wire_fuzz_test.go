@@ -5,7 +5,7 @@
 package repro
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -42,11 +42,6 @@ func populateValue(v reflect.Value, n int) {
 	case reflect.Float32, reflect.Float64:
 		v.SetFloat(float64(n) + 0.5)
 	case reflect.Slice:
-		if v.Type() == reflect.TypeOf(json.RawMessage(nil)) {
-			// Must be valid JSON for the JSON fallback path.
-			v.SetBytes([]byte(fmt.Sprintf(`{"p":%d}`, n)))
-			return
-		}
 		s := reflect.MakeSlice(v.Type(), 2, 2)
 		populateValue(s.Index(0), n)
 		populateValue(s.Index(1), n+1)
@@ -72,119 +67,139 @@ func populateValue(v reflect.Value, n int) {
 	}
 }
 
+// messageKinds returns every registered kind that is a message, which is
+// every kind but wire's reserved id-0 entry.
+func messageKinds(t testing.TB) []string {
+	t.Helper()
+	var kinds []string
+	for _, kind := range wire.Kinds() {
+		v, err := wire.NewOf(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := v.(wire.Msg); ok {
+			kinds = append(kinds, kind)
+		} else if kind != "wire.reserved" {
+			t.Fatalf("%s: registered without a codec", kind)
+		}
+	}
+	return kinds
+}
+
+// newPopulated returns a fresh message of the kind, zero or with every
+// field filled.
+func newPopulated(t testing.TB, kind string, populated bool) wire.Msg {
+	t.Helper()
+	v, err := wire.NewOf(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := v.(wire.Msg)
+	if populated {
+		populateValue(reflect.ValueOf(m).Elem(), 3)
+	}
+	return m
+}
+
 // TestEnvelopeRoundTripAllKinds asserts, for every registered kind, that
-// binary-encode → decode is identity, and that the JSON fallback and the
-// binary path decode to the same message — for both the zero value and a
-// fully populated value of each kind.
+// encode → decode is strict identity — for both the zero value and a fully
+// populated value of each kind.
 func TestEnvelopeRoundTripAllKinds(t *testing.T) {
-	kinds := wire.Kinds()
+	kinds := messageKinds(t)
 	if len(kinds) < 20 {
 		t.Fatalf("only %d kinds registered; message packages not linked?", len(kinds))
 	}
 	for _, kind := range kinds {
 		for _, populated := range []bool{false, true} {
-			m, err := wire.NewOf(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if populated {
-				populateValue(reflect.ValueOf(m).Elem(), 3)
-			}
-			env := kindsEnvelope(m)
-			roundTripKind(t, kind, m, env)
+			roundTripKind(t, kind, kindsEnvelope(newPopulated(t, kind, populated)))
 		}
 	}
 }
 
-func roundTripKind(t *testing.T, kind string, m wire.Msg, env *wire.Envelope) {
+func roundTripKind(t *testing.T, kind string, env *wire.Envelope) {
 	t.Helper()
-	bin, err := wire.MarshalEnvelope(env)
+	data, err := wire.MarshalEnvelope(env)
 	if err != nil {
-		t.Fatalf("%s: binary marshal: %v", kind, err)
+		t.Fatalf("%s: marshal: %v", kind, err)
 	}
-	fromBin, err := wire.UnmarshalEnvelope(bin)
+	got, err := wire.UnmarshalEnvelope(data)
 	if err != nil {
-		t.Fatalf("%s: binary unmarshal: %v", kind, err)
+		t.Fatalf("%s: unmarshal: %v", kind, err)
 	}
-	if _, isBinary := m.(wire.BinaryMessage); isBinary {
-		// Binary fast-path kinds must round-trip to strict identity.
-		if !reflect.DeepEqual(fromBin, env) {
-			t.Fatalf("%s: binary round trip not identity:\n got %#v\nwant %#v", kind, fromBin, env)
-		}
-	} else {
-		// JSON-fallback kinds may canonicalize on the first trip
-		// (e.g. a nil json.RawMessage decodes as "null"); the second
-		// trip must be a fixed point.
-		bin2, err := wire.MarshalEnvelope(fromBin)
-		if err != nil {
-			t.Fatalf("%s: re-marshal: %v", kind, err)
-		}
-		again, err := wire.UnmarshalEnvelope(bin2)
-		if err != nil {
-			t.Fatalf("%s: re-unmarshal: %v", kind, err)
-		}
-		if !reflect.DeepEqual(again, fromBin) {
-			t.Fatalf("%s: round trip not a fixed point:\n got %#v\nwant %#v", kind, again, fromBin)
-		}
-	}
-
-	js, err := wire.MarshalEnvelopeJSON(env)
-	if err != nil {
-		t.Fatalf("%s: json marshal: %v", kind, err)
-	}
-	fromJSON, err := wire.UnmarshalEnvelope(js)
-	if err != nil {
-		t.Fatalf("%s: json unmarshal: %v", kind, err)
-	}
-	if !reflect.DeepEqual(fromJSON.Body, fromBin.Body) {
-		t.Fatalf("%s: json and binary paths decode different bodies:\n json %#v\n bin  %#v",
-			kind, fromJSON.Body, fromBin.Body)
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("%s: round trip not identity:\n got %#v\nwant %#v", kind, got, env)
 	}
 }
 
-// FuzzEnvelopeRoundTrip feeds arbitrary bytes to the envelope decoder
-// (which sniffs binary vs JSON frames) and asserts that anything that
-// decodes re-encodes to a frame that decodes to the same envelope.
-func FuzzEnvelopeRoundTrip(f *testing.F) {
-	for _, kind := range wire.Kinds() {
-		m, err := wire.NewOf(kind)
+// TestKindsTruncationWalk feeds every strict prefix of a populated
+// message's encoding to its decoder, for every registered kind: each must
+// return an error — never a value, never a panic.
+func TestKindsTruncationWalk(t *testing.T) {
+	for _, kind := range messageKinds(t) {
+		enc, err := newPopulated(t, kind, true).AppendBinary(nil)
 		if err != nil {
-			f.Fatal(err)
+			t.Fatalf("%s: encode: %v", kind, err)
 		}
-		env := kindsEnvelope(m)
-		if bin, err := wire.MarshalEnvelope(env); err == nil {
-			f.Add(bin)
+		for cut := 0; cut < len(enc); cut++ {
+			if err := newPopulated(t, kind, false).UnmarshalBinary(enc[:cut]); err == nil {
+				t.Errorf("%s: prefix of %d/%d bytes decoded without error", kind, cut, len(enc))
+			}
 		}
-		if js, err := wire.MarshalEnvelopeJSON(env); err == nil {
-			f.Add(js)
+	}
+}
+
+// TestMarshalRoundTripsByKindName asserts the durable form — kind name,
+// then body — reconstructs every registered kind without consulting the
+// per-build dense ids.
+func TestMarshalRoundTripsByKindName(t *testing.T) {
+	for _, kind := range messageKinds(t) {
+		m := newPopulated(t, kind, true)
+		data, err := wire.Marshal(m)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", kind, err)
+		}
+		if !bytes.Contains(data, []byte(kind)) {
+			t.Fatalf("%s: durable form does not name its kind: %q", kind, data)
+		}
+		got, err := wire.Unmarshal(data)
+		if err != nil {
+			t.Fatalf("%s: unmarshal: %v", kind, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%s: round trip not identity:\n got %#v\nwant %#v", kind, got, m)
+		}
+	}
+}
+
+// FuzzEnvelopeRoundTrip feeds arbitrary bytes to the envelope decoder and
+// asserts that anything that decodes re-encodes to a frame that decodes to
+// the same envelope. The seeds are a zero and a populated frame of every
+// registered kind.
+func FuzzEnvelopeRoundTrip(f *testing.F) {
+	for _, kind := range messageKinds(f) {
+		for _, populated := range []bool{false, true} {
+			data, err := wire.MarshalEnvelope(kindsEnvelope(newPopulated(f, kind, populated)))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env1, err := wire.UnmarshalEnvelope(data)
+		env, err := wire.UnmarshalEnvelope(data)
 		if err != nil {
 			return // malformed input must only error, never panic
 		}
-		// One re-encode round may canonicalize a JSON-fallback body
-		// (e.g. a nil json.RawMessage decodes as "null"); after that the
-		// binary round trip must be a fixed point.
-		bin1, err := wire.MarshalEnvelope(env1)
+		again, err := wire.MarshalEnvelope(env)
 		if err != nil {
-			t.Fatalf("decoded envelope does not re-encode: %v (%#v)", err, env1)
+			t.Fatalf("decoded envelope does not re-encode: %v (%#v)", err, env)
 		}
-		env2, err := wire.UnmarshalEnvelope(bin1)
+		back, err := wire.UnmarshalEnvelope(again)
 		if err != nil {
 			t.Fatalf("re-encoded envelope does not decode: %v", err)
 		}
-		bin2, err := wire.MarshalEnvelope(env2)
-		if err != nil {
-			t.Fatalf("canonical envelope does not re-encode: %v", err)
-		}
-		env3, err := wire.UnmarshalEnvelope(bin2)
-		if err != nil {
-			t.Fatalf("canonical envelope does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(env2, env3) {
-			t.Fatalf("round trip is not a fixed point:\n was %#v\n now %#v", env2, env3)
+		if !reflect.DeepEqual(env, back) {
+			t.Fatalf("round trip is not a fixed point:\n was %#v\n now %#v", env, back)
 		}
 	})
 }

@@ -99,7 +99,8 @@ var ListenUDP = transport.ListenUDP
 
 // --- messages ---
 
-// Msg is the interface all transmissible messages implement.
+// Msg is the interface all transmissible messages implement: a kind name
+// plus AppendBinary/UnmarshalBinary, written with the helpers below.
 type Msg = wire.Msg
 
 // Text is a ready-made plain-text message.
@@ -113,6 +114,31 @@ type Envelope = wire.Envelope
 
 // RegisterMessage records a message prototype for wire reconstruction.
 func RegisterMessage(proto Msg) { wire.Register(proto) }
+
+// WireReader decodes what the Append helpers wrote; an UnmarshalBinary
+// reads every field unconditionally and returns Done().
+type WireReader = wire.Reader
+
+// The codec primitives a Msg's AppendBinary/UnmarshalBinary are written
+// with (see DESIGN.md "Wire codec").
+var (
+	// NewWireReader returns a WireReader over data.
+	NewWireReader = wire.NewReader
+	// AppendUvarint appends an unsigned varint.
+	AppendUvarint = wire.AppendUvarint
+	// AppendVarint appends a zig-zag varint (possibly-negative integers).
+	AppendVarint = wire.AppendVarint
+	// AppendBool appends a single 0/1 byte.
+	AppendBool = wire.AppendBool
+	// AppendString appends a length-prefixed string.
+	AppendString = wire.AppendString
+	// AppendBytes appends a length-prefixed byte slice.
+	AppendBytes = wire.AppendBytes
+	// AppendStringSlice appends a counted string slice.
+	AppendStringSlice = wire.AppendStringSlice
+	// AppendInboxRef appends a global inbox address.
+	AppendInboxRef = wire.AppendInboxRef
+)
 
 // --- service framework ---
 

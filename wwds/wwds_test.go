@@ -50,10 +50,21 @@ func TestFacadeMessaging(t *testing.T) {
 
 // facadeMsg checks custom message registration through the facade.
 type facadeMsg struct {
-	N int `json:"n"`
+	N int
 }
 
 func (*facadeMsg) Kind() string { return "wwds_test.facade" }
+
+// The codec is written against the facade's re-exports only.
+func (m *facadeMsg) AppendBinary(dst []byte) ([]byte, error) {
+	return wwds.AppendVarint(dst, int64(m.N)), nil
+}
+
+func (m *facadeMsg) UnmarshalBinary(data []byte) error {
+	r := wwds.NewWireReader(data)
+	m.N = int(r.Varint())
+	return r.Done()
+}
 
 func TestFacadeCustomMessage(t *testing.T) {
 	wwds.RegisterMessage(&facadeMsg{})
