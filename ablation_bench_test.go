@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/scenario"
-	"repro/internal/transport"
 )
 
 // BenchmarkAblationHierarchy compares the Figure 1 hierarchical wiring
@@ -68,54 +65,6 @@ func BenchmarkAblationWindow(b *testing.B) {
 				b.ReportMetric(float64(res.Rounds), "rounds")
 				b.ReportMetric(float64(w.Net.MaxVirtual().Milliseconds()), "vlat-ms")
 				w.Close()
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkAblationRTO sweeps the reliable layer's retransmission timeout
-// under 10% loss: too-small RTOs waste bandwidth on spurious retransmits,
-// too-large RTOs stall the window on every loss.
-func BenchmarkAblationRTO(b *testing.B) {
-	const msgs = 500
-	for _, rto := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond} {
-		b.Run(fmt.Sprintf("rto=%s", rto), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				net := netsim.New(netsim.WithSeed(int64(i + 1)))
-				net.SetLink("a", "b", netsim.LinkParams{Loss: 0.10})
-				epA, _ := net.Host("a").Bind(1)
-				epB, _ := net.Host("b").Bind(1)
-				cfg := transport.Config{RTO: rto, MaxRetries: 200, Window: 32}
-				ra := transport.NewReliable(transport.NewSimConn(epA), cfg)
-				rb := transport.NewReliable(transport.NewSimConn(epB), cfg)
-				payload := make([]byte, 128)
-				b.StartTimer()
-				done := make(chan error, 1)
-				go func() {
-					for k := 0; k < msgs; k++ {
-						if _, _, err := rb.Recv(); err != nil {
-							done <- err
-							return
-						}
-					}
-					done <- nil
-				}()
-				for k := 0; k < msgs; k++ {
-					if err := ra.Send(rb.LocalAddr(), payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				st := ra.Stats()
-				b.ReportMetric(float64(st.Retransmits)/float64(msgs), "retx/msg")
-				ra.Close()
-				rb.Close()
-				net.Close()
 				b.StartTimer()
 			}
 		})

@@ -262,7 +262,7 @@ func BenchmarkE1ReliableLayer(b *testing.B) {
 			net.SetLink("a", "b", netsim.LinkParams{Loss: loss})
 			epA, _ := net.Host("a").Bind(1)
 			epB, _ := net.Host("b").Bind(1)
-			cfg := transport.Config{RTO: 5 * time.Millisecond, MaxRetries: 100, Window: 64}
+			cfg := transport.Config{Window: 64}
 			ra := transport.NewReliable(transport.NewSimConn(epA), cfg)
 			rb := transport.NewReliable(transport.NewSimConn(epB), cfg)
 			defer ra.Close()

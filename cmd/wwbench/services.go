@@ -33,7 +33,7 @@ func runE1() {
 		net.SetLink("a", "b", netsim.LinkParams{Loss: loss, Dup: 0.01, Reorder: 0.05})
 		epA, _ := net.Host("a").Bind(1)
 		epB, _ := net.Host("b").Bind(1)
-		cfg := transport.Config{RTO: 3 * time.Millisecond, MaxRetries: 200, Window: 64}
+		cfg := transport.Config{Window: 64}
 		ra := transport.NewReliable(transport.NewSimConn(epA), cfg)
 		rb := transport.NewReliable(transport.NewSimConn(epB), cfg)
 		payload := make([]byte, 256)

@@ -7,11 +7,13 @@ import "encoding/binary"
 // acknowledgement for the reverse direction, replacing one datagram per
 // frame plus standalone ack packets:
 //
-//	magic(2) | type(1)=pktBatch | flags(1) | [cum(8)] | [sel(8)] | frames…
+//	magic(2) | type(1)=pktBatch | flags(1) | [cum(8)] | [bitmap(8)] | frames…
 //
 // flags bit0 (batchFlagCum) marks an 8-byte big-endian cumulative
-// acknowledgement; bit1 (batchFlagSel) an 8-byte selective one. Each
-// frame then follows as
+// acknowledgement; bit1 (batchFlagSel) the 8-byte selective bitmap a
+// standalone ack carries (bit i: seq cum+2+i is in the sender's reorder
+// buffer), present while that buffer holds anything. Each frame then
+// follows as
 //
 //	seq uvarint | len uvarint | payload
 //
@@ -51,7 +53,7 @@ func uvarintLen(v uint64) int {
 
 // appendBatchHeader appends the batch datagram header. cum is always
 // carried (every coalesced datagram refreshes the reverse direction's
-// cumulative ack for free); sel only when hasSel.
+// cumulative ack for free); the selective bitmap sel only when hasSel.
 func appendBatchHeader(dst []byte, cum uint64, sel uint64, hasSel bool) []byte {
 	flags := byte(batchFlagCum)
 	if hasSel {

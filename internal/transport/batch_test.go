@@ -10,6 +10,8 @@ import (
 )
 
 func TestBatchCodecRoundTrip(t *testing.T) {
+	// sel is the selective bitmap; the codec carries its 64 bits untouched
+	// (TestRecoveryLostSelectiveAcksCostNothing reads the bits).
 	f := func(cum uint64, sel uint64, hasSel bool, seqs []uint64, payloads [][]byte) bool {
 		if len(seqs) > len(payloads) {
 			seqs = seqs[:len(payloads)]

@@ -7,15 +7,18 @@
 // and benchmarks so world-wide conditions are reproducible) and a real one
 // over net.UDPConn (used by the demo binaries on loopback or a real
 // network). The reliable layer is transport-agnostic: it numbers
-// messages per destination, acknowledges receipt, retransmits on a
-// timeout, discards duplicates, and releases messages to the application
+// messages per destination, acknowledges receipt, retransmits what the
+// acknowledgements show to be lost (and, behind that, on a measured
+// timeout), discards duplicates, and releases messages to the application
 // strictly in send order — exactly the guarantees the paper's channel
 // abstraction assumes of its UDP layer.
 //
 // The layer is sharded by peer: each peer's window, unacked set and
 // reordering buffer live under that peer's own mutex, acknowledgements
 // are cumulative and coalesced (after AckEvery messages or AckDelay,
-// whichever first), and a single timer goroutine drives retransmission
-// from a min-heap of per-peer deadlines, so cost is proportional to
-// peers with due packets rather than to all in-flight traffic.
+// whichever first) and carry the reorder buffer as a bitmap while a gap
+// is open, and a single timer goroutine drives the backstop
+// retransmission timer from a min-heap of per-peer deadlines, so cost is
+// proportional to peers with due packets rather than to all in-flight
+// traffic.
 package transport

@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,13 +24,29 @@ const (
 
 // headerLen is: magic(2) + type(1) + seq(8). For data packets seq is the
 // message sequence number; for acks it is the cumulative acknowledgement
-// (every message up to and including it has been received), optionally
-// followed by an 8-byte selective acknowledgement payload naming one
-// out-of-order message received beyond the cumulative point.
+// cum (every message up to and including it has been received), followed,
+// while the receiver's reorder buffer holds anything, by an 8-byte
+// selective bitmap: bit i is set when message cum+selBase+i is in the
+// buffer (cum+1 is missing by definition).
 const headerLen = 11
 
-// ackSelLen is the payload length of an ack carrying a selective seq.
+// ackSelLen is the payload length of an ack carrying the selective bitmap.
 const ackSelLen = 8
+
+// selBase is the distance from the cumulative ack to the seq that bit 0
+// of a selective bitmap names.
+const selBase = 2
+
+// Loss-recovery constants; DESIGN.md "Loss recovery" gives the reasons.
+const (
+	// dupThresh is how many received seqs above a never-resent frame show
+	// it lost rather than reordered (netsim displaces by one datagram).
+	dupThresh = 3
+	// maxBackoff caps the timer back-off at 8x the current RTO base.
+	maxBackoff = 3
+	// minRTOVar is the least the RTO allows for round-trip variance.
+	minRTOVar = time.Millisecond
+)
 
 var magic = [2]byte{'w', 'w'}
 
@@ -38,11 +57,15 @@ var ErrTooManyRetries = errors.New("transport: message not acknowledged after ma
 
 // Config tunes the reliable layer. Zero values select defaults.
 type Config struct {
-	// RTO is the initial retransmission timeout (default 50ms). It backs
-	// off exponentially per retry, capped at 8*RTO.
+	// RTO is the retransmission timeout until the first round-trip sample
+	// from a peer (default 50ms); from then on the timeout is measured per
+	// peer (SRTT + 4*RTTVAR + AckDelay) and never below RTO/2. The timer
+	// is the backstop: acknowledgements reveal most losses within a round
+	// trip. It backs off exponentially per expiry, capped at 8x, until an
+	// acknowledgement yields a new sample.
 	RTO time.Duration
-	// MaxRetries is the number of retransmissions before a send is
-	// declared failed (default 10).
+	// MaxRetries is the number of timer expiries a frame survives before
+	// its send is declared failed (default 10).
 	MaxRetries int
 	// Window is the maximum number of unacknowledged messages per peer;
 	// Send blocks when the window is full (default 64).
@@ -126,13 +149,15 @@ type SendFailure struct {
 
 // Stats counts reliable-layer events.
 type Stats struct {
-	DataSent    uint64 // first transmissions (logical frames, coalesced or not)
-	Retransmits uint64
-	AcksSent    uint64 // standalone ack packets (cumulative: usually fewer than messages)
-	AcksRecv    uint64 // ack-carrying packets received (standalone or batch headers)
-	DupsDropped uint64 // duplicate data packets discarded
-	Delivered   uint64 // messages handed to Recv in order
-	Failures    uint64
+	DataSent        uint64 // first transmissions (logical frames, coalesced or not)
+	Retransmits     uint64 // all retransmissions, ack-triggered and timer
+	FastRetransmits uint64 // the share of Retransmits an acknowledgement triggered
+	AcksSent        uint64 // standalone ack packets (cumulative: usually fewer than messages)
+	AcksRecv        uint64 // ack-carrying packets received (standalone or batch headers)
+	DupsDropped     uint64 // duplicate data packets discarded
+	Delivered       uint64 // messages handed to Recv in order
+	Failures        uint64
+	FailuresDropped uint64 // failure notices discarded because the Failures channel was full
 
 	// Coalescing counters (all zero with Config.Coalesce off except
 	// DatagramsOut and BytesOut, which always count physical writes).
@@ -182,13 +207,15 @@ func (s Stats) StandaloneAckRatio() float64 {
 // statCounters is the lock-free internal form of Stats: counters are
 // atomics so the per-peer locks never serialize on shared accounting.
 type statCounters struct {
-	dataSent    atomic.Uint64
-	retransmits atomic.Uint64
-	acksSent    atomic.Uint64
-	acksRecv    atomic.Uint64
-	dupsDropped atomic.Uint64
-	delivered   atomic.Uint64
-	failures    atomic.Uint64
+	dataSent        atomic.Uint64
+	retransmits     atomic.Uint64
+	fastRetransmits atomic.Uint64
+	acksSent        atomic.Uint64
+	acksRecv        atomic.Uint64
+	dupsDropped     atomic.Uint64
+	delivered       atomic.Uint64
+	failures        atomic.Uint64
+	failuresDropped atomic.Uint64
 
 	bytesOut        atomic.Uint64
 	datagramsOut    atomic.Uint64
@@ -205,13 +232,15 @@ type statCounters struct {
 
 func (c *statCounters) snapshot() Stats {
 	return Stats{
-		DataSent:    c.dataSent.Load(),
-		Retransmits: c.retransmits.Load(),
-		AcksSent:    c.acksSent.Load(),
-		AcksRecv:    c.acksRecv.Load(),
-		DupsDropped: c.dupsDropped.Load(),
-		Delivered:   c.delivered.Load(),
-		Failures:    c.failures.Load(),
+		DataSent:        c.dataSent.Load(),
+		Retransmits:     c.retransmits.Load(),
+		FastRetransmits: c.fastRetransmits.Load(),
+		AcksSent:        c.acksSent.Load(),
+		AcksRecv:        c.acksRecv.Load(),
+		DupsDropped:     c.dupsDropped.Load(),
+		Delivered:       c.delivered.Load(),
+		Failures:        c.failures.Load(),
+		FailuresDropped: c.failuresDropped.Load(),
 
 		BytesOut:        c.bytesOut.Load(),
 		DatagramsOut:    c.datagramsOut.Load(),
@@ -231,8 +260,21 @@ func (c *statCounters) snapshot() Stats {
 type outPkt struct {
 	seq      uint64
 	frame    []byte
-	deadline time.Time // next retransmission time
-	retries  int
+	sent     time.Time // first transmission
+	xmit     time.Time // latest transmission
+	deadline time.Time // when the timer resends it: xmit plus the RTO then in force
+	retries  int       // timer expiries so far; MaxRetries bounds these
+	resent   bool      // retransmitted at least once, by the timer or an ack
+}
+
+// sortBySeq puts frames picked off the unacked map back in send order.
+func sortBySeq(pkts []*outPkt) {
+	slices.SortFunc(pkts, func(a, b *outPkt) int { return cmp.Compare(a.seq, b.seq) })
+}
+
+// markResent stamps one more transmission of pkt at now.
+func (pkt *outPkt) markResent(now time.Time, rto time.Duration) {
+	pkt.xmit, pkt.deadline, pkt.resent = now, now.Add(rto), true
 }
 
 // peerState holds one peer's sequencing state in both directions, guarded
@@ -249,17 +291,30 @@ type peerState struct {
 	ackedTo uint64             // guarded by mu; highest cumulative ack received
 	unacked map[uint64]*outPkt // guarded by mu
 
+	// Loss recovery. srtt and rttvar are the RFC 6298 estimator over acks
+	// of never-resent frames (zero until the first sample; rttBound while
+	// they hold only an upper bound, which the first sample replaces) and
+	// minRTT the smallest sample; backoff is the timer's exponent, kept
+	// until the next sample; rackXmit is the latest transmit time of a
+	// frame known to have arrived; retxDue is the due time of the live
+	// evRetx event, zero when none is queued.
+	srtt     time.Duration // guarded by mu
+	rttvar   time.Duration // guarded by mu
+	rttBound bool          // guarded by mu
+	minRTT   time.Duration // guarded by mu
+	backoff  uint          // guarded by mu
+	rackXmit time.Time     // guarded by mu
+	retxDue  time.Time     // guarded by mu
+
 	// Receiver side.
 	expected uint64            // guarded by mu
 	ooo      map[uint64][]byte // guarded by mu
 
 	// Delayed-ack coalescing: ackPending counts in-order messages
 	// received since the last ack; ackTimerSet records that an ack
-	// deadline is already in the timer queue. retxArmed records that a
-	// retransmit event for this peer is in the queue.
+	// deadline is already in the timer queue.
 	ackPending  int  // guarded by mu
 	ackTimerSet bool // guarded by mu
-	retxArmed   bool // guarded by mu
 
 	// Frame coalescing (Config.Coalesce): stage holds encoded batch
 	// sub-frames awaiting a flush (the backing array is reused across
@@ -293,10 +348,12 @@ type inMsg struct {
 // deadline in a min-heap and processes only the peers that are due —
 // retransmission work is proportional to peers with expired packets, not
 // to all unacked packets across all peers — and delayed acks and
-// coalescing flush deadlines ride the same queue. Each peer keeps at most one retransmit event live
-// (retxArmed), armed at its next packet deadline; a fire whose packets
-// were acked in the meantime just re-arms or lapses, so the fault-free
-// send path performs no timer work per message.
+// coalescing flush deadlines ride the same queue. Each peer keeps one
+// retransmit event live, at the earliest deadline among its unacked
+// packets (retxDue): a send or resend due sooner queues a new event and
+// the superseded one lapses when it fires, as does a fire whose packets
+// were acked in the meantime, so the fault-free send path performs no
+// timer work per message.
 const (
 	evRetx = iota
 	evAck
@@ -326,7 +383,8 @@ func (h *timerQueue) Pop() any {
 
 // Reliable implements per-peer FIFO, exactly-once message delivery over an
 // unreliable PacketConn, using sequence numbers, cumulative+selective
-// acknowledgements and bounded exponential-backoff retransmission.
+// acknowledgements, ack-clocked loss detection and a measured, bounded
+// exponential-backoff retransmission timer behind it.
 // Messages between a pair of endpoints are delivered in the order sent
 // (§3.2: "Messages sent along a channel are delivered in the order sent").
 //
@@ -407,6 +465,21 @@ func (r *Reliable) QueueDepth() int {
 	return total
 }
 
+// RTT reports the smoothed round-trip time to a peer and the
+// retransmission timeout now in force for it, back-off included. Until
+// an acknowledgement from the peer has yielded a sample ok is false, srtt
+// zero and rto derives from Config.RTO.
+func (r *Reliable) RTT(to netsim.Addr) (srtt, rto time.Duration, ok bool) {
+	v, found := r.peers.Load(to)
+	if !found {
+		return 0, r.cfg.RTO, false
+	}
+	p := v.(*peerState)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.srtt, r.rtoLocked(p), p.srtt > 0
+}
+
 // peer returns the state for a peer, creating it on first contact. The
 // fast path is a lock-free sync.Map load; creation synchronizes with
 // Close through peersMu so a peer can never miss the close broadcast.
@@ -473,11 +546,11 @@ func (r *Reliable) writeBatch(to netsim.Addr, dgram []byte) error {
 }
 
 // buildBatchLocked drains p's staging buffer into one coalesced
-// datagram, piggybacking the cumulative acknowledgement for the reverse
-// direction (and a selective one when hasSel). ackReplaces marks a
-// flush that substitutes for a standalone ack the receive path was
-// about to send. Caller holds p.mu.
-func (r *Reliable) buildBatchLocked(p *peerState, sel uint64, hasSel bool, ackReplaces bool) []byte {
+// datagram, piggybacking the acknowledgement for the reverse direction
+// (cumulative, plus the selective bitmap while a gap is open).
+// ackReplaces marks a flush that substitutes for a standalone ack the
+// receive path was about to send. Caller holds p.mu.
+func (r *Reliable) buildBatchLocked(p *peerState, ackReplaces bool) []byte {
 	if ackReplaces || p.ackPending > 0 || p.ackTimerSet {
 		// This batch's header delivers an ack that would otherwise have
 		// gone out (now or at the delayed-ack deadline) as its own
@@ -485,8 +558,9 @@ func (r *Reliable) buildBatchLocked(p *peerState, sel uint64, hasSel bool, ackRe
 		r.stats.acksPiggybacked.Add(1)
 	}
 	p.ackPending = 0
+	cum, sel, hasSel := p.ackStateLocked()
 	dgram := make([]byte, 0, batchHdrMax+len(p.stage))
-	dgram = appendBatchHeader(dgram, p.expected-1, sel, hasSel)
+	dgram = appendBatchHeader(dgram, cum, sel, hasSel)
 	dgram = append(dgram, p.stage...)
 	r.stats.framesCoalesced.Add(uint64(p.stageN))
 	p.stage = p.stage[:0]
@@ -503,8 +577,9 @@ func (r *Reliable) buildBatchLocked(p *peerState, sel uint64, hasSel bool, ackRe
 // With Config.Coalesce the frame may be staged rather than transmitted:
 // it leaves in a batch datagram when the stage reaches FlushBytes, when
 // FlushDelay expires, on an explicit Flush, or immediately if the
-// channel was idle. The retransmission deadline starts at Send time
-// either way, so a delayed flush never weakens the delivery guarantee.
+// channel was idle. The retransmission deadline and the round-trip
+// clock start at Send time either way, so a delayed flush never weakens
+// the delivery guarantee (and FlushDelay counts into the measured RTT).
 func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	p := r.peer(to)
 	p.mu.Lock()
@@ -518,13 +593,11 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	seq := p.nextSeq
 	p.nextSeq++
 	frame := encodeFrame(pktData, seq, payload)
-	pkt := &outPkt{seq: seq, frame: frame, deadline: time.Now().Add(r.cfg.RTO)}
+	now := time.Now()
+	pkt := &outPkt{seq: seq, frame: frame, sent: now, xmit: now, deadline: now.Add(r.rtoLocked(p))}
 	idle := len(p.unacked) == 0 && len(p.stage) == 0
 	p.unacked[seq] = pkt
-	arm := !p.retxArmed
-	if arm {
-		p.retxArmed = true
-	}
+	arm := p.armRetxLocked(pkt.deadline)
 	if !r.cfg.Coalesce || batchFrameLen(seq, payload) > maxBatchPayload {
 		// Coalescing off, or a frame too large to share a datagram:
 		// the classic one-datagram-per-frame path.
@@ -543,7 +616,7 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	// the wait.
 	var overflow, dgram []byte
 	if len(p.stage) > 0 && len(p.stage)+batchFrameLen(seq, payload) > maxBatchPayload {
-		overflow = r.buildBatchLocked(p, 0, false, false)
+		overflow = r.buildBatchLocked(p, false)
 		r.stats.flushSize.Add(1)
 	}
 	p.stage = appendBatchFrame(p.stage, seq, payload)
@@ -551,10 +624,10 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	armFlush := false
 	switch {
 	case idle:
-		dgram = r.buildBatchLocked(p, 0, false, false)
+		dgram = r.buildBatchLocked(p, false)
 		r.stats.flushIdle.Add(1)
 	case len(p.stage) >= r.cfg.FlushBytes:
-		dgram = r.buildBatchLocked(p, 0, false, false)
+		dgram = r.buildBatchLocked(p, false)
 		r.stats.flushSize.Add(1)
 	case !p.flushArmed:
 		p.flushArmed = true
@@ -603,7 +676,7 @@ func (r *Reliable) flushPeer(p *peerState) error {
 	var dgram []byte
 	p.mu.Lock()
 	if len(p.stage) > 0 && !p.closed {
-		dgram = r.buildBatchLocked(p, 0, false, false)
+		dgram = r.buildBatchLocked(p, false)
 		r.stats.flushExplicit.Add(1)
 	}
 	p.mu.Unlock()
@@ -673,24 +746,30 @@ func (r *Reliable) recvLoop() {
 	defer r.wg.Done()
 	//wwlint:allow goleak ReadFrom fails once Close closes the packet socket, ending the loop
 	for {
-		frame, from, err := r.pc.ReadFrom()
+		dgram, from, err := r.pc.ReadFrom()
 		if err != nil {
 			return
 		}
-		if len(frame) >= 3 && frame[0] == magic[0] && frame[1] == magic[1] && frame[2] == pktBatch {
-			r.handleBatch(from, frame[3:])
-			continue
-		}
-		typ, seq, payload, err := decodeFrame(frame)
-		if err != nil {
-			continue // ignore garbage, like a real UDP service
-		}
-		switch typ {
-		case pktAck:
-			r.handleAck(from, seq, payload)
-		case pktData:
-			r.handleData(from, seq, payload)
-		}
+		r.handleDatagram(from, dgram)
+	}
+}
+
+// handleDatagram dispatches one arriving datagram; garbage is ignored,
+// like a real UDP service.
+func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
+	if len(dgram) >= 3 && dgram[0] == magic[0] && dgram[1] == magic[1] && dgram[2] == pktBatch {
+		r.handleBatch(from, dgram[3:])
+		return
+	}
+	typ, seq, payload, err := decodeFrame(dgram)
+	if err != nil {
+		return
+	}
+	switch typ {
+	case pktAck:
+		r.handleAck(from, seq, payload)
+	case pktData:
+		r.handleData(from, seq, payload)
 	}
 }
 
@@ -718,7 +797,7 @@ func (r *Reliable) handleBatch(from netsim.Addr, body []byte) {
 }
 
 // handleAck processes a standalone cumulative acknowledgement packet
-// (plus an optional selective seq in the payload).
+// (plus the selective bitmap in the payload, when a gap was open).
 func (r *Reliable) handleAck(from netsim.Addr, cum uint64, payload []byte) {
 	r.stats.acksRecv.Add(1)
 	var sel uint64
@@ -729,38 +808,185 @@ func (r *Reliable) handleAck(from netsim.Addr, cum uint64, payload []byte) {
 	r.applyAck(from, cum, sel, hasSel)
 }
 
+// rtoLocked is the retransmission timeout now in force for p: Config.RTO
+// until the first round-trip sample, then the measured SRTT + 4*RTTVAR
+// plus the AckDelay the peer may sit on an ack (never below Config.RTO/2:
+// acks do the recovering, the timer can afford to be late), doubled per
+// timer expiry since the last sample up to 8x.
+func (r *Reliable) rtoLocked(p *peerState) time.Duration {
+	base := r.cfg.RTO
+	if p.srtt > 0 {
+		base = max(p.srtt+max(4*p.rttvar, minRTOVar)+r.cfg.AckDelay, r.cfg.RTO/2)
+	}
+	return base << p.backoff
+}
+
+// sampleRTTLocked folds one round-trip measurement into p's estimator
+// (RFC 6298 §2) and ends the timer back-off: the path has just shown
+// what it takes. bound marks an upper bound rather than a measurement; it
+// stands in only until the first measurement.
+func (p *peerState) sampleRTTLocked(rtt time.Duration, bound bool) {
+	rtt = max(rtt, 1) // zero srtt means "nothing yet"
+	if p.srtt == 0 || p.rttBound {
+		p.srtt, p.rttvar = rtt, rtt/2
+	} else {
+		p.rttvar += ((p.srtt - rtt).Abs() - p.rttvar) / 4
+		p.srtt += (rtt - p.srtt) / 8 // stays positive: the step is under srtt/8
+	}
+	p.rttBound = bound
+	if !bound && (p.minRTT == 0 || rtt < p.minRTT) {
+		p.minRTT = rtt
+	}
+	p.backoff = 0
+}
+
+// armRetxLocked notes that a frame of p falls due for the timer at
+// deadline and reports whether the caller must queue an evRetx event
+// there once p.mu is released: it must when none is live or the live one
+// is later, which then lapses when it fires.
+func (p *peerState) armRetxLocked(deadline time.Time) bool {
+	if !p.retxDue.IsZero() && !deadline.Before(p.retxDue) {
+		return false
+	}
+	p.retxDue = deadline
+	return true
+}
+
+// releaseLocked drops an acknowledged seq from the unacked set and
+// returns whichever of it and newest was transmitted later.
+func (p *peerState) releaseLocked(seq uint64, newest *outPkt) *outPkt {
+	pkt, ok := p.unacked[seq]
+	if !ok {
+		return newest
+	}
+	delete(p.unacked, seq)
+	if newest == nil || pkt.xmit.After(newest.xmit) {
+		return pkt
+	}
+	return newest
+}
+
 // applyAck releases window space for an acknowledgement, however it
-// arrived.
+// arrived, feeds the round-trip estimator, and resends at once what the
+// acknowledgement shows to be lost.
 func (r *Reliable) applyAck(from netsim.Addr, cum uint64, sel uint64, hasSel bool) {
 	p := r.peer(from)
+	now := time.Now()
 	p.mu.Lock()
 	if cum >= p.nextSeq {
 		cum = p.nextSeq - 1 // clamp garbage from a confused peer
 	}
-	freed := false
+	// Bit i names seq cum+selBase+i; one at or past nextSeq is garbage too.
+	if sent := p.nextSeq - 1 - cum; !hasSel || sent == 0 {
+		sel = 0
+	} else {
+		sel &= 1<<(sent-1) - 1
+	}
+	var newest *outPkt // the latest-transmitted frame this ack newly covers
 	for q := p.ackedTo + 1; q <= cum; q++ {
-		if _, ok := p.unacked[q]; ok {
-			delete(p.unacked, q)
-			freed = true
-		}
+		newest = p.releaseLocked(q, newest)
 	}
 	if cum > p.ackedTo {
 		p.ackedTo = cum
 	}
-	if hasSel {
-		if _, ok := p.unacked[sel]; ok {
-			delete(p.unacked, sel)
-			freed = true
+	for b := sel; b != 0; b &= b - 1 {
+		newest = p.releaseLocked(cum+selBase+uint64(bits.TrailingZeros64(b)), newest)
+	}
+	if newest != nil {
+		p.cond.Broadcast()
+		rtt := now.Sub(newest.xmit)
+		switch {
+		case !newest.resent:
+			p.sampleRTTLocked(rtt, false)
+		case p.srtt == 0:
+			// Karn: which copy this ack answers is unknown, so it is no
+			// sample. But on a path slower than the back-off can reach
+			// every frame is resent before its ack and none ever is; the
+			// time since the first copy left is at least a bound.
+			p.sampleRTTLocked(now.Sub(newest.sent), true)
+		}
+		// An ack sooner than the smallest round trip after a resend
+		// answers the earlier copy and says nothing about frames sent
+		// between the two.
+		if (!newest.resent || p.minRTT > 0 && rtt >= p.minRTT) && newest.xmit.After(p.rackXmit) {
+			p.rackXmit = newest.xmit
 		}
 	}
-	if freed {
-		p.cond.Broadcast()
+	var lost []*outPkt
+	if sel != 0 || newest != nil && newest.resent {
+		// Only an ack that names seqs above a hole, or covers a resent
+		// frame, can put an unacked frame before something that arrived.
+		lost = r.detectLossLocked(p, cum, sel, hasSel, now)
 	}
 	p.mu.Unlock()
+	r.retransmit(p.addr, lost, true)
 }
 
-// sendAck transmits one standalone cumulative ack, optionally carrying
-// a selective seq for an out-of-order arrival.
+// detectLossLocked decides which unacked frames an acknowledgement shows
+// to be lost, stamps them retransmitted at now and returns them in seq
+// order for the caller to write. A never-resent frame is lost once dupThresh seqs above it have
+// arrived; any frame is lost once it was transmitted more than a
+// reordering window (SRTT/4) before a frame known to have arrived (RACK,
+// RFC 8985) — the rule that recovers a lost retransmission.
+func (r *Reliable) detectLossLocked(p *peerState, cum, sel uint64, hasSel bool, now time.Time) []*outPkt {
+	// The ack speaks only for seqs below known: not for frames still
+	// staged, which have yet to leave, nor, when it carries a bitmap, for
+	// seqs past the bitmap's reach (without one the peer holds nothing
+	// above cum).
+	known := p.nextSeq - uint64(p.stageN)
+	if hasSel {
+		known = min(known, cum+selBase+64)
+	}
+	reorder := p.srtt / 4
+	var lost []*outPkt
+	for q, pkt := range p.unacked {
+		if q >= known {
+			continue
+		}
+		if !pkt.resent && bits.OnesCount64(sel>>(q-cum-1)) >= dupThresh ||
+			pkt.xmit.Add(reorder).Before(p.rackXmit) {
+			lost = append(lost, pkt)
+		}
+	}
+	sortBySeq(lost)
+	rto := r.rtoLocked(p)
+	for _, pkt := range lost {
+		pkt.markResent(now, rto)
+	}
+	return lost
+}
+
+// retransmit writes frames again, each as its own pktData datagram
+// (retransmissions never ride a batch); fast marks the ones an
+// acknowledgement triggered. Must not be called with a peer lock held:
+// a packet's frame is immutable, so it needs none.
+func (r *Reliable) retransmit(to netsim.Addr, pkts []*outPkt, fast bool) {
+	if len(pkts) == 0 {
+		return
+	}
+	r.stats.retransmits.Add(uint64(len(pkts)))
+	if fast {
+		r.stats.fastRetransmits.Add(uint64(len(pkts)))
+	}
+	for _, pkt := range pkts {
+		_ = r.writeDatagram(to, pkt.frame)
+	}
+}
+
+// ackStateLocked is what an acknowledgement sent now says: the
+// cumulative point and, while the reorder buffer holds anything, its
+// bitmap (a seq more than 64 past the hole goes unreported).
+func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
+	for seq := range p.ooo {
+		if i := seq - p.expected - 1; i < 64 {
+			sel |= 1 << i
+		}
+	}
+	return p.expected - 1, sel, len(p.ooo) > 0
+}
+
+// sendAck transmits one standalone cumulative ack, with the selective
+// bitmap when hasSel.
 func (r *Reliable) sendAck(to netsim.Addr, cum uint64, sel uint64, hasSel bool) {
 	var payload []byte
 	if hasSel {
@@ -775,14 +1001,16 @@ func (r *Reliable) sendAck(to netsim.Addr, cum uint64, sel uint64, hasSel bool) 
 // handleData sequences one arriving data packet. In-order arrivals are
 // delivered immediately but acknowledged lazily (after AckEvery messages
 // or AckDelay, whichever first); out-of-order, duplicate and
-// retransmitted arrivals are acknowledged immediately so the sender's
-// window unblocks and retransmission stops promptly. The payload slice is
-// owned by this layer (see PacketConn.ReadFrom) and is handed to the
-// application without copying.
+// retransmitted arrivals are acknowledged immediately, with the whole
+// reorder state while a gap is open, so the sender's window unblocks and
+// it can tell at once what is lost. The payload slice is owned by this
+// layer (see PacketConn.ReadFrom) and is handed to the application
+// without copying.
 func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
 	p := r.peer(from)
 	var (
-		ready    []inMsg
+		buf      [4]inMsg // keeps the usual short run off the heap
+		ready    = buf[:0]
 		ackNow   bool
 		ackCum   uint64
 		ackSel   uint64
@@ -793,10 +1021,9 @@ func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
 	switch {
 	case seq < p.expected:
 		// Retransmission of something already delivered: the previous ack
-		// was likely lost, so re-ack the cumulative point immediately.
+		// was likely lost, so re-ack immediately.
 		r.stats.dupsDropped.Add(1)
-		p.ackPending = 0
-		ackNow, ackCum = true, p.expected-1
+		ackNow = true
 	case seq == p.expected:
 		// In-order: deliver this message and any run it completes.
 		delete(p.ooo, seq)
@@ -814,8 +1041,7 @@ func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
 		r.stats.delivered.Add(uint64(len(ready)))
 		p.ackPending += len(ready)
 		if p.ackPending >= r.cfg.AckEvery {
-			p.ackPending = 0
-			ackNow, ackCum = true, p.expected-1
+			ackNow = true
 		} else if !p.ackTimerSet {
 			p.ackTimerSet = true
 			armTimer = true
@@ -826,20 +1052,23 @@ func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
 		} else {
 			p.ooo[seq] = payload
 		}
-		// A gap is open: ack immediately — cumulative for everything
-		// in order, selective for this packet — so the sender
-		// retransmits only the hole.
-		p.ackPending = 0
-		ackNow, ackCum, ackSel, hasSel = true, p.expected-1, seq, true
+		// A gap is open: ack immediately, so the sender retransmits only
+		// the hole.
+		ackNow = true
 	}
 	var dgram []byte
-	if r.cfg.Coalesce && ackNow && len(p.stage) > 0 {
-		// Staged data is headed back to this peer anyway: fold the ack
-		// into its batch header and flush now instead of sending a
-		// standalone ack packet.
-		dgram = r.buildBatchLocked(p, ackSel, hasSel, true)
-		r.stats.flushAck.Add(1)
-		ackNow = false
+	if ackNow {
+		p.ackPending = 0
+		if r.cfg.Coalesce && len(p.stage) > 0 {
+			// Staged data is headed back to this peer anyway: fold the ack
+			// into its batch header and flush now instead of sending a
+			// standalone ack packet.
+			dgram = r.buildBatchLocked(p, true)
+			r.stats.flushAck.Add(1)
+			ackNow = false
+		} else {
+			ackCum, ackSel, hasSel = p.ackStateLocked()
+		}
 	}
 	p.mu.Unlock()
 
@@ -909,13 +1138,11 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 		p.mu.Lock()
 		p.ackTimerSet = false
 		send := p.ackPending > 0
-		cum := p.expected - 1
-		if send {
-			p.ackPending = 0
-		}
+		p.ackPending = 0
+		cum, sel, hasSel := p.ackStateLocked()
 		p.mu.Unlock()
 		if send {
-			r.sendAck(p.addr, cum, 0, false)
+			r.sendAck(p.addr, cum, sel, hasSel)
 		}
 
 	case evFlush:
@@ -923,7 +1150,7 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 		p.mu.Lock()
 		p.flushArmed = false
 		if len(p.stage) > 0 && !p.closed {
-			dgram = r.buildBatchLocked(p, 0, false, false)
+			dgram = r.buildBatchLocked(p, false)
 			r.stats.flushDeadline.Add(1)
 		}
 		p.mu.Unlock()
@@ -933,58 +1160,64 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 
 	case evRetx:
 		var (
-			resend [][]byte
-			failed []SendFailure
-			next   time.Time
+			expired []*outPkt
+			failed  []SendFailure
+			next    time.Time // earliest deadline still ahead
 		)
 		p.mu.Lock()
-		p.retxArmed = false
+		if !ev.due.Equal(p.retxDue) {
+			p.mu.Unlock()
+			return // superseded by an event armed earlier
+		}
 		for seq, pkt := range p.unacked {
-			if !pkt.deadline.After(now) {
-				if pkt.retries >= r.cfg.MaxRetries {
-					delete(p.unacked, seq)
-					failed = append(failed, SendFailure{
-						To:      p.addr,
-						Seq:     seq,
-						Payload: pkt.frame[headerLen:],
-						Err:     ErrTooManyRetries,
-					})
-					continue
+			switch {
+			case pkt.deadline.After(now):
+				if next.IsZero() || pkt.deadline.Before(next) {
+					next = pkt.deadline
 				}
+			case pkt.retries >= r.cfg.MaxRetries:
+				delete(p.unacked, seq)
+				failed = append(failed, SendFailure{
+					To:      p.addr,
+					Seq:     seq,
+					Payload: pkt.frame[headerLen:],
+					Err:     ErrTooManyRetries,
+				})
+			default:
+				expired = append(expired, pkt)
+			}
+		}
+		if len(expired) > 0 {
+			// One expiry, one step of back-off, however many frames it
+			// caught; it stays until an ack yields a round-trip sample.
+			p.backoff = min(p.backoff+1, maxBackoff)
+			rto := r.rtoLocked(p)
+			sortBySeq(expired)
+			for _, pkt := range expired {
 				pkt.retries++
-				rto := r.cfg.RTO << uint(pkt.retries)
-				if maxRTO := 8 * r.cfg.RTO; rto > maxRTO {
-					rto = maxRTO
-				}
-				pkt.deadline = now.Add(rto)
-				resend = append(resend, pkt.frame)
+				pkt.markResent(now, rto)
 			}
-			if next.IsZero() || pkt.deadline.Before(next) {
-				next = pkt.deadline
+			if next.IsZero() || expired[0].deadline.Before(next) {
+				next = expired[0].deadline
 			}
 		}
-		rearm := len(p.unacked) > 0
-		if rearm {
-			p.retxArmed = true
-		}
+		p.retxDue = next // zero once nothing is in flight
 		if len(failed) > 0 {
 			p.cond.Broadcast()
 		}
 		p.mu.Unlock()
-		r.stats.retransmits.Add(uint64(len(resend)))
-		for _, frame := range resend {
-			_ = r.writeDatagram(p.addr, frame)
-		}
+		r.retransmit(p.addr, expired, false)
 		if len(failed) > 0 {
 			r.stats.failures.Add(uint64(len(failed)))
 			for _, f := range failed {
 				select {
 				case r.failures <- f:
-				default: // drop if nobody is listening
+				default: // nobody is listening
+					r.stats.failuresDropped.Add(1)
 				}
 			}
 		}
-		if rearm {
+		if !next.IsZero() {
 			r.schedule(timerEvent{due: next, p: p, kind: evRetx})
 		}
 	}
