@@ -8,12 +8,14 @@
 // group relays take, applied to the paper's outbox/inbox model.
 //
 // The tree is derived purely from the session roster order (heap layout:
-// node i's parent is (i-1)/k), so every participant computes the same
-// tree from the same roster and seeded lockstep replay holds. Frames
-// carry the original sender's name, address and Lamport stamp; delivery
-// synthesizes an envelope indistinguishable from a direct send, so
-// FIFO-per-channel semantics and the §4.2 clock discipline are unchanged.
-// Per-(session, origin) sequence numbers give in-order, exactly-once
-// delivery at every member, which makes the post-repair replay flood
-// idempotent.
+// node i's parent is (i-1)/k; see Tree), so seeded lockstep replay holds.
+// Only the session initiator, which has the roster, lays it out; each
+// participant is bound with its own neighbours and the tree depth
+// (Binding) and never sees the rest, so joining a group of N costs a
+// participant O(k), not O(N). Frames carry the original sender's name,
+// address and Lamport stamp; delivery synthesizes an envelope
+// indistinguishable from a direct send, so FIFO-per-channel semantics and
+// the §4.2 clock discipline are unchanged. Per-(session, origin) sequence
+// numbers give in-order, exactly-once delivery at every member, which
+// makes the post-repair replay flood idempotent.
 package relay

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -38,16 +39,22 @@ type Stats struct {
 	Redriven uint64
 }
 
-// Binding describes one session's tree as seen by one participant.
+// Binding describes one participant's place in one session's tree. It
+// holds what that participant needs to relay — its neighbours and the
+// hop budget — and never the roster: the session initiator lays the Tree
+// out once and hands every participant its own corner of it.
 type Binding struct {
-	// Members is the roster in tree order — identical at every
-	// participant (the session layer distributes it).
-	Members []Member
+	// Neighbors is this participant's tree neighbourhood: its parent
+	// (unless it is the root) followed by its children, as
+	// Tree.Neighbors lays them out. Bind keeps the slice; the caller
+	// must not modify it afterwards.
+	Neighbors []Member
+	// Depth is the whole tree's root-to-leaf hop count (Tree.Depth). It
+	// sets the hop budget of frames this participant originates.
+	Depth int
 	// Self is this dapplet's roster name; defaults to the dapplet's
 	// instance name.
 	Self string
-	// Fanout is the tree fanout k (default DefaultFanout).
-	Fanout int
 	// Inbox is the inbox name the multicast delivers to at every member.
 	Inbox string
 	// Epoch is the tree version; Bind ignores epochs older than the one
@@ -55,6 +62,14 @@ type Binding struct {
 	Epoch uint64
 	// Replay is the replay ring capacity (default DefaultReplay).
 	Replay int
+	// FromStart says this participant has been in the session since
+	// before any member could send: every origin owes it its sequence
+	// from 1, however the first frames reach it. One that joins a
+	// running session — or a reincarnation, whose delivery state died
+	// with its predecessor — leaves it false and takes the first frame
+	// it hears from an origin as that origin's baseline. Only the Bind
+	// that first installs the session reads it.
+	FromStart bool
 }
 
 // originState is the per-(session, origin) delivery cursor: frames are
@@ -66,12 +81,16 @@ type originState struct {
 }
 
 // sessionState is one tree binding plus its mutable multicast state.
+// neighbors is replaced whole by a rebind and never written in place, so
+// a slice header read under Relay.mu stays valid after the unlock.
 type sessionState struct {
-	tree      *Tree
+	neighbors []Member
+	ttl       uint32 // hop budget for frames originated here
 	self      string
 	inbox     string
 	epoch     uint64
 	replayCap int
+	fromStart bool // origins' delivery cursors start at 1, not at the first frame heard
 
 	seq     uint64             // own origin sequence, last used
 	replay  []*wire.RelayFrame // ring of own recent frames, oldest first
@@ -118,38 +137,34 @@ func (r *Relay) Stats() Stats {
 	}
 }
 
-// Bind installs (or replaces) a session's tree. Bindings carry the tree
-// epoch from the session layer; a Bind older than the installed epoch is
-// ignored, and a rebind at the same or newer epoch keeps the session's
-// sequence counters and delivery cursors so reconfiguration never resets
-// ordering state.
-func (r *Relay) Bind(sid string, b Binding) error {
+// Bind installs (or replaces) this participant's place in a session's
+// tree. Bindings carry the tree epoch from the session layer; a Bind
+// older than the installed epoch is ignored, and a rebind at the same or
+// newer epoch keeps the session's sequence counters and delivery cursors
+// so reconfiguration never resets ordering state.
+func (r *Relay) Bind(sid string, b Binding) {
 	self := b.Self
 	if self == "" {
 		self = r.d.Name()
-	}
-	t := NewTree(b.Members, b.Fanout)
-	if !t.Contains(self) {
-		return fmt.Errorf("relay: %q is not on session %q roster", self, sid)
 	}
 	cap := b.Replay
 	if cap <= 0 {
 		cap = DefaultReplay
 	}
+	// The longest cycle-free flood path is leaf→root→leaf (2×depth);
+	// the slack covers the window where neighbourhoods disagree
+	// mid-reconfiguration.
+	ttl := uint32(2*b.Depth + 4)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st, ok := r.sessions[sid]; ok {
-		if b.Epoch < st.epoch {
-			return nil // stale reconfiguration, already superseded
-		}
-		st.tree, st.self, st.inbox, st.epoch, st.replayCap = t, self, b.Inbox, b.Epoch, cap
-		return nil
+	st, ok := r.sessions[sid]
+	if !ok {
+		st = &sessionState{origins: make(map[string]*originState), fromStart: b.FromStart}
+		r.sessions[sid] = st
+	} else if b.Epoch < st.epoch {
+		return // stale reconfiguration, already superseded
 	}
-	r.sessions[sid] = &sessionState{
-		tree: t, self: self, inbox: b.Inbox, epoch: b.Epoch, replayCap: cap,
-		origins: make(map[string]*originState),
-	}
-	return nil
+	st.neighbors, st.ttl, st.self, st.inbox, st.epoch, st.replayCap = b.Neighbors, ttl, self, b.Inbox, b.Epoch, cap
 }
 
 // Unbind drops a session's tree state (session terminated or this
@@ -178,6 +193,17 @@ func (r *Relay) Epoch(sid string) uint64 {
 	return 0
 }
 
+// Neighbors returns a copy of the neighbours installed for a session and
+// the hop budget its own frames start with (nil and 0 if unbound).
+func (r *Relay) Neighbors(sid string) ([]Member, uint32) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if st, ok := r.sessions[sid]; ok {
+		return append([]Member(nil), st.neighbors...), st.ttl
+	}
+	return nil, 0
+}
+
 // Multicast implements core.Multicaster: encode the body once, record
 // the frame in the replay ring, and flood it to this node's tree
 // neighbors. The caller (Outbox.Send) already stamped the clock.
@@ -204,7 +230,7 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 		Lamport:      lamport,
 		Seq:          st.seq,
 		Epoch:        st.epoch,
-		TTL:          ttlFor(st.tree),
+		TTL:          st.ttl,
 		BodyID:       body.ID(),
 		Body:         body.Bytes(),
 	}
@@ -216,34 +242,42 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 	if len(st.replay) > st.replayCap {
 		st.replay = st.replay[len(st.replay)-st.replayCap:]
 	}
-	neighbors := st.tree.Neighbors(st.self)
+	neighbors := st.neighbors
 	r.mu.Unlock()
 
-	return r.flood(session, frame, neighbors, "")
+	_, err = r.flood(session, frame, neighbors, netsim.Addr{})
+	return err
 }
 
-// flood encodes frame once and transmits the identical bytes to every
-// neighbor except the one named skip (the hop the frame arrived from).
-func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member, skip string) error {
-	if len(neighbors) == 0 {
-		return nil
-	}
-	enc, err := wire.EncodeBody(frame)
-	if err != nil {
-		return err
-	}
+// flood transmits frame to every neighbor except its origin and the one
+// at address inbound (the hop it arrived from; zero for a frame that
+// starts here). The frame is encoded once, on the first neighbor that
+// qualifies, and the identical bytes go to each. It returns how many
+// transmissions it made and the first send error.
+func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member, inbound netsim.Addr) (int, error) {
+	var (
+		enc      wire.Body
+		sent     int
+		firstErr error
+	)
 	defer enc.Release()
-	var firstErr error
 	for _, n := range neighbors {
-		if n.Name == skip || n.Name == frame.Origin {
+		if n.Addr == inbound || n.Name == frame.Origin {
 			continue
+		}
+		if sent == 0 {
+			var err error
+			if enc, err = wire.EncodeBody(frame); err != nil {
+				return 0, err
+			}
 		}
 		to := wire.InboxRef{Dapplet: n.Addr, Inbox: InboxName}
 		if err := r.d.SendEncoded(to, session, frame, enc); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		sent++
 	}
-	return firstErr
+	return sent, firstErr
 }
 
 // Redrive re-floods the session's replay ring to the current tree
@@ -258,18 +292,17 @@ func (r *Relay) Redrive(sid string) error {
 		return fmt.Errorf("relay: session %q is not tree-bound on %q", sid, r.d.Name())
 	}
 	frames := make([]*wire.RelayFrame, len(st.replay))
-	ttl := ttlFor(st.tree)
 	for i, f := range st.replay {
 		cp := *f
-		cp.TTL = ttl // refresh the hop budget for the new tree shape
+		cp.TTL = st.ttl // refresh the hop budget for the new tree shape
 		frames[i] = &cp
 	}
-	neighbors := st.tree.Neighbors(st.self)
+	neighbors := st.neighbors
 	r.mu.Unlock()
 
 	var firstErr error
 	for _, f := range frames {
-		if err := r.flood(sid, f, neighbors, ""); err != nil && firstErr == nil {
+		if _, err := r.flood(sid, f, neighbors, netsim.Addr{}); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		r.redriven.Add(1)
@@ -306,13 +339,18 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	os := st.origins[f.Origin]
 	if os == nil {
 		os = &originState{pending: make(map[uint64]*wire.RelayFrame)}
+		if st.fromStart {
+			// Owed everything: a later frame that overtakes Seq 1 — a
+			// neighbour rebound mid-flood forwards what it still had
+			// queued down its new edges — waits for it, and the redrive
+			// brings it.
+			os.next = 1
+		}
 		st.origins[f.Origin] = os
 	}
 	switch {
 	case os.next == 0:
-		// First frame from this origin fixes the baseline: a member
-		// present from the start sees Seq 1 first (FIFO channels from
-		// the origin's flood), a late joiner starts at the join point.
+		// A late joiner starts each origin at the first frame it hears.
 		os.next = f.Seq + 1
 		deliver = append(deliver, f)
 	case f.Seq < os.next:
@@ -343,33 +381,17 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	// once; while views disagree mid-repair the TTL bounds the echo.
 	var neighbors []Member
 	if f.TTL > 0 {
-		neighbors = st.tree.Neighbors(st.self)
+		neighbors = st.neighbors
 	} else {
 		r.ttlDrops.Add(1)
 	}
-	inbound := env.FromDapplet
 	r.mu.Unlock()
 
 	if len(neighbors) > 0 {
 		fwd := *f
 		fwd.TTL--
-		skip := ""
-		for _, n := range neighbors {
-			if n.Addr == inbound {
-				skip = n.Name
-				break
-			}
-		}
-		kept := 0
-		for _, n := range neighbors {
-			if n.Name != skip && n.Name != f.Origin {
-				kept++
-			}
-		}
-		if kept > 0 {
-			_ = r.flood(f.SessionID, &fwd, neighbors, skip)
-			r.forwarded.Add(uint64(kept))
-		}
+		sent, _ := r.flood(f.SessionID, &fwd, neighbors, env.FromDapplet)
+		r.forwarded.Add(uint64(sent))
 	}
 	for _, df := range deliver {
 		r.deliverLocal(df)

@@ -3,6 +3,7 @@ package relay
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,17 +48,26 @@ func newWorld(t *testing.T, n int) *world {
 	return w
 }
 
-// bindAll installs the same tree on every member.
+// bindAll lays one tree over every member and installs each member's
+// corner of it, as a session set up with all of them would.
 func (w *world) bindAll(sid string, fanout int, epoch uint64) {
-	w.t.Helper()
-	for i, r := range w.relays {
-		err := r.Bind(sid, Binding{
-			Members: w.members, Self: w.dapplets[i].Name(),
-			Fanout: fanout, Inbox: "bcast", Epoch: epoch,
-		})
-		if err != nil {
-			w.t.Fatal(err)
+	w.bindTree(sid, w.members, fanout, epoch, true)
+}
+
+// bindTree lays a fanout-k tree over members (a subset of the world, in
+// tree order) and installs on each one's relay what the session layer
+// would ship it: its neighbours and the tree depth. fromStart is for the
+// relays this call binds for the first time.
+func (w *world) bindTree(sid string, members []Member, fanout int, epoch uint64, fromStart bool) {
+	tr := NewTree(members, fanout)
+	for i, d := range w.dapplets {
+		if tr.Neighborhood(d.Name()) == nil {
+			continue
 		}
+		w.relays[i].Bind(sid, Binding{
+			Neighbors: tr.Neighbors(d.Name()), Depth: tr.Depth(),
+			Inbox: "bcast", Epoch: epoch, FromStart: fromStart,
+		})
 	}
 }
 
@@ -234,15 +244,7 @@ func TestRedriveFillsGap(t *testing.T) {
 	// Repair: drop member 2 from the roster, rebind everyone at epoch 2,
 	// and redrive from the origin's replay ring.
 	repaired := append(append([]Member(nil), w.members[:2]...), w.members[3:]...)
-	for _, i := range []int{0, 1, 3, 4} {
-		err := w.relays[i].Bind("s1", Binding{
-			Members: repaired, Self: w.dapplets[i].Name(),
-			Fanout: 1, Inbox: "bcast", Epoch: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	w.bindTree("s1", repaired, 1, 2, true)
 	if err := w.relays[0].Redrive("s1"); err != nil {
 		t.Fatal(err)
 	}
@@ -260,27 +262,12 @@ func TestRedriveFillsGap(t *testing.T) {
 func TestBindEpochGuard(t *testing.T) {
 	w := newWorld(t, 3)
 	w.bindAll("s1", 2, 5)
-	if err := w.relays[0].Bind("s1", Binding{
-		Members: w.members[:2], Self: w.dapplets[0].Name(),
-		Fanout: 2, Inbox: "bcast", Epoch: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	w.bindTree("s1", w.members[:2], 2, 3, true)
 	if got := w.relays[0].Epoch("s1"); got != 5 {
 		t.Fatalf("stale bind rolled epoch back to %d", got)
 	}
-}
-
-// TestBindRejectsNonMember checks binding with a self not on the roster
-// fails.
-func TestBindRejectsNonMember(t *testing.T) {
-	w := newWorld(t, 2)
-	err := w.relays[0].Bind("s1", Binding{
-		Members: []Member{{Name: "other", Addr: w.dapplets[1].Addr()}},
-		Inbox:   "bcast", Epoch: 1,
-	})
-	if err == nil {
-		t.Fatal("bind off-roster should fail")
+	if nb, _ := w.relays[0].Neighbors("s1"); len(nb) != 2 {
+		t.Fatalf("stale bind replaced the neighbours: %v", nb)
 	}
 }
 
@@ -290,15 +277,7 @@ func TestBindRejectsNonMember(t *testing.T) {
 func TestLateJoinerBaseline(t *testing.T) {
 	w := newWorld(t, 4)
 	// Bind only the first three members at first.
-	for i := 0; i < 3; i++ {
-		err := w.relays[i].Bind("s1", Binding{
-			Members: w.members[:3], Self: w.dapplets[i].Name(),
-			Fanout: 2, Inbox: "bcast", Epoch: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	w.bindTree("s1", w.members[:3], 2, 1, true)
 	pre1, pre2 := w.dapplets[1].Inbox("bcast"), w.dapplets[2].Inbox("bcast")
 	for i := 0; i < 3; i++ {
 		if err := w.relays[0].Multicast("out", "s1", uint64(i+1), &wire.Text{S: fmt.Sprintf("pre%d", i)}); err != nil {
@@ -309,16 +288,9 @@ func TestLateJoinerBaseline(t *testing.T) {
 	// frame crosses the reconfiguration and reaches the newcomer.
 	drain(t, pre1, 3)
 	drain(t, pre2, 3)
-	// Grow: all four members, epoch 2.
-	for i := 0; i < 4; i++ {
-		err := w.relays[i].Bind("s1", Binding{
-			Members: w.members, Self: w.dapplets[i].Name(),
-			Fanout: 2, Inbox: "bcast", Epoch: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Grow: all four members, epoch 2; the fourth joins a running
+	// session.
+	w.bindTree("s1", w.members, 2, 2, false)
 	if err := w.relays[0].Multicast("out", "s1", 4, &wire.Text{S: "post"}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,5 +323,43 @@ func TestMulticastStats(t *testing.T) {
 			t.Fatalf("delivered = %d, want 5", delivered)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFromStartWaitsForSeqOne pins the reconfiguration race a crash
+// repair can produce: a neighbour rebound mid-flood forwards the frames
+// it still had queued down its new edges, so a member that had heard
+// nothing yet from the dead relay above it hears Seq 3 before Seq 1. A
+// member in the session from the start is owed the whole sequence: it
+// must hold Seq 3 until the redrive brings 1 and 2, and deliver each
+// exactly once. A member that joined a running session starts at the
+// first frame it hears.
+func TestFromStartWaitsForSeqOne(t *testing.T) {
+	for _, fromStart := range []bool{true, false} {
+		d := core.NewDapplet("me", "test", newSinkConn(), core.WithTransportConfig(transport.Config{RTO: time.Hour}))
+		t.Cleanup(d.Stop)
+		r := Attach(d)
+		parent := Member{Name: "up", Addr: netsim.Addr{Host: "up", Port: 1}}
+		r.Bind("s1", Binding{Neighbors: []Member{parent}, Depth: 1, Inbox: "bcast", Epoch: 2, FromStart: fromStart})
+		in := d.Inbox("bcast")
+		for _, seq := range []uint64{3, 1, 2, 3, 4} { // 3 overtakes; then the redrive
+			body, err := wire.EncodeBody(&wire.Text{S: fmt.Sprint(seq)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.onFrame(&wire.Envelope{FromDapplet: parent.Addr, Body: &wire.RelayFrame{
+				SessionID: "s1", Origin: "root", Inbox: "bcast", Seq: seq, Epoch: 1, TTL: 3,
+				BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...),
+			}})
+			body.Release()
+		}
+		want := []string{"1", "2", "3", "4"}
+		if !fromStart {
+			want = []string{"3", "4"}
+		}
+		got := drain(t, in, int(r.Stats().Delivered))
+		if !slices.Equal(got, want) {
+			t.Fatalf("fromStart=%v: delivered %v, want %v", fromStart, got, want)
+		}
 	}
 }

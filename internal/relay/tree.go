@@ -11,9 +11,11 @@ type Member struct {
 
 // Tree is a fanout-k spanning tree over a session roster, laid out as a
 // heap: the member at roster index i has parent (i-1)/k and children
-// k*i+1 .. k*i+k. The layout is a pure function of (roster order, k), so
-// every participant derives the identical tree from the relink it
-// received — no coordination, and lockstep replay stays bit-identical.
+// k*i+1 .. k*i+k. The layout is a pure function of (roster order, k).
+// Only the party that knows the whole roster builds one — the session
+// initiator, which reads each participant's neighbourhood off it and
+// ships just that (see Binding) — so lockstep replay stays bit-identical
+// and no participant pays O(N) to learn its ≤ k+1 neighbours.
 type Tree struct {
 	members []Member
 	fanout  int
@@ -48,29 +50,38 @@ func (t *Tree) Size() int { return len(t.members) }
 // Fanout returns the tree's fanout k.
 func (t *Tree) Fanout() int { return t.fanout }
 
-// Members returns the roster in tree order.
-func (t *Tree) Members() []Member { return append([]Member(nil), t.members...) }
-
-// Contains reports whether name is on the roster.
-func (t *Tree) Contains(name string) bool {
-	_, ok := t.index[name]
-	return ok
-}
-
-// Neighbors returns self's tree neighbors — its parent (unless self is
-// the root) followed by its children, in roster order. It returns nil if
-// self is not on the roster.
-func (t *Tree) Neighbors(self string) []Member {
+// Neighborhood returns the roster indexes of self's corner of the tree:
+// self first, then its parent (unless self is the root), then its
+// children in roster order — at most k+2 entries. It returns nil if self
+// is not on the roster. This is the layout rule; Neighbors is its
+// projection onto members.
+func (t *Tree) Neighborhood(self string) []int {
 	i, ok := t.index[self]
 	if !ok {
 		return nil
 	}
-	var out []Member
+	out := make([]int, 1, t.fanout+2)
+	out[0] = i
 	if i > 0 {
-		out = append(out, t.members[(i-1)/t.fanout])
+		out = append(out, (i-1)/t.fanout)
 	}
 	for c := t.fanout*i + 1; c <= t.fanout*i+t.fanout && c < len(t.members); c++ {
-		out = append(out, t.members[c])
+		out = append(out, c)
+	}
+	return out
+}
+
+// Neighbors returns self's tree neighbors — its parent (unless self is
+// the root) followed by its children, in roster order. It returns nil if
+// self is not on the roster or has no neighbors.
+func (t *Tree) Neighbors(self string) []Member {
+	hood := t.Neighborhood(self)
+	if len(hood) < 2 {
+		return nil
+	}
+	out := make([]Member, len(hood)-1)
+	for j, i := range hood[1:] {
+		out[j] = t.members[i]
 	}
 	return out
 }
@@ -87,11 +98,4 @@ func (t *Tree) Depth() int {
 		d++
 	}
 	return d
-}
-
-// ttlFor returns the hop budget for a frame flooding t: the longest
-// cycle-free flood path is leaf→root→leaf (2×depth), plus slack for the
-// transient window where tree views disagree mid-reconfiguration.
-func ttlFor(t *Tree) uint32 {
-	return uint32(2*t.Depth() + 4)
 }

@@ -47,12 +47,14 @@ type BroadcastOptions struct {
 	// Shards is the network's delivery shard count (0 = GOMAXPROCS; 1
 	// makes the run bit-reproducible per seed).
 	Shards int
-	// RTO is the members' retransmit timeout (default 50ms below 5 000
-	// participants, 10s at or above). The transport starts the
-	// retransmit clock at Send time with backoff capped at 8×RTO, so a
-	// huge setup burst — N invites each carrying the N-entry roster —
-	// re-offers every still-queued invite every few hundred ms under a
-	// 50ms RTO and collapses the simulator long before first delivery.
+	// RTO is the members' retransmit timeout before the first round-trip
+	// sample (default: the transport's own 50ms — except 10s for a flat
+	// session of 5 000 participants or more). A flat session ships every
+	// participant the whole roster, by contract, so its set-up is a burst
+	// of N invites of N entries each; with the retransmit clock started at
+	// Send time, a 50ms RTO re-offers every still-queued invite and
+	// collapses the simulator long before first delivery. A tree session
+	// ships O(k) views and sets up under the default at any size.
 	RTO time.Duration
 	// CrashAfter, when positive, stops the member at roster index
 	// CrashIndex after that many broadcasts, repairs the tree through the
@@ -89,11 +91,8 @@ func (o *BroadcastOptions) defaults() error {
 	if o.Seed == 0 {
 		o.Seed = 14
 	}
-	if o.RTO <= 0 {
-		o.RTO = 50 * time.Millisecond
-		if o.Participants >= 5_000 {
-			o.RTO = 10 * time.Second
-		}
+	if o.RTO <= 0 && !o.Tree && o.Participants >= 5_000 {
+		o.RTO = 10 * time.Second
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 2 * time.Minute

@@ -17,4 +17,11 @@
 // blocking call takes a context.Context — a cancelled handshake aborts
 // the session everywhere, including at participants whose commit had
 // already landed.
+//
+// The initiator owns the address directory and tells each participant
+// what it must bind (Fig. 2). On a flat session that includes the whole
+// roster, in which behaviours find their peers by role. On a tree session
+// (Spec.Tree set — the group may be large) a participant is told only its
+// view: itself, its tree parent and children, plus the group size. See
+// Membership.Roster.
 package session

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/netsim"
+	"repro/internal/relay"
 	"repro/internal/svc"
 	"repro/internal/wire"
 )
@@ -115,39 +118,126 @@ func (ini *Initiator) resolveSpec(ctx context.Context, spec *Spec) (map[string]*
 	return parts, links, nil
 }
 
-// callAll issues one svc request per participant concurrently and awaits
-// every typed reply; the requests are all transmitted before any await
-// begins, preserving per-destination FIFO ordering. It returns the
-// replies (indexed like ps) and the first failure — a cancelled or
-// expired context surfaces as ctx.Err().
+// callAll issues one svc request per participant and awaits every typed
+// reply; the requests are all transmitted before any await begins,
+// preserving per-destination FIFO ordering and overlapping the round
+// trips. A Pending buffers its reply, so the awaits run in turn on the
+// calling goroutine. It returns the replies (indexed like ps) and the
+// first failure by index — a cancelled or expired context surfaces as
+// ctx.Err().
 func callAll[T wire.Msg](ctx context.Context, caller *svc.Caller, sid string, ps []Participant, mk func(Participant) wire.Msg, newRep func() T) ([]T, error) {
 	reps := make([]T, len(ps))
 	errs := make([]error, len(ps))
-	var wg sync.WaitGroup
+	pends := make([]*svc.Pending, len(ps))
 	for i, p := range ps {
 		pend, err := caller.Send(controlRef(p), sid, mk(p))
 		if err != nil {
 			errs[i] = fmt.Errorf("session: %s: %w", p.Name, err)
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rep := newRep()
-			if err := pend.Await(ctx, rep); err != nil {
-				errs[i] = err
-				return
-			}
-			reps[i] = rep
-		}(i)
+		pends[i] = pend
 	}
-	wg.Wait()
+	// Every Pending is awaited even after a failure: Await is what
+	// unregisters it from the caller.
+	for i, pend := range pends {
+		if pend == nil {
+			continue
+		}
+		rep := newRep()
+		if err := pend.Await(ctx, rep); err != nil {
+			errs[i] = err
+			continue
+		}
+		reps[i] = rep
+	}
 	for _, err := range errs {
 		if err != nil {
 			return reps, err
 		}
 	}
 	return reps, nil
+}
+
+// treeMembers projects a roster into relay members, preserving order —
+// the roster order is the tree order.
+func treeMembers(roster []Participant) []relay.Member {
+	out := make([]relay.Member, len(roster))
+	for i, p := range roster {
+		out[i] = relay.Member{Name: p.Name, Addr: p.Addr}
+	}
+	return out
+}
+
+// shipment is what the initiator tells the participants about one
+// session's membership at one epoch. The initiator owns the address
+// directory and tells each participant only what that participant must
+// bind (§3.1, Fig. 2). On a flat session that is the whole roster,
+// because behaviours find their peers in it by role. On a tree session
+// it is the participant's view — itself, its tree parent and its
+// children, read off the one relay.Tree laid over the roster order —
+// plus the group size and the tree depth: ≤ k+2 entries however large
+// the group, so setting up N participants ships O(N·k) bytes, not O(N²).
+// Every inviteMsg and relinkMsg is built here.
+type shipment struct {
+	sid    string
+	roster []Participant // tree order on a tree session
+	spec   *TreeSpec     // nil on a flat session
+	epoch  uint64
+	tree   *relay.Tree // the layout over roster; nil on a flat session
+	depth  int
+}
+
+func newShipment(sid string, roster []Participant, spec *TreeSpec, epoch uint64) *shipment {
+	s := &shipment{sid: sid, roster: roster, spec: spec, epoch: epoch}
+	if spec != nil {
+		s.tree = relay.NewTree(treeMembers(roster), spec.Fanout)
+		s.depth = s.tree.Depth()
+	}
+	return s
+}
+
+// rosterFor returns what the named participant is told of the
+// membership: everyone, or on a tree session its view.
+func (s *shipment) rosterFor(name string) []Participant {
+	if s.tree == nil {
+		return s.roster
+	}
+	hood := s.tree.Neighborhood(name)
+	view := make([]Participant, len(hood))
+	for j, i := range hood {
+		view[j] = s.roster[i]
+	}
+	return view
+}
+
+func (s *shipment) invite(task string, p Participant, bindings []Binding, inboxes []string) *inviteMsg {
+	return &inviteMsg{
+		SessionID: s.sid,
+		Task:      task,
+		Role:      p.Role,
+		Access:    p.Access,
+		Bindings:  bindings,
+		Inboxes:   inboxes,
+		Roster:    s.rosterFor(p.Name),
+		Size:      len(s.roster),
+		Tree:      s.spec,
+		Depth:     s.depth,
+		Epoch:     s.epoch,
+	}
+}
+
+func (s *shipment) relink(name string, add, remove []Binding, redrive bool) *relinkMsg {
+	return &relinkMsg{
+		SessionID: s.sid,
+		Add:       add,
+		Remove:    remove,
+		Roster:    s.rosterFor(name),
+		Size:      len(s.roster),
+		Tree:      s.spec,
+		Depth:     s.depth,
+		Epoch:     s.epoch,
+		Redrive:   redrive,
+	}
 }
 
 // Initiate sets up the session described by spec: it invites every
@@ -171,8 +261,13 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 		return nil, err
 	}
 
-	roster := make([]Participant, len(spec.Participants))
-	copy(roster, spec.Participants)
+	// A tree session's first epoch is 1; the order of spec.Participants
+	// is its tree order.
+	var epoch uint64
+	if spec.Tree != nil {
+		epoch = 1
+	}
+	ship := newShipment(spec.ID, spec.Participants, spec.Tree, epoch)
 
 	// Group bindings and required inboxes per participant.
 	bindingsOf := make(map[string][]Binding)
@@ -182,23 +277,9 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 		inboxesOf[l.toName] = append(inboxesOf[l.toName], l.binding.To.Inbox)
 	}
 
-	// Phase 1: invite, and collect every response. A tree session's
-	// first epoch is 1; the roster order carried here is the tree order
-	// at every participant.
+	// Phase 1: invite, and collect every response.
 	invites, err := callAll(ctx, ini.caller, spec.ID, spec.Participants, func(p Participant) wire.Msg {
-		m := &inviteMsg{
-			SessionID: spec.ID,
-			Task:      spec.Task,
-			Role:      p.Role,
-			Access:    p.Access,
-			Bindings:  bindingsOf[p.Name],
-			Inboxes:   inboxesOf[p.Name],
-			Roster:    roster,
-		}
-		if spec.Tree != nil {
-			m.Tree, m.Epoch = spec.Tree, 1
-		}
-		return m
+		return ship.invite(spec.Task, p, bindingsOf[p.Name], inboxesOf[p.Name])
 	}, func() *inviteRepMsg { return &inviteRepMsg{} })
 	if err != nil {
 		ini.abort(parts, spec.ID, "initiator gave up: "+err.Error())
@@ -232,9 +313,7 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 		participants: parts,
 		links:        links,
 		tree:         spec.Tree,
-	}
-	if spec.Tree != nil {
-		h.epoch = 1
+		epoch:        epoch,
 	}
 	return h, nil
 }
@@ -303,11 +382,7 @@ func (h *Handle) rosterLocked() []Participant {
 }
 
 func sortParticipants(ps []Participant) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Name < ps[j-1].Name; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
+	slices.SortFunc(ps, func(a, b Participant) int { return strings.Compare(a.Name, b.Name) })
 }
 
 // Terminate ends the session: every participant unlinks its bindings and
@@ -384,11 +459,10 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 			binding:  Binding{Outbox: l.Outbox, To: wire.InboxRef{Dapplet: to.Addr, Inbox: l.Inbox}},
 		})
 	}
-	newRoster := append(h.rosterLocked(), p)
-	sortParticipants(newRoster)
 	existing := h.rosterLocked()
-	tree := h.tree
-	epoch := h.bumpEpochLocked()
+	newRoster := append(slices.Clone(existing), p)
+	sortParticipants(newRoster)
+	ship := newShipment(h.id, newRoster, h.tree, h.bumpEpochLocked())
 	h.mu.Unlock()
 
 	// Bindings and inboxes for the newcomer.
@@ -420,17 +494,7 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 
 	// Invite and commit the newcomer.
 	var inviteRep inviteRepMsg
-	err := h.ini.caller.CallTagged(ctx, controlRef(p), h.id, &inviteMsg{
-		SessionID: h.id,
-		Task:      h.task,
-		Role:      p.Role,
-		Access:    p.Access,
-		Bindings:  pBindings,
-		Inboxes:   pInboxes,
-		Roster:    newRoster,
-		Tree:      tree,
-		Epoch:     epoch,
-	}, &inviteRep)
+	err := h.ini.caller.CallTagged(ctx, controlRef(p), h.id, ship.invite(h.task, p, pBindings, pInboxes), &inviteRep)
 	if err != nil {
 		abortNewcomer("initiator gave up growing: " + err.Error())
 		return err
@@ -444,16 +508,10 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 	}
 
 	// Relink existing participants: new bindings plus the fresh roster
-	// (on tree sessions the new roster order and epoch rebuild the tree
-	// to include the newcomer).
+	// (on tree sessions each one's view of the tree re-laid at the new
+	// epoch to include the newcomer).
 	if _, err := callAll(ctx, h.ini.caller, h.id, existing, func(q Participant) wire.Msg {
-		return &relinkMsg{
-			SessionID: h.id,
-			Add:       addsFor[q.Name],
-			Roster:    newRoster,
-			Tree:      tree,
-			Epoch:     epoch,
-		}
+		return ship.relink(q.Name, addsFor[q.Name], nil, false)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
 		abortNewcomer("initiator gave up growing mid-relink: " + err.Error())
 		return err
@@ -534,32 +592,24 @@ func (h *Handle) ReincarnateAt(ctx context.Context, name string, newAddr netsim.
 			roster[i].Addr = newAddr
 		}
 	}
-	tree := h.tree
-	epoch := h.bumpEpochLocked()
+	ship := newShipment(h.id, roster, h.tree, h.bumpEpochLocked())
 	h.mu.Unlock()
 
 	ctx, cancel := withDeadline(ctx)
 	defer cancel()
-	// On tree sessions the relink also rebuilds every member's tree with
-	// the reincarnation's new address, so frames the dead incarnation
+	// On tree sessions the relink also rebinds the reincarnation's
+	// neighbours to its new address, so frames the dead incarnation
 	// swallowed can reach its subtree.
 	if _, err := callAll(ctx, h.ini.caller, h.id, roster, func(q Participant) wire.Msg {
-		return &relinkMsg{
-			SessionID: h.id,
-			Remove:    removesFor[q.Name],
-			Add:       addsFor[q.Name],
-			Roster:    roster,
-			Tree:      tree,
-			Epoch:     epoch,
-		}
+		return ship.relink(q.Name, addsFor[q.Name], removesFor[q.Name], false)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
 		return err
 	}
 	// Redrive replay rings only after every member has acknowledged the
 	// rebind: a relay still on the old epoch would forward redriven
 	// frames toward the dead incarnation's address and lose them.
-	if tree != nil {
-		if err := h.redriveAll(ctx, roster, tree, epoch); err != nil {
+	if ship.spec != nil {
+		if err := h.redriveAll(ctx, ship); err != nil {
 			return err
 		}
 	}
@@ -613,8 +663,7 @@ func (h *Handle) Shrink(ctx context.Context, name string) error {
 			newRoster = append(newRoster, q)
 		}
 	}
-	tree := h.tree
-	epoch := h.bumpEpochLocked()
+	ship := newShipment(h.id, newRoster, h.tree, h.bumpEpochLocked())
 	h.mu.Unlock()
 
 	ctx, cancel := withDeadline(ctx)
@@ -627,13 +676,7 @@ func (h *Handle) Shrink(ctx context.Context, name string) error {
 	}
 
 	if _, err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
-		return &relinkMsg{
-			SessionID: h.id,
-			Remove:    removesFor[q.Name],
-			Roster:    newRoster,
-			Tree:      tree,
-			Epoch:     epoch,
-		}
+		return ship.relink(q.Name, nil, removesFor[q.Name], false)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
 		return err
 	}
@@ -653,9 +696,9 @@ func (h *Handle) Shrink(ctx context.Context, name string) error {
 
 // RepairTree evicts a dead participant from a tree session after a
 // failure detector's Down verdict. Unlike Shrink it never contacts the
-// victim: every survivor is relinked with the shrunk roster at a new
-// epoch — the orphaned subtree re-parents when each member rebuilds the
-// tree from that roster — and redrives its replay ring, so messages the
+// victim: the tree is re-laid over the shrunk roster and every survivor
+// is relinked with its view of it at a new epoch — which re-parents the
+// orphaned subtree — and redrives its replay ring, so messages the
 // dead relay swallowed reach the re-parented members (per-origin
 // sequence dedup keeps the re-flood idempotent). Bindings toward the
 // victim's inboxes are dropped like a Shrink. Detector wiring lives in
@@ -688,27 +731,20 @@ func (h *Handle) RepairTree(ctx context.Context, name string) error {
 			newRoster = append(newRoster, q)
 		}
 	}
-	tree := h.tree
-	epoch := h.bumpEpochLocked()
+	ship := newShipment(h.id, newRoster, h.tree, h.bumpEpochLocked())
 	h.mu.Unlock()
 
 	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	if _, err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
-		return &relinkMsg{
-			SessionID: h.id,
-			Remove:    removesFor[q.Name],
-			Roster:    newRoster,
-			Tree:      tree,
-			Epoch:     epoch,
-		}
+		return ship.relink(q.Name, nil, removesFor[q.Name], false)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
 		return err
 	}
 	// Two-phase for the same reason as ReincarnateAt: redrive only once
 	// every survivor runs the repaired tree, or frames chase the dead
 	// relay.
-	if err := h.redriveAll(ctx, newRoster, tree, epoch); err != nil {
+	if err := h.redriveAll(ctx, ship); err != nil {
 		return err
 	}
 
@@ -727,18 +763,13 @@ func (h *Handle) RepairTree(ctx context.Context, name string) error {
 
 // redriveAll asks every rostered member to redrive its relay replay ring
 // on the current tree epoch. It is the second phase of a tree repair:
-// the first relink round rebuilds every member's tree, and this round
-// re-floods the frames the failure may have stranded. Repeating the same
-// epoch is deliberate — members rebind idempotently, then redrive.
-func (h *Handle) redriveAll(ctx context.Context, roster []Participant, tree *TreeSpec, epoch uint64) error {
-	_, err := callAll(ctx, h.ini.caller, h.id, roster, func(Participant) wire.Msg {
-		return &relinkMsg{
-			SessionID: h.id,
-			Roster:    roster,
-			Tree:      tree,
-			Epoch:     epoch,
-			Redrive:   true,
-		}
+// the first relink round rebinds every member to its new neighbours, and
+// this round re-floods the frames the failure may have stranded.
+// Repeating the same shipment is deliberate — members rebind
+// idempotently, then redrive.
+func (h *Handle) redriveAll(ctx context.Context, ship *shipment) error {
+	_, err := callAll(ctx, h.ini.caller, h.id, ship.roster, func(q Participant) wire.Msg {
+		return ship.relink(q.Name, nil, nil, true)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} })
 	return err
 }

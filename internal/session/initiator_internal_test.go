@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -197,5 +198,42 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestLargeTreeMessagesFitADatagram checks that what the initiator sends
+// one participant of a 4 096-member tree session — its invite, and a
+// relink — is far below transport.MaxDatagram, so such a session can be
+// set up over real UDP. With the roster in every message neither fitted
+// past ~2 000 members.
+func TestLargeTreeMessagesFitADatagram(t *testing.T) {
+	const n = 4096
+	roster := make([]Participant, n)
+	for i := range roster {
+		roster[i] = Participant{
+			Name: fmt.Sprintf("participant-%05d", i),
+			Addr: netsim.Addr{Host: fmt.Sprintf("host-%03d.example.org", i%512), Port: uint16(1024 + i)},
+			Role: "member", Access: accessSet("calendar", "agenda"),
+		}
+	}
+	ship := newShipment("sess-director-1", roster, &TreeSpec{Outbox: "bcast", Inbox: "news"}, 7)
+	bindings := []Binding{{Outbox: "up", To: wire.InboxRef{Dapplet: roster[0].Addr, Inbox: "requests"}}}
+	// Headroom for what wraps the message on the wire: the svc request
+	// header, the envelope header and the transport frame header.
+	const headroom = 512
+	for _, p := range roster {
+		for _, m := range []wire.Msg{
+			ship.invite("large-group broadcast", p, bindings, []string{"replies"}),
+			ship.relink(p.Name, bindings, bindings, true),
+		} {
+			enc, err := m.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(enc)+headroom >= transport.MaxDatagram {
+				t.Fatalf("%s for %s of %d encodes to %d bytes; transport.MaxDatagram is %d",
+					m.Kind(), p.Name, n, len(enc), transport.MaxDatagram)
+			}
+		}
 	}
 }

@@ -46,7 +46,9 @@ type Link struct {
 // over the roster order, see internal/relay) and the named inbox created
 // to receive the multicast. Send on that outbox then costs O(k) at the
 // sender regardless of group size, with each participant re-forwarding
-// the marshal-once bytes to its own tree neighbors.
+// the marshal-once bytes to its own tree neighbors. A tree spec also
+// says the group may be large, so its participants are told their tree
+// neighbours rather than the whole roster (see Membership.Roster).
 type TreeSpec struct {
 	// Outbox is the tree-bound outbox name at every participant.
 	Outbox string `json:"o"`
@@ -87,12 +89,21 @@ type inviteMsg struct {
 	Bindings []Binding
 	// Inboxes are inbox names this participant must ensure exist.
 	Inboxes []string
-	// Roster is the full participant list (names, addresses and roles),
-	// so behaviours can find their peers.
+	// Roster is what this participant is told of the membership (names,
+	// addresses and roles). On a flat session that is everyone, so
+	// behaviours can find their peers by role. On a tree session (Tree
+	// non-nil) it is the participant's view — itself first, then its
+	// tree parent (none at the root), then its children — which is all
+	// it binds, so an invite stays O(k) however large the group.
 	Roster []Participant
+	// Size is the number of participants in the whole session.
+	Size int
 	// Tree, when non-nil, wires this participant into the session's
 	// relay multicast tree at commit time.
 	Tree *TreeSpec
+	// Depth is the tree's root-to-leaf hop count, from which the relay
+	// sets its hop budget (0 on a flat session).
+	Depth int
 	// Epoch is the tree version this invite installs (1 at Initiate).
 	Epoch uint64
 }
@@ -193,7 +204,9 @@ func (m *inviteMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendBindings(dst, m.Bindings)
 	dst = wire.AppendStringSlice(dst, m.Inboxes)
 	dst = appendParticipants(dst, m.Roster)
+	dst = wire.AppendUvarint(dst, uint64(m.Size))
 	dst = appendTreeSpec(dst, m.Tree)
+	dst = wire.AppendUvarint(dst, uint64(m.Depth))
 	return wire.AppendUvarint(dst, m.Epoch), nil
 }
 
@@ -207,7 +220,9 @@ func (m *inviteMsg) UnmarshalBinary(data []byte) error {
 	m.Bindings = readBindings(r)
 	m.Inboxes = r.StringSlice()
 	m.Roster = readParticipants(r)
+	m.Size = int(r.Uvarint())
 	m.Tree = readTreeSpec(r)
+	m.Depth = int(r.Uvarint())
 	m.Epoch = r.Uvarint()
 	return r.Done()
 }
@@ -350,15 +365,18 @@ func (m *terminateAckMsg) UnmarshalBinary(data []byte) error {
 
 // relinkMsg grows or shrinks a live session at a participant: Add
 // bindings are applied, Remove bindings are deleted, and the roster is
-// replaced.
+// replaced. Roster, Size and Depth read as in inviteMsg: everyone on a
+// flat session, the participant's own view on a tree session.
 type relinkMsg struct {
 	SessionID string
 	Add       []Binding
 	Remove    []Binding
 	Roster    []Participant
+	Size      int
 	// Tree re-ships the session's tree spec on tree-bound sessions so a
-	// reconfiguration rebuilds the tree from the new roster.
-	Tree *TreeSpec
+	// reconfiguration rebinds the participant to its new neighbours.
+	Tree  *TreeSpec
+	Depth int
 	// Epoch is the tree version this relink installs; participants
 	// ignore relinks older than the tree they already hold.
 	Epoch uint64
@@ -376,7 +394,9 @@ func (m *relinkMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendBindings(dst, m.Add)
 	dst = appendBindings(dst, m.Remove)
 	dst = appendParticipants(dst, m.Roster)
+	dst = wire.AppendUvarint(dst, uint64(m.Size))
 	dst = appendTreeSpec(dst, m.Tree)
+	dst = wire.AppendUvarint(dst, uint64(m.Depth))
 	dst = wire.AppendUvarint(dst, m.Epoch)
 	return wire.AppendBool(dst, m.Redrive), nil
 }
@@ -388,7 +408,9 @@ func (m *relinkMsg) UnmarshalBinary(data []byte) error {
 	m.Add = readBindings(r)
 	m.Remove = readBindings(r)
 	m.Roster = readParticipants(r)
+	m.Size = int(r.Uvarint())
 	m.Tree = readTreeSpec(r)
+	m.Depth = int(r.Uvarint())
 	m.Epoch = r.Uvarint()
 	m.Redrive = r.Bool()
 	return r.Done()

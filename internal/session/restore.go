@@ -17,15 +17,20 @@ const persistPrefix = "@session:"
 // persistedMembership is the durable form of one membership, written to
 // the dapplet's store at commit and every relink. It is everything a
 // fresh incarnation needs to stand the membership back up: the wiring
-// (bindings, inboxes), the roster, and the state access to re-register.
+// (bindings, inboxes), the roster as Membership.Roster holds it — on a
+// tree session the view, whose neighbours the relay rebinds to — and the
+// state access to re-register. Its size follows what the participant
+// was shipped: O(k) on a tree session.
 type persistedMembership struct {
 	Task     string          `json:"task,omitempty"`
 	Role     string          `json:"role"`
 	Access   state.AccessSet `json:"acc"`
 	Roster   []Participant   `json:"roster"`
+	Size     int             `json:"n"`
 	Bindings []Binding       `json:"b,omitempty"`
 	Inboxes  []string        `json:"in,omitempty"`
 	Tree     *TreeSpec       `json:"tree,omitempty"`
+	Depth    int             `json:"d,omitempty"`
 	Epoch    uint64          `json:"e,omitempty"`
 }
 
@@ -38,9 +43,11 @@ func (s *Service) persist(mem *Membership) {
 		Role:     mem.Role,
 		Access:   mem.access,
 		Roster:   append([]Participant(nil), mem.Roster...),
+		Size:     mem.Size,
 		Bindings: append([]Binding(nil), mem.bindings...),
 		Inboxes:  append([]string(nil), mem.inboxes...),
 		Tree:     mem.tree,
+		Depth:    mem.depth,
 		Epoch:    mem.epoch,
 	}
 	id := mem.ID
@@ -96,22 +103,22 @@ func (s *Service) RestoreSessions() ([]string, error) {
 			ob.Add(b.To)
 		}
 		if rec.Tree != nil {
-			// The persisted roster still names this incarnation (by
-			// name), so the tree rebinds; the initiator's repair relink
-			// then refreshes every member's view of our new address.
-			if err := s.bindTree(id, rec.Tree, rec.Roster, rec.Epoch); err != nil {
-				return restored, fmt.Errorf("session: restore %s tree: %w", id, err)
-			}
+			// The persisted view rebinds this incarnation to the
+			// neighbours the last one had; the initiator's repair relink
+			// then tells those neighbours our new address.
+			s.bindTree(id, rec.Tree, rec.Roster, rec.Depth, rec.Epoch, false)
 		}
 		mem := &Membership{
 			ID:       id,
 			Task:     rec.Task,
 			Role:     rec.Role,
 			Roster:   rec.Roster,
+			Size:     rec.Size,
 			access:   rec.Access,
 			inboxes:  rec.Inboxes,
 			bindings: append([]Binding(nil), rec.Bindings...),
 			tree:     rec.Tree,
+			depth:    rec.Depth,
 			epoch:    rec.Epoch,
 		}
 		s.mu.Lock()

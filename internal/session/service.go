@@ -21,15 +21,31 @@ type Invitation struct {
 	Task      string
 	Role      string
 	Access    state.AccessSet
-	Roster    []Participant
+	// Roster and Size are what the invite says of the membership; they
+	// read as on Membership. An ACL on a tree session therefore judges
+	// the inviter, the task, its own role and access, its would-be tree
+	// neighbours and the group size — not the names of everyone else.
+	Roster []Participant
+	Size   int
 }
 
 // Membership is a dapplet's live participation in one session.
 type Membership struct {
-	ID     string
-	Task   string
-	Role   string
+	ID   string
+	Task string
+	Role string
+	// Roster is what the initiator told this participant of the
+	// membership. On a flat session it is every participant. On a tree
+	// session it is this participant's view: itself first, then its
+	// tree parent (none at the root), then its tree children — the
+	// peers it relays to and from, and all it needs however large the
+	// group (only the initiator holds the whole roster:
+	// Handle.Participants). A relink replaces Roster and Size; use Peer,
+	// Peers or LivePeers to read them while the session may be
+	// reconfigured.
 	Roster []Participant
+	// Size is the number of participants in the whole session.
+	Size int
 
 	mu       sync.Mutex
 	access   state.AccessSet
@@ -37,6 +53,7 @@ type Membership struct {
 	bindings []Binding
 	down     map[string]bool // peers a failure detector declared dead
 	tree     *TreeSpec       // non-nil on tree-multicast sessions
+	depth    int             // the tree's root-to-leaf hop count
 	epoch    uint64          // installed tree version
 }
 
@@ -58,6 +75,8 @@ func (m *Membership) Tree() (*TreeSpec, uint64) {
 
 // Peer finds a roster entry by role, returning the first match.
 func (m *Membership) Peer(role string) (Participant, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, p := range m.Roster {
 		if p.Role == role {
 			return p, true
@@ -68,6 +87,8 @@ func (m *Membership) Peer(role string) (Participant, bool) {
 
 // Peers returns all roster entries with the given role.
 func (m *Membership) Peers(role string) []Participant {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []Participant
 	for _, p := range m.Roster {
 		if p.Role == role {
@@ -135,36 +156,31 @@ func (s *Service) Relay() *relay.Relay {
 	return s.relay
 }
 
-// treeMembers projects a roster into relay members, preserving order —
-// the roster order IS the tree order, identical at every participant.
-func treeMembers(roster []Participant) []relay.Member {
-	out := make([]relay.Member, len(roster))
-	for i, p := range roster {
-		out[i] = relay.Member{Name: p.Name, Addr: p.Addr}
+// bindTree installs (or refreshes) this dapplet's place in a session's
+// relay tree — view is the tree-session roster it was shipped: itself,
+// then its neighbours — and routes the tree outbox's Send through it.
+func (s *Service) bindTree(sid string, t *TreeSpec, view []Participant, depth int, epoch uint64, fromStart bool) {
+	var neighbors []relay.Member
+	if len(view) > 1 {
+		neighbors = make([]relay.Member, len(view)-1)
+		for i, p := range view[1:] {
+			neighbors[i] = relay.Member{Name: p.Name, Addr: p.Addr}
+		}
 	}
-	return out
-}
-
-// bindTree installs (or refreshes) a session's relay tree on this
-// dapplet and routes the tree outbox's Send through it.
-func (s *Service) bindTree(sid string, t *TreeSpec, roster []Participant, epoch uint64) error {
 	r := s.Relay()
 	s.d.Inbox(t.Inbox)
-	err := r.Bind(sid, relay.Binding{
-		Members: treeMembers(roster),
-		Self:    s.d.Name(),
-		Fanout:  t.Fanout,
-		Inbox:   t.Inbox,
-		Epoch:   epoch,
-		Replay:  t.Replay,
+	r.Bind(sid, relay.Binding{
+		Neighbors: neighbors,
+		Depth:     depth,
+		Self:      s.d.Name(),
+		Inbox:     t.Inbox,
+		Epoch:     epoch,
+		Replay:    t.Replay,
+		FromStart: fromStart,
 	})
-	if err != nil {
-		return err
-	}
 	ob := s.d.Outbox(t.Outbox)
 	ob.SetSession(sid)
 	ob.SetMulticast(r)
-	return nil
 }
 
 // unbindTree detaches a session's tree: the outbox falls back to flat
@@ -255,6 +271,7 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 			Role:      inv.Role,
 			Access:    inv.Access,
 			Roster:    inv.Roster,
+			Size:      inv.Size,
 		})
 		if !ok {
 			return &inviteRepMsg{
@@ -305,20 +322,21 @@ func (s *Service) onCommit(m *commitMsg) (wire.Msg, error) {
 		ob.Add(b.To)
 	}
 	if inv.Tree != nil {
-		if err := s.bindTree(m.SessionID, inv.Tree, inv.Roster, inv.Epoch); err != nil {
-			s.d.Store().Release(m.SessionID)
-			return nil, err
-		}
+		// Epoch 1 is Initiate's: this participant is in from the start.
+		// A later epoch is a Grow into a running session.
+		s.bindTree(m.SessionID, inv.Tree, inv.Roster, inv.Depth, inv.Epoch, inv.Epoch == 1)
 	}
 	mem := &Membership{
 		ID:       m.SessionID,
 		Task:     inv.Task,
 		Role:     inv.Role,
 		Roster:   inv.Roster,
+		Size:     inv.Size,
 		access:   inv.Access,
 		inboxes:  append([]string(nil), inv.Inboxes...),
 		bindings: append([]Binding(nil), inv.Bindings...),
 		tree:     inv.Tree,
+		depth:    inv.Depth,
 		epoch:    inv.Epoch,
 	}
 	s.mu.Lock()
@@ -424,20 +442,22 @@ func (s *Service) onRelink(m *relinkMsg) *relinkAckMsg {
 			mem.bindings = append(mem.bindings, b)
 		}
 	}
-	if m.Roster != nil {
-		mem.Roster = m.Roster
-	}
+	// The roster moves with the epoch: on a tree session it is the view
+	// the relay is bound from (and RestoreSessions rebinds from), so a
+	// reordered, older relink must not replace it. Flat sessions stay at
+	// epoch 0 and always take the new roster.
 	var rebind *TreeSpec
-	if m.Tree != nil && m.Roster != nil && m.Epoch >= mem.epoch {
-		mem.tree, mem.epoch = m.Tree, m.Epoch
-		rebind = m.Tree
+	if m.Roster != nil && m.Epoch >= mem.epoch {
+		mem.Roster, mem.Size = m.Roster, m.Size
+		if m.Tree != nil {
+			mem.tree, mem.depth, mem.epoch = m.Tree, m.Depth, m.Epoch
+			rebind = m.Tree
+		}
 	}
 	mem.mu.Unlock()
 	if rebind != nil {
-		// Rebuild the tree from the new roster; a failed rebind (this
-		// member dropped from the roster) just leaves the old tree until
-		// the terminate arrives.
-		if err := s.bindTree(m.SessionID, rebind, m.Roster, m.Epoch); err == nil && m.Redrive {
+		s.bindTree(m.SessionID, rebind, m.Roster, m.Depth, m.Epoch, false)
+		if m.Redrive {
 			// Re-flood the replay ring so frames a failed relay
 			// swallowed reach the re-parented subtree; per-origin
 			// sequence dedup makes this idempotent everywhere else.

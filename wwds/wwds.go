@@ -317,7 +317,8 @@ type (
 	RelayTree = relay.Tree
 	// RelayMember is one participant in a session tree.
 	RelayMember = relay.Member
-	// RelayBinding installs one session's tree at a participant.
+	// RelayBinding installs a participant's place in one session's tree:
+	// its neighbours and the tree depth, never the roster.
 	RelayBinding = relay.Binding
 	// RelayStats counts a relay's forwarding and delivery activity.
 	RelayStats = relay.Stats
