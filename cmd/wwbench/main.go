@@ -2,32 +2,40 @@
 // the paper's three figures as runnable scenarios (F1-F3), the
 // traditional-vs-session comparison its introduction argues for (T1), and
 // a characterization experiment per mechanism the paper specifies
-// (E1-E14). Run all experiments or select one with -exp.
+// (E1-E14). The experiments themselves are defined once, in
+// internal/experiment; this command selects some, times their cells and
+// prints what they return. `go test -bench BenchmarkExperiment` is the
+// other printer over the same registry.
 //
-// Latencies labelled "vlat" are critical-path virtual latencies under the
-// configured WAN/LAN delay models (see internal/netsim); wall-clock
-// columns measure the simulation itself.
+// Metrics labelled "vlat" are critical-path virtual latencies under the
+// configured WAN/LAN delay models (see internal/netsim); ns/op and the
+// other wall-clock columns measure the simulation itself.
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/experiment"
 )
 
-type experiment struct {
-	id   string
-	desc string
-	run  func()
-}
-
 var (
+	flagExp   = flag.String("exp", "all", "experiment to run: f1,f2,f3,t1,e1,...,e14 or all")
+	flagScale = flag.String("scale", "std",
+		"size of the population-bound experiments (E11-E14): smoke (what CI runs), std (the sizes DESIGN.md quotes), full (adds the 100k swarm and the 10k tree: several GB, several minutes)")
+	flagOut    = flag.String("out", "", "write every measured cell as JSON ([{exp, cell, ops, elapsed_ns, metrics: [{name, value}]}]) to this path")
 	flagShards = flag.Int("shards", 0,
 		"delivery shard count for every experiment's network (0 = GOMAXPROCS); 1 makes single-driver runs bit-reproducible per seed")
 	flagSeed = flag.Int64("seed", 0,
@@ -38,106 +46,131 @@ var (
 		"write a heap profile taken after the selected experiments to this file (go tool pprof)")
 )
 
-// seedOr resolves an experiment's default seed against the -seed flag.
-func seedOr(def int64) int64 {
-	if *flagSeed != 0 {
-		return *flagSeed
-	}
-	return def
-}
-
-// netOpts builds one experiment's network options, applying the global
-// -seed and -shards overrides. Extra options are appended after the
-// overrides.
-func netOpts(defaultSeed int64, extra ...netsim.Option) []netsim.Option {
-	opts := []netsim.Option{netsim.WithSeed(seedOr(defaultSeed))}
-	if *flagShards > 0 {
-		opts = append(opts, netsim.WithShards(*flagShards))
-	}
-	return append(opts, extra...)
-}
-
-// newNet creates one experiment's network with the global overrides
-// applied.
-func newNet(defaultSeed int64, extra ...netsim.Option) *netsim.Network {
-	return netsim.New(netOpts(defaultSeed, extra...)...)
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: f1,f2,f3,t1,e1,...,e14 or all")
 	flag.Parse()
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "wwbench: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	experiments := []experiment{
-		{"f1", "Figure 1: three-site calendar session (9 members, 3 secretaries)", runF1},
-		{"f2", "Figure 2: initiator-driven session setup vs participants", runF2},
-		{"f3", "Figure 3: outbox fan-out / fan-in throughput", runF3},
-		{"t1", "Traditional sequential negotiation vs session scheduler", runT1},
-		{"e1", "Ordered-delivery layer under loss", runE1},
-		{"e2", "Token managers: grants and deadlock detection", runE2},
-		{"e3", "Clocks: snapshot-criterion violations, stamping cost", runE3},
-		{"e4", "Checkpointing: marker vs clock snapshots", runE4},
-		{"e5", "RPC over inboxes: sync vs async", runE5},
-		{"e6", "Distributed synchronization constructs", runE6},
-		{"e7", "Session interference control", runE7},
-		{"e9", "Failure detection latency and checkpoint-restore recovery", runE9},
-		{"e10", "Replicated directory service: lookup scaling, caching, replica failover", runE10},
-		{"e11", "Swarm-scale churn harness: join/leave/crash churn, detector cost, footprint", runE11},
-		{"e12", "Batched I/O: frame coalescing, ack piggybacking, mmsg syscall batching", runE12},
-		{"e13", "Gossip substrate: verdict-quorum false-positive A/B, directory anti-entropy convergence", runE13},
-		{"e14", "Relay-tree multicast: flat vs tree broadcast fan-out at 100/1k/10k participants", runE14},
+func run() error {
+	scale, err := experiment.ParseScale(*flagScale)
+	if err != nil {
+		return err
+	}
+	params := experiment.Params{Seed: *flagSeed, Shards: *flagShards, Scale: scale}
+	selected := slices.DeleteFunc(experiment.All(), func(e experiment.Experiment) bool {
+		return *flagExp != "all" && !strings.EqualFold(*flagExp, e.ID)
+	})
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q", *flagExp)
 	}
 
 	if *flagCPUProfile != "" {
 		f, err := os.Create(*flagCPUProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(2)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(2)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *flagMemProfile != "" {
-		defer func() {
-			f, err := os.Create(*flagMemProfile)
+
+	var report []experiment.Result
+	for _, e := range selected {
+		fmt.Printf("=== %s: %s ===\n", e.ID, e.Desc)
+		start := time.Now()
+		var results []experiment.Result
+		for _, c := range e.Cells(params) {
+			res, err := experiment.Measure(context.Background(), e.ID, c)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(2)
+				return err
 			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(2)
-			}
-		}()
+			results = append(results, res)
+		}
+		if len(results) == 0 {
+			return fmt.Errorf("%s ran no cell", e.ID)
+		}
+		printTable(results)
+		fmt.Printf("(%s wall clock)\n\n", time.Since(start).Round(time.Millisecond))
+		report = append(report, results...)
 	}
 
-	ran := false
-	for _, e := range experiments {
-		if *exp != "all" && !strings.EqualFold(*exp, e.id) {
-			continue
+	if *flagMemProfile != "" {
+		f, err := os.Create(*flagMemProfile)
+		if err != nil {
+			return fmt.Errorf("memprofile: %w", err)
 		}
-		ran = true
-		fmt.Printf("=== %s: %s ===\n", strings.ToUpper(e.id), e.desc)
-		start := time.Now()
-		e.run()
-		fmt.Printf("(%s wall clock)\n\n", time.Since(start).Round(time.Millisecond))
+		runtime.GC() // settle the heap so the profile reflects live objects
+		if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+	if *flagOut != "" {
+		data, err := json.MarshalIndent(report, "", "  ")
+		if err != nil {
+			return fmt.Errorf("marshal report: %w", err)
+		}
+		if err := os.WriteFile(*flagOut, data, 0o644); err != nil {
+			return fmt.Errorf("write report: %w", err)
+		}
+		fmt.Printf("(report written to %s)\n", *flagOut)
 	}
+	return nil
 }
 
-// row prints one formatted table row.
-func row(cols ...any) {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprintf("%v", c)
+// wideTable is the column count past which a table is printed with one
+// row per metric and one column per cell instead of the reverse.
+const wideTable = 12
+
+// printTable prints one experiment's cells against the union of their
+// metric names, in first-seen order.
+func printTable(results []experiment.Result) {
+	grid := [][]string{{"cell", "ops"}} // cells down, metrics across
+	for _, res := range results {
+		for _, mt := range res.Metrics {
+			if !slices.Contains(grid[0], mt.Name) {
+				grid[0] = append(grid[0], mt.Name)
+			}
+		}
 	}
-	fmt.Println("  " + strings.Join(parts, "\t"))
+	for _, res := range results {
+		row := []string{res.Cell, strconv.Itoa(res.Ops)}
+		for _, name := range grid[0][2:] {
+			cell := "-"
+			if i := slices.IndexFunc(res.Metrics, func(mt experiment.Metric) bool { return mt.Name == name }); i >= 0 {
+				cell = formatValue(res.Metrics[i].Value)
+			} else if res.Skipped {
+				cell = "skipped"
+			}
+			row = append(row, cell)
+		}
+		grid = append(grid, row)
+	}
+	if len(grid[0]) > wideTable {
+		transposed := make([][]string, len(grid[0]))
+		for i := range transposed {
+			for _, row := range grid {
+				transposed[i] = append(transposed[i], row[i])
+			}
+		}
+		grid = transposed
+	}
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	for _, row := range grid {
+		fmt.Fprintln(tw, "  "+strings.Join(row, "\t"))
+	}
+	tw.Flush()
+}
+
+// formatValue prints counts exactly and measurements to three
+// significant digits.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) || math.Abs(v) >= 1000 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 3, 64)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/latency"
 	"repro/internal/netsim"
 	"repro/internal/relay"
 	"repro/internal/session"
@@ -47,15 +47,6 @@ type BroadcastOptions struct {
 	// Shards is the network's delivery shard count (0 = GOMAXPROCS; 1
 	// makes the run bit-reproducible per seed).
 	Shards int
-	// RTO is the members' retransmit timeout before the first round-trip
-	// sample (default: the transport's own 50ms — except 10s for a flat
-	// session of 5 000 participants or more). A flat session ships every
-	// participant the whole roster, by contract, so its set-up is a burst
-	// of N invites of N entries each; with the retransmit clock started at
-	// Send time, a 50ms RTO re-offers every still-queued invite and
-	// collapses the simulator long before first delivery. A tree session
-	// ships O(k) views and sets up under the default at any size.
-	RTO time.Duration
 	// CrashAfter, when positive, stops the member at roster index
 	// CrashIndex after that many broadcasts, repairs the tree through the
 	// initiator, and sends the rest: the surviving listeners must still
@@ -69,12 +60,22 @@ type BroadcastOptions struct {
 	Deadline time.Duration
 }
 
+// MaxFlatParticipants caps the flat (Tree false) baseline: a flat session
+// ships every participant the whole roster, by contract, so its set-up
+// costs O(N²) wire bytes and a 10 000-member group takes ~20 minutes to
+// re-prove a growth rate the 100 and 1 000 cells already show.
+const MaxFlatParticipants = 1000
+
 func (o *BroadcastOptions) defaults() error {
 	if o.Participants == 0 {
 		o.Participants = 16
 	}
 	if o.Participants < 2 {
 		return fmt.Errorf("scenario: broadcast needs at least 2 participants, got %d", o.Participants)
+	}
+	if !o.Tree && o.Participants > MaxFlatParticipants {
+		return fmt.Errorf("scenario: flat broadcast is capped at %d participants, got %d: every flat invite carries the whole roster, O(N²) wire bytes in all; use Tree for larger groups",
+			MaxFlatParticipants, o.Participants)
 	}
 	if o.Messages <= 0 {
 		o.Messages = 10
@@ -90,9 +91,6 @@ func (o *BroadcastOptions) defaults() error {
 	}
 	if o.Seed == 0 {
 		o.Seed = 14
-	}
-	if o.RTO <= 0 && !o.Tree && o.Participants >= 5_000 {
-		o.RTO = 10 * time.Second
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 2 * time.Minute
@@ -116,14 +114,11 @@ func (o *BroadcastOptions) defaults() error {
 
 // BroadcastResult reports what one broadcast run measured.
 type BroadcastResult struct {
-	// Participants, Messages, Tree and Fanout echo the configuration.
-	Participants int  `json:"participants"`
-	Messages     int  `json:"messages"`
-	Tree         bool `json:"tree"`
-	Fanout       int  `json:"fanout,omitempty"`
-	// Depth is the spanning tree's root-to-leaf hop count (0 in flat
-	// mode: every listener is one hop from the origin).
-	Depth int `json:"depth"`
+	// Fanout and Depth are the spanning tree's resolved fanout and its
+	// root-to-leaf hop count (both 0 in flat mode: every listener is one
+	// hop from the origin).
+	Fanout int `json:"fanout,omitempty"`
+	Depth  int `json:"depth"`
 	// Setup is the session initiation time (invite/commit across the
 	// whole group).
 	Setup time.Duration `json:"setup_ns"`
@@ -193,8 +188,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 		if err != nil {
 			return nil, err
 		}
-		d := core.NewDapplet(names[i], "bcaster", transport.NewSimConn(ep),
-			core.WithTransportConfig(transport.Config{RTO: opts.RTO}))
+		d := core.NewDapplet(names[i], "bcaster", transport.NewSimConn(ep))
 		defer d.Stop()
 		dapplets[i] = d
 		session.Attach(d, session.Policy{})
@@ -207,8 +201,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	if err != nil {
 		return nil, err
 	}
-	iniD := core.NewDapplet("bcast-ini", "initiator", transport.NewSimConn(iniEP),
-		core.WithTransportConfig(transport.Config{RTO: opts.RTO}))
+	iniD := core.NewDapplet("bcast-ini", "initiator", transport.NewSimConn(iniEP))
 	defer iniD.Stop()
 	ini := session.NewInitiator(iniD, dir)
 
@@ -232,12 +225,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	if err != nil {
 		return nil, fmt.Errorf("scenario: broadcast session setup: %w", err)
 	}
-	res := &BroadcastResult{
-		Participants: opts.Participants,
-		Messages:     opts.Messages,
-		Tree:         opts.Tree,
-		Setup:        time.Since(setupStart),
-	}
+	res := &BroadcastResult{Setup: time.Since(setupStart)}
 	if opts.Tree {
 		tspec, _ := h.Tree()
 		members := make([]relay.Member, len(names))
@@ -396,11 +384,8 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	}
 	res.Digest = digest.Sum64()
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) > 0 {
-		res.P50 = lats[len(lats)/2]
-		res.P99 = lats[len(lats)*99/100]
-	}
+	sum := latency.Summarize(lats)
+	res.P50, res.P99 = sum.P50, sum.P99
 	if err := h.Terminate(ctx); err != nil && victim == nil {
 		return nil, fmt.Errorf("scenario: broadcast teardown: %w", err)
 	}

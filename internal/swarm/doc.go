@@ -10,8 +10,8 @@
 //
 // The harness has two modes. Throughput mode (the default) runs churn
 // and session drivers concurrently at configured rates for a wall-clock
-// duration — the load-generation shape used by BenchmarkE11Swarm and
-// wwbench -exp e11. Lockstep mode serializes one churn op at a time and
+// duration — the load-generation shape experiments E11 and E13 use
+// (internal/experiment). Lockstep mode serializes one churn op at a time and
 // awaits each op's observable outcome (every watcher's Down after a
 // crash, every watcher's Up after a reincarnation) before logging it,
 // so a run over a single-shard network (netsim.WithShards(1)) with a

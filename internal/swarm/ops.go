@@ -361,7 +361,7 @@ func (s *Swarm) opRevive(rng *rand.Rand) (bool, error) {
 // opSession drives one initiator session: resolve a live member through
 // the directory, then one echo round trip to the resolved address. idx
 // selects the initiator; negative means round-robin (lockstep).
-func (s *Swarm) opSession(idx int, rng *rand.Rand) {
+func (s *Swarm) opSession(ctx context.Context, idx int, rng *rand.Rand) {
 	s.mu.Lock()
 	if len(s.live) == 0 {
 		s.mu.Unlock()
@@ -375,8 +375,8 @@ func (s *Swarm) opSession(idx int, rng *rand.Rand) {
 	ini := s.inits[idx%len(s.inits)]
 	s.mu.Unlock()
 
-	start := time.Now()                                                 //wwlint:allow determinism wall-clock session-latency sample; not part of the event log
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout) //wwlint:allow ctxcheck churn driver op with no caller context; bounded by opTimeout
+	start := time.Now() //wwlint:allow determinism wall-clock session-latency sample; not part of the event log
+	ctx, cancel := context.WithTimeout(ctx, opTimeout)
 	e, err := ini.client.MustLookup(ctx, target)
 	if err == nil {
 		var rep echoMsg

@@ -2,8 +2,9 @@ package swarm
 
 import (
 	"encoding/json"
-	"sort"
 	"time"
+
+	"repro/internal/latency"
 )
 
 // LatencyStats summarizes one latency population in milliseconds.
@@ -21,21 +22,9 @@ type LatencyStats struct {
 // summarize computes percentile stats over a sample set; it sorts the
 // slice in place.
 func summarize(samples []time.Duration) LatencyStats {
-	if len(samples) == 0 {
-		return LatencyStats{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	at := func(p float64) float64 {
-		i := int(p * float64(len(samples)-1))
-		return float64(samples[i]) / float64(time.Millisecond)
-	}
-	return LatencyStats{
-		Count: len(samples),
-		P50Ms: at(0.50),
-		P95Ms: at(0.95),
-		P99Ms: at(0.99),
-		MaxMs: float64(samples[len(samples)-1]) / float64(time.Millisecond),
-	}
+	s := latency.Summarize(samples)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return LatencyStats{Count: s.Count, P50Ms: ms(s.P50), P95Ms: ms(s.P95), P99Ms: ms(s.P99), MaxMs: ms(s.Max)}
 }
 
 // PhaseStats is the activity delta over one harness phase (join, churn),

@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -97,12 +98,6 @@ type Config struct {
 	// Wheels is the number of shared timer-wheel Hosts detectors are
 	// spread over (default GOMAXPROCS clamped to [1, 8]).
 	Wheels int
-	// NoCoalesce disables transport frame coalescing. The swarm runs
-	// with coalescing on by default — heartbeats, acks and session
-	// frames to the same peer share datagrams — and the per-phase report
-	// tracks frames-per-datagram and the standalone-ack ratio; this
-	// switch is the A/B foil.
-	NoCoalesce bool
 	// Quorum is every detector's Down quorum (default 1, the
 	// single-watcher rule); above one, Suspect escalates to Down only
 	// with confirmations from indirect probes and gossip rumors
@@ -305,7 +300,7 @@ func Run(cfg Config) (*Report, error) {
 			RTO:        clampDur(cfg.Interval/2, 50*time.Millisecond, time.Second),
 			RecvBuf:    64,
 			FailureBuf: 4,
-			Coalesce:   !cfg.NoCoalesce,
+			Coalesce:   true,
 		},
 	}
 	for i := 0; i < cfg.Wheels; i++ {
@@ -319,9 +314,9 @@ func Run(cfg Config) (*Report, error) {
 	reg.Register(typeIni, func() core.Behavior { return core.BehaviorFunc(s.startIni) })
 	s.rt = core.NewRuntime(s.net, reg)
 	// Directory replicas and initiators keep the default transport
-	// sizing but share the coalescing setting, so the whole fabric's
+	// sizing but coalesce like the members, so the whole fabric's
 	// datagram accounting is measured under one policy.
-	s.rt.SetTransportConfig(transport.Config{Coalesce: !cfg.NoCoalesce})
+	s.rt.SetTransportConfig(transport.Config{Coalesce: true})
 
 	if err := s.launchDirectory(); err != nil {
 		return nil, err
@@ -634,7 +629,12 @@ func (s *Swarm) joinPhase(rng *rand.Rand) error {
 // timedChurn runs the throughput-mode churn and session drivers for the
 // configured duration.
 func (s *Swarm) timedChurn() error {
-	stop := make(chan struct{})
+	// Cancelled when the window closes: it stops every driver, and the
+	// session in flight with it — an echo to a member that crashed after
+	// the lookup would otherwise hold the phase open for opTimeout.
+	ctx, cancel := context.WithCancel(context.Background()) //wwlint:allow ctxcheck the churn window owns its drivers; swarm.Run takes no caller context
+	defer cancel()
+	stop := ctx.Done()
 	errc := make(chan error, 1)
 	var wg sync.WaitGroup
 
@@ -647,7 +647,7 @@ func (s *Swarm) timedChurn() error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.sessionDriver(i, rand.New(rand.NewSource(s.cfg.Seed+0x1000+int64(i))), stop)
+			s.sessionDriver(ctx, i, rand.New(rand.NewSource(s.cfg.Seed+0x1000+int64(i))))
 		}(i)
 	}
 	if s.cfg.PartitionRate > 0 {
@@ -665,7 +665,7 @@ func (s *Swarm) timedChurn() error {
 	case err = <-errc:
 	}
 	timer.Stop()
-	close(stop)
+	cancel()
 	wg.Wait()
 	return err
 }
@@ -722,7 +722,7 @@ func (s *Swarm) churnOp(rng *rand.Rand) error {
 
 // sessionDriver drives this initiator's share of the session rate until
 // stopped.
-func (s *Swarm) sessionDriver(idx int, rng *rand.Rand, stop <-chan struct{}) {
+func (s *Swarm) sessionDriver(ctx context.Context, idx int, rng *rand.Rand) {
 	gap := time.Duration(float64(s.cfg.Initiators) / s.cfg.SessionRate * float64(time.Second))
 	if gap < 200*time.Microsecond {
 		gap = 200 * time.Microsecond
@@ -731,10 +731,10 @@ func (s *Swarm) sessionDriver(idx int, rng *rand.Rand, stop <-chan struct{}) {
 	defer tick.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-tick.C:
-			s.opSession(idx, rng)
+			s.opSession(ctx, idx, rng)
 		}
 	}
 }
@@ -759,7 +759,7 @@ func (s *Swarm) lockstepChurn(rng *rand.Rand) error {
 		case r < 0.75:
 			done, err = s.opRevive(rng)
 		default:
-			s.opSession(-1, rng)
+			s.opSession(context.Background(), -1, rng) //wwlint:allow ctxcheck lockstep op with no caller context; bounded by opTimeout
 			done = true
 		}
 		if err != nil {

@@ -1,7 +1,8 @@
 // Round-trip conformance for the wire codec over every registered message
 // kind. This file lives in the root package because the test binary links
-// every message-bearing package (via bench_test.go's imports), so the
-// process-wide kind registry here is the full one a real deployment has.
+// every message-bearing package (bench_test.go imports the experiment
+// registry, which reaches them all), so the process-wide kind registry
+// here is the full one a real deployment has.
 package repro
 
 import (
