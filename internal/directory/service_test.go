@@ -168,7 +168,12 @@ func TestStaleVersionEviction(t *testing.T) {
 	}
 
 	// B re-registers the name at a new address: the event must refresh
-	// A's cached entry in place (no extra remote round trip).
+	// A's cached entry in place (no extra remote round trip). B reads the
+	// name first: writes are ordered by Lamport stamp, and until B has
+	// heard from the replica its clock may still be behind A's write.
+	if e, ok := b.Lookup(ctx, "n"); !ok || e.Addr.Port != 1 {
+		t.Fatalf("b's lookup = %+v %v", e, ok)
+	}
 	fresh := directory.Entry{Name: "n", Type: "t", Addr: netsim.Addr{Host: "y", Port: 2}}
 	if err := b.Register(ctx, fresh); err != nil {
 		t.Fatal(err)

@@ -112,37 +112,37 @@ func e13Cells(p Params) []Cell {
 
 // e12Cells sweeps the batched-I/O matrix: a busy sender round-robins
 // frames over fanout receivers while receiver 0 mirrors the same volume
-// back (so ack piggybacking has reverse traffic to ride), over netsim and
-// over real loopback UDP sockets, with batching — frame coalescing, plus
-// sendmmsg/recvmmsg on UDP — off and on. An op is one forward frame.
+// back (so ack piggybacking has reverse traffic to ride). Frame
+// coalescing is the transport's one send path, so each shape is one cell
+// over netsim; over real loopback UDP sockets each shape runs with the
+// sendmmsg/recvmmsg loops (UDPConfig.Batch) off and on. An op is one
+// forward frame.
 func e12Cells(p Params) []Cell {
 	frames := byScale(p.Scale, 5000, 20000, 20000)
 	var cells []Cell
-	for _, medium := range []string{"netsim", "udp"} {
+	for _, medium := range []struct {
+		name string
+		udp  bool
+		mmsg int // UDPConfig.Batch
+	}{{"netsim", false, 0}, {"udp/mmsg=off", true, 0}, {"udp/mmsg=on", true, 16}} {
 		for _, shape := range [][2]int{{32, 1}, {256, 1}, {1024, 1}, {32, 8}} {
-			for _, batched := range []bool{false, true} {
-				cells = append(cells, Cell{
-					Name: fmt.Sprintf("%s/%dB/fan%d/batched=%v", medium, shape[0], shape[1], batched), Ops: frames,
-					Run: inWorld(p, 12, func(_ context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-						return e12Run(t, ops, w, medium == "udp", batched, shape[0], shape[1])
-					})})
-			}
+			cells = append(cells, Cell{
+				Name: fmt.Sprintf("%s/%dB/fan%d", medium.name, shape[0], shape[1]), Ops: frames,
+				Run: inWorld(p, 12, func(_ context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+					return e12Run(t, ops, w, medium.udp, medium.mmsg, shape[0], shape[1])
+				})})
 		}
 	}
 	return cells
 }
 
-func e12Run(t Timer, frames int, w *world, udp, batched bool, size, fanout int) ([]Metric, error) {
-	cfg := transport.Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 1024, Coalesce: batched}
+func e12Run(t Timer, frames int, w *world, udp bool, mmsg, size, fanout int) ([]Metric, error) {
+	cfg := transport.Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 1024}
 	listen := func(host string) (*transport.Reliable, error) {
 		if !udp {
 			return w.reliable(host, cfg), nil
 		}
-		ucfg := transport.UDPConfig{}
-		if batched {
-			ucfg.Batch = 16
-		}
-		pc, err := transport.ListenUDPConfig("127.0.0.1:0", ucfg)
+		pc, err := transport.ListenUDPConfig("127.0.0.1:0", transport.UDPConfig{Batch: mmsg})
 		if err != nil {
 			return nil, fmt.Errorf("%w: loopback UDP unavailable: %v", ErrSkip, err)
 		}

@@ -674,11 +674,6 @@ func (det *Detector) fireHeartbeats(now time.Time) time.Duration {
 			det.hbSent.Add(1)
 			_ = det.d.SendDirect(to, "", hb)
 		}
-		// On a coalescing transport the beacons to busy peers were just
-		// staged, not sent; flush the round so heartbeat interarrival
-		// stays crisp (jitter inflates every watcher's adaptive timeout)
-		// instead of waiting out the flush deadline. No-op otherwise.
-		det.d.Transport().FlushAll()
 	}
 	return det.cfg.Interval
 }

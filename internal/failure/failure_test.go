@@ -238,11 +238,11 @@ func TestProbeRecoversOneSidedWatch(t *testing.T) {
 }
 
 func TestDetectorUnderCoalescedTransport(t *testing.T) {
-	// With frame coalescing on, heartbeats are staged and must be
-	// flushed after each fan-out round (the detector calls FlushAll);
-	// otherwise the flush deadline would jitter heartbeat interarrival
-	// and inflate adaptive timeouts. The detector must hold a steady Up
-	// verdict and still detect a real crash promptly.
+	// The transport coalesces, but never holds a frame for a clock: a
+	// heartbeat to a quiet peer is written when it is sent (carrying the
+	// ack the peer's last heartbeat is owed), so interarrival stays crisp
+	// with no flush after the fan-out round. The detector must hold a
+	// steady Up verdict and still detect a real crash promptly.
 	net := netsim.New(netsim.WithSeed(7))
 	defer net.Close()
 	mk := func(host, name string) *core.Dapplet {
@@ -250,8 +250,7 @@ func TestDetectorUnderCoalescedTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := core.NewDapplet(name, "test", transport.NewSimConn(ep),
-			core.WithTransportConfig(transport.Config{RTO: 10 * time.Millisecond, Coalesce: true}))
+		d := core.NewDapplet(name, "test", transport.NewSimConn(ep))
 		t.Cleanup(d.Stop)
 		return d
 	}

@@ -36,10 +36,13 @@ type shard struct {
 // payload chunking: small datagram payloads are carved out of a shared
 // chunk instead of one heap allocation each, cutting allocator and GC
 // pressure on the send path by orders of magnitude. A chunk is released
-// to the GC once every payload carved from it is unreachable.
+// to the GC once every payload carved from it is unreachable. The limit
+// covers the largest datagram the transport coalesces small frames into
+// (1200 bytes of frames plus a batch header), so a full batch is carved
+// like the frames it replaced.
 const (
 	payloadChunkSize = 16 << 10
-	maxChunkedCopy   = 1 << 10
+	maxChunkedCopy   = 1280
 )
 
 // clonePayload copies p into freshly owned memory. Caller must hold s.mu.

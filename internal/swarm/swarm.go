@@ -300,7 +300,6 @@ func Run(cfg Config) (*Report, error) {
 			RTO:        clampDur(cfg.Interval/2, 50*time.Millisecond, time.Second),
 			RecvBuf:    64,
 			FailureBuf: 4,
-			Coalesce:   true,
 		},
 	}
 	for i := 0; i < cfg.Wheels; i++ {
@@ -313,11 +312,6 @@ func Run(cfg Config) (*Report, error) {
 	reg.Register(typeDir, func() core.Behavior { return core.BehaviorFunc(s.startDir) })
 	reg.Register(typeIni, func() core.Behavior { return core.BehaviorFunc(s.startIni) })
 	s.rt = core.NewRuntime(s.net, reg)
-	// Directory replicas and initiators keep the default transport
-	// sizing but coalesce like the members, so the whole fabric's
-	// datagram accounting is measured under one policy.
-	s.rt.SetTransportConfig(transport.Config{Coalesce: true})
-
 	if err := s.launchDirectory(); err != nil {
 		return nil, err
 	}

@@ -22,7 +22,8 @@ import "encoding/binary"
 // corrupted). Sequence numbers are per-peer and identical to the ones a
 // standalone pktData frame would carry, so retransmissions — which are
 // always standalone pktData frames — interleave freely with coalesced
-// first transmissions.
+// first transmissions. Reliable.Send says when a frame is staged for a
+// batch and what releases it.
 const (
 	batchFlagCum = 1 << 0
 	batchFlagSel = 1 << 1
@@ -32,9 +33,12 @@ const (
 // plus both ack words.
 const batchHdrMax = 4 + 8 + 8
 
-// maxBatchPayload bounds the staged frame bytes of one batch so the
-// datagram never exceeds MaxDatagram.
-const maxBatchPayload = MaxDatagram - batchHdrMax
+// datagramBudget bounds the sub-frame bytes of a batch: with the batch
+// header and the 28 bytes of IP and UDP the datagram stays under every
+// real path's MTU (1280, IPv6's minimum), so coalescing never causes IP
+// fragmentation. A frame is staged only while a second of its size would
+// still fit; one too large for a batch of its own travels as pktData.
+const datagramBudget = 1200
 
 // batchFrameLen returns the encoded size of one batch sub-frame.
 func batchFrameLen(seq uint64, payload []byte) int {

@@ -76,8 +76,8 @@ func TestBatchCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-// busyPair drives total frames in both directions at once over a
-// coalescing pair and waits until everything is delivered.
+// busyPair drives total frames in both directions at once over a pair
+// and waits until everything is delivered.
 func busyPair(t *testing.T, ra, rb *Reliable, total, size int) {
 	t.Helper()
 	payload := make([]byte, size)
@@ -109,7 +109,7 @@ func busyPair(t *testing.T, ra, rb *Reliable, total, size int) {
 }
 
 func TestCoalescingBusyPairDatagramRatio(t *testing.T) {
-	cfg := Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 512, Coalesce: true}
+	cfg := Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 512}
 	_, ra, rb := pairOn(t, "a", "b", cfg)
 	const total = 4000
 	busyPair(t, ra, rb, total, 32)
@@ -131,130 +131,66 @@ func TestCoalescingBusyPairDatagramRatio(t *testing.T) {
 }
 
 func TestPiggybackedAckEquivalence(t *testing.T) {
-	// The same bidirectional workload must deliver the same payload
-	// sequence with coalescing on and off; the coalesced run should
-	// piggyback most acks instead of sending them standalone.
-	run := func(coalesce bool) ([]string, Stats) {
-		cfg := Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 256, Coalesce: coalesce}
-		_, ra, rb := pairOn(t, "a", "b", cfg)
-		const total = 300
-		var got []string
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < total; i++ {
-				p, _, err := rb.RecvTimeout(10 * time.Second)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got = append(got, string(p))
-			}
-		}()
-		go func() { // reverse traffic for acks to ride on
-			defer wg.Done()
-			to := ra.LocalAddr()
-			for i := 0; i < total; i++ {
-				if err := rb.Send(to, []byte{byte(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := ra.RecvTimeout(10 * time.Second); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-		to := rb.LocalAddr()
+	// A bidirectional workload delivers exactly the sequence sent, and
+	// the side with reverse traffic piggybacks acks instead of sending
+	// them standalone.
+	cfg := Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 256}
+	_, ra, rb := pairOn(t, "a", "b", cfg)
+	const total = 300
+	var got []string
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := ra.Send(to, []byte(fmt.Sprintf("m%03d", i))); err != nil {
-				t.Fatal(err)
+			p, _, err := rb.RecvTimeout(10 * time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got, string(p))
+		}
+	}()
+	go func() { // reverse traffic for acks to ride on
+		defer wg.Done()
+		to := ra.LocalAddr()
+		for i := 0; i < total; i++ {
+			if err := rb.Send(to, []byte{byte(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, err := ra.RecvTimeout(10 * time.Second); err != nil {
+				t.Error(err)
+				return
 			}
 		}
-		wg.Wait()
-		return got, rb.Stats()
-	}
-	plain, _ := run(false)
-	coalesced, st := run(true)
-	if len(plain) != len(coalesced) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(plain), len(coalesced))
-	}
-	for i := range plain {
-		if plain[i] != coalesced[i] {
-			t.Fatalf("delivery %d differs: %q vs %q", i, plain[i], coalesced[i])
+	}()
+	to := rb.LocalAddr()
+	for i := 0; i < total; i++ {
+		if err := ra.Send(to, []byte(fmt.Sprintf("m%03d", i))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if st.AcksPiggybacked == 0 {
+	wg.Wait()
+	if len(got) != total {
+		t.Fatalf("delivered %d of %d", len(got), total)
+	}
+	for i := range got {
+		if want := fmt.Sprintf("m%03d", i); got[i] != want {
+			t.Fatalf("delivery %d is %q, want %q", i, got[i], want)
+		}
+	}
+	if st := rb.Stats(); st.AcksPiggybacked == 0 {
 		t.Fatalf("no piggybacked acks on a busy bidirectional pair: %+v", st)
 	}
 }
 
-func TestFlushDeadlineLatencyBound(t *testing.T) {
-	// A frame staged behind an unacked predecessor must still arrive
-	// within the flush deadline, even with no further traffic to push
-	// it out on the size threshold.
-	cfg := Config{RTO: 400 * time.Millisecond, MaxRetries: 100, Window: 64,
-		Coalesce: true, FlushDelay: 5 * time.Millisecond, AckEvery: 64, AckDelay: 300 * time.Millisecond}
-	_, ra, rb := pairOn(t, "a", "b", cfg)
-	to := rb.LocalAddr()
-	// First send goes out on the idle fast path and stays unacked for a
-	// while (AckEvery=64, AckDelay=300ms), so the second is staged.
-	if err := ra.Send(to, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rb.RecvTimeout(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := ra.Send(to, []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rb.RecvTimeout(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Generous upper bound: well under the 300ms ack delay and 400ms
-	// RTO, so only the 5ms flush deadline can explain a prompt arrival.
-	if d := time.Since(start); d > 200*time.Millisecond {
-		t.Fatalf("staged frame took %v; flush deadline not honored", d)
-	}
-	if st := ra.Stats(); st.FlushDeadline == 0 {
-		t.Fatalf("expected a deadline flush: %+v", st)
-	}
-}
-
-func TestExplicitFlush(t *testing.T) {
-	cfg := Config{RTO: time.Second, MaxRetries: 100, Window: 64,
-		Coalesce: true, FlushDelay: time.Second, AckEvery: 64, AckDelay: time.Second}
-	_, ra, rb := pairOn(t, "a", "b", cfg)
-	to := rb.LocalAddr()
-	if err := ra.Send(to, []byte("one")); err != nil { // idle fast path
-		t.Fatal(err)
-	}
-	if _, _, err := rb.RecvTimeout(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := ra.Send(to, []byte("two")); err != nil { // staged
-		t.Fatal(err)
-	}
-	if err := ra.Flush(to); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rb.RecvTimeout(time.Second); err != nil {
-		t.Fatalf("staged frame not delivered after Flush: %v", err)
-	}
-	if st := ra.Stats(); st.FlushExplicit == 0 {
-		t.Fatalf("FlushExplicit not counted: %+v", st)
-	}
-	ra.FlushAll() // empty stage: must be a no-op, not a crash
-}
-
 func TestAckEveryAckDelayInterplayWithCoalescing(t *testing.T) {
-	// One-way traffic with coalescing: the receiver has no reverse data,
-	// so acks still flow standalone under the AckEvery/AckDelay policy
-	// and the sender's window keeps draining.
+	// One-way traffic: the receiver has no reverse data, so acks still
+	// flow standalone under the AckEvery/AckDelay policy and the sender's
+	// window keeps draining.
 	cfg := Config{RTO: 200 * time.Millisecond, MaxRetries: 100, Window: 16,
-		Coalesce: true, AckEvery: 4, AckDelay: 10 * time.Millisecond}
+		AckEvery: 4, AckDelay: 10 * time.Millisecond}
 	_, ra, rb := pairOn(t, "a", "b", cfg)
 	to := rb.LocalAddr()
 	const total = 200 // far more than the window: progress needs acks
@@ -291,9 +227,9 @@ func TestAckEveryAckDelayInterplayWithCoalescing(t *testing.T) {
 }
 
 func TestOversizeFrameBypassesCoalescing(t *testing.T) {
-	cfg := Config{RTO: 200 * time.Millisecond, MaxRetries: 100, Window: 16, Coalesce: true}
+	cfg := Config{RTO: 200 * time.Millisecond, MaxRetries: 100, Window: 16}
 	_, ra, rb := pairOn(t, "a", "b", cfg)
-	big := make([]byte, maxBatchPayload+100)
+	big := make([]byte, datagramBudget+100)
 	for i := range big {
 		big[i] = byte(i)
 	}

@@ -21,4 +21,13 @@
 // retransmission timer from a min-heap of per-peer deadlines, so cost is
 // proportional to peers with due packets rather than to all in-flight
 // traffic.
+//
+// Small frames are coalesced on an ack clock: once AckEvery frames to a
+// peer are unacknowledged — so its next acknowledgement is on its way
+// without waiting for AckDelay — further small frames are staged and
+// leave as one batch datagram of at most 1200 bytes when that
+// acknowledgement arrives (or the batch fills, or the window does). No
+// frame waits for a timer of its own, a frame sent into a quiet channel
+// is written at once, and a frame that goes alone carries any
+// acknowledgement its peer is owed. Reliable.Send has the rule in full.
 package transport

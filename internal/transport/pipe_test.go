@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,9 +10,10 @@ import (
 	"repro/internal/netsim"
 )
 
-// pipe is a scripted in-memory PacketConn pair for the loss-recovery
-// tests: every datagram crosses after a fixed one-way delay, in the order
-// written, unless the rule says otherwise. Nothing about it is random.
+// pipe is a scripted in-memory PacketConn pair for the loss-recovery and
+// coalescing tests: every datagram crosses after a fixed one-way delay,
+// in the order written, unless the rule says otherwise. Nothing about it
+// is random.
 type pipe struct {
 	delay time.Duration
 	rule  func(dgramInfo) verdict
@@ -37,9 +39,11 @@ const (
 type dgramInfo struct {
 	fromA  bool      // direction: written by end a
 	typ    byte      // pktData, pktAck or pktBatch
-	seq    uint64    // data seq, or the cumulative ack
+	seq    uint64    // data seq, or the cumulative ack (a batch's piggybacked one)
 	sel    uint64    // an ack's selective bitmap
 	hasSel bool      // the ack carries one
+	frames []uint64  // the data seqs a batch carries, in order
+	size   int       // datagram length
 	copy   int       // 1 the first time this (direction, typ, seq) is written, 2 the second, ...
 	at     time.Time // when it was written
 }
@@ -52,6 +56,12 @@ type dgramKey struct {
 
 func (d dgramInfo) data(seq uint64, copy int) bool {
 	return d.typ == pktData && d.seq == seq && d.copy == copy
+}
+
+// carries reports whether d is a datagram from end a bearing data frame
+// seq, alone or in a batch.
+func (d dgramInfo) carries(seq uint64) bool {
+	return d.fromA && (d.typ == pktData && d.seq == seq || d.typ == pktBatch && slices.Contains(d.frames, seq))
 }
 
 type timedDgram struct {
@@ -131,14 +141,23 @@ func (e *pipeEnd) LocalAddr() netsim.Addr { return e.addr }
 
 func (e *pipeEnd) WriteTo(_ netsim.Addr, b []byte) error {
 	p := e.p
-	d := dgramInfo{fromA: e == p.a, at: time.Now()}
-	if typ, seq, payload, err := decodeFrame(b); err == nil {
+	d := dgramInfo{fromA: e == p.a, size: len(b), at: time.Now()}
+	if len(b) >= 3 && b[2] == pktBatch {
+		d.typ = pktBatch
+		cum, _, sel, hasSel, off, _ := parseBatchHeader(b[3:])
+		d.seq, d.sel, d.hasSel = cum, sel, hasSel
+		for {
+			seq, _, next, ok := nextBatchFrame(b[3:], off)
+			if !ok {
+				break
+			}
+			d.frames, off = append(d.frames, seq), next
+		}
+	} else if typ, seq, payload, err := decodeFrame(b); err == nil {
 		d.typ, d.seq = typ, seq
 		if typ == pktAck && len(payload) == ackSelLen {
 			d.sel, d.hasSel = binary.BigEndian.Uint64(payload), true
 		}
-	} else if len(b) >= 3 {
-		d.typ = b[2] // a batch without a cumulative ack is shorter than a frame header
 	}
 	data := append([]byte(nil), b...)
 	to := e.peer

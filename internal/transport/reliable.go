@@ -75,7 +75,10 @@ type Config struct {
 	// AckEvery is the number of in-order messages from a peer that forces
 	// an immediate cumulative acknowledgement (default 8). Out-of-order,
 	// duplicate and retransmitted arrivals are always acknowledged
-	// immediately.
+	// immediately. It is also the sender's coalescing clock: with this
+	// many transmitted frames unacknowledged the peer's immediate ack is
+	// on its way, so further small frames are staged for it to release
+	// (see Send). Both ends of a channel are assumed to use one value.
 	AckEvery int
 	// AckDelay bounds how long a cumulative acknowledgement may be
 	// withheld waiting to coalesce with later ones (default RTO/8). An
@@ -86,23 +89,6 @@ type Config struct {
 	// members shrink it — the preallocated channel is pure per-dapplet
 	// memory for endpoints that rarely fail.
 	FailureBuf int
-	// Coalesce enables per-peer frame coalescing: small frames to the
-	// same peer are packed into one batch datagram, and every batch
-	// piggybacks the pending cumulative/selective acknowledgement for
-	// the reverse direction, so a busy bidirectional pair sends almost
-	// no standalone ack packets. A frame to an idle channel (nothing in
-	// flight, nothing staged) still transmits immediately — Nagle's
-	// algorithm with a deadline — so request/reply latency is
-	// unaffected. Off by default: single-frame datagrams, byte-for-byte
-	// the pre-coalescing wire traffic.
-	Coalesce bool
-	// FlushDelay bounds how long a staged frame may wait for companions
-	// before its batch is flushed (default RTO/16).
-	FlushDelay time.Duration
-	// FlushBytes is the staged-payload size that forces an immediate
-	// flush (default 1200 — within one Ethernet MTU; capped so a batch
-	// never exceeds MaxDatagram).
-	FlushBytes int
 }
 
 func (c Config) withDefaults() Config {
@@ -127,15 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.FailureBuf <= 0 {
 		c.FailureBuf = 64
 	}
-	if c.FlushDelay <= 0 {
-		c.FlushDelay = c.RTO / 16
-	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = 1200
-	}
-	if c.FlushBytes > maxBatchPayload {
-		c.FlushBytes = maxBatchPayload
-	}
 	return c
 }
 
@@ -159,24 +136,26 @@ type Stats struct {
 	Failures        uint64
 	FailuresDropped uint64 // failure notices discarded because the Failures channel was full
 
-	// Coalescing counters (all zero with Config.Coalesce off except
-	// DatagramsOut and BytesOut, which always count physical writes).
+	// Physical writes and coalescing.
 	BytesOut        uint64 // payload bytes across all physical datagrams written
 	DatagramsOut    uint64 // physical datagrams written (data, acks, batches)
 	BatchesOut      uint64 // coalesced datagrams among DatagramsOut
 	FramesCoalesced uint64 // data frames carried inside coalesced datagrams
 	AcksPiggybacked uint64 // acks that rode a batch header instead of a standalone packet
 
-	// Flush reasons: why each coalesced datagram left the staging
-	// buffer. FlushIdle is the Nagle fast path (channel idle, frame sent
-	// at once); FlushSize the staged-bytes threshold; FlushDeadline the
-	// latency bound; FlushAck a receive-path ack folded into staged
-	// data; FlushExplicit a Flush/FlushAll call.
-	FlushIdle     uint64
+	// Flush reasons: why each batch of staged frames left the stage (a
+	// lone frame carrying an owed ack is a batch but was never staged,
+	// and counts under none). FlushSize: the next frame would not fit
+	// the datagram budget, or no further frame of its size would;
+	// FlushAck: an arriving ack freed window space, or the receive path
+	// owed the peer an ack and the staged frames carried it; FlushWindow:
+	// Send was about to block on a full window; FlushBackstop: the
+	// retransmission timer came due — the only release that waits on a
+	// clock, and zero on a healthy path.
 	FlushSize     uint64
-	FlushDeadline uint64
 	FlushAck      uint64
-	FlushExplicit uint64
+	FlushWindow   uint64
+	FlushBackstop uint64
 
 	// IO is the underlying socket's syscall-level activity, when the
 	// PacketConn tracks it (the UDP transport does; netsim makes no
@@ -223,11 +202,10 @@ type statCounters struct {
 	framesCoalesced atomic.Uint64
 	acksPiggybacked atomic.Uint64
 
-	flushIdle     atomic.Uint64
 	flushSize     atomic.Uint64
-	flushDeadline atomic.Uint64
 	flushAck      atomic.Uint64
-	flushExplicit atomic.Uint64
+	flushWindow   atomic.Uint64
+	flushBackstop atomic.Uint64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -248,11 +226,10 @@ func (c *statCounters) snapshot() Stats {
 		FramesCoalesced: c.framesCoalesced.Load(),
 		AcksPiggybacked: c.acksPiggybacked.Load(),
 
-		FlushIdle:     c.flushIdle.Load(),
 		FlushSize:     c.flushSize.Load(),
-		FlushDeadline: c.flushDeadline.Load(),
 		FlushAck:      c.flushAck.Load(),
-		FlushExplicit: c.flushExplicit.Load(),
+		FlushWindow:   c.flushWindow.Load(),
+		FlushBackstop: c.flushBackstop.Load(),
 	}
 }
 
@@ -316,13 +293,12 @@ type peerState struct {
 	ackPending  int  // guarded by mu
 	ackTimerSet bool // guarded by mu
 
-	// Frame coalescing (Config.Coalesce): stage holds encoded batch
-	// sub-frames awaiting a flush (the backing array is reused across
-	// batches), stageN counts them, and flushArmed records that a
-	// flush-deadline event is in the timer queue.
-	stage      []byte // guarded by mu
-	stageN     int    // guarded by mu
-	flushArmed bool   // guarded by mu
+	// Frame coalescing: stage holds the encoded batch sub-frames of
+	// first transmissions waiting for an ack to release them, and staged
+	// the same frames' unacked entries, in seq order (both backing arrays
+	// are reused across batches).
+	stage  []byte    // guarded by mu
+	staged []*outPkt // guarded by mu
 }
 
 func newPeerState(addr netsim.Addr, closed bool) *peerState {
@@ -347,17 +323,15 @@ type inMsg struct {
 // Timer events: one goroutine per Reliable sleeps until the earliest
 // deadline in a min-heap and processes only the peers that are due —
 // retransmission work is proportional to peers with expired packets, not
-// to all unacked packets across all peers — and delayed acks and
-// coalescing flush deadlines ride the same queue. Each peer keeps one
-// retransmit event live, at the earliest deadline among its unacked
-// packets (retxDue): a send or resend due sooner queues a new event and
-// the superseded one lapses when it fires, as does a fire whose packets
-// were acked in the meantime, so the fault-free send path performs no
-// timer work per message.
+// to all unacked packets across all peers — and delayed acks ride the
+// same queue. Each peer keeps one retransmit event live, at the earliest
+// deadline among its unacked packets (retxDue): a send or resend due
+// sooner queues a new event and the superseded one lapses when it fires,
+// as does a fire whose packets were acked in the meantime, so the
+// fault-free send path performs no timer work per message.
 const (
 	evRetx = iota
 	evAck
-	evFlush
 )
 
 type timerEvent struct {
@@ -458,7 +432,7 @@ func (r *Reliable) QueueDepth() int {
 	r.peers.Range(func(_, v any) bool {
 		p := v.(*peerState)
 		p.mu.Lock()
-		total += len(p.unacked) + p.stageN
+		total += len(p.unacked) + len(p.staged)
 		p.mu.Unlock()
 		return true
 	})
@@ -536,21 +510,43 @@ func (r *Reliable) writeDatagram(to netsim.Addr, frame []byte) error {
 	return r.pc.WriteTo(to, frame)
 }
 
+// batchPool recycles the buffers batch datagrams are assembled in.
+// PacketConn.WriteTo copies before it returns, so a buffer goes back as
+// soon as it is written and no flush allocates.
+var batchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, batchHdrMax+datagramBudget)
+	return &b
+}}
+
 // writeBatch writes one coalesced datagram, counting the physical write
-// and the batch.
-func (r *Reliable) writeBatch(to netsim.Addr, dgram []byte) error {
+// and the batch, and recycles its buffer. A nil dgram is no datagram.
+func (r *Reliable) writeBatch(to netsim.Addr, dgram *[]byte) error {
+	if dgram == nil {
+		return nil
+	}
 	r.stats.datagramsOut.Add(1)
 	r.stats.batchesOut.Add(1)
-	r.stats.bytesOut.Add(uint64(len(dgram)))
-	return r.pc.WriteTo(to, dgram)
+	r.stats.bytesOut.Add(uint64(len(*dgram)))
+	err := r.pc.WriteTo(to, *dgram)
+	batchPool.Put(dgram)
+	return err
 }
 
-// buildBatchLocked drains p's staging buffer into one coalesced
-// datagram, piggybacking the acknowledgement for the reverse direction
-// (cumulative, plus the selective bitmap while a gap is open).
-// ackReplaces marks a flush that substitutes for a standalone ack the
-// receive path was about to send. Caller holds p.mu.
-func (r *Reliable) buildBatchLocked(p *peerState, ackReplaces bool) []byte {
+// stageLocked appends pkt, a first transmission, to p's stage. Caller
+// holds p.mu.
+func (p *peerState) stageLocked(pkt *outPkt) {
+	p.stage = appendBatchFrame(p.stage, pkt.seq, pkt.frame[headerLen:])
+	p.staged = append(p.staged, pkt)
+}
+
+// buildBatchLocked drains p's stage into one coalesced datagram for
+// writeBatch, piggybacking the acknowledgement for the reverse direction
+// (cumulative, plus the selective bitmap while a gap is open). The
+// frames' round-trip clock and retransmission deadline run from now, when
+// they leave, not from their Send. ackReplaces marks a flush that
+// substitutes for a standalone ack the receive path was about to send.
+// Caller holds p.mu.
+func (r *Reliable) buildBatchLocked(p *peerState, now time.Time, ackReplaces bool) *[]byte {
 	if ackReplaces || p.ackPending > 0 || p.ackTimerSet {
 		// This batch's header delivers an ack that would otherwise have
 		// gone out (now or at the delayed-ack deadline) as its own
@@ -559,12 +555,16 @@ func (r *Reliable) buildBatchLocked(p *peerState, ackReplaces bool) []byte {
 	}
 	p.ackPending = 0
 	cum, sel, hasSel := p.ackStateLocked()
-	dgram := make([]byte, 0, batchHdrMax+len(p.stage))
-	dgram = appendBatchHeader(dgram, cum, sel, hasSel)
-	dgram = append(dgram, p.stage...)
-	r.stats.framesCoalesced.Add(uint64(p.stageN))
+	dgram := batchPool.Get().(*[]byte)
+	*dgram = append(appendBatchHeader((*dgram)[:0], cum, sel, hasSel), p.stage...)
+	r.stats.framesCoalesced.Add(uint64(len(p.staged)))
+	deadline := now.Add(r.rtoLocked(p))
+	for _, pkt := range p.staged {
+		pkt.xmit, pkt.deadline = now, deadline
+	}
+	clear(p.staged) // acknowledged frames must not stay reachable from the backing array
+	p.staged = p.staged[:0]
 	p.stage = p.stage[:0]
-	p.stageN = 0
 	return dgram
 }
 
@@ -574,17 +574,35 @@ func (r *Reliable) buildBatchLocked(p *peerState, ackReplaces bool) []byte {
 // asynchronously on Failures. Send copies payload into the retransmission
 // frame before returning, so the caller may reuse the slice immediately.
 //
-// With Config.Coalesce the frame may be staged rather than transmitted:
-// it leaves in a batch datagram when the stage reaches FlushBytes, when
-// FlushDelay expires, on an explicit Flush, or immediately if the
-// channel was idle. The retransmission deadline and the round-trip
-// clock start at Send time either way, so a delayed flush never weakens
-// the delivery guarantee (and FlushDelay counts into the measured RTT).
+// A small frame is staged rather than written while the peer's next
+// acknowledgement is certain to be on its way without waiting for the
+// peer's delayed-ack timer: when AckEvery transmitted frames are
+// unacknowledged (their arrival forces an immediate ack), or when frames
+// are already staged behind such a run. Staged frames leave as one batch
+// datagram, never larger than datagramBudget, when an acknowledgement
+// frees window space, when the budget is reached or the next frame would
+// overshoot it, before Send blocks on a full window, and when the receive
+// path owes the peer an ack they can carry; the retransmission timer
+// coming due is the backstop. No frame waits on a clock of its own, and a
+// frame sent into a quiet channel is written before Send returns. A
+// frame that goes alone is a classic pktData datagram, unless an ack is
+// owed to the peer and the frame fits the budget: then it is a batch of
+// one, carrying that ack.
 func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	p := r.peer(to)
 	p.mu.Lock()
 	for len(p.unacked) >= r.cfg.Window && !p.closed {
-		p.cond.Wait()
+		if len(p.stage) == 0 {
+			p.cond.Wait()
+			continue
+		}
+		// Staged frames hold window slots: only their acks can unblock
+		// this wait, so they leave before it.
+		dgram := r.buildBatchLocked(p, time.Now(), false)
+		r.stats.flushWindow.Add(1)
+		p.mu.Unlock()
+		_ = r.writeBatch(to, dgram) // the frames stay unacked: a failed write is a lost datagram
+		p.mu.Lock()
 	}
 	if p.closed {
 		p.mu.Unlock()
@@ -594,96 +612,47 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	p.nextSeq++
 	frame := encodeFrame(pktData, seq, payload)
 	now := time.Now()
-	pkt := &outPkt{seq: seq, frame: frame, sent: now, xmit: now, deadline: now.Add(r.rtoLocked(p))}
-	idle := len(p.unacked) == 0 && len(p.stage) == 0
+	due := now.Add(r.rtoLocked(p))
+	pkt := &outPkt{seq: seq, frame: frame, sent: now, xmit: now, deadline: due}
+	size := batchFrameLen(seq, payload)
+	var full, dgram *[]byte
+	if len(p.stage) > 0 && len(p.stage)+size > datagramBudget {
+		// The frame would take the batch past the budget: what is staged
+		// leaves first.
+		full = r.buildBatchLocked(p, now, false)
+		r.stats.flushSize.Add(1)
+	}
+	inFlight := len(p.unacked) - len(p.staged) // transmitted and unacknowledged
 	p.unacked[seq] = pkt
-	arm := p.armRetxLocked(pkt.deadline)
-	if !r.cfg.Coalesce || batchFrameLen(seq, payload) > maxBatchPayload {
-		// Coalescing off, or a frame too large to share a datagram:
-		// the classic one-datagram-per-frame path.
-		p.mu.Unlock()
-		r.stats.dataSent.Add(1)
-		if arm {
-			r.schedule(timerEvent{due: pkt.deadline, p: p, kind: evRetx})
-		}
-		return r.writeDatagram(to, frame)
-	}
-
-	// Coalescing: stage the frame, then decide what leaves now. An idle
-	// channel has no companions coming, so its frame transmits at once
-	// (the Nagle fast path keeps request/reply latency flat); a full
-	// stage flushes on the spot; otherwise a flush-deadline timer bounds
-	// the wait.
-	var overflow, dgram []byte
-	if len(p.stage) > 0 && len(p.stage)+batchFrameLen(seq, payload) > maxBatchPayload {
-		overflow = r.buildBatchLocked(p, false)
-		r.stats.flushSize.Add(1)
-	}
-	p.stage = appendBatchFrame(p.stage, seq, payload)
-	p.stageN++
-	armFlush := false
+	arm := p.armRetxLocked(due)
+	alone := false
 	switch {
-	case idle:
-		dgram = r.buildBatchLocked(p, false)
-		r.stats.flushIdle.Add(1)
-	case len(p.stage) >= r.cfg.FlushBytes:
-		dgram = r.buildBatchLocked(p, false)
-		r.stats.flushSize.Add(1)
-	case !p.flushArmed:
-		p.flushArmed = true
-		armFlush = true
+	case len(p.stage) > 0 || 2*size <= datagramBudget && inFlight >= r.cfg.AckEvery:
+		p.stageLocked(pkt)
+		if len(p.stage)+size > datagramBudget {
+			// No room for another frame like this one.
+			dgram = r.buildBatchLocked(p, now, false)
+			r.stats.flushSize.Add(1)
+		}
+	case p.ackPending > 0 && size <= datagramBudget:
+		// Alone, but the peer is owed an ack: a batch of one carries it.
+		p.stageLocked(pkt)
+		dgram = r.buildBatchLocked(p, now, false)
+	default:
+		alone = true
 	}
 	p.mu.Unlock()
 	r.stats.dataSent.Add(1)
 	if arm {
-		r.schedule(timerEvent{due: pkt.deadline, p: p, kind: evRetx})
+		r.schedule(timerEvent{due: due, p: p, kind: evRetx})
 	}
-	if armFlush {
-		r.schedule(timerEvent{due: time.Now().Add(r.cfg.FlushDelay), p: p, kind: evFlush})
+	if err := r.writeBatch(to, full); err != nil {
+		return err
 	}
-	if overflow != nil {
-		if err := r.writeBatch(to, overflow); err != nil {
-			return err
-		}
+	if alone {
+		return r.writeDatagram(to, frame)
 	}
-	if dgram != nil {
-		return r.writeBatch(to, dgram)
-	}
-	return nil
-}
-
-// Flush transmits any frames staged for the peer immediately rather
-// than waiting for the flush deadline. It is a no-op without
-// Config.Coalesce or when nothing is staged.
-func (r *Reliable) Flush(to netsim.Addr) error {
-	v, ok := r.peers.Load(to)
-	if !ok {
-		return nil
-	}
-	return r.flushPeer(v.(*peerState))
-}
-
-// FlushAll flushes every peer's staged frames; heartbeat fan-out loops
-// call it after a round so beacons never wait out the flush deadline.
-func (r *Reliable) FlushAll() {
-	r.peers.Range(func(_, v any) bool {
-		_ = r.flushPeer(v.(*peerState))
-		return true
-	})
-}
-
-func (r *Reliable) flushPeer(p *peerState) error {
-	var dgram []byte
-	p.mu.Lock()
-	if len(p.stage) > 0 && !p.closed {
-		dgram = r.buildBatchLocked(p, false)
-		r.stats.flushExplicit.Add(1)
-	}
-	p.mu.Unlock()
-	if dgram == nil {
-		return nil
-	}
-	return r.writeBatch(p.addr, dgram)
+	return r.writeBatch(to, dgram)
 }
 
 // Recv blocks until the next in-order message from any peer arrives.
@@ -767,9 +736,9 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 	}
 	switch typ {
 	case pktAck:
-		r.handleAck(from, seq, payload)
+		r.handleAck(r.peer(from), seq, payload)
 	case pktData:
-		r.handleData(from, seq, payload)
+		r.handleData(r.peer(from), seq, payload)
 	}
 }
 
@@ -782,9 +751,10 @@ func (r *Reliable) handleBatch(from netsim.Addr, body []byte) {
 	if !ok {
 		return
 	}
+	p := r.peer(from) // one lookup for the ack and every frame
 	if hasCum {
 		r.stats.acksRecv.Add(1)
-		r.applyAck(from, cum, sel, hasSel)
+		r.applyAck(p, cum, sel, hasSel)
 	}
 	for {
 		seq, payload, next, ok := nextBatchFrame(body, off)
@@ -792,20 +762,20 @@ func (r *Reliable) handleBatch(from netsim.Addr, body []byte) {
 			return
 		}
 		off = next
-		r.handleData(from, seq, payload)
+		r.handleData(p, seq, payload)
 	}
 }
 
 // handleAck processes a standalone cumulative acknowledgement packet
 // (plus the selective bitmap in the payload, when a gap was open).
-func (r *Reliable) handleAck(from netsim.Addr, cum uint64, payload []byte) {
+func (r *Reliable) handleAck(p *peerState, cum uint64, payload []byte) {
 	r.stats.acksRecv.Add(1)
 	var sel uint64
 	hasSel := len(payload) == ackSelLen
 	if hasSel {
 		sel = binary.BigEndian.Uint64(payload)
 	}
-	r.applyAck(from, cum, sel, hasSel)
+	r.applyAck(p, cum, sel, hasSel)
 }
 
 // rtoLocked is the retransmission timeout now in force for p: Config.RTO
@@ -867,10 +837,10 @@ func (p *peerState) releaseLocked(seq uint64, newest *outPkt) *outPkt {
 }
 
 // applyAck releases window space for an acknowledgement, however it
-// arrived, feeds the round-trip estimator, and resends at once what the
-// acknowledgement shows to be lost.
-func (r *Reliable) applyAck(from netsim.Addr, cum uint64, sel uint64, hasSel bool) {
-	p := r.peer(from)
+// arrived, feeds the round-trip estimator, resends at once what the
+// acknowledgement shows to be lost, and — the ack clock — sends what was
+// staged waiting for it.
+func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 	now := time.Now()
 	p.mu.Lock()
 	if cum >= p.nextSeq {
@@ -918,8 +888,14 @@ func (r *Reliable) applyAck(from netsim.Addr, cum uint64, sel uint64, hasSel boo
 		// frame, can put an unacked frame before something that arrived.
 		lost = r.detectLossLocked(p, cum, sel, hasSel, now)
 	}
+	var dgram *[]byte
+	if newest != nil && len(p.stage) > 0 {
+		dgram = r.buildBatchLocked(p, now, false)
+		r.stats.flushAck.Add(1)
+	}
 	p.mu.Unlock()
 	r.retransmit(p.addr, lost, true)
+	_ = r.writeBatch(p.addr, dgram)
 }
 
 // detectLossLocked decides which unacked frames an acknowledgement shows
@@ -933,7 +909,7 @@ func (r *Reliable) detectLossLocked(p *peerState, cum, sel uint64, hasSel bool, 
 	// staged, which have yet to leave, nor, when it carries a bitmap, for
 	// seqs past the bitmap's reach (without one the peer holds nothing
 	// above cum).
-	known := p.nextSeq - uint64(p.stageN)
+	known := p.nextSeq - uint64(len(p.staged))
 	if hasSel {
 		known = min(known, cum+selBase+64)
 	}
@@ -977,6 +953,9 @@ func (r *Reliable) retransmit(to netsim.Addr, pkts []*outPkt, fast bool) {
 // cumulative point and, while the reorder buffer holds anything, its
 // bitmap (a seq more than 64 past the hole goes unreported).
 func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
+	if len(p.ooo) == 0 {
+		return p.expected - 1, 0, false
+	}
 	for seq := range p.ooo {
 		if i := seq - p.expected - 1; i < 64 {
 			sel |= 1 << i
@@ -1006,8 +985,8 @@ func (r *Reliable) sendAck(to netsim.Addr, cum uint64, sel uint64, hasSel bool) 
 // it can tell at once what is lost. The payload slice is owned by this
 // layer (see PacketConn.ReadFrom) and is handed to the application
 // without copying.
-func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
-	p := r.peer(from)
+func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
+	from := p.addr
 	var (
 		buf      [4]inMsg // keeps the usual short run off the heap
 		ready    = buf[:0]
@@ -1056,14 +1035,14 @@ func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
 		// the hole.
 		ackNow = true
 	}
-	var dgram []byte
+	var dgram *[]byte
 	if ackNow {
 		p.ackPending = 0
-		if r.cfg.Coalesce && len(p.stage) > 0 {
+		if len(p.stage) > 0 {
 			// Staged data is headed back to this peer anyway: fold the ack
 			// into its batch header and flush now instead of sending a
 			// standalone ack packet.
-			dgram = r.buildBatchLocked(p, true)
+			dgram = r.buildBatchLocked(p, time.Now(), true)
 			r.stats.flushAck.Add(1)
 			ackNow = false
 		} else {
@@ -1075,9 +1054,7 @@ func (r *Reliable) handleData(from netsim.Addr, seq uint64, payload []byte) {
 	if armTimer {
 		r.schedule(timerEvent{due: time.Now().Add(r.cfg.AckDelay), p: p, kind: evAck})
 	}
-	if dgram != nil {
-		_ = r.writeBatch(from, dgram)
-	}
+	_ = r.writeBatch(from, dgram)
 	if ackNow {
 		r.sendAck(from, ackCum, ackSel, hasSel)
 	}
@@ -1145,29 +1122,30 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 			r.sendAck(p.addr, cum, sel, hasSel)
 		}
 
-	case evFlush:
-		var dgram []byte
-		p.mu.Lock()
-		p.flushArmed = false
-		if len(p.stage) > 0 && !p.closed {
-			dgram = r.buildBatchLocked(p, false)
-			r.stats.flushDeadline.Add(1)
-		}
-		p.mu.Unlock()
-		if dgram != nil {
-			_ = r.writeBatch(p.addr, dgram)
-		}
-
 	case evRetx:
 		var (
 			expired []*outPkt
 			failed  []SendFailure
 			next    time.Time // earliest deadline still ahead
+			dgram   *[]byte
 		)
 		p.mu.Lock()
 		if !ev.due.Equal(p.retxDue) {
 			p.mu.Unlock()
 			return // superseded by an event armed earlier
+		}
+		if len(p.stage) > 0 && !p.closed {
+			for _, pkt := range p.unacked {
+				if !pkt.deadline.After(now) {
+					// The backstop: an ack the staged frames were waiting
+					// for is overdue. They leave now, in their batch, with
+					// a fresh deadline — none has been on the wire, so none
+					// is resent below.
+					dgram = r.buildBatchLocked(p, now, false)
+					r.stats.flushBackstop.Add(1)
+					break
+				}
+			}
 		}
 		for seq, pkt := range p.unacked {
 			switch {
@@ -1207,6 +1185,7 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 		}
 		p.mu.Unlock()
 		r.retransmit(p.addr, expired, false)
+		_ = r.writeBatch(p.addr, dgram)
 		if len(failed) > 0 {
 			r.stats.failures.Add(uint64(len(failed)))
 			for _, f := range failed {
