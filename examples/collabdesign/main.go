@@ -16,7 +16,8 @@ import (
 )
 
 func main() {
-	w, err := scenario.BuildDesign(context.Background(), scenario.DesignOptions{
+	ctx := context.Background()
+	w, err := scenario.BuildDesign(ctx, scenario.DesignOptions{
 		Designers: 4,
 		Parts:     []string{"frame", "engine", "ui"},
 		UseTokens: true,
@@ -40,7 +41,7 @@ func main() {
 		go func(i int, ds *designdoc.Designer) {
 			defer wg.Done()
 			for k := 0; k < editsEach; k++ {
-				p, err := ds.Edit("engine", fmt.Sprintf("designer-%d revision %d", i, k))
+				p, err := ds.Edit(ctx, "engine", fmt.Sprintf("designer-%d revision %d", i, k))
 				if err != nil {
 					log.Printf("edit failed: %v", err)
 					return

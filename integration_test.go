@@ -160,7 +160,8 @@ func TestSnapshotOfCalendarSession(t *testing.T) {
 // member's busy-calendar variable is guarded by a token; two directors
 // contend for it.
 func TestTokensGuardSharedCalendarVariable(t *testing.T) {
-	w, err := scenario.BuildCalendar(context.Background(), scenario.CalendarOptions{
+	ctx := context.Background()
+	w, err := scenario.BuildCalendar(ctx, scenario.CalendarOptions{
 		Sites: 1, MembersPerSite: 2, Hierarchical: false,
 		Slots: 16, BusyProb: 0, CommonSlot: -1, Seed: 3,
 	})
@@ -175,11 +176,11 @@ func TestTokensGuardSharedCalendarVariable(t *testing.T) {
 	t1 := tokens.NewManager(m1, alloc.Ref())
 	t2 := tokens.NewManager(m2, alloc.Ref())
 
-	if err := t1.Request(tokens.Bag{"calendar-write": 1}); err != nil {
+	if err := t1.Request(ctx, tokens.Bag{"calendar-write": 1}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- t2.Request(tokens.Bag{"calendar-write": 1}) }()
+	go func() { got <- t2.Request(ctx, tokens.Bag{"calendar-write": 1}) }()
 	select {
 	case <-got:
 		t.Fatal("second writer acquired held token")

@@ -14,6 +14,7 @@
 package designdoc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -156,14 +157,15 @@ func (ds *Designer) persist() error {
 // manager is wired), assigns the next version, persists, and notifies the
 // team. With tokens, the version is the grant serial — the allocator's
 // total order over acquisitions — so concurrent editors can never mint
-// the same version even while their replicas lag.
-func (ds *Designer) Edit(part, text string) (Part, error) {
+// the same version even while their replicas lag. ctx bounds the wait for
+// the token.
+func (ds *Designer) Edit(ctx context.Context, part, text string) (Part, error) {
 	if !ds.interests[part] {
 		return Part{}, fmt.Errorf("%w: %q", ErrNotInterested, part)
 	}
 	var version int
 	if ds.tok != nil {
-		g, err := ds.tok.RequestGrant(tokens.Bag{TokenColor(part): 1})
+		g, err := ds.tok.RequestGrant(ctx, tokens.Bag{TokenColor(part): 1})
 		if err != nil {
 			return Part{}, err
 		}

@@ -12,9 +12,12 @@ import (
 	"repro/internal/scenario"
 )
 
+// ctx bounds nothing: these tests wait on their own timers.
+var ctx = context.Background()
+
 func build(t *testing.T, opts scenario.DesignOptions) *scenario.DesignWorld {
 	t.Helper()
-	w, err := scenario.BuildDesign(context.Background(), opts)
+	w, err := scenario.BuildDesign(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +27,7 @@ func build(t *testing.T, opts scenario.DesignOptions) *scenario.DesignWorld {
 
 func TestEditPropagatesToTeam(t *testing.T) {
 	w := build(t, scenario.DesignOptions{Designers: 4, Parts: []string{"frame", "engine"}, Seed: 1})
-	p, err := w.Designers[0].Edit("frame", "v1 of the frame")
+	p, err := w.Designers[0].Edit(ctx, "frame", "v1 of the frame")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestInterestFiltering(t *testing.T) {
 		Interests: [][]string{{"frame", "engine"}, {"frame", "engine"}, {"frame"}},
 		Seed:      2,
 	})
-	if _, err := w.Designers[0].Edit("engine", "secret engine"); err != nil {
+	if _, err := w.Designers[0].Edit(ctx, "engine", "secret engine"); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Designers[1].WaitVersion("engine", 1, 5*time.Second) {
@@ -62,7 +65,7 @@ func TestInterestFiltering(t *testing.T) {
 		t.Fatal("uninterested designer received the part")
 	}
 	// And editing outside one's interests fails.
-	if _, err := w.Designers[2].Edit("engine", "x"); !errors.Is(err, designdoc.ErrNotInterested) {
+	if _, err := w.Designers[2].Edit(ctx, "engine", "x"); !errors.Is(err, designdoc.ErrNotInterested) {
 		t.Fatalf("err = %v, want ErrNotInterested", err)
 	}
 }
@@ -76,7 +79,7 @@ func TestSequentialEditsConverge(t *testing.T) {
 		if v > 1 && !editor.WaitVersion("ui", v-1, 5*time.Second) {
 			t.Fatalf("editor missed version %d", v-1)
 		}
-		if _, err := editor.Edit("ui", fmt.Sprintf("rev %d", v)); err != nil {
+		if _, err := editor.Edit(ctx, "ui", fmt.Sprintf("rev %d", v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +105,7 @@ func TestConcurrentEditsWithTokensSerialize(t *testing.T) {
 		go func(ds *designdoc.Designer) {
 			defer wg.Done()
 			for k := 0; k < perDesigner; k++ {
-				if _, err := ds.Edit("spec", "concurrent edit"); err != nil {
+				if _, err := ds.Edit(ctx, "spec", "concurrent edit"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -126,13 +129,13 @@ func TestConcurrentEditsWithTokensSerialize(t *testing.T) {
 
 func TestStalenessIgnored(t *testing.T) {
 	w := build(t, scenario.DesignOptions{Designers: 2, Parts: []string{"p"}, Seed: 5})
-	if _, err := w.Designers[0].Edit("p", "first"); err != nil {
+	if _, err := w.Designers[0].Edit(ctx, "p", "first"); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Designers[1].WaitVersion("p", 1, 5*time.Second) {
 		t.Fatal("propagation failed")
 	}
-	if _, err := w.Designers[1].Edit("p", "second"); err != nil {
+	if _, err := w.Designers[1].Edit(ctx, "p", "second"); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Designers[0].WaitVersion("p", 2, 5*time.Second) {

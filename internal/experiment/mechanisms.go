@@ -91,7 +91,7 @@ func e2Cells(p Params) []Cell {
 				if err := fanOutErr(clients, func(c int) error {
 					mgr := tokens.NewManager(ds[c], alloc.Ref())
 					for i := c; i < ops; i += clients {
-						if err := mgr.Request(tokens.Bag{"r": 1}); err != nil {
+						if err := mgr.Request(ctx, tokens.Bag{"r": 1}); err != nil {
 							return err
 						}
 						if err := mgr.Release(tokens.Bag{"r": 1}); err != nil {
@@ -125,7 +125,7 @@ func e2Cells(p Params) []Cell {
 				t.StopTimer()
 				for op := 0; op < ops; op++ {
 					for i, mgr := range mgrs {
-						if err := mgr.Request(fork(i)); err != nil {
+						if err := mgr.Request(ctx, fork(i)); err != nil {
 							return nil, err
 						}
 					}
@@ -133,7 +133,7 @@ func e2Cells(p Params) []Cell {
 					// Close the cycle: everyone requests its neighbour's fork,
 					// and the allocator must refuse the whole cycle.
 					if err := fanOutErr(n, func(i int) error {
-						if err := mgrs[i].Request(fork(i + 1)); !errors.Is(err, tokens.ErrDeadlock) {
+						if err := mgrs[i].Request(ctx, fork(i+1)); !errors.Is(err, tokens.ErrDeadlock) {
 							return fmt.Errorf("manager %d in a closed wait cycle: got %v, want a deadlock exception", i, err)
 						}
 						return nil
@@ -330,7 +330,7 @@ func e6Cells(p Params) []Cell {
 	var cells []Cell
 	for _, parties := range []int{2, 8, 32} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("dist-barrier/parties=%d", parties), Ops: 200,
-			Run: inWorld(p, 9, func(_ context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+			Run: inWorld(p, 9, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
 				svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
 				ds := w.dappletsN("p", parties)
 				clients := make([]*syncprim.Client, parties)
@@ -340,7 +340,7 @@ func e6Cells(p Params) []Cell {
 				t.ResetTimer()
 				for i := 0; i < ops; i++ {
 					if err := fanOutErr(parties, func(c int) error {
-						_, err := clients[c].BarrierAwait(svc.Ref(), "b", parties)
+						_, err := clients[c].BarrierAwait(ctx, svc.Ref(), "b", parties)
 						return err
 					}); err != nil {
 						return nil, err

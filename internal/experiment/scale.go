@@ -20,13 +20,13 @@ func latencyMetrics(name string, l swarm.LatencyStats) []Metric {
 
 // swarmCell runs one swarm per op (seed+i) and reads the last report.
 func swarmCell(name string, cfg swarm.Config, read func(*swarm.Report) []Metric) Cell {
-	return Cell{Name: name, Ops: 1, Run: func(_ context.Context, _ Timer, ops int) ([]Metric, error) {
+	return Cell{Name: name, Ops: 1, Run: func(ctx context.Context, _ Timer, ops int) ([]Metric, error) {
 		var rep *swarm.Report
 		for i := 0; i < ops; i++ {
 			c := cfg
 			c.Seed += int64(i)
 			var err error
-			if rep, err = swarm.Run(c); err != nil {
+			if rep, err = swarm.Run(ctx, c); err != nil {
 				return nil, err
 			}
 		}
@@ -93,7 +93,7 @@ func e13Cells(p Params) []Cell {
 		Duration: byScale(p.Scale, 2*time.Second, 4*time.Second, 4*time.Second),
 	}
 	gossip := base
-	gossip.Quorum, gossip.GossipInterval = 2, 100*time.Millisecond
+	gossip.GossipInterval = 100 * time.Millisecond
 	read := func(rep *swarm.Report) []Metric {
 		churn := rep.Phase("churn")
 		// conv-rounds is -1 when the replicas never converged within the

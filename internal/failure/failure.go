@@ -85,15 +85,11 @@ type Config struct {
 	// Quorum is the number of distinct confirmers — this watcher, relays
 	// whose indirect probes failed, gossip origins suspecting the same
 	// incarnation — required before a Suspect verdict escalates to Down
-	// (default 1: this watcher's clock alone, the pre-quorum behavior).
-	// With a quorum above one, a watcher partitioned away from a live
-	// peer stays at Suspect forever instead of committing a false Down
-	// (see quorum.go).
+	// (default 2 with Gossip set, else 1: this watcher's clock alone, the
+	// pre-quorum behavior). With a quorum above one, a watcher
+	// partitioned away from a live peer stays at Suspect forever instead
+	// of committing a false Down (see quorum.go).
 	Quorum int
-	// IndirectProbes is how many live peers are asked to probe a freshly
-	// suspected peer on this watcher's behalf (default 2; only used when
-	// Quorum > 1).
-	IndirectProbes int
 	// Gossip, when set, spreads suspicions, Down verdicts and alive
 	// refutations as rumors on the engine's "fail" topic, and counts
 	// other origins' suspicions toward this watcher's quorum.
@@ -109,9 +105,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Quorum <= 0 {
 		c.Quorum = 1
-	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 2
+		if c.Gossip != nil {
+			c.Quorum = 2
+		}
 	}
 	return c
 }

@@ -12,7 +12,7 @@ import (
 
 // Verdict quorums: with Config.Quorum above one, a watcher's Suspect no
 // longer escalates to Down on its own clock alone. Raising the suspicion
-// asks IndirectProbes live peers to probe the target on the watcher's
+// asks indirectProbes live peers to probe the target on the watcher's
 // behalf (SWIM's indirect probe — a relay on a different network path can
 // often reach a peer the watcher cannot), and spreads the suspicion as a
 // gossip rumor when an engine is attached. Down requires the detection
@@ -27,6 +27,10 @@ import (
 
 // GossipTopic is the rumor topic failure verdicts spread on.
 const GossipTopic = "fail"
+
+// indirectProbes is how many live peers are asked to probe a freshly
+// suspected peer on a watcher's behalf when its quorum is above one.
+const indirectProbes = 2
 
 // Verdict rumor kinds (verdictRumor.Verdict).
 const (
@@ -164,18 +168,17 @@ func (det *Detector) GossipPeers() []wire.InboxRef {
 	return out
 }
 
-// launchIndirect asks up to IndirectProbes live peers to probe the
+// launchIndirect asks up to indirectProbes live peers to probe the
 // suspected target on this watcher's behalf. Caller must not hold det.mu.
 func (det *Detector) launchIndirect(target string, addr netsim.Addr, inc uint64) {
 	det.mu.Lock()
-	k := det.cfg.IndirectProbes
-	relays := make([]netsim.Addr, 0, k)
+	relays := make([]netsim.Addr, 0, indirectProbes)
 	for _, q := range det.peers {
 		if q.name == target || q.state != Up {
 			continue
 		}
 		relays = append(relays, q.addr)
-		if len(relays) == k {
+		if len(relays) == indirectProbes {
 			break
 		}
 	}

@@ -92,7 +92,7 @@ func TestPartitionedWatcherHoldsSuspect(t *testing.T) {
 			// probe RTT -> iprobe-rep) a 100ms window, so scheduling
 			// stalls on a loaded single-core runner don't let a relay's
 			// own transient suspicion rumor fill the quorum first.
-			cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2, Quorum: 2, IndirectProbes: 2}
+			cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2, Quorum: 2}
 			dets := quorumMesh(t, daps, cfg, withGossip)
 			dw := dets[0]
 
@@ -149,7 +149,7 @@ func TestQuorumConfirmsRealCrash(t *testing.T) {
 	r1 := newDapplet(t, net, "h1", "r1")
 	r2 := newDapplet(t, net, "h2", "r2")
 	daps := []*core.Dapplet{w, tgt, r1, r2}
-	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2, IndirectProbes: 2}
+	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2}
 	dets := quorumMesh(t, daps, cfg, false)
 
 	events := make(chan failure.Event, 64)
@@ -182,7 +182,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 	// 50ms as in TestPartitionedWatcherHoldsSuspect: the no-spurious-
 	// expiry guarantee needs the relays' refutations to land inside the
 	// replica's detection window even when the runner stalls.
-	cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2, Quorum: 2, IndirectProbes: 2}
+	cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2, Quorum: 2}
 	det := failure.Attach(dr, cfg)
 	dir := directory.Serve(dr)
 	failure.BindDirectory(det, dir)
@@ -255,7 +255,7 @@ func TestQuorumCrashExpiresEntry(t *testing.T) {
 	net := netsim.New(netsim.WithSeed(24))
 	defer net.Close()
 	dr := newDapplet(t, net, "hd", "dir-0-0")
-	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2, IndirectProbes: 2}
+	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2}
 	det := failure.Attach(dr, cfg)
 	dir := directory.Serve(dr)
 	failure.BindDirectory(det, dir)

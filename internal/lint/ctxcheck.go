@@ -27,6 +27,7 @@ var ctxExemptMethods = map[string]bool{
 
 func runCtxcheck(p *Pass) error {
 	isMain := p.Pkg.Name() == "main"
+	bs := newBlockScan(p)
 	for _, f := range p.Files {
 		inTest := p.InTestFile(f.Pos())
 		for _, decl := range f.Decls {
@@ -35,7 +36,7 @@ func runCtxcheck(p *Pass) error {
 				continue
 			}
 			if !inTest && !isMain {
-				p.checkCtxSignature(fd)
+				p.checkCtxSignature(fd, bs)
 			}
 			if fd.Body == nil {
 				continue
@@ -61,32 +62,34 @@ func runCtxcheck(p *Pass) error {
 // checkCtxSignature flags an exported function whose context parameter
 // is not first, and an exported blocking function with no context at
 // all.
-func (p *Pass) checkCtxSignature(fd *ast.FuncDecl) {
+func (p *Pass) checkCtxSignature(fd *ast.FuncDecl, bs *blockScan) {
 	if !fd.Name.IsExported() || fd.Type.Params == nil {
 		return
 	}
 	if fd.Recv != nil && !exportedRecv(fd.Recv) {
 		return
 	}
-	ctxAt := -1
-	idx := 0
-	for _, fld := range fd.Type.Params.List {
-		n := len(fld.Names)
-		if n == 0 {
-			n = 1
-		}
-		if isCtxType(p.Info.Types[fld.Type].Type) && ctxAt < 0 {
-			ctxAt = idx
-		}
-		idx += n
-	}
+	ctxAt := p.ctxParam(fd)
 	if ctxAt > 0 {
 		p.Reportf(fd.Pos(), "%s takes context.Context at position %d; the context parameter comes first", fd.Name.Name, ctxAt)
 		return
 	}
-	if ctxAt < 0 && !ctxExemptMethods[fd.Name.Name] && fd.Body != nil && blocksDirectly(fd.Body) {
+	if ctxAt < 0 && !ctxExemptMethods[fd.Name.Name] && fd.Body != nil && bs.blocks(fd) {
 		p.Reportf(fd.Pos(), "exported %s blocks on a channel but takes no context.Context; blocking public APIs are context-first (see DESIGN.md \"Service framework\")", fd.Name.Name)
 	}
+}
+
+// ctxParam returns the index of fd's first context.Context parameter, or
+// -1 when it takes none.
+func (p *Pass) ctxParam(fd *ast.FuncDecl) int {
+	idx := 0
+	for _, fld := range fd.Type.Params.List {
+		if isCtxType(p.Info.Types[fld.Type].Type) {
+			return idx
+		}
+		idx += max(len(fld.Names), 1)
+	}
+	return -1
 }
 
 // isCtxType reports the context.Context interface type.
@@ -120,12 +123,72 @@ func exportedRecv(recv *ast.FieldList) bool {
 	}
 }
 
-// blocksDirectly reports whether a function body performs an unbounded
-// blocking channel operation on the caller's goroutine: a receive or
-// send outside any select with a default, or a select without default.
-// Work inside nested function literals and go statements belongs to
-// other goroutines and does not count.
-func blocksDirectly(body *ast.BlockStmt) bool {
+// blockScan decides which functions of one package block the caller's
+// goroutine: on a channel operation in their own body, or through a call
+// to a context-free function of the same package that does (an exported
+// Request over an unexported call loop).
+type blockScan struct {
+	p     *Pass
+	decls map[*types.Func]*ast.FuncDecl
+	memo  map[*ast.FuncDecl]bool
+}
+
+func newBlockScan(p *Pass) *blockScan {
+	bs := &blockScan{p: p, decls: make(map[*types.Func]*ast.FuncDecl), memo: make(map[*ast.FuncDecl]bool)}
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+					bs.decls[fn] = fd
+				}
+			}
+		}
+	}
+	return bs
+}
+
+// blocks reports whether fd blocks. A function on a call cycle counts
+// as non-blocking until its own body says otherwise.
+func (bs *blockScan) blocks(fd *ast.FuncDecl) bool {
+	if b, seen := bs.memo[fd]; seen {
+		return b
+	}
+	bs.memo[fd] = false
+	b := bs.blocksIn(fd.Body)
+	bs.memo[fd] = b
+	return b
+}
+
+// callee returns the same-package, context-free function a call invokes
+// statically, or nil.
+func (bs *blockScan) callee(call *ast.CallExpr) *ast.FuncDecl {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, ok := bs.p.Info.Uses[id].(*types.Func)
+	if !ok {
+		return nil
+	}
+	fd := bs.decls[fn.Origin()]
+	if fd == nil || bs.p.ctxParam(fd) >= 0 {
+		return nil
+	}
+	return fd
+}
+
+// blocksIn reports whether a function body performs an unbounded
+// blocking channel operation on the caller's goroutine — a receive or
+// send outside any select with a default, or a select without default —
+// or calls a same-package context-free function that does. Work inside
+// nested function literals and go statements belongs to other goroutines
+// and does not count.
+func (bs *blockScan) blocksIn(body *ast.BlockStmt) bool {
 	blocking := false
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -164,6 +227,11 @@ func blocksDirectly(body *ast.BlockStmt) bool {
 		case *ast.SendStmt:
 			blocking = true
 			return false
+		case *ast.CallExpr:
+			if fd := bs.callee(n); fd != nil && bs.blocks(fd) {
+				blocking = true
+				return false
+			}
 		}
 		return true
 	}

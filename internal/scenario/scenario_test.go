@@ -58,7 +58,8 @@ func TestBuildCalendarDeterministicPerSeed(t *testing.T) {
 }
 
 func TestBuildDesignWorld(t *testing.T) {
-	w, err := scenario.BuildDesign(context.Background(), scenario.DesignOptions{Designers: 2, Seed: 1})
+	ctx := context.Background()
+	w, err := scenario.BuildDesign(ctx, scenario.DesignOptions{Designers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestBuildDesignWorld(t *testing.T) {
 	if len(w.Designers) != 2 || w.Handle == nil {
 		t.Fatal("design world incomplete")
 	}
-	if _, err := w.Designers[0].Edit("frame", "x"); err != nil {
+	if _, err := w.Designers[0].Edit(ctx, "frame", "x"); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Designers[1].WaitVersion("frame", 1, 5*time.Second) {

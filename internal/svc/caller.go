@@ -21,7 +21,7 @@ type Caller struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	waiting map[uint64]chan *repMsg
+	waiting map[uint64]*Pending
 	notify  func(*wire.Envelope)
 }
 
@@ -29,7 +29,7 @@ type Caller struct {
 // dapplet-managed thread demultiplexing its replies. The thread stops
 // with the dapplet.
 func NewCaller(d *core.Dapplet) *Caller {
-	c := &Caller{d: d, in: d.NewInbox(), waiting: make(map[uint64]chan *repMsg)}
+	c := &Caller{d: d, in: d.NewInbox(), waiting: make(map[uint64]*Pending)}
 	d.Spawn(func() {
 		for {
 			env, err := c.in.ReceiveEnvelope()
@@ -69,11 +69,15 @@ func (c *Caller) onEnvelope(env *wire.Envelope) {
 		return
 	}
 	c.mu.Lock()
-	ch := c.waiting[rep.Seq]
+	p := c.waiting[rep.Seq]
 	delete(c.waiting, rep.Seq)
+	abandoned := p != nil && p.abandoned
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- rep
+	switch {
+	case abandoned:
+		p.late(decodeMsg(rep))
+	case p != nil:
+		p.ch <- rep
 	}
 }
 
@@ -85,10 +89,22 @@ func (c *Caller) forget(seq uint64) {
 
 // Pending is one in-flight request: transmitted, not yet awaited.
 type Pending struct {
-	c   *Caller
-	seq uint64
-	ch  chan *repMsg
+	c    *Caller
+	seq  uint64
+	ch   chan *repMsg
+	late func(wire.Msg, error)
+	// abandoned marks a call whose Await gave up while late is set: the
+	// reply, when it comes, goes to late. Guarded by c.mu.
+	abandoned bool
 }
+
+// OnLate routes a reply that arrives after Await gave up on its context
+// to f, decoded as AwaitMsg would have returned it, instead of dropping
+// it. A request whose effect the caller must undo — a token grant booked
+// to it at the allocator — uses it to hand that effect back. f runs once,
+// on the caller's demultiplex thread or Await's, and must not block; a
+// reply awaited normally never reaches it. Call OnLate before Await.
+func (p *Pending) OnLate(f func(wire.Msg, error)) { p.late = f }
 
 // Send transmits one correlated request to a served inbox under the given
 // session tag and returns the pending call. Splitting transmit from await
@@ -100,20 +116,20 @@ func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending,
 	if err != nil {
 		return nil, err
 	}
+	p := &Pending{c: c, ch: make(chan *repMsg, 1)}
 	c.mu.Lock()
 	c.seq++
-	seq := c.seq
-	ch := make(chan *repMsg, 1)
-	c.waiting[seq] = ch
+	p.seq = c.seq
+	c.waiting[p.seq] = p
 	c.mu.Unlock()
-	rm := &reqMsg{Seq: seq, ReplyTo: c.in.Ref(), BodyID: body.ID(), Body: body.Bytes()}
+	rm := &reqMsg{Seq: p.seq, ReplyTo: c.in.Ref(), BodyID: body.ID(), Body: body.Bytes()}
 	err = c.d.SendDirect(to, session, rm)
 	body.Release()
 	if err != nil {
-		c.forget(seq)
+		c.forget(p.seq)
 		return nil, err
 	}
-	return &Pending{c: c, seq: seq, ch: ch}, nil
+	return p, nil
 }
 
 // Await blocks until the reply arrives, decoding its body into resp
@@ -137,6 +153,10 @@ func (p *Pending) AwaitMsg(ctx context.Context) (wire.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeMsg(rep)
+}
+
+func decodeMsg(rep *repMsg) (wire.Msg, error) {
 	if rep.Code != 0 {
 		return nil, &Error{Code: Code(rep.Code), Msg: rep.Err}
 	}
@@ -146,15 +166,30 @@ func (p *Pending) AwaitMsg(ctx context.Context) (wire.Msg, error) {
 	return wire.DecodeBody(rep.BodyID, rep.Body)
 }
 
-// Cancel abandons the pending call: a late reply is dropped.
-func (p *Pending) Cancel() { p.c.forget(p.seq) }
+// abandon stops waiting for the reply: it is dropped, or routed to the
+// OnLate callback when one is set — including a reply the demultiplexer
+// claimed just before the context ended.
+func (p *Pending) abandon() {
+	c := p.c
+	c.mu.Lock()
+	_, inFlight := c.waiting[p.seq]
+	if inFlight && p.late != nil {
+		p.abandoned = true
+	} else {
+		delete(c.waiting, p.seq)
+	}
+	c.mu.Unlock()
+	if !inFlight && p.late != nil {
+		p.late(decodeMsg(<-p.ch))
+	}
+}
 
 func (p *Pending) wait(ctx context.Context) (*repMsg, error) {
 	select {
 	case rep := <-p.ch:
 		return rep, nil
 	case <-ctx.Done():
-		p.c.forget(p.seq)
+		p.abandon()
 		return nil, ctx.Err()
 	case <-p.c.d.Stopped():
 		p.c.forget(p.seq)

@@ -2,20 +2,25 @@
 // control planes are built on. The paper's model gives dapplets only
 // asynchronous channels ("Synchronous RPCs are implemented as pairwise
 // asynchronous RPCs", §3.2); every service that grew on top of it — rpc,
-// the session service, the "@dir" directory, the "@fail" detector — used
-// to hand-roll the same pairing loop with its own sequence numbers, reply
-// inboxes and deadline convention. svc factors that loop out once:
+// the session service, the "@dir" directory, the "@fail" detector, the
+// token allocator, the barrier and register services — used to hand-roll
+// the same pairing loop with its own sequence numbers, reply inboxes and
+// deadline convention. svc factors that loop out once:
 //
 //   - Serve(d, inbox, handlers) consumes a service inbox and dispatches
 //     each request to the handler registered for its message kind. A
 //     correlated request arrives wrapped in an svc frame carrying the
 //     caller's sequence number and reply inbox; a bare registered message
-//     on the same inbox is dispatched one-way (heartbeats, aborts).
+//     on the same inbox is dispatched one-way (heartbeats, aborts). A
+//     handler whose answer waits on a later request (a queued token
+//     request, a barrier's early arrivals) takes its Reply with Ctx.Defer
+//     and sends it from that later request's handler.
 //   - Caller owns a private reply inbox and matches responses to calls by
 //     correlation id. Call blocks under a context.Context — cancellation
 //     and deadlines work uniformly, returning context.Canceled or
 //     context.DeadlineExceeded rather than per-service timeout errors.
-//     Send/Await split one call into transmit-now/await-later, and
+//     Send/Await split one call into transmit-now/await-later, with
+//     Pending.OnLate catching a reply that lands after Await gave up, and
 //     CallFirst fans a request to replicas and returns on the first
 //     success (the replicated-directory write pattern).
 //   - Handler errors travel as typed values: an *Error's code survives

@@ -17,10 +17,48 @@ var NoReply = errors.New("svc: no reply")
 
 // Ctx carries the delivery context of one request into its handler: the
 // full envelope (sender address, session tag, logical timestamp) and, for
-// correlated requests, the caller's reply inbox.
+// correlated requests, the reply owed to the caller.
 type Ctx struct {
-	env     *wire.Envelope
-	replyTo wire.InboxRef
+	env      *wire.Envelope
+	rep      Reply
+	deferred bool
+}
+
+// Reply is the answer owed to one correlated request. A handler that
+// cannot answer yet takes it with Ctx.Defer and sends it later, typically
+// from the handler of a later request: a barrier answers its early
+// arrivals when the last one comes in.
+type Reply struct {
+	d       *core.Dapplet
+	to      wire.InboxRef
+	session string
+	seq     uint64
+}
+
+// Send answers the request with resp (nil for an empty acknowledgement)
+// or, when err is non-nil, with err as a typed *Error. It is safe from
+// any thread. Send on the Reply of a one-way request does nothing.
+func (r Reply) Send(resp wire.Msg, err error) {
+	if r.to.IsZero() {
+		return
+	}
+	rep := &repMsg{Seq: r.seq}
+	if err == nil && resp != nil {
+		body, eerr := wire.EncodeBody(resp)
+		if eerr == nil {
+			// SendDirect copies the reply (body bytes included) into its
+			// own transmit frame before returning, so the encode buffer
+			// can be released right after.
+			defer body.Release()
+			rep.BodyID, rep.Body = body.ID(), body.Bytes()
+		}
+		err = eerr
+	}
+	if err != nil {
+		se := asError(err)
+		rep.Code, rep.Err = uint16(se.Code), se.Msg
+	}
+	_ = r.d.SendDirect(r.to, r.session, rep)
 }
 
 // Envelope returns the request's delivery envelope.
@@ -35,17 +73,27 @@ func (c *Ctx) Session() string { return c.env.Session }
 // ReplyTo returns the caller's reply inbox — the address replies and any
 // later pushes (e.g. directory watch events) reach the caller at. It is
 // zero for one-way requests.
-func (c *Ctx) ReplyTo() wire.InboxRef { return c.replyTo }
+func (c *Ctx) ReplyTo() wire.InboxRef { return c.rep.to }
 
 // OneWay reports whether the request expects no reply (a bare message, or
 // a frame sent without a reply inbox); any handler response is dropped.
-func (c *Ctx) OneWay() bool { return c.replyTo.IsZero() }
+func (c *Ctx) OneWay() bool { return c.rep.to.IsZero() }
+
+// Defer takes the request's reply out of the handler's hands: whatever
+// the handler returns is dropped, and the caller hears only what is later
+// sent through the returned Reply. It must be called before the handler
+// returns.
+func (c *Ctx) Defer() Reply {
+	c.deferred = true
+	return c.rep
+}
 
 // Handler serves one request kind. The returned message (which may be nil
 // for requests that want only an empty acknowledgement) is marshalled
 // into the reply; a returned error travels as a typed *Error in its
 // place. Handlers run on the server's dispatch thread and should not
-// block indefinitely.
+// block indefinitely; one whose answer waits on a later request takes
+// its reply with Ctx.Defer instead.
 type Handler func(c *Ctx, req wire.Msg) (wire.Msg, error)
 
 // Handlers maps request message kinds to their handlers: the typed
@@ -87,46 +135,18 @@ func (s *Server) dispatch(env *wire.Envelope) {
 		}
 		return
 	}
-	var (
-		resp wire.Msg
-		herr error
-	)
+	c := &Ctx{env: env, rep: Reply{d: s.d, to: rm.ReplyTo, session: env.Session, seq: rm.Seq}}
+	var resp wire.Msg
 	req, err := wire.DecodeBody(rm.BodyID, rm.Body)
-	switch {
-	case err != nil:
-		herr = &Error{Code: CodeBadRequest, Msg: err.Error()}
-	default:
-		h := s.h[req.Kind()]
-		if h == nil {
-			herr = &Error{Code: CodeNoHandler, Msg: fmt.Sprintf("no handler for %q on %s", req.Kind(), s.inbox)}
-		} else {
-			resp, herr = h(&Ctx{env: env, replyTo: rm.ReplyTo}, req)
-		}
-	}
-	if rm.ReplyTo.IsZero() || errors.Is(herr, NoReply) {
-		return // one-way frame, or the handler elected silence
-	}
-	rep := &repMsg{Seq: rm.Seq}
-	if herr != nil {
-		se := asError(herr)
-		rep.Code, rep.Err = uint16(se.Code), se.Msg
-		_ = s.d.SendDirect(rm.ReplyTo, env.Session, rep)
-		return
-	}
-	if resp == nil {
-		_ = s.d.SendDirect(rm.ReplyTo, env.Session, rep)
-		return
-	}
-	body, err := wire.EncodeBody(resp)
 	if err != nil {
-		rep.Code, rep.Err = uint16(CodeApp), err.Error()
-		_ = s.d.SendDirect(rm.ReplyTo, env.Session, rep)
-		return
+		err = &Error{Code: CodeBadRequest, Msg: err.Error()}
+	} else if h := s.h[req.Kind()]; h == nil {
+		err = &Error{Code: CodeNoHandler, Msg: fmt.Sprintf("no handler for %q on %s", req.Kind(), s.inbox)}
+	} else {
+		resp, err = h(c, req)
 	}
-	rep.BodyID, rep.Body = body.ID(), body.Bytes()
-	// SendDirect copies the reply (body bytes included) into its own
-	// transmit frame before returning, so the encode buffer can be
-	// released immediately after.
-	_ = s.d.SendDirect(rm.ReplyTo, env.Session, rep)
-	body.Release()
+	if c.deferred || errors.Is(err, NoReply) {
+		return // answered later through Defer, or the handler elected silence
+	}
+	c.rep.Send(resp, err)
 }

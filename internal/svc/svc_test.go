@@ -252,3 +252,100 @@ func TestCancelledCallLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestDeferredReply answers parked requests from a later request's
+// handler: what the parking handler returned is dropped, an error sent
+// through the Reply arrives typed, and a one-way request's Reply sends
+// nothing.
+func TestDeferredReply(t *testing.T) {
+	net := netsim.New(netsim.WithSeed(7))
+	t.Cleanup(net.Close)
+	const codeLater = svc.CodeUser + 3
+	parked := make(chan svc.Reply, 3)
+	srv := svc.Serve(newDap(t, net, "hs", "server"), "@later", svc.Handlers{
+		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+			if req.(*wire.Text).S == "park" {
+				parked <- c.Defer()
+				return &wire.Text{S: "dropped: the reply was deferred"}, nil
+			}
+			(<-parked).Send(&wire.Text{S: "released"}, nil)
+			(<-parked).Send(nil, &svc.Error{Code: codeLater, Msg: "refused later"})
+			return &wire.Text{S: "done"}, nil
+		},
+	})
+	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	if err := caller.Cast(srv.Ref(), "", &wire.Text{S: "park"}); err != nil {
+		t.Fatal(err)
+	}
+	(<-parked).Send(&wire.Text{S: "to nobody"}, nil) // a one-way Reply: no-op
+
+	p1, err := caller.Send(srv.Ref(), "", &wire.Text{S: "park"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := caller.Send(srv.Ref(), "", &wire.Text{S: "park"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done, got wire.Text
+	if err := caller.Call(ctx, srv.Ref(), &wire.Text{S: "release"}, &done); err != nil || done.S != "done" {
+		t.Fatalf("release = %q, %v", done.S, err)
+	}
+	if err := p1.Await(ctx, &got); err != nil || got.S != "released" {
+		t.Fatalf("deferred reply = %q, %v", got.S, err)
+	}
+	var se *svc.Error
+	if err := p2.Await(ctx, nil); !errors.As(err, &se) || se.Code != codeLater || se.Msg != "refused later" {
+		t.Fatalf("deferred error = %v, want code %d", err, codeLater)
+	}
+}
+
+// TestOnLate checks that a reply landing after Await gave up reaches the
+// OnLate callback, and that a reply awaited in time never does.
+func TestOnLate(t *testing.T) {
+	net := netsim.New(netsim.WithSeed(8))
+	t.Cleanup(net.Close)
+	parked := make(chan svc.Reply, 1)
+	srv := svc.Serve(newDap(t, net, "hs", "server"), "@slow", svc.Handlers{
+		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+			parked <- c.Defer()
+			return nil, nil
+		},
+	})
+	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+
+	p, err := caller.Send(srv.Ref(), "", &wire.Text{S: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := make(chan wire.Msg, 1)
+	p.OnLate(func(m wire.Msg, err error) { late <- m })
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := p.Await(short, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	(<-parked).Send(&wire.Text{S: "late"}, nil)
+	select {
+	case m := <-late:
+		if m.(*wire.Text).S != "late" {
+			t.Fatalf("late reply = %v", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("late reply never reached OnLate")
+	}
+
+	p, err = caller.Send(srv.Ref(), "", &wire.Text{S: "prompt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.OnLate(func(wire.Msg, error) { t.Error("a reply awaited in time reached OnLate") })
+	(<-parked).Send(&wire.Text{S: "in time"}, nil)
+	var got wire.Text
+	if err := p.Await(context.Background(), &got); err != nil || got.S != "in time" {
+		t.Fatalf("reply = %q, %v", got.S, err)
+	}
+}

@@ -98,16 +98,13 @@ type Config struct {
 	// Wheels is the number of shared timer-wheel Hosts detectors are
 	// spread over (default GOMAXPROCS clamped to [1, 8]).
 	Wheels int
-	// Quorum is every detector's Down quorum (default 1, the
-	// single-watcher rule); above one, Suspect escalates to Down only
-	// with confirmations from indirect probes and gossip rumors
-	// (failure.Config.Quorum), so a partitioned watcher alone cannot
-	// produce a false Down.
-	Quorum int
 	// GossipInterval, when positive, attaches a gossip engine to every
 	// member and directory replica: members spread verdict rumors over
 	// their detector's live-peer view, and each shard's replicas
-	// reconcile the directory by anti-entropy at this round period.
+	// reconcile the directory by anti-entropy at this round period. Every
+	// detector then needs a quorum of two confirmers before a Down
+	// (failure.Config.Quorum's default with gossip), so a partitioned
+	// watcher alone cannot produce a false Down.
 	GossipInterval time.Duration
 	// PartitionRate is the partition-injection rate (ops/sec) in timed
 	// churn: each op isolates one random live member's host from the
@@ -269,10 +266,11 @@ type Swarm struct {
 
 // Run executes one swarm harness run: launch the directory and
 // initiators, join N members, churn them (timed drivers or lockstep
-// ops), and return the measured report. The swarm is fully torn down —
-// every dapplet stopped, the network closed, the timer wheels stopped —
-// before Run returns, whatever the outcome.
-func Run(cfg Config) (*Report, error) {
+// ops), and return the measured report. Ending ctx cuts the churn phase
+// short with ctx.Err(). The swarm is fully torn down — every dapplet
+// stopped, the network closed, the timer wheels stopped — before Run
+// returns, whatever the outcome.
+func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	netOpts := []netsim.Option{netsim.WithSeed(cfg.Seed)}
 	switch {
@@ -334,9 +332,9 @@ func Run(cfg Config) (*Report, error) {
 
 	var err error
 	if cfg.Lockstep {
-		err = s.lockstepChurn(rng)
+		err = s.lockstepChurn(ctx, rng)
 	} else {
-		err = s.timedChurn()
+		err = s.timedChurn(ctx)
 	}
 	if err != nil {
 		return nil, err
@@ -393,7 +391,6 @@ func (s *Swarm) detConfig(name string) failure.Config {
 		Multiplier:  s.cfg.Multiplier,
 		Incarnation: uint64(s.rt.Incarnation(name)),
 		Host:        s.wheelFor(name),
-		Quorum:      s.cfg.Quorum,
 	}
 }
 
@@ -622,11 +619,11 @@ func (s *Swarm) joinPhase(rng *rand.Rand) error {
 
 // timedChurn runs the throughput-mode churn and session drivers for the
 // configured duration.
-func (s *Swarm) timedChurn() error {
+func (s *Swarm) timedChurn(ctx context.Context) error {
 	// Cancelled when the window closes: it stops every driver, and the
 	// session in flight with it — an echo to a member that crashed after
 	// the lookup would otherwise hold the phase open for opTimeout.
-	ctx, cancel := context.WithCancel(context.Background()) //wwlint:allow ctxcheck the churn window owns its drivers; swarm.Run takes no caller context
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := ctx.Done()
 	errc := make(chan error, 1)
@@ -657,6 +654,8 @@ func (s *Swarm) timedChurn() error {
 	select {
 	case <-timer.C:
 	case err = <-errc:
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
 	timer.Stop()
 	cancel()
@@ -735,8 +734,11 @@ func (s *Swarm) sessionDriver(ctx context.Context, idx int, rng *rand.Rand) {
 
 // lockstepChurn performs LockstepOps churn operations one at a time,
 // each awaited to its observable outcome before the next begins.
-func (s *Swarm) lockstepChurn(rng *rand.Rand) error {
+func (s *Swarm) lockstepChurn(ctx context.Context, rng *rand.Rand) error {
 	for i := 0; i < s.cfg.LockstepOps; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		r := rng.Float64()
 		var (
 			done bool
@@ -753,7 +755,7 @@ func (s *Swarm) lockstepChurn(rng *rand.Rand) error {
 		case r < 0.75:
 			done, err = s.opRevive(rng)
 		default:
-			s.opSession(context.Background(), -1, rng) //wwlint:allow ctxcheck lockstep op with no caller context; bounded by opTimeout
+			s.opSession(ctx, -1, rng)
 			done = true
 		}
 		if err != nil {

@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -40,7 +41,6 @@ func TestLockstepDeterminism(t *testing.T) {
 		{"base", func(*Config) {}},
 		{"gossip", func(c *Config) {
 			c.GossipInterval = 50 * time.Millisecond
-			c.Quorum = 2
 			c.DirReplicas = 2
 		}},
 	}
@@ -50,7 +50,7 @@ func TestLockstepDeterminism(t *testing.T) {
 			run := func() []string {
 				cfg := lockstepConfig(42)
 				v.mod(&cfg)
-				rep, err := Run(cfg)
+				rep, err := Run(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("lockstep run: %v", err)
 				}
@@ -98,7 +98,7 @@ func TestSwarmChurnUnderRace(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	rep, err := Run(Config{
+	rep, err := Run(context.Background(), Config{
 		N:           500,
 		Seed:        7,
 		Initiators:  4,
@@ -162,7 +162,7 @@ func TestSwarmPartitionChurnUnderRace(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	rep, err := Run(Config{
+	rep, err := Run(context.Background(), Config{
 		N:           500,
 		Seed:        13,
 		DirShards:   2,
@@ -175,7 +175,6 @@ func TestSwarmPartitionChurnUnderRace(t *testing.T) {
 		// expiry writes) faster than anti-entropy can settle them.
 		Interval:       150 * time.Millisecond,
 		Multiplier:     2,
-		Quorum:         2,
 		GossipInterval: 100 * time.Millisecond,
 		PartitionRate:  2,
 		PartitionDur:   400 * time.Millisecond,
@@ -228,7 +227,7 @@ func TestSwarmPartitionChurnUnderRace(t *testing.T) {
 // must fill in: both phases present, watch edges counted, and per-dapplet
 // footprint computed.
 func TestSwarmReportShape(t *testing.T) {
-	rep, err := Run(Config{
+	rep, err := Run(context.Background(), Config{
 		N:           64,
 		Seed:        3,
 		Interval:    50 * time.Millisecond,

@@ -1,22 +1,23 @@
 package syncprim
 
 import (
-	"fmt"
+	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/svc"
 	"repro/internal/tokens"
 	"repro/internal/wire"
 )
 
-// Well-known inbox names of the distributed synchronization services.
+// Well-known svc-served inboxes of the distributed synchronization
+// services.
 const (
 	// BarrierInbox is the barrier coordinator's control inbox.
 	BarrierInbox = "@barrier"
 	// RegisterInbox is the single-assignment register service's inbox.
 	RegisterInbox = "@register"
-	// syncClientInbox receives service replies at each client dapplet.
-	syncClientInbox = "@sync-client"
 )
 
 // --- wire messages ---
@@ -24,8 +25,6 @@ const (
 type arriveMsg struct {
 	Barrier string
 	Parties int
-	ReqID   uint64
-	ReplyTo wire.InboxRef
 }
 
 func (*arriveMsg) Kind() string { return "sync.arrive" }
@@ -33,9 +32,7 @@ func (*arriveMsg) Kind() string { return "sync.arrive" }
 // AppendBinary implements wire.Msg.
 func (m *arriveMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Barrier)
-	dst = wire.AppendVarint(dst, int64(m.Parties))
-	dst = wire.AppendUvarint(dst, m.ReqID)
-	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+	return wire.AppendVarint(dst, int64(m.Parties)), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
@@ -43,40 +40,30 @@ func (m *arriveMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Barrier = r.String()
 	m.Parties = int(r.Varint())
-	m.ReqID = r.Uvarint()
-	m.ReplyTo = r.InboxRef()
 	return r.Done()
 }
 
 type releaseMsg struct {
-	Barrier string
-	Round   int
-	ReqID   uint64
+	Round int
 }
 
 func (*releaseMsg) Kind() string { return "sync.release" }
 
 // AppendBinary implements wire.Msg.
 func (m *releaseMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Barrier)
-	dst = wire.AppendVarint(dst, int64(m.Round))
-	return wire.AppendUvarint(dst, m.ReqID), nil
+	return wire.AppendVarint(dst, int64(m.Round)), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *releaseMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.Barrier = r.String()
 	m.Round = int(r.Varint())
-	m.ReqID = r.Uvarint()
 	return r.Done()
 }
 
 type regSetMsg struct {
-	Name    string
-	Value   []byte
-	ReqID   uint64
-	ReplyTo wire.InboxRef
+	Name  string
+	Value []byte
 }
 
 func (*regSetMsg) Kind() string { return "sync.reg-set" }
@@ -84,9 +71,7 @@ func (*regSetMsg) Kind() string { return "sync.reg-set" }
 // AppendBinary implements wire.Msg.
 func (m *regSetMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendString(dst, m.Name)
-	dst = wire.AppendBytes(dst, m.Value)
-	dst = wire.AppendUvarint(dst, m.ReqID)
-	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+	return wire.AppendBytes(dst, m.Value), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
@@ -94,58 +79,46 @@ func (m *regSetMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()
 	m.Value = r.Bytes()
-	m.ReqID = r.Uvarint()
-	m.ReplyTo = r.InboxRef()
 	return r.Done()
 }
 
 type regSetReply struct {
-	ReqID uint64
-	Won   bool
+	Won bool
 }
 
 func (*regSetReply) Kind() string { return "sync.reg-set-reply" }
 
 // AppendBinary implements wire.Msg.
 func (m *regSetReply) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
 	return wire.AppendBool(dst, m.Won), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *regSetReply) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
 	m.Won = r.Bool()
 	return r.Done()
 }
 
 type regGetMsg struct {
-	Name    string
-	ReqID   uint64
-	ReplyTo wire.InboxRef
+	Name string
 }
 
 func (*regGetMsg) Kind() string { return "sync.reg-get" }
 
 // AppendBinary implements wire.Msg.
 func (m *regGetMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Name)
-	dst = wire.AppendUvarint(dst, m.ReqID)
-	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+	return wire.AppendString(dst, m.Name), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *regGetMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Name = r.String()
-	m.ReqID = r.Uvarint()
-	m.ReplyTo = r.InboxRef()
 	return r.Done()
 }
 
 type regValueMsg struct {
-	ReqID uint64
 	Value []byte
 }
 
@@ -153,14 +126,12 @@ func (*regValueMsg) Kind() string { return "sync.reg-value" }
 
 // AppendBinary implements wire.Msg.
 func (m *regValueMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
 	return wire.AppendBytes(dst, m.Value), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *regValueMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
 	m.Value = r.Bytes()
 	return r.Done()
 }
@@ -176,131 +147,90 @@ func init() {
 
 // --- barrier service ---
 
-// barrierState is one named barrier's coordinator state.
+// barrierState is one named barrier's coordinator state: the current
+// round and the deferred replies of the parties that reached it.
 type barrierState struct {
 	round   int
-	arrived []arriveMsg
+	arrived []svc.Reply
 }
 
 // BarrierService coordinates distributed cyclic barriers: threads in
 // different dapplets Await on a named barrier and are all released when
 // the declared number of parties have arrived.
 type BarrierService struct {
-	d  *core.Dapplet
-	mu sync.Mutex
-	bs map[string]*barrierState
+	srv *svc.Server
+	mu  sync.Mutex
+	bs  map[string]*barrierState
 }
 
 // ServeBarriers starts the barrier coordinator on a dapplet.
 func ServeBarriers(d *core.Dapplet) *BarrierService {
-	s := &BarrierService{d: d, bs: make(map[string]*barrierState)}
-	d.Handle(BarrierInbox, s.handle)
+	s := &BarrierService{bs: make(map[string]*barrierState)}
+	s.srv = svc.Serve(d, BarrierInbox, svc.Handlers{"sync.arrive": s.arrive})
 	return s
 }
 
 // Ref returns the service's control inbox reference.
-func (s *BarrierService) Ref() wire.InboxRef {
-	return wire.InboxRef{Dapplet: s.d.Addr(), Inbox: BarrierInbox}
-}
+func (s *BarrierService) Ref() wire.InboxRef { return s.srv.Ref() }
 
-func (s *BarrierService) handle(env *wire.Envelope) {
-	m, ok := env.Body.(*arriveMsg)
-	if !ok {
-		return
-	}
+// arrive holds each party's reply until the last one arrives, whose
+// handler answers them all.
+func (s *BarrierService) arrive(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+	m := req.(*arriveMsg)
 	s.mu.Lock()
 	b := s.bs[m.Barrier]
 	if b == nil {
 		b = &barrierState{}
 		s.bs[m.Barrier] = b
 	}
-	b.arrived = append(b.arrived, *m)
-	var toRelease []arriveMsg
-	var round int
-	if len(b.arrived) >= m.Parties {
-		toRelease = b.arrived
-		b.arrived = nil
-		round = b.round
-		b.round++
+	b.arrived = append(b.arrived, c.Defer())
+	if len(b.arrived) < m.Parties {
+		s.mu.Unlock()
+		return nil, nil
 	}
+	arrived, rel := b.arrived, &releaseMsg{Round: b.round}
+	b.arrived = nil
+	b.round++
 	s.mu.Unlock()
-	for _, a := range toRelease {
-		_ = s.d.SendDirect(a.ReplyTo, "", &releaseMsg{Barrier: m.Barrier, Round: round, ReqID: a.ReqID})
+	for _, r := range arrived {
+		r.Send(rel, nil)
 	}
+	return nil, nil
 }
 
 // --- distributed client ---
 
-// Client issues distributed synchronization operations from a dapplet.
+// Client issues distributed synchronization operations from a dapplet,
+// each one svc request to the service's inbox. Every blocking call takes
+// a context and returns ctx.Err() when it ends first, but the request has
+// already reached the service and stays in effect: a cancelled
+// BarrierAwait still counts as an arrival toward its round, and a
+// cancelled RegisterGet's waiter is answered into the void once the
+// variable is set.
 type Client struct {
-	d *core.Dapplet
-
-	mu      sync.Mutex
-	nextID  uint64
-	waiting map[uint64]chan *wire.Envelope
+	c *svc.Caller
 }
 
 // NewClient attaches a synchronization client to a dapplet.
 func NewClient(d *core.Dapplet) *Client {
-	c := &Client{d: d, waiting: make(map[uint64]chan *wire.Envelope)}
-	d.Handle(syncClientInbox, func(env *wire.Envelope) {
-		var id uint64
-		switch b := env.Body.(type) {
-		case *releaseMsg:
-			id = b.ReqID
-		case *regSetReply:
-			id = b.ReqID
-		case *regValueMsg:
-			id = b.ReqID
-		default:
-			return
-		}
-		c.mu.Lock()
-		ch := c.waiting[id]
-		delete(c.waiting, id)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- env
-		}
-	})
-	return c
+	return &Client{c: svc.NewCaller(d)}
 }
 
-func (c *Client) call(to wire.InboxRef, build func(id uint64, re wire.InboxRef) wire.Msg) (*wire.Envelope, error) {
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	ch := make(chan *wire.Envelope, 1)
-	c.waiting[id] = ch
-	c.mu.Unlock()
-	re := wire.InboxRef{Dapplet: c.d.Addr(), Inbox: syncClientInbox}
-	if err := c.d.SendDirect(to, "", build(id, re)); err != nil {
-		c.mu.Lock()
-		delete(c.waiting, id)
-		c.mu.Unlock()
-		return nil, err
+func (c *Client) call(ctx context.Context, to wire.InboxRef, req, resp wire.Msg) error {
+	err := c.c.Call(ctx, to, req, resp)
+	if errors.Is(err, core.ErrStopped) {
+		return ErrClosed
 	}
-	select {
-	case env := <-ch:
-		return env, nil
-	case <-c.d.Stopped():
-		return nil, ErrClosed
-	}
+	return err
 }
 
 // BarrierAwait blocks until `parties` threads (across any dapplets) have
 // arrived at the named barrier on the given coordinator, returning the
 // round index.
-func (c *Client) BarrierAwait(coord wire.InboxRef, name string, parties int) (int, error) {
-	env, err := c.call(coord, func(id uint64, re wire.InboxRef) wire.Msg {
-		return &arriveMsg{Barrier: name, Parties: parties, ReqID: id, ReplyTo: re}
-	})
-	if err != nil {
+func (c *Client) BarrierAwait(ctx context.Context, coord wire.InboxRef, name string, parties int) (int, error) {
+	var rel releaseMsg
+	if err := c.call(ctx, coord, &arriveMsg{Barrier: name, Parties: parties}, &rel); err != nil {
 		return 0, err
-	}
-	rel, ok := env.Body.(*releaseMsg)
-	if !ok {
-		return 0, fmt.Errorf("syncprim: unexpected reply %T", env.Body)
 	}
 	return rel.Round, nil
 }
@@ -308,102 +238,96 @@ func (c *Client) BarrierAwait(coord wire.InboxRef, name string, parties int) (in
 // RegisterSet attempts a first-writer-wins assignment of the named
 // distributed single-assignment variable, reporting whether this writer
 // won.
-func (c *Client) RegisterSet(svc wire.InboxRef, name string, value []byte) (bool, error) {
-	env, err := c.call(svc, func(id uint64, re wire.InboxRef) wire.Msg {
-		return &regSetMsg{Name: name, Value: value, ReqID: id, ReplyTo: re}
-	})
-	if err != nil {
+func (c *Client) RegisterSet(ctx context.Context, service wire.InboxRef, name string, value []byte) (bool, error) {
+	var rep regSetReply
+	if err := c.call(ctx, service, &regSetMsg{Name: name, Value: value}, &rep); err != nil {
 		return false, err
-	}
-	rep, ok := env.Body.(*regSetReply)
-	if !ok {
-		return false, fmt.Errorf("syncprim: unexpected reply %T", env.Body)
 	}
 	return rep.Won, nil
 }
 
 // RegisterGet blocks until the named variable is assigned and returns its
 // value.
-func (c *Client) RegisterGet(svc wire.InboxRef, name string) ([]byte, error) {
-	env, err := c.call(svc, func(id uint64, re wire.InboxRef) wire.Msg {
-		return &regGetMsg{Name: name, ReqID: id, ReplyTo: re}
-	})
-	if err != nil {
+func (c *Client) RegisterGet(ctx context.Context, service wire.InboxRef, name string) ([]byte, error) {
+	var rep regValueMsg
+	if err := c.call(ctx, service, &regGetMsg{Name: name}, &rep); err != nil {
 		return nil, err
-	}
-	rep, ok := env.Body.(*regValueMsg)
-	if !ok {
-		return nil, fmt.Errorf("syncprim: unexpected reply %T", env.Body)
 	}
 	return rep.Value, nil
 }
 
 // --- single-assignment register service ---
 
-// regState is one variable's service-side state.
+// regState is one variable's service-side state: its value once set, and
+// the deferred replies of the reads that arrived before it was.
 type regState struct {
 	set     bool
 	value   []byte
-	waiters []regGetMsg
+	waiters []svc.Reply
 }
 
 // RegisterService hosts distributed single-assignment variables.
 type RegisterService struct {
-	d  *core.Dapplet
-	mu sync.Mutex
-	rs map[string]*regState
+	srv *svc.Server
+	mu  sync.Mutex
+	rs  map[string]*regState
 }
 
 // ServeRegisters starts the register service on a dapplet.
 func ServeRegisters(d *core.Dapplet) *RegisterService {
-	s := &RegisterService{d: d, rs: make(map[string]*regState)}
-	d.Handle(RegisterInbox, s.handle)
+	s := &RegisterService{rs: make(map[string]*regState)}
+	s.srv = svc.Serve(d, RegisterInbox, svc.Handlers{
+		"sync.reg-set": s.set,
+		"sync.reg-get": s.get,
+	})
 	return s
 }
 
 // Ref returns the service's control inbox reference.
-func (s *RegisterService) Ref() wire.InboxRef {
-	return wire.InboxRef{Dapplet: s.d.Addr(), Inbox: RegisterInbox}
+func (s *RegisterService) Ref() wire.InboxRef { return s.srv.Ref() }
+
+// reg returns the named variable's state, creating it. Caller holds s.mu.
+func (s *RegisterService) reg(name string) *regState {
+	r := s.rs[name]
+	if r == nil {
+		r = &regState{}
+		s.rs[name] = r
+	}
+	return r
 }
 
-func (s *RegisterService) handle(env *wire.Envelope) {
-	switch m := env.Body.(type) {
-	case *regSetMsg:
-		s.mu.Lock()
-		r := s.rs[m.Name]
-		if r == nil {
-			r = &regState{}
-			s.rs[m.Name] = r
-		}
-		won := !r.set
-		if won {
-			r.set = true
-			r.value = m.Value
-		}
-		waiters := r.waiters
-		r.waiters = nil
-		value := r.value
-		s.mu.Unlock()
-		_ = s.d.SendDirect(m.ReplyTo, "", &regSetReply{ReqID: m.ReqID, Won: won})
-		for _, w := range waiters {
-			_ = s.d.SendDirect(w.ReplyTo, "", &regValueMsg{ReqID: w.ReqID, Value: value})
-		}
-	case *regGetMsg:
-		s.mu.Lock()
-		r := s.rs[m.Name]
-		if r == nil {
-			r = &regState{}
-			s.rs[m.Name] = r
-		}
-		if r.set {
-			value := r.value
-			s.mu.Unlock()
-			_ = s.d.SendDirect(m.ReplyTo, "", &regValueMsg{ReqID: m.ReqID, Value: value})
-			return
-		}
-		r.waiters = append(r.waiters, *m)
-		s.mu.Unlock()
+// set assigns the variable if it is unset and answers the reads that
+// arrived before it.
+func (s *RegisterService) set(_ *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+	m := req.(*regSetMsg)
+	s.mu.Lock()
+	r := s.reg(m.Name)
+	won := !r.set
+	if won {
+		r.set = true
+		r.value = m.Value
 	}
+	waiters := r.waiters
+	r.waiters = nil
+	value := &regValueMsg{Value: r.value}
+	s.mu.Unlock()
+	for _, w := range waiters {
+		w.Send(value, nil)
+	}
+	return &regSetReply{Won: won}, nil
+}
+
+// get answers with the value, or defers the reply until a set.
+func (s *RegisterService) get(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+	m := req.(*regGetMsg)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.reg(m.Name)
+	if !r.set {
+		r.waiters = append(r.waiters, c.Defer())
+		return nil, nil
+	}
+	return &regValueMsg{Value: r.value}, nil
 }
 
 // DistSemaphore is a distributed counting semaphore built on the token
@@ -420,8 +344,8 @@ func NewDistSemaphore(m *tokens.Manager, color tokens.Color) *DistSemaphore {
 }
 
 // P acquires n permits, suspending until they are available.
-func (s *DistSemaphore) P(n int) error {
-	return s.m.Request(tokens.Bag{s.color: n})
+func (s *DistSemaphore) P(ctx context.Context, n int) error {
+	return s.m.Request(ctx, tokens.Bag{s.color: n})
 }
 
 // V releases n permits.

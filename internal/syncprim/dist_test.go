@@ -1,6 +1,8 @@
 package syncprim_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,9 @@ import (
 	"repro/internal/tokens"
 	"repro/internal/transport"
 )
+
+// ctx bounds nothing: these tests wait on their own timers.
+var ctx = context.Background()
 
 type dworld struct {
 	t   *testing.T
@@ -51,7 +56,7 @@ func TestDistBarrierAcrossDapplets(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			reached.Add(1)
-			round, err := cli.BarrierAwait(svc.Ref(), "phase1", parties)
+			round, err := cli.BarrierAwait(ctx, svc.Ref(), "phase1", parties)
 			if err != nil {
 				t.Error(err)
 				return
@@ -75,7 +80,7 @@ func TestDistBarrierHoldsUntilLastParty(t *testing.T) {
 	c2 := syncprim.NewClient(w.dapplet("h2", "p2"))
 	done := make(chan error, 1)
 	go func() {
-		_, err := c1.BarrierAwait(svc.Ref(), "b", 2)
+		_, err := c1.BarrierAwait(ctx, svc.Ref(), "b", 2)
 		done <- err
 	}()
 	select {
@@ -83,7 +88,7 @@ func TestDistBarrierHoldsUntilLastParty(t *testing.T) {
 		t.Fatal("barrier released early")
 	case <-time.After(100 * time.Millisecond):
 	}
-	if _, err := c2.BarrierAwait(svc.Ref(), "b", 2); err != nil {
+	if _, err := c2.BarrierAwait(ctx, svc.Ref(), "b", 2); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -101,7 +106,7 @@ func TestDistBarrierRounds(t *testing.T) {
 	svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
 	cli := syncprim.NewClient(w.dapplet("h1", "solo"))
 	for r := 0; r < 3; r++ {
-		round, err := cli.BarrierAwait(svc.Ref(), "solo-b", 1)
+		round, err := cli.BarrierAwait(ctx, svc.Ref(), "solo-b", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +115,7 @@ func TestDistBarrierRounds(t *testing.T) {
 		}
 	}
 	// Independent barrier names do not interfere.
-	if round, err := cli.BarrierAwait(svc.Ref(), "other-b", 1); err != nil || round != 0 {
+	if round, err := cli.BarrierAwait(ctx, svc.Ref(), "other-b", 1); err != nil || round != 0 {
 		t.Fatalf("other barrier round=%d err=%v", round, err)
 	}
 }
@@ -121,18 +126,18 @@ func TestDistRegisterFirstWriterWins(t *testing.T) {
 	c1 := syncprim.NewClient(w.dapplet("h1", "w1"))
 	c2 := syncprim.NewClient(w.dapplet("h2", "w2"))
 
-	won1, err := c1.RegisterSet(svc.Ref(), "x", []byte("first"))
+	won1, err := c1.RegisterSet(ctx, svc.Ref(), "x", []byte("first"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	won2, err := c2.RegisterSet(svc.Ref(), "x", []byte("second"))
+	won2, err := c2.RegisterSet(ctx, svc.Ref(), "x", []byte("second"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !won1 || won2 {
 		t.Fatalf("won1=%v won2=%v", won1, won2)
 	}
-	v, err := c2.RegisterGet(svc.Ref(), "x")
+	v, err := c2.RegisterGet(ctx, svc.Ref(), "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func TestDistRegisterGetBlocksUntilSet(t *testing.T) {
 
 	got := make(chan []byte, 1)
 	go func() {
-		v, err := reader.RegisterGet(svc.Ref(), "pending")
+		v, err := reader.RegisterGet(ctx, svc.Ref(), "pending")
 		if err != nil {
 			t.Error(err)
 		}
@@ -160,7 +165,7 @@ func TestDistRegisterGetBlocksUntilSet(t *testing.T) {
 		t.Fatal("Get returned before Set")
 	case <-time.After(100 * time.Millisecond):
 	}
-	if _, err := writer.RegisterSet(svc.Ref(), "pending", []byte("now")); err != nil {
+	if _, err := writer.RegisterSet(ctx, svc.Ref(), "pending", []byte("now")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -187,7 +192,7 @@ func TestDistSemaphoreLimitsConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 5; r++ {
-				if err := sem.P(1); err != nil {
+				if err := sem.P(ctx, 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -216,5 +221,57 @@ func TestDistSemaphoreLimitsConcurrency(t *testing.T) {
 	}
 	if !alloc.ConservationHolds() {
 		t.Fatal("token conservation violated")
+	}
+}
+
+// TestTwoClientsOneDapplet runs two clients on one dapplet against two
+// register services concurrently: each must get its own replies. With a
+// reply inbox shared between clients one's answer could wake the other.
+func TestTwoClientsOneDapplet(t *testing.T) {
+	w := newDWorld(t)
+	regs := []*syncprim.RegisterService{
+		syncprim.ServeRegisters(w.dapplet("hub-a", "reg-a")),
+		syncprim.ServeRegisters(w.dapplet("hub-b", "reg-b")),
+	}
+	d := w.dapplet("h", "two-sessions")
+	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, reg := range regs {
+		cli := syncprim.NewClient(d)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				name, want := fmt.Sprint(round), fmt.Sprintf("%d/%d", i, round)
+				if _, err := cli.RegisterSet(ctx, reg.Ref(), name, []byte(want)); err != nil {
+					t.Errorf("client %d round %d: %v", i, round, err)
+					return
+				}
+				if v, err := cli.RegisterGet(ctx, reg.Ref(), name); err != nil || string(v) != want {
+					t.Errorf("client %d round %d: got %q, %v; want %q", i, round, v, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCancelledBarrierAwaitStillArrives pins the Client contract: a wait
+// abandoned by its context returns ctx.Err(), but the arrival counts, so
+// the next party completes the round alone.
+func TestCancelledBarrierAwaitStillArrives(t *testing.T) {
+	w := newDWorld(t)
+	svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
+	c1 := syncprim.NewClient(w.dapplet("h1", "p1"))
+	c2 := syncprim.NewClient(w.dapplet("h2", "p2"))
+	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	defer cancel()
+	if _, err := c1.BarrierAwait(short, svc.Ref(), "b", 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if round, err := c2.BarrierAwait(ctx, svc.Ref(), "b", 2); err != nil || round != 0 {
+		t.Fatalf("round=%d err=%v, want round 0 released by the cancelled arrival", round, err)
 	}
 }

@@ -9,8 +9,10 @@
 // threads of one dapplet. The distributed ones compose the paper's other
 // services rather than inventing new protocols: the distributed
 // semaphore is a thin wrapper over the token service (a P is a token
-// request, a V a release), and the barrier service is a coordinator
-// dapplet that counts arrivals per (barrier, generation) and releases
-// all waiters with one multicast, mirroring how §4.3 builds
-// inter-dapplet synchronization out of the messaging layer.
+// request, a V a release), and the barrier and register services are
+// svc handler tables on a coordinator dapplet. An arrival or an early
+// read is a request whose reply the service defers until the last
+// party arrives or the variable is set, mirroring how §4.3 builds
+// inter-dapplet synchronization out of the messaging layer. Their
+// blocking calls are context-first.
 package syncprim

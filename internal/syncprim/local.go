@@ -78,7 +78,7 @@ func NewSemaphore(permits int) *Semaphore {
 
 // Acquire blocks until n permits are available and takes them.
 //
-//wwlint:allow ctxcheck process-local primitive; Close unblocks waiters with ErrClosed, and the networked wrappers (syncprim/dist.go) carry contexts
+//wwlint:allow ctxcheck process-local primitive; Close unblocks waiters with ErrClosed
 func (s *Semaphore) Acquire(n int) error {
 	if n <= 0 {
 		return nil

@@ -132,7 +132,7 @@ func TestSemaphoreFIFOPreventsStarvation(t *testing.T) {
 	smallDone := make(chan struct{})
 	go func() { _ = s.Acquire(1); close(smallDone) }()
 	// Release enough for the small request but not the big one: FIFO
-	// means the small one must keep waiting behind the big one.
+	// means the small one must stay queued behind the big one.
 	s.Release(1)
 	select {
 	case <-smallDone:

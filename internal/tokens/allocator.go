@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/svc"
 	"repro/internal/wire"
 )
 
@@ -17,17 +18,19 @@ type AllocStats struct {
 	Releases  uint64
 }
 
-// pendReq is a queued request ordered by logical timestamp.
+// pendReq is a queued request ordered by logical timestamp, answered
+// through its deferred reply once granted or refused.
 type pendReq struct {
-	req  *reqMsg
-	want Bag // explicit want with AllOf colours resolved
+	req   *reqMsg
+	want  Bag // explicit want with AllOf colours resolved
+	reply svc.Reply
 }
 
 // Allocator is the hub of a network of token managers: it owns the fixed
 // token population of a session and serves request/release/total traffic
 // on the dapplet's AllocInbox.
 type Allocator struct {
-	d *core.Dapplet
+	srv *svc.Server
 
 	mu      sync.Mutex
 	total   Bag
@@ -44,21 +47,22 @@ type Allocator struct {
 // (§4.1).
 func Serve(d *core.Dapplet, initial Bag) *Allocator {
 	a := &Allocator{
-		d:       d,
 		total:   initial.Copy().Normalize(),
 		free:    initial.Copy().Normalize(),
 		holds:   make(map[string]Bag),
 		serials: make(map[Color]uint64),
 	}
-	d.Handle(AllocInbox, a.handle)
+	a.srv = svc.Serve(d, AllocInbox, svc.Handlers{
+		"tokens.request":   a.onRequest,
+		"tokens.release":   a.onRelease,
+		"tokens.total-req": a.onTotal,
+	})
 	return a
 }
 
 // Ref returns the allocator's control inbox reference, which managers
 // connect to.
-func (a *Allocator) Ref() wire.InboxRef {
-	return wire.InboxRef{Dapplet: a.d.Addr(), Inbox: AllocInbox}
-}
+func (a *Allocator) Ref() wire.InboxRef { return a.srv.Ref() }
 
 // Total returns the fixed token population.
 func (a *Allocator) Total() Bag {
@@ -112,54 +116,48 @@ func (a *Allocator) ConservationHolds() bool {
 	return true
 }
 
-func (a *Allocator) handle(env *wire.Envelope) {
-	switch m := env.Body.(type) {
-	case *reqMsg:
-		a.onRequest(m)
-	case *relMsg:
-		a.onRelease(m)
-	case *totalReqMsg:
-		a.mu.Lock()
-		tot := a.total.Copy()
-		a.mu.Unlock()
-		_ = a.d.SendDirect(m.ReplyTo, "", &totalRepMsg{ReqID: m.ReqID, Total: tot})
-	}
+func (a *Allocator) onTotal(*svc.Ctx, wire.Msg) (wire.Msg, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return &totalRepMsg{Total: a.total.Copy()}, nil
 }
 
-func (a *Allocator) onRequest(m *reqMsg) {
+// onRequest queues a request and answers it — now or from a later
+// request's or release's handler — through its deferred reply.
+func (a *Allocator) onRequest(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+	m := req.(*reqMsg)
 	a.mu.Lock()
 	a.stats.Requests++
 
 	// Resolve the effective want, expanding AllOf colours to the total
 	// population of that colour.
 	want := m.Want.Copy().Normalize()
-	for _, c := range m.AllOf {
-		want[c] = a.total[c]
+	for _, col := range m.AllOf {
+		want[col] = a.total[col]
 	}
 	// Requests for colours that do not exist can never be satisfied.
-	for c := range want {
-		if _, ok := a.total[c]; !ok {
+	for col := range want {
+		if _, ok := a.total[col]; !ok {
 			a.stats.Denies++
 			a.mu.Unlock()
-			_ = a.d.SendDirect(m.ReplyTo, "", &denyMsg{
-				ReqID: m.ReqID, Reason: "unknown color " + string(c), BadColor: true,
-			})
-			return
+			return nil, &svc.Error{Code: codeUnknownColor, Msg: "unknown color " + string(col)}
 		}
 	}
 
-	a.pending = append(a.pending, &pendReq{req: m, want: want})
+	a.pending = append(a.pending, &pendReq{req: m, want: want, reply: c.Defer()})
 	// Conflicts are resolved in favour of the earlier timestamp, ties by
 	// lower id (§4.2): keep the queue sorted accordingly.
 	sort.SliceStable(a.pending, func(i, j int) bool {
 		return a.pending[i].req.Stamp.Less(a.pending[j].req.Stamp)
 	})
-	grants, denies := a.scanLocked()
+	answers := a.scanLocked()
 	a.mu.Unlock()
-	a.dispatch(grants, denies)
+	send(answers)
+	return nil, nil
 }
 
-func (a *Allocator) onRelease(m *relMsg) {
+func (a *Allocator) onRelease(_ *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+	m := req.(*relMsg)
 	a.mu.Lock()
 	give := m.Give.Copy().Normalize()
 	h := a.holds[m.Client]
@@ -167,36 +165,37 @@ func (a *Allocator) onRelease(m *relMsg) {
 		// The manager already raised ErrNotHeld locally; ignore the
 		// inconsistent release to preserve conservation.
 		a.mu.Unlock()
-		return
+		return nil, nil
 	}
 	if h.IsEmpty() {
 		delete(a.holds, m.Client)
 	}
 	a.free.Add(give)
 	a.stats.Releases++
-	grants, denies := a.scanLocked()
+	answers := a.scanLocked()
 	a.mu.Unlock()
-	a.dispatch(grants, denies)
+	send(answers)
+	return nil, nil
 }
 
-type reply struct {
-	to  wire.InboxRef
-	msg wire.Msg
+// answer is one queued request's outcome, sent after the lock is
+// released.
+type answer struct {
+	reply svc.Reply
+	resp  wire.Msg
+	err   error
 }
 
-func (a *Allocator) dispatch(grants, denies []reply) {
-	for _, r := range grants {
-		_ = a.d.SendDirect(r.to, "", r.msg)
-	}
-	for _, r := range denies {
-		_ = a.d.SendDirect(r.to, "", r.msg)
+func send(answers []answer) {
+	for _, x := range answers {
+		x.reply.Send(x.resp, x.err)
 	}
 }
 
 // scanLocked grants every satisfiable pending request in timestamp order,
-// then runs deadlock detection on the remainder. It returns the replies
-// to send after the lock is released.
-func (a *Allocator) scanLocked() (grants, denies []reply) {
+// then runs deadlock detection on the remainder. It returns the grants,
+// then the refusals, to send after the lock is released.
+func (a *Allocator) scanLocked() (answers []answer) {
 	progress := true
 	for progress {
 		progress = false
@@ -217,9 +216,9 @@ func (a *Allocator) scanLocked() (grants, denies []reply) {
 				a.serials[c]++
 				serials[c] = a.serials[c]
 			}
-			grants = append(grants, reply{
-				to:  p.req.ReplyTo,
-				msg: &grantMsg{ReqID: p.req.ReqID, Granted: p.want.Copy(), Serials: serials},
+			answers = append(answers, answer{
+				reply: p.reply,
+				resp:  &grantMsg{Granted: p.want.Copy(), Serials: serials},
 			})
 			a.pending = append(a.pending[:i], a.pending[i+1:]...)
 			progress = true
@@ -227,7 +226,7 @@ func (a *Allocator) scanLocked() (grants, denies []reply) {
 		}
 	}
 	if len(a.pending) == 0 {
-		return grants, denies
+		return answers
 	}
 
 	// Deadlock detection by graph reduction: work starts with the free
@@ -256,7 +255,7 @@ func (a *Allocator) scanLocked() (grants, denies []reply) {
 		}
 	}
 	if len(blockedBy) == 0 {
-		return grants, denies
+		return answers
 	}
 	// Raise the exception to every request in the deadlocked set.
 	var kept []*pendReq
@@ -267,11 +266,11 @@ func (a *Allocator) scanLocked() (grants, denies []reply) {
 		}
 		a.stats.Denies++
 		a.stats.Deadlocks++
-		denies = append(denies, reply{
-			to:  p.req.ReplyTo,
-			msg: &denyMsg{ReqID: p.req.ReqID, Reason: "deadlock among token holders", Deadlock: true},
+		answers = append(answers, answer{
+			reply: p.reply,
+			err:   &svc.Error{Code: codeDeadlock, Msg: "deadlock among token holders"},
 		})
 	}
 	a.pending = kept
-	return grants, denies
+	return answers
 }

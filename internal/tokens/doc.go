@@ -13,6 +13,13 @@
 // resolved in favour of the earlier logical timestamp, ties broken by the
 // lower process id (§4.2).
 //
+// Both ends ride the svc request/reply framework: the allocator is a
+// handler table on "@tokens" that answers a queued request through its
+// deferred reply when a later release or request makes it grantable, and
+// each Manager owns an svc caller, so several managers share a dapplet.
+// A request is context-first; one whose context ends before its grant
+// arrives hands the late grant back to the allocator.
+//
 // Deadlock detection uses resource-allocation-graph reduction (Coffman):
 // assuming every non-blocked dapplet eventually releases its tokens, any
 // blocked request that cannot be satisfied even after all completable

@@ -1,86 +1,35 @@
 package tokens
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/svc"
 	"repro/internal/wire"
 )
 
 // Manager is the per-dapplet token manager: it tracks holdsTokens — "the
 // number of tokens of each color that the dapplet holds" (§4.1) — and
-// talks to the session's allocator. A dapplet has at most one request
-// outstanding at a time per Manager (Request suspends, as in the paper).
+// talks to the session's allocator through its own svc caller, so any
+// number of managers (one per session, each with its own allocator) share
+// a dapplet. A dapplet has at most one request outstanding at a time per
+// Manager (Request suspends, as in the paper).
 type Manager struct {
 	d     *core.Dapplet
+	c     *svc.Caller
 	alloc wire.InboxRef
 
-	mu      sync.Mutex
-	holds   Bag
-	nextID  uint64
-	waiting map[uint64]chan *wire.Envelope
+	mu    sync.Mutex
+	holds Bag
 }
 
 // NewManager attaches a token manager to the dapplet, connected to the
 // given allocator control inbox.
 func NewManager(d *core.Dapplet, alloc wire.InboxRef) *Manager {
-	m := &Manager{
-		d:       d,
-		alloc:   alloc,
-		holds:   make(Bag),
-		waiting: make(map[uint64]chan *wire.Envelope),
-	}
-	d.Handle(clientInbox, m.handle)
-	return m
-}
-
-func (m *Manager) handle(env *wire.Envelope) {
-	var id uint64
-	switch b := env.Body.(type) {
-	case *grantMsg:
-		id = b.ReqID
-	case *denyMsg:
-		id = b.ReqID
-	case *totalRepMsg:
-		id = b.ReqID
-	default:
-		return
-	}
-	m.mu.Lock()
-	ch := m.waiting[id]
-	delete(m.waiting, id)
-	m.mu.Unlock()
-	if ch != nil {
-		ch <- env
-	}
-}
-
-func (m *Manager) replyRef() wire.InboxRef {
-	return wire.InboxRef{Dapplet: m.d.Addr(), Inbox: clientInbox}
-}
-
-// call sends a request-style message and waits for its reply envelope.
-func (m *Manager) call(build func(id uint64, re wire.InboxRef) wire.Msg) (*wire.Envelope, error) {
-	m.mu.Lock()
-	m.nextID++
-	id := m.nextID
-	ch := make(chan *wire.Envelope, 1)
-	m.waiting[id] = ch
-	m.mu.Unlock()
-
-	if err := m.d.SendDirect(m.alloc, "", build(id, m.replyRef())); err != nil {
-		m.mu.Lock()
-		delete(m.waiting, id)
-		m.mu.Unlock()
-		return nil, err
-	}
-	select {
-	case env := <-ch:
-		return env, nil
-	case <-m.d.Stopped():
-		return nil, ErrClosed
-	}
+	return &Manager{d: d, c: svc.NewCaller(d), alloc: alloc, holds: make(Bag)}
 }
 
 // Grant describes a satisfied request: the tokens received and, for each
@@ -93,58 +42,70 @@ type Grant struct {
 
 // Request suspends until the requested tokens (a specified number for
 // each colour) are available, then adds them to holdsTokens. If the token
-// managers detect a deadlock, ErrDeadlock is raised.
-func (m *Manager) Request(want Bag) error {
-	_, err := m.request(want.Copy().Normalize(), nil)
+// managers detect a deadlock, ErrDeadlock is raised. If ctx ends first,
+// Request returns ctx.Err() and the request is withdrawn: should the
+// allocator grant it anyway, the tokens go straight back.
+func (m *Manager) Request(ctx context.Context, want Bag) error {
+	_, err := m.request(ctx, want.Copy().Normalize(), nil)
 	return err
 }
 
 // RequestGrant is Request but returns the grant's serial numbers.
-func (m *Manager) RequestGrant(want Bag) (Grant, error) {
-	return m.request(want.Copy().Normalize(), nil)
+func (m *Manager) RequestGrant(ctx context.Context, want Bag) (Grant, error) {
+	return m.request(ctx, want.Copy().Normalize(), nil)
 }
 
 // RequestAll suspends until every token of the given colour is held by
 // this dapplet, returning how many were acquired.
-func (m *Manager) RequestAll(c Color) (int, error) {
-	g, err := m.request(nil, []Color{c})
+func (m *Manager) RequestAll(ctx context.Context, c Color) (int, error) {
+	g, err := m.request(ctx, nil, []Color{c})
 	if err != nil {
 		return 0, err
 	}
 	return g.Tokens[c], nil
 }
 
-func (m *Manager) request(want Bag, allOf []Color) (Grant, error) {
-	env, err := m.call(func(id uint64, re wire.InboxRef) wire.Msg {
-		return &reqMsg{
-			ReqID:   id,
-			Client:  m.d.Name(),
-			Stamp:   m.d.Clock().StampTick(),
-			Want:    want,
-			AllOf:   allOf,
-			ReplyTo: re,
-		}
-	})
+func (m *Manager) request(ctx context.Context, want Bag, allOf []Color) (Grant, error) {
+	if err := ctx.Err(); err != nil {
+		return Grant{}, err
+	}
+	p, err := m.c.Send(m.alloc, "", &reqMsg{Client: m.d.Name(), Stamp: m.d.Clock().StampTick(), Want: want, AllOf: allOf})
 	if err != nil {
 		return Grant{}, err
 	}
-	switch b := env.Body.(type) {
-	case *grantMsg:
-		m.mu.Lock()
-		m.holds.Add(b.Granted)
-		m.mu.Unlock()
-		return Grant{Tokens: b.Granted, Serials: b.Serials}, nil
-	case *denyMsg:
-		if b.Deadlock {
-			return Grant{}, fmt.Errorf("%w: %s", ErrDeadlock, b.Reason)
+	// The allocator books a grant to this dapplet when it sends it; one
+	// that lands after ctx ended is released rather than stranded.
+	p.OnLate(func(resp wire.Msg, _ error) {
+		if g, ok := resp.(*grantMsg); ok {
+			_ = m.c.Cast(m.alloc, "", &relMsg{Client: m.d.Name(), Give: g.Granted})
 		}
-		if b.BadColor {
-			return Grant{}, fmt.Errorf("%w: %s", ErrUnknownColor, b.Reason)
-		}
-		return Grant{}, fmt.Errorf("tokens: request denied: %s", b.Reason)
-	default:
-		return Grant{}, fmt.Errorf("tokens: unexpected reply %T", env.Body)
+	})
+	var g grantMsg
+	if err := p.Await(ctx, &g); err != nil {
+		return Grant{}, serviceErr(err)
 	}
+	m.mu.Lock()
+	m.holds.Add(g.Granted)
+	m.mu.Unlock()
+	return Grant{Tokens: g.Granted, Serials: g.Serials}, nil
+}
+
+// serviceErr maps the allocator's typed refusals and a stopped dapplet to
+// the package's errors.
+func serviceErr(err error) error {
+	var se *svc.Error
+	if errors.As(err, &se) {
+		switch se.Code {
+		case codeDeadlock:
+			return fmt.Errorf("%w: %s", ErrDeadlock, se.Msg)
+		case codeUnknownColor:
+			return fmt.Errorf("%w: %s", ErrUnknownColor, se.Msg)
+		}
+	}
+	if errors.Is(err, core.ErrStopped) {
+		return ErrClosed
+	}
+	return err
 }
 
 // Release returns the specified tokens to the token managers, decrementing
@@ -158,7 +119,7 @@ func (m *Manager) Release(give Bag) error {
 		return fmt.Errorf("%w: have %v, releasing %v", ErrNotHeld, m.holds.Copy(), give)
 	}
 	m.mu.Unlock()
-	return m.d.SendDirect(m.alloc, "", &relMsg{Client: m.d.Name(), Give: give})
+	return m.c.Cast(m.alloc, "", &relMsg{Client: m.d.Name(), Give: give})
 }
 
 // ReleaseAll returns every held token.
@@ -181,16 +142,10 @@ func (m *Manager) Holds() Bag {
 
 // TotalTokens returns the total number of tokens of all colours in the
 // system.
-func (m *Manager) TotalTokens() (Bag, error) {
-	env, err := m.call(func(id uint64, re wire.InboxRef) wire.Msg {
-		return &totalReqMsg{ReqID: id, ReplyTo: re}
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, ok := env.Body.(*totalRepMsg)
-	if !ok {
-		return nil, fmt.Errorf("tokens: unexpected reply %T", env.Body)
+func (m *Manager) TotalTokens(ctx context.Context) (Bag, error) {
+	var rep totalRepMsg
+	if err := m.c.Call(ctx, m.alloc, &totalReqMsg{}, &rep); err != nil {
+		return nil, serviceErr(err)
 	}
 	return rep.Total, nil
 }

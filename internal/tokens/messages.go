@@ -36,19 +36,16 @@ func readBag(r *wire.Reader) Bag {
 // AllOf lists colours for which the dapplet wants every token in the
 // system ("the request can ask for all tokens of a given color").
 type reqMsg struct {
-	ReqID   uint64
-	Client  string
-	Stamp   lclock.Stamp
-	Want    Bag
-	AllOf   []Color
-	ReplyTo wire.InboxRef
+	Client string
+	Stamp  lclock.Stamp
+	Want   Bag
+	AllOf  []Color
 }
 
 func (*reqMsg) Kind() string { return "tokens.request" }
 
 // AppendBinary implements wire.Msg.
 func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
 	dst = wire.AppendString(dst, m.Client)
 	dst = wire.AppendUvarint(dst, m.Stamp.Time)
 	dst = wire.AppendString(dst, m.Stamp.ID)
@@ -57,13 +54,12 @@ func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
 	for _, c := range m.AllOf {
 		dst = wire.AppendString(dst, string(c))
 	}
-	return wire.AppendInboxRef(dst, m.ReplyTo), nil
+	return dst, nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *reqMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
 	m.Client = r.String()
 	m.Stamp.Time = r.Uvarint()
 	m.Stamp.ID = r.String()
@@ -75,7 +71,6 @@ func (m *reqMsg) UnmarshalBinary(data []byte) error {
 			m.AllOf[i] = Color(r.String())
 		}
 	}
-	m.ReplyTo = r.InboxRef()
 	return r.Done()
 }
 
@@ -84,7 +79,6 @@ func (m *reqMsg) UnmarshalBinary(data []byte) error {
 // grants of that colour — a total order over acquisitions that clients can
 // use as a sequencer (e.g. document version numbers).
 type grantMsg struct {
-	ReqID   uint64
 	Granted Bag
 	Serials map[Color]uint64
 }
@@ -93,7 +87,6 @@ func (*grantMsg) Kind() string { return "tokens.grant" }
 
 // AppendBinary implements wire.Msg.
 func (m *grantMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
 	dst = appendBag(dst, m.Granted)
 	dst = wire.AppendUvarint(dst, uint64(len(m.Serials)))
 	for _, c := range slices.Sorted(maps.Keys(m.Serials)) {
@@ -106,7 +99,6 @@ func (m *grantMsg) AppendBinary(dst []byte) ([]byte, error) {
 // UnmarshalBinary implements wire.Msg.
 func (m *grantMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
 	m.Granted = readBag(r)
 	m.Serials = nil
 	if n := r.Count(); n > 0 {
@@ -116,34 +108,6 @@ func (m *grantMsg) UnmarshalBinary(data []byte) error {
 			m.Serials[c] = r.Uvarint()
 		}
 	}
-	return r.Done()
-}
-
-// denyMsg fails a request, e.g. on deadlock or an unknown colour.
-type denyMsg struct {
-	ReqID    uint64
-	Reason   string
-	Deadlock bool
-	BadColor bool
-}
-
-func (*denyMsg) Kind() string { return "tokens.deny" }
-
-// AppendBinary implements wire.Msg.
-func (m *denyMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
-	dst = wire.AppendString(dst, m.Reason)
-	dst = wire.AppendBool(dst, m.Deadlock)
-	return wire.AppendBool(dst, m.BadColor), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *denyMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
-	m.Reason = r.String()
-	m.Deadlock = r.Bool()
-	m.BadColor = r.Bool()
 	return r.Done()
 }
 
@@ -170,30 +134,18 @@ func (m *relMsg) UnmarshalBinary(data []byte) error {
 }
 
 // totalReqMsg queries the fixed token totals.
-type totalReqMsg struct {
-	ReqID   uint64
-	ReplyTo wire.InboxRef
-}
+type totalReqMsg struct{}
 
 func (*totalReqMsg) Kind() string { return "tokens.total-req" }
 
 // AppendBinary implements wire.Msg.
-func (m *totalReqMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
-	return wire.AppendInboxRef(dst, m.ReplyTo), nil
-}
+func (*totalReqMsg) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 
 // UnmarshalBinary implements wire.Msg.
-func (m *totalReqMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
-	m.ReplyTo = r.InboxRef()
-	return r.Done()
-}
+func (*totalReqMsg) UnmarshalBinary(data []byte) error { return wire.NewReader(data).Done() }
 
 // totalRepMsg answers a totals query.
 type totalRepMsg struct {
-	ReqID uint64
 	Total Bag
 }
 
@@ -201,14 +153,12 @@ func (*totalRepMsg) Kind() string { return "tokens.total-rep" }
 
 // AppendBinary implements wire.Msg.
 func (m *totalRepMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.ReqID)
 	return appendBag(dst, m.Total), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *totalRepMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.ReqID = r.Uvarint()
 	m.Total = readBag(r)
 	return r.Done()
 }
@@ -216,7 +166,6 @@ func (m *totalRepMsg) UnmarshalBinary(data []byte) error {
 func init() {
 	wire.Register(&reqMsg{})
 	wire.Register(&grantMsg{})
-	wire.Register(&denyMsg{})
 	wire.Register(&relMsg{})
 	wire.Register(&totalReqMsg{})
 	wire.Register(&totalRepMsg{})

@@ -1,5 +1,7 @@
 package tokens
 
+import "context"
+
 // RWLock is the paper's reader/writer protocol built on tokens (§4.1):
 // "The object is associated with a token color. A dapplet writes the
 // object only if it has all tokens associated with the object, and a
@@ -19,8 +21,8 @@ func NewRWLock(m *Manager, color Color) *RWLock {
 
 // RLock acquires one token of the colour, permitting a read concurrent
 // with other reads but excluding writes.
-func (l *RWLock) RLock() error {
-	return l.m.Request(Bag{l.color: 1})
+func (l *RWLock) RLock(ctx context.Context) error {
+	return l.m.Request(ctx, Bag{l.color: 1})
 }
 
 // RUnlock releases the read token.
@@ -30,8 +32,8 @@ func (l *RWLock) RUnlock() error {
 
 // Lock acquires every token of the colour, excluding all readers and
 // writers.
-func (l *RWLock) Lock() error {
-	_, err := l.m.RequestAll(l.color)
+func (l *RWLock) Lock(ctx context.Context) error {
+	_, err := l.m.RequestAll(ctx, l.color)
 	return err
 }
 

@@ -3,7 +3,7 @@ package tokens
 import (
 	"errors"
 
-	"repro/internal/wire"
+	"repro/internal/svc"
 )
 
 // Color is a resource type; tokens of one colour cannot be transmuted
@@ -92,14 +92,12 @@ var (
 	ErrClosed = errors.New("tokens: closed")
 )
 
-// Well-known inbox names of the token service.
-const (
-	// AllocInbox is the allocator's control inbox.
-	AllocInbox = "@tokens"
-	// clientInbox receives the allocator's replies at each manager.
-	clientInbox = "@tokens-client"
-)
+// AllocInbox is the allocator's svc-served control inbox.
+const AllocInbox = "@tokens"
 
-// AllocRef returns the allocator control inbox on the given dapplet
-// address.
-func AllocRef(d wire.InboxRef) wire.InboxRef { return d }
+// Service error codes a refused request carries back through the svc
+// reply; Manager maps them to ErrDeadlock and ErrUnknownColor.
+const (
+	codeDeadlock     = svc.CodeUser + 0
+	codeUnknownColor = svc.CodeUser + 1
+)

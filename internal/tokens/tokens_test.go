@@ -1,6 +1,7 @@
 package tokens_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -13,6 +14,9 @@ import (
 	"repro/internal/tokens"
 	"repro/internal/transport"
 )
+
+// ctx bounds nothing: these tests wait on their own timers.
+var ctx = context.Background()
 
 type tworld struct {
 	t     *testing.T
@@ -97,7 +101,7 @@ func TestRequestReleaseHoldsTotal(t *testing.T) {
 	w := newTWorld(t, tokens.Bag{"file": 3, "printer": 1})
 	m := w.manager("caltech", "mani")
 
-	tot, err := m.TotalTokens()
+	tot, err := m.TotalTokens(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestRequestReleaseHoldsTotal(t *testing.T) {
 		t.Fatalf("total = %v", tot)
 	}
 
-	if err := m.Request(tokens.Bag{"file": 2}); err != nil {
+	if err := m.Request(ctx, tokens.Bag{"file": 2}); err != nil {
 		t.Fatal(err)
 	}
 	if h := m.Holds(); h["file"] != 2 {
@@ -128,7 +132,7 @@ func TestReleaseNotHeld(t *testing.T) {
 	if err := m.Release(tokens.Bag{"x": 1}); !errors.Is(err, tokens.ErrNotHeld) {
 		t.Fatalf("err = %v, want ErrNotHeld", err)
 	}
-	if err := m.Request(tokens.Bag{"x": 1}); err != nil {
+	if err := m.Request(ctx, tokens.Bag{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Release(tokens.Bag{"x": 2}); !errors.Is(err, tokens.ErrNotHeld) {
@@ -143,7 +147,7 @@ func TestReleaseNotHeld(t *testing.T) {
 func TestUnknownColor(t *testing.T) {
 	w := newTWorld(t, tokens.Bag{"x": 1})
 	m := w.manager("h", "confused")
-	if err := m.Request(tokens.Bag{"nonexistent": 1}); !errors.Is(err, tokens.ErrUnknownColor) {
+	if err := m.Request(ctx, tokens.Bag{"nonexistent": 1}); !errors.Is(err, tokens.ErrUnknownColor) {
 		t.Fatalf("err = %v, want ErrUnknownColor", err)
 	}
 }
@@ -152,11 +156,11 @@ func TestRequestBlocksUntilRelease(t *testing.T) {
 	w := newTWorld(t, tokens.Bag{"mutex": 1})
 	holder := w.manager("h1", "holder")
 	waiter := w.manager("h2", "waiter")
-	if err := holder.Request(tokens.Bag{"mutex": 1}); err != nil {
+	if err := holder.Request(ctx, tokens.Bag{"mutex": 1}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- waiter.Request(tokens.Bag{"mutex": 1}) }()
+	go func() { got <- waiter.Request(ctx, tokens.Bag{"mutex": 1}) }()
 	select {
 	case err := <-got:
 		t.Fatalf("waiter acquired held token: %v", err)
@@ -189,7 +193,7 @@ func TestMutualExclusionWithSingleToken(t *testing.T) {
 		go func(m *tokens.Manager) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if err := m.Request(tokens.Bag{"object": 1}); err != nil {
+				if err := m.Request(ctx, tokens.Bag{"object": 1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,17 +226,17 @@ func TestDeadlockDetectionTwoPhilosophers(t *testing.T) {
 	w := newTWorld(t, tokens.Bag{"fork1": 1, "fork2": 1})
 	a := w.manager("h1", "philosopher-a")
 	b := w.manager("h2", "philosopher-b")
-	if err := a.Request(tokens.Bag{"fork1": 1}); err != nil {
+	if err := a.Request(ctx, tokens.Bag{"fork1": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Request(tokens.Bag{"fork2": 1}); err != nil {
+	if err := b.Request(ctx, tokens.Bag{"fork2": 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Now cross-request: a deadlock the managers must detect.
 	errA := make(chan error, 1)
 	errB := make(chan error, 1)
-	go func() { errA <- a.Request(tokens.Bag{"fork2": 1}) }()
-	go func() { errB <- b.Request(tokens.Bag{"fork1": 1}) }()
+	go func() { errA <- a.Request(ctx, tokens.Bag{"fork2": 1}) }()
+	go func() { errB <- b.Request(ctx, tokens.Bag{"fork1": 1}) }()
 	deadlocked := 0
 	for i := 0; i < 2; i++ {
 		select {
@@ -271,11 +275,11 @@ func TestNoFalseDeadlockWithFreeableHolder(t *testing.T) {
 	w := newTWorld(t, tokens.Bag{"blue": 1, "red": 2})
 	a := w.manager("h1", "a")
 	b := w.manager("h2", "b")
-	if err := b.Request(tokens.Bag{"blue": 1}); err != nil {
+	if err := b.Request(ctx, tokens.Bag{"blue": 1}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- a.Request(tokens.Bag{"blue": 1}) }()
+	go func() { got <- a.Request(ctx, tokens.Bag{"blue": 1}) }()
 	select {
 	case err := <-got:
 		t.Fatalf("premature completion: %v", err)
@@ -313,7 +317,7 @@ func TestDiningPhilosophersOrderedAcquisitionCompletes(t *testing.T) {
 			defer wg.Done()
 			for meal := 0; meal < 5; meal++ {
 				// Atomic multi-resource request: no hold-and-wait.
-				if err := m.Request(tokens.Bag{left: 1, right: 1}); err != nil {
+				if err := m.Request(ctx, tokens.Bag{left: 1, right: 1}); err != nil {
 					t.Errorf("%v", err)
 					return
 				}
@@ -344,7 +348,7 @@ func TestTimestampPriorityOnContention(t *testing.T) {
 	holder := w.manager("h0", "holder")
 	early := w.manager("h1", "a-early")
 	late := w.manager("h2", "b-late")
-	if err := holder.Request(tokens.Bag{"t": 1}); err != nil {
+	if err := holder.Request(ctx, tokens.Bag{"t": 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Give the late requester a much larger clock so its stamp loses.
@@ -355,9 +359,9 @@ func TestTimestampPriorityOnContention(t *testing.T) {
 	_ = lateD
 	earlyC := make(chan error, 1)
 	lateC := make(chan error, 1)
-	go func() { earlyC <- early.Request(tokens.Bag{"t": 1}) }()
+	go func() { earlyC <- early.Request(ctx, tokens.Bag{"t": 1}) }()
 	time.Sleep(50 * time.Millisecond) // ensure early's request arrives first
-	go func() { lateC <- late.Request(tokens.Bag{"t": 1}) }()
+	go func() { lateC <- late.Request(ctx, tokens.Bag{"t": 1}) }()
 	time.Sleep(50 * time.Millisecond)
 	if err := holder.Release(tokens.Bag{"t": 1}); err != nil {
 		t.Fatal(err)
@@ -394,17 +398,17 @@ func TestRequestAllAndRWLock(t *testing.T) {
 
 	// Two concurrent readers are fine.
 	l1, l2 := tokens.NewRWLock(r1, "doc"), tokens.NewRWLock(r2, "doc")
-	if err := l1.RLock(); err != nil {
+	if err := l1.RLock(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.RLock(); err != nil {
+	if err := l2.RLock(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	// Writer must wait for all tokens.
 	wl := tokens.NewRWLock(writer, "doc")
 	wGot := make(chan error, 1)
-	go func() { wGot <- wl.Lock() }()
+	go func() { wGot <- wl.Lock(ctx) }()
 	select {
 	case err := <-wGot:
 		t.Fatalf("writer locked alongside readers: %v", err)
@@ -429,7 +433,7 @@ func TestRequestAllAndRWLock(t *testing.T) {
 	}
 	// Readers blocked while writer holds all tokens.
 	rGot := make(chan error, 1)
-	go func() { rGot <- l1.RLock() }()
+	go func() { rGot <- l1.RLock(ctx) }()
 	select {
 	case err := <-rGot:
 		t.Fatalf("reader locked alongside writer: %v", err)
@@ -470,7 +474,7 @@ func TestConservationUnderRandomWorkload(t *testing.T) {
 		if want.IsEmpty() {
 			continue
 		}
-		if err := m.Request(want); err != nil {
+		if err := m.Request(ctx, want); err != nil {
 			t.Fatal(err)
 		}
 		if !w.alloc.ConservationHolds() {
@@ -490,5 +494,79 @@ func TestConservationUnderRandomWorkload(t *testing.T) {
 	}
 	if !w.alloc.ConservationHolds() {
 		t.Fatal("conservation violated at end")
+	}
+}
+
+// TestTwoManagersOneDapplet is the paper's shape of a dapplet in two
+// sessions, each with its own allocator: two managers on one dapplet,
+// requesting concurrently, must each get their own grants. With a reply
+// inbox shared between managers one's grant could wake the other.
+func TestTwoManagersOneDapplet(t *testing.T) {
+	w := newTWorld(t, tokens.Bag{"a": 1})
+	allocB := tokens.Serve(w.dapplet("hub-b", "allocator-b"), tokens.Bag{"b": 1})
+	d := w.dapplet("h", "two-sessions")
+	mgrs := map[tokens.Color]*tokens.Manager{
+		"a": tokens.NewManager(d, w.alloc.Ref()),
+		"b": tokens.NewManager(d, allocB.Ref()),
+	}
+	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for col, m := range mgrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				if err := m.Request(ctx, tokens.Bag{col: 1}); err != nil {
+					t.Errorf("manager %s round %d: %v", col, round, err)
+					return
+				}
+				if err := m.Release(tokens.Bag{col: 1}); err != nil {
+					t.Errorf("manager %s round %d: %v", col, round, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, a := range []*tokens.Allocator{w.alloc, allocB} {
+		if !a.ConservationHolds() || a.Stats().Grants != 200 {
+			t.Fatalf("allocator %v: conservation %v, %+v", a.Total(), a.ConservationHolds(), a.Stats())
+		}
+	}
+}
+
+// TestAbandonedRequestReleasesLateGrant withdraws a request whose
+// context ends while it is queued: the grant the allocator sends once the
+// token frees up is handed straight back, so no token is stranded with a
+// dapplet that gave up on it.
+func TestAbandonedRequestReleasesLateGrant(t *testing.T) {
+	w := newTWorld(t, tokens.Bag{"mutex": 1})
+	holder := w.manager("h1", "holder")
+	waiter := w.manager("h2", "waiter")
+	if err := holder.Request(ctx, tokens.Bag{"mutex": 1}); err != nil {
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	defer cancel()
+	if err := waiter.Request(short, tokens.Bag{"mutex": 1}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if err := holder.Release(tokens.Bag{"mutex": 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The allocator grants the queued request; the waiter releases it.
+	deadline := time.Now().Add(5 * time.Second)
+	for st := w.alloc.Stats(); st.Grants != 2 || st.Releases != 2 || w.alloc.Free().Count() != 1; st = w.alloc.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("late grant stranded: %+v, free %v, holds %v", st, w.alloc.Free(), w.alloc.Holds())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !w.alloc.ConservationHolds() || !waiter.Holds().IsEmpty() {
+		t.Fatalf("conservation %v, waiter holds %v", w.alloc.ConservationHolds(), waiter.Holds())
+	}
+	if err := waiter.Request(ctx, tokens.Bag{"mutex": 1}); err != nil {
+		t.Fatal(err)
 	}
 }

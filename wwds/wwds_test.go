@@ -4,35 +4,58 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/lclock"
+	"repro/internal/rpc"
+	"repro/internal/session"
+	"repro/internal/snapshot"
+	"repro/internal/state"
+	"repro/internal/syncprim"
+	"repro/internal/tokens"
+	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/wwds"
 )
 
-// newPair builds two connected dapplets through the public facade.
-func newPair(t *testing.T) (*wwds.Network, *wwds.Dapplet, *wwds.Dapplet) {
+// newWorld builds a facade network and returns a helper that puts a
+// facade dapplet on a named host.
+func newWorld(t *testing.T, seed int64) func(host, name string) *core.Dapplet {
 	t.Helper()
-	net := wwds.NewNetwork(wwds.WithSeed(1))
+	net := wwds.NewNetwork(wwds.WithSeed(seed))
 	t.Cleanup(net.Close)
-	epA, err := net.Host("a").BindAny()
-	if err != nil {
-		t.Fatal(err)
+	return func(host, name string) *core.Dapplet {
+		t.Helper()
+		ep, err := net.Host(host).BindAny()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := wwds.NewDapplet(name, "t", wwds.NewSimConn(ep),
+			core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
+		t.Cleanup(d.Stop)
+		return d
 	}
-	epB, err := net.Host("b").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := wwds.WithTransportConfig(wwds.TransportConfig{RTO: 20 * time.Millisecond})
-	da := wwds.NewDapplet("a", "t", wwds.NewSimConn(epA), cfg)
-	db := wwds.NewDapplet("b", "t", wwds.NewSimConn(epB), cfg)
-	t.Cleanup(da.Stop)
-	t.Cleanup(db.Stop)
-	return net, da, db
+}
+
+// newPair builds two connected dapplets through the public facade.
+func newPair(t *testing.T) (*core.Dapplet, *core.Dapplet) {
+	t.Helper()
+	dap := newWorld(t, 1)
+	return dap("a", "a"), dap("b", "b")
 }
 
 func TestFacadeMessaging(t *testing.T) {
-	_, da, db := newPair(t)
+	da, db := newPair(t)
 	in := db.Inbox("mail")
 	out := da.Outbox("out")
 	out.Add(in.Ref())
@@ -48,27 +71,26 @@ func TestFacadeMessaging(t *testing.T) {
 	}
 }
 
-// facadeMsg checks custom message registration through the facade.
+// facadeMsg is an application message sent between facade dapplets.
 type facadeMsg struct {
 	N int
 }
 
 func (*facadeMsg) Kind() string { return "wwds_test.facade" }
 
-// The codec is written against the facade's re-exports only.
 func (m *facadeMsg) AppendBinary(dst []byte) ([]byte, error) {
-	return wwds.AppendVarint(dst, int64(m.N)), nil
+	return wire.AppendVarint(dst, int64(m.N)), nil
 }
 
 func (m *facadeMsg) UnmarshalBinary(data []byte) error {
-	r := wwds.NewWireReader(data)
+	r := wire.NewReader(data)
 	m.N = int(r.Varint())
 	return r.Done()
 }
 
 func TestFacadeCustomMessage(t *testing.T) {
-	wwds.RegisterMessage(&facadeMsg{})
-	_, da, db := newPair(t)
+	wire.Register(&facadeMsg{})
+	da, db := newPair(t)
 	in := db.Inbox("in")
 	out := da.Outbox("out")
 	out.Add(in.Ref())
@@ -85,39 +107,25 @@ func TestFacadeCustomMessage(t *testing.T) {
 }
 
 func TestFacadeSessionLifecycle(t *testing.T) {
-	net := wwds.NewNetwork(wwds.WithSeed(2))
-	t.Cleanup(net.Close)
+	dap := newWorld(t, 2)
 	dir := wwds.NewDirectory()
-	cfg := wwds.WithTransportConfig(wwds.TransportConfig{RTO: 20 * time.Millisecond})
-
-	var members []*wwds.Dapplet
+	var members []*core.Dapplet
 	for i := 0; i < 3; i++ {
-		ep, err := net.Host(fmt.Sprintf("h%d", i)).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := wwds.NewDapplet(fmt.Sprintf("m%d", i), "member", wwds.NewSimConn(ep), cfg)
-		t.Cleanup(d.Stop)
-		wwds.AttachSessions(d, wwds.SessionPolicy{})
+		d := dap(fmt.Sprintf("h%d", i), fmt.Sprintf("m%d", i))
+		session.Attach(d, session.Policy{})
 		dir.Register(context.Background(), wwds.DirEntry{Name: d.Name(), Type: "member", Addr: d.Addr()})
 		members = append(members, d)
 	}
-	epI, err := net.Host("hq").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iniD := wwds.NewDapplet("director", "director", wwds.NewSimConn(epI), cfg)
-	t.Cleanup(iniD.Stop)
-	ini := wwds.NewInitiator(iniD, dir)
+	ini := wwds.NewInitiator(dap("hq", "director"), dir)
 
-	spec := wwds.SessionSpec{ID: "facade-session", Task: "smoke test"}
+	spec := session.Spec{ID: "facade-session", Task: "smoke test"}
 	for i := range members {
 		spec.Participants = append(spec.Participants,
-			wwds.Participant{Name: fmt.Sprintf("m%d", i), Role: "member"})
+			session.Participant{Name: fmt.Sprintf("m%d", i), Role: "member"})
 	}
 	spec.Links = append(spec.Links,
-		wwds.Link{From: "m0", Outbox: "out", To: "m1", Inbox: "in"},
-		wwds.Link{From: "m1", Outbox: "out", To: "m2", Inbox: "in"},
+		session.Link{From: "m0", Outbox: "out", To: "m1", Inbox: "in"},
+		session.Link{From: "m1", Outbox: "out", To: "m2", Inbox: "in"},
 	)
 	h, err := ini.Initiate(context.Background(), spec)
 	if err != nil {
@@ -138,17 +146,18 @@ func TestFacadeSessionLifecycle(t *testing.T) {
 }
 
 func TestFacadeTokensAndRWLock(t *testing.T) {
-	_, da, db := newPair(t)
-	alloc := wwds.ServeTokens(da, wwds.TokenBag{"doc": 2})
-	mgr := wwds.NewTokenManager(db, alloc.Ref())
-	lock := wwds.NewRWLock(mgr, "doc")
-	if err := lock.RLock(); err != nil {
+	ctx := testCtx(t)
+	da, db := newPair(t)
+	alloc := tokens.Serve(da, tokens.Bag{"doc": 2})
+	mgr := tokens.NewManager(db, alloc.Ref())
+	lock := tokens.NewRWLock(mgr, "doc")
+	if err := lock.RLock(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := lock.RUnlock(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lock.Lock(); err != nil {
+	if err := lock.Lock(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := mgr.Holds()["doc"]; got != 2 {
@@ -163,8 +172,8 @@ func TestFacadeTokensAndRWLock(t *testing.T) {
 }
 
 func TestFacadeRPC(t *testing.T) {
-	_, da, db := newPair(t)
-	ref := wwds.ServeObject(da, "adder", wwds.RPCObject{
+	da, db := newPair(t)
+	ref := rpc.Serve(da, "adder", rpc.Object{
 		"add2": func(raw json.RawMessage) (any, error) {
 			var v int
 			if err := json.Unmarshal(raw, &v); err != nil {
@@ -173,38 +182,23 @@ func TestFacadeRPC(t *testing.T) {
 			return v + 2, nil
 		},
 	})
-	cli := wwds.NewRPCClient(db)
 	var out int
-	if err := cli.Call(context.Background(), ref, "add2", 40, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != 42 {
-		t.Fatalf("out = %d", out)
+	if err := rpc.NewClient(db).Call(testCtx(t), ref, "add2", 40, &out); err != nil || out != 42 {
+		t.Fatalf("out = %d, %v", out, err)
 	}
 }
 
 func TestFacadeSnapshot(t *testing.T) {
-	net, da, db := newPair(t)
-	_ = net
-	sa := wwds.AttachSnapshots(da, func() any { return "state-a" })
-	sb := wwds.AttachSnapshots(db, func() any { return "state-b" })
-	members := []wwds.SnapshotMember{
-		{Name: "a", Addr: da.Addr()},
-		{Name: "b", Addr: db.Addr()},
-	}
+	dap := newWorld(t, 1)
+	da, db := dap("a", "a"), dap("b", "b")
+	sa := snapshot.Attach(da, func() any { return "state-a" })
+	sb := snapshot.Attach(db, func() any { return "state-b" })
+	members := []snapshot.Member{{Name: "a", Addr: da.Addr()}, {Name: "b", Addr: db.Addr()}}
 	sa.SetPeers(members[1:])
 	sb.SetPeers(members[:1])
-
-	epC, err := net.Host("c").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordD := wwds.NewDapplet("coord", "coord", wwds.NewSimConn(epC),
-		wwds.WithTransportConfig(wwds.TransportConfig{RTO: 20 * time.Millisecond}))
-	t.Cleanup(coordD.Stop)
-	coord := wwds.NewSnapshotCoordinator(coordD, members)
+	coord := snapshot.NewCoordinator(dap("c", "coord"), members)
 	coord.SetSettle(10 * time.Millisecond)
-	g, err := coord.SnapshotMarker(context.Background())
+	g, err := coord.SnapshotMarker(testCtx(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +211,15 @@ func TestFacadeSnapshot(t *testing.T) {
 }
 
 func TestFacadeSyncAndStore(t *testing.T) {
-	_, da, db := newPair(t)
-	svc := wwds.ServeBarriers(da)
-	cli := wwds.NewSyncClient(db)
-	round, err := cli.BarrierAwait(svc.Ref(), "solo", 1)
+	da, db := newPair(t)
+	svc := syncprim.ServeBarriers(da)
+	cli := syncprim.NewClient(db)
+	round, err := cli.BarrierAwait(testCtx(t), svc.Ref(), "solo", 1)
 	if err != nil || round != 0 {
 		t.Fatalf("round=%d err=%v", round, err)
 	}
 
-	st := wwds.NewStore()
+	st := state.NewStore()
 	if err := st.Set("k", 7); err != nil {
 		t.Fatal(err)
 	}
@@ -233,23 +227,13 @@ func TestFacadeSyncAndStore(t *testing.T) {
 	if ok, err := st.Get("k", &v); !ok || err != nil || v != 7 {
 		t.Fatalf("get = %d %v %v", v, ok, err)
 	}
-	if err := st.TryAcquire("s1", wwds.AccessSet{Write: []string{"k"}}); err != nil {
+	if err := st.TryAcquire("s1", state.AccessSet{Write: []string{"k"}}); err != nil {
 		t.Fatal(err)
 	}
-
-	bar := wwds.NewBarrier(1)
-	if bar.Await() != 0 {
-		t.Fatal("local barrier round")
-	}
-	sem := wwds.NewSemaphore(1)
-	if err := sem.Acquire(1); err != nil {
-		t.Fatal(err)
-	}
-	sem.Release(1)
 }
 
 func TestFacadeClockStamps(t *testing.T) {
-	_, da, db := newPair(t)
+	da, db := newPair(t)
 	in := db.Inbox("in")
 	out := da.Outbox("out")
 	out.Add(in.Ref())
@@ -263,42 +247,28 @@ func TestFacadeClockStamps(t *testing.T) {
 	if db.Clock().Now() <= env.Lamport {
 		t.Fatal("snapshot criterion violated through facade")
 	}
-	s1 := wwds.Stamp{Time: 1, ID: "a"}
-	s2 := wwds.Stamp{Time: 1, ID: "b"}
-	if !s1.Less(s2) {
+	if s1, s2 := (lclock.Stamp{Time: 1, ID: "a"}), (lclock.Stamp{Time: 1, ID: "b"}); !s1.Less(s2) {
 		t.Fatal("stamp ordering broken")
 	}
 }
 
 func TestFacadeDirectoryService(t *testing.T) {
-	net := wwds.NewNetwork(wwds.WithSeed(3))
-	t.Cleanup(net.Close)
-	cfg := wwds.WithTransportConfig(wwds.TransportConfig{RTO: 20 * time.Millisecond})
-
-	newDap := func(host, name string) *wwds.Dapplet {
-		ep, err := net.Host(host).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := wwds.NewDapplet(name, "t", wwds.NewSimConn(ep), cfg)
-		t.Cleanup(d.Stop)
-		return d
-	}
+	dap := newWorld(t, 3)
 
 	// Two shards, one replica each, hosted through the facade.
 	var refs [][]wwds.InboxRef
 	for s := 0; s < 2; s++ {
-		svc := wwds.ServeDirectory(newDap(fmt.Sprintf("dh%d", s), fmt.Sprintf("dir-%d", s)))
+		svc := wwds.ServeDirectory(dap(fmt.Sprintf("dh%d", s), fmt.Sprintf("dir-%d", s)))
 		refs = append(refs, []wwds.InboxRef{svc.Ref()})
 	}
 	cluster, err := wwds.NewDirectoryCluster(refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := wwds.NewDirectoryClient(newDap("hc", "client"), cluster)
+	cli := wwds.NewDirectoryClient(dap("hc", "client"), cluster)
 
-	target := newDap("ht", "worker")
-	wwds.AttachSessions(target, wwds.SessionPolicy{})
+	target := dap("ht", "worker")
+	session.Attach(target, session.Policy{})
 	if err := cli.Register(context.Background(), wwds.DirEntry{Name: "worker", Type: "t", Addr: target.Addr()}); err != nil {
 		t.Fatal(err)
 	}
@@ -306,12 +276,11 @@ func TestFacadeDirectoryService(t *testing.T) {
 		t.Fatalf("lookup = %+v, %v", got, err)
 	}
 
-	// The initiator accepts the caching client as its DirResolver.
-	var _ wwds.DirResolver = cli
-	ini := wwds.NewInitiator(newDap("hq", "director"), cli)
-	h, err := ini.Initiate(context.Background(), wwds.SessionSpec{
+	// The initiator accepts the caching client as its resolver.
+	ini := wwds.NewInitiator(dap("hq", "director"), cli)
+	h, err := ini.Initiate(context.Background(), session.Spec{
 		ID:           "dir-facade",
-		Participants: []wwds.Participant{{Name: "worker", Role: "member"}},
+		Participants: []session.Participant{{Name: "worker", Role: "member"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +293,58 @@ func TestFacadeDirectoryService(t *testing.T) {
 	}
 }
 
-// testCtx returns a context bounding one receive in these tests.
+// TestReexportsHaveUsers keeps the facade as wide as its callers: every
+// exported name in wwds.go must be used as wwds.<Name> by an example
+// program or the README.
+func TestReexportsHaveUsers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "wwds.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+
+	readme, err := os.ReadFile("../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := []string{string(readme)}
+	err = filepath.WalkDir("../examples", func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		users = append(users, string(src))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := strings.Join(users, "\n")
+	for _, name := range names {
+		if ast.IsExported(name) && !regexp.MustCompile(`\bwwds\.`+name+`\b`).MatchString(all) {
+			t.Errorf("wwds.%s is named by no example and not in README.md: delete the re-export or use it", name)
+		}
+	}
+}
+
+// testCtx returns a context bounding one blocking call in these tests.
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
