@@ -94,6 +94,9 @@ type Client struct {
 	mu         sync.Mutex
 	rotateBack time.Duration
 	cache      map[string]cached
+	// lastWrite holds, per name, the wseq of this client's latest write
+	// to it.
+	lastWrite  map[string]uint64
 	pref       []int       // per-shard index of the preferred replica
 	subbed     []bool      // per-shard: watch subscription acked by the preferred replica
 	subPending []bool      // per-shard: a watch ack is being awaited
@@ -141,6 +144,7 @@ func NewClient(d *core.Dapplet, cluster *Cluster, opts ...ClientOption) *Client 
 		timeout:    DefaultTimeout,
 		rotateBack: DefaultRotateBack,
 		cache:      make(map[string]cached),
+		lastWrite:  make(map[string]uint64),
 		pref:       make([]int, cluster.NumShards()),
 		subbed:     make([]bool, cluster.NumShards()),
 		subPending: make([]bool, cluster.NumShards()),
@@ -382,9 +386,15 @@ func (c *Client) maybeRotateBack(shard int) {
 // orders it after everything the client has witnessed, and the
 // per-writer sequence is what replica version vectors track. One stamp
 // covers a whole fan-out — every replica must order the write
-// identically.
-func (c *Client) stampWrite() (lam uint64, writer string, seq uint64) {
-	return c.d.Clock().Tick(), c.writer, c.wseq.Add(1)
+// identically. The stamp becomes name's latest local write, so an ack of
+// any earlier write to it arriving late cannot prime the cache.
+func (c *Client) stampWrite(name string) (lam uint64, writer string, seq uint64) {
+	lam = c.d.Clock().Tick()
+	c.mu.Lock()
+	seq = c.wseq.Add(1)
+	c.lastWrite[name] = seq
+	c.mu.Unlock()
+	return lam, c.writer, seq
 }
 
 // mutate fans one mutation (built per replica by mk) to every replica of
@@ -430,16 +440,18 @@ func (c *Client) mutate(ctx context.Context, shard int, mk func(i int) wire.Msg,
 // when they return.
 func (c *Client) Register(ctx context.Context, e Entry) error {
 	shard := c.cluster.ShardOf(e.Name)
-	lam, writer, seq := c.stampWrite()
+	lam, writer, seq := c.stampWrite(e.Name)
 	err := c.mutate(ctx, shard, func(int) wire.Msg {
 		return &registerMsg{Name: e.Name, Typ: e.Type, Addr: e.Addr, Lam: lam, Writer: writer, Seq: seq}
 	}, func(version uint64) {
 		// Prime the cache from the subscribed replica's ack, whenever it
 		// arrives, with the same staleness guard as lookupRemote: a
 		// concurrent writer's higher-versioned entry (applied from a
-		// watch event) must not be clobbered by our own older ack.
+		// watch event) must not be clobbered by our own older ack. An ack
+		// that lands after this client's next write to the name — a
+		// Remove, say — answers a write that no longer stands.
 		c.mu.Lock()
-		if have, ok := c.cache[e.Name]; !ok || version > have.version {
+		if have, ok := c.cache[e.Name]; c.lastWrite[e.Name] == seq && (!ok || version > have.version) {
 			c.cache[e.Name] = cached{entry: e, version: version}
 		}
 		c.mu.Unlock()
@@ -457,8 +469,8 @@ func (c *Client) Register(ctx context.Context, e Entry) error {
 // Removing a name that is not registered is not an error.
 func (c *Client) Remove(ctx context.Context, name string) error {
 	shard := c.cluster.ShardOf(name)
+	lam, writer, seq := c.stampWrite(name) // first: from here no earlier write's ack primes the cache
 	c.Invalidate(name)
-	lam, writer, seq := c.stampWrite()
 	err := c.mutate(ctx, shard, func(int) wire.Msg {
 		return &removeMsg{Name: name, Lam: lam, Writer: writer, Seq: seq}
 	}, nil)

@@ -116,6 +116,38 @@ func TestClientRegisterLookupRemove(t *testing.T) {
 	}
 }
 
+// Register returns on the first replica's ack; the preferred replica's
+// ack may land later, after a Remove of the same name. It must not bring
+// the removed entry back into the cache, where no event would evict it.
+func TestClientLateRegisterAckAfterRemove(t *testing.T) {
+	ctx := context.Background()
+	net := netsim.New(netsim.WithSeed(1), netsim.WithTimeScale(1))
+	defer net.Close()
+	cl, svcs := buildCluster(t, net, 1, 2)
+	const slow = 40 * time.Millisecond
+	net.SetLinkDelay("hc", "dir-0-0", netsim.Constant(slow)) // the preferred replica answers late
+	c := directory.NewClient(newDap(t, net, "hc", "client"), cl, directory.WithClientTimeout(100*time.Millisecond))
+
+	e := directory.Entry{Name: "mani-cal", Type: "calendar", Addr: netsim.Addr{Host: "x", Port: 7}}
+	if err := c.Register(ctx, e); err != nil { // acked first by dir-0-1
+		t.Fatal(err)
+	}
+	waitFor(t, "the preferred replica to apply the registration", func() bool {
+		_, _, ok := svcs[0][0].Lookup(e.Name)
+		return ok
+	})
+	// Its ack is on the wire now, and lands whatever happens next; the
+	// cut keeps the Remove from reaching it.
+	net.Partition([]string{"hc", "dir-0-1"}, []string{"dir-0-0"})
+	if err := c.Remove(ctx, e.Name); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * slow) // the late ack lands
+	if got, ok := c.Lookup(ctx, e.Name); ok {
+		t.Fatalf("removed entry resolves to %+v: a late registration ack brought it back", got)
+	}
+}
+
 func TestClientCacheHitPath(t *testing.T) {
 	ctx := context.Background()
 	net := netsim.New(netsim.WithSeed(2))

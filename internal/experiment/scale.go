@@ -59,7 +59,8 @@ func e11Cells(p Params) []Cell {
 				pre := ph.Name + "."
 				out = append(out,
 					m(pre+"wall-s", ph.WallSeconds), m(pre+"msgs/s", ph.MsgsPerSec), m(pre+"hb/s", ph.HeartbeatsPerSec),
-					m(pre+"frames/dgram", ph.FramesPerDatagram), m(pre+"sa-ack%", ph.StandaloneAckRatio*100),
+					m(pre+"frames/dgram", ratio(ph.Frames, ph.Datagrams)),
+					m(pre+"sa-ack%", 100*ratio(ph.AcksStandalone, ph.AcksStandalone+ph.AcksPiggybacked)),
 					m(pre+"dirhit%", ph.DirHitRate*100), m(pre+"ops", ph.Ops), m(pre+"sessions", ph.Sessions),
 					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups), m(pre+"det-ns/peer/s", ph.DetectorNsPerPeerSec))
 			}

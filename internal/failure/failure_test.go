@@ -277,8 +277,8 @@ steady:
 		}
 	}
 	st := a.Transport().Stats()
-	if st.BatchesOut == 0 {
-		t.Fatalf("heartbeats never rode a coalesced datagram: %+v", st)
+	if st.AcksPiggybacked == 0 {
+		t.Fatalf("no heartbeat carried the ack its peer was owed: %+v", st)
 	}
 	net.Crash("hb")
 	awaitState(t, events, failure.Down, 5*time.Second)

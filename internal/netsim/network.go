@@ -315,20 +315,12 @@ func (n *Network) setGroups(m map[string]int) {
 // aggregates across all endpoints. See the Stats type for the consistency
 // guarantee: the counters balance exactly only at quiescence.
 func (n *Network) Stats() Stats {
-	var s Stats
+	s := n.Counters()
 	var sum time.Duration
 	var cnt int
 	var max time.Duration
 	for _, sh := range n.shards {
 		sh.mu.Lock()
-		s.Sent += sh.ctr.sent
-		s.LostLink += sh.ctr.lostLink
-		s.LostCut += sh.ctr.lostCut
-		s.LostCrash += sh.ctr.lostCrash
-		s.Duplicated += sh.ctr.duplicated
-		s.Reordered += sh.ctr.reordered
-		s.BytesSent += sh.ctr.bytesSent
-		s.WireBytes += sh.ctr.wireBytes
 		eps := make([]*Endpoint, 0, 8)
 		for _, h := range sh.hosts {
 			for _, e := range h.ports {
@@ -336,8 +328,6 @@ func (n *Network) Stats() Stats {
 			}
 		}
 		sh.mu.Unlock()
-		s.Delivered += sh.ctr.delivered.Load()
-		s.LostQueue += sh.ctr.lostQueue.Load()
 		for _, e := range eps {
 			v := e.VNow()
 			if v > max {

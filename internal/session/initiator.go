@@ -637,61 +637,7 @@ func (h *Handle) ReincarnateAt(ctx context.Context, name string, newAddr netsim.
 // removal (the victim's repeated terminate and the survivors' repeated
 // binding removes are no-ops).
 func (h *Handle) Shrink(ctx context.Context, name string) error {
-	h.mu.Lock()
-	if h.terminated {
-		h.mu.Unlock()
-		return errors.New("session: terminated")
-	}
-	vp, ok := h.participants[name]
-	if !ok {
-		h.mu.Unlock()
-		return fmt.Errorf("session: no participant %q", name)
-	}
-	victim := *vp // copied under the lock; used after it is released
-	removesFor := make(map[string][]Binding)
-	for _, l := range h.links {
-		if l.fromName == name || l.toName == name {
-			if l.fromName != name {
-				removesFor[l.fromName] = append(removesFor[l.fromName], l.binding)
-			}
-		}
-	}
-	roster := h.rosterLocked()
-	newRoster := roster[:0:0]
-	for _, q := range roster {
-		if q.Name != name {
-			newRoster = append(newRoster, q)
-		}
-	}
-	ship := newShipment(h.id, newRoster, h.tree, h.bumpEpochLocked())
-	h.mu.Unlock()
-
-	ctx, cancel := withDeadline(ctx)
-	defer cancel()
-
-	// The victim fully unlinks (terminate semantics for it alone).
-	if err := h.ini.caller.CallTagged(ctx, controlRef(victim), h.id,
-		&terminateMsg{SessionID: h.id}, &terminateAckMsg{}); err != nil {
-		return err
-	}
-
-	if _, err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
-		return ship.relink(q.Name, nil, removesFor[q.Name], false)
-	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
-		return err
-	}
-
-	h.mu.Lock()
-	delete(h.participants, name)
-	var kept []resolved
-	for _, l := range h.links {
-		if l.fromName != name && l.toName != name {
-			kept = append(kept, l)
-		}
-	}
-	h.links = kept
-	h.mu.Unlock()
-	return nil
+	return h.evict(ctx, name, true)
 }
 
 // RepairTree evicts a dead participant from a tree session after a
@@ -705,19 +651,32 @@ func (h *Handle) Shrink(ctx context.Context, name string) error {
 // failure.BindTreeRepair. If the participant later reincarnates, Grow
 // re-admits it.
 func (h *Handle) RepairTree(ctx context.Context, name string) error {
+	return h.evict(ctx, name, false)
+}
+
+// evict drops name from the session: every survivor removes its
+// bindings toward the victim's inboxes and is relinked with the shrunk
+// roster at a new epoch, and the handle's own view is committed only once
+// all have acknowledged. A live victim (Shrink) first terminates its part
+// of the session; a dead one (RepairTree) is never contacted, must sit in
+// a tree session, and the survivors redrive once they run the repaired
+// tree.
+func (h *Handle) evict(ctx context.Context, name string, live bool) error {
 	h.mu.Lock()
 	if h.terminated {
 		h.mu.Unlock()
 		return errors.New("session: terminated")
 	}
-	if h.tree == nil {
+	if !live && h.tree == nil {
 		h.mu.Unlock()
 		return fmt.Errorf("session: %s is not a tree session", h.id)
 	}
-	if _, ok := h.participants[name]; !ok {
+	vp, ok := h.participants[name]
+	if !ok {
 		h.mu.Unlock()
 		return fmt.Errorf("session: no participant %q", name)
 	}
+	victim := *vp // copied under the lock; used after it is released
 	removesFor := make(map[string][]Binding)
 	for _, l := range h.links {
 		if l.toName == name && l.fromName != name {
@@ -736,16 +695,25 @@ func (h *Handle) RepairTree(ctx context.Context, name string) error {
 
 	ctx, cancel := withDeadline(ctx)
 	defer cancel()
+	if live {
+		// The victim fully unlinks (terminate semantics for it alone).
+		if err := h.ini.caller.CallTagged(ctx, controlRef(victim), h.id,
+			&terminateMsg{SessionID: h.id}, &terminateAckMsg{}); err != nil {
+			return err
+		}
+	}
 	if _, err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
 		return ship.relink(q.Name, nil, removesFor[q.Name], false)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
 		return err
 	}
-	// Two-phase for the same reason as ReincarnateAt: redrive only once
-	// every survivor runs the repaired tree, or frames chase the dead
-	// relay.
-	if err := h.redriveAll(ctx, ship); err != nil {
-		return err
+	if !live {
+		// Two-phase for the same reason as ReincarnateAt: redrive only
+		// once every survivor runs the repaired tree, or frames chase the
+		// dead relay.
+		if err := h.redriveAll(ctx, ship); err != nil {
+			return err
+		}
 	}
 
 	h.mu.Lock()

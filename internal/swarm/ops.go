@@ -497,7 +497,5 @@ func addRelStats(a, b transport.Stats) transport.Stats {
 	a.AcksSent += b.AcksSent
 	a.AcksPiggybacked += b.AcksPiggybacked
 	a.DatagramsOut += b.DatagramsOut
-	a.BatchesOut += b.BatchesOut
-	a.FramesCoalesced += b.FramesCoalesced
 	return a
 }

@@ -48,16 +48,13 @@ type PhaseStats struct {
 	// transmissions (data frames, retransmits and standalone acks) vs
 	// the physical datagrams they left in, summed over every member,
 	// replica and initiator transport (stopped incarnations included);
-	// FramesPerDatagram is their ratio — the transport coalescing
-	// factor. AcksStandalone vs AcksPiggybacked split acknowledgements
-	// by whether they needed their own packet, and StandaloneAckRatio is
-	// the standalone fraction — coalescing health at a glance.
-	Frames             uint64  `json:"frames"`
-	Datagrams          uint64  `json:"datagrams"`
-	FramesPerDatagram  float64 `json:"frames_per_datagram"`
-	AcksStandalone     uint64  `json:"acks_standalone"`
-	AcksPiggybacked    uint64  `json:"acks_piggybacked"`
-	StandaloneAckRatio float64 `json:"standalone_ack_ratio"`
+	// their ratio is the transport coalescing factor. AcksStandalone vs
+	// AcksPiggybacked split acknowledgements by whether they needed their
+	// own packet.
+	Frames          uint64 `json:"frames"`
+	Datagrams       uint64 `json:"datagrams"`
+	AcksStandalone  uint64 `json:"acks_standalone"`
+	AcksPiggybacked uint64 `json:"acks_piggybacked"`
 
 	// Heartbeats, Implicit and Probes are the detector-layer counters:
 	// explicit heartbeats sent, application frames accepted as implicit

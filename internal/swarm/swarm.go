@@ -921,12 +921,6 @@ func (s *Swarm) phaseStats(name string, a, b counters, watched int) PhaseStats {
 	p.MsgsPerSec = float64(p.Delivered) / wall
 	p.BytesPerSec = float64(p.BytesSent) / wall
 	p.HeartbeatsPerSec = float64(p.Heartbeats) / wall
-	if p.Datagrams > 0 {
-		p.FramesPerDatagram = float64(p.Frames) / float64(p.Datagrams)
-	}
-	if total := p.AcksStandalone + p.AcksPiggybacked; total > 0 {
-		p.StandaloneAckRatio = float64(p.AcksStandalone) / float64(total)
-	}
 	if lk := p.DirLookups; lk > 0 {
 		p.DirHitRate = float64(p.DirHits) / float64(lk)
 	}

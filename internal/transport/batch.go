@@ -2,46 +2,44 @@ package transport
 
 import "encoding/binary"
 
-// Coalesced-batch wire format (pktBatch). A batch datagram packs any
-// number of data frames to one peer together with a piggybacked
-// acknowledgement for the reverse direction, replacing one datagram per
-// frame plus standalone ack packets:
+// Datagram wire format. Every datagram the reliable layer writes — a
+// lone frame, a batch of staged frames, a retransmission, a bare ack —
+// has one layout:
 //
-//	magic(2) | type(1)=pktBatch | flags(1) | [cum(8)] | [bitmap(8)] | frames…
+//	magic(2) | flags(1) | [cum(8)] | [bitmap(8)] | frames…
 //
-// flags bit0 (batchFlagCum) marks an 8-byte big-endian cumulative
-// acknowledgement; bit1 (batchFlagSel) the 8-byte selective bitmap a
-// standalone ack carries (bit i: seq cum+2+i is in the sender's reorder
-// buffer), present while that buffer holds anything. Each frame then
-// follows as
+// flags bit0 (flagCum) marks an 8-byte big-endian cumulative
+// acknowledgement for the reverse direction, present when the peer is
+// owed one; bit1 (flagSel) the 8-byte selective bitmap that goes with it
+// (bit i: seq cum+2+i is in the sender's reorder buffer), present while
+// that buffer holds anything. Each frame then follows as
 //
 //	seq uvarint | len uvarint | payload
 //
 // until the end of the datagram (no frame count: the datagram boundary
 // is the terminator, so a truncated tail drops only the frames it
-// corrupted). Sequence numbers are per-peer and identical to the ones a
-// standalone pktData frame would carry, so retransmissions — which are
-// always standalone pktData frames — interleave freely with coalesced
-// first transmissions. Reliable.Send says when a frame is staged for a
-// batch and what releases it.
+// corrupted). A datagram with no frames is a bare ack. Reliable.Send says
+// when a frame is staged for a batch and what releases it.
 const (
-	batchFlagCum = 1 << 0
-	batchFlagSel = 1 << 1
+	flagCum = 1 << 0
+	flagSel = 1 << 1
 )
 
-// batchHdrMax is the largest possible batch header: magic+type+flags
-// plus both ack words.
-const batchHdrMax = 4 + 8 + 8
+var magic = [2]byte{'w', 'w'}
 
-// datagramBudget bounds the sub-frame bytes of a batch: with the batch
-// header and the 28 bytes of IP and UDP the datagram stays under every
-// real path's MTU (1280, IPv6's minimum), so coalescing never causes IP
-// fragmentation. A frame is staged only while a second of its size would
-// still fit; one too large for a batch of its own travels as pktData.
+// dgramHdrMax is the largest datagram header: magic, flags and both ack
+// words.
+const dgramHdrMax = 3 + 8 + 8
+
+// datagramBudget bounds the frame bytes of a datagram: with the header
+// and the 28 bytes of IP and UDP it stays under every real path's MTU
+// (1280, IPv6's minimum), so coalescing never causes IP fragmentation. A
+// frame is staged only while a second of its size would still fit; one
+// larger than the budget travels alone.
 const datagramBudget = 1200
 
-// batchFrameLen returns the encoded size of one batch sub-frame.
-func batchFrameLen(seq uint64, payload []byte) int {
+// frameLen returns the encoded size of one frame.
+func frameLen(seq uint64, payload []byte) int {
 	return uvarintLen(seq) + uvarintLen(uint64(len(payload))) + len(payload)
 }
 
@@ -55,80 +53,81 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// appendBatchHeader appends the batch datagram header. cum is always
-// carried (every coalesced datagram refreshes the reverse direction's
-// cumulative ack for free); the selective bitmap sel only when hasSel.
-func appendBatchHeader(dst []byte, cum uint64, sel uint64, hasSel bool) []byte {
-	flags := byte(batchFlagCum)
-	if hasSel {
-		flags |= batchFlagSel
+// appendHeader appends the datagram header: with the cumulative ack cum
+// when hasCum, and the selective bitmap sel as well when hasSel.
+func appendHeader(dst []byte, hasCum bool, cum uint64, sel uint64, hasSel bool) []byte {
+	var flags byte
+	if hasCum {
+		flags |= flagCum
+		if hasSel {
+			flags |= flagSel
+		}
 	}
-	dst = append(dst, magic[0], magic[1], pktBatch, flags)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], cum)
-	dst = append(dst, b[:]...)
-	if hasSel {
-		binary.BigEndian.PutUint64(b[:], sel)
-		dst = append(dst, b[:]...)
+	dst = append(dst, magic[0], magic[1], flags)
+	if hasCum {
+		dst = binary.BigEndian.AppendUint64(dst, cum)
+		if hasSel {
+			dst = binary.BigEndian.AppendUint64(dst, sel)
+		}
 	}
 	return dst
 }
 
-// appendBatchFrame appends one staged sub-frame.
-func appendBatchFrame(dst []byte, seq uint64, payload []byte) []byte {
+// appendFrame appends one frame.
+func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	return append(dst, payload...)
 }
 
-// parseBatchHeader decodes the header of a batch datagram body (the
-// bytes after magic+type). It returns the piggybacked acks and the
-// offset of the first frame, or ok=false for a malformed header.
-func parseBatchHeader(body []byte) (cum uint64, hasCum bool, sel uint64, hasSel bool, off int, ok bool) {
-	if len(body) < 1 {
+// parseHeader decodes a datagram's header. It returns the acks it
+// carries and the offset of the first frame, or ok=false for a datagram
+// without the magic or with a truncated header.
+func parseHeader(dgram []byte) (cum uint64, hasCum bool, sel uint64, hasSel bool, off int, ok bool) {
+	if len(dgram) < 3 || dgram[0] != magic[0] || dgram[1] != magic[1] {
 		return 0, false, 0, false, 0, false
 	}
-	flags := body[0]
-	off = 1
-	if flags&batchFlagCum != 0 {
-		if len(body) < off+8 {
+	flags := dgram[2]
+	off = 3
+	if flags&flagCum != 0 {
+		if len(dgram) < off+8 {
 			return 0, false, 0, false, 0, false
 		}
-		cum, hasCum = binary.BigEndian.Uint64(body[off:]), true
+		cum, hasCum = binary.BigEndian.Uint64(dgram[off:]), true
 		off += 8
 	}
-	if flags&batchFlagSel != 0 {
-		if len(body) < off+8 {
+	if flags&flagSel != 0 {
+		if len(dgram) < off+8 {
 			return 0, false, 0, false, 0, false
 		}
-		sel, hasSel = binary.BigEndian.Uint64(body[off:]), true
+		sel, hasSel = binary.BigEndian.Uint64(dgram[off:]), true
 		off += 8
 	}
 	return cum, hasCum, sel, hasSel, off, true
 }
 
-// nextBatchFrame decodes the sub-frame at body[off:]. It returns the
-// frame and the offset of the next one, or ok=false at end of datagram
-// or on a corrupt tail (remaining bytes are dropped, like any other
-// garbage datagram).
-func nextBatchFrame(body []byte, off int) (seq uint64, payload []byte, next int, ok bool) {
-	if off >= len(body) {
+// nextFrame decodes the frame at dgram[off:]. It returns the frame and
+// the offset of the next one, or ok=false at end of datagram or on a
+// corrupt tail (remaining bytes are dropped, like any other garbage
+// datagram).
+func nextFrame(dgram []byte, off int) (seq uint64, payload []byte, next int, ok bool) {
+	if off >= len(dgram) {
 		return 0, nil, 0, false
 	}
-	seq, n := binary.Uvarint(body[off:])
+	seq, n := binary.Uvarint(dgram[off:])
 	if n <= 0 {
 		return 0, nil, 0, false
 	}
 	off += n
-	l, n2 := binary.Uvarint(body[off:])
+	l, n2 := binary.Uvarint(dgram[off:])
 	if n2 <= 0 {
 		return 0, nil, 0, false
 	}
 	off += n2
-	if l > uint64(len(body)-off) {
+	if l > uint64(len(dgram)-off) {
 		return 0, nil, 0, false
 	}
-	return seq, body[off : off+int(l)], off + int(l), true
+	return seq, dgram[off : off+int(l)], off + int(l), true
 }
 
 // IOStats counts a PacketConn's syscall-level activity. A transport

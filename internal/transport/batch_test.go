@@ -9,70 +9,85 @@ import (
 	"time"
 )
 
+// The one datagram codec round-trips every shape: a bare ack with or
+// without its bitmap, a lone frame with or without an ack, and any
+// number of frames behind any header.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	// sel is the selective bitmap; the codec carries its 64 bits untouched
 	// (TestRecoveryLostSelectiveAcksCostNothing reads the bits).
-	f := func(cum uint64, sel uint64, hasSel bool, seqs []uint64, payloads [][]byte) bool {
+	f := func(hasCum bool, cum uint64, sel uint64, hasSel bool, seqs []uint64, payloads [][]byte) bool {
 		if len(seqs) > len(payloads) {
 			seqs = seqs[:len(payloads)]
 		} else {
 			payloads = payloads[:len(seqs)]
 		}
-		dgram := appendBatchHeader(nil, cum, sel, hasSel)
+		dgram := appendHeader(nil, hasCum, cum, sel, hasSel)
 		for i := range seqs {
-			dgram = appendBatchFrame(dgram, seqs[i], payloads[i])
+			dgram = appendFrame(dgram, seqs[i], payloads[i])
+			if frameLen(seqs[i], payloads[i]) != len(appendFrame(nil, seqs[i], payloads[i])) {
+				return false
+			}
 		}
-		if dgram[0] != magic[0] || dgram[1] != magic[1] || dgram[2] != pktBatch {
+		gc, gotCum, gs, gotSel, off, ok := parseHeader(dgram)
+		if !ok || gotCum != hasCum || gotSel != (hasCum && hasSel) ||
+			hasCum && gc != cum || gotSel && gs != sel {
 			return false
 		}
-		body := dgram[3:] // recvLoop strips magic+type before parsing
-		gc, hasCum, gs, gh, off, ok := parseBatchHeader(body)
-		if !ok || !hasCum || gc != cum || gh != hasSel || (hasSel && gs != sel) {
-			return false
-		}
 		for i := range seqs {
-			seq, payload, next, ok := nextBatchFrame(body, off)
+			seq, payload, next, ok := nextFrame(dgram, off)
 			if !ok || seq != seqs[i] || !bytes.Equal(payload, payloads[i]) {
 				return false
 			}
 			off = next
 		}
-		return off == len(body)
+		_, _, _, ok = nextFrame(dgram, off)
+		return off == len(dgram) && !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	if n := len(appendHeader(nil, true, 1, 0, false)); n != 11 {
+		t.Errorf("a bare ack is %d bytes, want 11", n)
+	}
+	if n := len(appendHeader(nil, true, 1, 1, true)); n != dgramHdrMax {
+		t.Errorf("a bare ack with its bitmap is %d bytes, want %d", n, dgramHdrMax)
+	}
 }
 
 func TestBatchCodecRejectsTruncation(t *testing.T) {
-	full := appendBatchHeader(nil, 41, 0, false)
-	full = appendBatchFrame(full, 1, []byte("hello"))
-	full = appendBatchFrame(full, 2, []byte("world"))
-	dgram := full[3:] // body after magic+type, as recvLoop hands it over
-	// A truncated tail must stop the frame walk, never over-read.
-	for cut := len(dgram) - 1; cut > 0; cut-- {
-		short := dgram[:cut]
-		_, _, _, _, off, ok := parseBatchHeader(short)
+	full := appendHeader(nil, true, 41, 0b101, true)
+	full = appendFrame(full, 1, []byte("hello"))
+	full = appendFrame(full, 2, []byte("world"))
+	// A truncated tail must stop the frame walk, never over-read, and
+	// yield only whole frames of the original.
+	for cut := len(full) - 1; cut >= 0; cut-- {
+		short := full[:cut]
+		_, _, _, _, off, ok := parseHeader(short)
 		if !ok {
+			if cut >= dgramHdrMax {
+				t.Fatalf("cut=%d: a whole header rejected", cut)
+			}
 			continue // header itself truncated: fine
 		}
-		for off < len(short) {
-			_, _, next, ok := nextBatchFrame(short, off)
+		for i := 0; ; i++ {
+			seq, payload, next, ok := nextFrame(short, off)
 			if !ok {
 				break
 			}
-			if next <= off {
-				t.Fatalf("cut=%d: walk did not advance", cut)
+			if next <= off || seq != uint64(i+1) || len(payload) != 5 {
+				t.Fatalf("cut=%d: frame %d read as seq %d, %q", cut, i, seq, payload)
 			}
 			off = next
 		}
 	}
-	// Garbage headers must be rejected.
-	if _, _, _, _, _, ok := parseBatchHeader(nil); ok {
-		t.Fatal("parseBatchHeader(nil) accepted")
-	}
-	if _, _, _, _, _, ok := parseBatchHeader([]byte{batchFlagCum}); ok {
-		t.Fatal("truncated cum field accepted")
+	// Garbage must be rejected.
+	noMagic := bytes.Clone(full)
+	noMagic[1] = 'x'
+	for _, bad := range [][]byte{nil, {}, {1, 2, 3}, []byte("not a datagram at all"), noMagic,
+		{magic[0], magic[1], flagCum, 0, 0, 0}, {magic[0], magic[1], flagCum | flagSel, 0, 0, 0, 0, 0, 0, 0, 41, 1}} {
+		if _, _, _, _, _, ok := parseHeader(bad); ok {
+			t.Errorf("parseHeader(%q) accepted garbage", bad)
+		}
 	}
 }
 
@@ -88,7 +103,7 @@ func busyPair(t *testing.T, ra, rb *Reliable, total, size int) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < total; i++ {
-				if _, _, err := rcv.RecvTimeout(10 * time.Second); err != nil {
+				if _, _, err := recvTimeout(rcv, 10*time.Second); err != nil {
 					t.Error(err)
 					return
 				}
@@ -125,8 +140,8 @@ func TestCoalescingBusyPairDatagramRatio(t *testing.T) {
 		t.Fatalf("frames=%d datagrams=%d: coalescing factor %.2f < 4",
 			frames, dgrams, float64(frames)/float64(dgrams))
 	}
-	if sa.BatchesOut == 0 || sa.FramesCoalesced == 0 {
-		t.Fatalf("batch counters flat: %+v", sa)
+	if sa.FlushSize+sa.FlushAck+sa.FlushWindow == 0 {
+		t.Fatalf("no staged frame ever left: %+v", sa)
 	}
 }
 
@@ -143,7 +158,7 @@ func TestPiggybackedAckEquivalence(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			p, _, err := rb.RecvTimeout(10 * time.Second)
+			p, _, err := recvTimeout(rb, 10*time.Second)
 			if err != nil {
 				t.Error(err)
 				return
@@ -159,7 +174,7 @@ func TestPiggybackedAckEquivalence(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, _, err := ra.RecvTimeout(10 * time.Second); err != nil {
+			if _, _, err := recvTimeout(ra, 10*time.Second); err != nil {
 				t.Error(err)
 				return
 			}
@@ -187,17 +202,17 @@ func TestPiggybackedAckEquivalence(t *testing.T) {
 
 func TestAckEveryAckDelayInterplayWithCoalescing(t *testing.T) {
 	// One-way traffic: the receiver has no reverse data, so acks still
-	// flow standalone under the AckEvery/AckDelay policy and the sender's
-	// window keeps draining.
+	// flow bare under the ackEvery/AckDelay policy and the sender's window
+	// keeps draining.
 	cfg := Config{RTO: 200 * time.Millisecond, MaxRetries: 100, Window: 16,
-		AckEvery: 4, AckDelay: 10 * time.Millisecond}
+		AckDelay: 10 * time.Millisecond}
 	_, ra, rb := pairOn(t, "a", "b", cfg)
 	to := rb.LocalAddr()
 	const total = 200 // far more than the window: progress needs acks
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < total; i++ {
-			if _, _, err := rb.RecvTimeout(10 * time.Second); err != nil {
+			if _, _, err := recvTimeout(rb, 10*time.Second); err != nil {
 				done <- err
 				return
 			}
@@ -216,8 +231,9 @@ func TestAckEveryAckDelayInterplayWithCoalescing(t *testing.T) {
 	if st.AcksSent == 0 {
 		t.Fatal("no standalone acks on a one-way stream")
 	}
-	// AckEvery=4 coalesces acknowledgements roughly 4:1; allow slack for
-	// delay-triggered acks but reject one-ack-per-message behavior.
+	// An ack every 8 messages coalesces acknowledgements roughly 8:1;
+	// allow slack for delay-triggered acks but reject one-ack-per-message
+	// behavior.
 	if st.AcksSent > total/2 {
 		t.Fatalf("AcksSent = %d for %d one-way messages; ack coalescing regressed", st.AcksSent, total)
 	}
@@ -236,7 +252,7 @@ func TestOversizeFrameBypassesCoalescing(t *testing.T) {
 	if err := ra.Send(rb.LocalAddr(), big); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := rb.RecvTimeout(5 * time.Second)
+	got, _, err := recvTimeout(rb, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

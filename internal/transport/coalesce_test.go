@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,23 +50,23 @@ func stream(t *testing.T, ra, rb *Reliable, total uint64, size int) {
 // before its next Send never has a frame held back, although every
 // earlier frame is still unacknowledged and the receiver is sitting on
 // the ack for AckDelay. Unacknowledged frames are no sign of an ack on
-// its way; only AckEvery of them are.
+// its way; only ackEvery of them are.
 func TestCoalescePulsedSenderNeverWaits(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		ackEvery int
-		onWire   bool // every frame must be written before its Send returns
+		name   string
+		frames uint64
+		onWire bool // every frame must be written before its Send returns
 	}{
-		{"acks out of reach", 64, true}, // no ack at all within the test: nothing may be staged
-		{"default AckEvery", 0, false},  // frames 9 and 17 may be staged, for an ack already written
+		{"acks out of reach", ackEvery - 1, true}, // no ack at all within the test: nothing may be staged
+		{"default AckEvery", 20, false},           // frames 9 and 17 may be staged, for an ack already written
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := coalesceCfg
-			cfg.AckEvery, cfg.AckDelay = tc.ackEvery, time.Second
+			cfg.AckDelay = time.Second
 			p, ra, rb := pipePair(t, 0, cfg, nil)
 			to := rb.LocalAddr()
 			start := time.Now()
-			for seq := uint64(1); seq <= 20; seq++ {
+			for seq := uint64(1); seq <= tc.frames; seq++ {
 				sendSeqs(t, ra, to, seq, seq)
 				if n := p.count(func(d dgramInfo) bool { return d.carries(seq) }); tc.onWire && n != 1 {
 					t.Fatalf("frame %d on the wire %d times when Send returned, want 1", seq, n)
@@ -73,18 +74,18 @@ func TestCoalescePulsedSenderNeverWaits(t *testing.T) {
 				expectSeqs(t, rb, seq, seq)
 			}
 			if d := time.Since(start); d >= cfg.AckDelay {
-				t.Fatalf("20 pulsed frames took %v: one waited out the peer's AckDelay", d)
+				t.Fatalf("%d pulsed frames took %v: one waited out the peer's AckDelay", tc.frames, d)
 			}
 			timerFree(t, ra)
 		})
 	}
 }
 
-// (ii) A stream fills datagrams: once AckEvery frames are in flight the
+// (ii) A stream fills datagrams: once ackEvery frames are in flight the
 // rest ride in batches that acks and the window release, never the timer.
 // The sender fills its window well inside a round trip, the worst case:
 // each window's acks arrive together and drain it, so the next window's
-// first AckEvery frames go alone to restart the clock and 64 frames take
+// first ackEvery frames go alone to restart the clock and 64 frames take
 // 8 + ceil(56/17) = 12 datagrams.
 func TestCoalesceStreamFillsDatagrams(t *testing.T) {
 	cfg := coalesceCfg
@@ -93,7 +94,7 @@ func TestCoalesceStreamFillsDatagrams(t *testing.T) {
 	const total = 1000
 	stream(t, ra, rb, total, 64)
 	awaitDepth(t, ra, 0)
-	dgrams := p.count(func(d dgramInfo) bool { return d.fromA && d.typ != pktAck })
+	dgrams := p.count(func(d dgramInfo) bool { return d.fromA && len(d.frames) > 0 })
 	st := ra.Stats()
 	t.Logf("%d frames in %d datagrams; flushes: size %d, ack %d, window %d", total, dgrams, st.FlushSize, st.FlushAck, st.FlushWindow)
 	if dgrams*5 > total {
@@ -107,7 +108,7 @@ func TestCoalesceAckReleasesStage(t *testing.T) {
 	// The ack of frames 1..8 is held in the pipe until b writes its next
 	// datagram, so the test decides when it arrives.
 	p, ra, rb := pipePair(t, 0, coalesceCfg, func(d dgramInfo) verdict {
-		if !d.fromA && d.typ == pktAck {
+		if !d.fromA && d.bareAck() {
 			return swap
 		}
 		return pass
@@ -115,17 +116,17 @@ func TestCoalesceAckReleasesStage(t *testing.T) {
 	to := rb.LocalAddr()
 	sendSeqs(t, ra, to, 1, 8)
 	expectSeqs(t, rb, 1, 8)
-	p.await(t, "the ack of 1..8", func(d dgramInfo) bool { return !d.fromA && d.typ == pktAck && d.seq == 8 })
-	sendSeqs(t, ra, to, 9, 9) // AckEvery frames in flight: staged
+	p.await(t, "the ack of 1..8", func(d dgramInfo) bool { return !d.fromA && d.bareAck() && d.cum == 8 })
+	sendSeqs(t, ra, to, 9, 9) // ackEvery frames in flight: staged
 	if n := p.count(func(d dgramInfo) bool { return d.carries(9) }); n != 0 {
-		t.Fatal("frame 9 was written with AckEvery frames unacknowledged")
+		t.Fatal("frame 9 was written with ackEvery frames unacknowledged")
 	}
 	if err := rb.Send(ra.LocalAddr(), []byte("go")); err != nil { // pushes the held ack out behind it
 		t.Fatal(err)
 	}
 	d := p.await(t, "frame 9", func(d dgramInfo) bool { return d.carries(9) })
-	if d.typ != pktBatch {
-		t.Fatalf("frame 9 left as packet type %d, not in the batch it was staged for", d.typ)
+	if !d.hasCum || d.cum != 1 {
+		t.Fatalf("frame 9 left without the ack b's frame was owed (ack %v, cum %d)", d.hasCum, d.cum)
 	}
 	expectSeqs(t, rb, 9, 9)
 	st := ra.Stats()
@@ -150,10 +151,10 @@ func TestCoalesceBackstopFlushesStage(t *testing.T) {
 	})
 	to := rb.LocalAddr()
 	sendSeqs(t, ra, to, 1, 8)
-	sendSeqs(t, ra, to, 9, 11) // staged behind AckEvery frames whose ack never comes
+	sendSeqs(t, ra, to, 9, 11) // staged behind ackEvery frames whose ack never comes
 	batch := p.await(t, "the staged frames", func(d dgramInfo) bool { return d.carries(11) })
-	if batch.typ != pktBatch || len(batch.frames) != 3 {
-		t.Fatalf("frames 9..11 left as type %d carrying %v, want one batch of three", batch.typ, batch.frames)
+	if !slices.Equal(batch.frames, []uint64{9, 10, 11}) {
+		t.Fatalf("frames 9..11 left in a datagram carrying %v, want one batch of three", batch.frames)
 	}
 	if age := batch.at.Sub(p.await(t, "data 1", func(d dgramInfo) bool { return d.data(1, 1) }).at); age < cfg.RTO {
 		t.Fatalf("the stage left after %v with no ack to release it, RTO %v", age, cfg.RTO)
@@ -161,8 +162,10 @@ func TestCoalesceBackstopFlushesStage(t *testing.T) {
 	expectSeqs(t, rb, 1, 11)
 	p.mu.Lock()
 	for _, d := range p.log {
-		if d.fromA && d.typ == pktData && d.seq >= 9 && d.at.Before(batch.at.Add(cfg.RTO/2)) {
-			t.Errorf("staged frame %d was also sent on its own %v after its batch", d.seq, d.at.Sub(batch.at))
+		for i, seq := range d.frames {
+			if d.fromA && seq >= 9 && d.copies[i] > 1 && d.at.Before(batch.at.Add(cfg.RTO/2)) {
+				t.Errorf("staged frame %d was sent again %v after its batch", seq, d.at.Sub(batch.at))
+			}
 		}
 	}
 	p.mu.Unlock()
@@ -186,8 +189,8 @@ func TestCoalesceLoneFramesCarryOwedAck(t *testing.T) {
 		expectSeqs(t, ra, i+1, i+1)
 	}
 	sa, sb := ra.Stats(), rb.Stats()
-	if sa.AcksSent != 0 || sb.AcksSent != 0 || p.count(func(d dgramInfo) bool { return d.typ == pktAck }) != 0 {
-		t.Fatalf("standalone acks on a two-way channel: a sent %d, b sent %d", sa.AcksSent, sb.AcksSent)
+	if sa.AcksSent != 0 || sb.AcksSent != 0 || p.count(dgramInfo.bareAck) != 0 {
+		t.Fatalf("bare acks on a two-way channel: a sent %d, b sent %d", sa.AcksSent, sb.AcksSent)
 	}
 	// Every frame after a's first found an ack owed, except the second of
 	// each of a's pairs: the first had just carried it.
@@ -203,18 +206,31 @@ func TestCoalesceLoneFramesCarryOwedAck(t *testing.T) {
 // with frames staged: nothing but their acks could end the wait.
 func TestCoalesceFullWindowFlushesStage(t *testing.T) {
 	cfg := coalesceCfg
-	cfg.Window, cfg.AckEvery = 16, 8
+	cfg.Window = 2 * ackEvery
 	_, ra, rb := pipePair(t, 500*time.Microsecond, cfg, nil)
 	stream(t, ra, rb, 200, 64)
 	timerFree(t, ra)
 	if st := ra.Stats(); st.FlushWindow == 0 {
-		t.Fatalf("FlushWindow = 0 with a window of two AckEvery: %+v", st)
+		t.Fatalf("FlushWindow = 0 with a window of two ackEvery: %+v", st)
+	}
+}
+
+// assertWithinBudget fails the test for every logged datagram longer than
+// a full header and datagramBudget of frames, unless it is one frame too
+// large for the budget, which travels alone.
+func assertWithinBudget(t *testing.T, p *pipe) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, d := range p.log {
+		if d.size > dgramHdrMax+datagramBudget && len(d.frames) > 1 {
+			t.Errorf("a datagram of %d frames is %d bytes long, budget %d", len(d.frames), d.size, dgramHdrMax+datagramBudget)
+		}
 	}
 }
 
 // A batch never outgrows the datagram budget, whatever mix of sizes is
-// sent: the check comes before the frame is appended, and a lone frame
-// too large for the budget carries no ack.
+// sent: the check comes before the frame is appended.
 func TestCoalesceBatchWithinBudget(t *testing.T) {
 	cfg := coalesceCfg
 	cfg.Window = 256
@@ -226,7 +242,7 @@ func TestCoalesceBatchWithinBudget(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < sizes; i++ {
-			got, _, err := rb.RecvTimeout(10 * time.Second)
+			got, _, err := recvTimeout(rb, 10*time.Second)
 			if err != nil || len(got) != size(i) {
 				bad.Add(1)
 				return
@@ -248,21 +264,8 @@ func TestCoalesceBatchWithinBudget(t *testing.T) {
 	if bad.Load() != 0 {
 		t.Fatal("a frame was lost or arrived with the wrong size")
 	}
-	multi := 0
-	p.mu.Lock()
-	for _, d := range p.log {
-		if d.typ != pktBatch {
-			continue
-		}
-		if len(d.frames) > 1 {
-			multi++
-		}
-		if d.size > datagramBudget+batchHdrMax {
-			t.Errorf("a batch of %d frames is %d bytes long, budget %d", len(d.frames), d.size, datagramBudget+batchHdrMax)
-		}
-	}
-	p.mu.Unlock()
-	if multi == 0 {
+	assertWithinBudget(t, p)
+	if p.count(func(d dgramInfo) bool { return len(d.frames) > 1 }) == 0 {
 		t.Fatal("no batch of two or more frames: the test exercised nothing")
 	}
 }

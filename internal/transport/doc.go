@@ -15,19 +15,21 @@
 //
 // The layer is sharded by peer: each peer's window, unacked set and
 // reordering buffer live under that peer's own mutex, acknowledgements
-// are cumulative and coalesced (after AckEvery messages or AckDelay,
-// whichever first) and carry the reorder buffer as a bitmap while a gap
-// is open, and a single timer goroutine drives the backstop
-// retransmission timer from a min-heap of per-peer deadlines, so cost is
-// proportional to peers with due packets rather than to all in-flight
-// traffic.
+// are cumulative and coalesced (after 8 messages or AckDelay, whichever
+// first) and carry the reorder buffer as a bitmap while a gap is open,
+// and a single timer goroutine drives the backstop retransmission timer
+// from a min-heap of per-peer deadlines, so cost is proportional to peers
+// with due packets rather than to all in-flight traffic.
 //
-// Small frames are coalesced on an ack clock: once AckEvery frames to a
-// peer are unacknowledged — so its next acknowledgement is on its way
-// without waiting for AckDelay — further small frames are staged and
-// leave as one batch datagram of at most 1200 bytes when that
+// Every datagram has one layout: a header holding the acknowledgement the
+// peer is owed, if any, then any number of frames. A datagram without
+// frames is a bare ack; retransmissions are packed like first
+// transmissions. Small frames are coalesced on an ack clock: once 8
+// frames to a peer are unacknowledged — so its next acknowledgement is on
+// its way without waiting for AckDelay — further small frames are staged
+// and leave as one datagram of at most 1200 bytes of frames when that
 // acknowledgement arrives (or the batch fills, or the window does). No
 // frame waits for a timer of its own, a frame sent into a quiet channel
-// is written at once, and a frame that goes alone carries any
-// acknowledgement its peer is owed. Reliable.Send has the rule in full.
+// is written at once, and every datagram carries any acknowledgement its
+// peer is owed. Reliable.Send has the rule in full.
 package transport

@@ -16,36 +16,20 @@ func ackedBy(dgram []byte, inflight uint64) map[uint64]bool {
 	if len(dgram) < 3 || dgram[0] != 'w' || dgram[1] != 'w' {
 		return acked
 	}
-	var cum, sel uint64
-	switch dgram[2] {
-	case pktAck:
-		if len(dgram) < 11 {
-			return acked
+	flags, words := dgram[2], dgram[3:]
+	need := 0
+	for _, f := range []byte{1, 2} {
+		if flags&f != 0 {
+			need += 8
 		}
-		cum = binary.BigEndian.Uint64(dgram[3:])
-		if len(dgram) == 19 {
-			sel = binary.BigEndian.Uint64(dgram[11:])
-		}
-	case pktBatch:
-		if len(dgram) < 4 {
-			return acked
-		}
-		flags, words := dgram[3], dgram[4:]
-		need := 0
-		for _, f := range []byte{1, 2} {
-			if flags&f != 0 {
-				need += 8
-			}
-		}
-		if len(words) < need || flags&1 == 0 {
-			return acked // truncated header, or no cumulative ack to anchor a bitmap
-		}
-		cum = binary.BigEndian.Uint64(words)
-		if flags&2 != 0 {
-			sel = binary.BigEndian.Uint64(words[8:])
-		}
-	default:
-		return acked
+	}
+	if len(words) < need || flags&1 == 0 {
+		return acked // truncated header, or no cumulative ack to anchor a bitmap
+	}
+	cum := binary.BigEndian.Uint64(words)
+	var sel uint64
+	if flags&2 != 0 {
+		sel = binary.BigEndian.Uint64(words[8:])
 	}
 	cum = min(cum, inflight)
 	for q := uint64(1); q <= cum; q++ {
@@ -60,22 +44,23 @@ func ackedBy(dgram []byte, inflight uint64) map[uint64]bool {
 }
 
 // FuzzDatagram hands arbitrary bytes to a Reliable with frames in flight
-// as one arriving datagram — decodeFrame, parseBatchHeader,
-// nextBatchFrame and the ack bitmap all sit behind it. The layer must not
-// panic, must deliver nothing the datagram does not contain, and must
-// release exactly the in-flight frames a reading of the wire format says
-// the datagram acknowledges.
+// as one arriving datagram — parseHeader, nextFrame and the ack bitmap all
+// sit behind it. The layer must not panic, must deliver nothing the
+// datagram does not contain, and must release exactly the in-flight
+// frames a reading of the wire format says the datagram acknowledges.
 func FuzzDatagram(f *testing.F) {
-	bitmap := binary.BigEndian.AppendUint64(nil, 0b1011)
-	f.Add(encodeFrame(pktData, 1, []byte("in order")))
-	f.Add(encodeFrame(pktData, 3, []byte("early")))
-	f.Add(encodeFrame(pktAck, 2, nil))
-	f.Add(encodeFrame(pktAck, 1, bitmap))
-	batch := appendBatchHeader(nil, 2, 0b11, true)
-	batch = appendBatchFrame(batch, 1, []byte("one"))
-	batch = appendBatchFrame(batch, 2, []byte("two"))
+	lone := func(seq uint64, payload string) []byte {
+		return appendFrame(appendHeader(nil, false, 0, 0, false), seq, []byte(payload))
+	}
+	f.Add(lone(1, "in order"))                      // a lone frame
+	f.Add(appendHeader(nil, true, 2, 0, false))     // a bare ack
+	f.Add(appendHeader(nil, true, 1, 0b1011, true)) // a bare ack with its bitmap
+	batch := appendHeader(nil, true, 2, 0b11, true) // frames behind an ack
+	batch = appendFrame(batch, 1, []byte("one"))
+	batch = appendFrame(batch, 2, []byte("two"))
 	f.Add(batch)
-	f.Add(appendBatchFrame(appendBatchHeader(nil, 9, 0, false), 4, nil))
+	f.Add(appendHeader(nil, true, 9, 0b1, true)[:12]) // a truncated header
+	f.Add(lone(3, "early"))                           // a frame past a gap
 
 	const inflight = 5
 	peer := netsim.Addr{Host: "peer", Port: 1}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"slices"
 	"sync"
 	"testing"
@@ -38,30 +37,40 @@ const (
 // dgramInfo describes one written datagram to the rule and in the log.
 type dgramInfo struct {
 	fromA  bool      // direction: written by end a
-	typ    byte      // pktData, pktAck or pktBatch
-	seq    uint64    // data seq, or the cumulative ack (a batch's piggybacked one)
-	sel    uint64    // an ack's selective bitmap
+	hasCum bool      // the datagram carries an ack
+	cum    uint64    // the ack's cumulative point
+	sel    uint64    // the ack's selective bitmap
 	hasSel bool      // the ack carries one
-	frames []uint64  // the data seqs a batch carries, in order
+	frames []uint64  // the data seqs it carries, in order
+	copies []int     // per frame: 1 the first time its (direction, seq) is written, 2 the second, ...
 	size   int       // datagram length
-	copy   int       // 1 the first time this (direction, typ, seq) is written, 2 the second, ...
 	at     time.Time // when it was written
 }
 
 type dgramKey struct {
 	fromA bool
-	typ   byte
 	seq   uint64
 }
 
+// data reports whether d, from end a, carries the copy-th transmission
+// of data frame seq.
 func (d dgramInfo) data(seq uint64, copy int) bool {
-	return d.typ == pktData && d.seq == seq && d.copy == copy
+	i := slices.Index(d.frames, seq)
+	return d.fromA && i >= 0 && d.copies[i] == copy
 }
 
 // carries reports whether d is a datagram from end a bearing data frame
-// seq, alone or in a batch.
+// seq.
 func (d dgramInfo) carries(seq uint64) bool {
-	return d.fromA && (d.typ == pktData && d.seq == seq || d.typ == pktBatch && slices.Contains(d.frames, seq))
+	return d.fromA && slices.Contains(d.frames, seq)
+}
+
+// bareAck reports whether d is an ack with no frame.
+func (d dgramInfo) bareAck() bool { return d.hasCum && len(d.frames) == 0 }
+
+// resent reports whether d carries a frame that was on the wire before.
+func (d dgramInfo) resent() bool {
+	return slices.ContainsFunc(d.copies, func(c int) bool { return c > 1 })
 }
 
 type timedDgram struct {
@@ -142,30 +151,24 @@ func (e *pipeEnd) LocalAddr() netsim.Addr { return e.addr }
 func (e *pipeEnd) WriteTo(_ netsim.Addr, b []byte) error {
 	p := e.p
 	d := dgramInfo{fromA: e == p.a, size: len(b), at: time.Now()}
-	if len(b) >= 3 && b[2] == pktBatch {
-		d.typ = pktBatch
-		cum, _, sel, hasSel, off, _ := parseBatchHeader(b[3:])
-		d.seq, d.sel, d.hasSel = cum, sel, hasSel
-		for {
-			seq, _, next, ok := nextBatchFrame(b[3:], off)
-			if !ok {
-				break
-			}
-			d.frames, off = append(d.frames, seq), next
+	cum, hasCum, sel, hasSel, off, _ := parseHeader(b)
+	d.cum, d.hasCum, d.sel, d.hasSel = cum, hasCum, sel, hasSel
+	for {
+		seq, _, next, ok := nextFrame(b, off)
+		if !ok {
+			break
 		}
-	} else if typ, seq, payload, err := decodeFrame(b); err == nil {
-		d.typ, d.seq = typ, seq
-		if typ == pktAck && len(payload) == ackSelLen {
-			d.sel, d.hasSel = binary.BigEndian.Uint64(payload), true
-		}
+		d.frames, off = append(d.frames, seq), next
 	}
 	data := append([]byte(nil), b...)
 	to := e.peer
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := dgramKey{d.fromA, d.typ, d.seq}
-	p.copies[k]++
-	d.copy = p.copies[k]
+	for _, seq := range d.frames {
+		k := dgramKey{d.fromA, seq}
+		p.copies[k]++
+		d.copies = append(d.copies, p.copies[k])
+	}
 	p.log = append(p.log, d)
 	close(p.changed)
 	p.changed = make(chan struct{})

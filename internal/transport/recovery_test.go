@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func sendSeqs(t *testing.T, r *Reliable, to netsim.Addr, first, last uint64) {
 
 func recvSeqs(r *Reliable, first, last uint64) error {
 	for seq := first; seq <= last; seq++ {
-		got, _, err := r.RecvTimeout(10 * time.Second)
+		got, _, err := recvTimeout(r, 10*time.Second)
 		if err != nil {
 			return fmt.Errorf("recv %d: %w", seq, err)
 		}
@@ -62,7 +63,7 @@ func awaitDepth(t *testing.T, r *Reliable, n int) {
 	}
 }
 
-// warmUp sends seqs 1..8 — one AckEvery's worth, so the ack is immediate
+// warmUp sends seqs 1..8 — one ackEvery's worth, so the ack is immediate
 // — and waits for the round-trip sample their ack yields.
 func warmUp(t *testing.T, ra, rb *Reliable) {
 	t.Helper()
@@ -116,7 +117,7 @@ func TestRecoverySwapAndDupCauseNoRetransmission(t *testing.T) {
 		switch {
 		case d.data(10, 1):
 			return swap
-		case d.data(13, 1), d.typ == pktAck && d.hasSel:
+		case d.data(13, 1), d.bareAck() && d.hasSel:
 			return dup
 		}
 		return pass
@@ -163,7 +164,7 @@ func TestRecoveryLostSelectiveAcksCostNothing(t *testing.T) {
 	var blockSel atomic.Bool
 	blockSel.Store(true)
 	p, ra, rb := pipePair(t, recoveryOneWay, recoveryCfg, func(d dgramInfo) verdict {
-		if d.data(10, 1) || d.typ == pktAck && d.hasSel && blockSel.Load() {
+		if d.data(10, 1) || d.bareAck() && d.hasSel && blockSel.Load() {
 			return drop
 		}
 		return pass
@@ -174,7 +175,7 @@ func TestRecoveryLostSelectiveAcksCostNothing(t *testing.T) {
 	// The receiver has said all it knows — 9 delivered, 11..13 held, which
 	// bits 0..2 above cum 9 name — and the pipe has dropped it.
 	p.await(t, "the ack naming 11..13", func(d dgramInfo) bool {
-		return d.typ == pktAck && d.seq == 9 && d.sel == 0b111
+		return d.bareAck() && d.cum == 9 && d.sel == 0b111
 	})
 	if got := ra.QueueDepth(); got != 5 {
 		t.Fatalf("QueueDepth = %d with every ack dropped, want 5", got)
@@ -186,8 +187,8 @@ func TestRecoveryLostSelectiveAcksCostNothing(t *testing.T) {
 	if st := ra.Stats(); st.Retransmits != 1 {
 		t.Fatalf("Retransmits = %d, want 1 (the hole)", st.Retransmits)
 	}
-	if n := p.count(func(d dgramInfo) bool { return d.typ == pktData && d.copy > 1 && d.seq != 10 }); n != 0 {
-		t.Fatalf("%d frames that had arrived were resent", n)
+	if n := p.count(func(d dgramInfo) bool { return d.resent() && !slices.Equal(d.frames, []uint64{10}) }); n != 0 {
+		t.Fatalf("%d datagrams resent frames that had arrived", n)
 	}
 }
 
@@ -246,16 +247,15 @@ func TestRecoveryEstimatorSurvivesRTTAboveInitialRTO(t *testing.T) {
 	last := make(map[uint64]time.Time)
 	p.mu.Lock()
 	for _, d := range p.log {
-		if d.typ != pktData {
-			continue
+		for _, seq := range d.frames {
+			if prev, resent := last[seq]; !resent {
+			} else if d.at.Sub(prev) >= rtt {
+				late++
+			} else if early++; seq > 3*window {
+				earlyAfter3++
+			}
+			last[seq] = d.at
 		}
-		if prev, resent := last[d.seq]; !resent {
-		} else if d.at.Sub(prev) >= rtt {
-			late++
-		} else if early++; d.seq > 3*window {
-			earlyAfter3++
-		}
-		last[d.seq] = d.at
 	}
 	p.mu.Unlock()
 	t.Logf("%d premature retransmissions, %d after a full round trip, over %d frames", early, late, total)
@@ -279,14 +279,14 @@ func TestRecoveryStagedFramesNotCondemned(t *testing.T) {
 		switch {
 		case d.data(9, 1):
 			return drop
-		case d.typ == pktBatch && d.carries(17) && !staged.Swap(true):
+		case d.carries(17) && len(d.frames) > 1 && !staged.Swap(true):
 			return swap // the batch arrives behind the resent hole, so the hole's ack comes first
 		}
 		return pass
 	})
 	warmUp(t, ra, rb)
 	to := rb.LocalAddr()
-	sendSeqs(t, ra, to, 9, 16)  // AckEvery transmitted frames in flight, the first of them lost...
+	sendSeqs(t, ra, to, 9, 16)  // ackEvery transmitted frames in flight, the first of them lost...
 	sendSeqs(t, ra, to, 17, 20) // ...so these four are staged, a round trip before 9 is resent
 	// The first ack back names 10 and releases the stage; the third
 	// condemns 9. The resent 9 overtakes the batch, so the ack that covers
@@ -308,19 +308,107 @@ func TestRecoveryStagedFramesNotCondemned(t *testing.T) {
 	}
 }
 
+// Frames lost together are resent together: the ack that condemns one
+// condemns both, and they leave in one datagram, in seq order.
+func TestRecoveryLostPairResentTogether(t *testing.T) {
+	p, ra, rb := pipePair(t, recoveryOneWay, recoveryCfg, func(d dgramInfo) verdict {
+		if d.data(9, 1) || d.data(10, 1) {
+			return drop
+		}
+		return pass
+	})
+	warmUp(t, ra, rb)
+	sendSeqs(t, ra, rb.LocalAddr(), 9, 13)
+	d := p.await(t, "data 9 resent", func(d dgramInfo) bool { return d.data(9, 2) })
+	if !slices.Equal(d.frames, []uint64{9, 10}) {
+		t.Fatalf("9 was resent in a datagram carrying %v, want [9 10]", d.frames)
+	}
+	expectSeqs(t, rb, 9, 13)
+	awaitDepth(t, ra, 0)
+	if st := ra.Stats(); st.Retransmits != 2 || st.FastRetransmits != 2 {
+		t.Fatalf("Retransmits = %d, FastRetransmits = %d, want 2 and 2", st.Retransmits, st.FastRetransmits)
+	}
+	if n := p.count(dgramInfo.resent); n != 1 {
+		t.Fatalf("%d datagrams resent frames, want 1", n)
+	}
+}
+
+// A retransmission carries the ack its peer is owed, so no bare ack
+// follows it: not at once, and not when the delayed-ack timer comes due.
+func TestRecoveryResendCarriesOwedAck(t *testing.T) {
+	cfg := recoveryCfg
+	cfg.AckDelay = 300 * time.Millisecond
+	p, ra, rb := pipePair(t, recoveryOneWay, cfg, dropCopies(10, 1))
+	warmUp(t, ra, rb)
+	sendSeqs(t, ra, rb.LocalAddr(), 9, 13)
+	// b's frame reaches a ahead of the acks that condemn 10 — one
+	// direction of the pipe is FIFO — so a owes b an ack when it resends.
+	sendSeqs(t, rb, ra.LocalAddr(), 1, 1)
+	d := p.await(t, "data 10 resent", func(d dgramInfo) bool { return d.data(10, 2) })
+	if !d.hasCum || d.cum != 1 {
+		t.Fatalf("the resent 10 carries an ack: %v, cum %d; want cum 1, b's frame", d.hasCum, d.cum)
+	}
+	expectSeqs(t, rb, 9, 13)
+	expectSeqs(t, ra, 1, 1)
+	time.Sleep(cfg.AckDelay + 50*time.Millisecond) // a's delayed-ack deadline for b's frame passes
+	if n := p.count(func(d dgramInfo) bool { return d.fromA && d.bareAck() }); n != 0 {
+		t.Fatalf("a sent %d bare acks after its retransmission had carried the ack", n)
+	}
+	if st := ra.Stats(); st.AcksSent != 0 || st.AcksPiggybacked != 1 {
+		t.Fatalf("AcksSent = %d, AcksPiggybacked = %d, want 0 and 1", st.AcksSent, st.AcksPiggybacked)
+	}
+}
+
+// Resent frames are packed like first transmissions: no datagram
+// outgrows the budget unless it is one frame larger than the budget, and
+// frames lost in one batch are resent in one datagram.
+func TestRecoveryResendsPackedWithinBudget(t *testing.T) {
+	cfg := recoveryCfg
+	cfg.Window = 256
+	const total = 600
+	size := func(seq uint64) int { return int(seq*7919%1500) + 8 } // large among small, each with its seq
+	p, ra, rb := pipePair(t, time.Millisecond, cfg, func(d dgramInfo) verdict {
+		// Lose the first copy of every datagram carrying a multiple of 16,
+		// short of the tail, where too little follows to condemn it.
+		for i, seq := range d.frames {
+			if d.fromA && d.copies[i] == 1 && seq%16 == 0 && seq < total-16 {
+				return drop
+			}
+		}
+		return pass
+	})
+	done := make(chan error, 1)
+	go func() { done <- recvSeqs(rb, 1, total) }()
+	for seq := uint64(1); seq <= total; seq++ {
+		payload := binary.BigEndian.AppendUint64(make([]byte, 0, size(seq)), seq)
+		if err := ra.Send(rb.LocalAddr(), payload[:size(seq)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	assertWithinBudget(t, p)
+	if n := p.count(func(d dgramInfo) bool { return d.resent() && len(d.frames) > 1 }); n == 0 {
+		t.Fatal("no datagram resent two or more frames: the test exercised nothing")
+	}
+}
+
 // (g) An ack naming seqs that were never sent frees nothing it should
 // not and resends nothing: bitmap bits at or past nextSeq are ignored —
 // they must not count towards the three later seqs that condemn a frame —
 // and a cum past nextSeq is clamped to it, as it always was, which puts
-// every bit of its bitmap out of range.
+// every bit of its bitmap out of range — whether the ack comes bare or
+// ahead of a frame.
 func TestRecoveryAckBeyondNextSeqIgnored(t *testing.T) {
-	allOnes := binary.BigEndian.AppendUint64(nil, ^uint64(0))
 	for _, form := range []struct {
 		name string
 		ack  func(cum uint64) []byte
 	}{
-		{"standalone", func(cum uint64) []byte { return encodeFrame(pktAck, cum, allOnes) }},
-		{"batch header", func(cum uint64) []byte { return appendBatchHeader(nil, cum, ^uint64(0), true) }},
+		{"standalone", func(cum uint64) []byte { return appendHeader(nil, true, cum, ^uint64(0), true) }},
+		{"batch header", func(cum uint64) []byte {
+			return appendFrame(appendHeader(nil, true, cum, ^uint64(0), true), 1, []byte("reverse"))
+		}},
 	} {
 		t.Run(form.name, func(t *testing.T) {
 			r := NewReliable(newNullConn(), Config{RTO: time.Hour})

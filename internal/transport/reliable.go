@@ -3,9 +3,7 @@ package transport
 import (
 	"cmp"
 	"container/heap"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -15,27 +13,18 @@ import (
 	"repro/internal/netsim"
 )
 
-// Packet types on the wire.
-const (
-	pktData  = 1
-	pktAck   = 2
-	pktBatch = 3 // coalesced frames + piggybacked ack; see batch.go
-)
-
-// headerLen is: magic(2) + type(1) + seq(8). For data packets seq is the
-// message sequence number; for acks it is the cumulative acknowledgement
-// cum (every message up to and including it has been received), followed,
-// while the receiver's reorder buffer holds anything, by an 8-byte
-// selective bitmap: bit i is set when message cum+selBase+i is in the
-// buffer (cum+1 is missing by definition).
-const headerLen = 11
-
-// ackSelLen is the payload length of an ack carrying the selective bitmap.
-const ackSelLen = 8
-
 // selBase is the distance from the cumulative ack to the seq that bit 0
-// of a selective bitmap names.
+// of a selective bitmap names (cum+1 is missing by definition).
 const selBase = 2
+
+// ackEvery is the number of in-order messages from a peer that forces an
+// immediate cumulative acknowledgement. Out-of-order, duplicate and
+// retransmitted arrivals are always acknowledged immediately. It is also
+// the sender's coalescing clock: with this many transmitted frames
+// unacknowledged the peer's immediate ack is on its way, so further small
+// frames are staged for it to release (see Send). Both ends of a channel
+// must share it, which is why it is not configurable.
+const ackEvery = 8
 
 // Loss-recovery constants; DESIGN.md "Loss recovery" gives the reasons.
 const (
@@ -47,8 +36,6 @@ const (
 	// minRTOVar is the least the RTO allows for round-trip variance.
 	minRTOVar = time.Millisecond
 )
-
-var magic = [2]byte{'w', 'w'}
 
 // ErrTooManyRetries reports that a message exhausted its retransmissions;
 // this is the paper's "if a message is not delivered within a specified
@@ -72,17 +59,9 @@ type Config struct {
 	Window int
 	// RecvBuf is the capacity of the ordered-delivery queue (default 1024).
 	RecvBuf int
-	// AckEvery is the number of in-order messages from a peer that forces
-	// an immediate cumulative acknowledgement (default 8). Out-of-order,
-	// duplicate and retransmitted arrivals are always acknowledged
-	// immediately. It is also the sender's coalescing clock: with this
-	// many transmitted frames unacknowledged the peer's immediate ack is
-	// on its way, so further small frames are staged for it to release
-	// (see Send). Both ends of a channel are assumed to use one value.
-	AckEvery int
 	// AckDelay bounds how long a cumulative acknowledgement may be
 	// withheld waiting to coalesce with later ones (default RTO/8). An
-	// ack is sent after AckEvery messages or AckDelay, whichever first.
+	// ack is sent after 8 in-order messages or AckDelay, whichever first.
 	AckDelay time.Duration
 	// FailureBuf is the capacity of the asynchronous failure channel
 	// (default 64); failures beyond an unread buffer are dropped. Swarm
@@ -103,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecvBuf <= 0 {
 		c.RecvBuf = 1024
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 8
 	}
 	if c.AckDelay <= 0 {
 		c.AckDelay = c.RTO / 8
@@ -129,29 +105,26 @@ type Stats struct {
 	DataSent        uint64 // first transmissions (logical frames, coalesced or not)
 	Retransmits     uint64 // all retransmissions, ack-triggered and timer
 	FastRetransmits uint64 // the share of Retransmits an acknowledgement triggered
-	AcksSent        uint64 // standalone ack packets (cumulative: usually fewer than messages)
-	AcksRecv        uint64 // ack-carrying packets received (standalone or batch headers)
-	DupsDropped     uint64 // duplicate data packets discarded
+	AcksSent        uint64 // bare acks: datagrams carrying an ack and no frame (cumulative: usually fewer than messages)
+	AcksRecv        uint64 // ack-carrying datagrams received
+	DupsDropped     uint64 // duplicate data frames discarded
 	Delivered       uint64 // messages handed to Recv in order
 	Failures        uint64
 	FailuresDropped uint64 // failure notices discarded because the Failures channel was full
 
-	// Physical writes and coalescing.
-	BytesOut        uint64 // payload bytes across all physical datagrams written
-	DatagramsOut    uint64 // physical datagrams written (data, acks, batches)
-	BatchesOut      uint64 // coalesced datagrams among DatagramsOut
-	FramesCoalesced uint64 // data frames carried inside coalesced datagrams
-	AcksPiggybacked uint64 // acks that rode a batch header instead of a standalone packet
+	// Physical writes.
+	BytesOut        uint64 // bytes across all physical datagrams written
+	DatagramsOut    uint64 // physical datagrams written
+	AcksPiggybacked uint64 // acks that rode a datagram carrying frames instead of a bare ack
 
 	// Flush reasons: why each batch of staged frames left the stage (a
-	// lone frame carrying an owed ack is a batch but was never staged,
-	// and counts under none). FlushSize: the next frame would not fit
-	// the datagram budget, or no further frame of its size would;
-	// FlushAck: an arriving ack freed window space, or the receive path
-	// owed the peer an ack and the staged frames carried it; FlushWindow:
-	// Send was about to block on a full window; FlushBackstop: the
-	// retransmission timer came due — the only release that waits on a
-	// clock, and zero on a healthy path.
+	// lone frame was never staged, and counts under none). FlushSize:
+	// the next frame would not fit the datagram budget, or no further
+	// frame of its size would; FlushAck: an arriving ack freed window
+	// space, or the receive path owed the peer an ack and the staged
+	// frames carried it; FlushWindow: Send was about to block on a full
+	// window; FlushBackstop: the retransmission timer came due — the only
+	// release that waits on a clock, and zero on a healthy path.
 	FlushSize     uint64
 	FlushAck      uint64
 	FlushWindow   uint64
@@ -161,26 +134,6 @@ type Stats struct {
 	// PacketConn tracks it (the UDP transport does; netsim makes no
 	// syscalls and reports zeros).
 	IO IOStats
-}
-
-// FramesPerDatagram is the mean number of logical frames (first
-// transmissions, retransmissions and standalone acks) each physical
-// datagram carried — the transport-level batching factor.
-func (s Stats) FramesPerDatagram() float64 {
-	if s.DatagramsOut == 0 {
-		return 0
-	}
-	return float64(s.DataSent+s.Retransmits+s.AcksSent) / float64(s.DatagramsOut)
-}
-
-// StandaloneAckRatio is the fraction of acknowledgements that needed
-// their own packet rather than riding a batch header.
-func (s Stats) StandaloneAckRatio() float64 {
-	total := s.AcksSent + s.AcksPiggybacked
-	if total == 0 {
-		return 0
-	}
-	return float64(s.AcksSent) / float64(total)
 }
 
 // statCounters is the lock-free internal form of Stats: counters are
@@ -198,8 +151,6 @@ type statCounters struct {
 
 	bytesOut        atomic.Uint64
 	datagramsOut    atomic.Uint64
-	batchesOut      atomic.Uint64
-	framesCoalesced atomic.Uint64
 	acksPiggybacked atomic.Uint64
 
 	flushSize     atomic.Uint64
@@ -222,8 +173,6 @@ func (c *statCounters) snapshot() Stats {
 
 		BytesOut:        c.bytesOut.Load(),
 		DatagramsOut:    c.datagramsOut.Load(),
-		BatchesOut:      c.batchesOut.Load(),
-		FramesCoalesced: c.framesCoalesced.Load(),
 		AcksPiggybacked: c.acksPiggybacked.Load(),
 
 		FlushSize:     c.flushSize.Load(),
@@ -236,7 +185,7 @@ func (c *statCounters) snapshot() Stats {
 // outPkt is an in-flight message awaiting acknowledgement.
 type outPkt struct {
 	seq      uint64
-	frame    []byte
+	frame    []byte    // the encoded frame, as every datagram carrying it holds it
 	sent     time.Time // first transmission
 	xmit     time.Time // latest transmission
 	deadline time.Time // when the timer resends it: xmit plus the RTO then in force
@@ -293,11 +242,10 @@ type peerState struct {
 	ackPending  int  // guarded by mu
 	ackTimerSet bool // guarded by mu
 
-	// Frame coalescing: stage holds the encoded batch sub-frames of
-	// first transmissions waiting for an ack to release them, and staged
-	// the same frames' unacked entries, in seq order (both backing arrays
-	// are reused across batches).
-	stage  []byte    // guarded by mu
+	// Frame coalescing: staged holds the first transmissions waiting for
+	// an ack to release them, in seq order (its backing array is reused
+	// across batches), and stage counts their encoded bytes.
+	stage  int       // guarded by mu
 	staged []*outPkt // guarded by mu
 }
 
@@ -471,22 +419,6 @@ func (r *Reliable) peer(a netsim.Addr) *peerState {
 	return p
 }
 
-func encodeFrame(typ byte, seq uint64, payload []byte) []byte {
-	f := make([]byte, headerLen+len(payload))
-	f[0], f[1] = magic[0], magic[1]
-	f[2] = typ
-	binary.BigEndian.PutUint64(f[3:11], seq)
-	copy(f[headerLen:], payload)
-	return f
-}
-
-func decodeFrame(f []byte) (typ byte, seq uint64, payload []byte, err error) {
-	if len(f) < headerLen || f[0] != magic[0] || f[1] != magic[1] {
-		return 0, 0, nil, fmt.Errorf("transport: malformed frame (%d bytes)", len(f))
-	}
-	return f[2], binary.BigEndian.Uint64(f[3:11]), f[headerLen:], nil
-}
-
 // schedule queues a timer event, waking the timer goroutine if it created
 // a new earliest deadline. Must not be called with a peer lock held.
 func (r *Reliable) schedule(ev timerEvent) {
@@ -502,70 +434,102 @@ func (r *Reliable) schedule(ev timerEvent) {
 	}
 }
 
-// writeDatagram writes one single-frame datagram, counting the physical
-// write.
-func (r *Reliable) writeDatagram(to netsim.Addr, frame []byte) error {
-	r.stats.datagramsOut.Add(1)
-	r.stats.bytesOut.Add(uint64(len(frame)))
-	return r.pc.WriteTo(to, frame)
-}
-
-// batchPool recycles the buffers batch datagrams are assembled in.
+// dgramPool recycles the buffers datagrams are assembled in.
 // PacketConn.WriteTo copies before it returns, so a buffer goes back as
-// soon as it is written and no flush allocates.
-var batchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, batchHdrMax+datagramBudget)
+// soon as it is written and no send allocates one.
+var dgramPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, dgramHdrMax+datagramBudget)
 	return &b
 }}
 
-// writeBatch writes one coalesced datagram, counting the physical write
-// and the batch, and recycles its buffer. A nil dgram is no datagram.
-func (r *Reliable) writeBatch(to netsim.Addr, dgram *[]byte) error {
+// datagramLocked assembles one datagram to p: frames, in order, behind
+// the acknowledgement for the reverse direction (cumulative, plus the
+// selective bitmap while a gap is open) when ack is set or the peer is
+// owed one. Without frames it is a bare ack. Every datagram the layer
+// sends is built here and written by write. Caller holds p.mu.
+func (r *Reliable) datagramLocked(p *peerState, ack bool, frames []*outPkt) *[]byte {
+	dgram := dgramPool.Get().(*[]byte)
+	b := (*dgram)[:0]
+	if ack || p.ackPending > 0 {
+		// The ack the peer is owed leaves now; a still-queued evAck finds
+		// ackPending == 0 and lapses.
+		p.ackPending = 0
+		if len(frames) > 0 {
+			r.stats.acksPiggybacked.Add(1)
+		} else {
+			r.stats.acksSent.Add(1)
+		}
+		cum, sel, hasSel := p.ackStateLocked()
+		b = appendHeader(b, true, cum, sel, hasSel)
+	} else {
+		b = appendHeader(b, false, 0, 0, false)
+	}
+	for _, pkt := range frames {
+		b = append(b, pkt.frame...)
+	}
+	*dgram = b
+	return dgram
+}
+
+// write sends one datagram datagramLocked built, counting the physical
+// write, and recycles its buffer. A nil dgram is no datagram. Must not be
+// called with a peer lock held.
+func (r *Reliable) write(to netsim.Addr, dgram *[]byte) error {
 	if dgram == nil {
 		return nil
 	}
 	r.stats.datagramsOut.Add(1)
-	r.stats.batchesOut.Add(1)
 	r.stats.bytesOut.Add(uint64(len(*dgram)))
 	err := r.pc.WriteTo(to, *dgram)
-	batchPool.Put(dgram)
+	if cap(*dgram) <= dgramHdrMax+datagramBudget { // an oversized frame's buffer is not kept
+		dgramPool.Put(dgram)
+	}
 	return err
 }
 
 // stageLocked appends pkt, a first transmission, to p's stage. Caller
 // holds p.mu.
 func (p *peerState) stageLocked(pkt *outPkt) {
-	p.stage = appendBatchFrame(p.stage, pkt.seq, pkt.frame[headerLen:])
+	p.stage += len(pkt.frame)
 	p.staged = append(p.staged, pkt)
 }
 
-// buildBatchLocked drains p's stage into one coalesced datagram for
-// writeBatch, piggybacking the acknowledgement for the reverse direction
-// (cumulative, plus the selective bitmap while a gap is open). The
-// frames' round-trip clock and retransmission deadline run from now, when
-// they leave, not from their Send. ackReplaces marks a flush that
-// substitutes for a standalone ack the receive path was about to send.
-// Caller holds p.mu.
-func (r *Reliable) buildBatchLocked(p *peerState, now time.Time, ackReplaces bool) *[]byte {
-	if ackReplaces || p.ackPending > 0 || p.ackTimerSet {
-		// This batch's header delivers an ack that would otherwise have
-		// gone out (now or at the delayed-ack deadline) as its own
-		// packet. A still-queued evAck finds ackPending == 0 and lapses.
-		r.stats.acksPiggybacked.Add(1)
-	}
-	p.ackPending = 0
-	cum, sel, hasSel := p.ackStateLocked()
-	dgram := batchPool.Get().(*[]byte)
-	*dgram = append(appendBatchHeader((*dgram)[:0], cum, sel, hasSel), p.stage...)
-	r.stats.framesCoalesced.Add(uint64(len(p.staged)))
+// flushLocked drains p's stage into one datagram for write. The frames'
+// round-trip clock and retransmission deadline run from now, when they
+// leave, not from their Send. ack puts an acknowledgement in the datagram
+// even when none is owed: the receive path's immediate one. Caller holds
+// p.mu.
+func (r *Reliable) flushLocked(p *peerState, now time.Time, ack bool) *[]byte {
 	deadline := now.Add(r.rtoLocked(p))
 	for _, pkt := range p.staged {
 		pkt.xmit, pkt.deadline = now, deadline
 	}
+	dgram := r.datagramLocked(p, ack, p.staged)
 	clear(p.staged) // acknowledged frames must not stay reachable from the backing array
 	p.staged = p.staged[:0]
-	p.stage = p.stage[:0]
+	p.stage = 0
 	return dgram
+}
+
+// resendLocked appends to out the datagrams that retransmit frames, which
+// are in seq order: packed up to datagramBudget, the first carrying any
+// ack the peer is owed. A frame larger than the budget goes alone. fast
+// marks frames an acknowledgement condemned. Caller holds p.mu.
+func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, fast bool) []*[]byte {
+	r.stats.retransmits.Add(uint64(len(frames)))
+	if fast {
+		r.stats.fastRetransmits.Add(uint64(len(frames)))
+	}
+	for len(frames) > 0 {
+		n, size := 1, len(frames[0].frame)
+		for n < len(frames) && size+len(frames[n].frame) <= datagramBudget {
+			size += len(frames[n].frame)
+			n++
+		}
+		out = append(out, r.datagramLocked(p, false, frames[:n]))
+		frames = frames[n:]
+	}
+	return out
 }
 
 // Send transmits payload to the peer with FIFO, exactly-once semantics.
@@ -576,32 +540,30 @@ func (r *Reliable) buildBatchLocked(p *peerState, now time.Time, ackReplaces boo
 //
 // A small frame is staged rather than written while the peer's next
 // acknowledgement is certain to be on its way without waiting for the
-// peer's delayed-ack timer: when AckEvery transmitted frames are
+// peer's delayed-ack timer: when ackEvery transmitted frames are
 // unacknowledged (their arrival forces an immediate ack), or when frames
-// are already staged behind such a run. Staged frames leave as one batch
+// are already staged behind such a run. Staged frames leave as one
 // datagram, never larger than datagramBudget, when an acknowledgement
 // frees window space, when the budget is reached or the next frame would
 // overshoot it, before Send blocks on a full window, and when the receive
 // path owes the peer an ack they can carry; the retransmission timer
 // coming due is the backstop. No frame waits on a clock of its own, and a
-// frame sent into a quiet channel is written before Send returns. A
-// frame that goes alone is a classic pktData datagram, unless an ack is
-// owed to the peer and the frame fits the budget: then it is a batch of
-// one, carrying that ack.
+// frame sent into a quiet channel is written before Send returns,
+// carrying any ack its peer is owed.
 func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	p := r.peer(to)
 	p.mu.Lock()
 	for len(p.unacked) >= r.cfg.Window && !p.closed {
-		if len(p.stage) == 0 {
+		if len(p.staged) == 0 {
 			p.cond.Wait()
 			continue
 		}
 		// Staged frames hold window slots: only their acks can unblock
 		// this wait, so they leave before it.
-		dgram := r.buildBatchLocked(p, time.Now(), false)
+		dgram := r.flushLocked(p, time.Now(), false)
 		r.stats.flushWindow.Add(1)
 		p.mu.Unlock()
-		_ = r.writeBatch(to, dgram) // the frames stay unacked: a failed write is a lost datagram
+		_ = r.write(to, dgram) // the frames stay unacked: a failed write is a lost datagram
 		p.mu.Lock()
 	}
 	if p.closed {
@@ -610,49 +572,40 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	}
 	seq := p.nextSeq
 	p.nextSeq++
-	frame := encodeFrame(pktData, seq, payload)
 	now := time.Now()
 	due := now.Add(r.rtoLocked(p))
+	frame := appendFrame(make([]byte, 0, frameLen(seq, payload)), seq, payload)
 	pkt := &outPkt{seq: seq, frame: frame, sent: now, xmit: now, deadline: due}
-	size := batchFrameLen(seq, payload)
+	size := len(frame)
 	var full, dgram *[]byte
-	if len(p.stage) > 0 && len(p.stage)+size > datagramBudget {
+	if p.stage > 0 && p.stage+size > datagramBudget {
 		// The frame would take the batch past the budget: what is staged
 		// leaves first.
-		full = r.buildBatchLocked(p, now, false)
+		full = r.flushLocked(p, now, false)
 		r.stats.flushSize.Add(1)
 	}
 	inFlight := len(p.unacked) - len(p.staged) // transmitted and unacknowledged
 	p.unacked[seq] = pkt
 	arm := p.armRetxLocked(due)
-	alone := false
-	switch {
-	case len(p.stage) > 0 || 2*size <= datagramBudget && inFlight >= r.cfg.AckEvery:
+	if p.stage > 0 || 2*size <= datagramBudget && inFlight >= ackEvery {
 		p.stageLocked(pkt)
-		if len(p.stage)+size > datagramBudget {
+		if p.stage+size > datagramBudget {
 			// No room for another frame like this one.
-			dgram = r.buildBatchLocked(p, now, false)
+			dgram = r.flushLocked(p, now, false)
 			r.stats.flushSize.Add(1)
 		}
-	case p.ackPending > 0 && size <= datagramBudget:
-		// Alone, but the peer is owed an ack: a batch of one carries it.
-		p.stageLocked(pkt)
-		dgram = r.buildBatchLocked(p, now, false)
-	default:
-		alone = true
+	} else {
+		dgram = r.datagramLocked(p, false, []*outPkt{pkt}) // alone
 	}
 	p.mu.Unlock()
 	r.stats.dataSent.Add(1)
 	if arm {
 		r.schedule(timerEvent{due: due, p: p, kind: evRetx})
 	}
-	if err := r.writeBatch(to, full); err != nil {
+	if err := r.write(to, full); err != nil {
 		return err
 	}
-	if alone {
-		return r.writeDatagram(to, frame)
-	}
-	return r.writeBatch(to, dgram)
+	return r.write(to, dgram)
 }
 
 // Recv blocks until the next in-order message from any peer arrives.
@@ -669,23 +622,6 @@ func (r *Reliable) Recv() ([]byte, netsim.Addr, error) {
 		default:
 			return nil, netsim.Addr{}, ErrClosed
 		}
-	}
-}
-
-// RecvTimeout is Recv with a real-time deadline; it returns netsim.ErrTimeout
-// on expiry.
-//
-//wwlint:allow ctxcheck real-time deadline variant of the transport pump; lifecycle-managed by Close
-func (r *Reliable) RecvTimeout(d time.Duration) ([]byte, netsim.Addr, error) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-r.incoming:
-		return m.payload, m.from, nil
-	case <-r.closed:
-		return nil, netsim.Addr{}, ErrClosed
-	case <-t.C:
-		return nil, netsim.Addr{}, netsim.ErrTimeout
 	}
 }
 
@@ -723,31 +659,12 @@ func (r *Reliable) recvLoop() {
 	}
 }
 
-// handleDatagram dispatches one arriving datagram; garbage is ignored,
-// like a real UDP service.
+// handleDatagram unpacks one arriving datagram: the ack in its header,
+// then each frame in order. Garbage is ignored, like a real UDP service.
+// The frame payloads are subslices of the datagram buffer — safe because
+// ReadFrom hands this layer exclusive ownership of it.
 func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
-	if len(dgram) >= 3 && dgram[0] == magic[0] && dgram[1] == magic[1] && dgram[2] == pktBatch {
-		r.handleBatch(from, dgram[3:])
-		return
-	}
-	typ, seq, payload, err := decodeFrame(dgram)
-	if err != nil {
-		return
-	}
-	switch typ {
-	case pktAck:
-		r.handleAck(r.peer(from), seq, payload)
-	case pktData:
-		r.handleData(r.peer(from), seq, payload)
-	}
-}
-
-// handleBatch unpacks one coalesced datagram: the piggybacked ack in
-// its header, then each data frame in order. The frame payloads are
-// subslices of the datagram buffer — safe because ReadFrom hands this
-// layer exclusive ownership of it.
-func (r *Reliable) handleBatch(from netsim.Addr, body []byte) {
-	cum, hasCum, sel, hasSel, off, ok := parseBatchHeader(body)
+	cum, hasCum, sel, hasSel, off, ok := parseHeader(dgram)
 	if !ok {
 		return
 	}
@@ -757,25 +674,13 @@ func (r *Reliable) handleBatch(from netsim.Addr, body []byte) {
 		r.applyAck(p, cum, sel, hasSel)
 	}
 	for {
-		seq, payload, next, ok := nextBatchFrame(body, off)
+		seq, payload, next, ok := nextFrame(dgram, off)
 		if !ok {
 			return
 		}
 		off = next
 		r.handleData(p, seq, payload)
 	}
-}
-
-// handleAck processes a standalone cumulative acknowledgement packet
-// (plus the selective bitmap in the payload, when a gap was open).
-func (r *Reliable) handleAck(p *peerState, cum uint64, payload []byte) {
-	r.stats.acksRecv.Add(1)
-	var sel uint64
-	hasSel := len(payload) == ackSelLen
-	if hasSel {
-		sel = binary.BigEndian.Uint64(payload)
-	}
-	r.applyAck(p, cum, sel, hasSel)
 }
 
 // rtoLocked is the retransmission timeout now in force for p: Config.RTO
@@ -882,28 +787,30 @@ func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 			p.rackXmit = newest.xmit
 		}
 	}
-	var lost []*outPkt
+	var buf [2]*[]byte // keeps the usual resend or flush off the heap
+	out := buf[:0]
 	if sel != 0 || newest != nil && newest.resent {
 		// Only an ack that names seqs above a hole, or covers a resent
 		// frame, can put an unacked frame before something that arrived.
-		lost = r.detectLossLocked(p, cum, sel, hasSel, now)
+		out = r.resendLocked(out, p, r.detectLossLocked(p, cum, sel, hasSel, now), true)
 	}
-	var dgram *[]byte
-	if newest != nil && len(p.stage) > 0 {
-		dgram = r.buildBatchLocked(p, now, false)
+	if newest != nil && len(p.staged) > 0 {
+		out = append(out, r.flushLocked(p, now, false))
 		r.stats.flushAck.Add(1)
 	}
 	p.mu.Unlock()
-	r.retransmit(p.addr, lost, true)
-	_ = r.writeBatch(p.addr, dgram)
+	for _, dgram := range out {
+		_ = r.write(p.addr, dgram)
+	}
 }
 
 // detectLossLocked decides which unacked frames an acknowledgement shows
 // to be lost, stamps them retransmitted at now and returns them in seq
-// order for the caller to write. A never-resent frame is lost once dupThresh seqs above it have
-// arrived; any frame is lost once it was transmitted more than a
-// reordering window (SRTT/4) before a frame known to have arrived (RACK,
-// RFC 8985) — the rule that recovers a lost retransmission.
+// order for the caller to resend. A never-resent frame is lost once
+// dupThresh seqs above it have arrived; any frame is lost once it was
+// transmitted more than a reordering window (SRTT/4) before a frame known
+// to have arrived (RACK, RFC 8985) — the rule that recovers a lost
+// retransmission.
 func (r *Reliable) detectLossLocked(p *peerState, cum, sel uint64, hasSel bool, now time.Time) []*outPkt {
 	// The ack speaks only for seqs below known: not for frames still
 	// staged, which have yet to leave, nor, when it carries a bitmap, for
@@ -932,23 +839,6 @@ func (r *Reliable) detectLossLocked(p *peerState, cum, sel uint64, hasSel bool, 
 	return lost
 }
 
-// retransmit writes frames again, each as its own pktData datagram
-// (retransmissions never ride a batch); fast marks the ones an
-// acknowledgement triggered. Must not be called with a peer lock held:
-// a packet's frame is immutable, so it needs none.
-func (r *Reliable) retransmit(to netsim.Addr, pkts []*outPkt, fast bool) {
-	if len(pkts) == 0 {
-		return
-	}
-	r.stats.retransmits.Add(uint64(len(pkts)))
-	if fast {
-		r.stats.fastRetransmits.Add(uint64(len(pkts)))
-	}
-	for _, pkt := range pkts {
-		_ = r.writeDatagram(to, pkt.frame)
-	}
-}
-
 // ackStateLocked is what an acknowledgement sent now says: the
 // cumulative point and, while the reorder buffer holds anything, its
 // bitmap (a seq more than 64 past the hole goes unreported).
@@ -964,21 +854,8 @@ func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
 	return p.expected - 1, sel, len(p.ooo) > 0
 }
 
-// sendAck transmits one standalone cumulative ack, with the selective
-// bitmap when hasSel.
-func (r *Reliable) sendAck(to netsim.Addr, cum uint64, sel uint64, hasSel bool) {
-	var payload []byte
-	if hasSel {
-		var b [ackSelLen]byte
-		binary.BigEndian.PutUint64(b[:], sel)
-		payload = b[:]
-	}
-	r.stats.acksSent.Add(1)
-	_ = r.writeDatagram(to, encodeFrame(pktAck, cum, payload))
-}
-
-// handleData sequences one arriving data packet. In-order arrivals are
-// delivered immediately but acknowledged lazily (after AckEvery messages
+// handleData sequences one arriving data frame. In-order arrivals are
+// delivered immediately but acknowledged lazily (after ackEvery messages
 // or AckDelay, whichever first); out-of-order, duplicate and
 // retransmitted arrivals are acknowledged immediately, with the whole
 // reorder state while a gap is open, so the sender's window unblocks and
@@ -991,9 +868,6 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 		buf      [4]inMsg // keeps the usual short run off the heap
 		ready    = buf[:0]
 		ackNow   bool
-		ackCum   uint64
-		ackSel   uint64
-		hasSel   bool
 		armTimer bool
 	)
 	p.mu.Lock()
@@ -1019,7 +893,7 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 		}
 		r.stats.delivered.Add(uint64(len(ready)))
 		p.ackPending += len(ready)
-		if p.ackPending >= r.cfg.AckEvery {
+		if p.ackPending >= ackEvery {
 			ackNow = true
 		} else if !p.ackTimerSet {
 			p.ackTimerSet = true
@@ -1036,28 +910,21 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 		ackNow = true
 	}
 	var dgram *[]byte
-	if ackNow {
-		p.ackPending = 0
-		if len(p.stage) > 0 {
-			// Staged data is headed back to this peer anyway: fold the ack
-			// into its batch header and flush now instead of sending a
-			// standalone ack packet.
-			dgram = r.buildBatchLocked(p, time.Now(), true)
-			r.stats.flushAck.Add(1)
-			ackNow = false
-		} else {
-			ackCum, ackSel, hasSel = p.ackStateLocked()
-		}
+	switch {
+	case ackNow && len(p.staged) > 0:
+		// Staged data is headed back to this peer anyway: the ack rides
+		// with it, flushed now, instead of going bare.
+		dgram = r.flushLocked(p, time.Now(), true)
+		r.stats.flushAck.Add(1)
+	case ackNow:
+		dgram = r.datagramLocked(p, true, nil)
 	}
 	p.mu.Unlock()
 
 	if armTimer {
 		r.schedule(timerEvent{due: time.Now().Add(r.cfg.AckDelay), p: p, kind: evAck})
 	}
-	_ = r.writeBatch(from, dgram)
-	if ackNow {
-		r.sendAck(from, ackCum, ackSel, hasSel)
-	}
+	_ = r.write(from, dgram)
 	for _, m := range ready {
 		select {
 		case r.incoming <- m:
@@ -1112,21 +979,21 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 	p := ev.p
 	switch ev.kind {
 	case evAck:
+		var dgram *[]byte
 		p.mu.Lock()
 		p.ackTimerSet = false
-		send := p.ackPending > 0
-		p.ackPending = 0
-		cum, sel, hasSel := p.ackStateLocked()
-		p.mu.Unlock()
-		if send {
-			r.sendAck(p.addr, cum, sel, hasSel)
+		if p.ackPending > 0 {
+			dgram = r.datagramLocked(p, true, nil)
 		}
+		p.mu.Unlock()
+		_ = r.write(p.addr, dgram)
 
 	case evRetx:
 		var (
 			expired []*outPkt
 			failed  []SendFailure
 			next    time.Time // earliest deadline still ahead
+			resent  []*[]byte
 			dgram   *[]byte
 		)
 		p.mu.Lock()
@@ -1134,14 +1001,14 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 			p.mu.Unlock()
 			return // superseded by an event armed earlier
 		}
-		if len(p.stage) > 0 && !p.closed {
+		if len(p.staged) > 0 && !p.closed {
 			for _, pkt := range p.unacked {
 				if !pkt.deadline.After(now) {
 					// The backstop: an ack the staged frames were waiting
 					// for is overdue. They leave now, in their batch, with
 					// a fresh deadline — none has been on the wire, so none
 					// is resent below.
-					dgram = r.buildBatchLocked(p, now, false)
+					dgram = r.flushLocked(p, now, false)
 					r.stats.flushBackstop.Add(1)
 					break
 				}
@@ -1155,10 +1022,11 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 				}
 			case pkt.retries >= r.cfg.MaxRetries:
 				delete(p.unacked, seq)
+				_, payload, _, _ := nextFrame(pkt.frame, 0)
 				failed = append(failed, SendFailure{
 					To:      p.addr,
 					Seq:     seq,
-					Payload: pkt.frame[headerLen:],
+					Payload: payload,
 					Err:     ErrTooManyRetries,
 				})
 			default:
@@ -1178,14 +1046,17 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 			if next.IsZero() || expired[0].deadline.Before(next) {
 				next = expired[0].deadline
 			}
+			resent = r.resendLocked(nil, p, expired, false)
 		}
 		p.retxDue = next // zero once nothing is in flight
 		if len(failed) > 0 {
 			p.cond.Broadcast()
 		}
 		p.mu.Unlock()
-		r.retransmit(p.addr, expired, false)
-		_ = r.writeBatch(p.addr, dgram)
+		for _, d := range resent {
+			_ = r.write(p.addr, d)
+		}
+		_ = r.write(p.addr, dgram)
 		if len(failed) > 0 {
 			r.stats.failures.Add(uint64(len(failed)))
 			for _, f := range failed {

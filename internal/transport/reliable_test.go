@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/netsim"
@@ -31,25 +29,18 @@ func pairOn(t *testing.T, hostA, hostB string, cfg Config, opts ...netsim.Option
 	return n, ra, rb
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	f := func(typ byte, seq uint64, payload []byte) bool {
-		if typ != pktData && typ != pktAck {
-			typ = pktData
-		}
-		gt, gs, gp, err := decodeFrame(encodeFrame(typ, seq, payload))
-		return err == nil && gt == typ && gs == seq && bytes.Equal(gp, payload)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	bad := [][]byte{nil, {}, {1, 2, 3}, []byte("not a frame at all"), make([]byte, headerLen-1)}
-	for _, b := range bad {
-		if _, _, _, err := decodeFrame(b); err == nil {
-			t.Errorf("decodeFrame(%v) accepted garbage", b)
-		}
+// recvTimeout is Recv with a real-time deadline; it returns
+// netsim.ErrTimeout on expiry.
+func recvTimeout(r *Reliable, d time.Duration) ([]byte, netsim.Addr, error) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case m := <-r.incoming:
+		return m.payload, m.from, nil
+	case <-r.closed:
+		return nil, netsim.Addr{}, ErrClosed
+	case <-t.C:
+		return nil, netsim.Addr{}, netsim.ErrTimeout
 	}
 }
 
@@ -58,7 +49,7 @@ func TestReliableBasicRoundTrip(t *testing.T) {
 	if err := ra.Send(rb.LocalAddr(), []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	got, from, err := rb.RecvTimeout(2 * time.Second)
+	got, from, err := recvTimeout(rb, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +72,7 @@ func TestOrderedDeliveryUnderReorderAndDup(t *testing.T) {
 		}
 	}()
 	for i := 0; i < total; i++ {
-		got, _, err := rb.RecvTimeout(5 * time.Second)
+		got, _, err := recvTimeout(rb, 5*time.Second)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -108,7 +99,7 @@ func TestOrderedDeliveryUnderLoss(t *testing.T) {
 		}
 	}()
 	for i := 0; i < total; i++ {
-		got, _, err := rb.RecvTimeout(10 * time.Second)
+		got, _, err := recvTimeout(rb, 10*time.Second)
 		if err != nil {
 			t.Fatalf("message %d: %v (stats=%+v)", i, err, ra.Stats())
 		}
@@ -132,7 +123,7 @@ func TestExactlyOnceUnderHeavyDup(t *testing.T) {
 		}
 	}
 	for i := 0; i < total; i++ {
-		got, _, err := rb.RecvTimeout(5 * time.Second)
+		got, _, err := recvTimeout(rb, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +132,7 @@ func TestExactlyOnceUnderHeavyDup(t *testing.T) {
 		}
 	}
 	// No extra deliveries.
-	if _, _, err := rb.RecvTimeout(100 * time.Millisecond); err != netsim.ErrTimeout {
+	if _, _, err := recvTimeout(rb, 100*time.Millisecond); err != netsim.ErrTimeout {
 		t.Fatalf("extra delivery slipped through: %v", err)
 	}
 	if st := rb.Stats(); st.DupsDropped == 0 {
@@ -194,7 +185,7 @@ func TestWindowBlocksThenRecovers(t *testing.T) {
 		t.Fatal("sender did not recover after heal")
 	}
 	for i := 0; i < 8; i++ {
-		got, _, err := rb.RecvTimeout(5 * time.Second)
+		got, _, err := recvTimeout(rb, 5*time.Second)
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -227,13 +218,13 @@ func TestBidirectionalIndependentStreams(t *testing.T) {
 	}()
 	wg.Wait()
 	for i := 0; i < total; i++ {
-		got, _, err := rb.RecvTimeout(2 * time.Second)
+		got, _, err := recvTimeout(rb, 2*time.Second)
 		if err != nil || got[0] != 1 || got[1] != byte(i) {
 			t.Fatalf("b recv %d: %v %v", i, got, err)
 		}
 	}
 	for i := 0; i < total; i++ {
-		got, _, err := ra.RecvTimeout(2 * time.Second)
+		got, _, err := recvTimeout(ra, 2*time.Second)
 		if err != nil || got[0] != 2 || got[1] != byte(i) {
 			t.Fatalf("a recv %d: %v %v", i, got, err)
 		}
@@ -265,7 +256,7 @@ func TestManyPeersFIFOPerPeer(t *testing.T) {
 	}
 	next := make([]int, peers)
 	for k := 0; k < peers*per; k++ {
-		got, _, err := sink.RecvTimeout(5 * time.Second)
+		got, _, err := recvTimeout(sink, 5*time.Second)
 		if err != nil {
 			t.Fatalf("recv %d: %v", k, err)
 		}
@@ -318,7 +309,7 @@ func TestStatsAccounting(t *testing.T) {
 		}
 	}
 	for i := 0; i < total; i++ {
-		if _, _, err := rb.RecvTimeout(2 * time.Second); err != nil {
+		if _, _, err := recvTimeout(rb, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +320,7 @@ func TestStatsAccounting(t *testing.T) {
 	if sb.Delivered != total {
 		t.Fatalf("Delivered = %d", sb.Delivered)
 	}
-	// Acks are cumulative and coalesced (every AckEvery messages or
+	// Acks are cumulative and coalesced (every ackEvery messages or
 	// AckDelay): there must be at least one but never more than one per
 	// message on a fault-free in-order stream.
 	if sb.AcksSent == 0 || sb.AcksSent > total {
@@ -338,9 +329,10 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestAckCoalescing(t *testing.T) {
-	// 64 in-order messages with AckEvery=8 must produce far fewer acks
-	// than messages: coalescing is the point of the delayed-ack design.
-	cfg := Config{Window: 128, AckEvery: 8}
+	// 64 in-order messages with an ack every 8 must produce far fewer
+	// acks than messages: coalescing is the point of the delayed-ack
+	// design.
+	cfg := Config{Window: 128}
 	_, ra, rb := pairOn(t, "a", "b", cfg)
 	const total = 64
 	for i := 0; i < total; i++ {
@@ -349,7 +341,7 @@ func TestAckCoalescing(t *testing.T) {
 		}
 	}
 	for i := 0; i < total; i++ {
-		if _, _, err := rb.RecvTimeout(2 * time.Second); err != nil {
+		if _, _, err := recvTimeout(rb, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,7 +398,7 @@ func TestMultipleBlockedSendersAllWake(t *testing.T) {
 	}
 	seen := make(map[byte]bool)
 	for i := 0; i < senders+1; i++ {
-		got, _, err := rb.RecvTimeout(5 * time.Second)
+		got, _, err := recvTimeout(rb, 5*time.Second)
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
@@ -437,7 +429,7 @@ func TestUDPLoopbackRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < total; i++ {
-		got, _, err := rb.RecvTimeout(5 * time.Second)
+		got, _, err := recvTimeout(rb, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,18 +462,15 @@ func TestBytesOutAndQueueDepth(t *testing.T) {
 		}
 	}
 	for i := 0; i < total; i++ {
-		if _, _, err := rb.RecvTimeout(2 * time.Second); err != nil {
+		if _, _, err := recvTimeout(rb, 2*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Every physical write carries header bytes plus payload: BytesOut
-	// must cover at least the data frames.
+	// Every physical write carries a header, and every frame its seq and
+	// length ahead of the payload: BytesOut must cover both.
 	sa := ra.Stats()
-	if want := uint64(total * (headerLen + len("payload"))); sa.BytesOut < want {
-		t.Fatalf("BytesOut = %d, want >= %d", sa.BytesOut, want)
-	}
-	if sa.BytesOut < sa.DatagramsOut*headerLen {
-		t.Fatalf("BytesOut = %d below header floor for %d datagrams", sa.BytesOut, sa.DatagramsOut)
+	if want := sa.DatagramsOut*3 + total*uint64(2+len("payload")); sa.BytesOut < want {
+		t.Fatalf("BytesOut = %d for %d datagrams, want >= %d", sa.BytesOut, sa.DatagramsOut, want)
 	}
 
 	// Partition the pair: unacked sends pile up in the queue.

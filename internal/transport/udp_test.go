@@ -62,6 +62,12 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 	if !okA || !okB {
 		t.Fatal("udp conns do not expose IOStats")
 	}
+	// The sender goroutine counts a sendmmsg burst when the syscall
+	// returns, which can be after the receiver has read the whole burst.
+	for deadline := time.Now().Add(5 * time.Second); ioA.DatagramsOut < total && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		ioA, _ = IOStatsOf(pa)
+	}
 	// All total were read above; what the two sockets counted must agree.
 	if ioB.DatagramsIn != total || ioA.DatagramsOut != ioB.DatagramsIn {
 		t.Fatalf("datagram accounting: out=%d in=%d want %d", ioA.DatagramsOut, ioB.DatagramsIn, total)
