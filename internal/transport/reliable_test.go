@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/netsim"
@@ -41,6 +43,49 @@ func recvTimeout(r *Reliable, d time.Duration) ([]byte, netsim.Addr, error) {
 		return nil, netsim.Addr{}, ErrClosed
 	case <-t.C:
 		return nil, netsim.Addr{}, netsim.ErrTimeout
+	}
+}
+
+// A lone frame, with or without an ack for the reverse direction, round
+// trips through one datagram, and the datagram holds nothing after it.
+func TestFrameRoundTrip(t *testing.T) {
+	f := func(hasCum bool, cum uint64, seq uint64, payload []byte) bool {
+		dgram := appendFrame(appendHeader(nil, hasCum, cum, 0, false), seq, payload)
+		gc, gotCum, _, gotSel, off, ok := parseHeader(dgram)
+		if !ok || gotCum != hasCum || gotSel || hasCum && gc != cum {
+			return false
+		}
+		gs, gp, next, ok := nextFrame(dgram, off)
+		if !ok || gs != seq || !bytes.Equal(gp, payload) || next != len(dgram) {
+			return false
+		}
+		_, _, _, ok = nextFrame(dgram, next)
+		return !ok
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestDecodeRejectsGarbage(t *testing.T) {
+	bad := [][]byte{nil, {}, {1, 2, 3}, []byte("not a frame at all"), make([]byte, dgramHdrMax-1)}
+	for _, b := range bad {
+		if _, _, _, _, _, ok := parseHeader(b); ok {
+			t.Errorf("parseHeader(%v) accepted garbage", b)
+		}
+	}
+	// Behind a valid header, a frame whose length runs past the datagram
+	// and a seq whose uvarint never ends are not frames.
+	hdr := appendHeader(nil, false, 0, 0, false)
+	for _, tail := range [][]byte{{1, 9, 'a', 'b'}, {0xff, 0xff}, {1}} {
+		b := append(bytes.Clone(hdr), tail...)
+		_, _, _, _, off, ok := parseHeader(b)
+		if !ok {
+			t.Fatalf("parseHeader(%v) rejected a valid header", b)
+		}
+		if _, _, _, ok := nextFrame(b, off); ok {
+			t.Errorf("nextFrame(%v) accepted garbage", b)
+		}
 	}
 }
 
