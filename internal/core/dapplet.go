@@ -290,7 +290,9 @@ func (d *Dapplet) sendEnvelope(env *wire.Envelope) error {
 
 // sendEncoded frames an already-encoded body with env's header words and
 // transmits it; Outbox.Send uses it to fan one body encoding out to many
-// destinations.
+// destinations. env does not escape, so callers build it on the stack;
+// send observers, which may keep what they are handed, get a heap copy,
+// made only when one is registered.
 func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 	bufp := sendBufPool.Get().(*[]byte)
 	buf := wire.AppendEnvelopeBody((*bufp)[:0], env, body)
@@ -298,8 +300,12 @@ func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 	d.obsMu.RLock()
 	obs := d.sendObs
 	d.obsMu.RUnlock()
-	for _, f := range obs {
-		f(env)
+	if len(obs) > 0 {
+		kept := new(wire.Envelope)
+		*kept = *env
+		for _, f := range obs {
+			f(kept)
+		}
 	}
 	err := d.rel.Send(env.To.Dapplet, buf)
 	if cap(buf) <= wire.MaxPooledBuf {
@@ -313,7 +319,7 @@ func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 // it to encode a forwarded frame once and transmit the same bytes to all
 // of its tree neighbors; checkpoint replay paths use it likewise.
 func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
-	env := &wire.Envelope{
+	env := wire.Envelope{
 		To:          to,
 		FromDapplet: d.Addr(),
 		FromOutbox:  "",
@@ -321,7 +327,7 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 		Lamport:     d.clock.StampSend(),
 		Body:        msg,
 	}
-	return d.sendEncoded(env, body)
+	return d.sendEncoded(&env, body)
 }
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
@@ -352,7 +358,7 @@ func (d *Dapplet) DeliverLocal(env *wire.Envelope) {
 // Services use it for point-to-point control traffic (invitations, acks);
 // application traffic should flow through outboxes.
 func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) error {
-	env := &wire.Envelope{
+	env := wire.Envelope{
 		To:          to,
 		FromDapplet: d.Addr(),
 		FromOutbox:  "",
@@ -360,19 +366,21 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 		Lamport:     d.clock.StampSend(),
 		Body:        msg,
 	}
-	return d.sendEnvelope(env)
+	return d.sendEnvelope(&env)
 }
 
 // pump demultiplexes arriving envelopes into inboxes, advancing the
-// logical clock per the snapshot criterion.
+// logical clock per the snapshot criterion. Its decoder reuses the header
+// strings of the frame before, which on a busy channel are the same.
 func (d *Dapplet) pump() {
 	defer d.wg.Done()
+	var dec wire.EnvelopeDecoder
 	for {
 		data, _, err := d.rel.Recv()
 		if err != nil {
 			return
 		}
-		env, err := wire.UnmarshalEnvelope(data)
+		env, err := dec.UnmarshalEnvelope(data)
 		if err != nil {
 			d.deadLetters.Add(1)
 			continue

@@ -20,8 +20,9 @@ type Inbox struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []*wire.Envelope
-	closed bool
+	q      []*wire.Envelope // guarded by mu; q[head:] is queued, q[:head] is nil
+	head   int              // guarded by mu
+	closed bool             // guarded by mu
 }
 
 func newInbox(d *Dapplet, name string) *Inbox {
@@ -47,6 +48,13 @@ func (in *Inbox) push(env *wire.Envelope) {
 		in.mu.Unlock()
 		return
 	}
+	if len(in.q) == cap(in.q) && in.head >= len(in.q)/2 {
+		// Full, and at least half of it consumed: slide the queued tail
+		// down instead of growing the array.
+		n := copy(in.q, in.q[in.head:])
+		clear(in.q[n:])
+		in.q, in.head = in.q[:n], 0
+	}
 	in.q = append(in.q, env)
 	in.mu.Unlock()
 	in.cond.Broadcast()
@@ -63,14 +71,31 @@ func (in *Inbox) close() {
 func (in *Inbox) IsEmpty() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.q) == 0
+	return in.lenLocked() == 0
 }
 
 // Len returns the number of queued messages.
 func (in *Inbox) Len() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.q)
+	return in.lenLocked()
+}
+
+// lenLocked is the number of queued messages. Caller holds in.mu.
+func (in *Inbox) lenLocked() int { return len(in.q) - in.head }
+
+// popLocked removes and returns the head message, which must exist. The
+// vacated slot is cleared so the inbox does not keep a consumed envelope
+// alive, and an emptied queue restarts at the front of its array, so an
+// idle channel reuses one slot forever. Caller holds in.mu.
+func (in *Inbox) popLocked() *wire.Envelope {
+	env := in.q[in.head]
+	in.q[in.head] = nil
+	in.head++
+	if in.head == len(in.q) {
+		in.q, in.head = in.q[:0], 0
+	}
+	return env
 }
 
 // AwaitNonEmpty suspends execution until the inbox is non-empty. It
@@ -78,7 +103,7 @@ func (in *Inbox) Len() int {
 func (in *Inbox) AwaitNonEmpty() error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for len(in.q) == 0 {
+	for in.lenLocked() == 0 {
 		if in.closed {
 			return ErrStopped
 		}
@@ -132,7 +157,7 @@ func (in *Inbox) ReceiveEnvelopeContext(ctx context.Context) (*wire.Envelope, er
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for len(in.q) == 0 {
+	for in.lenLocked() == 0 {
 		if in.closed {
 			return nil, ErrStopped
 		}
@@ -141,9 +166,7 @@ func (in *Inbox) ReceiveEnvelopeContext(ctx context.Context) (*wire.Envelope, er
 		}
 		in.cond.Wait()
 	}
-	env := in.q[0]
-	in.q = in.q[1:]
-	return env, nil
+	return in.popLocked(), nil
 }
 
 // TryReceive removes and returns the head message without blocking,
@@ -151,10 +174,8 @@ func (in *Inbox) ReceiveEnvelopeContext(ctx context.Context) (*wire.Envelope, er
 func (in *Inbox) TryReceive() (wire.Msg, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if len(in.q) == 0 {
+	if in.lenLocked() == 0 {
 		return nil, false
 	}
-	env := in.q[0]
-	in.q = in.q[1:]
-	return env.Body, true
+	return in.popLocked().Body, true
 }

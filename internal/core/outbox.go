@@ -20,7 +20,10 @@ type Outbox struct {
 	d    *Dapplet
 	name string
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// dests is copy-on-write: Add, Delete and Clear publish a new slice
+	// and never write into one already published, so Send reads it under
+	// the lock and walks it after the unlock without copying.
 	dests   []wire.InboxRef // guarded by mu
 	session string          // guarded by mu; session tag applied to outgoing envelopes
 	sent    uint64          // guarded by mu
@@ -54,7 +57,7 @@ func (o *Outbox) Add(ref wire.InboxRef) {
 			return
 		}
 	}
-	o.dests = append(o.dests, ref)
+	o.dests = append(o.dests[:len(o.dests):len(o.dests)], ref)
 }
 
 // Delete removes the inbox address from the binding list, or returns
@@ -64,7 +67,7 @@ func (o *Outbox) Delete(ref wire.InboxRef) error {
 	defer o.mu.Unlock()
 	for i, d := range o.dests {
 		if d == ref {
-			o.dests = append(o.dests[:i], o.dests[i+1:]...)
+			o.dests = append(o.dests[:i:i], o.dests[i+1:]...)
 			return nil
 		}
 	}
@@ -127,7 +130,7 @@ func (o *Outbox) Send(msg wire.Msg) error {
 		o.mu.Unlock()
 		return m.Multicast(o.name, session, lamport, msg)
 	}
-	dests := append([]wire.InboxRef(nil), o.dests...)
+	dests := o.dests
 	session := o.session
 	o.sent++
 	o.mu.Unlock()
@@ -145,7 +148,7 @@ func (o *Outbox) Send(msg wire.Msg) error {
 	defer body.Release()
 	var errs []error
 	for _, ref := range dests {
-		env := &wire.Envelope{
+		env := wire.Envelope{
 			To:          ref,
 			FromDapplet: o.d.Addr(),
 			FromOutbox:  o.name,
@@ -153,7 +156,7 @@ func (o *Outbox) Send(msg wire.Msg) error {
 			Lamport:     o.d.clock.StampSend(),
 			Body:        msg,
 		}
-		if err := o.d.sendEncoded(env, body); err != nil {
+		if err := o.d.sendEncoded(&env, body); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -180,7 +183,7 @@ func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
 		return ErrNotBound
 	}
 	o.sent++
-	env := &wire.Envelope{
+	env := wire.Envelope{
 		To:          ref,
 		FromDapplet: o.d.Addr(),
 		FromOutbox:  o.name,
@@ -189,5 +192,5 @@ func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
 		Body:        msg,
 	}
 	o.mu.Unlock()
-	return o.d.sendEnvelope(env)
+	return o.d.sendEnvelope(&env)
 }

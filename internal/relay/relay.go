@@ -335,7 +335,8 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 		r.dupDropped.Add(1)
 		return
 	}
-	var deliver []*wire.RelayFrame
+	var buf [4]*wire.RelayFrame // keeps the usual short run off the heap
+	deliver := buf[:0]
 	os := st.origins[f.Origin]
 	if os == nil {
 		os = &originState{pending: make(map[uint64]*wire.RelayFrame)}

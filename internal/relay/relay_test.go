@@ -291,10 +291,10 @@ func TestLateJoinerBaseline(t *testing.T) {
 	// Grow: all four members, epoch 2; the fourth joins a running
 	// session.
 	w.bindTree("s1", w.members, 2, 2, false)
+	in := w.dapplets[3].Inbox("bcast") // before the send: a frame for a missing inbox is a dead letter
 	if err := w.relays[0].Multicast("out", "s1", 4, &wire.Text{S: "post"}); err != nil {
 		t.Fatal(err)
 	}
-	in := w.dapplets[3].Inbox("bcast")
 	if got := drain(t, in, 1)[0]; got != "post" {
 		t.Fatalf("late joiner: got %q, want %q", got, "post")
 	}

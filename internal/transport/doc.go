@@ -32,4 +32,9 @@
 // frame waits for a timer of its own, a frame sent into a quiet channel
 // is written at once, and every datagram carries any acknowledgement its
 // peer is owed. Reliable.Send has the rule in full.
+//
+// An acknowledged frame goes on its peer's free list, bounded by Window,
+// and the next Send builds its frame in that buffer, so a steady stream
+// allocates nothing per message here; a frame still staged or declared
+// failed is never reused.
 package transport

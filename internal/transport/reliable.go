@@ -216,6 +216,7 @@ type peerState struct {
 	nextSeq uint64             // guarded by mu
 	ackedTo uint64             // guarded by mu; highest cumulative ack received
 	unacked map[uint64]*outPkt // guarded by mu
+	free    []*outPkt          // guarded by mu; acknowledged frames Send reuses, at most Window
 
 	// Loss recovery. srtt and rttvar are the RFC 6298 estimator over acks
 	// of never-resent frames (zero until the first sample; rttBound while
@@ -574,9 +575,9 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	p.nextSeq++
 	now := time.Now()
 	due := now.Add(r.rtoLocked(p))
-	frame := appendFrame(make([]byte, 0, frameLen(seq, payload)), seq, payload)
-	pkt := &outPkt{seq: seq, frame: frame, sent: now, xmit: now, deadline: due}
-	size := len(frame)
+	pkt := p.newPktLocked(seq, payload)
+	pkt.sent, pkt.xmit, pkt.deadline = now, now, due
+	size := len(pkt.frame)
 	var full, dgram *[]byte
 	if p.stage > 0 && p.stage+size > datagramBudget {
 		// The frame would take the batch past the budget: what is staged
@@ -727,18 +728,50 @@ func (p *peerState) armRetxLocked(deadline time.Time) bool {
 	return true
 }
 
-// releaseLocked drops an acknowledged seq from the unacked set and
-// returns whichever of it and newest was transmitted later.
-func (p *peerState) releaseLocked(seq uint64, newest *outPkt) *outPkt {
+// releaseLocked drops an acknowledged seq from the unacked set, moves it
+// to the free list for Send to reuse, and returns whichever of it and
+// newest was transmitted later. The returned frame stays readable until
+// p.mu is released: no Send can take it from the free list before then.
+// A staged frame is not recycled: an ack from a confused peer, clamped to
+// nextSeq, can cover seqs that are still waiting in the stage to be
+// written. window bounds the free list, and an oversized frame's buffer
+// is not kept.
+func (p *peerState) releaseLocked(seq uint64, newest *outPkt, window int) *outPkt {
 	pkt, ok := p.unacked[seq]
 	if !ok {
 		return newest
 	}
 	delete(p.unacked, seq)
+	if seq < p.nextSeq-uint64(len(p.staged)) && len(p.free) < window {
+		if cap(pkt.frame) > datagramBudget {
+			pkt.frame = nil
+		}
+		p.free = append(p.free, pkt)
+	}
 	if newest == nil || pkt.xmit.After(newest.xmit) {
 		return pkt
 	}
 	return newest
+}
+
+// newPktLocked returns an outPkt holding the frame for seq and payload:
+// an acknowledged one from the free list when there is one, keeping its
+// frame buffer if the frame fits. Caller holds p.mu.
+func (p *peerState) newPktLocked(seq uint64, payload []byte) *outPkt {
+	var pkt *outPkt
+	if n := len(p.free); n > 0 {
+		pkt = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		pkt = new(outPkt)
+	}
+	frame := pkt.frame[:0]
+	if need := frameLen(seq, payload); cap(frame) < need {
+		frame = make([]byte, 0, need)
+	}
+	*pkt = outPkt{seq: seq, frame: appendFrame(frame, seq, payload)}
+	return pkt
 }
 
 // applyAck releases window space for an acknowledgement, however it
@@ -759,13 +792,13 @@ func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 	}
 	var newest *outPkt // the latest-transmitted frame this ack newly covers
 	for q := p.ackedTo + 1; q <= cum; q++ {
-		newest = p.releaseLocked(q, newest)
+		newest = p.releaseLocked(q, newest, r.cfg.Window)
 	}
 	if cum > p.ackedTo {
 		p.ackedTo = cum
 	}
 	for b := sel; b != 0; b &= b - 1 {
-		newest = p.releaseLocked(cum+selBase+uint64(bits.TrailingZeros64(b)), newest)
+		newest = p.releaseLocked(cum+selBase+uint64(bits.TrailingZeros64(b)), newest, r.cfg.Window)
 	}
 	if newest != nil {
 		p.cond.Broadcast()
@@ -1021,6 +1054,7 @@ func (r *Reliable) fire(ev timerEvent, now time.Time) {
 					next = pkt.deadline
 				}
 			case pkt.retries >= r.cfg.MaxRetries:
+				// Not recycled: the failure's Payload aliases pkt.frame.
 				delete(p.unacked, seq)
 				_, payload, _, _ := nextFrame(pkt.frame, 0)
 				failed = append(failed, SendFailure{

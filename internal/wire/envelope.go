@@ -201,20 +201,48 @@ func MarshalEnvelope(e *Envelope) ([]byte, error) {
 
 // UnmarshalEnvelope reconstructs an envelope and its typed body from a
 // frame. A frame that does not start with the magic byte is an error.
+// It is EnvelopeDecoder.UnmarshalEnvelope without header reuse.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
+	return (*EnvelopeDecoder)(nil).UnmarshalEnvelope(data)
+}
+
+// EnvelopeDecoder decodes envelope frames, reusing header strings: for
+// each of the five string header fields it keeps the last string it
+// decoded, and returns that string again when the next frame carries the
+// same bytes there. Frames on one channel repeat their headers, so in the
+// steady state a decode allocates only the Envelope and its body. A kept
+// string is a copy, never an alias of a frame. The zero value is ready to
+// use; a decoder is not safe for concurrent use.
+type EnvelopeDecoder struct {
+	last [hdrStrings]string
+}
+
+// The string header fields, indexing EnvelopeDecoder.last.
+const (
+	hdrToHost = iota
+	hdrToInbox
+	hdrFromHost
+	hdrFromOutbox
+	hdrSession
+	hdrStrings
+)
+
+// UnmarshalEnvelope is the package function, reusing the strings of
+// earlier frames this decoder read. A nil decoder reuses nothing.
+func (d *EnvelopeDecoder) UnmarshalEnvelope(data []byte) (*Envelope, error) {
 	if len(data) == 0 || data[0] != envMagic {
 		return nil, fmt.Errorf("wire: bad envelope: no magic byte")
 	}
-	r := &Reader{data: data, off: 1}
+	r := Reader{data: data, off: 1}
 	id := r.uint16("kind id")
 	var env Envelope
-	env.To.Dapplet.Host = r.String()
+	env.To.Dapplet.Host = d.string(&r, hdrToHost)
 	env.To.Dapplet.Port = r.Port()
-	env.To.Inbox = r.String()
-	env.FromDapplet.Host = r.String()
+	env.To.Inbox = d.string(&r, hdrToInbox)
+	env.FromDapplet.Host = d.string(&r, hdrFromHost)
 	env.FromDapplet.Port = r.Port()
-	env.FromOutbox = r.String()
-	env.Session = r.String()
+	env.FromOutbox = d.string(&r, hdrFromOutbox)
+	env.Session = d.string(&r, hdrSession)
 	env.Lamport = r.Uvarint()
 	body := r.Rest()
 	if err := r.Err(); err != nil {
@@ -226,4 +254,19 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 	}
 	env.Body = m
 	return &env, nil
+}
+
+// string reads header string field, returning the kept copy when the
+// bytes match it and keeping a new copy when they do not.
+func (d *EnvelopeDecoder) string(r *Reader, field int) string {
+	b := r.Bytes()
+	switch {
+	case len(b) == 0:
+		return ""
+	case d == nil:
+		return string(b)
+	case string(b) != d.last[field]:
+		d.last[field] = string(b)
+	}
+	return d.last[field]
 }

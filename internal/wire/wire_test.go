@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -411,6 +412,119 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("envelope encode allocates %.1f times per op, want 0", allocs)
+	}
+
+	// Decoding the same header again through one decoder allocates only
+	// what the consumer keeps: the Envelope and the body.
+	body, err := EncodeBody(env.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, bodyBytes := body.ID(), slices.Clone(body.Bytes())
+	body.Release()
+	bodyAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeBody(id, bodyBytes); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var dec EnvelopeDecoder
+	if _, err := dec.UnmarshalEnvelope(buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := dec.UnmarshalEnvelope(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 1 + bodyAllocs; allocs != want {
+		t.Fatalf("repeated-header decode allocates %.1f times per op, want %.1f (the Envelope and %.1f for the body)", allocs, want, bodyAllocs)
+	}
+}
+
+// headerSets are two envelopes differing in every header string, for the
+// decoder tests.
+func headerSets() [2]*Envelope {
+	return [2]*Envelope{
+		{
+			To:          InboxRef{Dapplet: netsim.Addr{Host: "caltech", Port: 99}, Inbox: "students"},
+			FromDapplet: netsim.Addr{Host: "rice", Port: 12},
+			FromOutbox:  "out",
+			Session:     "s1",
+			Lamport:     1,
+			Body:        &Text{S: "one"},
+		},
+		{
+			To:          InboxRef{Dapplet: netsim.Addr{Host: "anu.au", Port: 7}, Inbox: "grades"},
+			FromDapplet: netsim.Addr{Host: "caltech", Port: 99},
+			FromOutbox:  "",
+			Session:     "s2",
+			Lamport:     2,
+			Body:        &Text{S: "two"},
+		},
+	}
+}
+
+// TestEnvelopeDecoderMatchesStateless decodes frames alternating between
+// two header sets, and runs of each, through one decoder: every result
+// equals the package function's.
+func TestEnvelopeDecoderMatchesStateless(t *testing.T) {
+	sets := headerSets()
+	var frames [2][]byte
+	for i, env := range sets {
+		var err error
+		if frames[i], err = MarshalEnvelope(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dec EnvelopeDecoder
+	for i, pick := range []int{0, 1, 0, 1, 1, 1, 0, 0, 1, 0} {
+		got, err := dec.UnmarshalEnvelope(frames[pick])
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		want, err := UnmarshalEnvelope(frames[pick])
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, sets[pick]) {
+			t.Fatalf("frame %d (set %d): decoder gave %+v, package function %+v", i, pick, got, want)
+		}
+	}
+}
+
+// TestEnvelopeDecoderDoesNotAliasInput: decoded header strings are
+// copies — overwriting the frames afterwards, the one a string was first
+// kept from included, changes none of them.
+func TestEnvelopeDecoderDoesNotAliasInput(t *testing.T) {
+	env := headerSets()[0]
+	var dec EnvelopeDecoder
+	var frames [][]byte
+	var got []*Envelope
+	for range 3 { // the second and third decode return kept strings
+		frame, err := MarshalEnvelope(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := dec.UnmarshalEnvelope(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, got = append(frames, frame), append(got, e)
+	}
+	stateless, err := UnmarshalEnvelope(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, stateless)
+	for _, f := range frames {
+		for i := range f {
+			f[i] = 'x'
+		}
+	}
+	for i, e := range got {
+		if !reflect.DeepEqual(e, env) {
+			t.Fatalf("envelope %d changed with its frame: %+v", i, e)
+		}
 	}
 }
 

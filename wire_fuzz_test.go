@@ -174,9 +174,12 @@ func TestMarshalRoundTripsByKindName(t *testing.T) {
 
 // FuzzEnvelopeRoundTrip feeds arbitrary bytes to the envelope decoder and
 // asserts that anything that decodes re-encodes to a frame that decodes to
-// the same envelope. The seeds are a zero and a populated frame of every
-// registered kind.
+// the same envelope. Every input also goes through one decoder shared by
+// all inputs, which must agree with the stateless one whatever header
+// strings it kept from earlier inputs. The seeds are a zero and a
+// populated frame of every registered kind.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
+	var shared wire.EnvelopeDecoder
 	for _, kind := range messageKinds(f) {
 		for _, populated := range []bool{false, true} {
 			data, err := wire.MarshalEnvelope(kindsEnvelope(newPopulated(f, kind, populated)))
@@ -188,6 +191,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := wire.UnmarshalEnvelope(data)
+		viaShared, sharedErr := shared.UnmarshalEnvelope(data)
+		if (err == nil) != (sharedErr == nil) || !reflect.DeepEqual(env, viaShared) {
+			t.Fatalf("shared decoder disagrees with the stateless one:\n shared    %#v (%v)\n stateless %#v (%v)", viaShared, sharedErr, env, err)
+		}
 		if err != nil {
 			return // malformed input must only error, never panic
 		}
