@@ -36,54 +36,16 @@ func BindSession(det *Detector, svc *session.Service) {
 // off the crashed address (a stale directory entry that still resolves to
 // it reports success without repairing, so the loop keeps going).
 func AutoRepair(det *Detector, h *session.Handle) {
-	var mu sync.Mutex
-	repairing := make(map[string]bool)
-	det.OnEvent(func(ev Event) {
-		if ev.State != Down {
-			return
+	repairOnDown(det, h, func(ctx context.Context, ev Event) bool {
+		if h.Reincarnate(ctx, ev.Peer) != nil {
+			return false
 		}
-		name, downAddr := ev.Peer, ev.Addr
-		inRoster := false
 		for _, p := range h.Participants() {
-			if p.Name == name {
-				inRoster = true
-				break
+			if p.Name == ev.Peer && p.Addr != ev.Addr {
+				return true // relinked to the restarted incarnation
 			}
 		}
-		if !inRoster {
-			return
-		}
-		mu.Lock()
-		if repairing[name] {
-			mu.Unlock()
-			return
-		}
-		repairing[name] = true
-		mu.Unlock()
-		det.d.Spawn(func() {
-			defer func() {
-				mu.Lock()
-				delete(repairing, name)
-				mu.Unlock()
-			}()
-			for {
-				ctx, cancel := context.WithTimeout(context.Background(), 8*det.cfg.Interval) //wwlint:allow ctxcheck detached repair thread; each attempt bounded by 8 intervals, winds down with d.Stopped
-				err := h.Reincarnate(ctx, name)
-				cancel()
-				if err == nil {
-					for _, p := range h.Participants() {
-						if p.Name == name && p.Addr != downAddr {
-							return // relinked to the restarted incarnation
-						}
-					}
-				}
-				select {
-				case <-det.d.Stopped():
-					return
-				case <-time.After(2 * det.cfg.Interval):
-				}
-			}
-		})
+		return false
 	})
 }
 
@@ -97,52 +59,42 @@ func AutoRepair(det *Detector, h *session.Handle) {
 // AutoRepair when crashed members should also be reincarnated and
 // re-grown rather than just evicted.
 func BindTreeRepair(det *Detector, h *session.Handle) {
+	repairOnDown(det, h, func(ctx context.Context, ev Event) bool {
+		// A failed attempt is done too once another path evicted the peer.
+		return h.RepairTree(ctx, ev.Peer) == nil || !inRoster(h, ev.Peer)
+	})
+}
+
+// repairOnDown runs a repair thread for each Down verdict about a member
+// of h's roster, at most one per participant: it calls attempt, each call
+// bounded by 8 detector intervals, every 2 intervals until attempt reports
+// the repair done or the detector's dapplet stops.
+func repairOnDown(det *Detector, h *session.Handle, attempt func(ctx context.Context, ev Event) (done bool)) {
 	var mu sync.Mutex
 	repairing := make(map[string]bool)
 	det.OnEvent(func(ev Event) {
-		if ev.State != Down {
-			return
-		}
-		name := ev.Peer
-		inRoster := false
-		for _, p := range h.Participants() {
-			if p.Name == name {
-				inRoster = true
-				break
-			}
-		}
-		if !inRoster {
+		if ev.State != Down || !inRoster(h, ev.Peer) {
 			return
 		}
 		mu.Lock()
-		if repairing[name] {
+		if repairing[ev.Peer] {
 			mu.Unlock()
 			return
 		}
-		repairing[name] = true
+		repairing[ev.Peer] = true
 		mu.Unlock()
 		det.d.Spawn(func() {
 			defer func() {
 				mu.Lock()
-				delete(repairing, name)
+				delete(repairing, ev.Peer)
 				mu.Unlock()
 			}()
 			for {
-				ctx, cancel := context.WithTimeout(context.Background(), 8*det.cfg.Interval) //wwlint:allow ctxcheck detached repair thread; each attempt bounded by 8 intervals, retries until the roster drops the peer
-				err := h.RepairTree(ctx, name)
+				ctx, cancel := context.WithTimeout(context.Background(), 8*det.cfg.Interval) //wwlint:allow ctxcheck detached repair thread; each attempt bounded by 8 intervals, winds down with d.Stopped
+				done := attempt(ctx, ev)
 				cancel()
-				if err == nil {
+				if done {
 					return
-				}
-				still := false
-				for _, p := range h.Participants() {
-					if p.Name == name {
-						still = true
-						break
-					}
-				}
-				if !still {
-					return // another path already evicted it
 				}
 				select {
 				case <-det.d.Stopped():
@@ -152,4 +104,14 @@ func BindTreeRepair(det *Detector, h *session.Handle) {
 			}
 		})
 	})
+}
+
+// inRoster reports whether name is a participant of h's session.
+func inRoster(h *session.Handle, name string) bool {
+	for _, p := range h.Participants() {
+		if p.Name == name {
+			return true
+		}
+	}
+	return false
 }

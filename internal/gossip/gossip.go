@@ -69,9 +69,6 @@ type Config struct {
 	// it and a rumor arriving with zero is delivered but not forwarded
 	// (default 3).
 	TTL uint8
-	// DedupCap bounds the remembered rumor identities (default 4096);
-	// beyond it the oldest identities are forgotten first.
-	DedupCap int
 	// Seed makes peer sampling deterministic for a given dapplet; zero
 	// derives a seed from the dapplet name, so seeded worlds stay
 	// replayable without coordination.
@@ -87,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TTL == 0 {
 		c.TTL = 3
-	}
-	if c.DedupCap <= 0 {
-		c.DedupCap = 4096
 	}
 	return c
 }
@@ -522,12 +516,16 @@ func (e *Engine) sample(k int, arrivedFrom netsim.Addr) []wire.InboxRef {
 	return cand[:k]
 }
 
+// dedupCap bounds the remembered rumor identities; beyond it the oldest
+// identities are forgotten first.
+const dedupCap = 4096
+
 // rememberLocked records a rumor identity, evicting the oldest beyond
-// DedupCap. Caller holds e.mu.
+// dedupCap. Caller holds e.mu.
 func (e *Engine) rememberLocked(key rumorKey) {
 	e.seen[key] = struct{}{}
 	e.seenQ = append(e.seenQ, key)
-	if len(e.seenQ) > e.cfg.DedupCap {
+	if len(e.seenQ) > dedupCap {
 		old := e.seenQ[0]
 		e.seenQ = e.seenQ[1:]
 		delete(e.seen, old)

@@ -14,9 +14,8 @@ import (
 // frames on.
 const InboxName = "@relay"
 
-// DefaultReplay is the per-session replay ring capacity (own recent
-// frames kept for post-repair redrive) when a binding does not specify
-// one.
+// DefaultReplay is the per-session replay ring capacity: the own recent
+// frames kept for post-repair redrive.
 const DefaultReplay = 64
 
 // Stats counts relay activity on one dapplet.
@@ -60,8 +59,6 @@ type Binding struct {
 	// Epoch is the tree version; Bind ignores epochs older than the one
 	// already installed, so reordered relinks cannot roll the tree back.
 	Epoch uint64
-	// Replay is the replay ring capacity (default DefaultReplay).
-	Replay int
 	// FromStart says this participant has been in the session since
 	// before any member could send: every origin owes it its sequence
 	// from 1, however the first frames reach it. One that joins a
@@ -89,7 +86,6 @@ type sessionState struct {
 	self      string
 	inbox     string
 	epoch     uint64
-	replayCap int
 	fromStart bool // origins' delivery cursors start at 1, not at the first frame heard
 
 	seq     uint64             // own origin sequence, last used
@@ -147,10 +143,6 @@ func (r *Relay) Bind(sid string, b Binding) {
 	if self == "" {
 		self = r.d.Name()
 	}
-	cap := b.Replay
-	if cap <= 0 {
-		cap = DefaultReplay
-	}
 	// The longest cycle-free flood path is leaf→root→leaf (2×depth);
 	// the slack covers the window where neighbourhoods disagree
 	// mid-reconfiguration.
@@ -164,7 +156,7 @@ func (r *Relay) Bind(sid string, b Binding) {
 	} else if b.Epoch < st.epoch {
 		return // stale reconfiguration, already superseded
 	}
-	st.neighbors, st.ttl, st.self, st.inbox, st.epoch, st.replayCap = b.Neighbors, ttl, self, b.Inbox, b.Epoch, cap
+	st.neighbors, st.ttl, st.self, st.inbox, st.epoch = b.Neighbors, ttl, self, b.Inbox, b.Epoch
 }
 
 // Unbind drops a session's tree state (session terminated or this
@@ -239,8 +231,8 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 	kept := *frame
 	kept.CopyBody()
 	st.replay = append(st.replay, &kept)
-	if len(st.replay) > st.replayCap {
-		st.replay = st.replay[len(st.replay)-st.replayCap:]
+	if len(st.replay) > DefaultReplay {
+		st.replay = st.replay[len(st.replay)-DefaultReplay:]
 	}
 	neighbors := st.neighbors
 	r.mu.Unlock()

@@ -56,9 +56,6 @@ type TreeSpec struct {
 	Inbox string `json:"i"`
 	// Fanout is the tree fanout k (default relay.DefaultFanout).
 	Fanout int `json:"k,omitempty"`
-	// Replay is the per-participant replay ring capacity used for
-	// post-repair redrive (default relay.DefaultReplay).
-	Replay int `json:"rp,omitempty"`
 }
 
 // Spec is a complete session description handed to an initiator.
@@ -118,8 +115,7 @@ func appendTreeSpec(dst []byte, t *TreeSpec) []byte {
 	}
 	dst = wire.AppendString(dst, t.Outbox)
 	dst = wire.AppendString(dst, t.Inbox)
-	dst = wire.AppendVarint(dst, int64(t.Fanout))
-	return wire.AppendVarint(dst, int64(t.Replay))
+	return wire.AppendVarint(dst, int64(t.Fanout))
 }
 
 func readTreeSpec(r *wire.Reader) *TreeSpec {
@@ -130,7 +126,6 @@ func readTreeSpec(r *wire.Reader) *TreeSpec {
 		Outbox: r.String(),
 		Inbox:  r.String(),
 		Fanout: int(r.Varint()),
-		Replay: int(r.Varint()),
 	}
 }
 

@@ -175,7 +175,6 @@ func (s *Service) bindTree(sid string, t *TreeSpec, view []Participant, depth in
 		Self:      s.d.Name(),
 		Inbox:     t.Inbox,
 		Epoch:     epoch,
-		Replay:    t.Replay,
 		FromStart: fromStart,
 	})
 	ob := s.d.Outbox(t.Outbox)

@@ -16,10 +16,11 @@
 // The layer is sharded by peer: each peer's window, unacked set and
 // reordering buffer live under that peer's own mutex, acknowledgements
 // are cumulative and coalesced (after 8 messages or AckDelay, whichever
-// first) and carry the reorder buffer as a bitmap while a gap is open,
-// and a single timer goroutine drives the backstop retransmission timer
-// from a min-heap of per-peer deadlines, so cost is proportional to peers
-// with due packets rather than to all in-flight traffic.
+// first) and carry the reorder buffer as a bitmap while a gap is open.
+// Each peer has at most two runtime timers, for the backstop
+// retransmission and the delayed ack, set to that peer's earliest
+// deadlines, so cost is proportional to peers with due packets rather
+// than to all in-flight traffic, and no goroutine waits on them.
 //
 // Every datagram has one layout: a header holding the acknowledgement the
 // peer is owed, if any, then any number of frames. A datagram without

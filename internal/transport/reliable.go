@@ -2,7 +2,6 @@ package transport
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"math/bits"
 	"slices"
@@ -223,14 +222,16 @@ type peerState struct {
 	// they hold only an upper bound, which the first sample replaces) and
 	// minRTT the smallest sample; backoff is the timer's exponent, kept
 	// until the next sample; rackXmit is the latest transmit time of a
-	// frame known to have arrived; retxDue is the due time of the live
-	// evRetx event, zero when none is queued.
+	// frame known to have arrived; retx is the retransmission timer,
+	// created on first use, and retxDue when it is set to fire, zero once
+	// it has fired with nothing left in flight.
 	srtt     time.Duration // guarded by mu
 	rttvar   time.Duration // guarded by mu
 	rttBound bool          // guarded by mu
 	minRTT   time.Duration // guarded by mu
 	backoff  uint          // guarded by mu
 	rackXmit time.Time     // guarded by mu
+	retx     *time.Timer   // guarded by mu
 	retxDue  time.Time     // guarded by mu
 
 	// Receiver side.
@@ -238,10 +239,11 @@ type peerState struct {
 	ooo      map[uint64][]byte // guarded by mu
 
 	// Delayed-ack coalescing: ackPending counts in-order messages
-	// received since the last ack; ackTimerSet records that an ack
-	// deadline is already in the timer queue.
-	ackPending  int  // guarded by mu
-	ackTimerSet bool // guarded by mu
+	// received since the last ack; ackTimerSet records that ackTimer is
+	// set to fire.
+	ackPending  int         // guarded by mu
+	ackTimerSet bool        // guarded by mu
+	ackTimer    *time.Timer // guarded by mu
 
 	// Frame coalescing: staged holds the first transmissions waiting for
 	// an ack to release them, in seq order (its backing array is reused
@@ -269,41 +271,6 @@ type inMsg struct {
 	from    netsim.Addr
 }
 
-// Timer events: one goroutine per Reliable sleeps until the earliest
-// deadline in a min-heap and processes only the peers that are due —
-// retransmission work is proportional to peers with expired packets, not
-// to all unacked packets across all peers — and delayed acks ride the
-// same queue. Each peer keeps one retransmit event live, at the earliest
-// deadline among its unacked packets (retxDue): a send or resend due
-// sooner queues a new event and the superseded one lapses when it fires,
-// as does a fire whose packets were acked in the meantime, so the
-// fault-free send path performs no timer work per message.
-const (
-	evRetx = iota
-	evAck
-)
-
-type timerEvent struct {
-	due  time.Time
-	p    *peerState
-	kind uint8
-}
-
-type timerQueue []timerEvent
-
-func (h timerQueue) Len() int           { return len(h) }
-func (h timerQueue) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
-func (h timerQueue) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerQueue) Push(x any)        { *h = append(*h, x.(timerEvent)) }
-func (h *timerQueue) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = timerEvent{}
-	*h = old[:n-1]
-	return ev
-}
-
 // Reliable implements per-peer FIFO, exactly-once message delivery over an
 // unreliable PacketConn, using sequence numbers, cumulative+selective
 // acknowledgements, ack-clocked loss detection and a measured, bounded
@@ -324,32 +291,28 @@ type Reliable struct {
 
 	stats statCounters
 
-	timerMu   sync.Mutex
-	timerQ    timerQueue
-	timerWake chan struct{}
-
 	incoming chan inMsg
 	failures chan SendFailure
 
 	closeOnce sync.Once
 	closed    chan struct{}
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the receive loop and running timer callbacks
 }
 
 // NewReliable layers reliable ordered delivery over pc and starts its
-// receive and timer goroutines.
+// receive goroutine. Timers are the runtime's: each peer has at most a
+// retransmission timer and a delayed-ack timer, and neither holds a
+// goroutine while it waits.
 func NewReliable(pc PacketConn, cfg Config) *Reliable {
 	r := &Reliable{
-		pc:        pc,
-		cfg:       cfg.withDefaults(),
-		timerWake: make(chan struct{}, 1),
-		incoming:  make(chan inMsg, cfg.withDefaults().RecvBuf),
-		failures:  make(chan SendFailure, cfg.withDefaults().FailureBuf),
-		closed:    make(chan struct{}),
+		pc:       pc,
+		cfg:      cfg.withDefaults(),
+		incoming: make(chan inMsg, cfg.withDefaults().RecvBuf),
+		failures: make(chan SendFailure, cfg.withDefaults().FailureBuf),
+		closed:   make(chan struct{}),
 	}
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.recvLoop()
-	go r.timerLoop()
 	return r
 }
 
@@ -420,21 +383,6 @@ func (r *Reliable) peer(a netsim.Addr) *peerState {
 	return p
 }
 
-// schedule queues a timer event, waking the timer goroutine if it created
-// a new earliest deadline. Must not be called with a peer lock held.
-func (r *Reliable) schedule(ev timerEvent) {
-	r.timerMu.Lock()
-	wake := len(r.timerQ) == 0 || ev.due.Before(r.timerQ[0].due)
-	heap.Push(&r.timerQ, ev)
-	r.timerMu.Unlock()
-	if wake {
-		select {
-		case r.timerWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // dgramPool recycles the buffers datagrams are assembled in.
 // PacketConn.WriteTo copies before it returns, so a buffer goes back as
 // soon as it is written and no send allocates one.
@@ -452,8 +400,8 @@ func (r *Reliable) datagramLocked(p *peerState, ack bool, frames []*outPkt) *[]b
 	dgram := dgramPool.Get().(*[]byte)
 	b := (*dgram)[:0]
 	if ack || p.ackPending > 0 {
-		// The ack the peer is owed leaves now; a still-queued evAck finds
-		// ackPending == 0 and lapses.
+		// The ack the peer is owed leaves now; a delayed-ack timer still
+		// set finds ackPending == 0 and lapses.
 		p.ackPending = 0
 		if len(frames) > 0 {
 			r.stats.acksPiggybacked.Add(1)
@@ -587,7 +535,7 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	}
 	inFlight := len(p.unacked) - len(p.staged) // transmitted and unacknowledged
 	p.unacked[seq] = pkt
-	arm := p.armRetxLocked(due)
+	r.armRetxLocked(p, due)
 	if p.stage > 0 || 2*size <= datagramBudget && inFlight >= ackEvery {
 		p.stageLocked(pkt)
 		if p.stage+size > datagramBudget {
@@ -600,9 +548,6 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	}
 	p.mu.Unlock()
 	r.stats.dataSent.Add(1)
-	if arm {
-		r.schedule(timerEvent{due: due, p: p, kind: evRetx})
-	}
 	if err := r.write(to, full); err != nil {
 		return err
 	}
@@ -627,7 +572,8 @@ func (r *Reliable) Recv() ([]byte, netsim.Addr, error) {
 }
 
 // Close shuts the layer and the underlying socket down, waking any sender
-// blocked on a full window.
+// blocked on a full window and stopping every timer. When it returns no
+// goroutine of the layer runs, and none will.
 func (r *Reliable) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.closed)
@@ -639,6 +585,12 @@ func (r *Reliable) Close() error {
 			p.mu.Lock()
 			p.closed = true
 			p.cond.Broadcast()
+			if p.retx != nil {
+				p.retx.Stop()
+			}
+			if p.ackTimer != nil {
+				p.ackTimer.Stop()
+			}
 			p.mu.Unlock()
 			return true
 		})
@@ -717,15 +669,18 @@ func (p *peerState) sampleRTTLocked(rtt time.Duration, bound bool) {
 }
 
 // armRetxLocked notes that a frame of p falls due for the timer at
-// deadline and reports whether the caller must queue an evRetx event
-// there once p.mu is released: it must when none is live or the live one
-// is later, which then lapses when it fires.
-func (p *peerState) armRetxLocked(deadline time.Time) bool {
+// deadline, moving p's retransmission timer there when it is not set or
+// set for later. Caller holds p.mu.
+func (r *Reliable) armRetxLocked(p *peerState, deadline time.Time) {
 	if !p.retxDue.IsZero() && !deadline.Before(p.retxDue) {
-		return false
+		return
 	}
 	p.retxDue = deadline
-	return true
+	if p.retx == nil {
+		p.retx = time.AfterFunc(time.Until(deadline), func() { r.fireRetx(p) })
+	} else {
+		p.retx.Reset(time.Until(deadline))
+	}
 }
 
 // releaseLocked drops an acknowledged seq from the unacked set, moves it
@@ -898,10 +853,9 @@ func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
 func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 	from := p.addr
 	var (
-		buf      [4]inMsg // keeps the usual short run off the heap
-		ready    = buf[:0]
-		ackNow   bool
-		armTimer bool
+		buf    [4]inMsg // keeps the usual short run off the heap
+		ready  = buf[:0]
+		ackNow bool
 	)
 	p.mu.Lock()
 	switch {
@@ -930,7 +884,11 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 			ackNow = true
 		} else if !p.ackTimerSet {
 			p.ackTimerSet = true
-			armTimer = true
+			if p.ackTimer == nil {
+				p.ackTimer = time.AfterFunc(r.cfg.AckDelay, func() { r.fireAck(p) })
+			} else {
+				p.ackTimer.Reset(r.cfg.AckDelay)
+			}
 		}
 	default: // seq > expected
 		if _, dup := p.ooo[seq]; dup {
@@ -953,10 +911,6 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 		dgram = r.datagramLocked(p, true, nil)
 	}
 	p.mu.Unlock()
-
-	if armTimer {
-		r.schedule(timerEvent{due: time.Now().Add(r.cfg.AckDelay), p: p, kind: evAck})
-	}
 	_ = r.write(from, dgram)
 	for _, m := range ready {
 		select {
@@ -967,142 +921,123 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 	}
 }
 
-// timerLoop sleeps until the earliest deadline in the queue and fires only
-// due events; a schedule call with an earlier deadline wakes it early.
-func (r *Reliable) timerLoop() {
-	defer r.wg.Done()
-	for {
-		r.timerMu.Lock()
-		now := time.Now()
-		var due []timerEvent
-		wait := time.Duration(-1)
-		for len(r.timerQ) > 0 {
-			if d := r.timerQ[0].due.Sub(now); d > 0 {
-				wait = d
-				break
-			}
-			due = append(due, heap.Pop(&r.timerQ).(timerEvent))
-		}
-		r.timerMu.Unlock()
-		for _, ev := range due {
-			r.fire(ev, now)
-		}
-		if wait < 0 {
-			select {
-			case <-r.timerWake:
-			case <-r.closed:
-				return
-			}
-			continue
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-r.timerWake:
-			t.Stop()
-		case <-t.C:
-		case <-r.closed:
-			t.Stop()
-			return
-		}
+// enter admits one timer callback: it refuses once Close has begun, and
+// otherwise counts the callback in wg before Close can wait on it, so a
+// callback already running finishes before Close returns and none runs
+// after. An admitted caller must call r.wg.Done.
+func (r *Reliable) enter() bool {
+	r.peersMu.Lock()
+	defer r.peersMu.Unlock()
+	if r.closedB {
+		return false
 	}
+	r.wg.Add(1)
+	return true
 }
 
-// fire handles one due timer event.
-func (r *Reliable) fire(ev timerEvent, now time.Time) {
-	p := ev.p
-	switch ev.kind {
-	case evAck:
-		var dgram *[]byte
-		p.mu.Lock()
-		p.ackTimerSet = false
-		if p.ackPending > 0 {
-			dgram = r.datagramLocked(p, true, nil)
-		}
-		p.mu.Unlock()
-		_ = r.write(p.addr, dgram)
+// fireAck runs when p's delayed-ack timer expires: the ack the peer is
+// owed leaves bare, unless a datagram has carried it in the meantime.
+func (r *Reliable) fireAck(p *peerState) {
+	if !r.enter() {
+		return
+	}
+	defer r.wg.Done()
+	var dgram *[]byte
+	p.mu.Lock()
+	p.ackTimerSet = false
+	if p.ackPending > 0 {
+		dgram = r.datagramLocked(p, true, nil)
+	}
+	p.mu.Unlock()
+	_ = r.write(p.addr, dgram)
+}
 
-	case evRetx:
-		var (
-			expired []*outPkt
-			failed  []SendFailure
-			next    time.Time // earliest deadline still ahead
-			resent  []*[]byte
-			dgram   *[]byte
-		)
-		p.mu.Lock()
-		if !ev.due.Equal(p.retxDue) {
-			p.mu.Unlock()
-			return // superseded by an event armed earlier
-		}
-		if len(p.staged) > 0 && !p.closed {
-			for _, pkt := range p.unacked {
-				if !pkt.deadline.After(now) {
-					// The backstop: an ack the staged frames were waiting
-					// for is overdue. They leave now, in their batch, with
-					// a fresh deadline — none has been on the wire, so none
-					// is resent below.
-					dgram = r.flushLocked(p, now, false)
-					r.stats.flushBackstop.Add(1)
-					break
-				}
+// fireRetx runs when p's retransmission timer expires: it releases staged
+// frames whose ack is overdue, resends every frame past its deadline,
+// fails those out of retries, and moves the timer to the earliest
+// deadline still ahead.
+func (r *Reliable) fireRetx(p *peerState) {
+	if !r.enter() {
+		return
+	}
+	defer r.wg.Done()
+	var (
+		now     = time.Now()
+		expired []*outPkt
+		failed  []SendFailure
+		next    time.Time // earliest deadline still ahead
+		resent  []*[]byte
+		dgram   *[]byte
+	)
+	p.mu.Lock()
+	if len(p.staged) > 0 && !p.closed {
+		for _, pkt := range p.unacked {
+			if !pkt.deadline.After(now) {
+				// The backstop: an ack the staged frames were waiting
+				// for is overdue. They leave now, in their batch, with
+				// a fresh deadline — none has been on the wire, so none
+				// is resent below.
+				dgram = r.flushLocked(p, now, false)
+				r.stats.flushBackstop.Add(1)
+				break
 			}
 		}
-		for seq, pkt := range p.unacked {
-			switch {
-			case pkt.deadline.After(now):
-				if next.IsZero() || pkt.deadline.Before(next) {
-					next = pkt.deadline
-				}
-			case pkt.retries >= r.cfg.MaxRetries:
-				// Not recycled: the failure's Payload aliases pkt.frame.
-				delete(p.unacked, seq)
-				_, payload, _, _ := nextFrame(pkt.frame, 0)
-				failed = append(failed, SendFailure{
-					To:      p.addr,
-					Seq:     seq,
-					Payload: payload,
-					Err:     ErrTooManyRetries,
-				})
-			default:
-				expired = append(expired, pkt)
+	}
+	for seq, pkt := range p.unacked {
+		switch {
+		case pkt.deadline.After(now):
+			if next.IsZero() || pkt.deadline.Before(next) {
+				next = pkt.deadline
 			}
+		case pkt.retries >= r.cfg.MaxRetries:
+			// Not recycled: the failure's Payload aliases pkt.frame.
+			delete(p.unacked, seq)
+			_, payload, _, _ := nextFrame(pkt.frame, 0)
+			failed = append(failed, SendFailure{
+				To:      p.addr,
+				Seq:     seq,
+				Payload: payload,
+				Err:     ErrTooManyRetries,
+			})
+		default:
+			expired = append(expired, pkt)
 		}
-		if len(expired) > 0 {
-			// One expiry, one step of back-off, however many frames it
-			// caught; it stays until an ack yields a round-trip sample.
-			p.backoff = min(p.backoff+1, maxBackoff)
-			rto := r.rtoLocked(p)
-			sortBySeq(expired)
-			for _, pkt := range expired {
-				pkt.retries++
-				pkt.markResent(now, rto)
+	}
+	if len(expired) > 0 {
+		// One expiry, one step of back-off, however many frames it
+		// caught; it stays until an ack yields a round-trip sample.
+		p.backoff = min(p.backoff+1, maxBackoff)
+		rto := r.rtoLocked(p)
+		sortBySeq(expired)
+		for _, pkt := range expired {
+			pkt.retries++
+			pkt.markResent(now, rto)
+		}
+		if next.IsZero() || expired[0].deadline.Before(next) {
+			next = expired[0].deadline
+		}
+		resent = r.resendLocked(nil, p, expired, false)
+	}
+	p.retxDue = next // zero once nothing is in flight
+	if !next.IsZero() && !p.closed {
+		p.retx.Reset(time.Until(next))
+	}
+	if len(failed) > 0 {
+		p.cond.Broadcast()
+	}
+	p.mu.Unlock()
+	for _, d := range resent {
+		_ = r.write(p.addr, d)
+	}
+	_ = r.write(p.addr, dgram)
+	if len(failed) > 0 {
+		r.stats.failures.Add(uint64(len(failed)))
+		for _, f := range failed {
+			select {
+			case r.failures <- f:
+			default: // nobody is listening
+				r.stats.failuresDropped.Add(1)
 			}
-			if next.IsZero() || expired[0].deadline.Before(next) {
-				next = expired[0].deadline
-			}
-			resent = r.resendLocked(nil, p, expired, false)
-		}
-		p.retxDue = next // zero once nothing is in flight
-		if len(failed) > 0 {
-			p.cond.Broadcast()
-		}
-		p.mu.Unlock()
-		for _, d := range resent {
-			_ = r.write(p.addr, d)
-		}
-		_ = r.write(p.addr, dgram)
-		if len(failed) > 0 {
-			r.stats.failures.Add(uint64(len(failed)))
-			for _, f := range failed {
-				select {
-				case r.failures <- f:
-				default: // nobody is listening
-					r.stats.failuresDropped.Add(1)
-				}
-			}
-		}
-		if !next.IsZero() {
-			r.schedule(timerEvent{due: next, p: p, kind: evRetx})
 		}
 	}
 }

@@ -24,32 +24,15 @@ type UDPConfig struct {
 	// queued to a sender goroutine and transmission errors are dropped,
 	// as a lost datagram would be.
 	Batch int
-	// SendQueue is the depth of the asynchronous send queue in batch
-	// mode (default 4*Batch, floor 16). WriteTo blocks while it is full.
-	SendQueue int
-	// ResolveCache caps the peer address-resolution cache (default 1024
-	// entries, oldest-first eviction). Reincarnation churn lands peers
-	// on fresh ports indefinitely, so the cache must not grow with the
-	// lifetime peer count.
-	ResolveCache int
 }
 
+// resolveCacheCap caps the peer address-resolution cache, evicting oldest
+// first. Reincarnation churn lands peers on fresh ports indefinitely, so
+// the cache must not grow with the lifetime peer count.
+const resolveCacheCap = 1024
+
 func (c UDPConfig) withDefaults() UDPConfig {
-	if c.Batch < 0 {
-		c.Batch = 0
-	}
-	if c.Batch > 64 {
-		c.Batch = 64
-	}
-	if c.SendQueue <= 0 {
-		c.SendQueue = 4 * c.Batch
-		if c.SendQueue < 16 {
-			c.SendQueue = 16
-		}
-	}
-	if c.ResolveCache <= 0 {
-		c.ResolveCache = 1024
-	}
+	c.Batch = min(max(c.Batch, 0), 64)
 	return c
 }
 
@@ -112,7 +95,7 @@ func ListenUDP(addr string) (PacketConn, error) {
 }
 
 // ListenUDPConfig binds a real UDP socket with explicit tuning; see
-// UDPConfig for the batching and caching knobs.
+// UDPConfig for the batching knob.
 func ListenUDPConfig(addr string, cfg UDPConfig) (PacketConn, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -142,7 +125,8 @@ func ListenUDPConfig(addr string, cfg UDPConfig) (PacketConn, error) {
 			return nil, fmt.Errorf("transport: batch mode: %w", err)
 		}
 		c.mmsg = st
-		c.sendq = make(chan txDatagram, c.cfg.SendQueue)
+		// WriteTo blocks while the send queue is full.
+		c.sendq = make(chan txDatagram, max(4*c.cfg.Batch, 16))
 		c.wg.Add(1)
 		go c.sendLoop()
 	}
@@ -164,7 +148,7 @@ func (c *udpConn) IOStats() IOStats {
 // resolve maps a transport address to a UDP address through a bounded
 // cache: at capacity the oldest entry is evicted, so long-lived conns
 // talking to an unbounded succession of reincarnated peers hold at most
-// ResolveCache entries.
+// resolveCacheCap entries.
 func (c *udpConn) resolve(to netsim.Addr) (*net.UDPAddr, error) {
 	c.mu.Lock()
 	ua, ok := c.cache[to]
@@ -178,7 +162,7 @@ func (c *udpConn) resolve(to netsim.Addr) (*net.UDPAddr, error) {
 	}
 	c.mu.Lock()
 	if _, dup := c.cache[to]; !dup {
-		if len(c.cache) >= c.cfg.ResolveCache {
+		if len(c.cache) >= resolveCacheCap {
 			old := c.cacheFIFO[0]
 			c.cacheFIFO = c.cacheFIFO[1:]
 			delete(c.cache, old)

@@ -88,22 +88,27 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 }
 
 func TestUDPResolveCacheBounded(t *testing.T) {
-	pa, _ := udpPair(t, UDPConfig{ResolveCache: 4})
+	pa, _ := udpPair(t, UDPConfig{})
 	c := pa.(*udpConn)
-	for port := 1; port <= 20; port++ {
-		if err := pa.WriteTo(netsim.Addr{Host: "127.0.0.1", Port: uint16(40000 + port)}, []byte("x")); err != nil {
+	peer := func(i int) netsim.Addr { return netsim.Addr{Host: "127.0.0.1", Port: uint16(40000 + i)} }
+	for i := range resolveCacheCap + 20 {
+		if _, err := c.resolve(peer(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.mu.Lock()
 	n, fifo := len(c.cache), len(c.cacheFIFO)
+	_, kept := c.cache[peer(0)]
 	c.mu.Unlock()
-	if n > 4 || fifo > 4 {
-		t.Fatalf("resolve cache grew past its bound: map=%d fifo=%d cap=4", n, fifo)
+	if n > resolveCacheCap || fifo > resolveCacheCap {
+		t.Fatalf("resolve cache grew past its bound: map=%d fifo=%d cap=%d", n, fifo, resolveCacheCap)
 	}
-	// Eviction must not break resolution: a re-sent evicted peer works.
-	if err := pa.WriteTo(netsim.Addr{Host: "127.0.0.1", Port: 40001}, []byte("y")); err != nil {
-		t.Fatal(err)
+	if kept {
+		t.Fatal("the oldest peer was not evicted")
+	}
+	// Eviction must not break resolution: an evicted peer resolves again.
+	if ua, err := c.resolve(peer(0)); err != nil || ua.Port != 40000 {
+		t.Fatalf("evicted peer resolves to %v, %v", ua, err)
 	}
 }
 
