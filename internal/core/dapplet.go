@@ -245,9 +245,9 @@ func (d *Dapplet) Stopped() <-chan struct{} { return d.stopped }
 // OnStop registers a cleanup callback run once by Stop, after the
 // socket closes (sends already fail fast) and before inboxes close and
 // threads are waited for. Services attached to the dapplet use it to
-// detach from shared machinery — a failure detector cancels its timers
-// on the shared timer host here — without parking a goroutine on
-// Stopped() per service.
+// detach — a failure detector stops its timers and waits out their
+// callbacks here — without parking a goroutine on Stopped() per
+// service.
 func (d *Dapplet) OnStop(f func()) {
 	d.mu.Lock()
 	d.onStop = append(d.onStop, f)
@@ -404,8 +404,8 @@ func (d *Dapplet) Stop() {
 		d.mu.Unlock()
 		// OnStop callbacks run after the socket closes (a callback still
 		// in a send fails fast instead of blocking on a full window) and
-		// before threads are waited for (a callback may wait out shared
-		// machinery that is itself running detector callbacks).
+		// before threads are waited for (a callback may wait out timer
+		// callbacks that still spawn threads).
 		for _, f := range fns {
 			f()
 		}

@@ -62,7 +62,7 @@ func e11Cells(p Params) []Cell {
 					m(pre+"frames/dgram", ratio(ph.Frames, ph.Datagrams)),
 					m(pre+"sa-ack%", 100*ratio(ph.AcksStandalone, ph.AcksStandalone+ph.AcksPiggybacked)),
 					m(pre+"dirhit%", ph.DirHitRate*100), m(pre+"ops", ph.Ops), m(pre+"sessions", ph.Sessions),
-					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups), m(pre+"det-ns/peer/s", ph.DetectorNsPerPeerSec))
+					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups))
 			}
 			out = append(out, latencyMetrics("down", rep.DownLatency)...)
 			out = append(out, latencyMetrics("up", rep.UpLatency)...)
@@ -70,7 +70,7 @@ func e11Cells(p Params) []Cell {
 			return append(out,
 				m("live", rep.LiveMembers), m("crashed-now", rep.CrashedMembers),
 				m("joined", rep.Joined), m("left", rep.Left), m("crashed", rep.Crashed), m("revived", rep.Revived),
-				m("watched-peers", rep.WatchedPeers), m("wheel-timers", rep.WheelTimers),
+				m("watched-peers", rep.WatchedPeers),
 				m("B/dapplet", rep.HeapBytesPerDapplet), m("goro/dapplet", rep.GoroutinesPerDapplet),
 				m("goroutines", rep.Goroutines))
 		}))

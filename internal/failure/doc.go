@@ -34,6 +34,17 @@
 // probed peer does not watch back, and whose arrival doubles as
 // liveness evidence for the probed side.
 //
+// Verdicts are timed on runtime timers, as in BFD's one detection timer
+// per session: each watched peer has one verdict timer (time.AfterFunc)
+// and each detector one heartbeat-round timer, both moved with Reset
+// under the detector's lock. The verdict timer is re-armed lazily: a
+// beacon only records when the peer was last heard, and a firing whose
+// window has not run out re-arms for the remainder. A fired timer queues
+// its work on one process-wide queue drained by a few goroutines that
+// exist only while it is non-empty (see work.go), so no goroutine waits
+// while the detector is idle, and no callback runs once the dapplet has
+// stopped.
+//
 // A Detector is attached to a dapplet (Attach) and told whom to watch
 // (Watch); state changes are delivered to OnEvent observers and queried
 // with Status. BindSession forwards verdicts into the dapplet's session

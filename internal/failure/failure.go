@@ -75,13 +75,6 @@ type Config struct {
 	// can tell recovery from restart (core.Runtime.Incarnation supplies
 	// one).
 	Incarnation uint64
-	// Host, when set, is the shared timer loop the detector schedules
-	// its verdict checks and heartbeat rounds on; detectors across a
-	// whole runtime can share a handful of Hosts instead of running one
-	// loop goroutine each. When nil the detector runs a private Host
-	// ticking at Interval/4 (the old per-detector cadence) and stops it
-	// with the dapplet.
-	Host *Host
 	// Quorum is the number of distinct confirmers — this watcher, relays
 	// whose indirect probes failed, gossip origins suspecting the same
 	// incarnation — required before a Suspect verdict escalates to Down
@@ -216,15 +209,19 @@ type peerState struct {
 	// probing marks an address-learning probe in flight to this (Down)
 	// peer, so the slow probe rate cannot pile calls onto a dead address.
 	probing bool
+	// heard marks that a beacon has arrived since Watch. Interarrivals
+	// are sampled from one beacon to the next, never from the Watch
+	// call, whose phase against the peer's heartbeat rounds is arbitrary.
+	heard bool
 	// meanIA/devIA are the smoothed interarrival estimators feeding the
 	// adaptive timeout; zero until two heartbeats have been observed.
 	meanIA time.Duration
 	devIA  time.Duration
-	// timer is this peer's slot on the detector host's wheel: it fires
-	// when the peer's verdict may need to advance (lazily re-armed from
-	// lastHeard, so a beacon never has to reschedule it) and, once the
-	// peer is Down, paces the slow probe cadence.
-	timer wheelTimer
+	// timer is this peer's verdict timer, moved with Reset under det.mu:
+	// it fires when the peer's verdict may need to advance (lazily
+	// re-armed from lastHeard, so a beacon never has to move it) and,
+	// once the peer is Down, paces the slow probe cadence.
+	timer *time.Timer
 	// confirms collects the distinct confirmers of the current suspicion
 	// (this watcher, failed indirect-probe relays, gossip origins);
 	// non-nil only while Suspect under a quorum above one.
@@ -233,6 +230,21 @@ type peerState struct {
 	// against; confirmations and refutations about older incarnations
 	// are discarded.
 	suspInc uint64
+}
+
+// windowLeft reports how long p's verdict can rest at now: the time left
+// in its Up or Suspect detection window, or false once that window has
+// run out or the peer is Down.
+func (p *peerState) windowLeft(cfg Config, now time.Time) (time.Duration, bool) {
+	timeout := p.detectionTimeout(cfg)
+	elapsed := now.Sub(p.lastHeard)
+	switch {
+	case p.state == Up && elapsed <= timeout:
+		return timeout - elapsed, true
+	case p.state == Suspect && elapsed <= 2*timeout:
+		return 2*timeout - elapsed, true
+	}
+	return 0, false
 }
 
 // detectionTimeout is the Up->Suspect (and Suspect->Down) window for this
@@ -252,12 +264,13 @@ type Detector struct {
 	d   *core.Dapplet
 	cfg Config
 
-	// host is the timer loop verdict checks and heartbeat rounds run on;
-	// ownHost marks a private one that stops with the dapplet. hb is the
-	// detector's heartbeat-round timer, firing once per Interval.
-	host    *Host
-	ownHost bool
-	hb      wheelTimer
+	// hb is the detector's heartbeat-round timer, firing once per
+	// Interval and moved with Reset under mu; hbDue is when its next
+	// round is due. wg counts the timer callbacks enter admitted, so
+	// detach can wait them out.
+	hb    *time.Timer
+	hbDue time.Time
+	wg    sync.WaitGroup
 
 	// callerOnce creates the probe svc.Caller lazily: a detector that
 	// never holds a peer Down never pays the caller's reply inbox and
@@ -301,16 +314,15 @@ type Stats struct {
 	ProbesSent uint64
 }
 
-// Attach equips a dapplet with a failure detector. The detector
-// schedules its heartbeat rounds and per-peer verdict timers on a timer
-// Host — the shared one named by Config.Host, or a private loop ticking
-// at Interval/4 — and detaches when the dapplet stops. Any frame the
-// dapplet exchanges with a watched peer doubles as liveness evidence:
-// received application traffic refreshes the peer's deadline, and
-// transmitted application traffic suppresses the next explicit
-// heartbeat to that peer, so heartbeats flow only on idle channels. The
-// "@fail" inbox is an svc-served inbox: heartbeats arrive bare
-// (one-way), and address-learning probes arrive correlated and are
+// Attach equips a dapplet with a failure detector. The detector runs
+// its heartbeat rounds and per-peer verdicts on runtime timers, which
+// hold no goroutine while they wait, and detaches when the dapplet
+// stops. Any frame the dapplet exchanges with a watched peer doubles as
+// liveness evidence: received application traffic refreshes the peer's
+// deadline, and transmitted application traffic suppresses the next
+// explicit heartbeat to that peer, so heartbeats flow only on idle
+// channels. The "@fail" inbox is an svc-served inbox: heartbeats arrive
+// bare (one-way), and address-learning probes arrive correlated and are
 // answered with this instance's name and incarnation.
 func Attach(d *core.Dapplet, cfg Config) *Detector {
 	det := &Detector{
@@ -318,11 +330,6 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 		cfg:    cfg.withDefaults(),
 		peers:  make(map[string]*peerState),
 		byAddr: make(map[netsim.Addr]*peerState),
-	}
-	det.host = det.cfg.Host
-	if det.host == nil {
-		det.host = NewHost(det.cfg.Interval / 4)
-		det.ownHost = true
 	}
 	svc.Serve(d, ControlInbox, svc.Handlers{
 		"fail.hb": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
@@ -346,10 +353,14 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 	}
 	d.OnRecv(det.onAppRecv)
 	d.OnSend(det.onAppSend)
-	det.hb.fire = det.fireHeartbeats
-	// Stagger the first round within a quarter interval so co-hosted
-	// detectors sharing a Host do not all fan out on the same tick.
-	det.host.schedule(&det.hb, det.cfg.Interval+hbStagger(d.Name(), det.cfg.Interval/4))
+	// Stagger the first round within a quarter interval so detectors
+	// attached together do not all fan out at the same instant.
+	first := det.cfg.Interval + hbStagger(d.Name(), det.cfg.Interval/4)
+	det.mu.Lock()
+	det.hbDue = time.Now().Add(first)
+	round := det.fireHeartbeats
+	det.hb = time.AfterFunc(first, func() { work.run(round) })
+	det.mu.Unlock()
 	d.OnStop(det.detach)
 	return det
 }
@@ -378,24 +389,53 @@ func (det *Detector) probeCaller() *svc.Caller {
 	return det.caller
 }
 
-// detach runs when the dapplet stops: it cancels every wheel timer so a
-// shared Host stops paying for this detector, and stops a private Host.
-// A callback already in flight observes stopping (or the generation
-// bump) and winds down without re-arming.
+// detach runs when the dapplet stops: it stops every timer and waits
+// for the callbacks enter already admitted. Timers are re-armed only
+// under mu while !stopping, so none is armed again once detach has set
+// it, and no callback runs after detach returns.
 func (det *Detector) detach() {
 	det.mu.Lock()
 	det.stopping = true
-	timers := make([]*wheelTimer, 0, len(det.peers)+1)
-	timers = append(timers, &det.hb)
+	det.hb.Stop()
 	for _, p := range det.peers {
-		timers = append(timers, &p.timer)
+		p.timer.Stop()
 	}
 	det.mu.Unlock()
-	for _, t := range timers {
-		det.host.cancel(t)
+	det.wg.Wait()
+}
+
+// enter admits one timer callback: it refuses once detach has begun, and
+// otherwise counts the callback in wg before detach can wait on it. An
+// admitted caller must call det.wg.Done.
+func (det *Detector) enter() bool {
+	det.mu.Lock()
+	defer det.mu.Unlock()
+	if det.stopping {
+		return false
 	}
-	if det.ownHost {
-		det.host.Stop()
+	det.wg.Add(1)
+	return true
+}
+
+// rearmLazily is firePeer's fast path: when p was heard since its timer
+// was set, the timer moves to the end of the window and true is
+// returned, all under det.mu alone, so the common firing never waits
+// behind an observer holding emitMu.
+func (det *Detector) rearmLazily(p *peerState) bool {
+	det.mu.Lock()
+	defer det.mu.Unlock()
+	left, ok := p.windowLeft(det.cfg, time.Now())
+	if ok && det.peers[p.name] == p {
+		det.armLocked(p, left)
+	}
+	return ok
+}
+
+// armLocked moves p's verdict timer to fire d from now, unless detach
+// has begun. Caller holds det.mu.
+func (det *Detector) armLocked(p *peerState, d time.Duration) {
+	if !det.stopping {
+		p.timer.Reset(d)
 	}
 }
 
@@ -435,26 +475,23 @@ func (det *Detector) Watch(name string, addr netsim.Addr) {
 		return
 	}
 	p := &peerState{name: name, addr: addr, state: Up, lastHeard: time.Now()}
-	p.timer.fire = func(now time.Time) time.Duration { return det.firePeer(p, now) }
+	check := func() { det.firePeer(p) }
+	p.timer = time.AfterFunc(p.detectionTimeout(det.cfg), func() { work.run(check) })
+	if det.stopping {
+		p.timer.Stop() // detach has stopped every other timer already
+	}
 	det.peers[name] = p
 	det.byAddr[addr] = p
-	if det.host != nil && !det.stopping {
-		det.host.schedule(&p.timer, p.detectionTimeout(det.cfg))
-	}
 }
 
 // Unwatch stops heartbeating and monitoring the named peer.
 func (det *Detector) Unwatch(name string) {
-	var t *wheelTimer
 	det.mu.Lock()
+	defer det.mu.Unlock()
 	if p, ok := det.peers[name]; ok {
 		delete(det.byAddr, p.addr)
 		delete(det.peers, name)
-		t = &p.timer
-	}
-	det.mu.Unlock()
-	if t != nil && det.host != nil {
-		det.host.cancel(t)
+		p.timer.Stop()
 	}
 }
 
@@ -482,7 +519,10 @@ func (det *Detector) Addr(name string) (netsim.Addr, bool) {
 }
 
 // OnEvent registers an observer for verdict changes. Observers run on
-// the detector's threads and must not block.
+// the detector's threads, one event at a time, and should not block: a
+// slow observer delays this detector's later verdicts and holds one of
+// the process's detector work goroutines, but heartbeats, which run on
+// a timer of their own, go on as long as another is free.
 func (det *Detector) OnEvent(f func(Event)) {
 	det.mu.Lock()
 	det.obs = append(det.obs, f)
@@ -505,22 +545,55 @@ func (det *Detector) emit(ev Event) {
 // learns a restarted peer's new address, and lifts Suspect/Down verdicts.
 func (det *Detector) applyBeacon(from string, inc uint64, addr netsim.Addr) {
 	now := time.Now()
+	// Fast path: a beacon from an Up peer lifts no verdict, so it is
+	// applied under det.mu alone and never waits behind an observer.
+	det.mu.Lock()
+	if p, ok := det.peers[from]; ok && p.state == Up {
+		det.beaconLocked(p, inc, addr, now)
+		det.mu.Unlock()
+		return
+	}
+	det.mu.Unlock()
 	det.emitMu.Lock()
 	defer det.emitMu.Unlock()
 	det.mu.Lock()
 	p, watched := det.peers[from]
-	if !watched {
+	if !watched || !det.beaconLocked(p, inc, addr, now) {
 		det.mu.Unlock()
 		return
 	}
+	recovered := p.state != Up
+	p.state = Up
+	p.confirms = nil
+	if recovered {
+		// The peer's timer was pacing a Suspect escalation or the slow
+		// Down-probe cadence; re-arm it for a fresh detection window.
+		det.armLocked(p, p.detectionTimeout(det.cfg))
+	}
+	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
+	det.mu.Unlock()
+	if recovered {
+		det.emit(ev)
+	}
+}
+
+// beaconLocked applies one beacon's evidence to p, leaving its verdict
+// alone: it feeds the interarrival estimators, refreshes lastHeard and
+// learns a restarted peer's new address. It reports false, changing
+// nothing, for a beacon from an older incarnation. Caller holds det.mu.
+func (det *Detector) beaconLocked(p *peerState, inc uint64, addr netsim.Addr, now time.Time) bool {
 	if inc < p.lastInc {
 		// A delayed beacon from a dead incarnation (it can linger in
 		// flight after the crash): honouring it would revert the peer's
 		// address and falsely lift a Down verdict.
-		det.mu.Unlock()
-		return
+		return false
 	}
-	if p.state == Up {
+	switch {
+	case p.state != Up:
+		// Recovery: restart the rhythm estimate from scratch so the
+		// outage gap cannot inflate future detection times.
+		p.meanIA, p.devIA = 0, 0
+	case p.heard:
 		// Feed the adaptive timeout only while the rhythm is unbroken;
 		// an interarrival spanning an outage is not a rhythm sample.
 		if ia := now.Sub(p.lastHeard); p.meanIA == 0 {
@@ -535,11 +608,8 @@ func (det *Detector) applyBeacon(from string, inc uint64, addr netsim.Addr) {
 			}
 			p.devIA += (err - p.devIA) / 4
 		}
-	} else {
-		// Recovery: restart the rhythm estimate from scratch so the
-		// outage gap cannot inflate future detection times.
-		p.meanIA, p.devIA = 0, 0
 	}
+	p.heard = true
 	p.lastHeard = now
 	p.lastInc = inc
 	if p.addr != addr { // a reincarnated peer announces its new address
@@ -547,19 +617,7 @@ func (det *Detector) applyBeacon(from string, inc uint64, addr netsim.Addr) {
 		p.addr = addr
 		det.byAddr[p.addr] = p
 	}
-	recovered := p.state != Up
-	p.state = Up
-	p.confirms = nil
-	if recovered && det.host != nil && !det.stopping {
-		// The peer's timer was pacing a Suspect escalation or the slow
-		// Down-probe cadence; re-arm it for a fresh detection window.
-		det.host.schedule(&p.timer, p.detectionTimeout(det.cfg))
-	}
-	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
-	det.mu.Unlock()
-	if recovered {
-		det.emit(ev)
-	}
+	return true
 }
 
 // onAppRecv treats any received application or service frame from a
@@ -604,9 +662,7 @@ func (det *Detector) onAppRecv(env *wire.Envelope) {
 	if recovered {
 		p.meanIA, p.devIA = 0, 0
 		p.state = Up
-		if det.host != nil && !det.stopping {
-			det.host.schedule(&p.timer, p.detectionTimeout(det.cfg))
-		}
+		det.armLocked(p, p.detectionTimeout(det.cfg))
 	}
 	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
 	det.mu.Unlock()
@@ -630,21 +686,42 @@ func (det *Detector) onAppSend(env *wire.Envelope) {
 	det.mu.Unlock()
 }
 
-// fireHeartbeats is the detector's per-Interval heartbeat round, run by
-// the timer Host: one pass over the watched peers transmits a heartbeat
-// to every peer not considered Down whose channel has been idle for an
-// interval (peers we sent application traffic more recently are hearing
-// from us anyway), floored at one explicit heartbeat per 8 intervals so
-// a watcher holding us Down is guaranteed to eventually see an
-// incarnation-carrying beacon. This is the only remaining O(peers) walk
-// — its cost is the fan-out the wire sees anyway — where the old loop
-// paid it four times per interval just to poll verdict deadlines; those
-// now fire as O(due) per-peer wheel timers (see firePeer).
-func (det *Detector) fireHeartbeats(now time.Time) time.Duration {
+// fireHeartbeats runs when the heartbeat-round timer expires: one round,
+// then the timer moves to one Interval after this round was due, so the
+// timer's wake-up latency does not stretch the period peers learn (after
+// a stall longer than an Interval the cadence restarts from now). It is
+// re-armed only after the round's sends, so two rounds never overlap.
+func (det *Detector) fireHeartbeats() {
+	if !det.enter() {
+		return
+	}
+	defer det.wg.Done()
+	now := time.Now()
+	det.heartbeatRound(now)
+	det.mu.Lock()
+	if !det.stopping {
+		det.hbDue = det.hbDue.Add(det.cfg.Interval)
+		if det.hbDue.Before(now) {
+			det.hbDue = now.Add(det.cfg.Interval)
+		}
+		det.hb.Reset(time.Until(det.hbDue))
+	}
+	det.mu.Unlock()
+}
+
+// heartbeatRound is one pass over the watched peers: it transmits a
+// heartbeat to every peer not considered Down whose channel has been
+// idle for an interval (peers we sent application traffic more recently
+// are hearing from us anyway), floored at one explicit heartbeat per 8
+// intervals so a watcher holding us Down is guaranteed to eventually see
+// an incarnation-carrying beacon. This is the detector's only O(peers)
+// walk, and its cost is the fan-out the wire sees anyway: verdict
+// deadlines fire as per-peer timers (see firePeer).
+func (det *Detector) heartbeatRound(now time.Time) {
 	det.mu.Lock()
 	if det.stopping {
 		det.mu.Unlock()
-		return -1
+		return
 	}
 	det.seq++
 	seq, inc := det.seq, det.cfg.Incarnation
@@ -671,25 +748,48 @@ func (det *Detector) fireHeartbeats(now time.Time) time.Duration {
 			_ = det.d.SendDirect(to, "", hb)
 		}
 	}
-	return det.cfg.Interval
 }
 
-// firePeer is one peer's verdict timer, run by the timer Host when the
-// peer's detection window may have expired. The timer is armed lazily:
-// beacons refresh lastHeard without touching the wheel, so a firing
-// whose window turns out unexpired simply re-arms for the remainder.
+// firePeer runs when p's verdict timer expires: the peer's detection
+// window may have run out. The timer is armed lazily: beacons refresh
+// lastHeard without touching it, so a firing whose window turns out
+// unexpired simply re-arms for the remainder, under det.mu alone.
 // Escalations emit Suspect, then Down; a Down peer's timer switches to
 // pacing the address-learning probe at 1/8 the heartbeat rate — enough
 // for two detectors that declared each other Down across a healed
 // partition to rediscover one another, without a dead peer's
 // retransmission state growing at full heartbeat rate.
-func (det *Detector) firePeer(p *peerState, now time.Time) time.Duration {
-	det.emitMu.Lock()
+func (det *Detector) firePeer(p *peerState) {
+	if !det.enter() {
+		return
+	}
+	defer det.wg.Done()
+	if det.rearmLazily(p) {
+		return
+	}
+	// A transition is due. It needs emitMu, which another verdict of this
+	// detector may hold while its observers run; rather than hold a work
+	// goroutine behind them, look again a quarter interval on.
+	if !det.emitMu.TryLock() {
+		det.mu.Lock()
+		if det.peers[p.name] == p {
+			det.armLocked(p, det.cfg.Interval/4)
+		}
+		det.mu.Unlock()
+		return
+	}
+	now := time.Now()
 	det.mu.Lock()
 	if det.stopping || det.peers[p.name] != p {
 		det.mu.Unlock()
 		det.emitMu.Unlock()
-		return -1
+		return
+	}
+	if left, ok := p.windowLeft(det.cfg, now); ok { // heard meanwhile
+		p.timer.Reset(left)
+		det.mu.Unlock()
+		det.emitMu.Unlock()
+		return
 	}
 	timeout := p.detectionTimeout(det.cfg)
 	elapsed := now.Sub(p.lastHeard)
@@ -706,26 +806,20 @@ func (det *Detector) firePeer(p *peerState, now time.Time) time.Duration {
 	)
 	switch p.state {
 	case Up:
-		if elapsed > timeout {
-			p.state = Suspect
-			p.suspInc = p.lastInc
-			if quorum > 1 {
-				// This watcher is the suspicion's first confirmer; the
-				// rest must come from relays or gossip before Down.
-				p.confirms = map[string]bool{det.d.Name(): true}
-				askRelays = true
-				rumor, haveRumor = rumorSuspect, true
-			}
-			ev = Event{Peer: p.name, Addr: p.addr, State: Suspect, Incarnation: p.lastInc}
-			emit = true
-			next = 2*timeout - elapsed
-		} else {
-			next = timeout - elapsed
+		p.state = Suspect
+		p.suspInc = p.lastInc
+		if quorum > 1 {
+			// This watcher is the suspicion's first confirmer; the rest
+			// must come from relays or gossip before Down.
+			p.confirms = map[string]bool{det.d.Name(): true}
+			askRelays = true
+			rumor, haveRumor = rumorSuspect, true
 		}
+		ev = Event{Peer: p.name, Addr: p.addr, State: Suspect, Incarnation: p.lastInc}
+		emit = true
+		next = 2*timeout - elapsed
 	case Suspect:
 		switch {
-		case elapsed <= 2*timeout:
-			next = 2*timeout - elapsed
 		case quorum > 1 && len(p.confirms) < quorum:
 			// Window expired but the quorum has not: hold at Suspect (a
 			// partitioned watcher holds here forever), nudge the relays
@@ -753,9 +847,7 @@ func (det *Detector) firePeer(p *peerState, now time.Time) time.Duration {
 		}
 		next = 8 * det.cfg.Interval
 	}
-	if next < 0 {
-		next = 0 // overdue: the host clamps to its next tick
-	}
+	p.timer.Reset(next) // an overdue deadline (next < 0) fires at once
 	name, addr, suspInc := p.name, p.addr, p.suspInc
 	det.mu.Unlock()
 	if emit {
@@ -768,7 +860,6 @@ func (det *Detector) firePeer(p *peerState, now time.Time) time.Duration {
 		det.spreadVerdict(name, addr, suspInc, rumor)
 	}
 	det.emitMu.Unlock()
-	return next
 }
 
 // probe issues one address-learning probe to a Down peer: an svc call to

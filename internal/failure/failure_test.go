@@ -135,7 +135,7 @@ func TestHeartbeatPiggybacking(t *testing.T) {
 		interval = 10 * time.Millisecond
 		window   = 40 * interval
 	)
-	run := func(seed int64, busy bool) (hbSent, implicit uint64) {
+	run := func(t *testing.T, seed int64, busy bool) (hbSent, implicit uint64) {
 		net := netsim.New(netsim.WithSeed(seed))
 		defer net.Close()
 		a := newDapplet(t, net, "ha", "a")
@@ -171,8 +171,21 @@ func TestHeartbeatPiggybacking(t *testing.T) {
 		return sa.HeartbeatsSent + sb.HeartbeatsSent, sa.ImplicitRefreshes + sb.ImplicitRefreshes
 	}
 
-	idleHB, _ := run(10, false)
-	busyHB, busyImplicit := run(11, true)
+	// The two windows are independent worlds, so they run side by side.
+	var idleHB, busyHB, busyImplicit uint64
+	t.Run("windows", func(t *testing.T) {
+		t.Run("idle", func(t *testing.T) {
+			t.Parallel()
+			idleHB, _ = run(t, 10, false)
+		})
+		t.Run("busy", func(t *testing.T) {
+			t.Parallel()
+			busyHB, busyImplicit = run(t, 11, true)
+		})
+	})
+	if t.Failed() {
+		return
+	}
 	if busyImplicit == 0 {
 		t.Fatal("no application frame was accepted as implicit liveness")
 	}

@@ -265,9 +265,7 @@ func (det *Detector) refuteSuspicion(name string, inc uint64) {
 	p.lastHeard = time.Now()
 	p.meanIA, p.devIA = 0, 0
 	p.confirms = nil
-	if det.host != nil && !det.stopping {
-		det.host.schedule(&p.timer, p.detectionTimeout(det.cfg))
-	}
+	det.armLocked(p, p.detectionTimeout(det.cfg))
 	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
 	det.mu.Unlock()
 	det.emit(ev)
@@ -294,9 +292,7 @@ func (det *Detector) confirmSuspicion(name, confirmer string, inc uint64) {
 	}
 	p.state = Down
 	p.confirms = nil
-	if det.host != nil && !det.stopping {
-		det.host.schedule(&p.timer, det.cfg.Interval) // switch to probe pacing
-	}
+	det.armLocked(p, det.cfg.Interval) // switch to probe pacing
 	ev := Event{Peer: p.name, Addr: p.addr, State: Down, Incarnation: p.lastInc}
 	addr, suspInc := p.addr, p.suspInc
 	det.mu.Unlock()

@@ -104,17 +104,6 @@ type PhaseStats struct {
 	// sessions completed and failed.
 	Sessions    uint64 `json:"sessions"`
 	SessionErrs uint64 `json:"session_errs"`
-
-	// WheelTicks and WheelFired count timer-wheel activity summed over
-	// the shared detector Hosts; WheelBusyFrac is the fraction of the
-	// phase the wheel loops spent advancing and firing, and
-	// DetectorNsPerPeerSec divides that busy time by watched peers and
-	// wall seconds — the detector CPU cost of watching one peer for one
-	// second.
-	WheelTicks           uint64  `json:"wheel_ticks"`
-	WheelFired           uint64  `json:"wheel_fired"`
-	WheelBusyFrac        float64 `json:"wheel_busy_frac"`
-	DetectorNsPerPeerSec float64 `json:"detector_ns_per_peer_sec"`
 }
 
 // Report is the outcome of one swarm run: per-phase throughput and cost
@@ -157,10 +146,8 @@ type Report struct {
 	DirConvergeRounds int    `json:"dir_converge_rounds"`
 
 	// WatchedPeers is the number of (watcher, peer) edges across every
-	// live detector at the end of churn; WheelTimers the timers still
-	// scheduled on the shared Hosts.
+	// live detector at the end of churn.
 	WatchedPeers int `json:"watched_peers"`
-	WheelTimers  int `json:"wheel_timers"`
 
 	// HeapAllocBytes is the post-join, post-GC heap; HeapBytesPerDapplet
 	// divides it by the swarm population (members + replicas +

@@ -95,9 +95,6 @@ type Config struct {
 	// (default 64; the netsim default is sized for busy dapplets and is
 	// pure waste times 100k idle ones).
 	QueueCap int
-	// Wheels is the number of shared timer-wheel Hosts detectors are
-	// spread over (default GOMAXPROCS clamped to [1, 8]).
-	Wheels int
 	// GossipInterval, when positive, attaches a gossip engine to every
 	// member and directory replica: members spread verdict rumors over
 	// their detector's live-peer view, and each shard's replicas
@@ -157,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.Wheels <= 0 {
-		c.Wheels = clampInt(runtime.GOMAXPROCS(0), 1, 8)
-	}
 	if c.PartitionDur <= 0 {
 		c.PartitionDur = time.Second
 	}
@@ -174,20 +168,6 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// wheelGran picks the shared wheel tick: fine enough that heartbeat
-// stagger (a quarter interval) spreads rounds over many ticks, coarse
-// enough that an idle wheel costs nothing.
-func wheelGran(interval time.Duration) time.Duration {
-	g := interval / 4
-	if g > 25*time.Millisecond {
-		g = 25 * time.Millisecond
-	}
-	if g < 100*time.Microsecond {
-		g = 100 * time.Microsecond
-	}
-	return g
 }
 
 // member is the harness's bookkeeping for one swarm member across its
@@ -234,7 +214,6 @@ type Swarm struct {
 	net       *netsim.Network
 	rt        *core.Runtime
 	cluster   *directory.Cluster
-	wheels    []*failure.Host
 	memberRel transport.Config
 
 	dirs  [][]*dirReplica
@@ -268,8 +247,8 @@ type Swarm struct {
 // initiators, join N members, churn them (timed drivers or lockstep
 // ops), and return the measured report. Ending ctx cuts the churn phase
 // short with ctx.Err(). The swarm is fully torn down — every dapplet
-// stopped, the network closed, the timer wheels stopped — before Run
-// returns, whatever the outcome.
+// stopped and the network closed — before Run returns, whatever the
+// outcome.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	netOpts := []netsim.Option{netsim.WithSeed(cfg.Seed)}
@@ -299,9 +278,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			RecvBuf:    64,
 			FailureBuf: 4,
 		},
-	}
-	for i := 0; i < cfg.Wheels; i++ {
-		s.wheels = append(s.wheels, failure.NewHost(wheelGran(cfg.Interval)))
 	}
 	defer s.teardown()
 
@@ -360,27 +336,14 @@ func clampDur(v, lo, hi time.Duration) time.Duration {
 
 // teardown stops everything, once: drivers are already stopped by the
 // time it runs, so the order is dapplets (their detectors detach and
-// cancel their timers), then the network, then the shared wheels.
+// stop their timers), then the network.
 func (s *Swarm) teardown() {
 	s.stopOnce.Do(func() {
 		if s.rt != nil {
 			s.rt.StopAll()
 		}
 		s.net.Close()
-		for _, h := range s.wheels {
-			h.Stop()
-		}
 	})
-}
-
-// wheelFor spreads detectors over the shared wheel Hosts by name hash.
-func (s *Swarm) wheelFor(name string) *failure.Host {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return s.wheels[int(h%uint32(len(s.wheels)))]
 }
 
 // detConfig is the detector configuration shared by every swarm
@@ -390,7 +353,6 @@ func (s *Swarm) detConfig(name string) failure.Config {
 		Interval:    s.cfg.Interval,
 		Multiplier:  s.cfg.Multiplier,
 		Incarnation: uint64(s.rt.Incarnation(name)),
-		Host:        s.wheelFor(name),
 	}
 }
 
@@ -407,8 +369,8 @@ func (s *Swarm) attachGossip(d *core.Dapplet, cfg *failure.Config) *gossip.Engin
 	return g
 }
 
-// startMember is the swarm-member behavior: a detector on a shared
-// wheel and the echo service. The harness wires watch edges and
+// startMember is the swarm-member behavior: a detector and the echo
+// service. The harness wires watch edges and
 // registers the member after launch.
 func (s *Swarm) startMember(d *core.Dapplet) error {
 	cfg := s.detConfig(d.Name())
@@ -788,9 +750,6 @@ type counters struct {
 	ops, opErrs         uint64
 	joins, leaves       uint64
 	crashes, revives    uint64
-	wheelTicks          uint64
-	wheelFired          uint64
-	wheelBusy           time.Duration
 }
 
 // cumulative samples every counter the report is built from.
@@ -844,13 +803,6 @@ func (s *Swarm) cumulative() counters {
 	c.ops, c.opErrs = s.ops, s.opErrs
 	c.joins, c.leaves, c.crashes, c.revives = s.joins, s.leaves, s.crashes, s.revives
 	s.mu.Unlock()
-
-	for _, h := range s.wheels {
-		hs := h.Stats()
-		c.wheelTicks += hs.Ticks
-		c.wheelFired += hs.Fired
-		c.wheelBusy += hs.Busy
-	}
 	return c
 }
 
@@ -877,7 +829,7 @@ func (s *Swarm) watchedPeers() int {
 }
 
 // phaseStats turns two cumulative samples into one phase's deltas.
-func (s *Swarm) phaseStats(name string, a, b counters, watched int) PhaseStats {
+func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 	wall := b.at.Sub(a.at).Seconds()
 	if wall <= 0 {
 		wall = 1e-9
@@ -915,8 +867,6 @@ func (s *Swarm) phaseStats(name string, a, b counters, watched int) PhaseStats {
 		Revives:         b.revives - a.revives,
 		Sessions:        b.sessions - a.sessions,
 		SessionErrs:     b.sessErrs - a.sessErrs,
-		WheelTicks:      b.wheelTicks - a.wheelTicks,
-		WheelFired:      b.wheelFired - a.wheelFired,
 	}
 	p.MsgsPerSec = float64(p.Delivered) / wall
 	p.BytesPerSec = float64(p.BytesSent) / wall
@@ -924,31 +874,22 @@ func (s *Swarm) phaseStats(name string, a, b counters, watched int) PhaseStats {
 	if lk := p.DirLookups; lk > 0 {
 		p.DirHitRate = float64(p.DirHits) / float64(lk)
 	}
-	busy := float64(b.wheelBusy - a.wheelBusy)
-	p.WheelBusyFrac = busy / (wall * float64(time.Second) * float64(len(s.wheels)))
-	if watched > 0 {
-		p.DetectorNsPerPeerSec = busy / float64(watched) / wall
-	}
 	return p
 }
 
 // buildReport assembles the final report from the three cumulative
 // samples and the post-join footprint.
 func (s *Swarm) buildReport(base, joinEnd, churnEnd counters, heap uint64, goro int) *Report {
-	watched := s.watchedPeers()
 	rep := &Report{
 		N:        s.cfg.N,
 		Hosts:    s.cfg.Hosts,
 		Seed:     s.cfg.Seed,
 		Lockstep: s.cfg.Lockstep,
 		Phases: []PhaseStats{
-			s.phaseStats("join", base, joinEnd, watched),
-			s.phaseStats("churn", joinEnd, churnEnd, watched),
+			s.phaseStats("join", base, joinEnd),
+			s.phaseStats("churn", joinEnd, churnEnd),
 		},
-		WatchedPeers: watched,
-	}
-	for _, h := range s.wheels {
-		rep.WheelTimers += h.Stats().Timers
+		WatchedPeers: s.watchedPeers(),
 	}
 
 	s.mu.Lock()

@@ -89,7 +89,7 @@ func TestLockstepDeterminism(t *testing.T) {
 
 // TestSwarmChurnUnderRace is the satellite race fence: a ~500-member
 // swarm under aggressive churn and session load. Run under -race in CI,
-// it sweeps the detector wheel, symmetric watch wiring, directory
+// it sweeps the detector timers, symmetric watch wiring, directory
 // expiry and the harness's own bookkeeping for data races; afterwards
 // the goroutine fence checks the teardown chain leaks nothing.
 func TestSwarmChurnUnderRace(t *testing.T) {
@@ -130,8 +130,8 @@ func TestSwarmChurnUnderRace(t *testing.T) {
 		churn.Sessions, churn.SessionErrs, churn.Downs, churn.Ups)
 
 	// Goroutine-leak fence: after Run's teardown everything the swarm
-	// started — dapplet pumps, svc dispatchers, probe threads, wheel
-	// loops, netsim shards — must be gone. Poll briefly: runtime
+	// started — dapplet pumps, svc dispatchers, probe threads, timer
+	// callbacks, netsim shards — must be gone. Poll briefly: runtime
 	// bookkeeping for exiting goroutines is asynchronous.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
