@@ -10,7 +10,6 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/snapshot"
@@ -27,8 +26,7 @@ func TestFullStackCalendarOverLossyWAN(t *testing.T) {
 	w, err := scenario.BuildCalendar(context.Background(), scenario.CalendarOptions{
 		Sites: 3, MembersPerSite: 2, Hierarchical: true,
 		Slots: 48, BusyProb: 0.4, CommonSlot: 30, Seed: 99,
-		InterSite: netsim.WAN(),
-		RTO:       15 * time.Millisecond,
+		RTO: 15 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,23 +4,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-func holdTestDapplet(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
-	t.Helper()
-	ep, err := net.Host(host).BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 10 * time.Millisecond}))
-	t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 10 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 10 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 // propose injects one tentative proposal into the member from the given
@@ -36,9 +31,8 @@ func propose(m *MemberBehavior, id uint64, slot int, from netsim.Addr) {
 // hold whose coordinator never commits or aborts is garbage-collected
 // after the lease, and the slot becomes schedulable again.
 func TestProposalHoldLeaseExpiry(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(1))
-	defer net.Close()
-	d := holdTestDapplet(t, net, "hm", "member")
+	w := newWorld(t, netsim.WithSeed(1))
+	d := w.Dapplet("hm", "t", "member")
 	m := NewMember(8, nil)
 	if err := m.Start(d); err != nil {
 		t.Fatal(err)
@@ -77,10 +71,9 @@ func TestProposalHoldLeaseExpiry(t *testing.T) {
 // when the member's detector declares the proposing coordinator Down,
 // BindHoldGC clears every hold it proposed — no lease needed.
 func TestProposalHoldClearedOnCoordinatorDown(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(2))
-	defer net.Close()
-	memberD := holdTestDapplet(t, net, "hm", "member")
-	coordD := holdTestDapplet(t, net, "hq", "coordinator")
+	w := newWorld(t, netsim.WithSeed(2))
+	memberD := w.Dapplet("hm", "t", "member")
+	coordD := w.Dapplet("hq", "t", "coordinator")
 	m := NewMember(8, nil)
 	if err := m.Start(memberD); err != nil {
 		t.Fatal(err)
@@ -100,7 +93,7 @@ func TestProposalHoldClearedOnCoordinatorDown(t *testing.T) {
 
 	// The coordinator's machine dies mid-proposal; the Down verdict must
 	// clear the hold and make the slot schedulable again.
-	net.Crash("hq")
+	w.Net.Crash("hq")
 	deadline := time.Now().Add(10 * time.Second)
 	for m.Holds() != 0 {
 		if time.Now().After(deadline) {

@@ -11,18 +11,19 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // buildGossipShard hosts one shard of n replicas with anti-entropy bound
 // between them, replica r on host "dir-0-r".
-func buildGossipShard(t *testing.T, net *netsim.Network, n int, interval time.Duration) ([]*directory.Service, []*core.Dapplet) {
+func buildGossipShard(t *testing.T, w *world.World, n int, interval time.Duration) ([]*directory.Service, []*core.Dapplet) {
 	t.Helper()
 	svcs := make([]*directory.Service, n)
 	daps := make([]*core.Dapplet, n)
 	engs := make([]*gossip.Engine, n)
 	refs := make([]wire.InboxRef, n)
 	for r := 0; r < n; r++ {
-		daps[r] = newDap(t, net, fmt.Sprintf("dir-0-%d", r), fmt.Sprintf("dir-0-%d", r))
+		daps[r] = w.Dapplet(fmt.Sprintf("dir-0-%d", r), "t", fmt.Sprintf("dir-0-%d", r))
 		svcs[r] = directory.Serve(daps[r])
 		engs[r] = gossip.Attach(daps[r], gossip.Config{Interval: interval})
 		refs[r] = gossip.Ref(daps[r].Addr())
@@ -50,9 +51,8 @@ func converged(svcs []*directory.Service) bool {
 // tombstones — including the removal of a name the sibling never saw
 // registered, which must not resurrect.
 func TestAntiEntropySpreadsLocalWrites(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(31))
-	defer net.Close()
-	svcs, _ := buildGossipShard(t, net, 2, 10*time.Millisecond)
+	w := newWorld(t, netsim.WithSeed(31))
+	svcs, _ := buildGossipShard(t, w, 2, 10*time.Millisecond)
 	a, b := svcs[0], svcs[1]
 
 	for i := 0; i < 8; i++ {
@@ -95,9 +95,8 @@ func TestAntiEntropySpreadsLocalWrites(t *testing.T) {
 // removes), restarts, and converges without the client replaying
 // anything.
 func TestAntiEntropyRestartedReplicaConverges(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(32))
-	defer net.Close()
-	svcs, _ := buildGossipShard(t, net, 2, 10*time.Millisecond)
+	w := newWorld(t, netsim.WithSeed(32))
+	svcs, _ := buildGossipShard(t, w, 2, 10*time.Millisecond)
 	a, b := svcs[0], svcs[1]
 
 	refs := [][]wire.InboxRef{{a.Ref(), b.Ref()}}
@@ -105,7 +104,7 @@ func TestAntiEntropyRestartedReplicaConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliD := newDap(t, net, "hc", "cli")
+	cliD := w.Dapplet("hc", "t", "cli")
 	cli := directory.NewClient(cliD, cl)
 	ctx := context.Background()
 
@@ -119,7 +118,7 @@ func TestAntiEntropyRestartedReplicaConverges(t *testing.T) {
 	}
 	waitFor(t, "pre-crash fan-out", func() bool { return b.Len() == 4 })
 
-	net.Crash("dir-0-1")
+	w.Net.Crash("dir-0-1")
 	for i := 0; i < 12; i++ {
 		if err := cli.Register(ctx, directory.Entry{
 			Name: fmt.Sprintf("mid%d", i), Type: "t",
@@ -135,7 +134,7 @@ func TestAntiEntropyRestartedReplicaConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net.Restart("dir-0-1")
+	w.Net.Restart("dir-0-1")
 	waitFor(t, "post-restart convergence", func() bool { return converged(svcs) })
 	for i := 0; i < 12; i++ {
 		name := fmt.Sprintf("mid%d", i)
@@ -155,9 +154,8 @@ func TestAntiEntropyRestartedReplicaConverges(t *testing.T) {
 // different records for it — then heals and requires both to settle on
 // the same winner.
 func TestLWWConvergesConflictingWrites(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(33))
-	defer net.Close()
-	svcs, _ := buildGossipShard(t, net, 2, 10*time.Millisecond)
+	w := newWorld(t, netsim.WithSeed(33))
+	svcs, _ := buildGossipShard(t, w, 2, 10*time.Millisecond)
 	a, b := svcs[0], svcs[1]
 
 	refs := [][]wire.InboxRef{{a.Ref(), b.Ref()}}
@@ -169,20 +167,20 @@ func TestLWWConvergesConflictingWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli1 := directory.NewClient(newDap(t, net, "hc1", "cli1"), cl)
-	cli2 := directory.NewClient(newDap(t, net, "hc2", "cli2"), cl2)
+	cli1 := directory.NewClient(w.Dapplet("hc1", "t", "cli1"), cl)
+	cli2 := directory.NewClient(w.Dapplet("hc2", "t", "cli2"), cl2)
 	ctx := context.Background()
 
-	net.Partition([]string{"dir-0-1"})
+	w.Net.Partition([]string{"dir-0-1"})
 	if err := cli1.Register(ctx, directory.Entry{Name: "x", Type: "t", Addr: netsim.Addr{Host: "h1", Port: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	net.Heal()
-	net.Partition([]string{"dir-0-0"})
+	w.Net.Heal()
+	w.Net.Partition([]string{"dir-0-0"})
 	if err := cli2.Register(ctx, directory.Entry{Name: "x", Type: "t", Addr: netsim.Addr{Host: "h2", Port: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	net.Heal()
+	w.Net.Heal()
 
 	waitFor(t, "LWW convergence", func() bool { return converged(svcs) })
 	ea, _, oka := a.Lookup("x")
@@ -199,17 +197,16 @@ func TestLWWConvergesConflictingWrites(t *testing.T) {
 // backup replica must return to its home (preferred) replica once the
 // home answers again, restoring read locality after transient outages.
 func TestClientRotatesBackAfterHomeRecovers(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(34))
-	defer net.Close()
-	a := newDap(t, net, "dir-0-0", "dir-0-0")
-	b := newDap(t, net, "dir-0-1", "dir-0-1")
+	w := newWorld(t, netsim.WithSeed(34))
+	a := w.Dapplet("dir-0-0", "t", "dir-0-0")
+	b := w.Dapplet("dir-0-1", "t", "dir-0-1")
 	sa := directory.Serve(a)
 	sb := directory.Serve(b)
 	cl, err := directory.NewCluster([][]wire.InboxRef{{sa.Ref(), sb.Ref()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliD := newDap(t, net, "hc", "cli")
+	cliD := w.Dapplet("hc", "t", "cli")
 	cli := directory.NewClient(cliD, cl, directory.WithRotateBack(100*time.Millisecond),
 		directory.WithClientTimeout(300*time.Millisecond))
 	ctx := context.Background()
@@ -217,13 +214,13 @@ func TestClientRotatesBackAfterHomeRecovers(t *testing.T) {
 	// Establish the home subscription, then kill the home replica and
 	// force a failover with a remote lookup.
 	cli.Lookup(ctx, "warm-0")
-	net.Crash("dir-0-0")
+	w.Net.Crash("dir-0-0")
 	waitFor(t, "failover to backup", func() bool {
 		cli.Lookup(ctx, fmt.Sprintf("probe-%d", time.Now().UnixNano()))
 		return cli.Stats().Failovers >= 1
 	})
 
-	net.Restart("dir-0-0")
+	w.Net.Restart("dir-0-0")
 	// Each miss probes remotely; once the rotate-back window elapses the
 	// client pings home and flips back.
 	waitFor(t, "rotate back home", func() bool {

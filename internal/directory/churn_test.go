@@ -22,8 +22,7 @@ import (
 // stream in as invalidation events across multiple peers.
 func TestClientCacheUnderChurn(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(11))
-	defer net.Close()
+	w := newWorld(t, netsim.WithSeed(11))
 
 	attach := func(d *core.Dapplet) *failure.Detector {
 		return failure.Attach(d, failure.Config{Interval: 20 * time.Millisecond, Multiplier: 2})
@@ -36,7 +35,7 @@ func TestClientCacheUnderChurn(t *testing.T) {
 	repDaps := make([]*core.Dapplet, shards)
 	refs := make([][]wire.InboxRef, shards)
 	for s := 0; s < shards; s++ {
-		d := newDap(t, net, fmt.Sprintf("dirh-%d", s), fmt.Sprintf("dir-%d", s))
+		d := w.Dapplet(fmt.Sprintf("dirh-%d", s), "t", fmt.Sprintf("dir-%d", s))
 		rdet := attach(d)
 		svc := directory.Serve(d)
 		failure.BindDirectory(rdet, svc)
@@ -49,7 +48,7 @@ func TestClientCacheUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cliD := newDap(t, net, "hc", "client")
+	cliD := w.Dapplet("hc", "t", "client")
 	c := directory.NewClient(cliD, cl)
 
 	// A churning population of real dapplets: each watches its owning
@@ -60,7 +59,7 @@ func TestClientCacheUnderChurn(t *testing.T) {
 	names := make([]string, n)
 	for i := 0; i < n; i++ {
 		names[i] = fmt.Sprintf("member-%02d", i)
-		members[i] = newDap(t, net, fmt.Sprintf("mh-%d", i), names[i])
+		members[i] = w.Dapplet(fmt.Sprintf("mh-%d", i), "t", names[i])
 		sh := cl.ShardOf(names[i])
 		attach(members[i]).Watch(repDaps[sh].Name(), repDaps[sh].Addr())
 		if err := c.Register(ctx, directory.Entry{

@@ -9,37 +9,32 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/failure"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 const testRTO = 20 * time.Millisecond
 
-func newDap(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
-	t.Helper()
-	ep, err := net.Host(host).BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: testRTO}))
-	t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run testRTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: testRTO}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 // buildCluster hosts shards x replicas directory service dapplets, with
 // replica r of shard s on host "dir-s-r".
-func buildCluster(t *testing.T, net *netsim.Network, shards, replicas int) (*directory.Cluster, [][]*directory.Service) {
+func buildCluster(t *testing.T, w *world.World, shards, replicas int) (*directory.Cluster, [][]*directory.Service) {
 	t.Helper()
 	refs := make([][]wire.InboxRef, shards)
 	svcs := make([][]*directory.Service, shards)
 	for s := 0; s < shards; s++ {
 		for r := 0; r < replicas; r++ {
-			d := newDap(t, net, fmt.Sprintf("dir-%d-%d", s, r), fmt.Sprintf("dir-%d-%d", s, r))
+			d := w.Dapplet(fmt.Sprintf("dir-%d-%d", s, r), "t", fmt.Sprintf("dir-%d-%d", s, r))
 			svc := directory.Serve(d)
 			refs[s] = append(refs[s], svc.Ref())
 			svcs[s] = append(svcs[s], svc)
@@ -85,10 +80,9 @@ func TestShardOfStableAndInRange(t *testing.T) {
 
 func TestClientRegisterLookupRemove(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(1))
-	defer net.Close()
-	cl, _ := buildCluster(t, net, 2, 2)
-	cliD := newDap(t, net, "hc", "client")
+	w := newWorld(t, netsim.WithSeed(1))
+	cl, _ := buildCluster(t, w, 2, 2)
+	cliD := w.Dapplet("hc", "t", "client")
 	c := directory.NewClient(cliD, cl)
 
 	e := directory.Entry{Name: "mani-cal", Type: "calendar", Addr: netsim.Addr{Host: "x", Port: 7}}
@@ -121,12 +115,11 @@ func TestClientRegisterLookupRemove(t *testing.T) {
 // the removed entry back into the cache, where no event would evict it.
 func TestClientLateRegisterAckAfterRemove(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(1), netsim.WithTimeScale(1))
-	defer net.Close()
-	cl, svcs := buildCluster(t, net, 1, 2)
+	w := newWorld(t, netsim.WithSeed(1), netsim.WithTimeScale(1))
+	cl, svcs := buildCluster(t, w, 1, 2)
 	const slow = 40 * time.Millisecond
-	net.SetLinkDelay("hc", "dir-0-0", netsim.Constant(slow)) // the preferred replica answers late
-	c := directory.NewClient(newDap(t, net, "hc", "client"), cl, directory.WithClientTimeout(100*time.Millisecond))
+	w.Net.SetLinkDelay("hc", "dir-0-0", netsim.Constant(slow)) // the preferred replica answers late
+	c := directory.NewClient(w.Dapplet("hc", "t", "client"), cl, directory.WithClientTimeout(100*time.Millisecond))
 
 	e := directory.Entry{Name: "mani-cal", Type: "calendar", Addr: netsim.Addr{Host: "x", Port: 7}}
 	if err := c.Register(ctx, e); err != nil { // acked first by dir-0-1
@@ -138,7 +131,7 @@ func TestClientLateRegisterAckAfterRemove(t *testing.T) {
 	})
 	// Its ack is on the wire now, and lands whatever happens next; the
 	// cut keeps the Remove from reaching it.
-	net.Partition([]string{"hc", "dir-0-1"}, []string{"dir-0-0"})
+	w.Net.Partition([]string{"hc", "dir-0-1"}, []string{"dir-0-0"})
 	if err := c.Remove(ctx, e.Name); err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +143,9 @@ func TestClientLateRegisterAckAfterRemove(t *testing.T) {
 
 func TestClientCacheHitPath(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(2))
-	defer net.Close()
-	cl, _ := buildCluster(t, net, 1, 1)
-	cliD := newDap(t, net, "hc", "client")
+	w := newWorld(t, netsim.WithSeed(2))
+	cl, _ := buildCluster(t, w, 1, 1)
+	cliD := w.Dapplet("hc", "t", "client")
 	c := directory.NewClient(cliD, cl)
 
 	e := directory.Entry{Name: "n1", Type: "t", Addr: netsim.Addr{Host: "x", Port: 1}}
@@ -185,11 +177,10 @@ func TestClientCacheHitPath(t *testing.T) {
 // version-stamped cache entries through pushed watch events.
 func TestStaleVersionEviction(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(3))
-	defer net.Close()
-	cl, _ := buildCluster(t, net, 1, 1)
-	a := directory.NewClient(newDap(t, net, "ha", "a"), cl)
-	b := directory.NewClient(newDap(t, net, "hb", "b"), cl)
+	w := newWorld(t, netsim.WithSeed(3))
+	cl, _ := buildCluster(t, w, 1, 1)
+	a := directory.NewClient(w.Dapplet("ha", "t", "a"), cl)
+	b := directory.NewClient(w.Dapplet("hb", "t", "b"), cl)
 
 	old := directory.Entry{Name: "n", Type: "t", Addr: netsim.Addr{Host: "x", Port: 1}}
 	if err := a.Register(ctx, old); err != nil {
@@ -240,11 +231,10 @@ func TestStaleVersionEviction(t *testing.T) {
 // under racing mutations from several goroutines (run with -race).
 func TestConcurrentRegisterRemoveLookup(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(4))
-	defer net.Close()
-	cl, svcs := buildCluster(t, net, 2, 2)
-	a := directory.NewClient(newDap(t, net, "ha", "a"), cl)
-	b := directory.NewClient(newDap(t, net, "hb", "b"), cl)
+	w := newWorld(t, netsim.WithSeed(4))
+	cl, svcs := buildCluster(t, w, 2, 2)
+	a := directory.NewClient(w.Dapplet("ha", "t", "a"), cl)
+	b := directory.NewClient(w.Dapplet("hb", "t", "b"), cl)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -297,10 +287,9 @@ func TestConcurrentRegisterRemoveLookup(t *testing.T) {
 // checks lookups keep succeeding through the shard's surviving replica.
 func TestFailoverToSurvivingReplica(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(5))
-	defer net.Close()
-	cl, _ := buildCluster(t, net, 1, 2)
-	c := directory.NewClient(newDap(t, net, "hc", "client"), cl,
+	w := newWorld(t, netsim.WithSeed(5))
+	cl, _ := buildCluster(t, w, 1, 2)
+	c := directory.NewClient(w.Dapplet("hc", "t", "client"), cl,
 		directory.WithClientTimeout(150*time.Millisecond))
 
 	e := directory.Entry{Name: "survivor-test", Type: "t", Addr: netsim.Addr{Host: "x", Port: 9}}
@@ -310,7 +299,7 @@ func TestFailoverToSurvivingReplica(t *testing.T) {
 
 	// Power off the preferred replica's machine; cached state is flushed
 	// so the next lookup must go remote and fail over.
-	net.Crash("dir-0-0")
+	w.Net.Crash("dir-0-0")
 	c.FlushCache()
 	got, err := c.MustLookup(ctx, "survivor-test")
 	if err != nil {
@@ -337,10 +326,9 @@ func TestFailoverToSurvivingReplica(t *testing.T) {
 // heartbeat re-registers it at the new address.
 func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 	ctx := context.Background()
-	net := netsim.New(netsim.WithSeed(6))
-	defer net.Close()
+	w := newWorld(t, netsim.WithSeed(6))
 
-	svcD := newDap(t, net, "hs", "dir-0-0")
+	svcD := w.Dapplet("hs", "t", "dir-0-0")
 	svc := directory.Serve(svcD)
 	det := failure.Attach(svcD, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 	failure.BindDirectory(det, svc)
@@ -348,11 +336,11 @@ func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := directory.NewClient(newDap(t, net, "hc", "client"), cl)
+	c := directory.NewClient(w.Dapplet("hc", "t", "client"), cl)
 
 	// The worker registers and watches the replica back (detection is
 	// bidirectional, as in BFD).
-	worker := newDap(t, net, "hw", "worker")
+	worker := w.Dapplet("hw", "t", "worker")
 	wdet := failure.Attach(worker, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 	wdet.Watch(svcD.Name(), svcD.Addr())
 	if err := c.Register(ctx, directory.Entry{Name: "worker", Type: "node", Addr: worker.Addr()}); err != nil {
@@ -366,7 +354,7 @@ func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 	// Power off the worker's machine: the Down verdict must expire the
 	// entry on the replica, and the pushed event must evict the client's
 	// cached copy — no Remove anywhere.
-	net.Crash("hw")
+	w.Net.Crash("hw")
 	waitFor(t, "entry expiry on replica", func() bool {
 		_, _, ok := svc.Lookup("worker")
 		return !ok
@@ -378,7 +366,7 @@ func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 
 	// A restarted incarnation at a new address heartbeats the replica;
 	// the Up verdict revives the entry there, type preserved.
-	worker2 := newDap(t, net, "hw2", "worker")
+	worker2 := w.Dapplet("hw2", "t", "worker")
 	wdet2 := failure.Attach(worker2, failure.Config{
 		Interval: 10 * time.Millisecond, Multiplier: 2, Incarnation: 1,
 	})
@@ -402,14 +390,13 @@ func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 // and must leave no background threads retrying past the cancellation
 // (fenced with runtime.NumGoroutine, meaningful under -race).
 func TestMutationContextPropagation(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(7))
-	defer net.Close()
-	cl, _ := buildCluster(t, net, 1, 2)
-	c := directory.NewClient(newDap(t, net, "hc", "client"), cl)
+	w := newWorld(t, netsim.WithSeed(7))
+	cl, _ := buildCluster(t, w, 1, 2)
+	c := directory.NewClient(w.Dapplet("hc", "t", "client"), cl)
 	// Both replicas dead: every fan-out leg is a straggler. The default
 	// per-replica timeout is 2s; cancellation must beat it.
-	net.Crash("dir-0-0")
-	net.Crash("dir-0-1")
+	w.Net.Crash("dir-0-0")
+	w.Net.Crash("dir-0-1")
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -440,10 +427,9 @@ func TestMutationContextPropagation(t *testing.T) {
 // already-expired context resolves nothing and MustLookup surfaces
 // context.DeadlineExceeded.
 func TestLookupExpiredContext(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(8))
-	defer net.Close()
-	cl, _ := buildCluster(t, net, 1, 1)
-	c := directory.NewClient(newDap(t, net, "hc", "client"), cl)
+	w := newWorld(t, netsim.WithSeed(8))
+	cl, _ := buildCluster(t, w, 1, 1)
+	c := directory.NewClient(w.Dapplet("hc", "t", "client"), cl)
 	if err := c.Register(context.Background(), directory.Entry{Name: "n", Type: "t", Addr: netsim.Addr{Host: "x", Port: 1}}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@
 // an op count, and print the metrics it returns.
 //
 // A cell builds its world, calls t.ResetTimer, performs ops operations
-// and returns what it counted. World building itself lives where it
-// always did (scenario.BuildCalendar, scenario.RunBroadcast, swarm.Run);
-// this package only says which worlds an experiment runs and what it
-// reads off them. To add a cell, append to its experiment's Cells
+// and returns what it counted. Worlds come from internal/world, directly
+// or through scenario.BuildCalendar, scenario.RunBroadcast and
+// swarm.Run; this package only says which worlds an experiment runs and
+// what it reads off them. To add a cell, append to its experiment's Cells
 // function; to add an experiment, append to All and add its row to
 // DESIGN.md's matrix (TestRegistryMatchesDesignDoc holds the two equal).
 package experiment
@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // ErrSkip is what a cell returns when its environment cannot run it (the
@@ -221,67 +222,32 @@ func Measure(ctx context.Context, expID string, c Cell) (Result, error) {
 	return res, nil
 }
 
-// world is the netsim network and dapplets of one cell.
-type world struct {
-	net      *netsim.Network
-	dapplets []*core.Dapplet
-}
-
 // runFunc is the signature of Cell.Run.
 type runFunc = func(ctx context.Context, t Timer, ops int) ([]Metric, error)
 
-// inWorld gives run a network of its own — seeded and sharded by the
-// harness overrides, extra options after them — and tears it down with
-// every dapplet started on it when run returns.
-func inWorld(p Params, defaultSeed int64, run func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error), extra ...netsim.Option) runFunc {
+// cellConfig is the reliable layer of every dapplet a cell's world
+// starts: a short RTO keeps retransmission timers out of fault-free
+// cells, and the window and receive buffer keep them from throttling.
+var cellConfig = transport.Config{RTO: 30 * time.Millisecond, Window: 256, RecvBuf: 4096}
+
+// inWorld gives run a world of its own — seeded and sharded by the
+// harness overrides, extra options after them — and closes it when run
+// returns.
+func inWorld(p Params, defaultSeed int64, run func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error), extra ...netsim.Option) runFunc {
 	return func(ctx context.Context, t Timer, ops int) ([]Metric, error) {
-		opts := []netsim.Option{netsim.WithSeed(p.seed(defaultSeed))}
-		if p.Shards > 0 {
-			opts = append(opts, netsim.WithShards(p.Shards))
-		}
-		w := &world{net: netsim.New(append(opts, extra...)...)}
-		defer func() {
-			for _, d := range w.dapplets {
-				d.Stop()
-			}
-			w.net.Close()
-		}()
+		opts := append([]netsim.Option{netsim.WithSeed(p.seed(defaultSeed)), netsim.WithShards(p.Shards)}, extra...)
+		w := world.New(cellConfig, opts...)
+		defer w.Close()
 		return run(ctx, t, ops, w)
 	}
 }
 
-// cellRTO keeps retransmission timers out of fault-free cells.
-const cellRTO = 30 * time.Millisecond
-
-// bound unwraps a bind on one of the cell's own hosts. The network is
-// open and the port is free by construction, so a failure is a bug in
-// the cell, not a condition to report.
-func bound(ep *netsim.Endpoint, err error) *netsim.Endpoint {
-	if err != nil {
-		panic(fmt.Sprintf("experiment: bind in a fresh world: %v", err))
-	}
-	return ep
-}
-
-// dapplet starts a dapplet named name on host.
-func (w *world) dapplet(host, name string) *core.Dapplet {
-	d := core.NewDapplet(name, "bench", transport.NewSimConn(bound(w.net.Host(host).BindAny())),
-		core.WithTransportConfig(transport.Config{RTO: cellRTO, Window: 256, RecvBuf: 4096}))
-	w.dapplets = append(w.dapplets, d)
-	return d
-}
-
-// dappletsN starts n dapplets "<prefix>0".."<prefix>n-1", each on its own
-// host "<prefix>h<i>".
-func (w *world) dappletsN(prefix string, n int) []*core.Dapplet {
+// dappletsN starts n free-standing dapplets "<prefix>0".."<prefix>n-1",
+// each on its own host "<prefix>h<i>".
+func dappletsN(w *world.World, prefix string, n int) []*core.Dapplet {
 	ds := make([]*core.Dapplet, n)
 	for i := range ds {
-		ds[i] = w.dapplet(fmt.Sprintf("%sh%d", prefix, i), fmt.Sprintf("%s%d", prefix, i))
+		ds[i] = w.Dapplet(fmt.Sprintf("%sh%d", prefix, i), "bench", fmt.Sprintf("%s%d", prefix, i))
 	}
 	return ds
-}
-
-// reliable wraps a fresh endpoint on host in the reliable layer.
-func (w *world) reliable(host string, cfg transport.Config) *transport.Reliable {
-	return transport.NewReliable(transport.NewSimConn(bound(w.net.Host(host).Bind(1))), cfg)
 }

@@ -13,8 +13,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/snapshot"
-	"repro/internal/transport"
-	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // e9Cells characterizes the failure subsystem: detection latency on a
@@ -26,7 +25,7 @@ func e9Cells(p Params) []Cell {
 	var cells []Cell
 	for _, interval := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("detect/interval=%s", interval), Ops: 1,
-			Run: inWorld(p, 11, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+			Run: inWorld(p, 11, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 				return e9Detect(ctx, t, ops, w, interval)
 			})})
 	}
@@ -54,9 +53,9 @@ func e9Cells(p Params) []Cell {
 // e9Detect crashes a watched peer's host ops times and averages the
 // watcher's Suspect and Down verdict latencies; between ops the host is
 // restarted and the Up verdict awaited.
-func e9Detect(ctx context.Context, t Timer, ops int, w *world, interval time.Duration) ([]Metric, error) {
-	watcher := w.dapplet("hw", "watcher")
-	peer := w.dapplet("hp", "peer")
+func e9Detect(ctx context.Context, t Timer, ops int, w *world.World, interval time.Duration) ([]Metric, error) {
+	watcher := w.Dapplet("hw", "bench", "watcher")
+	peer := w.Dapplet("hp", "bench", "peer")
 	cfg := failure.Config{Interval: interval, Multiplier: 2}
 	dw, dp := failure.Attach(watcher, cfg), failure.Attach(peer, cfg)
 	// Buffered past the three verdicts of one crash/restart cycle, so the
@@ -84,7 +83,7 @@ func e9Detect(ctx context.Context, t Timer, ops int, w *world, interval time.Dur
 	t.ResetTimer()
 	for i := 0; i < ops; i++ {
 		start := time.Now()
-		w.net.Crash("hp")
+		w.Net.Crash("hp")
 		if err := await(failure.Suspect); err != nil {
 			return nil, err
 		}
@@ -94,7 +93,7 @@ func e9Detect(ctx context.Context, t Timer, ops int, w *world, interval time.Dur
 		}
 		down += time.Since(start)
 		t.StopTimer()
-		w.net.Restart("hp")
+		w.Net.Restart("hp")
 		if err := await(failure.Up); err != nil {
 			return nil, err
 		}
@@ -108,10 +107,9 @@ func e9Detect(ctx context.Context, t Timer, ops int, w *world, interval time.Dur
 // same host — where it must find its application state in the durable
 // snapshot checkpoint and its membership in the surviving store — and
 // every survivor is relinked to the new incarnation.
-func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 	const checkpointed = 1996
-	reg := core.NewRegistry()
-	reg.Register("node", core.Factory(func() core.Behavior {
+	w.RT.Registry().Register("node", core.Factory(func() core.Behavior {
 		return core.BehaviorFunc(func(d *core.Dapplet) error {
 			v := 0 // application state, lost with the process
 			cp, restarted := snapshot.LastCheckpoint(d.Store())
@@ -131,23 +129,12 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world) ([]Met
 			return nil
 		})
 	}))
-	rt := core.NewRuntime(w.net, reg)
-	defer rt.StopAll()
-	rt.SetTransportConfig(transport.Config{RTO: cellRTO})
-	dir := directory.New()
 	for _, node := range [][2]string{{"hhub", "hub"}, {"h1", "m1"}} {
-		if err := rt.Install(node[0], "node"); err != nil {
-			return nil, err
-		}
-		d, err := rt.Launch(node[0], "node", node[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := dir.Register(ctx, directory.Entry{Name: node[1], Type: "node", Addr: d.Addr()}); err != nil {
+		if _, err := w.Launch(ctx, node[0], "node", node[1]); err != nil {
 			return nil, err
 		}
 	}
-	h, err := session.NewInitiator(w.dapplet("hq", "director"), dir).Initiate(ctx, session.Spec{
+	h, err := session.NewInitiator(w.Dapplet("hq", "bench", "director"), w.Dir).Initiate(ctx, session.Spec{
 		ID:           "e9",
 		Participants: []session.Participant{{Name: "hub", Role: "hub"}, {Name: "m1", Role: "member"}},
 		Links: []session.Link{
@@ -160,7 +147,7 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world) ([]Met
 	}
 	// One durable checkpoint before the crash loop: every restart below
 	// restores application state from it.
-	m1, _ := rt.Dapplet("m1")
+	m1, _ := w.RT.Dapplet("m1")
 	if err := m1.Store().Set(snapshot.CheckpointVar,
 		snapshot.Checkpoint{ID: "seed", State: json.RawMessage(fmt.Sprint(checkpointed))}); err != nil {
 		return nil, err
@@ -168,11 +155,11 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world) ([]Met
 	t.ResetTimer()
 	for i := 0; i < ops; i++ {
 		t.StopTimer()
-		if err := rt.Crash("m1"); err != nil {
+		if err := w.RT.Crash("m1"); err != nil {
 			return nil, err
 		}
 		t.StartTimer()
-		d2, err := rt.Restart("m1")
+		d2, err := w.RT.Restart("m1")
 		if err != nil {
 			return nil, err
 		}
@@ -181,23 +168,6 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world) ([]Met
 		}
 	}
 	return []Metric{m("recoveries", ops)}, nil
-}
-
-// dirClient hosts a shards x replicas directory service in w, replica r
-// of shard s on host "dir<s>-<r>", and returns a caching client of it.
-func dirClient(w *world, shards, replicas int, opts ...directory.ClientOption) (*directory.Client, error) {
-	refs := make([][]wire.InboxRef, shards)
-	for s := range refs {
-		for r := 0; r < replicas; r++ {
-			name := fmt.Sprintf("dir%d-%d", s, r)
-			refs[s] = append(refs[s], directory.Serve(w.dapplet(name, name)).Ref())
-		}
-	}
-	cl, err := directory.NewCluster(refs)
-	if err != nil {
-		return nil, err
-	}
-	return directory.NewClient(w.dapplet("hq", "dirclient"), cl, opts...), nil
 }
 
 // e10Cells characterizes the replicated directory service: lookups
@@ -210,8 +180,8 @@ func e10Cells(p Params) []Cell {
 	for _, topo := range [][2]int{{1, 1}, {2, 2}, {4, 2}, {8, 2}} {
 		for _, mode := range []string{"cached", "uncached"} {
 			cells = append(cells, Cell{Name: fmt.Sprintf("shards=%d/replicas=%d/%s", topo[0], topo[1], mode), Ops: 5000,
-				Run: inWorld(p, 12, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-					cli, err := dirClient(w, topo[0], topo[1])
+				Run: inWorld(p, 12, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+					cli, err := w.Directory(topo[0], topo[1])
 					if err != nil {
 						return nil, err
 					}
@@ -240,15 +210,15 @@ func e10Cells(p Params) []Cell {
 		// lookup pays one detection timeout and fails over (untimed,
 		// reported as first-lookup-ms); every op after it is an uncached
 		// lookup served by the survivor.
-		Cell{Name: "replica-crash", Ops: 1000, Run: inWorld(p, 13, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-			cli, err := dirClient(w, 1, 2, directory.WithClientTimeout(100*time.Millisecond))
+		Cell{Name: "replica-crash", Ops: 1000, Run: inWorld(p, 13, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+			cli, err := w.Directory(1, 2, directory.WithClientTimeout(100*time.Millisecond))
 			if err != nil {
 				return nil, err
 			}
 			if err := cli.Register(ctx, directory.Entry{Name: "svc", Type: "bench", Addr: netsim.Addr{Host: "h", Port: 1}}); err != nil {
 				return nil, err
 			}
-			w.net.Crash("dir0-0")
+			w.Net.Crash(world.DirReplicaHost(0, 0))
 			cli.FlushCache()
 			start := time.Now()
 			if _, err := cli.MustLookup(ctx, "svc"); err != nil {
@@ -266,8 +236,8 @@ func e10Cells(p Params) []Cell {
 		})},
 		// A replica's own detector declares a dead registrant Down and
 		// expires its entry — no Remove anywhere.
-		Cell{Name: "failure-driven-expiry", Ops: 1, Run: inWorld(p, 14, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-			svcD := w.dapplet("hs", "dir0-0")
+		Cell{Name: "failure-driven-expiry", Ops: 1, Run: inWorld(p, 14, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+			svcD := w.Dapplet("hs", "bench", "dir0-0")
 			svc := directory.Serve(svcD)
 			cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2}
 			failure.BindDirectory(failure.Attach(svcD, cfg), svc)
@@ -278,13 +248,13 @@ func e10Cells(p Params) []Cell {
 			for i := 0; i < ops; i++ {
 				t.StopTimer()
 				host := fmt.Sprintf("hw%d", i)
-				worker := w.dapplet(host, "worker")
+				worker := w.Dapplet(host, "bench", "worker")
 				failure.Attach(worker, cfg).Watch(svcD.Name(), svcD.Addr())
 				svc.Register(directory.Entry{Name: "worker", Type: "node", Addr: worker.Addr()})
 				time.Sleep(50 * time.Millisecond) // establish the heartbeat rhythm
 				t.StartTimer()
 				start := time.Now()
-				w.net.Crash(host)
+				w.Net.Crash(host)
 				for {
 					if _, _, ok := svc.Lookup("worker"); !ok {
 						break

@@ -12,6 +12,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // calendarCell is one scheduling run over a generated calendar world: op
@@ -112,31 +113,30 @@ func f2Cells(p Params) []Cell {
 	var cells []Cell
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("participants=%d", n), Ops: 1,
-			Run: inWorld(p, 2, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-				dir := directory.New()
+			Run: inWorld(p, 2, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 				var roster []session.Participant
-				for _, d := range w.dappletsN("p", n) {
+				for _, d := range dappletsN(w, "p", n) {
 					session.Attach(d, session.Policy{})
-					if err := dir.Register(ctx, directory.Entry{Name: d.Name(), Type: d.Type(), Addr: d.Addr()}); err != nil {
+					if err := w.Dir.Register(ctx, directory.Entry{Name: d.Name(), Type: d.Type(), Addr: d.Addr()}); err != nil {
 						return nil, err
 					}
 					roster = append(roster, session.Participant{Name: d.Name(), Role: "member"})
 				}
-				ini := session.NewInitiator(w.dapplet("hq", "director"), dir)
+				ini := session.NewInitiator(w.Dapplet("hq", "bench", "director"), w.Dir)
 				var start, end netsim.Stats // of the last op
 				var up time.Duration        // virtual clock once it is set up
 				t.ResetTimer()
 				for i := 0; i < ops; i++ {
-					start = w.net.Stats()
+					start = w.Net.Stats()
 					h, err := ini.Initiate(ctx, session.Spec{ID: fmt.Sprintf("f2-%d", i), Participants: roster})
 					if err != nil {
 						return nil, err
 					}
-					up = w.net.MaxVirtual()
+					up = w.Net.MaxVirtual()
 					if err := h.Terminate(ctx); err != nil {
 						return nil, err
 					}
-					end = w.net.Stats()
+					end = w.Net.Stats()
 				}
 				return []Metric{
 					m("setup-vlat-ms", ms(up-start.MaxVirtual)), m("teardown-vlat-ms", ms(end.MaxVirtual-up)),
@@ -154,11 +154,11 @@ func f3Cells(p Params) []Cell {
 	payload := &wire.Text{S: "payload-payload-payload-payload"}
 	cell := func(name string, fan int, fanOut bool) Cell {
 		return Cell{Name: fmt.Sprintf("%s=%d", name, fan), Ops: 2000,
-			Run: inWorld(p, 3, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-				hub := w.dapplet("hub", "hub")
+			Run: inWorld(p, 3, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+				hub := w.Dapplet("hub", "bench", "hub")
 				var outs []*core.Outbox // each sends once per op
 				var ins []*core.Inbox   // one entry per channel: each receives once per op
-				for _, spoke := range w.dappletsN("s", fan) {
+				for _, spoke := range dappletsN(w, "s", fan) {
 					from, to := hub, spoke
 					if !fanOut {
 						from, to = spoke, hub

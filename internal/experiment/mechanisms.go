@@ -20,6 +20,7 @@ import (
 	"repro/internal/tokens"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // fanOutErr runs fn(0..n-1) concurrently and returns the first error.
@@ -43,10 +44,10 @@ func e1Cells(p Params) []Cell {
 	var cells []Cell
 	for _, loss := range []float64{0, 0.01, 0.05, 0.10, 0.20} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("loss=%.0f%%", loss*100), Ops: 3000,
-			Run: inWorld(p, 4, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-				w.net.SetLink("a", "b", netsim.LinkParams{Loss: loss, Dup: 0.01, Reorder: 0.05})
+			Run: inWorld(p, 4, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+				w.Net.SetLink("a", "b", netsim.LinkParams{Loss: loss, Dup: 0.01, Reorder: 0.05})
 				cfg := transport.Config{Window: 64}
-				ra, rb := w.reliable("a", cfg), w.reliable("b", cfg)
+				ra, rb := transport.NewReliable(w.Conn("a"), cfg), transport.NewReliable(w.Conn("b"), cfg)
 				defer ra.Close()
 				defer rb.Close()
 				payload := make([]byte, 256)
@@ -84,9 +85,9 @@ func e2Cells(p Params) []Cell {
 	var cells []Cell
 	for _, clients := range []int{1, 2, 4, 8} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("grant-release/clients=%d", clients), Ops: 500 * clients,
-			Run: inWorld(p, 5, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-				alloc := tokens.Serve(w.dapplet("hub", "hub"), tokens.Bag{"r": clients})
-				ds := w.dappletsN("c", clients)
+			Run: inWorld(p, 5, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+				alloc := tokens.Serve(w.Dapplet("hub", "bench", "hub"), tokens.Bag{"r": clients})
+				ds := dappletsN(w, "c", clients)
 				t.ResetTimer()
 				if err := fanOutErr(clients, func(c int) error {
 					mgr := tokens.NewManager(ds[c], alloc.Ref())
@@ -110,15 +111,15 @@ func e2Cells(p Params) []Cell {
 	}
 	for _, n := range []int{2, 4, 8} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("deadlock/cycle=%d", n), Ops: 1,
-			Run: inWorld(p, 6, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+			Run: inWorld(p, 6, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 				fork := func(i int) tokens.Bag { return tokens.Bag{tokens.Color(fmt.Sprintf("f%d", i%n)): 1} }
 				forks := tokens.Bag{}
 				for i := 0; i < n; i++ {
 					forks.Add(fork(i))
 				}
-				alloc := tokens.Serve(w.dapplet("hub", "hub"), forks)
+				alloc := tokens.Serve(w.Dapplet("hub", "bench", "hub"), forks)
 				mgrs := make([]*tokens.Manager, n)
-				for i, d := range w.dappletsN("p", n) {
+				for i, d := range dappletsN(w, "p", n) {
 					mgrs[i] = tokens.NewManager(d, alloc.Ref())
 				}
 				t.ResetTimer()
@@ -220,8 +221,8 @@ func e4Cells(p Params) []Cell {
 	for _, n := range []int{4, 8, 16} {
 		for _, algo := range []string{"marker", "clock"} {
 			cells = append(cells, Cell{Name: fmt.Sprintf("nodes=%d/%s", n, algo), Ops: 1,
-				Run: inWorld(p, 7, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-					nodes := w.dappletsN("node", n)
+				Run: inWorld(p, 7, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+					nodes := dappletsN(w, "node", n)
 					held := make([]atomic.Bool, n) // node i holds its token
 					members := make([]snapshot.Member, n)
 					services := make([]*snapshot.Service, n)
@@ -241,7 +242,7 @@ func e4Cells(p Params) []Cell {
 					for i, svc := range services {
 						svc.SetPeers(slices.Delete(slices.Clone(members), i, i+1))
 					}
-					coord := snapshot.NewCoordinator(w.dapplet("coord", "coord"), members)
+					coord := snapshot.NewCoordinator(w.Dapplet("coord", "bench", "coord"), members)
 					coord.SetSettle(5 * time.Millisecond)
 					for i := 0; i < n+n/2; i++ {
 						if err := nodes[0].Outbox("succ").Send(&wire.Text{S: "tok"}); err != nil {
@@ -276,18 +277,18 @@ func e4Cells(p Params) []Cell {
 // and one client blasting asynchronous casts until all are applied.
 func e5Cells(p Params) []Cell {
 	// serve hosts a counter object that counts the calls it applies.
-	serve := func(w *world, applied *atomic.Int64) rpc.Ref {
-		return rpc.Serve(w.dapplet("s", "server"), "counter", rpc.Object{
+	serve := func(w *world.World, applied *atomic.Int64) rpc.Ref {
+		return rpc.Serve(w.Dapplet("s", "bench", "server"), "counter", rpc.Object{
 			"add": func(json.RawMessage) (any, error) { return applied.Add(1), nil },
 		})
 	}
 	var cells []Cell
 	for _, clients := range []int{1, 4, 8} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("sync/clients=%d", clients), Ops: 3000,
-			Run: inWorld(p, 8, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+			Run: inWorld(p, 8, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 				var applied atomic.Int64
 				ref := serve(w, &applied)
-				ds := w.dappletsN("client", clients)
+				ds := dappletsN(w, "client", clients)
 				t.ResetTimer()
 				if err := fanOutErr(clients, func(c int) error {
 					cli := rpc.NewClient(ds[c])
@@ -304,10 +305,10 @@ func e5Cells(p Params) []Cell {
 			})})
 	}
 	cells = append(cells, Cell{Name: "async", Ops: 3000,
-		Run: inWorld(p, 8, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+		Run: inWorld(p, 8, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 			var applied atomic.Int64
 			ref := serve(w, &applied)
-			cli := rpc.NewClient(w.dapplet("c", "client"))
+			cli := rpc.NewClient(w.Dapplet("c", "bench", "client"))
 			t.ResetTimer()
 			for i := 0; i < ops; i++ {
 				if err := cli.Cast(ref, "add", nil); err != nil {
@@ -330,9 +331,9 @@ func e6Cells(p Params) []Cell {
 	var cells []Cell
 	for _, parties := range []int{2, 8, 32} {
 		cells = append(cells, Cell{Name: fmt.Sprintf("dist-barrier/parties=%d", parties), Ops: 200,
-			Run: inWorld(p, 9, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-				svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
-				ds := w.dappletsN("p", parties)
+			Run: inWorld(p, 9, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+				svc := syncprim.ServeBarriers(w.Dapplet("hub", "bench", "coord"))
+				ds := dappletsN(w, "p", parties)
 				clients := make([]*syncprim.Client, parties)
 				for i, d := range ds {
 					clients[i] = syncprim.NewClient(d)
@@ -359,14 +360,13 @@ func e7Cells(p Params) []Cell {
 	var cells []Cell
 	for _, pattern := range []string{"disjoint", "overlapping"} {
 		cells = append(cells, Cell{Name: pattern, Ops: 8,
-			Run: inWorld(p, 10, func(ctx context.Context, t Timer, ops int, w *world) ([]Metric, error) {
-				target := w.dapplet("h", "shared-dapplet")
+			Run: inWorld(p, 10, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
+				target := w.Dapplet("h", "bench", "shared-dapplet")
 				session.Attach(target, session.Policy{})
-				dir := directory.New()
-				if err := dir.Register(ctx, directory.Entry{Name: target.Name(), Type: target.Type(), Addr: target.Addr()}); err != nil {
+				if err := w.Dir.Register(ctx, directory.Entry{Name: target.Name(), Type: target.Type(), Addr: target.Addr()}); err != nil {
 					return nil, err
 				}
-				ini := session.NewInitiator(w.dapplet("hq", "director"), dir)
+				ini := session.NewInitiator(w.Dapplet("hq", "bench", "director"), w.Dir)
 				accepted, rejected := 0, 0
 				t.ResetTimer()
 				for i := 0; i < ops; i++ {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/swarm"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // latencyMetrics names one swarm latency population's summary.
@@ -129,7 +130,7 @@ func e12Cells(p Params) []Cell {
 		for _, shape := range [][2]int{{32, 1}, {256, 1}, {1024, 1}, {32, 8}} {
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/%dB/fan%d", medium.name, shape[0], shape[1]), Ops: frames,
-				Run: inWorld(p, 12, func(_ context.Context, t Timer, ops int, w *world) ([]Metric, error) {
+				Run: inWorld(p, 12, func(_ context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 					return e12Run(t, ops, w, medium.udp, medium.mmsg, shape[0], shape[1])
 				})})
 		}
@@ -137,11 +138,11 @@ func e12Cells(p Params) []Cell {
 	return cells
 }
 
-func e12Run(t Timer, frames int, w *world, udp bool, mmsg, size, fanout int) ([]Metric, error) {
+func e12Run(t Timer, frames int, w *world.World, udp bool, mmsg, size, fanout int) ([]Metric, error) {
 	cfg := transport.Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 1024}
 	listen := func(host string) (*transport.Reliable, error) {
 		if !udp {
-			return w.reliable(host, cfg), nil
+			return transport.NewReliable(w.Conn(host), cfg), nil
 		}
 		pc, err := transport.ListenUDPConfig("127.0.0.1:0", transport.UDPConfig{Batch: mmsg})
 		if err != nil {
@@ -223,7 +224,7 @@ func e12Run(t Timer, frames int, w *world, udp bool, mmsg, size, fanout int) ([]
 		return append(out, m("syscalls/frame", ratio(syscalls, logical))), nil
 	}
 	// Wire bytes include the modelled per-datagram overhead.
-	return append(out, m("wireB/frame", ratio(w.net.Stats().WireBytes, moved))), nil
+	return append(out, m("wireB/frame", ratio(w.Net.Stats().WireBytes, moved))), nil
 }
 
 // e14Cells is the large-group broadcast A/B: at each group size one

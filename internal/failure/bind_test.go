@@ -21,12 +21,11 @@ import (
 // every survivor must deliver each broadcast sent after the crash exactly
 // once, in order.
 func TestBindTreeRepairEvictsDownRelay(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(7))
-	defer net.Close()
+	w := newWorld(t, netsim.WithSeed(7))
 	dir := directory.New()
 	cfg := failure.Config{Interval: 20 * time.Millisecond, Multiplier: 4}
 
-	ini := newDapplet(t, net, "site0", "director")
+	ini := w.Dapplet("site0", "test", "director")
 	det := failure.Attach(ini, cfg)
 	names := make([]string, 5)
 	members := make([]*core.Dapplet, 5)
@@ -39,7 +38,7 @@ func TestBindTreeRepairEvictsDownRelay(t *testing.T) {
 	}
 	for i := range members {
 		names[i] = fmt.Sprintf("m%02d", i)
-		d := newDapplet(t, net, fmt.Sprintf("site%d", i), names[i])
+		d := w.Dapplet(fmt.Sprintf("site%d", i), "test", names[i])
 		session.Attach(d, session.Policy{})
 		if err := dir.Register(context.Background(), directory.Entry{Name: names[i], Type: "member", Addr: d.Addr()}); err != nil {
 			t.Fatal(err)

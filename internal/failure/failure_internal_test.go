@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // TestStaleIncarnationHeartbeatIgnored pins the incarnation ordering: a
@@ -83,20 +83,10 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 // the round's own bookkeeping is alloc-free (see
 // TestHeartbeatRoundAllocs).
 func BenchmarkHeartbeatFanout(b *testing.B) {
-	net := netsim.New(netsim.WithSeed(1))
-	defer net.Close()
-	epA, err := net.Host("bench").BindAny()
-	if err != nil {
-		b.Fatal(err)
-	}
-	epB, err := net.Host("peerhost").BindAny()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := core.NewDapplet("bench", "bench", transport.NewSimConn(epA))
-	defer d.Stop()
-	sink := core.NewDapplet("sink", "bench", transport.NewSimConn(epB))
-	defer sink.Stop()
+	w := world.New(transport.Config{}, netsim.WithSeed(1))
+	defer w.Close()
+	d := w.Dapplet("bench", "bench", "bench")
+	sink := w.Dapplet("peerhost", "bench", "sink")
 	Attach(sink, Config{Interval: time.Hour})
 	det := Attach(d, Config{Interval: time.Hour}) // rounds driven by hand
 	for i := 0; i < 1000; i++ {

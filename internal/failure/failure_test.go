@@ -9,18 +9,14 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-func newDapplet(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
-	t.Helper()
-	ep, err := net.Host(host).BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "test", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 10 * time.Millisecond}))
-	t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 10 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 10 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 // watchPair wires two dapplets to watch each other and returns a channel
@@ -58,10 +54,9 @@ func awaitState(t *testing.T, events <-chan failure.Event, want failure.State, w
 }
 
 func TestDetectorSuspectsThenDownsCrashedPeer(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(1))
-	defer net.Close()
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
+	w := newWorld(t, netsim.WithSeed(1))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	events, da, _ := watchPair(a, b, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 
 	// Let a round of heartbeats establish Up.
@@ -70,7 +65,7 @@ func TestDetectorSuspectsThenDownsCrashedPeer(t *testing.T) {
 		t.Fatalf("status(b) = %v, %v; want up", st, ok)
 	}
 
-	net.Crash("hb")
+	w.Net.Crash("hb")
 	ev := awaitState(t, events, failure.Suspect, 5*time.Second)
 	if ev.Peer != "b" {
 		t.Fatalf("suspect peer = %q", ev.Peer)
@@ -82,16 +77,15 @@ func TestDetectorSuspectsThenDownsCrashedPeer(t *testing.T) {
 }
 
 func TestDetectorRecoversAfterRestart(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(2))
-	defer net.Close()
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
+	w := newWorld(t, netsim.WithSeed(2))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	events, da, _ := watchPair(a, b, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 
-	net.Crash("hb")
+	w.Net.Crash("hb")
 	awaitState(t, events, failure.Down, 5*time.Second)
 
-	net.Restart("hb")
+	w.Net.Restart("hb")
 	awaitState(t, events, failure.Up, 5*time.Second)
 	if st, _ := da.Status("b"); st != failure.Up {
 		t.Fatalf("status(b) = %v, want up after restart", st)
@@ -99,20 +93,19 @@ func TestDetectorRecoversAfterRestart(t *testing.T) {
 }
 
 func TestDetectorLearnsReincarnatedAddress(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(3))
-	defer net.Close()
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
+	w := newWorld(t, netsim.WithSeed(3))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	events, da, _ := watchPair(a, b, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 
-	net.Crash("hb")
+	w.Net.Crash("hb")
 	awaitState(t, events, failure.Down, 5*time.Second)
 	b.Stop()
-	net.Restart("hb")
+	w.Net.Restart("hb")
 
 	// A new incarnation of b on a fresh port heartbeats a; a must flip b
 	// to Up, report the higher incarnation and learn the new address.
-	b2 := newDapplet(t, net, "hb", "b")
+	b2 := w.Dapplet("hb", "test", "b")
 	db2 := failure.Attach(b2, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Incarnation: 1})
 	db2.Watch(a.Name(), a.Addr())
 
@@ -136,10 +129,10 @@ func TestHeartbeatPiggybacking(t *testing.T) {
 		window   = 40 * interval
 	)
 	run := func(t *testing.T, seed int64, busy bool) (hbSent, implicit uint64) {
-		net := netsim.New(netsim.WithSeed(seed))
-		defer net.Close()
-		a := newDapplet(t, net, "ha", "a")
-		b := newDapplet(t, net, "hb", "b")
+		w := newWorld(t, netsim.WithSeed(seed))
+		defer w.Close()
+		a := w.Dapplet("ha", "test", "a")
+		b := w.Dapplet("hb", "test", "b")
 		a.Handle("app", func(*wire.Envelope) {})
 		b.Handle("app", func(*wire.Envelope) {})
 		events, da, db := watchPair(a, b, failure.Config{Interval: interval, Multiplier: 3})
@@ -197,10 +190,9 @@ func TestHeartbeatPiggybacking(t *testing.T) {
 }
 
 func TestUnwatchedPeerIgnored(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(4))
-	defer net.Close()
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
+	w := newWorld(t, netsim.WithSeed(4))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	da := failure.Attach(a, failure.Config{Interval: 10 * time.Millisecond})
 	db := failure.Attach(b, failure.Config{Interval: 10 * time.Millisecond})
 	db.Watch(a.Name(), a.Addr()) // b heartbeats a, but a does not watch b
@@ -223,10 +215,9 @@ func TestUnwatchedPeerIgnored(t *testing.T) {
 // b's name and incarnation) proves the channel alive and lifts the
 // verdict without b ever watching a.
 func TestProbeRecoversOneSidedWatch(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(31))
-	t.Cleanup(net.Close)
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
+	w := newWorld(t, netsim.WithSeed(31))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2}
 	da := failure.Attach(a, cfg)
 	failure.Attach(b, cfg) // serves "@fail" probes; watches nobody
@@ -256,19 +247,10 @@ func TestDetectorUnderCoalescedTransport(t *testing.T) {
 	// ack the peer's last heartbeat is owed), so interarrival stays crisp
 	// with no flush after the fan-out round. The detector must hold a
 	// steady Up verdict and still detect a real crash promptly.
-	net := netsim.New(netsim.WithSeed(7))
-	defer net.Close()
-	mk := func(host, name string) *core.Dapplet {
-		ep, err := net.Host(host).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := core.NewDapplet(name, "test", transport.NewSimConn(ep))
-		t.Cleanup(d.Stop)
-		return d
-	}
-	a := mk("ha", "a")
-	b := mk("hb", "b")
+	w := world.New(transport.Config{}, netsim.WithSeed(7))
+	t.Cleanup(w.Close)
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	events, da, _ := watchPair(a, b, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 
 	// Let a round of heartbeats establish Up.
@@ -293,6 +275,6 @@ steady:
 	if st.AcksPiggybacked == 0 {
 		t.Fatalf("no heartbeat carried the ack its peer was owed: %+v", st)
 	}
-	net.Crash("hb")
+	w.Net.Crash("hb")
 	awaitState(t, events, failure.Down, 5*time.Second)
 }

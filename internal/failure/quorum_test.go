@@ -79,13 +79,12 @@ func TestPartitionedWatcherHoldsSuspect(t *testing.T) {
 			name = "with-gossip"
 		}
 		t.Run(name, func(t *testing.T) {
-			net := netsim.New(netsim.WithSeed(21))
-			defer net.Close()
-			w := newDapplet(t, net, "hw", "w")
-			tgt := newDapplet(t, net, "ht", "tgt")
-			r1 := newDapplet(t, net, "h1", "r1")
-			r2 := newDapplet(t, net, "h2", "r2")
-			daps := []*core.Dapplet{w, tgt, r1, r2}
+			w := newWorld(t, netsim.WithSeed(21))
+			wd := w.Dapplet("hw", "test", "w")
+			tgt := w.Dapplet("ht", "test", "tgt")
+			r1 := w.Dapplet("h1", "test", "r1")
+			r2 := w.Dapplet("h2", "test", "r2")
+			daps := []*core.Dapplet{wd, tgt, r1, r2}
 			// The no-false-positive guarantee is conditional on relays
 			// answering "reachable" within the watcher's detection window.
 			// A 50ms interval gives the refutation chain (iprobe relay ->
@@ -111,7 +110,7 @@ func TestPartitionedWatcherHoldsSuspect(t *testing.T) {
 
 			// Cut only the watcher <-> target link, both directions; the
 			// relays keep full connectivity.
-			net.SetLoss("hw", "ht", 1)
+			w.Net.SetLoss("hw", "ht", 1)
 			time.Sleep(1500 * time.Millisecond)
 			if downs != 0 {
 				t.Fatalf("partitioned watcher committed %d Down verdicts", downs)
@@ -119,7 +118,7 @@ func TestPartitionedWatcherHoldsSuspect(t *testing.T) {
 
 			// Heal: the direct heartbeats resume and the suspicion clears
 			// for good.
-			net.SetLoss("hw", "ht", 0)
+			w.Net.SetLoss("hw", "ht", 0)
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				if st, ok := dw.Status("tgt"); ok && st == failure.Up {
@@ -142,13 +141,12 @@ func TestPartitionedWatcherHoldsSuspect(t *testing.T) {
 // positives: when the target actually dies, the relays' indirect probes
 // fail too, the quorum fills, and every watcher reaches Down.
 func TestQuorumConfirmsRealCrash(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(22))
-	defer net.Close()
-	w := newDapplet(t, net, "hw", "w")
-	tgt := newDapplet(t, net, "ht", "tgt")
-	r1 := newDapplet(t, net, "h1", "r1")
-	r2 := newDapplet(t, net, "h2", "r2")
-	daps := []*core.Dapplet{w, tgt, r1, r2}
+	w := newWorld(t, netsim.WithSeed(22))
+	wd := w.Dapplet("hw", "test", "w")
+	tgt := w.Dapplet("ht", "test", "tgt")
+	r1 := w.Dapplet("h1", "test", "r1")
+	r2 := w.Dapplet("h2", "test", "r2")
+	daps := []*core.Dapplet{wd, tgt, r1, r2}
 	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2}
 	dets := quorumMesh(t, daps, cfg, false)
 
@@ -163,7 +161,7 @@ func TestQuorumConfirmsRealCrash(t *testing.T) {
 	})
 	waitAllUp(t, dets, daps)
 
-	net.Crash("ht")
+	w.Net.Crash("ht")
 	awaitState(t, events, failure.Down, 10*time.Second)
 	if st, _ := dets[0].Status("tgt"); st != failure.Down {
 		t.Fatalf("watcher status = %v, want Down", st)
@@ -176,9 +174,8 @@ func TestQuorumConfirmsRealCrash(t *testing.T) {
 // stale address, because the replica's suspicion is refuted by relays
 // that still reach the member.
 func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(23))
-	defer net.Close()
-	dr := newDapplet(t, net, "hd", "dir-0-0")
+	w := newWorld(t, netsim.WithSeed(23))
+	dr := w.Dapplet("hd", "test", "dir-0-0")
 	// 50ms as in TestPartitionedWatcherHoldsSuspect: the no-spurious-
 	// expiry guarantee needs the relays' refutations to land inside the
 	// replica's detection window even when the runner stalls.
@@ -187,9 +184,9 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 	dir := directory.Serve(dr)
 	failure.BindDirectory(det, dir)
 
-	m := newDapplet(t, net, "hm", "m")
-	r1 := newDapplet(t, net, "h1", "r1")
-	r2 := newDapplet(t, net, "h2", "r2")
+	m := w.Dapplet("hm", "test", "m")
+	r1 := w.Dapplet("h1", "test", "r1")
+	r2 := w.Dapplet("h2", "test", "r2")
 	// Every member heartbeats the replica; the replica watches them via
 	// the directory binding once they register.
 	for _, d := range []*core.Dapplet{m, r1, r2} {
@@ -201,7 +198,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliD := newDapplet(t, net, "hc", "cli")
+	cliD := w.Dapplet("hc", "test", "cli")
 	cli := directory.NewClient(cliD, cl)
 	ctx := context.Background()
 	for _, d := range []*core.Dapplet{m, r1, r2} {
@@ -224,7 +221,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 
 	// Cut replica <-> member only. The relays and the client keep full
 	// connectivity, so the replica's indirect probes reach m and refute.
-	net.SetLoss("hd", "hm", 1)
+	w.Net.SetLoss("hd", "hm", 1)
 	time.Sleep(1500 * time.Millisecond)
 
 	e, _, found := dir.Lookup("m")
@@ -235,7 +232,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 		t.Fatalf("entry reincarnated to %v during partition (was %v)", e.Addr, mAddr)
 	}
 
-	net.SetLoss("hd", "hm", 0)
+	w.Net.SetLoss("hd", "hm", 0)
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		if st, ok := det.Status("m"); ok && st == failure.Up {
@@ -252,17 +249,16 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 // binding: a real crash of a registered member fills the quorum and the
 // replica expires the entry.
 func TestQuorumCrashExpiresEntry(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(24))
-	defer net.Close()
-	dr := newDapplet(t, net, "hd", "dir-0-0")
+	w := newWorld(t, netsim.WithSeed(24))
+	dr := w.Dapplet("hd", "test", "dir-0-0")
 	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2}
 	det := failure.Attach(dr, cfg)
 	dir := directory.Serve(dr)
 	failure.BindDirectory(det, dir)
 
-	m := newDapplet(t, net, "hm", "m")
-	r1 := newDapplet(t, net, "h1", "r1")
-	r2 := newDapplet(t, net, "h2", "r2")
+	m := w.Dapplet("hm", "test", "m")
+	r1 := w.Dapplet("h1", "test", "r1")
+	r2 := w.Dapplet("h2", "test", "r2")
 	for _, d := range []*core.Dapplet{m, r1, r2} {
 		md := failure.Attach(d, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 		md.Watch(dr.Name(), dr.Addr())
@@ -271,7 +267,7 @@ func TestQuorumCrashExpiresEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliD := newDapplet(t, net, "hc", "cli")
+	cliD := w.Dapplet("hc", "test", "cli")
 	cli := directory.NewClient(cliD, cl)
 	ctx := context.Background()
 	for _, d := range []*core.Dapplet{m, r1, r2} {
@@ -291,7 +287,7 @@ func TestQuorumCrashExpiresEntry(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	net.Crash("hm")
+	w.Net.Crash("hm")
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		if _, _, found := dir.Lookup("m"); !found {

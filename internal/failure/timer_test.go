@@ -64,13 +64,12 @@ func awaitNoDetectorGoroutine(t *testing.T, what string) {
 // verdict Up, there are moments when no goroutine has a frame in the
 // detector's code, and after Stop that stays so.
 func TestDetectorNoGoroutineWhileIdle(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(5))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(5))
 	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 3}
 	var ds []*core.Dapplet
 	var dets []*failure.Detector
 	for i := range 8 {
-		d := newDapplet(t, net, fmt.Sprintf("h%d", i), fmt.Sprintf("d%d", i))
+		d := w.Dapplet(fmt.Sprintf("h%d", i), "test", fmt.Sprintf("d%d", i))
 		ds = append(ds, d)
 		dets = append(dets, failure.Attach(d, cfg))
 	}
@@ -103,11 +102,10 @@ func TestDetectorNoGoroutineWhileIdle(t *testing.T) {
 // heartbeating B, so B never suspects A.
 func TestSlowObserverKeepsHeartbeats(t *testing.T) {
 	const interval = 10 * time.Millisecond
-	net := netsim.New(netsim.WithSeed(6))
-	t.Cleanup(net.Close)
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
-	c := newDapplet(t, net, "hc", "c")
+	w := newWorld(t, netsim.WithSeed(6))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
+	c := w.Dapplet("hc", "test", "c")
 	cfg := failure.Config{Interval: interval, Multiplier: 3}
 	da, db, dc := failure.Attach(a, cfg), failure.Attach(b, cfg), failure.Attach(c, cfg)
 
@@ -135,7 +133,7 @@ func TestSlowObserverKeepsHeartbeats(t *testing.T) {
 	dc.Watch(a.Name(), a.Addr())
 	time.Sleep(5 * interval) // establish the heartbeat rhythm
 
-	net.Crash("hc")
+	w.Net.Crash("hc")
 	select {
 	case <-blocked:
 	case <-time.After(5 * time.Second):
@@ -162,10 +160,9 @@ func TestSlowObserverKeepsHeartbeats(t *testing.T) {
 // against Stop's wait.
 func TestDetectorStopSilencesTimers(t *testing.T) {
 	const interval = 5 * time.Millisecond
-	net := netsim.New(netsim.WithSeed(8))
-	t.Cleanup(net.Close)
-	a := newDapplet(t, net, "ha", "a")
-	b := newDapplet(t, net, "hb", "b")
+	w := newWorld(t, netsim.WithSeed(8))
+	a := w.Dapplet("ha", "test", "a")
+	b := w.Dapplet("hb", "test", "b")
 	cfg := failure.Config{Interval: interval, Multiplier: 2}
 	da, db := failure.Attach(a, cfg), failure.Attach(b, cfg)
 	var events atomic.Int64
@@ -173,7 +170,7 @@ func TestDetectorStopSilencesTimers(t *testing.T) {
 	da.Watch(b.Name(), b.Addr())
 	db.Watch(a.Name(), a.Addr())
 	time.Sleep(10 * interval)
-	net.Crash("hb")
+	w.Net.Crash("hb")
 	a.Stop()
 	sent, emitted := da.Stats().HeartbeatsSent, events.Load()
 	if sent == 0 {
@@ -196,7 +193,7 @@ func TestDetectorStopSilencesTimers(t *testing.T) {
 	var all []stopped
 	nowhere := netsim.Addr{Host: "nowhere", Port: 1}
 	for i := range 500 {
-		d := newDapplet(t, net, "hr", fmt.Sprintf("r%d", i))
+		d := w.Dapplet("hr", "test", fmt.Sprintf("r%d", i))
 		det := failure.Attach(d, failure.Config{Interval: 250 * time.Microsecond, Multiplier: 1})
 		ev := new(atomic.Int64)
 		det.OnEvent(func(failure.Event) { ev.Add(1) })

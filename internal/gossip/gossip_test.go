@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // setDigest summarizes a setState: the count of contiguous values held
@@ -137,16 +138,11 @@ func (s *setState) Apply(delta wire.Msg) {
 	}
 }
 
-func newDap(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
-	t.Helper()
-	ep, err := net.Host(host).BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 20 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -162,13 +158,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // gossipMesh builds n dapplets with engines, every engine peered with
 // every other.
-func gossipMesh(t *testing.T, net *netsim.Network, n int, cfg gossip.Config) ([]*core.Dapplet, []*gossip.Engine) {
+func gossipMesh(t *testing.T, w *world.World, n int, cfg gossip.Config) ([]*core.Dapplet, []*gossip.Engine) {
 	t.Helper()
 	daps := make([]*core.Dapplet, n)
 	engs := make([]*gossip.Engine, n)
 	refs := make([]wire.InboxRef, n)
 	for i := 0; i < n; i++ {
-		daps[i] = newDap(t, net, fmt.Sprintf("gh%d", i), fmt.Sprintf("g%d", i))
+		daps[i] = w.Dapplet(fmt.Sprintf("gh%d", i), "t", fmt.Sprintf("g%d", i))
 		engs[i] = gossip.Attach(daps[i], cfg)
 		refs[i] = gossip.Ref(daps[i].Addr())
 	}
@@ -179,13 +175,12 @@ func gossipMesh(t *testing.T, net *netsim.Network, n int, cfg gossip.Config) ([]
 }
 
 func TestRumorReachesEveryPeerOnce(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(11))
-	defer net.Close()
+	w := newWorld(t, netsim.WithSeed(11))
 	const n = 6
 	// Full fanout: a single broadcast (no re-gossip rounds) only
 	// guarantees coverage when the first hop reaches everyone; the
 	// forwarding storm that follows exercises dedup.
-	_, engs := gossipMesh(t, net, n, gossip.Config{Interval: 10 * time.Millisecond, Fanout: n - 1, TTL: 4})
+	_, engs := gossipMesh(t, w, n, gossip.Config{Interval: 10 * time.Millisecond, Fanout: n - 1, TTL: 4})
 
 	var mu sync.Mutex
 	heard := make(map[int]int)
@@ -223,11 +218,10 @@ func TestRumorReachesEveryPeerOnce(t *testing.T) {
 }
 
 func TestRumorDuplicatesSuppressed(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(12))
-	defer net.Close()
+	w := newWorld(t, netsim.WithSeed(12))
 	// Full fanout over a small mesh guarantees every engine receives the
 	// same rumor from several directions.
-	_, engs := gossipMesh(t, net, 4, gossip.Config{Interval: 10 * time.Millisecond, Fanout: 3, TTL: 4})
+	_, engs := gossipMesh(t, w, 4, gossip.Config{Interval: 10 * time.Millisecond, Fanout: 3, TTL: 4})
 	for _, e := range engs {
 		e.OnRumor("t", func(string, wire.Msg) {})
 	}
@@ -246,9 +240,8 @@ func TestRumorDuplicatesSuppressed(t *testing.T) {
 }
 
 func TestAntiEntropyConvergesPulledState(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(13))
-	defer net.Close()
-	daps, engs := gossipMesh(t, net, 3, gossip.Config{Interval: 10 * time.Millisecond})
+	w := newWorld(t, netsim.WithSeed(13))
+	daps, engs := gossipMesh(t, w, 3, gossip.Config{Interval: 10 * time.Millisecond})
 	_ = daps
 
 	states := make([]*setState, 3)
@@ -274,9 +267,8 @@ func TestAntiEntropyConvergesPulledState(t *testing.T) {
 }
 
 func TestBroadcastWithoutPeersIsHarmless(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(14))
-	defer net.Close()
-	d := newDap(t, net, "solo", "solo")
+	w := newWorld(t, netsim.WithSeed(14))
+	d := w.Dapplet("solo", "t", "solo")
 	e := gossip.Attach(d, gossip.Config{Interval: 10 * time.Millisecond})
 	if err := e.Broadcast("t", &note{Text: "void"}); err != nil {
 		t.Fatal(err)
@@ -287,9 +279,8 @@ func TestBroadcastWithoutPeersIsHarmless(t *testing.T) {
 }
 
 func TestEngineStopsWithDapplet(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(15))
-	defer net.Close()
-	daps, engs := gossipMesh(t, net, 2, gossip.Config{Interval: 5 * time.Millisecond})
+	w := newWorld(t, netsim.WithSeed(15))
+	daps, engs := gossipMesh(t, w, 2, gossip.Config{Interval: 5 * time.Millisecond})
 	st := &setState{have: 4}
 	engs[0].RegisterExchange("set", st)
 	engs[1].RegisterExchange("set", &setState{})
@@ -306,9 +297,8 @@ func TestEngineStopsWithDapplet(t *testing.T) {
 }
 
 func TestSampleExcludesSelf(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(16))
-	defer net.Close()
-	_, engs := gossipMesh(t, net, 2, gossip.Config{Interval: 5 * time.Millisecond, Fanout: 3})
+	w := newWorld(t, netsim.WithSeed(16))
+	_, engs := gossipMesh(t, w, 2, gossip.Config{Interval: 5 * time.Millisecond, Fanout: 3})
 	var mu sync.Mutex
 	var origins []string
 	engs[0].OnRumor("t", func(origin string, _ wire.Msg) {

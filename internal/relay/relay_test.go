@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // recvMsg receives one message within d via the context-first API.
@@ -20,27 +21,19 @@ func recvMsg(in *core.Inbox, d time.Duration) (wire.Msg, error) {
 	return in.ReceiveContext(ctx)
 }
 
-// world is a seeded network plus dapplets with relays attached.
-type world struct {
-	t        *testing.T
-	net      *netsim.Network
+// relayWorld is a seeded world plus dapplets with relays attached.
+type relayWorld struct {
+	*world.World
 	dapplets []*core.Dapplet
 	relays   []*Relay
 	members  []Member
 }
 
-func newWorld(t *testing.T, n int) *world {
-	t.Helper()
-	w := &world{t: t, net: netsim.New(netsim.WithSeed(77))}
-	t.Cleanup(w.net.Close)
+func newWorld(t *testing.T, n int) *relayWorld {
+	w := &relayWorld{World: world.New(transport.Config{RTO: 20 * time.Millisecond}, netsim.WithSeed(77))}
+	t.Cleanup(w.Close)
 	for i := 0; i < n; i++ {
-		ep, err := w.net.Host(fmt.Sprintf("site%d", i)).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := core.NewDapplet(fmt.Sprintf("m%02d", i), "test", transport.NewSimConn(ep),
-			core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-		t.Cleanup(d.Stop)
+		d := w.Dapplet(fmt.Sprintf("site%d", i), "test", fmt.Sprintf("m%02d", i))
 		w.dapplets = append(w.dapplets, d)
 		w.relays = append(w.relays, Attach(d))
 		w.members = append(w.members, Member{Name: d.Name(), Addr: d.Addr()})
@@ -50,7 +43,7 @@ func newWorld(t *testing.T, n int) *world {
 
 // bindAll lays one tree over every member and installs each member's
 // corner of it, as a session set up with all of them would.
-func (w *world) bindAll(sid string, fanout int, epoch uint64) {
+func (w *relayWorld) bindAll(sid string, fanout int, epoch uint64) {
 	w.bindTree(sid, w.members, fanout, epoch, true)
 }
 
@@ -58,7 +51,7 @@ func (w *world) bindAll(sid string, fanout int, epoch uint64) {
 // tree order) and installs on each one's relay what the session layer
 // would ship it: its neighbours and the tree depth. fromStart is for the
 // relays this call binds for the first time.
-func (w *world) bindTree(sid string, members []Member, fanout int, epoch uint64, fromStart bool) {
+func (w *relayWorld) bindTree(sid string, members []Member, fanout int, epoch uint64, fromStart bool) {
 	tr := NewTree(members, fanout)
 	for i, d := range w.dapplets {
 		if tr.Neighborhood(d.Name()) == nil {

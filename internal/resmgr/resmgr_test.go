@@ -12,31 +12,26 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-func world(t *testing.T) (*netsim.Network, *core.Runtime) {
-	t.Helper()
-	net := netsim.New(netsim.WithSeed(1))
-	t.Cleanup(net.Close)
-	reg := core.NewRegistry()
-	reg.Register("worker", func() core.Behavior {
+// newWorld is a world whose runtime can launch "worker" dapplets, closed
+// when t ends.
+func newWorld(t *testing.T) *world.World {
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, netsim.WithSeed(1))
+	t.Cleanup(w.Close)
+	w.RT.Registry().Register("worker", func() core.Behavior {
 		return core.BehaviorFunc(func(d *core.Dapplet) error {
 			d.Inbox("work")
 			return nil
 		})
 	})
-	rt := core.NewRuntime(net, reg)
-	rt.SetTransportConfig(transport.Config{RTO: 20 * time.Millisecond})
-	t.Cleanup(rt.StopAll)
-	return net, rt
+	return w
 }
 
-func launchClient(t *testing.T, rt *core.Runtime, host, name string, mgr *resmgr.Manager) (*core.Dapplet, *resmgr.Client) {
+func launchClient(t *testing.T, w *world.World, host, name string, mgr *resmgr.Manager) (*core.Dapplet, *resmgr.Client) {
 	t.Helper()
-	if err := rt.Install(host, "worker"); err != nil {
-		t.Fatal(err)
-	}
-	d, err := rt.Launch(host, "worker", name)
+	d, err := w.Launch(context.Background(), host, "worker", name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +39,12 @@ func launchClient(t *testing.T, rt *core.Runtime, host, name string, mgr *resmgr
 }
 
 func TestPublishLookup(t *testing.T) {
-	_, rt := world(t)
-	mgr, err := resmgr.Install(rt, "machine1")
+	w := newWorld(t)
+	mgr, err := resmgr.Install(w.RT, "machine1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, cli := launchClient(t, rt, "machine1", "w1", mgr)
+	d, cli := launchClient(t, w, "machine1", "w1", mgr)
 	svcInbox := d.Inbox("work").Ref()
 	if err := cli.Publish(context.Background(), "printing", svcInbox); err != nil {
 		t.Fatal(err)
@@ -62,7 +57,7 @@ func TestPublishLookup(t *testing.T) {
 		t.Fatalf("lookup = %+v", got)
 	}
 	// Lookup from a different dapplet (even on another machine).
-	_, cli2 := launchClient(t, rt, "machine1", "w2", mgr)
+	_, cli2 := launchClient(t, w, "machine1", "w2", mgr)
 	if _, err := cli2.Lookup(context.Background(), "printing"); err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +74,13 @@ func TestPublishLookup(t *testing.T) {
 }
 
 func TestHeartbeats(t *testing.T) {
-	_, rt := world(t)
-	mgr, err := resmgr.Install(rt, "m")
+	w := newWorld(t)
+	mgr, err := resmgr.Install(w.RT, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c1 := launchClient(t, rt, "m", "alpha", mgr)
-	_, c2 := launchClient(t, rt, "m", "beta", mgr)
+	_, c1 := launchClient(t, w, "m", "alpha", mgr)
+	_, c2 := launchClient(t, w, "m", "beta", mgr)
 	if err := c1.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +97,17 @@ func TestHeartbeats(t *testing.T) {
 }
 
 func TestRemoteLaunch(t *testing.T) {
-	net, rt := world(t)
-	mgr, err := resmgr.Install(rt, "far-machine")
+	w := newWorld(t)
+	mgr, err := resmgr.Install(w.RT, "far-machine")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Install("far-machine", "worker"); err != nil {
+	if err := w.RT.Install("far-machine", "worker"); err != nil {
 		t.Fatal(err)
 	}
 	// A client on a different machine asks the far manager to activate a
 	// worker there.
-	ep, err := net.Host("near").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet("requester", "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(d.Stop)
+	d := w.Dapplet("near", "t", "requester")
 	cli := resmgr.NewClient(d, mgr.Ref())
 	addr, err := cli.Launch(context.Background(), "worker", "remote-worker")
 	if err != nil {
@@ -127,29 +116,26 @@ func TestRemoteLaunch(t *testing.T) {
 	if addr.Dapplet.Host != "far-machine" {
 		t.Fatalf("launched on %v", addr.Dapplet)
 	}
-	if _, ok := rt.Dapplet("remote-worker"); !ok {
+	if _, ok := w.RT.Dapplet("remote-worker"); !ok {
 		t.Fatal("runtime does not know the launched dapplet")
 	}
 	// The launched dapplet is reachable.
 	if err := d.SendDirect(wire.InboxRef{Dapplet: addr.Dapplet, Inbox: "work"}, "", &wire.Text{S: "job"}); err != nil {
 		t.Fatal(err)
 	}
-	rw, _ := rt.Dapplet("remote-worker")
+	rw, _ := w.RT.Dapplet("remote-worker")
 	if _, err := rw.Inbox("work").ReceiveContext(waitCtx(t, 5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLaunchUninstalledTypeFails(t *testing.T) {
-	net, rt := world(t)
-	mgr, err := resmgr.Install(rt, "m")
+	w := newWorld(t)
+	mgr, err := resmgr.Install(w.RT, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, _ := net.Host("x").BindAny()
-	d := core.NewDapplet("req", "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(d.Stop)
+	d := w.Dapplet("x", "t", "req")
 	cli := resmgr.NewClient(d, mgr.Ref())
 	_, err = cli.Launch(context.Background(), "no-such-type", "z")
 	var remote *rpc.RemoteError
@@ -159,16 +145,16 @@ func TestLaunchUninstalledTypeFails(t *testing.T) {
 }
 
 func TestManagersPerMachineAreIndependent(t *testing.T) {
-	_, rt := world(t)
-	m1, err := resmgr.Install(rt, "m1")
+	w := newWorld(t)
+	m1, err := resmgr.Install(w.RT, "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := resmgr.Install(rt, "m2")
+	m2, err := resmgr.Install(w.RT, "m2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, c1 := launchClient(t, rt, "m1", "w1", m1)
+	d, c1 := launchClient(t, w, "m1", "w1", m1)
 	if err := c1.Publish(context.Background(), "svc", d.Inbox("work").Ref()); err != nil {
 		t.Fatal(err)
 	}

@@ -8,34 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
-type rworld struct {
-	t   *testing.T
-	net *netsim.Network
-}
-
-func newRWorld(t *testing.T, opts ...netsim.Option) *rworld {
-	t.Helper()
-	n := netsim.New(opts...)
-	t.Cleanup(n.Close)
-	return &rworld{t: t, net: n}
-}
-
-func (w *rworld) dapplet(host, name string) *core.Dapplet {
-	w.t.Helper()
-	ep, err := w.net.Host(host).BindAny()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	w.t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 20 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 // counter is a tiny served object.
@@ -66,9 +49,9 @@ func counterObject() (rpc.Object, *sync.Mutex, *int) {
 }
 
 func TestSyncCall(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("caltech", "server")
-	clientD := w.dapplet("rice", "client")
+	w := newWorld(t)
+	server := w.Dapplet("caltech", "t", "server")
+	clientD := w.Dapplet("rice", "t", "client")
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	cli := rpc.NewClient(clientD)
@@ -93,9 +76,9 @@ func TestSyncCall(t *testing.T) {
 }
 
 func TestAsyncCast(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
-	clientD := w.dapplet("h2", "client")
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
+	clientD := w.Dapplet("h2", "t", "client")
 	obj, mu, n := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	cli := rpc.NewClient(clientD)
@@ -121,9 +104,9 @@ func TestAsyncCast(t *testing.T) {
 }
 
 func TestRemoteError(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
-	cli := rpc.NewClient(w.dapplet("h2", "client"))
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	err := cli.Call(context.Background(), ref, "fail", nil, nil)
@@ -137,9 +120,9 @@ func TestRemoteError(t *testing.T) {
 }
 
 func TestNoSuchMethod(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
-	cli := rpc.NewClient(w.dapplet("h2", "client"))
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	if err := cli.Call(context.Background(), ref, "bogus", nil, nil); !errors.Is(err, rpc.ErrNoMethod) {
@@ -155,10 +138,10 @@ func callWithin(cli *rpc.Client, ref rpc.Ref, method string, d time.Duration) er
 }
 
 func TestCallDeadlineAcrossPartition(t *testing.T) {
-	w := newRWorld(t)
-	w.net.Partition([]string{"h1"}, []string{"h2"})
-	server := w.dapplet("h1", "server")
-	cli := rpc.NewClient(w.dapplet("h2", "client"))
+	w := newWorld(t)
+	w.Net.Partition([]string{"h1"}, []string{"h2"})
+	server := w.Dapplet("h1", "t", "server")
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	if err := callWithin(cli, ref, "get", 100*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
@@ -169,8 +152,8 @@ func TestCallDeadlineAcrossPartition(t *testing.T) {
 func TestGlobalPointerIsTransferable(t *testing.T) {
 	// A ref can be passed to another dapplet and used there: it is a
 	// global pointer, not a local handle.
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 
@@ -182,7 +165,7 @@ func TestGlobalPointerIsTransferable(t *testing.T) {
 	if err := json.Unmarshal(data, &ref2); err != nil {
 		t.Fatal(err)
 	}
-	cli := rpc.NewClient(w.dapplet("h3", "other-client"))
+	cli := rpc.NewClient(w.Dapplet("h3", "t", "other-client"))
 	var out int
 	if err := cli.Call(context.Background(), ref2, "add", 7, &out); err != nil {
 		t.Fatal(err)
@@ -193,9 +176,9 @@ func TestGlobalPointerIsTransferable(t *testing.T) {
 }
 
 func TestConcurrentCallsMultiplex(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
-	clientD := w.dapplet("h2", "client")
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
+	clientD := w.Dapplet("h2", "t", "client")
 	echo := rpc.Object{
 		"echo": func(raw json.RawMessage) (any, error) {
 			v, err := rpc.Args[int](raw)
@@ -223,10 +206,10 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 }
 
 func TestClientClosedDuringCall(t *testing.T) {
-	w := newRWorld(t)
-	w.net.Partition([]string{"h1"}, []string{"h2"})
-	server := w.dapplet("h1", "server")
-	clientD := w.dapplet("h2", "client")
+	w := newWorld(t)
+	w.Net.Partition([]string{"h1"}, []string{"h2"})
+	server := w.Dapplet("h1", "t", "server")
+	clientD := w.Dapplet("h2", "t", "client")
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	cli := rpc.NewClient(clientD)
@@ -245,9 +228,9 @@ func TestClientClosedDuringCall(t *testing.T) {
 }
 
 func TestServedObjectsAreIndependent(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
-	cli := rpc.NewClient(w.dapplet("h2", "client"))
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	objA, _, _ := counterObject()
 	objB, _, _ := counterObject()
 	refA := rpc.Serve(server, "a", objA)
@@ -270,12 +253,12 @@ func TestServedObjectsAreIndependent(t *testing.T) {
 // each other's replies (the old shared "@rpc-reply" inbox, and the
 // shared-client workaround it forced, are gone).
 func TestIndependentClientsPerDapplet(t *testing.T) {
-	w := newRWorld(t, netsim.WithSeed(1))
-	server := w.dapplet("s", "server")
+	w := newWorld(t, netsim.WithSeed(1))
+	server := w.Dapplet("s", "t", "server")
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 
-	d := w.dapplet("c", "client")
+	d := w.Dapplet("c", "t", "client")
 	c1 := rpc.NewClient(d)
 	c2 := rpc.NewClient(d)
 	if c1 == c2 {
@@ -298,9 +281,9 @@ func TestIndependentClientsPerDapplet(t *testing.T) {
 // has already expired fails fast with context.DeadlineExceeded — never a
 // bespoke rpc timeout error.
 func TestCallExpiredContext(t *testing.T) {
-	w := newRWorld(t)
-	server := w.dapplet("h1", "server")
-	cli := rpc.NewClient(w.dapplet("h2", "client"))
+	w := newWorld(t)
+	server := w.Dapplet("h1", "t", "server")
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)

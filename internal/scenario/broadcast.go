@@ -17,6 +17,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // BroadcastOptions configures the large-group broadcast scenario (E14):
@@ -142,9 +143,11 @@ type BroadcastResult struct {
 	Delivered int `json:"delivered"`
 	// Repaired reports whether the run crashed and repaired a relay.
 	Repaired bool `json:"repaired,omitempty"`
-	// Digest folds every surviving listener's delivery order into one
-	// FNV-1a value: two runs with the same seed and Shards=1 must match
-	// bit for bit.
+	// Digest folds every surviving listener's name and delivery order
+	// into one FNV-1a value. It is folded only after every listener has
+	// been checked to deliver exactly 1..Messages in order, so it proves
+	// completion and order: any successful run with the same roster has
+	// the same digest, whatever its schedule. It is not a replay check.
 	Digest uint64 `json:"digest"`
 }
 
@@ -171,39 +174,21 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	ctx, cancel := context.WithTimeout(ctx, opts.Deadline)
 	defer cancel()
 
-	netOpts := []netsim.Option{netsim.WithSeed(opts.Seed)}
-	if opts.Shards > 0 {
-		netOpts = append(netOpts, netsim.WithShards(opts.Shards))
-	}
-	net := netsim.New(netOpts...)
-	defer net.Close()
-	dir := directory.New()
+	w := world.New(transport.Config{}, netsim.WithSeed(opts.Seed), netsim.WithShards(opts.Shards))
+	defer w.Close()
 
 	names := make([]string, opts.Participants)
 	dapplets := make([]*core.Dapplet, opts.Participants)
 	for i := range names {
 		names[i] = fmt.Sprintf("b%05d", i)
-		host := fmt.Sprintf("bh%02d", i%opts.Hosts)
-		ep, err := net.Host(host).BindAny()
-		if err != nil {
-			return nil, err
-		}
-		d := core.NewDapplet(names[i], "bcaster", transport.NewSimConn(ep))
-		defer d.Stop()
+		d := w.Dapplet(fmt.Sprintf("bh%02d", i%opts.Hosts), "bcaster", names[i])
 		dapplets[i] = d
 		session.Attach(d, session.Policy{})
-		if err := dir.Register(ctx, directory.Entry{Name: names[i], Type: "bcaster", Addr: d.Addr()}); err != nil {
+		if err := w.Dir.Register(ctx, directory.Entry{Name: names[i], Type: "bcaster", Addr: d.Addr()}); err != nil {
 			return nil, err
 		}
 	}
-
-	iniEP, err := net.Host("bh-ini").BindAny()
-	if err != nil {
-		return nil, err
-	}
-	iniD := core.NewDapplet("bcast-ini", "initiator", transport.NewSimConn(iniEP))
-	defer iniD.Stop()
-	ini := session.NewInitiator(iniD, dir)
+	ini := session.NewInitiator(w.Dapplet("bh-ini", "initiator", "bcast-ini"), w.Dir)
 
 	const outboxName, inboxName = "bcast", "news"
 	spec := session.Spec{ID: "e14-bcast", Task: "large-group broadcast"}
@@ -220,7 +205,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 		}
 	}
 
-	setupStart := time.Now() //wwlint:allow determinism wall-clock setup measurement; the replay digest folds delivery order only
+	setupStart := time.Now() //wwlint:allow determinism wall-clock setup measurement; the digest folds delivery order only
 	h, err := ini.Initiate(ctx, spec)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: broadcast session setup: %w", err)
@@ -259,7 +244,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 					l.err = err
 					return
 				}
-				now := time.Now() //wwlint:allow determinism wall-clock latency sample; the replay digest folds delivery order only
+				now := time.Now() //wwlint:allow determinism wall-clock latency sample; the digest folds delivery order only
 				body, ok := env.Body.(*wire.Text)
 				if !ok {
 					l.err = fmt.Errorf("unexpected body %T", env.Body)
@@ -321,9 +306,9 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	for seq := 1; seq <= opts.Messages; seq++ {
 		body := &wire.Text{S: fmt.Sprintf("%06d|%s", seq, pad)[:6+1+opts.PayloadBytes]}
 		sendAtMu.Lock()
-		sendAt[seq] = time.Now() //wwlint:allow determinism wall-clock send stamp for latency samples; the replay digest folds delivery order only
+		sendAt[seq] = time.Now() //wwlint:allow determinism wall-clock send stamp for latency samples; the digest folds delivery order only
 		sendAtMu.Unlock()
-		start := time.Now() //wwlint:allow determinism wall-clock send-cost sample; the replay digest folds delivery order only
+		start := time.Now() //wwlint:allow determinism wall-clock send-cost sample; the digest folds delivery order only
 		if err := out.Send(body); err != nil {
 			return nil, fmt.Errorf("scenario: broadcast %d: %w", seq, err)
 		}

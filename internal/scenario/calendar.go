@@ -18,6 +18,7 @@ import (
 	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // CalendarOptions configures a calendar-application world.
@@ -57,10 +58,6 @@ type CalendarOptions struct {
 	// the failover latency after a replica crash (0 uses the directory
 	// default).
 	DirTimeout time.Duration
-	// InterSite and IntraSite are the link delay models (defaults: WAN
-	// and LAN).
-	InterSite netsim.DelayModel
-	IntraSite netsim.DelayModel
 	// RTO is the reliable layer's retransmission timeout.
 	RTO time.Duration
 }
@@ -75,32 +72,23 @@ func (o *CalendarOptions) defaults() {
 	if o.Slots <= 0 {
 		o.Slots = 112
 	}
-	if o.InterSite == nil {
-		o.InterSite = netsim.WAN()
-	}
-	if o.IntraSite == nil {
-		o.IntraSite = netsim.LAN()
+	if o.DirShards > 0 && o.DirReplicas <= 0 {
+		o.DirReplicas = 1
 	}
 	if o.RTO <= 0 {
-		o.RTO = 50 * time.Millisecond
+		o.RTO = appRTO
 	}
 }
 
-// CalendarWorld is an assembled calendar application.
+// appRTO is the retransmission timeout of every application world: the
+// calendar's default and the card game's and design team's only value.
+const appRTO = 50 * time.Millisecond
+
+// CalendarWorld is an assembled calendar application. Its World's Dir
+// is the replicated service's caching client when
+// CalendarOptions.DirShards > 0, the process-local map otherwise.
 type CalendarWorld struct {
-	Net *netsim.Network
-	RT  *core.Runtime
-	// Dir resolves participant addresses: the process-local Directory by
-	// default, or the replicated service's caching client when
-	// CalendarOptions.DirShards > 0.
-	Dir directory.Resolver
-	// DirClient is the caching client when the service-backed directory
-	// is enabled (nil otherwise); its Stats expose cache hits, misses
-	// and failovers.
-	DirClient *directory.Client
-	// DirServices holds the hosted directory replicas, indexed
-	// [shard][replica], when DirShards > 0.
-	DirServices [][]*directory.Service
+	*world.World
 	Coordinator *core.Dapplet
 	Scheduler   *calendar.HeadScheduler
 	Traditional *calendar.Traditional
@@ -112,104 +100,52 @@ type CalendarWorld struct {
 	// recovery flows need the service to restore membership on restart.
 	Sessions map[string]*session.Service
 	Opts     CalendarOptions
-
-	// extras are dapplets hosted outside the runtime (directory replicas
-	// and the directory client's bootstrap dapplet), stopped on Close.
-	extras []*core.Dapplet
 }
 
-// Close tears the world down.
-func (w *CalendarWorld) Close() {
-	w.RT.StopAll()
-	for _, d := range w.extras {
-		d.Stop()
-	}
-	w.Net.Close()
-}
-
-// DirReplicaHost names the simulated host a directory replica runs on,
-// for fault injection (net.Crash) in replica-failure experiments.
-func DirReplicaHost(shard, replica int) string {
-	return fmt.Sprintf("dirhost-%d-%d", shard, replica)
-}
-
-// siteHosts follows Figure 1's geography: members and their secretary
+// siteName follows Figure 1's geography: members and their secretary
 // share a site (LAN); sites are far apart (WAN).
 func siteName(i int) string { return fmt.Sprintf("site%d", i) }
 
 // BuildCalendar constructs the world: network, installed dapplets,
 // directory, and (for the session scheduler) a committed session. ctx
-// bounds the directory registrations and the session setup.
+// bounds the directory registrations and the session setup. On error
+// the partly built world is closed.
 func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, error) {
 	opts.defaults()
-	netOpts := []netsim.Option{netsim.WithSeed(opts.Seed), netsim.WithDefaultDelay(opts.IntraSite)}
-	if opts.Shards > 0 {
-		netOpts = append(netOpts, netsim.WithShards(opts.Shards))
-	}
-	net := netsim.New(netOpts...)
-
-	// Inter-site links get the WAN model; the coordinator lives at site 0.
-	for i := 0; i < opts.Sites; i++ {
-		for j := i + 1; j < opts.Sites; j++ {
-			net.SetLinkDelay(siteName(i), siteName(j), opts.InterSite)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	w := &CalendarWorld{
-		Net:      net,
+		World: world.New(transport.Config{RTO: opts.RTO},
+			netsim.WithSeed(opts.Seed), netsim.WithShards(opts.Shards), netsim.WithDefaultDelay(netsim.LAN())),
 		Members:  make(map[string]*calendar.MemberBehavior),
 		Sessions: make(map[string]*session.Service),
 		Opts:     opts,
+	}
+	if err := w.build(ctx); err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+func (w *CalendarWorld) build(ctx context.Context) error {
+	opts := w.Opts
+	// Sites are far apart (WAN); the coordinator lives at site 0.
+	for i := 0; i < opts.Sites; i++ {
+		for j := i + 1; j < opts.Sites; j++ {
+			w.Net.SetLinkDelay(siteName(i), siteName(j), netsim.WAN())
+		}
 	}
 
 	// Directory: the process-local map by default; with DirShards > 0 a
 	// replicated service hosted on dedicated dapplets, resolved through
 	// the caching client (all registrations below then travel the wire).
 	if opts.DirShards > 0 {
-		if opts.DirReplicas <= 0 {
-			opts.DirReplicas = 1
-		}
-		w.Opts.DirReplicas = opts.DirReplicas
-		refs := make([][]wire.InboxRef, opts.DirShards)
-		w.DirServices = make([][]*directory.Service, opts.DirShards)
-		hostDap := func(host, name string) (*core.Dapplet, error) {
-			ep, err := net.Host(host).BindAny()
-			if err != nil {
-				return nil, fmt.Errorf("scenario: bind %s: %w", host, err)
-			}
-			d := core.NewDapplet(name, "directory", transport.NewSimConn(ep),
-				core.WithTransportConfig(transport.Config{RTO: opts.RTO}))
-			w.extras = append(w.extras, d)
-			return d, nil
-		}
-		for s := 0; s < opts.DirShards; s++ {
-			for r := 0; r < opts.DirReplicas; r++ {
-				d, err := hostDap(DirReplicaHost(s, r), fmt.Sprintf("dir-%d-%d", s, r))
-				if err != nil {
-					return nil, err
-				}
-				svc := directory.Serve(d)
-				w.DirServices[s] = append(w.DirServices[s], svc)
-				refs[s] = append(refs[s], svc.Ref())
-			}
-		}
-		cluster, err := directory.NewCluster(refs)
-		if err != nil {
-			return nil, err
-		}
-		cliD, err := hostDap("dirhost-client", "dir-client")
-		if err != nil {
-			return nil, err
-		}
 		var cliOpts []directory.ClientOption
 		if opts.DirTimeout > 0 {
 			cliOpts = append(cliOpts, directory.WithClientTimeout(opts.DirTimeout))
 		}
-		w.DirClient = directory.NewClient(cliD, cluster, cliOpts...)
-		w.Dir = w.DirClient
-	} else {
-		w.Dir = directory.New()
+		if _, err := w.Directory(opts.DirShards, opts.DirReplicas, cliOpts...); err != nil {
+			return err
+		}
 	}
 
 	// Behaviour registry with per-instance busy calendars handed out in
@@ -220,7 +156,7 @@ func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, e
 	// persisted BusyVar).
 	var mu sync.Mutex
 	var queue []*calendar.MemberBehavior
-	reg := core.NewRegistry()
+	reg := w.RT.Registry()
 	reg.Register("calendar", func() core.Behavior {
 		mu.Lock()
 		defer mu.Unlock()
@@ -233,23 +169,8 @@ func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, e
 	})
 	reg.Register("secretary", func() core.Behavior { return calendar.NewSecretary(opts.Slots) })
 	reg.Register("coordinator", func() core.Behavior { return calendar.CoordinatorBehavior{} })
-	w.RT = core.NewRuntime(net, reg)
-	w.RT.SetTransportConfig(transport.Config{RTO: opts.RTO})
 
-	launch := func(host, typ, name string) (*core.Dapplet, error) {
-		if err := w.RT.Install(host, typ); err != nil {
-			return nil, err
-		}
-		d, err := w.RT.Launch(host, typ, name)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.Dir.Register(ctx, directory.Entry{Name: name, Type: typ, Addr: d.Addr()}); err != nil {
-			return nil, fmt.Errorf("scenario: register %s: %w", name, err)
-		}
-		return d, nil
-	}
-
+	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	for i := 0; i < opts.Sites; i++ {
 		site := calendar.Site{Secretary: fmt.Sprintf("secretary-%d", i)}
 		host := siteName(i)
@@ -265,24 +186,24 @@ func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, e
 			mu.Lock()
 			queue = append(queue, mb)
 			mu.Unlock()
-			if _, err := launch(host, "calendar", name); err != nil {
-				return nil, err
+			if _, err := w.Launch(ctx, host, "calendar", name); err != nil {
+				return err
 			}
 			w.Members[name] = mb
 			w.MemberNames = append(w.MemberNames, name)
 			site.Members = append(site.Members, name)
 		}
 		if opts.Hierarchical {
-			if _, err := launch(host, "secretary", site.Secretary); err != nil {
-				return nil, err
+			if _, err := w.Launch(ctx, host, "secretary", site.Secretary); err != nil {
+				return err
 			}
 		}
 		w.Sites = append(w.Sites, site)
 	}
 
-	coord, err := launch(siteName(0), "coordinator", "coordinator")
+	coord, err := w.Launch(ctx, siteName(0), "coordinator", "coordinator")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.Coordinator = coord
 	w.Scheduler = calendar.NewHeadScheduler(coord, opts.Slots)
@@ -303,7 +224,7 @@ func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, e
 	}
 	h, err := ini.Initiate(ctx, spec)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: session setup: %w", err)
+		return fmt.Errorf("scenario: session setup: %w", err)
 	}
 	w.Handle = h
 
@@ -312,10 +233,10 @@ func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, e
 	for _, name := range w.MemberNames {
 		e, err := w.Dir.MustLookup(ctx, name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		refs = append(refs, wire.InboxRef{Dapplet: e.Addr, Inbox: calendar.MemberInbox})
 	}
 	w.Traditional = calendar.NewTraditional(coord, refs, opts.Slots)
-	return w, nil
+	return nil
 }

@@ -4,18 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/cardgame"
 	"repro/internal/core"
-	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-// CardOptions configures a card-game world.
+// CardOptions configures a card-game world. Every player runs on its
+// own host over LAN links, with a 50 ms retransmission timeout.
 type CardOptions struct {
 	// Players is the ring size.
 	Players int
@@ -24,15 +24,11 @@ type CardOptions struct {
 	// Ranks is the number of distinct card ranks in the deck.
 	Ranks int
 	Seed  int64
-	Delay netsim.DelayModel
-	RTO   time.Duration
 }
 
 // CardWorld is an assembled ring-session card game.
 type CardWorld struct {
-	Net     *netsim.Network
-	RT      *core.Runtime
-	Dir     *directory.Directory
+	*world.World
 	Players []*cardgame.Player
 	Refs    []wire.InboxRef // each player's pred inbox
 	Dealer  *cardgame.Dealer
@@ -40,14 +36,9 @@ type CardWorld struct {
 	Handle  *session.Handle
 }
 
-// Close tears the world down.
-func (w *CardWorld) Close() {
-	w.RT.StopAll()
-	w.Net.Close()
-}
-
 // BuildCardGame constructs the ring session of §3.1 with dealt hands.
-// ctx bounds the directory registrations and the session setup.
+// ctx bounds the directory registrations and the session setup. On
+// error the partly built world is closed.
 func BuildCardGame(ctx context.Context, opts CardOptions) (*CardWorld, error) {
 	if opts.Players < 2 {
 		opts.Players = 4
@@ -58,17 +49,18 @@ func BuildCardGame(ctx context.Context, opts CardOptions) (*CardWorld, error) {
 	if opts.Ranks <= 0 {
 		opts.Ranks = 6
 	}
-	if opts.Delay == nil {
-		opts.Delay = netsim.LAN()
+	w := &CardWorld{World: world.New(transport.Config{RTO: appRTO},
+		netsim.WithSeed(opts.Seed), netsim.WithDefaultDelay(netsim.LAN()))}
+	if err := w.build(ctx, opts); err != nil {
+		w.Close()
+		return nil, err
 	}
-	if opts.RTO <= 0 {
-		opts.RTO = 50 * time.Millisecond
-	}
-	net := netsim.New(netsim.WithSeed(opts.Seed), netsim.WithDefaultDelay(opts.Delay))
-	w := &CardWorld{Net: net, Dir: directory.New()}
+	return w, nil
+}
 
+func (w *CardWorld) build(ctx context.Context, opts CardOptions) error {
 	var queue []*cardgame.Player
-	reg := core.NewRegistry()
+	reg := w.RT.Registry()
 	reg.Register("player", func() core.Behavior {
 		p := queue[0]
 		queue = queue[1:]
@@ -80,35 +72,24 @@ func BuildCardGame(ctx context.Context, opts CardOptions) (*CardWorld, error) {
 			return nil
 		})
 	}))
-	w.RT = core.NewRuntime(net, reg)
-	w.RT.SetTransportConfig(transport.Config{RTO: opts.RTO})
 
 	names := make([]string, opts.Players)
 	for i := 0; i < opts.Players; i++ {
 		p := cardgame.NewPlayer()
 		queue = append(queue, p)
-		host := fmt.Sprintf("parlor%d", i)
 		names[i] = fmt.Sprintf("player-%d", i)
-		if err := w.RT.Install(host, "player"); err != nil {
-			return nil, err
-		}
-		d, err := w.RT.Launch(host, "player", names[i])
+		d, err := w.Launch(ctx, fmt.Sprintf("parlor%d", i), "player", names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		w.Dir.Register(ctx, directory.Entry{Name: names[i], Type: "player", Addr: d.Addr()})
 		w.Players = append(w.Players, p)
 		w.Refs = append(w.Refs, wire.InboxRef{Dapplet: d.Addr(), Inbox: cardgame.PredInbox})
 		session.Attach(d, session.Policy{})
 	}
-	if err := w.RT.Install("casino", "dealer"); err != nil {
-		return nil, err
-	}
-	dealerD, err := w.RT.Launch("casino", "dealer", "dealer")
+	dealerD, err := w.Launch(ctx, "casino", "dealer", "dealer")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	w.Dir.Register(ctx, directory.Entry{Name: "dealer", Type: "dealer", Addr: dealerD.Addr()})
 	session.Attach(dealerD, session.Policy{})
 	w.Dealer = cardgame.NewDealer(dealerD)
 
@@ -125,7 +106,7 @@ func BuildCardGame(ctx context.Context, opts CardOptions) (*CardWorld, error) {
 	ini := session.NewInitiator(dealerD, w.Dir)
 	h, err := ini.Initiate(ctx, spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.Handle = h
 
@@ -139,10 +120,7 @@ func BuildCardGame(ctx context.Context, opts CardOptions) (*CardWorld, error) {
 		}
 		w.Hands[i] = hand
 	}
-	if err := w.Dealer.Deal(w.Refs, w.Hands); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return w.Dealer.Deal(w.Refs, w.Hands)
 }
 
 // TotalCards returns the number of cards dealt.

@@ -3,19 +3,20 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/designdoc"
-	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/session"
 	"repro/internal/state"
 	"repro/internal/tokens"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
-// DesignOptions configures a collaborative-design world.
+// DesignOptions configures a collaborative-design world. Every
+// designer runs on its own host over LAN links, with a 50 ms
+// retransmission timeout.
 type DesignOptions struct {
 	// Designers is the team size; each designer runs on its own host.
 	Designers int
@@ -27,30 +28,21 @@ type DesignOptions struct {
 	// UseTokens guards edits with per-part write tokens.
 	UseTokens bool
 	Seed      int64
-	Delay     netsim.DelayModel
-	RTO       time.Duration
 }
 
 // DesignWorld is an assembled collaborative-design session.
 type DesignWorld struct {
-	Net       *netsim.Network
-	RT        *core.Runtime
-	Dir       *directory.Directory
+	*world.World
 	Designers []*designdoc.Designer
 	Dapplets  []*core.Dapplet
 	Alloc     *tokens.Allocator
 	Handle    *session.Handle
 }
 
-// Close tears the world down.
-func (w *DesignWorld) Close() {
-	w.RT.StopAll()
-	w.Net.Close()
-}
-
 // BuildDesign constructs the design-team session: a full mesh of update
 // channels plus (optionally) a token allocator with one write token per
 // part. ctx bounds the directory registrations and the session setup.
+// On error the partly built world is closed.
 func BuildDesign(ctx context.Context, opts DesignOptions) (*DesignWorld, error) {
 	if opts.Designers <= 0 {
 		opts.Designers = 3
@@ -58,24 +50,22 @@ func BuildDesign(ctx context.Context, opts DesignOptions) (*DesignWorld, error) 
 	if len(opts.Parts) == 0 {
 		opts.Parts = []string{"frame", "engine", "ui"}
 	}
-	if opts.Delay == nil {
-		opts.Delay = netsim.LAN()
+	w := &DesignWorld{World: world.New(transport.Config{RTO: appRTO},
+		netsim.WithSeed(opts.Seed), netsim.WithDefaultDelay(netsim.LAN()))}
+	if err := w.build(ctx, opts); err != nil {
+		w.Close()
+		return nil, err
 	}
-	if opts.RTO <= 0 {
-		opts.RTO = 50 * time.Millisecond
-	}
-	net := netsim.New(netsim.WithSeed(opts.Seed), netsim.WithDefaultDelay(opts.Delay))
-	w := &DesignWorld{Net: net, Dir: directory.New()}
+	return w, nil
+}
 
+func (w *DesignWorld) build(ctx context.Context, opts DesignOptions) error {
 	var queue []*designdoc.Designer
-	reg := core.NewRegistry()
-	reg.Register("designer", func() core.Behavior {
+	w.RT.Registry().Register("designer", func() core.Behavior {
 		b := queue[0]
 		queue = queue[1:]
 		return b
 	})
-	w.RT = core.NewRuntime(net, reg)
-	w.RT.SetTransportConfig(transport.Config{RTO: opts.RTO})
 
 	for i := 0; i < opts.Designers; i++ {
 		interests := opts.Parts
@@ -84,16 +74,10 @@ func BuildDesign(ctx context.Context, opts DesignOptions) (*DesignWorld, error) 
 		}
 		ds := designdoc.NewDesigner(interests)
 		queue = append(queue, ds)
-		host := fmt.Sprintf("studio%d", i)
-		name := fmt.Sprintf("designer-%d", i)
-		if err := w.RT.Install(host, "designer"); err != nil {
-			return nil, err
-		}
-		d, err := w.RT.Launch(host, "designer", name)
+		d, err := w.Launch(ctx, fmt.Sprintf("studio%d", i), "designer", fmt.Sprintf("designer-%d", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		w.Dir.Register(ctx, directory.Entry{Name: name, Type: "designer", Addr: d.Addr()})
 		w.Designers = append(w.Designers, ds)
 		w.Dapplets = append(w.Dapplets, d)
 		session.Attach(d, session.Policy{})
@@ -140,8 +124,8 @@ func BuildDesign(ctx context.Context, opts DesignOptions) (*DesignWorld, error) 
 	ini := session.NewInitiator(w.Dapplets[0], w.Dir)
 	h, err := ini.Initiate(ctx, spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.Handle = h
-	return w, nil
+	return nil
 }

@@ -169,10 +169,7 @@ func RunSecretaryCrashRecovery(ctx context.Context, opts RecoveryOptions) (*Reco
 	w.Scheduler.SetTimeout(opts.SchedTimeout)
 	deadline := time.Now().Add(opts.Deadline)
 	res := &RecoveryResult{}
-	slots := opts.Calendar.Slots
-	if slots <= 0 {
-		slots = 112
-	}
+	slots := w.Opts.Slots
 	repaired := false
 	for {
 		r, err := w.Scheduler.Schedule(ctx, 0, slots, slots)

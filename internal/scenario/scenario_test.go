@@ -2,10 +2,12 @@ package scenario_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/world"
 )
 
 func TestBuildCalendarDefaults(t *testing.T) {
@@ -156,7 +158,7 @@ func TestCalendarWithDirectoryService(t *testing.T) {
 	// A replica of every shard dies; lookups must fail over to the
 	// survivors, uncached.
 	for s := 0; s < 2; s++ {
-		w.Net.Crash(scenario.DirReplicaHost(s, 0))
+		w.Net.Crash(world.DirReplicaHost(s, 0))
 	}
 	w.DirClient.FlushCache()
 	for _, name := range w.MemberNames {
@@ -166,5 +168,53 @@ func TestCalendarWithDirectoryService(t *testing.T) {
 	}
 	if w.DirClient.Stats().Failovers == 0 {
 		t.Fatal("no failover counted after replica crash")
+	}
+}
+
+// TestBuildFailureReleasesWorld fails every builder on a context
+// cancelled before the call and requires the goroutine count back at its
+// pre-build value: a builder that returns an error must close the world
+// it had started (network shards, dapplet pumps, receive loops, the
+// hosted directory).
+func TestBuildFailureReleasesWorld(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func(ctx context.Context) error
+	}{
+		{"card", func(ctx context.Context) error {
+			_, err := scenario.BuildCardGame(ctx, scenario.CardOptions{Seed: 1})
+			return err
+		}},
+		{"design", func(ctx context.Context) error {
+			_, err := scenario.BuildDesign(ctx, scenario.DesignOptions{Seed: 1})
+			return err
+		}},
+		{"calendar", func(ctx context.Context) error {
+			_, err := scenario.BuildCalendar(ctx, scenario.CalendarOptions{Seed: 1, Hierarchical: true})
+			return err
+		}},
+		{"calendar/dir-service", func(ctx context.Context) error {
+			_, err := scenario.BuildCalendar(ctx, scenario.CalendarOptions{Seed: 1, Hierarchical: true, DirShards: 1})
+			return err
+		}},
+	}
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := b.build(ctx); err == nil {
+				t.Fatal("build succeeded on a cancelled context")
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines 1s after the failed build, %d before\n%s",
+						runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

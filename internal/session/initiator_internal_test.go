@@ -8,25 +8,20 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/state"
 	"repro/internal/svc"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-func dap(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
-	t.Helper()
-	ep, err := net.Host(host).BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 20 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 // TestInitiateCancelMidHandshakeAbortsCommitted drives the cancellation
@@ -38,19 +33,18 @@ func dap(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
 // commit already landed, bindings unlinked and state access released —
 // and leak no goroutines (fenced with runtime.NumGoroutine under -race).
 func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(11))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(11))
 	dir := directory.New()
 
 	committed := make(chan struct{}, 1)
-	goodD := dap(t, net, "hg", "good")
+	goodD := w.Dapplet("hg", "t", "good")
 	goodSvc := Attach(goodD, Policy{OnJoin: func(*Membership) { committed <- struct{}{} }})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "good", Type: "t", Addr: goodD.Addr()})
 
 	// The sticky participant speaks just enough of the protocol to accept
 	// the invitation, then elects silence on commit: the handshake can
 	// only end by cancellation.
-	stickyD := dap(t, net, "hs", "sticky")
+	stickyD := w.Dapplet("hs", "t", "sticky")
 	svc.Serve(stickyD, ControlInbox, svc.Handlers{
 		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			inv := req.(*inviteMsg)
@@ -62,7 +56,7 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 	})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "sticky", Type: "t", Addr: stickyD.Addr()})
 
-	iniD := dap(t, net, "hq", "director")
+	iniD := w.Dapplet("hq", "t", "director")
 	ini := NewInitiator(iniD, dir)
 
 	before := runtime.NumGoroutine()
@@ -119,14 +113,13 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 // unlinked, state access released — not left half-joined outside every
 // roster a later Terminate would reach.
 func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(12))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(12))
 	dir := directory.New()
 
 	// The existing participant speaks invite/commit properly but
 	// swallows relinks, so Grow's final phase can only end by
 	// cancellation.
-	stickyD := dap(t, net, "hs", "sticky")
+	stickyD := w.Dapplet("hs", "t", "sticky")
 	svc.Serve(stickyD, ControlInbox, svc.Handlers{
 		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return &inviteRepMsg{SessionID: req.(*inviteMsg).SessionID, Name: "sticky", Accepted: true}, nil
@@ -141,11 +134,11 @@ func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 	_ = dir.Register(context.Background(), directory.Entry{Name: "sticky", Type: "t", Addr: stickyD.Addr()})
 
 	joined := make(chan struct{}, 1)
-	newbieD := dap(t, net, "hn", "newbie")
+	newbieD := w.Dapplet("hn", "t", "newbie")
 	newbieSvc := Attach(newbieD, Policy{OnJoin: func(*Membership) { joined <- struct{}{} }})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "newbie", Type: "t", Addr: newbieD.Addr()})
 
-	ini := NewInitiator(dap(t, net, "hq", "director"), dir)
+	ini := NewInitiator(w.Dapplet("hq", "t", "director"), dir)
 	h, err := ini.Initiate(context.Background(), Spec{
 		ID:           "grow-cancel",
 		Participants: []Participant{{Name: "sticky", Role: "member"}},

@@ -14,48 +14,32 @@ import (
 	"repro/internal/state"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-// sworld bundles a network, directory and session-capable dapplets.
+// sworld is a world whose free-standing dapplets carry session
+// services, registered in its directory.
 type sworld struct {
-	t        *testing.T
-	net      *netsim.Network
-	dir      *directory.Directory
+	*world.World
 	services map[string]*session.Service
 }
 
 func newSWorld(t *testing.T, opts ...netsim.Option) *sworld {
 	t.Helper()
-	n := netsim.New(opts...)
-	t.Cleanup(n.Close)
-	return &sworld{t: t, net: n, dir: directory.New(), services: make(map[string]*session.Service)}
+	w := &sworld{World: world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...), services: make(map[string]*session.Service)}
+	t.Cleanup(w.Close)
+	return w
 }
 
 func (w *sworld) add(host, name, typ string, policy session.Policy) *core.Dapplet {
-	w.t.Helper()
-	ep, err := w.net.Host(host).BindAny()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	d := core.NewDapplet(name, typ, transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	w.t.Cleanup(d.Stop)
+	d := w.Dapplet(host, typ, name)
 	w.services[name] = session.Attach(d, policy)
-	w.dir.Register(context.Background(), directory.Entry{Name: name, Type: typ, Addr: d.Addr()})
+	w.Dir.Register(context.Background(), directory.Entry{Name: name, Type: typ, Addr: d.Addr()})
 	return d
 }
 
 func (w *sworld) initiator(host, name string) *session.Initiator {
-	w.t.Helper()
-	ep, err := w.net.Host(host).BindAny()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "initiator", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	w.t.Cleanup(d.Stop)
-	ini := session.NewInitiator(d, w.dir)
-	return ini
+	return session.NewInitiator(w.Dapplet(host, "initiator", name), w.Dir)
 }
 
 func starSpec(id string, members []string, hub string) session.Spec {
@@ -292,18 +276,13 @@ func TestOnJoinCallback(t *testing.T) {
 func TestInitiateTimeoutWhenParticipantSilent(t *testing.T) {
 	w := newSWorld(t)
 	// A dapplet with no session service attached: invites dead-letter.
-	ep, err := w.net.Host("h").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mute := core.NewDapplet("mute", "t", transport.NewSimConn(ep))
-	t.Cleanup(mute.Stop)
-	w.dir.Register(context.Background(), directory.Entry{Name: "mute", Type: "t", Addr: mute.Addr()})
+	mute := w.Dapplet("h", "t", "mute")
+	w.Dir.Register(context.Background(), directory.Entry{Name: "mute", Type: "t", Addr: mute.Addr()})
 
 	ini := w.initiator("h", "director")
 	tctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	_, err = ini.Initiate(tctx, session.Spec{
+	_, err := ini.Initiate(tctx, session.Spec{
 		Participants: []session.Participant{{Name: "mute", Role: "x"}},
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -467,7 +446,7 @@ func TestRingTopologySession(t *testing.T) {
 
 func TestSessionOverWANWithLoss(t *testing.T) {
 	w := newSWorld(t, netsim.WithSeed(21))
-	w.net.SetLink("caltech", "rice", netsim.LinkParams{Loss: 0.2})
+	w.Net.SetLink("caltech", "rice", netsim.LinkParams{Loss: 0.2})
 	w.add("caltech", "hub", "t", session.Policy{})
 	w.add("rice", "remote", "t", session.Policy{})
 	ini := w.initiator("caltech", "director")
@@ -485,14 +464,10 @@ func TestSessionOverWANWithLoss(t *testing.T) {
 // intact, restores its membership locally, and the initiator relinks the
 // survivors to the new incarnation.
 func TestReincarnateAfterCrashRestart(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(5))
-	t.Cleanup(net.Close)
-	dir := directory.New()
-
+	w := newSWorld(t, netsim.WithSeed(5))
 	var mu sync.Mutex
 	services := make(map[string]*session.Service)
-	reg := core.NewRegistry()
-	reg.Register("node", core.Factory(func() core.Behavior {
+	w.RT.Registry().Register("node", core.Factory(func() core.Behavior {
 		return core.BehaviorFunc(func(d *core.Dapplet) error {
 			svc := session.Attach(d, session.Policy{})
 			if _, err := svc.RestoreSessions(); err != nil {
@@ -504,27 +479,12 @@ func TestReincarnateAfterCrashRestart(t *testing.T) {
 			return nil
 		})
 	}))
-	rt := core.NewRuntime(net, reg)
-	t.Cleanup(rt.StopAll)
 	for host, name := range map[string]string{"hhub": "hub", "h1": "m1"} {
-		if err := rt.Install(host, "node"); err != nil {
+		if _, err := w.Launch(context.Background(), host, "node", name); err != nil {
 			t.Fatal(err)
 		}
-		d, err := rt.Launch(host, "node", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir.Register(context.Background(), directory.Entry{Name: name, Type: "node", Addr: d.Addr()})
 	}
-
-	iniEp, err := net.Host("hq").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iniD := core.NewDapplet("director", "initiator", transport.NewSimConn(iniEp),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(iniD.Stop)
-	ini := session.NewInitiator(iniD, dir)
+	ini := w.initiator("hq", "director")
 
 	spec := session.Spec{
 		ID: "recov",
@@ -546,7 +506,7 @@ func TestReincarnateAfterCrashRestart(t *testing.T) {
 
 	send := func(name, outbox, text string) {
 		t.Helper()
-		d, ok := rt.Dapplet(name)
+		d, ok := w.RT.Dapplet(name)
 		if !ok {
 			t.Fatalf("dapplet %s gone", name)
 		}
@@ -556,7 +516,7 @@ func TestReincarnateAfterCrashRestart(t *testing.T) {
 	}
 	recv := func(name, inbox, want string) {
 		t.Helper()
-		d, ok := rt.Dapplet(name)
+		d, ok := w.RT.Dapplet(name)
 		if !ok {
 			t.Fatalf("dapplet %s gone", name)
 		}
@@ -571,10 +531,10 @@ func TestReincarnateAfterCrashRestart(t *testing.T) {
 	send("m1", "up", "before")
 	recv("hub", "requests", "before")
 
-	if err := rt.Crash("hub"); err != nil {
+	if err := w.RT.Crash("hub"); err != nil {
 		t.Fatal(err)
 	}
-	hub2, err := rt.Restart("hub")
+	hub2, err := w.RT.Restart("hub")
 	if err != nil {
 		t.Fatal(err)
 	}

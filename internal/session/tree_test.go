@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/directory"
 	"repro/internal/session"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -227,8 +225,7 @@ func TestTreeRestoreAfterCrash(t *testing.T) {
 	w := newSWorld(t)
 	var mu sync.Mutex
 	services := make(map[string]*session.Service)
-	reg := core.NewRegistry()
-	reg.Register("member", core.Factory(func() core.Behavior {
+	w.RT.Registry().Register("member", core.Factory(func() core.Behavior {
 		return core.BehaviorFunc(func(d *core.Dapplet) error {
 			svc := session.Attach(d, session.Policy{})
 			if _, err := svc.RestoreSessions(); err != nil {
@@ -240,12 +237,6 @@ func TestTreeRestoreAfterCrash(t *testing.T) {
 			return nil
 		})
 	}))
-	rt := core.NewRuntime(w.net, reg)
-	t.Cleanup(rt.StopAll)
-	rt.SetTransportConfig(transport.Config{RTO: 20 * time.Millisecond})
-	if err := rt.Install("site3", "member"); err != nil {
-		t.Fatal(err)
-	}
 
 	// Leaf m03 runs under the runtime so it can crash and restart with
 	// its store intact.
@@ -254,11 +245,10 @@ func TestTreeRestoreAfterCrash(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		dapplets[i] = w.add(fmt.Sprintf("site%d", i), names[i], "member", session.Policy{})
 	}
-	victim, err := rt.Launch("site3", "member", "m03")
+	victim, err := w.Launch(context.Background(), "site3", "member", "m03")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.dir.Register(context.Background(), directory.Entry{Name: "m03", Type: "member", Addr: victim.Addr()})
 
 	ini := w.initiator("site0", "director")
 	h, err := ini.Initiate(context.Background(), treeSpec("tree-4", names, 2))
@@ -274,14 +264,14 @@ func TestTreeRestoreAfterCrash(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 
-	if err := rt.Crash("m03"); err != nil {
+	if err := w.RT.Crash("m03"); err != nil {
 		t.Fatal(err)
 	}
 	if err := out.Send(&wire.Text{S: "missed"}); err != nil {
 		t.Fatal(err)
 	}
 
-	revived, err := rt.Restart("m03")
+	revived, err := w.RT.Restart("m03")
 	if err != nil {
 		t.Fatal(err)
 	}

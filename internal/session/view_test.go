@@ -10,10 +10,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/netsim"
 	"repro/internal/relay"
 	"repro/internal/session"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // layoutOver lays the fanout-k tree over a roster in the given order.
@@ -73,8 +73,7 @@ func TestTreeViewsMatchLayoutOracle(t *testing.T) {
 	// its store intact; its behaviour restores sessions like a real one.
 	var mu sync.Mutex
 	managed := make(map[string]*session.Service)
-	reg := core.NewRegistry()
-	reg.Register("member", core.Factory(func() core.Behavior {
+	w.RT.Registry().Register("member", core.Factory(func() core.Behavior {
 		return core.BehaviorFunc(func(d *core.Dapplet) error {
 			svc := session.Attach(d, session.Policy{})
 			if _, err := svc.RestoreSessions(); err != nil {
@@ -86,12 +85,6 @@ func TestTreeViewsMatchLayoutOracle(t *testing.T) {
 			return nil
 		})
 	}))
-	rt := core.NewRuntime(w.net, reg)
-	t.Cleanup(rt.StopAll)
-	rt.SetTransportConfig(transport.Config{RTO: 20 * time.Millisecond})
-	if err := rt.Install("crashsite", "member"); err != nil {
-		t.Fatal(err)
-	}
 	const crasher = "m07" // an interior relay at fanout 3 in every layout below
 	svcOf := func(name string) *session.Service {
 		mu.Lock()
@@ -110,11 +103,9 @@ func TestTreeViewsMatchLayoutOracle(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("m%02d", n-1-i)
 		if names[i] == crasher {
-			d, err := rt.Launch("crashsite", "member", crasher)
-			if err != nil {
+			if _, err := w.Launch(context.Background(), "crashsite", "member", crasher); err != nil {
 				t.Fatal(err)
 			}
-			w.dir.Register(context.Background(), directory.Entry{Name: crasher, Type: "member", Addr: d.Addr()})
 			continue
 		}
 		dapplets[names[i]] = w.add(fmt.Sprintf("site%d", i%8), names[i], "member", session.Policy{})
@@ -153,10 +144,10 @@ func TestTreeViewsMatchLayoutOracle(t *testing.T) {
 
 	// Crash and restart: RestoreSessions must rebind the new incarnation
 	// to the neighbours its predecessor persisted, before any relink.
-	if err := rt.Crash(crasher); err != nil {
+	if err := w.RT.Crash(crasher); err != nil {
 		t.Fatal(err)
 	}
-	revived, err := rt.Restart(crasher)
+	revived, err := w.RT.Restart(crasher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,32 +187,22 @@ func setupCost(t *testing.T, n int) uint64 {
 
 func measureSetup(t *testing.T, n int) (cost, retransmits uint64) {
 	t.Helper()
-	net := netsim.New()
-	defer net.Close()
-	dir := directory.New()
+	w := world.New(transport.Config{})
+	defer w.Close()
 	var dapplets []*core.Dapplet
 	add := func(host, name string) *core.Dapplet {
-		ep, err := net.Host(host).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := core.NewDapplet(name, "member", transport.NewSimConn(ep))
+		d := w.Dapplet(host, "member", name)
 		dapplets = append(dapplets, d)
 		return d
 	}
-	defer func() {
-		for _, d := range dapplets {
-			d.Stop()
-		}
-	}()
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("m%03d", i)
 		d := add(fmt.Sprintf("h%02d", i%32), names[i])
 		session.Attach(d, session.Policy{})
-		dir.Register(context.Background(), directory.Entry{Name: names[i], Type: "member", Addr: d.Addr()})
+		w.Dir.Register(context.Background(), directory.Entry{Name: names[i], Type: "member", Addr: d.Addr()})
 	}
-	ini := session.NewInitiator(add("hini", "ini"), dir)
+	ini := session.NewInitiator(add("hini", "ini"), w.Dir)
 	wire := func() (total uint64) {
 		for _, d := range dapplets {
 			st := d.Transport().Stats()

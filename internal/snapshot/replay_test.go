@@ -10,6 +10,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // TestChannelCaptureAndReplayAfterCrash drives the recovery half of the
@@ -21,22 +22,10 @@ import (
 func TestChannelCaptureAndReplayAfterCrash(t *testing.T) {
 	// Time scale 1 makes virtual link delays real, so the slow-link
 	// choreography below plays out in wall-clock order.
-	net := netsim.New(netsim.WithSeed(31), netsim.WithTimeScale(1))
-	defer net.Close()
-
-	mk := func(host, name string) *core.Dapplet {
-		t.Helper()
-		ep, err := net.Host(host).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := core.NewDapplet(name, "pair", transport.NewSimConn(ep),
-			core.WithTransportConfig(transport.Config{RTO: 50 * time.Millisecond}))
-		t.Cleanup(d.Stop)
-		return d
-	}
-	a := mk("hostA", "alpha")
-	b := mk("hostB", "beta")
+	w := world.New(transport.Config{RTO: 50 * time.Millisecond}, netsim.WithSeed(31), netsim.WithTimeScale(1))
+	t.Cleanup(w.Close)
+	a := w.Dapplet("hostA", "pair", "alpha")
+	b := w.Dapplet("hostB", "pair", "beta")
 	svcA := snapshot.Attach(a, func() any { return 0 })
 	svcB := snapshot.Attach(b, func() any { return 0 })
 	memA := snapshot.Member{Name: "alpha", Addr: a.Addr()}
@@ -53,12 +42,12 @@ func TestChannelCaptureAndReplayAfterCrash(t *testing.T) {
 	// coordinator's start, A records 200ms later when B's marker crosses
 	// the slow link, and A's own marker closes the A->B channel another
 	// 200ms after that — bracketing the delayed data message.
-	net.SetLinkDelay("hostA", "hostB", netsim.Constant(200*time.Millisecond))
+	w.Net.SetLinkDelay("hostA", "hostB", netsim.Constant(200*time.Millisecond))
 	if err := out.Send(&wire.Text{S: "tok"}); err != nil {
 		t.Fatal(err)
 	}
 
-	coord := coordinatorOn(t, net, []snapshot.Member{memB, memA})
+	coord := coordinatorOn(w, []snapshot.Member{memB, memA})
 	g, err := coord.SnapshotMarker(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -83,14 +72,7 @@ func TestChannelCaptureAndReplayAfterCrash(t *testing.T) {
 	b.Stop()
 	store := b.Store()
 	store.Reopen()
-	ep2, err := net.Host("hostB").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2 := core.NewDapplet("beta", "pair", transport.NewSimConn(ep2),
-		core.WithTransportConfig(transport.Config{RTO: 50 * time.Millisecond}),
-		core.WithStore(store))
-	t.Cleanup(b2.Stop)
+	b2 := w.Dapplet("hostB", "pair", "beta", core.WithStore(store))
 	b2.Inbox("data") // stand the session inbox back up before replaying
 
 	n, err := snapshot.ReplayChannels(b2)

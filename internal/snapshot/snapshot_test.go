@@ -14,6 +14,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // ringNode is a reactive dapplet behaviour: it holds up to `keep` tokens
@@ -39,17 +40,18 @@ type ringWorld struct {
 	members  []snapshot.Member
 }
 
-func buildRing(t *testing.T, net *netsim.Network, n, keep int) *ringWorld {
+// newWorld is a world whose dapplets run a 20 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	sim := world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)
+	t.Cleanup(sim.Close)
+	return sim
+}
+
+func buildRing(t *testing.T, sim *world.World, n, keep int) *ringWorld {
 	t.Helper()
 	w := &ringWorld{}
 	for i := 0; i < n; i++ {
-		ep, err := net.Host(fmt.Sprintf("host%d", i)).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := core.NewDapplet(fmt.Sprintf("node%d", i), "ring", transport.NewSimConn(ep),
-			core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-		t.Cleanup(d.Stop)
+		d := sim.Dapplet(fmt.Sprintf("host%d", i), "ring", fmt.Sprintf("node%d", i))
 		node := &ringNode{}
 		// Snapshot service first: its observers must run before the
 		// application's state mutation.
@@ -121,27 +123,18 @@ func tokensIn(t *testing.T, g *snapshot.Global) int {
 	return total
 }
 
-func coordinatorOn(t *testing.T, net *netsim.Network, members []snapshot.Member) *snapshot.Coordinator {
-	t.Helper()
-	ep, err := net.Host("coord").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet("coordinator", "coord", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(d.Stop)
-	c := snapshot.NewCoordinator(d, members)
+func coordinatorOn(sim *world.World, members []snapshot.Member) *snapshot.Coordinator {
+	c := snapshot.NewCoordinator(sim.Dapplet("coord", "coord", "coordinator"), members)
 	c.SetTimeout(10 * time.Second)
 	c.SetSettle(150 * time.Millisecond)
 	return c
 }
 
 func TestMarkerSnapshotConservesTokens(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(17))
-	defer net.Close()
+	sim := newWorld(t, netsim.WithSeed(17))
 	const nodes, tokens, keep = 4, 6, 1
-	w := buildRing(t, net, nodes, keep)
-	coord := coordinatorOn(t, net, w.members)
+	w := buildRing(t, sim, nodes, keep)
+	coord := coordinatorOn(sim, w.members)
 	w.inject(t, tokens)
 	time.Sleep(50 * time.Millisecond) // let circulation reach steady state
 
@@ -162,11 +155,10 @@ func TestMarkerSnapshotConservesTokens(t *testing.T) {
 }
 
 func TestClockSnapshotConservesTokens(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(23))
-	defer net.Close()
+	sim := newWorld(t, netsim.WithSeed(23))
 	const nodes, tokens, keep = 5, 8, 1
-	w := buildRing(t, net, nodes, keep)
-	coord := coordinatorOn(t, net, w.members)
+	w := buildRing(t, sim, nodes, keep)
+	coord := coordinatorOn(sim, w.members)
 	w.inject(t, tokens)
 	time.Sleep(50 * time.Millisecond)
 
@@ -183,11 +175,10 @@ func TestClockSnapshotConservesTokens(t *testing.T) {
 }
 
 func TestRepeatedSnapshotsOnLiveSystem(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(31))
-	defer net.Close()
+	sim := newWorld(t, netsim.WithSeed(31))
 	const nodes, tokens = 3, 4
-	w := buildRing(t, net, nodes, 1)
-	coord := coordinatorOn(t, net, w.members)
+	w := buildRing(t, sim, nodes, 1)
+	coord := coordinatorOn(sim, w.members)
 	w.inject(t, tokens)
 	for i := 0; i < 3; i++ {
 		g, err := coord.SnapshotMarker(context.Background())
@@ -206,10 +197,9 @@ func TestRepeatedSnapshotsOnLiveSystem(t *testing.T) {
 func TestSnapshotQuiescentSystem(t *testing.T) {
 	// A ring with no traffic: all channels empty, zero counters, states
 	// intact.
-	net := netsim.New()
-	defer net.Close()
-	w := buildRing(t, net, 3, 0)
-	coord := coordinatorOn(t, net, w.members)
+	sim := newWorld(t)
+	w := buildRing(t, sim, 3, 0)
+	coord := coordinatorOn(sim, w.members)
 	g, err := coord.SnapshotMarker(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -226,10 +216,9 @@ func TestSnapshotQuiescentSystem(t *testing.T) {
 }
 
 func TestClockSnapshotQuiescent(t *testing.T) {
-	net := netsim.New()
-	defer net.Close()
-	w := buildRing(t, net, 3, 0)
-	coord := coordinatorOn(t, net, w.members)
+	sim := newWorld(t)
+	w := buildRing(t, sim, 3, 0)
+	coord := coordinatorOn(sim, w.members)
 	coordFast := coord
 	coordFast.SetSettle(20 * time.Millisecond)
 	g, err := coordFast.SnapshotClock(context.Background(), 1000)
@@ -267,9 +256,8 @@ func TestChannelKeyString(t *testing.T) {
 }
 
 func TestEmptyMembership(t *testing.T) {
-	net := netsim.New()
-	defer net.Close()
-	coord := coordinatorOn(t, net, nil)
+	sim := newWorld(t)
+	coord := coordinatorOn(sim, nil)
 	if _, err := coord.SnapshotMarker(context.Background()); err == nil {
 		t.Fatal("empty member set accepted")
 	}
@@ -286,19 +274,11 @@ func TestEmptyMembership(t *testing.T) {
 // call must abort cleanly with a timeout rather than wedge. Fixed seed,
 // single shard: the network schedule is reproducible.
 func TestCoordinatorCrashMidSnapshot(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(99), netsim.WithShards(1))
-	defer net.Close()
-	w := buildRing(t, net, 4, 1)
+	sim := newWorld(t, netsim.WithSeed(99), netsim.WithShards(1))
+	w := buildRing(t, sim, 4, 1)
 	w.inject(t, 6)
 
-	ep, err := net.Host("coord-host").BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordD := core.NewDapplet("coord", "coord", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(coordD.Stop)
-	coord := snapshot.NewCoordinator(coordD, w.members)
+	coord := snapshot.NewCoordinator(sim.Dapplet("coord-host", "coord", "coord"), w.members)
 	coord.SetTimeout(500 * time.Millisecond)
 
 	// Crash the coordinator the moment the first member records its
@@ -321,7 +301,7 @@ func TestCoordinatorCrashMidSnapshot(t *testing.T) {
 	}()
 	select {
 	case <-recorded:
-		net.Crash("coord-host")
+		sim.Net.Crash("coord-host")
 	case <-time.After(5 * time.Second):
 		t.Fatal("snapshot never reached a member")
 	}

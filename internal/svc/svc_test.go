@@ -15,32 +15,27 @@ import (
 	"repro/internal/svc"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
-func newDap(t *testing.T, net *netsim.Network, host, name string) *core.Dapplet {
-	t.Helper()
-	ep, err := net.Host(host).BindAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 20 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 // echoWorld serves an upper-casing echo on "@echo" and returns a caller.
 func echoWorld(t *testing.T) (*core.Dapplet, wire.InboxRef, *svc.Caller) {
 	t.Helper()
-	net := netsim.New(netsim.WithSeed(1))
-	t.Cleanup(net.Close)
-	server := newDap(t, net, "hs", "server")
+	w := newWorld(t, netsim.WithSeed(1))
+	server := w.Dapplet("hs", "t", "server")
 	srv := svc.Serve(server, "@echo", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return &wire.Text{S: strings.ToUpper(req.(*wire.Text).S)}, nil
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	return server, srv.Ref(), caller
 }
 
@@ -73,15 +68,14 @@ func TestCallExpiredContext(t *testing.T) {
 // server elects silence via NoReply) and checks the wait ends with
 // context.Canceled.
 func TestCallCancelledMidWait(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(2))
-	t.Cleanup(net.Close)
-	server := newDap(t, net, "hs", "server")
+	w := newWorld(t, netsim.WithSeed(2))
+	server := w.Dapplet("hs", "t", "server")
 	srv := svc.Serve(server, "@mute", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return nil, svc.NoReply
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- caller.Call(ctx, srv.Ref(), &wire.Text{S: "anyone?"}, nil) }()
@@ -108,16 +102,15 @@ func TestNoHandlerIsTypedError(t *testing.T) {
 // TestTypedErrorCodeSurvivesWire checks an application error code crosses
 // the wire as a value, dispatchable with errors.As — not a string match.
 func TestTypedErrorCodeSurvivesWire(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(3))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(3))
 	const codeBusy = svc.CodeUser + 7
-	server := newDap(t, net, "hs", "server")
+	server := w.Dapplet("hs", "t", "server")
 	srv := svc.Serve(server, "@busy", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return nil, &svc.Error{Code: codeBusy, Msg: "try later"}
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	err := caller.Call(context.Background(), srv.Ref(), &wire.Text{S: "?"}, nil)
 	var se *svc.Error
 	if !errors.As(err, &se) || se.Code != codeBusy || se.Msg != "try later" {
@@ -128,10 +121,9 @@ func TestTypedErrorCodeSurvivesWire(t *testing.T) {
 // TestBareOneWayDispatch sends a registered message outside any svc
 // frame: the server dispatches it by kind with no reply.
 func TestBareOneWayDispatch(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(4))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(4))
 	var got atomic.Int64
-	server := newDap(t, net, "hs", "server")
+	server := w.Dapplet("hs", "t", "server")
 	srv := svc.Serve(server, "@oneway", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			if !c.OneWay() {
@@ -141,7 +133,7 @@ func TestBareOneWayDispatch(t *testing.T) {
 			return nil, nil
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	for i := 0; i < 3; i++ {
 		if err := caller.Cast(srv.Ref(), "", &wire.Text{S: "fire"}); err != nil {
 			t.Fatal(err)
@@ -160,8 +152,7 @@ func TestBareOneWayDispatch(t *testing.T) {
 // which are silent: the call returns as soon as the live one answers, and
 // observe eventually sees every outcome.
 func TestCallFirstReturnsOnFirstAck(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(5))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(5))
 	handler := svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return &wire.Text{S: "ack"}, nil
@@ -173,11 +164,11 @@ func TestCallFirstReturnsOnFirstAck(t *testing.T) {
 		},
 	}
 	refs := []wire.InboxRef{
-		svc.Serve(newDap(t, net, "h0", "r0"), "@r", silent).Ref(),
-		svc.Serve(newDap(t, net, "h1", "r1"), "@r", handler).Ref(),
-		svc.Serve(newDap(t, net, "h2", "r2"), "@r", silent).Ref(),
+		svc.Serve(w.Dapplet("h0", "t", "r0"), "@r", silent).Ref(),
+		svc.Serve(w.Dapplet("h1", "t", "r1"), "@r", handler).Ref(),
+		svc.Serve(w.Dapplet("h2", "t", "r2"), "@r", silent).Ref(),
 	}
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	var mu sync.Mutex
@@ -222,15 +213,14 @@ func TestCallFirstReturnsOnFirstAck(t *testing.T) {
 // accounting: a burst of calls abandoned by cancellation must leave no
 // goroutines behind once the dust settles.
 func TestCancelledCallLeaksNoGoroutines(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(6))
-	t.Cleanup(net.Close)
-	server := newDap(t, net, "hs", "server")
+	w := newWorld(t, netsim.WithSeed(6))
+	server := w.Dapplet("hs", "t", "server")
 	srv := svc.Serve(server, "@mute", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return nil, svc.NoReply
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -258,11 +248,10 @@ func TestCancelledCallLeaksNoGoroutines(t *testing.T) {
 // through the Reply arrives typed, and a one-way request's Reply sends
 // nothing.
 func TestDeferredReply(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(7))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(7))
 	const codeLater = svc.CodeUser + 3
 	parked := make(chan svc.Reply, 3)
-	srv := svc.Serve(newDap(t, net, "hs", "server"), "@later", svc.Handlers{
+	srv := svc.Serve(w.Dapplet("hs", "t", "server"), "@later", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			if req.(*wire.Text).S == "park" {
 				parked <- c.Defer()
@@ -273,7 +262,7 @@ func TestDeferredReply(t *testing.T) {
 			return &wire.Text{S: "done"}, nil
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -306,16 +295,15 @@ func TestDeferredReply(t *testing.T) {
 // TestOnLate checks that a reply landing after Await gave up reaches the
 // OnLate callback, and that a reply awaited in time never does.
 func TestOnLate(t *testing.T) {
-	net := netsim.New(netsim.WithSeed(8))
-	t.Cleanup(net.Close)
+	w := newWorld(t, netsim.WithSeed(8))
 	parked := make(chan svc.Reply, 1)
-	srv := svc.Serve(newDap(t, net, "hs", "server"), "@slow", svc.Handlers{
+	srv := svc.Serve(w.Dapplet("hs", "t", "server"), "@slow", svc.Handlers{
 		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			parked <- c.Defer()
 			return nil, nil
 		},
 	})
-	caller := svc.NewCaller(newDap(t, net, "hc", "client"))
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
 
 	p, err := caller.Send(srv.Ref(), "", &wire.Text{S: "slow"})
 	if err != nil {

@@ -150,7 +150,7 @@ func (s *Swarm) opJoin(rng *rand.Rand) (string, error) {
 	ini := s.inits[id%len(s.inits)]
 	s.mu.Unlock()
 
-	if _, err := s.rt.Launch(host, typeMember, name,
+	if _, err := s.RT.Launch(host, typeMember, name,
 		core.WithQueueCap(s.cfg.QueueCap), core.WithTransportConfig(s.memberRel)); err != nil {
 		return name, fmt.Errorf("swarm: join %s: %w", name, err)
 	}
@@ -209,7 +209,7 @@ func (s *Swarm) opLeave(rng *rand.Rand) (bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout) //wwlint:allow ctxcheck churn driver op with no caller context; bounded by opTimeout
 	err := ini.client.Remove(ctx, m.name)
 	cancel()
-	if cerr := s.rt.Crash(m.name); cerr != nil {
+	if cerr := s.RT.Crash(m.name); cerr != nil {
 		return true, fmt.Errorf("swarm: leave %s: %w", m.name, cerr)
 	}
 	st := m.det.Stats()
@@ -249,7 +249,7 @@ func (s *Swarm) opCrash(rng *rand.Rand) (bool, error) {
 	}
 	s.mu.Unlock()
 
-	if err := s.rt.Crash(m.name); err != nil {
+	if err := s.RT.Crash(m.name); err != nil {
 		return true, fmt.Errorf("swarm: crash %s: %w", m.name, err)
 	}
 	st := m.det.Stats()
@@ -293,7 +293,7 @@ func (s *Swarm) opRevive(rng *rand.Rand) (bool, error) {
 	s.crashedList = s.crashedList[:len(s.crashedList)-1]
 	s.mu.Unlock()
 
-	d, err := s.rt.Restart(name)
+	d, err := s.RT.Restart(name)
 	if err != nil {
 		return true, fmt.Errorf("swarm: revive %s: %w", name, err)
 	}
@@ -478,14 +478,14 @@ func (s *Swarm) opPartition(rng *rand.Rand, stop <-chan struct{}) {
 // unnamed rest form the implicit majority group. Caller holds s.mu.
 func (s *Swarm) applyPartitionsLocked() {
 	if len(s.parted) == 0 {
-		s.net.Heal()
+		s.Net.Heal()
 		return
 	}
 	groups := make([][]string, 0, len(s.parted))
 	for h := range s.parted {
 		groups = append(groups, []string{h})
 	}
-	s.net.Partition(groups...)
+	s.Net.Partition(groups...)
 }
 
 // addRelStats sums the transport counters the report tracks.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/svc"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 )
 
 // SessionInbox is the service inbox every swarm member answers echo
@@ -210,9 +211,8 @@ const maxSamples = 1 << 16
 
 // Swarm is one running harness instance; Run owns its lifecycle.
 type Swarm struct {
+	*world.World
 	cfg       Config
-	net       *netsim.Network
-	rt        *core.Runtime
 	cluster   *directory.Cluster
 	memberRel transport.Config
 
@@ -239,8 +239,6 @@ type Swarm struct {
 	ops, opErrs, sessions, sessErrs uint64
 	sessLat, downLat, upLat         []time.Duration
 	eventLog                        []string
-
-	stopOnce sync.Once
 }
 
 // Run executes one swarm harness run: launch the directory and
@@ -251,23 +249,18 @@ type Swarm struct {
 // outcome.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	netOpts := []netsim.Option{netsim.WithSeed(cfg.Seed)}
-	switch {
-	case cfg.Lockstep:
-		netOpts = append(netOpts, netsim.WithShards(1))
-	case cfg.NetShards > 0:
-		netOpts = append(netOpts, netsim.WithShards(cfg.NetShards))
+	shards := cfg.NetShards
+	if cfg.Lockstep {
+		shards = 1
 	}
 	// Directory replicas absorb heartbeat fan-in from every registered
 	// member, so their receive queues see O(N) sustained arrivals; the
 	// default cap holds only ~150ms of burst at 500-member scale and
 	// overflow there drops anti-entropy pulls along with the heartbeats.
-	if qc := 8 * cfg.N; qc > netsim.DefaultQueueCap {
-		netOpts = append(netOpts, netsim.WithQueueCap(qc))
-	}
+	queueCap := max(8*cfg.N, netsim.DefaultQueueCap)
 	s := &Swarm{
+		World:     world.New(transport.Config{}, netsim.WithSeed(cfg.Seed), netsim.WithShards(shards), netsim.WithQueueCap(queueCap)),
 		cfg:       cfg,
-		net:       netsim.New(netOpts...),
 		members:   make(map[string]*member, cfg.N+cfg.N/4),
 		dirByName: make(map[string]*dirReplica),
 		parted:    make(map[string]bool),
@@ -279,13 +272,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			FailureBuf: 4,
 		},
 	}
-	defer s.teardown()
+	defer s.Close()
 
-	reg := core.NewRegistry()
+	reg := s.RT.Registry()
 	reg.Register(typeMember, func() core.Behavior { return core.BehaviorFunc(s.startMember) })
 	reg.Register(typeDir, func() core.Behavior { return core.BehaviorFunc(s.startDir) })
 	reg.Register(typeIni, func() core.Behavior { return core.BehaviorFunc(s.startIni) })
-	s.rt = core.NewRuntime(s.net, reg)
 	if err := s.launchDirectory(); err != nil {
 		return nil, err
 	}
@@ -320,7 +312,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	rep := s.buildReport(base, joinEnd, churnEnd, ms.HeapAlloc, goro)
 	rep.DirConvergeRounds = conv
-	s.teardown()
+	s.Close()
 	return rep, nil
 }
 
@@ -334,25 +326,13 @@ func clampDur(v, lo, hi time.Duration) time.Duration {
 	return v
 }
 
-// teardown stops everything, once: drivers are already stopped by the
-// time it runs, so the order is dapplets (their detectors detach and
-// stop their timers), then the network.
-func (s *Swarm) teardown() {
-	s.stopOnce.Do(func() {
-		if s.rt != nil {
-			s.rt.StopAll()
-		}
-		s.net.Close()
-	})
-}
-
 // detConfig is the detector configuration shared by every swarm
 // dapplet.
 func (s *Swarm) detConfig(name string) failure.Config {
 	return failure.Config{
 		Interval:    s.cfg.Interval,
 		Multiplier:  s.cfg.Multiplier,
-		Incarnation: uint64(s.rt.Incarnation(name)),
+		Incarnation: uint64(s.RT.Incarnation(name)),
 	}
 }
 
@@ -470,10 +450,10 @@ func (s *Swarm) launchDirectory() error {
 		for r := 0; r < s.cfg.DirReplicas; r++ {
 			host := fmt.Sprintf("dh-%d-%d", sh, r)
 			name := fmt.Sprintf("dir-%d-%d", sh, r)
-			if err := s.rt.Install(host, typeDir); err != nil {
+			if err := s.RT.Install(host, typeDir); err != nil {
 				return err
 			}
-			if _, err := s.rt.Launch(host, typeDir, name); err != nil {
+			if _, err := s.RT.Launch(host, typeDir, name); err != nil {
 				return fmt.Errorf("swarm: launch %s: %w", name, err)
 			}
 			s.mu.Lock()
@@ -508,17 +488,17 @@ func (s *Swarm) launchDirectory() error {
 func (s *Swarm) launchInitiators() error {
 	for i := 0; i < s.cfg.Initiators; i++ {
 		host := fmt.Sprintf("ih%02d", i)
-		if err := s.rt.Install(host, typeIni); err != nil {
+		if err := s.RT.Install(host, typeIni); err != nil {
 			return err
 		}
-		if _, err := s.rt.Launch(host, typeIni, fmt.Sprintf("ini%02d", i)); err != nil {
+		if _, err := s.RT.Launch(host, typeIni, fmt.Sprintf("ini%02d", i)); err != nil {
 			return fmt.Errorf("swarm: launch initiator %d: %w", i, err)
 		}
 	}
 	// Member hosts are installed up front too, so joins never race
 	// Install.
 	for i := 0; i < s.cfg.Hosts; i++ {
-		if err := s.rt.Install(memberHost(i), typeMember); err != nil {
+		if err := s.RT.Install(memberHost(i), typeMember); err != nil {
 			return err
 		}
 	}
@@ -755,7 +735,7 @@ type counters struct {
 // cumulative samples every counter the report is built from.
 func (s *Swarm) cumulative() counters {
 	c := counters{at: time.Now()} //wwlint:allow determinism report timestamps are wall-clock measurement, not replayed state
-	ns := s.net.Counters()
+	ns := s.Net.Counters()
 	c.delivered, c.bytes, c.lostQueue = ns.Delivered, ns.BytesSent, ns.LostQueue
 
 	s.mu.Lock()

@@ -2,6 +2,8 @@ package swarm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,14 +34,17 @@ func lockstepConfig(seed int64) Config {
 // scheduling nondeterminism into observable state. The gossip variant
 // repeats the check with rumor spread, verdict quorums and directory
 // anti-entropy all active — the new background traffic must not leak
-// into awaited outcomes either.
+// into awaited outcomes either. Each variant's log is also pinned by its
+// SHA-256, so a change to the harness's seeded decisions fails here even
+// though both runs in one process would still agree.
 func TestLockstepDeterminism(t *testing.T) {
 	variants := []struct {
 		name string
+		sum  string
 		mod  func(*Config)
 	}{
-		{"base", func(*Config) {}},
-		{"gossip", func(c *Config) {
+		{"base", "516396b98fbe3c2434ec6244031b1c0fc9d9a0c29b3cb0254aca7027b04b2ba3", func(*Config) {}},
+		{"gossip", "7fd36e30bb4ed9529167b63aceba193538b3bc43d5213179e31d1f8c81fbcded", func(c *Config) {
 			c.GossipInterval = 50 * time.Millisecond
 			c.DirReplicas = 2
 		}},
@@ -68,6 +73,10 @@ func TestLockstepDeterminism(t *testing.T) {
 				if a[i] != b[i] {
 					t.Fatalf("event logs diverge at line %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
 				}
+			}
+			sum := sha256.Sum256([]byte(strings.Join(a, "\n")))
+			if got := hex.EncodeToString(sum[:]); got != v.sum {
+				t.Fatalf("event log SHA-256 = %s, want %s: the harness's seeded decisions changed", got, v.sum)
 			}
 			// The log must actually contain awaited verdicts, or
 			// determinism is vacuous.

@@ -9,49 +9,32 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/syncprim"
 	"repro/internal/tokens"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // ctx bounds nothing: these tests wait on their own timers.
 var ctx = context.Background()
 
-type dworld struct {
-	t   *testing.T
-	net *netsim.Network
-}
-
-func newDWorld(t *testing.T) *dworld {
-	t.Helper()
-	n := netsim.New()
-	t.Cleanup(n.Close)
-	return &dworld{t: t, net: n}
-}
-
-func (w *dworld) dapplet(host, name string) *core.Dapplet {
-	w.t.Helper()
-	ep, err := w.net.Host(host).BindAny()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	w.t.Cleanup(d.Stop)
-	return d
+// newWorld is a world whose dapplets run a 20 ms RTO, closed when t ends.
+func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)
+	t.Cleanup(w.Close)
+	return w
 }
 
 func TestDistBarrierAcrossDapplets(t *testing.T) {
-	w := newDWorld(t)
-	coordD := w.dapplet("hub", "coord")
+	w := newWorld(t)
+	coordD := w.Dapplet("hub", "t", "coord")
 	svc := syncprim.ServeBarriers(coordD)
 	const parties = 5
 	var reached, released atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < parties; i++ {
-		cli := syncprim.NewClient(w.dapplet(fmt.Sprintf("host%d", i), fmt.Sprintf("p%d", i)))
+		cli := syncprim.NewClient(w.Dapplet(fmt.Sprintf("host%d", i), "t", fmt.Sprintf("p%d", i)))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -74,10 +57,10 @@ func TestDistBarrierAcrossDapplets(t *testing.T) {
 }
 
 func TestDistBarrierHoldsUntilLastParty(t *testing.T) {
-	w := newDWorld(t)
-	svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
-	c1 := syncprim.NewClient(w.dapplet("h1", "p1"))
-	c2 := syncprim.NewClient(w.dapplet("h2", "p2"))
+	w := newWorld(t)
+	svc := syncprim.ServeBarriers(w.Dapplet("hub", "t", "coord"))
+	c1 := syncprim.NewClient(w.Dapplet("h1", "t", "p1"))
+	c2 := syncprim.NewClient(w.Dapplet("h2", "t", "p2"))
 	done := make(chan error, 1)
 	go func() {
 		_, err := c1.BarrierAwait(ctx, svc.Ref(), "b", 2)
@@ -102,9 +85,9 @@ func TestDistBarrierHoldsUntilLastParty(t *testing.T) {
 }
 
 func TestDistBarrierRounds(t *testing.T) {
-	w := newDWorld(t)
-	svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
-	cli := syncprim.NewClient(w.dapplet("h1", "solo"))
+	w := newWorld(t)
+	svc := syncprim.ServeBarriers(w.Dapplet("hub", "t", "coord"))
+	cli := syncprim.NewClient(w.Dapplet("h1", "t", "solo"))
 	for r := 0; r < 3; r++ {
 		round, err := cli.BarrierAwait(ctx, svc.Ref(), "solo-b", 1)
 		if err != nil {
@@ -121,10 +104,10 @@ func TestDistBarrierRounds(t *testing.T) {
 }
 
 func TestDistRegisterFirstWriterWins(t *testing.T) {
-	w := newDWorld(t)
-	svc := syncprim.ServeRegisters(w.dapplet("hub", "reg-host"))
-	c1 := syncprim.NewClient(w.dapplet("h1", "w1"))
-	c2 := syncprim.NewClient(w.dapplet("h2", "w2"))
+	w := newWorld(t)
+	svc := syncprim.ServeRegisters(w.Dapplet("hub", "t", "reg-host"))
+	c1 := syncprim.NewClient(w.Dapplet("h1", "t", "w1"))
+	c2 := syncprim.NewClient(w.Dapplet("h2", "t", "w2"))
 
 	won1, err := c1.RegisterSet(ctx, svc.Ref(), "x", []byte("first"))
 	if err != nil {
@@ -147,10 +130,10 @@ func TestDistRegisterFirstWriterWins(t *testing.T) {
 }
 
 func TestDistRegisterGetBlocksUntilSet(t *testing.T) {
-	w := newDWorld(t)
-	svc := syncprim.ServeRegisters(w.dapplet("hub", "reg-host"))
-	reader := syncprim.NewClient(w.dapplet("h1", "reader"))
-	writer := syncprim.NewClient(w.dapplet("h2", "writer"))
+	w := newWorld(t)
+	svc := syncprim.ServeRegisters(w.Dapplet("hub", "t", "reg-host"))
+	reader := syncprim.NewClient(w.Dapplet("h1", "t", "reader"))
+	writer := syncprim.NewClient(w.Dapplet("h2", "t", "writer"))
 
 	got := make(chan []byte, 1)
 	go func() {
@@ -179,14 +162,14 @@ func TestDistRegisterGetBlocksUntilSet(t *testing.T) {
 }
 
 func TestDistSemaphoreLimitsConcurrency(t *testing.T) {
-	w := newDWorld(t)
-	hub := w.dapplet("hub", "alloc-host")
+	w := newWorld(t)
+	hub := w.Dapplet("hub", "t", "alloc-host")
 	alloc := tokens.Serve(hub, tokens.Bag{"permits": 2})
 	const workers = 6
 	var in, max int32
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		mgr := tokens.NewManager(w.dapplet(fmt.Sprintf("h%d", i), fmt.Sprintf("w%d", i)), alloc.Ref())
+		mgr := tokens.NewManager(w.Dapplet(fmt.Sprintf("h%d", i), "t", fmt.Sprintf("w%d", i)), alloc.Ref())
 		sem := syncprim.NewDistSemaphore(mgr, "permits")
 		wg.Add(1)
 		go func() {
@@ -228,12 +211,12 @@ func TestDistSemaphoreLimitsConcurrency(t *testing.T) {
 // register services concurrently: each must get its own replies. With a
 // reply inbox shared between clients one's answer could wake the other.
 func TestTwoClientsOneDapplet(t *testing.T) {
-	w := newDWorld(t)
+	w := newWorld(t)
 	regs := []*syncprim.RegisterService{
-		syncprim.ServeRegisters(w.dapplet("hub-a", "reg-a")),
-		syncprim.ServeRegisters(w.dapplet("hub-b", "reg-b")),
+		syncprim.ServeRegisters(w.Dapplet("hub-a", "t", "reg-a")),
+		syncprim.ServeRegisters(w.Dapplet("hub-b", "t", "reg-b")),
 	}
-	d := w.dapplet("h", "two-sessions")
+	d := w.Dapplet("h", "t", "two-sessions")
 	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -262,10 +245,10 @@ func TestTwoClientsOneDapplet(t *testing.T) {
 // abandoned by its context returns ctx.Err(), but the arrival counts, so
 // the next party completes the round alone.
 func TestCancelledBarrierAwaitStillArrives(t *testing.T) {
-	w := newDWorld(t)
-	svc := syncprim.ServeBarriers(w.dapplet("hub", "coord"))
-	c1 := syncprim.NewClient(w.dapplet("h1", "p1"))
-	c2 := syncprim.NewClient(w.dapplet("h2", "p2"))
+	w := newWorld(t)
+	svc := syncprim.ServeBarriers(w.Dapplet("hub", "t", "coord"))
+	c1 := syncprim.NewClient(w.Dapplet("h1", "t", "p1"))
+	c2 := syncprim.NewClient(w.Dapplet("h2", "t", "p2"))
 	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
 	if _, err := c1.BarrierAwait(short, svc.Ref(), "b", 2); !errors.Is(err, context.DeadlineExceeded) {

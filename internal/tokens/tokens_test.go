@@ -9,45 +9,31 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/tokens"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // ctx bounds nothing: these tests wait on their own timers.
 var ctx = context.Background()
 
+// tworld is a world with a token allocator on host "hub".
 type tworld struct {
-	t     *testing.T
-	net   *netsim.Network
+	*world.World
 	alloc *tokens.Allocator
 }
 
 func newTWorld(t *testing.T, initial tokens.Bag, opts ...netsim.Option) *tworld {
 	t.Helper()
-	n := netsim.New(opts...)
-	t.Cleanup(n.Close)
-	w := &tworld{t: t, net: n}
-	hub := w.dapplet("hub", "allocator-host")
-	w.alloc = tokens.Serve(hub, initial)
+	w := &tworld{World: world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)}
+	t.Cleanup(w.Close)
+	w.alloc = tokens.Serve(w.Dapplet("hub", "t", "allocator-host"), initial)
 	return w
 }
 
-func (w *tworld) dapplet(host, name string) *core.Dapplet {
-	w.t.Helper()
-	ep, err := w.net.Host(host).BindAny()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	d := core.NewDapplet(name, "t", transport.NewSimConn(ep),
-		core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-	w.t.Cleanup(d.Stop)
-	return d
-}
-
 func (w *tworld) manager(host, name string) *tokens.Manager {
-	return tokens.NewManager(w.dapplet(host, name), w.alloc.Ref())
+	return tokens.NewManager(w.Dapplet(host, "t", name), w.alloc.Ref())
 }
 
 func TestBagOperations(t *testing.T) {
@@ -503,8 +489,8 @@ func TestConservationUnderRandomWorkload(t *testing.T) {
 // inbox shared between managers one's grant could wake the other.
 func TestTwoManagersOneDapplet(t *testing.T) {
 	w := newTWorld(t, tokens.Bag{"a": 1})
-	allocB := tokens.Serve(w.dapplet("hub-b", "allocator-b"), tokens.Bag{"b": 1})
-	d := w.dapplet("h", "two-sessions")
+	allocB := tokens.Serve(w.Dapplet("hub-b", "t", "allocator-b"), tokens.Bag{"b": 1})
+	d := w.Dapplet("h", "t", "two-sessions")
 	mgrs := map[tokens.Color]*tokens.Manager{
 		"a": tokens.NewManager(d, w.alloc.Ref()),
 		"b": tokens.NewManager(d, allocB.Ref()),

@@ -25,26 +25,16 @@ import (
 	"repro/internal/tokens"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/world"
 	"repro/wwds"
 )
 
-// newWorld builds a facade network and returns a helper that puts a
-// facade dapplet on a named host.
+// newWorld builds a world and returns a helper that puts a dapplet on a
+// named host.
 func newWorld(t *testing.T, seed int64) func(host, name string) *core.Dapplet {
-	t.Helper()
-	net := wwds.NewNetwork(wwds.WithSeed(seed))
-	t.Cleanup(net.Close)
-	return func(host, name string) *core.Dapplet {
-		t.Helper()
-		ep, err := net.Host(host).BindAny()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := wwds.NewDapplet(name, "t", wwds.NewSimConn(ep),
-			core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond}))
-		t.Cleanup(d.Stop)
-		return d
-	}
+	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, wwds.WithSeed(seed))
+	t.Cleanup(w.Close)
+	return func(host, name string) *core.Dapplet { return w.Dapplet(host, "t", name) }
 }
 
 // newPair builds two connected dapplets through the public facade.
