@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -599,5 +601,69 @@ func TestLaunchReusingCrashedNameStartsFreshLineage(t *testing.T) {
 	var mark string
 	if ok, _ := d3.Store().Get("mark", &mark); !ok || mark != "second" {
 		t.Fatalf("restart used the wrong store (mark=%q ok=%v)", mark, ok)
+	}
+}
+
+// goroutinesNaming counts the goroutines whose stack names fn.
+func goroutinesNaming(fn string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, fn) {
+			count++
+		}
+	}
+	return count
+}
+
+// TestReceiveGoroutines checks the receive side costs a dapplet one
+// goroutine: the transport's receive loop, which delivers into the
+// inboxes itself, with no hand-off goroutine behind it, and which is gone
+// once the dapplet stops.
+func TestReceiveGoroutines(t *testing.T) {
+	const recvLoop = "transport.(*Reliable).recvLoop"
+	base := goroutinesNaming(recvLoop)
+	w := newWorld(t)
+	const n = 6
+	daps := make([]*Dapplet, n)
+	for i := range daps {
+		daps[i] = w.dapplet(fmt.Sprintf("h%d", i), fmt.Sprintf("d%d", i))
+		daps[i].Inbox("in")
+	}
+	for _, from := range daps {
+		for _, to := range daps {
+			if to != from {
+				if err := from.SendDirect(wire.InboxRef{Dapplet: to.Addr(), Inbox: "in"}, "", &wire.Text{S: from.Name()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, d := range daps {
+		for range n - 1 {
+			recvText(t, d.Inbox("in"))
+		}
+	}
+	if got := goroutinesNaming("core.(*Dapplet)."); got != 0 {
+		t.Fatalf("%d goroutines run in Dapplet code after delivery, want 0", got)
+	}
+	if got := goroutinesNaming(recvLoop); got != base+n {
+		t.Fatalf("%d receive loops for %d dapplets, want %d", got-base, n, n)
+	}
+	for _, d := range daps {
+		d.Stop()
+	}
+	for deadline := time.Now().Add(5 * time.Second); goroutinesNaming(recvLoop) != base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d receive loops left after Stop", goroutinesNaming(recvLoop)-base)
+		}
 	}
 }

@@ -20,6 +20,7 @@ type Dapplet struct {
 	name string
 	typ  string
 	rel  *transport.Reliable
+	dec  wire.EnvelopeDecoder // used by deliver alone
 
 	clock *lclock.Clock
 	store *state.Store
@@ -72,8 +73,8 @@ func WithStore(s *state.Store) DappletOption {
 }
 
 // NewDapplet creates a dapplet on the given datagram socket and starts its
-// demultiplexer. name identifies the instance ("mani-calendar"); typ names
-// its behaviour type ("calendar").
+// receive goroutine. name identifies the instance ("mani-calendar"); typ
+// names its behaviour type ("calendar").
 func NewDapplet(name, typ string, pc transport.PacketConn, opts ...DappletOption) *Dapplet {
 	cfg := dappletConfig{}
 	for _, o := range opts {
@@ -85,15 +86,13 @@ func NewDapplet(name, typ string, pc transport.PacketConn, opts ...DappletOption
 	d := &Dapplet{
 		name:     name,
 		typ:      typ,
-		rel:      transport.NewReliable(pc, cfg.relCfg),
 		clock:    lclock.New(name),
 		store:    cfg.store,
 		inboxes:  make(map[string]*Inbox),
 		outboxes: make(map[string]*Outbox),
 		stopped:  make(chan struct{}),
 	}
-	d.wg.Add(1)
-	go d.pump()
+	d.rel = transport.NewReliable(pc, cfg.relCfg, d.deliver)
 	return d
 }
 
@@ -256,7 +255,10 @@ func (d *Dapplet) OnStop(f func()) {
 
 // OnRecv registers an observer invoked for every arriving envelope, after
 // the clock merge and before the envelope is queued. Services such as
-// snapshots use it to watch channel traffic.
+// snapshots use it to watch channel traffic. Observers of wire traffic
+// run on the receive goroutine, in arrival order, and must not wait on
+// the network — not on a send window, a reply, or a lock a blocked sender
+// holds: the ack that would free the sender waits behind the observer.
 func (d *Dapplet) OnRecv(f func(*wire.Envelope)) {
 	d.obsMu.Lock()
 	d.recvObs = append(d.recvObs, f)
@@ -335,7 +337,8 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 // observers (snapshots) see it, and it lands in env.To.Inbox or the
 // dead-letter count. The relay layer delivers tree-multicast payloads
 // through it, and checkpoint channel replay re-queues in-flight messages
-// with it, so both stay inside the §4.2 clock discipline.
+// with it, so both stay inside the §4.2 clock discipline. Arrivals off
+// the wire take this path on the receive goroutine (see OnRecv).
 func (d *Dapplet) DeliverLocal(env *wire.Envelope) {
 	d.clock.ObserveRecv(env.Lamport)
 	d.obsMu.RLock()
@@ -369,24 +372,16 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 	return d.sendEnvelope(&env)
 }
 
-// pump demultiplexes arriving envelopes into inboxes, advancing the
-// logical clock per the snapshot criterion. Its decoder reuses the header
-// strings of the frame before, which on a busy channel are the same.
-func (d *Dapplet) pump() {
-	defer d.wg.Done()
-	var dec wire.EnvelopeDecoder
-	for {
-		data, _, err := d.rel.Recv()
-		if err != nil {
-			return
-		}
-		env, err := dec.UnmarshalEnvelope(data)
-		if err != nil {
-			d.deadLetters.Add(1)
-			continue
-		}
-		d.DeliverLocal(env)
+// deliver is the reliable layer's sink, run on its receive goroutine:
+// it decodes each in-order frame with dec, which reuses the header
+// strings of the frame before, and delivers it like DeliverLocal.
+func (d *Dapplet) deliver(data []byte, _ netsim.Addr) {
+	env, err := d.dec.UnmarshalEnvelope(data)
+	if err != nil {
+		d.deadLetters.Add(1)
+		return
 	}
+	d.DeliverLocal(env)
 }
 
 // Stop shuts the dapplet down: the socket closes, all inboxes close, and

@@ -41,7 +41,7 @@ func (in *Inbox) Ref() wire.InboxRef {
 	return wire.InboxRef{Dapplet: in.d.Addr(), Inbox: in.name}
 }
 
-// push appends an envelope; it is called by the dapplet's demultiplexer.
+// push appends an envelope, never blocking: see DeliverLocal.
 func (in *Inbox) push(env *wire.Envelope) {
 	in.mu.Lock()
 	if in.closed {

@@ -12,7 +12,7 @@ import (
 
 // TestMessagePathAllocs is the message path's allocation budget: one
 // Outbox.Send and one Inbox.ReceiveEnvelope over a netsim pair, counted
-// across every goroutine they involve (sender, transport, pump,
+// across every goroutine they involve (sender, transport receive loop,
 // receiver). What remains is the decoded Envelope and its body, which
 // the consumer keeps.
 func TestMessagePathAllocs(t *testing.T) {

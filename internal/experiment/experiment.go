@@ -227,8 +227,8 @@ type runFunc = func(ctx context.Context, t Timer, ops int) ([]Metric, error)
 
 // cellConfig is the reliable layer of every dapplet a cell's world
 // starts: a short RTO keeps retransmission timers out of fault-free
-// cells, and the window and receive buffer keep them from throttling.
-var cellConfig = transport.Config{RTO: 30 * time.Millisecond, Window: 256, RecvBuf: 4096}
+// cells, and the window keeps them from throttling.
+var cellConfig = transport.Config{RTO: 30 * time.Millisecond, Window: 256}
 
 // inWorld gives run a world of its own — seeded and sharded by the
 // harness overrides, extra options after them — and closes it when run

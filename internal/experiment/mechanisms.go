@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,27 +48,20 @@ func e1Cells(p Params) []Cell {
 			Run: inWorld(p, 4, func(ctx context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
 				w.Net.SetLink("a", "b", netsim.LinkParams{Loss: loss, Dup: 0.01, Reorder: 0.05})
 				cfg := transport.Config{Window: 64}
-				ra, rb := transport.NewReliable(w.Conn("a"), cfg), transport.NewReliable(w.Conn("b"), cfg)
+				var delivered sync.WaitGroup
+				delivered.Add(ops)
+				ra := transport.NewReliable(w.Conn("a"), cfg, func([]byte, netsim.Addr) {})
+				rb := transport.NewReliable(w.Conn("b"), cfg, func([]byte, netsim.Addr) { delivered.Done() })
 				defer ra.Close()
 				defer rb.Close()
 				payload := make([]byte, 256)
 				t.ResetTimer()
-				if err := fanOutErr(2, func(side int) error {
-					for i := 0; i < ops; i++ {
-						var err error
-						if side == 0 {
-							err = ra.Send(rb.LocalAddr(), payload)
-						} else {
-							_, _, err = rb.Recv()
-						}
-						if err != nil {
-							return err
-						}
+				for i := 0; i < ops; i++ {
+					if err := ra.Send(rb.LocalAddr(), payload); err != nil {
+						return nil, err
 					}
-					return nil
-				}); err != nil {
-					return nil, err
 				}
+				delivered.Wait()
 				sb := rb.Stats()
 				return []Metric{
 					m("retx/msg", ratio(ra.Stats().Retransmits, uint64(ops))),
@@ -232,9 +226,8 @@ func e4Cells(p Params) []Cell {
 						// Each node keeps one token and forwards the rest.
 						out := d.Outbox("succ")
 						out.Add(wire.InboxRef{Dapplet: nodes[(i+1)%n].Addr(), Inbox: "ring"})
-						d.Handle("ring", func(*wire.Envelope) {})
-						d.OnRecv(func(env *wire.Envelope) {
-							if env.To.Inbox == "ring" && !held[i].CompareAndSwap(false, true) {
+						d.Handle("ring", func(*wire.Envelope) {
+							if !held[i].CompareAndSwap(false, true) {
 								_ = out.Send(&wire.Text{S: "tok"}) // fails only once the world is closing
 							}
 						})

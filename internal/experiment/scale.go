@@ -3,8 +3,10 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/swarm"
 	"repro/internal/transport"
@@ -140,15 +142,21 @@ func e12Cells(p Params) []Cell {
 
 func e12Run(t Timer, frames int, w *world.World, udp bool, mmsg, size, fanout int) ([]Metric, error) {
 	cfg := transport.Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 1024}
+	// Receiver i takes every fanout-th frame starting at i; the sender
+	// takes receiver 0's mirror stream.
+	share := func(i int) int { return (frames - i + fanout - 1) / fanout }
+	var delivered sync.WaitGroup
+	delivered.Add(frames + share(0))
+	sink := func([]byte, netsim.Addr) { delivered.Done() }
 	listen := func(host string) (*transport.Reliable, error) {
 		if !udp {
-			return transport.NewReliable(w.Conn(host), cfg), nil
+			return transport.NewReliable(w.Conn(host), cfg, sink), nil
 		}
 		pc, err := transport.ListenUDPConfig("127.0.0.1:0", transport.UDPConfig{Batch: mmsg})
 		if err != nil {
 			return nil, fmt.Errorf("%w: loopback UDP unavailable: %v", ErrSkip, err)
 		}
-		return transport.NewReliable(pc, cfg), nil
+		return transport.NewReliable(pc, cfg, sink), nil
 	}
 	snd, err := listen("s")
 	if err != nil {
@@ -163,41 +171,28 @@ func e12Run(t Timer, frames int, w *world.World, udp bool, mmsg, size, fanout in
 		defer rcvs[i].Close()
 	}
 
-	// Receiver i takes every fanout-th frame starting at i.
-	share := func(i int) int { return (frames - i + fanout - 1) / fanout }
 	payload := make([]byte, size)
-	recvN := func(r *transport.Reliable, n int) error {
-		for j := 0; j < n; j++ {
-			if _, _, err := r.Recv(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	t.ResetTimer()
 	start := time.Now()
-	err = fanOutErr(fanout+3, func(g int) error {
-		switch g {
-		case fanout: // the forward stream
+	err = fanOutErr(2, func(g int) error {
+		if g == 0 { // the forward stream
 			for i := 0; i < frames; i++ {
 				if err := snd.Send(rcvs[i%fanout].LocalAddr(), payload); err != nil {
 					return err
 				}
 			}
 			return nil
-		case fanout + 1: // the mirror stream
-			for j := 0; j < share(0); j++ {
-				if err := rcvs[0].Send(snd.LocalAddr(), payload); err != nil {
-					return err
-				}
-			}
-			return nil
-		case fanout + 2:
-			return recvN(snd, share(0))
-		default:
-			return recvN(rcvs[g], share(g))
 		}
+		for j := 0; j < share(0); j++ { // the mirror stream
+			if err := rcvs[0].Send(snd.LocalAddr(), payload); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
+	if err == nil {
+		delivered.Wait()
+	}
 	elapsed := time.Since(start)
 	t.StopTimer()
 	if err != nil {

@@ -209,6 +209,7 @@ type peerState struct {
 	// probing marks an address-learning probe in flight to this (Down)
 	// peer, so the slow probe rate cannot pile calls onto a dead address.
 	probing bool
+	lifting bool // a liftSuspect is queued
 	// heard marks that a beacon has arrived since Watch. Interarrivals
 	// are sampled from one beacon to the next, never from the Watch
 	// call, whose phase against the peer's heartbeat rounds is arbitrary.
@@ -629,47 +630,52 @@ func (det *Detector) beaconLocked(p *peerState, inc uint64, addr netsim.Addr, no
 // heartbeat's incarnation number distinguishes a recovered peer from a
 // dead incarnation's lingering frames. The interarrival estimators are
 // not fed: application traffic has no rhythm to learn.
+// It runs on the receive goroutine, so a Suspect lift, which needs
+// emitMu, goes on the work queue: a transition may hold emitMu while its
+// send waits for an ack only this goroutine reads.
 func (det *Detector) onAppRecv(env *wire.Envelope) {
 	if env.To.Inbox == ControlInbox {
 		return
 	}
-	// Fast path: an Up peer refreshes under det.mu alone; emitMu is taken
-	// only when a Suspect verdict must lift, keeping the per-frame cost of
-	// the observer off the emit lock.
 	det.mu.Lock()
 	p, ok := det.byAddr[env.FromDapplet]
 	if !ok || p.state == Down {
 		det.mu.Unlock()
 		return
 	}
-	if p.state == Up {
-		p.lastHeard = time.Now()
-		det.mu.Unlock()
-		det.implicit.Add(1)
-		return
-	}
-	det.mu.Unlock()
-	det.emitMu.Lock()
-	defer det.emitMu.Unlock()
-	det.mu.Lock()
-	p, ok = det.byAddr[env.FromDapplet]
-	if !ok || p.state == Down {
-		det.mu.Unlock()
-		return
-	}
 	p.lastHeard = time.Now()
-	recovered := p.state == Suspect
-	if recovered {
-		p.meanIA, p.devIA = 0, 0
-		p.state = Up
-		det.armLocked(p, p.detectionTimeout(det.cfg))
+	if p.state == Suspect && !p.lifting {
+		p.lifting = true
+		work.run(func() { det.liftSuspect(p) })
 	}
-	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
 	det.mu.Unlock()
 	det.implicit.Add(1)
-	if recovered {
-		det.emit(ev)
+}
+
+// liftSuspect lifts p's Suspect verdict for onAppRecv. If a transition
+// holds emitMu, the peer's next frame or heartbeat lifts it instead.
+func (det *Detector) liftSuspect(p *peerState) {
+	if !det.enter() {
+		return
 	}
+	defer det.wg.Done()
+	locked := det.emitMu.TryLock()
+	if locked {
+		defer det.emitMu.Unlock()
+	}
+	det.mu.Lock()
+	p.lifting = false
+	if !locked || p.state != Suspect || det.peers[p.name] != p {
+		det.mu.Unlock()
+		return
+	}
+	p.meanIA, p.devIA = 0, 0
+	p.state = Up
+	p.confirms = nil
+	det.armLocked(p, p.detectionTimeout(det.cfg))
+	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
+	det.mu.Unlock()
+	det.emit(ev)
 }
 
 // onAppSend records application traffic toward a watched peer, which

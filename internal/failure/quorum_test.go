@@ -10,6 +10,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/gossip"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -297,5 +298,58 @@ func TestQuorumCrashExpiresEntry(t *testing.T) {
 			t.Fatal("crashed member's entry never expired under quorum")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSuspectLiftBesideParkedRumor: a detector's Up->Suspect transition
+// holds emitMu while its gossip rumor goes out, and that send can wait
+// on a full window for an acknowledgement only the dapplet's receive
+// goroutine reads. A frame from the suspect arriving meanwhile must not
+// hold that goroutine behind emitMu: the window must free once the
+// gossip peer is reachable, with no send failure, and a later frame
+// from the suspect must lift the verdict.
+func TestSuspectLiftBesideParkedRumor(t *testing.T) {
+	w := newWorld(t)
+	// A's window to C is one frame deep; C is partitioned away, so the
+	// rumor about B parks behind an unacknowledged frame.
+	a := w.Dapplet("a", "t", "a", core.WithTransportConfig(transport.Config{RTO: 20 * time.Millisecond, Window: 1}))
+	b := w.Dapplet("b", "t", "b")
+	c := w.Dapplet("c", "t", "c")
+	a.Inbox("app")
+	g := gossip.Attach(a, gossip.Config{Interval: time.Hour})
+	g.SetPeerSource(func() []wire.InboxRef { return []wire.InboxRef{gossip.Ref(c.Addr())} })
+	det := failure.Attach(a, failure.Config{Interval: 20 * time.Millisecond, Multiplier: 3, Gossip: g})
+	events := make(chan failure.Event, 8)
+	det.OnEvent(func(ev failure.Event) { events <- ev })
+
+	w.Net.Partition([]string{"a"}, []string{"c"})
+	if err := a.SendDirect(wire.InboxRef{Dapplet: c.Addr(), Inbox: "x"}, "", &wire.Text{S: "fill"}); err != nil {
+		t.Fatal(err)
+	}
+	det.Watch("b", b.Addr()) // b runs no detector: it goes Suspect
+	if ev := awaitState(t, events, failure.Suspect, 5*time.Second); ev.Peer != "b" {
+		t.Fatalf("suspected %q, want b", ev.Peer)
+	}
+	app := wire.InboxRef{Dapplet: a.Addr(), Inbox: "app"}
+	if err := b.SendDirect(app, "", &wire.Text{S: "alive"}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // the frame reaches a's receive goroutine
+	w.Net.Heal()
+
+	rel := a.Transport()
+	for deadline := time.Now().Add(5 * time.Second); rel.QueueDepth() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a's frames to c never acknowledged: %d queued", rel.QueueDepth())
+		}
+	}
+	if n := rel.Stats().Failures; n != 0 {
+		t.Fatalf("%d sends failed: the receive goroutine waited behind the parked rumor", n)
+	}
+	if err := b.SendDirect(app, "", &wire.Text{S: "still alive"}); err != nil {
+		t.Fatal(err)
+	}
+	if ev := awaitState(t, events, failure.Up, 5*time.Second); ev.Peer != "b" {
+		t.Fatalf("lifted %q, want b", ev.Peer)
 	}
 }

@@ -120,12 +120,12 @@ func RunSecretaryCrashRecovery(ctx context.Context, opts RecoveryOptions) (*Reco
 	}
 
 	// Crash the victim the instant its first scheduling request arrives:
-	// the negotiation is then provably mid-flight. The observer runs in
-	// the victim's demultiplexer before the request reaches its handler;
-	// blocking it until the crash lands guarantees the request is never
-	// processed — the round stalls, deterministically. The crash itself
-	// runs on its own thread because Runtime.Crash waits for the very
-	// demultiplexer delivering this observer.
+	// the negotiation is then provably mid-flight. The observer runs on
+	// the victim's receive goroutine before the request reaches its
+	// handler; blocking it until the crash lands guarantees the request
+	// is never processed — the round stalls, deterministically. It waits
+	// on Stopped, which Stop closes before the transport, whose Close
+	// waits for this goroutine: so the crash runs on its own thread.
 	var crashOnce sync.Once
 	var mu sync.Mutex
 	var crashedAt, downAt, recoveredAt time.Time

@@ -15,14 +15,16 @@
 //     when its marker arrives. Channel FIFO order between dapplet pairs is
 //     provided by the reliable layer.
 //
+// The protocols run in the receive observer, in step with each channel's
+// traffic; the messages they send are queued and leave from a thread, in
+// order, since the receive goroutine must not wait on the network. As
+// application sends come from any thread, a queued send leaves only once
+// the transport has sequenced (DataSent) every send counted before it,
+// and a send counted while others are queued waits for them: a cut falls
+// where the counters say. Attach while no send of the dapplet is under way.
+//
 // Both produce a Global snapshot whose consistency is checkable: for every
 // ordered pair (p, q), the messages p had sent to q at p's record point
 // must equal the messages q had received from p at q's record point plus
 // the messages captured in the channel state.
-//
-// Limitation: a marker is ordered after the local state record only with
-// respect to sends made from the dapplet's message-handling threads;
-// behaviours that blast messages from unsynchronized background threads
-// concurrently with snapshot initiation can straddle the cut. Reactive
-// (message-driven) behaviours — the common dapplet style — are safe.
 package snapshot

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -119,15 +121,14 @@ type clockSnap struct {
 	flushed   map[string]bool
 	awaiting  int
 	flushSent bool
-	reported  bool
 }
 
 // Service makes a dapplet snapshot-capable: it watches every application
 // message the dapplet sends and receives, keeps per-peer counters, and
 // participates in marker and clock-based snapshot protocols on the
-// dapplet's "@snap" traffic. Control messages are processed synchronously
-// in the dapplet's demultiplexer so they stay FIFO-ordered with
-// application messages on each channel.
+// dapplet's "@snap" traffic. Control messages are processed in the
+// receive observer so they stay FIFO-ordered with application messages
+// on each channel; what the protocols send leaves from a thread.
 type Service struct {
 	d       *core.Dapplet
 	stateFn StateFunc
@@ -139,6 +140,20 @@ type Service struct {
 	recv    map[string]uint64
 	markers map[string]*markerSnap
 	clocks  map[string]*clockSnap
+
+	// out holds the control sends not yet taken by the dispatcher, which
+	// runs while done, the sends transmitted, is below queued. parked[n]
+	// counts the application sends waiting for done to reach n.
+	out    []func()          // guarded by mu
+	queued uint64            // guarded by mu
+	done   uint64            // guarded by mu
+	parked map[uint64]uint64 // guarded by mu
+	moved  *sync.Cond        // on mu, broadcast as done grows
+
+	// seen counts the envelopes the send observer passed on to the
+	// transport, bar parked ones; see settle.
+	seen atomic.Uint64
+	base uint64 // the transport's DataSent at Attach
 }
 
 // Attach equips the dapplet with the snapshot service. stateFn is invoked
@@ -152,7 +167,10 @@ func Attach(d *core.Dapplet, stateFn StateFunc) *Service {
 		recv:    make(map[string]uint64),
 		markers: make(map[string]*markerSnap),
 		clocks:  make(map[string]*clockSnap),
+		parked:  make(map[uint64]uint64),
+		base:    d.Transport().Stats().DataSent,
 	}
+	s.moved = sync.NewCond(&s.mu)
 	// Drain the control inbox; actual processing happens in onRecv so it
 	// is ordered with application traffic.
 	d.Handle(ControlInbox, func(*wire.Envelope) {})
@@ -184,23 +202,85 @@ func (s *Service) SetPeers(peers []Member) {
 }
 
 func (s *Service) onSend(env *wire.Envelope) {
+	s.seen.Add(1)
 	if !isAppEnvelope(env) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	peer, ok := s.byAddr[env.To.Dapplet]
 	if !ok {
+		s.mu.Unlock()
 		return
 	}
 	// A send stamped at or after T is a post-checkpoint event: the local
-	// state must be recorded before it is counted (§4.2).
+	// state must be recorded before it is counted (§4.2). One stamped
+	// before T but counted after the record precedes the cut, unless
+	// this member's flushes are queued: it will follow them.
 	for id, cs := range s.clocks {
-		if !cs.recorded && env.Lamport >= cs.t {
+		switch {
+		case !cs.recorded && env.Lamport >= cs.t:
 			s.recordClockLocked(id, cs)
+		case cs.recorded && !cs.flushSent && env.Lamport < cs.t:
+			cs.sentAt[peer]++
 		}
 	}
 	s.sent[peer]++
+	if target := s.queued; s.done < target {
+		// Counted after a record point whose markers or flushes are
+		// still queued, this send must follow them on its channel.
+		s.parked[target]++
+		s.seen.Add(^uint64(0))
+		for s.done < target {
+			s.moved.Wait()
+		}
+	}
+	s.mu.Unlock()
+}
+
+// sendLocked queues a control send, starting a dispatcher if none runs.
+// Caller holds s.mu.
+func (s *Service) sendLocked(to wire.InboxRef, sid string, msg wire.Msg) {
+	if s.done == s.queued {
+		s.d.Spawn(s.dispatch)
+	}
+	s.out = append(s.out, func() { _ = s.d.SendDirect(to, sid, msg) })
+	s.queued++
+}
+
+// dispatch transmits the queued control sends in order, each once every
+// send counted before it was queued has its place in its channel
+// (settle), and releases the sends parked behind it.
+func (s *Service) dispatch() {
+	s.mu.Lock()
+	for len(s.out) > 0 {
+		send := s.out[0]
+		s.out = s.out[1:]
+		s.mu.Unlock()
+		s.settle()
+		send()
+		s.mu.Lock()
+		s.done++
+		s.seen.Add(s.parked[s.done]) // in flight again, before the next settle
+		delete(s.parked, s.done)
+		s.moved.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// settle waits until the transport has sequenced (DataSent) every send
+// the observer has seen, bar parked ones: a send counted before a record
+// point may still be on its way, and the marker or flush closing its
+// channel must not overtake it. It gives up once the dapplet stops,
+// when sends fail anyway.
+func (s *Service) settle() {
+	rel := s.d.Transport()
+	for rel.Stats().DataSent-s.base < s.seen.Load() {
+		select {
+		case <-s.d.Stopped():
+			return
+		case <-time.After(20 * time.Microsecond):
+		}
+	}
 }
 
 func (s *Service) onRecv(env *wire.Envelope) {
@@ -242,7 +322,7 @@ func (s *Service) onRecv(env *wire.Envelope) {
 		if !cs.recorded && env.Lamport >= cs.t {
 			s.recordClockLocked(id, cs)
 		}
-		if cs.recorded && env.Lamport < cs.t {
+		if cs.recorded && !cs.flushed[peer] && env.Lamport < cs.t {
 			cs.channels[peer] = append(cs.channels[peer], body)
 			s.persistChannelMsgLocked(id, rec)
 		}
@@ -252,17 +332,19 @@ func (s *Service) onRecv(env *wire.Envelope) {
 }
 
 func (s *Service) onControl(env *wire.Envelope) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch m := env.Body.(type) {
 	case *startMsg:
-		s.startMarker(m.SnapID, m.ReplyTo, "")
+		s.startMarkerLocked(m.SnapID, m.ReplyTo, "")
 	case *markerMsg:
-		s.onMarker(m)
+		s.onMarkerLocked(m)
 	case *takeMsg:
-		s.onTake(m)
+		s.armClockLocked(m.SnapID, m.T, m.ReplyTo)
 	case *collectMsg:
-		s.onCollect(m)
+		s.onCollectLocked(m)
 	case *flushMsg:
-		s.onFlush(m)
+		s.onFlushLocked(m)
 	}
 }
 
@@ -276,10 +358,9 @@ func copyCounts(m map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// startMarker records local state and emits markers; fromPeer names the
-// channel whose marker triggered it ("" when initiating).
-func (s *Service) startMarker(id string, replyTo wire.InboxRef, fromPeer string) {
-	s.mu.Lock()
+// startMarkerLocked records local state and emits markers; fromPeer
+// names the channel whose marker triggered it ("" when initiating).
+func (s *Service) startMarkerLocked(id string, replyTo wire.InboxRef, fromPeer string) {
 	ms := s.markers[id]
 	if ms == nil {
 		ms = &markerSnap{
@@ -290,7 +371,6 @@ func (s *Service) startMarker(id string, replyTo wire.InboxRef, fromPeer string)
 		s.markers[id] = ms
 	}
 	if ms.recorded {
-		s.mu.Unlock()
 		return
 	}
 	ms.recorded = true
@@ -298,7 +378,6 @@ func (s *Service) startMarker(id string, replyTo wire.InboxRef, fromPeer string)
 	ms.sentAt = copyCounts(s.sent)
 	ms.recvAt = copyCounts(s.recv)
 	s.persistCheckpoint(id, ms.state)
-	var targets []Member
 	for _, p := range s.peers {
 		if p.Name == fromPeer {
 			continue // the triggering channel's state is empty by rule
@@ -306,63 +385,47 @@ func (s *Service) startMarker(id string, replyTo wire.InboxRef, fromPeer string)
 		ms.recording[p.Name] = true
 		ms.awaiting++
 	}
-	targets = append(targets, s.peers...)
-	done := ms.awaiting == 0
-	s.mu.Unlock()
-
 	// Relay markers on all outgoing channels.
-	for _, p := range targets {
-		_ = s.d.SendDirect(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, id,
+	for _, p := range s.peers {
+		s.sendLocked(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, id,
 			&markerMsg{SnapID: id, From: s.d.Name(), ReplyTo: replyTo})
 	}
-	if done {
-		s.reportMarker(id)
+	if ms.awaiting == 0 {
+		s.reportMarkerLocked(id)
 	}
 }
 
-func (s *Service) onMarker(m *markerMsg) {
-	s.mu.Lock()
+func (s *Service) onMarkerLocked(m *markerMsg) {
 	ms := s.markers[m.SnapID]
-	firstContact := ms == nil || !ms.recorded
-	s.mu.Unlock()
-
-	if firstContact {
+	if ms == nil || !ms.recorded {
 		// First marker: record state; the arrival channel is empty.
-		s.startMarker(m.SnapID, m.ReplyTo, m.From)
+		s.startMarkerLocked(m.SnapID, m.ReplyTo, m.From)
 		return
 	}
-	s.mu.Lock()
-	done := false
 	if ms.recording[m.From] {
 		ms.recording[m.From] = false
 		ms.awaiting--
-		done = ms.awaiting == 0
-	}
-	s.mu.Unlock()
-	if done {
-		s.reportMarker(m.SnapID)
+		if ms.awaiting == 0 {
+			s.reportMarkerLocked(m.SnapID)
+		}
 	}
 }
 
-func (s *Service) reportMarker(id string) {
-	s.mu.Lock()
+// reportMarkerLocked sends the finished run's report and forgets it.
+func (s *Service) reportMarkerLocked(id string) {
 	ms := s.markers[id]
 	if ms == nil {
-		s.mu.Unlock()
 		return
 	}
-	rep := &reportMsg{
+	delete(s.markers, id)
+	s.sendLocked(ms.replyTo, id, &reportMsg{
 		SnapID:   id,
 		Name:     s.d.Name(),
 		State:    ms.state,
 		SentAt:   ms.sentAt,
 		RecvAt:   ms.recvAt,
 		Channels: ms.channels,
-	}
-	replyTo := ms.replyTo
-	delete(s.markers, id)
-	s.mu.Unlock()
-	_ = s.d.SendDirect(replyTo, id, rep)
+	})
 }
 
 // --- clock-checkpoint protocol ---
@@ -417,17 +480,9 @@ func (s *Service) armClockLocked(id string, t uint64, replyTo wire.InboxRef) *cl
 	return cs
 }
 
-func (s *Service) onTake(m *takeMsg) {
-	s.mu.Lock()
-	s.armClockLocked(m.SnapID, m.T, m.ReplyTo)
-	s.mu.Unlock()
-}
-
-func (s *Service) onCollect(m *collectMsg) {
-	s.mu.Lock()
+func (s *Service) onCollectLocked(m *collectMsg) {
 	cs := s.clocks[m.SnapID]
 	if cs == nil {
-		s.mu.Unlock()
 		return
 	}
 	if !cs.recorded {
@@ -435,26 +490,17 @@ func (s *Service) onCollect(m *collectMsg) {
 		// T by now; record immediately.
 		s.recordClockLocked(m.SnapID, cs)
 	}
-	var targets []Member
 	if !cs.flushSent {
 		cs.flushSent = true
-		targets = append(targets, s.peers...)
+		for _, p := range s.peers {
+			s.sendLocked(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, m.SnapID,
+				&flushMsg{SnapID: m.SnapID, T: cs.t, From: s.d.Name(), ReplyTo: cs.replyTo})
+		}
 	}
-	t, replyTo := cs.t, cs.replyTo
-	rep, repTo := s.maybeReportClockLocked(m.SnapID, cs)
-	s.mu.Unlock()
-
-	for _, p := range targets {
-		_ = s.d.SendDirect(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, m.SnapID,
-			&flushMsg{SnapID: m.SnapID, T: t, From: s.d.Name(), ReplyTo: replyTo})
-	}
-	if rep != nil {
-		_ = s.d.SendDirect(repTo, m.SnapID, rep)
-	}
+	s.maybeReportClockLocked(m.SnapID, cs)
 }
 
-func (s *Service) onFlush(m *flushMsg) {
-	s.mu.Lock()
+func (s *Service) onFlushLocked(m *flushMsg) {
 	cs := s.armClockLocked(m.SnapID, m.T, m.ReplyTo)
 	if !cs.recorded {
 		// The flush stamp exceeds T, so the clock has passed T.
@@ -464,34 +510,23 @@ func (s *Service) onFlush(m *flushMsg) {
 		cs.flushed[m.From] = true
 		cs.awaiting--
 	}
-	rep, repTo := s.maybeReportClockLocked(m.SnapID, cs)
-	s.mu.Unlock()
-	if rep != nil {
-		_ = s.d.SendDirect(repTo, m.SnapID, rep)
-	}
+	s.maybeReportClockLocked(m.SnapID, cs)
 }
 
-// maybeReportClockLocked builds the report once the local record exists
-// and every peer channel has been flushed. The snapshot state is retained
-// until the member has also sent its own flushes, so a late collect can
-// still trigger them.
-func (s *Service) maybeReportClockLocked(id string, cs *clockSnap) (*reportMsg, wire.InboxRef) {
-	if cs.reported && cs.flushSent {
-		delete(s.clocks, id)
+// maybeReportClockLocked sends the report, and forgets the run, once it
+// is recorded and every channel in and out is flushed: no count or
+// channel of the run can change any more.
+func (s *Service) maybeReportClockLocked(id string, cs *clockSnap) {
+	if !cs.recorded || cs.awaiting > 0 || !cs.flushSent {
+		return
 	}
-	if !cs.recorded || cs.awaiting > 0 || cs.reported {
-		return nil, wire.InboxRef{}
-	}
-	cs.reported = true
-	if cs.flushSent {
-		delete(s.clocks, id)
-	}
-	return &reportMsg{
+	delete(s.clocks, id)
+	s.sendLocked(cs.replyTo, id, &reportMsg{
 		SnapID:   id,
 		Name:     s.d.Name(),
 		State:    cs.state,
 		SentAt:   cs.sentAt,
 		RecvAt:   cs.recvAt,
 		Channels: cs.channels,
-	}, cs.replyTo
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,9 +19,10 @@ import (
 )
 
 // ringNode is a reactive dapplet behaviour: it holds up to `keep` tokens
-// and forwards the rest around a ring. Its state mutation happens in the
-// dapplet's demultiplexer (OnRecv), the style the snapshot service orders
-// correctly with respect to recording.
+// and forwards the rest around a ring. Its state mutation and its forward
+// happen in a receive observer (OnRecv), on the receive goroutine that
+// also records the snapshot, so a token is in exactly one recorded state
+// or channel. The forward never waits: a few tokens never fill a window.
 type ringNode struct {
 	mu   sync.Mutex
 	held int
@@ -190,6 +192,53 @@ func TestRepeatedSnapshotsOnLiveSystem(t *testing.T) {
 		}
 		if got := tokensIn(t, g); got != tokens {
 			t.Fatalf("snapshot %d sees %d tokens", i, got)
+		}
+	}
+}
+
+// TestSnapshotsWithThreadedSenders snapshots a ring whose nodes forward
+// from handler threads, not from the receive goroutine that records: a
+// forward can be stamped before a record point and seen or sent after
+// it, or follow the record while the markers are still queued. Every
+// cut, marker and clock alike, must still balance its channels.
+func TestSnapshotsWithThreadedSenders(t *testing.T) {
+	sim := newWorld(t, netsim.WithSeed(41))
+	const nodes, tokens = 8, 4
+	var members []snapshot.Member
+	var daps []*core.Dapplet
+	var services []*snapshot.Service
+	for i := 0; i < nodes; i++ {
+		d := sim.Dapplet(fmt.Sprintf("host%d", i), "ring", fmt.Sprintf("node%d", i))
+		daps = append(daps, d)
+		services = append(services, snapshot.Attach(d, func() any { return nil }))
+		members = append(members, snapshot.Member{Name: d.Name(), Addr: d.Addr()})
+	}
+	for i, d := range daps {
+		out := d.Outbox("succ")
+		out.Add(wire.InboxRef{Dapplet: daps[(i+1)%nodes].Addr(), Inbox: "ring"})
+		d.Handle("ring", func(*wire.Envelope) { _ = out.Send(&wire.Text{S: "tok"}) })
+		services[i].SetPeers(append(slices.Clone(members[:i]), members[i+1:]...))
+	}
+	coord := coordinatorOn(sim, members)
+	coord.SetSettle(5 * time.Millisecond)
+	for i := 0; i < tokens; i++ {
+		if err := daps[0].Outbox("succ").Send(&wire.Text{S: "tok"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		var g *snapshot.Global
+		var err error
+		if i%2 == 0 {
+			g, err = coord.SnapshotMarker(context.Background())
+		} else {
+			g, err = coord.SnapshotClock(context.Background(), daps[0].Clock().Now()+1000)
+		}
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if err := g.CheckConsistent(); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
 		}
 	}
 }

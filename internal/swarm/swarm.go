@@ -268,7 +268,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		revivedAt: make(map[string]time.Time),
 		memberRel: transport.Config{
 			RTO:        clampDur(cfg.Interval/2, 50*time.Millisecond, time.Second),
-			RecvBuf:    64,
 			FailureBuf: 4,
 		},
 	}

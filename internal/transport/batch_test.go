@@ -93,11 +93,11 @@ func TestBatchCodecRejectsTruncation(t *testing.T) {
 
 // busyPair drives total frames in both directions at once over a pair
 // and waits until everything is delivered.
-func busyPair(t *testing.T, ra, rb *Reliable, total, size int) {
+func busyPair(t *testing.T, ra, rb *endpoint, total, size int) {
 	t.Helper()
 	payload := make([]byte, size)
 	var wg sync.WaitGroup
-	for _, pair := range [][2]*Reliable{{ra, rb}, {rb, ra}} {
+	for _, pair := range [][2]*endpoint{{ra, rb}, {rb, ra}} {
 		snd, rcv := pair[0], pair[1]
 		wg.Add(2)
 		go func() {

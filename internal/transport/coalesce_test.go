@@ -21,7 +21,7 @@ var coalesceCfg = Config{RTO: 20 * time.Second, AckDelay: 10 * time.Second}
 // staged batch, or a frame again. (An ack may still resend a frame: the
 // sender and the receive path both write batches, and when the scheduler
 // lets one overtake the other the peer sees a reordering.)
-func timerFree(t *testing.T, r *Reliable) {
+func timerFree(t *testing.T, r *endpoint) {
 	t.Helper()
 	if st := r.Stats(); st.FlushBackstop != 0 || st.Retransmits != st.FastRetransmits {
 		t.Fatalf("the retransmission timer had to act: %+v", st)
@@ -30,7 +30,7 @@ func timerFree(t *testing.T, r *Reliable) {
 
 // stream sends seqs 1..total from ra to rb as size-byte frames, as fast
 // as Send takes them, and waits for their in-order delivery.
-func stream(t *testing.T, ra, rb *Reliable, total uint64, size int) {
+func stream(t *testing.T, ra, rb *endpoint, total uint64, size int) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- recvSeqs(rb, 1, total) }()

@@ -9,18 +9,19 @@
 // network). The reliable layer is transport-agnostic: it numbers
 // messages per destination, acknowledges receipt, retransmits what the
 // acknowledgements show to be lost (and, behind that, on a measured
-// timeout), discards duplicates, and releases messages to the application
-// strictly in send order — exactly the guarantees the paper's channel
-// abstraction assumes of its UDP layer.
+// timeout), discards duplicates, and hands messages to the sink given to
+// NewReliable strictly in send order — exactly the guarantees the
+// paper's channel abstraction assumes of its UDP layer. The receive
+// goroutine calls the sink itself, with no queue or goroutine between,
+// so nothing the sink runs may wait on the network.
 //
 // The layer is sharded by peer: each peer's window, unacked set and
 // reordering buffer live under that peer's own mutex, acknowledgements
 // are cumulative and coalesced (after 8 messages or AckDelay, whichever
 // first) and carry the reorder buffer as a bitmap while a gap is open.
 // Each peer has at most two runtime timers, for the backstop
-// retransmission and the delayed ack, set to that peer's earliest
-// deadlines, so cost is proportional to peers with due packets rather
-// than to all in-flight traffic, and no goroutine waits on them.
+// retransmission and the delayed ack, so no goroutine but the receive
+// loop waits.
 //
 // Every datagram has one layout: a header holding the acknowledgement the
 // peer is owed, if any, then any number of frames. A datagram without

@@ -65,10 +65,7 @@ func FuzzDatagram(f *testing.F) {
 	const inflight = 5
 	peer := netsim.Addr{Host: "peer", Port: 1}
 	f.Fuzz(func(t *testing.T, dgram []byte) {
-		if len(dgram) > 2048 {
-			t.Skip() // more in-order frames than the delivery queue holds would block the handler
-		}
-		r := NewReliable(newNullConn(), Config{RTO: time.Hour})
+		r := newEndpoint(newNullConn(), Config{RTO: time.Hour})
 		defer r.Close()
 		for seq := uint64(1); seq <= inflight; seq++ {
 			if err := r.Send(peer, []byte{byte(seq)}); err != nil {
@@ -77,14 +74,12 @@ func FuzzDatagram(f *testing.F) {
 		}
 		r.handleDatagram(peer, bytes.Clone(dgram)) // the layer owns what it is handed
 
-		for delivered := true; delivered; {
-			select {
-			case m := <-r.incoming:
-				if m.from != peer || !bytes.Contains(dgram, m.payload) {
-					t.Fatalf("delivered %q from %v: not in the datagram", m.payload, m.from)
-				}
-			default:
-				delivered = false
+		r.mu.Lock()
+		delivered := r.rx // delivered on this goroutine, inside handleDatagram
+		r.mu.Unlock()
+		for _, m := range delivered {
+			if m.from != peer || !bytes.Contains(dgram, m.payload) {
+				t.Fatalf("delivered %q from %v: not in the datagram", m.payload, m.from)
 			}
 		}
 		want := ackedBy(dgram, inflight)

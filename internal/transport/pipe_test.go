@@ -119,10 +119,10 @@ func newPipe(t *testing.T, oneWay time.Duration, rule func(dgramInfo) verdict) *
 }
 
 // pipePair is a Reliable on each end of a fresh pipe.
-func pipePair(t *testing.T, oneWay time.Duration, cfg Config, rule func(dgramInfo) verdict) (*pipe, *Reliable, *Reliable) {
+func pipePair(t *testing.T, oneWay time.Duration, cfg Config, rule func(dgramInfo) verdict) (*pipe, *endpoint, *endpoint) {
 	t.Helper()
 	p := newPipe(t, oneWay, rule)
-	ra, rb := NewReliable(p.a, cfg), NewReliable(p.b, cfg)
+	ra, rb := newEndpoint(p.a, cfg), newEndpoint(p.b, cfg)
 	t.Cleanup(func() { ra.Close(); rb.Close() })
 	return p, ra, rb
 }

@@ -24,7 +24,7 @@ var recoveryCfg = Config{RTO: 2 * time.Second, AckDelay: 5 * time.Millisecond}
 
 const recoveryOneWay = 10 * time.Millisecond
 
-func sendSeqs(t *testing.T, r *Reliable, to netsim.Addr, first, last uint64) {
+func sendSeqs(t *testing.T, r *endpoint, to netsim.Addr, first, last uint64) {
 	t.Helper()
 	for seq := first; seq <= last; seq++ {
 		if err := r.Send(to, binary.BigEndian.AppendUint64(nil, seq)); err != nil {
@@ -33,7 +33,7 @@ func sendSeqs(t *testing.T, r *Reliable, to netsim.Addr, first, last uint64) {
 	}
 }
 
-func recvSeqs(r *Reliable, first, last uint64) error {
+func recvSeqs(r *endpoint, first, last uint64) error {
 	for seq := first; seq <= last; seq++ {
 		got, _, err := recvTimeout(r, 10*time.Second)
 		if err != nil {
@@ -46,7 +46,7 @@ func recvSeqs(r *Reliable, first, last uint64) error {
 	return nil
 }
 
-func expectSeqs(t *testing.T, r *Reliable, first, last uint64) {
+func expectSeqs(t *testing.T, r *endpoint, first, last uint64) {
 	t.Helper()
 	if err := recvSeqs(r, first, last); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func expectSeqs(t *testing.T, r *Reliable, first, last uint64) {
 }
 
 // awaitDepth waits until r holds exactly n unacknowledged frames.
-func awaitDepth(t *testing.T, r *Reliable, n int) {
+func awaitDepth(t *testing.T, r *endpoint, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); r.QueueDepth() != n; time.Sleep(200 * time.Microsecond) {
 		if time.Now().After(deadline) {
@@ -65,7 +65,7 @@ func awaitDepth(t *testing.T, r *Reliable, n int) {
 
 // warmUp sends seqs 1..8 — one ackEvery's worth, so the ack is immediate
 // — and waits for the round-trip sample their ack yields.
-func warmUp(t *testing.T, ra, rb *Reliable) {
+func warmUp(t *testing.T, ra, rb *endpoint) {
 	t.Helper()
 	sendSeqs(t, ra, rb.LocalAddr(), 1, 8)
 	expectSeqs(t, rb, 1, 8)
@@ -411,7 +411,7 @@ func TestRecoveryAckBeyondNextSeqIgnored(t *testing.T) {
 		}},
 	} {
 		t.Run(form.name, func(t *testing.T) {
-			r := NewReliable(newNullConn(), Config{RTO: time.Hour})
+			r := newEndpoint(newNullConn(), Config{RTO: time.Hour})
 			defer r.Close()
 			peer := netsim.Addr{Host: "peer", Port: 1}
 			sendSeqs(t, r, peer, 1, 5)

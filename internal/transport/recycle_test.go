@@ -18,7 +18,7 @@ import (
 // payload intact.
 
 // freeSeqs returns the seqs of the frames on r's free list for to.
-func freeSeqs(r *Reliable, to netsim.Addr) []uint64 {
+func freeSeqs(r *endpoint, to netsim.Addr) []uint64 {
 	p := r.peer(to)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -30,7 +30,7 @@ func freeSeqs(r *Reliable, to netsim.Addr) []uint64 {
 }
 
 // stagedCount returns how many frames r holds staged for to.
-func stagedCount(r *Reliable, to netsim.Addr) int {
+func stagedCount(r *endpoint, to netsim.Addr) int {
 	p := r.peer(to)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -181,7 +181,7 @@ func TestRecycleSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	r := NewReliable(newNullConn(), Config{RTO: time.Hour})
+	r := newEndpoint(newNullConn(), Config{RTO: time.Hour})
 	defer r.Close()
 	peer := netsim.Addr{Host: "peer", Port: 1}
 	payload, ack := make([]byte, 64), make([]byte, 0, dgramHdrMax)

@@ -56,8 +56,6 @@ type Config struct {
 	// Window is the maximum number of unacknowledged messages per peer;
 	// Send blocks when the window is full (default 64).
 	Window int
-	// RecvBuf is the capacity of the ordered-delivery queue (default 1024).
-	RecvBuf int
 	// AckDelay bounds how long a cumulative acknowledgement may be
 	// withheld waiting to coalesce with later ones (default RTO/8). An
 	// ack is sent after 8 in-order messages or AckDelay, whichever first.
@@ -78,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.RecvBuf <= 0 {
-		c.RecvBuf = 1024
 	}
 	if c.AckDelay <= 0 {
 		c.AckDelay = c.RTO / 8
@@ -107,7 +102,7 @@ type Stats struct {
 	AcksSent        uint64 // bare acks: datagrams carrying an ack and no frame (cumulative: usually fewer than messages)
 	AcksRecv        uint64 // ack-carrying datagrams received
 	DupsDropped     uint64 // duplicate data frames discarded
-	Delivered       uint64 // messages handed to Recv in order
+	Delivered       uint64 // messages handed to the delivery sink in order
 	Failures        uint64
 	FailuresDropped uint64 // failure notices discarded because the Failures channel was full
 
@@ -265,12 +260,6 @@ func newPeerState(addr netsim.Addr, closed bool) *peerState {
 	return p
 }
 
-// inMsg is one ordered delivery.
-type inMsg struct {
-	payload []byte
-	from    netsim.Addr
-}
-
 // Reliable implements per-peer FIFO, exactly-once message delivery over an
 // unreliable PacketConn, using sequence numbers, cumulative+selective
 // acknowledgements, ack-clocked loss detection and a measured, bounded
@@ -291,11 +280,10 @@ type Reliable struct {
 
 	stats statCounters
 
-	incoming chan inMsg
+	deliver  func(payload []byte, from netsim.Addr)
 	failures chan SendFailure
 
 	closeOnce sync.Once
-	closed    chan struct{}
 	wg        sync.WaitGroup // the receive loop and running timer callbacks
 }
 
@@ -303,13 +291,18 @@ type Reliable struct {
 // receive goroutine. Timers are the runtime's: each peer has at most a
 // retransmission timer and a delayed-ack timer, and neither holds a
 // goroutine while it waits.
-func NewReliable(pc PacketConn, cfg Config) *Reliable {
+//
+// The receive goroutine calls deliver once per message, in each peer's
+// send order, handing over the payload. deliver must not wait on the
+// network — not on a send window, a reply, or a lock a blocked sender
+// holds: the ack that would free that sender is read by the very
+// goroutine it holds up. Close waits for a call in progress.
+func NewReliable(pc PacketConn, cfg Config, deliver func(payload []byte, from netsim.Addr)) *Reliable {
 	r := &Reliable{
 		pc:       pc,
 		cfg:      cfg.withDefaults(),
-		incoming: make(chan inMsg, cfg.withDefaults().RecvBuf),
+		deliver:  deliver,
 		failures: make(chan SendFailure, cfg.withDefaults().FailureBuf),
-		closed:   make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.recvLoop()
@@ -554,29 +547,12 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	return r.write(to, dgram)
 }
 
-// Recv blocks until the next in-order message from any peer arrives.
-//
-//wwlint:allow ctxcheck transport pump consumed by the dapplet's own receive loop; lifecycle-managed by Close
-func (r *Reliable) Recv() ([]byte, netsim.Addr, error) {
-	select {
-	case m := <-r.incoming:
-		return m.payload, m.from, nil
-	case <-r.closed:
-		select {
-		case m := <-r.incoming:
-			return m.payload, m.from, nil
-		default:
-			return nil, netsim.Addr{}, ErrClosed
-		}
-	}
-}
-
 // Close shuts the layer and the underlying socket down, waking any sender
 // blocked on a full window and stopping every timer. When it returns no
-// goroutine of the layer runs, and none will.
+// goroutine of the layer runs, and none will: the receive loop and any
+// delivery it was making have returned.
 func (r *Reliable) Close() error {
 	r.closeOnce.Do(func() {
-		close(r.closed)
 		r.peersMu.Lock()
 		r.closedB = true
 		r.peersMu.Unlock()
@@ -848,12 +824,12 @@ func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
 // retransmitted arrivals are acknowledged immediately, with the whole
 // reorder state while a gap is open, so the sender's window unblocks and
 // it can tell at once what is lost. The payload slice is owned by this
-// layer (see PacketConn.ReadFrom) and is handed to the application
-// without copying.
+// layer (see PacketConn.ReadFrom) and is handed to the sink without
+// copying, after p.mu is released.
 func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 	from := p.addr
 	var (
-		buf    [4]inMsg // keeps the usual short run off the heap
+		buf    [4][]byte // keeps the usual short run off the heap
 		ready  = buf[:0]
 		ackNow bool
 	)
@@ -867,7 +843,7 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 	case seq == p.expected:
 		// In-order: deliver this message and any run it completes.
 		delete(p.ooo, seq)
-		ready = append(ready, inMsg{payload: payload, from: from})
+		ready = append(ready, payload)
 		p.expected++
 		for {
 			pl, ok := p.ooo[p.expected]
@@ -876,7 +852,7 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 			}
 			delete(p.ooo, p.expected)
 			p.expected++
-			ready = append(ready, inMsg{payload: pl, from: from})
+			ready = append(ready, pl)
 		}
 		r.stats.delivered.Add(uint64(len(ready)))
 		p.ackPending += len(ready)
@@ -912,12 +888,8 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 	}
 	p.mu.Unlock()
 	_ = r.write(from, dgram)
-	for _, m := range ready {
-		select {
-		case r.incoming <- m:
-		case <-r.closed:
-			return
-		}
+	for _, pl := range ready {
+		r.deliver(pl, from)
 	}
 }
 

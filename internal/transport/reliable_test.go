@@ -13,7 +13,7 @@ import (
 
 // pairOn creates two reliable endpoints on the given hosts of a fresh
 // network, returning the network for fault injection.
-func pairOn(t *testing.T, hostA, hostB string, cfg Config, opts ...netsim.Option) (*netsim.Network, *Reliable, *Reliable) {
+func pairOn(t *testing.T, hostA, hostB string, cfg Config, opts ...netsim.Option) (*netsim.Network, *endpoint, *endpoint) {
 	t.Helper()
 	n := netsim.New(opts...)
 	t.Cleanup(n.Close)
@@ -25,24 +25,62 @@ func pairOn(t *testing.T, hostA, hostB string, cfg Config, opts ...netsim.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := NewReliable(NewSimConn(ea), cfg)
-	rb := NewReliable(NewSimConn(eb), cfg)
+	ra := newEndpoint(NewSimConn(ea), cfg)
+	rb := newEndpoint(NewSimConn(eb), cfg)
 	t.Cleanup(func() { ra.Close(); rb.Close() })
 	return n, ra, rb
 }
 
-// recvTimeout is Recv with a real-time deadline; it returns
-// netsim.ErrTimeout on expiry.
-func recvTimeout(r *Reliable, d time.Duration) ([]byte, netsim.Addr, error) {
+// endpoint is a Reliable whose deliveries queue for the test to read
+// with recvTimeout. The queue is unbounded, so the receive goroutine
+// never waits on the test.
+type endpoint struct {
+	*Reliable
+	mu   sync.Mutex
+	rx   []delivery    // guarded by mu
+	more chan struct{} // signalled after each delivery
+}
+
+type delivery struct {
+	payload []byte
+	from    netsim.Addr
+}
+
+func newEndpoint(pc PacketConn, cfg Config) *endpoint {
+	e := &endpoint{more: make(chan struct{}, 1)}
+	e.Reliable = NewReliable(pc, cfg, e.deliver)
+	return e
+}
+
+func (e *endpoint) deliver(payload []byte, from netsim.Addr) {
+	e.mu.Lock()
+	e.rx = append(e.rx, delivery{payload, from})
+	e.mu.Unlock()
+	select {
+	case e.more <- struct{}{}:
+	default:
+	}
+}
+
+// recvTimeout returns e's next delivery, waiting at most d for it; it
+// returns netsim.ErrTimeout on expiry. Each endpoint has one reader.
+func recvTimeout(e *endpoint, d time.Duration) ([]byte, netsim.Addr, error) {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	select {
-	case m := <-r.incoming:
-		return m.payload, m.from, nil
-	case <-r.closed:
-		return nil, netsim.Addr{}, ErrClosed
-	case <-t.C:
-		return nil, netsim.Addr{}, netsim.ErrTimeout
+	for {
+		e.mu.Lock()
+		if len(e.rx) > 0 {
+			m := e.rx[0]
+			e.rx = e.rx[1:]
+			e.mu.Unlock()
+			return m.payload, m.from, nil
+		}
+		e.mu.Unlock()
+		select {
+		case <-e.more:
+		case <-t.C:
+			return nil, netsim.Addr{}, netsim.ErrTimeout
+		}
 	}
 }
 
@@ -280,7 +318,7 @@ func TestManyPeersFIFOPerPeer(t *testing.T) {
 	n := netsim.New(netsim.WithSeed(3))
 	defer n.Close()
 	sinkEp, _ := n.Host("sink").Bind(1)
-	sink := NewReliable(NewSimConn(sinkEp), Config{})
+	sink := newEndpoint(NewSimConn(sinkEp), Config{})
 	defer sink.Close()
 	const peers, per = 5, 40
 	for p := 0; p < peers; p++ {
@@ -288,9 +326,9 @@ func TestManyPeersFIFOPerPeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewReliable(NewSimConn(ep), Config{})
+		r := newEndpoint(NewSimConn(ep), Config{})
 		defer r.Close()
-		go func(r *Reliable, p int) {
+		go func(r *endpoint, p int) {
 			for i := 0; i < per; i++ {
 				if err := r.Send(sink.LocalAddr(), []byte{byte(p), byte(i)}); err != nil {
 					t.Error(err)
@@ -313,7 +351,11 @@ func TestManyPeersFIFOPerPeer(t *testing.T) {
 	}
 }
 
+// Close unblocks both sides of a layer: a Send waiting on a full window
+// returns ErrClosed, and the receive loop waiting in ReadFrom has
+// returned by the time Close does.
 func TestCloseUnblocksSendAndRecv(t *testing.T) {
+	base, _ := receiveLoops(reliableGoroutines())
 	cfg := Config{RTO: 20 * time.Millisecond, Window: 1, MaxRetries: 1000}
 	n, ra, rb := pairOn(t, "a", "b", cfg)
 	n.Partition([]string{"a"}, []string{"b"})
@@ -322,8 +364,6 @@ func TestCloseUnblocksSendAndRecv(t *testing.T) {
 	}
 	sendErr := make(chan error, 1)
 	go func() { sendErr <- ra.Send(rb.LocalAddr(), []byte("2")) }()
-	recvErr := make(chan error, 1)
-	go func() { _, _, err := rb.Recv(); recvErr <- err }()
 	time.Sleep(30 * time.Millisecond)
 	ra.Close()
 	rb.Close()
@@ -335,14 +375,7 @@ func TestCloseUnblocksSendAndRecv(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send did not unblock")
 	}
-	select {
-	case err := <-recvErr:
-		if err != ErrClosed {
-			t.Fatalf("recv err = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Recv did not unblock")
-	}
+	awaitReceiveLoops(t, "after Close", base)
 }
 
 func TestStatsAccounting(t *testing.T) {
@@ -463,8 +496,8 @@ func TestUDPLoopbackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := NewReliable(pa, Config{})
-	rb := NewReliable(pb, Config{})
+	ra := newEndpoint(pa, Config{})
+	rb := newEndpoint(pb, Config{})
 	defer ra.Close()
 	defer rb.Close()
 	const total = 20

@@ -69,7 +69,7 @@ func awaitReceiveLoops(t *testing.T, what string, want int) {
 // the layer's code are the receive loops, and after Close none is.
 func TestTimerNoGoroutineWhileIdle(t *testing.T) {
 	base, _ := receiveLoops(reliableGoroutines())
-	var all []*Reliable
+	var all []*endpoint
 	for range 8 {
 		p, ra, rb := pipePair(t, time.Millisecond, Config{}, nil)
 		all = append(all, ra, rb)
@@ -130,10 +130,10 @@ func TestTimerCloseSilencesResends(t *testing.T) {
 // end, no layer may have written a datagram since its Close returned.
 func TestTimerCloseRace(t *testing.T) {
 	peer := netsim.Addr{Host: "peer", Port: 1}
-	cfg := Config{RTO: time.Millisecond, RecvBuf: 1, FailureBuf: 1}
-	closed := make(map[*Reliable]uint64) // datagrams written when Close returned
+	cfg := Config{RTO: time.Millisecond, FailureBuf: 1}
+	closed := make(map[*endpoint]uint64) // datagrams written when Close returned
 	for i := range 500 {
-		r := NewReliable(newNullConn(), cfg)
+		r := newEndpoint(newNullConn(), cfg)
 		if err := r.Send(peer, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
