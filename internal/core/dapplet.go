@@ -19,6 +19,7 @@ import (
 type Dapplet struct {
 	name string
 	typ  string
+	addr netsim.Addr // set before rel starts delivering, which reads it
 	rel  *transport.Reliable
 	dec  wire.EnvelopeDecoder // used by deliver alone
 
@@ -86,6 +87,7 @@ func NewDapplet(name, typ string, pc transport.PacketConn, opts ...DappletOption
 	d := &Dapplet{
 		name:     name,
 		typ:      typ,
+		addr:     pc.LocalAddr(),
 		clock:    lclock.New(name),
 		store:    cfg.store,
 		inboxes:  make(map[string]*Inbox),
@@ -103,7 +105,7 @@ func (d *Dapplet) Name() string { return d.name }
 func (d *Dapplet) Type() string { return d.typ }
 
 // Addr returns the dapplet's global address (host and port).
-func (d *Dapplet) Addr() netsim.Addr { return d.rel.LocalAddr() }
+func (d *Dapplet) Addr() netsim.Addr { return d.addr }
 
 // Clock returns the dapplet's logical clock. Every message the dapplet
 // sends or receives passes through it, so the clock satisfies the global
@@ -374,13 +376,15 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 
 // deliver is the reliable layer's sink, run on its receive goroutine:
 // it decodes each in-order frame with dec, which reuses the header
-// strings of the frame before, and delivers it like DeliverLocal.
-func (d *Dapplet) deliver(data []byte, _ netsim.Addr) {
+// strings of the frame before, fills in the addresses no frame carries
+// (this dapplet, the transport's peer) and delivers it like DeliverLocal.
+func (d *Dapplet) deliver(data []byte, from netsim.Addr) {
 	env, err := d.dec.UnmarshalEnvelope(data)
 	if err != nil {
 		d.deadLetters.Add(1)
 		return
 	}
+	env.To.Dapplet, env.FromDapplet = d.Addr(), from
 	d.DeliverLocal(env)
 }
 

@@ -86,13 +86,18 @@ func FuzzRelayFrames(f *testing.F) {
 		r := Attach(d)
 		r.Bind(sid, Binding{Neighbors: neighbors, Depth: 2, Inbox: "news", Epoch: 1, FromStart: fromStart})
 		in := d.Inbox("news")
+		// Forwards are counted as sends, not datagrams: past ackEvery
+		// unacknowledged frames to one neighbour, and nobody acknowledges
+		// here, the transport stages the next one instead of writing it.
+		forwards := make(map[netsim.Addr]int) // written by onFrame's sends, on this goroutine
+		d.OnSend(func(env *wire.Envelope) { forwards[env.To.Dapplet]++ })
 
 		type heard struct {
 			first uint64
 			seqs  map[uint64]bool
 		}
 		offered := make(map[string]*heard)
-		wantWrites := make(map[netsim.Addr]int)
+		wantForwards := make(map[netsim.Addr]int)
 		for i := 0; i+4 <= len(data); i += 4 {
 			origin, seq := origins[int(data[i])%len(origins)], uint64(data[i+1])
 			ttl, inbound := uint32(data[i+2]%4), inbounds[int(data[i+3])%len(inbounds)]
@@ -101,7 +106,7 @@ func FuzzRelayFrames(f *testing.F) {
 				t.Fatal(err)
 			}
 			frame := &wire.RelayFrame{
-				SessionID: sid, Origin: origin, OriginAddr: netsim.Addr{Host: origin, Port: 7}, OriginOutbox: "out",
+				Origin: origin, OriginAddr: netsim.Addr{Host: origin, Port: 7}, OriginOutbox: "out",
 				Inbox: "news", Lamport: uint64(i), Seq: seq, Epoch: 1, TTL: ttl,
 				BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...),
 			}
@@ -123,7 +128,7 @@ func FuzzRelayFrames(f *testing.F) {
 			if ttl > 0 {
 				for _, n := range neighbors {
 					if n.Addr != inbound && n.Name != origin {
-						wantWrites[n.Addr]++
+						wantForwards[n.Addr]++
 					}
 				}
 			}
@@ -172,13 +177,16 @@ func FuzzRelayFrames(f *testing.F) {
 			}
 		}
 
-		conn.mu.Lock()
-		defer conn.mu.Unlock()
 		for _, n := range neighbors {
-			if conn.writes[n.Addr] != wantWrites[n.Addr] {
-				t.Fatalf("forwarded %d datagrams to %s, want %d", conn.writes[n.Addr], n.Name, wantWrites[n.Addr])
+			if forwards[n.Addr] != wantForwards[n.Addr] {
+				t.Fatalf("forwarded %d frames to %s, want %d", forwards[n.Addr], n.Name, wantForwards[n.Addr])
 			}
 		}
+		if len(forwards) > len(neighbors) {
+			t.Fatalf("frames forwarded beyond the neighbours: %v", forwards)
+		}
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
 		if len(conn.writes) > len(neighbors) {
 			t.Fatalf("datagrams written beyond the neighbours: %v", conn.writes)
 		}

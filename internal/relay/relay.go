@@ -214,9 +214,7 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 	}
 	st.seq++
 	frame := &wire.RelayFrame{
-		SessionID:    session,
 		Origin:       st.self,
-		OriginAddr:   r.d.Addr(),
 		OriginOutbox: outbox,
 		Inbox:        st.inbox,
 		Lamport:      lamport,
@@ -306,15 +304,20 @@ func (r *Relay) Redrive(sid string) error {
 // sequence order, then re-forward to tree neighbors except the inbound
 // hop. Duplicates are forwarded (TTL keeps that bounded) but not
 // re-delivered, so a redrive flood crosses nodes that already have the
-// frames and still reaches the gap downstream.
+// frames and still reaches the gap downstream. The carrier envelope names
+// the session, and the transport the origin of a frame that names none.
 func (r *Relay) onFrame(env *wire.Envelope) {
 	f, ok := env.Body.(*wire.RelayFrame)
-	if !ok {
+	if !ok || env.Session == "" {
 		r.unbound.Add(1)
 		return
 	}
+	sid := env.Session
+	if f.OriginAddr.IsZero() { // straight from its origin
+		f.OriginAddr = env.FromDapplet
+	}
 	r.mu.Lock()
-	st, bound := r.sessions[f.SessionID]
+	st, bound := r.sessions[sid]
 	if !bound {
 		r.mu.Unlock()
 		r.unbound.Add(1)
@@ -383,11 +386,11 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	if len(neighbors) > 0 {
 		fwd := *f
 		fwd.TTL--
-		sent, _ := r.flood(f.SessionID, &fwd, neighbors, env.FromDapplet)
+		sent, _ := r.flood(sid, &fwd, neighbors, env.FromDapplet)
 		r.forwarded.Add(uint64(sent))
 	}
 	for _, df := range deliver {
-		r.deliverLocal(df)
+		r.deliverLocal(sid, df)
 	}
 }
 
@@ -395,7 +398,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 // session's inbox through the dapplet's normal arrival path, presenting
 // the origin's identity and Lamport stamp so the application cannot
 // distinguish tree delivery from a direct send.
-func (r *Relay) deliverLocal(f *wire.RelayFrame) {
+func (r *Relay) deliverLocal(sid string, f *wire.RelayFrame) {
 	msg, err := wire.DecodeBody(f.BodyID, f.Body)
 	if err != nil {
 		r.unbound.Add(1)
@@ -405,7 +408,7 @@ func (r *Relay) deliverLocal(f *wire.RelayFrame) {
 		To:          wire.InboxRef{Dapplet: r.d.Addr(), Inbox: f.Inbox},
 		FromDapplet: f.OriginAddr,
 		FromOutbox:  f.OriginOutbox,
-		Session:     f.SessionID,
+		Session:     sid,
 		Lamport:     f.Lamport,
 		Body:        msg,
 	})

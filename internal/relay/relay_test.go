@@ -187,25 +187,32 @@ func TestMulticastAnyOrigin(t *testing.T) {
 }
 
 // TestDeliveryEnvelopeIdentity checks the synthesized delivery envelope
-// presents the origin's identity, outbox, session and Lamport stamp.
+// presents the origin's identity, outbox, session and Lamport stamp, both
+// at the origin's children, whose frames name no origin address, and
+// below a relay, which names it in the frames it forwards.
 func TestDeliveryEnvelopeIdentity(t *testing.T) {
 	w := newWorld(t, 4)
-	w.bindAll("s9", 2, 1)
-	in := w.dapplets[3].Inbox("bcast")
+	w.bindAll("s9", 2, 1) // 0 above 1 and 2; 3 below 1
+	inboxes := make([]*core.Inbox, len(w.dapplets))
+	for i, d := range w.dapplets {
+		inboxes[i] = d.Inbox("bcast")
+	}
 	if err := w.relays[0].Multicast("announce", "s9", 1234, &wire.Text{S: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	env, err := in.ReceiveEnvelopeContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.FromDapplet != w.dapplets[0].Addr() {
-		t.Fatalf("FromDapplet = %v, want origin %v", env.FromDapplet, w.dapplets[0].Addr())
-	}
-	if env.FromOutbox != "announce" || env.Session != "s9" || env.Lamport != 1234 {
-		t.Fatalf("envelope header = %q %q %d", env.FromOutbox, env.Session, env.Lamport)
+	for i := 1; i < len(w.dapplets); i++ {
+		env, err := inboxes[i].ReceiveEnvelopeContext(ctx)
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+		if env.FromDapplet != w.dapplets[0].Addr() || env.To.Dapplet != w.dapplets[i].Addr() {
+			t.Fatalf("member %d: FromDapplet = %v, To = %v, want origin %v to %v", i, env.FromDapplet, env.To.Dapplet, w.dapplets[0].Addr(), w.dapplets[i].Addr())
+		}
+		if env.FromOutbox != "announce" || env.Session != "s9" || env.Lamport != 1234 {
+			t.Fatalf("member %d: envelope header = %q %q %d", i, env.FromOutbox, env.Session, env.Lamport)
+		}
 	}
 }
 
@@ -340,8 +347,8 @@ func TestFromStartWaitsForSeqOne(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.onFrame(&wire.Envelope{FromDapplet: parent.Addr, Body: &wire.RelayFrame{
-				SessionID: "s1", Origin: "root", Inbox: "bcast", Seq: seq, Epoch: 1, TTL: 3,
+			r.onFrame(&wire.Envelope{FromDapplet: parent.Addr, Session: "s1", Body: &wire.RelayFrame{
+				Origin: "root", Inbox: "bcast", Seq: seq, Epoch: 1, TTL: 3,
 				BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...),
 			}})
 			body.Release()
@@ -354,5 +361,54 @@ func TestFromStartWaitsForSeqOne(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("fromStart=%v: delivered %v, want %v", fromStart, got, want)
 		}
+	}
+}
+
+// TestOnFrameUnbound: a frame is counted as Unbound, and neither delivered
+// nor forwarded, when its carrier is not a relay frame, names a session
+// this relay has no tree for, or names no session at all — the frame
+// itself does not say which session it belongs to.
+func TestOnFrameUnbound(t *testing.T) {
+	parent := Member{Name: "up", Addr: netsim.Addr{Host: "up", Port: 1}}
+	kid := Member{Name: "down", Addr: netsim.Addr{Host: "down", Port: 1}}
+	frame := func() wire.Msg {
+		body, err := wire.EncodeBody(&wire.Text{S: "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer body.Release()
+		return &wire.RelayFrame{Origin: "root", Inbox: "bcast", Seq: 1, Epoch: 1, TTL: 3,
+			BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...)}
+	}
+	for _, tc := range []struct {
+		name      string
+		session   string
+		body      wire.Msg
+		delivered uint64
+	}{
+		{"bound", "s1", frame(), 1},
+		{"not a relay frame", "s1", &wire.Text{S: "x"}, 0},
+		{"unknown session", "s2", frame(), 0},
+		{"no carrier session", "", frame(), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := newSinkConn()
+			d := core.NewDapplet("me", "test", conn, core.WithTransportConfig(transport.Config{RTO: time.Hour}))
+			t.Cleanup(d.Stop)
+			r := Attach(d)
+			r.Bind("s1", Binding{Neighbors: []Member{parent, kid}, Depth: 1, Inbox: "bcast", Epoch: 1, FromStart: true})
+			d.Inbox("bcast")
+			r.onFrame(&wire.Envelope{FromDapplet: parent.Addr, Session: tc.session, Body: tc.body})
+			st := r.Stats()
+			wantUnbound := uint64(1) - tc.delivered
+			if st.Delivered != tc.delivered || st.Unbound != wantUnbound {
+				t.Fatalf("delivered %d, unbound %d; want %d, %d", st.Delivered, st.Unbound, tc.delivered, wantUnbound)
+			}
+			conn.mu.Lock()
+			defer conn.mu.Unlock()
+			if got := conn.writes[kid.Addr]; got != int(tc.delivered) {
+				t.Fatalf("forwarded %d datagrams to the child, want %d", got, tc.delivered)
+			}
+		})
 	}
 }

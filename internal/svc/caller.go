@@ -122,7 +122,7 @@ func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending,
 	p.seq = c.seq
 	c.waiting[p.seq] = p
 	c.mu.Unlock()
-	rm := &reqMsg{Seq: p.seq, ReplyTo: c.in.Ref(), BodyID: body.ID(), Body: body.Bytes()}
+	rm := &reqMsg{Seq: p.seq, ReplyInbox: c.in.Name(), BodyID: body.ID(), Body: body.Bytes()}
 	err = c.d.SendDirect(to, session, rm)
 	body.Release()
 	if err != nil {

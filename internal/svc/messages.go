@@ -69,12 +69,13 @@ func asError(err error) *Error {
 }
 
 // reqMsg frames one correlated request: the caller's sequence number, its
-// reply inbox, and the application request as a nested encoded body.
+// reply inbox's name (on the sender, whose address the transport gives),
+// and the application request as a nested encoded body.
 type reqMsg struct {
-	Seq     uint64
-	ReplyTo wire.InboxRef
-	BodyID  uint16
-	Body    []byte
+	Seq        uint64
+	ReplyInbox string
+	BodyID     uint16
+	Body       []byte
 }
 
 // Kind implements wire.Msg.
@@ -83,7 +84,7 @@ func (*reqMsg) Kind() string { return "svc.req" }
 // AppendBinary implements wire.Msg.
 func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.Seq)
-	dst = wire.AppendInboxRef(dst, m.ReplyTo)
+	dst = wire.AppendString(dst, m.ReplyInbox)
 	return wire.AppendBody(dst, m.BodyID, m.Body), nil
 }
 
@@ -91,7 +92,7 @@ func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
 func (m *reqMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Seq = r.Uvarint()
-	m.ReplyTo = r.InboxRef()
+	m.ReplyInbox = r.String()
 	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }

@@ -39,7 +39,7 @@ type Reply struct {
 // or, when err is non-nil, with err as a typed *Error. It is safe from
 // any thread. Send on the Reply of a one-way request does nothing.
 func (r Reply) Send(resp wire.Msg, err error) {
-	if r.to.IsZero() {
+	if r.to.Inbox == "" {
 		return
 	}
 	rep := &repMsg{Seq: r.seq}
@@ -64,20 +64,20 @@ func (r Reply) Send(resp wire.Msg, err error) {
 // Envelope returns the request's delivery envelope.
 func (c *Ctx) Envelope() *wire.Envelope { return c.env }
 
-// From returns the requesting dapplet's global address.
+// From returns the requesting dapplet's global address, as the transport saw it.
 func (c *Ctx) From() netsim.Addr { return c.env.FromDapplet }
 
 // Session returns the session tag the request travelled under.
 func (c *Ctx) Session() string { return c.env.Session }
 
 // ReplyTo returns the caller's reply inbox — the address replies and any
-// later pushes (e.g. directory watch events) reach the caller at. It is
-// zero for one-way requests.
+// later pushes (e.g. directory watch events) reach the caller at, on From.
+// Its inbox name is empty for one-way requests.
 func (c *Ctx) ReplyTo() wire.InboxRef { return c.rep.to }
 
 // OneWay reports whether the request expects no reply (a bare message, or
 // a frame sent without a reply inbox); any handler response is dropped.
-func (c *Ctx) OneWay() bool { return c.rep.to.IsZero() }
+func (c *Ctx) OneWay() bool { return c.rep.to.Inbox == "" }
 
 // Defer takes the request's reply out of the handler's hands: whatever
 // the handler returns is dropped, and the caller hears only what is later
@@ -135,7 +135,8 @@ func (s *Server) dispatch(env *wire.Envelope) {
 		}
 		return
 	}
-	c := &Ctx{env: env, rep: Reply{d: s.d, to: rm.ReplyTo, session: env.Session, seq: rm.Seq}}
+	to := wire.InboxRef{Dapplet: env.FromDapplet, Inbox: rm.ReplyInbox}
+	c := &Ctx{env: env, rep: Reply{d: s.d, to: to, session: env.Session, seq: rm.Seq}}
 	var resp wire.Msg
 	req, err := wire.DecodeBody(rm.BodyID, rm.Body)
 	if err != nil {

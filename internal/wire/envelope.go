@@ -26,9 +26,9 @@ func (r InboxRef) IsZero() bool { return r.Dapplet.IsZero() && r.Inbox == "" }
 // Envelope is the header the distributed-computing layer wraps around an
 // application message travelling from an outbox to an inbox.
 type Envelope struct {
-	// To identifies the destination inbox.
+	// To identifies the destination inbox; only To.Inbox is framed.
 	To InboxRef
-	// FromDapplet is the sending dapplet's global address.
+	// FromDapplet is the sending dapplet's address, as the transport saw it.
 	FromDapplet netsim.Addr
 	// FromOutbox is the name of the sending outbox.
 	FromOutbox string
@@ -45,18 +45,18 @@ type Envelope struct {
 
 // Envelope framing. A frame is:
 //
-//	[0]      envMagic (0xBF; anything else is not an envelope)
+//	[0]      envMagic (0xC0; anything else is not an envelope)
 //	uvarint  kind id (dense, assigned at registration)
-//	string   To.Dapplet.Host      ─┐
-//	uvarint  To.Dapplet.Port       │
-//	string   To.Inbox              │ header words, varint-framed
-//	string   FromDapplet.Host      │ (string = uvarint length + bytes)
-//	uvarint  FromDapplet.Port      │
-//	string   FromOutbox            │
-//	string   Session               │
-//	uvarint  Lamport              ─┘
+//	string   To.Inbox      ─┐
+//	string   FromOutbox     │ header words, varint-framed
+//	string   Session        │ (string = uvarint length + bytes)
+//	uvarint  Lamport       ─┘
 //	...      body bytes (to end of frame): the message's AppendBinary form
-const envMagic = 0xBF
+//
+// No dapplet address is framed: the datagram names both ends, so the
+// receiver fills them in and UnmarshalEnvelope leaves them zero. A frame
+// under 0xBF, the layout that framed both, fails the magic check.
+const envMagic = 0xC0
 
 // bodyPool recycles body encode buffers so steady-state marshalling
 // performs no allocation. Buffers grow to fit and keep their capacity
@@ -170,11 +170,7 @@ func DecodeBodyInto(id uint16, data []byte, into Msg) error {
 func AppendEnvelopeBody(dst []byte, e *Envelope, body Body) []byte {
 	dst = append(dst, envMagic)
 	dst = AppendUvarint(dst, uint64(body.id))
-	dst = AppendString(dst, e.To.Dapplet.Host)
-	dst = AppendUvarint(dst, uint64(e.To.Dapplet.Port))
 	dst = AppendString(dst, e.To.Inbox)
-	dst = AppendString(dst, e.FromDapplet.Host)
-	dst = AppendUvarint(dst, uint64(e.FromDapplet.Port))
 	dst = AppendString(dst, e.FromOutbox)
 	dst = AppendString(dst, e.Session)
 	dst = AppendUvarint(dst, e.Lamport)
@@ -207,7 +203,7 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 }
 
 // EnvelopeDecoder decodes envelope frames, reusing header strings: for
-// each of the five string header fields it keeps the last string it
+// each of the three string header fields it keeps the last string it
 // decoded, and returns that string again when the next frame carries the
 // same bytes there. Frames on one channel repeat their headers, so in the
 // steady state a decode allocates only the Envelope and its body. A kept
@@ -219,9 +215,7 @@ type EnvelopeDecoder struct {
 
 // The string header fields, indexing EnvelopeDecoder.last.
 const (
-	hdrToHost = iota
-	hdrToInbox
-	hdrFromHost
+	hdrToInbox = iota
 	hdrFromOutbox
 	hdrSession
 	hdrStrings
@@ -236,11 +230,7 @@ func (d *EnvelopeDecoder) UnmarshalEnvelope(data []byte) (*Envelope, error) {
 	r := Reader{data: data, off: 1}
 	id := r.uint16("kind id")
 	var env Envelope
-	env.To.Dapplet.Host = d.string(&r, hdrToHost)
-	env.To.Dapplet.Port = r.Port()
 	env.To.Inbox = d.string(&r, hdrToInbox)
-	env.FromDapplet.Host = d.string(&r, hdrFromHost)
-	env.FromDapplet.Port = r.Port()
 	env.FromOutbox = d.string(&r, hdrFromOutbox)
 	env.Session = d.string(&r, hdrSession)
 	env.Lamport = r.Uvarint()

@@ -10,16 +10,16 @@ import "repro/internal/netsim"
 // own tree neighbors without re-marshalling them. The original sender's
 // identity and Lamport stamp ride along, so the envelope synthesized at
 // each delivery point is indistinguishable from a directly sent one —
-// FIFO-per-channel and the clock's snapshot criterion are unchanged.
+// FIFO-per-channel and the clock's snapshot criterion are unchanged. The
+// carrier envelope's Session names the session.
 type RelayFrame struct {
-	// SessionID names the session whose tree carries the frame.
-	SessionID string
 	// Origin is the originating dapplet's instance name; receivers key
 	// their per-origin ordered-delivery state by it (names survive
 	// reincarnation, addresses do not).
 	Origin string
 	// OriginAddr is the originating dapplet's address at send time; the
-	// synthesized delivery envelope carries it as FromDapplet.
+	// synthesized delivery envelope carries it as FromDapplet. The origin
+	// leaves it zero (its neighbours' transport names it); relays fill it in.
 	OriginAddr netsim.Addr
 	// OriginOutbox is the tree-bound outbox the message left through.
 	OriginOutbox string
@@ -52,7 +52,6 @@ func (*RelayFrame) Kind() string { return "relay.fwd" }
 
 // AppendBinary implements Msg.
 func (m *RelayFrame) AppendBinary(dst []byte) ([]byte, error) {
-	dst = AppendString(dst, m.SessionID)
 	dst = AppendString(dst, m.Origin)
 	dst = AppendString(dst, m.OriginAddr.Host)
 	dst = AppendUvarint(dst, uint64(m.OriginAddr.Port))
@@ -70,7 +69,6 @@ func (m *RelayFrame) AppendBinary(dst []byte) ([]byte, error) {
 // must copy it (see CopyBody).
 func (m *RelayFrame) UnmarshalBinary(data []byte) error {
 	r := NewReader(data)
-	m.SessionID = r.String()
 	m.Origin = r.String()
 	m.OriginAddr.Host = r.String()
 	m.OriginAddr.Port = r.Port()

@@ -20,10 +20,9 @@ func relayFrameEqual(a, b *RelayFrame) bool {
 // TestRelayFrameRoundTrip drives the binary codec with generated frames:
 // encode → decode must be identity for every field.
 func TestRelayFrameRoundTrip(t *testing.T) {
-	f := func(sid, origin, host string, port uint16, outbox, inbox string,
+	f := func(origin, host string, port uint16, outbox, inbox string,
 		lamport, seq, epoch uint64, ttl uint32, bodyID uint16, body []byte) bool {
 		in := &RelayFrame{
-			SessionID:    sid,
 			Origin:       origin,
 			OriginAddr:   netsim.Addr{Host: host, Port: port},
 			OriginOutbox: outbox,
@@ -54,7 +53,6 @@ func TestRelayFrameRoundTrip(t *testing.T) {
 // must fail cleanly, never panic, never succeed.
 func TestRelayFrameTruncation(t *testing.T) {
 	in := &RelayFrame{
-		SessionID:    "sess-1",
 		Origin:       "broadcaster",
 		OriginAddr:   netsim.Addr{Host: "site0", Port: 4021},
 		OriginOutbox: "bcast",
@@ -85,7 +83,7 @@ func TestRelayFrameTruncation(t *testing.T) {
 // TestRelayFrameCopyBody asserts CopyBody detaches the body from the
 // decode buffer.
 func TestRelayFrameCopyBody(t *testing.T) {
-	in := &RelayFrame{SessionID: "s", Body: []byte("abc")}
+	in := &RelayFrame{Origin: "o", Body: []byte("abc")}
 	enc, err := in.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,6 @@ func TestRelayFrameCopyBody(t *testing.T) {
 // asserts anything that decodes re-encodes to a byte-identical frame.
 func FuzzRelayFrame(f *testing.F) {
 	seed := &RelayFrame{
-		SessionID:    "sess-1",
 		Origin:       "o",
 		OriginAddr:   netsim.Addr{Host: "h", Port: 1},
 		OriginOutbox: "out",

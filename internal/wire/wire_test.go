@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -178,17 +179,54 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, host := range []string{"caltech", "rice"} {
+		if bytes.Contains(data, []byte(host)) {
+			t.Fatalf("frame carries dapplet host %q: %q", host, data)
+		}
+	}
 	got, err := UnmarshalEnvelope(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.To != env.To || got.FromDapplet != env.FromDapplet ||
-		got.FromOutbox != env.FromOutbox || got.Session != env.Session ||
-		got.Lamport != env.Lamport {
-		t.Fatalf("header mismatch: %+v", got)
+	if !reflect.DeepEqual(got, onWire(env)) {
+		t.Fatalf("decoded %+v, want %+v", got, onWire(env))
 	}
-	if got.Body.(*Text).S != "meeting?" {
-		t.Fatalf("body = %+v", got.Body)
+}
+
+// onWire is what UnmarshalEnvelope returns for env: every field but the
+// two dapplet addresses, which the frame does not carry.
+func onWire(env *Envelope) *Envelope {
+	w := *env
+	w.To.Dapplet, w.FromDapplet = netsim.Addr{}, netsim.Addr{}
+	return &w
+}
+
+// TestEnvelopeRefusesOldLayout feeds a frame in the layout that still
+// carried both dapplet addresses, under its own magic byte: it must be
+// refused, not misread into a header of shifted fields.
+func TestEnvelopeRefusesOldLayout(t *testing.T) {
+	id, _ := KindID("wire.text")
+	body, err := (&Text{S: "meeting?"}).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte{0xBF}
+	old = AppendUvarint(old, uint64(id))
+	old = AppendString(old, "caltech")
+	old = AppendUvarint(old, 99)
+	old = AppendString(old, "students")
+	old = AppendString(old, "rice")
+	old = AppendUvarint(old, 12)
+	old = AppendString(old, "out")
+	old = AppendString(old, "calendar-1")
+	old = AppendUvarint(old, 777)
+	old = append(old, body...)
+	env, err := UnmarshalEnvelope(old)
+	if err == nil {
+		t.Fatalf("old-layout frame decoded to %+v", env)
+	}
+	if !strings.Contains(err.Error(), "no magic byte") {
+		t.Fatalf("old-layout frame refused for %q, want the magic byte", err)
 	}
 }
 
@@ -202,15 +240,14 @@ func TestEnvelopeBodyMustBeRegistered(t *testing.T) {
 }
 
 func TestEnvelopePropertyRoundTrip(t *testing.T) {
-	f := func(host string, port uint16, inbox, session string, lt uint64, text string) bool {
-		if strings.ContainsRune(host, ':') {
-			return true
-		}
+	f := func(host string, port uint16, inbox, outbox, session string, lt uint64, text string) bool {
 		env := &Envelope{
-			To:      InboxRef{Dapplet: netsim.Addr{Host: host, Port: port}, Inbox: inbox},
-			Lamport: lt,
-			Session: session,
-			Body:    &Text{S: text},
+			To:          InboxRef{Dapplet: netsim.Addr{Host: host, Port: port}, Inbox: inbox},
+			FromDapplet: netsim.Addr{Host: host, Port: port + 1},
+			FromOutbox:  outbox,
+			Lamport:     lt,
+			Session:     session,
+			Body:        &Text{S: text},
 		}
 		data, err := MarshalEnvelope(env)
 		if err != nil {
@@ -220,7 +257,8 @@ func TestEnvelopePropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.To == env.To && got.Lamport == lt && got.Session == session &&
+		return got.To == InboxRef{Inbox: inbox} && got.FromDapplet.IsZero() &&
+			got.FromOutbox == outbox && got.Lamport == lt && got.Session == session &&
 			got.Body.(*Text).S == text
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -260,13 +298,8 @@ func TestBinaryEnvelopeBothBodyPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: %v", body, err)
 		}
-		if got.To != env.To || got.FromDapplet != env.FromDapplet ||
-			got.FromOutbox != env.FromOutbox || got.Session != env.Session ||
-			got.Lamport != env.Lamport {
-			t.Fatalf("%T: header mismatch: %+v", body, got)
-		}
-		if !reflect.DeepEqual(got.Body, body) {
-			t.Fatalf("%T: body mismatch: %+v != %+v", body, got.Body, body)
+		if !reflect.DeepEqual(got, onWire(&env)) {
+			t.Fatalf("%T: decoded %+v, want %+v", body, got, onWire(&env))
 		}
 	}
 }
@@ -367,7 +400,7 @@ func TestBodyFanOutSharesEncoding(t *testing.T) {
 	var frames [][]byte
 	for i := 0; i < 3; i++ {
 		env := &Envelope{
-			To:      InboxRef{Dapplet: netsim.Addr{Host: "h", Port: uint16(i + 1)}, Inbox: "in"},
+			To:      InboxRef{Dapplet: netsim.Addr{Host: "h", Port: uint16(i + 1)}, Inbox: fmt.Sprintf("in%d", i)},
 			Lamport: uint64(i),
 		}
 		frames = append(frames, AppendEnvelopeBody(nil, env, body))
@@ -377,7 +410,7 @@ func TestBodyFanOutSharesEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.To.Dapplet.Port != uint16(i+1) || got.Lamport != uint64(i) {
+		if got.To != (InboxRef{Inbox: fmt.Sprintf("in%d", i)}) || got.Lamport != uint64(i) {
 			t.Fatalf("frame %d header: %+v", i, got)
 		}
 		if got.Body.(*Text).S != "fan me out" {
@@ -486,7 +519,7 @@ func TestEnvelopeDecoderMatchesStateless(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, sets[pick]) {
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, onWire(sets[pick])) {
 			t.Fatalf("frame %d (set %d): decoder gave %+v, package function %+v", i, pick, got, want)
 		}
 	}
@@ -522,7 +555,7 @@ func TestEnvelopeDecoderDoesNotAliasInput(t *testing.T) {
 		}
 	}
 	for i, e := range got {
-		if !reflect.DeepEqual(e, env) {
+		if !reflect.DeepEqual(e, onWire(env)) {
 			t.Fatalf("envelope %d changed with its frame: %+v", i, e)
 		}
 	}
