@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -30,11 +31,15 @@ func (c *captureConn) WriteTo(to netsim.Addr, p []byte) error {
 	return c.PacketConn.WriteTo(to, p)
 }
 
-// TestFramesCarryNoAddresses sends one outbox message, makes one svc call
-// and runs one relay broadcast between dapplets on hosts with distinctive
-// names, and captures every datagram they write. No datagram may name a
-// host: the receiver knows its own address, and the transport names the
-// sender. Receivers must still see both addresses in the envelope.
+// TestFramesCarryNoAddresses sends one outbox message, a stream of
+// messages to one inbox in one session, makes one svc call and runs one
+// relay broadcast between dapplets on hosts with distinctive names, and
+// captures every datagram they write. No datagram may name a host: the
+// receiver knows its own address, and the transport names the sender.
+// Receivers must still see both addresses in the envelope. The stream
+// puts its inbox name and session id on the wire once, or once more per
+// retransmission: the frames after the first leave out the header they
+// repeat.
 func TestFramesCarryNoAddresses(t *testing.T) {
 	w := world.New(transport.Config{RTO: 20 * time.Millisecond}, netsim.WithSeed(5))
 	t.Cleanup(w.Close)
@@ -66,6 +71,37 @@ func TestFramesCarryNoAddresses(t *testing.T) {
 	}
 	if env.FromDapplet != a.Addr() || env.To.Dapplet != b.Addr() || env.FromOutbox != "out" {
 		t.Fatalf("outbox message arrived from %v/%q to %v, want %v/%q to %v", env.FromDapplet, env.FromOutbox, env.To.Dapplet, a.Addr(), "out", b.Addr())
+	}
+
+	// A stream, a to one inbox of b in one session.
+	const streamInbox, streamSession, streamLen = "stream-inbox-name", "stream-session-id", 20
+	stream := b.Inbox(streamInbox)
+	for i := range streamLen {
+		if err := a.SendDirect(stream.Ref(), streamSession, &wire.Text{S: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range streamLen {
+		env, err := stream.ReceiveEnvelopeContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Body.(*wire.Text).S != fmt.Sprint(i) || env.To.Inbox != streamInbox || env.Session != streamSession || env.FromDapplet != a.Addr() {
+			t.Fatalf("stream message %d arrived as %+v", i, env)
+		}
+	}
+	retx := int(a.Transport().Stats().Retransmits) // each may resend the frame that carried the header
+	for _, name := range []string{streamInbox, streamSession} {
+		c := conns[0]
+		c.mu.Lock()
+		n := 0
+		for _, p := range c.sent {
+			n += bytes.Count(p, []byte(name))
+		}
+		c.mu.Unlock()
+		if n < 1 || n > 1+retx {
+			t.Errorf("%q is on the wire %d times across a %d-message stream with %d retransmissions, want once", name, n, streamLen, retx)
+		}
 	}
 
 	// One svc call, a to b.

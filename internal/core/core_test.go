@@ -346,6 +346,26 @@ func TestDeadLetters(t *testing.T) {
 	}
 }
 
+// TestDeliverWithoutHeader: a frame that left its header out, from a peer
+// that never sent one, reaches the sink with no header. It is a dead
+// letter, even when its payload alone is a whole valid envelope.
+func TestDeliverWithoutHeader(t *testing.T) {
+	w := newWorld(t)
+	d := w.dapplet("h", "nohdr")
+	in := d.Inbox("mail")
+	whole, err := wire.MarshalEnvelope(&wire.Envelope{To: wire.InboxRef{Inbox: "mail"}, Lamport: 1, Body: &wire.Text{S: "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.deliver(nil, whole, netsim.Addr{Host: "peer", Port: 1}) // no traffic: the receive goroutine is idle
+	if n := d.DeadLetters(); n != 1 {
+		t.Fatalf("DeadLetters = %d, want 1", n)
+	}
+	if env, err := recvWithin(in, 20*time.Millisecond); err == nil {
+		t.Fatalf("delivered %+v", env)
+	}
+}
+
 func TestStopUnblocksReceive(t *testing.T) {
 	w := newWorld(t)
 	d := w.dapplet("h", "stopper")

@@ -293,13 +293,17 @@ func (d *Dapplet) sendEnvelope(env *wire.Envelope) error {
 }
 
 // sendEncoded frames an already-encoded body with env's header words and
-// transmits it; Outbox.Send uses it to fan one body encoding out to many
-// destinations. env does not escape, so callers build it on the stack;
-// send observers, which may keep what they are handed, get a heap copy,
-// made only when one is registered.
+// transmits it, split at Lamport into the channel header the transport
+// sends only when it changes and the payload it always sends; Outbox.Send
+// uses it to fan one body encoding out to many destinations. env does
+// not escape, so callers build it on the stack; send observers, which
+// may keep what they are handed, get a heap copy, made only when one is
+// registered.
 func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 	bufp := sendBufPool.Get().(*[]byte)
-	buf := wire.AppendEnvelopeBody((*bufp)[:0], env, body)
+	buf := wire.AppendEnvelopeHeader((*bufp)[:0], env, body)
+	n := len(buf)
+	buf = wire.AppendEnvelopePayload(buf, env, body)
 	*bufp = buf
 	d.obsMu.RLock()
 	obs := d.sendObs
@@ -311,7 +315,7 @@ func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 			f(kept)
 		}
 	}
-	err := d.rel.Send(env.To.Dapplet, buf)
+	err := d.rel.Send(env.To.Dapplet, buf[:n], buf[n:])
 	if cap(buf) <= wire.MaxPooledBuf {
 		sendBufPool.Put(bufp)
 	}
@@ -375,11 +379,13 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 }
 
 // deliver is the reliable layer's sink, run on its receive goroutine:
-// it decodes each in-order frame with dec, which reuses the header
-// strings of the frame before, fills in the addresses no frame carries
+// it decodes each in-order message with dec, which reuses the header
+// strings of the message before, fills in the addresses no frame carries
 // (this dapplet, the transport's peer) and delivers it like DeliverLocal.
-func (d *Dapplet) deliver(data []byte, from netsim.Addr) {
-	env, err := d.dec.UnmarshalEnvelope(data)
+// A message whose header does not decode — a peer that sent a frame
+// without one and never one with — is a dead letter.
+func (d *Dapplet) deliver(hdr, payload []byte, from netsim.Addr) {
+	env, err := d.dec.Decode(hdr, payload)
 	if err != nil {
 		d.deadLetters.Add(1)
 		return

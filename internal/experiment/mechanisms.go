@@ -50,14 +50,14 @@ func e1Cells(p Params) []Cell {
 				cfg := transport.Config{Window: 64}
 				var delivered sync.WaitGroup
 				delivered.Add(ops)
-				ra := transport.NewReliable(w.Conn("a"), cfg, func([]byte, netsim.Addr) {})
-				rb := transport.NewReliable(w.Conn("b"), cfg, func([]byte, netsim.Addr) { delivered.Done() })
+				ra := transport.NewReliable(w.Conn("a"), cfg, func(_, _ []byte, _ netsim.Addr) {})
+				rb := transport.NewReliable(w.Conn("b"), cfg, func(_, _ []byte, _ netsim.Addr) { delivered.Done() })
 				defer ra.Close()
 				defer rb.Close()
 				payload := make([]byte, 256)
 				t.ResetTimer()
 				for i := 0; i < ops; i++ {
-					if err := ra.Send(rb.LocalAddr(), payload); err != nil {
+					if err := ra.Send(rb.LocalAddr(), nil, payload); err != nil {
 						return nil, err
 					}
 				}

@@ -47,7 +47,8 @@ func (c *sinkConn) Close() error {
 // FuzzRelayFrames feeds a bound relay an arbitrary sequence of frames —
 // four bytes each: origin, sequence number, TTL, inbound hop — the way
 // its "@relay" consumer would. Whatever the order, duplication or
-// gaps, the relay must not panic; must deliver each origin's frames in
+// gaps, the relay must not panic; must deliver each origin's frames to
+// the inbox its binding names (frames name none) in
 // sequence order exactly once, starting at 1 (a member there from the
 // start) or at the first one it heard (a late joiner), and as far as the
 // frames it was given run without a gap; must never deliver
@@ -107,7 +108,7 @@ func FuzzRelayFrames(f *testing.F) {
 			}
 			frame := &wire.RelayFrame{
 				Origin: origin, OriginAddr: netsim.Addr{Host: origin, Port: 7}, OriginOutbox: "out",
-				Inbox: "news", Lamport: uint64(i), Seq: seq, Epoch: 1, TTL: ttl,
+				Lamport: uint64(i), Seq: seq, Epoch: 1, TTL: ttl,
 				BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...),
 			}
 			body.Release()

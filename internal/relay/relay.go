@@ -216,7 +216,6 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 	frame := &wire.RelayFrame{
 		Origin:       st.self,
 		OriginOutbox: outbox,
-		Inbox:        st.inbox,
 		Lamport:      lamport,
 		Seq:          st.seq,
 		Epoch:        st.epoch,
@@ -331,7 +330,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 		return
 	}
 	var buf [4]*wire.RelayFrame // keeps the usual short run off the heap
-	deliver := buf[:0]
+	deliver, inbox := buf[:0], st.inbox
 	os := st.origins[f.Origin]
 	if os == nil {
 		os = &originState{pending: make(map[uint64]*wire.RelayFrame)}
@@ -390,7 +389,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 		r.forwarded.Add(uint64(sent))
 	}
 	for _, df := range deliver {
-		r.deliverLocal(sid, df)
+		r.deliverLocal(sid, inbox, df)
 	}
 }
 
@@ -398,14 +397,14 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 // session's inbox through the dapplet's normal arrival path, presenting
 // the origin's identity and Lamport stamp so the application cannot
 // distinguish tree delivery from a direct send.
-func (r *Relay) deliverLocal(sid string, f *wire.RelayFrame) {
+func (r *Relay) deliverLocal(sid, inbox string, f *wire.RelayFrame) {
 	msg, err := wire.DecodeBody(f.BodyID, f.Body)
 	if err != nil {
 		r.unbound.Add(1)
 		return
 	}
 	r.d.DeliverLocal(&wire.Envelope{
-		To:          wire.InboxRef{Dapplet: r.d.Addr(), Inbox: f.Inbox},
+		To:          wire.InboxRef{Dapplet: r.d.Addr(), Inbox: inbox},
 		FromDapplet: f.OriginAddr,
 		FromOutbox:  f.OriginOutbox,
 		Session:     sid,

@@ -348,7 +348,7 @@ func TestFromStartWaitsForSeqOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.onFrame(&wire.Envelope{FromDapplet: parent.Addr, Session: "s1", Body: &wire.RelayFrame{
-				Origin: "root", Inbox: "bcast", Seq: seq, Epoch: 1, TTL: 3,
+				Origin: "root", Seq: seq, Epoch: 1, TTL: 3,
 				BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...),
 			}})
 			body.Release()
@@ -377,7 +377,7 @@ func TestOnFrameUnbound(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer body.Release()
-		return &wire.RelayFrame{Origin: "root", Inbox: "bcast", Seq: 1, Epoch: 1, TTL: 3,
+		return &wire.RelayFrame{Origin: "root", Seq: 1, Epoch: 1, TTL: 3,
 			BodyID: body.ID(), Body: append([]byte(nil), body.Bytes()...)}
 	}
 	for _, tc := range []struct {

@@ -6,30 +6,37 @@ import "encoding/binary"
 // lone frame, a batch of staged frames, a retransmission, a bare ack —
 // has one layout:
 //
-//	magic(2) | flags(1) | [cum(8)] | [bitmap(8)] | frames…
+//	magic(2) | flags(1) | [cum uvarint] | [bitmap(8)] | frames…
 //
-// flags bit0 (flagCum) marks an 8-byte big-endian cumulative
-// acknowledgement for the reverse direction, present when the peer is
-// owed one; bit1 (flagSel) the 8-byte selective bitmap that goes with it
-// (bit i: seq cum+2+i is in the sender's reorder buffer), present while
-// that buffer holds anything. Each frame then follows as
+// flags bit0 (flagCum) marks a cumulative acknowledgement for the reverse
+// direction, present when the peer is owed one; bit1 (flagSel) the
+// 8-byte big-endian selective bitmap that goes with it (bit i: seq
+// cum+2+i is in the sender's reorder buffer), present while that buffer
+// holds anything. Each frame then follows as
 //
-//	seq uvarint | len uvarint | payload
+//	seq uvarint | len<<1|inline uvarint | [hdrLen uvarint | hdr] | payload
 //
 // until the end of the datagram (no frame count: the datagram boundary
 // is the terminator, so a truncated tail drops only the frames it
-// corrupted). A datagram with no frames is a bare ack. Reliable.Send says
-// when a frame is staged for a batch and what releases it.
+// corrupted). len is the payload's length. hdr is the frame's channel
+// header, the part of a message every frame on one channel repeats; it
+// is inline only when it differs from the header of the frame sent to
+// the same peer just before, and a frame without it (inline clear) has
+// the header of the last in-order frame from that peer that carried one.
+// A datagram with no frames is a bare ack. Reliable.Send says when a
+// frame is staged for a batch and what releases it.
 const (
 	flagCum = 1 << 0
 	flagSel = 1 << 1
 )
 
-var magic = [2]byte{'w', 'w'}
+// magic opens every datagram. The layout before header elision and the
+// uvarint ack opened with "ww"; its datagrams are refused.
+var magic = [2]byte{'w', 'x'}
 
 // dgramHdrMax is the largest datagram header: magic, flags and both ack
 // words.
-const dgramHdrMax = 3 + 8 + 8
+const dgramHdrMax = 3 + binary.MaxVarintLen64 + 8
 
 // datagramBudget bounds the frame bytes of a datagram: with the header
 // and the 28 bytes of IP and UDP it stays under every real path's MTU
@@ -38,9 +45,23 @@ const dgramHdrMax = 3 + 8 + 8
 // larger than the budget travels alone.
 const datagramBudget = 1200
 
-// frameLen returns the encoded size of one frame.
-func frameLen(seq uint64, payload []byte) int {
-	return uvarintLen(seq) + uvarintLen(uint64(len(payload))) + len(payload)
+// frame is one decoded frame. hdr is the header it carries when inline
+// is set; once the frame is in order it is the header it resolves to.
+type frame struct {
+	seq     uint64
+	inline  bool
+	hdr     []byte
+	payload []byte
+}
+
+// frameLen returns the encoded size of one frame, counting hdr only when
+// it is inline.
+func frameLen(seq uint64, hdr []byte, inline bool, payload []byte) int {
+	n := uvarintLen(seq) + uvarintLen(uint64(len(payload))<<1) + len(payload)
+	if inline {
+		n += uvarintLen(uint64(len(hdr))) + len(hdr)
+	}
+	return n
 }
 
 // uvarintLen returns the encoded length of v as a uvarint.
@@ -65,7 +86,7 @@ func appendHeader(dst []byte, hasCum bool, cum uint64, sel uint64, hasSel bool) 
 	}
 	dst = append(dst, magic[0], magic[1], flags)
 	if hasCum {
-		dst = binary.BigEndian.AppendUint64(dst, cum)
+		dst = binary.AppendUvarint(dst, cum)
 		if hasSel {
 			dst = binary.BigEndian.AppendUint64(dst, sel)
 		}
@@ -73,10 +94,16 @@ func appendHeader(dst []byte, hasCum bool, cum uint64, sel uint64, hasSel bool) 
 	return dst
 }
 
-// appendFrame appends one frame.
-func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
+// appendFrame appends one frame, carrying hdr when inline.
+func appendFrame(dst []byte, seq uint64, hdr []byte, inline bool, payload []byte) []byte {
 	dst = binary.AppendUvarint(dst, seq)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	if inline {
+		dst = binary.AppendUvarint(dst, uint64(len(payload))<<1|1)
+		dst = binary.AppendUvarint(dst, uint64(len(hdr)))
+		dst = append(dst, hdr...)
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(payload))<<1)
+	}
 	return append(dst, payload...)
 }
 
@@ -90,11 +117,12 @@ func parseHeader(dgram []byte) (cum uint64, hasCum bool, sel uint64, hasSel bool
 	flags := dgram[2]
 	off = 3
 	if flags&flagCum != 0 {
-		if len(dgram) < off+8 {
+		v, n := binary.Uvarint(dgram[off:])
+		if n <= 0 {
 			return 0, false, 0, false, 0, false
 		}
-		cum, hasCum = binary.BigEndian.Uint64(dgram[off:]), true
-		off += 8
+		cum, hasCum = v, true
+		off += n
 	}
 	if flags&flagSel != 0 {
 		if len(dgram) < off+8 {
@@ -106,28 +134,39 @@ func parseHeader(dgram []byte) (cum uint64, hasCum bool, sel uint64, hasSel bool
 	return cum, hasCum, sel, hasSel, off, true
 }
 
-// nextFrame decodes the frame at dgram[off:]. It returns the frame and
-// the offset of the next one, or ok=false at end of datagram or on a
-// corrupt tail (remaining bytes are dropped, like any other garbage
-// datagram).
-func nextFrame(dgram []byte, off int) (seq uint64, payload []byte, next int, ok bool) {
+// nextFrame decodes the frame at dgram[off:]. It returns the frame, whose
+// slices alias dgram, and the offset of the next one, or ok=false at end
+// of datagram or on a corrupt tail (remaining bytes are dropped, like any
+// other garbage datagram).
+func nextFrame(dgram []byte, off int) (f frame, next int, ok bool) {
 	if off >= len(dgram) {
-		return 0, nil, 0, false
+		return frame{}, 0, false
 	}
 	seq, n := binary.Uvarint(dgram[off:])
 	if n <= 0 {
-		return 0, nil, 0, false
+		return frame{}, 0, false
 	}
 	off += n
-	l, n2 := binary.Uvarint(dgram[off:])
-	if n2 <= 0 {
-		return 0, nil, 0, false
+	l, n := binary.Uvarint(dgram[off:])
+	if n <= 0 {
+		return frame{}, 0, false
 	}
-	off += n2
-	if l > uint64(len(dgram)-off) {
-		return 0, nil, 0, false
+	off += n
+	f = frame{seq: seq, inline: l&1 != 0}
+	if f.inline {
+		hl, n := binary.Uvarint(dgram[off:])
+		if n <= 0 || hl > uint64(len(dgram)-off-n) {
+			return frame{}, 0, false
+		}
+		off += n
+		f.hdr = dgram[off : off+int(hl)]
+		off += int(hl)
 	}
-	return seq, dgram[off : off+int(l)], off + int(l), true
+	if l >>= 1; l > uint64(len(dgram)-off) {
+		return frame{}, 0, false
+	}
+	f.payload = dgram[off : off+int(l)]
+	return f, off + int(l), true
 }
 
 // IOStats counts a PacketConn's syscall-level activity. A transport

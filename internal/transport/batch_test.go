@@ -11,20 +11,20 @@ import (
 
 // The one datagram codec round-trips every shape: a bare ack with or
 // without its bitmap, a lone frame with or without an ack, and any
-// number of frames behind any header.
+// number of frames, each with its header inline or not, behind any
+// header.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	// sel is the selective bitmap; the codec carries its 64 bits untouched
-	// (TestRecoveryLostSelectiveAcksCostNothing reads the bits).
-	f := func(hasCum bool, cum uint64, sel uint64, hasSel bool, seqs []uint64, payloads [][]byte) bool {
-		if len(seqs) > len(payloads) {
-			seqs = seqs[:len(payloads)]
-		} else {
-			payloads = payloads[:len(seqs)]
-		}
+	// (TestRecoveryLostSelectiveAcksCostNothing reads the bits). A frame
+	// whose hdrs entry is nil leaves its header out.
+	f := func(hasCum bool, cum uint64, sel uint64, hasSel bool, seqs []uint64, payloads, hdrs [][]byte) bool {
+		n := min(len(seqs), len(payloads), len(hdrs))
+		seqs, payloads, hdrs = seqs[:n], payloads[:n], hdrs[:n]
 		dgram := appendHeader(nil, hasCum, cum, sel, hasSel)
 		for i := range seqs {
-			dgram = appendFrame(dgram, seqs[i], payloads[i])
-			if frameLen(seqs[i], payloads[i]) != len(appendFrame(nil, seqs[i], payloads[i])) {
+			inline := hdrs[i] != nil
+			dgram = appendFrame(dgram, seqs[i], hdrs[i], inline, payloads[i])
+			if frameLen(seqs[i], hdrs[i], inline, payloads[i]) != len(appendFrame(nil, seqs[i], hdrs[i], inline, payloads[i])) {
 				return false
 			}
 		}
@@ -34,57 +34,63 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range seqs {
-			seq, payload, next, ok := nextFrame(dgram, off)
-			if !ok || seq != seqs[i] || !bytes.Equal(payload, payloads[i]) {
+			fr, next, ok := nextFrame(dgram, off)
+			if !ok || fr.seq != seqs[i] || !bytes.Equal(fr.payload, payloads[i]) ||
+				fr.inline != (hdrs[i] != nil) || !bytes.Equal(fr.hdr, hdrs[i]) {
 				return false
 			}
 			off = next
 		}
-		_, _, _, ok = nextFrame(dgram, off)
+		_, _, ok = nextFrame(dgram, off)
 		return off == len(dgram) && !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if n := len(appendHeader(nil, true, 1, 0, false)); n != 11 {
-		t.Errorf("a bare ack is %d bytes, want 11", n)
+	if n := len(appendHeader(nil, true, 1, 0, false)); n != 4 {
+		t.Errorf("a bare ack of seq 1 is %d bytes, want 4", n)
 	}
-	if n := len(appendHeader(nil, true, 1, 1, true)); n != dgramHdrMax {
-		t.Errorf("a bare ack with its bitmap is %d bytes, want %d", n, dgramHdrMax)
+	if n := len(appendHeader(nil, true, ^uint64(0), 1, true)); n != dgramHdrMax {
+		t.Errorf("the largest bare ack with its bitmap is %d bytes, want %d", n, dgramHdrMax)
 	}
 }
 
 func TestBatchCodecRejectsTruncation(t *testing.T) {
 	full := appendHeader(nil, true, 41, 0b101, true)
-	full = appendFrame(full, 1, []byte("hello"))
-	full = appendFrame(full, 2, []byte("world"))
+	hdrLen := len(full)
+	full = appendFrame(full, 1, []byte("hdr"), true, []byte("hello"))
+	full = appendFrame(full, 2, nil, false, []byte("world"))
 	// A truncated tail must stop the frame walk, never over-read, and
 	// yield only whole frames of the original.
 	for cut := len(full) - 1; cut >= 0; cut-- {
 		short := full[:cut]
 		_, _, _, _, off, ok := parseHeader(short)
 		if !ok {
-			if cut >= dgramHdrMax {
+			if cut >= hdrLen {
 				t.Fatalf("cut=%d: a whole header rejected", cut)
 			}
 			continue // header itself truncated: fine
 		}
 		for i := 0; ; i++ {
-			seq, payload, next, ok := nextFrame(short, off)
+			fr, next, ok := nextFrame(short, off)
 			if !ok {
 				break
 			}
-			if next <= off || seq != uint64(i+1) || len(payload) != 5 {
-				t.Fatalf("cut=%d: frame %d read as seq %d, %q", cut, i, seq, payload)
+			if next <= off || fr.seq != uint64(i+1) || len(fr.payload) != 5 || fr.inline != (i == 0) {
+				t.Fatalf("cut=%d: frame %d read as %+v", cut, i, fr)
 			}
 			off = next
 		}
 	}
-	// Garbage must be rejected.
+	// Garbage must be rejected, and so must the layout before header
+	// elision, which opened with "ww".
 	noMagic := bytes.Clone(full)
-	noMagic[1] = 'x'
-	for _, bad := range [][]byte{nil, {}, {1, 2, 3}, []byte("not a datagram at all"), noMagic,
-		{magic[0], magic[1], flagCum, 0, 0, 0}, {magic[0], magic[1], flagCum | flagSel, 0, 0, 0, 0, 0, 0, 0, 41, 1}} {
+	noMagic[0] = 'x'
+	oldMagic := bytes.Clone(full)
+	oldMagic[1] = 'w'
+	for _, bad := range [][]byte{nil, {}, {1, 2, 3}, []byte("not a datagram at all"), noMagic, oldMagic,
+		{magic[0], magic[1], flagCum}, {magic[0], magic[1], flagCum, 0x80},
+		{magic[0], magic[1], flagCum | flagSel, 41, 0, 0, 0, 0, 0, 0, 1}} {
 		if _, _, _, _, _, ok := parseHeader(bad); ok {
 			t.Errorf("parseHeader(%q) accepted garbage", bad)
 		}
@@ -113,7 +119,7 @@ func busyPair(t *testing.T, ra, rb *endpoint, total, size int) {
 			defer wg.Done()
 			to := rcv.LocalAddr()
 			for i := 0; i < total; i++ {
-				if err := snd.Send(to, payload); err != nil {
+				if err := snd.Send(to, nil, payload); err != nil {
 					t.Error(err)
 					return
 				}
@@ -170,7 +176,7 @@ func TestPiggybackedAckEquivalence(t *testing.T) {
 		defer wg.Done()
 		to := ra.LocalAddr()
 		for i := 0; i < total; i++ {
-			if err := rb.Send(to, []byte{byte(i)}); err != nil {
+			if err := rb.Send(to, nil, []byte{byte(i)}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -182,7 +188,7 @@ func TestPiggybackedAckEquivalence(t *testing.T) {
 	}()
 	to := rb.LocalAddr()
 	for i := 0; i < total; i++ {
-		if err := ra.Send(to, []byte(fmt.Sprintf("m%03d", i))); err != nil {
+		if err := ra.Send(to, nil, []byte(fmt.Sprintf("m%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +226,7 @@ func TestAckEveryAckDelayInterplayWithCoalescing(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < total; i++ {
-		if err := ra.Send(to, []byte{byte(i)}); err != nil {
+		if err := ra.Send(to, nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +255,7 @@ func TestOversizeFrameBypassesCoalescing(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := ra.Send(rb.LocalAddr(), big); err != nil {
+	if err := ra.Send(rb.LocalAddr(), nil, big); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := recvTimeout(rb, 5*time.Second)

@@ -37,7 +37,7 @@ func stream(t *testing.T, ra, rb *endpoint, total uint64, size int) {
 	payload := make([]byte, size)
 	for seq := uint64(1); seq <= total; seq++ {
 		binary.BigEndian.PutUint64(payload, seq) // what recvSeqs checks
-		if err := ra.Send(rb.LocalAddr(), payload); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestCoalesceAckReleasesStage(t *testing.T) {
 	if n := p.count(func(d dgramInfo) bool { return d.carries(9) }); n != 0 {
 		t.Fatal("frame 9 was written with ackEvery frames unacknowledged")
 	}
-	if err := rb.Send(ra.LocalAddr(), []byte("go")); err != nil { // pushes the held ack out behind it
+	if err := rb.Send(ra.LocalAddr(), nil, []byte("go")); err != nil { // pushes the held ack out behind it
 		t.Fatal(err)
 	}
 	d := p.await(t, "frame 9", func(d dgramInfo) bool { return d.carries(9) })
@@ -248,7 +248,7 @@ func TestCoalesceBatchWithinBudget(t *testing.T) {
 				return
 			}
 			if i%25 == 0 { // now and then a owes b an ack, for a lone frame to carry
-				if err := rb.Send(ra.LocalAddr(), []byte{0}); err != nil {
+				if err := rb.Send(ra.LocalAddr(), nil, []byte{0}); err != nil {
 					bad.Add(1)
 					return
 				}
@@ -256,7 +256,7 @@ func TestCoalesceBatchWithinBudget(t *testing.T) {
 		}
 	}()
 	for i := 0; i < sizes; i++ {
-		if err := ra.Send(rb.LocalAddr(), make([]byte, size(i))); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, make([]byte, size(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

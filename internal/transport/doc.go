@@ -26,7 +26,12 @@
 // Every datagram has one layout: a header holding the acknowledgement the
 // peer is owed, if any, then any number of frames. A datagram without
 // frames is a bare ack; retransmissions are packed like first
-// transmissions. Small frames are coalesced on an ack clock: once 8
+// transmissions. A message is a channel header and a payload (Send's hdr
+// and payload), and a frame carries the header only when it differs from
+// the header of the frame sent to that peer just before: both ends keep
+// the last header per peer and move it in seq order, so loss, reordering
+// and retransmission need no rule of their own, and the receiver restores
+// a left-out header when the frame becomes in-order. Small frames are coalesced on an ack clock: once 8
 // frames to a peer are unacknowledged — so its next acknowledgement is on
 // its way without waiting for AckDelay — further small frames are staged
 // and leave as one datagram of at most 1200 bytes of frames when that

@@ -13,23 +13,19 @@ import (
 // saying which of the in-flight seqs 1..inflight a datagram acknowledges.
 func ackedBy(dgram []byte, inflight uint64) map[uint64]bool {
 	acked := make(map[uint64]bool)
-	if len(dgram) < 3 || dgram[0] != 'w' || dgram[1] != 'w' {
-		return acked
+	if len(dgram) < 3 || dgram[0] != 'w' || dgram[1] != 'x' || dgram[2]&1 == 0 {
+		return acked // not this layout, or no cumulative ack to anchor a bitmap
 	}
-	flags, words := dgram[2], dgram[3:]
-	need := 0
-	for _, f := range []byte{1, 2} {
-		if flags&f != 0 {
-			need += 8
-		}
+	cum, n := binary.Uvarint(dgram[3:])
+	if n <= 0 {
+		return acked // truncated header
 	}
-	if len(words) < need || flags&1 == 0 {
-		return acked // truncated header, or no cumulative ack to anchor a bitmap
-	}
-	cum := binary.BigEndian.Uint64(words)
 	var sel uint64
-	if flags&2 != 0 {
-		sel = binary.BigEndian.Uint64(words[8:])
+	if dgram[2]&2 != 0 {
+		if len(dgram) < 3+n+8 {
+			return acked // truncated header
+		}
+		sel = binary.BigEndian.Uint64(dgram[3+n:])
 	}
 	cum = min(cum, inflight)
 	for q := uint64(1); q <= cum; q++ {
@@ -46,21 +42,27 @@ func ackedBy(dgram []byte, inflight uint64) map[uint64]bool {
 // FuzzDatagram hands arbitrary bytes to a Reliable with frames in flight
 // as one arriving datagram — parseHeader, nextFrame and the ack bitmap all
 // sit behind it. The layer must not panic, must deliver nothing the
-// datagram does not contain, and must release exactly the in-flight
+// datagram does not contain — a header included: the peer has none on
+// record, so a frame that leaves its header out before any frame carried
+// one is delivered with none — and must release exactly the in-flight
 // frames a reading of the wire format says the datagram acknowledges.
 func FuzzDatagram(f *testing.F) {
-	lone := func(seq uint64, payload string) []byte {
-		return appendFrame(appendHeader(nil, false, 0, 0, false), seq, []byte(payload))
+	lone := func(seq uint64, hdr []byte, payload string) []byte {
+		return appendFrame(appendHeader(nil, false, 0, 0, false), seq, hdr, hdr != nil, []byte(payload))
 	}
-	f.Add(lone(1, "in order"))                      // a lone frame
+	f.Add(lone(1, nil, "in order"))                 // a lone frame
 	f.Add(appendHeader(nil, true, 2, 0, false))     // a bare ack
 	f.Add(appendHeader(nil, true, 1, 0b1011, true)) // a bare ack with its bitmap
 	batch := appendHeader(nil, true, 2, 0b11, true) // frames behind an ack
-	batch = appendFrame(batch, 1, []byte("one"))
-	batch = appendFrame(batch, 2, []byte("two"))
+	batch = appendFrame(batch, 1, nil, false, []byte("one"))
+	batch = appendFrame(batch, 2, nil, false, []byte("two"))
 	f.Add(batch)
-	f.Add(appendHeader(nil, true, 9, 0b1, true)[:12]) // a truncated header
-	f.Add(lone(3, "early"))                           // a frame past a gap
+	f.Add(appendHeader(nil, true, 1<<20, 0b1, true)[:8]) // a truncated header
+	f.Add(lone(3, nil, "early"))                         // a frame past a gap
+	f.Add(lone(1, []byte("hdr"), "inline"))              // a frame carrying its header
+	elided := lone(1, []byte("hdr"), "inline")           // a frame leaving out the header of the one before
+	f.Add(appendFrame(elided, 2, nil, false, []byte("elided")))
+	f.Add(lone(1, nil, "no header on record")) // a frame leaving out a header its peer never sent
 
 	const inflight = 5
 	peer := netsim.Addr{Host: "peer", Port: 1}
@@ -68,7 +70,7 @@ func FuzzDatagram(f *testing.F) {
 		r := newEndpoint(newNullConn(), Config{RTO: time.Hour})
 		defer r.Close()
 		for seq := uint64(1); seq <= inflight; seq++ {
-			if err := r.Send(peer, []byte{byte(seq)}); err != nil {
+			if err := r.Send(peer, nil, []byte{byte(seq)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -78,8 +80,8 @@ func FuzzDatagram(f *testing.F) {
 		delivered := r.rx // delivered on this goroutine, inside handleDatagram
 		r.mu.Unlock()
 		for _, m := range delivered {
-			if m.from != peer || !bytes.Contains(dgram, m.payload) {
-				t.Fatalf("delivered %q from %v: not in the datagram", m.payload, m.from)
+			if m.from != peer || !bytes.Contains(dgram, m.payload) || m.hdr != nil && !bytes.Contains(dgram, m.hdr) {
+				t.Fatalf("delivered %q, %q from %v: not in the datagram", m.hdr, m.payload, m.from)
 			}
 		}
 		want := ackedBy(dgram, inflight)

@@ -42,6 +42,7 @@ type dgramInfo struct {
 	sel    uint64    // the ack's selective bitmap
 	hasSel bool      // the ack carries one
 	frames []uint64  // the data seqs it carries, in order
+	inline []bool    // per frame: it carries its header
 	copies []int     // per frame: 1 the first time its (direction, seq) is written, 2 the second, ...
 	size   int       // datagram length
 	at     time.Time // when it was written
@@ -154,11 +155,11 @@ func (e *pipeEnd) WriteTo(_ netsim.Addr, b []byte) error {
 	cum, hasCum, sel, hasSel, off, _ := parseHeader(b)
 	d.cum, d.hasCum, d.sel, d.hasSel = cum, hasCum, sel, hasSel
 	for {
-		seq, _, next, ok := nextFrame(b, off)
+		f, next, ok := nextFrame(b, off)
 		if !ok {
 			break
 		}
-		d.frames, off = append(d.frames, seq), next
+		d.frames, d.inline, off = append(d.frames, f.seq), append(d.inline, f.inline), next
 	}
 	data := append([]byte(nil), b...)
 	to := e.peer

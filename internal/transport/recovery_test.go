@@ -27,7 +27,7 @@ const recoveryOneWay = 10 * time.Millisecond
 func sendSeqs(t *testing.T, r *endpoint, to netsim.Addr, first, last uint64) {
 	t.Helper()
 	for seq := first; seq <= last; seq++ {
-		if err := r.Send(to, binary.BigEndian.AppendUint64(nil, seq)); err != nil {
+		if err := r.Send(to, nil, binary.BigEndian.AppendUint64(nil, seq)); err != nil {
 			t.Fatalf("send %d: %v", seq, err)
 		}
 	}
@@ -381,7 +381,7 @@ func TestRecoveryResendsPackedWithinBudget(t *testing.T) {
 	go func() { done <- recvSeqs(rb, 1, total) }()
 	for seq := uint64(1); seq <= total; seq++ {
 		payload := binary.BigEndian.AppendUint64(make([]byte, 0, size(seq)), seq)
-		if err := ra.Send(rb.LocalAddr(), payload[:size(seq)]); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, payload[:size(seq)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +407,7 @@ func TestRecoveryAckBeyondNextSeqIgnored(t *testing.T) {
 	}{
 		{"standalone", func(cum uint64) []byte { return appendHeader(nil, true, cum, ^uint64(0), true) }},
 		{"batch header", func(cum uint64) []byte {
-			return appendFrame(appendHeader(nil, true, cum, ^uint64(0), true), 1, []byte("reverse"))
+			return appendFrame(appendHeader(nil, true, cum, ^uint64(0), true), 1, nil, false, []byte("reverse"))
 		}},
 	} {
 		t.Run(form.name, func(t *testing.T) {

@@ -10,12 +10,12 @@ import (
 	"repro/internal/netsim"
 )
 
-// An acknowledged frame's outPkt and buffer go back to its peer's free
+// An acknowledged frame's outPkt and buffers go back to its peer's free
 // list for the next Send. These tests check the frames that must not go
 // back — staged ones an ack has covered, and failed ones, whose
-// SendFailure.Payload aliases the frame — and that a long stream through
-// a small window, every buffer reused many times over, delivers every
-// payload intact.
+// SendFailure.Hdr and Payload alias their buffers — and that a long
+// stream through a small window, every buffer reused many times over,
+// delivers every payload intact.
 
 // freeSeqs returns the seqs of the frames on r's free list for to.
 func freeSeqs(r *endpoint, to netsim.Addr) []uint64 {
@@ -63,33 +63,45 @@ func TestRecycleStagedFramesSurviveClampedAck(t *testing.T) {
 	}
 }
 
-// (b) A failed frame is not recycled: its SendFailure.Payload keeps its
-// bytes through 200 further Sends to the same peer, each acknowledged so
-// that its buffer is reused by the next.
+// (b) A failed frame is not recycled: its SendFailure keeps its header
+// and payload through 200 further Sends to the same peer under changing
+// headers, each acknowledged so that its buffers are reused by the next.
+// The frame that fails left its header out, as the frame before it
+// carried the same one; the failure reports it all the same.
 func TestRecycleFailurePayloadSurvives(t *testing.T) {
 	cfg := Config{RTO: 10 * time.Millisecond, MaxRetries: 1}
-	_, ra, rb := pipePair(t, time.Millisecond, cfg, func(d dgramInfo) verdict {
+	p, ra, rb := pipePair(t, time.Millisecond, cfg, func(d dgramInfo) verdict {
 		if d.fromA {
 			return drop // b never hears from a; the test hands a its acks
 		}
 		return pass
 	})
 	to := rb.LocalAddr()
-	want := []byte("the frame that never arrived")
-	if err := ra.Send(to, bytes.Clone(want)); err != nil {
-		t.Fatal(err)
+	hdr, want := []byte("the header of both"), []byte("the frame that never arrived")
+	for range 2 {
+		if err := ra.Send(to, hdr, bytes.Clone(want)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	copy(hdr, "overwritten by the caller")
 	var f SendFailure
-	select {
-	case f = <-ra.Failures():
-	case <-time.After(10 * time.Second):
-		t.Fatal("no failure for a frame whose every copy was dropped")
+	for f.Seq != 2 {
+		select {
+		case f = <-ra.Failures():
+		case <-time.After(10 * time.Second):
+			t.Fatal("no failure for a frame whose every copy was dropped")
+		}
 	}
-	if f.Seq != 1 || !bytes.Equal(f.Payload, want) {
-		t.Fatalf("failure for seq %d carries %q, want seq 1 and %q", f.Seq, f.Payload, want)
+	if d := p.await(t, "seq 2", func(d dgramInfo) bool { return d.carries(2) }); d.inline[0] {
+		t.Fatal("seq 2 carried the header seq 1 had just carried")
 	}
-	for seq := uint64(2); seq <= 201; seq++ {
-		if err := ra.Send(to, bytes.Repeat([]byte{byte(seq)}, len(want))); err != nil {
+	const wantHdr = "the header of both"
+	if string(f.Hdr) != wantHdr || !bytes.Equal(f.Payload, want) {
+		t.Fatalf("failure for seq 2 carries %q, %q; want %q, %q", f.Hdr, f.Payload, wantHdr, want)
+	}
+	for seq := uint64(3); seq <= 202; seq++ {
+		h := bytes.Repeat([]byte{byte(seq / 3)}, len(wantHdr)) // a new header every third Send
+		if err := ra.Send(to, h, bytes.Repeat([]byte{byte(seq)}, len(want))); err != nil {
 			t.Fatal(err)
 		}
 		ra.handleDatagram(to, appendHeader(nil, true, seq, 0, false))
@@ -97,8 +109,8 @@ func TestRecycleFailurePayloadSurvives(t *testing.T) {
 	if len(freeSeqs(ra, to)) == 0 {
 		t.Fatal("nothing on the free list: the test exercised no reuse")
 	}
-	if !bytes.Equal(f.Payload, want) {
-		t.Fatalf("failure payload changed under later Sends: %q, want %q", f.Payload, want)
+	if string(f.Hdr) != wantHdr || !bytes.Equal(f.Payload, want) {
+		t.Fatalf("failure changed under later Sends: %q, %q; want %q, %q", f.Hdr, f.Payload, wantHdr, want)
 	}
 }
 
@@ -160,7 +172,7 @@ func TestRecycleStreamUnderDropAndSwap(t *testing.T) {
 	}()
 	payload := make([]byte, 1500)
 	for seq := uint64(1); seq <= total; seq++ {
-		if err := ra.Send(rb.LocalAddr(), fill(payload, seq)); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, fill(payload, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +200,7 @@ func TestRecycleSendAllocs(t *testing.T) {
 	var seq uint64
 	sendAcked := func() {
 		seq++
-		if err := r.Send(peer, payload); err != nil {
+		if err := r.Send(peer, nil, payload); err != nil {
 			t.Fatal(err)
 		}
 		r.handleDatagram(peer, appendHeader(ack[:0], true, seq, 0, false))

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"math/bits"
@@ -86,10 +87,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SendFailure describes a message that could not be delivered.
+// SendFailure describes a message that could not be delivered: the
+// header and payload it was sent with, whether or not its frame carried
+// the header. Hdr and Payload are the failed frame's own buffers, which
+// the layer never reuses.
 type SendFailure struct {
 	To      netsim.Addr
 	Seq     uint64
+	Hdr     []byte
 	Payload []byte
 	Err     error
 }
@@ -180,6 +185,7 @@ func (c *statCounters) snapshot() Stats {
 type outPkt struct {
 	seq      uint64
 	frame    []byte    // the encoded frame, as every datagram carrying it holds it
+	hdr      []byte    // the frame's header, inline in frame or not
 	sent     time.Time // first transmission
 	xmit     time.Time // latest transmission
 	deadline time.Time // when the timer resends it: xmit plus the RTO then in force
@@ -206,8 +212,10 @@ type peerState struct {
 	cond   *sync.Cond // broadcast when window space frees or the layer closes
 	closed bool       // guarded by mu
 
-	// Sender side.
+	// Sender side. txHdr is the header of the last frame Send built, in a
+	// buffer reused across changes of header.
 	nextSeq uint64             // guarded by mu
+	txHdr   []byte             // guarded by mu
 	ackedTo uint64             // guarded by mu; highest cumulative ack received
 	unacked map[uint64]*outPkt // guarded by mu
 	free    []*outPkt          // guarded by mu; acknowledged frames Send reuses, at most Window
@@ -229,9 +237,12 @@ type peerState struct {
 	retx     *time.Timer   // guarded by mu
 	retxDue  time.Time     // guarded by mu
 
-	// Receiver side.
-	expected uint64            // guarded by mu
-	ooo      map[uint64][]byte // guarded by mu
+	// Receiver side. rxHdr is the header of the last in-order frame that
+	// carried one: a subslice of that frame's datagram, which this layer
+	// owns and never writes.
+	expected uint64           // guarded by mu
+	ooo      map[uint64]frame // guarded by mu
+	rxHdr    []byte           // guarded by mu
 
 	// Delayed-ack coalescing: ackPending counts in-order messages
 	// received since the last ack; ackTimerSet records that ackTimer is
@@ -254,7 +265,7 @@ func newPeerState(addr netsim.Addr, closed bool) *peerState {
 		nextSeq:  1,
 		unacked:  make(map[uint64]*outPkt),
 		expected: 1,
-		ooo:      make(map[uint64][]byte),
+		ooo:      make(map[uint64]frame),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -280,7 +291,7 @@ type Reliable struct {
 
 	stats statCounters
 
-	deliver  func(payload []byte, from netsim.Addr)
+	deliver  func(hdr, payload []byte, from netsim.Addr)
 	failures chan SendFailure
 
 	closeOnce sync.Once
@@ -293,11 +304,14 @@ type Reliable struct {
 // goroutine while it waits.
 //
 // The receive goroutine calls deliver once per message, in each peer's
-// send order, handing over the payload. deliver must not wait on the
+// send order, handing over the header and payload Send was given. Both
+// slices alias the arriving datagram; deliver may keep them but must not
+// write to them, since the same header bytes are handed again for the
+// frames after it that did not repeat them. deliver must not wait on the
 // network — not on a send window, a reply, or a lock a blocked sender
 // holds: the ack that would free that sender is read by the very
 // goroutine it holds up. Close waits for a call in progress.
-func NewReliable(pc PacketConn, cfg Config, deliver func(payload []byte, from netsim.Addr)) *Reliable {
+func NewReliable(pc PacketConn, cfg Config, deliver func(hdr, payload []byte, from netsim.Addr)) *Reliable {
 	r := &Reliable{
 		pc:       pc,
 		cfg:      cfg.withDefaults(),
@@ -474,11 +488,16 @@ func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, f
 	return out
 }
 
-// Send transmits payload to the peer with FIFO, exactly-once semantics.
-// It blocks while the peer's send window is full and returns ErrClosed if
-// the layer shuts down first. Delivery failure after retries is reported
-// asynchronously on Failures. Send copies payload into the retransmission
-// frame before returning, so the caller may reuse the slice immediately.
+// Send transmits the message hdr, payload to the peer with FIFO,
+// exactly-once semantics; the peer's sink receives the same two slices.
+// hdr is the channel header, the part that successive messages to one
+// peer tend to repeat (nil is a valid, empty header): a frame whose hdr
+// is byte-equal to the previous frame's to that peer leaves it out, and
+// the receiver restores it. Send blocks while the peer's send window is
+// full and returns ErrClosed if the layer shuts down first. Delivery
+// failure after retries is reported asynchronously on Failures. Send
+// copies hdr and payload before returning, so the caller may reuse both
+// slices immediately.
 //
 // A small frame is staged rather than written while the peer's next
 // acknowledgement is certain to be on its way without waiting for the
@@ -492,7 +511,7 @@ func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, f
 // coming due is the backstop. No frame waits on a clock of its own, and a
 // frame sent into a quiet channel is written before Send returns,
 // carrying any ack its peer is owed.
-func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
+func (r *Reliable) Send(to netsim.Addr, hdr, payload []byte) error {
 	p := r.peer(to)
 	p.mu.Lock()
 	for len(p.unacked) >= r.cfg.Window && !p.closed {
@@ -516,7 +535,11 @@ func (r *Reliable) Send(to netsim.Addr, payload []byte) error {
 	p.nextSeq++
 	now := time.Now()
 	due := now.Add(r.rtoLocked(p))
-	pkt := p.newPktLocked(seq, payload)
+	inline := !bytes.Equal(hdr, p.txHdr)
+	if inline {
+		p.txHdr = append(p.txHdr[:0], hdr...)
+	}
+	pkt := p.newPktLocked(seq, hdr, inline, payload)
 	pkt.sent, pkt.xmit, pkt.deadline = now, now, due
 	size := len(pkt.frame)
 	var full, dgram *[]byte
@@ -603,12 +626,12 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 		r.applyAck(p, cum, sel, hasSel)
 	}
 	for {
-		seq, payload, next, ok := nextFrame(dgram, off)
+		f, next, ok := nextFrame(dgram, off)
 		if !ok {
 			return
 		}
 		off = next
-		r.handleData(p, seq, payload)
+		r.handleData(p, f)
 	}
 }
 
@@ -674,8 +697,8 @@ func (p *peerState) releaseLocked(seq uint64, newest *outPkt, window int) *outPk
 	}
 	delete(p.unacked, seq)
 	if seq < p.nextSeq-uint64(len(p.staged)) && len(p.free) < window {
-		if cap(pkt.frame) > datagramBudget {
-			pkt.frame = nil
+		if cap(pkt.frame) > datagramBudget || cap(pkt.hdr) > datagramBudget {
+			pkt.frame, pkt.hdr = nil, nil
 		}
 		p.free = append(p.free, pkt)
 	}
@@ -685,10 +708,13 @@ func (p *peerState) releaseLocked(seq uint64, newest *outPkt, window int) *outPk
 	return newest
 }
 
-// newPktLocked returns an outPkt holding the frame for seq and payload:
-// an acknowledged one from the free list when there is one, keeping its
-// frame buffer if the frame fits. Caller holds p.mu.
-func (p *peerState) newPktLocked(seq uint64, payload []byte) *outPkt {
+// newPktLocked returns an outPkt holding the frame for seq, hdr and
+// payload, with hdr inline or not, and its own copy of hdr: an
+// acknowledged one from the free list when there is one, keeping its
+// buffers if they fit. The caller sets its times. Fields are assigned
+// one by one: a composite literal of the whole struct is built and then
+// copied, which costs more than the assignments. Caller holds p.mu.
+func (p *peerState) newPktLocked(seq uint64, hdr []byte, inline bool, payload []byte) *outPkt {
 	var pkt *outPkt
 	if n := len(p.free); n > 0 {
 		pkt = p.free[n-1]
@@ -698,10 +724,12 @@ func (p *peerState) newPktLocked(seq uint64, payload []byte) *outPkt {
 		pkt = new(outPkt)
 	}
 	frame := pkt.frame[:0]
-	if need := frameLen(seq, payload); cap(frame) < need {
+	if need := frameLen(seq, hdr, inline, payload); cap(frame) < need {
 		frame = make([]byte, 0, need)
 	}
-	*pkt = outPkt{seq: seq, frame: appendFrame(frame, seq, payload)}
+	pkt.seq, pkt.retries, pkt.resent = seq, 0, false
+	pkt.frame = appendFrame(frame, seq, hdr, inline, payload)
+	pkt.hdr = append(pkt.hdr[:0], hdr...)
 	return pkt
 }
 
@@ -823,15 +851,19 @@ func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
 // or AckDelay, whichever first); out-of-order, duplicate and
 // retransmitted arrivals are acknowledged immediately, with the whole
 // reorder state while a gap is open, so the sender's window unblocks and
-// it can tell at once what is lost. The payload slice is owned by this
-// layer (see PacketConn.ReadFrom) and is handed to the sink without
-// copying, after p.mu is released.
-func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
-	from := p.addr
+// it can tell at once what is lost. A frame that left its header out
+// takes it when it becomes in-order, not when it arrives: the header of
+// the last in-order frame that carried one is the header the sender had
+// on record when it built this frame, since both ends move that record
+// in seq order and a retransmission resends identical bytes. The frame's
+// slices are owned by this layer (see PacketConn.ReadFrom) and are
+// handed to the sink without copying, after p.mu is released.
+func (r *Reliable) handleData(p *peerState, f frame) {
+	from, seq := p.addr, f.seq
 	var (
-		buf    [4][]byte // keeps the usual short run off the heap
-		ready  = buf[:0]
-		ackNow bool
+		inOrder bool    // f is delivered
+		run     []frame // and the frames it releases from the reorder buffer
+		ackNow  bool
 	)
 	p.mu.Lock()
 	switch {
@@ -842,20 +874,25 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 		ackNow = true
 	case seq == p.expected:
 		// In-order: deliver this message and any run it completes.
-		delete(p.ooo, seq)
-		ready = append(ready, payload)
+		inOrder = true
+		p.inOrderLocked(&f)
 		p.expected++
-		for {
-			pl, ok := p.ooo[p.expected]
-			if !ok {
-				break
+		if len(p.ooo) > 0 {
+			var buf [4]frame // keeps the usual short run off the heap
+			run = buf[:0]
+			for {
+				nf, ok := p.ooo[p.expected]
+				if !ok {
+					break
+				}
+				delete(p.ooo, p.expected)
+				p.expected++
+				p.inOrderLocked(&nf)
+				run = append(run, nf)
 			}
-			delete(p.ooo, p.expected)
-			p.expected++
-			ready = append(ready, pl)
 		}
-		r.stats.delivered.Add(uint64(len(ready)))
-		p.ackPending += len(ready)
+		r.stats.delivered.Add(uint64(1 + len(run)))
+		p.ackPending += 1 + len(run)
 		if p.ackPending >= ackEvery {
 			ackNow = true
 		} else if !p.ackTimerSet {
@@ -870,7 +907,7 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 		if _, dup := p.ooo[seq]; dup {
 			r.stats.dupsDropped.Add(1)
 		} else {
-			p.ooo[seq] = payload
+			p.ooo[seq] = f
 		}
 		// A gap is open: ack immediately, so the sender retransmits only
 		// the hole.
@@ -888,8 +925,22 @@ func (r *Reliable) handleData(p *peerState, seq uint64, payload []byte) {
 	}
 	p.mu.Unlock()
 	_ = r.write(from, dgram)
-	for _, pl := range ready {
-		r.deliver(pl, from)
+	if inOrder {
+		r.deliver(f.hdr, f.payload, from)
+	}
+	for _, rf := range run {
+		r.deliver(rf.hdr, rf.payload, from)
+	}
+}
+
+// inOrderLocked resolves the header of f, the next frame in order: its
+// own when inline, which becomes the one on record, and otherwise the
+// one on record. Caller holds p.mu.
+func (p *peerState) inOrderLocked(f *frame) {
+	if f.inline {
+		p.rxHdr = f.hdr
+	} else {
+		f.hdr = p.rxHdr
 	}
 }
 
@@ -962,13 +1013,14 @@ func (r *Reliable) fireRetx(p *peerState) {
 				next = pkt.deadline
 			}
 		case pkt.retries >= r.cfg.MaxRetries:
-			// Not recycled: the failure's Payload aliases pkt.frame.
+			// Not recycled: the failure aliases pkt.hdr and pkt.frame.
 			delete(p.unacked, seq)
-			_, payload, _, _ := nextFrame(pkt.frame, 0)
+			f, _, _ := nextFrame(pkt.frame, 0)
 			failed = append(failed, SendFailure{
 				To:      p.addr,
 				Seq:     seq,
-				Payload: payload,
+				Hdr:     pkt.hdr,
+				Payload: f.payload,
 				Err:     ErrTooManyRetries,
 			})
 		default:

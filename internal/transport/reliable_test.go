@@ -42,8 +42,8 @@ type endpoint struct {
 }
 
 type delivery struct {
-	payload []byte
-	from    netsim.Addr
+	hdr, payload []byte
+	from         netsim.Addr
 }
 
 func newEndpoint(pc PacketConn, cfg Config) *endpoint {
@@ -52,9 +52,9 @@ func newEndpoint(pc PacketConn, cfg Config) *endpoint {
 	return e
 }
 
-func (e *endpoint) deliver(payload []byte, from netsim.Addr) {
+func (e *endpoint) deliver(hdr, payload []byte, from netsim.Addr) {
 	e.mu.Lock()
-	e.rx = append(e.rx, delivery{payload, from})
+	e.rx = append(e.rx, delivery{hdr, payload, from})
 	e.mu.Unlock()
 	select {
 	case e.more <- struct{}{}:
@@ -62,9 +62,17 @@ func (e *endpoint) deliver(payload []byte, from netsim.Addr) {
 	}
 }
 
-// recvTimeout returns e's next delivery, waiting at most d for it; it
-// returns netsim.ErrTimeout on expiry. Each endpoint has one reader.
+// recvTimeout returns the payload and sender of e's next delivery,
+// waiting at most d for it; it returns netsim.ErrTimeout on expiry. Each
+// endpoint has one reader.
 func recvTimeout(e *endpoint, d time.Duration) ([]byte, netsim.Addr, error) {
+	m, err := recvDelivery(e, d)
+	return m.payload, m.from, err
+}
+
+// recvDelivery is recvTimeout returning the whole delivery, header
+// included.
+func recvDelivery(e *endpoint, d time.Duration) (delivery, error) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	for {
@@ -73,31 +81,33 @@ func recvTimeout(e *endpoint, d time.Duration) ([]byte, netsim.Addr, error) {
 			m := e.rx[0]
 			e.rx = e.rx[1:]
 			e.mu.Unlock()
-			return m.payload, m.from, nil
+			return m, nil
 		}
 		e.mu.Unlock()
 		select {
 		case <-e.more:
 		case <-t.C:
-			return nil, netsim.Addr{}, netsim.ErrTimeout
+			return delivery{}, netsim.ErrTimeout
 		}
 	}
 }
 
-// A lone frame, with or without an ack for the reverse direction, round
-// trips through one datagram, and the datagram holds nothing after it.
+// A lone frame, with or without an ack for the reverse direction and
+// with or without its header, round trips through one datagram, and the
+// datagram holds nothing after it.
 func TestFrameRoundTrip(t *testing.T) {
-	f := func(hasCum bool, cum uint64, seq uint64, payload []byte) bool {
-		dgram := appendFrame(appendHeader(nil, hasCum, cum, 0, false), seq, payload)
+	f := func(hasCum bool, cum uint64, seq uint64, hdr []byte, inline bool, payload []byte) bool {
+		dgram := appendFrame(appendHeader(nil, hasCum, cum, 0, false), seq, hdr, inline, payload)
 		gc, gotCum, _, gotSel, off, ok := parseHeader(dgram)
 		if !ok || gotCum != hasCum || gotSel || hasCum && gc != cum {
 			return false
 		}
-		gs, gp, next, ok := nextFrame(dgram, off)
-		if !ok || gs != seq || !bytes.Equal(gp, payload) || next != len(dgram) {
+		fr, next, ok := nextFrame(dgram, off)
+		if !ok || fr.seq != seq || !bytes.Equal(fr.payload, payload) || next != len(dgram) ||
+			fr.inline != inline || inline && !bytes.Equal(fr.hdr, hdr) {
 			return false
 		}
-		_, _, _, ok = nextFrame(dgram, next)
+		_, _, ok = nextFrame(dgram, next)
 		return !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -112,16 +122,16 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			t.Errorf("parseHeader(%v) accepted garbage", b)
 		}
 	}
-	// Behind a valid header, a frame whose length runs past the datagram
-	// and a seq whose uvarint never ends are not frames.
+	// Behind a valid header, a frame whose header or payload runs past
+	// the datagram and a seq whose uvarint never ends are not frames.
 	hdr := appendHeader(nil, false, 0, 0, false)
-	for _, tail := range [][]byte{{1, 9, 'a', 'b'}, {0xff, 0xff}, {1}} {
+	for _, tail := range [][]byte{{1, 9, 'a', 'b'}, {1, 3, 2, 'h'}, {1, 8, 'a'}, {0xff, 0xff}, {1}} {
 		b := append(bytes.Clone(hdr), tail...)
 		_, _, _, _, off, ok := parseHeader(b)
 		if !ok {
 			t.Fatalf("parseHeader(%v) rejected a valid header", b)
 		}
-		if _, _, _, ok := nextFrame(b, off); ok {
+		if _, _, ok := nextFrame(b, off); ok {
 			t.Errorf("nextFrame(%v) accepted garbage", b)
 		}
 	}
@@ -129,7 +139,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestReliableBasicRoundTrip(t *testing.T) {
 	_, ra, rb := pairOn(t, "a", "b", Config{})
-	if err := ra.Send(rb.LocalAddr(), []byte("ping")); err != nil {
+	if err := ra.Send(rb.LocalAddr(), nil, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
 	got, from, err := recvTimeout(rb, 2*time.Second)
@@ -148,7 +158,7 @@ func TestOrderedDeliveryUnderReorderAndDup(t *testing.T) {
 	const total = 200
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := ra.Send(rb.LocalAddr(), []byte(fmt.Sprintf("m%04d", i))); err != nil {
+			if err := ra.Send(rb.LocalAddr(), nil, []byte(fmt.Sprintf("m%04d", i))); err != nil {
 				t.Error(err)
 				return
 			}
@@ -175,7 +185,7 @@ func TestOrderedDeliveryUnderLoss(t *testing.T) {
 	const total = 100
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := ra.Send(rb.LocalAddr(), []byte(fmt.Sprintf("%03d", i))); err != nil {
+			if err := ra.Send(rb.LocalAddr(), nil, []byte(fmt.Sprintf("%03d", i))); err != nil {
 				t.Error(err)
 				return
 			}
@@ -201,7 +211,7 @@ func TestExactlyOnceUnderHeavyDup(t *testing.T) {
 	n.SetLink("a", "b", netsim.LinkParams{Dup: 1.0})
 	const total = 50
 	for i := 0; i < total; i++ {
-		if err := ra.Send(rb.LocalAddr(), []byte{byte(i)}); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +237,7 @@ func TestSendFailureReportedAcrossPartition(t *testing.T) {
 	cfg := Config{RTO: 10 * time.Millisecond, MaxRetries: 3}
 	n, ra, rb := pairOn(t, "a", "b", cfg)
 	n.Partition([]string{"a"}, []string{"b"})
-	if err := ra.Send(rb.LocalAddr(), []byte("doomed")); err != nil {
+	if err := ra.Send(rb.LocalAddr(), nil, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -251,7 +261,7 @@ func TestWindowBlocksThenRecovers(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 8; i++ {
-			if err := ra.Send(rb.LocalAddr(), []byte{byte(i)}); err != nil {
+			if err := ra.Send(rb.LocalAddr(), nil, []byte{byte(i)}); err != nil {
 				return
 			}
 		}
@@ -286,7 +296,7 @@ func TestBidirectionalIndependentStreams(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := ra.Send(rb.LocalAddr(), []byte{1, byte(i)}); err != nil {
+			if err := ra.Send(rb.LocalAddr(), nil, []byte{1, byte(i)}); err != nil {
 				t.Error(err)
 			}
 		}
@@ -294,7 +304,7 @@ func TestBidirectionalIndependentStreams(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := rb.Send(ra.LocalAddr(), []byte{2, byte(i)}); err != nil {
+			if err := rb.Send(ra.LocalAddr(), nil, []byte{2, byte(i)}); err != nil {
 				t.Error(err)
 			}
 		}
@@ -330,7 +340,7 @@ func TestManyPeersFIFOPerPeer(t *testing.T) {
 		defer r.Close()
 		go func(r *endpoint, p int) {
 			for i := 0; i < per; i++ {
-				if err := r.Send(sink.LocalAddr(), []byte{byte(p), byte(i)}); err != nil {
+				if err := r.Send(sink.LocalAddr(), nil, []byte{byte(p), byte(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -359,11 +369,11 @@ func TestCloseUnblocksSendAndRecv(t *testing.T) {
 	cfg := Config{RTO: 20 * time.Millisecond, Window: 1, MaxRetries: 1000}
 	n, ra, rb := pairOn(t, "a", "b", cfg)
 	n.Partition([]string{"a"}, []string{"b"})
-	if err := ra.Send(rb.LocalAddr(), []byte("1")); err != nil {
+	if err := ra.Send(rb.LocalAddr(), nil, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	sendErr := make(chan error, 1)
-	go func() { sendErr <- ra.Send(rb.LocalAddr(), []byte("2")) }()
+	go func() { sendErr <- ra.Send(rb.LocalAddr(), nil, []byte("2")) }()
 	time.Sleep(30 * time.Millisecond)
 	ra.Close()
 	rb.Close()
@@ -382,7 +392,7 @@ func TestStatsAccounting(t *testing.T) {
 	_, ra, rb := pairOn(t, "a", "b", Config{})
 	const total = 10
 	for i := 0; i < total; i++ {
-		if err := ra.Send(rb.LocalAddr(), []byte("x")); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,7 +424,7 @@ func TestAckCoalescing(t *testing.T) {
 	_, ra, rb := pairOn(t, "a", "b", cfg)
 	const total = 64
 	for i := 0; i < total; i++ {
-		if err := ra.Send(rb.LocalAddr(), []byte{byte(i)}); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +461,7 @@ func TestMultipleBlockedSendersAllWake(t *testing.T) {
 	cfg := Config{RTO: 20 * time.Millisecond, MaxRetries: 100, Window: 1}
 	n, ra, rb := pairOn(t, "a", "b", cfg)
 	n.Partition([]string{"a"}, []string{"b"})
-	if err := ra.Send(rb.LocalAddr(), []byte{0}); err != nil {
+	if err := ra.Send(rb.LocalAddr(), nil, []byte{0}); err != nil {
 		t.Fatal(err)
 	}
 	const senders = 8
@@ -460,7 +470,7 @@ func TestMultipleBlockedSendersAllWake(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ra.Send(rb.LocalAddr(), []byte{byte(i + 1)}); err != nil {
+			if err := ra.Send(rb.LocalAddr(), nil, []byte{byte(i + 1)}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -502,7 +512,7 @@ func TestUDPLoopbackRoundTrip(t *testing.T) {
 	defer rb.Close()
 	const total = 20
 	for i := 0; i < total; i++ {
-		if err := ra.Send(rb.LocalAddr(), []byte(fmt.Sprintf("udp%02d", i))); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, []byte(fmt.Sprintf("udp%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -535,7 +545,7 @@ func TestBytesOutAndQueueDepth(t *testing.T) {
 	}
 	const total = 5
 	for i := 0; i < total; i++ {
-		if err := ra.Send(rb.LocalAddr(), []byte("payload")); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -554,7 +564,7 @@ func TestBytesOutAndQueueDepth(t *testing.T) {
 	// Partition the pair: unacked sends pile up in the queue.
 	net.Partition([]string{"a"}, []string{"b"})
 	for i := 0; i < 3; i++ {
-		if err := ra.Send(rb.LocalAddr(), []byte("stuck")); err != nil {
+		if err := ra.Send(rb.LocalAddr(), nil, []byte("stuck")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -134,10 +134,10 @@ func TestTimerCloseRace(t *testing.T) {
 	closed := make(map[*endpoint]uint64) // datagrams written when Close returned
 	for i := range 500 {
 		r := newEndpoint(newNullConn(), cfg)
-		if err := r.Send(peer, []byte{byte(i)}); err != nil {
+		if err := r.Send(peer, nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		r.handleDatagram(peer, appendFrame(appendHeader(nil, false, 0, 0, false), 1, []byte{byte(i)}))
+		r.handleDatagram(peer, appendFrame(appendHeader(nil, false, 0, 0, false), 1, nil, false, []byte{byte(i)}))
 		time.Sleep(time.Duration(i%9) * 250 * time.Microsecond)
 		r.Close()
 		closed[r] = r.Stats().DatagramsOut

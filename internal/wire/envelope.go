@@ -45,13 +45,20 @@ type Envelope struct {
 
 // Envelope framing. A frame is:
 //
-//	[0]      envMagic (0xC0; anything else is not an envelope)
-//	uvarint  kind id (dense, assigned at registration)
-//	string   To.Inbox      ─┐
-//	string   FromOutbox     │ header words, varint-framed
-//	string   Session        │ (string = uvarint length + bytes)
-//	uvarint  Lamport       ─┘
-//	...      body bytes (to end of frame): the message's AppendBinary form
+//	[0]      envMagic (0xC0; anything else is not an envelope)  ─┐
+//	uvarint  kind id (dense, assigned at registration)           │ header
+//	string   To.Inbox                                            │ (string = uvarint
+//	string   FromOutbox                                          │ length + bytes)
+//	string   Session                                            ─┘
+//	uvarint  Lamport                                            ─┐ payload
+//	...      body bytes (to end of frame): AppendBinary form    ─┘
+//
+// The frame splits at Lamport. The header is what every message on one
+// channel (one outbox to one inbox, in one session) repeats, so the
+// transport sends it only when it changes; the payload is what differs
+// per message. AppendEnvelopeHeader and AppendEnvelopePayload write the
+// halves and EnvelopeDecoder.Decode reads them; the one-slice functions
+// work on their concatenation.
 //
 // No dapplet address is framed: the datagram names both ends, so the
 // receiver fills them in and UnmarshalEnvelope leaves them zero. A frame
@@ -168,11 +175,22 @@ func DecodeBodyInto(id uint16, data []byte, into Msg) error {
 // already-encoded body, allocating only if dst lacks capacity. e.Body is
 // ignored; the body bytes come from body.
 func AppendEnvelopeBody(dst []byte, e *Envelope, body Body) []byte {
+	return AppendEnvelopePayload(AppendEnvelopeHeader(dst, e, body), e, body)
+}
+
+// AppendEnvelopeHeader appends the header half of the frame for e and
+// body: magic, kind id, To.Inbox, FromOutbox and Session.
+func AppendEnvelopeHeader(dst []byte, e *Envelope, body Body) []byte {
 	dst = append(dst, envMagic)
 	dst = AppendUvarint(dst, uint64(body.id))
 	dst = AppendString(dst, e.To.Inbox)
 	dst = AppendString(dst, e.FromOutbox)
-	dst = AppendString(dst, e.Session)
+	return AppendString(dst, e.Session)
+}
+
+// AppendEnvelopePayload appends the payload half of the frame for e and
+// body: Lamport and the body bytes.
+func AppendEnvelopePayload(dst []byte, e *Envelope, body Body) []byte {
 	dst = AppendUvarint(dst, e.Lamport)
 	return append(dst, body.Bytes()...)
 }
@@ -196,13 +214,20 @@ func MarshalEnvelope(e *Envelope) ([]byte, error) {
 }
 
 // UnmarshalEnvelope reconstructs an envelope and its typed body from a
-// frame. A frame that does not start with the magic byte is an error.
-// It is EnvelopeDecoder.UnmarshalEnvelope without header reuse.
+// whole frame. A frame that does not start with the magic byte is an
+// error. It is EnvelopeDecoder.Decode without header reuse, on a frame
+// not yet split at Lamport.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	return (*EnvelopeDecoder)(nil).UnmarshalEnvelope(data)
+	r := Reader{data: data}
+	var env Envelope
+	id, err := (*EnvelopeDecoder)(nil).header(&r, &env)
+	if err != nil {
+		return nil, err
+	}
+	return decodePayload(&env, id, data[r.off:])
 }
 
-// EnvelopeDecoder decodes envelope frames, reusing header strings: for
+// EnvelopeDecoder decodes split envelope frames, reusing header strings: for
 // each of the three string header fields it keeps the last string it
 // decoded, and returns that string again when the next frame carries the
 // same bytes there. Frames on one channel repeat their headers, so in the
@@ -221,18 +246,44 @@ const (
 	hdrStrings
 )
 
-// UnmarshalEnvelope is the package function, reusing the strings of
-// earlier frames this decoder read. A nil decoder reuses nothing.
-func (d *EnvelopeDecoder) UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	if len(data) == 0 || data[0] != envMagic {
-		return nil, fmt.Errorf("wire: bad envelope: no magic byte")
-	}
-	r := Reader{data: data, off: 1}
-	id := r.uint16("kind id")
+// Decode reconstructs an envelope from a frame split at Lamport, as
+// AppendEnvelopeHeader and AppendEnvelopePayload wrote it, reusing the
+// strings of earlier frames this decoder read. A header that is empty,
+// lacks the magic byte or runs on past Session is an error.
+func (d *EnvelopeDecoder) Decode(hdr, payload []byte) (*Envelope, error) {
+	r := Reader{data: hdr}
 	var env Envelope
-	env.To.Inbox = d.string(&r, hdrToInbox)
-	env.FromOutbox = d.string(&r, hdrFromOutbox)
-	env.Session = d.string(&r, hdrSession)
+	id, err := d.header(&r, &env)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wire: bad envelope header: %w", err)
+	}
+	return decodePayload(&env, id, payload)
+}
+
+// header reads the header half of a frame into env and returns the kind
+// id, reusing kept strings unless d is nil.
+func (d *EnvelopeDecoder) header(r *Reader, env *Envelope) (uint16, error) {
+	if len(r.data) == 0 || r.data[0] != envMagic {
+		return 0, fmt.Errorf("wire: bad envelope: no magic byte")
+	}
+	r.off = 1
+	id := r.uint16("kind id")
+	env.To.Inbox = d.string(r, hdrToInbox)
+	env.FromOutbox = d.string(r, hdrFromOutbox)
+	env.Session = d.string(r, hdrSession)
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("wire: bad envelope: %w", err)
+	}
+	return id, nil
+}
+
+// decodePayload reads the payload half of a frame into env: Lamport, then
+// a body of kind id.
+func decodePayload(env *Envelope, id uint16, payload []byte) (*Envelope, error) {
+	r := Reader{data: payload}
 	env.Lamport = r.Uvarint()
 	body := r.Rest()
 	if err := r.Err(); err != nil {
@@ -243,7 +294,7 @@ func (d *EnvelopeDecoder) UnmarshalEnvelope(data []byte) (*Envelope, error) {
 		return nil, err
 	}
 	env.Body = m
-	return &env, nil
+	return env, nil
 }
 
 // string reads header string field, returning the kept copy when the

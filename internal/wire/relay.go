@@ -11,7 +11,8 @@ import "repro/internal/netsim"
 // identity and Lamport stamp ride along, so the envelope synthesized at
 // each delivery point is indistinguishable from a directly sent one —
 // FIFO-per-channel and the clock's snapshot criterion are unchanged. The
-// carrier envelope's Session names the session.
+// carrier envelope's Session names the session, and every member's
+// binding names the inbox it delivers to.
 type RelayFrame struct {
 	// Origin is the originating dapplet's instance name; receivers key
 	// their per-origin ordered-delivery state by it (names survive
@@ -23,8 +24,6 @@ type RelayFrame struct {
 	OriginAddr netsim.Addr
 	// OriginOutbox is the tree-bound outbox the message left through.
 	OriginOutbox string
-	// Inbox is the destination inbox name at every member.
-	Inbox string
 	// Lamport is the origin's logical stamp at Send time (§4.2); relays
 	// advance their clocks past it transitively via the carrier
 	// envelopes, and the delivery envelope presents it to the
@@ -56,7 +55,6 @@ func (m *RelayFrame) AppendBinary(dst []byte) ([]byte, error) {
 	dst = AppendString(dst, m.OriginAddr.Host)
 	dst = AppendUvarint(dst, uint64(m.OriginAddr.Port))
 	dst = AppendString(dst, m.OriginOutbox)
-	dst = AppendString(dst, m.Inbox)
 	dst = AppendUvarint(dst, m.Lamport)
 	dst = AppendUvarint(dst, m.Seq)
 	dst = AppendUvarint(dst, m.Epoch)
@@ -73,7 +71,6 @@ func (m *RelayFrame) UnmarshalBinary(data []byte) error {
 	m.OriginAddr.Host = r.String()
 	m.OriginAddr.Port = r.Port()
 	m.OriginOutbox = r.String()
-	m.Inbox = r.String()
 	m.Lamport = r.Uvarint()
 	m.Seq = r.Uvarint()
 	m.Epoch = r.Uvarint()

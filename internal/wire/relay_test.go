@@ -20,13 +20,12 @@ func relayFrameEqual(a, b *RelayFrame) bool {
 // TestRelayFrameRoundTrip drives the binary codec with generated frames:
 // encode → decode must be identity for every field.
 func TestRelayFrameRoundTrip(t *testing.T) {
-	f := func(origin, host string, port uint16, outbox, inbox string,
+	f := func(origin, host string, port uint16, outbox string,
 		lamport, seq, epoch uint64, ttl uint32, bodyID uint16, body []byte) bool {
 		in := &RelayFrame{
 			Origin:       origin,
 			OriginAddr:   netsim.Addr{Host: host, Port: port},
 			OriginOutbox: outbox,
-			Inbox:        inbox,
 			Lamport:      lamport,
 			Seq:          seq,
 			Epoch:        epoch,
@@ -56,7 +55,6 @@ func TestRelayFrameTruncation(t *testing.T) {
 		Origin:       "broadcaster",
 		OriginAddr:   netsim.Addr{Host: "site0", Port: 4021},
 		OriginOutbox: "bcast",
-		Inbox:        "bcast-in",
 		Lamport:      991,
 		Seq:          7,
 		Epoch:        2,
@@ -108,7 +106,6 @@ func FuzzRelayFrame(f *testing.F) {
 		Origin:       "o",
 		OriginAddr:   netsim.Addr{Host: "h", Port: 1},
 		OriginOutbox: "out",
-		Inbox:        "in",
 		Lamport:      5,
 		Seq:          1,
 		Epoch:        1,

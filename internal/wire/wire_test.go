@@ -461,17 +461,30 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 		}
 	})
 	var dec EnvelopeDecoder
-	if _, err := dec.UnmarshalEnvelope(buf); err != nil {
+	hdr, payload := splitFrame(t, env)
+	if _, err := dec.Decode(hdr, payload); err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := dec.UnmarshalEnvelope(buf); err != nil {
+		if _, err := dec.Decode(hdr, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if want := 1 + bodyAllocs; allocs != want {
 		t.Fatalf("repeated-header decode allocates %.1f times per op, want %.1f (the Envelope and %.1f for the body)", allocs, want, bodyAllocs)
 	}
+}
+
+// splitFrame encodes env as AppendEnvelopeHeader and AppendEnvelopePayload
+// write it: split at Lamport, each half in its own slice.
+func splitFrame(t testing.TB, env *Envelope) (hdr, payload []byte) {
+	t.Helper()
+	body, err := EncodeBody(env.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Release()
+	return AppendEnvelopeHeader(nil, env, body), AppendEnvelopePayload(nil, env, body)
 }
 
 // headerSets are two envelopes differing in every header string, for the
@@ -502,16 +515,20 @@ func headerSets() [2]*Envelope {
 // equals the package function's.
 func TestEnvelopeDecoderMatchesStateless(t *testing.T) {
 	sets := headerSets()
-	var frames [2][]byte
+	var frames, hdrs, payloads [2][]byte
 	for i, env := range sets {
 		var err error
 		if frames[i], err = MarshalEnvelope(env); err != nil {
 			t.Fatal(err)
 		}
+		hdrs[i], payloads[i] = splitFrame(t, env)
+		if !bytes.Equal(append(slices.Clone(hdrs[i]), payloads[i]...), frames[i]) {
+			t.Fatalf("set %d: the split halves are not the whole frame", i)
+		}
 	}
 	var dec EnvelopeDecoder
 	for i, pick := range []int{0, 1, 0, 1, 1, 1, 0, 0, 1, 0} {
-		got, err := dec.UnmarshalEnvelope(frames[pick])
+		got, err := dec.Decode(hdrs[pick], payloads[pick])
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -525,6 +542,28 @@ func TestEnvelopeDecoderMatchesStateless(t *testing.T) {
 	}
 }
 
+// TestEnvelopeDecodeRejectsBadHeader: a missing header (what a sink is
+// handed for a frame that left its header out when none was on record),
+// one cut short, and one that runs into the payload are all errors,
+// never an envelope.
+func TestEnvelopeDecodeRejectsBadHeader(t *testing.T) {
+	hdr, payload := splitFrame(t, headerSets()[0])
+	var dec EnvelopeDecoder
+	for _, c := range []struct {
+		name         string
+		hdr, payload []byte
+	}{
+		{"no header", nil, payload},
+		{"header cut short", hdr[:len(hdr)-1], payload},
+		{"header runs on", append(slices.Clone(hdr), payload[0]), payload[1:]},
+		{"whole frame as payload", nil, append(slices.Clone(hdr), payload...)},
+	} {
+		if env, err := dec.Decode(c.hdr, c.payload); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", c.name, env)
+		}
+	}
+}
+
 // TestEnvelopeDecoderDoesNotAliasInput: decoded header strings are
 // copies — overwriting the frames afterwards, the one a string was first
 // kept from included, changes none of them.
@@ -534,17 +573,19 @@ func TestEnvelopeDecoderDoesNotAliasInput(t *testing.T) {
 	var frames [][]byte
 	var got []*Envelope
 	for range 3 { // the second and third decode return kept strings
-		frame, err := MarshalEnvelope(env)
+		hdr, payload := splitFrame(t, env)
+		e, err := dec.Decode(hdr, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := dec.UnmarshalEnvelope(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames, got = append(frames, frame), append(got, e)
+		frames, got = append(frames, hdr, payload), append(got, e)
 	}
-	stateless, err := UnmarshalEnvelope(frames[0])
+	whole, err := MarshalEnvelope(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames = append(frames, whole)
+	stateless, err := UnmarshalEnvelope(whole)
 	if err != nil {
 		t.Fatal(err)
 	}

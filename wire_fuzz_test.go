@@ -179,10 +179,12 @@ func TestMarshalRoundTripsByKindName(t *testing.T) {
 
 // FuzzEnvelopeRoundTrip feeds arbitrary bytes to the envelope decoder and
 // asserts that anything that decodes re-encodes to a frame that decodes to
-// the same envelope. Every input also goes through one decoder shared by
-// all inputs, which must agree with the stateless one whatever header
-// strings it kept from earlier inputs. The seeds are a zero and a
-// populated frame of every registered kind.
+// the same envelope. Every input also goes, cut in two at every offset,
+// through one split-frame decoder shared by all inputs: exactly one cut —
+// the one at Lamport — may decode, and only when the whole frame does, to
+// the same envelope whatever header strings the decoder kept from earlier
+// inputs. The seeds are a zero and a populated frame of every registered
+// kind.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	var shared wire.EnvelopeDecoder
 	for _, kind := range messageKinds(f) {
@@ -196,9 +198,18 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := wire.UnmarshalEnvelope(data)
-		viaShared, sharedErr := shared.UnmarshalEnvelope(data)
-		if (err == nil) != (sharedErr == nil) || !reflect.DeepEqual(env, viaShared) {
-			t.Fatalf("shared decoder disagrees with the stateless one:\n shared    %#v (%v)\n stateless %#v (%v)", viaShared, sharedErr, env, err)
+		cuts := 0
+		for cut := range len(data) + 1 {
+			viaShared, sharedErr := shared.Decode(data[:cut], data[cut:])
+			if sharedErr != nil {
+				continue
+			}
+			if cuts++; err != nil || !reflect.DeepEqual(env, viaShared) {
+				t.Fatalf("split decoder at %d disagrees with the whole-frame one:\n split %#v\n whole %#v (%v)", cut, viaShared, env, err)
+			}
+		}
+		if err == nil && cuts != 1 {
+			t.Fatalf("%d cuts decode, want exactly 1", cuts)
 		}
 		if err != nil {
 			return // malformed input must only error, never panic
