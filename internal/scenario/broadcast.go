@@ -120,8 +120,8 @@ type BroadcastResult struct {
 	// hop from the origin).
 	Fanout int `json:"fanout,omitempty"`
 	Depth  int `json:"depth"`
-	// Setup is the session initiation time (invite/commit across the
-	// whole group).
+	// Setup is the session initiation time (one invite round across
+	// the whole group).
 	Setup time.Duration `json:"setup_ns"`
 	// SenderNsPerMsg is the origin's cost per broadcast: wall time spent
 	// inside Outbox.Send divided by Messages. Flat fan-out pays O(N)

@@ -107,7 +107,7 @@ type CalendarWorld struct {
 func siteName(i int) string { return fmt.Sprintf("site%d", i) }
 
 // BuildCalendar constructs the world: network, installed dapplets,
-// directory, and (for the session scheduler) a committed session. ctx
+// directory, and (for the session scheduler) a linked-up session. ctx
 // bounds the directory registrations and the session setup. On error
 // the partly built world is closed.
 func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, error) {

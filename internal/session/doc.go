@@ -9,14 +9,17 @@
 // session terminates, "component dapplets unlink themselves from each
 // other".
 //
-// Setup is two-phase: Invite -> Accept/Reject, then Commit (bind channels)
-// or Abort. Termination and membership changes are acknowledged so the
-// initiator can observe completion. All control traffic rides the svc
-// request/response framework (internal/svc): the "@session" inbox is an
-// svc-served handler table, the initiator is an svc caller, and every
-// blocking call takes a context.Context — a cancelled handshake aborts
-// the session everywhere, including at participants whose commit had
-// already landed.
+// Setup is one phase, as in the paper: a participant that accepts an
+// invite links itself up — inboxes, outbox bindings, tree — before it
+// answers, and one that rejects changes nothing. If any participant
+// rejects, or the handshake fails (a timeout, a cancelled context), the
+// initiator gives up with a one-way terminate to every participant,
+// which unlinks the ones that accepted. Termination and membership
+// changes are acknowledged so the initiator can observe completion. All
+// control traffic rides the svc request/response framework
+// (internal/svc): the "@session" inbox is an svc-served handler table,
+// the initiator is an svc caller, and every blocking call takes a
+// context.Context.
 //
 // The initiator owns the address directory and tells each participant
 // what it must bind (Fig. 2). On a flat session that includes the whole

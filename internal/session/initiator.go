@@ -240,11 +240,11 @@ func (s *shipment) relink(name string, add, remove []Binding, redrive bool) *rel
 	}
 }
 
-// Initiate sets up the session described by spec: it invites every
-// participant, and if all accept, commits the channel bindings. On any
-// rejection — or any failure, including ctx ending mid-handshake — the
-// session is aborted everywhere, tearing it down even at participants
-// whose commit had already landed. The context bounds the whole
+// Initiate sets up the session described by spec in one round: it
+// invites every participant, and each one that accepts links itself up
+// before it answers. On any rejection — or any failure, including ctx
+// ending mid-handshake — a terminate is cast to every participant,
+// unlinking those that had accepted. The context bounds the whole
 // handshake (DefaultTimeout applies when it has no deadline). On success
 // it returns a Handle for growing, shrinking and terminating the session.
 func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) {
@@ -277,12 +277,11 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 		inboxesOf[l.toName] = append(inboxesOf[l.toName], l.binding.To.Inbox)
 	}
 
-	// Phase 1: invite, and collect every response.
 	invites, err := callAll(ctx, ini.caller, spec.ID, spec.Participants, func(p Participant) wire.Msg {
 		return ship.invite(spec.Task, p, bindingsOf[p.Name], inboxesOf[p.Name])
 	}, func() *inviteRepMsg { return &inviteRepMsg{} })
 	if err != nil {
-		ini.abort(parts, spec.ID, "initiator gave up: "+err.Error())
+		ini.abort(parts, spec.ID)
 		return nil, err
 	}
 	var rejections []Rejection
@@ -292,18 +291,8 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 		}
 	}
 	if len(rejections) > 0 {
-		ini.abort(parts, spec.ID, "peer rejected")
+		ini.abort(parts, spec.ID)
 		return nil, &RejectedError{SessionID: spec.ID, Rejections: rejections}
-	}
-
-	// Phase 2: commit. A failure here still aborts everywhere: commits
-	// that landed are torn down by the abort, so no participant is left
-	// holding a session the initiator gave up on.
-	if _, err := callAll(ctx, ini.caller, spec.ID, spec.Participants, func(Participant) wire.Msg {
-		return &commitMsg{SessionID: spec.ID}
-	}, func() *commitAckMsg { return &commitAckMsg{} }); err != nil {
-		ini.abort(parts, spec.ID, "initiator gave up mid-commit: "+err.Error())
-		return nil, err
 	}
 
 	h := &Handle{
@@ -318,11 +307,12 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 	return h, nil
 }
 
-// abort cancels the session at every participant, one-way: pending
-// invitations are dropped and committed memberships torn down.
-func (ini *Initiator) abort(parts map[string]*Participant, sid, reason string) {
+// abort gives a session up at every participant: a one-way terminate
+// unlinks those that accepted and is a no-op at the rest. It follows the
+// invite on the same FIFO channel, so it cannot overtake it.
+func (ini *Initiator) abort(parts map[string]*Participant, sid string) {
 	for _, p := range parts {
-		_ = ini.caller.Cast(controlRef(*p), sid, &abortMsg{SessionID: sid, Reason: reason})
+		_ = ini.caller.Cast(controlRef(*p), sid, &terminateMsg{SessionID: sid})
 	}
 }
 
@@ -387,7 +377,11 @@ func sortParticipants(ps []Participant) {
 
 // Terminate ends the session: every participant unlinks its bindings and
 // releases its state access, and the initiator awaits every
-// acknowledgement within ctx.
+// acknowledgement within ctx. The handle refuses Grow and the other
+// reconfigurations while it runs. A failed or cancelled Terminate
+// leaves the handle live, so a retry sends every terminate again
+// (participants that already unlinked just ack); once one succeeds,
+// later calls return nil at once.
 func (h *Handle) Terminate(ctx context.Context) error {
 	h.mu.Lock()
 	if h.terminated {
@@ -403,14 +397,20 @@ func (h *Handle) Terminate(ctx context.Context) error {
 	_, err := callAll(ctx, h.ini.caller, h.id, roster, func(Participant) wire.Msg {
 		return &terminateMsg{SessionID: h.id}
 	}, func() *terminateAckMsg { return &terminateAckMsg{} })
+	if err != nil {
+		h.mu.Lock()
+		h.terminated = false
+		h.mu.Unlock()
+	}
 	return err
 }
 
 // Grow adds a participant to the live session with the given new links
 // (which may mention existing participants on either side). The new
-// participant goes through the same invite/commit handshake; existing
-// participants affected by new links are relinked. (§1: sessions "may
-// grow and shrink as required".) The context bounds the whole exchange.
+// participant gets the same invite as at Initiate and links itself up
+// when it accepts; existing participants are then relinked. (§1:
+// sessions "may grow and shrink as required".) The context bounds the
+// whole exchange.
 func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error {
 	h.mu.Lock()
 	if h.terminated {
@@ -480,31 +480,25 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 		}
 	}
 
-	// Any failure once the invite is on the wire aborts the newcomer:
-	// its invitation may be pending — or its commit may already have
-	// landed (the commitMsg is transmitted before the ack wait, so a
-	// cancelled wait does not mean an uncommitted newcomer). Without the
-	// abort a half-joined orphan would hold its state access forever,
-	// outside every roster a Terminate would reach. A failed Grow leaves
-	// the handle untouched, so a retry re-runs the whole handshake
-	// (invites, commits and relink adds are all idempotent).
-	abortNewcomer := func(reason string) {
-		_ = h.ini.caller.Cast(controlRef(p), h.id, &abortMsg{SessionID: h.id, Reason: reason})
+	// Any failure once the invite is on the wire terminates the
+	// newcomer: it may have accepted and linked itself up even if its
+	// answer never arrived. Without the terminate a half-joined orphan
+	// would hold its state access forever, outside every roster a
+	// Terminate would reach. A failed Grow leaves the handle untouched,
+	// so a retry re-runs the whole handshake (invites and relink adds
+	// are idempotent).
+	abortNewcomer := func() {
+		_ = h.ini.caller.Cast(controlRef(p), h.id, &terminateMsg{SessionID: h.id})
 	}
 
-	// Invite and commit the newcomer.
 	var inviteRep inviteRepMsg
 	err := h.ini.caller.CallTagged(ctx, controlRef(p), h.id, ship.invite(h.task, p, pBindings, pInboxes), &inviteRep)
 	if err != nil {
-		abortNewcomer("initiator gave up growing: " + err.Error())
+		abortNewcomer()
 		return err
 	}
 	if !inviteRep.Accepted {
 		return &RejectedError{SessionID: h.id, Rejections: []Rejection{{Name: inviteRep.Name, Reason: inviteRep.Reason}}}
-	}
-	if err := h.ini.caller.CallTagged(ctx, controlRef(p), h.id, &commitMsg{SessionID: h.id}, &commitAckMsg{}); err != nil {
-		abortNewcomer("initiator gave up growing mid-commit: " + err.Error())
-		return err
 	}
 
 	// Relink existing participants: new bindings plus the fresh roster
@@ -513,7 +507,7 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 	if _, err := callAll(ctx, h.ini.caller, h.id, existing, func(q Participant) wire.Msg {
 		return ship.relink(q.Name, addsFor[q.Name], nil, false)
 	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
-		abortNewcomer("initiator gave up growing mid-relink: " + err.Error())
+		abortNewcomer()
 		return err
 	}
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,33 +26,28 @@ func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
 	return w
 }
 
-// TestInitiateCancelMidHandshakeAbortsCommitted drives the cancellation
-// satellite end to end: a session with one well-behaved participant and
-// one that accepts its invitation but goes silent at commit time. The
-// well-behaved participant commits (phase 2 landed there); the caller
-// then cancels the context. Initiate must return context.Canceled, send
-// aborts everywhere — tearing the session down at the participant whose
-// commit already landed, bindings unlinked and state access released —
-// and leak no goroutines (fenced with runtime.NumGoroutine under -race).
+// TestInitiateCancelMidHandshakeAbortsCommitted drives cancellation end to
+// end: a session with one well-behaved participant and one that never
+// answers its invitation. The well-behaved participant accepts, which
+// commits it: it links itself up. The caller then cancels the context.
+// Initiate must return context.Canceled, terminate the session
+// everywhere — tearing it down at the participant that had linked,
+// bindings unlinked and state access released — and leak no goroutines
+// (fenced with runtime.NumGoroutine under -race).
 func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(11))
 	dir := directory.New()
 
-	committed := make(chan struct{}, 1)
+	linked := make(chan struct{}, 1)
 	goodD := w.Dapplet("hg", "t", "good")
-	goodSvc := Attach(goodD, Policy{OnJoin: func(*Membership) { committed <- struct{}{} }})
+	goodSvc := Attach(goodD, Policy{OnJoin: func(*Membership) { linked <- struct{}{} }})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "good", Type: "t", Addr: goodD.Addr()})
 
-	// The sticky participant speaks just enough of the protocol to accept
-	// the invitation, then elects silence on commit: the handshake can
-	// only end by cancellation.
+	// The sticky participant elects silence on its invitation: the
+	// handshake can only end by cancellation.
 	stickyD := w.Dapplet("hs", "t", "sticky")
 	svc.Serve(stickyD, ControlInbox, svc.Handlers{
 		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			inv := req.(*inviteMsg)
-			return &inviteRepMsg{SessionID: inv.SessionID, Name: "sticky", Accepted: true}, nil
-		},
-		"session.commit": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return nil, svc.NoReply
 		},
 	})
@@ -75,11 +72,11 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 		res <- err
 	}()
 
-	// Phase 2 landed at the well-behaved participant...
+	// The well-behaved participant linked itself up...
 	select {
-	case <-committed:
+	case <-linked:
 	case <-time.After(10 * time.Second):
-		t.Fatal("good participant never committed")
+		t.Fatal("good participant never linked")
 	}
 	// ...and the initiator is now stuck on the sticky one: cancel.
 	cancel()
@@ -92,9 +89,9 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 		t.Fatal("cancelled Initiate never returned")
 	}
 
-	// The abort reached the committed participant: membership gone,
+	// The terminate reached the linked participant: membership gone,
 	// bindings unlinked, state access released.
-	waitFor(t, "abort tears down the committed membership", func() bool {
+	waitFor(t, "abort tears down the linked membership", func() bool {
 		return len(goodSvc.Sessions()) == 0 &&
 			len(goodD.Outbox("out").Destinations()) == 0 &&
 			len(goodD.Store().LiveSessions()) == 0
@@ -106,26 +103,22 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 	})
 }
 
-// TestGrowCancelAbortsCommittedNewcomer pins the failure-path contract
-// of Grow: when the handshake dies after the newcomer's commit landed
-// (here: an existing participant swallows its relink and the caller
-// cancels), the newcomer must be aborted — membership gone, bindings
-// unlinked, state access released — not left half-joined outside every
-// roster a later Terminate would reach.
+// TestGrowCancelAbortsCommittedNewcomer pins the failure-path contract of
+// Grow: when the handshake dies after the newcomer accepted and linked
+// itself up (here: an existing participant swallows its relink and the
+// caller cancels), the newcomer must be terminated — membership gone,
+// bindings unlinked, state access released — not left half-joined
+// outside every roster a later Terminate would reach.
 func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(12))
 	dir := directory.New()
 
-	// The existing participant speaks invite/commit properly but
-	// swallows relinks, so Grow's final phase can only end by
-	// cancellation.
+	// The existing participant accepts its invite properly but swallows
+	// relinks, so Grow's final phase can only end by cancellation.
 	stickyD := w.Dapplet("hs", "t", "sticky")
 	svc.Serve(stickyD, ControlInbox, svc.Handlers{
 		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return &inviteRepMsg{SessionID: req.(*inviteMsg).SessionID, Name: "sticky", Accepted: true}, nil
-		},
-		"session.commit": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			return &commitAckMsg{SessionID: req.(*commitMsg).SessionID, Name: "sticky"}, nil
 		},
 		"session.relink": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return nil, svc.NoReply
@@ -157,7 +150,7 @@ func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 	select {
 	case <-joined:
 	case <-time.After(10 * time.Second):
-		t.Fatal("newcomer never committed")
+		t.Fatal("newcomer never linked")
 	}
 	cancel()
 	select {
@@ -168,7 +161,7 @@ func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled Grow never returned")
 	}
-	waitFor(t, "abort tears down the committed newcomer", func() bool {
+	waitFor(t, "abort tears down the linked newcomer", func() bool {
 		return len(newbieSvc.Sessions()) == 0 &&
 			len(newbieD.Outbox("out").Destinations()) == 0 &&
 			len(newbieD.Store().LiveSessions()) == 0
@@ -176,6 +169,120 @@ func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 	// The handle never adopted the newcomer: a retry is possible.
 	if got := len(h.Participants()); got != 1 {
 		t.Fatalf("roster after failed Grow = %d, want 1", got)
+	}
+}
+
+// TestSetupIsOneRoundTrip pins the one-phase set-up: Initiate puts one
+// request — the invite, whose acceptance links the participant up — on
+// each participant's "@session" inbox, Grow puts one on the newcomer's,
+// and the wire knows no second-phase kind.
+func TestSetupIsOneRoundTrip(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(13))
+	dir := directory.New()
+	var mu sync.Mutex
+	requests := make(map[string]int)
+	for i, name := range []string{"a", "b", "c", "d"} {
+		d := w.Dapplet(fmt.Sprintf("h%d", i), "t", name)
+		Attach(d, Policy{})
+		d.OnRecv(func(env *wire.Envelope) {
+			if env.To.Inbox == ControlInbox {
+				mu.Lock()
+				requests[name]++
+				mu.Unlock()
+			}
+		})
+		_ = dir.Register(context.Background(), directory.Entry{Name: name, Type: "t", Addr: d.Addr()})
+	}
+	requestsAt := func(name string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return requests[name]
+	}
+
+	ini := NewInitiator(w.Dapplet("hq", "t", "director"), dir)
+	h, err := ini.Initiate(context.Background(), Spec{
+		ID: "one-round",
+		Participants: []Participant{
+			{Name: "a", Role: "member"}, {Name: "b", Role: "member"}, {Name: "c", Role: "member"},
+		},
+		Links: []Link{
+			{From: "a", Outbox: "out", To: "b", Inbox: "in"},
+			{From: "b", Outbox: "out", To: "c", Inbox: "in"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if got := requestsAt(name); got != 1 {
+			t.Errorf("Initiate delivered %d requests to %s's %s inbox, want 1", got, name, ControlInbox)
+		}
+	}
+
+	if err := h.Grow(context.Background(), Participant{Name: "d", Role: "member"},
+		[]Link{{From: "d", Outbox: "out", To: "a", Inbox: "in"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := requestsAt("d"); got != 1 {
+		t.Errorf("Grow delivered %d requests to the newcomer's %s inbox, want 1", got, ControlInbox)
+	}
+
+	for _, kind := range []string{"session.commit", "session.commit-ack", "session.abort"} {
+		if wire.Registered(kind) {
+			t.Errorf("wire still registers %q", kind)
+		}
+	}
+}
+
+// TestTerminateRetryAfterFailure checks that a Terminate which fails
+// leaves the handle live: the retry must reach the participant again
+// rather than report success without contacting anyone.
+func TestTerminateRetryAfterFailure(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(15))
+	dir := directory.New()
+
+	// The participant swallows its first terminate and acks the rest.
+	var terminates atomic.Int32
+	d := w.Dapplet("hp", "t", "part")
+	svc.Serve(d, ControlInbox, svc.Handlers{
+		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+			return &inviteRepMsg{SessionID: req.(*inviteMsg).SessionID, Name: "part", Accepted: true}, nil
+		},
+		"session.terminate": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+			if terminates.Add(1) == 1 {
+				return nil, svc.NoReply
+			}
+			return &terminateAckMsg{SessionID: req.(*terminateMsg).SessionID, Name: "part"}, nil
+		},
+	})
+	_ = dir.Register(context.Background(), directory.Entry{Name: "part", Type: "t", Addr: d.Addr()})
+
+	ini := NewInitiator(w.Dapplet("hq", "t", "director"), dir)
+	h, err := ini.Initiate(context.Background(), Spec{
+		ID:           "retry",
+		Participants: []Participant{{Name: "part", Role: "member"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := h.Terminate(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first Terminate = %v, want context.DeadlineExceeded", err)
+	}
+	if err := h.Terminate(context.Background()); err != nil {
+		t.Fatalf("retried Terminate = %v", err)
+	}
+	if got := terminates.Load(); got != 2 {
+		t.Fatalf("participant saw %d terminates, want 2", got)
+	}
+	// Once one has succeeded, Terminate contacts no one.
+	if err := h.Terminate(context.Background()); err != nil {
+		t.Fatalf("third Terminate = %v", err)
+	}
+	if got := terminates.Load(); got != 2 {
+		t.Fatalf("participant saw %d terminates after a completed Terminate, want 2", got)
 	}
 }
 

@@ -75,14 +75,15 @@ type Spec struct {
 
 // inviteMsg asks a dapplet to join a session. It travels as an svc
 // request (the framework carries the correlation id and reply inbox);
-// the reply is an inviteRepMsg.
+// the reply is an inviteRepMsg, sent once an accepting dapplet has
+// linked itself up.
 type inviteMsg struct {
 	SessionID string
 	Task      string
 	Role      string
 	Access    state.AccessSet
-	// Bindings are the outbox bindings this participant must create at
-	// commit time.
+	// Bindings are the outbox bindings this participant creates when it
+	// accepts.
 	Bindings []Binding
 	// Inboxes are inbox names this participant must ensure exist.
 	Inboxes []string
@@ -96,7 +97,7 @@ type inviteMsg struct {
 	// Size is the number of participants in the whole session.
 	Size int
 	// Tree, when non-nil, wires this participant into the session's
-	// relay multicast tree at commit time.
+	// relay multicast tree when it accepts.
 	Tree *TreeSpec
 	// Depth is the tree's root-to-leaf hop count, from which the relay
 	// sets its hop budget (0 on a flat session).
@@ -253,71 +254,9 @@ func (m *inviteRepMsg) UnmarshalBinary(data []byte) error {
 	return r.Done()
 }
 
-// commitMsg tells an accepted participant to apply its bindings.
-type commitMsg struct {
-	SessionID string
-}
-
-func (*commitMsg) Kind() string { return "session.commit" }
-
-// AppendBinary implements wire.Msg.
-func (m *commitMsg) AppendBinary(dst []byte) ([]byte, error) {
-	return wire.AppendString(dst, m.SessionID), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *commitMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.SessionID = r.String()
-	return r.Done()
-}
-
-// commitAckMsg confirms a participant is linked.
-type commitAckMsg struct {
-	SessionID string
-	Name      string
-}
-
-func (*commitAckMsg) Kind() string { return "session.commit-ack" }
-
-// AppendBinary implements wire.Msg.
-func (m *commitAckMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.SessionID)
-	return wire.AppendString(dst, m.Name), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *commitAckMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.SessionID = r.String()
-	m.Name = r.String()
-	return r.Done()
-}
-
-// abortMsg cancels a pending session at an accepted participant.
-type abortMsg struct {
-	SessionID string
-	Reason    string
-}
-
-func (*abortMsg) Kind() string { return "session.abort" }
-
-// AppendBinary implements wire.Msg.
-func (m *abortMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.SessionID)
-	return wire.AppendString(dst, m.Reason), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *abortMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.SessionID = r.String()
-	m.Reason = r.String()
-	return r.Done()
-}
-
 // terminateMsg ends a session: the participant unlinks its bindings and
-// releases its state access.
+// releases its state access. An initiator that gives up on a set-up
+// casts it one-way to undo the accepts.
 type terminateMsg struct {
 	SessionID string
 }
@@ -436,9 +375,6 @@ func (m *relinkAckMsg) UnmarshalBinary(data []byte) error {
 func init() {
 	wire.Register(&inviteMsg{})
 	wire.Register(&inviteRepMsg{})
-	wire.Register(&commitMsg{})
-	wire.Register(&commitAckMsg{})
-	wire.Register(&abortMsg{})
 	wire.Register(&terminateMsg{})
 	wire.Register(&terminateAckMsg{})
 	wire.Register(&relinkMsg{})

@@ -15,7 +15,7 @@ import (
 const persistPrefix = "@session:"
 
 // persistedMembership is the durable form of one membership, written to
-// the dapplet's store at commit and every relink. It is everything a
+// the dapplet's store at accept and every relink. It is everything a
 // fresh incarnation needs to stand the membership back up: the wiring
 // (bindings, inboxes), the roster as Membership.Roster holds it — on a
 // tree session the view, whose neighbours the relay rebinds to — and the

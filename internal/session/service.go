@@ -127,7 +127,10 @@ type Policy struct {
 	// into a session; returning false rejects the invitation ("because
 	// the requesting dapplet was not on its access control list", §3.1).
 	ACL func(from netsim.Addr, inv Invitation) bool
-	// OnJoin, when non-nil, runs after the dapplet commits to a session.
+	// OnJoin, when non-nil, runs once the dapplet has accepted an
+	// invitation and linked itself up — before the rest of the group has
+	// answered, so an initiator that then gives up follows it with
+	// OnLeave.
 	OnJoin func(m *Membership)
 	// OnLeave, when non-nil, runs after the dapplet unlinks from a
 	// session (terminate or shrink).
@@ -142,7 +145,6 @@ type Service struct {
 	policy Policy
 
 	mu      sync.Mutex
-	pending map[string]*inviteMsg
 	members map[string]*Membership
 
 	relayOnce sync.Once
@@ -192,32 +194,20 @@ func (s *Service) unbindTree(sid string, t *TreeSpec) {
 	s.Relay().Unbind(sid)
 }
 
-// errUnknownSession answers a commit whose session this dapplet knows
-// nothing about — an abort raced ahead of the commit; the initiator has
-// already given the session up.
-var errUnknownSession = &svc.Error{Code: svc.CodeUser + 0, Msg: "unknown session"}
-
 // Attach equips a dapplet with the session service: the "@session" inbox
-// becomes an svc-served inbox whose handlers run the invite/commit/
-// relink/terminate protocol. Aborts arrive one-way (bare); everything
-// else is correlated and acknowledged through the framework.
+// becomes an svc-served inbox whose handlers run the invite/relink/
+// terminate protocol. An initiator that gives up casts the terminate
+// one-way; everything else is correlated and acknowledged through the
+// framework.
 func Attach(d *core.Dapplet, policy Policy) *Service {
 	s := &Service{
 		d:       d,
 		policy:  policy,
-		pending: make(map[string]*inviteMsg),
 		members: make(map[string]*Membership),
 	}
 	svc.Serve(d, ControlInbox, svc.Handlers{
 		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return s.onInvite(c.From(), req.(*inviteMsg)), nil
-		},
-		"session.commit": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			return s.onCommit(req.(*commitMsg))
-		},
-		"session.abort": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			s.onAbort(req.(*abortMsg))
-			return nil, nil
 		},
 		"session.terminate": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return s.onTerminate(req.(*terminateMsg)), nil
@@ -252,13 +242,15 @@ func (s *Service) Membership(id string) (*Membership, bool) {
 	return m, ok
 }
 
+// onInvite answers an invitation. An accepting dapplet links itself up
+// before it replies (§3.1): it creates the session's inboxes, binds its
+// outboxes and tree, and records the membership.
 func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 	accept := &inviteRepMsg{SessionID: inv.SessionID, Name: s.d.Name(), Accepted: true}
 	s.mu.Lock()
-	_, already := s.pending[inv.SessionID]
 	_, member := s.members[inv.SessionID]
 	s.mu.Unlock()
-	if already || member {
+	if member {
 		// Idempotent re-accept: the initiator may retry.
 		return accept
 	}
@@ -292,41 +284,21 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 		return &inviteRepMsg{SessionID: inv.SessionID, Name: s.d.Name(), Reason: reason}
 	}
 
-	s.mu.Lock()
-	s.pending[inv.SessionID] = inv
-	s.mu.Unlock()
-	return accept
-}
-
-func (s *Service) onCommit(m *commitMsg) (wire.Msg, error) {
-	s.mu.Lock()
-	if _, member := s.members[m.SessionID]; member {
-		s.mu.Unlock()
-		return &commitAckMsg{SessionID: m.SessionID, Name: s.d.Name()}, nil
-	}
-	inv, ok := s.pending[m.SessionID]
-	delete(s.pending, m.SessionID)
-	s.mu.Unlock()
-	if !ok {
-		// Commit for an unknown session: an abort raced ahead, and the
-		// initiator has already given the session up.
-		return nil, errUnknownSession
-	}
 	for _, name := range inv.Inboxes {
 		s.d.Inbox(name)
 	}
 	for _, b := range inv.Bindings {
 		ob := s.d.Outbox(b.Outbox)
-		ob.SetSession(m.SessionID)
+		ob.SetSession(inv.SessionID)
 		ob.Add(b.To)
 	}
 	if inv.Tree != nil {
 		// Epoch 1 is Initiate's: this participant is in from the start.
 		// A later epoch is a Grow into a running session.
-		s.bindTree(m.SessionID, inv.Tree, inv.Roster, inv.Depth, inv.Epoch, inv.Epoch == 1)
+		s.bindTree(inv.SessionID, inv.Tree, inv.Roster, inv.Depth, inv.Epoch, inv.Epoch == 1)
 	}
 	mem := &Membership{
-		ID:       m.SessionID,
+		ID:       inv.SessionID,
 		Task:     inv.Task,
 		Role:     inv.Role,
 		Roster:   inv.Roster,
@@ -339,38 +311,13 @@ func (s *Service) onCommit(m *commitMsg) (wire.Msg, error) {
 		epoch:    inv.Epoch,
 	}
 	s.mu.Lock()
-	s.members[m.SessionID] = mem
+	s.members[inv.SessionID] = mem
 	s.mu.Unlock()
 	s.persist(mem)
 	if s.policy.OnJoin != nil {
 		s.policy.OnJoin(mem)
 	}
-	return &commitAckMsg{SessionID: m.SessionID, Name: s.d.Name()}, nil
-}
-
-// onAbort cancels a session at this participant, whether it is still
-// pending or already committed: an initiator that gave up mid-handshake
-// (rejection elsewhere, timeout, or a cancelled context) aborts every
-// participant, including ones whose commit had landed, and those must
-// unlink and release their state access or the dead session would block
-// future ones through interference control.
-func (s *Service) onAbort(m *abortMsg) {
-	s.mu.Lock()
-	_, wasPending := s.pending[m.SessionID]
-	delete(s.pending, m.SessionID)
-	mem, wasMember := s.members[m.SessionID]
-	delete(s.members, m.SessionID)
-	s.mu.Unlock()
-	if wasMember {
-		s.unlink(mem)
-		s.unpersist(m.SessionID)
-	}
-	if wasPending || wasMember {
-		s.d.Store().Release(m.SessionID)
-	}
-	if wasMember && s.policy.OnLeave != nil {
-		s.policy.OnLeave(m.SessionID)
-	}
+	return accept
 }
 
 // unlink drops a membership's outbox bindings and tree attachment.
@@ -388,11 +335,16 @@ func (s *Service) unlink(mem *Membership) {
 	s.unbindTree(mem.ID, tree)
 }
 
+// onTerminate unlinks this dapplet from a session, unpersists it and
+// releases its state access. It ends a session and also undoes an
+// accepted invite when the initiator gave up on the set-up (a
+// rejection elsewhere, a timeout or a cancelled context); it is
+// idempotent, and a no-op apart from the ack for a session this
+// dapplet never linked into.
 func (s *Service) onTerminate(m *terminateMsg) *terminateAckMsg {
 	s.mu.Lock()
 	mem, ok := s.members[m.SessionID]
 	delete(s.members, m.SessionID)
-	delete(s.pending, m.SessionID)
 	s.mu.Unlock()
 	if ok {
 		s.unlink(mem)

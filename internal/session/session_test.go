@@ -3,6 +3,7 @@ package session_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,9 +128,18 @@ func TestStarSessionSetupAndMessageFlow(t *testing.T) {
 	}
 }
 
+// TestACLRejection pins the failure contract of the one-phase set-up:
+// while one participant rejects by ACL, another accepts and links itself
+// up (OnJoin runs), and the initiator's terminate undoes all of it —
+// OnLeave runs, and no membership, state access, binding or durable
+// record survives, so a restore after a crash brings nothing back.
 func TestACLRejection(t *testing.T) {
 	w := newSWorld(t)
-	w.add("h1", "open", "t", session.Policy{})
+	hooks := make(chan string, 2)
+	open := w.add("h1", "open", "t", session.Policy{
+		OnJoin:  func(m *session.Membership) { hooks <- "join " + m.ID },
+		OnLeave: func(id string) { hooks <- "leave " + id },
+	})
 	w.add("h2", "closed", "t", session.Policy{
 		ACL: func(from netsim.Addr, inv session.Invitation) bool { return false },
 	})
@@ -137,9 +147,10 @@ func TestACLRejection(t *testing.T) {
 	spec := session.Spec{
 		ID: "acl-test",
 		Participants: []session.Participant{
-			{Name: "open", Role: "a"},
+			{Name: "open", Role: "a", Access: state.AccessSet{Write: []string{"v"}}},
 			{Name: "closed", Role: "b"},
 		},
+		Links: []session.Link{{From: "open", Outbox: "out", To: "closed", Inbox: "in"}},
 	}
 	_, err := ini.Initiate(context.Background(), spec)
 	var rej *session.RejectedError
@@ -149,19 +160,34 @@ func TestACLRejection(t *testing.T) {
 	if len(rej.Rejections) != 1 || rej.Rejections[0].Name != "closed" {
 		t.Fatalf("rejections = %+v", rej.Rejections)
 	}
-	// The accepted participant must have been aborted: its state access
-	// is released eventually.
-	open, _ := w.services["open"].Dapplet(), 0
-	deadline := time.Now().Add(5 * time.Second)
-	for len(open.Store().LiveSessions()) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("abort never released store: %v", open.Store().LiveSessions())
+	// The accepted participant linked itself up, then was terminated;
+	// OnLeave is the last thing a terminate does.
+	for _, want := range []string{"join acl-test", "leave acl-test"} {
+		select {
+		case got := <-hooks:
+			if got != want {
+				t.Fatalf("policy hook %q, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("policy hook %q never ran", want)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	// And no membership exists anywhere.
+	if got := open.Store().LiveSessions(); len(got) != 0 {
+		t.Fatalf("abort never released store: %v", got)
+	}
 	if got := w.services["open"].Sessions(); len(got) != 0 {
 		t.Fatalf("open joined %v despite abort", got)
+	}
+	if n := len(open.Outbox("out").Destinations()); n != 0 {
+		t.Fatalf("open kept %d bindings despite abort", n)
+	}
+	for _, name := range open.Store().Names() {
+		if strings.HasPrefix(name, "@session:") { // the durable membership record
+			t.Fatalf("durable record %q survived the abort", name)
+		}
+	}
+	if restored, err := w.services["open"].RestoreSessions(); err != nil || len(restored) != 0 {
+		t.Fatalf("RestoreSessions = %v, %v; want nothing", restored, err)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestTreeSessionBroadcast(t *testing.T) {
 		t.Fatalf("handle tree = %v epoch %d", tr, epoch)
 	}
 
-	// Every member's session service bound the tree at commit.
+	// Every member's session service bound the tree when it accepted.
 	for _, n := range names {
 		mem, ok := w.services[n].Membership("tree-1")
 		if !ok {

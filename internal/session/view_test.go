@@ -214,7 +214,7 @@ func measureSetup(t *testing.T, n int) (cost, retransmits uint64) {
 	if _, err := ini.Initiate(context.Background(), treeSpec("bench-00000001", names, 0)); err != nil {
 		t.Fatal(err)
 	}
-	// Initiate returns on the last commit ack; the transport acks of
+	// Initiate returns on the last invite reply; the transport acks of
 	// those replies trail it. Read once the counters stand still.
 	cost = wire() - before
 	for settled := 0; settled < 3; {
