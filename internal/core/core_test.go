@@ -687,3 +687,55 @@ func TestReceiveGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestInlineInbox: an inline inbox's func runs on the goroutine that
+// delivers each arrival, in order — the receive loop for frames off the
+// wire, the caller for DeliverLocal — and nothing is queued. Once the
+// inbox closes, arrivals are dropped.
+func TestInlineInbox(t *testing.T) {
+	w := newWorld(t)
+	src, dst := w.dapplet("a", "src"), w.dapplet("b", "dst")
+	type arrival struct {
+		text     string
+		recvLoop bool
+	}
+	got := make(chan arrival, 8)
+	in := dst.NewInlineInbox(func(env *wire.Envelope) {
+		buf := make([]byte, 4096)
+		stack := string(buf[:runtime.Stack(buf, false)])
+		got <- arrival{env.Body.(*wire.Text).S, strings.Contains(stack, "recvLoop")}
+	})
+	for _, s := range []string{"one", "two", "three"} {
+		if err := src.SendDirect(in.Ref(), "", &wire.Text{S: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{"one", "two", "three"} {
+		select {
+		case a := <-got:
+			if a.text != want || !a.recvLoop {
+				t.Fatalf("arrival %q (on the receive loop: %v), want %q on it", a.text, a.recvLoop, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%q never arrived", want)
+		}
+	}
+	local := &wire.Envelope{To: in.Ref(), Body: &wire.Text{S: "local"}}
+	dst.DeliverLocal(local)
+	select {
+	case a := <-got:
+		if a.text != "local" || a.recvLoop {
+			t.Fatalf("DeliverLocal ran the func for %q on the receive loop: %v", a.text, a.recvLoop)
+		}
+	default:
+		t.Fatal("DeliverLocal returned before the inline func ran")
+	}
+	if !in.IsEmpty() {
+		t.Fatal("an inline inbox queued an arrival")
+	}
+	dst.Stop()
+	dst.DeliverLocal(local)
+	if len(got) != 0 {
+		t.Fatal("a closed inline inbox still ran its func")
+	}
+}

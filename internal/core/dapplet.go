@@ -159,11 +159,25 @@ func (d *Dapplet) closeIfStopped(in *Inbox) {
 // NewInbox creates an inbox with a fresh auto-generated name, standing in
 // for the paper's inboxes "to which no strings are attached" (the
 // generated name plays the role of the local id in the global address).
-func (d *Dapplet) NewInbox() *Inbox {
+func (d *Dapplet) NewInbox() *Inbox { return d.newAnonInbox(nil) }
+
+// NewInlineInbox creates an inbox with a fresh auto-generated name whose
+// arrivals are never queued: each runs f on the goroutine delivering it,
+// which is the transport's receive goroutine for arrivals off the wire
+// and the caller's for DeliverLocal. f must never wait, on the network
+// or on anything else (see OnRecv): the frames after this one, acks
+// included, wait behind it. Once the inbox closes, arrivals are dropped.
+// Nothing is ever queued, so the receive methods only report the close.
+func (d *Dapplet) NewInlineInbox(f func(*wire.Envelope)) *Inbox {
+	return d.newAnonInbox(f)
+}
+
+func (d *Dapplet) newAnonInbox(inline func(*wire.Envelope)) *Inbox {
 	d.mu.Lock()
 	d.anonSeq++
 	name := fmt.Sprintf("_in%d", d.anonSeq)
 	in := newInbox(d, name)
+	in.inline = inline
 	d.inboxes[name] = in
 	d.mu.Unlock()
 	d.closeIfStopped(in)
@@ -340,7 +354,8 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
 // if it had arrived off the wire: the clock observes the stamp, receive
-// observers (snapshots) see it, and it lands in env.To.Inbox or the
+// observers (snapshots) see it, and it lands in env.To.Inbox — or runs
+// that inbox's func, on this goroutine, for an inline inbox — or the
 // dead-letter count. The relay layer delivers tree-multicast payloads
 // through it, and checkpoint channel replay re-queues in-flight messages
 // with it, so both stay inside the §4.2 clock discipline. Arrivals off

@@ -17,6 +17,9 @@ import (
 type Inbox struct {
 	d    *Dapplet
 	name string
+	// inline, set at creation and never changed, takes each arrival on
+	// the delivering goroutine instead of the queue (Dapplet.NewInlineInbox).
+	inline func(*wire.Envelope)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -41,8 +44,18 @@ func (in *Inbox) Ref() wire.InboxRef {
 	return wire.InboxRef{Dapplet: in.d.Addr(), Inbox: in.name}
 }
 
-// push appends an envelope, never blocking: see DeliverLocal.
+// push appends an envelope, never blocking: see DeliverLocal. An inline
+// inbox hands it to its func instead, unless the inbox is closed.
 func (in *Inbox) push(env *wire.Envelope) {
+	if in.inline != nil {
+		in.mu.Lock()
+		closed := in.closed
+		in.mu.Unlock()
+		if !closed {
+			in.inline(env)
+		}
+		return
+	}
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()

@@ -274,9 +274,7 @@ type Detector struct {
 	wg    sync.WaitGroup
 
 	// callerOnce creates the probe svc.Caller lazily: a detector that
-	// never holds a peer Down never pays the caller's reply inbox and
-	// demultiplex thread — at swarm scale that is one goroutine per
-	// dapplet saved.
+	// never holds a peer Down never pays the caller's reply inbox.
 	callerOnce sync.Once
 	caller     *svc.Caller
 

@@ -159,8 +159,7 @@ type Engine struct {
 	cfg Config
 
 	// callerOnce creates the pull svc.Caller lazily: an engine that only
-	// rumors (every swarm member) never pays the caller's reply inbox
-	// and demultiplex thread.
+	// rumors (every swarm member) never pays the caller's reply inbox.
 	callerOnce sync.Once
 	caller     *svc.Caller
 	loopOnce   sync.Once

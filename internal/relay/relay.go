@@ -251,7 +251,7 @@ func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member
 	)
 	defer enc.Release()
 	for _, n := range neighbors {
-		if n.Addr == inbound || n.Name == frame.Origin {
+		if skipped(n, inbound, frame.Origin) {
 			continue
 		}
 		if sent == 0 {
@@ -267,6 +267,23 @@ func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member
 		sent++
 	}
 	return sent, firstErr
+}
+
+// skipped reports whether flood passes neighbour n over: a frame never
+// goes back to the hop it came in on or to its origin.
+func skipped(n Member, inbound netsim.Addr, origin string) bool {
+	return n.Addr == inbound || n.Name == origin
+}
+
+// forwardsTo reports whether flood would send a frame from origin,
+// arriving from inbound, to any of neighbors.
+func forwardsTo(neighbors []Member, inbound netsim.Addr, origin string) bool {
+	for _, n := range neighbors {
+		if !skipped(n, inbound, origin) {
+			return true
+		}
+	}
+	return false
 }
 
 // Redrive re-floods the session's replay ring to the current tree
@@ -382,7 +399,10 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	}
 	r.mu.Unlock()
 
-	if len(neighbors) > 0 {
+	if forwardsTo(neighbors, env.FromDapplet, f.Origin) {
+		// Copied only here: the copy escapes into the send, and a leaf,
+		// whose one neighbour is the hop the frame came from, has none
+		// to send it to.
 		fwd := *f
 		fwd.TTL--
 		sent, _ := r.flood(sid, &fwd, neighbors, env.FromDapplet)

@@ -15,6 +15,10 @@ import (
 // Every blocking operation takes a context.Context: cancellation and
 // deadlines are honoured uniformly, returning ctx.Err() — never a
 // service-specific timeout error.
+//
+// Replies are matched on the goroutine that delivers them, the
+// dapplet's receive goroutine: a matched reply wakes its Await directly,
+// with no thread in between.
 type Caller struct {
 	d  *core.Dapplet
 	in *core.Inbox
@@ -23,22 +27,17 @@ type Caller struct {
 	seq     uint64
 	waiting map[uint64]*Pending
 	notify  func(*wire.Envelope)
+	// free holds Pendings whose Call consumed its reply, for the next
+	// Call to reuse. Guarded by mu.
+	free []*Pending
 }
 
-// NewCaller attaches a caller to the dapplet: a fresh reply inbox plus a
-// dapplet-managed thread demultiplexing its replies. The thread stops
-// with the dapplet.
+// NewCaller attaches a caller to the dapplet: a fresh inline reply inbox
+// (core.Dapplet.NewInlineInbox), whose arrivals are matched to calls on
+// the goroutine that delivers them. It starts no goroutine.
 func NewCaller(d *core.Dapplet) *Caller {
-	c := &Caller{d: d, in: d.NewInbox(), waiting: make(map[uint64]*Pending)}
-	d.Spawn(func() {
-		for {
-			env, err := c.in.ReceiveEnvelope()
-			if err != nil {
-				return
-			}
-			c.onEnvelope(env)
-		}
-	})
+	c := &Caller{d: d, waiting: make(map[uint64]*Pending)}
+	c.in = d.NewInlineInbox(c.onEnvelope)
 	return c
 }
 
@@ -49,14 +48,19 @@ func (c *Caller) ReplyRef() wire.InboxRef { return c.in.Ref() }
 
 // OnNotify registers a callback for uncorrelated messages arriving on the
 // reply inbox — server-initiated pushes such as directory watch events.
-// The callback runs on the caller's demultiplex thread and must not
-// block.
+// The callback runs on the dapplet's receive goroutine, in arrival
+// order, and must never wait: not on a send, a reply, or a lock held
+// across either, since the frames after this one wait behind it.
 func (c *Caller) OnNotify(f func(*wire.Envelope)) {
 	c.mu.Lock()
 	c.notify = f
 	c.mu.Unlock()
 }
 
+// onEnvelope matches one arrival on the reply inbox. It runs on the
+// delivering goroutine and never waits: a reply's channel has room for
+// it, and an abandoned call's late callback, which may send, gets a
+// thread of its own.
 func (c *Caller) onEnvelope(env *wire.Envelope) {
 	rep, ok := env.Body.(*repMsg)
 	if !ok {
@@ -75,7 +79,7 @@ func (c *Caller) onEnvelope(env *wire.Envelope) {
 	c.mu.Unlock()
 	switch {
 	case abandoned:
-		p.late(decodeMsg(rep))
+		c.d.Spawn(func() { p.late(decodeMsg(rep)) })
 	case p != nil:
 		p.ch <- rep
 	}
@@ -101,9 +105,10 @@ type Pending struct {
 // OnLate routes a reply that arrives after Await gave up on its context
 // to f, decoded as AwaitMsg would have returned it, instead of dropping
 // it. A request whose effect the caller must undo — a token grant booked
-// to it at the allocator — uses it to hand that effect back. f runs once,
-// on the caller's demultiplex thread or Await's, and must not block; a
-// reply awaited normally never reaches it. Call OnLate before Await.
+// to it at the allocator — uses it to hand that effect back. f runs once:
+// on Await's goroutine when the reply was already in, otherwise on a
+// dapplet thread started for it, so f may send. A reply awaited
+// normally never reaches it. Call OnLate before Await.
 func (p *Pending) OnLate(f func(wire.Msg, error)) { p.late = f }
 
 // Send transmits one correlated request to a served inbox under the given
@@ -112,12 +117,23 @@ func (p *Pending) OnLate(f func(wire.Msg, error)) { p.late = f }
 // (the request is on the wire when Send returns) while collecting the
 // reply later, possibly on another thread.
 func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending, error) {
+	return c.send(to, session, req, false)
+}
+
+// send is Send; with reuse it takes the Pending from the free list when
+// one is there, for a call that returns it with release.
+func (c *Caller) send(to wire.InboxRef, session string, req wire.Msg, reuse bool) (*Pending, error) {
 	body, err := wire.EncodeBody(req)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pending{c: c, ch: make(chan *repMsg, 1)}
 	c.mu.Lock()
+	var p *Pending
+	if n := len(c.free); reuse && n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = &Pending{c: c, ch: make(chan *repMsg, 1)}
+	}
 	c.seq++
 	p.seq = c.seq
 	c.waiting[p.seq] = p
@@ -167,7 +183,7 @@ func decodeMsg(rep *repMsg) (wire.Msg, error) {
 }
 
 // abandon stops waiting for the reply: it is dropped, or routed to the
-// OnLate callback when one is set — including a reply the demultiplexer
+// OnLate callback when one is set — including a reply onEnvelope
 // claimed just before the context ended.
 func (p *Pending) abandon() {
 	c := p.c
@@ -220,11 +236,25 @@ func (c *Caller) CallTagged(ctx context.Context, to wire.InboxRef, session strin
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p, err := c.Send(to, session, req)
+	p, err := c.send(to, session, req, true)
 	if err != nil {
 		return err
 	}
-	return p.Await(ctx, resp)
+	rep, err := p.wait(ctx)
+	if err != nil {
+		return err // abandoned or stopped: p is never reused
+	}
+	c.release(p)
+	return decodeReply(rep, resp)
+}
+
+// release returns a Pending whose reply has been received to the free
+// list. Nothing else refers to it by then: onEnvelope removed it from
+// waiting before sending the reply, and its channel is empty again.
+func (c *Caller) release(p *Pending) {
+	c.mu.Lock()
+	c.free = append(c.free, p)
+	c.mu.Unlock()
 }
 
 // Cast issues one asynchronous (one-way) request: the bare message is

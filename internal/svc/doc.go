@@ -14,7 +14,9 @@
 //     on the same inbox is dispatched one-way (heartbeats, aborts). A
 //     handler whose answer waits on a later request (a queued token
 //     request, a barrier's early arrivals) takes its Reply with Ctx.Defer
-//     and sends it from that later request's handler.
+//     and sends it from that later request's handler. Handlers run one
+//     at a time on the server's dispatch thread; the *Ctx they get is
+//     valid until they return.
 //   - Caller owns a private reply inbox and matches responses to calls by
 //     correlation id. Call blocks under a context.Context — cancellation
 //     and deadlines work uniformly, returning context.Canceled or
@@ -22,7 +24,12 @@
 //     Send/Await split one call into transmit-now/await-later, with
 //     Pending.OnLate catching a reply that lands after Await gave up, and
 //     CallFirst fans a request to replicas and returns on the first
-//     success (the replicated-directory write pattern).
+//     success (the replicated-directory write pattern). Replies are
+//     matched on the dapplet's receive goroutine, which wakes the
+//     waiting Await directly: a Caller runs no goroutine of its own.
+//     OnNotify callbacks run on that goroutine too and must never wait;
+//     an OnLate callback runs on Await's goroutine or on a dapplet
+//     thread of its own, never there.
 //   - Handler errors travel as typed values: an *Error's code survives
 //     the wire, so callers dispatch on errors.Is/errors.As instead of
 //     parsing strings. Codes at or above CodeUser are reserved for the

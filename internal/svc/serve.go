@@ -17,7 +17,10 @@ var NoReply = errors.New("svc: no reply")
 
 // Ctx carries the delivery context of one request into its handler: the
 // full envelope (sender address, session tag, logical timestamp) and, for
-// correlated requests, the reply owed to the caller.
+// correlated requests, the reply owed to the caller. A *Ctx is valid
+// until its handler returns: the server reuses it for the next request,
+// so a handler that answers later keeps the Reply from Defer, not c, and
+// a thread it starts copies what it needs from c first.
 type Ctx struct {
 	env      *wire.Envelope
 	rep      Reply
@@ -91,9 +94,10 @@ func (c *Ctx) Defer() Reply {
 // Handler serves one request kind. The returned message (which may be nil
 // for requests that want only an empty acknowledgement) is marshalled
 // into the reply; a returned error travels as a typed *Error in its
-// place. Handlers run on the server's dispatch thread and should not
-// block indefinitely; one whose answer waits on a later request takes
-// its reply with Ctx.Defer instead.
+// place. Handlers run on the server's dispatch thread, one at a time,
+// and should not block indefinitely; one whose answer waits on a later
+// request takes its reply with Ctx.Defer instead. c is valid until the
+// handler returns.
 type Handler func(c *Ctx, req wire.Msg) (wire.Msg, error)
 
 // Handlers maps request message kinds to their handlers: the typed
@@ -106,6 +110,9 @@ type Server struct {
 	d     *core.Dapplet
 	inbox string
 	h     Handlers
+	// ctx is every request's Ctx in turn: dispatch runs on one thread and
+	// a Ctx lives only until its handler returns.
+	ctx Ctx
 }
 
 // Serve consumes the named inbox on the dapplet and dispatches each
@@ -131,12 +138,14 @@ func (s *Server) dispatch(env *wire.Envelope) {
 	if !ok {
 		// A bare registered message: one-way dispatch by its own kind.
 		if h := s.h[env.Body.Kind()]; h != nil {
-			_, _ = h(&Ctx{env: env}, env.Body)
+			s.ctx = Ctx{env: env}
+			_, _ = h(&s.ctx, env.Body)
 		}
 		return
 	}
 	to := wire.InboxRef{Dapplet: env.FromDapplet, Inbox: rm.ReplyInbox}
-	c := &Ctx{env: env, rep: Reply{d: s.d, to: to, session: env.Session, seq: rm.Seq}}
+	c := &s.ctx
+	*c = Ctx{env: env, rep: Reply{d: s.d, to: to, session: env.Session, seq: rm.Seq}}
 	var resp wire.Msg
 	req, err := wire.DecodeBody(rm.BodyID, rm.Body)
 	if err != nil {

@@ -337,3 +337,98 @@ func TestOnLate(t *testing.T) {
 		t.Fatalf("reply = %q, %v", got.S, err)
 	}
 }
+
+// TestNewCallerAddsNoGoroutine: a caller matches replies on the
+// goroutine that delivers them, so attaching one starts nothing.
+func TestNewCallerAddsNoGoroutine(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(9))
+	d := w.Dapplet("hc", "t", "client")
+	before := runtime.NumGoroutine()
+	callers := make([]*svc.Caller, 8)
+	for i := range callers {
+		callers[i] = svc.NewCaller(d)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d callers took the goroutine count from %d to %d", len(callers), before, after)
+	}
+}
+
+// TestCallAllocs is the round trip's allocation budget: one Call and its
+// echo over a netsim pair, counted across every goroutine it involves
+// (caller, both receive loops, the server's dispatch thread). A Call
+// reuses its Pending and reply channel and the server its Ctx, so what
+// is left is the two messages' encode and decode.
+func TestCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w := newWorld(t, netsim.WithSeed(10))
+	srv := svc.Serve(w.Dapplet("hs", "t", "server"), "@echo", svc.Handlers{
+		"wire.bytes": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) { return req, nil },
+	})
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
+	ctx := context.Background()
+	req := &wire.Bytes{B: make([]byte, 64)}
+	var resp wire.Bytes
+	call := func() {
+		if err := caller.Call(ctx, srv.Ref(), req, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2000 { // warm the pools, the free lists and the decoders
+		call()
+	}
+	const budget = 8
+	allocs := testing.AllocsPerRun(2000, call)
+	t.Logf("%.2f allocations per call", allocs)
+	if allocs > budget {
+		t.Fatalf("one Call allocates %.2f times, want <= %d", allocs, budget)
+	}
+}
+
+// TestBlockedOnLateDoesNotStallReplies: a late reply's OnLate callback
+// may send, and a send can wait for the window, so it runs off the
+// goroutine that matches replies. While one blocks, another call on the
+// same caller still gets its reply.
+func TestBlockedOnLateDoesNotStallReplies(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(11))
+	parked := make(chan svc.Reply, 1)
+	srv := svc.Serve(w.Dapplet("hs", "t", "server"), "@late", svc.Handlers{
+		"wire.text": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+			if req.(*wire.Text).S == "park" {
+				parked <- c.Defer()
+				return nil, nil
+			}
+			return req, nil
+		},
+	})
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
+
+	p, err := caller.Send(srv.Ref(), "", &wire.Text{S: "park"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	defer close(unblock)
+	p.OnLate(func(wire.Msg, error) {
+		close(entered)
+		<-unblock
+	})
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := p.Await(short, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	(<-parked).Send(&wire.Text{S: "late"}, nil)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("late reply never reached OnLate")
+	}
+	ctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel2()
+	var got wire.Text
+	if err := caller.Call(ctx, srv.Ref(), &wire.Text{S: "next"}, &got); err != nil || got.S != "next" {
+		t.Fatalf("a call behind a blocked OnLate = %q, %v", got.S, err)
+	}
+}

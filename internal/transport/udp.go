@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +68,10 @@ type udpConn struct {
 	mu        sync.Mutex
 	cache     map[netsim.Addr]*net.UDPAddr
 	cacheFIFO []netsim.Addr
+
+	// lastFrom is the last datagram's sender and its netsim.Addr, so a
+	// run of datagrams from one peer formats the address once.
+	lastFrom atomic.Pointer[fromMemo]
 
 	readCalls    atomic.Uint64
 	writeCalls   atomic.Uint64
@@ -231,10 +236,31 @@ func (c *udpConn) ReadFrom() ([]byte, netsim.Addr, error) {
 	return d.buf, d.from, nil
 }
 
+// fromMemo pairs a sender's socket address with its netsim.Addr.
+type fromMemo struct {
+	ap   netip.AddrPort
+	addr netsim.Addr
+}
+
+// fromAddr returns the sender's netsim.Addr. The host prints as net.IP
+// does: a v4 or v4-mapped address as a dotted quad, with no zone. It is
+// formatted only when the sender differs from the last one's.
+func (c *udpConn) fromAddr(ap netip.AddrPort) netsim.Addr {
+	if m := c.lastFrom.Load(); m != nil && m.ap == ap {
+		return m.addr
+	}
+	m := &fromMemo{ap: ap, addr: netsim.Addr{
+		Host: ap.Addr().Unmap().WithZone("").String(),
+		Port: ap.Port(),
+	}}
+	c.lastFrom.Store(m)
+	return m.addr
+}
+
 // readSingle reads one datagram with one syscall into a pooled buffer.
 func (c *udpConn) readSingle() ([]byte, netsim.Addr, error) {
 	bp := udpBufPool.Get().(*[]byte)
-	n, ua, err := c.conn.ReadFromUDP(*bp)
+	n, ap, err := c.conn.ReadFromUDPAddrPort(*bp)
 	if err != nil {
 		udpBufPool.Put(bp)
 		if errors.Is(err, net.ErrClosed) {
@@ -247,7 +273,7 @@ func (c *udpConn) readSingle() ([]byte, netsim.Addr, error) {
 	out := make([]byte, n)
 	copy(out, (*bp)[:n])
 	udpBufPool.Put(bp)
-	return out, netsim.Addr{Host: ua.IP.String(), Port: uint16(ua.Port)}, nil
+	return out, c.fromAddr(ap), nil
 }
 
 // fillSingle refills the pending queue with one single-syscall read;

@@ -5,6 +5,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -131,7 +132,7 @@ func (c *udpConn) fillBatch() error {
 		l := int(st.rxHdrs[i].n)
 		buf := make([]byte, l)
 		copy(buf, st.rxBufs[i][:l])
-		c.pend = append(c.pend, rxDatagram{buf: buf, from: sockaddrToAddr(&st.rxNames[i])})
+		c.pend = append(c.pend, rxDatagram{buf: buf, from: c.sockaddrToAddr(&st.rxNames[i])})
 	}
 	return nil
 }
@@ -217,22 +218,20 @@ func putSockaddr(dst *syscall.RawSockaddrAny, ua *net.UDPAddr, v6 bool) uint32 {
 }
 
 // sockaddrToAddr decodes a kernel-written raw sockaddr into a transport
-// address, printing v4-mapped v6 addresses as dotted quads exactly like
-// the single-packet path's net.IP.String.
-func sockaddrToAddr(rsa *syscall.RawSockaddrAny) netsim.Addr {
+// address through the sender memo, exactly as the single-packet path
+// reads it.
+func (c *udpConn) sockaddrToAddr(rsa *syscall.RawSockaddrAny) netsim.Addr {
+	var ip netip.Addr
+	var port *[2]byte
 	switch rsa.Addr.Family {
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, 4)
-		copy(ip, sa.Addr[:])
-		return netsim.Addr{Host: ip.String(), Port: uint16(p[0])<<8 | uint16(p[1])}
+		ip, port = netip.AddrFrom4(sa.Addr), (*[2]byte)(unsafe.Pointer(&sa.Port))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(rsa))
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, 16)
-		copy(ip, sa.Addr[:])
-		return netsim.Addr{Host: ip.String(), Port: uint16(p[0])<<8 | uint16(p[1])}
+		ip, port = netip.AddrFrom16(sa.Addr), (*[2]byte)(unsafe.Pointer(&sa.Port))
+	default:
+		return netsim.Addr{}
 	}
-	return netsim.Addr{}
+	return c.fromAddr(netip.AddrPortFrom(ip, uint16(port[0])<<8|uint16(port[1])))
 }

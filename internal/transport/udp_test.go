@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -152,5 +153,78 @@ func TestUDPReadFromAllocBounded(t *testing.T) {
 	}
 	if per := res.AllocedBytesPerOp(); per > 4096 {
 		t.Fatalf("write+read allocates %d B/op; receive buffer is not being recycled", per)
+	}
+}
+
+// TestUDPSenderAddrForm pins the form of a datagram's sender address on
+// both read paths: a v4 host as a dotted quad, also when a dual-stack
+// socket sees it v4-mapped, and a v6 host as net.IP prints it.
+func TestUDPSenderAddrForm(t *testing.T) {
+	for _, tc := range []struct{ recv, send, host string }{
+		{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1"},
+		{"[::]:0", "127.0.0.1:0", "127.0.0.1"}, // arrives as ::ffff:127.0.0.1
+		{"[::1]:0", "[::1]:0", "::1"},
+	} {
+		for _, batch := range []int{0, 16} {
+			pb, err := ListenUDPConfig(tc.recv, UDPConfig{Batch: batch})
+			if err != nil {
+				t.Logf("skipping %s: %v", tc.recv, err)
+				continue
+			}
+			sa, err := net.ResolveUDPAddr("udp", tc.send)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sender, err := net.ListenUDP("udp", sa)
+			if err != nil {
+				pb.Close()
+				t.Logf("skipping %s: %v", tc.send, err)
+				continue
+			}
+			to := &net.UDPAddr{IP: net.ParseIP(tc.host), Port: int(pb.LocalAddr().Port)}
+			want := netsim.Addr{Host: tc.host, Port: uint16(sender.LocalAddr().(*net.UDPAddr).Port)}
+			for range 2 { // the second read takes the memoized address
+				if _, err := sender.WriteToUDP([]byte("x"), to); err != nil {
+					t.Fatal(err)
+				}
+				_, from, err := pb.ReadFrom()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if from != want {
+					t.Fatalf("%s from %s, batch %d: sender %v, want %v", tc.recv, tc.send, batch, from, want)
+				}
+			}
+			sender.Close()
+			pb.Close()
+		}
+	}
+}
+
+// TestUDPReadAllocs is the single-datagram read path's allocation
+// budget: a datagram from the same sender as the one before costs the
+// exact-size copy handed to the caller and nothing else. Writes go out
+// before the count, so only ReadFrom is measured.
+func TestUDPReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	pa, pb := udpPair(t, UDPConfig{})
+	const runs = 50 // AllocsPerRun makes runs+1 reads
+	for range runs + 2 {
+		if err := pa.WriteTo(pb.LocalAddr(), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := pb.ReadFrom(); err != nil { // memoize the sender
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, _, err := pb.ReadFrom(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ReadFrom allocates %.2f times per datagram, want <= 1", allocs)
 	}
 }
