@@ -739,3 +739,51 @@ func TestInlineInbox(t *testing.T) {
 		t.Fatal("a closed inline inbox still ran its func")
 	}
 }
+
+// An inline inbox's func runs on the receive goroutine, and a send it
+// makes to a peer whose window is full returns at once: the message
+// waits in the transport's backlog and leaves once the window opens.
+func TestInlineInboxSendsPastFullWindow(t *testing.T) {
+	w := newWorld(t)
+	cfg := transport.Config{RTO: 15 * time.Millisecond, MaxRetries: 1000, Window: 2}
+	mk := func(host, name string) *Dapplet {
+		ep, err := w.net.Host(host).BindAny()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDapplet(name, "test", transport.NewSimConn(ep), WithTransportConfig(cfg))
+		t.Cleanup(d.Stop)
+		return d
+	}
+	a, b, c := mk("a", "a"), mk("b", "b"), mk("c", "c")
+	far := c.Inbox("far")
+	w.net.Partition([]string{"a", "b"}, []string{"c"})
+	for i := 0; i < cfg.Window; i++ { // a's window to c fills and stays full
+		if err := a.SendDirect(far.Ref(), "", &wire.Text{S: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := make(chan error, 2)
+	in := a.NewInlineInbox(func(env *wire.Envelope) {
+		sent <- a.SendDirect(far.Ref(), "", env.Body)
+	})
+	for i := cfg.Window; i < cfg.Window+2; i++ { // the second arrives only if the first's send returned
+		if err := b.SendDirect(in.Ref(), "", &wire.Text{S: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Fatalf("the inline func's send: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a send from an inline inbox to a full window never returned")
+		}
+	}
+	w.net.Heal()
+	for i := 0; i < cfg.Window+2; i++ {
+		if got := recvText(t, far); got != fmt.Sprint(i) {
+			t.Fatalf("c's message %d is %q", i, got)
+		}
+	}
+}

@@ -273,8 +273,8 @@ func (d *Dapplet) OnStop(f func()) {
 // the clock merge and before the envelope is queued. Services such as
 // snapshots use it to watch channel traffic. Observers of wire traffic
 // run on the receive goroutine, in arrival order, and must not wait on
-// the network — not on a send window, a reply, or a lock a blocked sender
-// holds: the ack that would free the sender waits behind the observer.
+// the network — not on a reply, a window (an outbox send, SendEncoded)
+// or a lock held across either: what would end it is read there.
 func (d *Dapplet) OnRecv(f func(*wire.Envelope)) {
 	d.obsMu.Lock()
 	d.recvObs = append(d.recvObs, f)
@@ -295,13 +295,13 @@ func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 var sendBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // sendEnvelope marshals and transmits one envelope to its destination
-// dapplet over the reliable layer.
-func (d *Dapplet) sendEnvelope(env *wire.Envelope) error {
+// dapplet over the reliable layer with send (see sendEncoded).
+func (d *Dapplet) sendEnvelope(env *wire.Envelope, send func(netsim.Addr, []byte, []byte) error) error {
 	body, err := wire.EncodeBody(env.Body)
 	if err != nil {
 		return err
 	}
-	err = d.sendEncoded(env, body)
+	err = d.sendEncoded(env, body, send)
 	body.Release()
 	return err
 }
@@ -312,8 +312,9 @@ func (d *Dapplet) sendEnvelope(env *wire.Envelope) error {
 // uses it to fan one body encoding out to many destinations. env does
 // not escape, so callers build it on the stack; send observers, which
 // may keep what they are handed, get a heap copy, made only when one is
-// registered.
-func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
+// registered. send is d.rel.SendWait, which waits for the window, for
+// outbox and relay sends, and d.rel.Send, which never waits, otherwise.
+func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body, send func(netsim.Addr, []byte, []byte) error) error {
 	bufp := sendBufPool.Get().(*[]byte)
 	buf := wire.AppendEnvelopeHeader((*bufp)[:0], env, body)
 	n := len(buf)
@@ -329,7 +330,7 @@ func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 			f(kept)
 		}
 	}
-	err := d.rel.Send(env.To.Dapplet, buf[:n], buf[n:])
+	err := send(env.To.Dapplet, buf[:n], buf[n:])
 	if cap(buf) <= wire.MaxPooledBuf {
 		sendBufPool.Put(bufp)
 	}
@@ -338,8 +339,9 @@ func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body) error {
 
 // SendEncoded sends an already-encoded body to an inbox reference outside
 // any outbox binding, stamping the clock per send. The relay layer uses
-// it to encode a forwarded frame once and transmit the same bytes to all
-// of its tree neighbors; checkpoint replay paths use it likewise.
+// it to encode a frame once and transmit the same bytes to all of its
+// tree neighbors. It waits for the peer's window as an outbox send does,
+// so it must not be called from the receive goroutine or a timer.
 func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
 	env := wire.Envelope{
 		To:          to,
@@ -349,7 +351,7 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 		Lamport:     d.clock.StampSend(),
 		Body:        msg,
 	}
-	return d.sendEncoded(&env, body)
+	return d.sendEncoded(&env, body, d.rel.SendWait)
 }
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
@@ -380,7 +382,7 @@ func (d *Dapplet) DeliverLocal(env *wire.Envelope) {
 
 // SendDirect sends msg to an inbox reference outside any outbox binding.
 // Services use it for point-to-point control traffic (invitations, acks);
-// application traffic should flow through outboxes.
+// application traffic should flow through outboxes. It never waits.
 func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) error {
 	env := wire.Envelope{
 		To:          to,
@@ -390,7 +392,7 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 		Lamport:     d.clock.StampSend(),
 		Body:        msg,
 	}
-	return d.sendEnvelope(&env)
+	return d.sendEnvelope(&env, d.rel.Send)
 }
 
 // deliver is the reliable layer's sink, run on its receive goroutine:
@@ -423,7 +425,7 @@ func (d *Dapplet) Stop() {
 		}
 		d.mu.Unlock()
 		// OnStop callbacks run after the socket closes (a callback still
-		// in a send fails fast instead of blocking on a full window) and
+		// in a send fails fast instead of waiting for a window) and
 		// before threads are waited for (a callback may wait out timer
 		// callbacks that still spawn threads).
 		for _, f := range fns {

@@ -35,7 +35,8 @@ type Outbox struct {
 // relay tree (internal/relay) implements it. Multicast receives the
 // sending outbox's name, the session tag, and the already-taken Lamport
 // stamp; it must encode the body at most once and is responsible for
-// reaching every participant.
+// reaching every participant. It runs on the sender's thread and may
+// wait for a neighbour's window, as Send does.
 type Multicaster interface {
 	Multicast(outbox, session string, lamport uint64, msg wire.Msg) error
 }
@@ -116,9 +117,10 @@ func (o *Outbox) SetMulticast(m Multicaster) {
 
 // Send transmits a copy of msg along every channel connected to the
 // outbox. The message is stamped with the dapplet's logical clock (§4.2).
-// Send blocks only on flow control (a peer's full send window), never on
-// the receiving application; failure to deliver within the retry budget is
-// reported asynchronously on the dapplet's Failures channel.
+// Send waits only on flow control (each peer's full window, before the
+// message is sequenced to it, a Multicaster's neighbours included), never
+// on the receiving application; failure to deliver within the retry
+// budget is reported asynchronously on the dapplet's Failures channel.
 func (o *Outbox) Send(msg wire.Msg) error {
 	o.mu.Lock()
 	if m := o.mcast; m != nil {
@@ -156,7 +158,7 @@ func (o *Outbox) Send(msg wire.Msg) error {
 			Lamport:     o.d.clock.StampSend(),
 			Body:        msg,
 		}
-		if err := o.d.sendEncoded(&env, body); err != nil {
+		if err := o.d.sendEncoded(&env, body, o.d.rel.SendWait); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -165,7 +167,7 @@ func (o *Outbox) Send(msg wire.Msg) error {
 
 // SendTo transmits msg along the single channel to ref, which must be in
 // the binding list; it is a convenience for point-to-point replies over a
-// multicast outbox.
+// multicast outbox. It waits for the window as Send does.
 func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
 	// The bound check and the stamp must be one atomic step: with the
 	// lock dropped in between, a concurrent Delete(ref) would let this
@@ -192,5 +194,5 @@ func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
 		Body:        msg,
 	}
 	o.mu.Unlock()
-	return o.d.sendEnvelope(&env)
+	return o.d.sendEnvelope(&env, o.d.rel.SendWait)
 }

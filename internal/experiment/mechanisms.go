@@ -57,7 +57,7 @@ func e1Cells(p Params) []Cell {
 				payload := make([]byte, 256)
 				t.ResetTimer()
 				for i := 0; i < ops; i++ {
-					if err := ra.Send(rb.LocalAddr(), nil, payload); err != nil {
+					if err := ra.SendWait(rb.LocalAddr(), nil, payload); err != nil {
 						return nil, err
 					}
 				}

@@ -177,14 +177,14 @@ func e12Run(t Timer, frames int, w *world.World, udp bool, mmsg, size, fanout in
 	err = fanOutErr(2, func(g int) error {
 		if g == 0 { // the forward stream
 			for i := 0; i < frames; i++ {
-				if err := snd.Send(rcvs[i%fanout].LocalAddr(), nil, payload); err != nil {
+				if err := snd.SendWait(rcvs[i%fanout].LocalAddr(), nil, payload); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for j := 0; j < share(0); j++ { // the mirror stream
-			if err := rcvs[0].Send(snd.LocalAddr(), nil, payload); err != nil {
+			if err := rcvs[0].SendWait(snd.LocalAddr(), nil, payload); err != nil {
 				return err
 			}
 		}

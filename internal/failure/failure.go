@@ -209,7 +209,6 @@ type peerState struct {
 	// probing marks an address-learning probe in flight to this (Down)
 	// peer, so the slow probe rate cannot pile calls onto a dead address.
 	probing bool
-	lifting bool // a liftSuspect is queued
 	// heard marks that a beacon has arrived since Watch. Interarrivals
 	// are sampled from one beacon to the next, never from the Watch
 	// call, whose phase against the peer's heartbeat rounds is arbitrary.
@@ -278,19 +277,16 @@ type Detector struct {
 	callerOnce sync.Once
 	caller     *svc.Caller
 
-	// emitMu serializes each verdict transition with its observer
-	// delivery: it is taken before mu by every path that may emit, so
-	// two racing transitions (a timer-driven Down and a heartbeat-driven
-	// Up) cannot reach observers in reversed order. Observers run under
-	// emitMu but never under mu, so they may call Status etc.
-	emitMu sync.Mutex
-
 	mu       sync.Mutex
 	peers    map[string]*peerState
 	byAddr   map[netsim.Addr]*peerState
 	seq      uint64
 	obs      []func(Event)
 	stopping bool
+	// posted is the work of verdict changes not yet done, in the order
+	// made; posting marks a goroutine doing it (see postLocked).
+	posted  []func()
+	posting bool
 	// scratchHB is the heartbeat round's reused target buffer, so the
 	// per-Interval fan-out does not allocate a fresh slice each round.
 	scratchHB []wire.InboxRef
@@ -416,20 +412,6 @@ func (det *Detector) enter() bool {
 	return true
 }
 
-// rearmLazily is firePeer's fast path: when p was heard since its timer
-// was set, the timer moves to the end of the window and true is
-// returned, all under det.mu alone, so the common firing never waits
-// behind an observer holding emitMu.
-func (det *Detector) rearmLazily(p *peerState) bool {
-	det.mu.Lock()
-	defer det.mu.Unlock()
-	left, ok := p.windowLeft(det.cfg, time.Now())
-	if ok && det.peers[p.name] == p {
-		det.armLocked(p, left)
-	}
-	return ok
-}
-
 // armLocked moves p's verdict timer to fire d from now, unless detach
 // has begun. Caller holds det.mu.
 func (det *Detector) armLocked(p *peerState, d time.Duration) {
@@ -517,11 +499,10 @@ func (det *Detector) Addr(name string) (netsim.Addr, bool) {
 	return p.addr, true
 }
 
-// OnEvent registers an observer for verdict changes. Observers run on
-// the detector's threads, one event at a time, and should not block: a
-// slow observer delays this detector's later verdicts and holds one of
-// the process's detector work goroutines, but heartbeats, which run on
-// a timer of their own, go on as long as another is free.
+// OnEvent registers an observer for verdict changes. Observers see one
+// event at a time, in the order the verdicts changed, on a detector work
+// goroutine. A slow observer delays later events and holds that
+// goroutine, never verdicts, and heartbeats go on on another.
 func (det *Detector) OnEvent(f func(Event)) {
 	det.mu.Lock()
 	det.obs = append(det.obs, f)
@@ -538,42 +519,65 @@ func (det *Detector) emit(ev Event) {
 	}
 }
 
+// postLocked queues f, the work (observer delivery, rumours, relay
+// probes) of a verdict change just made under det.mu, for drainPosted on
+// the work queue: changes reach observers in the order made, no change
+// waits for an observer, and the receive goroutine, which lifts Suspect,
+// never waits for a rumour's window. Caller holds det.mu; postLocked
+// releases it.
+func (det *Detector) postLocked(f func()) {
+	det.posted = append(det.posted, f)
+	start := !det.posting
+	det.posting = true
+	det.mu.Unlock()
+	if start {
+		work.run(det.drainPosted)
+	}
+}
+
+// drainPosted does posted work, in order, until none is left.
+func (det *Detector) drainPosted() {
+	if !det.enter() {
+		return
+	}
+	defer det.wg.Done()
+	det.mu.Lock()
+	for len(det.posted) > 0 {
+		f := det.posted[0]
+		det.posted = det.posted[1:]
+		det.mu.Unlock()
+		f()
+		det.mu.Lock()
+	}
+	det.posted, det.posting = nil, false
+	det.mu.Unlock()
+}
+
+// liftLocked returns p to Up with a fresh detection window and posts the
+// Up event. Caller holds det.mu; liftLocked releases it.
+func (det *Detector) liftLocked(p *peerState) {
+	p.state = Up
+	p.confirms = nil
+	p.meanIA, p.devIA = 0, 0 // an interarrival spanning the gap is no rhythm sample
+	det.armLocked(p, p.detectionTimeout(det.cfg))
+	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
+	det.postLocked(func() { det.emit(ev) })
+}
+
 // applyBeacon processes one incarnation-carrying liveness proof — a
 // heartbeat, an incoming probe, or a probe reply — from a watched peer:
 // it refreshes the peer's deadline, feeds the interarrival estimators,
 // learns a restarted peer's new address, and lifts Suspect/Down verdicts.
 func (det *Detector) applyBeacon(from string, inc uint64, addr netsim.Addr) {
-	now := time.Now()
-	// Fast path: a beacon from an Up peer lifts no verdict, so it is
-	// applied under det.mu alone and never waits behind an observer.
-	det.mu.Lock()
-	if p, ok := det.peers[from]; ok && p.state == Up {
-		det.beaconLocked(p, inc, addr, now)
-		det.mu.Unlock()
-		return
-	}
-	det.mu.Unlock()
-	det.emitMu.Lock()
-	defer det.emitMu.Unlock()
 	det.mu.Lock()
 	p, watched := det.peers[from]
-	if !watched || !det.beaconLocked(p, inc, addr, now) {
+	if !watched || !det.beaconLocked(p, inc, addr, time.Now()) || p.state == Up {
 		det.mu.Unlock()
 		return
 	}
-	recovered := p.state != Up
-	p.state = Up
-	p.confirms = nil
-	if recovered {
-		// The peer's timer was pacing a Suspect escalation or the slow
-		// Down-probe cadence; re-arm it for a fresh detection window.
-		det.armLocked(p, p.detectionTimeout(det.cfg))
-	}
-	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
-	det.mu.Unlock()
-	if recovered {
-		det.emit(ev)
-	}
+	// The peer's timer was pacing a Suspect escalation or the slow
+	// Down-probe cadence; liftLocked re-arms it.
+	det.liftLocked(p)
 }
 
 // beaconLocked applies one beacon's evidence to p, leaving its verdict
@@ -628,9 +632,8 @@ func (det *Detector) beaconLocked(p *peerState, inc uint64, addr netsim.Addr, no
 // heartbeat's incarnation number distinguishes a recovered peer from a
 // dead incarnation's lingering frames. The interarrival estimators are
 // not fed: application traffic has no rhythm to learn.
-// It runs on the receive goroutine, so a Suspect lift, which needs
-// emitMu, goes on the work queue: a transition may hold emitMu while its
-// send waits for an ack only this goroutine reads.
+// It runs on the receive goroutine and lifts Suspect there; the Up event
+// is delivered from the work queue.
 func (det *Detector) onAppRecv(env *wire.Envelope) {
 	if env.To.Inbox == ControlInbox {
 		return
@@ -641,39 +644,13 @@ func (det *Detector) onAppRecv(env *wire.Envelope) {
 		det.mu.Unlock()
 		return
 	}
-	p.lastHeard = time.Now()
-	if p.state == Suspect && !p.lifting {
-		p.lifting = true
-		work.run(func() { det.liftSuspect(p) })
-	}
-	det.mu.Unlock()
 	det.implicit.Add(1)
-}
-
-// liftSuspect lifts p's Suspect verdict for onAppRecv. If a transition
-// holds emitMu, the peer's next frame or heartbeat lifts it instead.
-func (det *Detector) liftSuspect(p *peerState) {
-	if !det.enter() {
+	p.lastHeard = time.Now()
+	if p.state == Suspect {
+		det.liftLocked(p)
 		return
 	}
-	defer det.wg.Done()
-	locked := det.emitMu.TryLock()
-	if locked {
-		defer det.emitMu.Unlock()
-	}
-	det.mu.Lock()
-	p.lifting = false
-	if !locked || p.state != Suspect || det.peers[p.name] != p {
-		det.mu.Unlock()
-		return
-	}
-	p.meanIA, p.devIA = 0, 0
-	p.state = Up
-	p.confirms = nil
-	det.armLocked(p, p.detectionTimeout(det.cfg))
-	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
 	det.mu.Unlock()
-	det.emit(ev)
 }
 
 // onAppSend records application traffic toward a watched peer, which
@@ -768,31 +745,15 @@ func (det *Detector) firePeer(p *peerState) {
 		return
 	}
 	defer det.wg.Done()
-	if det.rearmLazily(p) {
-		return
-	}
-	// A transition is due. It needs emitMu, which another verdict of this
-	// detector may hold while its observers run; rather than hold a work
-	// goroutine behind them, look again a quarter interval on.
-	if !det.emitMu.TryLock() {
-		det.mu.Lock()
-		if det.peers[p.name] == p {
-			det.armLocked(p, det.cfg.Interval/4)
-		}
-		det.mu.Unlock()
-		return
-	}
 	now := time.Now()
 	det.mu.Lock()
 	if det.stopping || det.peers[p.name] != p {
 		det.mu.Unlock()
-		det.emitMu.Unlock()
 		return
 	}
-	if left, ok := p.windowLeft(det.cfg, now); ok { // heard meanwhile
+	if left, ok := p.windowLeft(det.cfg, now); ok { // heard since the timer was set
 		p.timer.Reset(left)
 		det.mu.Unlock()
-		det.emitMu.Unlock()
 		return
 	}
 	timeout := p.detectionTimeout(det.cfg)
@@ -802,8 +763,8 @@ func (det *Detector) firePeer(p *peerState) {
 		next time.Duration
 		ev   Event
 		emit bool
-		// Quorum side effects resolved under the locks, performed after
-		// det.mu releases (they send).
+		// Quorum side effects resolved under det.mu, posted with the
+		// event (they send).
 		askRelays bool
 		rumor     uint8
 		haveRumor bool
@@ -849,21 +810,23 @@ func (det *Detector) firePeer(p *peerState) {
 			// the dapplet's Stop waits for threads.
 			det.d.Spawn(func() { det.probe(name, addr) })
 		}
-		next = 8 * det.cfg.Interval
+		p.timer.Reset(8 * det.cfg.Interval) // probe pacing: nothing to post
+		det.mu.Unlock()
+		return
 	}
 	p.timer.Reset(next) // an overdue deadline (next < 0) fires at once
 	name, addr, suspInc := p.name, p.addr, p.suspInc
-	det.mu.Unlock()
-	if emit {
-		det.emit(ev)
-	}
-	if askRelays {
-		det.launchIndirect(name, addr, suspInc)
-	}
-	if haveRumor {
-		det.spreadVerdict(name, addr, suspInc, rumor)
-	}
-	det.emitMu.Unlock()
+	det.postLocked(func() {
+		if emit {
+			det.emit(ev)
+		}
+		if askRelays {
+			det.launchIndirect(name, addr, suspInc)
+		}
+		if haveRumor {
+			det.spreadVerdict(name, addr, suspInc, rumor)
+		}
+	})
 }
 
 // probe issues one address-learning probe to a Down peer: an svc call to

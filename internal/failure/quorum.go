@@ -253,22 +253,14 @@ func (det *Detector) handleIProbeRep(c *svc.Ctx, req wire.Msg) (wire.Msg, error)
 // an alive rumor arrived. Down is deliberately not lifted here: only a
 // direct beacon proves the channel to *this* watcher works again.
 func (det *Detector) refuteSuspicion(name string, inc uint64) {
-	det.emitMu.Lock()
-	defer det.emitMu.Unlock()
 	det.mu.Lock()
 	p, ok := det.peers[name]
 	if !ok || p.state != Suspect || inc < p.suspInc {
 		det.mu.Unlock()
 		return
 	}
-	p.state = Up
 	p.lastHeard = time.Now()
-	p.meanIA, p.devIA = 0, 0
-	p.confirms = nil
-	det.armLocked(p, p.detectionTimeout(det.cfg))
-	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
-	det.mu.Unlock()
-	det.emit(ev)
+	det.liftLocked(p)
 }
 
 // confirmSuspicion records one more distinct confirmer of the current
@@ -276,8 +268,6 @@ func (det *Detector) refuteSuspicion(name string, inc uint64) {
 // quorum are met (the timer-driven recheck in firePeer covers the other
 // arrival order).
 func (det *Detector) confirmSuspicion(name, confirmer string, inc uint64) {
-	det.emitMu.Lock()
-	defer det.emitMu.Unlock()
 	det.mu.Lock()
 	p, ok := det.peers[name]
 	if !ok || p.state != Suspect || p.confirms == nil || inc < p.suspInc {
@@ -295,9 +285,10 @@ func (det *Detector) confirmSuspicion(name, confirmer string, inc uint64) {
 	det.armLocked(p, det.cfg.Interval) // switch to probe pacing
 	ev := Event{Peer: p.name, Addr: p.addr, State: Down, Incarnation: p.lastInc}
 	addr, suspInc := p.addr, p.suspInc
-	det.mu.Unlock()
-	det.emit(ev)
-	det.spreadVerdict(name, addr, suspInc, rumorDown)
+	det.postLocked(func() {
+		det.emit(ev)
+		det.spreadVerdict(name, addr, suspInc, rumorDown)
+	})
 }
 
 // onVerdictRumor is the detector's gossip handler: suspicions about this

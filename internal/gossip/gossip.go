@@ -288,7 +288,9 @@ func (e *Engine) OnRumor(topic string, f RumorHandler) {
 // Broadcast originates one rumor on the topic: the body travels to
 // Fanout random peers with a fresh TTL and spreads epidemically from
 // there. The local topic handler does not hear it (the originator already
-// knows), and a later echo of it is suppressed as a duplicate.
+// knows), and a later echo of it is suppressed as a duplicate. It waits
+// for each peer's window as an outbox send does, so never call it on the
+// receive goroutine or a timer.
 func (e *Engine) Broadcast(topic string, body wire.Msg) error {
 	enc, err := wire.EncodeBody(body)
 	if err != nil {
@@ -308,7 +310,7 @@ func (e *Engine) Broadcast(topic string, body wire.Msg) error {
 		BodyID: enc.ID(),
 		Body:   enc.Bytes(),
 	}
-	e.fanout(m, netsim.Addr{})
+	e.fanout(m, netsim.Addr{}, true)
 	return nil
 }
 
@@ -456,16 +458,19 @@ func (e *Engine) handleRumor(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 		// Forwarding happens synchronously on the dispatch thread (the
 		// decoded body bytes are only valid during dispatch); the send
 		// itself copies into transmit frames.
-		e.fanout(fwd, c.From())
+		e.fanout(fwd, c.From(), false)
 	}
 	return nil, nil
 }
 
 // fanout transmits a rumor to Fanout random peers, skipping this dapplet
-// and the address the rumor just arrived from.
-func (e *Engine) fanout(m *rumorMsg, arrivedFrom netsim.Addr) {
+// and the address the rumor just arrived from; wait: see Broadcast.
+func (e *Engine) fanout(m *rumorMsg, arrivedFrom netsim.Addr, wait bool) {
 	peers := e.sample(e.cfg.Fanout, arrivedFrom)
 	for _, p := range peers {
+		if wait && e.d.Transport().AwaitWindow(p.Dapplet) != nil {
+			continue
+		}
 		if e.d.SendDirect(p, "", m) == nil {
 			e.sent.Add(1)
 		}

@@ -35,6 +35,27 @@ func TestAnalyzerFixtures(t *testing.T) {
 			lintest.Run(t, fixtureDir, tc.patterns, lint.ByName([]string{tc.analyzer}))
 		})
 	}
+	t.Run("nowait", func(t *testing.T) {
+		t.Parallel()
+		lintest.Run(t, fixtureDir, []string{"./nowait"}, []*lint.Analyzer{lint.AnalyzerNowait})
+	})
+}
+
+// TestNothingWaitsOnReceivePath runs the nowait analyzer over the module:
+// nothing reachable from a transport sink, a receive observer, an inline
+// inbox, a timer callback or the receive loop may wait.
+func TestNothingWaitsOnReceivePath(t *testing.T) {
+	w, err := lint.Load("../..", "./...")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	diags, err := lint.Run(w, []*lint.Analyzer{lint.AnalyzerNowait})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, d := range diags {
+		t.Error(d)
+	}
 }
 
 // TestMalformedAnnotationReported checks the driver's annotation

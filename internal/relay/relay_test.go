@@ -30,7 +30,11 @@ type relayWorld struct {
 }
 
 func newWorld(t *testing.T, n int) *relayWorld {
-	w := &relayWorld{World: world.New(transport.Config{RTO: 20 * time.Millisecond}, netsim.WithSeed(77))}
+	return newWorldCfg(t, n, transport.Config{RTO: 20 * time.Millisecond})
+}
+
+func newWorldCfg(t *testing.T, n int, cfg transport.Config) *relayWorld {
+	w := &relayWorld{World: world.New(cfg, netsim.WithSeed(77))}
 	t.Cleanup(w.Close)
 	for i := 0; i < n; i++ {
 		d := w.Dapplet(fmt.Sprintf("site%d", i), "test", fmt.Sprintf("m%02d", i))
@@ -160,6 +164,53 @@ func TestMulticastReachesAllInOrder(t *testing.T) {
 	// The origin does not deliver its own frames.
 	if _, err := recvMsg(inboxes[0], 50*time.Millisecond); err == nil {
 		t.Fatal("origin delivered its own multicast")
+	}
+}
+
+// TestOutboxStreamThroughPartitionedRelay streams through a tree-bound
+// outbox, over the chain m00-m01-m02, more frames than a window and its
+// backlog hold while one hop is cut: the root's link (the outbox's own
+// flood) or the interior's (its forwards). Both wait for the window, as a
+// point-to-point outbox send does, so after Heal every frame reaches
+// both members exactly once, in order, and no send failed.
+func TestOutboxStreamThroughPartitionedRelay(t *testing.T) {
+	for _, cut := range []string{"site1", "site2"} {
+		t.Run(cut, func(t *testing.T) {
+			const window = 4
+			w := newWorldCfg(t, 3, transport.Config{RTO: 20 * time.Millisecond, MaxRetries: 100, Window: window})
+			w.bindAll("s1", 1, 1)
+			out := w.dapplets[0].Outbox("out")
+			out.SetSession("s1")
+			out.SetMulticast(w.relays[0])
+			inboxes := []*core.Inbox{w.dapplets[1].Inbox("bcast"), w.dapplets[2].Inbox("bcast")}
+			w.Net.Partition([]string{cut})
+			msgs := 3 * 9 * window // past every hop's window and backlog
+			sent := make(chan error, 1)
+			go func() {
+				for i := range msgs {
+					if err := out.Send(&wire.Text{S: fmt.Sprintf("msg%03d", i)}); err != nil {
+						sent <- fmt.Errorf("send %d: %w", i, err)
+						return
+					}
+				}
+				sent <- nil
+			}()
+			time.Sleep(300 * time.Millisecond)
+			w.Net.Heal()
+			for k, in := range inboxes {
+				for j, s := range drain(t, in, msgs) {
+					if want := fmt.Sprintf("msg%03d", j); s != want {
+						t.Fatalf("member %d position %d: got %q, want %q", k+1, j, s, want)
+					}
+				}
+				if _, err := recvMsg(in, 50*time.Millisecond); err == nil {
+					t.Fatalf("member %d delivered a frame twice", k+1)
+				}
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

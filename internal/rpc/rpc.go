@@ -162,9 +162,13 @@ func NewClient(d *core.Dapplet) *Client {
 }
 
 // Cast is an asynchronous RPC: a message directing the remote object to
-// invoke a method, with no reply.
+// invoke a method, with no reply. Like an outbox send it waits for the
+// object's window, so a stream of casts goes no faster than it is taken.
 func (c *Client) Cast(ref Ref, method string, args any) error {
 	data, err := marshalArgs(args)
+	if err == nil {
+		err = c.d.Transport().AwaitWindow(ref.Inbox.Dapplet)
+	}
 	if err != nil {
 		return err
 	}

@@ -226,7 +226,7 @@ func TestAckEveryAckDelayInterplayWithCoalescing(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < total; i++ {
-		if err := ra.Send(to, nil, []byte{byte(i)}); err != nil {
+		if err := ra.SendWait(to, nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func timerFree(t *testing.T, r *endpoint) {
 }
 
 // stream sends seqs 1..total from ra to rb as size-byte frames, as fast
-// as Send takes them, and waits for their in-order delivery.
+// as an application sender can, and waits for their in-order delivery.
 func stream(t *testing.T, ra, rb *endpoint, total uint64, size int) {
 	t.Helper()
 	done := make(chan error, 1)
@@ -37,7 +37,7 @@ func stream(t *testing.T, ra, rb *endpoint, total uint64, size int) {
 	payload := make([]byte, size)
 	for seq := uint64(1); seq <= total; seq++ {
 		binary.BigEndian.PutUint64(payload, seq) // what recvSeqs checks
-		if err := ra.Send(rb.LocalAddr(), nil, payload); err != nil {
+		if err := ra.SendWait(rb.LocalAddr(), nil, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,17 +202,38 @@ func TestCoalesceLoneFramesCarryOwedAck(t *testing.T) {
 	}
 }
 
-// Staged frames hold window slots, so Send must not wait for the window
-// with frames staged: nothing but their acks could end the wait.
+// Staged frames hold window slots that nothing but their acks can free,
+// so they leave when the window fills: before AwaitWindow waits, and at
+// a Send that puts its frame in the backlog.
 func TestCoalesceFullWindowFlushesStage(t *testing.T) {
 	cfg := coalesceCfg
 	cfg.Window = 2 * ackEvery
-	_, ra, rb := pipePair(t, 500*time.Microsecond, cfg, nil)
-	stream(t, ra, rb, 200, 64)
-	timerFree(t, ra)
-	if st := ra.Stats(); st.FlushWindow == 0 {
-		t.Fatalf("FlushWindow = 0 with a window of two ackEvery: %+v", st)
-	}
+	t.Run("AwaitWindow", func(t *testing.T) {
+		_, ra, rb := pipePair(t, 500*time.Microsecond, cfg, nil)
+		stream(t, ra, rb, 200, 64)
+		timerFree(t, ra)
+		if st := ra.Stats(); st.FlushWindow == 0 {
+			t.Fatalf("FlushWindow = 0 with a window of two ackEvery: %+v", st)
+		}
+	})
+	t.Run("backlog", func(t *testing.T) {
+		_, ra, rb := pipePair(t, 500*time.Microsecond, cfg, nil)
+		total := uint64(cfg.Window * backlogWindows) // the window and all but one window of backlog
+		done := make(chan error, 1)
+		go func() { done <- recvSeqs(rb, 1, total) }()
+		for seq := uint64(1); seq <= total; seq++ {
+			if err := ra.Send(rb.LocalAddr(), nil, binary.BigEndian.AppendUint64(make([]byte, 0, 64), seq)[:64]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		timerFree(t, ra)
+		if st := ra.Stats(); st.FlushWindow == 0 || st.BacklogFull != 0 {
+			t.Fatalf("FlushWindow = %d, BacklogFull = %d with a window of two ackEvery: %+v", st.FlushWindow, st.BacklogFull, st)
+		}
+	})
 }
 
 // assertWithinBudget fails the test for every logged datagram longer than

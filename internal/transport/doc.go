@@ -15,6 +15,11 @@
 // goroutine calls the sink itself, with no queue or goroutine between,
 // so nothing the sink runs may wait on the network.
 //
+// Send never waits: past a full window a frame joins the peer's bounded
+// backlog (ErrBacklog past the bound) until acknowledgements open the
+// window. AwaitWindow (or SendWait) is the one wait, for application
+// threads; never the sink's or a timer's (internal/lint checks).
+//
 // The layer is sharded by peer: each peer's window, unacked set and
 // reordering buffer live under that peer's own mutex, acknowledgements
 // are cumulative and coalesced (after 8 messages or AckDelay, whichever
@@ -42,6 +47,6 @@
 //
 // An acknowledged frame goes on its peer's free list, bounded by Window,
 // and the next Send builds its frame in that buffer, so a steady stream
-// allocates nothing per message here; a frame still staged or declared
-// failed is never reused.
+// allocates nothing per message here; a frame still staged or
+// backlogged, or declared failed, is never reused.
 package transport

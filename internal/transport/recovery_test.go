@@ -27,7 +27,7 @@ const recoveryOneWay = 10 * time.Millisecond
 func sendSeqs(t *testing.T, r *endpoint, to netsim.Addr, first, last uint64) {
 	t.Helper()
 	for seq := first; seq <= last; seq++ {
-		if err := r.Send(to, nil, binary.BigEndian.AppendUint64(nil, seq)); err != nil {
+		if err := r.SendWait(to, nil, binary.BigEndian.AppendUint64(nil, seq)); err != nil {
 			t.Fatalf("send %d: %v", seq, err)
 		}
 	}

@@ -172,7 +172,7 @@ func TestRecycleStreamUnderDropAndSwap(t *testing.T) {
 	}()
 	payload := make([]byte, 1500)
 	for seq := uint64(1); seq <= total; seq++ {
-		if err := ra.Send(rb.LocalAddr(), nil, fill(payload, seq)); err != nil {
+		if err := ra.SendWait(rb.LocalAddr(), nil, fill(payload, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}

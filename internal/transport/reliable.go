@@ -37,6 +37,13 @@ const (
 	minRTOVar = time.Millisecond
 )
 
+// backlogWindows bounds a peer's backlog, in windows.
+const backlogWindows = 8
+
+// ErrBacklog reports that Send refused a message, sequencing nothing:
+// the peer's window is full and backlogWindows windows wait behind it.
+var ErrBacklog = errors.New("transport: send backlog full")
+
 // ErrTooManyRetries reports that a message exhausted its retransmissions;
 // this is the paper's "if a message is not delivered within a specified
 // time an exception is raised" (§3.2).
@@ -54,8 +61,8 @@ type Config struct {
 	// MaxRetries is the number of timer expiries a frame survives before
 	// its send is declared failed (default 10).
 	MaxRetries int
-	// Window is the maximum number of unacknowledged messages per peer;
-	// Send blocks when the window is full (default 64).
+	// Window is the maximum number of unacknowledged messages per peer
+	// (default 64); Send backlogs a frame past it, AwaitWindow waits.
 	Window int
 	// AckDelay bounds how long a cumulative acknowledgement may be
 	// withheld waiting to coalesce with later ones (default RTO/8). An
@@ -101,7 +108,7 @@ type SendFailure struct {
 
 // Stats counts reliable-layer events.
 type Stats struct {
-	DataSent        uint64 // first transmissions (logical frames, coalesced or not)
+	DataSent        uint64 // frames sequenced for a first transmission (coalesced, backlogged or not)
 	Retransmits     uint64 // all retransmissions, ack-triggered and timer
 	FastRetransmits uint64 // the share of Retransmits an acknowledgement triggered
 	AcksSent        uint64 // bare acks: datagrams carrying an ack and no frame (cumulative: usually fewer than messages)
@@ -110,6 +117,7 @@ type Stats struct {
 	Delivered       uint64 // messages handed to the delivery sink in order
 	Failures        uint64
 	FailuresDropped uint64 // failure notices discarded because the Failures channel was full
+	BacklogFull     uint64 // sends refused with ErrBacklog
 
 	// Physical writes.
 	BytesOut        uint64 // bytes across all physical datagrams written
@@ -121,9 +129,9 @@ type Stats struct {
 	// the next frame would not fit the datagram budget, or no further
 	// frame of its size would; FlushAck: an arriving ack freed window
 	// space, or the receive path owed the peer an ack and the staged
-	// frames carried it; FlushWindow: Send was about to block on a full
-	// window; FlushBackstop: the retransmission timer came due — the only
-	// release that waits on a clock, and zero on a healthy path.
+	// frames carried it; FlushWindow: the window filled; FlushBackstop: the
+	// retransmission timer came due — the only release that waits on a
+	// clock, and zero on a healthy path.
 	FlushSize     uint64
 	FlushAck      uint64
 	FlushWindow   uint64
@@ -147,6 +155,7 @@ type statCounters struct {
 	delivered       atomic.Uint64
 	failures        atomic.Uint64
 	failuresDropped atomic.Uint64
+	backlogFull     atomic.Uint64
 
 	bytesOut        atomic.Uint64
 	datagramsOut    atomic.Uint64
@@ -169,6 +178,7 @@ func (c *statCounters) snapshot() Stats {
 		Delivered:       c.delivered.Load(),
 		Failures:        c.failures.Load(),
 		FailuresDropped: c.failuresDropped.Load(),
+		BacklogFull:     c.backlogFull.Load(),
 
 		BytesOut:        c.bytesOut.Load(),
 		DatagramsOut:    c.datagramsOut.Load(),
@@ -256,6 +266,11 @@ type peerState struct {
 	// across batches), and stage counts their encoded bytes.
 	stage  int       // guarded by mu
 	staged []*outPkt // guarded by mu
+
+	// backlog holds the frames Send sequenced while the window was full,
+	// in seq order, in unacked behind the staged frames and, like them,
+	// not yet on the wire: loss detection and the timer pass them over.
+	backlog []*outPkt // guarded by mu
 }
 
 func newPeerState(addr netsim.Addr, closed bool) *peerState {
@@ -308,9 +323,10 @@ type Reliable struct {
 // slices alias the arriving datagram; deliver may keep them but must not
 // write to them, since the same header bytes are handed again for the
 // frames after it that did not repeat them. deliver must not wait on the
-// network — not on a send window, a reply, or a lock a blocked sender
-// holds: the ack that would free that sender is read by the very
-// goroutine it holds up. Close waits for a call in progress.
+// network — not on AwaitWindow, a reply, or a lock held across either:
+// the acknowledgement or reply that would end the wait is read by the
+// very goroutine it holds up. Send never waits, so deliver may send.
+// Close waits for a call in progress.
 func NewReliable(pc PacketConn, cfg Config, deliver func(hdr, payload []byte, from netsim.Addr)) *Reliable {
 	r := &Reliable{
 		pc:       pc,
@@ -342,10 +358,10 @@ func (r *Reliable) Stats() Stats {
 }
 
 // QueueDepth returns the number of frames this endpoint is currently
-// holding for transmission across all peers: unacknowledged in-flight
-// packets plus staged (coalesced, not yet written) frames. It is a
-// sender-side load signal; a broadcast hot spot shows up as one node's
-// depth growing with group size.
+// holding for transmission across all peers: unacknowledged packets,
+// backlogged ones included, plus staged (coalesced, not yet written)
+// frames. It is a sender-side load signal; a broadcast hot spot shows up
+// as one node's depth growing with group size.
 func (r *Reliable) QueueDepth() int {
 	total := 0
 	r.peers.Range(func(_, v any) bool {
@@ -493,11 +509,12 @@ func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, f
 // hdr is the channel header, the part that successive messages to one
 // peer tend to repeat (nil is a valid, empty header): a frame whose hdr
 // is byte-equal to the previous frame's to that peer leaves it out, and
-// the receiver restores it. Send blocks while the peer's send window is
-// full and returns ErrClosed if the layer shuts down first. Delivery
-// failure after retries is reported asynchronously on Failures. Send
-// copies hdr and payload before returning, so the caller may reuse both
-// slices immediately.
+// the receiver restores it. Send never waits: past a full window the
+// frame joins the peer's backlog, to leave as acknowledgements open the
+// window, and past the backlog's bound Send returns ErrBacklog (after
+// Close, ErrClosed). Delivery failure after retries is reported
+// asynchronously on Failures. Send copies hdr and payload before
+// returning, so the caller may reuse both slices immediately.
 //
 // A small frame is staged rather than written while the peer's next
 // acknowledgement is certain to be on its way without waiting for the
@@ -506,52 +523,80 @@ func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, f
 // are already staged behind such a run. Staged frames leave as one
 // datagram, never larger than datagramBudget, when an acknowledgement
 // frees window space, when the budget is reached or the next frame would
-// overshoot it, before Send blocks on a full window, and when the receive
-// path owes the peer an ack they can carry; the retransmission timer
+// overshoot it, when the window fills, and when the receive path owes
+// the peer an ack they can carry; the retransmission timer
 // coming due is the backstop. No frame waits on a clock of its own, and a
 // frame sent into a quiet channel is written before Send returns,
 // carrying any ack its peer is owed.
 func (r *Reliable) Send(to netsim.Addr, hdr, payload []byte) error {
+	return r.send(to, hdr, payload, false)
+}
+
+// SendWait is AwaitWindow and Send in one critical section.
+func (r *Reliable) SendWait(to netsim.Addr, hdr, payload []byte) error {
+	return r.send(to, hdr, payload, true)
+}
+
+func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait bool) error {
 	p := r.peer(to)
 	p.mu.Lock()
-	for len(p.unacked) >= r.cfg.Window && !p.closed {
-		if len(p.staged) == 0 {
-			p.cond.Wait()
-			continue
-		}
-		// Staged frames hold window slots: only their acks can unblock
-		// this wait, so they leave before it.
-		dgram := r.flushLocked(p, time.Now(), false)
-		r.stats.flushWindow.Add(1)
-		p.mu.Unlock()
-		_ = r.write(to, dgram) // the frames stay unacked: a failed write is a lost datagram
-		p.mu.Lock()
+	if wait {
+		r.awaitLocked(p)
 	}
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
+	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
+	if full && len(p.backlog) >= backlogWindows*r.cfg.Window {
+		p.mu.Unlock()
+		r.stats.backlogFull.Add(1)
+		return ErrBacklog
+	}
 	seq := p.nextSeq
 	p.nextSeq++
-	now := time.Now()
-	due := now.Add(r.rtoLocked(p))
 	inline := !bytes.Equal(hdr, p.txHdr)
 	if inline {
 		p.txHdr = append(p.txHdr[:0], hdr...)
 	}
 	pkt := p.newPktLocked(seq, hdr, inline, payload)
-	pkt.sent, pkt.xmit, pkt.deadline = now, now, due
+	p.unacked[seq] = pkt
+	r.stats.dataSent.Add(1)
+	now := time.Now()
+	if full {
+		pkt.sent, pkt.xmit = now, now // restamped as it enters the window
+		p.backlog = append(p.backlog, pkt)
+		var dgram *[]byte
+		if len(p.staged) > 0 { // they hold window slots only their acks can free
+			dgram = r.flushLocked(p, now, false)
+			r.stats.flushWindow.Add(1)
+		}
+		p.mu.Unlock()
+		_ = r.write(to, dgram) // the frames stay unacked: a failed write is a lost datagram
+		return nil
+	}
+	batch, dgram := r.placeLocked(p, pkt, now)
+	p.mu.Unlock()
+	if err := r.write(to, batch); err != nil {
+		return err
+	}
+	return r.write(to, dgram)
+}
+
+// placeLocked puts pkt, a frame entering the window at now, on its way:
+// staged, or alone in dgram, after any stage it would push past the
+// budget (batch). Caller holds p.mu.
+func (r *Reliable) placeLocked(p *peerState, pkt *outPkt, now time.Time) (batch, dgram *[]byte) {
+	pkt.sent, pkt.xmit, pkt.deadline = now, now, now.Add(r.rtoLocked(p))
 	size := len(pkt.frame)
-	var full, dgram *[]byte
 	if p.stage > 0 && p.stage+size > datagramBudget {
 		// The frame would take the batch past the budget: what is staged
 		// leaves first.
-		full = r.flushLocked(p, now, false)
+		batch = r.flushLocked(p, now, false)
 		r.stats.flushSize.Add(1)
 	}
-	inFlight := len(p.unacked) - len(p.staged) // transmitted and unacknowledged
-	p.unacked[seq] = pkt
-	r.armRetxLocked(p, due)
+	inFlight := len(p.unacked) - len(p.staged) - len(p.backlog) - 1 // transmitted and unacknowledged
+	r.armRetxLocked(p, pkt.deadline)
 	if p.stage > 0 || 2*size <= datagramBudget && inFlight >= ackEvery {
 		p.stageLocked(pkt)
 		if p.stage+size > datagramBudget {
@@ -559,19 +604,55 @@ func (r *Reliable) Send(to netsim.Addr, hdr, payload []byte) error {
 			dgram = r.flushLocked(p, now, false)
 			r.stats.flushSize.Add(1)
 		}
-	} else {
-		dgram = r.datagramLocked(p, false, []*outPkt{pkt}) // alone
+		return batch, dgram
 	}
-	p.mu.Unlock()
-	r.stats.dataSent.Add(1)
-	if err := r.write(to, full); err != nil {
-		return err
-	}
-	return r.write(to, dgram)
+	return batch, r.datagramLocked(p, false, []*outPkt{pkt}) // alone
 }
 
-// Close shuts the layer and the underlying socket down, waking any sender
-// blocked on a full window and stopping every timer. When it returns no
+// AwaitWindow, the layer's one wait, waits while the peer has Window
+// frames unacknowledged (sending staged ones first: only their acks can
+// free them), or until Close. The receive goroutine and timers must not
+// call it: the acknowledgement that ends the wait is read there.
+func (r *Reliable) AwaitWindow(to netsim.Addr) error {
+	p := r.peer(to)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r.awaitLocked(p)
+	if p.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+func (r *Reliable) awaitLocked(p *peerState) {
+	for len(p.unacked) >= r.cfg.Window && !p.closed {
+		if len(p.staged) == 0 {
+			p.cond.Wait()
+			continue
+		}
+		dgram := r.flushLocked(p, time.Now(), false)
+		r.stats.flushWindow.Add(1)
+		p.mu.Unlock()
+		_ = r.write(p.addr, dgram) // the frames stay unacked: a failed write is a lost datagram
+		p.mu.Lock()
+	}
+}
+
+// admitLocked moves backlogged frames into the window while it has room,
+// each placed as Send places a frame. Caller holds p.mu.
+func (r *Reliable) admitLocked(out []*[]byte, p *peerState, now time.Time) []*[]byte {
+	for len(p.backlog) > 0 && len(p.unacked)-len(p.backlog) < r.cfg.Window {
+		pkt := p.backlog[0]
+		p.backlog[0] = nil // an admitted frame must not stay reachable from the backing array
+		p.backlog = p.backlog[1:]
+		batch, dgram := r.placeLocked(p, pkt, now)
+		out = append(out, batch, dgram) // write skips a nil one
+	}
+	return out
+}
+
+// Close shuts the layer and the underlying socket down, waking any
+// AwaitWindow and stopping every timer. When it returns no
 // goroutine of the layer runs, and none will: the receive loop and any
 // delivery it was making have returned.
 func (r *Reliable) Close() error {
@@ -599,6 +680,7 @@ func (r *Reliable) Close() error {
 	return nil
 }
 
+//wwlint:nowait the receive goroutine reads the acknowledgements every wait of the layer is for
 func (r *Reliable) recvLoop() {
 	defer r.wg.Done()
 	//wwlint:allow goleak ReadFrom fails once Close closes the packet socket, ending the loop
@@ -686,17 +768,16 @@ func (r *Reliable) armRetxLocked(p *peerState, deadline time.Time) {
 // to the free list for Send to reuse, and returns whichever of it and
 // newest was transmitted later. The returned frame stays readable until
 // p.mu is released: no Send can take it from the free list before then.
-// A staged frame is not recycled: an ack from a confused peer, clamped to
-// nextSeq, can cover seqs that are still waiting in the stage to be
-// written. window bounds the free list, and an oversized frame's buffer
-// is not kept.
+// Only a frame that has left can be acknowledged (applyAck clamps a
+// confused peer's ack), so none still staged is recycled. window bounds
+// the free list, and an oversized frame's buffer is not kept.
 func (p *peerState) releaseLocked(seq uint64, newest *outPkt, window int) *outPkt {
 	pkt, ok := p.unacked[seq]
 	if !ok {
 		return newest
 	}
 	delete(p.unacked, seq)
-	if seq < p.nextSeq-uint64(len(p.staged)) && len(p.free) < window {
+	if len(p.free) < window {
 		if cap(pkt.frame) > datagramBudget || cap(pkt.hdr) > datagramBudget {
 			pkt.frame, pkt.hdr = nil, nil
 		}
@@ -736,15 +817,15 @@ func (p *peerState) newPktLocked(seq uint64, hdr []byte, inline bool, payload []
 // applyAck releases window space for an acknowledgement, however it
 // arrived, feeds the round-trip estimator, resends at once what the
 // acknowledgement shows to be lost, and — the ack clock — sends what was
-// staged waiting for it.
+// staged or backlogged waiting for it.
 func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 	now := time.Now()
 	p.mu.Lock()
-	if cum >= p.nextSeq {
-		cum = p.nextSeq - 1 // clamp garbage from a confused peer
-	}
-	// Bit i names seq cum+selBase+i; one at or past nextSeq is garbage too.
-	if sent := p.nextSeq - 1 - cum; !hasSel || sent == 0 {
+	// Seqs past top, staged or backlogged, have never left: an ack or a
+	// bitmap bit (bit i names seq cum+selBase+i) naming one is garbage.
+	top := p.nextSeq - 1 - uint64(len(p.staged)+len(p.backlog))
+	cum = min(cum, top)
+	if sent := top - cum; !hasSel || sent == 0 {
 		sel = 0
 	} else {
 		sel &= 1<<(sent-1) - 1
@@ -790,6 +871,7 @@ func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 		out = append(out, r.flushLocked(p, now, false))
 		r.stats.flushAck.Add(1)
 	}
+	out = r.admitLocked(out, p, now) // into a fresh stage, for the next ack to release
 	p.mu.Unlock()
 	for _, dgram := range out {
 		_ = r.write(p.addr, dgram)
@@ -805,10 +887,10 @@ func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 // retransmission.
 func (r *Reliable) detectLossLocked(p *peerState, cum, sel uint64, hasSel bool, now time.Time) []*outPkt {
 	// The ack speaks only for seqs below known: not for frames still
-	// staged, which have yet to leave, nor, when it carries a bitmap, for
-	// seqs past the bitmap's reach (without one the peer holds nothing
-	// above cum).
-	known := p.nextSeq - uint64(len(p.staged))
+	// staged or backlogged, which have yet to leave, nor, when it carries
+	// a bitmap, for seqs past the bitmap's reach (without one the peer
+	// holds nothing above cum).
+	known := p.nextSeq - uint64(len(p.staged)+len(p.backlog))
 	if hasSel {
 		known = min(known, cum+selBase+64)
 	}
@@ -977,8 +1059,8 @@ func (r *Reliable) fireAck(p *peerState) {
 
 // fireRetx runs when p's retransmission timer expires: it releases staged
 // frames whose ack is overdue, resends every frame past its deadline,
-// fails those out of retries, and moves the timer to the earliest
-// deadline still ahead.
+// fails those out of retries, admits backlogged frames to the window
+// they free, and moves the timer to the earliest deadline still ahead.
 func (r *Reliable) fireRetx(p *peerState) {
 	if !r.enter() {
 		return
@@ -993,9 +1075,10 @@ func (r *Reliable) fireRetx(p *peerState) {
 		dgram   *[]byte
 	)
 	p.mu.Lock()
+	backlogged := p.nextSeq - uint64(len(p.backlog)) // seqs from here have no deadline yet
 	if len(p.staged) > 0 && !p.closed {
-		for _, pkt := range p.unacked {
-			if !pkt.deadline.After(now) {
+		for seq, pkt := range p.unacked {
+			if seq < backlogged && !pkt.deadline.After(now) {
 				// The backstop: an ack the staged frames were waiting
 				// for is overdue. They leave now, in their batch, with
 				// a fresh deadline — none has been on the wire, so none
@@ -1008,6 +1091,7 @@ func (r *Reliable) fireRetx(p *peerState) {
 	}
 	for seq, pkt := range p.unacked {
 		switch {
+		case seq >= backlogged:
 		case pkt.deadline.After(now):
 			if next.IsZero() || pkt.deadline.Before(next) {
 				next = pkt.deadline
@@ -1048,6 +1132,9 @@ func (r *Reliable) fireRetx(p *peerState) {
 	}
 	if len(failed) > 0 {
 		p.cond.Broadcast()
+		if !p.closed {
+			resent = r.admitLocked(resent, p, now) // placeLocked arms the timer for them
+		}
 	}
 	p.mu.Unlock()
 	for _, d := range resent {

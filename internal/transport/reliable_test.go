@@ -158,7 +158,7 @@ func TestOrderedDeliveryUnderReorderAndDup(t *testing.T) {
 	const total = 200
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := ra.Send(rb.LocalAddr(), nil, []byte(fmt.Sprintf("m%04d", i))); err != nil {
+			if err := ra.SendWait(rb.LocalAddr(), nil, []byte(fmt.Sprintf("m%04d", i))); err != nil {
 				t.Error(err)
 				return
 			}
@@ -253,6 +253,8 @@ func TestSendFailureReportedAcrossPartition(t *testing.T) {
 	}
 }
 
+// An application sender waits at a full window, on AwaitWindow, and goes
+// on once the partition heals.
 func TestWindowBlocksThenRecovers(t *testing.T) {
 	cfg := Config{RTO: 15 * time.Millisecond, MaxRetries: 100, Window: 4}
 	n, ra, rb := pairOn(t, "a", "b", cfg)
@@ -261,7 +263,7 @@ func TestWindowBlocksThenRecovers(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 8; i++ {
-			if err := ra.Send(rb.LocalAddr(), nil, []byte{byte(i)}); err != nil {
+			if err := ra.SendWait(rb.LocalAddr(), nil, []byte{byte(i)}); err != nil {
 				return
 			}
 		}
@@ -361,9 +363,9 @@ func TestManyPeersFIFOPerPeer(t *testing.T) {
 	}
 }
 
-// Close unblocks both sides of a layer: a Send waiting on a full window
-// returns ErrClosed, and the receive loop waiting in ReadFrom has
-// returned by the time Close does.
+// Close unblocks both sides of a layer: an application sender waiting on
+// a full window gets ErrClosed, and the receive loop waiting in ReadFrom
+// has returned by the time Close does.
 func TestCloseUnblocksSendAndRecv(t *testing.T) {
 	base, _ := receiveLoops(reliableGoroutines())
 	cfg := Config{RTO: 20 * time.Millisecond, Window: 1, MaxRetries: 1000}
@@ -373,7 +375,7 @@ func TestCloseUnblocksSendAndRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendErr := make(chan error, 1)
-	go func() { sendErr <- ra.Send(rb.LocalAddr(), nil, []byte("2")) }()
+	go func() { sendErr <- ra.SendWait(rb.LocalAddr(), nil, []byte("2")) }()
 	time.Sleep(30 * time.Millisecond)
 	ra.Close()
 	rb.Close()
@@ -470,7 +472,7 @@ func TestMultipleBlockedSendersAllWake(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ra.Send(rb.LocalAddr(), nil, []byte{byte(i + 1)}); err != nil {
+			if err := ra.SendWait(rb.LocalAddr(), nil, []byte{byte(i + 1)}); err != nil {
 				t.Error(err)
 			}
 		}(i)
