@@ -168,19 +168,47 @@ func (d *Dapplet) NewInbox() *Inbox { return d.newAnonInbox(nil) }
 // or on anything else (see OnRecv): the frames after this one, acks
 // included, wait behind it. Once the inbox closes, arrivals are dropped.
 // Nothing is ever queued, so the receive methods only report the close.
+//
+// The envelope f is handed is lent, body included: it is valid until f
+// returns, and f must copy what it keeps. An arrival off the wire is
+// decoded into the dapplet's decoder scratch (wire.EnvelopeDecoder.Lend),
+// which the next arrival overwrites.
 func (d *Dapplet) NewInlineInbox(f func(*wire.Envelope)) *Inbox {
 	return d.newAnonInbox(f)
+}
+
+// HandleInline is Handle on an inline inbox: it creates the named inbox,
+// which must not exist yet, and runs f for each arrival on the goroutine
+// delivering it, with no thread and no queue (see NewInlineInbox, whose
+// contract f keeps: it never waits, and the envelope is lent until f
+// returns). Services whose per-frame work never waits use it instead of
+// Handle.
+func (d *Dapplet) HandleInline(inboxName string, f func(*wire.Envelope)) {
+	d.mu.Lock()
+	if _, ok := d.inboxes[inboxName]; ok {
+		d.mu.Unlock()
+		panic(fmt.Sprintf("core: HandleInline: inbox %q already exists on %q", inboxName, d.name))
+	}
+	in := d.addInboxLocked(inboxName, f)
+	d.mu.Unlock()
+	d.closeIfStopped(in)
 }
 
 func (d *Dapplet) newAnonInbox(inline func(*wire.Envelope)) *Inbox {
 	d.mu.Lock()
 	d.anonSeq++
-	name := fmt.Sprintf("_in%d", d.anonSeq)
+	in := d.addInboxLocked(fmt.Sprintf("_in%d", d.anonSeq), inline)
+	d.mu.Unlock()
+	d.closeIfStopped(in)
+	return in
+}
+
+// addInboxLocked creates and registers an inbox, inline when inline is
+// non-nil. Caller holds d.mu.
+func (d *Dapplet) addInboxLocked(name string, inline func(*wire.Envelope)) *Inbox {
 	in := newInbox(d, name)
 	in.inline = inline
 	d.inboxes[name] = in
-	d.mu.Unlock()
-	d.closeIfStopped(in)
 	return in
 }
 
@@ -274,7 +302,10 @@ func (d *Dapplet) OnStop(f func()) {
 // snapshots use it to watch channel traffic. Observers of wire traffic
 // run on the receive goroutine, in arrival order, and must not wait on
 // the network — not on a reply, a window (an outbox send, SendEncoded)
-// or a lock held across either: what would end it is read there.
+// or a lock held across either: what would end it is read there. An
+// observer must not keep env, its body or anything they point to after
+// it returns: an arrival for an inline inbox is lent (see
+// NewInlineInbox), and the next arrival overwrites it.
 func (d *Dapplet) OnRecv(f func(*wire.Envelope)) {
 	d.obsMu.Lock()
 	d.recvObs = append(d.recvObs, f)
@@ -282,7 +313,11 @@ func (d *Dapplet) OnRecv(f func(*wire.Envelope)) {
 }
 
 // OnSend registers an observer invoked for every envelope this dapplet
-// transmits, after clock stamping and before transmission.
+// transmits, after clock stamping and before transmission. A send the
+// transport refuses for backlog (transport.ErrBacklog) is not shown to
+// it: the transport has taken every send an observer sees. It may keep
+// the envelope, but a body it keeps it copies: a relay forward sends the
+// lent frame its inline handler was given (see HandleInline).
 func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 	d.obsMu.Lock()
 	d.sendObs = append(d.sendObs, f)
@@ -294,9 +329,14 @@ func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 // buffer can be reused as soon as the send completes.
 var sendBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
+// sendFunc hands a framed envelope to the reliable layer, showing the
+// send observers kept, a heap copy of its header, nil when none is
+// registered (see sendEncoded).
+type sendFunc func(to netsim.Addr, hdr, payload []byte, kept *wire.Envelope) error
+
 // sendEnvelope marshals and transmits one envelope to its destination
 // dapplet over the reliable layer with send (see sendEncoded).
-func (d *Dapplet) sendEnvelope(env *wire.Envelope, send func(netsim.Addr, []byte, []byte) error) error {
+func (d *Dapplet) sendEnvelope(env *wire.Envelope, send sendFunc) error {
 	body, err := wire.EncodeBody(env.Body)
 	if err != nil {
 		return err
@@ -312,29 +352,65 @@ func (d *Dapplet) sendEnvelope(env *wire.Envelope, send func(netsim.Addr, []byte
 // uses it to fan one body encoding out to many destinations. env does
 // not escape, so callers build it on the stack; send observers, which
 // may keep what they are handed, get a heap copy, made only when one is
-// registered. send is d.rel.SendWait, which waits for the window, for
-// outbox and relay sends, and d.rel.Send, which never waits, otherwise.
-func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body, send func(netsim.Addr, []byte, []byte) error) error {
+// registered. send is d.sendWait, which waits for the window, for
+// outbox sends and SendEncoded, and d.sendNow, which never waits,
+// otherwise.
+func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body, send sendFunc) error {
 	bufp := sendBufPool.Get().(*[]byte)
 	buf := wire.AppendEnvelopeHeader((*bufp)[:0], env, body)
 	n := len(buf)
 	buf = wire.AppendEnvelopePayload(buf, env, body)
 	*bufp = buf
 	d.obsMu.RLock()
-	obs := d.sendObs
+	observed := len(d.sendObs) > 0
 	d.obsMu.RUnlock()
-	if len(obs) > 0 {
-		kept := new(wire.Envelope)
+	var kept *wire.Envelope
+	if observed {
+		kept = new(wire.Envelope)
 		*kept = *env
-		for _, f := range obs {
-			f(kept)
-		}
 	}
-	err := send(env.To.Dapplet, buf[:n], buf[n:])
+	err := send(env.To.Dapplet, buf[:n], buf[n:], kept)
 	if cap(buf) <= wire.MaxPooledBuf {
 		sendBufPool.Put(bufp)
 	}
 	return err
+}
+
+// sendWait runs the send observers on kept, then transmits the frame
+// once the peer's window has room.
+func (d *Dapplet) sendWait(to netsim.Addr, hdr, payload []byte, kept *wire.Envelope) error {
+	d.observeSend(kept)
+	return d.rel.SendWait(to, hdr, payload)
+}
+
+// sendNow transmits the frame without waiting. With send observers
+// registered it first claims the frame's place in the transport, so
+// that they never see a send refused for backlog: the snapshot service
+// counts what it sees as sequenced and waits for the transport to
+// catch up (snapshot.Service.settle).
+func (d *Dapplet) sendNow(to netsim.Addr, hdr, payload []byte, kept *wire.Envelope) error {
+	if kept == nil {
+		return d.rel.Send(to, hdr, payload)
+	}
+	if err := d.rel.Reserve(to); err != nil {
+		return err
+	}
+	d.observeSend(kept)
+	return d.rel.SendReserved(to, hdr, payload)
+}
+
+// observeSend runs the send observers on kept; nil means none was
+// registered when the frame was built.
+func (d *Dapplet) observeSend(kept *wire.Envelope) {
+	if kept == nil {
+		return
+	}
+	d.obsMu.RLock()
+	obs := d.sendObs
+	d.obsMu.RUnlock()
+	for _, f := range obs {
+		f(kept)
+	}
 }
 
 // SendEncoded sends an already-encoded body to an inbox reference outside
@@ -343,6 +419,18 @@ func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body, send func(nets
 // tree neighbors. It waits for the peer's window as an outbox send does,
 // so it must not be called from the receive goroutine or a timer.
 func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
+	return d.sendEncodedTo(to, session, msg, body, d.sendWait)
+}
+
+// TrySendEncoded is SendEncoded without the wait: past the peer's full
+// window the frame joins the transport's backlog, and past the backlog's
+// bound it is refused with transport.ErrBacklog, sequencing nothing. The
+// relay forwards frames with it from the receive goroutine.
+func (d *Dapplet) TrySendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
+	return d.sendEncodedTo(to, session, msg, body, d.sendNow)
+}
+
+func (d *Dapplet) sendEncodedTo(to wire.InboxRef, session string, msg wire.Msg, body wire.Body, send sendFunc) error {
 	env := wire.Envelope{
 		To:          to,
 		FromDapplet: d.Addr(),
@@ -351,7 +439,7 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 		Lamport:     d.clock.StampSend(),
 		Body:        msg,
 	}
-	return d.sendEncoded(&env, body, d.rel.SendWait)
+	return d.sendEncoded(&env, body, send)
 }
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
@@ -363,6 +451,13 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 // with it, so both stay inside the §4.2 clock discipline. Arrivals off
 // the wire take this path on the receive goroutine (see OnRecv).
 func (d *Dapplet) DeliverLocal(env *wire.Envelope) {
+	in, _ := d.LookupInbox(env.To.Inbox)
+	d.arrive(env, in)
+}
+
+// arrive is DeliverLocal once env.To.Inbox has been looked up: in is that
+// inbox, nil if there is none.
+func (d *Dapplet) arrive(env *wire.Envelope, in *Inbox) {
 	d.clock.ObserveRecv(env.Lamport)
 	d.obsMu.RLock()
 	obs := d.recvObs
@@ -370,10 +465,7 @@ func (d *Dapplet) DeliverLocal(env *wire.Envelope) {
 	for _, f := range obs {
 		f(env)
 	}
-	d.mu.Lock()
-	in, ok := d.inboxes[env.To.Inbox]
-	d.mu.Unlock()
-	if !ok {
+	if in == nil {
 		d.deadLetters.Add(1)
 		return
 	}
@@ -392,23 +484,37 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 		Lamport:     d.clock.StampSend(),
 		Body:        msg,
 	}
-	return d.sendEnvelope(&env, d.rel.Send)
+	return d.sendEnvelope(&env, d.sendNow)
 }
 
 // deliver is the reliable layer's sink, run on its receive goroutine:
 // it decodes each in-order message with dec, which reuses the header
 // strings of the message before, fills in the addresses no frame carries
 // (this dapplet, the transport's peer) and delivers it like DeliverLocal.
-// A message whose header does not decode — a peer that sent a frame
-// without one and never one with — is a dead letter.
+// The header names the inbox, which is looked up once: a queued inbox
+// gets an envelope of its own, an inline one the decoder's lent scratch,
+// since its func is done with the envelope when it returns. A message
+// whose header does not decode — a peer that sent a frame without one
+// and never one with — is a dead letter.
 func (d *Dapplet) deliver(hdr, payload []byte, from netsim.Addr) {
-	env, err := d.dec.Decode(hdr, payload)
+	name, err := d.dec.Header(hdr)
+	if err != nil {
+		d.deadLetters.Add(1)
+		return
+	}
+	in, _ := d.LookupInbox(name)
+	var env *wire.Envelope
+	if in != nil && in.inline != nil {
+		env, err = d.dec.Lend(payload)
+	} else {
+		env, err = d.dec.Payload(payload)
+	}
 	if err != nil {
 		d.deadLetters.Add(1)
 		return
 	}
 	env.To.Dapplet, env.FromDapplet = d.Addr(), from
-	d.DeliverLocal(env)
+	d.arrive(env, in)
 }
 
 // Stop shuts the dapplet down: the socket closes, all inboxes close, and

@@ -18,7 +18,8 @@ type Inbox struct {
 	d    *Dapplet
 	name string
 	// inline, set at creation and never changed, takes each arrival on
-	// the delivering goroutine instead of the queue (Dapplet.NewInlineInbox).
+	// the delivering goroutine instead of the queue (Dapplet.NewInlineInbox,
+	// Dapplet.HandleInline).
 	inline func(*wire.Envelope)
 
 	mu     sync.Mutex

@@ -158,7 +158,7 @@ func (o *Outbox) Send(msg wire.Msg) error {
 			Lamport:     o.d.clock.StampSend(),
 			Body:        msg,
 		}
-		if err := o.d.sendEncoded(&env, body, o.d.rel.SendWait); err != nil {
+		if err := o.d.sendEncoded(&env, body, o.d.sendWait); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -194,5 +194,5 @@ func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
 		Body:        msg,
 	}
 	o.mu.Unlock()
-	return o.d.sendEnvelope(&env, o.d.rel.SendWait)
+	return o.d.sendEnvelope(&env, o.d.sendWait)
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -17,8 +18,8 @@ import (
 var AnalyzerNowait = &Analyzer{
 	Name: "nowait",
 	Doc: "code reachable from a transport sink, a receive observer, an inline inbox, a timer callback " +
-		"or a //wwlint:nowait function must not call Reliable.AwaitWindow, Reliable.SendWait or sync.Cond.Wait " +
-		"or receive from a channel without a default",
+		"or a //wwlint:nowait function must not call Reliable.AwaitWindow, Reliable.SendWait, core's and svc's " +
+		"waiting sends, receives and calls, or sync.Cond.Wait, or receive from a channel without a default",
 	Run: runNowait,
 }
 
@@ -34,6 +35,26 @@ var nowaitRoots = []struct {
 	{"transport", "", "NewReliable", 2},
 	{"core", "Dapplet", "OnRecv", 0},
 	{"core", "Dapplet", "NewInlineInbox", 0},
+	{"core", "Dapplet", "HandleInline", 1},
+}
+
+// exportedWaits are the calls into other packages that wait, matched by
+// package name and receiver: the transport's window waits, and the
+// entry points of core and svc that wait on the network — for a window
+// (SendEncoded, an outbox send), an arrival (the blocking inbox
+// receives) or a reply (Await, Call). The scan does not enter other
+// packages, so these are named here.
+var exportedWaits = []struct {
+	pkg, recv string
+	names     []string
+	why       string // what the wait is for, when the name does not say
+}{
+	{"transport", "Reliable", []string{"AwaitWindow", "SendWait"}, " for acknowledgements only the receive goroutine reads"},
+	{"core", "Dapplet", []string{"SendEncoded"}, ""},
+	{"core", "Outbox", []string{"Send", "SendTo"}, ""},
+	{"core", "Inbox", []string{"AwaitNonEmpty", "Receive", "ReceiveEnvelope", "ReceiveContext", "ReceiveEnvelopeContext"}, ""},
+	{"svc", "Pending", []string{"Await", "AwaitMsg"}, ""},
+	{"svc", "Caller", []string{"Call", "CallTagged", "CallFirst"}, ""},
 }
 
 // nowaitDirective, in a function's doc comment, makes the function a
@@ -45,7 +66,7 @@ const nowaitDirective = "//wwlint:nowait"
 // follows static calls within the package, function values passed to
 // functions of the package, and function literals called or deferred;
 // it stops at go statements, interface and function-value calls and at
-// other packages.
+// other packages, whose waits it knows by name (exportedWaits).
 type waitScan struct {
 	p      *Pass
 	decls  map[*types.Func]*ast.FuncDecl
@@ -158,8 +179,8 @@ func (w *waitScan) follow(e ast.Expr, path string) {
 		}
 		switch obj := w.p.Info.Uses[id].(type) {
 		case *types.Func:
-			if windowWait(obj) {
-				w.report(e.Pos(), "Reliable."+obj.Name()+" handed on as a function waits for acknowledgements only the receive goroutine reads", path)
+			if name, why, ok := waits(obj); ok {
+				w.report(e.Pos(), name+" handed on as a function waits"+why, path)
 			} else if fd := w.decls[obj.Origin()]; fd != nil {
 				w.visit(fd, path+" → "+fd.Name.Name)
 			}
@@ -230,12 +251,12 @@ func (w *waitScan) call(call *ast.CallExpr, path string) {
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
-	switch {
-	case fn.Name() == "Wait" && recvName(fn) == "Cond" && fn.Pkg().Path() == "sync":
+	if fn.Name() == "Wait" && recvName(fn) == "Cond" && fn.Pkg().Path() == "sync" {
 		w.report(call.Pos(), "sync.Cond.Wait waits", path)
 		return
-	case windowWait(fn):
-		w.report(call.Pos(), "Reliable."+fn.Name()+" waits for acknowledgements only the receive goroutine reads", path)
+	}
+	if name, why, ok := waits(fn); ok {
+		w.report(call.Pos(), name+" waits"+why, path)
 		return
 	}
 	fd := w.decls[fn.Origin()]
@@ -250,9 +271,19 @@ func (w *waitScan) call(call *ast.CallExpr, path string) {
 	}
 }
 
-// windowWait reports the transport's window waits.
-func windowWait(fn *types.Func) bool {
-	return (fn.Name() == "AwaitWindow" || fn.Name() == "SendWait") && recvName(fn) == "Reliable" && fn.Pkg() != nil && fn.Pkg().Name() == "transport"
+// waits reports whether fn is one of exportedWaits, naming it Recv.Name
+// and saying what it waits for.
+func waits(fn *types.Func) (name, why string, ok bool) {
+	if fn.Pkg() == nil {
+		return "", "", false
+	}
+	recv := recvName(fn)
+	for _, w := range exportedWaits {
+		if w.pkg == fn.Pkg().Name() && w.recv == recv && slices.Contains(w.names, fn.Name()) {
+			return recv + "." + fn.Name(), w.why, true
+		}
+	}
+	return "", "", false
 }
 
 // underlying is t's underlying type; nil for nil.

@@ -17,5 +17,8 @@
 // indistinguishable from a direct send, so FIFO-per-channel semantics and
 // the §4.2 clock discipline are unchanged. Per-(session, origin) sequence
 // numbers give in-order, exactly-once delivery at every member, which
-// makes the post-repair replay flood idempotent.
+// makes the post-repair replay flood idempotent. A member handles each
+// frame on its receive goroutine, through an inline inbox, and forwards
+// it without waiting; a forward its neighbour's backlog cannot take is
+// owed and sent in order by a drain thread (see Relay).
 package relay

@@ -1,12 +1,14 @@
 package relay
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -36,6 +38,10 @@ type Stats struct {
 	// Redriven is the number of replay-buffer frames re-flooded by
 	// Redrive calls.
 	Redriven uint64
+	// Owed counts forwards the transport refused for backlog, or that
+	// queued behind such a one to the same neighbour, and that the drain
+	// thread sent later, waiting for the window (see Relay).
+	Owed uint64
 }
 
 // Binding describes one participant's place in one session's tree. It
@@ -98,11 +104,25 @@ type sessionState struct {
 // sequence order, and re-forwards the shared encoded bytes to its own
 // tree neighbors. It implements core.Multicaster, so a tree-bound
 // outbox's Send goes through Multicast.
+//
+// Frames are handled on the goroutine that delivers them, the dapplet's
+// receive goroutine, so forwards never wait for a neighbour's window. A
+// forward the transport refuses for backlog joins the owed FIFO, and
+// while a neighbour is owed anything, every later forward to it joins
+// behind, so no neighbour sees a gap in an origin's sequence. One drain
+// thread, started when the FIFO becomes non-empty and gone when it is
+// empty again, sends the owed frames in order with the waiting send.
 type Relay struct {
 	d *core.Dapplet
 
 	mu       sync.Mutex
 	sessions map[string]*sessionState
+
+	// owedMu guards the owed FIFO; no send is made holding it.
+	owedMu   sync.Mutex
+	owed     []owedFrame         // oldest first, every neighbour's
+	owedTo   map[netsim.Addr]int // owed frames per neighbour
+	draining bool                // a drain thread runs
 
 	delivered  atomic.Uint64
 	forwarded  atomic.Uint64
@@ -110,14 +130,25 @@ type Relay struct {
 	ttlDrops   atomic.Uint64
 	unbound    atomic.Uint64
 	redriven   atomic.Uint64
+	owedCount  atomic.Uint64
 }
 
-// Attach creates the dapplet's relay engine and starts its frame
-// consumer on InboxName. Attach once per dapplet; the session layer does
-// this lazily on the first tree binding.
+// owedFrame is one forward the drain thread owes a neighbour. The frame
+// owns its body: it outlives the datagram it arrived in.
+type owedFrame struct {
+	to      netsim.Addr
+	session string
+	frame   *wire.RelayFrame
+}
+
+// Attach creates the dapplet's relay engine and registers its frame
+// handler on InboxName, an inline inbox: frames are handled on the
+// goroutine that delivers them, with no thread of the relay's own.
+// Attach once per dapplet; the session layer does this lazily on the
+// first tree binding.
 func Attach(d *core.Dapplet) *Relay {
 	r := &Relay{d: d, sessions: make(map[string]*sessionState)}
-	d.Handle(InboxName, r.onFrame)
+	d.HandleInline(InboxName, r.onFrame)
 	return r
 }
 
@@ -130,6 +161,7 @@ func (r *Relay) Stats() Stats {
 		TTLDrops:   r.ttlDrops.Load(),
 		Unbound:    r.unbound.Load(),
 		Redriven:   r.redriven.Load(),
+		Owed:       r.owedCount.Load(),
 	}
 }
 
@@ -234,16 +266,19 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 	neighbors := st.neighbors
 	r.mu.Unlock()
 
-	_, err = r.flood(session, frame, neighbors, netsim.Addr{})
+	_, err = r.flood(session, frame, neighbors, netsim.Addr{}, r.d.SendEncoded)
 	return err
 }
 
 // flood transmits frame to every neighbor except its origin and the one
 // at address inbound (the hop it arrived from; zero for a frame that
 // starts here). The frame is encoded once, on the first neighbor that
-// qualifies, and the identical bytes go to each. It returns how many
-// transmissions it made and the first send error.
-func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member, inbound netsim.Addr) (int, error) {
+// qualifies, and the identical bytes go to each with send: the
+// dapplet's SendEncoded, which waits for the neighbour's window, on
+// Multicast's application thread and Redrive's control thread, and
+// forward, which never waits, on the receive goroutine. It returns how
+// many transmissions it made or owes and the first send error.
+func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member, inbound netsim.Addr, send func(wire.InboxRef, string, wire.Msg, wire.Body) error) (int, error) {
 	var (
 		enc      wire.Body
 		sent     int
@@ -261,7 +296,7 @@ func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member
 			}
 		}
 		to := wire.InboxRef{Dapplet: n.Addr, Inbox: InboxName}
-		if err := r.d.SendEncoded(to, session, frame, enc); err != nil && firstErr == nil {
+		if err := send(to, session, frame, enc); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		sent++
@@ -269,21 +304,69 @@ func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member
 	return sent, firstErr
 }
 
+// forward sends a relay frame to one neighbour without waiting. When
+// the neighbour is owed earlier frames, or the transport refuses this
+// one for backlog, the frame joins the owed FIFO instead, as a copy that
+// owns its body, and the drain thread sends it in its turn. Only the
+// goroutine delivering frames forwards them (onFrame's in-order
+// delivery already rests on that), so a neighbour found owed nothing
+// stays so until this forward is sent or owed.
+func (r *Relay) forward(to wire.InboxRef, session string, frame wire.Msg, enc wire.Body) error {
+	r.owedMu.Lock()
+	owed := r.owedTo[to.Dapplet] > 0
+	r.owedMu.Unlock()
+	if !owed {
+		if err := r.d.TrySendEncoded(to, session, frame, enc); !errors.Is(err, transport.ErrBacklog) {
+			return err
+		}
+	}
+	kept := *frame.(*wire.RelayFrame)
+	kept.CopyBody()
+	r.owedMu.Lock()
+	defer r.owedMu.Unlock()
+	if r.owedTo == nil {
+		r.owedTo = make(map[netsim.Addr]int)
+	}
+	r.owed = append(r.owed, owedFrame{to: to.Dapplet, session: session, frame: &kept})
+	r.owedTo[to.Dapplet]++
+	r.owedCount.Add(1)
+	if !r.draining {
+		r.draining = true
+		r.d.Spawn(r.drain)
+	}
+	return nil
+}
+
+// drain sends the owed frames, oldest first, each waiting for its
+// neighbour's window, and returns once none is owed. A frame leaves the
+// FIFO only after its send, so a forward that finds its neighbour owed
+// nothing cannot overtake it. A send that fails (the dapplet stopped,
+// the neighbour failed) drops its frame, as a failed forward always has.
+func (r *Relay) drain() {
+	r.owedMu.Lock()
+	for len(r.owed) > 0 {
+		o := r.owed[0]
+		r.owedMu.Unlock()
+		if enc, err := wire.EncodeBody(o.frame); err == nil {
+			_ = r.d.SendEncoded(wire.InboxRef{Dapplet: o.to, Inbox: InboxName}, o.session, o.frame, enc)
+			enc.Release()
+		}
+		r.owedMu.Lock()
+		r.owed[0] = owedFrame{}
+		r.owed = r.owed[1:]
+		if r.owedTo[o.to]--; r.owedTo[o.to] == 0 {
+			delete(r.owedTo, o.to)
+		}
+	}
+	r.owed = nil
+	r.draining = false
+	r.owedMu.Unlock()
+}
+
 // skipped reports whether flood passes neighbour n over: a frame never
 // goes back to the hop it came in on or to its origin.
 func skipped(n Member, inbound netsim.Addr, origin string) bool {
 	return n.Addr == inbound || n.Name == origin
-}
-
-// forwardsTo reports whether flood would send a frame from origin,
-// arriving from inbound, to any of neighbors.
-func forwardsTo(neighbors []Member, inbound netsim.Addr, origin string) bool {
-	for _, n := range neighbors {
-		if !skipped(n, inbound, origin) {
-			return true
-		}
-	}
-	return false
 }
 
 // Redrive re-floods the session's replay ring to the current tree
@@ -308,7 +391,7 @@ func (r *Relay) Redrive(sid string) error {
 
 	var firstErr error
 	for _, f := range frames {
-		if _, err := r.flood(sid, f, neighbors, netsim.Addr{}); err != nil && firstErr == nil {
+		if _, err := r.flood(sid, f, neighbors, netsim.Addr{}, r.d.SendEncoded); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		r.redriven.Add(1)
@@ -322,6 +405,11 @@ func (r *Relay) Redrive(sid string) error {
 // re-delivered, so a redrive flood crosses nodes that already have the
 // frames and still reaches the gap downstream. The carrier envelope names
 // the session, and the transport the origin of a frame that names none.
+//
+// It runs on the delivering goroutine and never waits. env and its frame
+// are lent (core.Dapplet.HandleInline): the frame is forwarded and
+// delivered before onFrame returns, and what outlives it — a parked
+// frame, an owed forward — is a copy.
 func (r *Relay) onFrame(env *wire.Envelope) {
 	f, ok := env.Body.(*wire.RelayFrame)
 	if !ok || env.Session == "" {
@@ -399,13 +487,9 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	}
 	r.mu.Unlock()
 
-	if forwardsTo(neighbors, env.FromDapplet, f.Origin) {
-		// Copied only here: the copy escapes into the send, and a leaf,
-		// whose one neighbour is the hop the frame came from, has none
-		// to send it to.
-		fwd := *f
-		fwd.TTL--
-		sent, _ := r.flood(sid, &fwd, neighbors, env.FromDapplet)
+	if len(neighbors) > 0 { // hop budget left
+		f.TTL-- // in the lent frame itself: delivery does not read it
+		sent, _ := r.flood(sid, f, neighbors, env.FromDapplet, r.forward)
 		r.forwarded.Add(uint64(sent))
 	}
 	for _, df := range deliver {

@@ -27,8 +27,8 @@ type Caller struct {
 	seq     uint64
 	waiting map[uint64]*Pending
 	notify  func(*wire.Envelope)
-	// free holds Pendings whose Call consumed its reply, for the next
-	// Call to reuse. Guarded by mu.
+	// free holds Pendings whose reply was consumed (by Call or Await),
+	// for the next call to reuse. Guarded by mu.
 	free []*Pending
 }
 
@@ -50,7 +50,9 @@ func (c *Caller) ReplyRef() wire.InboxRef { return c.in.Ref() }
 // reply inbox — server-initiated pushes such as directory watch events.
 // The callback runs on the dapplet's receive goroutine, in arrival
 // order, and must never wait: not on a send, a reply, or a lock held
-// across either, since the frames after this one wait behind it.
+// across either, since the frames after this one wait behind it. The
+// envelope and its body are lent (core.Dapplet.NewInlineInbox): valid
+// until the callback returns, so it copies what it keeps.
 func (c *Caller) OnNotify(f func(*wire.Envelope)) {
 	c.mu.Lock()
 	c.notify = f
@@ -59,8 +61,10 @@ func (c *Caller) OnNotify(f func(*wire.Envelope)) {
 
 // onEnvelope matches one arrival on the reply inbox. It runs on the
 // delivering goroutine and never waits: a reply's channel has room for
-// it, and an abandoned call's late callback, which may send, gets a
-// thread of its own.
+// its signal, and an abandoned call's late callback, which may send, gets
+// a thread of its own. env and the reply are lent, so the reply is copied
+// into its Pending, by value; its body aliases the datagram, which the
+// transport never reuses.
 func (c *Caller) onEnvelope(env *wire.Envelope) {
 	rep, ok := env.Body.(*repMsg)
 	if !ok {
@@ -79,9 +83,11 @@ func (c *Caller) onEnvelope(env *wire.Envelope) {
 	c.mu.Unlock()
 	switch {
 	case abandoned:
-		c.d.Spawn(func() { p.late(decodeMsg(rep)) })
+		p.rep = *rep
+		c.d.Spawn(func() { p.late(decodeMsg(&p.rep)) })
 	case p != nil:
-		p.ch <- rep
+		p.rep = *rep
+		p.ch <- struct{}{}
 	}
 }
 
@@ -91,11 +97,16 @@ func (c *Caller) forget(seq uint64) {
 	c.mu.Unlock()
 }
 
-// Pending is one in-flight request: transmitted, not yet awaited.
+// Pending is one in-flight request: transmitted, not yet awaited. Once
+// Await or AwaitMsg has returned its reply, the Pending is dead: the
+// caller reuses it for a later call, so its user must not touch it
+// again.
 type Pending struct {
-	c    *Caller
-	seq  uint64
-	ch   chan *repMsg
+	c   *Caller
+	seq uint64
+	// rep is the reply, written by onEnvelope before it signals ch.
+	rep  repMsg
+	ch   chan struct{}
 	late func(wire.Msg, error)
 	// abandoned marks a call whose Await gave up while late is set: the
 	// reply, when it comes, goes to late. Guarded by c.mu.
@@ -116,23 +127,20 @@ func (p *Pending) OnLate(f func(wire.Msg, error)) { p.late = f }
 // lets callers rely on the reliable layer's per-destination FIFO ordering
 // (the request is on the wire when Send returns) while collecting the
 // reply later, possibly on another thread.
+//
+// The Pending comes from the caller's free list when one is there, and
+// goes back to it when Await or AwaitMsg returns a reply.
 func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending, error) {
-	return c.send(to, session, req, false)
-}
-
-// send is Send; with reuse it takes the Pending from the free list when
-// one is there, for a call that returns it with release.
-func (c *Caller) send(to wire.InboxRef, session string, req wire.Msg, reuse bool) (*Pending, error) {
 	body, err := wire.EncodeBody(req)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	var p *Pending
-	if n := len(c.free); reuse && n > 0 {
+	if n := len(c.free); n > 0 {
 		p, c.free = c.free[n-1], c.free[:n-1]
 	} else {
-		p = &Pending{c: c, ch: make(chan *repMsg, 1)}
+		p = &Pending{c: c, ch: make(chan struct{}, 1)}
 	}
 	c.seq++
 	p.seq = c.seq
@@ -152,24 +160,28 @@ func (c *Caller) send(to wire.InboxRef, session string, req wire.Msg, reuse bool
 // (which may be nil to discard it), or until ctx ends — returning
 // ctx.Err(), i.e. context.Canceled or context.DeadlineExceeded — or the
 // dapplet stops (core.ErrStopped). A reply carrying a service error
-// returns it as a typed *Error. Await may be called once per Pending.
+// returns it as a typed *Error. Await may be called once per Pending:
+// once it has returned the reply, the Pending is back on the caller's
+// free list and dead to its user.
 func (p *Pending) Await(ctx context.Context, resp wire.Msg) error {
-	rep, err := p.wait(ctx)
-	if err != nil {
+	if err := p.wait(ctx); err != nil {
 		return err
 	}
-	return decodeReply(rep, resp)
+	err := decodeReply(&p.rep, resp)
+	p.c.release(p)
+	return err
 }
 
 // AwaitMsg is Await for callers that do not know the response type up
 // front: the body is decoded into a fresh value of its registered type
-// (nil for an empty reply).
+// (nil for an empty reply). Like Await, it leaves the Pending dead.
 func (p *Pending) AwaitMsg(ctx context.Context) (wire.Msg, error) {
-	rep, err := p.wait(ctx)
-	if err != nil {
+	if err := p.wait(ctx); err != nil {
 		return nil, err
 	}
-	return decodeMsg(rep)
+	m, err := decodeMsg(&p.rep)
+	p.c.release(p)
+	return m, err
 }
 
 func decodeMsg(rep *repMsg) (wire.Msg, error) {
@@ -196,20 +208,22 @@ func (p *Pending) abandon() {
 	}
 	c.mu.Unlock()
 	if !inFlight && p.late != nil {
-		p.late(decodeMsg(<-p.ch))
+		<-p.ch
+		p.late(decodeMsg(&p.rep))
 	}
 }
 
-func (p *Pending) wait(ctx context.Context) (*repMsg, error) {
+// wait waits for the reply, which it leaves in p.rep.
+func (p *Pending) wait(ctx context.Context) error {
 	select {
-	case rep := <-p.ch:
-		return rep, nil
+	case <-p.ch:
+		return nil
 	case <-ctx.Done():
 		p.abandon()
-		return nil, ctx.Err()
+		return ctx.Err()
 	case <-p.c.d.Stopped():
 		p.c.forget(p.seq)
-		return nil, core.ErrStopped
+		return core.ErrStopped
 	}
 }
 
@@ -236,22 +250,19 @@ func (c *Caller) CallTagged(ctx context.Context, to wire.InboxRef, session strin
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p, err := c.send(to, session, req, true)
+	p, err := c.Send(to, session, req)
 	if err != nil {
 		return err
 	}
-	rep, err := p.wait(ctx)
-	if err != nil {
-		return err // abandoned or stopped: p is never reused
-	}
-	c.release(p)
-	return decodeReply(rep, resp)
+	return p.Await(ctx, resp)
 }
 
-// release returns a Pending whose reply has been received to the free
-// list. Nothing else refers to it by then: onEnvelope removed it from
-// waiting before sending the reply, and its channel is empty again.
+// release returns a Pending whose reply has been received and decoded to
+// the free list. Nothing else refers to it by then: onEnvelope removed it
+// from waiting before signalling, and its channel is empty again. A
+// reused Pending starts with no OnLate callback and no reply body.
 func (c *Caller) release(p *Pending) {
+	p.late, p.rep = nil, repMsg{}
 	c.mu.Lock()
 	c.free = append(c.free, p)
 	c.mu.Unlock()

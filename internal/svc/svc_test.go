@@ -356,8 +356,10 @@ func TestNewCallerAddsNoGoroutine(t *testing.T) {
 // TestCallAllocs is the round trip's allocation budget: one Call and its
 // echo over a netsim pair, counted across every goroutine it involves
 // (caller, both receive loops, the server's dispatch thread). A Call
-// reuses its Pending and reply channel and the server its Ctx, so what
-// is left is the two messages' encode and decode.
+// reuses its Pending and reply channel and the server its Ctx, and the
+// reply is decoded into the caller's lent scratch, so what is left is
+// the request's envelope and bodies at the server and the response
+// body at the caller.
 func TestCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -378,11 +380,53 @@ func TestCallAllocs(t *testing.T) {
 	for range 2000 { // warm the pools, the free lists and the decoders
 		call()
 	}
-	const budget = 8
+	const budget = 6
 	allocs := testing.AllocsPerRun(2000, call)
 	t.Logf("%.2f allocations per call", allocs)
 	if allocs > budget {
 		t.Fatalf("one Call allocates %.2f times, want <= %d", allocs, budget)
+	}
+}
+
+// TestSendAwaitAllocs is TestCallAllocs for the split form a fan-out
+// uses: Send, then Await. Await hands the Pending back to the caller's
+// free list once it has the reply, so the next Send reuses it and its
+// channel, and the pair costs what a Call does.
+func TestSendAwaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w := newWorld(t, netsim.WithSeed(10))
+	srv := svc.Serve(w.Dapplet("hs", "t", "server"), "@echo", svc.Handlers{
+		"wire.bytes": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) { return req, nil },
+	})
+	caller := svc.NewCaller(w.Dapplet("hc", "t", "client"))
+	ctx := context.Background()
+	req := &wire.Bytes{B: make([]byte, 64)}
+	var resp wire.Bytes
+	var pends [4]*svc.Pending
+	fanOut := func() {
+		for i := range pends {
+			p, err := caller.Send(srv.Ref(), "", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pends[i] = p
+		}
+		for _, p := range pends {
+			if err := p.Await(ctx, &resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for range 500 { // warm the pools, the free lists and the decoders
+		fanOut()
+	}
+	const budget = 6
+	allocs := testing.AllocsPerRun(500, fanOut) / float64(len(pends))
+	t.Logf("%.2f allocations per call", allocs)
+	if allocs > budget {
+		t.Fatalf("one Send and Await allocate %.2f times, want <= %d", allocs, budget)
 	}
 }
 

@@ -105,6 +105,32 @@ func TestSendBacklogBound(t *testing.T) {
 	}
 }
 
+// A place Reserve claims counts against the backlog's bound, so Send is
+// refused one frame sooner, and SendReserved spends it past the bound.
+func TestReserveClaimsBacklogPlace(t *testing.T) {
+	const window = 4
+	r := newEndpoint(newNullConn(), Config{RTO: time.Hour, Window: window})
+	t.Cleanup(func() { r.Close() })
+	peer := netsim.Addr{Host: "peer", Port: 1}
+	sendAll(t, r.Reliable, peer, 0, window*(1+backlogWindows)-1)
+	if err := r.Reserve(peer); err != nil {
+		t.Fatalf("Reserve with one place left: %v", err)
+	}
+	if err := r.Send(peer, nil, []byte("claimed")); !errors.Is(err, ErrBacklog) {
+		t.Fatalf("Send into a claimed place: %v, want ErrBacklog", err)
+	}
+	if err := r.Reserve(peer); !errors.Is(err, ErrBacklog) {
+		t.Fatalf("Reserve past the bound: %v, want ErrBacklog", err)
+	}
+	if err := r.SendReserved(peer, nil, []byte("reserved")); err != nil {
+		t.Fatalf("SendReserved: %v", err)
+	}
+	st := r.Stats()
+	if st.BacklogFull != 2 || st.DataSent != window*(1+backlogWindows) {
+		t.Fatalf("BacklogFull = %d, DataSent = %d; want 2 and %d", st.BacklogFull, st.DataSent, window*(1+backlogWindows))
+	}
+}
+
 // Frames backlogged behind a partition leave as the healed path's acks
 // open the window, and arrive in order, exactly once.
 func TestBacklogDrainsAfterHeal(t *testing.T) {

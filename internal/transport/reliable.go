@@ -229,6 +229,9 @@ type peerState struct {
 	ackedTo uint64             // guarded by mu; highest cumulative ack received
 	unacked map[uint64]*outPkt // guarded by mu
 	free    []*outPkt          // guarded by mu; acknowledged frames Send reuses, at most Window
+	// reserved counts the places Reserve claimed that SendReserved has
+	// not spent; they count against the backlog's bound.
+	reserved int // guarded by mu
 
 	// Loss recovery. srtt and rttvar are the RFC 6298 estimator over acks
 	// of never-resent frames (zero until the first sample; rttBound while
@@ -529,30 +532,68 @@ func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, f
 // frame sent into a quiet channel is written before Send returns,
 // carrying any ack its peer is owed.
 func (r *Reliable) Send(to netsim.Addr, hdr, payload []byte) error {
-	return r.send(to, hdr, payload, false)
+	return r.send(to, hdr, payload, false, false)
 }
 
 // SendWait is AwaitWindow and Send in one critical section.
 func (r *Reliable) SendWait(to netsim.Addr, hdr, payload []byte) error {
-	return r.send(to, hdr, payload, true)
+	return r.send(to, hdr, payload, true, false)
 }
 
-func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait bool) error {
+// Reserve claims a place for one frame to the peer, so that the next
+// SendReserved to it is not refused for backlog; past the backlog's
+// bound it returns ErrBacklog, as Send would. It never waits. A sender
+// that must act between admitting a frame and sending it (core shows
+// the frame to its send observers, which count it as sequenced) uses
+// the pair instead of Send. Every place claimed must be spent.
+func (r *Reliable) Reserve(to netsim.Addr) error {
+	p := r.peer(to)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.closed:
+		return ErrClosed
+	case r.refusesLocked(p):
+		r.stats.backlogFull.Add(1)
+		return ErrBacklog
+	}
+	p.reserved++
+	return nil
+}
+
+// SendReserved is Send on a place Reserve claimed: never refused for
+// backlog, and it never waits.
+func (r *Reliable) SendReserved(to netsim.Addr, hdr, payload []byte) error {
+	return r.send(to, hdr, payload, false, true)
+}
+
+// refusesLocked reports whether Send must refuse a frame to p: its
+// window is full, and its backlog and the places claimed in it reach
+// the bound. Caller holds p.mu.
+func (r *Reliable) refusesLocked(p *peerState) bool {
+	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
+	return full && len(p.backlog)+p.reserved >= backlogWindows*r.cfg.Window
+}
+
+func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait, reserved bool) error {
 	p := r.peer(to)
 	p.mu.Lock()
 	if wait {
 		r.awaitLocked(p)
 	}
+	if reserved {
+		p.reserved--
+	}
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
-	if full && len(p.backlog) >= backlogWindows*r.cfg.Window {
+	if !reserved && r.refusesLocked(p) {
 		p.mu.Unlock()
 		r.stats.backlogFull.Add(1)
 		return ErrBacklog
 	}
+	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
 	seq := p.nextSeq
 	p.nextSeq++
 	inline := !bytes.Equal(hdr, p.txHdr)

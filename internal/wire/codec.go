@@ -173,6 +173,21 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
+// ReuseString is String for a field decoded over its previous value:
+// when the bytes equal prev it returns prev itself, so a message decoded
+// again and again into one value (EnvelopeDecoder.Lend) keeps its
+// strings without allocating while they repeat.
+func (r *Reader) ReuseString(prev string) string {
+	b := r.Bytes()
+	switch {
+	case len(b) == 0:
+		return ""
+	case string(b) == prev:
+		return prev
+	}
+	return string(b)
+}
+
 // Bytes reads a length-prefixed byte slice. The result aliases the
 // Reader's input (nil when the length is zero).
 func (r *Reader) Bytes() []byte {

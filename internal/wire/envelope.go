@@ -219,11 +219,12 @@ func MarshalEnvelope(e *Envelope) ([]byte, error) {
 // not yet split at Lamport.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 	r := Reader{data: data}
-	var env Envelope
-	id, err := (*EnvelopeDecoder)(nil).header(&r, &env)
+	var hdr [hdrStrings]string
+	id, err := (*EnvelopeDecoder)(nil).header(&r, &hdr)
 	if err != nil {
 		return nil, err
 	}
+	env := headerEnvelope(&hdr)
 	return decodePayload(&env, id, data[r.off:])
 }
 
@@ -231,14 +232,30 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 // each of the three string header fields it keeps the last string it
 // decoded, and returns that string again when the next frame carries the
 // same bytes there. Frames on one channel repeat their headers, so in the
-// steady state a decode allocates only the Envelope and its body. A kept
-// string is a copy, never an alias of a frame. The zero value is ready to
-// use; a decoder is not safe for concurrent use.
+// steady state a decode allocates only the Envelope and its body, and a
+// lent decode (Lend) allocates nothing. A kept string is a copy, never an
+// alias of a frame. The zero value is ready to use; a decoder is not safe
+// for concurrent use.
 type EnvelopeDecoder struct {
 	last [hdrStrings]string
+	// hdr and id are the header Header read last, which Payload and Lend
+	// complete.
+	hdr [hdrStrings]string
+	id  uint16
+	// lent is Lend's scratch, made on its first use: a decoder that
+	// never lends (most of a swarm's dapplets) carries one nil pointer.
+	lent *lentScratch
 }
 
-// The string header fields, indexing EnvelopeDecoder.last.
+// lentScratch is what EnvelopeDecoder.Lend reuses: the Envelope it hands
+// out, and bodies[id], the body value it decodes kind id into, each made
+// the first time it is needed.
+type lentScratch struct {
+	env    Envelope
+	bodies []Msg
+}
+
+// The string header fields, indexing EnvelopeDecoder.last and hdr.
 const (
 	hdrToInbox = iota
 	hdrFromOutbox
@@ -248,36 +265,111 @@ const (
 
 // Decode reconstructs an envelope from a frame split at Lamport, as
 // AppendEnvelopeHeader and AppendEnvelopePayload wrote it, reusing the
-// strings of earlier frames this decoder read. A header that is empty,
-// lacks the magic byte or runs on past Session is an error.
+// strings of earlier frames this decoder read: Header, then Payload.
 func (d *EnvelopeDecoder) Decode(hdr, payload []byte) (*Envelope, error) {
+	if _, err := d.Header(hdr); err != nil {
+		return nil, err
+	}
+	return d.Payload(payload)
+}
+
+// Header reads the header half of a frame and returns the inbox it
+// addresses (To.Inbox), so that the caller can choose how to complete
+// the decode: Payload or Lend. A header that is empty, lacks the magic
+// byte or runs on past Session is an error.
+func (d *EnvelopeDecoder) Header(hdr []byte) (string, error) {
 	r := Reader{data: hdr}
-	var env Envelope
-	id, err := d.header(&r, &env)
+	id, err := d.header(&r, &d.hdr)
+	if err != nil {
+		return "", err
+	}
+	if err := r.Done(); err != nil {
+		return "", fmt.Errorf("wire: bad envelope header: %w", err)
+	}
+	d.id = id
+	return d.hdr[hdrToInbox], nil
+}
+
+// Payload decodes the payload half of the frame whose header Header read
+// last into a new Envelope and body, which the caller owns.
+func (d *EnvelopeDecoder) Payload(payload []byte) (*Envelope, error) {
+	env := headerEnvelope(&d.hdr)
+	return decodePayload(&env, d.id, payload)
+}
+
+// Lend is Payload into the decoder's own scratch: one Envelope, and one
+// body value per kind, each made the first time it is needed and reused
+// by every later Lend. The result is lent, as bufio.Scanner.Bytes is: it
+// is valid until the decoder's next call, and its user must copy what it
+// keeps. A body is decoded over the previous value of its kind, so every
+// kind's UnmarshalBinary sets each field; strings it reads with
+// Reader.ReuseString cost nothing while the bytes repeat.
+func (d *EnvelopeDecoder) Lend(payload []byte) (*Envelope, error) {
+	r := Reader{data: payload}
+	lamport := r.Uvarint()
+	data := r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("wire: bad envelope: %w", err)
+	}
+	m, err := d.body(d.id)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("wire: bad envelope header: %w", err)
+	if err := m.UnmarshalBinary(data); err != nil {
+		return nil, fmt.Errorf("wire: decode %q body: %w", m.Kind(), err)
 	}
-	return decodePayload(&env, id, payload)
+	env := &d.lent.env
+	*env = headerEnvelope(&d.hdr)
+	env.Lamport, env.Body = lamport, m
+	return env, nil
 }
 
-// header reads the header half of a frame into env and returns the kind
+// body returns the decoder's body value for kind id, making it (and the
+// scratch) the first time.
+func (d *EnvelopeDecoder) body(id uint16) (Msg, error) {
+	if d.lent == nil {
+		d.lent = new(lentScratch)
+	}
+	bodies := d.lent.bodies
+	if int(id) < len(bodies) && bodies[id] != nil {
+		return bodies[id], nil
+	}
+	e := entryByID(id)
+	if e == nil {
+		return nil, fmt.Errorf("wire: unknown message kind id %d", id)
+	}
+	m, err := newMsg(e)
+	if err != nil {
+		return nil, err
+	}
+	if n := int(id) + 1; n > len(bodies) {
+		bodies = append(bodies, make([]Msg, n-len(bodies))...)
+	}
+	bodies[id] = m
+	d.lent.bodies = bodies
+	return m, nil
+}
+
+// header reads the header half of a frame into hdr and returns the kind
 // id, reusing kept strings unless d is nil.
-func (d *EnvelopeDecoder) header(r *Reader, env *Envelope) (uint16, error) {
+func (d *EnvelopeDecoder) header(r *Reader, hdr *[hdrStrings]string) (uint16, error) {
 	if len(r.data) == 0 || r.data[0] != envMagic {
 		return 0, fmt.Errorf("wire: bad envelope: no magic byte")
 	}
 	r.off = 1
 	id := r.uint16("kind id")
-	env.To.Inbox = d.string(r, hdrToInbox)
-	env.FromOutbox = d.string(r, hdrFromOutbox)
-	env.Session = d.string(r, hdrSession)
+	for field := range hdr {
+		hdr[field] = d.string(r, field)
+	}
 	if err := r.Err(); err != nil {
 		return 0, fmt.Errorf("wire: bad envelope: %w", err)
 	}
 	return id, nil
+}
+
+// headerEnvelope is an Envelope holding the header strings hdr.
+func headerEnvelope(hdr *[hdrStrings]string) Envelope {
+	return Envelope{To: InboxRef{Inbox: hdr[hdrToInbox]}, FromOutbox: hdr[hdrFromOutbox], Session: hdr[hdrSession]}
 }
 
 // decodePayload reads the payload half of a frame into env: Lamport, then

@@ -64,13 +64,14 @@ func (m *RelayFrame) AppendBinary(dst []byte) ([]byte, error) {
 
 // UnmarshalBinary implements Msg. The decoded Body aliases the
 // input buffer; callers that retain the frame past the buffer's lifetime
-// must copy it (see CopyBody).
+// must copy it (see CopyBody). Decoded over an earlier frame, as a lent
+// decode does, it keeps the earlier frame's strings while they repeat.
 func (m *RelayFrame) UnmarshalBinary(data []byte) error {
 	r := NewReader(data)
-	m.Origin = r.String()
-	m.OriginAddr.Host = r.String()
+	m.Origin = r.ReuseString(m.Origin)
+	m.OriginAddr.Host = r.ReuseString(m.OriginAddr.Host)
 	m.OriginAddr.Port = r.Port()
-	m.OriginOutbox = r.String()
+	m.OriginOutbox = r.ReuseString(m.OriginOutbox)
 	m.Lamport = r.Uvarint()
 	m.Seq = r.Uvarint()
 	m.Epoch = r.Uvarint()

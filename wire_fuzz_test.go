@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -134,6 +135,75 @@ func roundTripKind(t *testing.T, kind string, env *wire.Envelope) {
 	want.To.Dapplet, want.FromDapplet = netsim.Addr{}, netsim.Addr{}
 	if !reflect.DeepEqual(got, &want) {
 		t.Fatalf("%s: round trip not identity:\n got %#v\nwant %#v", kind, got, &want)
+	}
+}
+
+// splitFrame encodes env as a sender frames it: the header half and the
+// payload half.
+func splitFrame(t *testing.T, env *wire.Envelope) (hdr, payload []byte) {
+	t.Helper()
+	body, err := wire.EncodeBody(env.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Release()
+	return wire.AppendEnvelopeHeader(nil, env, body), wire.AppendEnvelopePayload(nil, env, body)
+}
+
+// TestLentDecodeAllKinds: a lent decode (EnvelopeDecoder.Lend) decodes
+// each body over the previous value of its kind, so every kind's decoder
+// must set every field. For every registered kind, a populated value and
+// then a zero one, lent by one decoder, each equal a fresh decode. Then
+// a repeated relay frame, the one kind lent on every tree hop, is lent
+// into the same Envelope twice and allocates nothing.
+func TestLentDecodeAllKinds(t *testing.T) {
+	var dec wire.EnvelopeDecoder
+	for _, kind := range messageKinds(t) {
+		for _, populated := range []bool{true, false} {
+			hdr, payload := splitFrame(t, kindsEnvelope(newPopulated(t, kind, populated)))
+			want, err := wire.UnmarshalEnvelope(append(slices.Clip(hdr), payload...))
+			if err != nil {
+				t.Fatalf("%s: fresh decode: %v", kind, err)
+			}
+			if _, err := dec.Header(hdr); err != nil {
+				t.Fatalf("%s: header: %v", kind, err)
+			}
+			got, err := dec.Lend(payload)
+			if err != nil {
+				t.Fatalf("%s: lent decode: %v", kind, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (populated %v): lent decode over a reused body differs from a fresh one:\n got %#v\nwant %#v", kind, populated, got.Body, want.Body)
+			}
+		}
+	}
+
+	body, err := wire.EncodeBody(&wire.Bytes{B: make([]byte, 256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := &wire.RelayFrame{Origin: "m00", OriginAddr: netsim.Addr{Host: "site0", Port: 7}, OriginOutbox: "out",
+		Lamport: 9, Seq: 3, Epoch: 1, TTL: 6, BodyID: body.ID(), Body: slices.Clone(body.Bytes())}
+	body.Release()
+	hdr, payload := splitFrame(t, kindsEnvelope(frame))
+	lend := func() *wire.Envelope {
+		if _, err := dec.Header(hdr); err != nil {
+			t.Fatal(err)
+		}
+		env, err := dec.Lend(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	if first, second := lend(), lend(); first != second || first.Body != second.Body {
+		t.Fatal("two lent decodes of one kind returned different values")
+	}
+	if got := lend().Body.(*wire.RelayFrame); !reflect.DeepEqual(got, frame) {
+		t.Fatalf("lent relay frame %+v, want %+v", got, frame)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { lend() }); allocs != 0 {
+		t.Fatalf("a lent decode of a repeated relay frame allocates %.1f times, want 0", allocs)
 	}
 }
 
