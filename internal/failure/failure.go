@@ -520,11 +520,13 @@ func (det *Detector) emit(ev Event) {
 }
 
 // postLocked queues f, the work (observer delivery, rumours, relay
-// probes) of a verdict change just made under det.mu, for drainPosted on
-// the work queue: changes reach observers in the order made, no change
-// waits for an observer, and the receive goroutine, which lifts Suspect,
-// never waits for a rumour's window. Caller holds det.mu; postLocked
-// releases it.
+// probes) of a verdict change just made under det.mu, or a refutation,
+// for drainPosted on the work queue: changes reach observers in the
+// order made, no change waits for an observer, and the receive
+// goroutine, which lifts Suspect and hears rumours, never waits for a
+// rumour's window. Caller holds det.mu; postLocked releases it.
+//
+//wwlint:handoff f runs on the work queue, where a rumour may wait for its window
 func (det *Detector) postLocked(f func()) {
 	det.posted = append(det.posted, f)
 	start := !det.posting

@@ -40,8 +40,9 @@ const (
 )
 
 // iprobeMsg asks a relay to probe Target at the given address on the
-// sender's behalf; it travels bare (one-way) on the "@fail" inbox so the
-// relay's svc dispatch thread never blocks on the probe itself.
+// sender's behalf; it travels bare (one-way) on the "@fail" inbox, and
+// the relay's handler, which runs on its receive goroutine, probes from
+// a thread of its own.
 type iprobeMsg struct {
 	Target string
 	Host   string
@@ -204,9 +205,9 @@ func (det *Detector) spreadVerdict(target string, addr netsim.Addr, inc uint64, 
 }
 
 // handleIProbe serves a relay's side of an indirect probe: the actual
-// probe call runs on a spawned thread (svc dispatch must not block on a
-// possibly-dead address) and its outcome is cast back to the watcher's
-// "@fail" inbox.
+// probe call runs on a spawned thread (an svc handler runs on the
+// receive goroutine and must never wait, least of all on a possibly-dead
+// address) and its outcome is cast back to the watcher's "@fail" inbox.
 func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeMsg)
 	back := wire.InboxRef{Dapplet: c.From(), Inbox: ControlInbox}
@@ -291,10 +292,10 @@ func (det *Detector) confirmSuspicion(name, confirmer string, inc uint64) {
 	})
 }
 
-// onVerdictRumor is the detector's gossip handler: suspicions about this
-// dapplet are answered with an alive refutation; suspicions about a peer
-// this watcher already suspects count the origin toward the quorum;
-// alive rumors refute.
+// onVerdictRumor is the detector's gossip handler, run on the goroutine
+// delivering the rumour: suspicions about this dapplet are answered with
+// an alive refutation; suspicions about a peer this watcher already
+// suspects count the origin toward the quorum; alive rumors refute.
 func (det *Detector) onVerdictRumor(origin string, body wire.Msg) {
 	m, ok := body.(*verdictRumor)
 	if !ok {
@@ -307,9 +308,14 @@ func (det *Detector) onVerdictRumor(origin string, body wire.Msg) {
 		if m.Target == det.d.Name() {
 			// Someone suspects this very incarnation: shout back. A rumor
 			// about an older incarnation of this name is someone else's
-			// stale news and not ours to refute.
+			// stale news and not ours to refute. The refutation waits for
+			// each peer's window, so it is posted: this handler runs on
+			// the receive goroutine, which reads the acknowledgements.
 			if m.Inc <= det.cfg.Incarnation {
-				det.spreadVerdict(det.d.Name(), det.d.Addr(), det.cfg.Incarnation, rumorAlive)
+				det.mu.Lock()
+				det.postLocked(func() {
+					det.spreadVerdict(det.d.Name(), det.d.Addr(), det.cfg.Incarnation, rumorAlive)
+				})
 			}
 			return
 		}

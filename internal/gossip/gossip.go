@@ -91,8 +91,9 @@ func (c Config) withDefaults() Config {
 // Exchanger is one topic's anti-entropy state: the engine calls Digest to
 // summarize local state, forwards a peer's digest to DeltaFor to compute
 // what that peer is missing, and folds a received delta in with Apply.
-// Implementations are called from engine and dispatch threads and must do
-// their own locking.
+// Implementations are called from the engine's round loop and, for
+// DeltaFor, from the goroutine delivering a peer's pull, where it must
+// never wait; they do their own locking.
 type Exchanger interface {
 	// Digest returns a compact summary of local state (e.g. a version
 	// vector), sent with every pull.
@@ -105,8 +106,9 @@ type Exchanger interface {
 }
 
 // RumorHandler consumes one rumor delivery: the originating dapplet's
-// name and the decoded rumor body. It runs on the engine's dispatch
-// thread and must not block.
+// name and the decoded rumor body. It runs on the goroutine delivering
+// the rumor — the dapplet's receive goroutine — and must never wait, so
+// it must not Broadcast: a reaction that does is posted to a thread.
 type RumorHandler func(origin string, body wire.Msg)
 
 // Stats counts an engine's gossip activity.
@@ -310,7 +312,11 @@ func (e *Engine) Broadcast(topic string, body wire.Msg) error {
 		BodyID: enc.ID(),
 		Body:   enc.Bytes(),
 	}
-	e.fanout(m, netsim.Addr{}, true)
+	for _, p := range e.sample(e.cfg.Fanout, netsim.Addr{}) {
+		if e.d.Transport().AwaitWindow(p.Dapplet) == nil {
+			e.send(p, m)
+		}
+	}
 	return nil
 }
 
@@ -455,25 +461,20 @@ func (e *Engine) handleRumor(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			BodyID: m.BodyID,
 			Body:   m.Body,
 		}
-		// Forwarding happens synchronously on the dispatch thread (the
-		// decoded body bytes are only valid during dispatch); the send
-		// itself copies into transmit frames.
-		e.fanout(fwd, c.From(), false)
+		// Forwarded before the handler returns, without waiting for a
+		// window: the handler runs on the receive goroutine. The send
+		// copies the body into its transmit frames.
+		for _, p := range e.sample(e.cfg.Fanout, c.From()) {
+			e.send(p, fwd)
+		}
 	}
 	return nil, nil
 }
 
-// fanout transmits a rumor to Fanout random peers, skipping this dapplet
-// and the address the rumor just arrived from; wait: see Broadcast.
-func (e *Engine) fanout(m *rumorMsg, arrivedFrom netsim.Addr, wait bool) {
-	peers := e.sample(e.cfg.Fanout, arrivedFrom)
-	for _, p := range peers {
-		if wait && e.d.Transport().AwaitWindow(p.Dapplet) != nil {
-			continue
-		}
-		if e.d.SendDirect(p, "", m) == nil {
-			e.sent.Add(1)
-		}
+// send transmits one rumor to one peer, counting it, without waiting.
+func (e *Engine) send(p wire.InboxRef, m *rumorMsg) {
+	if e.d.SendDirect(p, "", m) == nil {
+		e.sent.Add(1)
 	}
 }
 

@@ -17,16 +17,19 @@ import (
 // TestAnalyzerFixtures over its fixture.
 var AnalyzerNowait = &Analyzer{
 	Name: "nowait",
-	Doc: "code reachable from a transport sink, a receive observer, an inline inbox, a timer callback " +
-		"or a //wwlint:nowait function must not call Reliable.AwaitWindow, Reliable.SendWait, core's and svc's " +
-		"waiting sends, receives and calls, or sync.Cond.Wait, or receive from a channel without a default",
+	Doc: "code reachable from a transport sink, a receive observer, an inline inbox, a timer callback, " +
+		"an svc handler, a gossip rumour handler or a //wwlint:nowait function must not call Reliable.AwaitWindow, " +
+		"Reliable.SendWait, core's, svc's and gossip's waiting sends, receives and calls, or sync.Cond.Wait, " +
+		"or receive from a channel without a default",
 	Run: runNowait,
 }
 
 // nowaitRoots are the calls whose function argument runs where nothing
-// may wait: on a runtime timer, or on a transport's receive goroutine.
-// Callees are matched by package name, so a fixture module can stand in
-// for the real packages.
+// may wait: on a runtime timer, or on a transport's receive goroutine —
+// an inline inbox's func, an svc handler table's handlers, a gossip
+// rumour handler (run by the "@gossip" svc handler). Callees are matched
+// by package name, so a fixture module can stand in for the real
+// packages.
 var nowaitRoots = []struct {
 	pkg, recv, name string
 	arg             int
@@ -36,14 +39,17 @@ var nowaitRoots = []struct {
 	{"core", "Dapplet", "OnRecv", 0},
 	{"core", "Dapplet", "NewInlineInbox", 0},
 	{"core", "Dapplet", "HandleInline", 1},
+	{"svc", "", "Serve", 2},
+	{"gossip", "Engine", "OnRumor", 1},
 }
 
 // exportedWaits are the calls into other packages that wait, matched by
 // package name and receiver: the transport's window waits, and the
-// entry points of core and svc that wait on the network — for a window
-// (SendEncoded, an outbox send), an arrival (the blocking inbox
-// receives) or a reply (Await, Call). The scan does not enter other
-// packages, so these are named here.
+// entry points of core, svc, gossip and relay that wait on the network
+// — for a window (SendEncoded, an outbox send, a rumour's origination, a
+// tree flood), an arrival (the blocking inbox receives) or a reply
+// (Await, Call). The scan does not enter other packages, so these are
+// named here.
 var exportedWaits = []struct {
 	pkg, recv string
 	names     []string
@@ -55,6 +61,8 @@ var exportedWaits = []struct {
 	{"core", "Inbox", []string{"AwaitNonEmpty", "Receive", "ReceiveEnvelope", "ReceiveContext", "ReceiveEnvelopeContext"}, ""},
 	{"svc", "Pending", []string{"Await", "AwaitMsg"}, ""},
 	{"svc", "Caller", []string{"Call", "CallTagged", "CallFirst"}, ""},
+	{"gossip", "Engine", []string{"Broadcast"}, " for each peer's window"},
+	{"relay", "Relay", []string{"Multicast", "Redrive"}, " for each neighbour's window"},
 }
 
 // nowaitDirective, in a function's doc comment, makes the function a
@@ -62,10 +70,17 @@ var exportedWaits = []struct {
 // way the analyzer cannot follow (the receive loop's go statement).
 const nowaitDirective = "//wwlint:nowait"
 
+// handoffDirective, in a function's doc comment, says that the function
+// values it is handed run later on a thread that may wait, not on its
+// caller's goroutine (the failure detector's posted verdict work): the
+// scan checks the function's own body but does not follow them.
+const handoffDirective = "//wwlint:handoff"
+
 // waitScan walks the code of one package reachable from the roots. It
 // follows static calls within the package, function values passed to
-// functions of the package, and function literals called or deferred;
-// it stops at go statements, interface and function-value calls and at
+// functions of the package, the elements of a composite literal passed
+// so (a handler table), and function literals called or deferred; it
+// stops at go statements, interface and function-value calls and at
 // other packages, whose waits it knows by name (exportedWaits).
 type waitScan struct {
 	p      *Pass
@@ -103,12 +118,8 @@ func runNowait(p *Pass) error {
 	}
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil && fd.Body != nil {
-				for _, c := range fd.Doc.List {
-					if strings.HasPrefix(c.Text, nowaitDirective) {
-						w.visit(fd, fd.Name.Name)
-					}
-				}
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && hasDirective(fd, nowaitDirective) {
+				w.visit(fd, fd.Name.Name)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -125,6 +136,19 @@ func runNowait(p *Pass) error {
 		})
 	}
 	return nil
+}
+
+// hasDirective reports whether fd's doc comment carries directive.
+func hasDirective(fd *ast.FuncDecl, directive string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.HasPrefix(c.Text, directive) {
+			return true
+		}
+	}
+	return false
 }
 
 func identOf(e ast.Expr) *ast.Ident {
@@ -165,11 +189,19 @@ func (w *waitScan) callee(call *ast.CallExpr) *types.Func {
 
 // follow visits the code a function value stands for, when it is this
 // package's: a literal, a function or method of the package, or a local
-// bound to one of those.
+// bound to one of those; or, for a composite literal, each function
+// value among its elements.
 func (w *waitScan) follow(e ast.Expr, path string) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
 		w.visit(e, path)
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			w.follow(elt, path)
+		}
 	case *ast.Ident, *ast.SelectorExpr:
 		var id *ast.Ident
 		if sel, ok := e.(*ast.SelectorExpr); ok {
@@ -264,6 +296,9 @@ func (w *waitScan) call(call *ast.CallExpr, path string) {
 		return
 	}
 	w.visit(fd, path+" → "+fd.Name.Name)
+	if hasDirective(fd, handoffDirective) {
+		return
+	}
 	for _, arg := range call.Args {
 		if _, ok := underlying(w.p.Info.Types[arg].Type).(*types.Signature); ok {
 			w.follow(arg, path+" → "+fd.Name.Name+" argument")

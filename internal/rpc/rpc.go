@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/svc"
@@ -119,33 +120,87 @@ type Method func(args json.RawMessage) (any, error)
 type Object map[string]Method
 
 // Serve associates an object with an inbox named "@obj:<name>" on the
-// dapplet and a dispatch thread that invokes the directed methods,
-// returning the object's global pointer. The inbox is an svc-served
-// inbox: correlated invocations are answered, bare ones are asynchronous.
+// dapplet and a thread that invokes the directed methods, returning the
+// object's global pointer. The inbox is an svc-served inbox: correlated
+// invocations are answered, bare ones are asynchronous. Methods are
+// application code and may wait — on a nested Call, say — so the inbox's
+// handler, which runs on the receive goroutine, only takes each
+// invocation's reply (svc.Ctx.Defer) and queues it for the object's
+// thread, which runs them one at a time in arrival order.
 func Serve(d *core.Dapplet, name string, obj Object) Ref {
-	inboxName := "@obj:" + name
-	srv := svc.Serve(d, inboxName, svc.Handlers{
+	o := &served{obj: obj, wake: make(chan struct{}, 1)}
+	srv := svc.Serve(d, "@obj:"+name, svc.Handlers{
 		"rpc.call": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			call := req.(*callMsg)
-			m, found := obj[call.Method]
-			if !found {
-				return nil, &svc.Error{Code: codeNoMethod, Msg: call.Method}
+			o.mu.Lock()
+			o.q = append(o.q, invocation{call: req.(*callMsg), reply: c.Defer()})
+			o.mu.Unlock()
+			select {
+			case o.wake <- struct{}{}:
+			default:
 			}
-			result, err := m(call.Args)
-			if err != nil {
-				return nil, &svc.Error{Code: codeRemote, Msg: err.Error()}
-			}
-			if result == nil {
-				return &replyMsg{}, nil
-			}
-			data, jerr := json.Marshal(result)
-			if jerr != nil {
-				return nil, &svc.Error{Code: codeRemote, Msg: fmt.Sprintf("marshal result: %v", jerr)}
-			}
-			return &replyMsg{Result: data}, nil
+			return nil, nil
 		},
 	})
+	d.Spawn(func() { o.run(d.Stopped()) })
 	return Ref{Inbox: srv.Ref()}
+}
+
+// served is one served object and its queue of invocations.
+type served struct {
+	obj Object
+	// wake has room for one signal: the handler leaves one whenever it
+	// queues, so the thread never sleeps on a non-empty queue.
+	wake chan struct{}
+
+	mu sync.Mutex
+	q  []invocation
+}
+
+// invocation is one queued call and the reply it owes (a no-op Reply
+// for a bare, one-way call).
+type invocation struct {
+	call  *callMsg
+	reply svc.Reply
+}
+
+// run is the object's thread: it invokes queued calls in arrival order
+// until the dapplet stops.
+func (o *served) run(stopped <-chan struct{}) {
+	var batch []invocation
+	for {
+		select {
+		case <-stopped:
+			return
+		case <-o.wake:
+		}
+		o.mu.Lock()
+		batch, o.q = o.q, batch[:0]
+		o.mu.Unlock()
+		for i, inv := range batch {
+			inv.reply.Send(o.invoke(inv.call))
+			batch[i] = invocation{}
+		}
+	}
+}
+
+// invoke runs one call's method and frames its outcome as the reply.
+func (o *served) invoke(call *callMsg) (wire.Msg, error) {
+	m, found := o.obj[call.Method]
+	if !found {
+		return nil, &svc.Error{Code: codeNoMethod, Msg: call.Method}
+	}
+	result, err := m(call.Args)
+	if err != nil {
+		return nil, &svc.Error{Code: codeRemote, Msg: err.Error()}
+	}
+	if result == nil {
+		return &replyMsg{}, nil
+	}
+	data, jerr := json.Marshal(result)
+	if jerr != nil {
+		return nil, &svc.Error{Code: codeRemote, Msg: fmt.Sprintf("marshal result: %v", jerr)}
+	}
+	return &replyMsg{Result: data}, nil
 }
 
 // Client issues calls from a dapplet to remote objects. Each client owns

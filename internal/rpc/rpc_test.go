@@ -293,3 +293,40 @@ func TestCallExpiredContext(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// TestNestedCallFromMethod: a method is application code and may wait,
+// here on a nested Call to a second object served by the same dapplet.
+// Methods run on their object's thread, not on the receive goroutine
+// that must deliver the nested call's request and reply.
+func TestNestedCallFromMethod(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(2))
+	server := w.Dapplet("h1", "t", "server")
+	inner, _, _ := counterObject()
+	innerRef := rpc.Serve(server, "inner", inner)
+	nested := rpc.NewClient(server)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	outerRef := rpc.Serve(server, "outer", rpc.Object{
+		"addTwice": func(raw json.RawMessage) (any, error) {
+			n, err := rpc.Args[int](raw)
+			if err != nil {
+				return nil, err
+			}
+			var sum int
+			if err := nested.Call(ctx, innerRef, "add", 2*n, &sum); err != nil {
+				return nil, err
+			}
+			return sum, nil
+		},
+	})
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
+	for _, tc := range []struct{ n, want int }{{3, 6}, {4, 14}} {
+		var got int
+		if err := cli.Call(ctx, outerRef, "addTwice", tc.n, &got); err != nil {
+			t.Fatalf("addTwice(%d): %v", tc.n, err)
+		}
+		if got != tc.want {
+			t.Fatalf("addTwice(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+}

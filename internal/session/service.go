@@ -121,7 +121,11 @@ func (m *Membership) LivePeers(role string) []Participant {
 	return out
 }
 
-// Policy configures how a dapplet responds to session requests.
+// Policy configures how a dapplet responds to session requests. Its
+// callbacks run in the "@session" inbox's svc handlers, on the goroutine
+// delivering the request — the dapplet's receive goroutine — so they
+// must never wait: not on a send, a reply or an inbox. One that must
+// hands its work to a thread (core.Dapplet.Spawn).
 type Policy struct {
 	// ACL, when non-nil, decides whether an inviter may link this dapplet
 	// into a session; returning false rejects the invitation ("because
@@ -213,7 +217,20 @@ func Attach(d *core.Dapplet, policy Policy) *Service {
 			return s.onTerminate(req.(*terminateMsg)), nil
 		},
 		"session.relink": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			return s.onRelink(req.(*relinkMsg)), nil
+			m := req.(*relinkMsg)
+			ack, redrive := s.onRelink(m)
+			if !redrive {
+				return ack, nil
+			}
+			// The re-flood waits for each neighbour's window, which
+			// this goroutine's acknowledgements open: it runs on a
+			// thread, and the ack follows it.
+			reply := c.Defer()
+			d.Spawn(func() {
+				_ = s.Relay().Redrive(m.SessionID)
+				reply.Send(ack, nil)
+			})
+			return nil, nil
 		},
 	})
 	return s
@@ -357,14 +374,17 @@ func (s *Service) onTerminate(m *terminateMsg) *terminateAckMsg {
 	return &terminateAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
 }
 
-func (s *Service) onRelink(m *relinkMsg) *relinkAckMsg {
-	ack := &relinkAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
+// onRelink applies a relink to this dapplet's membership and returns the
+// ack, and whether the session's replay ring is to be re-flooded before
+// the ack is sent (see Relay.Redrive).
+func (s *Service) onRelink(m *relinkMsg) (ack *relinkAckMsg, redrive bool) {
+	ack = &relinkAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
 	s.mu.Lock()
 	mem, ok := s.members[m.SessionID]
 	s.mu.Unlock()
 	if !ok {
 		// Not a member: ack anyway so the initiator is not stuck.
-		return ack
+		return ack, false
 	}
 	mem.mu.Lock()
 	for _, b := range m.Remove {
@@ -408,13 +428,11 @@ func (s *Service) onRelink(m *relinkMsg) *relinkAckMsg {
 	mem.mu.Unlock()
 	if rebind != nil {
 		s.bindTree(m.SessionID, rebind, m.Roster, m.Depth, m.Epoch, false)
-		if m.Redrive {
-			// Re-flood the replay ring so frames a failed relay
-			// swallowed reach the re-parented subtree; per-origin
-			// sequence dedup makes this idempotent everywhere else.
-			_ = s.Relay().Redrive(m.SessionID)
-		}
+		// Re-flood the replay ring so frames a failed relay swallowed
+		// reach the re-parented subtree; per-origin sequence dedup makes
+		// this idempotent everywhere else.
+		redrive = m.Redrive
 	}
 	s.persist(mem)
-	return ack
+	return ack, redrive
 }

@@ -104,6 +104,8 @@ func (c *Caller) forget(seq uint64) {
 type Pending struct {
 	c   *Caller
 	seq uint64
+	// req is the request's frame while Send transmits it.
+	req reqMsg
 	// rep is the reply, written by onEnvelope before it signals ch.
 	rep  repMsg
 	ch   chan struct{}
@@ -135,7 +137,26 @@ func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending,
 	if err != nil {
 		return nil, err
 	}
+	p := c.register()
+	// SendDirect copies the frame, body bytes included, before it
+	// returns, so the encode buffer is released and the frame lets go of
+	// it right after.
+	p.req = reqMsg{Seq: p.seq, ReplyInbox: c.in.Name(), BodyID: body.ID(), Body: body.Bytes()}
+	err = c.d.SendDirect(to, session, &p.req)
+	p.req.Body = nil
+	body.Release()
+	if err != nil {
+		c.forget(p.seq)
+		return nil, err
+	}
+	return p, nil
+}
+
+// register numbers a new call and waits for its reply under that
+// number, in a Pending from the free list when one is there.
+func (c *Caller) register() *Pending {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	var p *Pending
 	if n := len(c.free); n > 0 {
 		p, c.free = c.free[n-1], c.free[:n-1]
@@ -145,15 +166,7 @@ func (c *Caller) Send(to wire.InboxRef, session string, req wire.Msg) (*Pending,
 	c.seq++
 	p.seq = c.seq
 	c.waiting[p.seq] = p
-	c.mu.Unlock()
-	rm := &reqMsg{Seq: p.seq, ReplyInbox: c.in.Name(), BodyID: body.ID(), Body: body.Bytes()}
-	err = c.d.SendDirect(to, session, rm)
-	body.Release()
-	if err != nil {
-		c.forget(p.seq)
-		return nil, err
-	}
-	return p, nil
+	return p
 }
 
 // Await blocks until the reply arrives, decoding its body into resp

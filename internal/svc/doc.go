@@ -7,16 +7,25 @@
 // the same pairing loop with its own sequence numbers, reply inboxes and
 // deadline convention. svc factors that loop out once:
 //
-//   - Serve(d, inbox, handlers) consumes a service inbox and dispatches
-//     each request to the handler registered for its message kind. A
-//     correlated request arrives wrapped in an svc frame carrying the
-//     caller's sequence number and reply inbox; a bare registered message
-//     on the same inbox is dispatched one-way (heartbeats, aborts). A
-//     handler whose answer waits on a later request (a queued token
-//     request, a barrier's early arrivals) takes its Reply with Ctx.Defer
-//     and sends it from that later request's handler. Handlers run one
-//     at a time on the server's dispatch thread; the *Ctx they get is
-//     valid until they return.
+//   - Serve(d, inbox, handlers) makes a service inbox an inline inbox
+//     and dispatches each request to the handler registered for its
+//     message kind. A correlated request arrives wrapped in an svc frame
+//     carrying the caller's sequence number and reply inbox; a bare
+//     registered message on the same inbox is dispatched one-way
+//     (heartbeats, aborts). Handlers run on the goroutine that delivers
+//     the request — the dapplet's receive goroutine for a request off
+//     the wire, the caller's for DeliverLocal — one at a time per served
+//     inbox, and a server runs no thread. So a handler must never wait:
+//     not on a reply, a window, an inbox or a lock held across one. A
+//     handler whose answer waits takes its Reply with Ctx.Defer: on a
+//     later request (a queued token request, a barrier's early arrivals)
+//     it answers from that request's handler; on a call of its own (the
+//     failure detector's indirect probe) or on application code (an rpc
+//     method) it answers from a thread (core.Dapplet.Spawn). The *Ctx a
+//     handler gets, and its envelope, are valid until it returns; an
+//     answer given before then is framed in the server's own reply
+//     frame, so a correlated request costs the server one allocation,
+//     its decoded body.
 //   - Caller owns a private reply inbox and matches responses to calls by
 //     correlation id. Call blocks under a context.Context — cancellation
 //     and deadlines work uniformly, returning context.Canceled or

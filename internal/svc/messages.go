@@ -92,7 +92,7 @@ func (m *reqMsg) AppendBinary(dst []byte) ([]byte, error) {
 func (m *reqMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	m.Seq = r.Uvarint()
-	m.ReplyInbox = r.String()
+	m.ReplyInbox = r.ReuseString(m.ReplyInbox)
 	m.BodyID, m.Body = r.Body()
 	return r.Done()
 }
