@@ -140,7 +140,6 @@ func TestSnapshotOfCalendarSession(t *testing.T) {
 		svc.SetPeers(peers)
 	}
 	coord := snapshot.NewCoordinator(w.Coordinator, members)
-	coord.SetSettle(30 * time.Millisecond)
 	coord.SetTimeout(10 * time.Second)
 	g, err := coord.SnapshotClock(context.Background(), 1_000_000)
 	if err != nil {

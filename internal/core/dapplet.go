@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,10 @@ type Dapplet struct {
 	obsMu   sync.RWMutex
 	recvObs []func(*wire.Envelope)
 	sendObs []func(*wire.Envelope)
+
+	// sendMu is read-held by each send from its Lamport stamp to its
+	// sequencing by the transport, and write-held by Quiesce.
+	sendMu sync.RWMutex
 
 	onStop []func() // guarded by mu; run once by Stop
 
@@ -317,11 +322,51 @@ func (d *Dapplet) OnRecv(f func(*wire.Envelope)) {
 // transport refuses for backlog (transport.ErrBacklog) is not shown to
 // it: the transport has taken every send an observer sees. It may keep
 // the envelope, but a body it keeps it copies: a relay forward sends the
-// lent frame its inline handler was given (see HandleInline).
+// lent frame its inline handler was given (see HandleInline). It runs
+// inside the send's hold (see Quiesce), so it must not send through the
+// dapplet or wait. Its last user is the benchmark's tracer; once that
+// reads the transport instead, OnSend goes, and with it
+// transport.Reliable.Reserve and SendReserved (ROADMAP item 20(c)).
 func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 	d.obsMu.Lock()
 	d.sendObs = append(d.sendObs, f)
 	d.obsMu.Unlock()
+}
+
+// QuiescedSend sends msg from inside Quiesce: stamped and sequenced at
+// once, never waiting (past the peer's full window the frame joins the
+// transport's backlog).
+type QuiescedSend func(to wire.InboxRef, session string, msg wire.Msg) error
+
+// Quiesce runs f while no send of the dapplet is between its Lamport
+// stamp and its sequencing by the transport: every send stamped before
+// f has its place in its channel, and every send stamped after f follows
+// all that f sent. Each send read-holds the lock Quiesce write-holds,
+// across those two steps only; a send that waits for a window waits
+// before it stamps. The snapshot service records a cut with it: the
+// state, the transport's per-peer counts and the markers that close
+// the channels, at one point of every channel.
+//
+// f sends with send alone. It, and anything it calls (a snapshot's
+// StateFunc), must never send through the dapplet any other way and
+// never wait: not on the network, nor on a lock a sender may hold, since
+// every sender of the dapplet waits for f.
+func (d *Dapplet) Quiesce(f func(send QuiescedSend)) {
+	d.sendMu.Lock()
+	defer d.sendMu.Unlock()
+	f(d.sendQuiesced)
+}
+
+func (d *Dapplet) sendQuiesced(to wire.InboxRef, session string, msg wire.Msg) error {
+	body, err := wire.EncodeBody(msg)
+	if err != nil {
+		return err
+	}
+	env := d.direct(to, session, msg)
+	env.Lamport = d.clock.StampSend()
+	err = d.transmit(&env, body)
+	body.Release()
+	return err
 }
 
 // sendBufPool recycles envelope encode buffers: the reliable layer copies
@@ -329,88 +374,79 @@ func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 // buffer can be reused as soon as the send completes.
 var sendBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// sendFunc hands a framed envelope to the reliable layer, showing the
-// send observers kept, a heap copy of its header, nil when none is
-// registered (see sendEncoded).
-type sendFunc func(to netsim.Addr, hdr, payload []byte, kept *wire.Envelope) error
+// direct is the envelope of a send outside any outbox binding, not yet
+// stamped.
+func (d *Dapplet) direct(to wire.InboxRef, session string, msg wire.Msg) wire.Envelope {
+	return wire.Envelope{To: to, FromDapplet: d.Addr(), Session: session, Body: msg}
+}
 
-// sendEnvelope marshals and transmits one envelope to its destination
-// dapplet over the reliable layer with send (see sendEncoded).
-func (d *Dapplet) sendEnvelope(env *wire.Envelope, send sendFunc) error {
-	body, err := wire.EncodeBody(env.Body)
-	if err != nil {
-		return err
+// send stamps env and hands it to the transport under the send hold
+// (see Quiesce). It never waits. stamp, if not nil, stamps env in place
+// of the clock's plain stamp (Outbox.SendTo checks its binding in the
+// same step); an error from it ends the send.
+func (d *Dapplet) send(env *wire.Envelope, body wire.Body, stamp func() error) error {
+	d.sendMu.RLock()
+	var err error
+	if stamp == nil {
+		env.Lamport = d.clock.StampSend()
+	} else {
+		err = stamp()
 	}
-	err = d.sendEncoded(env, body, send)
-	body.Release()
+	if err == nil {
+		err = d.transmit(env, body)
+	}
+	d.sendMu.RUnlock()
 	return err
 }
 
-// sendEncoded frames an already-encoded body with env's header words and
-// transmits it, split at Lamport into the channel header the transport
-// sends only when it changes and the payload it always sends; Outbox.Send
-// uses it to fan one body encoding out to many destinations. env does
-// not escape, so callers build it on the stack; send observers, which
-// may keep what they are handed, get a heap copy, made only when one is
-// registered. send is d.sendWait, which waits for the window, for
-// outbox sends and SendEncoded, and d.sendNow, which never waits,
-// otherwise.
-func (d *Dapplet) sendEncoded(env *wire.Envelope, body wire.Body, send sendFunc) error {
+// sendWait is send once the peer's window has room. Should the transport
+// still refuse the frame for backlog, filled by other senders in
+// between, it waits again and restamps: a waiting send is never refused
+// for backlog.
+func (d *Dapplet) sendWait(env *wire.Envelope, body wire.Body, stamp func() error) error {
+	for {
+		if err := d.rel.AwaitWindow(env.To.Dapplet); err != nil {
+			return err
+		}
+		if err := d.send(env, body, stamp); !errors.Is(err, transport.ErrBacklog) {
+			return err
+		}
+	}
+}
+
+// transmit frames an already-encoded body with env's header words and
+// hands it to the transport without waiting, split at Lamport into the
+// channel header the transport sends only when it changes and the
+// payload it always sends; Outbox.Send uses it to fan one body encoding
+// out to many destinations. env is stamped, and the caller holds the
+// send hold. env does not escape, so callers build it on the stack;
+// send observers, which may keep what they are handed, get a heap copy,
+// made only when one is registered, and see the frame only once the
+// transport has claimed its place (Reserve), so never one it refuses.
+func (d *Dapplet) transmit(env *wire.Envelope, body wire.Body) error {
 	bufp := sendBufPool.Get().(*[]byte)
 	buf := wire.AppendEnvelopeHeader((*bufp)[:0], env, body)
 	n := len(buf)
 	buf = wire.AppendEnvelopePayload(buf, env, body)
 	*bufp = buf
 	d.obsMu.RLock()
-	observed := len(d.sendObs) > 0
+	obs := d.sendObs
 	d.obsMu.RUnlock()
-	var kept *wire.Envelope
-	if observed {
-		kept = new(wire.Envelope)
+	var err error
+	if len(obs) == 0 {
+		err = d.rel.Send(env.To.Dapplet, buf[:n], buf[n:])
+	} else if err = d.rel.Reserve(env.To.Dapplet); err == nil {
+		kept := new(wire.Envelope)
 		*kept = *env
+		for _, f := range obs {
+			f(kept)
+		}
+		err = d.rel.SendReserved(env.To.Dapplet, buf[:n], buf[n:])
 	}
-	err := send(env.To.Dapplet, buf[:n], buf[n:], kept)
 	if cap(buf) <= wire.MaxPooledBuf {
 		sendBufPool.Put(bufp)
 	}
 	return err
-}
-
-// sendWait runs the send observers on kept, then transmits the frame
-// once the peer's window has room.
-func (d *Dapplet) sendWait(to netsim.Addr, hdr, payload []byte, kept *wire.Envelope) error {
-	d.observeSend(kept)
-	return d.rel.SendWait(to, hdr, payload)
-}
-
-// sendNow transmits the frame without waiting. With send observers
-// registered it first claims the frame's place in the transport, so
-// that they never see a send refused for backlog: the snapshot service
-// counts what it sees as sequenced and waits for the transport to
-// catch up (snapshot.Service.settle).
-func (d *Dapplet) sendNow(to netsim.Addr, hdr, payload []byte, kept *wire.Envelope) error {
-	if kept == nil {
-		return d.rel.Send(to, hdr, payload)
-	}
-	if err := d.rel.Reserve(to); err != nil {
-		return err
-	}
-	d.observeSend(kept)
-	return d.rel.SendReserved(to, hdr, payload)
-}
-
-// observeSend runs the send observers on kept; nil means none was
-// registered when the frame was built.
-func (d *Dapplet) observeSend(kept *wire.Envelope) {
-	if kept == nil {
-		return
-	}
-	d.obsMu.RLock()
-	obs := d.sendObs
-	d.obsMu.RUnlock()
-	for _, f := range obs {
-		f(kept)
-	}
 }
 
 // SendEncoded sends an already-encoded body to an inbox reference outside
@@ -419,7 +455,8 @@ func (d *Dapplet) observeSend(kept *wire.Envelope) {
 // tree neighbors. It waits for the peer's window as an outbox send does,
 // so it must not be called from the receive goroutine or a timer.
 func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
-	return d.sendEncodedTo(to, session, msg, body, d.sendWait)
+	env := d.direct(to, session, msg)
+	return d.sendWait(&env, body, nil)
 }
 
 // TrySendEncoded is SendEncoded without the wait: past the peer's full
@@ -427,19 +464,8 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 // bound it is refused with transport.ErrBacklog, sequencing nothing. The
 // relay forwards frames with it from the receive goroutine.
 func (d *Dapplet) TrySendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
-	return d.sendEncodedTo(to, session, msg, body, d.sendNow)
-}
-
-func (d *Dapplet) sendEncodedTo(to wire.InboxRef, session string, msg wire.Msg, body wire.Body, send sendFunc) error {
-	env := wire.Envelope{
-		To:          to,
-		FromDapplet: d.Addr(),
-		FromOutbox:  "",
-		Session:     session,
-		Lamport:     d.clock.StampSend(),
-		Body:        msg,
-	}
-	return d.sendEncoded(&env, body, send)
+	env := d.direct(to, session, msg)
+	return d.send(&env, body, nil)
 }
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
@@ -476,15 +502,14 @@ func (d *Dapplet) arrive(env *wire.Envelope, in *Inbox) {
 // Services use it for point-to-point control traffic (invitations, acks);
 // application traffic should flow through outboxes. It never waits.
 func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) error {
-	env := wire.Envelope{
-		To:          to,
-		FromDapplet: d.Addr(),
-		FromOutbox:  "",
-		Session:     session,
-		Lamport:     d.clock.StampSend(),
-		Body:        msg,
+	body, err := wire.EncodeBody(msg)
+	if err != nil {
+		return err
 	}
-	return d.sendEnvelope(&env, d.sendNow)
+	env := d.direct(to, session, msg)
+	err = d.send(&env, body, nil)
+	body.Release()
+	return err
 }
 
 // deliver is the reliable layer's sink, run on its receive goroutine:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"repro/internal/wire"
@@ -53,10 +54,8 @@ func (o *Outbox) Name() string { return o.name }
 func (o *Outbox) Add(ref wire.InboxRef) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, d := range o.dests {
-		if d == ref {
-			return
-		}
+	if o.boundLocked(ref) {
+		return
 	}
 	o.dests = append(o.dests[:len(o.dests):len(o.dests)], ref)
 }
@@ -155,10 +154,9 @@ func (o *Outbox) Send(msg wire.Msg) error {
 			FromDapplet: o.d.Addr(),
 			FromOutbox:  o.name,
 			Session:     session,
-			Lamport:     o.d.clock.StampSend(),
 			Body:        msg,
 		}
-		if err := o.d.sendEncoded(&env, body, o.d.sendWait); err != nil {
+		if err := o.d.sendWait(&env, body, nil); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -169,30 +167,35 @@ func (o *Outbox) Send(msg wire.Msg) error {
 // the binding list; it is a convenience for point-to-point replies over a
 // multicast outbox. It waits for the window as Send does.
 func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
+	body, err := wire.EncodeBody(msg)
+	if err != nil {
+		return err
+	}
+	defer body.Release()
+	env := wire.Envelope{To: ref, FromDapplet: o.d.Addr(), FromOutbox: o.name, Body: msg}
 	// The bound check and the stamp must be one atomic step: with the
 	// lock dropped in between, a concurrent Delete(ref) would let this
 	// send race onto a channel the session has already torn down.
-	o.mu.Lock()
-	bound := false
-	for _, d := range o.dests {
-		if d == ref {
-			bound = true
-			break
+	err = o.d.sendWait(&env, body, func() error {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		if !o.boundLocked(ref) {
+			return ErrNotBound
 		}
-	}
-	if !bound {
+		env.Session = o.session
+		env.Lamport = o.d.clock.StampSend()
+		return nil
+	})
+	if !errors.Is(err, ErrNotBound) {
+		o.mu.Lock()
+		o.sent++
 		o.mu.Unlock()
-		return ErrNotBound
 	}
-	o.sent++
-	env := wire.Envelope{
-		To:          ref,
-		FromDapplet: o.d.Addr(),
-		FromOutbox:  o.name,
-		Session:     o.session,
-		Lamport:     o.d.clock.StampSend(),
-		Body:        msg,
-	}
-	o.mu.Unlock()
-	return o.d.sendEnvelope(&env, o.d.sendWait)
+	return err
+}
+
+// boundLocked reports whether ref is in the binding list. Caller holds
+// o.mu.
+func (o *Outbox) boundLocked(ref wire.InboxRef) bool {
+	return slices.Contains(o.dests, ref)
 }

@@ -236,7 +236,6 @@ func e4Cells(p Params) []Cell {
 						svc.SetPeers(slices.Delete(slices.Clone(members), i, i+1))
 					}
 					coord := snapshot.NewCoordinator(w.Dapplet("coord", "bench", "coord"), members)
-					coord.SetSettle(5 * time.Millisecond)
 					for i := 0; i < n+n/2; i++ {
 						if err := nodes[0].Outbox("succ").Send(&wire.Text{S: "tok"}); err != nil {
 							return nil, err

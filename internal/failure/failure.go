@@ -196,15 +196,14 @@ type peerState struct {
 	state     State
 	lastHeard time.Time
 	lastInc   uint64
-	// lastSent is the last time this dapplet sent the peer application
-	// traffic; while it is fresher than one interval the peer is hearing
-	// from us anyway, so the explicit heartbeat is suppressed
-	// (piggybacked liveness).
-	lastSent time.Time
-	// lastHB is the last explicit heartbeat transmission to the peer.
-	// Suppression is floored at one heartbeat per 8 intervals: only a
-	// heartbeat's incarnation number can lift a Down verdict the peer
-	// holds against us, so a busy channel must not starve them forever.
+	// lastHB is when the last round that sent the peer an explicit
+	// heartbeat had sent it. A frame the transport sequenced to the peer
+	// since then, and within one interval, means the peer is hearing
+	// from us anyway, so the next heartbeat is suppressed (piggybacked
+	// liveness). Suppression is floored at one heartbeat per 8
+	// intervals: only a heartbeat's incarnation number can lift a Down
+	// verdict the peer holds against us, so a busy channel must not
+	// starve them forever.
 	lastHB time.Time
 	// probing marks an address-learning probe in flight to this (Down)
 	// peer, so the slow probe rate cannot pile calls onto a dead address.
@@ -313,9 +312,9 @@ type Stats struct {
 // its heartbeat rounds and per-peer verdicts on runtime timers, which
 // hold no goroutine while they wait, and detaches when the dapplet
 // stops. Any frame the dapplet exchanges with a watched peer doubles as
-// liveness evidence: received application traffic refreshes the peer's
-// deadline, and transmitted application traffic suppresses the next
-// explicit heartbeat to that peer, so heartbeats flow only on idle
+// liveness evidence: a received frame refreshes the peer's deadline, and
+// a frame the transport sends the peer (Reliable.LastSent) suppresses
+// the next explicit heartbeat to it, so heartbeats flow only on idle
 // channels. The "@fail" inbox is an svc-served inbox: heartbeats arrive
 // bare (one-way), and address-learning probes arrive correlated and are
 // answered with this instance's name and incarnation.
@@ -347,7 +346,6 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 		det.cfg.Gossip.OnRumor(GossipTopic, det.onVerdictRumor)
 	}
 	d.OnRecv(det.onAppRecv)
-	d.OnSend(det.onAppSend)
 	// Stagger the first round within a quarter interval so detectors
 	// attached together do not all fan out at the same instant.
 	first := det.cfg.Interval + hbStagger(d.Name(), det.cfg.Interval/4)
@@ -628,11 +626,12 @@ func (det *Detector) beaconLocked(p *peerState, inc uint64, addr netsim.Addr, no
 // onAppRecv treats any received application or service frame from a
 // watched peer's current address as implicit liveness: the peer's
 // deadline refreshes without a heartbeat, and a Suspect verdict lifts
-// (the channel is demonstrably alive). Heartbeats themselves are
-// excluded — onHeartbeat handles them with incarnation and address
-// learning — and Down verdicts lift only via heartbeats, because only a
-// heartbeat's incarnation number distinguishes a recovered peer from a
-// dead incarnation's lingering frames. The interarrival estimators are
+// (the channel is demonstrably alive). The detector's own "@fail"
+// frames are left to their handlers: heartbeats and probes are beacons
+// (applyBeacon), and indirect-probe traffic counts through heardFrom.
+// Down verdicts lift only via beacons, because only a beacon's
+// incarnation number distinguishes a recovered peer from a dead
+// incarnation's lingering frames. The interarrival estimators are
 // not fed: application traffic has no rhythm to learn.
 // It runs on the receive goroutine and lifts Suspect there; the Up event
 // is delivered from the work queue.
@@ -640,8 +639,16 @@ func (det *Detector) onAppRecv(env *wire.Envelope) {
 	if env.To.Inbox == ControlInbox {
 		return
 	}
+	det.heardFrom(env.FromDapplet)
+}
+
+// heardFrom is a frame from addr as implicit liveness (see onAppRecv).
+// The sender's transport counted the frame toward suppressing its next
+// heartbeat (Reliable.LastSent), so every frame it sends a watched peer
+// must count here, by this path or as a beacon.
+func (det *Detector) heardFrom(addr netsim.Addr) {
 	det.mu.Lock()
-	p, ok := det.byAddr[env.FromDapplet]
+	p, ok := det.byAddr[addr]
 	if !ok || p.state == Down {
 		det.mu.Unlock()
 		return
@@ -651,20 +658,6 @@ func (det *Detector) onAppRecv(env *wire.Envelope) {
 	if p.state == Suspect {
 		det.liftLocked(p)
 		return
-	}
-	det.mu.Unlock()
-}
-
-// onAppSend records application traffic toward a watched peer, which
-// stands in for this dapplet's next heartbeat to it (the peer's detector
-// accepts the frame as implicit liveness).
-func (det *Detector) onAppSend(env *wire.Envelope) {
-	if env.To.Inbox == ControlInbox {
-		return
-	}
-	det.mu.Lock()
-	if p, ok := det.byAddr[env.To.Dapplet]; ok {
-		p.lastSent = time.Now()
 	}
 	det.mu.Unlock()
 }
@@ -694,12 +687,13 @@ func (det *Detector) fireHeartbeats() {
 
 // heartbeatRound is one pass over the watched peers: it transmits a
 // heartbeat to every peer not considered Down whose channel has been
-// idle for an interval (peers we sent application traffic more recently
-// are hearing from us anyway), floored at one explicit heartbeat per 8
-// intervals so a watcher holding us Down is guaranteed to eventually see
-// an incarnation-carrying beacon. This is the detector's only O(peers)
-// walk, and its cost is the fan-out the wire sees anyway: verdict
-// deadlines fire as per-peer timers (see firePeer).
+// idle for an interval (peers the transport sent other frames more
+// recently are hearing from us anyway; Reliable.LastSent), floored at
+// one explicit heartbeat per 8 intervals so a watcher holding us Down is
+// guaranteed to eventually see an incarnation-carrying beacon. This is
+// the detector's only O(peers) walk, and its cost is the fan-out the
+// wire sees anyway: verdict deadlines fire as per-peer timers (see
+// firePeer).
 func (det *Detector) heartbeatRound(now time.Time) {
 	det.mu.Lock()
 	if det.stopping {
@@ -711,26 +705,39 @@ func (det *Detector) heartbeatRound(now time.Time) {
 	// A busy channel suppresses explicit heartbeats, but never all of
 	// them: one per 8 intervals still flows, because a watcher that
 	// declared us Down ignores our application frames and only a
-	// beacon's incarnation can lift its verdict.
+	// beacon's incarnation can lift its verdict. Our own last heartbeat
+	// is not traffic: only a frame sequenced after the round that sent
+	// it counts.
+	rel := det.d.Transport()
 	targets := det.scratchHB[:0]
 	for _, p := range det.peers {
 		if p.state == Down {
 			continue // Down peers get the slow probe instead (see firePeer)
 		}
-		if now.Sub(p.lastSent) >= det.cfg.Interval || now.Sub(p.lastHB) >= 8*det.cfg.Interval {
-			p.lastHB = now
+		last := rel.LastSent(p.addr)
+		busy := last.After(p.lastHB) && now.Sub(last) < det.cfg.Interval
+		if !busy || now.Sub(p.lastHB) >= 8*det.cfg.Interval {
 			targets = append(targets, wire.InboxRef{Dapplet: p.addr, Inbox: ControlInbox})
 		}
 	}
 	det.scratchHB = targets
 	det.mu.Unlock()
-	if len(targets) > 0 {
-		hb := &heartbeatMsg{From: det.d.Name(), Seq: seq, Inc: inc}
-		for _, to := range targets {
-			det.hbSent.Add(1)
-			_ = det.d.SendDirect(to, "", hb)
+	if len(targets) == 0 {
+		return
+	}
+	hb := &heartbeatMsg{From: det.d.Name(), Seq: seq, Inc: inc}
+	for _, to := range targets {
+		det.hbSent.Add(1)
+		_ = det.d.SendDirect(to, "", hb)
+	}
+	det.mu.Lock()
+	sent := time.Now()
+	for _, to := range targets {
+		if p, ok := det.byAddr[to.Dapplet]; ok {
+			p.lastHB = sent
 		}
 	}
+	det.mu.Unlock()
 }
 
 // firePeer runs when p's verdict timer expires: the peer's detection

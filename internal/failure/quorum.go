@@ -210,6 +210,7 @@ func (det *Detector) spreadVerdict(target string, addr netsim.Addr, inc uint64, 
 // address) and its outcome is cast back to the watcher's "@fail" inbox.
 func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeMsg)
+	det.heardFrom(c.From())
 	back := wire.InboxRef{Dapplet: c.From(), Inbox: ControlInbox}
 	target := m.Target
 	addr := netsim.Addr{Host: m.Host, Port: m.Port}
@@ -241,6 +242,7 @@ func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 // suspicion: reachable refutes it, unreachable is one more confirmation.
 func (det *Detector) handleIProbeRep(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeRepMsg)
+	det.heardFrom(c.From())
 	if m.Reachable {
 		det.refuteSuspicion(m.Target, m.Inc)
 	} else {

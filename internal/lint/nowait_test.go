@@ -18,7 +18,7 @@ import (
 var AnalyzerNowait = &Analyzer{
 	Name: "nowait",
 	Doc: "code reachable from a transport sink, a receive observer, an inline inbox, a timer callback, " +
-		"an svc handler, a gossip rumour handler or a //wwlint:nowait function must not call Reliable.AwaitWindow, " +
+		"an svc handler, a gossip rumour handler, a Quiesce func or a //wwlint:nowait function must not call Reliable.AwaitWindow, " +
 		"Reliable.SendWait, core's, svc's and gossip's waiting sends, receives and calls, or sync.Cond.Wait, " +
 		"or receive from a channel without a default",
 	Run: runNowait,
@@ -27,7 +27,8 @@ var AnalyzerNowait = &Analyzer{
 // nowaitRoots are the calls whose function argument runs where nothing
 // may wait: on a runtime timer, or on a transport's receive goroutine —
 // an inline inbox's func, an svc handler table's handlers, a gossip
-// rumour handler (run by the "@gossip" svc handler). Callees are matched
+// rumour handler (run by the "@gossip" svc handler) — or while every
+// sender of a dapplet waits for it (Quiesce's func). Callees are matched
 // by package name, so a fixture module can stand in for the real
 // packages.
 var nowaitRoots = []struct {
@@ -39,6 +40,7 @@ var nowaitRoots = []struct {
 	{"core", "Dapplet", "OnRecv", 0},
 	{"core", "Dapplet", "NewInlineInbox", 0},
 	{"core", "Dapplet", "HandleInline", 1},
+	{"core", "Dapplet", "Quiesce", 0},
 	{"svc", "", "Serve", 2},
 	{"gossip", "Engine", "OnRumor", 1},
 }

@@ -12,6 +12,9 @@ type Dapplet struct{}
 // HandleInline runs f for each arrival on the delivering goroutine.
 func (d *Dapplet) HandleInline(name string, f func(*Envelope)) {}
 
+// Quiesce runs f while every sender of the dapplet waits.
+func (d *Dapplet) Quiesce(f func(send func(to string, b []byte) error)) {}
+
 // SendEncoded waits for the peer's window, then sends.
 func (d *Dapplet) SendEncoded(to string, b []byte) error { return nil }
 

@@ -26,6 +26,15 @@ func (r *Relay) onFrame(env *core.Envelope) {
 
 func (r *Relay) flood(send func(string, []byte) error) { _ = send("kid", nil) }
 
+// Record runs f under Quiesce: it sends with the send it is handed and
+// must not wait.
+func (r *Relay) Record() {
+	r.d.Quiesce(func(send func(string, []byte) error) {
+		_ = send("kid", nil)
+		_ = r.d.SendEncoded("kid", nil) // want nowait:"Dapplet.SendEncoded waits, reached from core.Quiesce callback"
+	})
+}
+
 // Multicast runs on an application thread: it may wait.
 func (r *Relay) Multicast() {
 	_ = r.d.SendEncoded("kid", nil)

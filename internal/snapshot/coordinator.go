@@ -23,7 +23,6 @@ type Coordinator struct {
 	d       *core.Dapplet
 	members []Member
 	timeout time.Duration
-	settle  time.Duration
 }
 
 // NewCoordinator creates a snapshot coordinator for the given members.
@@ -32,17 +31,11 @@ func NewCoordinator(d *core.Dapplet, members []Member) *Coordinator {
 		d:       d,
 		members: append([]Member(nil), members...),
 		timeout: 10 * time.Second,
-		settle:  200 * time.Millisecond,
 	}
 }
 
 // SetTimeout bounds how long the coordinator waits for member reports.
 func (c *Coordinator) SetTimeout(d time.Duration) { c.timeout = d }
-
-// SetSettle sets the real-time drain delay between arming a clock
-// checkpoint and collecting it; it must exceed the network's in-flight
-// message lifetime for the channel states to be complete.
-func (c *Coordinator) SetSettle(d time.Duration) { c.settle = d }
 
 func (c *Coordinator) controlRef(m Member) wire.InboxRef {
 	return wire.InboxRef{Dapplet: m.Addr, Inbox: ControlInbox}
@@ -57,6 +50,7 @@ func (c *Coordinator) gatherReports(ctx context.Context, in *core.Inbox, snapID 
 		Channels: make(map[ChannelKey][][]byte),
 		Sent:     make(map[ChannelKey]uint64),
 		Recv:     make(map[ChannelKey]uint64),
+		Crossed:  make(map[ChannelKey]uint64),
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
@@ -80,6 +74,9 @@ func (c *Coordinator) gatherReports(ctx context.Context, in *core.Inbox, snapID 
 		}
 		for peer, n := range rep.RecvAt {
 			g.Recv[ChannelKey{From: peer, To: rep.Name}] = n
+		}
+		for peer, n := range rep.Crossed {
+			g.Crossed[ChannelKey{From: peer, To: rep.Name}] = n
 		}
 		for peer, msgs := range rep.Channels {
 			g.Channels[ChannelKey{From: peer, To: rep.Name}] = msgs
@@ -105,10 +102,15 @@ func (c *Coordinator) SnapshotMarker(ctx context.Context) (*Global, error) {
 }
 
 // SnapshotClock runs a clock-based checkpoint at logical time
-// T = coordinator clock + margin. The margin must exceed any plausible
-// clock skew among members for the sent/recv counters to be exact (see the
-// package comment); message stamps make the cut itself consistent
-// regardless. ctx bounds the run.
+// T = coordinator clock + margin. Each member records as its clock
+// reaches T, and sends a flush on each outgoing channel as it records;
+// the flushes close the channels, and one reaching a member that has not
+// recorded yet makes it record. Right after the takes the coordinator
+// pushes its clock past T and sends each member a collect, which records
+// any member whose clock has not got there; a member reports once its
+// collect and every peer's flush have arrived. The margin must exceed
+// any plausible clock skew among members for the records to fall at T;
+// the flushes make the cut consistent regardless. ctx bounds the run.
 func (c *Coordinator) SnapshotClock(ctx context.Context, margin uint64) (*Global, error) {
 	if len(c.members) == 0 {
 		return nil, errors.New("snapshot: no members")
@@ -124,10 +126,6 @@ func (c *Coordinator) SnapshotClock(ctx context.Context, margin uint64) (*Global
 			return nil, err
 		}
 	}
-	// Let pre-T traffic drain, then push our clock past T so the collect
-	// messages are stamped after the checkpoint time; members not yet
-	// triggered record on collect arrival.
-	time.Sleep(c.settle)
 	c.d.Clock().ObserveRecv(t)
 	for _, m := range c.members {
 		if err := c.d.SendDirect(c.controlRef(m), snapID, &collectMsg{SnapID: snapID}); err != nil {

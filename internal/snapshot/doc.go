@@ -16,15 +16,22 @@
 //     provided by the reliable layer.
 //
 // The protocols run in the receive observer, in step with each channel's
-// traffic; the messages they send are queued and leave from a thread, in
-// order, since the receive goroutine must not wait on the network. As
-// application sends come from any thread, a queued send leaves only once
-// the transport has sequenced (DataSent) every send counted before it,
-// and a send counted while others are queued waits for them: a cut falls
-// where the counters say. Attach while no send of the dapplet is under way.
+// traffic. A member records under core.Dapplet.Quiesce, which holds off
+// the dapplet's sends, from any thread, between their stamp and their
+// sequencing: the state, the transport's per-peer counts
+// (transport.Reliable.Counts) and the markers or flushes closing every
+// outgoing channel are one step, so on each FIFO channel the frames
+// counted precede the marker and the others follow it. Nothing watches
+// the dapplet's sends, and nothing sleeps or polls: a clock run's
+// channels are closed by the flushes its members send as they record
+// (Mattern's counter method, with the FIFO flush as the count), and a
+// member reports once its collect, which follows the take on the
+// coordinator's channel, has arrived as well.
 //
-// Both produce a Global snapshot whose consistency is checkable: for every
-// ordered pair (p, q), the messages p had sent to q at p's record point
-// must equal the messages q had received from p at q's record point plus
-// the messages captured in the channel state.
+// Both produce a Global snapshot whose consistency is checkable, in
+// frames: for every ordered pair (p, q), the frames p had sent to q at
+// p's record point must equal the frames q had received from p at q's
+// record point plus the frames in the channel state. The application
+// messages among the latter are captured, and encoded, only while a run
+// records their channel.
 package snapshot

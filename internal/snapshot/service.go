@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -97,96 +95,74 @@ func ReplayChannels(d *core.Dapplet) (int, error) {
 	return len(cp.Channels), nil
 }
 
-// markerSnap is the per-snapshot state of a marker (Chandy–Lamport) run.
-type markerSnap struct {
+// run is one snapshot run at this member, marker or clock: its record,
+// taken under core.Dapplet.Quiesce together with the markers (or, for a
+// clock run, the flushes) that close this member's outgoing channels,
+// and its inbound channels, each open from the record until the peer's
+// own marker or flush arrives. A clock run also waits for its collect:
+// the collect follows the take on the coordinator's channel, so once it
+// has arrived nothing of the run is still to come, and forgetting the
+// run cannot let a late take start it again.
+type run struct {
+	clock     bool   // a clock run: closed by flushes, recorded at T
+	t         uint64 // the clock run's checkpoint time
 	replyTo   wire.InboxRef
 	recorded  bool
+	collected bool // a clock run's collect has arrived
 	state     json.RawMessage
-	sentAt    map[string]uint64
-	recvAt    map[string]uint64
-	recording map[string]bool
-	channels  map[string][][]byte
-	awaiting  int
+	// sentAt and recvAt are each peer's transport counts at the record
+	// (Reliable.Counts); crossed counts the frames from each peer taken
+	// while its channel was open, and channels the application messages
+	// among them.
+	sentAt   map[string]uint64
+	recvAt   map[string]uint64
+	crossed  map[string]uint64
+	channels map[string][][]byte
+	open     map[string]bool // inbound channels still recording
 }
 
-// clockSnap is the per-snapshot state of a clock-based checkpoint.
-type clockSnap struct {
-	t         uint64
-	replyTo   wire.InboxRef
-	recorded  bool
-	state     json.RawMessage
-	sentAt    map[string]uint64
-	recvAt    map[string]uint64
-	channels  map[string][][]byte
-	flushed   map[string]bool
-	awaiting  int
-	flushSent bool
-}
-
-// Service makes a dapplet snapshot-capable: it watches every application
-// message the dapplet sends and receives, keeps per-peer counters, and
-// participates in marker and clock-based snapshot protocols on the
-// dapplet's "@snap" traffic. Control messages are processed in the
-// receive observer so they stay FIFO-ordered with application messages
-// on each channel; what the protocols send leaves from a thread.
+// Service makes a dapplet snapshot-capable: it takes part in marker and
+// clock-based snapshot runs on the dapplet's "@snap" traffic, recording
+// the dapplet's state and its channels. Control messages are processed
+// in the receive observer, so they stay FIFO-ordered with the rest of
+// each channel's traffic. Channel counts are the transport's: nothing
+// watches the dapplet's sends.
 type Service struct {
 	d       *core.Dapplet
 	stateFn StateFunc
 
-	mu      sync.Mutex
-	peers   []Member
-	byAddr  map[netsim.Addr]string
-	sent    map[string]uint64
-	recv    map[string]uint64
-	markers map[string]*markerSnap
-	clocks  map[string]*clockSnap
-
-	// out holds the control sends not yet taken by the dispatcher, which
-	// runs while done, the sends transmitted, is below queued. parked[n]
-	// counts the application sends waiting for done to reach n.
-	out    []func()          // guarded by mu
-	queued uint64            // guarded by mu
-	done   uint64            // guarded by mu
-	parked map[uint64]uint64 // guarded by mu
-	moved  *sync.Cond        // on mu, broadcast as done grows
-
-	// seen counts the envelopes the send observer passed on to the
-	// transport, bar parked ones; see settle.
-	seen atomic.Uint64
-	base uint64 // the transport's DataSent at Attach
+	mu     sync.Mutex
+	peers  []Member
+	byAddr map[netsim.Addr]string
+	runs   map[string]*run // by snapshot id
 }
 
 // Attach equips the dapplet with the snapshot service. stateFn is invoked
-// at the instant the local state is recorded.
+// at the instant the local state is recorded, inside
+// core.Dapplet.Quiesce: it must not send through the dapplet or wait.
 func Attach(d *core.Dapplet, stateFn StateFunc) *Service {
 	s := &Service{
 		d:       d,
 		stateFn: stateFn,
 		byAddr:  make(map[netsim.Addr]string),
-		sent:    make(map[string]uint64),
-		recv:    make(map[string]uint64),
-		markers: make(map[string]*markerSnap),
-		clocks:  make(map[string]*clockSnap),
-		parked:  make(map[uint64]uint64),
-		base:    d.Transport().Stats().DataSent,
+		runs:    make(map[string]*run),
 	}
-	s.moved = sync.NewCond(&s.mu)
 	// Drain the control inbox; actual processing happens in onRecv so it
 	// is ordered with application traffic.
 	d.Handle(ControlInbox, func(*wire.Envelope) {})
 	d.OnRecv(s.onRecv)
-	d.OnSend(s.onSend)
 	return s
 }
 
 // Pending returns the number of snapshot runs (marker and clock) this
 // participant is still tracking. A participant whose coordinator crashed
 // mid-snapshot must drain back to zero once the surviving members'
-// markers/flushes arrive — pending state must not leak.
+// markers arrive — pending state must not leak. A clock run also waits
+// for its collect, which the coordinator sends right after the take.
 func (s *Service) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.markers) + len(s.clocks)
+	return len(s.runs)
 }
 
 // SetPeers declares the other participants whose channels this dapplet
@@ -201,134 +177,53 @@ func (s *Service) SetPeers(peers []Member) {
 	}
 }
 
-func (s *Service) onSend(env *wire.Envelope) {
-	s.seen.Add(1)
-	if !isAppEnvelope(env) {
-		return
-	}
-	s.mu.Lock()
-	peer, ok := s.byAddr[env.To.Dapplet]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	// A send stamped at or after T is a post-checkpoint event: the local
-	// state must be recorded before it is counted (§4.2). One stamped
-	// before T but counted after the record precedes the cut, unless
-	// this member's flushes are queued: it will follow them.
-	for id, cs := range s.clocks {
-		switch {
-		case !cs.recorded && env.Lamport >= cs.t:
-			s.recordClockLocked(id, cs)
-		case cs.recorded && !cs.flushSent && env.Lamport < cs.t:
-			cs.sentAt[peer]++
-		}
-	}
-	s.sent[peer]++
-	if target := s.queued; s.done < target {
-		// Counted after a record point whose markers or flushes are
-		// still queued, this send must follow them on its channel.
-		s.parked[target]++
-		s.seen.Add(^uint64(0))
-		for s.done < target {
-			s.moved.Wait()
-		}
-	}
-	s.mu.Unlock()
-}
-
-// sendLocked queues a control send, starting a dispatcher if none runs.
-// Caller holds s.mu.
-func (s *Service) sendLocked(to wire.InboxRef, sid string, msg wire.Msg) {
-	if s.done == s.queued {
-		s.d.Spawn(s.dispatch)
-	}
-	s.out = append(s.out, func() { _ = s.d.SendDirect(to, sid, msg) })
-	s.queued++
-}
-
-// dispatch transmits the queued control sends in order, each once every
-// send counted before it was queued has its place in its channel
-// (settle), and releases the sends parked behind it.
-func (s *Service) dispatch() {
-	s.mu.Lock()
-	for len(s.out) > 0 {
-		send := s.out[0]
-		s.out = s.out[1:]
-		s.mu.Unlock()
-		s.settle()
-		send()
-		s.mu.Lock()
-		s.done++
-		s.seen.Add(s.parked[s.done]) // in flight again, before the next settle
-		delete(s.parked, s.done)
-		s.moved.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// settle waits until the transport has sequenced (DataSent) every send
-// the observer has seen, bar parked ones: a send counted before a record
-// point may still be on its way, and the marker or flush closing its
-// channel must not overtake it. It gives up once the dapplet stops,
-// when sends fail anyway.
-func (s *Service) settle() {
-	rel := s.d.Transport()
-	for rel.Stats().DataSent-s.base < s.seen.Load() {
-		select {
-		case <-s.d.Stopped():
-			return
-		case <-time.After(20 * time.Microsecond):
-		}
-	}
-}
-
 func (s *Service) onRecv(env *wire.Envelope) {
 	if env.To.Inbox == ControlInbox {
 		s.onControl(env)
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.runs) == 0 {
+		return
+	}
+	// A clock run records once the clock reaches T, before this arrival
+	// counts: it is the first event after the checkpoint.
+	now := s.d.Clock().Now()
+	for id, r := range s.runs {
+		if r.clock && now >= r.t {
+			s.recordLocked(id, r)
+		}
+	}
 	if !isAppEnvelope(env) {
 		return
 	}
-	s.mu.Lock()
 	peer, ok := s.byAddr[env.FromDapplet]
 	if !ok {
-		s.mu.Unlock()
 		return
 	}
-	body, _ := wire.Marshal(env.Body)
-	rec := ChannelMsg{
-		Peer:       peer,
-		Inbox:      env.To.Inbox,
-		From:       env.FromDapplet,
-		FromOutbox: env.FromOutbox,
-		Session:    env.Session,
-		Lamport:    env.Lamport,
-		Body:       body,
-	}
-
-	// Marker snapshots: channel recording between record point and the
-	// channel's marker arrival.
-	for id, ms := range s.markers {
-		if ms.recorded && ms.recording[peer] {
-			ms.channels[peer] = append(ms.channels[peer], body)
-			s.persistChannelMsgLocked(id, rec)
+	// The message reached this member after its record point and before
+	// the peer's closing marker or flush: it is channel state.
+	var rec *ChannelMsg
+	for id, r := range s.runs {
+		if !r.open[peer] {
+			continue
 		}
-	}
-	// Clock checkpoints: trigger on the first post-T message, and capture
-	// pre-T messages that arrive after the record point.
-	for id, cs := range s.clocks {
-		if !cs.recorded && env.Lamport >= cs.t {
-			s.recordClockLocked(id, cs)
+		if rec == nil {
+			body, _ := wire.Marshal(env.Body)
+			rec = &ChannelMsg{
+				Peer:       peer,
+				Inbox:      env.To.Inbox,
+				From:       env.FromDapplet,
+				FromOutbox: env.FromOutbox,
+				Session:    env.Session,
+				Lamport:    env.Lamport,
+				Body:       body,
+			}
 		}
-		if cs.recorded && !cs.flushed[peer] && env.Lamport < cs.t {
-			cs.channels[peer] = append(cs.channels[peer], body)
-			s.persistChannelMsgLocked(id, rec)
-		}
+		r.channels[peer] = append(r.channels[peer], rec.Body)
+		s.persistChannelMsgLocked(id, *rec)
 	}
-	s.recv[peer]++
-	s.mu.Unlock()
 }
 
 func (s *Service) onControl(env *wire.Envelope) {
@@ -336,112 +231,114 @@ func (s *Service) onControl(env *wire.Envelope) {
 	defer s.mu.Unlock()
 	switch m := env.Body.(type) {
 	case *startMsg:
-		s.startMarkerLocked(m.SnapID, m.ReplyTo, "")
+		r := s.runLocked(m.SnapID, false, 0, m.ReplyTo)
+		s.recordLocked(m.SnapID, r)
+		s.maybeReportLocked(m.SnapID, r)
 	case *markerMsg:
-		s.onMarkerLocked(m)
+		s.closeLocked(m.SnapID, s.runLocked(m.SnapID, false, 0, m.ReplyTo), m.From)
 	case *takeMsg:
-		s.armClockLocked(m.SnapID, m.T, m.ReplyTo)
+		r := s.runLocked(m.SnapID, true, m.T, m.ReplyTo)
+		if s.d.Clock().Now() >= m.T {
+			s.recordLocked(m.SnapID, r)
+		}
 	case *collectMsg:
-		s.onCollectLocked(m)
+		// The collect is stamped after T, so the clock has passed T.
+		if r := s.runs[m.SnapID]; r != nil {
+			r.collected = true
+			s.recordLocked(m.SnapID, r)
+			s.maybeReportLocked(m.SnapID, r)
+		}
 	case *flushMsg:
-		s.onFlushLocked(m)
+		s.closeLocked(m.SnapID, s.runLocked(m.SnapID, true, m.T, m.ReplyTo), m.From)
 	}
 }
 
-// --- marker protocol ---
-
-func copyCounts(m map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
+// runLocked returns the run with the given id, creating it if this is
+// the first this member hears of it.
+func (s *Service) runLocked(id string, clock bool, t uint64, replyTo wire.InboxRef) *run {
+	r := s.runs[id]
+	if r == nil {
+		r = &run{clock: clock, t: t, replyTo: replyTo, channels: make(map[string][][]byte)}
+		s.runs[id] = r
 	}
-	return out
+	return r
 }
 
-// startMarkerLocked records local state and emits markers; fromPeer
-// names the channel whose marker triggered it ("" when initiating).
-func (s *Service) startMarkerLocked(id string, replyTo wire.InboxRef, fromPeer string) {
-	ms := s.markers[id]
-	if ms == nil {
-		ms = &markerSnap{
-			replyTo:   replyTo,
-			recording: make(map[string]bool),
-			channels:  make(map[string][][]byte),
-		}
-		s.markers[id] = ms
-	}
-	if ms.recorded {
+// recordLocked records the member's state, unless it has, and closes its
+// outgoing channels, as one step against its sends (Quiesce): the peers'
+// counts then stand where the closing marker or flush enters each
+// channel, so a frame counted was sent before the record and one not
+// counted follows the marker. Every inbound channel opens. Caller holds
+// s.mu.
+func (s *Service) recordLocked(id string, r *run) {
+	if r.recorded {
 		return
 	}
-	ms.recorded = true
-	ms.state, _ = json.Marshal(s.stateFn())
-	ms.sentAt = copyCounts(s.sent)
-	ms.recvAt = copyCounts(s.recv)
-	s.persistCheckpoint(id, ms.state)
-	for _, p := range s.peers {
-		if p.Name == fromPeer {
-			continue // the triggering channel's state is empty by rule
+	r.recorded = true
+	r.sentAt = make(map[string]uint64, len(s.peers))
+	r.recvAt = make(map[string]uint64, len(s.peers))
+	r.crossed = make(map[string]uint64, len(s.peers))
+	r.open = make(map[string]bool, len(s.peers))
+	var closing wire.Msg = &markerMsg{SnapID: id, From: s.d.Name(), ReplyTo: r.replyTo}
+	if r.clock {
+		closing = &flushMsg{SnapID: id, T: r.t, From: s.d.Name(), ReplyTo: r.replyTo}
+	}
+	rel := s.d.Transport()
+	var lamport uint64
+	s.d.Quiesce(func(send core.QuiescedSend) {
+		r.state, _ = json.Marshal(s.stateFn())
+		lamport = s.d.Clock().Now()
+		for _, p := range s.peers {
+			r.sentAt[p.Name], r.recvAt[p.Name] = rel.Counts(p.Addr)
+			r.open[p.Name] = true
+			_ = send(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, id, closing)
 		}
-		ms.recording[p.Name] = true
-		ms.awaiting++
-	}
-	// Relay markers on all outgoing channels.
-	for _, p := range s.peers {
-		s.sendLocked(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, id,
-			&markerMsg{SnapID: id, From: s.d.Name(), ReplyTo: replyTo})
-	}
-	if ms.awaiting == 0 {
-		s.reportMarkerLocked(id)
-	}
+	})
+	s.persistCheckpoint(id, r.state, lamport)
 }
 
-func (s *Service) onMarkerLocked(m *markerMsg) {
-	ms := s.markers[m.SnapID]
-	if ms == nil || !ms.recorded {
-		// First marker: record state; the arrival channel is empty.
-		s.startMarkerLocked(m.SnapID, m.ReplyTo, m.From)
-		return
-	}
-	if ms.recording[m.From] {
-		ms.recording[m.From] = false
-		ms.awaiting--
-		if ms.awaiting == 0 {
-			s.reportMarkerLocked(m.SnapID)
+// closeLocked ends the recording of the channel from peer, whose marker
+// or flush has arrived, recording first if this is the first this member
+// has seen of the run (the channel is then empty). The marker itself is
+// being delivered, so the transport's count stops just before it.
+func (s *Service) closeLocked(id string, r *run, peer string) {
+	s.recordLocked(id, r)
+	if r.open[peer] {
+		delete(r.open, peer)
+		for _, p := range s.peers {
+			if p.Name == peer {
+				_, delivered := s.d.Transport().Counts(p.Addr)
+				r.crossed[peer] = delivered - r.recvAt[peer]
+			}
 		}
 	}
+	s.maybeReportLocked(id, r)
 }
 
-// reportMarkerLocked sends the finished run's report and forgets it.
-func (s *Service) reportMarkerLocked(id string) {
-	ms := s.markers[id]
-	if ms == nil {
+// maybeReportLocked sends the report, and forgets the run, once it is
+// recorded, every inbound channel is closed and, for a clock run, the
+// collect has arrived: no count or channel of the run can change any
+// more, and no message of the run is still on its way.
+func (s *Service) maybeReportLocked(id string, r *run) {
+	if !r.recorded || len(r.open) > 0 || r.clock && !r.collected {
 		return
 	}
-	delete(s.markers, id)
-	s.sendLocked(ms.replyTo, id, &reportMsg{
+	delete(s.runs, id)
+	_ = s.d.SendDirect(r.replyTo, id, &reportMsg{
 		SnapID:   id,
 		Name:     s.d.Name(),
-		State:    ms.state,
-		SentAt:   ms.sentAt,
-		RecvAt:   ms.recvAt,
-		Channels: ms.channels,
+		State:    r.state,
+		SentAt:   r.sentAt,
+		RecvAt:   r.recvAt,
+		Crossed:  r.crossed,
+		Channels: r.channels,
 	})
-}
-
-// --- clock-checkpoint protocol ---
-
-func (s *Service) recordClockLocked(id string, cs *clockSnap) {
-	cs.recorded = true
-	cs.state, _ = json.Marshal(s.stateFn())
-	cs.sentAt = copyCounts(s.sent)
-	cs.recvAt = copyCounts(s.recv)
-	s.persistCheckpoint(id, cs.state)
 }
 
 // persistCheckpoint writes the just-recorded local state durably (see
 // CheckpointVar). Caller holds s.mu; the store has its own lock.
-func (s *Service) persistCheckpoint(id string, st json.RawMessage) {
-	_ = s.d.Store().Set(CheckpointVar, Checkpoint{ID: id, State: st, Lamport: s.d.Clock().Now()})
+func (s *Service) persistCheckpoint(id string, st json.RawMessage, lamport uint64) {
+	_ = s.d.Store().Set(CheckpointVar, Checkpoint{ID: id, State: st, Lamport: lamport})
 }
 
 // persistChannelMsgLocked appends one captured channel message to the
@@ -458,75 +355,4 @@ func (s *Service) persistChannelMsgLocked(id string, rec ChannelMsg) {
 	}
 	cp.Channels = append(cp.Channels, rec)
 	_ = s.d.Store().Set(CheckpointVar, cp)
-}
-
-// armClockLocked creates (or returns) the checkpoint state for a snapshot
-// id, recording immediately if the clock has already passed T.
-func (s *Service) armClockLocked(id string, t uint64, replyTo wire.InboxRef) *clockSnap {
-	if cs, ok := s.clocks[id]; ok {
-		return cs
-	}
-	cs := &clockSnap{
-		t:        t,
-		replyTo:  replyTo,
-		channels: make(map[string][][]byte),
-		flushed:  make(map[string]bool),
-		awaiting: len(s.peers),
-	}
-	s.clocks[id] = cs
-	if s.d.Clock().Now() >= t {
-		s.recordClockLocked(id, cs)
-	}
-	return cs
-}
-
-func (s *Service) onCollectLocked(m *collectMsg) {
-	cs := s.clocks[m.SnapID]
-	if cs == nil {
-		return
-	}
-	if !cs.recorded {
-		// The collect message's stamp exceeds T, so the clock has passed
-		// T by now; record immediately.
-		s.recordClockLocked(m.SnapID, cs)
-	}
-	if !cs.flushSent {
-		cs.flushSent = true
-		for _, p := range s.peers {
-			s.sendLocked(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, m.SnapID,
-				&flushMsg{SnapID: m.SnapID, T: cs.t, From: s.d.Name(), ReplyTo: cs.replyTo})
-		}
-	}
-	s.maybeReportClockLocked(m.SnapID, cs)
-}
-
-func (s *Service) onFlushLocked(m *flushMsg) {
-	cs := s.armClockLocked(m.SnapID, m.T, m.ReplyTo)
-	if !cs.recorded {
-		// The flush stamp exceeds T, so the clock has passed T.
-		s.recordClockLocked(m.SnapID, cs)
-	}
-	if !cs.flushed[m.From] {
-		cs.flushed[m.From] = true
-		cs.awaiting--
-	}
-	s.maybeReportClockLocked(m.SnapID, cs)
-}
-
-// maybeReportClockLocked sends the report, and forgets the run, once it
-// is recorded and every channel in and out is flushed: no count or
-// channel of the run can change any more.
-func (s *Service) maybeReportClockLocked(id string, cs *clockSnap) {
-	if !cs.recorded || cs.awaiting > 0 || !cs.flushSent {
-		return
-	}
-	delete(s.clocks, id)
-	s.sendLocked(cs.replyTo, id, &reportMsg{
-		SnapID:   id,
-		Name:     s.d.Name(),
-		State:    cs.state,
-		SentAt:   cs.sentAt,
-		RecvAt:   cs.recvAt,
-		Channels: cs.channels,
-	})
 }

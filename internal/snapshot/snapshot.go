@@ -33,17 +33,25 @@ type Global struct {
 	ID string
 	// States maps participant name to its recorded local state (JSON).
 	States map[string]json.RawMessage
-	// Channels maps directed channels to the in-flight messages captured
-	// in the channel state (message bodies in wire.Marshal form).
+	// Channels maps directed channels to the in-flight application
+	// messages captured in the channel state (message bodies in
+	// wire.Marshal form).
 	Channels map[ChannelKey][][]byte
-	// Sent and Recv are the per-channel cumulative application-message
-	// counters at each participant's record point.
-	Sent map[ChannelKey]uint64
-	Recv map[ChannelKey]uint64
+	// Sent and Recv count frames, not application messages: every data
+	// frame the sender's transport sequenced on the channel before the
+	// sender's record point, and every one the receiver took off it
+	// before the receiver's record point, service traffic included
+	// (transport.Reliable.Counts). Crossed counts the frames of the
+	// channel state: those the receiver took after its record point and
+	// before the channel's marker or flush. Channels holds the
+	// application messages among them.
+	Sent    map[ChannelKey]uint64
+	Recv    map[ChannelKey]uint64
+	Crossed map[ChannelKey]uint64
 }
 
-// InFlight returns the total number of messages captured in channel
-// states.
+// InFlight returns the total number of application messages captured in
+// channel states.
 func (g *Global) InFlight() int {
 	n := 0
 	for _, msgs := range g.Channels {
@@ -52,17 +60,20 @@ func (g *Global) InFlight() int {
 	return n
 }
 
-// CheckConsistent verifies the cut: for every channel p->q,
-// sent_at_record(p->q) == recv_at_record(q<-p) + len(channel state).
-// A violation means a message was received before the cut but sent after
-// it — an inconsistent snapshot.
+// CheckConsistent verifies the cut, in frames: for every channel p->q,
+// sent_at_record(p->q) == recv_at_record(q<-p) + frames in the channel
+// state (Crossed). A violation means a frame was received before the cut
+// but sent after it, or one sent before it was neither received nor
+// recorded in flight: an inconsistent snapshot. The application messages
+// captured on a channel are among its crossed frames, so a channel that
+// holds more of them than it crossed captured one twice, or one from
+// outside the channel state.
 func (g *Global) CheckConsistent() error {
 	keys := make(map[ChannelKey]bool)
-	for k := range g.Sent {
-		keys[k] = true
-	}
-	for k := range g.Recv {
-		keys[k] = true
+	for _, m := range []map[ChannelKey]uint64{g.Sent, g.Recv, g.Crossed} {
+		for k := range m {
+			keys[k] = true
+		}
 	}
 	for k := range g.Channels {
 		keys[k] = true
@@ -70,10 +81,13 @@ func (g *Global) CheckConsistent() error {
 	for k := range keys {
 		sent := g.Sent[k]
 		recv := g.Recv[k]
-		fly := uint64(len(g.Channels[k]))
+		fly := g.Crossed[k]
 		if sent != recv+fly {
 			return fmt.Errorf("snapshot: channel %s inconsistent: sent=%d recv=%d in-flight=%d",
 				k, sent, recv, fly)
+		}
+		if n := len(g.Channels[k]); uint64(n) > fly {
+			return fmt.Errorf("snapshot: channel %s captured %d messages from %d crossed frames", k, n, fly)
 		}
 	}
 	return nil
@@ -155,8 +169,9 @@ func (m *takeMsg) UnmarshalBinary(data []byte) error {
 
 // collectMsg asks a member to finalize a clock checkpoint. Its Lamport
 // stamp exceeds T by construction, so any member not yet triggered records
-// upon its arrival; the member then sends flushMsg on every outgoing
-// channel and reports once flushes from all peers have arrived.
+// upon its arrival; the member reports once flushes from all peers have
+// arrived. It follows the take on the coordinator's FIFO channel, so a
+// member that has it will hear nothing more of the run.
 type collectMsg struct {
 	SnapID string
 }
@@ -175,9 +190,11 @@ func (m *collectMsg) UnmarshalBinary(data []byte) error {
 	return r.Done()
 }
 
-// flushMsg terminates channel-state recording for a clock checkpoint:
-// because send stamps are monotonic and the flush is stamped after T, no
-// pre-T message can follow it on the FIFO channel from its sender.
+// flushMsg terminates channel-state recording for a clock checkpoint. A
+// member sends it on every outgoing channel as it records, in the same
+// step against its sends, so on the FIFO channel every frame sent before
+// the record precedes it and every frame sent after follows it; one
+// arriving at a member that has not recorded yet makes it record first.
 type flushMsg struct {
 	SnapID  string
 	T       uint64
@@ -213,9 +230,10 @@ type reportMsg struct {
 	Name   string
 	// State is the member's recorded local state (JSON, as StateFunc
 	// produced it; opaque to the codec).
-	State  json.RawMessage
-	SentAt map[string]uint64
-	RecvAt map[string]uint64
+	State   json.RawMessage
+	SentAt  map[string]uint64
+	RecvAt  map[string]uint64
+	Crossed map[string]uint64
 	// Channels holds each inbound channel's captured messages in
 	// wire.Marshal form.
 	Channels map[string][][]byte
@@ -252,6 +270,7 @@ func (m *reportMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendBytes(dst, m.State)
 	dst = appendCounts(dst, m.SentAt)
 	dst = appendCounts(dst, m.RecvAt)
+	dst = appendCounts(dst, m.Crossed)
 	dst = wire.AppendUvarint(dst, uint64(len(m.Channels)))
 	for _, peer := range slices.Sorted(maps.Keys(m.Channels)) {
 		msgs := m.Channels[peer]
@@ -272,6 +291,7 @@ func (m *reportMsg) UnmarshalBinary(data []byte) error {
 	m.State = r.Bytes()
 	m.SentAt = readCounts(r)
 	m.RecvAt = readCounts(r)
+	m.Crossed = readCounts(r)
 	m.Channels = nil
 	if n := r.Count(); n > 0 {
 		m.Channels = make(map[string][][]byte, n)

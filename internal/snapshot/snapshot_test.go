@@ -24,13 +24,15 @@ import (
 // also records the snapshot, so a token is in exactly one recorded state
 // or channel. The forward never waits: a few tokens never fill a window.
 type ringNode struct {
-	mu   sync.Mutex
-	held int
+	mu      sync.Mutex
+	held    int
+	records int // snapshot records taken of this node
 }
 
 func (n *ringNode) state() any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.records++
 	return n.held
 }
 
@@ -128,7 +130,6 @@ func tokensIn(t *testing.T, g *snapshot.Global) int {
 func coordinatorOn(sim *world.World, members []snapshot.Member) *snapshot.Coordinator {
 	c := snapshot.NewCoordinator(sim.Dapplet("coord", "coord", "coordinator"), members)
 	c.SetTimeout(10 * time.Second)
-	c.SetSettle(150 * time.Millisecond)
 	return c
 }
 
@@ -176,6 +177,63 @@ func TestClockSnapshotConservesTokens(t *testing.T) {
 	}
 }
 
+// TestClockSnapshotWaitsForCollect: one member's link from the coordinator
+// is slower than the hops between members, so its peers' flushes reach
+// it, and close all its channels, long before its take does. The run
+// must not end there: a member that forgot the run before its take
+// arrived would start it again, recording a second time, overwriting
+// its durable checkpoint and flushing peers into runs that never end.
+// Every member records once, reports once and forgets the run, and its
+// durable checkpoint is the one it reported.
+func TestClockSnapshotWaitsForCollect(t *testing.T) {
+	sim := newWorld(t, netsim.WithSeed(37), netsim.WithTimeScale(1),
+		netsim.WithDefaultDelay(netsim.Constant(5*time.Millisecond)))
+	const nodes, tokens, keep = 4, 6, 1
+	w := buildRing(t, sim, nodes, keep)
+	coord := coordinatorOn(sim, w.members)
+	sim.Net.SetLinkDelay("coord", "host1", netsim.Constant(200*time.Millisecond))
+	w.inject(t, tokens)
+	time.Sleep(50 * time.Millisecond)
+
+	g, err := coord.SnapshotClock(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CheckConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tokensIn(t, g); got != tokens {
+		t.Fatalf("checkpoint sees %d tokens, want %d", got, tokens)
+	}
+	time.Sleep(100 * time.Millisecond) // the ring runs on past the cut
+	for i, d := range w.dapplets {
+		name := d.Name()
+		if n := w.services[i].Pending(); n != 0 {
+			t.Errorf("%s still tracks %d runs", name, n)
+		}
+		w.nodes[i].mu.Lock()
+		records := w.nodes[i].records
+		w.nodes[i].mu.Unlock()
+		if records != 1 {
+			t.Errorf("%s recorded %d times, want 1", name, records)
+		}
+		cp, ok := snapshot.LastCheckpoint(d.Store())
+		if !ok {
+			t.Fatalf("%s has no durable checkpoint", name)
+		}
+		captured := 0
+		for k, msgs := range g.Channels {
+			if k.To == name {
+				captured += len(msgs)
+			}
+		}
+		if cp.ID != g.ID || string(cp.State) != string(g.States[name]) || len(cp.Channels) != captured {
+			t.Errorf("%s's durable checkpoint is %s, state %s, %d channel messages; it reported %s, state %s, %d",
+				name, cp.ID, cp.State, len(cp.Channels), g.ID, g.States[name], captured)
+		}
+	}
+}
+
 func TestRepeatedSnapshotsOnLiveSystem(t *testing.T) {
 	sim := newWorld(t, netsim.WithSeed(31))
 	const nodes, tokens = 3, 4
@@ -220,7 +278,6 @@ func TestSnapshotsWithThreadedSenders(t *testing.T) {
 		services[i].SetPeers(append(slices.Clone(members[:i]), members[i+1:]...))
 	}
 	coord := coordinatorOn(sim, members)
-	coord.SetSettle(5 * time.Millisecond)
 	for i := 0; i < tokens; i++ {
 		if err := daps[0].Outbox("succ").Send(&wire.Text{S: "tok"}); err != nil {
 			t.Fatal(err)
@@ -268,9 +325,7 @@ func TestClockSnapshotQuiescent(t *testing.T) {
 	sim := newWorld(t)
 	w := buildRing(t, sim, 3, 0)
 	coord := coordinatorOn(sim, w.members)
-	coordFast := coord
-	coordFast.SetSettle(20 * time.Millisecond)
-	g, err := coordFast.SnapshotClock(context.Background(), 1000)
+	g, err := coord.SnapshotClock(context.Background(), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,20 +335,31 @@ func TestClockSnapshotQuiescent(t *testing.T) {
 }
 
 func TestCheckConsistentDetectsViolations(t *testing.T) {
+	ab := snapshot.ChannelKey{From: "a", To: "b"}
 	g := &snapshot.Global{
-		Sent: map[snapshot.ChannelKey]uint64{{From: "a", To: "b"}: 5},
-		Recv: map[snapshot.ChannelKey]uint64{{From: "a", To: "b"}: 3},
-		Channels: map[snapshot.ChannelKey][][]byte{
-			{From: "a", To: "b"}: {[]byte("1"), []byte("2")},
-		},
+		Sent:     map[snapshot.ChannelKey]uint64{ab: 5},
+		Recv:     map[snapshot.ChannelKey]uint64{ab: 3},
+		Crossed:  map[snapshot.ChannelKey]uint64{ab: 2},
+		Channels: map[snapshot.ChannelKey][][]byte{ab: {[]byte("1"), []byte("2")}},
 	}
 	if err := g.CheckConsistent(); err != nil {
 		t.Fatalf("consistent cut flagged: %v", err)
 	}
-	// Lose one in-flight message: 5 != 3 + 1.
-	g.Channels[snapshot.ChannelKey{From: "a", To: "b"}] = g.Channels[snapshot.ChannelKey{From: "a", To: "b"}][:1]
+	// Lose one in-flight frame: 5 != 3 + 1.
+	g.Crossed[ab] = 1
 	if err := g.CheckConsistent(); err == nil {
 		t.Fatal("inconsistency not detected")
+	}
+	// A frame received after the sender's record point: 5 != 4 + 2.
+	g.Crossed[ab], g.Recv[ab] = 2, 4
+	if err := g.CheckConsistent(); err == nil {
+		t.Fatal("inconsistency not detected")
+	}
+	// A message captured twice: three captured from two crossed frames.
+	g.Recv[ab] = 3
+	g.Channels[ab] = append(g.Channels[ab], []byte("2"))
+	if err := g.CheckConsistent(); err == nil {
+		t.Fatal("a message captured twice not detected")
 	}
 }
 

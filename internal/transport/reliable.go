@@ -232,6 +232,8 @@ type peerState struct {
 	// reserved counts the places Reserve claimed that SendReserved has
 	// not spent; they count against the backlog's bound.
 	reserved int // guarded by mu
+	// lastSent is when send last sequenced a frame to the peer.
+	lastSent time.Time // guarded by mu
 
 	// Loss recovery. srtt and rttvar are the RFC 6298 estimator over acks
 	// of never-resent frames (zero until the first sample; rttBound while
@@ -256,6 +258,9 @@ type peerState struct {
 	expected uint64           // guarded by mu
 	ooo      map[uint64]frame // guarded by mu
 	rxHdr    []byte           // guarded by mu
+	// delivered counts the frames the sink has returned from, written
+	// by the receive goroutine alone.
+	delivered atomic.Uint64
 
 	// Delayed-ack coalescing: ackPending counts in-order messages
 	// received since the last ack; ackTimerSet records that ackTimer is
@@ -390,6 +395,40 @@ func (r *Reliable) RTT(to netsim.Addr) (srtt, rto time.Duration, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.srtt, r.rtoLocked(p), p.srtt > 0
+}
+
+// LastSent reports when the last data frame to the peer was sequenced:
+// a first transmission Send took, backlogged or not. Bare acks,
+// retransmissions and refused sends leave it; it is zero until a frame
+// has been sequenced.
+func (r *Reliable) LastSent(to netsim.Addr) time.Time {
+	v, ok := r.peers.Load(to)
+	if !ok {
+		return time.Time{}
+	}
+	p := v.(*peerState)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lastSent
+}
+
+// Counts reports the peer's channel in both directions: the data frames
+// sequenced to it, and the in-order frames from it that the sink has
+// returned from (a frame is not counted while its delivery runs).
+// Every frame counts, whatever it carries; the sequence numbers are the
+// channel's FIFO positions, so a sender's count at any instant is
+// where the receiver's count will stand once everything before it has
+// arrived.
+func (r *Reliable) Counts(peer netsim.Addr) (sequenced, delivered uint64) {
+	v, ok := r.peers.Load(peer)
+	if !ok {
+		return 0, 0
+	}
+	p := v.(*peerState)
+	p.mu.Lock()
+	sequenced = p.nextSeq - 1
+	p.mu.Unlock()
+	return sequenced, p.delivered.Load()
 }
 
 // peer returns the state for a peer, creating it on first contact. The
@@ -604,6 +643,7 @@ func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait, reserved bool
 	p.unacked[seq] = pkt
 	r.stats.dataSent.Add(1)
 	now := time.Now()
+	p.lastSent = now
 	if full {
 		pkt.sent, pkt.xmit = now, now // restamped as it enters the window
 		p.backlog = append(p.backlog, pkt)
@@ -1050,9 +1090,11 @@ func (r *Reliable) handleData(p *peerState, f frame) {
 	_ = r.write(from, dgram)
 	if inOrder {
 		r.deliver(f.hdr, f.payload, from)
+		p.delivered.Add(1)
 	}
 	for _, rf := range run {
 		r.deliver(rf.hdr, rf.payload, from)
+		p.delivered.Add(1)
 	}
 }
 

@@ -187,7 +187,6 @@ func TestFacadeSnapshot(t *testing.T) {
 	sa.SetPeers(members[1:])
 	sb.SetPeers(members[:1])
 	coord := snapshot.NewCoordinator(dap("c", "coord"), members)
-	coord.SetSettle(10 * time.Millisecond)
 	g, err := coord.SnapshotMarker(testCtx(t))
 	if err != nil {
 		t.Fatal(err)
