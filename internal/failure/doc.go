@@ -7,19 +7,25 @@
 // Forwarding Detection"), adapted from links to dapplets: each
 // participant transmits periodic heartbeats to the peers that watch it,
 // and each watcher declares a peer down after a detection time of
-// Multiplier missed intervals. Two departures from classic BFD fit the
-// dapplet world:
+// Multiplier × Interval (BFD's DetectMult × the transmit interval,
+// RFC 5880 §6.8.4) in which it has heard nothing from the peer. The
+// interval stretches with the jitter of the peer's heartbeats (smoothed
+// spacing plus four deviations), which a loaded host's scheduling adds;
+// path latency delays every heartbeat alike and stretches nothing. Two
+// departures from classic BFD fit the dapplet world:
 //
-//   - Timeouts are per-peer adaptive: the watcher tracks a smoothed
-//     mean and deviation of observed heartbeat interarrival (the same
-//     estimator shape TCP uses for RTO), so a peer behind a slow WAN
-//     link earns a longer detection time than a LAN neighbour instead
-//     of being falsely suspected.
+//   - Any frame counts as hearing from a peer, not only a heartbeat (the
+//     transport's Reliable.LastHeard), and no heartbeat goes to a peer
+//     the transport sent another frame within the interval
+//     (Reliable.LastSent): heartbeats flow on idle channels only.
 //
 //   - Verdicts pass through an intermediate Suspect state before Down
 //     (suspect after one detection time, down after a second), giving
 //     applications a cheap early warning they can use to, e.g., stop
-//     routing new work to a peer before committing to recovery.
+//     routing new work to a peer before committing to recovery. Hearing
+//     the peer lifts Suspect at the next heartbeat round; only an
+//     incarnation-carrying beacon (a heartbeat, a probe or its reply)
+//     lifts Down.
 //
 // Heartbeats carry an incarnation number so a watcher can distinguish
 // "the peer recovered" from "a restarted instance of the peer took its
@@ -37,9 +43,9 @@
 // Verdicts are timed on runtime timers, as in BFD's one detection timer
 // per session: each watched peer has one verdict timer (time.AfterFunc)
 // and each detector one heartbeat-round timer, both moved with Reset
-// under the detector's lock. The verdict timer is re-armed lazily: a
-// beacon only records when the peer was last heard, and a firing whose
-// window has not run out re-arms for the remainder. A fired timer queues
+// under the detector's lock. The verdict timer is re-armed lazily:
+// hearing the peer never moves it, and a firing whose window has not run
+// out re-arms for the remainder. A fired timer queues
 // its work on one process-wide queue drained by a few goroutines that
 // exist only while it is non-empty (see work.go), so no goroutine waits
 // while the detector is idle, and no callback runs once the dapplet has

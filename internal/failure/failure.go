@@ -63,12 +63,14 @@ type Event struct {
 
 // Config tunes a detector. Zero values select defaults.
 type Config struct {
-	// Interval is the heartbeat transmission period (default 50ms). It
-	// is also the floor of the detection timeout.
+	// Interval is the heartbeat transmission period (default 50ms) on a
+	// channel that carries nothing else.
 	Interval time.Duration
-	// Multiplier is the number of missed intervals that makes a peer
-	// Suspect; a further Multiplier intervals make it Down (default 3,
-	// the conventional BFD detect multiplier).
+	// Multiplier is the number of intervals a peer may go unheard before
+	// it is Suspect; a further Multiplier intervals make it Down (default
+	// 3, the conventional BFD detect multiplier). The interval is
+	// Interval, or, where the peer's heartbeats arrive less regularly,
+	// their smoothed spacing plus four deviations.
 	Multiplier int
 	// Incarnation identifies this instance's lifetime; a restarted
 	// dapplet attaches a detector with a higher incarnation so watchers
@@ -191,35 +193,36 @@ func init() {
 
 // peerState is everything a watcher tracks about one peer.
 type peerState struct {
-	name      string
-	addr      netsim.Addr
-	state     State
-	lastHeard time.Time
-	lastInc   uint64
+	name  string
+	addr  netsim.Addr
+	state State
+	// lastBeacon is when the peer last proved its incarnation alive (or
+	// was watched); heardLocked merges it with the transport's record.
+	lastBeacon time.Time
+	lastInc    uint64
 	// lastHB is when the last round that sent the peer an explicit
 	// heartbeat had sent it. A frame the transport sequenced to the peer
 	// since then, and within one interval, means the peer is hearing
 	// from us anyway, so the next heartbeat is suppressed (piggybacked
-	// liveness). Suppression is floored at one heartbeat per 8
-	// intervals: only a heartbeat's incarnation number can lift a Down
-	// verdict the peer holds against us, so a busy channel must not
-	// starve them forever.
+	// liveness). It is zero after Watch and after the peer's address
+	// changes, and a round always heartbeats such a peer, to announce
+	// our incarnation and address however busy the channel.
 	lastHB time.Time
 	// probing marks an address-learning probe in flight to this (Down)
 	// peer, so the slow probe rate cannot pile calls onto a dead address.
 	probing bool
-	// heard marks that a beacon has arrived since Watch. Interarrivals
-	// are sampled from one beacon to the next, never from the Watch
-	// call, whose phase against the peer's heartbeat rounds is arbitrary.
-	heard bool
-	// meanIA/devIA are the smoothed interarrival estimators feeding the
-	// adaptive timeout; zero until two heartbeats have been observed.
+	// hbSeq is the round of the peer's last heartbeat. meanIA and devIA
+	// smooth the gaps between an Up peer's heartbeats of consecutive
+	// rounds: between those it sent nothing else, so each is a gap
+	// between hearings on an idle channel. Across rounds it suppressed,
+	// the gap is the application's pause, and no sample.
+	hbSeq  uint64
 	meanIA time.Duration
 	devIA  time.Duration
 	// timer is this peer's verdict timer, moved with Reset under det.mu:
 	// it fires when the peer's verdict may need to advance (lazily
-	// re-armed from lastHeard, so a beacon never has to move it) and,
-	// once the peer is Down, paces the slow probe cadence.
+	// re-armed from heardLocked, so hearing the peer never has to move
+	// it) and, once the peer is Down, paces the slow probe cadence.
 	timer *time.Timer
 	// confirms collects the distinct confirmers of the current suspicion
 	// (this watcher, failed indirect-probe relays, gossip origins);
@@ -231,30 +234,33 @@ type peerState struct {
 	suspInc uint64
 }
 
+// heardLocked is when p was last heard from: the later of its last
+// beacon and the last datagram of frames the transport took from its
+// address (Reliable.LastHeard). Caller holds det.mu.
+func (det *Detector) heardLocked(p *peerState) time.Time {
+	if t := det.d.Transport().LastHeard(p.addr); t.After(p.lastBeacon) {
+		return t
+	}
+	return p.lastBeacon
+}
+
 // windowLeft reports how long p's verdict can rest at now: the time left
 // in its Up or Suspect detection window, or false once that window has
-// run out or the peer is Down.
-func (p *peerState) windowLeft(cfg Config, now time.Time) (time.Duration, bool) {
-	timeout := p.detectionTimeout(cfg)
-	elapsed := now.Sub(p.lastHeard)
-	switch {
-	case p.state == Up && elapsed <= timeout:
-		return timeout - elapsed, true
-	case p.state == Suspect && elapsed <= 2*timeout:
-		return 2*timeout - elapsed, true
+// run out or the peer is Down. Caller holds det.mu.
+func (det *Detector) windowLeft(p *peerState, now time.Time) (time.Duration, bool) {
+	window := p.detectionTimeout(det.cfg)
+	if p.state == Suspect {
+		window *= 2
 	}
-	return 0, false
+	left := window - now.Sub(det.heardLocked(p))
+	return left, p.state != Down && left >= 0
 }
 
 // detectionTimeout is the Up->Suspect (and Suspect->Down) window for this
 // peer: Multiplier times the larger of the configured interval and the
-// observed interarrival envelope (mean + 4 deviations, TCP-RTO style).
+// heartbeat rhythm's envelope (mean + 4 deviations, TCP-RTO style).
 func (p *peerState) detectionTimeout(cfg Config) time.Duration {
-	base := cfg.Interval
-	if adaptive := p.meanIA + 4*p.devIA; adaptive > base {
-		base = adaptive
-	}
-	return time.Duration(cfg.Multiplier) * base
+	return time.Duration(cfg.Multiplier) * max(cfg.Interval, p.meanIA+4*p.devIA)
 }
 
 // Detector heartbeats the peers watching this dapplet and watches peers
@@ -290,19 +296,14 @@ type Detector struct {
 	// per-Interval fan-out does not allocate a fresh slice each round.
 	scratchHB []wire.InboxRef
 
-	hbSent   atomic.Uint64
-	implicit atomic.Uint64
-	probes   atomic.Uint64
+	hbSent atomic.Uint64
+	probes atomic.Uint64
 }
 
-// Stats counts a detector's transmitted heartbeats and the application
-// frames it accepted as implicit liveness in their place.
+// Stats counts a detector's transmitted heartbeats and probes.
 type Stats struct {
 	// HeartbeatsSent is the number of explicit heartbeat transmissions.
 	HeartbeatsSent uint64
-	// ImplicitRefreshes is the number of application/ack frames from
-	// watched peers that refreshed liveness instead of a heartbeat.
-	ImplicitRefreshes uint64
 	// ProbesSent is the number of address-learning probes issued to Down
 	// peers (the svc request/reply that rediscovers a healed partition).
 	ProbesSent uint64
@@ -312,12 +313,14 @@ type Stats struct {
 // its heartbeat rounds and per-peer verdicts on runtime timers, which
 // hold no goroutine while they wait, and detaches when the dapplet
 // stops. Any frame the dapplet exchanges with a watched peer doubles as
-// liveness evidence: a received frame refreshes the peer's deadline, and
-// a frame the transport sends the peer (Reliable.LastSent) suppresses
-// the next explicit heartbeat to it, so heartbeats flow only on idle
-// channels. The "@fail" inbox is an svc-served inbox: heartbeats arrive
-// bare (one-way), and address-learning probes arrive correlated and are
-// answered with this instance's name and incarnation.
+// liveness evidence, read from the transport: a frame received from the
+// peer (Reliable.LastHeard) refreshes its deadline and lifts a Suspect
+// verdict at the next heartbeat round, and a frame sent to it
+// (Reliable.LastSent) suppresses the next explicit heartbeat, so
+// heartbeats flow only on idle channels. The "@fail" inbox is an
+// svc-served inbox: heartbeats arrive bare (one-way), and
+// address-learning probes arrive correlated and are answered with this
+// instance's name and incarnation.
 func Attach(d *core.Dapplet, cfg Config) *Detector {
 	det := &Detector{
 		d:      d,
@@ -328,7 +331,7 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 	svc.Serve(d, ControlInbox, svc.Handlers{
 		"fail.hb": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			hb := req.(*heartbeatMsg)
-			det.applyBeacon(hb.From, hb.Inc, c.From())
+			det.applyBeacon(hb.From, hb.Inc, hb.Seq, c.From())
 			return nil, nil
 		},
 		"fail.probe": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
@@ -336,7 +339,7 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 			// if we hold the prober Down across a healed partition, this
 			// lifts our verdict while the reply lifts theirs.
 			p := req.(*probeMsg)
-			det.applyBeacon(p.From, p.Inc, c.From())
+			det.applyBeacon(p.From, p.Inc, 0, c.From())
 			return &probeRepMsg{Name: d.Name(), Inc: det.cfg.Incarnation}, nil
 		},
 		"fail.iprobe":     det.handleIProbe,
@@ -345,7 +348,6 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 	if det.cfg.Gossip != nil {
 		det.cfg.Gossip.OnRumor(GossipTopic, det.onVerdictRumor)
 	}
-	d.OnRecv(det.onAppRecv)
 	// Stagger the first round within a quarter interval so detectors
 	// attached together do not all fan out at the same instant.
 	first := det.cfg.Interval + hbStagger(d.Name(), det.cfg.Interval/4)
@@ -421,14 +423,10 @@ func (det *Detector) armLocked(p *peerState, d time.Duration) {
 // Stats returns the detector's heartbeat-economy counters.
 func (det *Detector) Stats() Stats {
 	return Stats{
-		HeartbeatsSent:    det.hbSent.Load(),
-		ImplicitRefreshes: det.implicit.Load(),
-		ProbesSent:        det.probes.Load(),
+		HeartbeatsSent: det.hbSent.Load(),
+		ProbesSent:     det.probes.Load(),
 	}
 }
-
-// Interval returns the configured heartbeat period.
-func (det *Detector) Interval() time.Duration { return det.cfg.Interval }
 
 // Watched returns the number of peers currently watched.
 func (det *Detector) Watched() int {
@@ -446,14 +444,10 @@ func (det *Detector) Watch(name string, addr netsim.Addr) {
 	det.mu.Lock()
 	defer det.mu.Unlock()
 	if p, ok := det.peers[name]; ok {
-		if p.addr != addr {
-			delete(det.byAddr, p.addr)
-			p.addr = addr
-			det.byAddr[addr] = p
-		}
+		det.moveLocked(p, addr)
 		return
 	}
-	p := &peerState{name: name, addr: addr, state: Up, lastHeard: time.Now()}
+	p := &peerState{name: name, addr: addr, state: Up, lastBeacon: time.Now()}
 	check := func() { det.firePeer(p) }
 	p.timer = time.AfterFunc(p.detectionTimeout(det.cfg), func() { work.run(check) })
 	if det.stopping {
@@ -553,25 +547,39 @@ func (det *Detector) drainPosted() {
 	det.mu.Unlock()
 }
 
+// moveLocked records that p is now at addr. The next round heartbeats
+// it whatever the channel carries, so a peer that knew us at an old
+// address learns the new one. Caller holds det.mu.
+func (det *Detector) moveLocked(p *peerState, addr netsim.Addr) {
+	if p.addr == addr {
+		return
+	}
+	delete(det.byAddr, p.addr)
+	p.addr = addr
+	det.byAddr[addr] = p
+	p.lastHB = time.Time{}
+}
+
 // liftLocked returns p to Up with a fresh detection window and posts the
 // Up event. Caller holds det.mu; liftLocked releases it.
 func (det *Detector) liftLocked(p *peerState) {
 	p.state = Up
 	p.confirms = nil
-	p.meanIA, p.devIA = 0, 0 // an interarrival spanning the gap is no rhythm sample
+	p.meanIA, p.devIA = 0, 0 // a gap spanning the outage is no rhythm sample
 	det.armLocked(p, p.detectionTimeout(det.cfg))
 	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
 	det.postLocked(func() { det.emit(ev) })
 }
 
 // applyBeacon processes one incarnation-carrying liveness proof — a
-// heartbeat, an incoming probe, or a probe reply — from a watched peer:
-// it refreshes the peer's deadline, feeds the interarrival estimators,
-// learns a restarted peer's new address, and lifts Suspect/Down verdicts.
-func (det *Detector) applyBeacon(from string, inc uint64, addr netsim.Addr) {
+// heartbeat of round seq, or (seq 0) an incoming probe or a probe reply —
+// from a watched peer: it refreshes the peer's deadline, samples the
+// heartbeat rhythm, learns a restarted peer's new address, and lifts
+// Suspect/Down verdicts.
+func (det *Detector) applyBeacon(from string, inc, seq uint64, addr netsim.Addr) {
 	det.mu.Lock()
 	p, watched := det.peers[from]
-	if !watched || !det.beaconLocked(p, inc, addr, time.Now()) || p.state == Up {
+	if !watched || !det.beaconLocked(p, inc, seq, addr) || p.state == Up {
 		det.mu.Unlock()
 		return
 	}
@@ -581,85 +589,35 @@ func (det *Detector) applyBeacon(from string, inc uint64, addr netsim.Addr) {
 }
 
 // beaconLocked applies one beacon's evidence to p, leaving its verdict
-// alone: it feeds the interarrival estimators, refreshes lastHeard and
+// alone: it samples the heartbeat rhythm, refreshes lastBeacon and
 // learns a restarted peer's new address. It reports false, changing
 // nothing, for a beacon from an older incarnation. Caller holds det.mu.
-func (det *Detector) beaconLocked(p *peerState, inc uint64, addr netsim.Addr, now time.Time) bool {
+func (det *Detector) beaconLocked(p *peerState, inc, seq uint64, addr netsim.Addr) bool {
 	if inc < p.lastInc {
 		// A delayed beacon from a dead incarnation (it can linger in
 		// flight after the crash): honouring it would revert the peer's
 		// address and falsely lift a Down verdict.
 		return false
 	}
-	switch {
-	case p.state != Up:
-		// Recovery: restart the rhythm estimate from scratch so the
-		// outage gap cannot inflate future detection times.
-		p.meanIA, p.devIA = 0, 0
-	case p.heard:
-		// Feed the adaptive timeout only while the rhythm is unbroken;
-		// an interarrival spanning an outage is not a rhythm sample.
-		if ia := now.Sub(p.lastHeard); p.meanIA == 0 {
+	now := time.Now()
+	if p.state == Up && p.hbSeq != 0 && seq == p.hbSeq+1 && inc == p.lastInc {
+		// TCP-style smoothing: mean gains 1/8 of the error, deviation
+		// 1/4 of its magnitude.
+		if ia := now.Sub(p.lastBeacon); p.meanIA == 0 {
 			p.meanIA = ia
 		} else {
-			// TCP-style smoothing: mean gains 1/8 of the error,
-			// deviation 1/4 of its magnitude.
 			err := ia - p.meanIA
 			p.meanIA += err / 8
-			if err < 0 {
-				err = -err
-			}
-			p.devIA += (err - p.devIA) / 4
+			p.devIA += (err.Abs() - p.devIA) / 4
 		}
 	}
-	p.heard = true
-	p.lastHeard = now
+	if seq != 0 {
+		p.hbSeq = seq
+	}
+	p.lastBeacon = now
 	p.lastInc = inc
-	if p.addr != addr { // a reincarnated peer announces its new address
-		delete(det.byAddr, p.addr)
-		p.addr = addr
-		det.byAddr[p.addr] = p
-	}
+	det.moveLocked(p, addr) // a reincarnated peer announces its new address
 	return true
-}
-
-// onAppRecv treats any received application or service frame from a
-// watched peer's current address as implicit liveness: the peer's
-// deadline refreshes without a heartbeat, and a Suspect verdict lifts
-// (the channel is demonstrably alive). The detector's own "@fail"
-// frames are left to their handlers: heartbeats and probes are beacons
-// (applyBeacon), and indirect-probe traffic counts through heardFrom.
-// Down verdicts lift only via beacons, because only a beacon's
-// incarnation number distinguishes a recovered peer from a dead
-// incarnation's lingering frames. The interarrival estimators are
-// not fed: application traffic has no rhythm to learn.
-// It runs on the receive goroutine and lifts Suspect there; the Up event
-// is delivered from the work queue.
-func (det *Detector) onAppRecv(env *wire.Envelope) {
-	if env.To.Inbox == ControlInbox {
-		return
-	}
-	det.heardFrom(env.FromDapplet)
-}
-
-// heardFrom is a frame from addr as implicit liveness (see onAppRecv).
-// The sender's transport counted the frame toward suppressing its next
-// heartbeat (Reliable.LastSent), so every frame it sends a watched peer
-// must count here, by this path or as a beacon.
-func (det *Detector) heardFrom(addr netsim.Addr) {
-	det.mu.Lock()
-	p, ok := det.byAddr[addr]
-	if !ok || p.state == Down {
-		det.mu.Unlock()
-		return
-	}
-	det.implicit.Add(1)
-	p.lastHeard = time.Now()
-	if p.state == Suspect {
-		det.liftLocked(p)
-		return
-	}
-	det.mu.Unlock()
 }
 
 // fireHeartbeats runs when the heartbeat-round timer expires: one round,
@@ -685,15 +643,16 @@ func (det *Detector) fireHeartbeats() {
 	det.mu.Unlock()
 }
 
-// heartbeatRound is one pass over the watched peers: it transmits a
+// heartbeatRound is one pass over the watched peers. It transmits a
 // heartbeat to every peer not considered Down whose channel has been
 // idle for an interval (peers the transport sent other frames more
-// recently are hearing from us anyway; Reliable.LastSent), floored at
-// one explicit heartbeat per 8 intervals so a watcher holding us Down is
-// guaranteed to eventually see an incarnation-carrying beacon. This is
-// the detector's only O(peers) walk, and its cost is the fan-out the
-// wire sees anyway: verdict deadlines fire as per-peer timers (see
-// firePeer).
+// recently are hearing from us anyway; Reliable.LastSent), and to every
+// peer it has not heartbeated since Watch or an address change. It lifts
+// every Suspect peer heard within a detection time, that is, since the
+// suspicion was raised, so a lift comes up to one Interval after the
+// frame that earned it. This is the
+// detector's only O(peers) walk, and its cost is the fan-out the wire
+// sees anyway: verdict deadlines fire as per-peer timers (see firePeer).
 func (det *Detector) heartbeatRound(now time.Time) {
 	det.mu.Lock()
 	if det.stopping {
@@ -702,26 +661,37 @@ func (det *Detector) heartbeatRound(now time.Time) {
 	}
 	det.seq++
 	seq, inc := det.seq, det.cfg.Incarnation
-	// A busy channel suppresses explicit heartbeats, but never all of
-	// them: one per 8 intervals still flows, because a watcher that
-	// declared us Down ignores our application frames and only a
-	// beacon's incarnation can lift its verdict. Our own last heartbeat
-	// is not traffic: only a frame sequenced after the round that sent
-	// it counts.
+	// Our own last heartbeat is not traffic: only a frame sequenced
+	// after the round that sent it counts.
 	rel := det.d.Transport()
 	targets := det.scratchHB[:0]
+	var lifts []*peerState
 	for _, p := range det.peers {
-		if p.state == Down {
+		switch p.state {
+		case Down:
 			continue // Down peers get the slow probe instead (see firePeer)
+		case Suspect: // heard again since the suspicion was raised
+			if now.Sub(det.heardLocked(p)) < p.detectionTimeout(det.cfg) {
+				lifts = append(lifts, p)
+			}
 		}
 		last := rel.LastSent(p.addr)
-		busy := last.After(p.lastHB) && now.Sub(last) < det.cfg.Interval
-		if !busy || now.Sub(p.lastHB) >= 8*det.cfg.Interval {
+		if p.lastHB.IsZero() || !last.After(p.lastHB) || now.Sub(last) >= det.cfg.Interval {
 			targets = append(targets, wire.InboxRef{Dapplet: p.addr, Inbox: ControlInbox})
 		}
 	}
 	det.scratchHB = targets
 	det.mu.Unlock()
+	// liftLocked releases det.mu, so the lifts are applied after the
+	// walk, each to a peer still watched and still Suspect.
+	for _, p := range lifts {
+		det.mu.Lock()
+		if det.peers[p.name] == p && p.state == Suspect {
+			det.liftLocked(p)
+		} else {
+			det.mu.Unlock()
+		}
+	}
 	if len(targets) == 0 {
 		return
 	}
@@ -741,9 +711,9 @@ func (det *Detector) heartbeatRound(now time.Time) {
 }
 
 // firePeer runs when p's verdict timer expires: the peer's detection
-// window may have run out. The timer is armed lazily: beacons refresh
-// lastHeard without touching it, so a firing whose window turns out
-// unexpired simply re-arms for the remainder, under det.mu alone.
+// window may have run out. The timer is armed lazily: hearing the peer
+// never touches it, so a firing whose window turns out unexpired simply
+// re-arms for the remainder, under det.mu alone.
 // Escalations emit Suspect, then Down; a Down peer's timer switches to
 // pacing the address-learning probe at 1/8 the heartbeat rate — enough
 // for two detectors that declared each other Down across a healed
@@ -760,13 +730,13 @@ func (det *Detector) firePeer(p *peerState) {
 		det.mu.Unlock()
 		return
 	}
-	if left, ok := p.windowLeft(det.cfg, now); ok { // heard since the timer was set
+	if left, ok := det.windowLeft(p, now); ok { // heard since the timer was set
 		p.timer.Reset(left)
 		det.mu.Unlock()
 		return
 	}
 	timeout := p.detectionTimeout(det.cfg)
-	elapsed := now.Sub(p.lastHeard)
+	elapsed := now.Sub(det.heardLocked(p))
 	quorum := det.quorum()
 	var (
 		next time.Duration
@@ -858,5 +828,5 @@ func (det *Detector) probe(name string, addr netsim.Addr) {
 	if err != nil || rep.Name != name {
 		return
 	}
-	det.applyBeacon(name, rep.Inc, addr)
+	det.applyBeacon(name, rep.Inc, 0, addr)
 }

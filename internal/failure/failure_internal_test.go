@@ -24,9 +24,9 @@ func TestStaleIncarnationHeartbeatIgnored(t *testing.T) {
 	// the test drives applyBeacon by hand.
 	inert := time.AfterFunc(time.Hour, func() {})
 	t.Cleanup(func() { inert.Stop() })
-	det.peers["p"] = &peerState{name: "p", addr: newAddr, state: Down, lastInc: 2, lastHeard: time.Now(), timer: inert}
+	det.peers["p"] = &peerState{name: "p", addr: newAddr, state: Down, lastInc: 2, lastBeacon: time.Now(), timer: inert}
 
-	det.applyBeacon("p", 1, netsim.Addr{Host: "old", Port: 1})
+	det.applyBeacon("p", 1, 0, netsim.Addr{Host: "old", Port: 1})
 	p := det.peers["p"]
 	if p.state != Down {
 		t.Fatalf("stale beacon lifted the Down verdict (state=%v)", p.state)
@@ -38,7 +38,7 @@ func TestStaleIncarnationHeartbeatIgnored(t *testing.T) {
 	// The current incarnation's beacon does lift it and resets the
 	// rhythm estimators (the outage gap is not a rhythm sample).
 	p.meanIA, p.devIA = time.Minute, time.Minute
-	det.applyBeacon("p", 2, newAddr)
+	det.applyBeacon("p", 2, 0, newAddr)
 	if p.state != Up {
 		t.Fatalf("current beacon did not lift the verdict (state=%v)", p.state)
 	}
@@ -65,7 +65,7 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 	now := time.Now()
 	for i := 0; i < 1000; i++ {
 		name := fmt.Sprintf("p%d", i)
-		p := &peerState{name: name, addr: sink.Addr(), state: Up, lastHeard: now, lastHB: now}
+		p := &peerState{name: name, addr: sink.Addr(), state: Up, lastBeacon: now, lastHB: now}
 		det.peers[name] = p
 	}
 	if err := d.SendDirect(wire.InboxRef{Dapplet: sink.Addr(), Inbox: "x"}, "", &wire.Text{S: "busy"}); err != nil {
@@ -139,7 +139,8 @@ func TestOwnHeartbeatIsNotTraffic(t *testing.T) {
 // suppressing the next heartbeat (Reliable.LastSent), so the peer must
 // count each as hearing from the sender. After a heartbeat, one such
 // frame suppresses the next heartbeat, and its arrival moves the peer's
-// record of when it last heard from the sender.
+// liveness record of the sender (heardLocked: the later of its last
+// beacon and the transport's LastHeard).
 func TestIndirectProbeTrafficIsHeard(t *testing.T) {
 	for _, msg := range []wire.Msg{
 		&iprobeMsg{Target: "nobody", Host: "nowhere", Port: 1, From: "d"},
@@ -157,7 +158,7 @@ func TestIndirectProbeTrafficIsHeard(t *testing.T) {
 			heard := func() time.Time {
 				pdet.mu.Lock()
 				defer pdet.mu.Unlock()
-				return pdet.peers["d"].lastHeard
+				return pdet.heardLocked(pdet.peers["d"])
 			}
 			awaitHeard := func(after time.Time, what string) time.Time {
 				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {

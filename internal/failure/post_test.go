@@ -33,9 +33,14 @@ func blockFirst(det *failure.Detector) (events chan failure.Event, blocked, rele
 	return events, blocked, release
 }
 
-// An application frame from a Suspect peer lifts the verdict as it is
-// delivered, though an observer is still busy with an earlier event; the
-// Up event follows that event.
+// An application frame from a Suspect peer lifts the verdict at the next
+// heartbeat round, within two rounds (2·Interval) of its delivery, though
+// an observer is still busy with an earlier event; the Up event follows
+// that event. Rounds are counted by the heartbeats a sends b, one a
+// round while b is not Down, so a stalled process cannot fail the test:
+// the second round after the delivery has made its lift before it sends.
+// b's transport acknowledges those heartbeats, but a bare ack is not
+// hearing from b.
 func TestSuspectLiftsBehindBlockedObserver(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(11))
 	a := w.Dapplet("ha", "test", "a")
@@ -67,8 +72,16 @@ func TestSuspectLiftsBehindBlockedObserver(t *testing.T) {
 	if _, err := app.ReceiveContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := det.Status(b.Name()); st != failure.Up {
-		t.Fatalf("b is %v once its frame is delivered, want up", st)
+	delivered := det.Stats().HeartbeatsSent
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rounds := det.Stats().HeartbeatsSent - delivered
+		st, _ := det.Status(b.Name())
+		if st == failure.Up {
+			break
+		}
+		if rounds >= 2 || time.Now().After(deadline) {
+			t.Fatalf("b is %v %d heartbeat rounds after its frame was delivered, want up", st, rounds)
+		}
 	}
 	close(release)
 	select {

@@ -210,7 +210,6 @@ func (det *Detector) spreadVerdict(target string, addr netsim.Addr, inc uint64, 
 // address) and its outcome is cast back to the watcher's "@fail" inbox.
 func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeMsg)
-	det.heardFrom(c.From())
 	back := wire.InboxRef{Dapplet: c.From(), Inbox: ControlInbox}
 	target := m.Target
 	addr := netsim.Addr{Host: m.Host, Port: m.Port}
@@ -242,7 +241,6 @@ func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 // suspicion: reachable refutes it, unreachable is one more confirmation.
 func (det *Detector) handleIProbeRep(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeRepMsg)
-	det.heardFrom(c.From())
 	if m.Reachable {
 		det.refuteSuspicion(m.Target, m.Inc)
 	} else {
@@ -262,7 +260,7 @@ func (det *Detector) refuteSuspicion(name string, inc uint64) {
 		det.mu.Unlock()
 		return
 	}
-	p.lastHeard = time.Now()
+	p.lastBeacon = time.Now()
 	det.liftLocked(p)
 }
 
@@ -278,8 +276,7 @@ func (det *Detector) confirmSuspicion(name, confirmer string, inc uint64) {
 		return
 	}
 	p.confirms[confirmer] = true
-	timeout := p.detectionTimeout(det.cfg)
-	if len(p.confirms) < det.quorum() || time.Since(p.lastHeard) <= 2*timeout {
+	if _, resting := det.windowLeft(p, time.Now()); len(p.confirms) < det.quorum() || resting {
 		det.mu.Unlock()
 		return
 	}

@@ -408,7 +408,6 @@ func (s *Swarm) opSession(ctx context.Context, idx int, rng *rand.Rand) {
 // across churn. Caller holds s.mu.
 func (s *Swarm) retire(st failure.Stats, rs transport.Stats, gs gossip.Stats) {
 	s.retired.HeartbeatsSent += st.HeartbeatsSent
-	s.retired.ImplicitRefreshes += st.ImplicitRefreshes
 	s.retired.ProbesSent += st.ProbesSent
 	s.retiredRel = addRelStats(s.retiredRel, rs)
 	s.retiredGsp = s.retiredGsp.Add(gs)

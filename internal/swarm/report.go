@@ -56,11 +56,9 @@ type PhaseStats struct {
 	AcksStandalone  uint64 `json:"acks_standalone"`
 	AcksPiggybacked uint64 `json:"acks_piggybacked"`
 
-	// Heartbeats, Implicit and Probes are the detector-layer counters:
-	// explicit heartbeats sent, application frames accepted as implicit
-	// liveness, and Down-peer probes.
+	// Heartbeats and Probes are the detector-layer counters: explicit
+	// heartbeats sent and Down-peer probes.
 	Heartbeats       uint64  `json:"heartbeats"`
-	Implicit         uint64  `json:"implicit"`
 	Probes           uint64  `json:"probes"`
 	HeartbeatsPerSec float64 `json:"heartbeats_per_sec"`
 

@@ -714,21 +714,21 @@ func (s *Swarm) lockstepChurn(ctx context.Context, rng *rand.Rand) error {
 // counters is one cumulative activity sample; phase stats are deltas
 // between two of them.
 type counters struct {
-	at                  time.Time
-	delivered, bytes    uint64
-	lostQueue           uint64
-	hb, implicit, probe uint64
-	frames, datagrams   uint64
-	acksSA, acksPB      uint64
-	dir                 directory.ClientStats
-	gsp                 gossip.Stats
-	downs, ups          uint64
-	falseDowns          uint64
-	partitions          uint64
-	sessions, sessErrs  uint64
-	ops, opErrs         uint64
-	joins, leaves       uint64
-	crashes, revives    uint64
+	at                 time.Time
+	delivered, bytes   uint64
+	lostQueue          uint64
+	hb, probe          uint64
+	frames, datagrams  uint64
+	acksSA, acksPB     uint64
+	dir                directory.ClientStats
+	gsp                gossip.Stats
+	downs, ups         uint64
+	falseDowns         uint64
+	partitions         uint64
+	sessions, sessErrs uint64
+	ops, opErrs        uint64
+	joins, leaves      uint64
+	crashes, revives   uint64
 }
 
 // cumulative samples every counter the report is built from.
@@ -745,7 +745,6 @@ func (s *Swarm) cumulative() counters {
 		if m.det != nil {
 			ds := m.det.Stats()
 			st.HeartbeatsSent += ds.HeartbeatsSent
-			st.ImplicitRefreshes += ds.ImplicitRefreshes
 			st.ProbesSent += ds.ProbesSent
 		}
 		if m.d != nil {
@@ -759,7 +758,6 @@ func (s *Swarm) cumulative() counters {
 		for _, r := range shard {
 			ds := r.det.Stats()
 			st.HeartbeatsSent += ds.HeartbeatsSent
-			st.ImplicitRefreshes += ds.ImplicitRefreshes
 			st.ProbesSent += ds.ProbesSent
 			rel = addRelStats(rel, r.d.Transport().Stats())
 			if r.gsp != nil {
@@ -768,7 +766,7 @@ func (s *Swarm) cumulative() counters {
 		}
 	}
 	c.gsp = gs
-	c.hb, c.implicit, c.probe = st.HeartbeatsSent, st.ImplicitRefreshes, st.ProbesSent
+	c.hb, c.probe = st.HeartbeatsSent, st.ProbesSent
 	for _, ini := range s.inits {
 		c.dir = c.dir.Add(ini.client.Stats())
 		rel = addRelStats(rel, ini.d.Transport().Stats())
@@ -824,7 +822,6 @@ func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 		AcksStandalone:  b.acksSA - a.acksSA,
 		AcksPiggybacked: b.acksPB - a.acksPB,
 		Heartbeats:      b.hb - a.hb,
-		Implicit:        b.implicit - a.implicit,
 		Probes:          b.probe - a.probe,
 		DirLookups:      b.dir.Lookups() - a.dir.Lookups(),
 		DirHits:         b.dir.Hits - a.dir.Hits,

@@ -70,6 +70,60 @@ func TestLastSent(t *testing.T) {
 	}
 }
 
+// LastHeard moves when a datagram carrying a data frame arrives from the
+// peer, duplicates and frames out of order included, and only then: not
+// on a bare ack, a datagram without the magic, the endpoint's own sends
+// or another peer's frames. Datagrams are handed to the receive path
+// directly, so each arrives exactly when the test says.
+func TestLastHeard(t *testing.T) {
+	r := newEndpoint(newNullConn(), Config{RTO: time.Hour})
+	t.Cleanup(func() { r.Close() })
+	peer, other := netsim.Addr{Host: "peer", Port: 1}, netsim.Addr{Host: "other", Port: 1}
+	data := func(seq uint64) []byte {
+		return appendFrame(appendHeader(nil, false, 0, 0, false), seq, nil, true, []byte("x"))
+	}
+	bareAck := appendHeader(nil, true, 0, 0, false)
+	last := time.Time{}
+	arrive := func(what string, from netsim.Addr, dgram []byte, moves bool) {
+		t.Helper()
+		before := time.Now()
+		r.handleDatagram(from, dgram)
+		got := r.LastHeard(peer)
+		switch {
+		case moves && (got.Before(before) || !got.After(last)):
+			t.Fatalf("%s: LastHeard = %v, want a reading from %v on", what, got, before)
+		case !moves && !got.Equal(last):
+			t.Fatalf("%s moved LastHeard from %v to %v", what, last, got)
+		}
+		last = got
+	}
+
+	if err := r.Send(peer, nil, []byte("own")); err != nil {
+		t.Fatal(err)
+	}
+	if !r.LastHeard(peer).IsZero() {
+		t.Fatal("the endpoint's own send set LastHeard")
+	}
+	arrive("a bare ack", peer, bareAck, false)
+	garbage := append([]byte{'x', 'x', 0}, data(1)[3:]...)
+	arrive("a datagram without the magic", peer, garbage, false)
+	arrive("frame 1", peer, data(1), true)
+	arrive("frame 3, out of order", peer, data(3), true)
+	arrive("a duplicate of frame 1", peer, data(1), true)
+	arrive("frame 3 again, still out of order", peer, data(3), true)
+	arrive("a bare ack", peer, bareAck, false)
+	arrive("another peer's frame", other, data(1), false)
+	if r.LastHeard(other).IsZero() {
+		t.Fatal("the other peer's frame did not set its own LastHeard")
+	}
+	r.mu.Lock()
+	n := len(r.rx)
+	r.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("%d frames delivered, want 2 (peer's frame 1 and other's)", n)
+	}
+}
+
 // Counts reads a channel's FIFO positions: the frames sequenced to the
 // peer, and the frames from it the sink has returned from, which leave
 // out the frame whose delivery is running.

@@ -229,6 +229,9 @@ type peerState struct {
 	ackedTo uint64             // guarded by mu; highest cumulative ack received
 	unacked map[uint64]*outPkt // guarded by mu
 	free    []*outPkt          // guarded by mu; acknowledged frames Send reuses, at most Window
+	// inFlight mirrors len(unacked) for AwaitWindow's lock-free check;
+	// written under mu wherever unacked changes.
+	inFlight atomic.Int64
 	// reserved counts the places Reserve claimed that SendReserved has
 	// not spent; they count against the backlog's bound.
 	reserved int // guarded by mu
@@ -258,6 +261,9 @@ type peerState struct {
 	expected uint64           // guarded by mu
 	ooo      map[uint64]frame // guarded by mu
 	rxHdr    []byte           // guarded by mu
+	// lastHeard is when a datagram carrying a frame last arrived from
+	// the peer.
+	lastHeard time.Time // guarded by mu
 	// delivered counts the frames the sink has returned from, written
 	// by the receive goroutine alone.
 	delivered atomic.Uint64
@@ -410,6 +416,21 @@ func (r *Reliable) LastSent(to netsim.Addr) time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.lastSent
+}
+
+// LastHeard reports when a datagram carrying at least one data frame
+// last arrived from the peer. Duplicates, retransmissions and frames out
+// of order count; bare acks and garbage do not. It is zero until such a
+// datagram has arrived.
+func (r *Reliable) LastHeard(from netsim.Addr) time.Time {
+	v, ok := r.peers.Load(from)
+	if !ok {
+		return time.Time{}
+	}
+	p := v.(*peerState)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lastHeard
 }
 
 // Counts reports the peer's channel in both directions: the data frames
@@ -641,6 +662,7 @@ func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait, reserved bool
 	}
 	pkt := p.newPktLocked(seq, hdr, inline, payload)
 	p.unacked[seq] = pkt
+	p.inFlight.Store(int64(len(p.unacked)))
 	r.stats.dataSent.Add(1)
 	now := time.Now()
 	p.lastSent = now
@@ -692,10 +714,15 @@ func (r *Reliable) placeLocked(p *peerState, pkt *outPkt, now time.Time) (batch,
 
 // AwaitWindow, the layer's one wait, waits while the peer has Window
 // frames unacknowledged (sending staged ones first: only their acks can
-// free them), or until Close. The receive goroutine and timers must not
-// call it: the acknowledgement that ends the wait is read there.
+// free them), or until Close. With room in the window it returns at
+// once, lock-free (after Close the Send that follows fails). The receive
+// goroutine and timers must not call it: the acknowledgement that ends
+// the wait is read there.
 func (r *Reliable) AwaitWindow(to netsim.Addr) error {
 	p := r.peer(to)
+	if p.inFlight.Load() < int64(r.cfg.Window) {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r.awaitLocked(p)
@@ -784,9 +811,10 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 		return
 	}
 	p := r.peer(from) // one lookup for the ack and every frame
+	now := time.Now() // one reading for the ack and every frame
 	if hasCum {
 		r.stats.acksRecv.Add(1)
-		r.applyAck(p, cum, sel, hasSel)
+		r.applyAck(p, cum, sel, hasSel, now)
 	}
 	for {
 		f, next, ok := nextFrame(dgram, off)
@@ -794,7 +822,7 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 			return
 		}
 		off = next
-		r.handleData(p, f)
+		r.handleData(p, f, now)
 	}
 }
 
@@ -899,8 +927,7 @@ func (p *peerState) newPktLocked(seq uint64, hdr []byte, inline bool, payload []
 // arrived, feeds the round-trip estimator, resends at once what the
 // acknowledgement shows to be lost, and — the ack clock — sends what was
 // staged or backlogged waiting for it.
-func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
-	now := time.Now()
+func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool, now time.Time) {
 	p.mu.Lock()
 	// Seqs past top, staged or backlogged, have never left: an ack or a
 	// bitmap bit (bit i names seq cum+selBase+i) naming one is garbage.
@@ -921,6 +948,7 @@ func (r *Reliable) applyAck(p *peerState, cum uint64, sel uint64, hasSel bool) {
 	for b := sel; b != 0; b &= b - 1 {
 		newest = p.releaseLocked(cum+selBase+uint64(bits.TrailingZeros64(b)), newest, r.cfg.Window)
 	}
+	p.inFlight.Store(int64(len(p.unacked)))
 	if newest != nil {
 		p.cond.Broadcast()
 		rtt := now.Sub(newest.xmit)
@@ -1020,8 +1048,10 @@ func (p *peerState) ackStateLocked() (cum, sel uint64, hasSel bool) {
 // on record when it built this frame, since both ends move that record
 // in seq order and a retransmission resends identical bytes. The frame's
 // slices are owned by this layer (see PacketConn.ReadFrom) and are
-// handed to the sink without copying, after p.mu is released.
-func (r *Reliable) handleData(p *peerState, f frame) {
+// handed to the sink without copying, after p.mu is released. now is
+// when the frame's datagram arrived: it stamps lastHeard, and the frames
+// an owed ack flushes leave at it.
+func (r *Reliable) handleData(p *peerState, f frame, now time.Time) {
 	from, seq := p.addr, f.seq
 	var (
 		inOrder bool    // f is delivered
@@ -1029,6 +1059,7 @@ func (r *Reliable) handleData(p *peerState, f frame) {
 		ackNow  bool
 	)
 	p.mu.Lock()
+	p.lastHeard = now
 	switch {
 	case seq < p.expected:
 		// Retransmission of something already delivered: the previous ack
@@ -1081,7 +1112,7 @@ func (r *Reliable) handleData(p *peerState, f frame) {
 	case ackNow && len(p.staged) > 0:
 		// Staged data is headed back to this peer anyway: the ack rides
 		// with it, flushed now, instead of going bare.
-		dgram = r.flushLocked(p, time.Now(), true)
+		dgram = r.flushLocked(p, now, true)
 		r.stats.flushAck.Add(1)
 	case ackNow:
 		dgram = r.datagramLocked(p, true, nil)
@@ -1182,6 +1213,7 @@ func (r *Reliable) fireRetx(p *peerState) {
 		case pkt.retries >= r.cfg.MaxRetries:
 			// Not recycled: the failure aliases pkt.hdr and pkt.frame.
 			delete(p.unacked, seq)
+			p.inFlight.Store(int64(len(p.unacked)))
 			f, _, _ := nextFrame(pkt.frame, 0)
 			failed = append(failed, SendFailure{
 				To:      p.addr,
