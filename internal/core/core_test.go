@@ -507,13 +507,13 @@ func TestSendFailureSurfacesOnPartition(t *testing.T) {
 	if err := out.Send(&wire.Text{S: "doomed"}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case f := <-a.Failures():
-		if f.To != b.Addr() {
-			t.Fatalf("failure to %v", f.To)
+	for deadline := time.Now().Add(10 * time.Second); a.Transport().Stats().Failures == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no failure surfaced")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no failure surfaced")
+	}
+	if got := a.Transport().Stats().Failures; got != 1 {
+		t.Fatalf("Failures = %d, want 1", got)
 	}
 }
 

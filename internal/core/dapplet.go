@@ -123,11 +123,6 @@ func (d *Dapplet) Store() *state.Store { return d.store }
 // Transport returns the dapplet's reliable layer, exposing its statistics.
 func (d *Dapplet) Transport() *transport.Reliable { return d.rel }
 
-// Failures exposes asynchronous delivery failures — the paper's "if a
-// message is not delivered within a specified time an exception is
-// raised" (§3.2).
-func (d *Dapplet) Failures() <-chan transport.SendFailure { return d.rel.Failures() }
-
 // DeadLetters returns the number of messages that arrived for inbox names
 // this dapplet does not have.
 func (d *Dapplet) DeadLetters() uint64 { return d.deadLetters.Load() }
@@ -318,15 +313,14 @@ func (d *Dapplet) OnRecv(f func(*wire.Envelope)) {
 }
 
 // OnSend registers an observer invoked for every envelope this dapplet
-// transmits, after clock stamping and before transmission. A send the
-// transport refuses for backlog (transport.ErrBacklog) is not shown to
-// it: the transport has taken every send an observer sees. It may keep
+// hands to the transport, after clock stamping and before the transport
+// sees it: a SendDirect the transport then refuses for backlog
+// (transport.ErrBacklog) has been shown to it all the same. It may keep
 // the envelope, but a body it keeps it copies: a relay forward sends the
 // lent frame its inline handler was given (see HandleInline). It runs
 // inside the send's hold (see Quiesce), so it must not send through the
 // dapplet or wait. Its last user is the benchmark's tracer; once that
-// reads the transport instead, OnSend goes, and with it
-// transport.Reliable.Reserve and SendReserved (ROADMAP item 20(c)).
+// reads the transport instead, OnSend goes (ROADMAP item 20(c)).
 func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 	d.obsMu.Lock()
 	d.sendObs = append(d.sendObs, f)
@@ -334,8 +328,10 @@ func (d *Dapplet) OnSend(f func(*wire.Envelope)) {
 }
 
 // QuiescedSend sends msg from inside Quiesce: stamped and sequenced at
-// once, never waiting (past the peer's full window the frame joins the
-// transport's backlog).
+// once, never waiting and never refused. It is the transport's owed
+// send (transport.Reliable.SendOwed): past the peer's full window, and
+// past its backlog's bound too, the frame joins the backlog: a
+// snapshot's marker or flush, dropped, would leave its cut incomplete.
 type QuiescedSend func(to wire.InboxRef, session string, msg wire.Msg) error
 
 // Quiesce runs f while no send of the dapplet is between its Lamport
@@ -364,7 +360,7 @@ func (d *Dapplet) sendQuiesced(to wire.InboxRef, session string, msg wire.Msg) e
 	}
 	env := d.direct(to, session, msg)
 	env.Lamport = d.clock.StampSend()
-	err = d.transmit(&env, body)
+	err = d.transmit(&env, body, d.rel.SendOwed)
 	body.Release()
 	return err
 }
@@ -380,11 +376,11 @@ func (d *Dapplet) direct(to wire.InboxRef, session string, msg wire.Msg) wire.En
 	return wire.Envelope{To: to, FromDapplet: d.Addr(), Session: session, Body: msg}
 }
 
-// send stamps env and hands it to the transport under the send hold
-// (see Quiesce). It never waits. stamp, if not nil, stamps env in place
-// of the clock's plain stamp (Outbox.SendTo checks its binding in the
-// same step); an error from it ends the send.
-func (d *Dapplet) send(env *wire.Envelope, body wire.Body, stamp func() error) error {
+// send stamps env and hands it to the transport's send under the send
+// hold (see Quiesce). It never waits. stamp, if not nil, stamps env in
+// place of the clock's plain stamp (Outbox.SendTo checks its binding in
+// the same step); an error from it ends the send.
+func (d *Dapplet) send(env *wire.Envelope, body wire.Body, stamp func() error, send transportSend) error {
 	d.sendMu.RLock()
 	var err error
 	if stamp == nil {
@@ -393,7 +389,7 @@ func (d *Dapplet) send(env *wire.Envelope, body wire.Body, stamp func() error) e
 		err = stamp()
 	}
 	if err == nil {
-		err = d.transmit(env, body)
+		err = d.transmit(env, body, send)
 	}
 	d.sendMu.RUnlock()
 	return err
@@ -408,22 +404,26 @@ func (d *Dapplet) sendWait(env *wire.Envelope, body wire.Body, stamp func() erro
 		if err := d.rel.AwaitWindow(env.To.Dapplet); err != nil {
 			return err
 		}
-		if err := d.send(env, body, stamp); !errors.Is(err, transport.ErrBacklog) {
+		if err := d.send(env, body, stamp, d.rel.Send); !errors.Is(err, transport.ErrBacklog) {
 			return err
 		}
 	}
 }
 
+// transportSend is the transport call a frame leaves by:
+// transport.Reliable.Send, which refuses a frame past the peer's backlog
+// bound, or SendOwed, which never does. Neither waits.
+type transportSend func(to netsim.Addr, hdr, payload []byte) error
+
 // transmit frames an already-encoded body with env's header words and
-// hands it to the transport without waiting, split at Lamport into the
-// channel header the transport sends only when it changes and the
-// payload it always sends; Outbox.Send uses it to fan one body encoding
-// out to many destinations. env is stamped, and the caller holds the
-// send hold. env does not escape, so callers build it on the stack;
-// send observers, which may keep what they are handed, get a heap copy,
-// made only when one is registered, and see the frame only once the
-// transport has claimed its place (Reserve), so never one it refuses.
-func (d *Dapplet) transmit(env *wire.Envelope, body wire.Body) error {
+// hands it to the transport by send, split at Lamport into the channel
+// header the transport sends only when it changes and the payload it
+// always sends; Outbox.Send uses it to fan one body encoding out to many
+// destinations. env is stamped, and the caller holds the send hold. env
+// does not escape, so callers build it on the stack; send observers,
+// which may keep what they are handed, get a heap copy, made only when
+// one is registered, before the transport takes the frame.
+func (d *Dapplet) transmit(env *wire.Envelope, body wire.Body, send transportSend) error {
 	bufp := sendBufPool.Get().(*[]byte)
 	buf := wire.AppendEnvelopeHeader((*bufp)[:0], env, body)
 	n := len(buf)
@@ -432,17 +432,14 @@ func (d *Dapplet) transmit(env *wire.Envelope, body wire.Body) error {
 	d.obsMu.RLock()
 	obs := d.sendObs
 	d.obsMu.RUnlock()
-	var err error
-	if len(obs) == 0 {
-		err = d.rel.Send(env.To.Dapplet, buf[:n], buf[n:])
-	} else if err = d.rel.Reserve(env.To.Dapplet); err == nil {
+	if len(obs) > 0 {
 		kept := new(wire.Envelope)
 		*kept = *env
 		for _, f := range obs {
 			f(kept)
 		}
-		err = d.rel.SendReserved(env.To.Dapplet, buf[:n], buf[n:])
 	}
+	err := send(env.To.Dapplet, buf[:n], buf[n:])
 	if cap(buf) <= wire.MaxPooledBuf {
 		sendBufPool.Put(bufp)
 	}
@@ -459,13 +456,15 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 	return d.sendWait(&env, body, nil)
 }
 
-// TrySendEncoded is SendEncoded without the wait: past the peer's full
-// window the frame joins the transport's backlog, and past the backlog's
-// bound it is refused with transport.ErrBacklog, sequencing nothing. The
-// relay forwards frames with it from the receive goroutine.
-func (d *Dapplet) TrySendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
+// ForwardEncoded is SendEncoded without the wait, and never refused: it
+// is the transport's owed send (transport.Reliable.SendOwed), so past
+// the peer's full window the frame joins the transport's backlog, past
+// its bound too. The relay forwards frames with it from the receive
+// goroutine; the backlog is then the one queue of forwards owed to a
+// neighbour, and keeps them in order behind each other.
+func (d *Dapplet) ForwardEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
 	env := d.direct(to, session, msg)
-	return d.send(&env, body, nil)
+	return d.send(&env, body, nil, d.rel.SendOwed)
 }
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
@@ -507,7 +506,7 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 		return err
 	}
 	env := d.direct(to, session, msg)
-	err = d.send(&env, body, nil)
+	err = d.send(&env, body, nil, d.rel.Send)
 	body.Release()
 	return err
 }

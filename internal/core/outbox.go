@@ -118,8 +118,8 @@ func (o *Outbox) SetMulticast(m Multicaster) {
 // outbox. The message is stamped with the dapplet's logical clock (§4.2).
 // Send waits only on flow control (each peer's full window, before the
 // message is sequenced to it, a Multicaster's neighbours included), never
-// on the receiving application; failure to deliver within the retry
-// budget is reported asynchronously on the dapplet's Failures channel.
+// on the receiving application; a frame the transport gives up on after
+// its retry budget is counted in the transport's Stats (Failures).
 func (o *Outbox) Send(msg wire.Msg) error {
 	o.mu.Lock()
 	if m := o.mcast; m != nil {

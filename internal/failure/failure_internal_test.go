@@ -51,14 +51,18 @@ func TestStaleIncarnationHeartbeatIgnored(t *testing.T) {
 // targets in the detector's reused scratch buffer, so a round over peers
 // whose channels are all busy (nothing to send) allocates nothing. The
 // 1000 peers share one address, which a frame sent after their last
-// heartbeat keeps busy.
+// heartbeat keeps busy. AllocsPerRun counts every goroutine's
+// allocations, so the frame's delivery and its ack, which allocate on
+// both receive goroutines (a first contact builds the peer's state),
+// are awaited before the rounds are counted; rounds are driven by hand,
+// so the interval is long enough that no round finds the frame stale.
 func TestHeartbeatRoundAllocs(t *testing.T) {
 	w := world.New(transport.Config{}, netsim.WithSeed(1))
 	t.Cleanup(w.Close)
 	d, sink := w.Dapplet("h", "bench", "d"), w.Dapplet("s", "bench", "sink")
 	det := &Detector{
 		d:      d,
-		cfg:    Config{}.withDefaults(),
+		cfg:    Config{Interval: time.Hour}.withDefaults(),
 		peers:  make(map[string]*peerState),
 		byAddr: make(map[netsim.Addr]*peerState),
 	}
@@ -70,6 +74,11 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 	}
 	if err := d.SendDirect(wire.InboxRef{Dapplet: sink.Addr(), Inbox: "x"}, "", &wire.Text{S: "busy"}); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); sink.DeadLetters() == 0 || d.Transport().QueueDepth() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the busy frame: %d delivered, %d unacknowledged after 5 s", sink.DeadLetters(), d.Transport().QueueDepth())
+		}
 	}
 	// Warm the scratch buffer through one all-idle round shape.
 	det.mu.Lock()

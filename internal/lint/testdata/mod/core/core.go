@@ -18,8 +18,8 @@ func (d *Dapplet) Quiesce(f func(send func(to string, b []byte) error)) {}
 // SendEncoded waits for the peer's window, then sends.
 func (d *Dapplet) SendEncoded(to string, b []byte) error { return nil }
 
-// TrySendEncoded never waits.
-func (d *Dapplet) TrySendEncoded(to string, b []byte) error { return nil }
+// ForwardEncoded never waits.
+func (d *Dapplet) ForwardEncoded(to string, b []byte) error { return nil }
 
 // Inbox queues arrivals.
 type Inbox struct{}

@@ -16,10 +16,10 @@ func (r *Relay) Attach() {
 // onFrame runs on the receive goroutine: a send that never waits is
 // fine; core's waits, called or handed on, are not.
 func (r *Relay) onFrame(env *core.Envelope) {
-	_ = r.d.TrySendEncoded("kid", nil)
+	_ = r.d.ForwardEncoded("kid", nil)
 	_ = r.d.SendEncoded("kid", nil) // want nowait:"Dapplet.SendEncoded waits, reached from core.HandleInline callback"
 	r.flood(r.d.SendEncoded)        // want nowait:"Dapplet.SendEncoded handed on as a function waits"
-	r.flood(r.d.TrySendEncoded)
+	r.flood(r.d.ForwardEncoded)
 	_, _ = r.in.TryReceive()
 	_, _ = r.in.Receive() // want nowait:"Inbox.Receive waits"
 }

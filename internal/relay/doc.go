@@ -19,6 +19,7 @@
 // numbers give in-order, exactly-once delivery at every member, which
 // makes the post-repair replay flood idempotent. A member handles each
 // frame on its receive goroutine, through an inline inbox, and forwards
-// it without waiting; a forward its neighbour's backlog cannot take is
-// owed and sent in order by a drain thread (see Relay).
+// it without waiting: a forward past its neighbour's window waits in the
+// transport's backlog to that neighbour, which never refuses one, and
+// the relay runs no thread of its own (see Relay).
 package relay

@@ -1,7 +1,6 @@
 package relay
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -9,10 +8,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -102,24 +101,14 @@ func TestRelayHopAllocs(t *testing.T) {
 	}
 }
 
-// drainThreads counts the goroutines running Relay.drain, dumping their
-// stacks into buf.
-func drainThreads(buf []byte) int {
-	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("relay.(*Relay).drain("))
-}
+// backlogWindows is the transport's backlog bound, in windows: past a
+// full window and this many more, a refusable send is refused.
+const backlogWindows = 8
 
-// TestForwardPastBacklog cuts an interior member's child off until more
-// frames than a window and its backlog hold are owed to it, from two
-// origins, then heals. The forwards the transport refused join the
-// interior's owed FIFO, and so do the later ones to that child, so every
-// origin's frames reach the child exactly once, in order. One drain
-// thread at most sends them, and none is left once they are sent. A
-// refused forward is not a send: the members' snapshot services, which
-// count what they see sent against what the transport sequenced, must
-// still complete a marker snapshot after the drain.
-func TestForwardPastBacklog(t *testing.T) {
-	const window = 4
-	w := newWorldCfg(t, 4, transport.Config{RTO: 20 * time.Millisecond, MaxRetries: 100, Window: window})
+// snapWorld is a world of n relay members, window frames per window,
+// each with a snapshot service whose peers are all the others.
+func snapWorld(t *testing.T, n, window int) (*relayWorld, []snapshot.Member) {
+	w := newWorldCfg(t, n, transport.Config{RTO: 20 * time.Millisecond, MaxRetries: 100, Window: window})
 	var snaps []snapshot.Member
 	for _, d := range w.dapplets {
 		snaps = append(snaps, snapshot.Member{Name: d.Name(), Addr: d.Addr()})
@@ -127,26 +116,59 @@ func TestForwardPastBacklog(t *testing.T) {
 	for _, d := range w.dapplets {
 		snapshot.Attach(d, func() any { return nil }).SetPeers(slices.DeleteFunc(slices.Clone(snaps), func(m snapshot.Member) bool { return m.Addr == d.Addr() }))
 	}
+	return w, snaps
+}
+
+// snapshotMarker runs a marker snapshot of snaps from a new coordinator
+// dapplet, within 5 s.
+func (w *relayWorld) snapshotMarker(snaps []snapshot.Member) error {
+	coord := snapshot.NewCoordinator(w.Dapplet("coord", "coord", "coordinator"), snaps)
+	coord.SetTimeout(5 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := coord.SnapshotMarker(ctx)
+	return err
+}
+
+// expectOnce receives total frames at in, each origin's in order, and
+// then checks that no frame comes twice.
+func expectOnce(t *testing.T, in *core.Inbox, total int) {
+	t.Helper()
+	next := make(map[string]int)
+	for _, s := range drain(t, in, total) {
+		origin, num, _ := strings.Cut(s, "/")
+		i, err := strconv.Atoi(num)
+		if err != nil || i != next[origin] {
+			t.Fatalf("the child got %q after %d of %s's frames", s, next[origin], origin)
+		}
+		next[origin]++
+	}
+	if _, err := recvMsg(in, 50*time.Millisecond); err == nil {
+		t.Fatal("the child got a frame twice")
+	}
+}
+
+// expectPastBound checks that tp queues more frames than a window of
+// window frames and its backlog bound hold.
+func expectPastBound(t *testing.T, tp *transport.Reliable, window int) {
+	t.Helper()
+	if d := tp.QueueDepth(); d <= window*(1+backlogWindows) {
+		t.Fatalf("the interior queues %d frames with its child cut off, want more than the bound %d", d, window*(1+backlogWindows))
+	}
+}
+
+// TestForwardPastBacklog cuts an interior member's child off until more
+// frames than a window and its backlog hold are owed to it, from two
+// origins, then heals. Forwards are never refused: past the bound they
+// join the transport's backlog to the child all the same, so the
+// interior's queue grows past the bound, and every origin's frames
+// reach the child exactly once, in order. The members' snapshot
+// services must still complete a marker snapshot afterwards.
+func TestForwardPastBacklog(t *testing.T) {
+	const window = 4
+	w, snaps := snapWorld(t, 4, window)
 	w.bindAll("s1", 2, 1) // m00 above m01 and m02; m03 below m01
 	interior, kid := w.dapplets[1].Inbox("bcast"), w.dapplets[3].Inbox("bcast")
-
-	var maxDrains atomic.Int32
-	stop, sampled := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(sampled)
-		buf := make([]byte, 1<<20)
-		for {
-			if n := int32(drainThreads(buf)); n > maxDrains.Load() {
-				maxDrains.Store(n)
-			}
-			select {
-			case <-stop:
-				return
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}()
-	defer func() { close(stop); <-sampled }()
 
 	w.Net.Partition([]string{"site3"})
 	const perOrigin = 10 * window // two origins' frames exceed the window and 8 windows of backlog
@@ -165,43 +187,52 @@ func TestForwardPastBacklog(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	drain(t, interior, len(origins)*perOrigin) // every forward to m03 has been made or owed
-	if st := w.relays[1].Stats(); st.Owed == 0 {
-		t.Fatalf("no forward was owed past the backlog: %+v", st)
-	}
+	drain(t, interior, len(origins)*perOrigin) // every forward to m03 has been made
+	tp := w.dapplets[1].Transport()
+	expectPastBound(t, tp, window)
 	w.Net.Heal()
 
-	next := make(map[string]int)
-	for _, s := range drain(t, kid, len(origins)*perOrigin) {
-		origin, num, _ := strings.Cut(s, "/")
-		i, err := strconv.Atoi(num)
-		if err != nil || i != next[origin] {
-			t.Fatalf("the child got %q after %d of %s's frames", s, next[origin], origin)
-		}
-		next[origin]++
+	expectOnce(t, kid, len(origins)*perOrigin)
+	if n := tp.Stats().BacklogFull; n != 0 {
+		t.Fatalf("the interior's transport refused %d sends", n)
 	}
-	if _, err := recvMsg(kid, 50*time.Millisecond); err == nil {
-		t.Fatal("the child got a frame twice")
+	if err := w.snapshotMarker(snaps); err != nil {
+		t.Fatalf("marker snapshot after the heal: %v", err)
 	}
-	buf := make([]byte, 1<<20)
-	deadline := time.Now().Add(5 * time.Second)
-	for drainThreads(buf) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("a drain thread outlived the owed frames")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	n := maxDrains.Load()
-	t.Logf("%d forwards owed; at most %d drain thread(s) at once", w.relays[1].Stats().Owed, n)
-	if n != 1 {
-		t.Fatalf("%d drain threads ran at once, want 1 (none seen means the sampler missed it)", n)
-	}
+}
 
-	coord := snapshot.NewCoordinator(w.Dapplet("coord", "coord", "coordinator"), snaps)
-	coord.SetTimeout(5 * time.Second)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := coord.SnapshotMarker(ctx); err != nil {
-		t.Fatalf("marker snapshot after the drain: %v", err)
+// TestMarkerPastBacklog starts a marker snapshot while an interior
+// member's child is cut off and the interior's backlog to it is past
+// its bound, and heals 200 ms later. The interior's marker to the child
+// is sent from its receive goroutine and must not be dropped: it joins
+// the backlog behind the forwards, so the child gets every frame once,
+// in order, then the marker, and the snapshot completes.
+func TestMarkerPastBacklog(t *testing.T) {
+	const window = 4
+	const frames = 10 * window // past the window and 8 windows of backlog
+	w, snaps := snapWorld(t, 4, window)
+	w.bindAll("s1", 2, 1) // m00 above m01 and m02; m03 below m01
+	interior, kid := w.dapplets[1].Inbox("bcast"), w.dapplets[3].Inbox("bcast")
+
+	w.Net.Partition([]string{"site3"})
+	for i := range frames {
+		if err := w.relays[0].Multicast("out", "s1", uint64(i+1), &wire.Text{S: fmt.Sprintf("m00/%d", i)}); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	drain(t, interior, frames) // every forward to m03 has been made
+	tp := w.dapplets[1].Transport()
+	expectPastBound(t, tp, window)
+	done := make(chan error, 1)
+	go func() { done <- w.snapshotMarker(snaps) }()
+	time.Sleep(200 * time.Millisecond)
+	w.Net.Heal()
+
+	expectOnce(t, kid, frames)
+	if err := <-done; err != nil {
+		t.Fatalf("marker snapshot across the cut: %v", err)
+	}
+	if n := tp.Stats().BacklogFull; n != 0 {
+		t.Fatalf("the interior's transport refused %d sends", n)
 	}
 }

@@ -1,14 +1,12 @@
 package relay
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -38,10 +36,6 @@ type Stats struct {
 	// Redriven is the number of replay-buffer frames re-flooded by
 	// Redrive calls.
 	Redriven uint64
-	// Owed counts forwards the transport refused for backlog, or that
-	// queued behind such a one to the same neighbour, and that the drain
-	// thread sent later, waiting for the window (see Relay).
-	Owed uint64
 }
 
 // Binding describes one participant's place in one session's tree. It
@@ -106,23 +100,18 @@ type sessionState struct {
 // outbox's Send goes through Multicast.
 //
 // Frames are handled on the goroutine that delivers them, the dapplet's
-// receive goroutine, so forwards never wait for a neighbour's window. A
-// forward the transport refuses for backlog joins the owed FIFO, and
-// while a neighbour is owed anything, every later forward to it joins
-// behind, so no neighbour sees a gap in an origin's sequence. One drain
-// thread, started when the FIFO becomes non-empty and gone when it is
-// empty again, sends the owed frames in order with the waiting send.
+// receive goroutine, and forwarded with core.Dapplet.ForwardEncoded,
+// which never waits for a neighbour's window and is never refused: past
+// the window and the backlog's bound a forward joins the transport's
+// backlog to that neighbour all the same, in order behind the ones
+// before it, so no neighbour sees a gap in an origin's sequence and a
+// slow neighbour holds up only its own forwards. The relay runs no
+// thread of its own.
 type Relay struct {
 	d *core.Dapplet
 
 	mu       sync.Mutex
 	sessions map[string]*sessionState
-
-	// owedMu guards the owed FIFO; no send is made holding it.
-	owedMu   sync.Mutex
-	owed     []owedFrame         // oldest first, every neighbour's
-	owedTo   map[netsim.Addr]int // owed frames per neighbour
-	draining bool                // a drain thread runs
 
 	delivered  atomic.Uint64
 	forwarded  atomic.Uint64
@@ -130,15 +119,6 @@ type Relay struct {
 	ttlDrops   atomic.Uint64
 	unbound    atomic.Uint64
 	redriven   atomic.Uint64
-	owedCount  atomic.Uint64
-}
-
-// owedFrame is one forward the drain thread owes a neighbour. The frame
-// owns its body: it outlives the datagram it arrived in.
-type owedFrame struct {
-	to      netsim.Addr
-	session string
-	frame   *wire.RelayFrame
 }
 
 // Attach creates the dapplet's relay engine and registers its frame
@@ -161,7 +141,6 @@ func (r *Relay) Stats() Stats {
 		TTLDrops:   r.ttlDrops.Load(),
 		Unbound:    r.unbound.Load(),
 		Redriven:   r.redriven.Load(),
-		Owed:       r.owedCount.Load(),
 	}
 }
 
@@ -276,8 +255,8 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 // qualifies, and the identical bytes go to each with send: the
 // dapplet's SendEncoded, which waits for the neighbour's window, on
 // Multicast's application thread and Redrive's control thread, and
-// forward, which never waits, on the receive goroutine. It returns how
-// many transmissions it made or owes and the first send error.
+// ForwardEncoded, which never waits, on the receive goroutine. It
+// returns how many transmissions it made and the first send error.
 func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member, inbound netsim.Addr, send func(wire.InboxRef, string, wire.Msg, wire.Body) error) (int, error) {
 	var (
 		enc      wire.Body
@@ -302,65 +281,6 @@ func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member
 		sent++
 	}
 	return sent, firstErr
-}
-
-// forward sends a relay frame to one neighbour without waiting. When
-// the neighbour is owed earlier frames, or the transport refuses this
-// one for backlog, the frame joins the owed FIFO instead, as a copy that
-// owns its body, and the drain thread sends it in its turn. Only the
-// goroutine delivering frames forwards them (onFrame's in-order
-// delivery already rests on that), so a neighbour found owed nothing
-// stays so until this forward is sent or owed.
-func (r *Relay) forward(to wire.InboxRef, session string, frame wire.Msg, enc wire.Body) error {
-	r.owedMu.Lock()
-	owed := r.owedTo[to.Dapplet] > 0
-	r.owedMu.Unlock()
-	if !owed {
-		if err := r.d.TrySendEncoded(to, session, frame, enc); !errors.Is(err, transport.ErrBacklog) {
-			return err
-		}
-	}
-	kept := *frame.(*wire.RelayFrame)
-	kept.CopyBody()
-	r.owedMu.Lock()
-	defer r.owedMu.Unlock()
-	if r.owedTo == nil {
-		r.owedTo = make(map[netsim.Addr]int)
-	}
-	r.owed = append(r.owed, owedFrame{to: to.Dapplet, session: session, frame: &kept})
-	r.owedTo[to.Dapplet]++
-	r.owedCount.Add(1)
-	if !r.draining {
-		r.draining = true
-		r.d.Spawn(r.drain)
-	}
-	return nil
-}
-
-// drain sends the owed frames, oldest first, each waiting for its
-// neighbour's window, and returns once none is owed. A frame leaves the
-// FIFO only after its send, so a forward that finds its neighbour owed
-// nothing cannot overtake it. A send that fails (the dapplet stopped,
-// the neighbour failed) drops its frame, as a failed forward always has.
-func (r *Relay) drain() {
-	r.owedMu.Lock()
-	for len(r.owed) > 0 {
-		o := r.owed[0]
-		r.owedMu.Unlock()
-		if enc, err := wire.EncodeBody(o.frame); err == nil {
-			_ = r.d.SendEncoded(wire.InboxRef{Dapplet: o.to, Inbox: InboxName}, o.session, o.frame, enc)
-			enc.Release()
-		}
-		r.owedMu.Lock()
-		r.owed[0] = owedFrame{}
-		r.owed = r.owed[1:]
-		if r.owedTo[o.to]--; r.owedTo[o.to] == 0 {
-			delete(r.owedTo, o.to)
-		}
-	}
-	r.owed = nil
-	r.draining = false
-	r.owedMu.Unlock()
 }
 
 // skipped reports whether flood passes neighbour n over: a frame never
@@ -407,9 +327,9 @@ func (r *Relay) Redrive(sid string) error {
 // the session, and the transport the origin of a frame that names none.
 //
 // It runs on the delivering goroutine and never waits. env and its frame
-// are lent (core.Dapplet.HandleInline): the frame is forwarded and
-// delivered before onFrame returns, and what outlives it — a parked
-// frame, an owed forward — is a copy.
+// are lent (core.Dapplet.HandleInline): the frame is forwarded (the
+// transport copies it) and delivered before onFrame returns, and a
+// parked frame, which outlives it, is a copy.
 func (r *Relay) onFrame(env *wire.Envelope) {
 	f, ok := env.Body.(*wire.RelayFrame)
 	if !ok || env.Session == "" {
@@ -489,7 +409,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 
 	if len(neighbors) > 0 { // hop budget left
 		f.TTL-- // in the lent frame itself: delivery does not read it
-		sent, _ := r.flood(sid, f, neighbors, env.FromDapplet, r.forward)
+		sent, _ := r.flood(sid, f, neighbors, env.FromDapplet, r.d.ForwardEncoded)
 		r.forwarded.Add(uint64(sent))
 	}
 	for _, df := range deliver {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/snapshot"
 	"repro/internal/transport"
@@ -47,6 +48,21 @@ func TestIdleArrivalAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per message", allocs)
 	if allocs > budget {
 		t.Fatalf("one message to a snapshot-attached dapplet allocates %.2f times, want <= %d", allocs, budget)
+	}
+}
+
+// TestAttachAddsNoGoroutine: control messages are handled on the
+// goroutine that delivers them, and the control inbox is inline, so
+// attaching the service starts nothing.
+func TestAttachAddsNoGoroutine(t *testing.T) {
+	sim := newWorld(t)
+	ds := []*core.Dapplet{sim.Dapplet("a", "pair", "p"), sim.Dapplet("b", "pair", "q")}
+	before := runtime.NumGoroutine()
+	for _, d := range ds {
+		snapshot.Attach(d, func() any { return nil })
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("attaching %d services took the goroutine count from %d to %d", len(ds), before, after)
 	}
 }
 

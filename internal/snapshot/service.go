@@ -147,9 +147,12 @@ func Attach(d *core.Dapplet, stateFn StateFunc) *Service {
 		byAddr:  make(map[netsim.Addr]string),
 		runs:    make(map[string]*run),
 	}
-	// Drain the control inbox; actual processing happens in onRecv so it
-	// is ordered with application traffic.
-	d.Handle(ControlInbox, func(*wire.Envelope) {})
+	// Control messages are handled in onRecv, in order with the
+	// application traffic of their channel; the control inbox is inline
+	// and drops what reaches it, so no thread drains it. Its envelopes
+	// are lent, and onControl keeps only their strings, which every
+	// control kind decodes fresh.
+	d.HandleInline(ControlInbox, func(*wire.Envelope) {})
 	d.OnRecv(s.onRecv)
 	return s
 }

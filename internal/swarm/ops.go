@@ -492,7 +492,6 @@ func addRelStats(a, b transport.Stats) transport.Stats {
 	a.DataSent += b.DataSent
 	a.Retransmits += b.Retransmits
 	a.FastRetransmits += b.FastRetransmits
-	a.FailuresDropped += b.FailuresDropped
 	a.AcksSent += b.AcksSent
 	a.AcksPiggybacked += b.AcksPiggybacked
 	a.DatagramsOut += b.DatagramsOut

@@ -267,8 +267,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		crashedAt: make(map[string]time.Time),
 		revivedAt: make(map[string]time.Time),
 		memberRel: transport.Config{
-			RTO:        clampDur(cfg.Interval/2, 50*time.Millisecond, time.Second),
-			FailureBuf: 4,
+			RTO: clampDur(cfg.Interval/2, 50*time.Millisecond, time.Second),
 		},
 	}
 	defer s.Close()

@@ -105,29 +105,33 @@ func TestSendBacklogBound(t *testing.T) {
 	}
 }
 
-// A place Reserve claims counts against the backlog's bound, so Send is
-// refused one frame sooner, and SendReserved spends it past the bound.
-func TestReserveClaimsBacklogPlace(t *testing.T) {
+// Past the backlog's bound Send refuses a frame and SendOwed takes it:
+// it joins the backlog all the same, so the queue grows by one, and a
+// Send after it is still refused.
+func TestSendOwedPastBacklogBound(t *testing.T) {
 	const window = 4
+	const bound = window * (1 + backlogWindows)
 	r := newEndpoint(newNullConn(), Config{RTO: time.Hour, Window: window})
 	t.Cleanup(func() { r.Close() })
 	peer := netsim.Addr{Host: "peer", Port: 1}
-	sendAll(t, r.Reliable, peer, 0, window*(1+backlogWindows)-1)
-	if err := r.Reserve(peer); err != nil {
-		t.Fatalf("Reserve with one place left: %v", err)
+	sendAll(t, r.Reliable, peer, 0, bound)
+	if err := r.Send(peer, nil, []byte("refused")); !errors.Is(err, ErrBacklog) {
+		t.Fatalf("Send past the bound: %v, want ErrBacklog", err)
 	}
-	if err := r.Send(peer, nil, []byte("claimed")); !errors.Is(err, ErrBacklog) {
-		t.Fatalf("Send into a claimed place: %v, want ErrBacklog", err)
+	for i := 1; i <= 2; i++ {
+		if err := r.SendOwed(peer, nil, []byte("owed")); err != nil {
+			t.Fatalf("SendOwed %d past the bound: %v", i, err)
+		}
+		if d := r.QueueDepth(); d != bound+i {
+			t.Fatalf("QueueDepth = %d after %d owed frames, want %d", d, i, bound+i)
+		}
 	}
-	if err := r.Reserve(peer); !errors.Is(err, ErrBacklog) {
-		t.Fatalf("Reserve past the bound: %v, want ErrBacklog", err)
-	}
-	if err := r.SendReserved(peer, nil, []byte("reserved")); err != nil {
-		t.Fatalf("SendReserved: %v", err)
+	if err := r.Send(peer, nil, []byte("refused")); !errors.Is(err, ErrBacklog) {
+		t.Fatalf("Send after the owed frames: %v, want ErrBacklog", err)
 	}
 	st := r.Stats()
-	if st.BacklogFull != 2 || st.DataSent != window*(1+backlogWindows) {
-		t.Fatalf("BacklogFull = %d, DataSent = %d; want 2 and %d", st.BacklogFull, st.DataSent, window*(1+backlogWindows))
+	if st.BacklogFull != 2 || st.DataSent != bound+2 {
+		t.Fatalf("BacklogFull = %d, DataSent = %d; want 2 and %d", st.BacklogFull, st.DataSent, bound+2)
 	}
 }
 
@@ -159,25 +163,29 @@ func TestBacklogDrainsAfterHeal(t *testing.T) {
 	}
 }
 
-// A backlogged frame that never gets through is reported on Failures
-// like any other, once the frames ahead of it have failed and made room
-// for it in the window: nothing is dropped without a word.
+// A backlogged frame that never gets through is counted in
+// Stats.Failures like any other, once the frames ahead of it have failed
+// and made room for it in the window: nothing is dropped without a
+// word. A failed frame goes back to the free list, as an acknowledged
+// one does.
 func TestBacklogFailuresReported(t *testing.T) {
 	const window, total = 2, 8
 	r := newEndpoint(newNullConn(), Config{RTO: 4 * time.Millisecond, MaxRetries: 1, Window: window})
 	t.Cleanup(func() { r.Close() })
 	peer := netsim.Addr{Host: "peer", Port: 1}
 	sendAll(t, r.Reliable, peer, 0, total)
-	failed := make(map[uint64]bool)
-	for len(failed) < total {
-		select {
-		case f := <-r.Failures():
-			if failed[f.Seq] || f.Seq < 1 || f.Seq > total || f.Payload[0] != byte(f.Seq-1) {
-				t.Fatalf("failure for seq %d carrying %v: %v so far", f.Seq, f.Payload, failed)
-			}
-			failed[f.Seq] = true
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of %d frames reported failed", len(failed), total)
+	for deadline := time.Now().Add(10 * time.Second); r.Stats().Failures < total; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames counted failed", r.Stats().Failures, total)
 		}
+	}
+	if st := r.Stats(); st.Failures != total || st.BacklogFull != 0 {
+		t.Fatalf("Failures = %d, BacklogFull = %d; want %d and 0", st.Failures, st.BacklogFull, total)
+	}
+	if d := r.QueueDepth(); d != 0 {
+		t.Fatalf("QueueDepth = %d after every frame failed, want 0", d)
+	}
+	if free := freeSeqs(r, peer); len(free) != window {
+		t.Fatalf("free list after %d failures holds seqs %v, want %d frames", total, free, window)
 	}
 }

@@ -17,7 +17,10 @@
 //
 // Send never waits: past a full window a frame joins the peer's bounded
 // backlog (ErrBacklog past the bound) until acknowledgements open the
-// window. AwaitWindow (or SendWait) is the one wait, for application
+// window. SendOwed is Send for a frame that must reach the peer (a
+// relay forward, a snapshot marker): past the bound it joins the
+// backlog all the same, so the backlog is the one queue of frames owed
+// to a peer. AwaitWindow (or SendWait) is the one wait, for application
 // threads; never the sink's or a timer's (internal/lint checks).
 //
 // The layer is sharded by peer: each peer's window, unacked set and
@@ -47,6 +50,7 @@
 //
 // An acknowledged frame goes on its peer's free list, bounded by Window,
 // and the next Send builds its frame in that buffer, so a steady stream
-// allocates nothing per message here; a frame still staged or
-// backlogged, or declared failed, is never reused.
+// allocates nothing per message here; so does a frame given up on after
+// MaxRetries (counted in Stats.Failures), and a frame still staged or
+// backlogged is never reused.
 package transport

@@ -12,10 +12,9 @@ import (
 
 // An acknowledged frame's outPkt and buffers go back to its peer's free
 // list for the next Send. These tests check the frames that must not go
-// back — staged ones an ack has covered, and failed ones, whose
-// SendFailure.Hdr and Payload alias their buffers — and that a long
-// stream through a small window, every buffer reused many times over,
-// delivers every payload intact.
+// back — staged ones an ack has covered — and that a long stream
+// through a small window, every buffer reused many times over, delivers
+// every payload intact.
 
 // freeSeqs returns the seqs of the frames on r's free list for to.
 func freeSeqs(r *endpoint, to netsim.Addr) []uint64 {
@@ -63,58 +62,7 @@ func TestRecycleStagedFramesSurviveClampedAck(t *testing.T) {
 	}
 }
 
-// (b) A failed frame is not recycled: its SendFailure keeps its header
-// and payload through 200 further Sends to the same peer under changing
-// headers, each acknowledged so that its buffers are reused by the next.
-// The frame that fails left its header out, as the frame before it
-// carried the same one; the failure reports it all the same.
-func TestRecycleFailurePayloadSurvives(t *testing.T) {
-	cfg := Config{RTO: 10 * time.Millisecond, MaxRetries: 1}
-	p, ra, rb := pipePair(t, time.Millisecond, cfg, func(d dgramInfo) verdict {
-		if d.fromA {
-			return drop // b never hears from a; the test hands a its acks
-		}
-		return pass
-	})
-	to := rb.LocalAddr()
-	hdr, want := []byte("the header of both"), []byte("the frame that never arrived")
-	for range 2 {
-		if err := ra.Send(to, hdr, bytes.Clone(want)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copy(hdr, "overwritten by the caller")
-	var f SendFailure
-	for f.Seq != 2 {
-		select {
-		case f = <-ra.Failures():
-		case <-time.After(10 * time.Second):
-			t.Fatal("no failure for a frame whose every copy was dropped")
-		}
-	}
-	if d := p.await(t, "seq 2", func(d dgramInfo) bool { return d.carries(2) }); d.inline[0] {
-		t.Fatal("seq 2 carried the header seq 1 had just carried")
-	}
-	const wantHdr = "the header of both"
-	if string(f.Hdr) != wantHdr || !bytes.Equal(f.Payload, want) {
-		t.Fatalf("failure for seq 2 carries %q, %q; want %q, %q", f.Hdr, f.Payload, wantHdr, want)
-	}
-	for seq := uint64(3); seq <= 202; seq++ {
-		h := bytes.Repeat([]byte{byte(seq / 3)}, len(wantHdr)) // a new header every third Send
-		if err := ra.Send(to, h, bytes.Repeat([]byte{byte(seq)}, len(want))); err != nil {
-			t.Fatal(err)
-		}
-		ra.handleDatagram(to, appendHeader(nil, true, seq, 0, false))
-	}
-	if len(freeSeqs(ra, to)) == 0 {
-		t.Fatal("nothing on the free list: the test exercised no reuse")
-	}
-	if string(f.Hdr) != wantHdr || !bytes.Equal(f.Payload, want) {
-		t.Fatalf("failure changed under later Sends: %q, %q; want %q, %q", f.Hdr, f.Payload, wantHdr, want)
-	}
-}
-
-// (c) Through a window of 8, 10 000 messages of assorted sizes, some
+// (b) Through a window of 8, 10 000 messages of assorted sizes, some
 // larger than a datagram, cross a pipe that drops and swaps first
 // copies and loses an occasional ack: every payload arrives once, in
 // order and byte-identical.

@@ -44,11 +44,6 @@ const backlogWindows = 8
 // the peer's window is full and backlogWindows windows wait behind it.
 var ErrBacklog = errors.New("transport: send backlog full")
 
-// ErrTooManyRetries reports that a message exhausted its retransmissions;
-// this is the paper's "if a message is not delivered within a specified
-// time an exception is raised" (§3.2).
-var ErrTooManyRetries = errors.New("transport: message not acknowledged after max retries")
-
 // Config tunes the reliable layer. Zero values select defaults.
 type Config struct {
 	// RTO is the retransmission timeout until the first round-trip sample
@@ -59,7 +54,7 @@ type Config struct {
 	// acknowledgement yields a new sample.
 	RTO time.Duration
 	// MaxRetries is the number of timer expiries a frame survives before
-	// its send is declared failed (default 10).
+	// its send is declared failed, counted in Stats.Failures (default 10).
 	MaxRetries int
 	// Window is the maximum number of unacknowledged messages per peer
 	// (default 64); Send backlogs a frame past it, AwaitWindow waits.
@@ -68,11 +63,6 @@ type Config struct {
 	// withheld waiting to coalesce with later ones (default RTO/8). An
 	// ack is sent after 8 in-order messages or AckDelay, whichever first.
 	AckDelay time.Duration
-	// FailureBuf is the capacity of the asynchronous failure channel
-	// (default 64); failures beyond an unread buffer are dropped. Swarm
-	// members shrink it — the preallocated channel is pure per-dapplet
-	// memory for endpoints that rarely fail.
-	FailureBuf int
 }
 
 func (c Config) withDefaults() Config {
@@ -88,22 +78,7 @@ func (c Config) withDefaults() Config {
 	if c.AckDelay <= 0 {
 		c.AckDelay = c.RTO / 8
 	}
-	if c.FailureBuf <= 0 {
-		c.FailureBuf = 64
-	}
 	return c
-}
-
-// SendFailure describes a message that could not be delivered: the
-// header and payload it was sent with, whether or not its frame carried
-// the header. Hdr and Payload are the failed frame's own buffers, which
-// the layer never reuses.
-type SendFailure struct {
-	To      netsim.Addr
-	Seq     uint64
-	Hdr     []byte
-	Payload []byte
-	Err     error
 }
 
 // Stats counts reliable-layer events.
@@ -115,8 +90,7 @@ type Stats struct {
 	AcksRecv        uint64 // ack-carrying datagrams received
 	DupsDropped     uint64 // duplicate data frames discarded
 	Delivered       uint64 // messages handed to the delivery sink in order
-	Failures        uint64
-	FailuresDropped uint64 // failure notices discarded because the Failures channel was full
+	Failures        uint64 // frames given up on after MaxRetries timer expiries
 	BacklogFull     uint64 // sends refused with ErrBacklog
 
 	// Physical writes.
@@ -154,7 +128,6 @@ type statCounters struct {
 	dupsDropped     atomic.Uint64
 	delivered       atomic.Uint64
 	failures        atomic.Uint64
-	failuresDropped atomic.Uint64
 	backlogFull     atomic.Uint64
 
 	bytesOut        atomic.Uint64
@@ -177,7 +150,6 @@ func (c *statCounters) snapshot() Stats {
 		DupsDropped:     c.dupsDropped.Load(),
 		Delivered:       c.delivered.Load(),
 		Failures:        c.failures.Load(),
-		FailuresDropped: c.failuresDropped.Load(),
 		BacklogFull:     c.backlogFull.Load(),
 
 		BytesOut:        c.bytesOut.Load(),
@@ -232,9 +204,6 @@ type peerState struct {
 	// inFlight mirrors len(unacked) for AwaitWindow's lock-free check;
 	// written under mu wherever unacked changes.
 	inFlight atomic.Int64
-	// reserved counts the places Reserve claimed that SendReserved has
-	// not spent; they count against the backlog's bound.
-	reserved int // guarded by mu
 	// lastSent is when send last sequenced a frame to the peer.
 	lastSent time.Time // guarded by mu
 
@@ -320,8 +289,7 @@ type Reliable struct {
 
 	stats statCounters
 
-	deliver  func(hdr, payload []byte, from netsim.Addr)
-	failures chan SendFailure
+	deliver func(hdr, payload []byte, from netsim.Addr)
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup // the receive loop and running timer callbacks
@@ -342,12 +310,7 @@ type Reliable struct {
 // very goroutine it holds up. Send never waits, so deliver may send.
 // Close waits for a call in progress.
 func NewReliable(pc PacketConn, cfg Config, deliver func(hdr, payload []byte, from netsim.Addr)) *Reliable {
-	r := &Reliable{
-		pc:       pc,
-		cfg:      cfg.withDefaults(),
-		deliver:  deliver,
-		failures: make(chan SendFailure, cfg.withDefaults().FailureBuf),
-	}
+	r := &Reliable{pc: pc, cfg: cfg.withDefaults(), deliver: deliver}
 	r.wg.Add(1)
 	go r.recvLoop()
 	return r
@@ -355,11 +318,6 @@ func NewReliable(pc PacketConn, cfg Config, deliver func(hdr, payload []byte, fr
 
 // LocalAddr returns the underlying socket address.
 func (r *Reliable) LocalAddr() netsim.Addr { return r.pc.LocalAddr() }
-
-// Failures exposes asynchronous delivery failures (the paper's send
-// exceptions). The channel is buffered; unread failures beyond the buffer
-// are dropped.
-func (r *Reliable) Failures() <-chan SendFailure { return r.failures }
 
 // Stats returns a snapshot of the layer's counters, including the
 // underlying socket's syscall counters when the transport tracks them.
@@ -575,9 +533,10 @@ func (r *Reliable) resendLocked(out []*[]byte, p *peerState, frames []*outPkt, f
 // the receiver restores it. Send never waits: past a full window the
 // frame joins the peer's backlog, to leave as acknowledgements open the
 // window, and past the backlog's bound Send returns ErrBacklog (after
-// Close, ErrClosed). Delivery failure after retries is reported
-// asynchronously on Failures. Send copies hdr and payload before
-// returning, so the caller may reuse both slices immediately.
+// Close, ErrClosed). A frame still unacknowledged after MaxRetries
+// timer expiries is given up on and counted in Stats.Failures. Send
+// copies hdr and payload before returning, so the caller may reuse both
+// slices immediately.
 //
 // A small frame is staged rather than written while the peer's next
 // acknowledgement is certain to be on its way without waiting for the
@@ -595,65 +554,37 @@ func (r *Reliable) Send(to netsim.Addr, hdr, payload []byte) error {
 	return r.send(to, hdr, payload, false, false)
 }
 
+// SendOwed is Send for a frame the peer is owed: past the backlog's
+// bound it joins the backlog all the same, so it is never refused for
+// backlog, and it never waits. A relay forward and a snapshot marker
+// are owed: dropping either would break a guarantee (an origin's
+// sequence, a cut's completion), and neither may wait, since both are
+// sent from the receive goroutine.
+func (r *Reliable) SendOwed(to netsim.Addr, hdr, payload []byte) error {
+	return r.send(to, hdr, payload, false, true)
+}
+
 // SendWait is AwaitWindow and Send in one critical section.
 func (r *Reliable) SendWait(to netsim.Addr, hdr, payload []byte) error {
 	return r.send(to, hdr, payload, true, false)
 }
 
-// Reserve claims a place for one frame to the peer, so that the next
-// SendReserved to it is not refused for backlog; past the backlog's
-// bound it returns ErrBacklog, as Send would. It never waits. A sender
-// that must act between admitting a frame and sending it (core shows
-// the frame to its send observers, which count it as sequenced) uses
-// the pair instead of Send. Every place claimed must be spent.
-func (r *Reliable) Reserve(to netsim.Addr) error {
-	p := r.peer(to)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch {
-	case p.closed:
-		return ErrClosed
-	case r.refusesLocked(p):
-		r.stats.backlogFull.Add(1)
-		return ErrBacklog
-	}
-	p.reserved++
-	return nil
-}
-
-// SendReserved is Send on a place Reserve claimed: never refused for
-// backlog, and it never waits.
-func (r *Reliable) SendReserved(to netsim.Addr, hdr, payload []byte) error {
-	return r.send(to, hdr, payload, false, true)
-}
-
-// refusesLocked reports whether Send must refuse a frame to p: its
-// window is full, and its backlog and the places claimed in it reach
-// the bound. Caller holds p.mu.
-func (r *Reliable) refusesLocked(p *peerState) bool {
-	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
-	return full && len(p.backlog)+p.reserved >= backlogWindows*r.cfg.Window
-}
-
-func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait, reserved bool) error {
+func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait, owed bool) error {
 	p := r.peer(to)
 	p.mu.Lock()
 	if wait {
 		r.awaitLocked(p)
 	}
-	if reserved {
-		p.reserved--
-	}
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	if !reserved && r.refusesLocked(p) {
+	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
+	if full && !owed && len(p.backlog) >= backlogWindows*r.cfg.Window {
 		p.mu.Unlock()
 		r.stats.backlogFull.Add(1)
 		return ErrBacklog
 	}
-	full := len(p.backlog) > 0 || len(p.unacked) >= r.cfg.Window
 	seq := p.nextSeq
 	p.nextSeq++
 	inline := !bytes.Equal(hdr, p.txHdr)
@@ -873,12 +804,13 @@ func (r *Reliable) armRetxLocked(p *peerState, deadline time.Time) {
 	}
 }
 
-// releaseLocked drops an acknowledged seq from the unacked set, moves it
-// to the free list for Send to reuse, and returns whichever of it and
-// newest was transmitted later. The returned frame stays readable until
-// p.mu is released: no Send can take it from the free list before then.
-// Only a frame that has left can be acknowledged (applyAck clamps a
-// confused peer's ack), so none still staged is recycled. window bounds
+// releaseLocked drops an acknowledged or failed seq from the unacked
+// set, moves it to the free list for Send to reuse, and returns
+// whichever of it and newest was transmitted later. The returned frame
+// stays readable until p.mu is released: no Send can take it from the
+// free list before then. Only a frame that has left can be acknowledged
+// (applyAck clamps a confused peer's ack) or fail, so none still staged
+// is recycled. window bounds
 // the free list, and an oversized frame's buffer is not kept.
 func (p *peerState) releaseLocked(seq uint64, newest *outPkt, window int) *outPkt {
 	pkt, ok := p.unacked[seq]
@@ -1173,8 +1105,8 @@ func (r *Reliable) fireAck(p *peerState) {
 
 // fireRetx runs when p's retransmission timer expires: it releases staged
 // frames whose ack is overdue, resends every frame past its deadline,
-// fails those out of retries, admits backlogged frames to the window
-// they free, and moves the timer to the earliest deadline still ahead.
+// fails those out of retries (counted, and recycled as an acknowledged
+// frame is), admits backlogged frames to the window they free, and moves the timer to the earliest deadline still ahead.
 func (r *Reliable) fireRetx(p *peerState) {
 	if !r.enter() {
 		return
@@ -1183,7 +1115,7 @@ func (r *Reliable) fireRetx(p *peerState) {
 	var (
 		now     = time.Now()
 		expired []*outPkt
-		failed  []SendFailure
+		failed  int
 		next    time.Time // earliest deadline still ahead
 		resent  []*[]byte
 		dgram   *[]byte
@@ -1211,17 +1143,9 @@ func (r *Reliable) fireRetx(p *peerState) {
 				next = pkt.deadline
 			}
 		case pkt.retries >= r.cfg.MaxRetries:
-			// Not recycled: the failure aliases pkt.hdr and pkt.frame.
-			delete(p.unacked, seq)
+			p.releaseLocked(seq, nil, r.cfg.Window)
 			p.inFlight.Store(int64(len(p.unacked)))
-			f, _, _ := nextFrame(pkt.frame, 0)
-			failed = append(failed, SendFailure{
-				To:      p.addr,
-				Seq:     seq,
-				Hdr:     pkt.hdr,
-				Payload: f.payload,
-				Err:     ErrTooManyRetries,
-			})
+			failed++
 		default:
 			expired = append(expired, pkt)
 		}
@@ -1245,7 +1169,7 @@ func (r *Reliable) fireRetx(p *peerState) {
 	if !next.IsZero() && !p.closed {
 		p.retx.Reset(time.Until(next))
 	}
-	if len(failed) > 0 {
+	if failed > 0 {
 		p.cond.Broadcast()
 		if !p.closed {
 			resent = r.admitLocked(resent, p, now) // placeLocked arms the timer for them
@@ -1256,14 +1180,5 @@ func (r *Reliable) fireRetx(p *peerState) {
 		_ = r.write(p.addr, d)
 	}
 	_ = r.write(p.addr, dgram)
-	if len(failed) > 0 {
-		r.stats.failures.Add(uint64(len(failed)))
-		for _, f := range failed {
-			select {
-			case r.failures <- f:
-			default: // nobody is listening
-				r.stats.failuresDropped.Add(1)
-			}
-		}
-	}
+	r.stats.failures.Add(uint64(failed))
 }

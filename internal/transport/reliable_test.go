@@ -240,16 +240,16 @@ func TestSendFailureReportedAcrossPartition(t *testing.T) {
 	if err := ra.Send(rb.LocalAddr(), nil, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case f := <-ra.Failures():
-		if string(f.Payload) != "doomed" || f.To != rb.LocalAddr() {
-			t.Fatalf("failure = %+v", f)
+	for deadline := time.Now().Add(5 * time.Second); ra.Stats().Failures == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no failure counted")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no SendFailure reported")
 	}
-	if st := ra.Stats(); st.Failures != 1 {
-		t.Fatalf("Failures = %d, want 1", st.Failures)
+	if st := ra.Stats(); st.Failures != 1 || st.DataSent != 1 {
+		t.Fatalf("Failures = %d, DataSent = %d; want 1 and 1", st.Failures, st.DataSent)
+	}
+	if d := ra.QueueDepth(); d != 0 {
+		t.Fatalf("QueueDepth = %d after the failure, want 0", d)
 	}
 }
 

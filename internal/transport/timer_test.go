@@ -89,7 +89,7 @@ func TestTimerNoGoroutineWhileIdle(t *testing.T) {
 // TestTimerCloseSilencesResends checks that Close stops the
 // retransmission timer for good. Every datagram to the peer is lost, so
 // the timer resends until Close; after Close returns, nothing is written
-// and no failure is reported for twenty RTOs, though MaxRetries would
+// and no failure is counted for twenty RTOs, though MaxRetries would
 // have failed the frames well inside that time.
 func TestTimerCloseSilencesResends(t *testing.T) {
 	const rto = 5 * time.Millisecond
@@ -103,17 +103,9 @@ func TestTimerCloseSilencesResends(t *testing.T) {
 	p.await(t, "a timer resend", dgramInfo.resent)
 	ra.Close()
 	rb.Close()
-	// What reached the channel before Close returned is allowed.
-	for len(ra.Failures()) > 0 {
-		<-ra.Failures()
-	}
 	every := func(dgramInfo) bool { return true }
 	written, failures := p.count(every), ra.Stats().Failures
-	select {
-	case f := <-ra.Failures():
-		t.Fatalf("failure of seq %d reported after Close", f.Seq)
-	case <-time.After(20 * rto):
-	}
+	time.Sleep(20 * rto)
 	if n := p.count(every); n != written {
 		t.Fatalf("%d datagrams written after Close", n-written)
 	}
@@ -130,7 +122,7 @@ func TestTimerCloseSilencesResends(t *testing.T) {
 // end, no layer may have written a datagram since its Close returned.
 func TestTimerCloseRace(t *testing.T) {
 	peer := netsim.Addr{Host: "peer", Port: 1}
-	cfg := Config{RTO: time.Millisecond, FailureBuf: 1}
+	cfg := Config{RTO: time.Millisecond}
 	closed := make(map[*endpoint]uint64) // datagrams written when Close returned
 	for i := range 500 {
 		r := newEndpoint(newNullConn(), cfg)
