@@ -117,30 +117,28 @@ func e13Cells(p Params) []Cell {
 // e12Cells sweeps the batched-I/O matrix: a busy sender round-robins
 // frames over fanout receivers while receiver 0 mirrors the same volume
 // back (so ack piggybacking has reverse traffic to ride). Frame
-// coalescing is the transport's one send path, so each shape is one cell
-// over netsim; over real loopback UDP sockets each shape runs with the
-// sendmmsg/recvmmsg loops (UDPConfig.Batch) off and on. An op is one
-// forward frame.
+// coalescing is the transport's one send path and the UDP conn has one
+// syscall per datagram, so each shape is one cell over netsim and one
+// over real loopback UDP sockets. An op is one forward frame.
 func e12Cells(p Params) []Cell {
 	frames := byScale(p.Scale, 5000, 20000, 20000)
 	var cells []Cell
 	for _, medium := range []struct {
 		name string
 		udp  bool
-		mmsg int // UDPConfig.Batch
-	}{{"netsim", false, 0}, {"udp/mmsg=off", true, 0}, {"udp/mmsg=on", true, 16}} {
+	}{{"netsim", false}, {"udp", true}} {
 		for _, shape := range [][2]int{{32, 1}, {256, 1}, {1024, 1}, {32, 8}} {
 			cells = append(cells, Cell{
 				Name: fmt.Sprintf("%s/%dB/fan%d", medium.name, shape[0], shape[1]), Ops: frames,
 				Run: inWorld(p, 12, func(_ context.Context, t Timer, ops int, w *world.World) ([]Metric, error) {
-					return e12Run(t, ops, w, medium.udp, medium.mmsg, shape[0], shape[1])
+					return e12Run(t, ops, w, medium.udp, shape[0], shape[1])
 				})})
 		}
 	}
 	return cells
 }
 
-func e12Run(t Timer, frames int, w *world.World, udp bool, mmsg, size, fanout int) ([]Metric, error) {
+func e12Run(t Timer, frames int, w *world.World, udp bool, size, fanout int) ([]Metric, error) {
 	cfg := transport.Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 1024}
 	// Receiver i takes every fanout-th frame starting at i; the sender
 	// takes receiver 0's mirror stream.
@@ -152,7 +150,7 @@ func e12Run(t Timer, frames int, w *world.World, udp bool, mmsg, size, fanout in
 		if !udp {
 			return transport.NewReliable(w.Conn(host), cfg, sink), nil
 		}
-		pc, err := transport.ListenUDPConfig("127.0.0.1:0", transport.UDPConfig{Batch: mmsg})
+		pc, err := transport.ListenUDP("127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("%w: loopback UDP unavailable: %v", ErrSkip, err)
 		}

@@ -41,6 +41,8 @@ type Pass struct {
 	// it is the path under test (go list's ForTest), so analyzers gate
 	// on real package identity.
 	Path string
+	// Module is the path of the module the package belongs to.
+	Module string
 	// XTest reports an external (package foo_test) test variant.
 	XTest bool
 	// Facts exposes module-wide cross-references computed by the

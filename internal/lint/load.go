@@ -29,6 +29,8 @@ type Package struct {
 	Name string
 	// Dir is the package's source directory.
 	Dir string
+	// Module is the path of the module the package belongs to.
+	Module string
 	// XTest marks an external (package p_test) test package.
 	XTest bool
 	// Files are the parsed syntax trees, test files included.
@@ -209,13 +211,14 @@ func (ld *loader) typecheck(rec *listPkg) (*Package, error) {
 		return nil, fmt.Errorf("wwlint: typecheck %s: %v", rec.ImportPath, err)
 	}
 	pkg := &Package{
-		Path:  effectivePath(rec),
-		Name:  rec.Name,
-		Dir:   rec.Dir,
-		XTest: strings.Contains(rec.ImportPath, "_test ["),
-		Files: files,
-		Pkg:   tp,
-		Info:  info,
+		Path:   effectivePath(rec),
+		Name:   rec.Name,
+		Dir:    rec.Dir,
+		Module: rec.Module.Path,
+		XTest:  strings.Contains(rec.ImportPath, "_test ["),
+		Files:  files,
+		Pkg:    tp,
+		Info:   info,
 	}
 	for _, dep := range rec.Deps {
 		pkg.deps = append(pkg.deps, trimVariant(dep))
@@ -295,6 +298,7 @@ func Run(w *World, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
 				Path:     pkg.Path,
+				Module:   pkg.Module,
 				XTest:    pkg.XTest,
 				Facts:    w.Facts,
 				allow:    idx,

@@ -19,8 +19,8 @@ var AnalyzerNowait = &Analyzer{
 	Name: "nowait",
 	Doc: "code reachable from a transport sink, a receive observer, an inline inbox, a timer callback, " +
 		"an svc handler, a gossip rumour handler, a Quiesce func or a //wwlint:nowait function must not call Reliable.AwaitWindow, " +
-		"Reliable.SendWait, core's, svc's and gossip's waiting sends, receives and calls, or sync.Cond.Wait, " +
-		"or receive from a channel without a default",
+		"Reliable.SendWait, another module package's context-first functions, core's, gossip's and relay's waiting sends and receives, " +
+		"or sync.Cond.Wait, or receive from a channel without a default",
 	Run: runNowait,
 }
 
@@ -45,13 +45,15 @@ var nowaitRoots = []struct {
 	{"gossip", "Engine", "OnRumor", 1},
 }
 
-// exportedWaits are the calls into other packages that wait, matched by
-// package name and receiver: the transport's window waits, and the
-// entry points of core, svc, gossip and relay that wait on the network
-// — for a window (SendEncoded, an outbox send, a rumour's origination, a
-// tree flood), an arrival (the blocking inbox receives) or a reply
-// (Await, Call). The scan does not enter other packages, so these are
-// named here.
+// exportedWaits are the calls into other packages that wait on the
+// network with no context, matched by package name and receiver: for a
+// window (the transport's window waits, SendEncoded, an outbox send, a
+// rumour's origination, a tree flood) or an arrival (the blocking inbox
+// receives). The scan does not enter other packages, so it knows their
+// waits from this list and from their signatures: an exported function
+// of another package of the module whose first parameter is a
+// context.Context waits, since the context is how its caller bounds the
+// wait (for a reply, an arrival, a lock held elsewhere).
 var exportedWaits = []struct {
 	pkg, recv string
 	names     []string
@@ -60,9 +62,7 @@ var exportedWaits = []struct {
 	{"transport", "Reliable", []string{"AwaitWindow", "SendWait"}, " for acknowledgements only the receive goroutine reads"},
 	{"core", "Dapplet", []string{"SendEncoded"}, ""},
 	{"core", "Outbox", []string{"Send", "SendTo"}, ""},
-	{"core", "Inbox", []string{"AwaitNonEmpty", "Receive", "ReceiveEnvelope", "ReceiveContext", "ReceiveEnvelopeContext"}, ""},
-	{"svc", "Pending", []string{"Await", "AwaitMsg"}, ""},
-	{"svc", "Caller", []string{"Call", "CallTagged", "CallFirst"}, ""},
+	{"core", "Inbox", []string{"AwaitNonEmpty", "Receive", "ReceiveEnvelope"}, ""},
 	{"gossip", "Engine", []string{"Broadcast"}, " for each peer's window"},
 	{"relay", "Relay", []string{"Multicast", "Redrive"}, " for each neighbour's window"},
 }
@@ -83,7 +83,8 @@ const handoffDirective = "//wwlint:handoff"
 // functions of the package, the elements of a composite literal passed
 // so (a handler table), and function literals called or deferred; it
 // stops at go statements, interface and function-value calls and at
-// other packages, whose waits it knows by name (exportedWaits).
+// other packages, whose waits it knows by signature and by name
+// (exportedWaits).
 type waitScan struct {
 	p      *Pass
 	decls  map[*types.Func]*ast.FuncDecl
@@ -213,7 +214,7 @@ func (w *waitScan) follow(e ast.Expr, path string) {
 		}
 		switch obj := w.p.Info.Uses[id].(type) {
 		case *types.Func:
-			if name, why, ok := waits(obj); ok {
+			if name, why, ok := w.waits(obj); ok {
 				w.report(e.Pos(), name+" handed on as a function waits"+why, path)
 			} else if fd := w.decls[obj.Origin()]; fd != nil {
 				w.visit(fd, path+" → "+fd.Name.Name)
@@ -289,7 +290,7 @@ func (w *waitScan) call(call *ast.CallExpr, path string) {
 		w.report(call.Pos(), "sync.Cond.Wait waits", path)
 		return
 	}
-	if name, why, ok := waits(fn); ok {
+	if name, why, ok := w.waits(fn); ok {
 		w.report(call.Pos(), name+" waits"+why, path)
 		return
 	}
@@ -308,19 +309,41 @@ func (w *waitScan) call(call *ast.CallExpr, path string) {
 	}
 }
 
-// waits reports whether fn is one of exportedWaits, naming it Recv.Name
-// and saying what it waits for.
-func waits(fn *types.Func) (name, why string, ok bool) {
-	if fn.Pkg() == nil {
+// waits reports whether fn, called from the scanned package, waits: it
+// is another module package's exported context-first function, or one
+// of exportedWaits. It names fn Recv.Name (pkg.Name for a function) and
+// says what it waits for.
+func (w *waitScan) waits(fn *types.Func) (name, why string, ok bool) {
+	pkg := fn.Pkg()
+	if pkg == nil {
 		return "", "", false
 	}
 	recv := recvName(fn)
-	for _, w := range exportedWaits {
-		if w.pkg == fn.Pkg().Name() && w.recv == recv && slices.Contains(w.names, fn.Name()) {
-			return recv + "." + fn.Name(), w.why, true
+	if recv == "" {
+		name = pkg.Name() + "." + fn.Name()
+	} else {
+		name = recv + "." + fn.Name()
+	}
+	for _, e := range exportedWaits {
+		if e.pkg == pkg.Name() && e.recv == recv && slices.Contains(e.names, fn.Name()) {
+			return name, e.why, true
 		}
 	}
+	mod := w.p.Module
+	if pkg != w.p.Pkg && fn.Exported() && (pkg.Path() == mod || strings.HasPrefix(pkg.Path(), mod+"/")) && contextFirst(fn) {
+		return name, " until its context ends", true
+	}
 	return "", "", false
+}
+
+// contextFirst reports whether fn's first parameter is a context.Context.
+func contextFirst(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	if params.Len() == 0 {
+		return false
+	}
+	named, ok := types.Unalias(params.At(0).Type()).(*types.Named)
+	return ok && named.Obj().Name() == "Context" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "context"
 }
 
 // underlying is t's underlying type; nil for nil.

@@ -1,7 +1,10 @@
 package nowait
 
 import (
+	"context"
+
 	"fixmod/core"
+	"fixmod/directory"
 	"fixmod/gossip"
 	"fixmod/svc"
 )
@@ -11,6 +14,7 @@ type Service struct {
 	d      *core.Dapplet
 	caller *svc.Caller
 	g      *gossip.Engine
+	dir    *directory.Client
 }
 
 // Attach registers the handlers: each table entry, a method or a
@@ -22,15 +26,33 @@ func (s *Service) Attach() {
 			return nil, s.caller.Cast("peer", req)
 		},
 		"relay": func(c *svc.Ctx, req any) (any, error) {
-			return nil, s.caller.Call("peer", req) // want nowait:"Caller.Call waits, reached from svc.Serve callback"
+			return nil, s.caller.Call(context.TODO(), "peer", req) // want nowait:"Caller.Call waits until its context ends, reached from svc.Serve callback"
 		},
+		"where": s.where,
 	})
 	s.g.OnRumor("topic", s.onRumor)
 }
 
 func (s *Service) ask(c *svc.Ctx, req any) (any, error) {
-	return nil, s.caller.Call("peer", req) // want nowait:"Caller.Call waits, reached from svc.Serve callback → ask"
+	return nil, s.caller.Call(context.TODO(), "peer", req) // want nowait:"Caller.Call waits until its context ends, reached from svc.Serve callback → ask"
 }
+
+// where answers from the directory client's cache, which never waits,
+// and may not fall back on a lookup: a context-first call into another
+// package of the module waits, though no list names it. A context-first
+// call outside the module, or within the package, is judged by its
+// body, when there is one to scan.
+func (s *Service) where(c *svc.Ctx, req any) (any, error) {
+	if addr, ok := s.dir.Cached("peer"); ok {
+		return addr, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	check(ctx)
+	return s.dir.Lookup(ctx, "peer") // want nowait:"Client.Lookup waits until its context ends, reached from svc.Serve callback → where"
+}
+
+func check(ctx context.Context) { _ = ctx.Err() }
 
 // onRumor may forward a rumour but not originate one: Broadcast waits.
 func (s *Service) onRumor(origin string, body any) {
@@ -40,5 +62,6 @@ func (s *Service) onRumor(origin string, body any) {
 // Refute runs on an application thread: it may wait.
 func (s *Service) Refute(body any) {
 	_ = s.g.Broadcast("topic", body)
-	_ = s.caller.Call("peer", body)
+	_ = s.caller.Call(context.TODO(), "peer", body)
+	_, _ = s.dir.Lookup(context.TODO(), "peer")
 }

@@ -3,7 +3,11 @@
 // request, and a Caller's Call waits for its reply.
 package svc
 
-import "fixmod/core"
+import (
+	"context"
+
+	"fixmod/core"
+)
 
 // Ctx is one request's delivery context.
 type Ctx struct{}
@@ -23,8 +27,8 @@ func Serve(d *core.Dapplet, inbox string, h Handlers) *Server { return nil }
 // Caller issues requests.
 type Caller struct{}
 
-// Call sends req and waits for the reply.
-func (c *Caller) Call(to string, req any) error { return nil }
+// Call sends req and waits for the reply, or for ctx to end.
+func (c *Caller) Call(ctx context.Context, to string, req any) error { return nil }
 
 // Cast sends req one-way; it never waits.
 func (c *Caller) Cast(to string, req any) error { return nil }

@@ -169,18 +169,12 @@ func nextFrame(dgram []byte, off int) (f frame, next int, ok bool) {
 	return f, off + int(l), true
 }
 
-// IOStats counts a PacketConn's syscall-level activity. A transport
-// that batches datagrams through sendmmsg/recvmmsg-style loops makes
-// fewer Read/Write calls than it moves datagrams; the ratio is the
-// syscall batching factor.
+// IOStats counts a PacketConn's syscall-level activity. The UDP conn
+// moves one datagram per syscall, so these are its datagram counts too.
 type IOStats struct {
-	// ReadCalls and WriteCalls count I/O syscalls (each may carry a
-	// whole batch of datagrams).
+	// ReadCalls and WriteCalls count I/O syscalls.
 	ReadCalls  uint64
 	WriteCalls uint64
-	// DatagramsIn and DatagramsOut count individual datagrams moved.
-	DatagramsIn  uint64
-	DatagramsOut uint64
 }
 
 // ioStatser is implemented by PacketConns that track syscall-level

@@ -37,7 +37,7 @@ import (
 //     out where a frame could have carried it;
 //   - after Close nothing more is written or delivered, and Send fails;
 //   - Send refuses a frame with ErrBacklog only past the backlog bound,
-//     and Stats counts each refusal.
+//     and Stats counts each refusal; SendOwed is never refused.
 //
 // The rules need only the order of events, except the timer's: a resend
 // at least timerGap after the previous copy is the timer's to make. The
@@ -76,7 +76,7 @@ const (
 	opStepA          // hand a the next datagram in flight from b
 	opStepAll        // hand over everything in flight, both ways
 	opRelease        // put the parked acks in flight
-	opForge          // a confused peer acks all end (argument bit 0) has sequenced
+	opForge          // a confused peer acks all end (argument bit 0) has sequenced; with bit 1, an owed send instead (see do)
 	opSleep          // let the clock run for argument mod 4 milliseconds
 )
 
@@ -132,6 +132,17 @@ func FuzzChannel(f *testing.F) {
 		s = append(s, bytes.Repeat([]byte{send(0, 0, 3)}, 14)...)
 		f.Add(append(s, stepAll, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)) // verdicts: pass
 	}
+	// Owed sends past the backlog bound: window 4, nothing handed over,
+	// 40 owed frames against the 4·(1+backlogWindows) = 36 a Send may
+	// queue; a Send then is refused, and an owed one after it is taken.
+	// Zeros the pipe does not take as verdicts are Sends, refused too.
+	owed := func(from, hdr, big byte) byte { return opForge<<5 | big<<4 | hdr<<2 | 2 | from }
+	s := []byte{0}
+	for i := byte(0); i < 40; i++ {
+		s = append(s, owed(0, i/7%4, i%5/4))
+	}
+	s = append(s, send(0, 0, 3), owed(0, 1, 1), stepAll)
+	f.Add(append(s, bytes.Repeat([]byte{0}, 30)...)) // verdicts: pass
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 512 {
 			t.Skip("long scripts find nothing short ones do not")
@@ -248,7 +259,7 @@ func (m *chanModel) do(b byte) {
 	arg := b & 31
 	switch b >> 5 {
 	case opSendA, opSendB:
-		m.send(int(b>>5), modelHdrs[arg&3], modelSizes[arg>>2])
+		m.send(int(b>>5), modelHdrs[arg&3], modelSizes[arg>>2], false)
 	case opStepB:
 		m.step(1)
 	case opStepA:
@@ -261,31 +272,41 @@ func (m *chanModel) do(b byte) {
 		m.p.release(m.p.a)
 		m.p.release(m.p.b)
 	case opForge:
-		m.forge(int(arg & 1))
+		if arg&2 == 0 {
+			m.forge(int(arg & 1))
+		} else { // end bit 0 sends owed: bits 2-3 pick the header, bit 4 a 64 or 700 byte payload
+			m.send(int(arg&1), modelHdrs[arg>>2&3], modelSizes[3+3*(arg>>4)], true)
+		}
 	case opSleep:
 		time.Sleep(time.Duration(arg%4) * time.Millisecond)
 	}
 }
 
-func (m *chanModel) send(from int, hdr []byte, size int) {
+// send sends from end from with Send, or with SendOwed, which past the
+// backlog bound takes the frame all the same.
+func (m *chanModel) send(from int, hdr []byte, size int, owed bool) {
 	seq := len(m.sent[from]) + 1
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(seq + i)
 	}
-	err := m.ends[from].Send(m.ends[1-from].LocalAddr(), hdr, payload)
+	send, call := m.ends[from].Send, "Send"
+	if owed {
+		send, call = m.ends[from].SendOwed, "SendOwed"
+	}
+	err := send(m.ends[1-from].LocalAddr(), hdr, payload)
 	switch {
 	case err == nil:
 		m.sent[from] = append(m.sent[from], delivery{hdr: hdr, payload: payload})
-		m.note("%c sends seq %d: header %q, %d bytes", 'a'+from, seq, hdr, size)
-	case errors.Is(err, ErrBacklog):
+		m.note("%c %s seq %d: header %q, %d bytes", 'a'+from, call, seq, hdr, size)
+	case errors.Is(err, ErrBacklog) && !owed:
 		m.refused[from]++
 		m.note("%c refused: %v", 'a'+from, err)
 		if m.untransmitted(from) < backlogWindows*m.window {
 			m.fail("%c's Send was refused with %d frames untransmitted, fewer than the backlog bound %d", 'a'+from, m.untransmitted(from), backlogWindows*m.window)
 		}
 	default:
-		m.fail("%c's Send: %v", 'a'+from, err)
+		m.fail("%c's %s: %v", 'a'+from, call, err)
 	}
 }
 

@@ -14,9 +14,10 @@ var ErrClosed = errors.New("transport: closed")
 type PacketConn interface {
 	// LocalAddr returns the bound address of this socket.
 	LocalAddr() netsim.Addr
-	// WriteTo sends one datagram; it never blocks on the receiver. The
-	// implementation copies p before returning, so the caller may reuse
-	// the slice immediately.
+	// WriteTo sends one datagram and never waits: not on the receiver and
+	// not on a queue of its own, since the receive goroutine writes acks
+	// through it. It is done with p when it returns, so the caller may
+	// reuse the slice immediately.
 	WriteTo(to netsim.Addr, p []byte) error
 	// ReadFrom blocks until a datagram arrives or the socket is closed.
 	// Ownership contract: the returned slice is owned by the caller —

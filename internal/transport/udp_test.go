@@ -2,23 +2,28 @@ package transport
 
 import (
 	"fmt"
+	"go/build/constraint"
+	"go/parser"
+	"go/token"
 	"net"
-	"runtime"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 )
 
-// udpPair binds two loopback sockets with the given config, skipping the
-// test when the environment forbids UDP.
-func udpPair(t *testing.T, cfg UDPConfig) (PacketConn, PacketConn) {
+// udpPair binds two loopback sockets, skipping the test when the
+// environment forbids UDP.
+func udpPair(t *testing.T) (PacketConn, PacketConn) {
 	t.Helper()
-	pa, err := ListenUDPConfig("127.0.0.1:0", cfg)
+	pa, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no loopback UDP available: %v", err)
 	}
-	pb, err := ListenUDPConfig("127.0.0.1:0", cfg)
+	pb, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		pa.Close()
 		t.Fatal(err)
@@ -27,8 +32,10 @@ func udpPair(t *testing.T, cfg UDPConfig) (PacketConn, PacketConn) {
 	return pa, pb
 }
 
-func TestUDPBatchRoundTrip(t *testing.T) {
-	pa, pb := udpPair(t, UDPConfig{Batch: 16})
+// TestUDPRoundTrip moves 400 datagrams of mixed sizes over loopback and
+// checks each arrives whole, with one syscall per datagram each way.
+func TestUDPRoundTrip(t *testing.T) {
+	pa, pb := udpPair(t)
 	const total = 400
 	done := make(chan error, 1)
 	go func() {
@@ -56,40 +63,58 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("batch round trip stalled")
+		t.Fatal("round trip stalled")
 	}
 	ioA, okA := IOStatsOf(pa)
 	ioB, okB := IOStatsOf(pb)
 	if !okA || !okB {
 		t.Fatal("udp conns do not expose IOStats")
 	}
-	// The sender goroutine counts a sendmmsg burst when the syscall
-	// returns, which can be after the receiver has read the whole burst.
-	for deadline := time.Now().Add(5 * time.Second); ioA.DatagramsOut < total && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		ioA, _ = IOStatsOf(pa)
+	if ioA.WriteCalls != total || ioB.ReadCalls != total {
+		t.Fatalf("syscalls: %d writes and %d reads for %d datagrams", ioA.WriteCalls, ioB.ReadCalls, total)
 	}
-	// All total were read above; what the two sockets counted must agree.
-	if ioB.DatagramsIn != total || ioA.DatagramsOut != ioB.DatagramsIn {
-		t.Fatalf("datagram accounting: out=%d in=%d want %d", ioA.DatagramsOut, ioB.DatagramsIn, total)
+}
+
+// TestTransportIsPortable keeps the package one build for every
+// platform: no non-test file imports unsafe or syscall or carries a
+// //go:build line.
+func TestTransportIsPortable(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// sendmmsg batching engaged iff fewer write syscalls than datagrams;
-	// when it did, the recvmmsg side must batch too. On linux/amd64 and
-	// linux/arm64 (where the syscall numbers are wired up) batching is
-	// required to engage.
-	if ioA.WriteCalls < ioA.DatagramsOut && ioB.ReadCalls >= ioB.DatagramsIn {
-		t.Fatalf("send batched (%d calls / %d dgrams) but reads did not (%d / %d)",
-			ioA.WriteCalls, ioA.DatagramsOut, ioB.ReadCalls, ioB.DatagramsIn)
-	}
-	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
-		if ioA.WriteCalls >= ioA.DatagramsOut {
-			t.Fatalf("sendmmsg did not batch: %d calls for %d datagrams", ioA.WriteCalls, ioA.DatagramsOut)
+	fset := token.NewFileSet()
+	files := 0
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
 		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly|parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "unsafe" || path == "syscall" {
+				t.Errorf("%s imports %s", name, path)
+			}
+		}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if constraint.IsGoBuild(c.Text) {
+					t.Errorf("%s: %s", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+	}
+	if files < 5 {
+		t.Fatalf("scanned only %d files: the test is not reading the package", files)
 	}
 }
 
 func TestUDPResolveCacheBounded(t *testing.T) {
-	pa, _ := udpPair(t, UDPConfig{})
+	pa, _ := udpPair(t)
 	c := pa.(*udpConn)
 	peer := func(i int) netsim.Addr { return netsim.Addr{Host: "127.0.0.1", Port: uint16(40000 + i)} }
 	for i := range resolveCacheCap + 20 {
@@ -114,10 +139,10 @@ func TestUDPResolveCacheBounded(t *testing.T) {
 }
 
 func TestUDPReadFromAllocBounded(t *testing.T) {
-	// Regression guard for the old per-read 60KB allocation: the single-
-	// datagram read path recycles its oversized receive buffer and hands
-	// the caller an exact-size copy, so bytes allocated per read stay
-	// near the datagram size, not MaxDatagram.
+	// Regression guard for the old per-read 60KB allocation: the read
+	// path recycles its oversized receive buffer and hands the caller an
+	// exact-size copy, so bytes allocated per read stay near the
+	// datagram size, not MaxDatagram.
 	if testing.Short() {
 		t.Skip("allocation benchmark in -short mode")
 	}
@@ -156,8 +181,7 @@ func TestUDPReadFromAllocBounded(t *testing.T) {
 	}
 }
 
-// TestUDPSenderAddrForm pins the form of a datagram's sender address on
-// both read paths: a v4 host as a dotted quad, also when a dual-stack
+// TestUDPSenderAddrForm pins the form of a datagram's sender address: a v4 host as a dotted quad, also when a dual-stack
 // socket sees it v4-mapped, and a v6 host as net.IP prints it.
 func TestUDPSenderAddrForm(t *testing.T) {
 	for _, tc := range []struct{ recv, send, host string }{
@@ -165,51 +189,49 @@ func TestUDPSenderAddrForm(t *testing.T) {
 		{"[::]:0", "127.0.0.1:0", "127.0.0.1"}, // arrives as ::ffff:127.0.0.1
 		{"[::1]:0", "[::1]:0", "::1"},
 	} {
-		for _, batch := range []int{0, 16} {
-			pb, err := ListenUDPConfig(tc.recv, UDPConfig{Batch: batch})
-			if err != nil {
-				t.Logf("skipping %s: %v", tc.recv, err)
-				continue
+		pb, err := ListenUDP(tc.recv)
+		if err != nil {
+			t.Logf("skipping %s: %v", tc.recv, err)
+			continue
+		}
+		sa, err := net.ResolveUDPAddr("udp", tc.send)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sender, err := net.ListenUDP("udp", sa)
+		if err != nil {
+			pb.Close()
+			t.Logf("skipping %s: %v", tc.send, err)
+			continue
+		}
+		to := &net.UDPAddr{IP: net.ParseIP(tc.host), Port: int(pb.LocalAddr().Port)}
+		want := netsim.Addr{Host: tc.host, Port: uint16(sender.LocalAddr().(*net.UDPAddr).Port)}
+		for range 2 { // the second read takes the memoized address
+			if _, err := sender.WriteToUDP([]byte("x"), to); err != nil {
+				t.Fatal(err)
 			}
-			sa, err := net.ResolveUDPAddr("udp", tc.send)
+			_, from, err := pb.ReadFrom()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sender, err := net.ListenUDP("udp", sa)
-			if err != nil {
-				pb.Close()
-				t.Logf("skipping %s: %v", tc.send, err)
-				continue
+			if from != want {
+				t.Fatalf("%s from %s: sender %v, want %v", tc.recv, tc.send, from, want)
 			}
-			to := &net.UDPAddr{IP: net.ParseIP(tc.host), Port: int(pb.LocalAddr().Port)}
-			want := netsim.Addr{Host: tc.host, Port: uint16(sender.LocalAddr().(*net.UDPAddr).Port)}
-			for range 2 { // the second read takes the memoized address
-				if _, err := sender.WriteToUDP([]byte("x"), to); err != nil {
-					t.Fatal(err)
-				}
-				_, from, err := pb.ReadFrom()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if from != want {
-					t.Fatalf("%s from %s, batch %d: sender %v, want %v", tc.recv, tc.send, batch, from, want)
-				}
-			}
-			sender.Close()
-			pb.Close()
 		}
+		sender.Close()
+		pb.Close()
 	}
 }
 
-// TestUDPReadAllocs is the single-datagram read path's allocation
-// budget: a datagram from the same sender as the one before costs the
-// exact-size copy handed to the caller and nothing else. Writes go out
-// before the count, so only ReadFrom is measured.
+// TestUDPReadAllocs is the read path's allocation budget: a datagram
+// from the same sender as the one before costs the exact-size copy
+// handed to the caller and nothing else. Writes go out before the
+// count, so only ReadFrom is measured.
 func TestUDPReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	pa, pb := udpPair(t, UDPConfig{})
+	pa, pb := udpPair(t)
 	const runs = 50 // AllocsPerRun makes runs+1 reads
 	for range runs + 2 {
 		if err := pa.WriteTo(pb.LocalAddr(), make([]byte, 100)); err != nil {
