@@ -73,8 +73,8 @@ type Binding struct {
 // handed to the inbox strictly in sequence order, with ahead-of-sequence
 // arrivals parked in pending until the gap fills.
 type originState struct {
-	next    uint64 // 0 until the first frame fixes the baseline
-	pending map[uint64]*wire.RelayFrame
+	next    uint64                      // 0 until the first frame fixes the baseline
+	pending map[uint64]*wire.RelayFrame // nil until the origin's first gap
 }
 
 // sessionState is one tree binding plus its mutable multicast state.
@@ -358,7 +358,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	deliver, inbox := buf[:0], st.inbox
 	os := st.origins[f.Origin]
 	if os == nil {
-		os = &originState{pending: make(map[uint64]*wire.RelayFrame)}
+		os = new(originState)
 		if st.fromStart {
 			// Owed everything: a later frame that overtakes Seq 1 — a
 			// neighbour rebound mid-flood forwards what it still had
@@ -391,6 +391,9 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 		if _, dup := os.pending[f.Seq]; !dup {
 			cp := *f
 			cp.CopyBody()
+			if os.pending == nil {
+				os.pending = make(map[uint64]*wire.RelayFrame)
+			}
 			os.pending[f.Seq] = &cp
 		} else {
 			r.dupDropped.Add(1)

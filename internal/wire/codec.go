@@ -164,19 +164,24 @@ func (r *Reader) Count() int {
 	return int(n)
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string. The result never aliases the
+// Reader's input, but it may be shared: a string of up to 64 bytes
+// decoded recently anywhere in the process comes back as the same copy,
+// so decoding a name that recurs allocates nothing. A string not in the
+// table costs one copy, which the table then keeps.
 func (r *Reader) String() string {
 	b := r.Bytes()
 	if len(b) == 0 {
 		return ""
 	}
-	return string(b)
+	return intern(b)
 }
 
 // ReuseString is String for a field decoded over its previous value:
 // when the bytes equal prev it returns prev itself, so a message decoded
 // again and again into one value (EnvelopeDecoder.Lend) keeps its
-// strings without allocating while they repeat.
+// strings without allocating while they repeat. Other bytes go through
+// String's table.
 func (r *Reader) ReuseString(prev string) string {
 	b := r.Bytes()
 	switch {
@@ -185,7 +190,7 @@ func (r *Reader) ReuseString(prev string) string {
 	case string(b) == prev:
 		return prev
 	}
-	return string(b)
+	return intern(b)
 }
 
 // Bytes reads a length-prefixed byte slice. The result aliases the

@@ -390,16 +390,16 @@ func decodePayload(env *Envelope, id uint16, payload []byte) (*Envelope, error) 
 }
 
 // string reads header string field, returning the kept copy when the
-// bytes match it and keeping a new copy when they do not.
+// bytes match it and keeping the interned one when they do not.
 func (d *EnvelopeDecoder) string(r *Reader, field int) string {
 	b := r.Bytes()
 	switch {
 	case len(b) == 0:
 		return ""
 	case d == nil:
-		return string(b)
+		return intern(b)
 	case string(b) != d.last[field]:
-		d.last[field] = string(b)
+		d.last[field] = intern(b)
 	}
 	return d.last[field]
 }
