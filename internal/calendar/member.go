@@ -2,10 +2,8 @@ package calendar
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -127,16 +125,6 @@ func init() {
 	wire.Register(&schedRep{})
 }
 
-// hold is one tentative proposal reservation: the slot, who proposed it
-// (the coordinator, or the secretary relaying for it), and when, so the
-// hold can be garbage-collected when the proposer dies or a lease runs
-// out instead of blocking the slot forever.
-type hold struct {
-	slot int
-	from netsim.Addr
-	at   time.Time
-}
-
 // MemberBehavior is the calendar dapplet: it manages one committee
 // member's persistent appointments calendar (a free-slot set) and answers
 // scheduling requests reactively.
@@ -144,9 +132,8 @@ type MemberBehavior struct {
 	slots int
 
 	mu      sync.Mutex
-	free    SlotSet         // bit set = slot free
-	pending map[uint64]hold // in-flight proposal holds
-	lease   time.Duration   // 0 = holds never expire on their own
+	free    SlotSet        // bit set = slot free
+	pending map[uint64]int // in-flight proposal holds: request id -> slot
 	d       *core.Dapplet
 }
 
@@ -157,58 +144,7 @@ func NewMember(slots int, busy []int) *MemberBehavior {
 	for _, s := range busy {
 		free.SetBusy(s)
 	}
-	return &MemberBehavior{slots: slots, free: free, pending: make(map[uint64]hold)}
-}
-
-// SetHoldLease bounds how long a tentative proposal hold survives without
-// a commit or abort: past the lease the hold is garbage-collected and
-// the slot becomes schedulable again (a coordinator that crashed mid
-// proposal can no longer pin it). Zero, the default, disables the lease;
-// a failure detector's Down verdict can still clear holds through
-// ClearHoldsFrom / BindHoldGC. Choose a lease comfortably above the
-// propose-to-commit gap: a commit whose hold was already collected is
-// refused, and the scheduler reports ErrStaleHold.
-func (m *MemberBehavior) SetHoldLease(d time.Duration) {
-	m.mu.Lock()
-	m.lease = d
-	m.mu.Unlock()
-}
-
-// ClearHoldsFrom drops every tentative hold proposed from the given
-// dapplet address, returning how many were cleared. Failure bindings call
-// it when the proposer is declared Down (see BindHoldGC).
-func (m *MemberBehavior) ClearHoldsFrom(addr netsim.Addr) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for id, h := range m.pending {
-		if h.from == addr {
-			delete(m.pending, id)
-			n++
-		}
-	}
-	return n
-}
-
-// Holds returns the number of live tentative proposal holds.
-func (m *MemberBehavior) Holds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireHoldsLocked(time.Now())
-	return len(m.pending)
-}
-
-// expireHoldsLocked garbage-collects holds older than the lease. Caller
-// holds m.mu.
-func (m *MemberBehavior) expireHoldsLocked(now time.Time) {
-	if m.lease <= 0 {
-		return
-	}
-	for id, h := range m.pending {
-		if now.Sub(h.at) > m.lease {
-			delete(m.pending, id)
-		}
-	}
+	return &MemberBehavior{slots: slots, free: free, pending: make(map[uint64]int)}
 }
 
 // Start implements core.Behavior: it loads any persisted calendar and
@@ -241,10 +177,9 @@ func (m *MemberBehavior) persist() error {
 func (m *MemberBehavior) freeIn(lo, hi int) SlotSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.expireHoldsLocked(time.Now())
 	out := m.free.Slice(lo, hi)
-	for _, h := range m.pending {
-		out.SetBusy(h.slot)
+	for _, slot := range m.pending {
+		out.SetBusy(slot)
 	}
 	return out
 }
@@ -267,33 +202,29 @@ func (m *MemberBehavior) onRequest(env *wire.Envelope) {
 		rep.Free = m.freeIn(req.Lo, req.Hi)
 		rep.OK = true
 	case kindPropose:
-		now := time.Now()
 		m.mu.Lock()
-		m.expireHoldsLocked(now)
 		held := false
-		for _, h := range m.pending {
-			if h.slot == req.Slot {
+		for _, slot := range m.pending {
+			if slot == req.Slot {
 				held = true
 				break
 			}
 		}
 		if !held && m.free.Free(req.Slot) {
-			m.pending[req.ID] = hold{slot: req.Slot, from: env.FromDapplet, at: now}
+			m.pending[req.ID] = req.Slot
 			rep.OK = true
 		}
 		m.mu.Unlock()
 	case kindCommit:
-		// No lease expiry here: a commit arriving for a still-present hold
-		// proves the coordinator is alive, so it is honoured even if the
-		// hold is older than the lease. A hold already garbage-collected
-		// (lazily, or by a Down verdict) makes the commit fail — OK=false —
-		// which the schedulers surface as ErrStaleHold rather than
-		// reporting a partially-booked meeting as scheduled.
+		// A commit with no hold behind it (aborted, never granted, or
+		// lost when the member restarted) fails — OK=false — which the
+		// schedulers surface as ErrStaleHold rather than reporting a
+		// partially-booked meeting as scheduled.
 		m.mu.Lock()
-		h, held := m.pending[req.ID]
+		slot, held := m.pending[req.ID]
 		if held {
 			delete(m.pending, req.ID)
-			m.free.SetBusy(h.slot)
+			m.free.SetBusy(slot)
 		}
 		m.mu.Unlock()
 		if held {

@@ -17,12 +17,11 @@ var ErrNoSlot = errors.New("calendar: no common free slot")
 // ErrSchedTimeout is returned when participants stop responding.
 var ErrSchedTimeout = errors.New("calendar: scheduling timed out")
 
-// ErrStaleHold is returned when a member refuses a commit because its
-// proposal hold was garbage-collected (lease expiry or a Down verdict)
-// between propose and commit. Members that had already committed keep
-// the booking, so the caller must treat the meeting as not reliably
-// scheduled and renegotiate.
-var ErrStaleHold = errors.New("calendar: proposal hold expired before commit")
+// ErrStaleHold is returned when a member refuses a commit because it no
+// longer holds the proposal (a restarted member starts with no holds).
+// Members that had already committed keep the booking, so the caller
+// must treat the meeting as not reliably scheduled and renegotiate.
+var ErrStaleHold = errors.New("calendar: proposal hold lost before commit")
 
 // Result describes a completed scheduling run.
 type Result struct {
@@ -174,9 +173,6 @@ type Traditional struct {
 func NewTraditional(d *core.Dapplet, members []wire.InboxRef, slots int) *Traditional {
 	return &Traditional{d: d, members: members, slots: slots, timeout: 30 * time.Second}
 }
-
-// SetTimeout bounds each phone call.
-func (t *Traditional) SetTimeout(d time.Duration) { t.timeout = d }
 
 // call performs one sequential phone call to a member, bounded by the
 // director timeout or the caller's ctx, whichever ends first.

@@ -26,9 +26,6 @@ var (
 	// ErrNotBound is returned when deleting an address an outbox is not
 	// bound to; it corresponds to the paper's delete exception.
 	ErrNotBound = errors.New("core: address not in outbox binding list")
-	// ErrNoSuchInbox is returned when looking up an inbox name the
-	// dapplet does not have.
-	ErrNoSuchInbox = errors.New("core: no such inbox")
 	// ErrNotInstalled is returned by Launch when the dapplet type has not
 	// been installed on the target host.
 	ErrNotInstalled = errors.New("core: dapplet type not installed on host")

@@ -243,17 +243,6 @@ func (d *Dapplet) Outbox(name string) *Outbox {
 	return o
 }
 
-// Outboxes returns the names of all outboxes.
-func (d *Dapplet) Outboxes() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.outboxes))
-	for n := range d.outboxes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Handle attaches a callback to the named inbox and consumes its messages
 // on a dedicated thread; services (the paper's "servlets") use this to
 // process control traffic without the application's involvement.
@@ -377,20 +366,11 @@ func (d *Dapplet) direct(to wire.InboxRef, session string, msg wire.Msg) wire.En
 }
 
 // send stamps env and hands it to the transport's send under the send
-// hold (see Quiesce). It never waits. stamp, if not nil, stamps env in
-// place of the clock's plain stamp (Outbox.SendTo checks its binding in
-// the same step); an error from it ends the send.
-func (d *Dapplet) send(env *wire.Envelope, body wire.Body, stamp func() error, send transportSend) error {
+// hold (see Quiesce). It never waits.
+func (d *Dapplet) send(env *wire.Envelope, body wire.Body, send transportSend) error {
 	d.sendMu.RLock()
-	var err error
-	if stamp == nil {
-		env.Lamport = d.clock.StampSend()
-	} else {
-		err = stamp()
-	}
-	if err == nil {
-		err = d.transmit(env, body, send)
-	}
+	env.Lamport = d.clock.StampSend()
+	err := d.transmit(env, body, send)
 	d.sendMu.RUnlock()
 	return err
 }
@@ -399,12 +379,12 @@ func (d *Dapplet) send(env *wire.Envelope, body wire.Body, stamp func() error, s
 // still refuse the frame for backlog, filled by other senders in
 // between, it waits again and restamps: a waiting send is never refused
 // for backlog.
-func (d *Dapplet) sendWait(env *wire.Envelope, body wire.Body, stamp func() error) error {
+func (d *Dapplet) sendWait(env *wire.Envelope, body wire.Body) error {
 	for {
 		if err := d.rel.AwaitWindow(env.To.Dapplet); err != nil {
 			return err
 		}
-		if err := d.send(env, body, stamp, d.rel.Send); !errors.Is(err, transport.ErrBacklog) {
+		if err := d.send(env, body, d.rel.Send); !errors.Is(err, transport.ErrBacklog) {
 			return err
 		}
 	}
@@ -453,7 +433,7 @@ func (d *Dapplet) transmit(env *wire.Envelope, body wire.Body, send transportSen
 // so it must not be called from the receive goroutine or a timer.
 func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
 	env := d.direct(to, session, msg)
-	return d.sendWait(&env, body, nil)
+	return d.sendWait(&env, body)
 }
 
 // ForwardEncoded is SendEncoded without the wait, and never refused: it
@@ -464,7 +444,7 @@ func (d *Dapplet) SendEncoded(to wire.InboxRef, session string, msg wire.Msg, bo
 // neighbour, and keeps them in order behind each other.
 func (d *Dapplet) ForwardEncoded(to wire.InboxRef, session string, msg wire.Msg, body wire.Body) error {
 	env := d.direct(to, session, msg)
-	return d.send(&env, body, nil, d.rel.SendOwed)
+	return d.send(&env, body, d.rel.SendOwed)
 }
 
 // DeliverLocal queues an envelope into this dapplet's inboxes exactly as
@@ -506,7 +486,7 @@ func (d *Dapplet) SendDirect(to wire.InboxRef, session string, msg wire.Msg) err
 		return err
 	}
 	env := d.direct(to, session, msg)
-	err = d.send(&env, body, nil, d.rel.Send)
+	err = d.send(&env, body, d.rel.Send)
 	body.Release()
 	return err
 }

@@ -9,11 +9,11 @@ import (
 
 // Inbox is a message queue with a global address (§3.2). A dapplet removes
 // messages from the head; the distributed layer appends messages arriving
-// on the inbox's incoming channels. The inbox method set follows the paper:
-// IsEmpty, AwaitNonEmpty, and Receive (which suspends until non-empty and
-// removes the head). Context-bounded and non-blocking variants are
-// provided as conveniences, as is access to the full envelope (sender,
-// session and logical timestamp).
+// on the inbox's incoming channels. Receive suspends until the inbox is
+// non-empty and removes the head, as in the paper; Len reports the queue
+// length. Context-bounded and non-blocking variants are provided as
+// conveniences, as is access to the full envelope (sender, session and
+// logical timestamp).
 type Inbox struct {
 	d    *Dapplet
 	name string
@@ -81,13 +81,6 @@ func (in *Inbox) close() {
 	in.cond.Broadcast()
 }
 
-// IsEmpty reports whether the inbox has no queued messages.
-func (in *Inbox) IsEmpty() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.lenLocked() == 0
-}
-
 // Len returns the number of queued messages.
 func (in *Inbox) Len() int {
 	in.mu.Lock()
@@ -110,20 +103,6 @@ func (in *Inbox) popLocked() *wire.Envelope {
 		in.q, in.head = in.q[:0], 0
 	}
 	return env
-}
-
-// AwaitNonEmpty suspends execution until the inbox is non-empty. It
-// returns ErrStopped if the inbox closes while waiting.
-func (in *Inbox) AwaitNonEmpty() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for in.lenLocked() == 0 {
-		if in.closed {
-			return ErrStopped
-		}
-		in.cond.Wait()
-	}
-	return nil
 }
 
 // Receive suspends execution until the inbox is non-empty, then removes

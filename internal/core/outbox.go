@@ -22,12 +22,11 @@ type Outbox struct {
 	name string
 
 	mu sync.Mutex
-	// dests is copy-on-write: Add, Delete and Clear publish a new slice
+	// dests is copy-on-write: Add and Delete publish a new slice
 	// and never write into one already published, so Send reads it under
 	// the lock and walks it after the unlock without copying.
 	dests   []wire.InboxRef // guarded by mu
 	session string          // guarded by mu; session tag applied to outgoing envelopes
-	sent    uint64          // guarded by mu
 	mcast   Multicaster     // guarded by mu; when set, Send delegates instead of flat fan-out
 }
 
@@ -45,9 +44,6 @@ type Multicaster interface {
 func newOutbox(d *Dapplet, name string) *Outbox {
 	return &Outbox{d: d, name: name}
 }
-
-// Name returns the outbox's name within its dapplet.
-func (o *Outbox) Name() string { return o.name }
 
 // Add appends the inbox address to the binding list if it is not already
 // on the list; a FIFO channel to that inbox comes into existence.
@@ -74,13 +70,6 @@ func (o *Outbox) Delete(ref wire.InboxRef) error {
 	return ErrNotBound
 }
 
-// Clear removes every binding (used when a session unlinks).
-func (o *Outbox) Clear() {
-	o.mu.Lock()
-	o.dests = nil
-	o.mu.Unlock()
-}
-
 // Destinations returns a copy of the binding list.
 func (o *Outbox) Destinations() []wire.InboxRef {
 	o.mu.Lock()
@@ -96,18 +85,9 @@ func (o *Outbox) SetSession(id string) {
 	o.mu.Unlock()
 }
 
-// Sent returns the number of Send calls completed.
-func (o *Outbox) Sent() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.sent
-}
-
 // SetMulticast installs (or, with nil, removes) a multicast strategy.
 // While set, Send hands each message to the strategy instead of fanning
-// out to the binding list; SendTo and the binding list itself are
-// unaffected, so point-to-point replies still work on a tree-bound
-// outbox.
+// out to the binding list; the binding list itself is unaffected.
 func (o *Outbox) SetMulticast(m Multicaster) {
 	o.mu.Lock()
 	o.mcast = m
@@ -124,7 +104,6 @@ func (o *Outbox) Send(msg wire.Msg) error {
 	o.mu.Lock()
 	if m := o.mcast; m != nil {
 		session := o.session
-		o.sent++
 		// Stamp under the lock so concurrent sends through this outbox
 		// reach the multicaster with stamps in a definite order.
 		lamport := o.d.clock.StampSend()
@@ -133,7 +112,6 @@ func (o *Outbox) Send(msg wire.Msg) error {
 	}
 	dests := o.dests
 	session := o.session
-	o.sent++
 	o.mu.Unlock()
 
 	if len(dests) == 0 {
@@ -156,42 +134,11 @@ func (o *Outbox) Send(msg wire.Msg) error {
 			Session:     session,
 			Body:        msg,
 		}
-		if err := o.d.sendWait(&env, body, nil); err != nil {
+		if err := o.d.sendWait(&env, body); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// SendTo transmits msg along the single channel to ref, which must be in
-// the binding list; it is a convenience for point-to-point replies over a
-// multicast outbox. It waits for the window as Send does.
-func (o *Outbox) SendTo(ref wire.InboxRef, msg wire.Msg) error {
-	body, err := wire.EncodeBody(msg)
-	if err != nil {
-		return err
-	}
-	defer body.Release()
-	env := wire.Envelope{To: ref, FromDapplet: o.d.Addr(), FromOutbox: o.name, Body: msg}
-	// The bound check and the stamp must be one atomic step: with the
-	// lock dropped in between, a concurrent Delete(ref) would let this
-	// send race onto a channel the session has already torn down.
-	err = o.d.sendWait(&env, body, func() error {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if !o.boundLocked(ref) {
-			return ErrNotBound
-		}
-		env.Session = o.session
-		env.Lamport = o.d.clock.StampSend()
-		return nil
-	})
-	if !errors.Is(err, ErrNotBound) {
-		o.mu.Lock()
-		o.sent++
-		o.mu.Unlock()
-	}
-	return err
 }
 
 // boundLocked reports whether ref is in the binding list. Caller holds

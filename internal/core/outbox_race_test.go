@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +25,7 @@ func (c *countingMulticaster) Multicast(outbox, session string, lamport uint64, 
 }
 
 // TestOutboxConcurrentMutation hammers one outbox from many goroutines —
-// Add, Delete, Clear, Send, SendTo, Destinations, SetMulticast — and
+// Add, Delete, Send, Destinations, SetMulticast — and
 // relies on the race detector to catch unsynchronised access. After the
 // storm the outbox must still work.
 func TestOutboxConcurrentMutation(t *testing.T) {
@@ -55,12 +53,8 @@ func TestOutboxConcurrentMutation(t *testing.T) {
 					_ = out.Delete(ref)
 				case 1:
 					_ = out.Send(&wire.Text{S: "x"})
-					_ = out.SendTo(ref, &wire.Text{S: "y"})
 				case 2:
 					out.Destinations()
-					if i%16 == 0 {
-						out.Clear()
-					}
 				case 3:
 					out.SetMulticast(mc)
 					out.SetMulticast(nil)
@@ -70,8 +64,8 @@ func TestOutboxConcurrentMutation(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The outbox still delivers after the storm.
-	out.Clear()
+	// The outbox still delivers after the storm, each Add having been
+	// undone by its Delete.
 	out.SetMulticast(nil)
 	out.Add(refs[0])
 	if err := out.Send(&wire.Text{S: "alive"}); err != nil {
@@ -89,61 +83,8 @@ func TestOutboxConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestSendToDeleteRace races SendTo against Delete/Add of the same
-// binding: every call must either send on a live binding (nil error) or
-// observe the unbound state (ErrNotBound) — never panic, race, or stamp
-// a message after the binding check was invalidated.
-func TestSendToDeleteRace(t *testing.T) {
-	w := newWorld(t)
-	src := w.dapplet("h", "s")
-	dst := w.dapplet("h", "d")
-	ref := dst.Inbox("in").Ref()
-	out := src.Outbox("out")
-	out.Add(ref)
-
-	var sent atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			err := out.SendTo(ref, &wire.Text{S: "r"})
-			switch {
-			case err == nil:
-				sent.Add(1)
-			case errors.Is(err, ErrNotBound):
-			default:
-				t.Errorf("SendTo: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		_ = out.Delete(ref)
-		out.Add(ref)
-	}
-	<-done
-
-	// Every successful SendTo counted toward the outbox's sent counter
-	// (the check-and-stamp step is atomic, so none slipped through after
-	// a Delete without being counted).
-	if got := out.Sent(); got < sent.Load() {
-		t.Fatalf("Sent() = %d < %d successful SendTo calls", got, sent.Load())
-	}
-	drained := 0
-	for {
-		if _, err := recvWithin(dst.Inbox("in"), 200*time.Millisecond); err != nil {
-			break
-		}
-		drained++
-	}
-	if uint64(drained) != sent.Load() {
-		t.Fatalf("delivered %d, want %d (successful SendTo calls)", drained, sent.Load())
-	}
-}
-
 // TestOutboxMulticastToggleRace toggles tree mode on and off while
-// sending: each Send must take exactly one path, and the Sent counter
-// must account for every call.
+// sending: each Send must take exactly one path.
 func TestOutboxMulticastToggleRace(t *testing.T) {
 	w := newWorld(t)
 	src := w.dapplet("h", "s")
@@ -171,9 +112,6 @@ func TestOutboxMulticastToggleRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := out.Sent(); got != sends {
-		t.Fatalf("Sent() = %d, want %d", got, sends)
-	}
 	mc.mu.Lock()
 	calls := mc.calls
 	mc.mu.Unlock()

@@ -66,18 +66,6 @@ func (r *Registry) New(typ string) (Behavior, error) {
 	return f(), nil
 }
 
-// Types returns the registered type names, sorted.
-func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for t := range r.m {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Runtime launches dapplets onto simulated hosts. It tracks which dapplet
 // types are installed where, owns the launched dapplets, and stops them
 // together. It also provides process-level fault injection: Crash kills a
@@ -125,9 +113,6 @@ func (rt *Runtime) SetTransportConfig(c transport.Config) {
 	rt.relCfg = c
 	rt.mu.Unlock()
 }
-
-// Network returns the underlying simulated network.
-func (rt *Runtime) Network() *netsim.Network { return rt.net }
 
 // Registry returns the behaviour registry.
 func (rt *Runtime) Registry() *Registry { return rt.reg }

@@ -174,13 +174,6 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// CacheLen returns the number of cached entries.
-func (c *Client) CacheLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cache)
-}
-
 // Invalidate drops one name from the cache.
 func (c *Client) Invalidate(name string) {
 	c.mu.Lock()

@@ -40,11 +40,6 @@ func NewCluster(replicas [][]wire.InboxRef) (*Cluster, error) {
 // NumShards returns the number of shards.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Replicas returns the replica service refs of one shard.
-func (c *Cluster) Replicas(shard int) []wire.InboxRef {
-	return append([]wire.InboxRef(nil), c.shards[shard]...)
-}
-
 // ShardOf returns the shard owning a name: the 256-value space of the
 // name's hashed prefix byte is cut into `shards` contiguous ranges, the
 // DHT-style prefix partitioning (each shard owns one interval of the

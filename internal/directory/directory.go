@@ -20,7 +20,6 @@ package directory
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/netsim"
@@ -98,32 +97,6 @@ func (d *Directory) MustLookup(ctx context.Context, name string) (Entry, error) 
 		return e, nil
 	}
 	return Entry{}, fmt.Errorf("directory: no dapplet named %q", name)
-}
-
-// Names returns all registered names, sorted.
-func (d *Directory) Names() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.entries))
-	for n := range d.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByType returns all entries of the given behaviour type, sorted by name.
-func (d *Directory) ByType(typ string) []Entry {
-	d.mu.RLock()
-	var out []Entry
-	for _, e := range d.entries {
-		if e.Type == typ {
-			out = append(out, e)
-		}
-	}
-	d.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Len returns the number of entries.

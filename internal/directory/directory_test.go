@@ -52,25 +52,6 @@ func TestMustLookup(t *testing.T) {
 	}
 }
 
-func TestNamesSortedAndByType(t *testing.T) {
-	ctx := context.Background()
-	d := New()
-	d.Register(ctx, entry("zoe-cal", "calendar", 1))
-	d.Register(ctx, entry("abe-cal", "calendar", 2))
-	d.Register(ctx, entry("sec", "secretary", 3))
-	names := d.Names()
-	if len(names) != 3 || names[0] != "abe-cal" || names[2] != "zoe-cal" {
-		t.Fatalf("Names = %v", names)
-	}
-	cals := d.ByType("calendar")
-	if len(cals) != 2 || cals[0].Name != "abe-cal" {
-		t.Fatalf("ByType = %v", cals)
-	}
-	if len(d.ByType("nope")) != 0 {
-		t.Fatal("phantom type entries")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	ctx := context.Background()
 	d := New()
@@ -82,7 +63,6 @@ func TestConcurrentAccess(t *testing.T) {
 			name := string(rune('a' + i))
 			d.Register(ctx, entry(name, "t", uint16(i)))
 			d.Lookup(ctx, name)
-			d.Names()
 		}(i)
 	}
 	wg.Wait()

@@ -165,20 +165,6 @@ func (s *Service) Len() int {
 	return n
 }
 
-// Names returns the live entry names, sorted.
-func (s *Service) Names() []string {
-	s.mu.Lock()
-	out := make([]string, 0, len(s.entries))
-	for n, rec := range s.entries {
-		if !rec.dead {
-			out = append(out, n)
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
 // Entries returns the live entries, sorted by name.
 func (s *Service) Entries() []Entry {
 	s.mu.Lock()

@@ -10,7 +10,7 @@ import (
 
 // BindSession forwards detector verdicts into a dapplet's session
 // service: a Down verdict marks the peer dead in every membership whose
-// roster names it (session.Membership.PeerDown, LivePeers), and an Up
+// roster names it (session.Membership.PeerDown), and an Up
 // verdict — the peer recovered, or its restarted incarnation was heard
 // from — clears it. Suspect verdicts are advisory and not forwarded.
 func BindSession(det *Detector, svc *session.Service) {

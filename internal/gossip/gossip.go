@@ -233,9 +233,6 @@ func hashName(name string) uint64 {
 	return h
 }
 
-// Interval returns the configured anti-entropy round period.
-func (e *Engine) Interval() time.Duration { return e.cfg.Interval }
-
 // Stats returns a snapshot of the engine's gossip counters.
 func (e *Engine) Stats() Stats {
 	return Stats{

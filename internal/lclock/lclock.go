@@ -9,8 +9,7 @@
 // Clocks built this way can be used for checkpointing and distributed
 // conflict resolution "just as though they were global clocks". The
 // package also provides the paper's tie-breaking rule (earlier timestamp
-// wins; ties broken in favour of the lower process id) and vector clocks
-// as an extension for causality tests.
+// wins; ties broken in favour of the lower process id).
 package lclock
 
 import (
@@ -28,9 +27,6 @@ type Clock struct {
 
 // New returns a clock owned by the process with the given id.
 func New(id string) *Clock { return &Clock{id: id} }
-
-// ID returns the owner process id.
-func (c *Clock) ID() string { return c.id }
 
 // Now returns the current clock value without advancing it.
 func (c *Clock) Now() uint64 {
@@ -64,11 +60,6 @@ func (c *Clock) ObserveRecv(ts uint64) uint64 {
 	return c.t
 }
 
-// Stamp returns the current (time, id) pair for conflict resolution.
-func (c *Clock) Stamp() Stamp {
-	return Stamp{Time: c.Now(), ID: c.id}
-}
-
 // StampTick advances the clock and returns the resulting (time, id) pair,
 // suitable for timestamping a new request.
 func (c *Clock) StampTick() Stamp {
@@ -94,89 +85,3 @@ func (s Stamp) Less(o Stamp) bool {
 
 // String renders the stamp for logs.
 func (s Stamp) String() string { return fmt.Sprintf("%d@%s", s.Time, s.ID) }
-
-// Ordering is the result of comparing two vector clocks.
-type Ordering int
-
-// Vector clock comparison results.
-const (
-	// Equal means the two clocks are identical.
-	Equal Ordering = iota
-	// Before means the first clock causally precedes the second.
-	Before
-	// After means the first clock causally follows the second.
-	After
-	// Concurrent means neither clock precedes the other.
-	Concurrent
-)
-
-// String returns the lower-case ordering name.
-func (o Ordering) String() string {
-	switch o {
-	case Equal:
-		return "equal"
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	default:
-		return "concurrent"
-	}
-}
-
-// Vector is a vector clock: process id -> event count. Vectors decide
-// causality precisely, which plain Lamport clocks cannot; the services
-// layer uses them to validate consistent cuts.
-type Vector map[string]uint64
-
-// Copy returns an independent copy of v.
-func (v Vector) Copy() Vector {
-	out := make(Vector, len(v))
-	for k, n := range v {
-		out[k] = n
-	}
-	return out
-}
-
-// Tick advances the component for id and returns the copy-free receiver.
-func (v Vector) Tick(id string) Vector {
-	v[id]++
-	return v
-}
-
-// Merge folds o into v component-wise (max).
-func (v Vector) Merge(o Vector) Vector {
-	for k, n := range o {
-		if n > v[k] {
-			v[k] = n
-		}
-	}
-	return v
-}
-
-// Compare returns the causal relation of v to o.
-func (v Vector) Compare(o Vector) Ordering {
-	vLess, oLess := false, false
-	for k := range v {
-		if v[k] < o[k] {
-			vLess = true
-		} else if v[k] > o[k] {
-			oLess = true
-		}
-	}
-	for k := range o {
-		if _, ok := v[k]; !ok && o[k] > 0 {
-			vLess = true
-		}
-	}
-	switch {
-	case vLess && oLess:
-		return Concurrent
-	case vLess:
-		return Before
-	case oLess:
-		return After
-	default:
-		return Equal
-	}
-}

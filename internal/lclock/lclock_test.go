@@ -89,57 +89,6 @@ func TestStampString(t *testing.T) {
 	}
 }
 
-func TestVectorCompare(t *testing.T) {
-	v1 := Vector{"a": 1, "b": 2}
-	v2 := Vector{"a": 2, "b": 2}
-	if v1.Compare(v2) != Before || v2.Compare(v1) != After {
-		t.Fatal("before/after broken")
-	}
-	v3 := Vector{"a": 2, "b": 1}
-	if v1.Compare(v3) != Concurrent || v3.Compare(v1) != Concurrent {
-		t.Fatal("concurrency not detected")
-	}
-	if v1.Compare(v1.Copy()) != Equal {
-		t.Fatal("equal not detected")
-	}
-	// Missing components count as zero.
-	v4 := Vector{"a": 1}
-	v5 := Vector{"a": 1, "c": 1}
-	if v4.Compare(v5) != Before {
-		t.Fatalf("missing-component compare = %v", v4.Compare(v5))
-	}
-}
-
-func TestVectorMergeTick(t *testing.T) {
-	v := Vector{}
-	v.Tick("a").Tick("a").Tick("b")
-	if v["a"] != 2 || v["b"] != 1 {
-		t.Fatalf("v = %v", v)
-	}
-	o := Vector{"a": 1, "c": 5}
-	v.Merge(o)
-	if v["a"] != 2 || v["c"] != 5 {
-		t.Fatalf("merge wrong: %v", v)
-	}
-}
-
-func TestVectorCopyIsIndependent(t *testing.T) {
-	v := Vector{"a": 1}
-	c := v.Copy()
-	c.Tick("a")
-	if v["a"] != 1 {
-		t.Fatal("copy aliased original")
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	for o, want := range map[Ordering]string{Equal: "equal", Before: "before", After: "after", Concurrent: "concurrent"} {
-		if o.String() != want {
-			t.Errorf("%d.String() = %q", o, o.String())
-		}
-	}
-}
-
 func TestCausalChainProperty(t *testing.T) {
 	// Across any chain of sends, Lamport stamps strictly increase.
 	f := func(hops uint8) bool {

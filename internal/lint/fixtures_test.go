@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -41,11 +42,16 @@ func TestAnalyzerFixtures(t *testing.T) {
 	})
 }
 
+// moduleWorld loads the whole module once, for every test that scans it.
+var moduleWorld = sync.OnceValues(func() (*lint.World, error) {
+	return lint.Load("../..", "./...")
+})
+
 // TestNothingWaitsOnReceivePath runs the nowait analyzer over the module:
 // nothing reachable from a transport sink, a receive observer, an inline
 // inbox, a timer callback or the receive loop may wait.
 func TestNothingWaitsOnReceivePath(t *testing.T) {
-	w, err := lint.Load("../..", "./...")
+	w, err := moduleWorld()
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

@@ -10,9 +10,9 @@ import (
 // AnalyzerLockcheck enforces `// guarded by <mu>` field annotations: a
 // field so annotated may only be read with the named sibling mutex (or
 // its read half) held in the same function, and only be written with
-// the write lock held. This is the class of bug behind the PR 9
-// Outbox.SendTo race, where the bound-check and the stamp were split
-// across two critical sections.
+// the write lock held. This is the class of bug behind the PR 9 race in
+// Outbox.SendTo (since deleted), where the bound-check and the stamp
+// were split across two critical sections.
 var AnalyzerLockcheck = &Analyzer{
 	Name: "lockcheck",
 	Doc: "fields annotated `// guarded by mu` must be accessed with the named " +

@@ -61,8 +61,8 @@ var exportedWaits = []struct {
 }{
 	{"transport", "Reliable", []string{"AwaitWindow", "SendWait"}, " for acknowledgements only the receive goroutine reads"},
 	{"core", "Dapplet", []string{"SendEncoded"}, ""},
-	{"core", "Outbox", []string{"Send", "SendTo"}, ""},
-	{"core", "Inbox", []string{"AwaitNonEmpty", "Receive", "ReceiveEnvelope"}, ""},
+	{"core", "Outbox", []string{"Send"}, ""},
+	{"core", "Inbox", []string{"Receive", "ReceiveEnvelope"}, ""},
 	{"gossip", "Engine", []string{"Broadcast"}, " for each peer's window"},
 	{"relay", "Relay", []string{"Multicast", "Redrive"}, " for each neighbour's window"},
 }

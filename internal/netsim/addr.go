@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Addr is the global address of a communication endpoint: a host name
 // (standing in for an IP address) and a port. The paper associates each
@@ -21,20 +17,3 @@ func (a Addr) String() string {
 
 // IsZero reports whether a is the zero address.
 func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }
-
-// ParseAddr parses "host:port" into an Addr.
-func ParseAddr(s string) (Addr, error) {
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return Addr{}, fmt.Errorf("netsim: address %q missing port", s)
-	}
-	host := s[:i]
-	if host == "" {
-		return Addr{}, fmt.Errorf("netsim: address %q missing host", s)
-	}
-	p, err := strconv.ParseUint(s[i+1:], 10, 16)
-	if err != nil {
-		return Addr{}, fmt.Errorf("netsim: address %q has bad port: %v", s, err)
-	}
-	return Addr{Host: host, Port: uint16(p)}, nil
-}

@@ -59,23 +59,13 @@ func Spiky(base DelayModel, prob float64, spike time.Duration) DelayModel {
 	return spikeDelay{base: base, prob: prob, spike: spike}
 }
 
-// Canonical delay profiles used throughout the experiments. The values are
-// order-of-magnitude representative of the paper's setting: processes "in
-// the same building in Pasadena" versus a peer "in Australia" (§2.2).
-func Loopback() DelayModel { return Uniform(20*time.Microsecond, 80*time.Microsecond) }
-
-// LAN models a same-building link.
+// LAN models a same-building link. LAN and WAN are the canonical delay
+// profiles, order-of-magnitude representative of the paper's setting:
+// processes "in the same building in Pasadena" and a peer across the
+// country (§2.2).
 func LAN() DelayModel { return Uniform(200*time.Microsecond, 800*time.Microsecond) }
-
-// Campus models a same-site, cross-building link.
-func Campus() DelayModel { return Uniform(1*time.Millisecond, 3*time.Millisecond) }
 
 // WAN models a cross-country Internet path (e.g. Caltech to Tennessee).
 func WAN() DelayModel {
 	return Spiky(Uniform(30*time.Millisecond, 50*time.Millisecond), 0.02, 120*time.Millisecond)
-}
-
-// Intercontinental models a very long path (e.g. Pasadena to Australia).
-func Intercontinental() DelayModel {
-	return Spiky(Uniform(140*time.Millisecond, 190*time.Millisecond), 0.05, 300*time.Millisecond)
 }

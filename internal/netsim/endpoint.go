@@ -30,12 +30,6 @@ type Host struct {
 	nextPort uint16
 }
 
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
-
-// Network returns the network this host belongs to.
-func (h *Host) Network() *Network { return h.net }
-
 // Bind creates an endpoint on the given port. It fails with ErrPortInUse
 // if the port is taken and ErrClosed if the network is shut down.
 func (h *Host) Bind(port uint16) (*Endpoint, error) {
@@ -193,12 +187,6 @@ func (e *Endpoint) VNow() time.Duration {
 	return time.Duration(e.vnow.Load())
 }
 
-// ChargeCompute advances the endpoint's virtual clock by d, modelling
-// local processing time.
-func (e *Endpoint) ChargeCompute(d time.Duration) {
-	e.vnow.Add(int64(d))
-}
-
 // observe advances the clock to v if v is ahead (max-merge, lock-free).
 func (e *Endpoint) observe(v time.Duration) {
 	for {
@@ -220,14 +208,4 @@ func (e *Endpoint) Close() error {
 		close(e.closed)
 	})
 	return nil
-}
-
-// Closed reports whether the endpoint has been closed.
-func (e *Endpoint) Closed() bool {
-	select {
-	case <-e.closed:
-		return true
-	default:
-		return false
-	}
 }

@@ -29,13 +29,13 @@ type config struct {
 	timeScale    float64 // real delay = virtual delay * timeScale
 	queueCap     int
 	shards       int // 0 means GOMAXPROCS
-	overhead     int // modelled per-datagram wire overhead bytes
 }
 
-// DefaultDatagramOverhead is the modelled per-datagram wire overhead:
-// a UDP header over IPv4 (28 bytes). Stats.WireBytes adds it to every
-// datagram's payload, so transports that coalesce many small frames
-// into one datagram show their on-wire byte saving.
+// DefaultDatagramOverhead is the modelled per-datagram wire overhead,
+// the same for every network: a UDP header over IPv4 (28 bytes).
+// Stats.WireBytes adds it to every datagram's payload, so transports
+// that coalesce many small frames into one datagram show their on-wire
+// byte saving.
 const DefaultDatagramOverhead = 28
 
 // Option configures a Network at construction time.
@@ -57,18 +57,6 @@ func WithTimeScale(s float64) Option { return func(c *config) { c.timeScale = s 
 // WithQueueCap sets the per-endpoint receive queue capacity; datagrams
 // arriving at a full queue are dropped, like a full UDP socket buffer.
 func WithQueueCap(n int) Option { return func(c *config) { c.queueCap = n } }
-
-// WithDatagramOverhead sets the modelled per-datagram wire overhead in
-// bytes added to Stats.WireBytes (default DefaultDatagramOverhead;
-// negative clamps to 0, counting payload bytes only).
-func WithDatagramOverhead(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.overhead = n
-	}
-}
 
 // WithShards sets the number of delivery shards hosts are partitioned
 // across. Each shard has its own lock, its own seeded random stream and
@@ -112,7 +100,7 @@ type Stats struct {
 	Duplicated  uint64 // extra copies delivered
 	Reordered   uint64 // datagrams deferred behind a successor
 	BytesSent   uint64
-	WireBytes   uint64        // payload bytes plus modelled per-datagram overhead (see WithDatagramOverhead)
+	WireBytes   uint64        // payload bytes plus DefaultDatagramOverhead per datagram
 	MaxVirtual  time.Duration // max endpoint virtual clock
 	MeanVirtual time.Duration // mean endpoint virtual clock
 }
@@ -142,7 +130,6 @@ func New(opts ...Option) *Network {
 		defaultDelay: LAN(),
 		timeScale:    0,
 		queueCap:     DefaultQueueCap,
-		overhead:     DefaultDatagramOverhead,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -183,19 +170,6 @@ func (n *Network) Host(name string) *Host {
 	h := &Host{net: n, shard: s, name: name, ports: make(map[uint16]*Endpoint), nextPort: 40000}
 	s.hosts[name] = h
 	return h
-}
-
-// Hosts returns the names of all hosts, in no particular order.
-func (n *Network) Hosts() []string {
-	var out []string
-	for _, s := range n.shards {
-		s.mu.Lock()
-		for name := range s.hosts {
-			out = append(out, name)
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // updateLink applies f to the a<->b link parameters. The authoritative
@@ -463,7 +437,7 @@ func (n *Network) route(from *Endpoint, to Addr, payload []byte) error {
 	}
 	s.ctr.sent++
 	s.ctr.bytesSent += uint64(len(payload))
-	s.ctr.wireBytes += uint64(len(payload) + n.cfg.overhead)
+	s.ctr.wireBytes += uint64(len(payload) + DefaultDatagramOverhead)
 
 	// Crash check: a crashed machine neither sends nor receives. The
 	// check reads the destination shard's copy of the crash view, the

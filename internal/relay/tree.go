@@ -44,9 +44,6 @@ func NewTree(members []Member, fanout int) *Tree {
 	return t
 }
 
-// Size returns the number of members.
-func (t *Tree) Size() int { return len(t.members) }
-
 // Fanout returns the tree's fanout k.
 func (t *Tree) Fanout() int { return t.fanout }
 

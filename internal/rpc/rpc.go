@@ -59,9 +59,6 @@ type Ref struct {
 	Inbox wire.InboxRef `json:"in"`
 }
 
-// IsZero reports whether the reference is unset.
-func (r Ref) IsZero() bool { return r.Inbox.IsZero() }
-
 // callMsg is an invocation direction placed in an object's inbox. Sent
 // bare it is an asynchronous RPC (no reply); inside an svc frame the
 // framework's correlation id and reply inbox make it synchronous.

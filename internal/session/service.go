@@ -40,9 +40,8 @@ type Membership struct {
 	// tree parent (none at the root), then its tree children — the
 	// peers it relays to and from, and all it needs however large the
 	// group (only the initiator holds the whole roster:
-	// Handle.Participants). A relink replaces Roster and Size; use Peer,
-	// Peers or LivePeers to read them while the session may be
-	// reconfigured.
+	// Handle.Participants). A relink replaces Roster and Size; use Peer
+	// or Peers to read them while the session may be reconfigured.
 	Roster []Participant
 	// Size is the number of participants in the whole session.
 	Size int
@@ -55,14 +54,6 @@ type Membership struct {
 	tree     *TreeSpec       // non-nil on tree-multicast sessions
 	depth    int             // the tree's root-to-leaf hop count
 	epoch    uint64          // installed tree version
-}
-
-// Bindings returns the outbox bindings this participant currently holds
-// for the session.
-func (m *Membership) Bindings() []Binding {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Binding(nil), m.bindings...)
 }
 
 // Tree returns the session's tree spec (nil on flat sessions) and the
@@ -104,21 +95,6 @@ func (m *Membership) PeerDown(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.down[name]
-}
-
-// LivePeers returns the roster entries with the given role that no
-// failure detector verdict currently marks down; an empty role matches
-// every entry.
-func (m *Membership) LivePeers(role string) []Participant {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Participant
-	for _, p := range m.Roster {
-		if (role == "" || p.Role == role) && !m.down[p.Name] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Policy configures how a dapplet responds to session requests. Its
@@ -235,9 +211,6 @@ func Attach(d *core.Dapplet, policy Policy) *Service {
 	})
 	return s
 }
-
-// Dapplet returns the service's dapplet.
-func (s *Service) Dapplet() *core.Dapplet { return s.d }
 
 // Sessions returns the ids of sessions this dapplet is linked into.
 func (s *Service) Sessions() []string {

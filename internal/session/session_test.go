@@ -595,9 +595,9 @@ func TestReincarnateAfterCrashRestart(t *testing.T) {
 	}
 }
 
-// TestPeerDownVerdictsFilterLivePeers exercises the session-side verdict
+// TestPeerDownVerdicts exercises the session-side verdict
 // plumbing a failure detector drives through MarkPeerDown/MarkPeerUp.
-func TestPeerDownVerdictsFilterLivePeers(t *testing.T) {
+func TestPeerDownVerdicts(t *testing.T) {
 	w := newSWorld(t)
 	w.add("caltech", "secretary", "secretary", session.Policy{})
 	w.add("rice", "herb", "calendar", session.Policy{})
@@ -611,24 +611,20 @@ func TestPeerDownVerdictsFilterLivePeers(t *testing.T) {
 	if !ok {
 		t.Fatal("no membership")
 	}
-	if got := len(mem.LivePeers("member")); got != 2 {
-		t.Fatalf("live members = %d, want 2", got)
+	if mem.PeerDown("herb") || mem.PeerDown("jack") {
+		t.Fatal("a member is down before any verdict")
 	}
 	svc.MarkPeerDown("herb")
-	if !mem.PeerDown("herb") {
-		t.Fatal("herb not marked down")
-	}
-	live := mem.LivePeers("member")
-	if len(live) != 1 || live[0].Name != "jack" {
-		t.Fatalf("live members = %v, want [jack]", live)
+	if !mem.PeerDown("herb") || mem.PeerDown("jack") {
+		t.Fatalf("after herb's Down verdict: herb down %v, jack down %v; want true, false", mem.PeerDown("herb"), mem.PeerDown("jack"))
 	}
 	svc.MarkPeerDown("stranger") // not on the roster: ignored
 	if mem.PeerDown("stranger") {
 		t.Fatal("non-member acquired a down mark")
 	}
 	svc.MarkPeerUp("herb")
-	if got := len(mem.LivePeers("member")); got != 2 {
-		t.Fatalf("live members after recovery = %d, want 2", got)
+	if mem.PeerDown("herb") {
+		t.Fatal("herb still down after recovery")
 	}
 }
 

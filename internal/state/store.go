@@ -14,9 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 )
@@ -87,11 +84,10 @@ type Store struct {
 	cond   *sync.Cond
 	vars   map[string]json.RawMessage
 	live   map[string]AccessSet // session id -> its access set
-	path   string               // "" means memory-only
 	closed bool
 }
 
-// NewStore creates an in-memory store.
+// NewStore creates an empty store.
 func NewStore() *Store {
 	s := &Store{
 		vars: make(map[string]json.RawMessage),
@@ -99,25 +95,6 @@ func NewStore() *Store {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-// Open creates a store backed by the given file, loading existing contents
-// if the file exists. Save persists to the same path atomically.
-func Open(path string) (*Store, error) {
-	s := NewStore()
-	s.path = path
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return s, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("state: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := s.LoadFrom(f); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Set stores a variable, JSON-encoding the value.
@@ -166,61 +143,6 @@ func (s *Store) Names() []string {
 	s.mu.Unlock()
 	sort.Strings(out)
 	return out
-}
-
-// snapshotFile is the persisted form of a store.
-type snapshotFile struct {
-	Vars map[string]json.RawMessage `json:"vars"`
-}
-
-// SaveTo writes the store's variables to w as JSON.
-func (s *Store) SaveTo(w io.Writer) error {
-	s.mu.Lock()
-	snap := snapshotFile{Vars: make(map[string]json.RawMessage, len(s.vars))}
-	for k, v := range s.vars {
-		snap.Vars[k] = v
-	}
-	s.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
-// LoadFrom replaces the store's variables with the snapshot read from r.
-func (s *Store) LoadFrom(r io.Reader) error {
-	var snap snapshotFile
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("state: load: %w", err)
-	}
-	s.mu.Lock()
-	s.vars = snap.Vars
-	if s.vars == nil {
-		s.vars = make(map[string]json.RawMessage)
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// Save persists the store atomically to its backing file (write to a
-// temporary file, then rename). It fails for memory-only stores.
-func (s *Store) Save() error {
-	if s.path == "" {
-		return errors.New("state: store has no backing file")
-	}
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, ".state-*")
-	if err != nil {
-		return fmt.Errorf("state: save: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := s.SaveTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path)
 }
 
 // Close wakes any sessions blocked in Acquire; they fail with ErrClosed.
@@ -334,9 +256,6 @@ type View struct {
 	session string
 	acc     AccessSet
 }
-
-// Session returns the owning session id.
-func (v *View) Session() string { return v.session }
 
 // Get reads a variable the session declared (read or write access).
 func (v *View) Get(name string, out any) (bool, error) {

@@ -1,10 +1,7 @@
 package state
 
 import (
-	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -49,96 +46,6 @@ func TestNames(t *testing.T) {
 	got := s.Names()
 	if len(got) != 3 || got[0] != "alpha" || got[2] != "zeta" {
 		t.Fatalf("Names = %v", got)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
-	if err := s.Set("doc.part1", map[string]string{"owner": "herb"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("count", 42); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore()
-	if err := s2.LoadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	if ok, err := s2.Get("count", &n); !ok || err != nil || n != 42 {
-		t.Fatalf("reloaded count = %d (%v, %v)", n, ok, err)
-	}
-	var doc map[string]string
-	if ok, _ := s2.Get("doc.part1", &doc); !ok || doc["owner"] != "herb" {
-		t.Fatalf("reloaded doc = %v", doc)
-	}
-}
-
-func TestFilePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dapplet.state")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("appointments", []string{"mon 9am"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
-	// State must persist across "process restarts".
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var appts []string
-	if ok, _ := s2.Get("appointments", &appts); !ok || appts[0] != "mon 9am" {
-		t.Fatalf("appointments lost: %v", appts)
-	}
-}
-
-func TestOpenMissingFileIsEmptyStore(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "does-not-exist"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Names()) != 0 {
-		t.Fatal("expected empty store")
-	}
-}
-
-func TestSaveWithoutPathFails(t *testing.T) {
-	if err := NewStore().Save(); err == nil {
-		t.Fatal("memory-only Save succeeded")
-	}
-}
-
-func TestLoadFromGarbage(t *testing.T) {
-	if err := NewStore().LoadFrom(bytes.NewBufferString("{broken")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestSaveIsAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "st")
-	s, _ := Open(path)
-	if err := s.Set("k", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(); err != nil {
-		t.Fatal(err)
-	}
-	// No temp droppings left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want 1", len(entries))
 	}
 }
 

@@ -78,9 +78,6 @@ func (c *Ctx) Envelope() *wire.Envelope { return c.env }
 // From returns the requesting dapplet's global address, as the transport saw it.
 func (c *Ctx) From() netsim.Addr { return c.env.FromDapplet }
 
-// Session returns the session tag the request travelled under.
-func (c *Ctx) Session() string { return c.env.Session }
-
 // ReplyTo returns the caller's reply inbox — the address replies and any
 // later pushes (e.g. directory watch events) reach the caller at, on From.
 // Its inbox name is empty for one-way requests.

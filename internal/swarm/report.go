@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/latency"
@@ -161,11 +160,6 @@ type Report struct {
 	// two runs with the same seed over a single-shard network produce
 	// identical logs.
 	EventLog []string `json:"event_log,omitempty"`
-}
-
-// JSON renders the report as indented JSON.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Phase returns the named phase's stats, or a zero PhaseStats.

@@ -258,9 +258,6 @@ func TestSwarmReportShape(t *testing.T) {
 		t.Fatalf("footprint not computed: %f B/dapplet, %f goroutines/dapplet",
 			rep.HeapBytesPerDapplet, rep.GoroutinesPerDapplet)
 	}
-	if _, err := rep.JSON(); err != nil {
-		t.Fatalf("report JSON: %v", err)
-	}
 	sess := join.Sessions + rep.Phase("churn").Sessions
 	if sess == 0 {
 		t.Fatal("no sessions recorded")

@@ -64,29 +64,11 @@ func Serve(d *core.Dapplet, initial Bag) *Allocator {
 // connect to.
 func (a *Allocator) Ref() wire.InboxRef { return a.srv.Ref() }
 
-// Total returns the fixed token population.
-func (a *Allocator) Total() Bag {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total.Copy()
-}
-
 // Free returns the tokens currently held by the manager network itself.
 func (a *Allocator) Free() Bag {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.free.Copy()
-}
-
-// Holds returns a copy of every dapplet's holdings.
-func (a *Allocator) Holds() map[string]Bag {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]Bag, len(a.holds))
-	for c, b := range a.holds {
-		out[c] = b.Copy()
-	}
-	return out
 }
 
 // Stats returns a snapshot of allocator counters.

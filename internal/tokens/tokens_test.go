@@ -517,7 +517,7 @@ func TestTwoManagersOneDapplet(t *testing.T) {
 	wg.Wait()
 	for _, a := range []*tokens.Allocator{w.alloc, allocB} {
 		if !a.ConservationHolds() || a.Stats().Grants != 200 {
-			t.Fatalf("allocator %v: conservation %v, %+v", a.Total(), a.ConservationHolds(), a.Stats())
+			t.Fatalf("allocator: conservation %v, %+v", a.ConservationHolds(), a.Stats())
 		}
 	}
 }
@@ -545,7 +545,7 @@ func TestAbandonedRequestReleasesLateGrant(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for st := w.alloc.Stats(); st.Grants != 2 || st.Releases != 2 || w.alloc.Free().Count() != 1; st = w.alloc.Stats() {
 		if time.Now().After(deadline) {
-			t.Fatalf("late grant stranded: %+v, free %v, holds %v", st, w.alloc.Free(), w.alloc.Holds())
+			t.Fatalf("late grant stranded: %+v, free %v", st, w.alloc.Free())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -137,14 +137,20 @@ func TestCoalescingBusyPairDatagramRatio(t *testing.T) {
 	sa, sb := ra.Stats(), rb.Stats()
 	frames := sa.DataSent + sa.Retransmits + sa.AcksSent + sb.DataSent + sb.Retransmits + sb.AcksSent
 	dgrams := sa.DatagramsOut + sb.DatagramsOut
+	// Each side's counters, so a failure shows which of them moved:
+	// resends, bare acks, datagrams or the reasons stages were flushed.
+	counters := func(s Stats) string {
+		return fmt.Sprintf("Retransmits=%d AcksSent=%d DatagramsOut=%d FlushSize=%d FlushAck=%d FlushWindow=%d FlushBackstop=%d",
+			s.Retransmits, s.AcksSent, s.DatagramsOut, s.FlushSize, s.FlushAck, s.FlushWindow, s.FlushBackstop)
+	}
 	if dgrams == 0 || frames < 2*total {
-		t.Fatalf("implausible accounting: frames=%d datagrams=%d", frames, dgrams)
+		t.Fatalf("implausible accounting: frames=%d datagrams=%d\na: %s\nb: %s", frames, dgrams, counters(sa), counters(sb))
 	}
 	// The acceptance bar: a busy pair coalesces at least 4 frames into
 	// each datagram on average.
 	if float64(frames) < 4*float64(dgrams) {
-		t.Fatalf("frames=%d datagrams=%d: coalescing factor %.2f < 4",
-			frames, dgrams, float64(frames)/float64(dgrams))
+		t.Fatalf("frames=%d datagrams=%d: coalescing factor %.2f < 4\na: %s\nb: %s",
+			frames, dgrams, float64(frames)/float64(dgrams), counters(sa), counters(sb))
 	}
 	if sa.FlushSize+sa.FlushAck+sa.FlushWindow == 0 {
 		t.Fatalf("no staged frame ever left: %+v", sa)

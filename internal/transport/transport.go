@@ -58,13 +58,3 @@ func (c *simConn) ReadFrom() ([]byte, netsim.Addr, error) {
 }
 
 func (c *simConn) Close() error { return c.ep.Close() }
-
-// Endpoint exposes the underlying simulated endpoint of a sim-backed
-// PacketConn, or nil for other transports. Benchmarks use it to read
-// virtual clocks.
-func Endpoint(pc PacketConn) *netsim.Endpoint {
-	if sc, ok := pc.(*simConn); ok {
-		return sc.ep
-	}
-	return nil
-}

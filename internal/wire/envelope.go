@@ -102,9 +102,6 @@ func (b Body) Bytes() []byte {
 // ID returns the dense kind id the body was encoded under.
 func (b Body) ID() uint16 { return b.id }
 
-// Len returns the encoded body length.
-func (b Body) Len() int { return len(b.Bytes()) }
-
 // Release returns the encode buffer to the pool. Safe to call once.
 func (b *Body) Release() {
 	if b.buf != nil {

@@ -116,17 +116,6 @@ func Registered(kind string) bool {
 	return ok
 }
 
-// KindID returns the dense id assigned to a kind at registration.
-func KindID(kind string) (uint16, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[kind]
-	if !ok {
-		return 0, false
-	}
-	return e.id, true
-}
-
 // Kinds returns all registered kind names, sorted (the reserved one
 // included).
 func Kinds() []string {
