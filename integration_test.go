@@ -127,7 +127,7 @@ func TestSnapshotOfCalendarSession(t *testing.T) {
 			t.Fatal("missing dapplet")
 		}
 		name := name
-		services = append(services, snapshot.Attach(d, func() any { return name }))
+		services = append(services, snapshot.Attach(d, func() []byte { return []byte(name) }))
 		members = append(members, snapshot.Member{Name: name, Addr: d.Addr()})
 	}
 	for i, svc := range services {
@@ -264,10 +264,10 @@ func TestStateAccessSetsEnforcedInSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cal calendar.SlotSet
-	if ok, err := view.Get(calendar.BusyVar, &cal); err != nil || !ok {
+	if data, ok, err := view.Get(calendar.BusyVar); err != nil || !ok || cal.UnmarshalBinary(data) != nil {
 		t.Fatalf("declared read failed: %v %v", ok, err)
 	}
-	if err := view.Set("some.other.var", 1); !errors.Is(err, state.ErrDenied) {
+	if err := view.Set("some.other.var", []byte{1}); !errors.Is(err, state.ErrDenied) {
 		t.Fatalf("out-of-set write err = %v", err)
 	}
 }

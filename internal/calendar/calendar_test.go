@@ -3,6 +3,7 @@ package calendar_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,7 +82,7 @@ func TestSlotSetIntersectionProperty(t *testing.T) {
 		for _, y := range ys {
 			b.SetFree(int(y) % n)
 		}
-		got := a.Clone().And(b)
+		got := slices.Clone(a).And(b)
 		for i := 0; i < n; i++ {
 			if got.Free(i) != (a.Free(i) && b.Free(i)) {
 				return false

@@ -94,12 +94,8 @@ func (m *schedRep) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, m.ID)
 	dst = wire.AppendString(dst, m.From)
 	dst = wire.AppendString(dst, m.RKind)
-	dst = wire.AppendUvarint(dst, uint64(len(m.Free)))
-	for _, w := range m.Free {
-		dst = wire.AppendUvarint(dst, w)
-	}
-	dst = wire.AppendBool(dst, m.OK)
-	return dst, nil
+	dst, _ = m.Free.AppendBinary(dst) // its error is always nil
+	return wire.AppendBool(dst, m.OK), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
@@ -108,14 +104,7 @@ func (m *schedRep) UnmarshalBinary(data []byte) error {
 	m.ID = r.Uvarint()
 	m.From = r.String()
 	m.RKind = r.String()
-	if n := r.Count(); n > 0 {
-		m.Free = make(SlotSet, n)
-		for i := range m.Free {
-			m.Free[i] = r.Uvarint()
-		}
-	} else {
-		m.Free = nil
-	}
+	m.Free = readSlots(r)
 	m.OK = r.Bool()
 	return r.Done()
 }
@@ -154,22 +143,22 @@ func NewMember(slots int, busy []int) *MemberBehavior {
 func (m *MemberBehavior) Start(d *core.Dapplet) error {
 	m.d = d
 	var persisted SlotSet
-	if ok, err := d.Store().Get(BusyVar, &persisted); err == nil && ok && len(persisted) > 0 {
+	if data, ok := d.Store().Get(BusyVar); ok && persisted.UnmarshalBinary(data) == nil && len(persisted) > 0 {
 		m.mu.Lock()
 		m.free = persisted
 		m.mu.Unlock()
-	} else if err := m.persist(); err != nil {
-		return err
+	} else {
+		m.persist()
 	}
 	d.Handle(MemberInbox, m.onRequest)
 	return nil
 }
 
-func (m *MemberBehavior) persist() error {
+func (m *MemberBehavior) persist() {
 	m.mu.Lock()
-	b := m.free.Clone()
+	data, _ := m.free.AppendBinary(nil) // its error is always nil
 	m.mu.Unlock()
-	return m.d.Store().Set(BusyVar, b)
+	m.d.Store().Set(BusyVar, data)
 }
 
 // freeIn returns the member's offerable slots within [lo, hi): free and
@@ -228,7 +217,7 @@ func (m *MemberBehavior) onRequest(env *wire.Envelope) {
 		}
 		m.mu.Unlock()
 		if held {
-			_ = m.persist()
+			m.persist()
 		}
 		rep.OK = held
 	case kindAbort:

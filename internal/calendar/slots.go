@@ -19,7 +19,11 @@
 // with like.
 package calendar
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/wire"
+)
 
 // SlotSet is a bitmap over meeting slots; bit i set means slot i is FREE.
 type SlotSet []uint64
@@ -34,13 +38,6 @@ func NewAllFree(n int) SlotSet {
 		s.SetFree(i)
 	}
 	return s
-}
-
-// Clone returns an independent copy.
-func (s SlotSet) Clone() SlotSet {
-	out := make(SlotSet, len(s))
-	copy(out, s)
-	return out
 }
 
 // SetFree marks slot i free.
@@ -98,6 +95,36 @@ func (s SlotSet) Slice(lo, hi int) SlotSet {
 		out[w] = s.maskWord(w, lo, hi)
 	}
 	return out
+}
+
+// AppendBinary appends the set's binary form — a word count, then each
+// word — which is BusyVar's stored form and how schedRep carries it.
+// Its error is always nil.
+func (s SlotSet) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, uint64(len(s)))
+	for _, w := range s {
+		dst = wire.AppendUvarint(dst, w)
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary replaces *s with the set data holds.
+func (s *SlotSet) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	*s = readSlots(r)
+	return r.Done()
+}
+
+func readSlots(r *wire.Reader) SlotSet {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	s := make(SlotSet, n)
+	for i := range s {
+		s[i] = r.Uvarint()
+	}
+	return s
 }
 
 // maskWord returns word w with bits outside [lo, hi) cleared.

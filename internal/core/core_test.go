@@ -478,11 +478,10 @@ func TestRuntimeCrashRestartKeepsStore(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("counter", Factory(func() Behavior {
 		return BehaviorFunc(func(d *Dapplet) error {
-			var boots int
-			if _, err := d.Store().Get("boots", &boots); err != nil {
-				return err
-			}
-			return d.Store().Set("boots", boots+1)
+			// One byte per boot.
+			boots, _ := d.Store().Get("boots")
+			d.Store().Set("boots", append(boots, 1))
+			return nil
 		})
 	}))
 	rt := NewRuntime(n, reg)
@@ -494,9 +493,7 @@ func TestRuntimeCrashRestartKeepsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Store().Set("payload", "survives"); err != nil {
-		t.Fatal(err)
-	}
+	d.Store().Set("payload", []byte("survives"))
 	oldAddr := d.Addr()
 
 	if err := rt.Crash("c1"); err != nil {
@@ -519,16 +516,11 @@ func TestRuntimeCrashRestartKeepsStore(t *testing.T) {
 	if got := rt.Incarnation("c1"); got != 1 {
 		t.Fatalf("incarnation = %d, want 1", got)
 	}
-	var payload string
-	if ok, err := d2.Store().Get("payload", &payload); err != nil || !ok || payload != "survives" {
-		t.Fatalf("store did not survive crash: %q, %v, %v", payload, ok, err)
+	if payload, ok := d2.Store().Get("payload"); !ok || string(payload) != "survives" {
+		t.Fatalf("store did not survive crash: %q, %v", payload, ok)
 	}
-	var boots int
-	if _, err := d2.Store().Get("boots", &boots); err != nil {
-		t.Fatal(err)
-	}
-	if boots != 2 {
-		t.Fatalf("behaviour ran %d times, want 2 (restart re-runs Start)", boots)
+	if boots, _ := d2.Store().Get("boots"); len(boots) != 2 {
+		t.Fatalf("behaviour ran %d times, want 2 (restart re-runs Start)", len(boots))
 	}
 	// Restart of a live dapplet must fail.
 	if _, err := rt.Restart("c1"); err == nil {
@@ -560,9 +552,7 @@ func TestLaunchReusingCrashedNameStartsFreshLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.Store().Set("mark", "second"); err != nil {
-		t.Fatal(err)
-	}
+	d2.Store().Set("mark", []byte("second"))
 	if err := rt.Crash("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -573,8 +563,7 @@ func TestLaunchReusingCrashedNameStartsFreshLineage(t *testing.T) {
 	if d3.Type() != "t2" {
 		t.Fatalf("restart resurrected type %q, want the second lineage %q", d3.Type(), "t2")
 	}
-	var mark string
-	if ok, _ := d3.Store().Get("mark", &mark); !ok || mark != "second" {
+	if mark, ok := d3.Store().Get("mark"); !ok || string(mark) != "second" {
 		t.Fatalf("restart used the wrong store (mark=%q ok=%v)", mark, ok)
 	}
 }

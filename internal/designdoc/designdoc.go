@@ -17,6 +17,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,10 +43,52 @@ var ErrNotInterested = errors.New("designdoc: part not in interest set")
 
 // Part is one versioned piece of the document.
 type Part struct {
-	Name    string `json:"n"`
-	Version int    `json:"v"`
-	Text    string `json:"t"`
-	Editor  string `json:"e"`
+	Name    string
+	Version int
+	Text    string
+	Editor  string
+}
+
+func appendPart(dst []byte, p Part) []byte {
+	dst = wire.AppendString(dst, p.Name)
+	dst = wire.AppendVarint(dst, int64(p.Version))
+	dst = wire.AppendString(dst, p.Text)
+	return wire.AppendString(dst, p.Editor)
+}
+
+func readPart(r *wire.Reader) Part {
+	return Part{Name: r.String(), Version: int(r.Varint()), Text: r.String(), Editor: r.String()}
+}
+
+// Parts is a designer's replica, keyed by part name; PartsVar holds it
+// in its binary form.
+type Parts map[string]Part
+
+// AppendBinary appends the replica's stored form: a count, then each
+// part as an edit carries it, in name order. Its error is always nil.
+func (ps Parts) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendUvarint(dst, uint64(len(ps)))
+	for _, name := range slices.Sorted(maps.Keys(ps)) {
+		dst = appendPart(dst, ps[name])
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary replaces *ps with the replica data holds. Names out of
+// order, or repeated, are an error: each replica has one encoding.
+func (ps *Parts) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	n := r.Count()
+	*ps = make(Parts, n)
+	prev := ""
+	for i := range n {
+		p := readPart(r)
+		if i > 0 && p.Name <= prev {
+			return fmt.Errorf("designdoc: part %q follows %q", p.Name, prev)
+		}
+		(*ps)[p.Name], prev = p, p.Name
+	}
+	return r.Done()
 }
 
 // editMsg announces a new part version.
@@ -57,19 +101,13 @@ func (*editMsg) Kind() string { return "design.edit" }
 
 // AppendBinary implements wire.Msg.
 func (m *editMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Part.Name)
-	dst = wire.AppendVarint(dst, int64(m.Part.Version))
-	dst = wire.AppendString(dst, m.Part.Text)
-	return wire.AppendString(dst, m.Part.Editor), nil
+	return appendPart(dst, m.Part), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *editMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.Part.Name = r.String()
-	m.Part.Version = int(r.Varint())
-	m.Part.Text = r.String()
-	m.Part.Editor = r.String()
+	m.Part = readPart(r)
 	return r.Done()
 }
 
@@ -83,7 +121,7 @@ type Designer struct {
 	interests map[string]bool
 
 	mu    sync.Mutex
-	parts map[string]Part
+	parts Parts
 	d     *core.Dapplet
 	tok   *tokens.Manager
 	cond  *sync.Cond
@@ -93,7 +131,7 @@ type Designer struct {
 func NewDesigner(interests []string) *Designer {
 	ds := &Designer{
 		interests: make(map[string]bool, len(interests)),
-		parts:     make(map[string]Part),
+		parts:     make(Parts),
 	}
 	for _, p := range interests {
 		ds.interests[p] = true
@@ -106,8 +144,8 @@ func NewDesigner(interests []string) *Designer {
 // subscribes to team updates.
 func (ds *Designer) Start(d *core.Dapplet) error {
 	ds.d = d
-	var persisted map[string]Part
-	if ok, err := d.Store().Get(PartsVar, &persisted); err == nil && ok {
+	var persisted Parts
+	if data, ok := d.Store().Get(PartsVar); ok && persisted.UnmarshalBinary(data) == nil {
 		ds.mu.Lock()
 		ds.parts = persisted
 		ds.mu.Unlock()
@@ -143,14 +181,11 @@ func (ds *Designer) apply(p Part) {
 	ds.cond.Broadcast()
 }
 
-func (ds *Designer) persist() error {
+func (ds *Designer) persist() {
 	ds.mu.Lock()
-	cp := make(map[string]Part, len(ds.parts))
-	for k, v := range ds.parts {
-		cp[k] = v
-	}
+	data, _ := ds.parts.AppendBinary(nil) // its error is always nil
 	ds.mu.Unlock()
-	return ds.d.Store().Set(PartsVar, cp)
+	ds.d.Store().Set(PartsVar, data)
 }
 
 // Edit modifies a part: it takes the part's write token (when a token
@@ -182,13 +217,8 @@ func (ds *Designer) Edit(ctx context.Context, part, text string) (Part, error) {
 		ds.cond.Broadcast()
 	}
 	ds.mu.Unlock()
-	if err := ds.persist(); err != nil {
-		return p, err
-	}
-	if err := ds.d.Outbox(UpdatesOutbox).Send(&editMsg{Part: p}); err != nil {
-		return p, err
-	}
-	return p, nil
+	ds.persist()
+	return p, ds.d.Outbox(UpdatesOutbox).Send(&editMsg{Part: p})
 }
 
 // Part returns the designer's replica of a part.

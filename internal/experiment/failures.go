@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/snapshot"
+	"repro/internal/wire"
 	"repro/internal/world"
 )
 
@@ -114,7 +114,9 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world.World) 
 			v := 0 // application state, lost with the process
 			cp, restarted := snapshot.LastCheckpoint(d.Store())
 			if restarted {
-				if err := json.Unmarshal(cp.State, &v); err != nil {
+				r := wire.NewReader(cp.State)
+				v = int(r.Varint())
+				if err := r.Done(); err != nil {
 					return err
 				}
 			}
@@ -125,7 +127,7 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world.World) 
 			if restarted && (v != checkpointed || len(sessions) != 1) {
 				return fmt.Errorf("restored state %d and sessions %v, want %d and [e9]", v, sessions, checkpointed)
 			}
-			snapshot.Attach(d, func() any { return v })
+			snapshot.Attach(d, func() []byte { return wire.AppendVarint(nil, int64(v)) })
 			return nil
 		})
 	}))
@@ -148,10 +150,8 @@ func e9CheckpointRestore(ctx context.Context, t Timer, ops int, w *world.World) 
 	// One durable checkpoint before the crash loop: every restart below
 	// restores application state from it.
 	m1, _ := w.RT.Dapplet("m1")
-	if err := m1.Store().Set(snapshot.CheckpointVar,
-		snapshot.Checkpoint{ID: "seed", State: json.RawMessage(fmt.Sprint(checkpointed))}); err != nil {
-		return nil, err
-	}
+	seed, _ := (&snapshot.Checkpoint{ID: "seed", State: wire.AppendVarint(nil, checkpointed)}).AppendBinary(nil) // its error is always nil
+	m1.Store().Set(snapshot.CheckpointVar, seed)
 	t.ResetTimer()
 	for i := 0; i < ops; i++ {
 		t.StopTimer()

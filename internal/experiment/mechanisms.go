@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -221,7 +220,7 @@ func e4Cells(p Params) []Cell {
 					members := make([]snapshot.Member, n)
 					services := make([]*snapshot.Service, n)
 					for i, d := range nodes {
-						services[i] = snapshot.Attach(d, func() any { return held[i].Load() })
+						services[i] = snapshot.Attach(d, func() []byte { return wire.AppendBool(nil, held[i].Load()) })
 						members[i] = snapshot.Member{Name: d.Name(), Addr: d.Addr()}
 						// Each node keeps one token and forwards the rest.
 						out := d.Outbox("succ")
@@ -271,7 +270,7 @@ func e5Cells(p Params) []Cell {
 	// serve hosts a counter object that counts the calls it applies.
 	serve := func(w *world.World, applied *atomic.Int64) rpc.Ref {
 		return rpc.Serve(w.Dapplet("s", "bench", "server"), "counter", rpc.Object{
-			"add": func(json.RawMessage) (any, error) { return applied.Add(1), nil },
+			"add": func([]byte) ([]byte, error) { return wire.AppendVarint(nil, applied.Add(1)), nil },
 		})
 	}
 	var cells []Cell
@@ -285,7 +284,7 @@ func e5Cells(p Params) []Cell {
 				if err := fanOutErr(clients, func(c int) error {
 					cli := rpc.NewClient(ds[c])
 					for i := c; i < ops; i += clients {
-						if err := cli.Call(ctx, ref, "add", nil, nil); err != nil {
+						if _, err := cli.Call(ctx, ref, "add", nil); err != nil {
 							return err
 						}
 					}

@@ -71,8 +71,8 @@ func (c *Clock) StampTick() Stamp {
 // earlier timestamp; ties are broken in favor of the process with the
 // lower id" (§4.2).
 type Stamp struct {
-	Time uint64 `json:"t"`
-	ID   string `json:"id"`
+	Time uint64
+	ID   string
 }
 
 // Less reports whether s precedes o in the total order.

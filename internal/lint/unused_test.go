@@ -40,7 +40,6 @@ var keepUnused = map[string]string{
 	"relay.Relay.Epoch":                relayView,
 	"relay.Relay.Neighbors":            relayView,
 	"relay.Tree.Neighbors":             "the layout rule's projection onto members: relay, core and session tests build bindings and oracles from it",
-	"rpc.Args":                         "the method side of rpc's argument passing (Call marshals, Args unmarshals); rpc's tests serve methods with arguments",
 	"session.Handle.Grow":              "paper §3: a session grows; session tests and the integration test drive it",
 	"session.Handle.Shrink":            "paper §3: a session shrinks; session tests drive it",
 	"session.Membership.Peer":          "tests read a participant's roster by role to observe set-up and relinks",

@@ -114,7 +114,7 @@ func snapWorld(t *testing.T, n, window int) (*relayWorld, []snapshot.Member) {
 		snaps = append(snaps, snapshot.Member{Name: d.Name(), Addr: d.Addr()})
 	}
 	for _, d := range w.dapplets {
-		snapshot.Attach(d, func() any { return nil }).SetPeers(slices.DeleteFunc(slices.Clone(snaps), func(m snapshot.Member) bool { return m.Addr == d.Addr() }))
+		snapshot.Attach(d, func() []byte { return nil }).SetPeers(slices.DeleteFunc(slices.Clone(snaps), func(m snapshot.Member) bool { return m.Addr == d.Addr() }))
 	}
 	return w, snaps
 }

@@ -5,8 +5,8 @@ import "repro/internal/netsim"
 // Member is one participant in a session tree: the dapplet's instance
 // name (stable across reincarnation) and its current address.
 type Member struct {
-	Name string      `json:"n"`
-	Addr netsim.Addr `json:"a"`
+	Name string
+	Addr netsim.Addr
 }
 
 // Tree is a fanout-k spanning tree over a session roster, laid out as a

@@ -11,12 +11,12 @@
 //
 // The request/reply pairing, correlation ids and deadlines are the svc
 // framework's (internal/svc); this package adds only the object/method
-// model and the JSON argument convention on top of it.
+// model on top of it. Arguments and results cross it as bytes the
+// application encodes; the library never encodes a caller's value.
 package rpc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -56,7 +56,7 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("rpc: remote %s: %s", 
 // Ref is a global pointer: the global address of the inbox associated
 // with an object.
 type Ref struct {
-	Inbox wire.InboxRef `json:"in"`
+	Inbox wire.InboxRef
 }
 
 // callMsg is an invocation direction placed in an object's inbox. Sent
@@ -64,7 +64,7 @@ type Ref struct {
 // framework's correlation id and reply inbox make it synchronous.
 type callMsg struct {
 	Method string
-	Args   json.RawMessage
+	Args   []byte
 }
 
 func (*callMsg) Kind() string { return "rpc.call" }
@@ -87,7 +87,7 @@ func (c *callMsg) UnmarshalBinary(data []byte) error {
 // replyMsg carries a successful call's result; errors travel as typed
 // svc error codes instead.
 type replyMsg struct {
-	Result json.RawMessage
+	Result []byte
 }
 
 func (*replyMsg) Kind() string { return "rpc.reply" }
@@ -109,9 +109,10 @@ func init() {
 	wire.Register(&replyMsg{})
 }
 
-// Method is one invocable operation on a served object. Args arrive as
-// JSON; the result must be JSON-serializable.
-type Method func(args json.RawMessage) (any, error)
+// Method is one invocable operation on a served object: it takes the
+// argument bytes the caller sent and returns the result bytes (nil for
+// none). Both are encoded by the application.
+type Method func(args []byte) ([]byte, error)
 
 // Object is a set of named methods.
 type Object map[string]Method
@@ -190,14 +191,7 @@ func (o *served) invoke(call *callMsg) (wire.Msg, error) {
 	if err != nil {
 		return nil, &svc.Error{Code: codeRemote, Msg: err.Error()}
 	}
-	if result == nil {
-		return &replyMsg{}, nil
-	}
-	data, jerr := json.Marshal(result)
-	if jerr != nil {
-		return nil, &svc.Error{Code: codeRemote, Msg: fmt.Sprintf("marshal result: %v", jerr)}
-	}
-	return &replyMsg{Result: data}, nil
+	return &replyMsg{Result: result}, nil
 }
 
 // Client issues calls from a dapplet to remote objects. Each client owns
@@ -216,69 +210,33 @@ func NewClient(d *core.Dapplet) *Client {
 // Cast is an asynchronous RPC: a message directing the remote object to
 // invoke a method, with no reply. Like an outbox send it waits for the
 // object's window, so a stream of casts goes no faster than it is taken.
-func (c *Client) Cast(ref Ref, method string, args any) error {
-	data, err := marshalArgs(args)
-	if err == nil {
-		err = c.d.Transport().AwaitWindow(ref.Inbox.Dapplet)
-	}
-	if err != nil {
+func (c *Client) Cast(ref Ref, method string, args []byte) error {
+	if err := c.d.Transport().AwaitWindow(ref.Inbox.Dapplet); err != nil {
 		return err
 	}
-	return c.caller.Cast(ref.Inbox, "", &callMsg{Method: method, Args: data})
+	return c.caller.Cast(ref.Inbox, "", &callMsg{Method: method, Args: args})
 }
 
 // Call is a synchronous RPC implemented as pairwise asynchronous RPCs: it
 // sends the invocation and suspends until the reply message arrives,
-// decoding the result into out (which may be nil). The context bounds the
-// wait: cancellation or deadline expiry returns ctx.Err().
-func (c *Client) Call(ctx context.Context, ref Ref, method string, args any, out any) error {
-	data, err := marshalArgs(args)
-	if err != nil {
-		return err
-	}
+// returning the method's result bytes (nil for none). The context bounds
+// the wait: cancellation or deadline expiry returns ctx.Err().
+func (c *Client) Call(ctx context.Context, ref Ref, method string, args []byte) ([]byte, error) {
 	var rep replyMsg
-	if err := c.caller.Call(ctx, ref.Inbox, &callMsg{Method: method, Args: data}, &rep); err != nil {
+	if err := c.caller.Call(ctx, ref.Inbox, &callMsg{Method: method, Args: args}, &rep); err != nil {
 		var se *svc.Error
 		if errors.As(err, &se) {
 			switch se.Code {
 			case codeNoMethod:
-				return fmt.Errorf("%w: %q", ErrNoMethod, method)
+				return nil, fmt.Errorf("%w: %q", ErrNoMethod, method)
 			case codeRemote:
-				return &RemoteError{Method: method, Msg: se.Msg}
+				return nil, &RemoteError{Method: method, Msg: se.Msg}
 			}
 		}
 		if errors.Is(err, core.ErrStopped) {
-			return ErrClosed
+			return nil, ErrClosed
 		}
-		return err
+		return nil, err
 	}
-	if out != nil && rep.Result != nil {
-		if err := json.Unmarshal(rep.Result, out); err != nil {
-			return fmt.Errorf("rpc: decode result of %s: %w", method, err)
-		}
-	}
-	return nil
-}
-
-func marshalArgs(args any) (json.RawMessage, error) {
-	if args == nil {
-		return nil, nil
-	}
-	data, err := json.Marshal(args)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: marshal args: %w", err)
-	}
-	return data, nil
-}
-
-// Args decodes JSON arguments into a typed value inside a Method body.
-func Args[T any](raw json.RawMessage) (T, error) {
-	var v T
-	if len(raw) == 0 {
-		return v, nil
-	}
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return v, fmt.Errorf("rpc: decode args: %w", err)
-	}
-	return v, nil
+	return rep.Result, nil
 }

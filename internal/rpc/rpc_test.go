@@ -2,7 +2,6 @@ package rpc_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/internal/world"
 )
 
@@ -21,27 +21,46 @@ func newWorld(t *testing.T, opts ...netsim.Option) *world.World {
 	return w
 }
 
+// num and atoi are these tests' argument and result codec: an int as a
+// varint.
+func num(n int) []byte { return wire.AppendVarint(nil, int64(n)) }
+
+func atoi(b []byte) (int, error) {
+	r := wire.NewReader(b)
+	n := int(r.Varint())
+	return n, r.Done()
+}
+
+// callInt calls a method whose result is an int.
+func callInt(ctx context.Context, cli *rpc.Client, ref rpc.Ref, method string, args []byte) (int, error) {
+	res, err := cli.Call(ctx, ref, method, args)
+	if err != nil {
+		return 0, err
+	}
+	return atoi(res)
+}
+
 // counter is a tiny served object.
 func counterObject() (rpc.Object, *sync.Mutex, *int) {
 	var mu sync.Mutex
 	n := 0
 	obj := rpc.Object{
-		"add": func(raw json.RawMessage) (any, error) {
-			delta, err := rpc.Args[int](raw)
+		"add": func(raw []byte) ([]byte, error) {
+			delta, err := atoi(raw)
 			if err != nil {
 				return nil, err
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			n += delta
-			return n, nil
+			return num(n), nil
 		},
-		"get": func(raw json.RawMessage) (any, error) {
+		"get": func([]byte) ([]byte, error) {
 			mu.Lock()
 			defer mu.Unlock()
-			return n, nil
+			return num(n), nil
 		},
-		"fail": func(raw json.RawMessage) (any, error) {
+		"fail": func([]byte) ([]byte, error) {
 			return nil, errors.New("intentional failure")
 		},
 	}
@@ -56,21 +75,21 @@ func TestSyncCall(t *testing.T) {
 	ref := rpc.Serve(server, "counter", obj)
 	cli := rpc.NewClient(clientD)
 
-	var result int
-	if err := cli.Call(context.Background(), ref, "add", 5, &result); err != nil {
+	result, err := callInt(context.Background(), cli, ref, "add", num(5))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if result != 5 {
 		t.Fatalf("result = %d", result)
 	}
-	if err := cli.Call(context.Background(), ref, "add", 3, &result); err != nil {
+	if result, err = callInt(context.Background(), cli, ref, "add", num(3)); err != nil {
 		t.Fatal(err)
 	}
 	if result != 8 {
 		t.Fatalf("result = %d", result)
 	}
-	// Nil out is allowed.
-	if err := cli.Call(context.Background(), ref, "add", 1, nil); err != nil {
+	// The result may be ignored.
+	if _, err := cli.Call(context.Background(), ref, "add", num(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,7 +103,7 @@ func TestAsyncCast(t *testing.T) {
 	cli := rpc.NewClient(clientD)
 
 	for i := 0; i < 10; i++ {
-		if err := cli.Cast(ref, "add", 1); err != nil {
+		if err := cli.Cast(ref, "add", num(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +128,7 @@ func TestRemoteError(t *testing.T) {
 	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
-	err := cli.Call(context.Background(), ref, "fail", nil, nil)
+	_, err := cli.Call(context.Background(), ref, "fail", nil)
 	var remote *rpc.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want RemoteError", err)
@@ -125,7 +144,7 @@ func TestNoSuchMethod(t *testing.T) {
 	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
-	if err := cli.Call(context.Background(), ref, "bogus", nil, nil); !errors.Is(err, rpc.ErrNoMethod) {
+	if _, err := cli.Call(context.Background(), ref, "bogus", nil); !errors.Is(err, rpc.ErrNoMethod) {
 		t.Fatalf("err = %v, want ErrNoMethod", err)
 	}
 }
@@ -134,7 +153,8 @@ func TestNoSuchMethod(t *testing.T) {
 func callWithin(cli *rpc.Client, ref rpc.Ref, method string, d time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	return cli.Call(ctx, ref, method, nil, nil)
+	_, err := cli.Call(ctx, ref, method, nil)
+	return err
 }
 
 func TestCallDeadlineAcrossPartition(t *testing.T) {
@@ -157,17 +177,15 @@ func TestGlobalPointerIsTransferable(t *testing.T) {
 	obj, _, _ := counterObject()
 	ref := rpc.Serve(server, "counter", obj)
 
-	data, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref2 rpc.Ref
-	if err := json.Unmarshal(data, &ref2); err != nil {
+	// The ref crosses in its wire encoding, as a message would carry it.
+	r := wire.NewReader(wire.AppendInboxRef(nil, ref.Inbox))
+	ref2 := rpc.Ref{Inbox: r.InboxRef()}
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	cli := rpc.NewClient(w.Dapplet("h3", "t", "other-client"))
-	var out int
-	if err := cli.Call(context.Background(), ref2, "add", 7, &out); err != nil {
+	out, err := callInt(context.Background(), cli, ref2, "add", num(7))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out != 7 {
@@ -180,10 +198,7 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 	server := w.Dapplet("h1", "t", "server")
 	clientD := w.Dapplet("h2", "t", "client")
 	echo := rpc.Object{
-		"echo": func(raw json.RawMessage) (any, error) {
-			v, err := rpc.Args[int](raw)
-			return v, err
-		},
+		"echo": func(raw []byte) ([]byte, error) { return raw, nil },
 	}
 	ref := rpc.Serve(server, "echo", echo)
 	cli := rpc.NewClient(clientD)
@@ -192,8 +207,8 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var out int
-			if err := cli.Call(context.Background(), ref, "echo", i, &out); err != nil {
+			out, err := callInt(context.Background(), cli, ref, "echo", num(i))
+			if err != nil {
 				t.Error(err)
 				return
 			}
@@ -214,7 +229,10 @@ func TestClientClosedDuringCall(t *testing.T) {
 	ref := rpc.Serve(server, "counter", obj)
 	cli := rpc.NewClient(clientD)
 	done := make(chan error, 1)
-	go func() { done <- cli.Call(context.Background(), ref, "get", nil, nil) }()
+	go func() {
+		_, err := cli.Call(context.Background(), ref, "get", nil)
+		done <- err
+	}()
 	time.Sleep(50 * time.Millisecond)
 	clientD.Stop()
 	select {
@@ -235,11 +253,12 @@ func TestServedObjectsAreIndependent(t *testing.T) {
 	objB, _, _ := counterObject()
 	refA := rpc.Serve(server, "a", objA)
 	refB := rpc.Serve(server, "b", objB)
-	var a, b int
-	if err := cli.Call(context.Background(), refA, "add", 10, &a); err != nil {
+	a, err := callInt(context.Background(), cli, refA, "add", num(10))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Call(context.Background(), refB, "get", nil, &b); err != nil {
+	b, err := callInt(context.Background(), cli, refB, "get", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if a != 10 || b != 0 {
@@ -270,8 +289,7 @@ func TestIndependentClientsPerDapplet(t *testing.T) {
 		if i%2 == 1 {
 			cli = c2
 		}
-		var n int
-		if err := cli.Call(context.Background(), ref, "add", 1, &n); err != nil {
+		if _, err := cli.Call(context.Background(), ref, "add", num(1)); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -289,7 +307,7 @@ func TestCallExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if err := cli.Call(ctx, ref, "get", nil, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := cli.Call(ctx, ref, "get", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -307,22 +325,18 @@ func TestNestedCallFromMethod(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	outerRef := rpc.Serve(server, "outer", rpc.Object{
-		"addTwice": func(raw json.RawMessage) (any, error) {
-			n, err := rpc.Args[int](raw)
+		"addTwice": func(raw []byte) ([]byte, error) {
+			n, err := atoi(raw)
 			if err != nil {
 				return nil, err
 			}
-			var sum int
-			if err := nested.Call(ctx, innerRef, "add", 2*n, &sum); err != nil {
-				return nil, err
-			}
-			return sum, nil
+			return nested.Call(ctx, innerRef, "add", num(2*n))
 		},
 	})
 	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
 	for _, tc := range []struct{ n, want int }{{3, 6}, {4, 14}} {
-		var got int
-		if err := cli.Call(ctx, outerRef, "addTwice", tc.n, &got); err != nil {
+		got, err := callInt(ctx, cli, outerRef, "addTwice", num(tc.n))
+		if err != nil {
 			t.Fatalf("addTwice(%d): %v", tc.n, err)
 		}
 		if got != tc.want {

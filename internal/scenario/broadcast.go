@@ -118,37 +118,37 @@ type BroadcastResult struct {
 	// Fanout and Depth are the spanning tree's resolved fanout and its
 	// root-to-leaf hop count (both 0 in flat mode: every listener is one
 	// hop from the origin).
-	Fanout int `json:"fanout,omitempty"`
-	Depth  int `json:"depth"`
+	Fanout int
+	Depth  int
 	// Setup is the session initiation time (one invite round across
 	// the whole group).
-	Setup time.Duration `json:"setup_ns"`
+	Setup time.Duration
 	// SenderNsPerMsg is the origin's cost per broadcast: wall time spent
 	// inside Outbox.Send divided by Messages. Flat fan-out pays O(N)
 	// here; the tree pays O(k).
-	SenderNsPerMsg float64 `json:"sender_ns_per_msg"`
+	SenderNsPerMsg float64
 	// P50 and P99 are delivery-latency percentiles across every
 	// (listener, message) pair, measured from just before the origin's
 	// Send to the listener's receive.
-	P50 time.Duration `json:"p50_ns"`
-	P99 time.Duration `json:"p99_ns"`
+	P50 time.Duration
+	P99 time.Duration
 	// RootBytesOut is the payload bytes the origin's transport physically
 	// wrote during the broadcast phase (data, acks and retransmits).
-	RootBytesOut uint64 `json:"root_bytes_out"`
+	RootBytesOut uint64
 	// MaxQueueDepth is the largest per-member transport send queue
 	// (unacked + staged frames) sampled during the run.
-	MaxQueueDepth int `json:"max_queue_depth"`
+	MaxQueueDepth int
 	// Delivered is the total deliveries across surviving listeners
 	// (always (survivors)×Messages on success — the run fails otherwise).
-	Delivered int `json:"delivered"`
+	Delivered int
 	// Repaired reports whether the run crashed and repaired a relay.
-	Repaired bool `json:"repaired,omitempty"`
+	Repaired bool
 	// Digest folds every surviving listener's name and delivery order
 	// into one FNV-1a value. It is folded only after every listener has
 	// been checked to deliver exactly 1..Messages in order, so it proves
 	// completion and order: any successful run with the same roster has
 	// the same digest, whatever its schedule. It is not a replay check.
-	Digest uint64 `json:"digest"`
+	Digest uint64
 }
 
 // bcastListener collects one member's deliveries.

@@ -13,32 +13,32 @@ const ControlInbox = "@session"
 // Participant describes one member of a session.
 type Participant struct {
 	// Name is the dapplet's directory name.
-	Name string `json:"n"`
+	Name string
 	// Addr is the dapplet's global address (resolved from the directory
 	// by the initiator when zero).
-	Addr netsim.Addr `json:"a"`
+	Addr netsim.Addr
 	// Role is the application role ("calendar", "secretary",
 	// "coordinator"); the behaviour interprets it.
-	Role string `json:"r"`
+	Role string
 	// Access declares the state variables the session reads and writes
 	// at this participant (§2.2); the participant's store enforces it.
-	Access state.AccessSet `json:"acc"`
+	Access state.AccessSet
 }
 
 // Binding instructs a participant to bind one of its outboxes to a remote
 // inbox, creating a directed FIFO channel.
 type Binding struct {
-	Outbox string        `json:"o"`
-	To     wire.InboxRef `json:"to"`
+	Outbox string
+	To     wire.InboxRef
 }
 
 // Link is one directed channel in a session wiring spec, expressed with
 // directory names; the initiator resolves it into a Binding.
 type Link struct {
-	From   string `json:"f"`  // participant name owning the outbox
-	Outbox string `json:"fo"` // outbox name at From
-	To     string `json:"t"`  // participant name owning the inbox
-	Inbox  string `json:"ti"` // inbox name at To
+	From   string // participant name owning the outbox
+	Outbox string // outbox name at From
+	To     string // participant name owning the inbox
+	Inbox  string // inbox name at To
 }
 
 // TreeSpec selects relay-tree multicast for a session: every participant
@@ -51,11 +51,11 @@ type Link struct {
 // neighbours rather than the whole roster (see Membership.Roster).
 type TreeSpec struct {
 	// Outbox is the tree-bound outbox name at every participant.
-	Outbox string `json:"o"`
+	Outbox string
 	// Inbox is the delivery inbox name at every participant.
-	Inbox string `json:"i"`
+	Inbox string
 	// Fanout is the tree fanout k (default relay.DefaultFanout).
-	Fanout int `json:"k,omitempty"`
+	Fanout int
 }
 
 // Spec is a complete session description handed to an initiator.

@@ -3,7 +3,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/state"
@@ -14,45 +13,31 @@ import (
 // checkpoint variable.
 const persistPrefix = "@session:"
 
-// persistedMembership is the durable form of one membership, written to
-// the dapplet's store at accept and every relink. It is everything a
-// fresh incarnation needs to stand the membership back up: the wiring
-// (bindings, inboxes), the roster as Membership.Roster holds it — on a
-// tree session the view, whose neighbours the relay rebinds to — and the
-// state access to re-register. Its size follows what the participant
-// was shipped: O(k) on a tree session.
-type persistedMembership struct {
-	Task     string          `json:"task,omitempty"`
-	Role     string          `json:"role"`
-	Access   state.AccessSet `json:"acc"`
-	Roster   []Participant   `json:"roster"`
-	Size     int             `json:"n"`
-	Bindings []Binding       `json:"b,omitempty"`
-	Inboxes  []string        `json:"in,omitempty"`
-	Tree     *TreeSpec       `json:"tree,omitempty"`
-	Depth    int             `json:"d,omitempty"`
-	Epoch    uint64          `json:"e,omitempty"`
-}
-
-// persist writes the membership's durable record. Callers must not hold
-// mem.mu (the method takes it).
+// persist writes the membership's durable record, written at accept and
+// every relink: the membership's current state as the invitation that
+// would link a fresh incarnation up the same way (RestoreSessions re-runs
+// the accept path on it). On a tree session its roster is the view, so
+// the record is O(k) like the invite. Callers must not hold mem.mu (the
+// method takes it).
 func (s *Service) persist(mem *Membership) {
+	var buf [512]byte
 	mem.mu.Lock()
-	rec := persistedMembership{
-		Task:     mem.Task,
-		Role:     mem.Role,
-		Access:   mem.access,
-		Roster:   append([]Participant(nil), mem.Roster...),
-		Size:     mem.Size,
-		Bindings: append([]Binding(nil), mem.bindings...),
-		Inboxes:  append([]string(nil), mem.inboxes...),
-		Tree:     mem.tree,
-		Depth:    mem.depth,
-		Epoch:    mem.epoch,
+	rec := inviteMsg{
+		SessionID: mem.ID,
+		Task:      mem.Task,
+		Role:      mem.Role,
+		Access:    mem.access,
+		Bindings:  mem.bindings,
+		Inboxes:   mem.inboxes,
+		Roster:    mem.Roster,
+		Size:      mem.Size,
+		Tree:      mem.tree,
+		Depth:     mem.depth,
+		Epoch:     mem.epoch,
 	}
-	id := mem.ID
+	data, _ := rec.AppendBinary(buf[:0]) // its error is always nil
 	mem.mu.Unlock()
-	_ = s.d.Store().Set(persistPrefix+id, rec)
+	s.d.Store().Set(persistPrefix+mem.ID, data)
 }
 
 // unpersist removes a session's durable record at terminate/shrink.
@@ -61,11 +46,12 @@ func (s *Service) unpersist(id string) {
 }
 
 // RestoreSessions rebuilds this dapplet's session memberships from the
-// durable records in its store: it recreates the session inboxes,
-// re-binds the outbox channels, re-registers the sessions' state access
-// (tolerating access the store still holds from before the crash), and
-// runs the OnJoin policy hook for each restored membership, so behaviours
-// re-learn their peers. It returns the restored session ids, sorted.
+// durable records in its store: for each it re-registers the session's
+// state access (tolerating access the store still holds from before the
+// crash) and re-runs the accept path on the record — session inboxes,
+// outbox bindings, the tree bound to the neighbours the last incarnation
+// had, and the OnJoin policy hook, so behaviours re-learn their peers.
+// It returns the restored session ids, sorted (Store.Names is).
 //
 // Call it after core.Runtime.Restart, before the initiator relinks
 // surviving peers to the new incarnation (Handle.Reincarnate). Restoring
@@ -74,62 +60,29 @@ func (s *Service) unpersist(id string) {
 func (s *Service) RestoreSessions() ([]string, error) {
 	var restored []string
 	for _, name := range s.d.Store().Names() {
-		if !strings.HasPrefix(name, persistPrefix) {
+		id, ok := strings.CutPrefix(name, persistPrefix)
+		if !ok {
 			continue
 		}
-		id := strings.TrimPrefix(name, persistPrefix)
 		s.mu.Lock()
 		_, already := s.members[id]
 		s.mu.Unlock()
-		if already {
+		data, ok := s.d.Store().Get(name)
+		if already || !ok {
 			continue
 		}
-		var rec persistedMembership
-		if ok, err := s.d.Store().Get(name, &rec); err != nil || !ok {
-			if err != nil {
-				return restored, fmt.Errorf("session: restore %s: %w", id, err)
-			}
-			continue
+		var rec inviteMsg
+		if err := rec.UnmarshalBinary(data); err != nil {
+			return restored, fmt.Errorf("session: restore %s: %w", id, err)
 		}
 		if err := s.d.Store().TryAcquire(id, rec.Access); err != nil && !errors.Is(err, state.ErrAlreadyLive) {
 			return restored, fmt.Errorf("session: restore %s: %w", id, err)
 		}
-		for _, in := range rec.Inboxes {
-			s.d.Inbox(in)
-		}
-		for _, b := range rec.Bindings {
-			ob := s.d.Outbox(b.Outbox)
-			ob.SetSession(id)
-			ob.Add(b.To)
-		}
-		if rec.Tree != nil {
-			// The persisted view rebinds this incarnation to the
-			// neighbours the last one had; the initiator's repair relink
-			// then tells those neighbours our new address.
-			s.bindTree(id, rec.Tree, rec.Roster, rec.Depth, rec.Epoch, false)
-		}
-		mem := &Membership{
-			ID:       id,
-			Task:     rec.Task,
-			Role:     rec.Role,
-			Roster:   rec.Roster,
-			Size:     rec.Size,
-			access:   rec.Access,
-			inboxes:  rec.Inboxes,
-			bindings: append([]Binding(nil), rec.Bindings...),
-			tree:     rec.Tree,
-			depth:    rec.Depth,
-			epoch:    rec.Epoch,
-		}
-		s.mu.Lock()
-		s.members[id] = mem
-		s.mu.Unlock()
+		// Not from the start: the initiator's repair relink tells the
+		// neighbours this incarnation's address.
+		s.link(&rec, false)
 		restored = append(restored, id)
-		if s.policy.OnJoin != nil {
-			s.policy.OnJoin(mem)
-		}
 	}
-	sort.Strings(restored)
 	return restored, nil
 }
 

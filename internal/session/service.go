@@ -2,8 +2,8 @@ package session
 
 import (
 	"errors"
-	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -215,13 +215,8 @@ func Attach(d *core.Dapplet, policy Policy) *Service {
 // Sessions returns the ids of sessions this dapplet is linked into.
 func (s *Service) Sessions() []string {
 	s.mu.Lock()
-	out := make([]string, 0, len(s.members))
-	for id := range s.members {
-		out = append(out, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer s.mu.Unlock()
+	return slices.Sorted(maps.Keys(s.members))
 }
 
 // Membership returns the live membership for a session id.
@@ -265,15 +260,26 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 	// Interference control (§2.2): reject if a live session modifies
 	// variables this one accesses or vice versa.
 	if err := s.d.Store().TryAcquire(inv.SessionID, inv.Access); err != nil {
-		reason := "interference with a concurrent session"
-		if !errors.Is(err, state.ErrConflict) {
-			reason = err.Error()
-		} else {
-			reason = fmt.Sprintf("interference: %v", err)
+		reason := err.Error()
+		if errors.Is(err, state.ErrConflict) {
+			reason = "interference: " + reason
 		}
 		return &inviteRepMsg{SessionID: inv.SessionID, Name: s.d.Name(), Reason: reason}
 	}
 
+	// Epoch 1 is Initiate's: this participant is in from the start. A
+	// later epoch is a Grow into a running session.
+	s.persist(s.link(inv, inv.Epoch == 1))
+	return accept
+}
+
+// link is the accept path: it links this dapplet into the session inv
+// describes — its inboxes, its outbox bindings and, on a tree session,
+// its place in the relay tree (fromStart as relay.Binding reads it) —
+// records the membership and runs OnJoin. onInvite runs it for an
+// invitation, RestoreSessions for a durable record, which is the
+// membership written as an invitation.
+func (s *Service) link(inv *inviteMsg, fromStart bool) *Membership {
 	for _, name := range inv.Inboxes {
 		s.d.Inbox(name)
 	}
@@ -283,9 +289,7 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 		ob.Add(b.To)
 	}
 	if inv.Tree != nil {
-		// Epoch 1 is Initiate's: this participant is in from the start.
-		// A later epoch is a Grow into a running session.
-		s.bindTree(inv.SessionID, inv.Tree, inv.Roster, inv.Depth, inv.Epoch, inv.Epoch == 1)
+		s.bindTree(inv.SessionID, inv.Tree, inv.Roster, inv.Depth, inv.Epoch, fromStart)
 	}
 	mem := &Membership{
 		ID:       inv.SessionID,
@@ -294,8 +298,8 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 		Roster:   inv.Roster,
 		Size:     inv.Size,
 		access:   inv.Access,
-		inboxes:  append([]string(nil), inv.Inboxes...),
-		bindings: append([]Binding(nil), inv.Bindings...),
+		inboxes:  slices.Clone(inv.Inboxes),
+		bindings: slices.Clone(inv.Bindings),
 		tree:     inv.Tree,
 		depth:    inv.Depth,
 		epoch:    inv.Epoch,
@@ -303,11 +307,10 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 	s.mu.Lock()
 	s.members[inv.SessionID] = mem
 	s.mu.Unlock()
-	s.persist(mem)
 	if s.policy.OnJoin != nil {
 		s.policy.OnJoin(mem)
 	}
-	return accept
+	return mem
 }
 
 // unlink drops a membership's outbox bindings and tree attachment.

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -46,7 +45,7 @@ func (c *Coordinator) controlRef(m Member) wire.InboxRef {
 func (c *Coordinator) gatherReports(ctx context.Context, in *core.Inbox, snapID string) (*Global, error) {
 	g := &Global{
 		ID:       snapID,
-		States:   make(map[string]json.RawMessage),
+		States:   make(map[string][]byte),
 		Channels: make(map[ChannelKey][][]byte),
 		Sent:     make(map[ChannelKey]uint64),
 		Recv:     make(map[ChannelKey]uint64),

@@ -34,4 +34,8 @@
 // record point plus the frames in the channel state. The application
 // messages among the latter are captured, and encoded, only while a run
 // records their channel.
+//
+// A member's recorded state is bytes its application encodes
+// (StateFunc); the service carries them in reports and in the durable
+// Checkpoint record, which has a binary codec of its own.
 package snapshot

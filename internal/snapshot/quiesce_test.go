@@ -27,7 +27,7 @@ func TestIdleArrivalAllocs(t *testing.T) {
 	sim := newWorld(t)
 	src := sim.Dapplet("a", "pair", "src")
 	dst := sim.Dapplet("b", "pair", "dst")
-	snapshot.Attach(dst, func() any { return nil }).SetPeers([]snapshot.Member{{Name: "src", Addr: src.Addr()}})
+	snapshot.Attach(dst, func() []byte { return nil }).SetPeers([]snapshot.Member{{Name: "src", Addr: src.Addr()}})
 	in := dst.Inbox("in")
 	out := src.Outbox("out")
 	out.Add(in.Ref())
@@ -59,7 +59,7 @@ func TestAttachAddsNoGoroutine(t *testing.T) {
 	ds := []*core.Dapplet{sim.Dapplet("a", "pair", "p"), sim.Dapplet("b", "pair", "q")}
 	before := runtime.NumGoroutine()
 	for _, d := range ds {
-		snapshot.Attach(d, func() any { return nil })
+		snapshot.Attach(d, func() []byte { return nil })
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("attaching %d services took the goroutine count from %d to %d", len(ds), before, after)
@@ -81,8 +81,8 @@ func TestSnapshotBesideParkedSend(t *testing.T) {
 	p := sim.Dapplet("hostP", "pair", "p")
 	q := sim.Dapplet("hostQ", "pair", "q")
 	members := []snapshot.Member{{Name: "p", Addr: p.Addr()}, {Name: "q", Addr: q.Addr()}}
-	snapshot.Attach(p, func() any { return nil }).SetPeers(members[1:])
-	snapshot.Attach(q, func() any { return nil }).SetPeers(members[:1])
+	snapshot.Attach(p, func() []byte { return nil }).SetPeers(members[1:])
+	snapshot.Attach(q, func() []byte { return nil }).SetPeers(members[:1])
 	data := q.Inbox("data")
 	out := p.Outbox("out")
 	out.Add(data.Ref())

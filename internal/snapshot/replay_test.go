@@ -26,8 +26,8 @@ func TestChannelCaptureAndReplayAfterCrash(t *testing.T) {
 	t.Cleanup(w.Close)
 	a := w.Dapplet("hostA", "pair", "alpha")
 	b := w.Dapplet("hostB", "pair", "beta")
-	svcA := snapshot.Attach(a, func() any { return 0 })
-	svcB := snapshot.Attach(b, func() any { return 0 })
+	svcA := snapshot.Attach(a, func() []byte { return []byte{0} })
+	svcB := snapshot.Attach(b, func() []byte { return []byte{0} })
 	memA := snapshot.Member{Name: "alpha", Addr: a.Addr()}
 	memB := snapshot.Member{Name: "beta", Addr: b.Addr()}
 	svcA.SetPeers([]snapshot.Member{memB})

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -11,9 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// StateFunc captures a dapplet's local state; the result must be
-// JSON-serializable.
-type StateFunc func() any
+// StateFunc captures a dapplet's local state as bytes the application
+// encodes. The service keeps the slice it returns, so it must not be
+// reused; a restarted incarnation decodes Checkpoint.State with the
+// application's own codec.
+type StateFunc func() []byte
 
 // CheckpointVar is the store variable holding a participant's most
 // recent locally recorded checkpoint. It is written at the instant the
@@ -25,16 +26,17 @@ const CheckpointVar = "@snap.last"
 // Checkpoint is one participant's durable local checkpoint record.
 type Checkpoint struct {
 	// ID is the snapshot id the record was taken for.
-	ID string `json:"sid"`
-	// State is the participant's recorded local state (JSON).
-	State json.RawMessage `json:"st"`
+	ID string
+	// State is the participant's recorded local state, as its StateFunc
+	// encoded it.
+	State []byte
 	// Lamport is the participant's logical clock at the record point.
-	Lamport uint64 `json:"lam"`
+	Lamport uint64
 	// Channels holds the in-flight messages captured on this
 	// participant's inbound channels after the record point — the
 	// channel states of §4. They carry everything a restarted
 	// incarnation needs to re-queue them (ReplayChannels).
-	Channels []ChannelMsg `json:"ch,omitempty"`
+	Channels []ChannelMsg
 }
 
 // ChannelMsg is one in-flight message captured as channel state: a
@@ -43,27 +45,75 @@ type Checkpoint struct {
 // indistinguishable from the original arrival.
 type ChannelMsg struct {
 	// Peer names the sending participant.
-	Peer string `json:"p"`
+	Peer string
 	// Inbox is the destination inbox on the capturing dapplet.
-	Inbox string `json:"in"`
+	Inbox string
 	// From is the sender's address at capture time.
-	From netsim.Addr `json:"fa"`
+	From netsim.Addr
 	// FromOutbox names the sender's outbox.
-	FromOutbox string `json:"fo,omitempty"`
+	FromOutbox string
 	// Session is the session id the message traveled under, if any.
-	Session string `json:"s,omitempty"`
+	Session string
 	// Lamport is the message's original logical stamp.
-	Lamport uint64 `json:"lam"`
+	Lamport uint64
 	// Body is the kind-tagged message payload (wire.Marshal form).
-	Body []byte `json:"b"`
+	Body []byte
+}
+
+// AppendBinary appends the record in its stored form (CheckpointVar),
+// written with the wire codec's helpers. Its error is always nil.
+func (cp *Checkpoint) AppendBinary(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, cp.ID)
+	dst = wire.AppendBytes(dst, cp.State)
+	dst = wire.AppendUvarint(dst, cp.Lamport)
+	dst = wire.AppendUvarint(dst, uint64(len(cp.Channels)))
+	for _, c := range cp.Channels {
+		dst = wire.AppendString(dst, c.Peer)
+		dst = wire.AppendString(dst, c.Inbox)
+		dst = wire.AppendString(dst, c.From.Host)
+		dst = wire.AppendUvarint(dst, uint64(c.From.Port))
+		dst = wire.AppendString(dst, c.FromOutbox)
+		dst = wire.AppendString(dst, c.Session)
+		dst = wire.AppendUvarint(dst, c.Lamport)
+		dst = wire.AppendBytes(dst, c.Body)
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary decodes a record AppendBinary wrote. Its byte-slice
+// fields alias data.
+func (cp *Checkpoint) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	cp.ID = r.String()
+	cp.State = r.Bytes()
+	cp.Lamport = r.Uvarint()
+	cp.Channels = nil
+	if n := r.Count(); n > 0 {
+		cp.Channels = make([]ChannelMsg, n)
+		for i := range cp.Channels {
+			c := &cp.Channels[i]
+			c.Peer = r.String()
+			c.Inbox = r.String()
+			c.From.Host = r.String()
+			c.From.Port = r.Port()
+			c.FromOutbox = r.String()
+			c.Session = r.String()
+			c.Lamport = r.Uvarint()
+			c.Body = r.Bytes()
+		}
+	}
+	return r.Done()
 }
 
 // LastCheckpoint reads the most recent local checkpoint from a store
 // (typically one that survived a crash), reporting whether one exists.
 func LastCheckpoint(st *state.Store) (Checkpoint, bool) {
 	var cp Checkpoint
-	ok, err := st.Get(CheckpointVar, &cp)
-	return cp, ok && err == nil
+	data, ok := st.Get(CheckpointVar)
+	if !ok || cp.UnmarshalBinary(data) != nil {
+		return Checkpoint{}, false
+	}
+	return cp, true
 }
 
 // ReplayChannels re-queues the in-flight messages recorded as channel
@@ -109,7 +159,7 @@ type run struct {
 	replyTo   wire.InboxRef
 	recorded  bool
 	collected bool // a clock run's collect has arrived
-	state     json.RawMessage
+	state     []byte
 	// sentAt and recvAt are each peer's transport counts at the record
 	// (Reliable.Counts); crossed counts the frames from each peer taken
 	// while its channel was open, and channels the application messages
@@ -289,7 +339,7 @@ func (s *Service) recordLocked(id string, r *run) {
 	rel := s.d.Transport()
 	var lamport uint64
 	s.d.Quiesce(func(send core.QuiescedSend) {
-		r.state, _ = json.Marshal(s.stateFn())
+		r.state = s.stateFn()
 		lamport = s.d.Clock().Now()
 		for _, p := range s.peers {
 			r.sentAt[p.Name], r.recvAt[p.Name] = rel.Counts(p.Addr)
@@ -297,7 +347,7 @@ func (s *Service) recordLocked(id string, r *run) {
 			_ = send(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, id, closing)
 		}
 	})
-	s.persistCheckpoint(id, r.state, lamport)
+	s.persistCheckpoint(&Checkpoint{ID: id, State: r.state, Lamport: lamport})
 }
 
 // closeLocked ends the recording of the channel from peer, whose marker
@@ -338,12 +388,6 @@ func (s *Service) maybeReportLocked(id string, r *run) {
 	})
 }
 
-// persistCheckpoint writes the just-recorded local state durably (see
-// CheckpointVar). Caller holds s.mu; the store has its own lock.
-func (s *Service) persistCheckpoint(id string, st json.RawMessage, lamport uint64) {
-	_ = s.d.Store().Set(CheckpointVar, Checkpoint{ID: id, State: st, Lamport: lamport})
-}
-
 // persistChannelMsgLocked appends one captured channel message to the
 // durable checkpoint record, write-through so the channel state survives
 // a crash at any point during recording. Only the snapshot currently in
@@ -351,11 +395,17 @@ func (s *Service) persistCheckpoint(id string, st json.RawMessage, lamport uint6
 // id leaves the durable record alone (its report still carries the full
 // channel state in memory). Caller holds s.mu.
 func (s *Service) persistChannelMsgLocked(id string, rec ChannelMsg) {
-	var cp Checkpoint
-	ok, err := s.d.Store().Get(CheckpointVar, &cp)
-	if !ok || err != nil || cp.ID != id {
+	cp, ok := LastCheckpoint(s.d.Store())
+	if !ok || cp.ID != id {
 		return
 	}
 	cp.Channels = append(cp.Channels, rec)
-	_ = s.d.Store().Set(CheckpointVar, cp)
+	s.persistCheckpoint(&cp)
+}
+
+// persistCheckpoint writes a checkpoint record durably (see
+// CheckpointVar). Caller holds s.mu; the store has its own lock.
+func (s *Service) persistCheckpoint(cp *Checkpoint) {
+	data, _ := cp.AppendBinary(nil) // its error is always nil
+	s.d.Store().Set(CheckpointVar, data)
 }

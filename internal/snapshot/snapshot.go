@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -15,8 +14,8 @@ const ControlInbox = "@snap"
 
 // Member identifies one snapshot participant.
 type Member struct {
-	Name string      `json:"n"`
-	Addr netsim.Addr `json:"a"`
+	Name string
+	Addr netsim.Addr
 }
 
 // ChannelKey identifies the directed channel between two participants.
@@ -31,8 +30,9 @@ func (k ChannelKey) String() string { return k.From + "->" + k.To }
 // Global is an assembled global snapshot.
 type Global struct {
 	ID string
-	// States maps participant name to its recorded local state (JSON).
-	States map[string]json.RawMessage
+	// States maps participant name to its recorded local state, as its
+	// StateFunc encoded it.
+	States map[string][]byte
 	// Channels maps directed channels to the in-flight application
 	// messages captured in the channel state (message bodies in
 	// wire.Marshal form).
@@ -228,9 +228,9 @@ func (m *flushMsg) UnmarshalBinary(data []byte) error {
 type reportMsg struct {
 	SnapID string
 	Name   string
-	// State is the member's recorded local state (JSON, as StateFunc
-	// produced it; opaque to the codec).
-	State   json.RawMessage
+	// State is the member's recorded local state, as StateFunc encoded
+	// it (opaque to the codec).
+	State   []byte
 	SentAt  map[string]uint64
 	RecvAt  map[string]uint64
 	Crossed map[string]uint64

@@ -2,7 +2,6 @@ package snapshot_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,11 +28,19 @@ type ringNode struct {
 	records int // snapshot records taken of this node
 }
 
-func (n *ringNode) state() any {
+// state records the node's held tokens as a varint.
+func (n *ringNode) state() []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.records++
-	return n.held
+	return wire.AppendVarint(nil, int64(n.held))
+}
+
+// heldIn decodes a recorded state.
+func heldIn(raw []byte) (int, error) {
+	r := wire.NewReader(raw)
+	held := int(r.Varint())
+	return held, r.Done()
 }
 
 // ringWorld builds n dapplets in a ring with snapshot services attached.
@@ -117,8 +124,8 @@ func tokensIn(t *testing.T, g *snapshot.Global) int {
 	t.Helper()
 	total := 0
 	for name, raw := range g.States {
-		var held int
-		if err := json.Unmarshal(raw, &held); err != nil {
+		held, err := heldIn(raw)
+		if err != nil {
 			t.Fatalf("state of %s: %v", name, err)
 		}
 		total += held
@@ -228,7 +235,7 @@ func TestClockSnapshotWaitsForCollect(t *testing.T) {
 			}
 		}
 		if cp.ID != g.ID || string(cp.State) != string(g.States[name]) || len(cp.Channels) != captured {
-			t.Errorf("%s's durable checkpoint is %s, state %s, %d channel messages; it reported %s, state %s, %d",
+			t.Errorf("%s's durable checkpoint is %s, state %x, %d channel messages; it reported %s, state %x, %d",
 				name, cp.ID, cp.State, len(cp.Channels), g.ID, g.States[name], captured)
 		}
 	}
@@ -268,7 +275,7 @@ func TestSnapshotsWithThreadedSenders(t *testing.T) {
 	for i := 0; i < nodes; i++ {
 		d := sim.Dapplet(fmt.Sprintf("host%d", i), "ring", fmt.Sprintf("node%d", i))
 		daps = append(daps, d)
-		services = append(services, snapshot.Attach(d, func() any { return nil }))
+		services = append(services, snapshot.Attach(d, func() []byte { return nil }))
 		members = append(members, snapshot.Member{Name: d.Name(), Addr: d.Addr()})
 	}
 	for i, d := range daps {
@@ -450,8 +457,7 @@ func TestCoordinatorCrashMidSnapshot(t *testing.T) {
 		if !ok {
 			t.Fatalf("member %d has no durable checkpoint", i)
 		}
-		var held int
-		if err := json.Unmarshal(cp.State, &held); err != nil {
+		if _, err := heldIn(cp.State); err != nil {
 			t.Fatalf("member %d checkpoint state: %v", i, err)
 		}
 	}

@@ -8,13 +8,17 @@
 // writes; the store's lock table ensures that "two sessions must not be
 // allowed to proceed concurrently if one modifies variables accessed by
 // the other", while sessions touching disjoint state run concurrently.
+// A variable's value is bytes its owner encodes with its type's own
+// binary codec; the store copies them in and out and never encodes a
+// Go value itself.
 package state
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -40,17 +44,17 @@ var ErrAlreadyLive = errors.New("state: session already live")
 // may have access to Mondays and Fridays on one user's calendar but not to
 // other days" (§2.2).
 type AccessSet struct {
-	Read  []string `json:"r,omitempty"`
-	Write []string `json:"w,omitempty"`
+	Read  []string
+	Write []string
 }
 
 // Touches reports whether the set mentions the variable at all.
 func (a AccessSet) Touches(name string) bool {
-	return contains(a.Read, name) || contains(a.Write, name)
+	return slices.Contains(a.Read, name) || slices.Contains(a.Write, name)
 }
 
 // Writes reports whether the set allows writing the variable.
-func (a AccessSet) Writes(name string) bool { return contains(a.Write, name) }
+func (a AccessSet) Writes(name string) bool { return slices.Contains(a.Write, name) }
 
 // Interferes implements the paper's condition: two sessions interfere when
 // one modifies variables accessed by the other.
@@ -68,21 +72,13 @@ func (a AccessSet) Interferes(b AccessSet) bool {
 	return false
 }
 
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // Store is a persistent set of named variables plus the session lock
-// table. All methods are safe for concurrent use.
+// table. Set and Get copy, so a stored record never aliases live state.
+// All methods are safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	vars   map[string]json.RawMessage
+	vars   map[string][]byte
 	live   map[string]AccessSet // session id -> its access set
 	closed bool
 }
@@ -90,40 +86,27 @@ type Store struct {
 // NewStore creates an empty store.
 func NewStore() *Store {
 	s := &Store{
-		vars: make(map[string]json.RawMessage),
+		vars: make(map[string][]byte),
 		live: make(map[string]AccessSet),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Set stores a variable, JSON-encoding the value.
-func (s *Store) Set(name string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("state: encode %s: %w", name, err)
-	}
+// Set stores a copy of data as the variable's value.
+func (s *Store) Set(name string, data []byte) {
+	kept := bytes.Clone(data)
 	s.mu.Lock()
-	s.vars[name] = data
+	s.vars[name] = kept
 	s.mu.Unlock()
-	return nil
 }
 
-// Get loads a variable into out, reporting whether it exists.
-func (s *Store) Get(name string, out any) (bool, error) {
+// Get returns a copy of a variable's value, reporting whether it exists.
+func (s *Store) Get(name string) ([]byte, bool) {
 	s.mu.Lock()
 	data, ok := s.vars[name]
 	s.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if out == nil {
-		return true, nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return true, fmt.Errorf("state: decode %s: %w", name, err)
-	}
-	return true, nil
+	return bytes.Clone(data), ok
 }
 
 // Delete removes a variable.
@@ -136,13 +119,8 @@ func (s *Store) Delete(name string) {
 // Names returns all variable names, sorted.
 func (s *Store) Names() []string {
 	s.mu.Lock()
-	out := make([]string, 0, len(s.vars))
-	for k := range s.vars {
-		out = append(out, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer s.mu.Unlock()
+	return slices.Sorted(maps.Keys(s.vars))
 }
 
 // Close wakes any sessions blocked in Acquire; they fail with ErrClosed.
@@ -227,13 +205,8 @@ func (s *Store) Release(sessionID string) {
 // LiveSessions returns the ids of sessions currently holding access.
 func (s *Store) LiveSessions() []string {
 	s.mu.Lock()
-	out := make([]string, 0, len(s.live))
-	for id := range s.live {
-		out = append(out, id)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer s.mu.Unlock()
+	return slices.Sorted(maps.Keys(s.live))
 }
 
 // View returns a session-scoped view of the store that enforces the
@@ -257,18 +230,22 @@ type View struct {
 	acc     AccessSet
 }
 
-// Get reads a variable the session declared (read or write access).
-func (v *View) Get(name string, out any) (bool, error) {
+// Get reads a variable the session declared (read or write access),
+// as Store.Get does.
+func (v *View) Get(name string) ([]byte, bool, error) {
 	if !v.acc.Touches(name) {
-		return false, fmt.Errorf("%w: session %q reading %q", ErrDenied, v.session, name)
+		return nil, false, fmt.Errorf("%w: session %q reading %q", ErrDenied, v.session, name)
 	}
-	return v.store.Get(name, out)
+	data, ok := v.store.Get(name)
+	return data, ok, nil
 }
 
-// Set writes a variable the session declared write access to.
-func (v *View) Set(name string, val any) error {
+// Set writes a variable the session declared write access to, as
+// Store.Set does.
+func (v *View) Set(name string, data []byte) error {
 	if !v.acc.Writes(name) {
 		return fmt.Errorf("%w: session %q writing %q", ErrDenied, v.session, name)
 	}
-	return v.store.Set(name, val)
+	v.store.Set(name, data)
+	return nil
 }

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -10,38 +11,62 @@ import (
 
 func TestSetGetDelete(t *testing.T) {
 	s := NewStore()
-	if err := s.Set("calendar.monday", []int{9, 10, 11}); err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	ok, err := s.Get("calendar.monday", &got)
-	if err != nil || !ok {
-		t.Fatalf("get: %v %v", ok, err)
-	}
-	if len(got) != 3 || got[0] != 9 {
-		t.Fatalf("got %v", got)
+	s.Set("calendar.monday", []byte{9, 10, 11})
+	got, ok := s.Get("calendar.monday")
+	if !ok || !bytes.Equal(got, []byte{9, 10, 11}) {
+		t.Fatalf("got %v %v", got, ok)
 	}
 	s.Delete("calendar.monday")
-	if ok, _ := s.Get("calendar.monday", &got); ok {
+	if _, ok := s.Get("calendar.monday"); ok {
 		t.Fatal("deleted variable still present")
 	}
 }
 
 func TestGetMissing(t *testing.T) {
+	if out, ok := NewStore().Get("nope"); ok || out != nil {
+		t.Fatalf("out=%v ok=%v", out, ok)
+	}
+}
+
+// TestStoredRecordIsACopy checks a store behaves like a disk: neither
+// the slice handed to Set nor the one Get returned aliases the stored
+// record, so mutating either leaves it unchanged.
+func TestStoredRecordIsACopy(t *testing.T) {
 	s := NewStore()
-	var out int
-	ok, err := s.Get("nope", &out)
-	if ok || err != nil {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	in := []byte("stored")
+	s.Set("v", in)
+	in[0] = 'X'
+	out, _ := s.Get("v")
+	if string(out) != "stored" {
+		t.Fatalf("mutating Set's argument changed the record to %q", out)
+	}
+	out[0] = 'Y'
+	if again, _ := s.Get("v"); string(again) != "stored" {
+		t.Fatalf("mutating Get's result changed the record to %q", again)
+	}
+	if err := s.TryAcquire("sess", AccessSet{Write: []string{"v"}}); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.View("sess")
+	viewed, _, _ := v.Get("v")
+	viewed[0] = 'Z'
+	if again, _ := s.Get("v"); string(again) != "stored" {
+		t.Fatalf("mutating View.Get's result changed the record to %q", again)
+	}
+	in = []byte("viewed")
+	if err := v.Set("v", in); err != nil {
+		t.Fatal(err)
+	}
+	in[0] = 'W'
+	if again, _ := s.Get("v"); string(again) != "viewed" {
+		t.Fatalf("mutating View.Set's argument changed the record to %q", again)
 	}
 }
 
 func TestNames(t *testing.T) {
 	s := NewStore()
 	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if err := s.Set(n, 1); err != nil {
-			t.Fatal(err)
-		}
+		s.Set(n, []byte{1})
 	}
 	got := s.Names()
 	if len(got) != 3 || got[0] != "alpha" || got[2] != "zeta" {
@@ -161,12 +186,8 @@ func TestCloseUnblocksAcquire(t *testing.T) {
 
 func TestViewEnforcesAccess(t *testing.T) {
 	s := NewStore()
-	if err := s.Set("mon", "free"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("tue", "busy"); err != nil {
-		t.Fatal(err)
-	}
+	s.Set("mon", []byte("free"))
+	s.Set("tue", []byte("busy"))
 	acc := AccessSet{Read: []string{"mon"}, Write: []string{"mon"}}
 	if err := s.TryAcquire("cal", acc); err != nil {
 		t.Fatal(err)
@@ -175,17 +196,16 @@ func TestViewEnforcesAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var val string
-	if ok, err := v.Get("mon", &val); !ok || err != nil || val != "free" {
+	if val, ok, err := v.Get("mon"); !ok || err != nil || string(val) != "free" {
 		t.Fatalf("allowed read failed: %v %v %q", ok, err, val)
 	}
-	if _, err := v.Get("tue", &val); !errors.Is(err, ErrDenied) {
+	if _, _, err := v.Get("tue"); !errors.Is(err, ErrDenied) {
 		t.Fatalf("out-of-set read err = %v, want ErrDenied", err)
 	}
-	if err := v.Set("mon", "booked"); err != nil {
+	if err := v.Set("mon", []byte("booked")); err != nil {
 		t.Fatalf("allowed write failed: %v", err)
 	}
-	if err := v.Set("tue", "x"); !errors.Is(err, ErrDenied) {
+	if err := v.Set("tue", []byte("x")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("out-of-set write err = %v, want ErrDenied", err)
 	}
 }
@@ -196,7 +216,7 @@ func TestViewReadOnlyVariableCannotBeWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _ := s.View("sess")
-	if err := v.Set("r", 1); !errors.Is(err, ErrDenied) {
+	if err := v.Set("r", []byte{1}); !errors.Is(err, ErrDenied) {
 		t.Fatalf("read-only write err = %v", err)
 	}
 }

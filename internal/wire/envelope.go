@@ -13,8 +13,8 @@ import (
 // ... and a string in place of its local id" (§3.2); we use the string
 // form uniformly (auto-generated names stand in for bare local ids).
 type InboxRef struct {
-	Dapplet netsim.Addr `json:"d"`
-	Inbox   string      `json:"i"`
+	Dapplet netsim.Addr
+	Inbox   string
 }
 
 // String renders the reference as "host:port/inbox".

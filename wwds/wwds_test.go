@@ -2,7 +2,6 @@ package wwds_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -164,25 +163,23 @@ func TestFacadeTokensAndRWLock(t *testing.T) {
 func TestFacadeRPC(t *testing.T) {
 	da, db := newPair(t)
 	ref := rpc.Serve(da, "adder", rpc.Object{
-		"add2": func(raw json.RawMessage) (any, error) {
-			var v int
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return nil, err
+		"add2": func(raw []byte) ([]byte, error) {
+			if len(raw) != 1 {
+				return nil, fmt.Errorf("add2 takes one byte, got %d", len(raw))
 			}
-			return v + 2, nil
+			return []byte{raw[0] + 2}, nil
 		},
 	})
-	var out int
-	if err := rpc.NewClient(db).Call(testCtx(t), ref, "add2", 40, &out); err != nil || out != 42 {
-		t.Fatalf("out = %d, %v", out, err)
+	if out, err := rpc.NewClient(db).Call(testCtx(t), ref, "add2", []byte{40}); err != nil || len(out) != 1 || out[0] != 42 {
+		t.Fatalf("out = %v, %v", out, err)
 	}
 }
 
 func TestFacadeSnapshot(t *testing.T) {
 	dap := newWorld(t, 1)
 	da, db := dap("a", "a"), dap("b", "b")
-	sa := snapshot.Attach(da, func() any { return "state-a" })
-	sb := snapshot.Attach(db, func() any { return "state-b" })
+	sa := snapshot.Attach(da, func() []byte { return []byte("state-a") })
+	sb := snapshot.Attach(db, func() []byte { return []byte("state-b") })
 	members := []snapshot.Member{{Name: "a", Addr: da.Addr()}, {Name: "b", Addr: db.Addr()}}
 	sa.SetPeers(members[1:])
 	sb.SetPeers(members[:1])
@@ -209,12 +206,9 @@ func TestFacadeSyncAndStore(t *testing.T) {
 	}
 
 	st := state.NewStore()
-	if err := st.Set("k", 7); err != nil {
-		t.Fatal(err)
-	}
-	var v int
-	if ok, err := st.Get("k", &v); !ok || err != nil || v != 7 {
-		t.Fatalf("get = %d %v %v", v, ok, err)
+	st.Set("k", []byte{7})
+	if v, ok := st.Get("k"); !ok || len(v) != 1 || v[0] != 7 {
+		t.Fatalf("get = %v %v", v, ok)
 	}
 	if err := st.TryAcquire("s1", state.AccessSet{Write: []string{"k"}}); err != nil {
 		t.Fatal(err)
