@@ -26,7 +26,6 @@ func TestFullStackCalendarOverLossyWAN(t *testing.T) {
 	w, err := scenario.BuildCalendar(context.Background(), scenario.CalendarOptions{
 		Sites: 3, MembersPerSite: 2, Hierarchical: true,
 		Slots: 48, BusyProb: 0.4, CommonSlot: 30, Seed: 99,
-		RTO: 15 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,17 +64,17 @@ func WithTransportConfig(c transport.Config) DappletOption {
 }
 
 // WithQueueCap sets the capacity of the dapplet's netsim receive queue.
-// It is honoured by Runtime.Launch, which binds the endpoint — a swarm
-// of mostly idle dapplets runs with small queues so per-dapplet memory
-// stays flat; NewDapplet itself ignores it (its socket is already
-// bound).
+// It is honoured by Runtime.Launch, which binds the endpoint — a swarm's
+// mostly idle members run with small queues so per-dapplet memory stays
+// flat, and its directory replicas with queues sized to their heartbeat
+// fan-in; NewDapplet itself ignores it (its socket is already bound).
 func WithQueueCap(n int) DappletOption {
 	return func(dc *dappletConfig) { dc.queueCap = n }
 }
 
-// WithStore supplies a persistent state store (e.g. one opened from a
-// file); by default the dapplet gets a fresh in-memory store.
-func WithStore(s *state.Store) DappletOption {
+// withStore hands the dapplet the store a crashed incarnation left
+// (Runtime.Restart); by default the dapplet gets a fresh store.
+func withStore(s *state.Store) DappletOption {
 	return func(dc *dappletConfig) { dc.store = s }
 }
 

@@ -247,7 +247,7 @@ func (rt *Runtime) Restart(name string) (*Dapplet, error) {
 	rt.mu.Unlock()
 
 	store.Reopen()
-	d, err := rt.Launch(host, typ, name, append(opts, WithStore(store))...)
+	d, err := rt.Launch(host, typ, name, append(opts, withStore(store))...)
 	if err != nil {
 		// The instance is still down and still restartable.
 		rt.mu.Lock()

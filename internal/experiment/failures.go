@@ -34,10 +34,8 @@ func e9Cells(p Params) []Cell {
 			var res *scenario.RecoveryResult
 			for i := 0; i < ops; i++ {
 				var err error
-				res, err = scenario.RunSecretaryCrashRecovery(ctx, scenario.RecoveryOptions{
-					Calendar: scenario.CalendarOptions{Sites: 3, MembersPerSite: 3, Slots: 112,
-						BusyProb: 0.6, CommonSlot: 77, Seed: p.seed(1996) + int64(i), Shards: p.Shards},
-				})
+				res, err = scenario.RunSecretaryCrashRecovery(ctx, scenario.CalendarOptions{Sites: 3, MembersPerSite: 3, Slots: 112,
+					BusyProb: 0.6, CommonSlot: 77, Seed: p.seed(1996) + int64(i), Shards: p.Shards})
 				if err != nil {
 					return nil, err
 				}

@@ -65,7 +65,7 @@ func e11Cells(p Params) []Cell {
 					m(pre+"frames/dgram", ratio(ph.Frames, ph.Datagrams)),
 					m(pre+"sa-ack%", 100*ratio(ph.AcksStandalone, ph.AcksStandalone+ph.AcksPiggybacked)),
 					m(pre+"dirhit%", ph.DirHitRate*100), m(pre+"ops", ph.Ops), m(pre+"sessions", ph.Sessions),
-					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups))
+					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups), m(pre+"lostq", ph.LostQueue))
 			}
 			out = append(out, latencyMetrics("down", rep.DownLatency)...)
 			out = append(out, latencyMetrics("up", rep.UpLatency)...)
@@ -139,7 +139,15 @@ func e12Cells(p Params) []Cell {
 }
 
 func e12Run(t Timer, frames int, w *world.World, udp bool, size, fanout int) ([]Metric, error) {
-	cfg := transport.Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 1024}
+	// A 1 KiB frame fills its datagram, so a window of 1024 of them
+	// overruns netsim's receive queue (netsim.DefaultQueueCap datagrams)
+	// and the cell measures queue-drop recovery; half the queue leaves
+	// room for the acks and the mirror stream.
+	window := 1024
+	if size >= 1024 {
+		window = netsim.DefaultQueueCap / 2
+	}
+	cfg := transport.Config{RTO: 100 * time.Millisecond, Window: window}
 	// Receiver i takes every fanout-th frame starting at i; the sender
 	// takes receiver 0's mirror stream.
 	share := func(i int) int { return (frames - i + fanout - 1) / fanout }
@@ -216,8 +224,11 @@ func e12Run(t Timer, frames int, w *world.World, udp bool, size, fanout int) ([]
 	if udp {
 		return append(out, m("syscalls/frame", ratio(syscalls, logical))), nil
 	}
-	// Wire bytes include the modelled per-datagram overhead.
-	return append(out, m("wireB/frame", ratio(w.Net.Stats().WireBytes, moved))), nil
+	// Wire bytes include the modelled per-datagram overhead; lostq counts
+	// datagrams dropped at a full receive queue, each one recovered by a
+	// retransmission the cell's frames/s pays for.
+	ns := w.Net.Stats()
+	return append(out, m("wireB/frame", ratio(ns.WireBytes, moved)), m("lostq", ns.LostQueue)), nil
 }
 
 // e14Cells is the large-group broadcast A/B: at each group size one

@@ -77,17 +77,13 @@ type Config struct {
 	// can tell recovery from restart (core.Runtime.Incarnation supplies
 	// one).
 	Incarnation uint64
-	// Quorum is the number of distinct confirmers — this watcher, relays
-	// whose indirect probes failed, gossip origins suspecting the same
-	// incarnation — required before a Suspect verdict escalates to Down
-	// (default 2 with Gossip set, else 1: this watcher's clock alone, the
-	// pre-quorum behavior). With a quorum above one, a watcher
-	// partitioned away from a live peer stays at Suspect forever instead
-	// of committing a false Down (see quorum.go).
-	Quorum int
 	// Gossip, when set, spreads suspicions, Down verdicts and alive
-	// refutations as rumors on the engine's "fail" topic, and counts
-	// other origins' suspicions toward this watcher's quorum.
+	// refutations as rumors on the engine's "fail" topic, and makes
+	// Down need a quorum of two distinct confirmers — this watcher,
+	// relays whose indirect probes failed, gossip origins suspecting the
+	// same incarnation — so a watcher partitioned away from a live peer
+	// stays at Suspect instead of committing a false Down (see
+	// quorum.go). Without it, this watcher's clock alone decides.
 	Gossip *gossip.Engine
 }
 
@@ -97,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Multiplier <= 0 {
 		c.Multiplier = 3
-	}
-	if c.Quorum <= 0 {
-		c.Quorum = 1
-		if c.Gossip != nil {
-			c.Quorum = 2
-		}
 	}
 	return c
 }

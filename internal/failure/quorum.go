@@ -10,8 +10,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Verdict quorums: with Config.Quorum above one, a watcher's Suspect no
-// longer escalates to Down on its own clock alone. Raising the suspicion
+// Verdict quorums: with Config.Gossip set, a watcher's Suspect no longer
+// escalates to Down on its own clock alone: it needs gossipQuorum
+// confirmers. Raising the suspicion
 // asks indirectProbes live peers to probe the target on the watcher's
 // behalf (SWIM's indirect probe — a relay on a different network path can
 // often reach a peer the watcher cannot), and spreads the suspicion as a
@@ -31,6 +32,9 @@ const GossipTopic = "fail"
 // indirectProbes is how many live peers are asked to probe a freshly
 // suspected peer on a watcher's behalf when its quorum is above one.
 const indirectProbes = 2
+
+// gossipQuorum is the Down quorum of a detector with a gossip engine.
+const gossipQuorum = 2
 
 // Verdict rumor kinds (verdictRumor.Verdict).
 const (
@@ -146,10 +150,11 @@ func init() {
 	wire.Register(&verdictRumor{})
 }
 
-// quorum reports the effective Down quorum (1 when unconfigured).
+// quorum reports the Down quorum: gossipQuorum with a gossip engine,
+// else 1.
 func (det *Detector) quorum() int {
-	if det.cfg.Quorum > 1 {
-		return det.cfg.Quorum
+	if det.cfg.Gossip != nil {
+		return gossipQuorum
 	}
 	return 1
 }

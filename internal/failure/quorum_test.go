@@ -14,31 +14,28 @@ import (
 	"repro/internal/wire"
 )
 
-// quorumMesh builds a full watch mesh over the given dapplets with the
-// shared quorum config, optionally attaching gossip engines fed by each
-// detector's live-peer view. It returns the detectors in dapplet order.
-func quorumMesh(t *testing.T, daps []*core.Dapplet, cfg failure.Config, withGossip bool) []*failure.Detector {
-	t.Helper()
+// quorumDetector attaches a detector with a gossip engine fed by its
+// live-peer view: its Down verdicts need a quorum of two confirmers.
+func quorumDetector(d *core.Dapplet, cfg failure.Config) *failure.Detector {
+	cfg.Gossip = gossip.Attach(d, gossip.Config{Interval: 20 * time.Millisecond})
+	det := failure.Attach(d, cfg)
+	cfg.Gossip.SetPeerSource(det.GossipPeers)
+	return det
+}
+
+// quorumMesh builds a full watch mesh of quorum detectors over the
+// given dapplets. It returns the detectors in dapplet order.
+func quorumMesh(daps []*core.Dapplet, cfg failure.Config) []*failure.Detector {
 	dets := make([]*failure.Detector, len(daps))
 	for i, d := range daps {
-		c := cfg
-		var g *gossip.Engine
-		if withGossip {
-			g = gossip.Attach(d, gossip.Config{Interval: 20 * time.Millisecond})
-			c.Gossip = g
-		}
-		dets[i] = failure.Attach(d, c)
-		if g != nil {
-			g.SetPeerSource(dets[i].GossipPeers)
-		}
+		dets[i] = quorumDetector(d, cfg)
 	}
-	for i, d := range daps {
+	for i := range daps {
 		for j, p := range daps {
 			if i != j {
 				dets[i].Watch(p.Name(), p.Addr())
 			}
 		}
-		_ = d
 	}
 	return dets
 }
@@ -74,68 +71,64 @@ func waitAllUp(t *testing.T, dets []*failure.Detector, daps []*core.Dapplet) {
 // come back "reachable" and refute the suspicion. After the partition
 // heals, direct heartbeats settle the peer back to Up.
 func TestPartitionedWatcherHoldsSuspect(t *testing.T) {
-	for _, withGossip := range []bool{false, true} {
-		name := "probes-only"
-		if withGossip {
-			name = "with-gossip"
-		}
-		t.Run(name, func(t *testing.T) {
-			w := newWorld(t, netsim.WithSeed(21))
-			wd := w.Dapplet("hw", "test", "w")
-			tgt := w.Dapplet("ht", "test", "tgt")
-			r1 := w.Dapplet("h1", "test", "r1")
-			r2 := w.Dapplet("h2", "test", "r2")
-			daps := []*core.Dapplet{wd, tgt, r1, r2}
-			// The no-false-positive guarantee is conditional on relays
-			// answering "reachable" within the watcher's detection window.
-			// A 50ms interval gives the refutation chain (iprobe relay ->
-			// probe RTT -> iprobe-rep) a 100ms window, so scheduling
-			// stalls on a loaded single-core runner don't let a relay's
-			// own transient suspicion rumor fill the quorum first.
-			cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2, Quorum: 2}
-			dets := quorumMesh(t, daps, cfg, withGossip)
-			dw := dets[0]
+	// A quorum of two exists only with gossip, the configuration the
+	// subtest is named for.
+	t.Run("with-gossip", func(t *testing.T) {
+		w := newWorld(t, netsim.WithSeed(21))
+		wd := w.Dapplet("hw", "test", "w")
+		tgt := w.Dapplet("ht", "test", "tgt")
+		r1 := w.Dapplet("h1", "test", "r1")
+		r2 := w.Dapplet("h2", "test", "r2")
+		daps := []*core.Dapplet{wd, tgt, r1, r2}
+		// The no-false-positive guarantee is conditional on relays
+		// answering "reachable" within the watcher's detection window. A
+		// 50ms interval gives the refutation chain (iprobe relay -> probe
+		// RTT -> iprobe-rep) a 100ms window, so scheduling stalls on a
+		// loaded single-core runner don't let a relay's own transient
+		// suspicion rumor fill the quorum first.
+		cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2}
+		dets := quorumMesh(daps, cfg)
+		dw := dets[0]
 
-			downs := 0
-			done := make(chan struct{})
-			dw.OnEvent(func(ev failure.Event) {
-				if ev.Peer == "tgt" && ev.State == failure.Down {
-					select {
-					case <-done:
-					default:
-						downs++
-					}
+		downs := 0
+		done := make(chan struct{})
+		dw.OnEvent(func(ev failure.Event) {
+			if ev.Peer == "tgt" && ev.State == failure.Down {
+				select {
+				case <-done:
+				default:
+					downs++
 				}
-			})
-			waitAllUp(t, dets, daps)
-
-			// Cut only the watcher <-> target link, both directions; the
-			// relays keep full connectivity.
-			w.Net.SetLoss("hw", "ht", 1)
-			time.Sleep(1500 * time.Millisecond)
-			if downs != 0 {
-				t.Fatalf("partitioned watcher committed %d Down verdicts", downs)
-			}
-
-			// Heal: the direct heartbeats resume and the suspicion clears
-			// for good.
-			w.Net.SetLoss("hw", "ht", 0)
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				if st, ok := dw.Status("tgt"); ok && st == failure.Up {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("suspicion never cleared after heal")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			close(done)
-			if downs != 0 {
-				t.Fatalf("Down verdicts after heal: %d", downs)
 			}
 		})
-	}
+		waitAllUp(t, dets, daps)
+
+		// Cut only the watcher <-> target link, both directions; the relays
+		// keep full connectivity.
+		w.Net.SetLoss("hw", "ht", 1)
+		time.Sleep(1500 * time.Millisecond)
+		if downs != 0 {
+			t.Fatalf("partitioned watcher committed %d Down verdicts", downs)
+		}
+
+		// Heal: the direct heartbeats resume and the suspicion clears for
+		// good.
+		w.Net.SetLoss("hw", "ht", 0)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if st, ok := dw.Status("tgt"); ok && st == failure.Up {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("suspicion never cleared after heal")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(done)
+		if downs != 0 {
+			t.Fatalf("Down verdicts after heal: %d", downs)
+		}
+	})
 }
 
 // TestQuorumConfirmsRealCrash proves the quorum rule still detects true
@@ -148,8 +141,8 @@ func TestQuorumConfirmsRealCrash(t *testing.T) {
 	r1 := w.Dapplet("h1", "test", "r1")
 	r2 := w.Dapplet("h2", "test", "r2")
 	daps := []*core.Dapplet{wd, tgt, r1, r2}
-	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2}
-	dets := quorumMesh(t, daps, cfg, false)
+	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2}
+	dets := quorumMesh(daps, cfg)
 
 	events := make(chan failure.Event, 64)
 	dets[0].OnEvent(func(ev failure.Event) {
@@ -180,8 +173,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 	// 50ms as in TestPartitionedWatcherHoldsSuspect: the no-spurious-
 	// expiry guarantee needs the relays' refutations to land inside the
 	// replica's detection window even when the runner stalls.
-	cfg := failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2, Quorum: 2}
-	det := failure.Attach(dr, cfg)
+	det := quorumDetector(dr, failure.Config{Interval: 50 * time.Millisecond, Multiplier: 2})
 	dir := directory.Serve(dr)
 	failure.BindDirectory(det, dir)
 
@@ -252,8 +244,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 func TestQuorumCrashExpiresEntry(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(24))
 	dr := w.Dapplet("hd", "test", "dir-0-0")
-	cfg := failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2, Quorum: 2}
-	det := failure.Attach(dr, cfg)
+	det := quorumDetector(dr, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
 	dir := directory.Serve(dr)
 	failure.BindDirectory(det, dir)
 

@@ -62,13 +62,6 @@ type Config struct {
 	// registered Exchanger pulls one random peer (default 500ms). Rumor
 	// traffic is event-driven and does not wait for rounds.
 	Interval time.Duration
-	// Fanout is how many random peers an originated or forwarded rumor
-	// is sent to (default 3).
-	Fanout int
-	// TTL is a fresh rumor's hop budget; each forwarding peer decrements
-	// it and a rumor arriving with zero is delivered but not forwarded
-	// (default 3).
-	TTL uint8
 	// Seed makes peer sampling deterministic for a given dapplet; zero
 	// derives a seed from the dapplet name, so seeded worlds stay
 	// replayable without coordination.
@@ -79,14 +72,17 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
 	}
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.TTL == 0 {
-		c.TTL = 3
-	}
 	return c
 }
+
+// fanout is how many random peers an originated or forwarded rumor is
+// sent to.
+const fanout = 3
+
+// rumorTTL is a fresh rumor's hop budget; each forwarding peer
+// decrements it and a rumor arriving with zero is delivered but not
+// forwarded.
+const rumorTTL = 3
 
 // Exchanger is one topic's anti-entropy state: the engine calls Digest to
 // summarize local state, forwards a peer's digest to DeltaFor to compute
@@ -285,7 +281,7 @@ func (e *Engine) OnRumor(topic string, f RumorHandler) {
 }
 
 // Broadcast originates one rumor on the topic: the body travels to
-// Fanout random peers with a fresh TTL and spreads epidemically from
+// fanout random peers with a fresh TTL and spreads epidemically from
 // there. The local topic handler does not hear it (the originator already
 // knows), and a later echo of it is suppressed as a duplicate. It waits
 // for each peer's window as an outbox send does, so never call it on the
@@ -305,11 +301,11 @@ func (e *Engine) Broadcast(topic string, body wire.Msg) error {
 		Topic:  topic,
 		Origin: e.d.Name(),
 		Seq:    seq,
-		TTL:    e.cfg.TTL,
+		TTL:    rumorTTL,
 		BodyID: enc.ID(),
 		Body:   enc.Bytes(),
 	}
-	for _, p := range e.sample(e.cfg.Fanout, netsim.Addr{}) {
+	for _, p := range e.sample(fanout, netsim.Addr{}) {
 		if e.d.Transport().AwaitWindow(p.Dapplet) == nil {
 			e.send(p, m)
 		}
@@ -461,7 +457,7 @@ func (e *Engine) handleRumor(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 		// Forwarded before the handler returns, without waiting for a
 		// window: the handler runs on the receive goroutine. The send
 		// copies the body into its transmit frames.
-		for _, p := range e.sample(e.cfg.Fanout, c.From()) {
+		for _, p := range e.sample(fanout, c.From()) {
 			e.send(p, fwd)
 		}
 	}

@@ -176,11 +176,12 @@ func gossipMesh(t *testing.T, w *world.World, n int, cfg gossip.Config) ([]*core
 
 func TestRumorReachesEveryPeerOnce(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(11))
-	const n = 6
 	// Full fanout: a single broadcast (no re-gossip rounds) only
-	// guarantees coverage when the first hop reaches everyone; the
-	// forwarding storm that follows exercises dedup.
-	_, engs := gossipMesh(t, w, n, gossip.Config{Interval: 10 * time.Millisecond, Fanout: n - 1, TTL: 4})
+	// guarantees coverage when the first hop reaches everyone, so the
+	// mesh is the engine's fanout of 3 plus the origin; the forwarding
+	// storm that follows exercises dedup.
+	const n = 4
+	_, engs := gossipMesh(t, w, n, gossip.Config{Interval: 10 * time.Millisecond})
 
 	var mu sync.Mutex
 	heard := make(map[int]int)
@@ -221,7 +222,7 @@ func TestRumorDuplicatesSuppressed(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(12))
 	// Full fanout over a small mesh guarantees every engine receives the
 	// same rumor from several directions.
-	_, engs := gossipMesh(t, w, 4, gossip.Config{Interval: 10 * time.Millisecond, Fanout: 3, TTL: 4})
+	_, engs := gossipMesh(t, w, 4, gossip.Config{Interval: 10 * time.Millisecond})
 	for _, e := range engs {
 		e.OnRumor("t", func(string, wire.Msg) {})
 	}
@@ -298,7 +299,7 @@ func TestEngineStopsWithDapplet(t *testing.T) {
 
 func TestSampleExcludesSelf(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(16))
-	_, engs := gossipMesh(t, w, 2, gossip.Config{Interval: 5 * time.Millisecond, Fanout: 3})
+	_, engs := gossipMesh(t, w, 2, gossip.Config{Interval: 5 * time.Millisecond})
 	var mu sync.Mutex
 	var origins []string
 	engs[0].OnRumor("t", func(origin string, _ wire.Msg) {

@@ -25,8 +25,6 @@ type Package struct {
 	// Path is the effective import path (the path under test for a
 	// test variant).
 	Path string
-	// Name is the package name.
-	Name string
 	// Dir is the package's source directory.
 	Dir string
 	// Module is the path of the module the package belongs to.
@@ -212,7 +210,6 @@ func (ld *loader) typecheck(rec *listPkg) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:   effectivePath(rec),
-		Name:   rec.Name,
 		Dir:    rec.Dir,
 		Module: rec.Module.Path,
 		XTest:  strings.Contains(rec.ImportPath, "_test ["),

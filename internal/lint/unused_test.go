@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // keepUnused lists the exported identifiers of internal/ that nothing
 // the program runs refers to but that stay, each with its reason. A key
 // is the package path below internal/, then the receiver type for a
-// method, then the name: "netsim.Network.SetLoss".
+// method or the struct type for a field, then the name:
+// "netsim.Network.SetLoss".
 var keepUnused = map[string]string{
 	"core.Inbox.TryReceive":            "tests take a message without waiting, to see what the receive path delivered",
 	"core.Runtime.Installed":           "tests observe Install, and world.Launch's install step, through it",
@@ -25,6 +27,7 @@ var keepUnused = map[string]string{
 	"directory.Service.VersionVector":  "the anti-entropy test checks a converged replica's version vector through it",
 	"directory.WithRotateBack":         "lets the fail-over test reach the rotate-back probe in bounded time, until tests run on a virtual clock",
 	"experiment.Full":                  scaleValue,
+	"experiment.Result.Exp":            "wwbench's -out report, written by encoding/json, names each cell's experiment with it",
 	"experiment.Smoke":                 scaleValue,
 	"experiment.Std":                   scaleValue,
 	"failure.AutoRepair":               "the detector-driven session repair loop; TestAutoRepair* drive it and CI repeats them",
@@ -39,12 +42,15 @@ var keepUnused = map[string]string{
 	"relay.Relay.Bound":                relayView,
 	"relay.Relay.Epoch":                relayView,
 	"relay.Relay.Neighbors":            relayView,
+	"relay.Stats.TTLDrops":             "counts frames dropped at a spent hop budget, a drop no experiment prints yet; it stays for ROADMAP item 10(a)'s telemetry registry",
 	"relay.Tree.Neighbors":             "the layout rule's projection onto members: relay, core and session tests build bindings and oracles from it",
+	"scenario.DesignOptions.Interests": "paper §2.1: an edit reaches only the appropriate members; TestInterestFiltering narrows a designer's interests, which no program does",
 	"session.Handle.Grow":              "paper §3: a session grows; session tests and the integration test drive it",
 	"session.Handle.Shrink":            "paper §3: a session shrinks; session tests drive it",
 	"session.Membership.Peer":          "tests read a participant's roster by role to observe set-up and relinks",
 	"session.Membership.Peers":         "tests read a participant's roster by role to observe set-up and relinks",
 	"session.Membership.PeerDown":      "tests observe MarkPeerDown and MarkPeerUp verdicts through it",
+	"session.Policy.ACL":               "paper §3.1: the access control list a participant judges an invitation by; TestACLRejection drives it",
 	"session.Membership.Tree":          "the tree tests observe each member's installed tree and epoch through it",
 	"session.Service.Membership":       "tests reach a participant's membership through it",
 	"session.Service.Sessions":         "tests observe linking and unlinking through it",
@@ -83,12 +89,15 @@ var keepUnused = map[string]string{
 	"syncprim.SingleAssignment.Get":    syncprimConstruct,
 	"syncprim.SingleAssignment.Set":    syncprimConstruct,
 	"syncprim.SingleAssignment.TryGet": syncprimConstruct,
+	"swarm.Config.Lockstep":            "the swarm's one reproducible schedule: TestLockstepDeterminism serializes churn to pin the event log in bounded time",
 	"tokens.Manager.TotalTokens":       "tests observe token conservation through it",
 	"tokens.NewRWLock":                 rwLock,
 	"tokens.RWLock.Lock":               rwLock,
 	"tokens.RWLock.RLock":              rwLock,
 	"tokens.RWLock.RUnlock":            rwLock,
 	"tokens.RWLock.Unlock":             rwLock,
+	"transport.Config.AckDelay":        "transport tests hold the delayed ack apart from RTO/8, on either side, to reach the ack timer's paths in bounded time",
+	"transport.Config.MaxRetries":      "tests set one or two expiries to reach the give-up path (Stats.Failures) in bounded time, and large budgets so a long cut gives up on no frame",
 	"transport.Reliable.RTT":           "the recovery tests observe the RTT estimator and its back-off through it",
 	"wire.EnvelopeDecoder.Decode":      "the whole-frame decode (Header, then Payload) the envelope fuzzer and the wire tests check",
 }
@@ -107,9 +116,13 @@ const (
 // and nothing under bench/ (whose tests are frozen with it) names it. A
 // method counts as used when its type implements, with it, an interface
 // the program names, or one that fmt or errors calls (String, Error, Is,
-// Unwrap). What only its own tests call goes with those tests; what
-// stays is listed in keepUnused, and an entry that names nothing unused
-// fails too, so the table cannot go stale.
+// Unwrap). An exported field of an exported struct type is a dial that
+// something, tests included, must read; a field of a configuration
+// struct (knobType) and a With* option are knobs, and a program file
+// outside the declaring package must also set them, by a composite
+// literal key, an assignment or a call. What only its own tests use goes
+// with those tests; what stays is listed in keepUnused, and an entry
+// that names nothing unused fails too, so the table cannot go stale.
 func TestNoUnusedExports(t *testing.T) {
 	w, err := moduleWorld()
 	if err != nil {
@@ -127,7 +140,7 @@ func TestNoUnusedExports(t *testing.T) {
 		if _, ok := keepUnused[key]; ok {
 			continue
 		}
-		t.Errorf("%s: %s is exported but nothing the program runs uses it: delete it with the tests that are its only callers, or add it to keepUnused with the reason it stays", s.decls[key], key)
+		t.Errorf("%s: %s %s", s.decls[key], key, s.finding(key))
 	}
 	for key := range keepUnused {
 		if _, ok := s.decls[key]; !ok {
@@ -138,6 +151,9 @@ func TestNoUnusedExports(t *testing.T) {
 	}
 }
 
+// knobType names the configuration structs whose fields are knobs.
+var knobType = regexp.MustCompile(`^(Config|Spec|Policy|\w*Options|\w*Params)$`)
+
 // exportScan holds what TestNoUnusedExports finds in the loaded module.
 type exportScan struct {
 	internal string                    // the module's internal/ import path, with a trailing slash
@@ -145,6 +161,21 @@ type exportScan struct {
 	used     map[string]bool           // keys the program refers to
 	ifaces   []*types.Interface        // interfaces the program names
 	named    []*types.Named            // internal/ types with methods, from their own packages
+	fields   map[string]bool           // exported fields of exported internal/ struct types
+	knobs    map[string]bool           // With* options, and fields of knobType structs
+	read     map[string]bool           // fields something reads, tests included
+	set      map[string]bool           // knobs a program file outside their package sets
+}
+
+// finding says why key is reported, by the rule it breaks.
+func (s *exportScan) finding(key string) string {
+	switch {
+	case s.fields[key] && !s.read[key]:
+		return "is a field that nothing reads, tests included: delete it with the code that feeds it, or add it to keepUnused with the reason it stays"
+	case s.knobs[key] && !s.set[key]:
+		return "is a knob that no program outside its package sets: make its value a constant, or add it to keepUnused with the path only a test value reaches in bounded time"
+	}
+	return "is exported but nothing the program runs uses it: delete it with the tests that are its only callers, or add it to keepUnused with the reason it stays"
 }
 
 func scanExports(w *lint.World) *exportScan {
@@ -152,6 +183,10 @@ func scanExports(w *lint.World) *exportScan {
 		internal: w.Packages[0].Module + "/internal/",
 		decls:    make(map[string]token.Position),
 		used:     make(map[string]bool),
+		fields:   make(map[string]bool),
+		knobs:    make(map[string]bool),
+		read:     make(map[string]bool),
+		set:      make(map[string]bool),
 	}
 	seenTypes := make(map[types.Type]bool)
 	for _, p := range w.Packages {
@@ -168,6 +203,7 @@ func scanExports(w *lint.World) *exportScan {
 			if user(f.Pos()) {
 				s.scanUses(p, f)
 			}
+			s.scanFields(p, f, user(f.Pos()))
 		}
 		for e, tv := range p.Info.Types {
 			if user(e.Pos()) {
@@ -194,6 +230,12 @@ func scanExports(w *lint.World) *exportScan {
 	for _, n := range s.named {
 		s.implements(n)
 	}
+	for key := range s.fields {
+		s.used[key] = s.read[key]
+	}
+	for key := range s.knobs {
+		s.used[key] = s.used[key] && s.set[key]
+	}
 	return s
 }
 
@@ -219,10 +261,25 @@ func (s *exportScan) declare(fset *token.FileSet, p *lint.Package, root string) 
 		}
 		if obj.Exported() {
 			s.decls[s.key(obj)] = pos
+			if _, ok := obj.(*types.Func); ok && strings.HasPrefix(name, "With") {
+				s.knobs[s.key(obj)] = true
+			}
 		}
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() {
 			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok && tn.Exported() {
+			for f := range st.Fields() {
+				if pos, ok := at(f); ok && f.Exported() && !f.Embedded() {
+					key := s.key(tn) + "." + f.Name()
+					s.decls[key] = pos
+					s.fields[key] = true
+					if knobType.MatchString(name) {
+						s.knobs[key] = true
+					}
+				}
+			}
 		}
 		n, ok := tn.Type().(*types.Named)
 		if !ok || types.IsInterface(n) || n.NumMethods() == 0 {
@@ -256,6 +313,98 @@ func (s *exportScan) scanUses(p *lint.Package, f *ast.File) {
 			return true
 		})
 	}
+}
+
+// scanFields records which exported fields of internal/ structs f reads
+// and, when f is a program file, which knobs it sets: a field by a
+// composite literal key or an assignment, a With* option by naming it.
+// Taking a field's address both sets and reads it.
+func (s *exportScan) scanFields(p *lint.Package, f *ast.File, program bool) {
+	set := func(key, pkg string) {
+		if program && key != "" && pkg != p.Path {
+			s.set[key] = true
+		}
+	}
+	lhs := make(map[ast.Expr]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lhs[ast.Unparen(e)] = true
+			}
+		case *ast.IncDecStmt:
+			lhs[ast.Unparen(n.X)] = true
+		case *ast.UnaryExpr:
+			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+				set(s.fieldKey(p, sel))
+			}
+		case *ast.CompositeLit:
+			t := p.Info.TypeOf(n)
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, e := range n.Elts {
+				field := st.Field(i).Name()
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					field = kv.Key.(*ast.Ident).Name
+				}
+				set(s.ownerKey(t, field))
+			}
+		case *ast.SelectorExpr:
+			switch key, pkg := s.fieldKey(p, n); {
+			case key == "":
+			case lhs[n]:
+				set(key, pkg)
+			default:
+				s.read[key] = true
+			}
+		case *ast.Ident:
+			if fn, ok := p.Info.Uses[n].(*types.Func); ok && strings.HasPrefix(fn.Name(), "With") {
+				set(s.key(fn), fn.Pkg().Path())
+			}
+		}
+		return true
+	})
+}
+
+// fieldKey names the field sel selects, and its package, or is "" when
+// sel selects no field of a named internal/ struct.
+func (s *exportScan) fieldKey(p *lint.Package, sel *ast.SelectorExpr) (string, string) {
+	selection := p.Info.Selections[sel]
+	if selection == nil || selection.Kind() != types.FieldVal {
+		return "", ""
+	}
+	// The field's owner is the struct at the end of the embedding path.
+	t := selection.Recv()
+	path := selection.Index()
+	for _, i := range path[:len(path)-1] {
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return s.ownerKey(t, selection.Obj().Name())
+}
+
+// ownerKey names field of the named struct type t, and its package, as
+// keepUnused does, or is "" when t is not a named type of internal/.
+func (s *exportScan) ownerKey(t types.Type, field string) (string, string) {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return "", ""
+	}
+	key := s.key(n.Obj())
+	if key == "" {
+		return "", ""
+	}
+	return key + "." + field, n.Obj().Pkg().Path()
 }
 
 // collect walks t for the interfaces it names.

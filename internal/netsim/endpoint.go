@@ -33,12 +33,12 @@ type Host struct {
 // Bind creates an endpoint on the given port. It fails with ErrPortInUse
 // if the port is taken and ErrClosed if the network is shut down.
 func (h *Host) Bind(port uint16) (*Endpoint, error) {
-	return h.bind(port, h.net.cfg.queueCap)
+	return h.bind(port, DefaultQueueCap)
 }
 
 func (h *Host) bind(port uint16, queueCap int) (*Endpoint, error) {
 	if queueCap <= 0 {
-		queueCap = h.net.cfg.queueCap
+		queueCap = DefaultQueueCap
 	}
 	h.shard.mu.Lock()
 	defer h.shard.mu.Unlock()
@@ -65,7 +65,7 @@ func (h *Host) BindAny() (*Endpoint, error) {
 }
 
 // BindAnyQueue is BindAny with a per-endpoint receive queue capacity
-// (0 selects the network's configured default). The queue backs each
+// (0 selects DefaultQueueCap). The queue backs each
 // endpoint with a preallocated channel, so at swarm scale — hundreds of
 // thousands of mostly idle endpoints — the default capacity dominates
 // per-dapplet memory; swarm members bind small queues.

@@ -276,10 +276,10 @@ func TestVirtualClockCriticalPath(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	n := New(WithQueueCap(4))
+	n := New()
 	defer n.Close()
 	a, _ := n.Host("h").Bind(1)
-	b, _ := n.Host("h").Bind(2)
+	b, _ := n.Host("h").BindAnyQueue(4)
 	for i := 0; i < 10; i++ {
 		if err := a.Send(b.Addr(), []byte("x")); err != nil {
 			t.Fatal(err)
@@ -379,9 +379,9 @@ func TestRealTimeScaleDelaysDelivery(t *testing.T) {
 }
 
 func TestConcurrentSendersAreSafe(t *testing.T) {
-	n := New(WithSeed(9), WithQueueCap(100000))
+	n := New(WithSeed(9))
 	defer n.Close()
-	dst, _ := n.Host("sink").Bind(1)
+	dst, _ := n.Host("sink").BindAnyQueue(100000)
 	const senders, per = 8, 200
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {

@@ -27,8 +27,7 @@ type config struct {
 	seed         int64
 	defaultDelay DelayModel
 	timeScale    float64 // real delay = virtual delay * timeScale
-	queueCap     int
-	shards       int // 0 means GOMAXPROCS
+	shards       int     // 0 means GOMAXPROCS
 }
 
 // DefaultDatagramOverhead is the modelled per-datagram wire overhead,
@@ -53,10 +52,6 @@ func WithDefaultDelay(m DelayModel) Option { return func(c *config) { c.defaultD
 // The default 0 delivers datagrams immediately (virtual time still advances
 // by the full modelled delay); 1.0 delivers in real time.
 func WithTimeScale(s float64) Option { return func(c *config) { c.timeScale = s } }
-
-// WithQueueCap sets the per-endpoint receive queue capacity; datagrams
-// arriving at a full queue are dropped, like a full UDP socket buffer.
-func WithQueueCap(n int) Option { return func(c *config) { c.queueCap = n } }
 
 // WithShards sets the number of delivery shards hosts are partitioned
 // across. Each shard has its own lock, its own seeded random stream and
@@ -91,15 +86,14 @@ type LinkParams struct {
 // balance Sent + Duplicated = Delivered + Lost* + reorder slots held is
 // exact once the network is quiescent.
 type Stats struct {
-	Sent        uint64 // datagrams submitted to Send
-	Delivered   uint64 // datagrams handed to a receive queue
-	LostLink    uint64 // dropped by link loss
-	LostQueue   uint64 // dropped at a full receive queue
-	LostCut     uint64 // dropped by a partition
-	LostCrash   uint64 // dropped because an endpoint's host was crashed
-	Duplicated  uint64 // extra copies delivered
-	Reordered   uint64 // datagrams deferred behind a successor
-	BytesSent   uint64
+	Sent        uint64        // datagrams submitted to Send
+	Delivered   uint64        // datagrams handed to a receive queue
+	LostLink    uint64        // dropped by link loss
+	LostQueue   uint64        // dropped at a full receive queue
+	LostCut     uint64        // dropped by a partition
+	LostCrash   uint64        // dropped because an endpoint's host was crashed
+	Duplicated  uint64        // extra copies delivered
+	Reordered   uint64        // datagrams deferred behind a successor
 	WireBytes   uint64        // payload bytes plus DefaultDatagramOverhead per datagram
 	MaxVirtual  time.Duration // max endpoint virtual clock
 	MeanVirtual time.Duration // mean endpoint virtual clock
@@ -129,7 +123,6 @@ func New(opts ...Option) *Network {
 		seed:         1,
 		defaultDelay: LAN(),
 		timeScale:    0,
-		queueCap:     DefaultQueueCap,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -333,7 +326,6 @@ func (n *Network) Counters() Stats {
 		s.LostCrash += sh.ctr.lostCrash
 		s.Duplicated += sh.ctr.duplicated
 		s.Reordered += sh.ctr.reordered
-		s.BytesSent += sh.ctr.bytesSent
 		s.WireBytes += sh.ctr.wireBytes
 		sh.mu.Unlock()
 		s.Delivered += sh.ctr.delivered.Load()
@@ -436,7 +428,6 @@ func (n *Network) route(from *Endpoint, to Addr, payload []byte) error {
 		}
 	}
 	s.ctr.sent++
-	s.ctr.bytesSent += uint64(len(payload))
 	s.ctr.wireBytes += uint64(len(payload) + DefaultDatagramOverhead)
 
 	// Crash check: a crashed machine neither sends nor receives. The

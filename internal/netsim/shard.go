@@ -77,7 +77,6 @@ type shardCounters struct {
 	lostCrash  uint64 // guarded by shard.mu
 	duplicated uint64 // guarded by shard.mu
 	reordered  uint64 // guarded by shard.mu
-	bytesSent  uint64 // guarded by shard.mu
 	wireBytes  uint64 // guarded by shard.mu
 
 	delivered atomic.Uint64

@@ -28,7 +28,7 @@ func TestWithShardsCounts(t *testing.T) {
 func TestConcurrentSendStatsBalance(t *testing.T) {
 	for _, shards := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			n := New(WithSeed(1234), WithShards(shards), WithQueueCap(4096))
+			n := New(WithSeed(1234), WithShards(shards))
 			defer n.Close()
 			const senders, per = 16, 500
 			dsts := make([]*Endpoint, senders)
@@ -38,7 +38,7 @@ func TestConcurrentSendStatsBalance(t *testing.T) {
 				if srcs[i], err = n.Host(fmt.Sprintf("src%d", i)).Bind(1); err != nil {
 					t.Fatal(err)
 				}
-				if dsts[i], err = n.Host(fmt.Sprintf("dst%d", i)).Bind(1); err != nil {
+				if dsts[i], err = n.Host(fmt.Sprintf("dst%d", i)).BindAnyQueue(4096); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -86,13 +86,13 @@ func TestConcurrentSendStatsBalance(t *testing.T) {
 // faulty link and returns the exact sequence of delivered payloads.
 func runSeededSequence(t *testing.T, seed int64, shards int) []string {
 	t.Helper()
-	n := New(WithSeed(seed), WithShards(shards), WithQueueCap(4096))
+	n := New(WithSeed(seed), WithShards(shards))
 	defer n.Close()
 	src, err := n.Host("alpha").Bind(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := n.Host("beta").Bind(1)
+	dst, err := n.Host("beta").BindAnyQueue(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func BenchmarkNetsimParallelSendShards(b *testing.B) {
 
 func benchParallelSend(b *testing.B, shards int) {
 	const pairs = 64
-	n := New(WithSeed(1), WithShards(shards), WithQueueCap(1024))
+	n := New(WithSeed(1), WithShards(shards))
 	defer n.Close()
 	srcs := make([]*Endpoint, pairs)
 	dsts := make([]*Endpoint, pairs)

@@ -33,9 +33,6 @@ type Stats struct {
 	// Unbound counts frames for sessions this dapplet has no binding
 	// for.
 	Unbound uint64
-	// Redriven is the number of replay-buffer frames re-flooded by
-	// Redrive calls.
-	Redriven uint64
 }
 
 // Binding describes one participant's place in one session's tree. It
@@ -118,7 +115,6 @@ type Relay struct {
 	dupDropped atomic.Uint64
 	ttlDrops   atomic.Uint64
 	unbound    atomic.Uint64
-	redriven   atomic.Uint64
 }
 
 // Attach creates the dapplet's relay engine and registers its frame
@@ -140,7 +136,6 @@ func (r *Relay) Stats() Stats {
 		DupDropped: r.dupDropped.Load(),
 		TTLDrops:   r.ttlDrops.Load(),
 		Unbound:    r.unbound.Load(),
-		Redriven:   r.redriven.Load(),
 	}
 }
 
@@ -314,7 +309,6 @@ func (r *Relay) Redrive(sid string) error {
 		if _, err := r.flood(sid, f, neighbors, netsim.Addr{}, r.d.SendEncoded); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		r.redriven.Add(1)
 	}
 	return firstErr
 }

@@ -28,11 +28,8 @@ import (
 // only the multicast mechanism differs.
 type BroadcastOptions struct {
 	// Participants is the group size including the origin (default 16,
-	// minimum 2).
+	// minimum 2). A tree has fanout relay.DefaultFanout.
 	Participants int
-	// Fanout is the tree fanout k (default relay.DefaultFanout); ignored
-	// in flat mode.
-	Fanout int
 	// Messages is how many broadcasts the origin sends (default 10).
 	Messages int
 	// PayloadBytes pads each broadcast body to this size (default 64).
@@ -40,26 +37,18 @@ type BroadcastOptions struct {
 	// Tree selects relay-tree multicast; false wires a flat link from the
 	// origin's outbox to every other member's inbox.
 	Tree bool
-	// Hosts spreads members over this many simulated hosts (default
-	// min(Participants, 32)).
-	Hosts int
 	// Seed seeds the network (default 14).
 	Seed int64
 	// Shards is the network's delivery shard count (0 = GOMAXPROCS; 1
 	// makes the run bit-reproducible per seed).
 	Shards int
-	// CrashAfter, when positive, stops the member at roster index
-	// CrashIndex after that many broadcasts, repairs the tree through the
-	// initiator, and sends the rest: the surviving listeners must still
-	// deliver every message exactly once. Tree mode only.
-	CrashAfter int
-	// CrashIndex is the roster index of the member CrashAfter kills
-	// (default 1, the root's first child — an interior relay whenever the
-	// group is larger than the fanout+1).
-	CrashIndex int
 	// Deadline bounds the whole run (default 2 minutes).
 	Deadline time.Duration
 }
+
+// broadcastHosts is how many simulated hosts a broadcast group's
+// members are spread over, at most.
+const broadcastHosts = 32
 
 // MaxFlatParticipants caps the flat (Tree false) baseline: a flat session
 // ships every participant the whole roster, by contract, so its set-up
@@ -84,31 +73,11 @@ func (o *BroadcastOptions) defaults() error {
 	if o.PayloadBytes <= 0 {
 		o.PayloadBytes = 64
 	}
-	if o.Hosts <= 0 {
-		o.Hosts = o.Participants
-		if o.Hosts > 32 {
-			o.Hosts = 32
-		}
-	}
 	if o.Seed == 0 {
 		o.Seed = 14
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 2 * time.Minute
-	}
-	if o.CrashAfter > 0 {
-		if !o.Tree {
-			return fmt.Errorf("scenario: crash injection needs tree mode (flat fan-out has no relays to kill)")
-		}
-		if o.CrashIndex == 0 {
-			o.CrashIndex = 1
-		}
-		if o.CrashIndex <= 0 || o.CrashIndex >= o.Participants {
-			return fmt.Errorf("scenario: crash index %d out of range (1..%d)", o.CrashIndex, o.Participants-1)
-		}
-		if o.CrashAfter >= o.Messages {
-			return fmt.Errorf("scenario: crash after %d leaves no post-repair traffic (%d messages)", o.CrashAfter, o.Messages)
-		}
 	}
 	return nil
 }
@@ -138,12 +107,10 @@ type BroadcastResult struct {
 	// MaxQueueDepth is the largest per-member transport send queue
 	// (unacked + staged frames) sampled during the run.
 	MaxQueueDepth int
-	// Delivered is the total deliveries across surviving listeners
-	// (always (survivors)×Messages on success — the run fails otherwise).
+	// Delivered is the total deliveries across listeners (always
+	// (Participants-1)×Messages on success — the run fails otherwise).
 	Delivered int
-	// Repaired reports whether the run crashed and repaired a relay.
-	Repaired bool
-	// Digest folds every surviving listener's name and delivery order
+	// Digest folds every listener's name and delivery order
 	// into one FNV-1a value. It is folded only after every listener has
 	// been checked to deliver exactly 1..Messages in order, so it proves
 	// completion and order: any successful run with the same roster has
@@ -164,9 +131,7 @@ type bcastListener struct {
 // member delivers all of them in order exactly once. In tree mode the
 // origin's outbox hands each marshal-once body to its k tree children and
 // interior members re-forward the shared bytes; in flat mode the origin's
-// outbox holds a binding per listener. With CrashAfter set the run also
-// kills an interior relay mid-broadcast and repairs the tree, proving
-// redrive closes the delivery gap.
+// outbox holds a binding per listener.
 func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -181,7 +146,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	dapplets := make([]*core.Dapplet, opts.Participants)
 	for i := range names {
 		names[i] = fmt.Sprintf("b%05d", i)
-		d := w.Dapplet(fmt.Sprintf("bh%02d", i%opts.Hosts), "bcaster", names[i])
+		d := w.Dapplet(fmt.Sprintf("bh%02d", i%broadcastHosts), "bcaster", names[i])
 		dapplets[i] = d
 		session.Attach(d, session.Policy{})
 		if err := w.Dir.Register(ctx, directory.Entry{Name: names[i], Type: "bcaster", Addr: d.Addr()}); err != nil {
@@ -196,7 +161,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 		spec.Participants = append(spec.Participants, session.Participant{Name: n, Role: "member"})
 	}
 	if opts.Tree {
-		spec.Tree = &session.TreeSpec{Outbox: outboxName, Inbox: inboxName, Fanout: opts.Fanout}
+		spec.Tree = &session.TreeSpec{Outbox: outboxName, Inbox: inboxName}
 	} else {
 		for _, n := range names[1:] {
 			spec.Links = append(spec.Links, session.Link{
@@ -301,7 +266,6 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	pad := strings.Repeat("x", opts.PayloadBytes)
 	bytesBefore := origin.Transport().Stats().BytesOut
 
-	var victim *core.Dapplet
 	var sendNs int64
 	for seq := 1; seq <= opts.Messages; seq++ {
 		body := &wire.Text{S: fmt.Sprintf("%06d|%s", seq, pad)[:6+1+opts.PayloadBytes]}
@@ -313,19 +277,10 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 			return nil, fmt.Errorf("scenario: broadcast %d: %w", seq, err)
 		}
 		sendNs += time.Since(start).Nanoseconds()
-		if opts.CrashAfter > 0 && seq == opts.CrashAfter {
-			victim = dapplets[opts.CrashIndex]
-			victim.Stop()
-			if err := h.RepairTree(ctx, victim.Name()); err != nil {
-				return nil, fmt.Errorf("scenario: repair after relay crash: %w", err)
-			}
-			res.Repaired = true
-		}
 	}
 	res.SenderNsPerMsg = float64(sendNs) / float64(opts.Messages)
 
-	// Wait for every surviving listener to drain; the victim's goroutine
-	// exits on its closed inbox.
+	// Wait for every listener to drain.
 	drained := make(chan struct{})
 	go func() { wg.Wait(); close(drained) }()
 	select {
@@ -339,15 +294,11 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 	res.MaxQueueDepth = maxQueue
 	queueMu.Unlock()
 
-	// Every surviving listener must have delivered exactly 1..Messages in
-	// order — no loss across the crash, no duplicate past the dedup
-	// layer.
+	// Every listener must have delivered exactly 1..Messages in order —
+	// no loss, no duplicate past the dedup layer.
 	var lats []time.Duration
 	digest := fnv.New64a()
 	for _, l := range listeners {
-		if victim != nil && l.name == victim.Name() {
-			continue
-		}
 		if l.err != nil {
 			return nil, fmt.Errorf("scenario: listener %s after %d of %d deliveries: %w",
 				l.name, len(l.seqs), opts.Messages, l.err)
@@ -371,7 +322,7 @@ func RunBroadcast(ctx context.Context, opts BroadcastOptions) (*BroadcastResult,
 
 	sum := latency.Summarize(lats)
 	res.P50, res.P99 = sum.P50, sum.P99
-	if err := h.Terminate(ctx); err != nil && victim == nil {
+	if err := h.Terminate(ctx); err != nil {
 		return nil, fmt.Errorf("scenario: broadcast teardown: %w", err)
 	}
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/relay"
 	"repro/internal/scenario"
 )
 
@@ -20,7 +21,7 @@ func TestBroadcastFlatAndTree(t *testing.T) {
 		t.Fatalf("flat: %v", err)
 	}
 	tree, err := scenario.RunBroadcast(context.Background(), scenario.BroadcastOptions{
-		Participants: 24, Messages: 8, Seed: 7, Tree: true, Fanout: 3,
+		Participants: 24, Messages: 8, Seed: 7, Tree: true,
 	})
 	if err != nil {
 		t.Fatalf("tree: %v", err)
@@ -33,10 +34,10 @@ func TestBroadcastFlatAndTree(t *testing.T) {
 	if flat.Depth != 0 {
 		t.Fatalf("flat depth = %d", flat.Depth)
 	}
-	if tree.Depth < 2 || tree.Fanout != 3 {
+	if tree.Depth < 2 || tree.Fanout != relay.DefaultFanout {
 		t.Fatalf("tree depth=%d fanout=%d", tree.Depth, tree.Fanout)
 	}
-	// 24 members at fanout 3 put 3 children under the root vs 23 flat
+	// 24 members at fanout 4 put 4 children under the root vs 23 flat
 	// bindings: the root's wire traffic must shrink. The margin is left
 	// loose here (tiny run, ack traffic); wwbench measures the real
 	// ratio at 1k.
@@ -55,7 +56,7 @@ func TestBroadcastLockstepDeterminism(t *testing.T) {
 	run := func() *scenario.BroadcastResult {
 		t.Helper()
 		r, err := scenario.RunBroadcast(context.Background(), scenario.BroadcastOptions{
-			Participants: 17, Messages: 6, Seed: 23, Shards: 1, Tree: true, Fanout: 2,
+			Participants: 17, Messages: 6, Seed: 23, Shards: 1, Tree: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,25 +69,5 @@ func TestBroadcastLockstepDeterminism(t *testing.T) {
 	}
 	if a.Delivered != 16*6 {
 		t.Fatalf("delivered = %d", a.Delivered)
-	}
-}
-
-// TestBroadcastRelayCrashRepair kills an interior relay mid-broadcast
-// and repairs the tree: every surviving listener must still deliver the
-// full sequence exactly once, in order (RunBroadcast fails otherwise).
-func TestBroadcastRelayCrashRepair(t *testing.T) {
-	res, err := scenario.RunBroadcast(context.Background(), scenario.BroadcastOptions{
-		Participants: 12, Messages: 9, Seed: 41, Tree: true, Fanout: 2,
-		CrashAfter: 4, CrashIndex: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Repaired {
-		t.Fatal("run did not exercise the crash path")
-	}
-	// 10 survivors (12 members minus origin minus victim) × 9 messages.
-	if want := 10 * 9; res.Delivered != want {
-		t.Fatalf("delivered = %d, want %d", res.Delivered, want)
 	}
 }

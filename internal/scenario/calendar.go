@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/core"
-	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/session"
 	"repro/internal/transport"
@@ -44,22 +43,6 @@ type CalendarOptions struct {
 	// netsim default, GOMAXPROCS). Shards=1 makes single-driver runs
 	// bit-reproducible per seed.
 	Shards int
-	// DirShards, when > 0, hosts the directory as a replicated
-	// prefix-sharded service on dedicated dapplets instead of the
-	// process-local map: DirShards shards with DirReplicas replicas each
-	// (default 1), resolved through the caching client (experiment E10).
-	// Zero keeps the in-process fast path, so existing seeds and
-	// determinism are untouched.
-	DirShards int
-	// DirReplicas is the replica count per directory shard (only with
-	// DirShards > 0; default 1).
-	DirReplicas int
-	// DirTimeout is the directory client's per-replica request timeout —
-	// the failover latency after a replica crash (0 uses the directory
-	// default).
-	DirTimeout time.Duration
-	// RTO is the reliable layer's retransmission timeout.
-	RTO time.Duration
 }
 
 func (o *CalendarOptions) defaults() {
@@ -72,21 +55,13 @@ func (o *CalendarOptions) defaults() {
 	if o.Slots <= 0 {
 		o.Slots = 112
 	}
-	if o.DirShards > 0 && o.DirReplicas <= 0 {
-		o.DirReplicas = 1
-	}
-	if o.RTO <= 0 {
-		o.RTO = appRTO
-	}
 }
 
-// appRTO is the retransmission timeout of every application world: the
-// calendar's default and the card game's and design team's only value.
+// appRTO is the retransmission timeout of every application world.
 const appRTO = 50 * time.Millisecond
 
-// CalendarWorld is an assembled calendar application. Its World's Dir
-// is the replicated service's caching client when
-// CalendarOptions.DirShards > 0, the process-local map otherwise.
+// CalendarWorld is an assembled calendar application over the
+// process-local directory.
 type CalendarWorld struct {
 	*world.World
 	Coordinator *core.Dapplet
@@ -113,7 +88,7 @@ func siteName(i int) string { return fmt.Sprintf("site%d", i) }
 func BuildCalendar(ctx context.Context, opts CalendarOptions) (*CalendarWorld, error) {
 	opts.defaults()
 	w := &CalendarWorld{
-		World: world.New(transport.Config{RTO: opts.RTO},
+		World: world.New(transport.Config{RTO: appRTO},
 			netsim.WithSeed(opts.Seed), netsim.WithShards(opts.Shards), netsim.WithDefaultDelay(netsim.LAN())),
 		Members:  make(map[string]*calendar.MemberBehavior),
 		Sessions: make(map[string]*session.Service),
@@ -132,19 +107,6 @@ func (w *CalendarWorld) build(ctx context.Context) error {
 	for i := 0; i < opts.Sites; i++ {
 		for j := i + 1; j < opts.Sites; j++ {
 			w.Net.SetLinkDelay(siteName(i), siteName(j), netsim.WAN())
-		}
-	}
-
-	// Directory: the process-local map by default; with DirShards > 0 a
-	// replicated service hosted on dedicated dapplets, resolved through
-	// the caching client (all registrations below then travel the wire).
-	if opts.DirShards > 0 {
-		var cliOpts []directory.ClientOption
-		if opts.DirTimeout > 0 {
-			cliOpts = append(cliOpts, directory.WithClientTimeout(opts.DirTimeout))
-		}
-		if _, err := w.Directory(opts.DirShards, opts.DirReplicas, cliOpts...); err != nil {
-			return err
 		}
 	}
 

@@ -14,43 +14,16 @@ import (
 	"repro/internal/wire"
 )
 
-// RecoveryOptions configures the secretary-crash recovery scenario: the
-// Figure 1 calendar world with a failure detector between the
-// coordinator and each secretary, where one secretary crashes
-// mid-negotiation and the run must still schedule the meeting.
-type RecoveryOptions struct {
-	// Calendar configures the underlying world; Hierarchical is forced
-	// true (only the hierarchical wiring has secretaries to crash).
-	Calendar CalendarOptions
-	// HeartbeatInterval is the detector period (default 10ms).
-	HeartbeatInterval time.Duration
-	// Multiplier is the detector's missed-interval budget (default 2).
-	Multiplier int
-	// CrashSite selects which site's secretary crashes (default 0).
-	CrashSite int
-	// SchedTimeout bounds each scheduler gather phase, i.e. how long a
-	// negotiation round stalls on the dead secretary before the round is
-	// abandoned and retried (default 500ms).
-	SchedTimeout time.Duration
-	// Deadline bounds the whole run (default 30s).
-	Deadline time.Duration
-}
-
-func (o *RecoveryOptions) defaults() {
-	o.Calendar.Hierarchical = true
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 10 * time.Millisecond
-	}
-	if o.Multiplier <= 0 {
-		o.Multiplier = 2
-	}
-	if o.SchedTimeout <= 0 {
-		o.SchedTimeout = 500 * time.Millisecond
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = 30 * time.Second
-	}
-}
+// The secretary-crash run's fixed shape: the detector's heartbeat
+// period and missed-interval budget, how long a scheduler gather phase
+// stalls on the dead secretary before the round is abandoned and
+// retried, and the bound on the whole run. Site 0's secretary crashes.
+const (
+	recoveryHeartbeat    = 10 * time.Millisecond
+	recoveryMultiplier   = 2
+	recoverySchedTimeout = 500 * time.Millisecond
+	recoveryDeadline     = 30 * time.Second
+)
 
 // RecoveryResult reports what a secretary-crash run measured.
 type RecoveryResult struct {
@@ -81,28 +54,27 @@ type RecoveryResult struct {
 //	   (Handle.Reincarnate)
 //	-> the scheduler retries the abandoned round and completes.
 //
-// The returned result carries the scheduling outcome plus measured
-// detection and recovery latencies.
+// opts configures the calendar world; Hierarchical is forced true (only
+// the hierarchical wiring has secretaries to crash). The returned result
+// carries the scheduling outcome plus measured detection and recovery
+// latencies.
 //
 //wwlint:allowfile determinism this scenario measures real detector and recovery latencies with the wall clock; its result carries no replay digest
-func RunSecretaryCrashRecovery(ctx context.Context, opts RecoveryOptions) (*RecoveryResult, error) {
-	opts.defaults()
-	w, err := BuildCalendar(ctx, opts.Calendar)
+func RunSecretaryCrashRecovery(ctx context.Context, opts CalendarOptions) (*RecoveryResult, error) {
+	opts.Hierarchical = true
+	w, err := BuildCalendar(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer w.Close()
 
-	if opts.CrashSite < 0 || opts.CrashSite >= len(w.Sites) {
-		return nil, fmt.Errorf("scenario: crash site %d out of range", opts.CrashSite)
-	}
-	victim := w.Sites[opts.CrashSite].Secretary
+	victim := w.Sites[0].Secretary
 	victimD, ok := w.RT.Dapplet(victim)
 	if !ok {
 		return nil, fmt.Errorf("scenario: secretary %q not launched", victim)
 	}
 
-	detCfg := failure.Config{Interval: opts.HeartbeatInterval, Multiplier: opts.Multiplier}
+	detCfg := failure.Config{Interval: recoveryHeartbeat, Multiplier: recoveryMultiplier}
 
 	// The coordinator watches every secretary; each secretary watches
 	// the coordinator back (detection is bidirectional). Verdicts feed
@@ -165,9 +137,10 @@ func RunSecretaryCrashRecovery(ctx context.Context, opts RecoveryOptions) (*Reco
 	})
 
 	// Drive scheduling; rounds stalled on the dead secretary are
-	// abandoned after SchedTimeout and retried once recovery completes.
-	w.Scheduler.SetTimeout(opts.SchedTimeout)
-	deadline := time.Now().Add(opts.Deadline)
+	// abandoned after recoverySchedTimeout and retried once recovery
+	// completes.
+	w.Scheduler.SetTimeout(recoverySchedTimeout)
+	deadline := time.Now().Add(recoveryDeadline)
 	res := &RecoveryResult{}
 	slots := w.Opts.Slots
 	repaired := false

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/world"
 )
 
 func TestBuildCalendarDefaults(t *testing.T) {
@@ -96,11 +95,9 @@ func TestBuildCardGameWorld(t *testing.T) {
 }
 
 func TestSecretaryCrashRecovery(t *testing.T) {
-	res, err := scenario.RunSecretaryCrashRecovery(context.Background(), scenario.RecoveryOptions{
-		Calendar: scenario.CalendarOptions{
-			Sites: 3, MembersPerSite: 2, Slots: 64,
-			BusyProb: 0.5, CommonSlot: 40, Seed: 7, Shards: 1,
-		},
+	res, err := scenario.RunSecretaryCrashRecovery(context.Background(), scenario.CalendarOptions{
+		Sites: 3, MembersPerSite: 2, Slots: 64,
+		BusyProb: 0.5, CommonSlot: 40, Seed: 7, Shards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,61 +110,6 @@ func TestSecretaryCrashRecovery(t *testing.T) {
 	}
 	if res.Detection <= 0 || res.Recovery <= 0 {
 		t.Fatalf("latencies not measured: detection=%v recovery=%v", res.Detection, res.Recovery)
-	}
-}
-
-// TestCalendarWithDirectoryService builds the calendar world on the
-// replicated directory service (2 shards x 2 replicas) instead of the
-// in-process map: session setup resolves every participant through the
-// caching client, a full meeting schedules, and after one replica of
-// every shard is crashed all lookups still succeed through the
-// survivors.
-func TestCalendarWithDirectoryService(t *testing.T) {
-	w, err := scenario.BuildCalendar(context.Background(), scenario.CalendarOptions{
-		Sites: 2, MembersPerSite: 2, Hierarchical: false,
-		Slots: 64, BusyProb: 0.5, CommonSlot: 40, Seed: 9,
-		DirShards: 2, DirReplicas: 2, DirTimeout: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if w.DirClient == nil {
-		t.Fatal("service-backed world has no directory client")
-	}
-	res, err := w.Scheduler.Schedule(context.Background(), 0, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Slot > 40 {
-		t.Fatalf("scheduled slot %d, want <= 40", res.Slot)
-	}
-	// Registration primes the cache, so session setup resolves from it.
-	if st := w.DirClient.Stats(); st.Hits == 0 {
-		t.Fatal("session setup never hit the directory cache")
-	}
-	// An uncached name travels to the service.
-	w.DirClient.Invalidate(w.MemberNames[0])
-	if _, err := w.Dir.MustLookup(context.Background(), w.MemberNames[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st := w.DirClient.Stats(); st.Misses == 0 {
-		t.Fatal("no lookup ever travelled to the directory service")
-	}
-
-	// A replica of every shard dies; lookups must fail over to the
-	// survivors, uncached.
-	for s := 0; s < 2; s++ {
-		w.Net.Crash(world.DirReplicaHost(s, 0))
-	}
-	w.DirClient.FlushCache()
-	for _, name := range w.MemberNames {
-		if _, err := w.Dir.MustLookup(context.Background(), name); err != nil {
-			t.Fatalf("lookup %s after replica crash: %v", name, err)
-		}
-	}
-	if w.DirClient.Stats().Failovers == 0 {
-		t.Fatal("no failover counted after replica crash")
 	}
 }
 
@@ -191,10 +133,6 @@ func TestBuildFailureReleasesWorld(t *testing.T) {
 		}},
 		{"calendar", func(ctx context.Context) error {
 			_, err := scenario.BuildCalendar(ctx, scenario.CalendarOptions{Seed: 1, Hierarchical: true})
-			return err
-		}},
-		{"calendar/dir-service", func(ctx context.Context) error {
-			_, err := scenario.BuildCalendar(ctx, scenario.CalendarOptions{Seed: 1, Hierarchical: true, DirShards: 1})
 			return err
 		}},
 	}

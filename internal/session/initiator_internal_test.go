@@ -38,9 +38,8 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(11))
 	dir := directory.New()
 
-	linked := make(chan struct{}, 1)
 	goodD := w.Dapplet("hg", "t", "good")
-	goodSvc := Attach(goodD, Policy{OnJoin: func(*Membership) { linked <- struct{}{} }})
+	goodSvc := Attach(goodD, Policy{})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "good", Type: "t", Addr: goodD.Addr()})
 
 	// The sticky participant elects silence on its invitation: the
@@ -73,11 +72,7 @@ func TestInitiateCancelMidHandshakeAbortsCommitted(t *testing.T) {
 	}()
 
 	// The well-behaved participant linked itself up...
-	select {
-	case <-linked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("good participant never linked")
-	}
+	waitFor(t, "the good participant links", func() bool { return len(goodSvc.Sessions()) == 1 })
 	// ...and the initiator is now stuck on the sticky one: cancel.
 	cancel()
 	select {
@@ -126,9 +121,8 @@ func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 	})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "sticky", Type: "t", Addr: stickyD.Addr()})
 
-	joined := make(chan struct{}, 1)
 	newbieD := w.Dapplet("hn", "t", "newbie")
-	newbieSvc := Attach(newbieD, Policy{OnJoin: func(*Membership) { joined <- struct{}{} }})
+	newbieSvc := Attach(newbieD, Policy{})
 	_ = dir.Register(context.Background(), directory.Entry{Name: "newbie", Type: "t", Addr: newbieD.Addr()})
 
 	ini := NewInitiator(w.Dapplet("hq", "t", "director"), dir)
@@ -147,11 +141,7 @@ func TestGrowCancelAbortsCommittedNewcomer(t *testing.T) {
 		res <- h.Grow(ctx, Participant{Name: "newbie", Role: "member", Access: accessSet("v")},
 			[]Link{{From: "newbie", Outbox: "out", To: "sticky", Inbox: "in"}})
 	}()
-	select {
-	case <-joined:
-	case <-time.After(10 * time.Second):
-		t.Fatal("newcomer never linked")
-	}
+	waitFor(t, "the newcomer links", func() bool { return len(newbieSvc.Sessions()) == 1 })
 	cancel()
 	select {
 	case err := <-res:

@@ -49,8 +49,8 @@ func (s *Service) unpersist(id string) {
 // durable records in its store: for each it re-registers the session's
 // state access (tolerating access the store still holds from before the
 // crash) and re-runs the accept path on the record — session inboxes,
-// outbox bindings, the tree bound to the neighbours the last incarnation
-// had, and the OnJoin policy hook, so behaviours re-learn their peers.
+// outbox bindings and the tree bound to the neighbours the last
+// incarnation had; behaviours re-learn their peers from Membership.
 // It returns the restored session ids, sorted (Store.Names is).
 //
 // Call it after core.Runtime.Restart, before the initiator relinks

@@ -97,24 +97,15 @@ func (m *Membership) PeerDown(name string) bool {
 	return m.down[name]
 }
 
-// Policy configures how a dapplet responds to session requests. Its
-// callbacks run in the "@session" inbox's svc handlers, on the goroutine
-// delivering the request — the dapplet's receive goroutine — so they
-// must never wait: not on a send, a reply or an inbox. One that must
-// hands its work to a thread (core.Dapplet.Spawn).
+// Policy configures how a dapplet responds to session requests.
 type Policy struct {
 	// ACL, when non-nil, decides whether an inviter may link this dapplet
 	// into a session; returning false rejects the invitation ("because
 	// the requesting dapplet was not on its access control list", §3.1).
+	// It runs in the "@session" inbox's svc handler, on the goroutine
+	// delivering the invitation — the dapplet's receive goroutine — so
+	// it must never wait: not on a send, a reply or an inbox.
 	ACL func(from netsim.Addr, inv Invitation) bool
-	// OnJoin, when non-nil, runs once the dapplet has accepted an
-	// invitation and linked itself up — before the rest of the group has
-	// answered, so an initiator that then gives up follows it with
-	// OnLeave.
-	OnJoin func(m *Membership)
-	// OnLeave, when non-nil, runs after the dapplet unlinks from a
-	// session (terminate or shrink).
-	OnLeave func(sessionID string)
 }
 
 // Service is the per-dapplet session participant: it listens on the
@@ -276,7 +267,7 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 // link is the accept path: it links this dapplet into the session inv
 // describes — its inboxes, its outbox bindings and, on a tree session,
 // its place in the relay tree (fromStart as relay.Binding reads it) —
-// records the membership and runs OnJoin. onInvite runs it for an
+// and records the membership. onInvite runs it for an
 // invitation, RestoreSessions for a durable record, which is the
 // membership written as an invitation.
 func (s *Service) link(inv *inviteMsg, fromStart bool) *Membership {
@@ -307,9 +298,6 @@ func (s *Service) link(inv *inviteMsg, fromStart bool) *Membership {
 	s.mu.Lock()
 	s.members[inv.SessionID] = mem
 	s.mu.Unlock()
-	if s.policy.OnJoin != nil {
-		s.policy.OnJoin(mem)
-	}
 	return mem
 }
 
@@ -344,9 +332,6 @@ func (s *Service) onTerminate(m *terminateMsg) *terminateAckMsg {
 	}
 	s.d.Store().Release(m.SessionID)
 	s.unpersist(m.SessionID)
-	if ok && s.policy.OnLeave != nil {
-		s.policy.OnLeave(m.SessionID)
-	}
 	return &terminateAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
 }
 

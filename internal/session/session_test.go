@@ -3,6 +3,7 @@ package session_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -130,25 +131,30 @@ func TestStarSessionSetupAndMessageFlow(t *testing.T) {
 
 // TestACLRejection pins the failure contract of the one-phase set-up:
 // while one participant rejects by ACL, another accepts and links itself
-// up (OnJoin runs), and the initiator's terminate undoes all of it —
-// OnLeave runs, and no membership, state access, binding or durable
-// record survives, so a restore after a crash brings nothing back.
+// up, and the initiator's terminate undoes all of it — no membership,
+// state access, binding or durable record survives, so a restore after a
+// crash brings nothing back. The ACL judges the invitation as the
+// initiator wrote it for that participant.
 func TestACLRejection(t *testing.T) {
 	w := newSWorld(t)
-	hooks := make(chan string, 2)
-	open := w.add("h1", "open", "t", session.Policy{
-		OnJoin:  func(m *session.Membership) { hooks <- "join " + m.ID },
-		OnLeave: func(id string) { hooks <- "leave " + id },
-	})
+	open := w.add("h1", "open", "t", session.Policy{})
+	judged := make(chan session.Invitation, 1)
 	w.add("h2", "closed", "t", session.Policy{
-		ACL: func(from netsim.Addr, inv session.Invitation) bool { return false },
+		ACL: func(from netsim.Addr, inv session.Invitation) bool {
+			select {
+			case judged <- inv:
+			default: // a retried invite
+			}
+			return false
+		},
 	})
 	ini := w.initiator("h1", "director")
 	spec := session.Spec{
-		ID: "acl-test",
+		ID:   "acl-test",
+		Task: "judge me",
 		Participants: []session.Participant{
 			{Name: "open", Role: "a", Access: state.AccessSet{Write: []string{"v"}}},
-			{Name: "closed", Role: "b"},
+			{Name: "closed", Role: "b", Access: state.AccessSet{Read: []string{"v"}}},
 		},
 		Links: []session.Link{{From: "open", Outbox: "out", To: "closed", Inbox: "in"}},
 	}
@@ -157,29 +163,23 @@ func TestACLRejection(t *testing.T) {
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want RejectedError", err)
 	}
-	if len(rej.Rejections) != 1 || rej.Rejections[0].Name != "closed" {
+	if len(rej.Rejections) != 1 || rej.Rejections[0].Name != "closed" ||
+		!strings.Contains(rej.Rejections[0].Reason, "access control list") {
 		t.Fatalf("rejections = %+v", rej.Rejections)
 	}
-	// The accepted participant linked itself up, then was terminated;
-	// OnLeave is the last thing a terminate does.
-	for _, want := range []string{"join acl-test", "leave acl-test"} {
-		select {
-		case got := <-hooks:
-			if got != want {
-				t.Fatalf("policy hook %q, want %q", got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("policy hook %q never ran", want)
+	inv := <-judged
+	if inv.SessionID != "acl-test" || inv.Task != "judge me" || inv.Role != "b" ||
+		!slices.Equal(inv.Access.Read, []string{"v"}) || inv.Size != 2 || len(inv.Roster) != 2 {
+		t.Fatalf("the ACL judged %+v", inv)
+	}
+	// The accepted participant linked itself up before it answered; the
+	// terminate the initiator casts when it gives up undoes that.
+	for deadline := time.Now().Add(5 * time.Second); len(w.services["open"].Sessions()) != 0 ||
+		len(open.Store().LiveSessions()) != 0 || len(open.Outbox("out").Destinations()) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the abort left open in %v, holding %v, with %d bindings", w.services["open"].Sessions(),
+				open.Store().LiveSessions(), len(open.Outbox("out").Destinations()))
 		}
-	}
-	if got := open.Store().LiveSessions(); len(got) != 0 {
-		t.Fatalf("abort never released store: %v", got)
-	}
-	if got := w.services["open"].Sessions(); len(got) != 0 {
-		t.Fatalf("open joined %v despite abort", got)
-	}
-	if n := len(open.Outbox("out").Destinations()); n != 0 {
-		t.Fatalf("open kept %d bindings despite abort", n)
 	}
 	for _, name := range open.Store().Names() {
 		if strings.HasPrefix(name, "@session:") { // the durable membership record
@@ -229,11 +229,7 @@ func TestInterferenceRejection(t *testing.T) {
 func TestTerminateUnlinksAndReleases(t *testing.T) {
 	w := newSWorld(t)
 	hub := w.add("h1", "hub", "t", session.Policy{})
-	var left []string
-	leftC := make(chan string, 4)
-	w.add("h2", "leaf", "t", session.Policy{
-		OnLeave: func(id string) { leftC <- id },
-	})
+	w.add("h2", "leaf", "t", session.Policy{})
 	ini := w.initiator("h1", "director")
 	spec := session.Spec{
 		ID: "term-test",
@@ -250,6 +246,9 @@ func TestTerminateUnlinksAndReleases(t *testing.T) {
 	if n := len(hub.Outbox("out").Destinations()); n != 1 {
 		t.Fatalf("hub bindings = %d", n)
 	}
+	if got := w.services["leaf"].Sessions(); !slices.Equal(got, []string{"term-test"}) {
+		t.Fatalf("leaf sessions = %v", got)
+	}
 	if err := h.Terminate(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -260,42 +259,13 @@ func TestTerminateUnlinksAndReleases(t *testing.T) {
 	if got := hub.Store().LiveSessions(); len(got) != 0 {
 		t.Fatalf("state access survived terminate: %v", got)
 	}
-	select {
-	case id := <-leftC:
-		left = append(left, id)
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnLeave never fired")
-	}
-	if left[0] != "term-test" {
-		t.Fatalf("OnLeave id = %q", left[0])
+	// Terminate waits for every participant's ack: the leaf has unlinked.
+	if got := w.services["leaf"].Sessions(); len(got) != 0 {
+		t.Fatalf("leaf still in %v after terminate", got)
 	}
 	// Terminate is idempotent.
 	if err := h.Terminate(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOnJoinCallback(t *testing.T) {
-	w := newSWorld(t)
-	joined := make(chan *session.Membership, 1)
-	w.add("h", "j1", "t", session.Policy{
-		OnJoin: func(m *session.Membership) { joined <- m },
-	})
-	ini := w.initiator("h", "director")
-	if _, err := ini.Initiate(context.Background(), session.Spec{
-		ID:           "join-test",
-		Task:         "watch joins",
-		Participants: []session.Participant{{Name: "j1", Role: "solo"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-joined:
-		if m.ID != "join-test" || m.Task != "watch joins" || m.Role != "solo" {
-			t.Fatalf("membership = %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnJoin never fired")
 	}
 }
 

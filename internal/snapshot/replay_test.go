@@ -24,8 +24,12 @@ func TestChannelCaptureAndReplayAfterCrash(t *testing.T) {
 	// choreography below plays out in wall-clock order.
 	w := world.New(transport.Config{RTO: 50 * time.Millisecond}, netsim.WithSeed(31), netsim.WithTimeScale(1))
 	t.Cleanup(w.Close)
+	w.RT.Registry().Register("pair", func() core.Behavior { return core.BehaviorFunc(func(*core.Dapplet) error { return nil }) })
 	a := w.Dapplet("hostA", "pair", "alpha")
-	b := w.Dapplet("hostB", "pair", "beta")
+	b, err := w.Launch(context.Background(), "hostB", "pair", "beta")
+	if err != nil {
+		t.Fatal(err)
+	}
 	svcA := snapshot.Attach(a, func() []byte { return []byte{0} })
 	svcB := snapshot.Attach(b, func() []byte { return []byte{0} })
 	memA := snapshot.Member{Name: "alpha", Addr: a.Addr()}
@@ -69,10 +73,13 @@ func TestChannelCaptureAndReplayAfterCrash(t *testing.T) {
 	}
 
 	// Crash B; the next incarnation reopens the surviving store.
-	b.Stop()
-	store := b.Store()
-	store.Reopen()
-	b2 := w.Dapplet("hostB", "pair", "beta", core.WithStore(store))
+	if err := w.RT.Crash("beta"); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := w.RT.Restart("beta")
+	if err != nil {
+		t.Fatal(err)
+	}
 	b2.Inbox("data") // stand the session inbox back up before replaying
 
 	n, err := snapshot.ReplayChannels(b2)

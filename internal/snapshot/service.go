@@ -185,6 +185,7 @@ type Service struct {
 	peers  []Member
 	byAddr map[netsim.Addr]string
 	runs   map[string]*run // by snapshot id
+	last   *Checkpoint     // the record this service last wrote to CheckpointVar
 }
 
 // Attach equips the dapplet with the snapshot service. stateFn is invoked
@@ -347,7 +348,8 @@ func (s *Service) recordLocked(id string, r *run) {
 			_ = send(wire.InboxRef{Dapplet: p.Addr, Inbox: ControlInbox}, id, closing)
 		}
 	})
-	s.persistCheckpoint(&Checkpoint{ID: id, State: r.state, Lamport: lamport})
+	s.last = &Checkpoint{ID: id, State: r.state, Lamport: lamport}
+	s.persistCheckpoint()
 }
 
 // closeLocked ends the recording of the channel from peer, whose marker
@@ -390,22 +392,21 @@ func (s *Service) maybeReportLocked(id string, r *run) {
 
 // persistChannelMsgLocked appends one captured channel message to the
 // durable checkpoint record, write-through so the channel state survives
-// a crash at any point during recording. Only the snapshot currently in
-// CheckpointVar accumulates channels; a concurrent run with a different
-// id leaves the durable record alone (its report still carries the full
-// channel state in memory). Caller holds s.mu.
+// a crash at any point during recording. Only the snapshot whose record
+// is in CheckpointVar accumulates channels; a concurrent run with a
+// different id leaves the durable record alone (its report still carries
+// the full channel state in memory). Caller holds s.mu.
 func (s *Service) persistChannelMsgLocked(id string, rec ChannelMsg) {
-	cp, ok := LastCheckpoint(s.d.Store())
-	if !ok || cp.ID != id {
+	if s.last == nil || s.last.ID != id {
 		return
 	}
-	cp.Channels = append(cp.Channels, rec)
-	s.persistCheckpoint(&cp)
+	s.last.Channels = append(s.last.Channels, rec)
+	s.persistCheckpoint()
 }
 
-// persistCheckpoint writes a checkpoint record durably (see
-// CheckpointVar). Caller holds s.mu; the store has its own lock.
-func (s *Service) persistCheckpoint(cp *Checkpoint) {
-	data, _ := cp.AppendBinary(nil) // its error is always nil
+// persistCheckpoint writes s.last durably (see CheckpointVar). Caller
+// holds s.mu; the store has its own lock.
+func (s *Service) persistCheckpoint() {
+	data, _ := s.last.AppendBinary(nil) // its error is always nil
 	s.d.Store().Set(CheckpointVar, data)
 }

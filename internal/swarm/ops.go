@@ -144,14 +144,14 @@ func (s *Swarm) opJoin(rng *rand.Rand) (string, error) {
 	id := s.nextID
 	s.nextID++
 	name := fmt.Sprintf("m%06d", id)
-	host := memberHost(id % s.cfg.Hosts)
+	host := memberHost(id % s.hosts)
 	m := &member{name: name, host: host, edges: make(map[string]bool, s.cfg.RingWatch+1)}
 	s.members[name] = m
 	ini := s.inits[id%len(s.inits)]
 	s.mu.Unlock()
 
 	if _, err := s.RT.Launch(host, typeMember, name,
-		core.WithQueueCap(s.cfg.QueueCap), core.WithTransportConfig(s.memberRel)); err != nil {
+		core.WithQueueCap(memberQueueCap), core.WithTransportConfig(s.memberRel)); err != nil {
 		return name, fmt.Errorf("swarm: join %s: %w", name, err)
 	}
 
@@ -408,7 +408,6 @@ func (s *Swarm) opSession(ctx context.Context, idx int, rng *rand.Rand) {
 // across churn. Caller holds s.mu.
 func (s *Swarm) retire(st failure.Stats, rs transport.Stats, gs gossip.Stats) {
 	s.retired.HeartbeatsSent += st.HeartbeatsSent
-	s.retired.ProbesSent += st.ProbesSent
 	s.retiredRel = addRelStats(s.retiredRel, rs)
 	s.retiredGsp = s.retiredGsp.Add(gs)
 }

@@ -34,14 +34,12 @@ type PhaseStats struct {
 	// WallSeconds is the phase's wall-clock length.
 	WallSeconds float64
 
-	// Delivered and BytesSent are the netsim datagrams delivered and
-	// payload bytes sent during the phase; the PerSec fields divide by
-	// the wall clock.
-	Delivered   uint64
-	BytesSent   uint64
-	MsgsPerSec  float64
-	BytesPerSec float64
-	LostQueue   uint64
+	// Delivered is the netsim datagrams delivered during the phase, and
+	// LostQueue the datagrams dropped at a full receive queue; the
+	// PerSec fields divide by the wall clock.
+	Delivered  uint64
+	MsgsPerSec float64
+	LostQueue  uint64
 
 	// Frames and Datagrams are the reliable layer's logical
 	// transmissions (data frames, retransmits and standalone acks) vs
@@ -55,19 +53,15 @@ type PhaseStats struct {
 	AcksStandalone  uint64
 	AcksPiggybacked uint64
 
-	// Heartbeats and Probes are the detector-layer counters: explicit
-	// heartbeats sent and Down-peer probes.
+	// Heartbeats is the explicit heartbeats the detectors sent.
 	Heartbeats       uint64
-	Probes           uint64
 	HeartbeatsPerSec float64
 
-	// DirLookups/DirHits/DirHitRate/DirFailovers/DirEvictions aggregate
-	// the initiators' directory-client cache activity.
-	DirLookups   uint64
-	DirHits      uint64
-	DirHitRate   float64
-	DirFailovers uint64
-	DirEvictions uint64
+	// DirLookups/DirHits/DirHitRate aggregate the initiators'
+	// directory-client cache activity.
+	DirLookups uint64
+	DirHits    uint64
+	DirHitRate float64
 
 	// Downs and Ups count verdict transitions observed across every
 	// detector in the swarm during the phase. FalseDowns is the subset
@@ -107,12 +101,6 @@ type PhaseStats struct {
 // deltas, verdict and session latency distributions, and end-state
 // memory and goroutine footprints.
 type Report struct {
-	// N, Hosts, Seed and Lockstep echo the run's configuration.
-	N        int
-	Hosts    int
-	Seed     int64
-	Lockstep bool
-
 	// Phases holds the join and churn phase deltas.
 	Phases []PhaseStats
 
@@ -133,24 +121,19 @@ type Report struct {
 	Crashed        uint64
 	Revived        uint64
 
-	// FalseDowns and Partitions are the lifetime totals of the per-phase
-	// columns of the same name. DirConvergeRounds is the number of
-	// post-churn gossip rounds until every shard's replicas agreed on
-	// one resolvable view (-1: never within the probe's bound; 0 also
-	// when gossip or replication is off).
-	FalseDowns        uint64
-	Partitions        uint64
+	// DirConvergeRounds is the number of post-churn gossip rounds until
+	// every shard's replicas agreed on one resolvable view (-1: never
+	// within the probe's bound; 0 also when gossip or replication is
+	// off).
 	DirConvergeRounds int
 
 	// WatchedPeers is the number of (watcher, peer) edges across every
 	// live detector at the end of churn.
 	WatchedPeers int
 
-	// HeapAllocBytes is the post-join, post-GC heap; HeapBytesPerDapplet
-	// divides it by the swarm population (members + replicas +
-	// initiators). Goroutines and GoroutinesPerDapplet are sampled at
-	// the same point.
-	HeapAllocBytes       uint64
+	// HeapBytesPerDapplet is the post-join, post-GC heap divided by the
+	// swarm population (members + replicas + initiators). Goroutines and
+	// GoroutinesPerDapplet are sampled at the same point.
 	HeapBytesPerDapplet  float64
 	Goroutines           int
 	GoroutinesPerDapplet float64

@@ -56,11 +56,9 @@ func init() { wire.Register(&echoMsg{}) }
 
 // Config sizes and paces one swarm run. Zero values select defaults.
 type Config struct {
-	// N is the member population the join phase builds (default 1000).
+	// N is the member population the join phase builds (default 1000),
+	// spread over N/64 simulated hosts, clamped to [4, 256].
 	N int
-	// Hosts is the number of simulated hosts members are spread over
-	// (default N/64, clamped to [4, 256]).
-	Hosts int
 	// Seed seeds the network and every workload RNG (default 1).
 	Seed int64
 	// NetShards overrides the netsim delivery shard count; 0 keeps the
@@ -86,23 +84,17 @@ type Config struct {
 	SessionRate float64
 	// Duration is the throughput-mode churn phase length (default 5s).
 	Duration time.Duration
-	// Lockstep serializes churn: one op at a time, each awaited until
-	// every watcher's verdict lands, over a single-shard network — two
-	// runs with the same seed produce identical event logs.
+	// Lockstep serializes churn: lockstepOps ops, one at a time, each
+	// awaited until every watcher's verdict lands, over a single-shard
+	// network — two runs with the same seed produce identical event logs.
 	Lockstep bool
-	// LockstepOps is the churn op count in lockstep mode (default 60).
-	LockstepOps int
-	// QueueCap is each member endpoint's netsim receive-queue capacity
-	// (default 64; the netsim default is sized for busy dapplets and is
-	// pure waste times 100k idle ones).
-	QueueCap int
 	// GossipInterval, when positive, attaches a gossip engine to every
 	// member and directory replica: members spread verdict rumors over
 	// their detector's live-peer view, and each shard's replicas
 	// reconcile the directory by anti-entropy at this round period. Every
-	// detector then needs a quorum of two confirmers before a Down
-	// (failure.Config.Quorum's default with gossip), so a partitioned
-	// watcher alone cannot produce a false Down.
+	// detector then needs a quorum of two confirmers before a Down (as
+	// every failure detector with gossip does), so a partitioned watcher
+	// alone cannot produce a false Down.
 	GossipInterval time.Duration
 	// PartitionRate is the partition-injection rate (ops/sec) in timed
 	// churn: each op isolates one random live member's host from the
@@ -112,12 +104,17 @@ type Config struct {
 	PartitionDur  time.Duration
 }
 
+// lockstepOps is the churn op count in lockstep mode.
+const lockstepOps = 40
+
+// memberQueueCap is each member endpoint's netsim receive-queue
+// capacity: the netsim default is sized for busy dapplets and is pure
+// waste times 100k idle ones.
+const memberQueueCap = 64
+
 func (c Config) withDefaults() Config {
 	if c.N <= 0 {
 		c.N = 1000
-	}
-	if c.Hosts <= 0 {
-		c.Hosts = clampInt(c.N/64, 4, 256)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -148,12 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 5 * time.Second
-	}
-	if c.LockstepOps <= 0 {
-		c.LockstepOps = 60
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
 	}
 	if c.PartitionDur <= 0 {
 		c.PartitionDur = time.Second
@@ -213,6 +204,7 @@ const maxSamples = 1 << 16
 type Swarm struct {
 	*world.World
 	cfg       Config
+	hosts     int // member hosts
 	cluster   *directory.Cluster
 	memberRel transport.Config
 
@@ -253,14 +245,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Lockstep {
 		shards = 1
 	}
-	// Directory replicas absorb heartbeat fan-in from every registered
-	// member, so their receive queues see O(N) sustained arrivals; the
-	// default cap holds only ~150ms of burst at 500-member scale and
-	// overflow there drops anti-entropy pulls along with the heartbeats.
-	queueCap := max(8*cfg.N, netsim.DefaultQueueCap)
 	s := &Swarm{
-		World:     world.New(transport.Config{}, netsim.WithSeed(cfg.Seed), netsim.WithShards(shards), netsim.WithQueueCap(queueCap)),
+		World:     world.New(transport.Config{}, netsim.WithSeed(cfg.Seed), netsim.WithShards(shards)),
 		cfg:       cfg,
+		hosts:     clampInt(cfg.N/64, 4, 256),
 		members:   make(map[string]*member, cfg.N+cfg.N/4),
 		dirByName: make(map[string]*dirReplica),
 		parted:    make(map[string]bool),
@@ -440,8 +428,13 @@ func (s *Swarm) observeVerdict(ev failure.Event) {
 }
 
 // launchDirectory brings up DirShards x DirReplicas replicas, each on
-// its own host, and builds the client-side cluster map.
+// its own host, and builds the client-side cluster map. Replicas absorb
+// heartbeat fan-in from every registered member, so their receive
+// queues see O(N) sustained arrivals; the netsim default holds only
+// ~150ms of burst at 500-member scale and overflow there drops
+// anti-entropy pulls along with the heartbeats.
 func (s *Swarm) launchDirectory() error {
+	queueCap := core.WithQueueCap(max(8*s.cfg.N, netsim.DefaultQueueCap))
 	refs := make([][]wire.InboxRef, s.cfg.DirShards)
 	s.dirs = make([][]*dirReplica, s.cfg.DirShards)
 	for sh := 0; sh < s.cfg.DirShards; sh++ {
@@ -451,7 +444,7 @@ func (s *Swarm) launchDirectory() error {
 			if err := s.RT.Install(host, typeDir); err != nil {
 				return err
 			}
-			if _, err := s.RT.Launch(host, typeDir, name); err != nil {
+			if _, err := s.RT.Launch(host, typeDir, name, queueCap); err != nil {
 				return fmt.Errorf("swarm: launch %s: %w", name, err)
 			}
 			s.mu.Lock()
@@ -495,7 +488,7 @@ func (s *Swarm) launchInitiators() error {
 	}
 	// Member hosts are installed up front too, so joins never race
 	// Install.
-	for i := 0; i < s.cfg.Hosts; i++ {
+	for i := 0; i < s.hosts; i++ {
 		if err := s.RT.Install(memberHost(i), typeMember); err != nil {
 			return err
 		}
@@ -517,7 +510,7 @@ func (s *Swarm) joinPhase(rng *rand.Rand) error {
 		}
 		return nil
 	}
-	workers := clampInt(s.cfg.Hosts, 8, 64)
+	workers := clampInt(s.hosts, 8, 64)
 	if workers > s.cfg.N {
 		workers = s.cfg.N
 	}
@@ -672,10 +665,10 @@ func (s *Swarm) sessionDriver(ctx context.Context, idx int, rng *rand.Rand) {
 	}
 }
 
-// lockstepChurn performs LockstepOps churn operations one at a time,
+// lockstepChurn performs lockstepOps churn operations one at a time,
 // each awaited to its observable outcome before the next begins.
 func (s *Swarm) lockstepChurn(ctx context.Context, rng *rand.Rand) error {
-	for i := 0; i < s.cfg.LockstepOps; i++ {
+	for i := 0; i < lockstepOps; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -714,9 +707,9 @@ func (s *Swarm) lockstepChurn(ctx context.Context, rng *rand.Rand) error {
 // between two of them.
 type counters struct {
 	at                 time.Time
-	delivered, bytes   uint64
+	delivered          uint64
 	lostQueue          uint64
-	hb, probe          uint64
+	hb                 uint64
 	frames, datagrams  uint64
 	acksSA, acksPB     uint64
 	dir                directory.ClientStats
@@ -734,7 +727,7 @@ type counters struct {
 func (s *Swarm) cumulative() counters {
 	c := counters{at: time.Now()} //wwlint:allow determinism report timestamps are wall-clock measurement, not replayed state
 	ns := s.Net.Counters()
-	c.delivered, c.bytes, c.lostQueue = ns.Delivered, ns.BytesSent, ns.LostQueue
+	c.delivered, c.lostQueue = ns.Delivered, ns.LostQueue
 
 	s.mu.Lock()
 	st := s.retired
@@ -744,7 +737,6 @@ func (s *Swarm) cumulative() counters {
 		if m.det != nil {
 			ds := m.det.Stats()
 			st.HeartbeatsSent += ds.HeartbeatsSent
-			st.ProbesSent += ds.ProbesSent
 		}
 		if m.d != nil {
 			rel = addRelStats(rel, m.d.Transport().Stats())
@@ -757,7 +749,6 @@ func (s *Swarm) cumulative() counters {
 		for _, r := range shard {
 			ds := r.det.Stats()
 			st.HeartbeatsSent += ds.HeartbeatsSent
-			st.ProbesSent += ds.ProbesSent
 			rel = addRelStats(rel, r.d.Transport().Stats())
 			if r.gsp != nil {
 				gs = gs.Add(r.gsp.Stats())
@@ -765,7 +756,7 @@ func (s *Swarm) cumulative() counters {
 		}
 	}
 	c.gsp = gs
-	c.hb, c.probe = st.HeartbeatsSent, st.ProbesSent
+	c.hb = st.HeartbeatsSent
 	for _, ini := range s.inits {
 		c.dir = c.dir.Add(ini.client.Stats())
 		rel = addRelStats(rel, ini.d.Transport().Stats())
@@ -814,18 +805,14 @@ func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 		Name:            name,
 		WallSeconds:     wall,
 		Delivered:       b.delivered - a.delivered,
-		BytesSent:       b.bytes - a.bytes,
 		LostQueue:       b.lostQueue - a.lostQueue,
 		Frames:          b.frames - a.frames,
 		Datagrams:       b.datagrams - a.datagrams,
 		AcksStandalone:  b.acksSA - a.acksSA,
 		AcksPiggybacked: b.acksPB - a.acksPB,
 		Heartbeats:      b.hb - a.hb,
-		Probes:          b.probe - a.probe,
 		DirLookups:      b.dir.Lookups() - a.dir.Lookups(),
 		DirHits:         b.dir.Hits - a.dir.Hits,
-		DirFailovers:    b.dir.Failovers - a.dir.Failovers,
-		DirEvictions:    b.dir.Evictions - a.dir.Evictions,
 		Downs:           b.downs - a.downs,
 		Ups:             b.ups - a.ups,
 		FalseDowns:      b.falseDowns - a.falseDowns,
@@ -844,7 +831,6 @@ func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 		SessionErrs:     b.sessErrs - a.sessErrs,
 	}
 	p.MsgsPerSec = float64(p.Delivered) / wall
-	p.BytesPerSec = float64(p.BytesSent) / wall
 	p.HeartbeatsPerSec = float64(p.Heartbeats) / wall
 	if lk := p.DirLookups; lk > 0 {
 		p.DirHitRate = float64(p.DirHits) / float64(lk)
@@ -856,10 +842,6 @@ func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 // samples and the post-join footprint.
 func (s *Swarm) buildReport(base, joinEnd, churnEnd counters, heap uint64, goro int) *Report {
 	rep := &Report{
-		N:        s.cfg.N,
-		Hosts:    s.cfg.Hosts,
-		Seed:     s.cfg.Seed,
-		Lockstep: s.cfg.Lockstep,
 		Phases: []PhaseStats{
 			s.phaseStats("join", base, joinEnd),
 			s.phaseStats("churn", joinEnd, churnEnd),
@@ -875,12 +857,10 @@ func (s *Swarm) buildReport(base, joinEnd, churnEnd counters, heap uint64, goro 
 	rep.CrashedMembers = len(s.crashedList)
 	rep.Joined, rep.Left = s.joins, s.leaves
 	rep.Crashed, rep.Revived = s.crashes, s.revives
-	rep.FalseDowns, rep.Partitions = s.falseDowns, s.partitions
 	rep.EventLog = s.eventLog
 	s.mu.Unlock()
 
 	pop := rep.LiveMembers + s.cfg.DirShards*s.cfg.DirReplicas + s.cfg.Initiators
-	rep.HeapAllocBytes = heap
 	rep.Goroutines = goro
 	if pop > 0 {
 		rep.HeapBytesPerDapplet = float64(heap) / float64(pop)

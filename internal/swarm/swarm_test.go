@@ -15,15 +15,13 @@ import (
 // op including awaited crash and revive verdicts.
 func lockstepConfig(seed int64) Config {
 	return Config{
-		N:           32,
-		Hosts:       4,
-		Seed:        seed,
-		DirShards:   2,
-		Initiators:  2,
-		Interval:    40 * time.Millisecond,
-		Multiplier:  3,
-		Lockstep:    true,
-		LockstepOps: 40,
+		N:          32,
+		Seed:       seed,
+		DirShards:  2,
+		Initiators: 2,
+		Interval:   40 * time.Millisecond,
+		Multiplier: 3,
+		Lockstep:   true,
 	}
 }
 

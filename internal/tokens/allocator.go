@@ -11,9 +11,7 @@ import (
 
 // AllocStats counts allocator events.
 type AllocStats struct {
-	Requests  uint64
 	Grants    uint64
-	Denies    uint64
 	Deadlocks uint64 // requests denied due to deadlock
 	Releases  uint64
 }
@@ -109,7 +107,6 @@ func (a *Allocator) onTotal(*svc.Ctx, wire.Msg) (wire.Msg, error) {
 func (a *Allocator) onRequest(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*reqMsg)
 	a.mu.Lock()
-	a.stats.Requests++
 
 	// Resolve the effective want, expanding AllOf colours to the total
 	// population of that colour.
@@ -120,7 +117,6 @@ func (a *Allocator) onRequest(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	// Requests for colours that do not exist can never be satisfied.
 	for col := range want {
 		if _, ok := a.total[col]; !ok {
-			a.stats.Denies++
 			a.mu.Unlock()
 			return nil, &svc.Error{Code: codeUnknownColor, Msg: "unknown color " + string(col)}
 		}
@@ -246,7 +242,6 @@ func (a *Allocator) scanLocked() (answers []answer) {
 			kept = append(kept, p)
 			continue
 		}
-		a.stats.Denies++
 		a.stats.Deadlocks++
 		answers = append(answers, answer{
 			reply: p.reply,

@@ -87,7 +87,6 @@ type Stats struct {
 	Retransmits     uint64 // all retransmissions, ack-triggered and timer
 	FastRetransmits uint64 // the share of Retransmits an acknowledgement triggered
 	AcksSent        uint64 // bare acks: datagrams carrying an ack and no frame (cumulative: usually fewer than messages)
-	AcksRecv        uint64 // ack-carrying datagrams received
 	DupsDropped     uint64 // duplicate data frames discarded
 	Delivered       uint64 // messages handed to the delivery sink in order
 	Failures        uint64 // frames given up on after MaxRetries timer expiries
@@ -124,7 +123,6 @@ type statCounters struct {
 	retransmits     atomic.Uint64
 	fastRetransmits atomic.Uint64
 	acksSent        atomic.Uint64
-	acksRecv        atomic.Uint64
 	dupsDropped     atomic.Uint64
 	delivered       atomic.Uint64
 	failures        atomic.Uint64
@@ -146,7 +144,6 @@ func (c *statCounters) snapshot() Stats {
 		Retransmits:     c.retransmits.Load(),
 		FastRetransmits: c.fastRetransmits.Load(),
 		AcksSent:        c.acksSent.Load(),
-		AcksRecv:        c.acksRecv.Load(),
 		DupsDropped:     c.dupsDropped.Load(),
 		Delivered:       c.delivered.Load(),
 		Failures:        c.failures.Load(),
@@ -744,7 +741,6 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 	p := r.peer(from) // one lookup for the ack and every frame
 	now := time.Now() // one reading for the ack and every frame
 	if hasCum {
-		r.stats.acksRecv.Add(1)
 		r.applyAck(p, cum, sel, hasSel, now)
 	}
 	for {
