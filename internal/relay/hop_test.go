@@ -134,6 +134,16 @@ func (w *relayWorld) snapshotMarker(snaps []snapshot.Member) error {
 // then checks that no frame comes twice.
 func expectOnce(t *testing.T, in *core.Inbox, total int) {
 	t.Helper()
+	expectInOrder(t, in, total)
+	if _, err := recvMsg(in, 50*time.Millisecond); err == nil {
+		t.Fatal("the child got a frame twice")
+	}
+}
+
+// expectInOrder receives total frames at in, texts "origin/n", and
+// checks that each origin's come in order from 0 with none repeated.
+func expectInOrder(t *testing.T, in *core.Inbox, total int) {
+	t.Helper()
 	next := make(map[string]int)
 	for _, s := range drain(t, in, total) {
 		origin, num, _ := strings.Cut(s, "/")
@@ -142,9 +152,6 @@ func expectOnce(t *testing.T, in *core.Inbox, total int) {
 			t.Fatalf("the child got %q after %d of %s's frames", s, next[origin], origin)
 		}
 		next[origin]++
-	}
-	if _, err := recvMsg(in, 50*time.Millisecond); err == nil {
-		t.Fatal("the child got a frame twice")
 	}
 }
 

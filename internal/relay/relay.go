@@ -66,28 +66,39 @@ type Binding struct {
 	FromStart bool
 }
 
+// originKey names one origin of one session in Relay.origins.
+type originKey struct{ session, origin string }
+
 // originState is the per-(session, origin) delivery cursor: frames are
 // handed to the inbox strictly in sequence order, with ahead-of-sequence
-// arrivals parked in pending until the gap fills.
+// arrivals parked in pending until the gap fills. prev links a session's
+// origins into a list (see sessionState.last) that Unbind walks.
 type originState struct {
 	next    uint64                      // 0 until the first frame fixes the baseline
 	pending map[uint64]*wire.RelayFrame // nil until the origin's first gap
+	prev    string                      // the origin first heard before this one
 }
 
-// sessionState is one tree binding plus its mutable multicast state.
+// sessionState is one tree binding plus its mutable multicast state,
+// held by value in Relay.sessions and written back after a change.
 // neighbors is replaced whole by a rebind and never written in place, so
-// a slice header read under Relay.mu stays valid after the unlock.
+// a slice header read under Relay.mu stays valid after the unlock. Go
+// keeps a map value of at most 128 bytes in the map's own slots, so a
+// session set up where one was torn down allocates nothing; this struct
+// is at that bound, and a field more moves it out of line, an allocation
+// per Bind.
 type sessionState struct {
 	neighbors []Member
 	ttl       uint32 // hop budget for frames originated here
+	fromStart bool   // origins' delivery cursors start at 1, not at the first frame heard
 	self      string
 	inbox     string
 	epoch     uint64
-	fromStart bool // origins' delivery cursors start at 1, not at the first frame heard
 
 	seq     uint64             // own origin sequence, last used
 	replay  []*wire.RelayFrame // ring of own recent frames, oldest first
-	origins map[string]*originState
+	origins int                // how many origins this session has heard
+	last    string             // the origin heard last; the head of the prev list
 }
 
 // Relay is the per-dapplet tree multicast engine. It consumes frames on
@@ -107,8 +118,12 @@ type sessionState struct {
 type Relay struct {
 	d *core.Dapplet
 
+	// mu guards both maps. They are relay-wide and hold values, so their
+	// capacity carries over from session to session: a session set up
+	// and torn down allocates nothing in them once warm.
 	mu       sync.Mutex
-	sessions map[string]*sessionState
+	sessions map[string]sessionState
+	origins  map[originKey]originState
 
 	delivered  atomic.Uint64
 	forwarded  atomic.Uint64
@@ -123,7 +138,7 @@ type Relay struct {
 // Attach once per dapplet; the session layer does this lazily on the
 // first tree binding.
 func Attach(d *core.Dapplet) *Relay {
-	r := &Relay{d: d, sessions: make(map[string]*sessionState)}
+	r := &Relay{d: d, sessions: make(map[string]sessionState), origins: make(map[originKey]originState)}
 	d.HandleInline(InboxName, r.onFrame)
 	return r
 }
@@ -157,20 +172,30 @@ func (r *Relay) Bind(sid string, b Binding) {
 	defer r.mu.Unlock()
 	st, ok := r.sessions[sid]
 	if !ok {
-		st = &sessionState{origins: make(map[string]*originState), fromStart: b.FromStart}
-		r.sessions[sid] = st
+		st.fromStart = b.FromStart
 	} else if b.Epoch < st.epoch {
 		return // stale reconfiguration, already superseded
 	}
 	st.neighbors, st.ttl, st.self, st.inbox, st.epoch = b.Neighbors, ttl, self, b.Inbox, b.Epoch
+	r.sessions[sid] = st
 }
 
 // Unbind drops a session's tree state (session terminated or this
-// participant left).
+// participant left), in time proportional to the origins it heard.
 func (r *Relay) Unbind(sid string) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	st, ok := r.sessions[sid]
+	if !ok {
+		return
+	}
 	delete(r.sessions, sid)
-	r.mu.Unlock()
+	origin := st.last
+	for range st.origins {
+		k := originKey{sid, origin}
+		origin = r.origins[k].prev
+		delete(r.origins, k)
+	}
 }
 
 // Bound reports whether the session has a tree installed.
@@ -237,6 +262,7 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 	if len(st.replay) > DefaultReplay {
 		st.replay = st.replay[len(st.replay)-DefaultReplay:]
 	}
+	r.sessions[session] = st
 	neighbors := st.neighbors
 	r.mu.Unlock()
 
@@ -350,9 +376,9 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 	}
 	var buf [4]*wire.RelayFrame // keeps the usual short run off the heap
 	deliver, inbox := buf[:0], st.inbox
-	os := st.origins[f.Origin]
-	if os == nil {
-		os = new(originState)
+	key := originKey{sid, f.Origin}
+	os, heard := r.origins[key]
+	if !heard {
 		if st.fromStart {
 			// Owed everything: a later frame that overtakes Seq 1 — a
 			// neighbour rebound mid-flood forwards what it still had
@@ -360,7 +386,9 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 			// brings it.
 			os.next = 1
 		}
-		st.origins[f.Origin] = os
+		os.prev, st.last = st.last, f.Origin
+		st.origins++
+		r.sessions[sid] = st
 	}
 	switch {
 	case os.next == 0:
@@ -393,6 +421,7 @@ func (r *Relay) onFrame(env *wire.Envelope) {
 			r.dupDropped.Add(1)
 		}
 	}
+	r.origins[key] = os
 	// Forward to every tree neighbor except the hop it came from. On a
 	// consistent tree this floods each frame along every edge exactly
 	// once; while views disagree mid-repair the TTL bounds the echo.

@@ -3,7 +3,9 @@ package relay
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,7 +60,7 @@ func (w *relayWorld) bindAll(sid string, fanout int, epoch uint64) {
 func (w *relayWorld) bindTree(sid string, members []Member, fanout int, epoch uint64, fromStart bool) {
 	tr := NewTree(members, fanout)
 	for i, d := range w.dapplets {
-		if tr.Neighborhood(d.Name()) == nil {
+		if tr.AppendNeighborhood(nil, d.Name()) == nil {
 			continue
 		}
 		w.relays[i].Bind(sid, Binding{
@@ -234,6 +236,62 @@ func TestMulticastAnyOrigin(t *testing.T) {
 		if got := drain(t, inboxes[i], 1)[0]; got != "from-leaf" {
 			t.Fatalf("member %d: got %q", i, got)
 		}
+	}
+}
+
+// TestMulticastEveryOrigin has every member of a 16-member fanout-4
+// tree broadcast at once, in interleaved bursts, so each relay tracks
+// every origin of the session while frames from all of them cross it.
+// Every listener must deliver each origin's frames exactly once, in
+// order. Fifteen members are in the session from the start and owed
+// every origin's sequence from 1; the sixteenth joins the running
+// session after the first round and starts each origin at the first
+// frame it hears, which the others, owed its sequence from 1, get from
+// its first.
+func TestMulticastEveryOrigin(t *testing.T) {
+	const members, bursts, burst = 16, 4, 5
+	w := newWorld(t, members)
+	inboxes := make([]*core.Inbox, members)
+	for i, d := range w.dapplets {
+		inboxes[i] = d.Inbox("bcast")
+	}
+	// round has the first senders members each multicast bursts×burst
+	// frames, "name.tag/n", yielding between bursts.
+	round := func(tag string, senders int) {
+		var wg sync.WaitGroup
+		errs := make(chan error, senders)
+		for i := range senders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range bursts * burst {
+					if n%burst == 0 {
+						runtime.Gosched()
+					}
+					msg := &wire.Text{S: fmt.Sprintf("%s.%s/%d", w.dapplets[i].Name(), tag, n)}
+					if err := w.relays[i].Multicast("out", "s1", uint64(n+1), msg); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	w.bindTree("s1", w.members[:members-1], 4, 1, true)
+	round("r1", members-1)
+	for i := range members - 1 {
+		expectInOrder(t, inboxes[i], (members-2)*bursts*burst)
+	}
+	// Every round-1 frame is in before the grow, so none crosses it.
+	w.bindTree("s1", w.members, 4, 2, false)
+	round("r2", members)
+	for i := range members {
+		expectOnce(t, inboxes[i], (members-1)*bursts*burst)
 	}
 }
 

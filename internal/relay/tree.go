@@ -47,32 +47,33 @@ func NewTree(members []Member, fanout int) *Tree {
 // Fanout returns the tree's fanout k.
 func (t *Tree) Fanout() int { return t.fanout }
 
-// Neighborhood returns the roster indexes of self's corner of the tree:
-// self first, then its parent (unless self is the root), then its
-// children in roster order — at most k+2 entries. It returns nil if self
-// is not on the roster. This is the layout rule; Neighbors is its
-// projection onto members.
-func (t *Tree) Neighborhood(self string) []int {
+// AppendNeighborhood appends the roster indexes of self's corner of the
+// tree to dst and returns the extended slice: self first, then its
+// parent (unless self is the root), then its children in roster order —
+// at most k+2 entries. It appends nothing if self is not on the roster.
+// This is the layout rule; Neighbors is its projection onto members.
+// Appending lets a caller laying out every member's corner in turn (the
+// session initiator) reuse one buffer for all of them.
+func (t *Tree) AppendNeighborhood(dst []int, self string) []int {
 	i, ok := t.index[self]
 	if !ok {
-		return nil
+		return dst
 	}
-	out := make([]int, 1, t.fanout+2)
-	out[0] = i
+	dst = append(dst, i)
 	if i > 0 {
-		out = append(out, (i-1)/t.fanout)
+		dst = append(dst, (i-1)/t.fanout)
 	}
 	for c := t.fanout*i + 1; c <= t.fanout*i+t.fanout && c < len(t.members); c++ {
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // Neighbors returns self's tree neighbors — its parent (unless self is
 // the root) followed by its children, in roster order. It returns nil if
 // self is not on the roster or has no neighbors.
 func (t *Tree) Neighbors(self string) []Member {
-	hood := t.Neighborhood(self)
+	hood := t.AppendNeighborhood(nil, self)
 	if len(hood) < 2 {
 		return nil
 	}

@@ -118,15 +118,18 @@ func (ini *Initiator) resolveSpec(ctx context.Context, spec *Spec) (map[string]*
 	return parts, links, nil
 }
 
-// callAll issues one svc request per participant and awaits every typed
+// callAll issues one svc request per participant and awaits every
 // reply; the requests are all transmitted before any await begins,
 // preserving per-destination FIFO ordering and overlapping the round
 // trips. A Pending buffers its reply, so the awaits run in turn on the
-// calling goroutine. It returns the replies (indexed like ps) and the
-// first failure by index — a cancelled or expired context surfaces as
-// ctx.Err().
-func callAll[T wire.Msg](ctx context.Context, caller *svc.Caller, sid string, ps []Participant, mk func(Participant) wire.Msg, newRep func() T) ([]T, error) {
-	reps := make([]T, len(ps))
+// calling goroutine. mk builds each participant's request and may hand
+// back the same scratch every time, since Caller.Send encodes a request
+// before it returns. Every reply is decoded into rep, one scratch for the
+// whole round, and seen, when non-nil, reads it before the next reply
+// overwrites it; a caller keeps what it needs of a reply (the initiator
+// keeps rejections), not the reply. It returns the first failure by
+// index — a cancelled or expired context surfaces as ctx.Err().
+func callAll(ctx context.Context, caller *svc.Caller, sid string, ps []Participant, mk func(Participant) wire.Msg, rep wire.Msg, seen func()) error {
 	errs := make([]error, len(ps))
 	pends := make([]*svc.Pending, len(ps))
 	for i, p := range ps {
@@ -143,19 +146,20 @@ func callAll[T wire.Msg](ctx context.Context, caller *svc.Caller, sid string, ps
 		if pend == nil {
 			continue
 		}
-		rep := newRep()
 		if err := pend.Await(ctx, rep); err != nil {
 			errs[i] = err
 			continue
 		}
-		reps[i] = rep
+		if seen != nil {
+			seen()
+		}
 	}
 	for _, err := range errs {
 		if err != nil {
-			return reps, err
+			return err
 		}
 	}
-	return reps, nil
+	return nil
 }
 
 // treeMembers projects a roster into relay members, preserving order —
@@ -177,7 +181,10 @@ func treeMembers(roster []Participant) []relay.Member {
 // children, read off the one relay.Tree laid over the roster order —
 // plus the group size and the tree depth: ≤ k+2 entries however large
 // the group, so setting up N participants ships O(N·k) bytes, not O(N²).
-// Every inviteMsg and relinkMsg is built here.
+// Every inviteMsg and relinkMsg is built here, into the shipment's own
+// scratch: the message a call returns, and the view it carries, are
+// valid until the next call, which is long enough for Caller.Send to
+// encode it. A shipment is used by one goroutine.
 type shipment struct {
 	sid    string
 	roster []Participant // tree order on a tree session
@@ -185,6 +192,11 @@ type shipment struct {
 	epoch  uint64
 	tree   *relay.Tree // the layout over roster; nil on a flat session
 	depth  int
+
+	hood []int         // rosterFor's neighbourhood indexes
+	view []Participant // rosterFor's view
+	inv  inviteMsg
+	rl   relinkMsg
 }
 
 func newShipment(sid string, roster []Participant, spec *TreeSpec, epoch uint64) *shipment {
@@ -192,26 +204,29 @@ func newShipment(sid string, roster []Participant, spec *TreeSpec, epoch uint64)
 	if spec != nil {
 		s.tree = relay.NewTree(treeMembers(roster), spec.Fanout)
 		s.depth = s.tree.Depth()
+		s.hood = make([]int, 0, s.tree.Fanout()+2)
+		s.view = make([]Participant, 0, s.tree.Fanout()+2)
 	}
 	return s
 }
 
 // rosterFor returns what the named participant is told of the
-// membership: everyone, or on a tree session its view.
+// membership: everyone, or on a tree session its view, which the next
+// call overwrites.
 func (s *shipment) rosterFor(name string) []Participant {
 	if s.tree == nil {
 		return s.roster
 	}
-	hood := s.tree.Neighborhood(name)
-	view := make([]Participant, len(hood))
-	for j, i := range hood {
-		view[j] = s.roster[i]
+	s.hood = s.tree.AppendNeighborhood(s.hood[:0], name)
+	s.view = s.view[:0]
+	for _, i := range s.hood {
+		s.view = append(s.view, s.roster[i])
 	}
-	return view
+	return s.view
 }
 
 func (s *shipment) invite(task string, p Participant, bindings []Binding, inboxes []string) *inviteMsg {
-	return &inviteMsg{
+	s.inv = inviteMsg{
 		SessionID: s.sid,
 		Task:      task,
 		Role:      p.Role,
@@ -224,10 +239,11 @@ func (s *shipment) invite(task string, p Participant, bindings []Binding, inboxe
 		Depth:     s.depth,
 		Epoch:     s.epoch,
 	}
+	return &s.inv
 }
 
 func (s *shipment) relink(name string, add, remove []Binding, redrive bool) *relinkMsg {
-	return &relinkMsg{
+	s.rl = relinkMsg{
 		SessionID: s.sid,
 		Add:       add,
 		Remove:    remove,
@@ -238,6 +254,7 @@ func (s *shipment) relink(name string, add, remove []Binding, redrive bool) *rel
 		Epoch:     s.epoch,
 		Redrive:   redrive,
 	}
+	return &s.rl
 }
 
 // Initiate sets up the session described by spec in one round: it
@@ -277,18 +294,20 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 		inboxesOf[l.toName] = append(inboxesOf[l.toName], l.binding.To.Inbox)
 	}
 
-	invites, err := callAll(ctx, ini.caller, spec.ID, spec.Participants, func(p Participant) wire.Msg {
+	var (
+		rep        inviteRepMsg
+		rejections []Rejection
+	)
+	err = callAll(ctx, ini.caller, spec.ID, spec.Participants, func(p Participant) wire.Msg {
 		return ship.invite(spec.Task, p, bindingsOf[p.Name], inboxesOf[p.Name])
-	}, func() *inviteRepMsg { return &inviteRepMsg{} })
-	if err != nil {
-		ini.abort(parts, spec.ID)
-		return nil, err
-	}
-	var rejections []Rejection
-	for _, rep := range invites {
+	}, &rep, func() {
 		if !rep.Accepted {
 			rejections = append(rejections, Rejection{Name: rep.Name, Reason: rep.Reason})
 		}
+	})
+	if err != nil {
+		ini.abort(parts, spec.ID)
+		return nil, err
 	}
 	if len(rejections) > 0 {
 		ini.abort(parts, spec.ID)
@@ -311,8 +330,9 @@ func (ini *Initiator) Initiate(ctx context.Context, spec Spec) (*Handle, error) 
 // unlinks those that accepted and is a no-op at the rest. It follows the
 // invite on the same FIFO channel, so it cannot overtake it.
 func (ini *Initiator) abort(parts map[string]*Participant, sid string) {
+	term := &terminateMsg{SessionID: sid}
 	for _, p := range parts {
-		_ = ini.caller.Cast(controlRef(*p), sid, &terminateMsg{SessionID: sid})
+		_ = ini.caller.Cast(controlRef(*p), sid, term)
 	}
 }
 
@@ -394,9 +414,10 @@ func (h *Handle) Terminate(ctx context.Context) error {
 
 	ctx, cancel := withDeadline(ctx)
 	defer cancel()
-	_, err := callAll(ctx, h.ini.caller, h.id, roster, func(Participant) wire.Msg {
-		return &terminateMsg{SessionID: h.id}
-	}, func() *terminateAckMsg { return &terminateAckMsg{} })
+	term := &terminateMsg{SessionID: h.id}
+	err := callAll(ctx, h.ini.caller, h.id, roster, func(Participant) wire.Msg {
+		return term
+	}, &terminateAckMsg{}, nil)
 	if err != nil {
 		h.mu.Lock()
 		h.terminated = false
@@ -504,9 +525,9 @@ func (h *Handle) Grow(ctx context.Context, p Participant, newLinks []Link) error
 	// Relink existing participants: new bindings plus the fresh roster
 	// (on tree sessions each one's view of the tree re-laid at the new
 	// epoch to include the newcomer).
-	if _, err := callAll(ctx, h.ini.caller, h.id, existing, func(q Participant) wire.Msg {
+	if err := callAll(ctx, h.ini.caller, h.id, existing, func(q Participant) wire.Msg {
 		return ship.relink(q.Name, addsFor[q.Name], nil, false)
-	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
+	}, &relinkAckMsg{}, nil); err != nil {
 		abortNewcomer()
 		return err
 	}
@@ -594,9 +615,9 @@ func (h *Handle) ReincarnateAt(ctx context.Context, name string, newAddr netsim.
 	// On tree sessions the relink also rebinds the reincarnation's
 	// neighbours to its new address, so frames the dead incarnation
 	// swallowed can reach its subtree.
-	if _, err := callAll(ctx, h.ini.caller, h.id, roster, func(q Participant) wire.Msg {
+	if err := callAll(ctx, h.ini.caller, h.id, roster, func(q Participant) wire.Msg {
 		return ship.relink(q.Name, addsFor[q.Name], removesFor[q.Name], false)
-	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
+	}, &relinkAckMsg{}, nil); err != nil {
 		return err
 	}
 	// Redrive replay rings only after every member has acknowledged the
@@ -696,9 +717,9 @@ func (h *Handle) evict(ctx context.Context, name string, live bool) error {
 			return err
 		}
 	}
-	if _, err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
+	if err := callAll(ctx, h.ini.caller, h.id, newRoster, func(q Participant) wire.Msg {
 		return ship.relink(q.Name, nil, removesFor[q.Name], false)
-	}, func() *relinkAckMsg { return &relinkAckMsg{} }); err != nil {
+	}, &relinkAckMsg{}, nil); err != nil {
 		return err
 	}
 	if !live {
@@ -730,8 +751,7 @@ func (h *Handle) evict(ctx context.Context, name string, live bool) error {
 // Repeating the same shipment is deliberate — members rebind
 // idempotently, then redrive.
 func (h *Handle) redriveAll(ctx context.Context, ship *shipment) error {
-	_, err := callAll(ctx, h.ini.caller, h.id, ship.roster, func(q Participant) wire.Msg {
+	return callAll(ctx, h.ini.caller, h.id, ship.roster, func(q Participant) wire.Msg {
 		return ship.relink(q.Name, nil, nil, true)
-	}, func() *relinkAckMsg { return &relinkAckMsg{} })
-	return err
+	}, &relinkAckMsg{}, nil)
 }

@@ -120,6 +120,12 @@ type Service struct {
 
 	relayOnce sync.Once
 	relay     *relay.Relay
+
+	// rep and ack answer every invite and terminate: svc dispatches one
+	// request at a time and encodes a returned reply before the next. A
+	// relink's ack can be sent later, from a thread, and is its own.
+	rep inviteRepMsg
+	ack terminateAckMsg
 }
 
 // Relay returns the dapplet's tree-multicast engine, attaching it on
@@ -178,10 +184,16 @@ func Attach(d *core.Dapplet, policy Policy) *Service {
 	}
 	svc.Serve(d, ControlInbox, svc.Handlers{
 		"session.invite": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			return s.onInvite(c.From(), req.(*inviteMsg)), nil
+			inv := req.(*inviteMsg)
+			reason, ok := s.onInvite(c.From(), inv)
+			s.rep = inviteRepMsg{SessionID: inv.SessionID, Name: d.Name(), Accepted: ok, Reason: reason}
+			return &s.rep, nil
 		},
 		"session.terminate": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			return s.onTerminate(req.(*terminateMsg)), nil
+			sid := req.(*terminateMsg).SessionID
+			s.onTerminate(sid)
+			s.ack = terminateAckMsg{SessionID: sid, Name: d.Name()}
+			return &s.ack, nil
 		},
 		"session.relink": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			m := req.(*relinkMsg)
@@ -218,17 +230,17 @@ func (s *Service) Membership(id string) (*Membership, bool) {
 	return m, ok
 }
 
-// onInvite answers an invitation. An accepting dapplet links itself up
-// before it replies (§3.1): it creates the session's inboxes, binds its
-// outboxes and tree, and records the membership.
-func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
-	accept := &inviteRepMsg{SessionID: inv.SessionID, Name: s.d.Name(), Accepted: true}
+// onInvite judges an invitation and reports whether it accepts it, or
+// why not. An accepting dapplet links itself up before it replies
+// (§3.1): it creates the session's inboxes, binds its outboxes and tree,
+// and records the membership.
+func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) (reason string, ok bool) {
 	s.mu.Lock()
 	_, member := s.members[inv.SessionID]
 	s.mu.Unlock()
 	if member {
 		// Idempotent re-accept: the initiator may retry.
-		return accept
+		return "", true
 	}
 
 	if s.policy.ACL != nil {
@@ -241,10 +253,7 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 			Size:      inv.Size,
 		})
 		if !ok {
-			return &inviteRepMsg{
-				SessionID: inv.SessionID, Name: s.d.Name(),
-				Reason: "access denied: requester not on access control list",
-			}
+			return "access denied: requester not on access control list", false
 		}
 	}
 
@@ -255,13 +264,13 @@ func (s *Service) onInvite(from netsim.Addr, inv *inviteMsg) *inviteRepMsg {
 		if errors.Is(err, state.ErrConflict) {
 			reason = "interference: " + reason
 		}
-		return &inviteRepMsg{SessionID: inv.SessionID, Name: s.d.Name(), Reason: reason}
+		return reason, false
 	}
 
 	// Epoch 1 is Initiate's: this participant is in from the start. A
 	// later epoch is a Grow into a running session.
 	s.persist(s.link(inv, inv.Epoch == 1))
-	return accept
+	return "", true
 }
 
 // link is the accept path: it links this dapplet into the session inv
@@ -322,17 +331,16 @@ func (s *Service) unlink(mem *Membership) {
 // rejection elsewhere, a timeout or a cancelled context); it is
 // idempotent, and a no-op apart from the ack for a session this
 // dapplet never linked into.
-func (s *Service) onTerminate(m *terminateMsg) *terminateAckMsg {
+func (s *Service) onTerminate(sid string) {
 	s.mu.Lock()
-	mem, ok := s.members[m.SessionID]
-	delete(s.members, m.SessionID)
+	mem, ok := s.members[sid]
+	delete(s.members, sid)
 	s.mu.Unlock()
 	if ok {
 		s.unlink(mem)
 	}
-	s.d.Store().Release(m.SessionID)
-	s.unpersist(m.SessionID)
-	return &terminateAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
+	s.d.Store().Release(sid)
+	s.unpersist(sid)
 }
 
 // onRelink applies a relink to this dapplet's membership and returns the

@@ -3,6 +3,7 @@ package session_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -223,6 +224,91 @@ func TestInterferenceRejection(t *testing.T) {
 	}
 	if got := w.services["shared"].Sessions(); len(got) != 2 {
 		t.Fatalf("shared sessions = %v", got)
+	}
+}
+
+// TestConcurrentInitiatorsGetTheirOwnReplies runs two initiators at once
+// over overlapping members, a tree session after a tree session each.
+// A member answers every invite and terminate from one reply of its
+// service's, and an initiator reads every reply of a round into one, so
+// a reply read or sent after the next was written would carry another
+// session's answer. One member's ACL rejects the second initiator's
+// sessions: each of its Initiates must report exactly that rejection,
+// each of the first's none, and every membership the first sets up must
+// name its own session.
+func TestConcurrentInitiatorsGetTheirOwnReplies(t *testing.T) {
+	w := newSWorld(t)
+	names := []string{"m0", "m1", "m2", "m3", "m4", "m5"}
+	for i, name := range names {
+		var policy session.Policy
+		if name == "m3" {
+			policy.ACL = func(_ netsim.Addr, inv session.Invitation) bool { return inv.Task != "b" }
+		}
+		w.add(fmt.Sprintf("h%d", i%3), name, "t", policy)
+	}
+	ctx := waitCtx(t)
+	const rounds = 15
+	// run has initiator task set up and end rounds sessions over
+	// members, one at a time, and returns the first thing that was
+	// wrong.
+	run := func(task string, members []string) error {
+		ini := w.initiator("h0", "director-"+task)
+		for k := range rounds {
+			spec := treeSpec(fmt.Sprintf("%s-%02d", task, k), members, 2)
+			// Each initiator's sessions bind outboxes of their own: a
+			// member in both carries one session of each at once.
+			spec.Task, spec.Tree.Outbox, spec.Tree.Inbox = task, "bcast-"+task, "news-"+task
+			h, err := ini.Initiate(ctx, spec)
+			if task == "b" {
+				var rej *session.RejectedError
+				if !errors.As(err, &rej) || rej.SessionID != spec.ID || len(rej.Rejections) != 1 ||
+					rej.Rejections[0].Name != "m3" || !strings.Contains(rej.Rejections[0].Reason, "access control list") {
+					return fmt.Errorf("%s: Initiate = %v, want m3's rejection alone", spec.ID, err)
+				}
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", spec.ID, err)
+			}
+			for _, name := range members {
+				if mem, ok := w.services[name].Membership(spec.ID); !ok || mem.ID != spec.ID || mem.Task != task {
+					return fmt.Errorf("%s: %s holds %+v", spec.ID, name, mem)
+				}
+			}
+			if err := h.Terminate(ctx); err != nil {
+				return fmt.Errorf("%s: Terminate: %w", spec.ID, err)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for task, members := range map[string][]string{"a": names[:4], "b": names[2:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- run(task, members)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	// The second initiator's aborts are one-way: wait for the last.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var left []string
+		for _, name := range names {
+			left = append(left, w.services[name].Sessions()...)
+		}
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions left linked: %v", left)
+		}
 	}
 }
 
