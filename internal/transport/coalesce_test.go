@@ -155,7 +155,7 @@ func TestCoalesceBackstopFlushesStage(t *testing.T) {
 	// between the stamp and the write would shorten the measured age.
 	pa := ra.peer(to)
 	pa.mu.Lock()
-	sent := pa.unacked[1].sent
+	sent := pa.ch.unacked[1].sent
 	pa.mu.Unlock()
 	sendSeqs(t, ra, to, 9, 11) // staged behind ackEvery frames whose ack never comes
 	batch := p.await(t, "the staged frames", func(d dgramInfo) bool { return d.carries(11) })

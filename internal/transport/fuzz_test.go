@@ -89,12 +89,12 @@ func FuzzDatagram(f *testing.F) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		for seq := uint64(1); seq <= inflight; seq++ {
-			if _, unacked := p.unacked[seq]; unacked == want[seq] {
+			if _, unacked := p.ch.unacked[seq]; unacked == want[seq] {
 				t.Fatalf("seq %d: released = %v, the datagram acknowledges it = %v", seq, !unacked, want[seq])
 			}
 		}
-		if p.ackedTo > inflight || len(p.unacked) > inflight {
-			t.Fatalf("ackedTo = %d with %d unacked after %d sends", p.ackedTo, len(p.unacked), inflight)
+		if p.ch.ackedTo > inflight || len(p.ch.unacked) > inflight {
+			t.Fatalf("ackedTo = %d with %d unacked after %d sends", p.ch.ackedTo, len(p.ch.unacked), inflight)
 		}
 	})
 }

@@ -201,7 +201,7 @@ func parseDgram(fromA bool, b []byte) dgramInfo {
 func fromTimer() bool {
 	var buf [4096]byte
 	stack := buf[:runtime.Stack(buf[:], false)]
-	return bytes.Contains(stack, []byte(").fireRetx(")) || bytes.Contains(stack, []byte(").fireAck("))
+	return bytes.Contains(stack, []byte(").fire("))
 }
 
 func (e *pipeEnd) WriteTo(_ netsim.Addr, b []byte) error {

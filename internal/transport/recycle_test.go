@@ -22,7 +22,7 @@ func freeSeqs(r *endpoint, to netsim.Addr) []uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var seqs []uint64
-	for _, pkt := range p.free {
+	for _, pkt := range p.ch.free {
 		seqs = append(seqs, pkt.seq)
 	}
 	return seqs
@@ -33,7 +33,7 @@ func stagedCount(r *endpoint, to netsim.Addr) int {
 	p := r.peer(to)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.staged)
+	return len(p.ch.staged)
 }
 
 // (a) An ack from a confused peer, clamped to nextSeq, covers frames

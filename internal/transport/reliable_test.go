@@ -440,7 +440,7 @@ func TestAckCoalescing(t *testing.T) {
 	for {
 		p := ra.peer(rb.LocalAddr())
 		p.mu.Lock()
-		n := len(p.unacked)
+		n := len(p.ch.unacked)
 		p.mu.Unlock()
 		if n == 0 {
 			break
