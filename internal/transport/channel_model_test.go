@@ -11,55 +11,202 @@ import (
 	"time"
 )
 
+// duo is two channel machines joined by an in-memory line, on a virtual
+// clock: nothing moves unless the test moves it. send, step and advance
+// are the only steps, so a test decides every interleaving, and a
+// resend is the timer's exactly when tick made it.
+type duo struct {
+	now    time.Time
+	ch     [2]channel
+	stats  [2]statCounters
+	line   [2][]queued // in flight towards end i, oldest first
+	held   [2]*queued  // swapped: waits for the next datagram towards end i
+	parked [2][]queued // held acks towards end i, waiting for release
+	log    []logged
+	copies map[dgramKey]int
+	rx     [2][]rxFrame // what end i delivered, in order
+
+	rule  func(logged) verdict // nil passes everything
+	wrote func(logged)         // sees each datagram as it is written, before rule
+}
+
+// queued is one datagram in flight, with its index in the log.
+type queued struct {
+	idx  int
+	data []byte
+}
+
+// logged is one datagram a machine wrote: the log's reading of it, its
+// bytes of frames, and whether tick wrote it.
+type logged struct {
+	dgramInfo
+	from       int
+	frameBytes int
+	tick       bool
+}
+
+type rxFrame struct {
+	seq          uint64
+	hdr, payload []byte
+}
+
+func newDuo(cfg Config) *duo {
+	d := &duo{now: time.Unix(1_000_000, 0), copies: make(map[dgramKey]int)}
+	for i := range d.ch {
+		d.ch[i] = newChannel(cfg.withDefaults(), &d.stats[i])
+	}
+	return d
+}
+
+// write logs the datagrams a transition of end from returned and puts
+// them on the line, as the rule says.
+func (d *duo) write(from int, out []*[]byte, tick bool) {
+	for _, b := range out {
+		if b == nil {
+			continue
+		}
+		data := bytes.Clone(*b)
+		dgramPool.Put(b)
+		l := logged{dgramInfo: parseDgram(from == 0, data), from: from, tick: tick}
+		l.at = d.now
+		_, _, _, _, off, _ := parseHeader(data)
+		l.frameBytes = len(data) - off
+		for _, seq := range l.frames {
+			k := dgramKey{from == 0, seq}
+			d.copies[k]++
+			l.copies = append(l.copies, d.copies[k])
+		}
+		d.log = append(d.log, l)
+		if d.wrote != nil {
+			d.wrote(l)
+		}
+		v := pass
+		if d.rule != nil {
+			v = d.rule(l)
+		}
+		to, q := 1-from, queued{len(d.log) - 1, data}
+		switch {
+		case v == swap && d.held[to] == nil:
+			d.held[to] = &q
+			continue
+		case v == hold && l.hasCum:
+			d.parked[to] = append(d.parked[to], q)
+			continue
+		}
+		if v != drop {
+			d.line[to] = append(d.line[to], q)
+			if v == dup {
+				d.line[to] = append(d.line[to], queued{q.idx, bytes.Clone(data)})
+			}
+		}
+		if d.held[to] != nil {
+			d.line[to] = append(d.line[to], *d.held[to])
+			d.held[to] = nil
+		}
+	}
+}
+
+// send sends from end i, with SendOwed's refusal rule when owed.
+func (d *duo) send(i int, hdr, payload []byte, owed bool) error {
+	var buf [4]*[]byte
+	out, err := d.ch[i].send(buf[:0], d.now, hdr, payload, owed)
+	d.write(i, out, false)
+	return err
+}
+
+// step hands end i the next datagram in flight towards it, if any.
+func (d *duo) step(i int) bool {
+	if len(d.line[i]) == 0 {
+		return false
+	}
+	q := d.line[i][0]
+	d.line[i] = d.line[i][1:]
+	d.hand(i, q.data)
+	return true
+}
+
+// hand gives end i one datagram.
+func (d *duo) hand(i int, data []byte) {
+	var buf [8]*[]byte
+	deliv, out := d.ch[i].receive(buf[:0], d.now, data)
+	for _, f := range deliv {
+		d.rx[i] = append(d.rx[i], rxFrame{f.seq, f.hdr, f.payload})
+	}
+	d.write(i, out, false)
+}
+
+// release puts the swapped datagram and the parked acks towards end i
+// on the line.
+func (d *duo) release(i int) {
+	if d.held[i] != nil {
+		d.line[i] = append(d.line[i], *d.held[i])
+		d.held[i] = nil
+	}
+	d.line[i] = append(d.line[i], d.parked[i]...)
+	d.parked[i] = nil
+}
+
+// advance runs the clock for dt, ticking each end at its deadlines as
+// they come. afterTick, if set, sees each end that ticked.
+func (d *duo) advance(dt time.Duration, afterTick func(i int)) error {
+	end := d.now.Add(dt)
+	for n := 0; ; n++ {
+		i, at := -1, time.Time{}
+		for k := range d.ch {
+			if dl := d.ch[k].deadline(); !dl.IsZero() && !dl.After(end) && (i < 0 || dl.Before(at)) {
+				i, at = k, dl
+			}
+		}
+		if i < 0 {
+			d.now = end
+			return nil
+		}
+		if n == 10000 {
+			return fmt.Errorf("10000 ticks in %v: end %c's deadline never moves past %v", dt, 'a'+i, at.Sub(d.now))
+		}
+		if at.After(d.now) {
+			d.now = at
+		}
+		var buf [8]*[]byte
+		d.write(i, d.ch[i].tick(buf[:0], d.now), true)
+		if afterTick != nil {
+			afterTick(i)
+		}
+	}
+}
+
 // The reference model of the reliable channel. FuzzChannel reads its
-// input as a script for two endpoints joined by a stepped pipe, in which
-// nothing moves unless the script moves it: the ops at the front of the
-// input send on either end, hand datagrams over, release parked acks and
-// forge an ack, and the bytes at the back are the pipe's verdicts on the
-// datagrams in the order they are written. Once the script is spent the
-// pipe passes everything, and the model runs the channel until it is
-// quiet: every accepted send delivered and acknowledged. Then it checks
-// what the channel promises, stated over the datagram log and the
-// deliveries the pipe made, never over the layer's own fields:
+// input as a script for a duo: the ops at the front of the input send on
+// either end, hand datagrams over, release parked acks, forge an ack and
+// run the clock, and the bytes at the back are the line's verdicts on
+// the datagrams in the order they are written. Once the script is spent
+// the line passes everything, and the model runs the duo until it is
+// quiet: every accepted send delivered and acknowledged. It checks what
+// the channel promises, over the datagram log, the hand-overs and the
+// deliveries, never over the machines' fields:
 //
 //   - each end delivers the other's accepted sends exactly once, in
 //     order, with byte-identical header and payload;
 //   - a sender never has more than Window frames transmitted and not yet
 //     acknowledged by an ack it has been handed;
-//   - every datagram fits the budget, unless it is one frame too large
-//     for it;
+//   - no datagram carries more than the budget of frames, unless it is
+//     one frame too large for it;
 //   - a frame carries its header exactly when the header differs from
 //     that of the frame before it in seq order;
-//   - no frame is sent again unless the log condemns its previous copy:
-//     three later seqs acknowledged above a never-resent frame, a frame
-//     sent after it acknowledged (RACK), or the timer's floor elapsed;
+//   - no frame is sent again unless its previous copy was condemned: by
+//     tick, at least the timer's floor (RTO/2) after that copy, or by the
+//     ack being handed over, naming three later seqs above a never-resent
+//     frame, or by an ack of a frame sent after that copy (RACK);
 //   - a frame leaves with the ack its peer is owed, so no bare ack goes
 //     out where a frame could have carried it;
-//   - after Close nothing more is written or delivered, and Send fails;
-//   - Send refuses a frame with ErrBacklog only past the backlog bound,
-//     and Stats counts each refusal; SendOwed is never refused.
+//   - send refuses a frame with ErrBacklog only past the backlog bound,
+//     and Stats counts each refusal; an owed send is never refused.
 //
-// The rules need only the order of events, except the timer's: a resend
-// at least timerGap after the previous copy is the timer's to make. The
-// layer's timers are the only thing running beside the script, so the
-// log orders two writes as the layer made them unless one of them is a
-// timer's, built before the other and written after it. The pipe marks
-// the timers' writes, and where a rule's verdict hangs on such an order
-// the model gives the layer the benefit of the doubt.
+// Every rule is exact: the duo orders every write, so none needs the
+// benefit of a doubt.
 
-// modelCfg keeps the retransmission timer's floor (RTO/2) at 50ms, well
-// above what a scripted exchange takes, and never fails a frame.
+// modelCfg never fails a frame; its timer floor is RTO/2 = 50ms.
 var modelCfg = Config{RTO: 100 * time.Millisecond, AckDelay: 2 * time.Millisecond, MaxRetries: 1 << 20}
-
-// timerGap is the least time between two copies of a frame that the
-// model lets the retransmission timer account for: half its floor, the
-// other half left to a process stall between a copy's stamp and its
-// write.
-const timerGap = 25 * time.Millisecond
-
-// raceGap bounds how long before another write a timer's write may have
-// been built and still be logged after it.
-const raceGap = 5 * time.Millisecond
 
 var (
 	modelHdrs    = [][]byte{nil, []byte("inbox"), []byte("other inbox"), []byte("a longer header: session 42, outbox replies")}
@@ -77,38 +224,43 @@ const (
 	opStepAll        // hand over everything in flight, both ways
 	opRelease        // put the parked acks in flight
 	opForge          // a confused peer acks all end (argument bit 0) has sequenced; with bit 1, an owed send instead (see do)
-	opSleep          // let the clock run for argument mod 4 milliseconds
+	opClock          // run the clock for argument milliseconds
 )
 
 // chanModel runs one script.
 type chanModel struct {
+	*duo
 	t      *testing.T
-	p      *pipe
-	ends   [2]*endpoint // a, b
-	pes    [2]*pipeEnd
 	window int
 
-	// Guarded by p.mu: the rule reads them as each datagram is written.
 	data     []byte
 	op, v    int       // next op from the front, next verdict from the back
 	quiet    bool      // the script is spent: everything passes
 	forgedTo [2]uint64 // frames from end i up to this seq always pass
 	script   []string  // what has happened, for a failure's report
 
-	sent     [2][]delivery // accepted sends from end i; seq k at k-1
-	refused  [2]int        // sends from end i refused with ErrBacklog
-	handed   []handover
-	closedAt int // log length at Close
+	sent    [2][]delivery // accepted sends from end i; seq k at k-1
+	refused [2]int        // sends from end i refused with ErrBacklog
+
+	// What the log has shown so far, per sending end.
+	cur         *handover         // the hand-over in progress
+	lastCopy    [2]map[uint64]int // seq -> log index of its latest copy
+	acked       [2]map[uint64]bool
+	cumTo       [2]uint64 // highest cumulative ack handed to the end
+	maxTx       [2]uint64 // highest seq the end has transmitted
+	outstanding [2]int    // transmitted and not acknowledged to the end
+	ackedAfter  [2]int    // highest log index of an acknowledged frame's latest copy
+	lastCum     [2]int    // log index of the end's latest datagram carrying an ack
+	owedSince   [2]int    // log length when the latest hand-over of frames to the end began
 }
 
-// handover is one datagram handed to an end: its log index (-1 for a
-// forged ack, which acknowledges cum) and the log's length when it was
-// handed over and when the end had dealt with it.
+// handover is one datagram being handed to an end: the ack it carries
+// and the log's length when it began.
 type handover struct {
-	to            int
-	idx           int
-	cum           uint64
-	before, after int
+	to       int
+	cum, sel uint64
+	hasCum   bool
+	before   int
 }
 
 func FuzzChannel(f *testing.F) {
@@ -135,7 +287,7 @@ func FuzzChannel(f *testing.F) {
 	// Owed sends past the backlog bound: window 4, nothing handed over,
 	// 40 owed frames against the 4·(1+backlogWindows) = 36 a Send may
 	// queue; a Send then is refused, and an owed one after it is taken.
-	// Zeros the pipe does not take as verdicts are Sends, refused too.
+	// Zeros the line does not take as verdicts are Sends, refused too.
 	owed := func(from, hdr, big byte) byte { return opForge<<5 | big<<4 | hdr<<2 | 2 | from }
 	s := []byte{0}
 	for i := byte(0); i < 40; i++ {
@@ -156,40 +308,36 @@ func runChannel(t *testing.T, data []byte) {
 	if len(data) > 0 {
 		m.window, m.op = modelWindows[int(data[0])%len(modelWindows)], 1
 	}
-	m.p = newSteppedPipe(t, m.ruleLocked)
-	m.pes = [2]*pipeEnd{m.p.a, m.p.b}
 	cfg := modelCfg
 	cfg.Window = m.window
-	for i, e := range m.pes {
-		m.ends[i] = newEndpoint(e, cfg)
-		t.Cleanup(func() { m.ends[i].Close() })
-		e.awaitReading()
+	m.duo = newDuo(cfg)
+	m.rule, m.wrote = m.verdict, m.checkWrite
+	for i := range m.lastCopy {
+		m.lastCopy[i], m.acked[i] = make(map[uint64]int), make(map[uint64]bool)
+		m.ackedAfter[i], m.lastCum[i], m.owedSince[i] = -1, -1, -1
 	}
 	m.note("window %d", m.window)
-	for {
-		b, ok := m.nextOp()
-		if !ok {
-			break
-		}
-		m.do(b)
+	for m.op < m.v {
+		m.op++
+		m.do(m.data[m.op-1])
 	}
 	m.settle()
-	m.check()
-	m.checkClose()
+	m.checkDelivered()
+	for i := range m.stats {
+		if got := m.stats[i].backlogFull.Load(); got != uint64(m.refused[i]) {
+			m.fail("%c: Stats().BacklogFull = %d, %d sends refused", 'a'+i, got, m.refused[i])
+		}
+	}
 }
 
 // note adds a line to the script report.
 func (m *chanModel) note(format string, args ...any) {
-	m.p.mu.Lock()
 	m.script = append(m.script, fmt.Sprintf(format, args...))
-	m.p.mu.Unlock()
 }
 
 // fail reports the script and the log with the broken rule.
 func (m *chanModel) fail(format string, args ...any) {
 	m.t.Helper()
-	m.p.mu.Lock()
-	defer m.p.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, format, args...)
 	b.WriteString("\nscript:\n")
@@ -197,42 +345,33 @@ func (m *chanModel) fail(format string, args ...any) {
 		fmt.Fprintf(&b, "  %s\n", s)
 	}
 	b.WriteString("log:\n")
-	for i, d := range m.p.log {
+	for i, d := range m.log {
 		fmt.Fprintf(&b, "  %3d %s\n", i, describe(d))
 	}
 	m.t.Fatal(b.String())
 }
 
-func describe(d dgramInfo) string {
+func describe(d logged) string {
 	from := "b->a"
 	if d.fromA {
 		from = "a->b"
 	}
-	s := fmt.Sprintf("%s %4dB frames %v copies %v inline %v", from, d.size, d.frames, d.copies, d.inline)
+	s := fmt.Sprintf("%v %s %4dB frames %v copies %v inline %v", d.at.Sub(time.Unix(1_000_000, 0)), from, d.size, d.frames, d.copies, d.inline)
 	if d.hasCum {
 		s += fmt.Sprintf(" ack %d", d.cum)
 		if d.hasSel {
 			s += fmt.Sprintf(" sel %b", d.sel)
 		}
 	}
+	if d.tick {
+		s += " (tick)"
+	}
 	return s
 }
 
-func (m *chanModel) nextOp() (byte, bool) {
-	m.p.mu.Lock()
-	defer m.p.mu.Unlock()
-	if m.op >= m.v {
-		return 0, false
-	}
-	m.op++
-	return m.data[m.op-1], true
-}
-
-// ruleLocked is the pipe's verdict on each datagram written. Caller
-// holds p.mu.
-func (m *chanModel) ruleLocked(d dgramInfo) verdict {
-	from := end(d.fromA)
-	if m.quiet || m.op >= m.v || slices.ContainsFunc(d.frames, func(s uint64) bool { return s <= m.forgedTo[from] }) {
+// verdict is the line's verdict on each datagram written.
+func (m *chanModel) verdict(d logged) verdict {
+	if m.quiet || m.op >= m.v || slices.ContainsFunc(d.frames, func(s uint64) bool { return s <= m.forgedTo[d.from] }) {
 		return pass
 	}
 	m.v--
@@ -241,18 +380,9 @@ func (m *chanModel) ruleLocked(d dgramInfo) verdict {
 		v = pass // only an ack is held
 	}
 	if v != pass {
-		name := [...]string{drop: "drop", dup: "dup", swap: "swap", hold: "hold"}[v]
-		m.script = append(m.script, fmt.Sprintf("%s datagram %d", name, len(m.p.log)-1))
+		m.note("%s datagram %d", [...]string{drop: "drop", dup: "dup", swap: "swap", hold: "hold"}[v], len(m.log)-1)
 	}
 	return v
-}
-
-// end is the index of end a (0) or b (1).
-func end(a bool) int {
-	if a {
-		return 0
-	}
-	return 1
 }
 
 func (m *chanModel) do(b byte) {
@@ -269,337 +399,218 @@ func (m *chanModel) do(b byte) {
 		}
 	case opRelease:
 		m.note("release")
-		m.p.release(m.p.a)
-		m.p.release(m.p.b)
+		m.release(0)
+		m.release(1)
 	case opForge:
 		if arg&2 == 0 {
 			m.forge(int(arg & 1))
 		} else { // end bit 0 sends owed: bits 2-3 pick the header, bit 4 a 64 or 700 byte payload
 			m.send(int(arg&1), modelHdrs[arg>>2&3], modelSizes[3+3*(arg>>4)], true)
 		}
-	case opSleep:
-		time.Sleep(time.Duration(arg%4) * time.Millisecond)
+	case opClock:
+		m.note("clock runs %dms", arg)
+		if err := m.advance(time.Duration(arg)*time.Millisecond, nil); err != nil {
+			m.fail("%v", err)
+		}
 	}
 }
 
-// send sends from end from with Send, or with SendOwed, which past the
-// backlog bound takes the frame all the same.
+// send sends from end from, owed or not.
 func (m *chanModel) send(from int, hdr []byte, size int, owed bool) {
 	seq := len(m.sent[from]) + 1
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(seq + i)
 	}
-	send, call := m.ends[from].Send, "Send"
+	call := "Send"
 	if owed {
-		send, call = m.ends[from].SendOwed, "SendOwed"
+		call = "SendOwed"
 	}
-	err := send(m.ends[1-from].LocalAddr(), hdr, payload)
+	// Noted first: the datagrams it writes follow it in the report.
+	m.note("%c %s seq %d: header %q, %d bytes", 'a'+from, call, seq, hdr, size)
+	m.sent[from] = append(m.sent[from], delivery{hdr: hdr, payload: payload})
+	err := m.duo.send(from, hdr, payload, owed)
 	switch {
 	case err == nil:
-		m.sent[from] = append(m.sent[from], delivery{hdr: hdr, payload: payload})
-		m.note("%c %s seq %d: header %q, %d bytes", 'a'+from, call, seq, hdr, size)
 	case errors.Is(err, ErrBacklog) && !owed:
+		m.sent[from] = m.sent[from][:seq-1]
 		m.refused[from]++
-		m.note("%c refused: %v", 'a'+from, err)
-		if m.untransmitted(from) < backlogWindows*m.window {
-			m.fail("%c's Send was refused with %d frames untransmitted, fewer than the backlog bound %d", 'a'+from, m.untransmitted(from), backlogWindows*m.window)
+		m.note("  refused: %v", err)
+		if n := len(m.sent[from]) - int(m.maxTx[from]); n < backlogWindows*m.window {
+			m.fail("%c's Send was refused with %d frames untransmitted, fewer than the backlog bound %d", 'a'+from, n, backlogWindows*m.window)
 		}
 	default:
 		m.fail("%c's %s: %v", 'a'+from, call, err)
 	}
 }
 
-// untransmitted counts end i's accepted sends that are not on the wire.
-func (m *chanModel) untransmitted(i int) int {
-	m.p.mu.Lock()
-	defer m.p.mu.Unlock()
-	return len(m.sent[i]) - int(m.topLocked(i, func(int) bool { return true }))
-}
-
 // step hands end i the next datagram in flight towards it.
 func (m *chanModel) step(i int) bool {
-	m.p.mu.Lock()
-	before := len(m.p.log)
-	m.p.mu.Unlock()
-	idx, ok := m.p.step(m.pes[i])
-	if !ok {
+	if len(m.line[i]) == 0 {
 		return false
 	}
-	m.p.mu.Lock()
-	m.handed = append(m.handed, handover{to: i, idx: idx, before: before, after: len(m.p.log)})
-	m.script = append(m.script, fmt.Sprintf("%c is handed datagram %d", 'a'+i, idx))
-	m.p.mu.Unlock()
+	q := m.line[i][0]
+	m.note("%c is handed datagram %d", 'a'+i, q.idx)
+	d := m.log[q.idx]
+	m.handOver(i, d.cum, d.sel, d.hasCum, len(d.frames) > 0, func() { m.duo.step(i) })
 	return true
+}
+
+// handOver runs one hand-over to end i of an ack (cum, sel) and maybe
+// frames: the ack is the end's before anything it writes in answer.
+func (m *chanModel) handOver(i int, cum, sel uint64, hasCum, frames bool, run func()) {
+	h := &handover{to: i, cum: cum, sel: sel, hasCum: hasCum, before: len(m.log)}
+	if hasCum {
+		for s := m.cumTo[i] + 1; s <= min(cum, uint64(len(m.sent[i]))); s++ {
+			m.ack(i, s)
+		}
+		m.cumTo[i] = max(m.cumTo[i], cum)
+		for b := sel; b != 0; b &= b - 1 {
+			if s := cum + selBase + uint64(bits.TrailingZeros64(b)); s <= uint64(len(m.sent[i])) {
+				m.ack(i, s)
+			}
+		}
+	}
+	m.cur = h
+	run()
+	m.cur = nil
+	if frames {
+		m.owedSince[i] = h.before
+	}
+}
+
+// ack notes that end i has been handed an ack of seq s.
+func (m *chanModel) ack(i int, s uint64) {
+	if m.acked[i][s] {
+		return
+	}
+	m.acked[i][s] = true
+	if j, ok := m.lastCopy[i][s]; ok {
+		m.outstanding[i]--
+		m.ackedAfter[i] = max(m.ackedAfter[i], j)
+	}
 }
 
 // forge hands end i an ack from a confused peer, acknowledging far past
 // every frame i has sequenced, when every frame i has transmitted is
 // acknowledged or delivered. A frame still staged or backlogged cannot
-// have arrived, so the model counts the ack for the frames on the wire
-// before it was handed (a timer's write while it was being dealt with
-// included), not for those the layer sent in answer. The pipe passes
-// every frame sequenced by then, in case a timer's write let the ack
-// cover it in flight.
+// have arrived, so the model counts the ack for the frames on the wire,
+// not for those the end sends in answer. The line passes every frame
+// sequenced by then.
 func (m *chanModel) forge(i int) {
-	cum := uint64(m.delivered(1 - i))
-	m.p.mu.Lock()
-	top := m.topLocked(i, func(int) bool { return true })
-	for _, h := range m.handed {
-		if h.to == i {
-			cum = max(cum, h.cum)
-			if h.idx >= 0 && m.p.log[h.idx].hasCum {
-				cum = max(cum, m.p.log[h.idx].cum)
-			}
-		}
-	}
-	n := uint64(len(m.sent[i]))
-	if top > cum || n == top {
-		m.p.mu.Unlock()
+	top, n := m.maxTx[i], uint64(len(m.sent[i]))
+	if top > max(uint64(len(m.rx[1-i])), m.cumTo[i]) || n == top {
 		return
 	}
 	m.forgedTo[i] = n
-	before := len(m.p.log)
-	m.script = append(m.script, fmt.Sprintf("%c is handed a forged ack, %d of its %d frames on the wire", 'a'+i, top, n))
-	m.p.mu.Unlock()
-	m.pes[i].inbox <- appendHeader(nil, true, 1<<40, 0, false)
-	m.pes[i].awaitReading()
-	m.p.mu.Lock()
-	after := len(m.p.log)
-	top = m.topLocked(i, func(k int) bool { return k < before || k < after && m.p.log[k].timer })
-	m.handed = append(m.handed, handover{to: i, idx: -1, cum: top, before: before, after: after})
-	m.p.mu.Unlock()
+	m.note("%c is handed a forged ack, %d of its %d frames on the wire", 'a'+i, top, n)
+	m.handOver(i, top, 0, true, false, func() { m.hand(i, appendHeader(nil, true, 1<<40, 0, false)) })
 }
 
-// topLocked returns the highest seq end i sent in a logged datagram that
-// counts. Caller holds p.mu.
-func (m *chanModel) topLocked(i int, counts func(k int) bool) uint64 {
-	var top uint64
-	for k, d := range m.p.log {
-		if d.fromA == (i == 0) && counts(k) {
-			for _, s := range d.frames {
-				top = max(top, s)
-			}
-		}
+// checkWrite checks each datagram as it is written, against what the
+// log has shown so far.
+func (m *chanModel) checkWrite(d logged) {
+	i, from := len(m.log)-1, d.from
+	if len(d.frames) > 1 && d.frameBytes > datagramBudget {
+		m.fail("datagram %d: %d frames in %d bytes, budget %d", i, len(d.frames), d.frameBytes, datagramBudget)
 	}
-	return top
+	if len(d.frames) > 0 && !d.hasCum && m.lastCum[from] < m.owedSince[from] {
+		m.fail("datagram %d: frames left without the ack owed since the hand-over at log length %d", i, m.owedSince[from])
+	}
+	if d.hasCum {
+		m.lastCum[from] = i
+	}
+	for k, s := range d.frames {
+		if s == 0 || s > uint64(len(m.sent[from])) {
+			m.fail("datagram %d: seq %d was never sent", i, s)
+		}
+		prev := []byte(nil)
+		if s > 1 {
+			prev = m.sent[from][s-2].hdr
+		}
+		if want := !bytes.Equal(m.sent[from][s-1].hdr, prev); d.inline[k] != want {
+			m.fail("datagram %d: seq %d carries its header: %v, want %v", i, s, d.inline[k], want)
+		}
+		j, again := m.lastCopy[from][s]
+		switch {
+		case !again:
+			m.maxTx[from] = max(m.maxTx[from], s)
+			if !m.acked[from][s] {
+				m.outstanding[from]++
+			}
+		case !m.condemned(d, s, j, d.copies[k]-1):
+			m.fail("datagram %d: seq %d sent again, although nothing condemned its copy in datagram %d", i, s, j)
+		}
+		m.lastCopy[from][s] = i
+	}
+	if n := m.outstanding[from]; len(d.frames) > 0 && n > m.window {
+		m.fail("datagram %d: %d frames transmitted and unacknowledged, window %d", i, n, m.window)
+	}
 }
 
-// settle passes everything from now on and runs the channel until every
+// condemned reports whether seq s, written again in d, had its
+// previous copy (log index j, the n-th) condemned.
+func (m *chanModel) condemned(d logged, s uint64, j, n int) bool {
+	if d.tick {
+		return d.at.Sub(m.log[j].at) >= modelCfg.RTO/2
+	}
+	h := m.cur
+	if h == nil || h.to != d.from || !h.hasCum {
+		return false // only an arriving ack resends at once
+	}
+	if n == 1 && s > h.cum && bits.OnesCount64(h.sel>>(s-h.cum-1)) >= dupThresh {
+		return true // three later seqs arrived
+	}
+	return m.ackedAfter[d.from] > j // RACK: a frame sent after the copy arrived
+}
+
+// settle passes everything from now on and runs the duo until every
 // accepted send is delivered and acknowledged.
 func (m *chanModel) settle() {
-	m.p.mu.Lock()
 	m.quiet = true
-	m.p.mu.Unlock()
 	m.note("quiet")
-	m.p.release(m.p.a)
-	m.p.release(m.p.b)
-	timeout := time.After(10 * time.Second)
-	for !m.done() {
+	m.release(0)
+	m.release(1)
+	for n := 0; !m.done(); n++ {
 		if m.step(0) || m.step(1) {
 			continue
 		}
-		m.p.mu.Lock()
-		idle := len(m.p.a.queue) == 0 && len(m.p.b.queue) == 0
-		changed := m.p.changed
-		m.p.mu.Unlock()
-		if !idle {
-			continue
+		next := m.ch[0].deadline()
+		if dl := m.ch[1].deadline(); next.IsZero() || !dl.IsZero() && dl.Before(next) {
+			next = dl
 		}
-		select {
-		case <-changed: // a timer wrote
-		case <-timeout:
-			m.fail("the channel never settled: %d and %d sent, %d and %d delivered, %d and %d queued",
-				len(m.sent[0]), len(m.sent[1]), m.delivered(1), m.delivered(0), m.ends[0].QueueDepth(), m.ends[1].QueueDepth())
+		if next.IsZero() || n > 100000 {
+			m.fail("the channel never settled: %d and %d sent, %d and %d delivered, %d and %d unacked",
+				len(m.sent[0]), len(m.sent[1]), len(m.rx[1]), len(m.rx[0]), len(m.ch[0].unacked), len(m.ch[1].unacked))
+		}
+		if err := m.advance(max(next.Sub(m.now), 0), nil); err != nil {
+			m.fail("%v", err)
 		}
 	}
 }
 
-func (m *chanModel) delivered(i int) int {
-	m.ends[i].mu.Lock()
-	defer m.ends[i].mu.Unlock()
-	return len(m.ends[i].rx)
-}
-
+// done reports whether every accepted send has been delivered and
+// acknowledged, and nothing is in flight.
 func (m *chanModel) done() bool {
-	for i := range m.ends {
-		if m.delivered(1-i) < len(m.sent[i]) || m.ends[i].QueueDepth() > 0 {
+	for i := range m.ch {
+		if len(m.rx[1-i]) < len(m.sent[i]) || len(m.ch[i].unacked) > 0 || len(m.line[i]) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// acks returns what handover h, as the log has it, acknowledges: the cumulative point and
-// the selective bitmap, if any.
-func acks(log []dgramInfo, h handover) (cum, sel uint64, ok bool) {
-	if h.idx < 0 {
-		return h.cum, 0, true
-	}
-	d := log[h.idx]
-	return d.cum, d.sel, d.hasCum
-}
-
-// covers reports whether an ack of cum and sel acknowledges seq.
-func covers(cum, sel, seq uint64) bool {
-	return seq <= cum || seq >= cum+selBase && seq-cum-selBase < 64 && sel>>(seq-cum-selBase)&1 != 0
-}
-
-func (m *chanModel) check() {
-	m.checkDelivered()
-	m.p.mu.Lock()
-	log := slices.Clone(m.p.log)
-	handed := slices.Clone(m.handed)
-	m.p.mu.Unlock()
-	copyAt := map[dgramKey][]int{} // log indices of each frame's copies, in order
-	for i, d := range log {
-		from := end(d.fromA)
-		if d.size > dgramHdrMax+datagramBudget && len(d.frames) > 1 {
-			m.fail("datagram %d: %d frames in %d bytes, budget %d", i, len(d.frames), d.size, dgramHdrMax+datagramBudget)
-		}
-		for k, s := range d.frames {
-			if s == 0 || s > uint64(len(m.sent[from])) {
-				m.fail("datagram %d: seq %d was never sent", i, s)
-			}
-			prev := []byte(nil)
-			if s > 1 {
-				prev = m.sent[from][s-2].hdr
-			}
-			if want := !bytes.Equal(m.sent[from][s-1].hdr, prev); d.inline[k] != want {
-				m.fail("datagram %d: seq %d carries its header: %v, want %v", i, s, d.inline[k], want)
-			}
-			key := dgramKey{d.fromA, s}
-			if n := len(copyAt[key]); n > 0 && !m.condemned(log, handed, from, s, copyAt[key][n-1], n, i) {
-				m.fail("datagram %d: seq %d sent again, although nothing condemned its copy in datagram %d", i, s, copyAt[key][n-1])
-			}
-			copyAt[key] = append(copyAt[key], i)
-		}
-		if len(d.frames) > 0 {
-			if n := m.outstanding(log, handed, copyAt, from, i); n > m.window {
-				m.fail("datagram %d: %d frames transmitted and unacknowledged, window %d", i, n, m.window)
-			}
-			if !d.hasCum && !d.timer {
-				m.checkOwedAck(log, handed, from, i)
-			}
-		}
-	}
-	for i, e := range m.ends {
-		if got := e.Stats().BacklogFull; got != uint64(m.refused[i]) {
-			m.fail("%c: Stats().BacklogFull = %d, %d sends refused", 'a'+i, got, m.refused[i])
-		}
-	}
-}
-
 func (m *chanModel) checkDelivered() {
 	for from := range m.sent {
-		to := m.ends[1-from]
-		to.mu.Lock()
-		rx := slices.Clone(to.rx)
-		to.mu.Unlock()
+		rx := m.rx[1-from]
 		if len(rx) != len(m.sent[from]) {
 			m.fail("%c delivered %d messages, %d sent", 'a'+1-from, len(rx), len(m.sent[from]))
 		}
 		for k, got := range rx {
 			want := m.sent[from][k]
-			if got.from != m.ends[from].LocalAddr() || !bytes.Equal(got.hdr, want.hdr) || !bytes.Equal(got.payload, want.payload) {
-				m.fail("%c's delivery %d: header %q, %d bytes from %v; sent header %q, %d bytes", 'a'+1-from, k+1, got.hdr, len(got.payload), got.from, want.hdr, len(want.payload))
+			if got.seq != uint64(k+1) || !bytes.Equal(got.hdr, want.hdr) || !bytes.Equal(got.payload, want.payload) {
+				m.fail("%c's delivery %d: seq %d, header %q, %d bytes; sent header %q, %d bytes", 'a'+1-from, k+1, got.seq, got.hdr, len(got.payload), want.hdr, len(want.payload))
 			}
 		}
-	}
-}
-
-// condemned reports whether the log condemns the copy of end from's seq
-// s at log index j, its n-th, by the time another is written at i.
-func (m *chanModel) condemned(log []dgramInfo, handed []handover, from int, s uint64, j, n, i int) bool {
-	if log[i].at.Sub(log[j].at) >= timerGap {
-		return true
-	}
-	for _, h := range handed {
-		cum, sel, ok := acks(log, h)
-		// h counts when handed before i was written and dealt with
-		// after j was: it may have come after the copy left.
-		if h.to != from || !ok || h.before > i || h.after <= j || covers(cum, sel, s) {
-			continue
-		}
-		if n == 1 && s > cum && bits.OnesCount64(sel>>(s-cum-1)) >= dupThresh {
-			return true // three later seqs arrived
-		}
-		// RACK: a frame sent after the copy arrived. A timer's write
-		// may have been built before a write the log puts ahead of it.
-		for k := 0; k < h.after; k++ {
-			d := log[k]
-			after := k > j || (d.timer || log[j].timer) && log[j].at.Sub(d.at) < raceGap
-			if after && end(d.fromA) == from && slices.ContainsFunc(d.frames, func(g uint64) bool { return g != s && covers(cum, sel, g) }) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// outstanding counts end from's frames transmitted by log index i and
-// not acknowledged by any ack handed to it before i was written.
-func (m *chanModel) outstanding(log []dgramInfo, handed []handover, copyAt map[dgramKey][]int, from, i int) int {
-	n := 0
-	for s := uint64(1); s <= uint64(len(m.sent[from])); s++ {
-		if len(copyAt[dgramKey{from == 0, s}]) == 0 {
-			continue
-		}
-		acked := false
-		for _, h := range handed {
-			if cum, sel, ok := acks(log, h); h.to == from && ok && h.before <= i && covers(cum, sel, s) {
-				acked = true
-				break
-			}
-		}
-		if !acked {
-			n++
-		}
-	}
-	return n
-}
-
-// checkOwedAck fails if the frames end from wrote at i, with no ack,
-// left while its peer was owed one: frames were handed to it, and dealt
-// with, since it last sent an ack. A timer's ack written after i may
-// have been built before it, and then the ack was not owed.
-func (m *chanModel) checkOwedAck(log []dgramInfo, handed []handover, from, i int) {
-	owedBy := -1
-	for _, h := range handed {
-		if h.to == from && h.idx >= 0 && len(log[h.idx].frames) > 0 && h.after <= i {
-			owedBy = h.before
-		}
-	}
-	if owedBy < 0 {
-		return
-	}
-	for k, d := range log {
-		if end(d.fromA) == from && d.hasCum && (k >= owedBy && k < i || k > i && d.timer) {
-			return
-		}
-	}
-	m.fail("datagram %d: frames left without the ack owed since datagram %d was handed over", i, owedBy)
-}
-
-// checkClose closes both ends and checks that nothing moves after.
-func (m *chanModel) checkClose() {
-	for _, e := range m.ends {
-		e.Close()
-	}
-	m.p.mu.Lock()
-	m.closedAt = len(m.p.log)
-	m.p.mu.Unlock()
-	rx := [2]int{m.delivered(0), m.delivered(1)}
-	for i, e := range m.ends {
-		if err := e.Send(m.ends[1-i].LocalAddr(), nil, []byte("late")); !errors.Is(err, ErrClosed) {
-			m.fail("%c: Send after Close returned %v", 'a'+i, err)
-		}
-	}
-	time.Sleep(2 * modelCfg.AckDelay)
-	m.p.mu.Lock()
-	wrote := len(m.p.log) - m.closedAt
-	m.p.mu.Unlock()
-	if wrote != 0 || m.delivered(0) != rx[0] || m.delivered(1) != rx[1] {
-		m.fail("after Close: %d datagrams written, deliveries %v -> %d, %d", wrote, rx, m.delivered(0), m.delivered(1))
 	}
 }

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -11,16 +9,15 @@ import (
 	"repro/internal/netsim"
 )
 
-// pipe is a scripted in-memory PacketConn pair for the loss-recovery and
-// coalescing tests: every datagram crosses after a fixed one-way delay,
-// in the order written, unless the rule says otherwise. Nothing about it
-// is random. A stepped pipe (newSteppedPipe) carries nothing by itself:
-// each datagram waits in its direction's queue until step hands it over.
+// pipe is a scripted in-memory PacketConn pair for the tests that drive
+// a Reliable on its runtime timers: every datagram crosses after a fixed
+// one-way delay, in the order written, unless the rule says otherwise.
+// Nothing about it is random. (Tests of the protocol alone drive two
+// channel machines on a virtual clock instead: see duo.)
 type pipe struct {
-	delay   time.Duration
-	rule    func(dgramInfo) verdict
-	a, b    *pipeEnd
-	stepped bool
+	delay time.Duration
+	rule  func(dgramInfo) verdict
+	a, b  *pipeEnd
 
 	mu      sync.Mutex
 	copies  map[dgramKey]int // guarded by mu
@@ -36,7 +33,7 @@ const (
 	drop
 	dup  // deliver twice
 	swap // deliver after the next datagram in the same direction
-	hold // park a datagram carrying an ack until release; one without passes
+	hold // park a datagram carrying an ack until release (duo only); one without passes
 )
 
 // dgramInfo describes one written datagram to the rule and in the log.
@@ -51,7 +48,6 @@ type dgramInfo struct {
 	copies []int     // per frame: 1 the first time its (direction, seq) is written, 2 the second, ...
 	size   int       // datagram length
 	at     time.Time // when it was written
-	timer  bool      // written by a retransmission or delayed-ack timer
 }
 
 type dgramKey struct {
@@ -92,22 +88,9 @@ type pipeEnd struct {
 	peer   *pipeEnd
 	line   chan timedDgram // in flight towards this end, in order
 	inbox  chan []byte     // arrived, unread
-	held   *queued         // guarded by p.mu; a swapped datagram awaiting its successor
-	parked []queued        // guarded by p.mu; held acks awaiting release
+	held   []byte          // guarded by p.mu; a swapped datagram awaiting its successor
 	once   sync.Once
 	closed chan struct{}
-
-	// Stepped pipes only. queue is what is in flight towards this end,
-	// each datagram with its index in the log; reads is signalled each
-	// time the end's receive loop asks for the next datagram, so step
-	// knows when the one it handed over has been dealt with.
-	queue []queued      // guarded by p.mu
-	reads chan struct{} // capacity 1
-}
-
-type queued struct {
-	idx  int // the datagram's index in the log
-	data []byte
 }
 
 // pipeCap is enough for any test here never to fill a queue: the busiest
@@ -115,28 +98,15 @@ type queued struct {
 const pipeCap = 8192
 
 func newPipe(t *testing.T, oneWay time.Duration, rule func(dgramInfo) verdict) *pipe {
-	return startPipe(t, &pipe{delay: oneWay, rule: rule, copies: make(map[dgramKey]int), changed: make(chan struct{})})
-}
-
-// newSteppedPipe returns a pipe that moves a datagram only when step
-// says so.
-func newSteppedPipe(t *testing.T, rule func(dgramInfo) verdict) *pipe {
-	return startPipe(t, &pipe{rule: rule, stepped: true, copies: make(map[dgramKey]int), changed: make(chan struct{})})
-}
-
-func startPipe(t *testing.T, p *pipe) *pipe {
+	p := &pipe{delay: oneWay, rule: rule, copies: make(map[dgramKey]int), changed: make(chan struct{})}
 	mk := func(host string) *pipeEnd {
 		return &pipeEnd{p: p, addr: netsim.Addr{Host: host, Port: 1},
-			line: make(chan timedDgram, pipeCap), inbox: make(chan []byte, pipeCap), closed: make(chan struct{}),
-			reads: make(chan struct{}, 1)}
+			line: make(chan timedDgram, pipeCap), inbox: make(chan []byte, pipeCap), closed: make(chan struct{})}
 	}
 	p.a, p.b = mk("a"), mk("b")
 	p.a.peer, p.b.peer = p.b, p.a
 	var wg sync.WaitGroup
 	for _, e := range []*pipeEnd{p.a, p.b} {
-		if p.stepped {
-			break
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -196,18 +166,9 @@ func parseDgram(fromA bool, b []byte) dgramInfo {
 	}
 }
 
-// fromTimer reports whether the calling goroutine is a timer callback
-// of the layer.
-func fromTimer() bool {
-	var buf [4096]byte
-	stack := buf[:runtime.Stack(buf[:], false)]
-	return bytes.Contains(stack, []byte(").fire("))
-}
-
 func (e *pipeEnd) WriteTo(_ netsim.Addr, b []byte) error {
 	p := e.p
 	d := parseDgram(e == p.a, b)
-	d.timer = fromTimer()
 	data := append([]byte(nil), b...)
 	to := e.peer
 	p.mu.Lock()
@@ -224,47 +185,32 @@ func (e *pipeEnd) WriteTo(_ netsim.Addr, b []byte) error {
 	if p.rule != nil {
 		v = p.rule(d)
 	}
-	idx := len(p.log) - 1
-	switch {
-	case v == swap && to.held == nil:
-		to.held = &queued{idx, data}
-		return nil
-	case v == hold && d.hasCum:
-		to.parked = append(to.parked, queued{idx, data})
+	if v == swap && to.held == nil {
+		to.held = data
 		return nil
 	}
 	if v != drop {
-		to.enqueue(d.at, queued{idx, data})
+		to.enqueue(d.at, data)
 		if v == dup {
-			to.enqueue(d.at, queued{idx, append([]byte(nil), data...)})
+			to.enqueue(d.at, append([]byte(nil), data...))
 		}
 	}
 	if to.held != nil {
-		to.enqueue(d.at, *to.held)
+		to.enqueue(d.at, to.held)
 		to.held = nil
 	}
 	return nil
 }
 
-// enqueue puts q in flight towards e. Caller holds p.mu.
-func (e *pipeEnd) enqueue(sent time.Time, q queued) {
-	if e.p.stepped {
-		e.queue = append(e.queue, q)
-		return
-	}
+// enqueue puts a datagram in flight towards e. Caller holds p.mu.
+func (e *pipeEnd) enqueue(sent time.Time, data []byte) {
 	select {
-	case e.line <- timedDgram{due: sent.Add(e.p.delay), data: q.data}:
+	case e.line <- timedDgram{due: sent.Add(e.p.delay), data: data}:
 	default: // full: a lost datagram, which the layer under test survives
 	}
 }
 
 func (e *pipeEnd) ReadFrom() ([]byte, netsim.Addr, error) {
-	if e.p.stepped {
-		select {
-		case e.reads <- struct{}{}:
-		default:
-		}
-	}
 	select {
 	case b := <-e.inbox:
 		return b, e.peer.addr, nil
@@ -276,50 +222,6 @@ func (e *pipeEnd) ReadFrom() ([]byte, netsim.Addr, error) {
 func (e *pipeEnd) Close() error {
 	e.once.Do(func() { close(e.closed) })
 	return nil
-}
-
-// release puts the acks parked towards e in flight, in the order they
-// were written, behind a swapped datagram still waiting for its
-// successor.
-func (p *pipe) release(e *pipeEnd) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e.held != nil {
-		e.enqueue(time.Now(), *e.held)
-		e.held = nil
-	}
-	for _, q := range e.parked {
-		e.enqueue(time.Now(), q)
-	}
-	e.parked = nil
-}
-
-// step hands e the next datagram in flight towards it and waits until
-// e's receive loop has dealt with it: every write that handling makes is
-// in the log when step returns. It reports the datagram's log index, or
-// false when nothing is in flight towards e. A stepped pipe's end must
-// have its receive loop waiting on it (see awaitReading) when step is
-// called.
-func (p *pipe) step(e *pipeEnd) (int, bool) {
-	p.mu.Lock()
-	if len(e.queue) == 0 {
-		p.mu.Unlock()
-		return 0, false
-	}
-	q := e.queue[0]
-	e.queue = e.queue[1:]
-	p.mu.Unlock()
-	e.inbox <- q.data
-	e.awaitReading()
-	return q.idx, true
-}
-
-// awaitReading waits until e's receive loop asks for its next datagram.
-func (e *pipeEnd) awaitReading() {
-	select {
-	case <-e.reads:
-	case <-e.closed:
-	}
 }
 
 // await blocks until a logged datagram satisfies match and returns it.
