@@ -6,13 +6,15 @@ import "encoding/binary"
 // lone frame, a batch of staged frames, a retransmission, a bare ack —
 // has one layout:
 //
-//	magic(2) | flags(1) | [cum uvarint] | [bitmap(8)] | frames…
+//	magic(2) | flags(1) | [cum uvarint] | [bitmap(8)] | [floor uvarint | hdrLen uvarint | hdr] | frames…
 //
 // flags bit0 (flagCum) marks a cumulative acknowledgement for the reverse
 // direction, present when the peer is owed one; bit1 (flagSel) the
 // 8-byte big-endian selective bitmap that goes with it (bit i: seq
 // cum+2+i is in the sender's reorder buffer), present while that buffer
-// holds anything. Each frame then follows as
+// holds anything; bit2 (flagFloor) the floor, present while frames the
+// sender gave up on are unacknowledged (channel.floor). Each frame then
+// follows as
 //
 //	seq uvarint | len<<1|inline uvarint | [hdrLen uvarint | hdr] | payload
 //
@@ -26,16 +28,17 @@ import "encoding/binary"
 // A datagram with no frames is a bare ack. Reliable.Send says when a
 // frame is staged for a batch and what releases it.
 const (
-	flagCum = 1 << 0
-	flagSel = 1 << 1
+	flagCum   = 1 << 0
+	flagSel   = 1 << 1
+	flagFloor = 1 << 2
 )
 
 // magic opens every datagram. The layout before header elision and the
 // uvarint ack opened with "ww"; its datagrams are refused.
 var magic = [2]byte{'w', 'x'}
 
-// dgramHdrMax is the largest datagram header: magic, flags and both ack
-// words.
+// dgramHdrMax is the largest datagram header without a floor: magic,
+// flags and both ack words.
 const dgramHdrMax = 3 + binary.MaxVarintLen64 + 8
 
 // datagramBudget bounds the frame bytes of a datagram: with the header
@@ -107,31 +110,56 @@ func appendFrame(dst []byte, seq uint64, hdr []byte, inline bool, payload []byte
 	return append(dst, payload...)
 }
 
-// parseHeader decodes a datagram's header. It returns the acks it
-// carries and the offset of the first frame, or ok=false for a datagram
-// without the magic or with a truncated header.
-func parseHeader(dgram []byte) (cum uint64, hasCum bool, sel uint64, hasSel bool, off int, ok bool) {
+// appendFloor appends the floor and its header to a datagram whose
+// header appendHeader has just written.
+func appendFloor(dgram []byte, floor uint64, hdr []byte) []byte {
+	dgram[2] |= flagFloor
+	dgram = binary.AppendUvarint(dgram, floor)
+	dgram = binary.AppendUvarint(dgram, uint64(len(hdr)))
+	return append(dgram, hdr...)
+}
+
+// header is a decoded datagram header; floor is zero when it has none.
+type header struct {
+	cum, sel       uint64
+	hasCum, hasSel bool
+	floor          uint64
+	floorHdr       []byte
+}
+
+// parseHeader decodes a datagram's header. It returns it and the offset
+// of the first frame, or ok=false for a datagram without the magic or
+// with a truncated header.
+func parseHeader(dgram []byte) (h header, off int, ok bool) {
 	if len(dgram) < 3 || dgram[0] != magic[0] || dgram[1] != magic[1] {
-		return 0, false, 0, false, 0, false
+		return header{}, 0, false
 	}
-	flags := dgram[2]
-	off = 3
+	flags, off, n := dgram[2], 3, 0
 	if flags&flagCum != 0 {
-		v, n := binary.Uvarint(dgram[off:])
-		if n <= 0 {
-			return 0, false, 0, false, 0, false
+		if h.cum, n = binary.Uvarint(dgram[off:]); n <= 0 {
+			return header{}, 0, false
 		}
-		cum, hasCum = v, true
-		off += n
+		h.hasCum, off = true, off+n
 	}
 	if flags&flagSel != 0 {
 		if len(dgram) < off+8 {
-			return 0, false, 0, false, 0, false
+			return header{}, 0, false
 		}
-		sel, hasSel = binary.BigEndian.Uint64(dgram[off:]), true
-		off += 8
+		h.sel, h.hasSel, off = binary.BigEndian.Uint64(dgram[off:]), true, off+8
 	}
-	return cum, hasCum, sel, hasSel, off, true
+	if flags&flagFloor != 0 {
+		var l uint64
+		if h.floor, n = binary.Uvarint(dgram[off:]); n <= 0 {
+			return header{}, 0, false
+		}
+		off += n
+		if l, n = binary.Uvarint(dgram[off:]); n <= 0 || l > uint64(len(dgram)-off-n) {
+			return header{}, 0, false
+		}
+		off += n
+		h.floorHdr, off = dgram[off:off+int(l)], off+int(l)
+	}
+	return h, off, true
 }
 
 // nextFrame decodes the frame at dgram[off:]. It returns the frame, whose

@@ -28,9 +28,9 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		gc, gotCum, gs, gotSel, off, ok := parseHeader(dgram)
-		if !ok || gotCum != hasCum || gotSel != (hasCum && hasSel) ||
-			hasCum && gc != cum || gotSel && gs != sel {
+		h, off, ok := parseHeader(dgram)
+		if !ok || h.hasCum != hasCum || h.hasSel != (hasCum && hasSel) ||
+			hasCum && h.cum != cum || h.hasSel && h.sel != sel {
 			return false
 		}
 		for i := range seqs {
@@ -64,7 +64,7 @@ func TestBatchCodecRejectsTruncation(t *testing.T) {
 	// yield only whole frames of the original.
 	for cut := len(full) - 1; cut >= 0; cut-- {
 		short := full[:cut]
-		_, _, _, _, off, ok := parseHeader(short)
+		_, off, ok := parseHeader(short)
 		if !ok {
 			if cut >= hdrLen {
 				t.Fatalf("cut=%d: a whole header rejected", cut)
@@ -91,7 +91,7 @@ func TestBatchCodecRejectsTruncation(t *testing.T) {
 	for _, bad := range [][]byte{nil, {}, {1, 2, 3}, []byte("not a datagram at all"), noMagic, oldMagic,
 		{magic[0], magic[1], flagCum}, {magic[0], magic[1], flagCum, 0x80},
 		{magic[0], magic[1], flagCum | flagSel, 41, 0, 0, 0, 0, 0, 0, 1}} {
-		if _, _, _, _, _, ok := parseHeader(bad); ok {
+		if _, _, ok := parseHeader(bad); ok {
 			t.Errorf("parseHeader(%q) accepted garbage", bad)
 		}
 	}

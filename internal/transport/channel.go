@@ -32,6 +32,11 @@ type channel struct {
 	free             []*outPkt
 	lastSent         time.Time
 
+	// given holds the frames given up on above ackedTo, in seq order,
+	// each with its header (and no payload): what the floor tells the
+	// peer.
+	given []frame
+
 	// Loss recovery. srtt and rttvar are the RFC 6298 estimator over acks
 	// of never-resent frames (zero until the first sample; rttBound while
 	// they hold only an upper bound, which the first sample replaces) and
@@ -69,14 +74,8 @@ type channel struct {
 
 // newChannel returns a fresh channel; cfg has its defaults.
 func newChannel(cfg Config, stats *statCounters) channel {
-	return channel{
-		cfg:      cfg,
-		stats:    stats,
-		nextSeq:  1,
-		unacked:  make(map[uint64]*outPkt),
-		expected: 1,
-		ooo:      make(map[uint64]frame),
-	}
+	return channel{cfg: cfg, stats: stats, nextSeq: 1, expected: 1,
+		unacked: make(map[uint64]*outPkt), ooo: make(map[uint64]frame)}
 }
 
 // outPkt is an in-flight message awaiting acknowledgement.
@@ -91,15 +90,8 @@ type outPkt struct {
 	resent   bool      // retransmitted at least once, by the timer or an ack
 }
 
-// sortBySeq puts frames picked off the unacked map back in send order.
-func sortBySeq(pkts []*outPkt) {
-	slices.SortFunc(pkts, func(a, b *outPkt) int { return cmp.Compare(a.seq, b.seq) })
-}
-
-// markResent stamps one more transmission of pkt at now.
-func (pkt *outPkt) markResent(now time.Time, rto time.Duration) {
-	pkt.xmit, pkt.deadline, pkt.resent = now, now.Add(rto), true
-}
+// bySeq orders frames picked off the unacked map in send order.
+func bySeq(a, b *outPkt) int { return cmp.Compare(a.seq, b.seq) }
 
 // deadline is when the channel next needs tick: retxDue or ackDue,
 // whichever is first; zero when neither is set.
@@ -108,6 +100,28 @@ func (c *channel) deadline() time.Time {
 		return c.retxDue
 	}
 	return c.ackDue
+}
+
+// floor tells the peer of frames given up on: skip each seq below f not
+// yet delivered, and take hdr, the run's last header, as the one on
+// record at f-1. f ends the first run given up on; ok is false while
+// none is unacknowledged, or a frame below the run is still held (the
+// peer lacks it for now, not for good).
+func (c *channel) floor() (f uint64, hdr []byte, ok bool) {
+	if len(c.given) == 0 {
+		return 0, nil, false
+	}
+	g := c.given[0].seq
+	for q := c.ackedTo + 1; q < g; q++ {
+		if _, held := c.unacked[q]; held {
+			return 0, nil, false
+		}
+	}
+	n := 1
+	for n < len(c.given) && c.given[n].seq == g+uint64(n) {
+		n++
+	}
+	return g + uint64(n), c.given[n-1].hdr, true
 }
 
 // datagram assembles one datagram: frames, in order, behind the
@@ -132,6 +146,9 @@ func (c *channel) datagram(ack bool, frames []*outPkt) *[]byte {
 	} else {
 		b = appendHeader(b, false, 0, 0, false)
 	}
+	if f, hdr, ok := c.floor(); ok {
+		b = appendFloor(b, f, hdr)
+	}
 	for _, pkt := range frames {
 		b = append(b, pkt.frame...)
 	}
@@ -139,10 +156,8 @@ func (c *channel) datagram(ack bool, frames []*outPkt) *[]byte {
 	return dgram
 }
 
-// flush drains the stage into one datagram. The frames' round-trip
-// clock and retransmission deadline run from now, when they leave, not
-// from their send. ack puts an acknowledgement in the datagram even when
-// none is owed: the receive path's immediate one.
+// flush drains the stage into one datagram; the frames' clocks run from
+// now, when they leave. ack puts an ack in even when none is owed.
 func (c *channel) flush(now time.Time, ack bool) *[]byte {
 	deadline := now.Add(c.rto())
 	for _, pkt := range c.staged {
@@ -155,10 +170,8 @@ func (c *channel) flush(now time.Time, ack bool) *[]byte {
 	return dgram
 }
 
-// resend appends to out the datagrams that retransmit frames, which are
-// in seq order: packed up to datagramBudget, the first carrying any ack
-// the peer is owed. A frame larger than the budget goes alone. fast
-// marks frames an acknowledgement condemned.
+// resend appends the datagrams that retransmit frames, in seq order,
+// packed as a stage is; fast marks frames an acknowledgement condemned.
 func (c *channel) resend(out []*[]byte, frames []*outPkt, fast bool) []*[]byte {
 	c.stats.retransmits.Add(uint64(len(frames)))
 	if fast {
@@ -207,9 +220,8 @@ func (c *channel) send(out []*[]byte, now time.Time, hdr, payload []byte, owed b
 	return c.place(out, pkt, now), nil
 }
 
-// place puts pkt, a frame entering the window at now, on its way:
-// staged, or alone in a datagram, after any stage it would push past
-// the budget.
+// place puts pkt, entering the window at now, on its way: staged, or
+// alone, after any stage it would push past the budget.
 func (c *channel) place(out []*[]byte, pkt *outPkt, now time.Time) []*[]byte {
 	pkt.sent, pkt.xmit, pkt.deadline = now, now, now.Add(c.rto())
 	size := len(pkt.frame)
@@ -220,7 +232,9 @@ func (c *channel) place(out []*[]byte, pkt *outPkt, now time.Time) []*[]byte {
 		c.stats.flushSize.Add(1)
 	}
 	inFlight := len(c.unacked) - len(c.staged) - len(c.backlog) - 1 // transmitted and unacknowledged
-	c.armRetx(pkt.deadline)
+	if c.retxDue.IsZero() || pkt.deadline.Before(c.retxDue) {
+		c.retxDue = pkt.deadline
+	}
 	if c.stage > 0 || 2*size <= datagramBudget && inFlight >= ackEvery {
 		c.stage += size
 		c.staged = append(c.staged, pkt)
@@ -278,22 +292,12 @@ func (c *channel) sampleRTT(rtt time.Duration, bound bool) {
 	c.backoff = 0
 }
 
-// armRetx notes that a frame falls due for the timer at deadline,
-// moving retxDue there when it is not set or set for later.
-func (c *channel) armRetx(deadline time.Time) {
-	if c.retxDue.IsZero() || deadline.Before(c.retxDue) {
-		c.retxDue = deadline
-	}
-}
-
 // release drops an acknowledged or failed seq from the unacked set,
-// moves it to the free list for send to reuse, and returns whichever of
-// it and newest was transmitted later. The returned frame stays
-// readable until the transition returns: no send can take it from the
-// free list before then. Only a frame that has left can be acknowledged
-// (applyAck clamps a confused peer's ack) or fail, so none still staged
-// is recycled. Window bounds the free list, and an oversized frame's
-// buffer is not kept.
+// moves it to the free list for send to reuse (at most Window, keeping
+// no oversized buffer), and returns whichever of it and newest was
+// transmitted later, readable until the transition returns. Only a
+// frame that has left can be acknowledged (applyAck clamps a confused
+// peer's ack) or fail, so none still staged is recycled.
 func (c *channel) release(seq uint64, newest *outPkt) *outPkt {
 	pkt, ok := c.unacked[seq]
 	if !ok {
@@ -337,19 +341,21 @@ func (c *channel) newPkt(seq uint64, hdr []byte, inline bool, payload []byte) *o
 	return pkt
 }
 
-// receive takes one arriving datagram, which it owns from here on and
-// never writes: the ack in its header, then each frame in order. It
-// returns the frames to deliver, aliasing dgram, and appends to out the
-// datagrams to write. Garbage is ignored, like a real UDP service.
+// receive takes one arriving datagram, which it owns and never writes:
+// its ack, its floor, then each frame in order. It returns the frames
+// to deliver, aliasing dgram, and appends the datagrams to write.
 func (c *channel) receive(out []*[]byte, now time.Time, dgram []byte) ([]frame, []*[]byte) {
 	clear(c.deliv) // the last datagram's frames must not stay reachable
 	c.deliv = c.deliv[:0]
-	cum, hasCum, sel, hasSel, off, ok := parseHeader(dgram)
+	h, off, ok := parseHeader(dgram)
 	if !ok {
 		return nil, out
 	}
-	if hasCum {
-		out = c.applyAck(out, cum, sel, hasSel, now)
+	if h.hasCum {
+		out = c.applyAck(out, h.cum, h.sel, h.hasSel, now)
+	}
+	if h.floor > 0 {
+		out = c.skip(out, h.floor, h.floorHdr, now)
 	}
 	for {
 		f, next, ok := nextFrame(dgram, off)
@@ -381,6 +387,14 @@ func (c *channel) applyAck(out []*[]byte, cum uint64, sel uint64, hasSel bool, n
 	}
 	if cum > c.ackedTo {
 		c.ackedTo = cum
+	}
+	if len(c.given) > 0 { // the peer has moved past these
+		for len(c.given) > 0 && c.given[0].seq <= c.ackedTo {
+			c.given = c.given[1:]
+		}
+		if len(c.given) == 0 {
+			c.given = nil
+		}
 	}
 	for b := sel; b != 0; b &= b - 1 {
 		newest = c.release(cum+selBase+uint64(bits.TrailingZeros64(b)), newest)
@@ -443,10 +457,10 @@ func (c *channel) detectLoss(cum, sel uint64, hasSel bool, now time.Time) []*out
 			lost = append(lost, pkt)
 		}
 	}
-	sortBySeq(lost)
+	slices.SortFunc(lost, bySeq)
 	rto := c.rto()
 	for _, pkt := range lost {
-		pkt.markResent(now, rto)
+		pkt.xmit, pkt.deadline, pkt.resent = now, now.Add(rto), true
 	}
 	return lost
 }
@@ -467,13 +481,10 @@ func (c *channel) ackState() (cum, sel uint64, hasSel bool) {
 }
 
 // data sequences one arriving data frame. In-order arrivals are
-// delivered at once but acknowledged lazily (after ackEvery messages or
-// AckDelay, whichever first); out-of-order and duplicate arrivals are
-// acknowledged at once, with the reorder state while a gap is open. A
-// frame that left its header out takes it when it becomes in-order: the
-// header of the last in-order frame that carried one is the one the
-// sender had on record when it built this frame, since both ends move
-// that record in seq order. now stamps lastHeard.
+// delivered at once and acked after ackEvery of them or AckDelay;
+// out-of-order and duplicate ones are acked at once. A frame that left
+// its header out takes it when it becomes in-order: both ends move the
+// header on record in seq order. now stamps lastHeard.
 func (c *channel) data(out []*[]byte, f frame, now time.Time) []*[]byte {
 	c.lastHeard = now
 	ackNow := false
@@ -485,17 +496,8 @@ func (c *channel) data(out []*[]byte, f frame, now time.Time) []*[]byte {
 		ackNow = true
 	case f.seq == c.expected:
 		// In-order: deliver this message and any run it completes.
-		n := len(c.deliv)
 		c.inOrder(f)
-		for len(c.ooo) > 0 {
-			nf, ok := c.ooo[c.expected]
-			if !ok {
-				break
-			}
-			delete(c.ooo, c.expected)
-			c.inOrder(nf)
-		}
-		n = len(c.deliv) - n
+		n := 1 + c.run()
 		c.stats.delivered.Add(uint64(n))
 		c.ackPending += n
 		if c.ackPending >= ackEvery {
@@ -513,16 +515,54 @@ func (c *channel) data(out []*[]byte, f frame, now time.Time) []*[]byte {
 		// the hole.
 		ackNow = true
 	}
-	switch {
-	case ackNow && len(c.staged) > 0:
-		// Staged data is headed back to this peer anyway: the ack rides
-		// with it, flushed now, instead of going bare.
-		out = append(out, c.flush(now, true))
-		c.stats.flushAck.Add(1)
-	case ackNow:
-		out = append(out, c.datagram(true, nil))
+	if ackNow {
+		out = c.ackAtOnce(out, now)
 	}
 	return out
+}
+
+// ackAtOnce sends the peer its ack now, with the staged frames, flushed,
+// rather than bare.
+func (c *channel) ackAtOnce(out []*[]byte, now time.Time) []*[]byte {
+	if len(c.staged) > 0 {
+		c.stats.flushAck.Add(1)
+		return append(out, c.flush(now, true))
+	}
+	return append(out, c.datagram(true, nil))
+}
+
+// run delivers the frames the reorder buffer holds from expected on, in
+// order, and returns how many.
+func (c *channel) run() int {
+	n := 0
+	for len(c.ooo) > 0 {
+		f, ok := c.ooo[c.expected]
+		if !ok {
+			break
+		}
+		delete(c.ooo, c.expected)
+		c.inOrder(f)
+		n++
+	}
+	return n
+}
+
+// skip takes a floor from the peer (see floor): it skips the seqs below
+// it not yet delivered, counted and dropped from the reorder buffer, and
+// delivers the run from the floor on. A late copy of a skipped frame is
+// a duplicate. The peer is acked at once, so that it stops telling.
+func (c *channel) skip(out []*[]byte, floor uint64, hdr []byte, now time.Time) []*[]byte {
+	if floor > c.expected {
+		c.stats.skipped.Add(floor - c.expected)
+		for seq := range c.ooo {
+			if seq < floor {
+				delete(c.ooo, seq)
+			}
+		}
+		c.expected, c.rxHdr = floor, hdr
+		c.stats.delivered.Add(uint64(c.run()))
+	}
+	return c.ackAtOnce(out, now)
 }
 
 // inOrder delivers f, the next frame in order, resolving its header: its
@@ -538,12 +578,8 @@ func (c *channel) inOrder(f frame) {
 	c.deliv = append(c.deliv, f)
 }
 
-// tick runs the channel's timers at now: the delayed ack once due, and
-// once retxDue has come, the backstop for staged frames whose ack is
-// overdue, a resend of every frame past its deadline, the failure of
-// those out of retries (counted, and recycled as an acknowledged frame
-// is) and the admission of backlogged frames to the window they free;
-// retxDue moves to the earliest deadline still ahead.
+// tick runs the channel's timers at now: the delayed ack, and the
+// retransmission timer (expire).
 func (c *channel) tick(out []*[]byte, now time.Time) []*[]byte {
 	if !c.ackDue.IsZero() && !c.ackDue.After(now) {
 		c.ackDue = time.Time{}
@@ -551,15 +587,24 @@ func (c *channel) tick(out []*[]byte, now time.Time) []*[]byte {
 			out = append(out, c.datagram(true, nil))
 		}
 	}
-	if c.retxDue.IsZero() || c.retxDue.After(now) {
-		return out
+	if !c.retxDue.IsZero() && !c.retxDue.After(now) {
+		out = c.expire(out, now)
 	}
-	var (
-		expired []*outPkt
-		failed  int
-		next    time.Time // earliest deadline still ahead
-		dgram   *[]byte
-	)
+	return out
+}
+
+// expire is the retransmission timer: the backstop for staged frames
+// whose ack is overdue, a resend of every frame past its deadline, the
+// failure of those out of retries (counted, given to the floor and
+// recycled) and the admission of backlogged frames to the window they
+// free. While frames given up on are unacknowledged each expiry also
+// sends the floor alone, backed off like a resend, so that it reaches a
+// peer no other datagram goes to.
+func (c *channel) expire(out []*[]byte, now time.Time) []*[]byte {
+	var expired []*outPkt
+	var failed int
+	var next time.Time // earliest deadline still ahead
+	var dgram *[]byte
 	backlogged := c.nextSeq - uint64(len(c.backlog)) // seqs from here have no deadline yet
 	if len(c.staged) > 0 {
 		for seq, pkt := range c.unacked {
@@ -582,30 +627,46 @@ func (c *channel) tick(out []*[]byte, now time.Time) []*[]byte {
 				next = pkt.deadline
 			}
 		case pkt.retries >= c.cfg.MaxRetries:
+			c.given = append(c.given, frame{seq: seq, hdr: pkt.hdr})
+			pkt.hdr = nil // the floor keeps it
 			c.release(seq, nil)
 			failed++
 		default:
 			expired = append(expired, pkt)
 		}
 	}
+	if failed > 0 {
+		c.stats.failures.Add(uint64(failed))
+		slices.SortFunc(c.given, func(a, b frame) int { return cmp.Compare(a.seq, b.seq) })
+	}
 	if len(expired) > 0 {
 		// One expiry, one step of back-off, however many frames it
 		// caught; it stays until an ack yields a round-trip sample.
 		c.backoff = min(c.backoff+1, maxBackoff)
 		rto := c.rto()
-		sortBySeq(expired)
+		slices.SortFunc(expired, bySeq)
 		for _, pkt := range expired {
 			pkt.retries++
-			pkt.markResent(now, rto)
+			pkt.xmit, pkt.deadline, pkt.resent = now, now.Add(rto), true
 		}
 		if next.IsZero() || expired[0].deadline.Before(next) {
 			next = expired[0].deadline
 		}
 		out = c.resend(out, expired, false)
 	}
-	c.retxDue = next // zero once nothing is in flight
+	if len(c.given) > 0 {
+		if _, _, ok := c.floor(); ok {
+			out = append(out, c.datagram(false, nil))
+			if len(expired) == 0 {
+				c.backoff = min(c.backoff+1, maxBackoff)
+			}
+		}
+		if d := now.Add(c.rto()); next.IsZero() || d.Before(next) {
+			next = d
+		}
+	}
+	c.retxDue = next // zero once nothing is in flight or given up on
 	if failed > 0 {
-		c.stats.failures.Add(uint64(failed))
 		out = c.admit(out, now) // place arms retxDue for them
 	}
 	if dgram != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +68,7 @@ func (d *duo) write(from int, out []*[]byte, tick bool) {
 		dgramPool.Put(b)
 		l := logged{dgramInfo: parseDgram(from == 0, data), from: from, tick: tick}
 		l.at = d.now
-		_, _, _, _, off, _ := parseHeader(data)
+		_, off, _ := parseHeader(data)
 		l.frameBytes = len(data) - off
 		for _, seq := range l.frames {
 			k := dgramKey{from == 0, seq}
@@ -177,18 +176,26 @@ func (d *duo) advance(dt time.Duration, afterTick func(i int)) error {
 
 // The reference model of the reliable channel. FuzzChannel reads its
 // input as a script for a duo: the ops at the front of the input send on
-// either end, hand datagrams over, release parked acks, forge an ack and
-// run the clock, and the bytes at the back are the line's verdicts on
-// the datagrams in the order they are written. Once the script is spent
-// the line passes everything, and the model runs the duo until it is
-// quiet: every accepted send delivered and acknowledged. It checks what
-// the channel promises, over the datagram log, the hand-overs and the
-// deliveries, never over the machines' fields:
+// either end, hand datagrams over, release parked acks, forge an ack,
+// run the clock and cut the line for long enough to give frames up, and
+// the bytes at the back are the line's verdicts on the datagrams in the
+// order they are written. Once the script is spent the line passes
+// everything, and the model runs the duo until it is quiet: every
+// accepted send delivered or given up on, and acknowledged. It checks
+// what the channel promises, over the datagram log, the hand-overs, the
+// deliveries and Stats, never over the machines' fields:
 //
-//   - each end delivers the other's accepted sends exactly once, in
-//     order, with byte-identical header and payload;
+//   - each end delivers the other's accepted sends in order, at most
+//     once, with byte-identical header and payload: no frame is
+//     delivered after a later one;
+//   - a frame goes undelivered only if its sender gave up on it: the
+//     receiver's Skipped counts exactly the undelivered frames and never
+//     exceeds the sender's Failures (a frame given up on may still have
+//     arrived, if only its ack was lost), and every frame sequenced after
+//     the sender's last give-up is delivered;
 //   - a sender never has more than Window frames transmitted and not yet
-//     acknowledged by an ack it has been handed;
+//     acknowledged by an ack it has been handed, beyond those it gave up
+//     on;
 //   - no datagram carries more than the budget of frames, unless it is
 //     one frame too large for it;
 //   - a frame carries its header exactly when the header differs from
@@ -205,8 +212,9 @@ func (d *duo) advance(dt time.Duration, afterTick func(i int)) error {
 // Every rule is exact: the duo orders every write, so none needs the
 // benefit of a doubt.
 
-// modelCfg never fails a frame; its timer floor is RTO/2 = 50ms.
-var modelCfg = Config{RTO: 100 * time.Millisecond, AckDelay: 2 * time.Millisecond, MaxRetries: 1 << 20}
+// modelCfg gives a frame up on its third expiry, which takes a cut of
+// 700ms at least; its timer floor is RTO/2 = 50ms.
+var modelCfg = Config{RTO: 100 * time.Millisecond, AckDelay: 2 * time.Millisecond, MaxRetries: 2}
 
 var (
 	modelHdrs    = [][]byte{nil, []byte("inbox"), []byte("other inbox"), []byte("a longer header: session 42, outbox replies")}
@@ -224,7 +232,7 @@ const (
 	opStepAll        // hand over everything in flight, both ways
 	opRelease        // put the parked acks in flight
 	opForge          // a confused peer acks all end (argument bit 0) has sequenced; with bit 1, an owed send instead (see do)
-	opClock          // run the clock for argument milliseconds
+	opClock          // run the clock for argument milliseconds; from 16 on, cut the line for (argument-15)·500ms
 )
 
 // chanModel runs one script.
@@ -233,14 +241,16 @@ type chanModel struct {
 	t      *testing.T
 	window int
 
-	data     []byte
-	op, v    int       // next op from the front, next verdict from the back
-	quiet    bool      // the script is spent: everything passes
-	forgedTo [2]uint64 // frames from end i up to this seq always pass
-	script   []string  // what has happened, for a failure's report
+	data   []byte
+	op, v  int      // next op from the front, next verdict from the back
+	quiet  bool     // the script is spent: everything passes
+	cut    bool     // the line drops everything
+	script []string // what has happened, for a failure's report
 
-	sent    [2][]delivery // accepted sends from end i; seq k at k-1
-	refused [2]int        // sends from end i refused with ErrBacklog
+	sent     [2][]delivery // accepted sends from end i; seq k at k-1
+	refused  [2]int        // sends from end i refused with ErrBacklog
+	failures [2]uint64     // end i's Stats().Failures after its last tick
+	failAt   [2]int        // sends end i had accepted when its Failures last rose
 
 	// What the log has shown so far, per sending end.
 	cur         *handover         // the hand-over in progress
@@ -363,6 +373,9 @@ func describe(d logged) string {
 			s += fmt.Sprintf(" sel %b", d.sel)
 		}
 	}
+	if d.floor > 0 {
+		s += fmt.Sprintf(" floor %d", d.floor)
+	}
 	if d.tick {
 		s += " (tick)"
 	}
@@ -371,7 +384,10 @@ func describe(d logged) string {
 
 // verdict is the line's verdict on each datagram written.
 func (m *chanModel) verdict(d logged) verdict {
-	if m.quiet || m.op >= m.v || slices.ContainsFunc(d.frames, func(s uint64) bool { return s <= m.forgedTo[d.from] }) {
+	if m.cut {
+		return drop
+	}
+	if m.quiet || m.op >= m.v {
 		return pass
 	}
 	m.v--
@@ -408,10 +424,30 @@ func (m *chanModel) do(b byte) {
 			m.send(int(arg&1), modelHdrs[arg>>2&3], modelSizes[3+3*(arg>>4)], true)
 		}
 	case opClock:
-		m.note("clock runs %dms", arg)
-		if err := m.advance(time.Duration(arg)*time.Millisecond, nil); err != nil {
-			m.fail("%v", err)
+		dt := time.Duration(arg) * time.Millisecond
+		if arg >= 16 {
+			dt = time.Duration(arg-15) * 500 * time.Millisecond
+			m.note("line cut for %v", dt)
+			m.cut = true
+			m.line, m.held, m.parked = [2][]queued{}, [2]*queued{}, [2][]queued{}
+		} else {
+			m.note("clock runs %v", dt)
 		}
+		m.run(dt)
+		m.cut = false
+	}
+}
+
+// run runs the clock for dt, noting each end's give-ups.
+func (m *chanModel) run(dt time.Duration) {
+	err := m.advance(dt, func(i int) {
+		if f := m.stats[i].failures.Load(); f > m.failures[i] {
+			m.note("%c gave up %d frames", 'a'+i, f-m.failures[i])
+			m.failures[i], m.failAt[i] = f, len(m.sent[i])
+		}
+	})
+	if err != nil {
+		m.fail("%v", err)
 	}
 }
 
@@ -493,16 +529,14 @@ func (m *chanModel) ack(i int, s uint64) {
 
 // forge hands end i an ack from a confused peer, acknowledging far past
 // every frame i has sequenced, when every frame i has transmitted is
-// acknowledged or delivered. A frame still staged or backlogged cannot
-// have arrived, so the model counts the ack for the frames on the wire,
-// not for those the end sends in answer. The line passes every frame
-// sequenced by then.
+// acknowledged or past its peer's delivery. A frame still staged or
+// backlogged cannot have arrived, so the model counts the ack for the
+// frames on the wire, not for those the end sends in answer.
 func (m *chanModel) forge(i int) {
 	top, n := m.maxTx[i], uint64(len(m.sent[i]))
-	if top > max(uint64(len(m.rx[1-i])), m.cumTo[i]) || n == top {
+	if top > max(m.deliveredTo(1-i), m.cumTo[i]) || n == top {
 		return
 	}
-	m.forgedTo[i] = n
 	m.note("%c is handed a forged ack, %d of its %d frames on the wire", 'a'+i, top, n)
 	m.handOver(i, top, 0, true, false, func() { m.hand(i, appendHeader(nil, true, 1<<40, 0, false)) })
 }
@@ -543,8 +577,8 @@ func (m *chanModel) checkWrite(d logged) {
 		}
 		m.lastCopy[from][s] = i
 	}
-	if n := m.outstanding[from]; len(d.frames) > 0 && n > m.window {
-		m.fail("datagram %d: %d frames transmitted and unacknowledged, window %d", i, n, m.window)
+	if n, f := m.outstanding[from], m.stats[from].failures.Load(); len(d.frames) > 0 && n > m.window+int(f) {
+		m.fail("datagram %d: %d frames transmitted and unacknowledged, window %d, %d given up", i, n, m.window, f)
 	}
 }
 
@@ -583,34 +617,52 @@ func (m *chanModel) settle() {
 			m.fail("the channel never settled: %d and %d sent, %d and %d delivered, %d and %d unacked",
 				len(m.sent[0]), len(m.sent[1]), len(m.rx[1]), len(m.rx[0]), len(m.ch[0].unacked), len(m.ch[1].unacked))
 		}
-		if err := m.advance(max(next.Sub(m.now), 0), nil); err != nil {
-			m.fail("%v", err)
-		}
+		m.run(max(next.Sub(m.now), 0))
 	}
 }
 
-// done reports whether every accepted send has been delivered and
-// acknowledged, and nothing is in flight.
+// done reports whether every accepted send has been delivered or
+// skipped, every frame acknowledged or given up on, and nothing is in
+// flight.
 func (m *chanModel) done() bool {
 	for i := range m.ch {
-		if len(m.rx[1-i]) < len(m.sent[i]) || len(m.ch[i].unacked) > 0 || len(m.line[i]) > 0 {
+		passed := uint64(len(m.rx[1-i])) + m.stats[1-i].skipped.Load()
+		if passed < uint64(len(m.sent[i])) || len(m.ch[i].unacked) > 0 || len(m.line[i]) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// deliveredTo is the seq of end i's latest delivery.
+func (m *chanModel) deliveredTo(i int) uint64 {
+	if n := len(m.rx[i]); n > 0 {
+		return m.rx[i][n-1].seq
+	}
+	return 0
+}
+
 func (m *chanModel) checkDelivered() {
 	for from := range m.sent {
-		rx := m.rx[1-from]
-		if len(rx) != len(m.sent[from]) {
-			m.fail("%c delivered %d messages, %d sent", 'a'+1-from, len(rx), len(m.sent[from]))
-		}
+		rx, sent, to := m.rx[1-from], m.sent[from], 'a'+1-from
+		last, after := uint64(0), 0
 		for k, got := range rx {
-			want := m.sent[from][k]
-			if got.seq != uint64(k+1) || !bytes.Equal(got.hdr, want.hdr) || !bytes.Equal(got.payload, want.payload) {
-				m.fail("%c's delivery %d: seq %d, header %q, %d bytes; sent header %q, %d bytes", 'a'+1-from, k+1, got.seq, got.hdr, len(got.payload), want.hdr, len(want.payload))
+			if got.seq <= last || got.seq > uint64(len(sent)) {
+				m.fail("%c's delivery %d is seq %d, after seq %d; %d sent", to, k+1, got.seq, last, len(sent))
 			}
+			if want := sent[got.seq-1]; !bytes.Equal(got.hdr, want.hdr) || !bytes.Equal(got.payload, want.payload) {
+				m.fail("%c's delivery %d, seq %d: header %q, %d bytes; sent header %q, %d bytes", to, k+1, got.seq, got.hdr, len(got.payload), want.hdr, len(want.payload))
+			}
+			if last = got.seq; got.seq > uint64(m.failAt[from]) {
+				after++
+			}
+		}
+		skipped, failures := m.stats[1-from].skipped.Load(), m.stats[from].failures.Load()
+		if missing := uint64(len(sent) - len(rx)); skipped != missing || skipped > failures {
+			m.fail("%c delivered %d of %d, Skipped = %d; %c's Failures = %d", to, len(rx), len(sent), skipped, 'a'+from, failures)
+		}
+		if want := len(sent) - m.failAt[from]; after != want {
+			m.fail("%c delivered %d of the %d frames sent after %c's last give-up", to, after, want, 'a'+from)
 		}
 	}
 }

@@ -43,6 +43,7 @@ type dgramInfo struct {
 	cum    uint64    // the ack's cumulative point
 	sel    uint64    // the ack's selective bitmap
 	hasSel bool      // the ack carries one
+	floor  uint64    // the floor it carries, or 0
 	frames []uint64  // the data seqs it carries, in order
 	inline []bool    // per frame: it carries its header
 	copies []int     // per frame: 1 the first time its (direction, seq) is written, 2 the second, ...
@@ -155,8 +156,8 @@ func (e *pipeEnd) LocalAddr() netsim.Addr { return e.addr }
 // fromA, short of its copy counts.
 func parseDgram(fromA bool, b []byte) dgramInfo {
 	d := dgramInfo{fromA: fromA, size: len(b), at: time.Now()}
-	cum, hasCum, sel, hasSel, off, _ := parseHeader(b)
-	d.cum, d.hasCum, d.sel, d.hasSel = cum, hasCum, sel, hasSel
+	h, off, _ := parseHeader(b)
+	d.cum, d.hasCum, d.sel, d.hasSel, d.floor = h.cum, h.hasCum, h.sel, h.hasSel, h.floor
 	for {
 		f, next, ok := nextFrame(b, off)
 		if !ok {

@@ -86,6 +86,7 @@ type Stats struct {
 	DupsDropped     uint64 // duplicate data frames discarded
 	Delivered       uint64 // messages handed to the delivery sink in order
 	Failures        uint64 // frames given up on after MaxRetries timer expiries
+	Skipped         uint64 // seqs the peer gave up on that were skipped here, undelivered (at most its Failures)
 	BacklogFull     uint64 // sends refused with ErrBacklog
 
 	// Physical writes.
@@ -101,10 +102,7 @@ type Stats struct {
 	// frames carried it; FlushWindow: the window filled; FlushBackstop: the
 	// retransmission timer came due — the only release that waits on a
 	// clock, and zero on a healthy path.
-	FlushSize     uint64
-	FlushAck      uint64
-	FlushWindow   uint64
-	FlushBackstop uint64
+	FlushSize, FlushAck, FlushWindow, FlushBackstop uint64
 
 	// IO is the underlying socket's syscall-level activity, when the
 	// PacketConn tracks it (the UDP transport does; netsim makes no
@@ -115,9 +113,9 @@ type Stats struct {
 // statCounters is the lock-free internal form of Stats: counters are
 // atomics so the per-peer locks never serialize on shared accounting.
 type statCounters struct {
-	dataSent, retransmits, fastRetransmits, acksSent, dupsDropped, delivered, failures, backlogFull atomic.Uint64
-	bytesOut, datagramsOut, acksPiggybacked                                                         atomic.Uint64
-	flushSize, flushAck, flushWindow, flushBackstop                                                 atomic.Uint64
+	dataSent, retransmits, fastRetransmits, acksSent, dupsDropped, delivered, failures, skipped, backlogFull atomic.Uint64
+	bytesOut, datagramsOut, acksPiggybacked                                                                  atomic.Uint64
+	flushSize, flushAck, flushWindow, flushBackstop                                                          atomic.Uint64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -129,6 +127,7 @@ func (c *statCounters) snapshot() Stats {
 		DupsDropped:     c.dupsDropped.Load(),
 		Delivered:       c.delivered.Load(),
 		Failures:        c.failures.Load(),
+		Skipped:         c.skipped.Load(),
 		BacklogFull:     c.backlogFull.Load(),
 		BytesOut:        c.bytesOut.Load(),
 		DatagramsOut:    c.datagramsOut.Load(),
@@ -217,11 +216,10 @@ func (r *Reliable) Stats() Stats {
 	return s
 }
 
-// QueueDepth returns the number of frames this endpoint is currently
-// holding for transmission across all peers: unacknowledged packets,
-// backlogged ones included, plus staged (coalesced, not yet written)
-// frames. It is a sender-side load signal; a broadcast hot spot shows up
-// as one node's depth growing with group size.
+// QueueDepth returns the frames this endpoint holds for transmission
+// across all peers, unacknowledged, backlogged and staged: a sender-side
+// load signal, where a broadcast hot spot shows as one node's depth
+// growing with group size.
 func (r *Reliable) QueueDepth() int {
 	total := 0
 	r.peers.Range(func(_, v any) bool {
@@ -264,11 +262,10 @@ func (r *Reliable) LastHeard(from netsim.Addr) (t time.Time) {
 
 // Counts reports the peer's channel in both directions: the data frames
 // sequenced to it, and the in-order frames from it that the sink has
-// returned from (a frame is not counted while its delivery runs).
-// Every frame counts, whatever it carries; the sequence numbers are the
-// channel's FIFO positions, so a sender's count at any instant is
-// where the receiver's count will stand once everything before it has
-// arrived.
+// returned from (not while its delivery runs). The seqs are the
+// channel's FIFO positions, so a sender's count is where the receiver's
+// will stand once everything before it has arrived, short of frames the
+// sender gave up on.
 func (r *Reliable) Counts(peer netsim.Addr) (sequenced, delivered uint64) {
 	if p := r.withPeer(peer, func(c *channel) { sequenced = c.nextSeq - 1 }); p != nil {
 		delivered = p.delivered.Load()
@@ -291,9 +288,8 @@ func (r *Reliable) withPeer(a netsim.Addr, f func(c *channel)) *peerState {
 	return p
 }
 
-// peer returns the state for a peer, creating it on first contact. The
-// fast path is a lock-free sync.Map load; creation synchronizes with
-// Close through peersMu so a peer can never miss the close broadcast.
+// peer returns the state for a peer, creating it on first contact under
+// peersMu, so that a peer can never miss Close's broadcast.
 func (r *Reliable) peer(a netsim.Addr) *peerState {
 	if v, ok := r.peers.Load(a); ok {
 		return v.(*peerState)
@@ -317,39 +313,29 @@ var dgramPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// write sends one datagram a channel built, counting the physical
-// write, and recycles its buffer. A nil dgram is no datagram. Must not be
-// called with a peer lock held.
-func (r *Reliable) write(to netsim.Addr, dgram *[]byte) error {
-	if dgram == nil {
-		return nil
-	}
-	r.stats.datagramsOut.Add(1)
-	r.stats.bytesOut.Add(uint64(len(*dgram)))
-	err := r.pc.WriteTo(to, *dgram)
-	if cap(*dgram) <= dgramHdrMax+datagramBudget { // an oversized frame's buffer is not kept
-		dgramPool.Put(dgram)
-	}
-	return err
-}
-
-// writeAll writes a transition's datagrams in order and returns the
-// first error: a lost datagram, whose frames stay unacked.
-func (r *Reliable) writeAll(to netsim.Addr, out []*[]byte) error {
+// write sends the datagrams a transition returned, in order, counting
+// each physical write and recycling its buffer, and returns the first
+// error: a lost datagram, whose frames stay unacked. Must not be called
+// with a peer lock held.
+func (r *Reliable) write(to netsim.Addr, out ...*[]byte) error {
 	var first error
 	for _, dgram := range out {
-		if err := r.write(to, dgram); err != nil && first == nil {
+		r.stats.datagramsOut.Add(1)
+		r.stats.bytesOut.Add(uint64(len(*dgram)))
+		if err := r.pc.WriteTo(to, *dgram); err != nil && first == nil {
 			first = err
+		}
+		if cap(*dgram) <= dgramHdrMax+datagramBudget { // an oversized frame's buffer is not kept
+			dgramPool.Put(dgram)
 		}
 	}
 	return first
 }
 
 // settleLocked follows a transition of p's channel that began with
-// before frames unacknowledged: it updates the inFlight mirror, wakes
-// AwaitWindow when window space freed, and moves the timer to the
-// channel's deadline when that is earlier than the timer is set for.
-// Caller holds p.mu.
+// before frames unacknowledged: it updates inFlight, wakes AwaitWindow
+// if window space freed, and moves the timer to the channel's deadline
+// if that is earlier. Caller holds p.mu.
 func (r *Reliable) settleLocked(p *peerState, before int) {
 	n := len(p.ch.unacked)
 	p.inFlight.Store(int64(n))
@@ -380,19 +366,16 @@ func (r *Reliable) settleLocked(p *peerState, before int) {
 // timer expiries is given up on and counted in Stats.Failures. Send
 // copies hdr and payload before returning, so the caller may reuse both
 // slices immediately.
+// The peer skips a frame given up on (Stats.Skipped there) and goes on
+// delivering the frames after it, in order.
 //
-// A small frame is staged rather than written while the peer's next
-// acknowledgement is certain to be on its way without waiting for the
-// peer's delayed ack: when ackEvery transmitted frames are
-// unacknowledged (their arrival forces an immediate ack), or when frames
-// are already staged behind such a run. Staged frames leave as one
-// datagram, never larger than datagramBudget, when an acknowledgement
-// frees window space, when the budget is reached or the next frame would
-// overshoot it, when the window fills, and when the receive path owes
-// the peer an ack they can carry; the retransmission timer
-// coming due is the backstop. No frame waits on a clock of its own, and a
-// frame sent into a quiet channel is written before Send returns,
-// carrying any ack its peer is owed.
+// A small frame is staged rather than written while ackEvery
+// transmitted frames are unacknowledged, or frames are already staged
+// behind such a run: the peer's next ack is then on its way. Staged
+// frames leave as one datagram within datagramBudget when an ack frees
+// window space, the budget fills, the window fills or the receive path
+// owes the peer an ack; the retransmission timer is the backstop. A
+// frame sent into a quiet channel is written before Send returns.
 func (r *Reliable) Send(to netsim.Addr, hdr, payload []byte) error {
 	return r.send(to, hdr, payload, false, false)
 }
@@ -429,15 +412,14 @@ func (r *Reliable) send(to netsim.Addr, hdr, payload []byte, wait, owed bool) er
 	if err != nil {
 		return err
 	}
-	return r.writeAll(to, out)
+	return r.write(to, out...)
 }
 
 // AwaitWindow, the layer's one wait, waits while the peer has Window
 // frames unacknowledged (sending staged ones first: only their acks can
-// free them), or until Close. With room in the window it returns at
-// once, lock-free (after Close the Send that follows fails). The receive
-// goroutine and timers must not call it: the acknowledgement that ends
-// the wait is read there.
+// free them), or until Close; with room it returns at once, lock-free.
+// The receive goroutine and timers must not call it: the acknowledgement
+// that ends the wait is read there.
 func (r *Reliable) AwaitWindow(to netsim.Addr) error {
 	p := r.peer(to)
 	if p.inFlight.Load() < int64(r.cfg.Window) {
@@ -466,10 +448,9 @@ func (r *Reliable) awaitLocked(p *peerState) {
 	}
 }
 
-// Close shuts the layer and the underlying socket down, waking any
-// AwaitWindow and stopping every timer. When it returns no
-// goroutine of the layer runs, and none will: the receive loop and any
-// delivery it was making have returned.
+// Close shuts the layer and the socket down, waking any AwaitWindow and
+// stopping every timer. When it returns no goroutine of the layer runs,
+// and none will.
 func (r *Reliable) Close() error {
 	r.closeOnce.Do(func() {
 		r.peersMu.Lock()
@@ -505,13 +486,11 @@ func (r *Reliable) recvLoop() {
 	}
 }
 
-// handleDatagram hands one arriving datagram to its peer's channel,
-// writes what the channel answers, then calls the sink for each frame
-// it delivers, in order, after the unlock. Garbage is ignored without a
-// peer being created for it. The frames alias the datagram buffer —
-// safe because ReadFrom hands this layer exclusive ownership of it.
+// handleDatagram hands one arriving datagram, which ReadFrom gave this
+// layer to own, to its peer's channel, writes the answer and calls the
+// sink for each frame delivered. Garbage makes no peer.
 func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
-	if _, _, _, _, _, ok := parseHeader(dgram); !ok {
+	if _, _, ok := parseHeader(dgram); !ok {
 		return
 	}
 	p := r.peer(from)
@@ -521,7 +500,7 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 	deliv, out := p.ch.receive(buf[:0], time.Now(), dgram) // one clock reading for the ack and every frame
 	r.settleLocked(p, before)
 	p.mu.Unlock()
-	_ = r.writeAll(from, out)
+	_ = r.write(from, out...)
 	for i := range deliv {
 		r.deliver(deliv[i].hdr, deliv[i].payload, from)
 		p.delivered.Add(1)
@@ -529,9 +508,8 @@ func (r *Reliable) handleDatagram(from netsim.Addr, dgram []byte) {
 }
 
 // enter admits one timer callback: it refuses once Close has begun, and
-// otherwise counts the callback in wg before Close can wait on it, so a
-// callback already running finishes before Close returns and none runs
-// after. An admitted caller must call r.wg.Done.
+// otherwise counts it in wg, so that a callback running finishes before
+// Close returns and none runs after. An admitted caller calls r.wg.Done.
 func (r *Reliable) enter() bool {
 	r.peersMu.Lock()
 	defer r.peersMu.Unlock()
@@ -560,5 +538,5 @@ func (r *Reliable) fire(p *peerState) {
 	out := p.ch.tick(buf[:0], time.Now())
 	r.settleLocked(p, before)
 	p.mu.Unlock()
-	_ = r.writeAll(p.addr, out)
+	_ = r.write(p.addr, out...)
 }

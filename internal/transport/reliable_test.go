@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -98,8 +99,8 @@ func recvDelivery(e *endpoint, d time.Duration) (delivery, error) {
 func TestFrameRoundTrip(t *testing.T) {
 	f := func(hasCum bool, cum uint64, seq uint64, hdr []byte, inline bool, payload []byte) bool {
 		dgram := appendFrame(appendHeader(nil, hasCum, cum, 0, false), seq, hdr, inline, payload)
-		gc, gotCum, _, gotSel, off, ok := parseHeader(dgram)
-		if !ok || gotCum != hasCum || gotSel || hasCum && gc != cum {
+		h, off, ok := parseHeader(dgram)
+		if !ok || h.hasCum != hasCum || h.hasSel || hasCum && h.cum != cum {
 			return false
 		}
 		fr, next, ok := nextFrame(dgram, off)
@@ -118,7 +119,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	bad := [][]byte{nil, {}, {1, 2, 3}, []byte("not a frame at all"), make([]byte, dgramHdrMax-1)}
 	for _, b := range bad {
-		if _, _, _, _, _, ok := parseHeader(b); ok {
+		if _, _, ok := parseHeader(b); ok {
 			t.Errorf("parseHeader(%v) accepted garbage", b)
 		}
 	}
@@ -127,7 +128,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	hdr := appendHeader(nil, false, 0, 0, false)
 	for _, tail := range [][]byte{{1, 9, 'a', 'b'}, {1, 3, 2, 'h'}, {1, 8, 'a'}, {0xff, 0xff}, {1}} {
 		b := append(bytes.Clone(hdr), tail...)
-		_, _, _, _, off, ok := parseHeader(b)
+		_, off, ok := parseHeader(b)
 		if !ok {
 			t.Fatalf("parseHeader(%v) rejected a valid header", b)
 		}
@@ -251,6 +252,82 @@ func TestSendFailureReportedAcrossPartition(t *testing.T) {
 	if d := ra.QueueDepth(); d != 0 {
 		t.Fatalf("QueueDepth = %d after the failure, want 0", d)
 	}
+}
+
+// giveUpAcrossCut cuts the pair, sends one frame from a and waits until
+// a gives up on it, then heals.
+func giveUpAcrossCut(t *testing.T, n *netsim.Network, ra, rb *endpoint) {
+	t.Helper()
+	n.Partition([]string{"a"}, []string{"b"})
+	if err := ra.Send(rb.LocalAddr(), nil, []byte{0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ra.Stats().Failures == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no failure counted")
+		}
+	}
+	n.Heal()
+}
+
+// expectAfterGiveUp reads total frames numbered 0..total-1 at rb: every
+// delivery is a later frame than the one before, the last frame
+// arrives, and each frame not delivered is one a gave up on, skipped by
+// b, along with the frame given up on across the cut.
+func expectAfterGiveUp(t *testing.T, ra, rb *endpoint, total int) {
+	t.Helper()
+	got, last := 0, -1
+	for last < total-1 {
+		p, _, err := recvTimeout(rb, 2*time.Second)
+		if err != nil {
+			t.Fatalf("after %d of %d frames: %v (a: %+v; b: %+v)", got, total, err, ra.Stats(), rb.Stats())
+		}
+		i := int(binary.BigEndian.Uint16(p))
+		if i <= last {
+			t.Fatalf("frame %d delivered after frame %d", i, last)
+		}
+		got, last = got+1, i
+	}
+	sa, sb := ra.Stats(), rb.Stats()
+	if sb.Skipped == 0 || sb.Skipped > sa.Failures || got+int(sb.Skipped) != total+1 {
+		t.Fatalf("%d of %d delivered, Skipped = %d, Failures = %d", got, total, sb.Skipped, sa.Failures)
+	}
+}
+
+// A frame given up on across a cut no longer wedges its channel: the
+// frames sent after the heal carry the floor past it, and all 5 arrive.
+// Without the floor none did: b waited for the lost seq for good.
+func TestGiveUpThenHealDelivers(t *testing.T) {
+	n, ra, rb := pairOn(t, "a", "b", Config{RTO: 10 * time.Millisecond, MaxRetries: 3})
+	giveUpAcrossCut(t, n, ra, rb)
+	for i := range 5 {
+		if err := ra.Send(rb.LocalAddr(), nil, binary.BigEndian.AppendUint16(nil, uint16(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectAfterGiveUp(t, ra, rb, 5)
+}
+
+// The same with a stream: 400 frames through a window of 16 after the
+// heal. Without the floor b's expected stayed at 1, its reorder buffer
+// took every frame, and a gave them up window by window without waiting
+// at SendWait once: each failure opened the window.
+func TestGiveUpThenHealStreams(t *testing.T) {
+	n, ra, rb := pairOn(t, "a", "b", Config{RTO: 10 * time.Millisecond, MaxRetries: 3, Window: 16})
+	giveUpAcrossCut(t, n, ra, rb)
+	const total = 400
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range total {
+			if err := ra.SendWait(rb.LocalAddr(), nil, binary.BigEndian.AppendUint16(nil, uint16(i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	expectAfterGiveUp(t, ra, rb, total)
+	<-done
 }
 
 // An application sender waits at a full window, on AwaitWindow, and goes
