@@ -103,7 +103,7 @@ func TestBatchCodecRejectsTruncation(t *testing.T) {
 // the round began arrives — so the frames-per-datagram ratio is one
 // number, the same on every run.
 func TestCoalescingBusyPairDatagramRatio(t *testing.T) {
-	d := newDuo(Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 512})
+	d := newDuo(Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 512}, nil)
 	const total, round = 4000, 16
 	payload := make([]byte, 32)
 	for sent := 0; len(d.rx[0]) < total || len(d.rx[1]) < total; sent += round {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,12 +22,77 @@ type duo struct {
 	line   [2][]queued // in flight towards end i, oldest first
 	held   [2]*queued  // swapped: waits for the next datagram towards end i
 	parked [2][]queued // held acks towards end i, waiting for release
-	log    []logged
-	copies map[dgramKey]int
-	rx     [2][]rxFrame // what end i delivered, in order
+	log    []dgramInfo
+	copies [2]map[uint64]int // per end: how often each seq has been written
+	rx     [2][]rxFrame      // what end i delivered, in order
 
-	rule  func(logged) verdict // nil passes everything
-	wrote func(logged)         // sees each datagram as it is written, before rule
+	rule  func(dgramInfo) verdict // nil passes everything
+	wrote func(dgramInfo)         // sees each datagram as it is written, before rule
+}
+
+// verdict is what the rule does with one datagram.
+type verdict int
+
+const (
+	pass verdict = iota
+	drop
+	dup  // deliver twice
+	swap // deliver after the next datagram in the same direction
+	hold // park a datagram carrying an ack until release; one without passes
+)
+
+// dgramInfo is the log's reading of one written datagram.
+type dgramInfo struct {
+	from       int       // the end that wrote it: 0 is a, 1 is b
+	fromA      bool      // from == 0
+	tick       bool      // tick wrote it
+	hasCum     bool      // the datagram carries an ack
+	cum        uint64    // the ack's cumulative point
+	sel        uint64    // the ack's selective bitmap
+	hasSel     bool      // the ack carries one
+	floor      uint64    // the floor it carries, or 0
+	frames     []uint64  // the data seqs it carries, in order
+	inline     []bool    // per frame: it carries its header
+	copies     []int     // per frame: 1 the first time its (direction, seq) is written, 2 the second, ...
+	size       int       // datagram length
+	frameBytes int       // of which frames
+	at         time.Time // when it was written
+}
+
+// data reports whether d, from end a, carries the copy-th transmission
+// of data frame seq.
+func (d dgramInfo) data(seq uint64, copy int) bool {
+	i := slices.Index(d.frames, seq)
+	return d.fromA && i >= 0 && d.copies[i] == copy
+}
+
+// carries reports whether d is a datagram from end a bearing data frame
+// seq.
+func (d dgramInfo) carries(seq uint64) bool {
+	return d.fromA && slices.Contains(d.frames, seq)
+}
+
+// bareAck reports whether d is an ack with no frame.
+func (d dgramInfo) bareAck() bool { return d.hasCum && len(d.frames) == 0 }
+
+// resent reports whether d carries a frame that was on the wire before.
+func (d dgramInfo) resent() bool {
+	return slices.ContainsFunc(d.copies, func(c int) bool { return c > 1 })
+}
+
+// parseDgram is the log's reading of datagram b, short of its copy
+// counts and time.
+func parseDgram(from int, b []byte) dgramInfo {
+	d := dgramInfo{from: from, fromA: from == 0, size: len(b)}
+	h, off, _ := parseHeader(b)
+	d.cum, d.hasCum, d.sel, d.hasSel, d.floor, d.frameBytes = h.cum, h.hasCum, h.sel, h.hasSel, h.floor, len(b)-off
+	for {
+		f, next, ok := nextFrame(b, off)
+		if !ok {
+			return d
+		}
+		d.frames, d.inline, off = append(d.frames, f.seq), append(d.inline, f.inline), next
+	}
 }
 
 // queued is one datagram in flight, with its index in the log.
@@ -35,24 +101,17 @@ type queued struct {
 	data []byte
 }
 
-// logged is one datagram a machine wrote: the log's reading of it, its
-// bytes of frames, and whether tick wrote it.
-type logged struct {
-	dgramInfo
-	from       int
-	frameBytes int
-	tick       bool
-}
-
 type rxFrame struct {
 	seq          uint64
 	hdr, payload []byte
 }
 
-func newDuo(cfg Config) *duo {
-	d := &duo{now: time.Unix(1_000_000, 0), copies: make(map[dgramKey]int)}
+// newDuo returns a duo of two channels with cfg, whose line follows
+// rule.
+func newDuo(cfg Config, rule func(dgramInfo) verdict) *duo {
+	d := &duo{now: time.Unix(1_000_000, 0), rule: rule}
 	for i := range d.ch {
-		d.ch[i] = newChannel(cfg.withDefaults(), &d.stats[i])
+		d.ch[i], d.copies[i] = newChannel(cfg.withDefaults(), &d.stats[i]), make(map[uint64]int)
 	}
 	return d
 }
@@ -61,19 +120,13 @@ func newDuo(cfg Config) *duo {
 // them on the line, as the rule says.
 func (d *duo) write(from int, out []*[]byte, tick bool) {
 	for _, b := range out {
-		if b == nil {
-			continue
-		}
 		data := bytes.Clone(*b)
 		dgramPool.Put(b)
-		l := logged{dgramInfo: parseDgram(from == 0, data), from: from, tick: tick}
-		l.at = d.now
-		_, off, _ := parseHeader(data)
-		l.frameBytes = len(data) - off
+		l := parseDgram(from, data)
+		l.at, l.tick = d.now, tick
 		for _, seq := range l.frames {
-			k := dgramKey{from == 0, seq}
-			d.copies[k]++
-			l.copies = append(l.copies, d.copies[k])
+			d.copies[from][seq]++
+			l.copies = append(l.copies, d.copies[from][seq])
 		}
 		d.log = append(d.log, l)
 		if d.wrote != nil {
@@ -174,6 +227,87 @@ func (d *duo) advance(dt time.Duration, afterTick func(i int)) error {
 	}
 }
 
+// flow runs the duo as a line with a fixed one-way delay: each datagram
+// is handed over oneWay after it was written, in order, and the clock
+// runs and the timers tick in between, until done reports true.
+func (d *duo) flow(t *testing.T, oneWay time.Duration, done func() bool) {
+	t.Helper()
+	for n := 0; !done(); n++ {
+		next := d.next(oneWay)
+		if next.IsZero() || n == 1_000_000 {
+			t.Fatalf("nothing left to happen, or too much: %d events; a: %+v; b: %+v", n, d.stats[0].snapshot(), d.stats[1].snapshot())
+		}
+		d.run(t, oneWay, next)
+	}
+}
+
+// sleep runs the line for dt.
+func (d *duo) sleep(t *testing.T, oneWay, dt time.Duration) {
+	t.Helper()
+	for end := d.now.Add(dt); d.now.Before(end); {
+		next := d.next(oneWay)
+		if next.IsZero() || next.After(end) {
+			next = end
+		}
+		d.run(t, oneWay, next)
+	}
+}
+
+// next is when the line or a timer next has something to do, or zero.
+func (d *duo) next(oneWay time.Duration) time.Time {
+	next := d.ch[0].deadline()
+	if dl := d.ch[1].deadline(); next.IsZero() || !dl.IsZero() && dl.Before(next) {
+		next = dl
+	}
+	for i := range d.line {
+		if len(d.line[i]) > 0 {
+			if due := d.log[d.line[i][0].idx].at.Add(oneWay); next.IsZero() || due.Before(next) {
+				next = due
+			}
+		}
+	}
+	return next
+}
+
+// run runs the clock to at, then hands over what has arrived by then.
+func (d *duo) run(t *testing.T, oneWay time.Duration, at time.Time) {
+	t.Helper()
+	if err := d.advance(max(at.Sub(d.now), 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.line {
+		for len(d.line[i]) > 0 && !d.log[d.line[i][0].idx].at.Add(oneWay).After(d.now) {
+			d.step(i)
+		}
+	}
+}
+
+// await flows until a dgramInfo datagram matches and returns the first
+// that does.
+func (d *duo) await(t *testing.T, oneWay time.Duration, match func(dgramInfo) bool) dgramInfo {
+	t.Helper()
+	k := -1
+	d.flow(t, oneWay, func() bool {
+		k = slices.IndexFunc(d.log, match)
+		return k >= 0
+	})
+	return d.log[k]
+}
+
+// count returns how many dgramInfo datagrams match.
+func (d *duo) count(match func(dgramInfo) bool) int {
+	n := 0
+	for _, l := range d.log {
+		if match(l) {
+			n++
+		}
+	}
+	return n
+}
+
+// depth is what end i holds for transmission: unacked and staged frames.
+func (d *duo) depth(i int) int { return len(d.ch[i].unacked) + len(d.ch[i].staged) }
+
 // The reference model of the reliable channel. FuzzChannel reads its
 // input as a script for a duo: the ops at the front of the input send on
 // either end, hand datagrams over, release parked acks, forge an ack,
@@ -253,7 +387,8 @@ type chanModel struct {
 	failAt   [2]int        // sends end i had accepted when its Failures last rose
 
 	// What the log has shown so far, per sending end.
-	cur         *handover         // the hand-over in progress
+	cur         *dgramInfo        // the datagram being handed over, to end curTo
+	curTo       int
 	lastCopy    [2]map[uint64]int // seq -> log index of its latest copy
 	acked       [2]map[uint64]bool
 	cumTo       [2]uint64 // highest cumulative ack handed to the end
@@ -262,15 +397,6 @@ type chanModel struct {
 	ackedAfter  [2]int    // highest log index of an acknowledged frame's latest copy
 	lastCum     [2]int    // log index of the end's latest datagram carrying an ack
 	owedSince   [2]int    // log length when the latest hand-over of frames to the end began
-}
-
-// handover is one datagram being handed to an end: the ack it carries
-// and the log's length when it began.
-type handover struct {
-	to       int
-	cum, sel uint64
-	hasCum   bool
-	before   int
 }
 
 func FuzzChannel(f *testing.F) {
@@ -320,7 +446,7 @@ func runChannel(t *testing.T, data []byte) {
 	}
 	cfg := modelCfg
 	cfg.Window = m.window
-	m.duo = newDuo(cfg)
+	m.duo = newDuo(cfg, nil)
 	m.rule, m.wrote = m.verdict, m.checkWrite
 	for i := range m.lastCopy {
 		m.lastCopy[i], m.acked[i] = make(map[uint64]int), make(map[uint64]bool)
@@ -349,41 +475,16 @@ func (m *chanModel) note(format string, args ...any) {
 func (m *chanModel) fail(format string, args ...any) {
 	m.t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, format, args...)
-	b.WriteString("\nscript:\n")
-	for _, s := range m.script {
-		fmt.Fprintf(&b, "  %s\n", s)
-	}
-	b.WriteString("log:\n")
+	fmt.Fprintf(&b, format+"\nscript:\n  %s\nlog:\n", append(args, strings.Join(m.script, "\n  "))...)
 	for i, d := range m.log {
-		fmt.Fprintf(&b, "  %3d %s\n", i, describe(d))
+		fmt.Fprintf(&b, "  %3d %v %c->%c %4dB frames %v copies %v inline %v ack %v %d sel %b floor %d tick %v\n",
+			i, d.at.Sub(time.Unix(1_000_000, 0)), 'a'+d.from, 'b'-d.from, d.size, d.frames, d.copies, d.inline, d.hasCum, d.cum, d.sel, d.floor, d.tick)
 	}
 	m.t.Fatal(b.String())
 }
 
-func describe(d logged) string {
-	from := "b->a"
-	if d.fromA {
-		from = "a->b"
-	}
-	s := fmt.Sprintf("%v %s %4dB frames %v copies %v inline %v", d.at.Sub(time.Unix(1_000_000, 0)), from, d.size, d.frames, d.copies, d.inline)
-	if d.hasCum {
-		s += fmt.Sprintf(" ack %d", d.cum)
-		if d.hasSel {
-			s += fmt.Sprintf(" sel %b", d.sel)
-		}
-	}
-	if d.floor > 0 {
-		s += fmt.Sprintf(" floor %d", d.floor)
-	}
-	if d.tick {
-		s += " (tick)"
-	}
-	return s
-}
-
 // verdict is the line's verdict on each datagram written.
-func (m *chanModel) verdict(d logged) verdict {
+func (m *chanModel) verdict(d dgramInfo) verdict {
 	if m.cut {
 		return drop
 	}
@@ -487,31 +588,30 @@ func (m *chanModel) step(i int) bool {
 	}
 	q := m.line[i][0]
 	m.note("%c is handed datagram %d", 'a'+i, q.idx)
-	d := m.log[q.idx]
-	m.handOver(i, d.cum, d.sel, d.hasCum, len(d.frames) > 0, func() { m.duo.step(i) })
+	m.handOver(i, m.log[q.idx], func() { m.duo.step(i) })
 	return true
 }
 
-// handOver runs one hand-over to end i of an ack (cum, sel) and maybe
-// frames: the ack is the end's before anything it writes in answer.
-func (m *chanModel) handOver(i int, cum, sel uint64, hasCum, frames bool, run func()) {
-	h := &handover{to: i, cum: cum, sel: sel, hasCum: hasCum, before: len(m.log)}
-	if hasCum {
-		for s := m.cumTo[i] + 1; s <= min(cum, uint64(len(m.sent[i]))); s++ {
+// handOver runs one hand-over of datagram d to end i: its ack is the
+// end's before anything it writes in answer.
+func (m *chanModel) handOver(i int, d dgramInfo, run func()) {
+	before := len(m.log)
+	if d.hasCum {
+		for s := m.cumTo[i] + 1; s <= min(d.cum, uint64(len(m.sent[i]))); s++ {
 			m.ack(i, s)
 		}
-		m.cumTo[i] = max(m.cumTo[i], cum)
-		for b := sel; b != 0; b &= b - 1 {
-			if s := cum + selBase + uint64(bits.TrailingZeros64(b)); s <= uint64(len(m.sent[i])) {
+		m.cumTo[i] = max(m.cumTo[i], d.cum)
+		for b := d.sel; b != 0; b &= b - 1 {
+			if s := d.cum + selBase + uint64(bits.TrailingZeros64(b)); s <= uint64(len(m.sent[i])) {
 				m.ack(i, s)
 			}
 		}
 	}
-	m.cur = h
+	m.cur, m.curTo = &d, i
 	run()
 	m.cur = nil
-	if frames {
-		m.owedSince[i] = h.before
+	if len(d.frames) > 0 {
+		m.owedSince[i] = before
 	}
 }
 
@@ -538,12 +638,12 @@ func (m *chanModel) forge(i int) {
 		return
 	}
 	m.note("%c is handed a forged ack, %d of its %d frames on the wire", 'a'+i, top, n)
-	m.handOver(i, top, 0, true, false, func() { m.hand(i, appendHeader(nil, true, 1<<40, 0, false)) })
+	m.handOver(i, dgramInfo{hasCum: true, cum: top}, func() { m.hand(i, appendHeader(nil, true, 1<<40, 0, false)) })
 }
 
 // checkWrite checks each datagram as it is written, against what the
 // log has shown so far.
-func (m *chanModel) checkWrite(d logged) {
+func (m *chanModel) checkWrite(d dgramInfo) {
 	i, from := len(m.log)-1, d.from
 	if len(d.frames) > 1 && d.frameBytes > datagramBudget {
 		m.fail("datagram %d: %d frames in %d bytes, budget %d", i, len(d.frames), d.frameBytes, datagramBudget)
@@ -584,12 +684,12 @@ func (m *chanModel) checkWrite(d logged) {
 
 // condemned reports whether seq s, written again in d, had its
 // previous copy (log index j, the n-th) condemned.
-func (m *chanModel) condemned(d logged, s uint64, j, n int) bool {
+func (m *chanModel) condemned(d dgramInfo, s uint64, j, n int) bool {
 	if d.tick {
 		return d.at.Sub(m.log[j].at) >= modelCfg.RTO/2
 	}
 	h := m.cur
-	if h == nil || h.to != d.from || !h.hasCum {
+	if h == nil || m.curTo != d.from || !h.hasCum {
 		return false // only an arriving ack resends at once
 	}
 	if n == 1 && s > h.cum && bits.OnesCount64(h.sel>>(s-h.cum-1)) >= dupThresh {

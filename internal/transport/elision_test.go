@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// TestHeaderElision sends runs of headers from a to b over the scripted
-// pipe. Every frame on the wire, retransmissions included, carries its
+// TestHeaderElision sends runs of headers from a to b between two
+// channel machines. Every frame on the wire, retransmissions included, carries its
 // header exactly when the header differs from the one sent before it, and
 // every message is delivered with the header it was sent with, whatever
 // the pipe does to the frame that carried that header.
@@ -28,13 +28,13 @@ func TestHeaderElision(t *testing.T) {
 		cfg   Config
 		rule  func(dgramInfo) verdict
 		hdrs  []string // the header of each seq, from 1
-		check func(t *testing.T, p *pipe)
+		check func(t *testing.T, d *duo)
 	}{{
 		name: "repeated header",
 		hdrs: []string{ha, ha},
-		check: func(t *testing.T, p *pipe) {
-			first := p.await(t, "seq 1", func(d dgramInfo) bool { return d.carries(1) })
-			second := p.await(t, "seq 2", func(d dgramInfo) bool { return d.carries(2) })
+		check: func(t *testing.T, d *duo) {
+			first := d.await(t, 0, func(d dgramInfo) bool { return d.carries(1) })
+			second := d.await(t, 0, func(d dgramInfo) bool { return d.carries(2) })
 			// Shorter by the header and its one-byte length.
 			if want := first.size - 1 - len(ha); len(first.frames) != 1 || len(second.frames) != 1 || second.size != want {
 				t.Fatalf("lone frames of %d and %d bytes, want the second %d", first.size, second.size, want)
@@ -54,26 +54,26 @@ func TestHeaderElision(t *testing.T) {
 		name:  "coalesced batch of mixed headers",
 		delay: 200 * time.Millisecond,
 		hdrs:  []string{ha, ha, ha, ha, ha, ha, ha, ha, ha, hb, hb, ha, hc, hc, hc, ha},
-		check: func(t *testing.T, p *pipe) {
-			d := p.await(t, "a batch", func(d dgramInfo) bool { return d.fromA && len(d.frames) > 1 })
-			if !slices.Contains(d.inline, true) || !slices.Contains(d.inline, false) {
-				t.Fatalf("batch of seqs %v has inline flags %v, want a mix", d.frames, d.inline)
+		check: func(t *testing.T, d *duo) {
+			b := d.await(t, 0, func(d dgramInfo) bool { return d.fromA && len(d.frames) > 1 })
+			if !slices.Contains(b.inline, true) || !slices.Contains(b.inline, false) {
+				t.Fatalf("batch of seqs %v has inline flags %v, want a mix", b.frames, b.inline)
 			}
 		},
 	}, {
 		name: "elided frame overtakes its inline predecessor",
 		rule: firstCopy(2, swap),
 		hdrs: []string{ha, hb, hb},
-		check: func(t *testing.T, p *pipe) {
-			p.await(t, "b's ack of the gap", func(d dgramInfo) bool { return !d.fromA && d.hasSel })
+		check: func(t *testing.T, d *duo) {
+			d.await(t, 0, func(d dgramInfo) bool { return !d.fromA && d.hasSel })
 		},
 	}, {
 		name: "inline predecessor of an elided frame lost",
 		cfg:  Config{RTO: 20 * time.Millisecond},
 		rule: firstCopy(2, drop),
 		hdrs: []string{ha, hb, hb},
-		check: func(t *testing.T, p *pipe) {
-			p.await(t, "seq 2 again", func(d dgramInfo) bool { return d.data(2, 2) })
+		check: func(t *testing.T, d *duo) {
+			d.await(t, 0, func(d dgramInfo) bool { return d.data(2, 2) })
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,27 +81,22 @@ func TestHeaderElision(t *testing.T) {
 			if cfg.RTO == 0 {
 				cfg = coalesceCfg
 			}
-			p, ra, rb := pipePair(t, max(tc.delay, time.Millisecond), cfg, tc.rule)
+			d := newDuo(cfg, tc.rule)
 			for i, h := range tc.hdrs {
-				if err := ra.Send(rb.LocalAddr(), []byte(h), binary.BigEndian.AppendUint64(nil, uint64(i+1))); err != nil {
+				if err := d.send(0, []byte(h), binary.BigEndian.AppendUint64(nil, uint64(i+1)), false); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i, h := range tc.hdrs {
-				m, err := recvDelivery(rb, 10*time.Second)
-				if err != nil {
-					t.Fatalf("seq %d: %v", i+1, err)
-				}
-				if seq := binary.BigEndian.Uint64(m.payload); seq != uint64(i+1) || string(m.hdr) != h {
-					t.Fatalf("delivery %d is seq %d with header %q, want seq %d with %q", i+1, seq, m.hdr, i+1, h)
+			d.settle(t, max(tc.delay, time.Millisecond), uint64(len(tc.hdrs)))
+			for i, f := range d.rx[1] {
+				if string(f.hdr) != tc.hdrs[i] {
+					t.Fatalf("delivery %d has header %q, want %q", i+1, f.hdr, tc.hdrs[i])
 				}
 			}
 			if tc.check != nil {
-				tc.check(t, p)
+				tc.check(t, d)
 			}
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			for _, d := range p.log {
+			for _, d := range d.log {
 				for i, seq := range d.frames {
 					if !d.fromA {
 						continue

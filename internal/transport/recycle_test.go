@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // An acknowledged frame's outPkt and buffers go back to its peer's free
-// list for the next Send. These tests check the frames that must not go
-// back — staged ones an ack has covered — and that a long stream
+// list for the next send. These tests check the frames that must not go
+// back — staged ones a confused ack has covered — and that a long stream
 // through a small window, every buffer reused many times over, delivers
 // every payload intact.
 
@@ -28,42 +27,35 @@ func freeSeqs(r *endpoint, to netsim.Addr) []uint64 {
 	return seqs
 }
 
-// stagedCount returns how many frames r holds staged for to.
-func stagedCount(r *endpoint, to netsim.Addr) int {
-	p := r.peer(to)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.ch.staged)
-}
-
-// (a) An ack from a confused peer, clamped to nextSeq, covers frames
-// still waiting in the stage. They are not recycled: they leave intact
-// and are delivered exactly once, in order, with the frames after them
-// built in the buffers that were.
+// (a) An ack from a confused peer, clamped to the frames that have left,
+// covers none still waiting in the stage. They are not recycled: they
+// leave intact and are delivered exactly once, in order, with the frames
+// after them built in the buffers that were.
 func TestRecycleStagedFramesSurviveClampedAck(t *testing.T) {
-	_, ra, rb := pipePair(t, 50*time.Millisecond, coalesceCfg, nil)
-	to := rb.LocalAddr()
-	const total = 200
-	sendSeqs(t, ra, to, 1, ackEvery+4) // the last four wait for the first eight's ack
-	staged := stagedCount(ra, to)
-	ra.handleDatagram(to, appendHeader(nil, true, 1<<40, 0, false))
-	for _, seq := range freeSeqs(ra, to) {
-		if seq > ackEvery+4-uint64(staged) {
-			t.Fatalf("staged frame %d went to the free list (staged: %d, free: %v)", seq, staged, freeSeqs(ra, to))
+	const oneWay, total = 50 * time.Millisecond, 200
+	d := newDuo(coalesceCfg, nil)
+	d.sendSeqs(t, 0, 1, ackEvery+4) // the last four wait for the first eight's ack
+	staged := len(d.ch[0].staged)
+	d.hand(0, appendHeader(nil, true, 1<<40, 0, false))
+	for _, pkt := range d.ch[0].free {
+		if pkt.seq > ackEvery+4-uint64(staged) {
+			t.Fatalf("staged frame %d went to the free list (%d staged)", pkt.seq, staged)
 		}
 	}
-	if staged == 0 {
-		t.Log("this process stalled for a round trip between two Sends: nothing was staged")
+	if staged != 4 {
+		t.Fatalf("%d frames staged, want 4", staged)
 	}
-	sendSeqs(t, ra, to, ackEvery+5, total)
-	expectSeqs(t, rb, 1, total)
-	if got, _, err := recvTimeout(rb, 100*time.Millisecond); err == nil {
-		t.Fatalf("delivered again after seq %d: % x", total, got)
+	for seq := uint64(ackEvery + 5); seq <= total; seq++ {
+		d.flow(t, oneWay, func() bool { return len(d.ch[0].unacked) < d.ch[0].cfg.Window })
+		if err := d.send(0, nil, binary.BigEndian.AppendUint64(nil, seq), false); err != nil {
+			t.Fatal(err)
+		}
 	}
+	d.settle(t, oneWay, total)
 }
 
 // (b) Through a window of 8, 10 000 messages of assorted sizes, some
-// larger than a datagram, cross a pipe that drops and swaps first
+// larger than a datagram, cross a line that drops and swaps first
 // copies and loses an occasional ack: every payload arrives once, in
 // order and byte-identical.
 func TestRecycleStreamUnderDropAndSwap(t *testing.T) {
@@ -82,9 +74,8 @@ func TestRecycleStreamUnderDropAndSwap(t *testing.T) {
 		}
 		return b
 	}
-	cfg := Config{RTO: 20 * time.Millisecond, Window: 8}
-	acks := 0 // the rule runs under the pipe's lock
-	_, ra, rb := pipePair(t, 0, cfg, func(d dgramInfo) verdict {
+	acks := 0
+	d := newDuo(Config{RTO: 20 * time.Millisecond, Window: 8}, func(d dgramInfo) verdict {
 		for i, seq := range d.frames {
 			if d.fromA && d.copies[i] == 1 {
 				switch {
@@ -102,35 +93,20 @@ func TestRecycleStreamUnderDropAndSwap(t *testing.T) {
 		}
 		return pass
 	})
-	done := make(chan error, 1)
-	go func() {
-		want := make([]byte, 1500)
-		for seq := uint64(1); seq <= total; seq++ {
-			got, _, err := recvTimeout(rb, 10*time.Second)
-			if err != nil {
-				done <- fmt.Errorf("recv %d: %w", seq, err)
-				return
-			}
-			if w := fill(want, seq); !bytes.Equal(got, w) {
-				done <- fmt.Errorf("payload %d arrived as %d bytes % x..., want %d bytes % x...", seq, len(got), got[:min(len(got), 12)], len(w), w[:12])
-				return
-			}
-		}
-		done <- nil
-	}()
 	payload := make([]byte, 1500)
 	for seq := uint64(1); seq <= total; seq++ {
-		if err := ra.SendWait(rb.LocalAddr(), nil, fill(payload, seq)); err != nil {
+		d.flow(t, 0, func() bool { return len(d.ch[0].unacked) < d.ch[0].cfg.Window })
+		if err := d.send(0, nil, fill(payload, seq), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	d.settle(t, 0, total)
+	for k, f := range d.rx[1] {
+		if want := fill(payload, uint64(k+1)); !bytes.Equal(f.payload, want) {
+			t.Fatalf("payload %d arrived as %d bytes % x..., want %d bytes % x...", k+1, len(f.payload), f.payload[:min(len(f.payload), 12)], len(want), want[:12])
+		}
 	}
-	if got, _, err := recvTimeout(rb, 50*time.Millisecond); err == nil {
-		t.Fatalf("delivered again after seq %d: % x", total, got[:8])
-	}
-	if st := ra.Stats(); st.Retransmits == 0 || st.Failures != 0 {
+	if st := d.stats[0].snapshot(); st.Retransmits == 0 || st.Failures != 0 {
 		t.Fatalf("Retransmits = %d, Failures = %d, want some and none", st.Retransmits, st.Failures)
 	}
 }

@@ -67,13 +67,6 @@ func (e *endpoint) deliver(hdr, payload []byte, from netsim.Addr) {
 // waiting at most d for it; it returns netsim.ErrTimeout on expiry. Each
 // endpoint has one reader.
 func recvTimeout(e *endpoint, d time.Duration) ([]byte, netsim.Addr, error) {
-	m, err := recvDelivery(e, d)
-	return m.payload, m.from, err
-}
-
-// recvDelivery is recvTimeout returning the whole delivery, header
-// included.
-func recvDelivery(e *endpoint, d time.Duration) (delivery, error) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	for {
@@ -82,13 +75,13 @@ func recvDelivery(e *endpoint, d time.Duration) (delivery, error) {
 			m := e.rx[0]
 			e.rx = e.rx[1:]
 			e.mu.Unlock()
-			return m, nil
+			return m.payload, m.from, nil
 		}
 		e.mu.Unlock()
 		select {
 		case <-e.more:
 		case <-t.C:
-			return delivery{}, netsim.ErrTimeout
+			return nil, netsim.Addr{}, netsim.ErrTimeout
 		}
 	}
 }
@@ -512,21 +505,7 @@ func TestAckCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait for the trailing delayed ack so the count is stable.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		p := ra.peer(rb.LocalAddr())
-		p.mu.Lock()
-		n := len(p.ch.unacked)
-		p.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d packets still unacked", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitDepth(t, ra, 0) // the trailing delayed ack has arrived: the count is stable
 	if st := rb.Stats(); st.AcksSent > total/4 {
 		t.Fatalf("AcksSent = %d for %d in-order messages; acks are not coalescing", st.AcksSent, total)
 	}
@@ -658,4 +637,24 @@ func TestBytesOutAndQueueDepth(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// nullConn is a PacketConn into the void: writes vanish, nothing arrives.
+// Tests hand the layer its datagrams directly through handleDatagram.
+type nullConn struct {
+	once   sync.Once
+	closed chan struct{}
+}
+
+func newNullConn() *nullConn { return &nullConn{closed: make(chan struct{})} }
+
+func (c *nullConn) LocalAddr() netsim.Addr            { return netsim.Addr{Host: "null", Port: 1} }
+func (c *nullConn) WriteTo(netsim.Addr, []byte) error { return nil }
+func (c *nullConn) ReadFrom() ([]byte, netsim.Addr, error) {
+	<-c.closed
+	return nil, netsim.Addr{}, ErrClosed
+}
+func (c *nullConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/netsim"
 )
 
-// The timer tests check the layer's two per-peer runtime timers, the
-// retransmission timer and the delayed-ack timer: that they hold no
-// goroutine while they wait, and that Close silences them for good.
+// The timer tests check the layer's one runtime timer per peer, set for
+// the retransmission deadline or the delayed ack: that it holds no
+// goroutine while it waits, and that Close silences it for good.
 
 // reliableGoroutines returns the stack of every goroutine running code of
 // a Reliable: a receive loop, or a timer callback.
@@ -65,19 +65,22 @@ func awaitReceiveLoops(t *testing.T, what string, want int) {
 
 // TestTimerNoGoroutineWhileIdle checks that a layer parks no goroutine of
 // its own but the receive loop: once eight channels have each delivered a
-// frame and their delayed-ack timers have fired, the only goroutines in
-// the layer's code are the receive loops, and after Close none is.
+// frame and their delayed acks have left, the only goroutines in the
+// layer's code are the receive loops, and after Close none is.
 func TestTimerNoGoroutineWhileIdle(t *testing.T) {
 	base, _ := receiveLoops(reliableGoroutines())
 	var all []*endpoint
 	for range 8 {
-		p, ra, rb := pipePair(t, time.Millisecond, Config{}, nil)
+		_, ra, rb := pairOn(t, "a", "b", Config{})
 		all = append(all, ra, rb)
 		sendSeqs(t, ra, rb.LocalAddr(), 1, 1)
-		expectSeqs(t, rb, 1, 1)
-		// One frame is fewer than ackEvery: its ack waits for the timer.
-		p.await(t, "the delayed ack", func(d dgramInfo) bool { return !d.fromA && d.bareAck() })
-		awaitDepth(t, ra, 0)
+		if err := recvSeqs(rb, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		awaitDepth(t, ra, 0) // one frame is fewer than ackEvery: its ack waits for the timer
+		if st := rb.Stats(); st.AcksSent != 1 {
+			t.Fatalf("b sent %d bare acks, want the delayed one", st.AcksSent)
+		}
 	}
 	awaitReceiveLoops(t, "idle", base+len(all))
 	for _, r := range all {
@@ -93,20 +96,19 @@ func TestTimerNoGoroutineWhileIdle(t *testing.T) {
 // have failed the frames well inside that time.
 func TestTimerCloseSilencesResends(t *testing.T) {
 	const rto = 5 * time.Millisecond
-	p, ra, rb := pipePair(t, time.Millisecond, Config{RTO: rto, MaxRetries: 2}, func(d dgramInfo) verdict {
-		if d.fromA {
-			return drop
-		}
-		return pass
-	})
+	n, ra, rb := pairOn(t, "a", "b", Config{RTO: rto, MaxRetries: 2})
+	n.Partition([]string{"a"}, []string{"b"})
 	sendSeqs(t, ra, rb.LocalAddr(), 1, 3)
-	p.await(t, "a timer resend", dgramInfo.resent)
+	for deadline := time.Now().Add(5 * time.Second); ra.Stats().Retransmits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no timer resend")
+		}
+	}
 	ra.Close()
 	rb.Close()
-	every := func(dgramInfo) bool { return true }
-	written, failures := p.count(every), ra.Stats().Failures
+	written, failures := ra.Stats().DatagramsOut, ra.Stats().Failures
 	time.Sleep(20 * rto)
-	if n := p.count(every); n != written {
+	if n := ra.Stats().DatagramsOut; n != written {
 		t.Fatalf("%d datagrams written after Close", n-written)
 	}
 	if n := ra.Stats().Failures; n != failures {
