@@ -138,9 +138,13 @@ func (in *Inbox) ReceiveEnvelopeContext(ctx context.Context) (*wire.Envelope, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if done := ctx.Done(); done != nil {
-		// Broadcast under the lock so a waiter is either still before its
-		// Wait (and re-checks ctx.Err) or inside it (and is woken).
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.lenLocked() == 0 && ctx.Done() != nil {
+		// About to wait: the end of ctx must wake this call. A queued
+		// message is taken without registering, which would allocate.
+		// The broadcast takes the lock, so a waiter is either still before
+		// its Wait (and re-checks ctx.Err) or inside it (and is woken).
 		stop := context.AfterFunc(ctx, func() {
 			in.mu.Lock()
 			in.cond.Broadcast()
@@ -148,8 +152,6 @@ func (in *Inbox) ReceiveEnvelopeContext(ctx context.Context) (*wire.Envelope, er
 		})
 		defer stop()
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for in.lenLocked() == 0 {
 		if in.closed {
 			return nil, ErrStopped

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"testing"
@@ -42,6 +43,28 @@ func TestMessagePathAllocs(t *testing.T) {
 	t.Logf("%.2f allocations per message", allocs)
 	if allocs > budget {
 		t.Fatalf("one Send plus one ReceiveEnvelope allocates %.2f times, want <= %d", allocs, budget)
+	}
+}
+
+// TestReceiveContextQueuedAllocs: a bounded receive that finds a message
+// waiting takes it without registering for the context's end, so it
+// allocates nothing; it allocated 3 times while it registered first.
+func TestReceiveContextQueuedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := newInbox(nil, "in")
+	env := &wire.Envelope{Body: &wire.Bytes{}}
+	allocs := testing.AllocsPerRun(1000, func() {
+		in.push(env)
+		if _, err := in.ReceiveContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReceiveContext of a queued message allocates %.2f times, want 0", allocs)
 	}
 }
 

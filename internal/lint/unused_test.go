@@ -96,8 +96,8 @@ var keepUnused = map[string]string{
 	"tokens.RWLock.RLock":              rwLock,
 	"tokens.RWLock.RUnlock":            rwLock,
 	"tokens.RWLock.Unlock":             rwLock,
-	"transport.Config.AckDelay":        "transport tests hold the delayed ack apart from RTO/8, on either side, to reach the ack timer's paths in bounded time",
-	"transport.Config.MaxRetries":      "tests set one or two expiries to reach the give-up path (Stats.Failures) in bounded time, and large budgets so a long cut gives up on no frame",
+	"transport.Config.AckDelay":        "tests hold the delayed ack apart from RTO/8: the coalescing tests put it out of reach, and the channel model keeps it at 2ms against a 100ms RTO so that delayed acks and timer resends interleave on its virtual clock",
+	"transport.Config.MaxRetries":      "the give-up tests and the channel model set one to three expiries to reach the give-up path (Stats.Failures) and the floor past it; tests over long cuts set large budgets so that no frame is given up",
 	"transport.Reliable.RTT":           "the recovery tests observe the RTT estimator and its back-off through it",
 	"wire.EnvelopeDecoder.Decode":      "the whole-frame decode (Header, then Payload) the envelope fuzzer and the wire tests check",
 }
