@@ -337,7 +337,7 @@ func (d *duo) depth(i int) int { return len(d.ch[i].unacked) + len(d.ch[i].stage
 //   - no frame is sent again unless its previous copy was condemned: by
 //     tick, at least the timer's floor (RTO/2) after that copy, or by the
 //     ack being handed over, naming three later seqs above a never-resent
-//     frame, or by an ack of a frame sent after that copy (RACK);
+//     frame, or by an ack of a frame sent later than that copy (RACK);
 //   - a frame leaves with the ack its peer is owed, so no bare ack goes
 //     out where a frame could have carried it;
 //   - send refuses a frame with ErrBacklog only past the backlog bound,
@@ -387,16 +387,16 @@ type chanModel struct {
 	failAt   [2]int        // sends end i had accepted when its Failures last rose
 
 	// What the log has shown so far, per sending end.
-	cur         *dgramInfo        // the datagram being handed over, to end curTo
+	cur         *dgramInfo // the datagram being handed over, to end curTo
 	curTo       int
 	lastCopy    [2]map[uint64]int // seq -> log index of its latest copy
 	acked       [2]map[uint64]bool
-	cumTo       [2]uint64 // highest cumulative ack handed to the end
-	maxTx       [2]uint64 // highest seq the end has transmitted
-	outstanding [2]int    // transmitted and not acknowledged to the end
-	ackedAfter  [2]int    // highest log index of an acknowledged frame's latest copy
-	lastCum     [2]int    // log index of the end's latest datagram carrying an ack
-	owedSince   [2]int    // log length when the latest hand-over of frames to the end began
+	cumTo       [2]uint64    // highest cumulative ack handed to the end
+	maxTx       [2]uint64    // highest seq the end has transmitted
+	outstanding [2]int       // transmitted and not acknowledged to the end
+	ackedAt     [2]time.Time // latest time an acknowledged frame's latest copy was sent
+	lastCum     [2]int       // log index of the end's latest datagram carrying an ack
+	owedSince   [2]int       // log length when the latest hand-over of frames to the end began
 }
 
 func FuzzChannel(f *testing.F) {
@@ -450,7 +450,7 @@ func runChannel(t *testing.T, data []byte) {
 	m.rule, m.wrote = m.verdict, m.checkWrite
 	for i := range m.lastCopy {
 		m.lastCopy[i], m.acked[i] = make(map[uint64]int), make(map[uint64]bool)
-		m.ackedAfter[i], m.lastCum[i], m.owedSince[i] = -1, -1, -1
+		m.lastCum[i], m.owedSince[i] = -1, -1
 	}
 	m.note("window %d", m.window)
 	for m.op < m.v {
@@ -623,7 +623,9 @@ func (m *chanModel) ack(i int, s uint64) {
 	m.acked[i][s] = true
 	if j, ok := m.lastCopy[i][s]; ok {
 		m.outstanding[i]--
-		m.ackedAfter[i] = max(m.ackedAfter[i], j)
+		if at := m.log[j].at; at.After(m.ackedAt[i]) {
+			m.ackedAt[i] = at
+		}
 	}
 }
 
@@ -633,8 +635,11 @@ func (m *chanModel) ack(i int, s uint64) {
 // backlogged cannot have arrived, so the model counts the ack for the
 // frames on the wire, not for those the end sends in answer.
 func (m *chanModel) forge(i int) {
-	top, n := m.maxTx[i], uint64(len(m.sent[i]))
-	if top > max(m.deliveredTo(1-i), m.cumTo[i]) || n == top {
+	top, n, delivered := m.maxTx[i], uint64(len(m.sent[i])), uint64(0)
+	if rx := m.rx[1-i]; len(rx) > 0 {
+		delivered = rx[len(rx)-1].seq
+	}
+	if top > max(delivered, m.cumTo[i]) || n == top {
 		return
 	}
 	m.note("%c is handed a forged ack, %d of its %d frames on the wire", 'a'+i, top, n)
@@ -692,10 +697,10 @@ func (m *chanModel) condemned(d dgramInfo, s uint64, j, n int) bool {
 	if h == nil || m.curTo != d.from || !h.hasCum {
 		return false // only an arriving ack resends at once
 	}
-	if n == 1 && s > h.cum && bits.OnesCount64(h.sel>>(s-h.cum-1)) >= dupThresh {
+	if n == 1 && s > h.cum && bits.OnesCount64(h.sel>>(s-h.cum-1)) >= 3 {
 		return true // three later seqs arrived
 	}
-	return m.ackedAfter[d.from] > j // RACK: a frame sent after the copy arrived
+	return m.ackedAt[d.from].After(m.log[j].at) // RACK: a frame sent later than the copy arrived
 }
 
 // settle passes everything from now on and runs the duo until every
@@ -732,14 +737,6 @@ func (m *chanModel) done() bool {
 		}
 	}
 	return true
-}
-
-// deliveredTo is the seq of end i's latest delivery.
-func (m *chanModel) deliveredTo(i int) uint64 {
-	if n := len(m.rx[i]); n > 0 {
-		return m.rx[i][n-1].seq
-	}
-	return 0
 }
 
 func (m *chanModel) checkDelivered() {
