@@ -40,16 +40,17 @@
 // probed peer does not watch back, and whose arrival doubles as
 // liveness evidence for the probed side.
 //
-// Verdicts are timed on runtime timers, as in BFD's one detection timer
-// per session: each watched peer has one verdict timer (time.AfterFunc)
-// and each detector one heartbeat-round timer, both moved with Reset
-// under the detector's lock. The verdict timer is re-armed lazily:
-// hearing the peer never moves it, and a firing whose window has not run
-// out re-arms for the remainder. A fired timer queues
-// its work on one process-wide queue drained by a few goroutines that
-// exist only while it is non-empty (see work.go), so no goroutine waits
-// while the detector is idle, and no callback runs once the dapplet has
-// stopped.
+// The verdict rules are a pure state machine (verdict.go): each
+// transition takes the time and the transport's readings and returns
+// what to do (events, heartbeat targets, relays to ask, a rumour, a
+// probe, timer delays), with no lock, goroutine, I/O or clock, so its
+// tests run on a virtual clock. The Detector drives it: under its lock
+// it runs a transition, moves the runtime timers it names (one per
+// watched peer, re-armed lazily, and one for heartbeat rounds, as in
+// BFD's one detection timer per session) and spawns its probe; sends and
+// observer deliveries follow on a process-wide work queue whose few
+// goroutines exist only while it is non-empty (work.go), so no goroutine
+// waits while the detector is idle, and none runs once it has stopped.
 //
 // A Detector is attached to a dapplet (Attach) and told whom to watch
 // (Watch); state changes are delivered to OnEvent observers and queried

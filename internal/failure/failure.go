@@ -2,6 +2,7 @@ package failure
 
 import (
 	"context"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,80 +182,9 @@ func init() {
 	wire.Register(&probeRepMsg{})
 }
 
-// peerState is everything a watcher tracks about one peer.
-type peerState struct {
-	name  string
-	addr  netsim.Addr
-	state State
-	// lastBeacon is when the peer last proved its incarnation alive (or
-	// was watched); heardLocked merges it with the transport's record.
-	lastBeacon time.Time
-	lastInc    uint64
-	// lastHB is when the last round that sent the peer an explicit
-	// heartbeat had sent it. A frame the transport sequenced to the peer
-	// since then, and within one interval, means the peer is hearing
-	// from us anyway, so the next heartbeat is suppressed (piggybacked
-	// liveness). It is zero after Watch and after the peer's address
-	// changes, and a round always heartbeats such a peer, to announce
-	// our incarnation and address however busy the channel.
-	lastHB time.Time
-	// probing marks an address-learning probe in flight to this (Down)
-	// peer, so the slow probe rate cannot pile calls onto a dead address.
-	probing bool
-	// hbSeq is the round of the peer's last heartbeat. meanIA and devIA
-	// smooth the gaps between an Up peer's heartbeats of consecutive
-	// rounds: between those it sent nothing else, so each is a gap
-	// between hearings on an idle channel. Across rounds it suppressed,
-	// the gap is the application's pause, and no sample.
-	hbSeq  uint64
-	meanIA time.Duration
-	devIA  time.Duration
-	// timer is this peer's verdict timer, moved with Reset under det.mu:
-	// it fires when the peer's verdict may need to advance (lazily
-	// re-armed from heardLocked, so hearing the peer never has to move
-	// it) and, once the peer is Down, paces the slow probe cadence.
-	timer *time.Timer
-	// confirms collects the distinct confirmers of the current suspicion
-	// (this watcher, failed indirect-probe relays, gossip origins);
-	// non-nil only while Suspect under a quorum above one.
-	confirms map[string]bool
-	// suspInc is the incarnation the current suspicion was raised
-	// against; confirmations and refutations about older incarnations
-	// are discarded.
-	suspInc uint64
-}
-
-// heardLocked is when p was last heard from: the later of its last
-// beacon and the last datagram of frames the transport took from its
-// address (Reliable.LastHeard). Caller holds det.mu.
-func (det *Detector) heardLocked(p *peerState) time.Time {
-	if t := det.d.Transport().LastHeard(p.addr); t.After(p.lastBeacon) {
-		return t
-	}
-	return p.lastBeacon
-}
-
-// windowLeft reports how long p's verdict can rest at now: the time left
-// in its Up or Suspect detection window, or false once that window has
-// run out or the peer is Down. Caller holds det.mu.
-func (det *Detector) windowLeft(p *peerState, now time.Time) (time.Duration, bool) {
-	window := p.detectionTimeout(det.cfg)
-	if p.state == Suspect {
-		window *= 2
-	}
-	left := window - now.Sub(det.heardLocked(p))
-	return left, p.state != Down && left >= 0
-}
-
-// detectionTimeout is the Up->Suspect (and Suspect->Down) window for this
-// peer: Multiplier times the larger of the configured interval and the
-// heartbeat rhythm's envelope (mean + 4 deviations, TCP-RTO style).
-func (p *peerState) detectionTimeout(cfg Config) time.Duration {
-	return time.Duration(cfg.Multiplier) * max(cfg.Interval, p.meanIA+4*p.devIA)
-}
-
 // Detector heartbeats the peers watching this dapplet and watches peers
-// in return. All methods are safe for concurrent use.
+// in return, driving its verdict machine (verdict.go). All methods are
+// safe for concurrent use.
 type Detector struct {
 	d   *core.Dapplet
 	cfg Config
@@ -272,19 +202,18 @@ type Detector struct {
 	callerOnce sync.Once
 	caller     *svc.Caller
 
-	mu       sync.Mutex
-	peers    map[string]*peerState
-	byAddr   map[netsim.Addr]*peerState
-	seq      uint64
+	mu sync.Mutex
+	m  *verdicts
+	// timers holds each watched peer's verdict timer, moved with Reset
+	// under mu at the delays the machine names: lazily, so hearing the
+	// peer never has to move it.
+	timers   map[string]*time.Timer
 	obs      []func(Event)
 	stopping bool
 	// posted is the work of verdict changes not yet done, in the order
-	// made; posting marks a goroutine doing it (see postLocked).
-	posted  []func()
+	// made; posting marks a goroutine doing it (see settleLocked).
+	posted  []effects
 	posting bool
-	// scratchHB is the heartbeat round's reused target buffer, so the
-	// per-Interval fan-out does not allocate a fresh slice each round.
-	scratchHB []wire.InboxRef
 
 	hbSent atomic.Uint64
 	probes atomic.Uint64
@@ -312,16 +241,21 @@ type Stats struct {
 // address-learning probes arrive correlated and are answered with this
 // instance's name and incarnation.
 func Attach(d *core.Dapplet, cfg Config) *Detector {
+	cfg = cfg.withDefaults()
+	quorum := 1
+	if cfg.Gossip != nil {
+		quorum = gossipQuorum
+	}
 	det := &Detector{
 		d:      d,
-		cfg:    cfg.withDefaults(),
-		peers:  make(map[string]*peerState),
-		byAddr: make(map[netsim.Addr]*peerState),
+		cfg:    cfg,
+		m:      newVerdicts(d.Name(), cfg.Interval, cfg.Multiplier, quorum),
+		timers: make(map[string]*time.Timer),
 	}
 	svc.Serve(d, ControlInbox, svc.Handlers{
 		"fail.hb": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			hb := req.(*heartbeatMsg)
-			det.applyBeacon(hb.From, hb.Inc, hb.Seq, c.From())
+			det.step(func(now time.Time) effects { return det.m.beacon(now, hb.From, hb.Inc, hb.Seq, c.From()) })
 			return nil, nil
 		},
 		"fail.probe": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
@@ -329,7 +263,7 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 			// if we hold the prober Down across a healed partition, this
 			// lifts our verdict while the reply lifts theirs.
 			p := req.(*probeMsg)
-			det.applyBeacon(p.From, p.Inc, 0, c.From())
+			det.step(func(now time.Time) effects { return det.m.beacon(now, p.From, p.Inc, 0, c.From()) })
 			return &probeRepMsg{Name: d.Name(), Inc: det.cfg.Incarnation}, nil
 		},
 		"fail.iprobe":     det.handleIProbe,
@@ -343,7 +277,7 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 	first := det.cfg.Interval + hbStagger(d.Name(), det.cfg.Interval/4)
 	det.mu.Lock()
 	det.hbDue = time.Now().Add(first)
-	round := det.fireHeartbeats
+	round := det.heartbeatRound
 	det.hb = time.AfterFunc(first, func() { work.run(round) })
 	det.mu.Unlock()
 	d.OnStop(det.detach)
@@ -355,16 +289,9 @@ func hbStagger(name string, m time.Duration) time.Duration {
 	if m <= 0 {
 		return 0
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return time.Duration(h % uint64(m))
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return time.Duration(h.Sum64() % uint64(m))
 }
 
 // probeCaller returns the detector's svc caller, creating it on first
@@ -382,8 +309,8 @@ func (det *Detector) detach() {
 	det.mu.Lock()
 	det.stopping = true
 	det.hb.Stop()
-	for _, p := range det.peers {
-		p.timer.Stop()
+	for _, t := range det.timers {
+		t.Stop()
 	}
 	det.mu.Unlock()
 	det.wg.Wait()
@@ -402,14 +329,6 @@ func (det *Detector) enter() bool {
 	return true
 }
 
-// armLocked moves p's verdict timer to fire d from now, unless detach
-// has begun. Caller holds det.mu.
-func (det *Detector) armLocked(p *peerState, d time.Duration) {
-	if !det.stopping {
-		p.timer.Reset(d)
-	}
-}
-
 // Stats returns the detector's heartbeat-economy counters.
 func (det *Detector) Stats() Stats {
 	return Stats{
@@ -422,7 +341,7 @@ func (det *Detector) Stats() Stats {
 func (det *Detector) Watched() int {
 	det.mu.Lock()
 	defer det.mu.Unlock()
-	return len(det.peers)
+	return len(det.m.peers)
 }
 
 // Watch starts heartbeating and monitoring the named peer. The peer
@@ -433,28 +352,28 @@ func (det *Detector) Watched() int {
 func (det *Detector) Watch(name string, addr netsim.Addr) {
 	det.mu.Lock()
 	defer det.mu.Unlock()
-	if p, ok := det.peers[name]; ok {
-		det.moveLocked(p, addr)
+	first, fresh := det.m.watch(time.Now(), name, addr)
+	if !fresh {
 		return
 	}
-	p := &peerState{name: name, addr: addr, state: Up, lastBeacon: time.Now()}
-	check := func() { det.firePeer(p) }
-	p.timer = time.AfterFunc(p.detectionTimeout(det.cfg), func() { work.run(check) })
+	// A firing meant for an earlier watch of name is only an early
+	// check: expire re-arms for whatever is left of the window.
+	check := func() { det.expire(name) }
+	t := time.AfterFunc(first, func() { work.run(check) })
 	if det.stopping {
-		p.timer.Stop() // detach has stopped every other timer already
+		t.Stop() // detach has stopped every other timer already
 	}
-	det.peers[name] = p
-	det.byAddr[addr] = p
+	det.timers[name] = t
 }
 
 // Unwatch stops heartbeating and monitoring the named peer.
 func (det *Detector) Unwatch(name string) {
 	det.mu.Lock()
 	defer det.mu.Unlock()
-	if p, ok := det.peers[name]; ok {
-		delete(det.byAddr, p.addr)
-		delete(det.peers, name)
-		p.timer.Stop()
+	det.m.unwatch(name)
+	if t, ok := det.timers[name]; ok {
+		t.Stop()
+		delete(det.timers, name)
 	}
 }
 
@@ -462,11 +381,10 @@ func (det *Detector) Unwatch(name string) {
 func (det *Detector) Status(name string) (State, bool) {
 	det.mu.Lock()
 	defer det.mu.Unlock()
-	p, ok := det.peers[name]
-	if !ok {
-		return Up, false
+	if p, ok := det.m.peers[name]; ok {
+		return p.state, true
 	}
-	return p.state, true
+	return Up, false
 }
 
 // Addr returns the last known address of a watched peer, which tracks
@@ -474,11 +392,10 @@ func (det *Detector) Status(name string) (State, bool) {
 func (det *Detector) Addr(name string) (netsim.Addr, bool) {
 	det.mu.Lock()
 	defer det.mu.Unlock()
-	p, ok := det.peers[name]
-	if !ok {
-		return netsim.Addr{}, false
+	if p, ok := det.m.peers[name]; ok {
+		return p.addr, true
 	}
-	return p.addr, true
+	return netsim.Addr{}, false
 }
 
 // OnEvent registers an observer for verdict changes. Observers see one
@@ -491,33 +408,52 @@ func (det *Detector) OnEvent(f func(Event)) {
 	det.mu.Unlock()
 }
 
-// emit delivers ev to every observer. Caller must not hold det.mu.
-func (det *Detector) emit(ev Event) {
+// step runs t, one transition of the verdict machine, under det.mu and
+// settles its effects, unless detach has begun.
+func (det *Detector) step(t func(now time.Time) effects) {
 	det.mu.Lock()
-	obs := det.obs
+	if det.stopping {
+		det.mu.Unlock()
+		return
+	}
+	start := det.settleLocked(t(time.Now()))
 	det.mu.Unlock()
-	for _, f := range obs {
-		f(ev)
+	if start {
+		handoff(det.drainPosted)
 	}
 }
 
-// postLocked queues f, the work (observer delivery, rumours, relay
-// probes) of a verdict change just made under det.mu, or a refutation,
-// for drainPosted on the work queue: changes reach observers in the
-// order made, no change waits for an observer, and the receive
-// goroutine, which lifts Suspect and hears rumours, never waits for a
-// rumour's window. Caller holds det.mu; postLocked releases it.
+// settleLocked moves the verdict timers fx names and spawns its probe,
+// under det.mu while !stopping, and queues the rest for drainPosted: the
+// changes reach observers in the order made, none waits for an observer,
+// and the receive goroutine never waits for a rumour's window. The
+// caller starts the drain, once it releases det.mu, if start.
+func (det *Detector) settleLocked(fx effects) (start bool) {
+	for _, a := range fx.arms {
+		if t, ok := det.timers[a.peer]; ok {
+			t.Reset(a.after)
+		}
+	}
+	if fx.probe != "" {
+		// Spawned under det.mu: the stopping check then happens-before
+		// detach, so the thread is registered before the dapplet's Stop
+		// waits for threads.
+		name, addr := fx.probe, fx.probeAt
+		det.d.Spawn(func() { det.probe(name, addr) })
+	}
+	if fx.events == nil && fx.ask == nil && fx.rumor == nil {
+		return false
+	}
+	det.posted = append(det.posted, fx)
+	start = !det.posting
+	det.posting = true
+	return start
+}
+
+// handoff starts f, a detector's posted work, on the work queue.
 //
 //wwlint:handoff f runs on the work queue, where a rumour may wait for its window
-func (det *Detector) postLocked(f func()) {
-	det.posted = append(det.posted, f)
-	start := !det.posting
-	det.posting = true
-	det.mu.Unlock()
-	if start {
-		work.run(det.drainPosted)
-	}
-}
+func handoff(f func()) { work.run(f) }
 
 // drainPosted does posted work, in order, until none is left.
 func (det *Detector) drainPosted() {
@@ -527,102 +463,60 @@ func (det *Detector) drainPosted() {
 	defer det.wg.Done()
 	det.mu.Lock()
 	for len(det.posted) > 0 {
-		f := det.posted[0]
+		fx := det.posted[0]
 		det.posted = det.posted[1:]
+		obs := det.obs
 		det.mu.Unlock()
-		f()
+		for _, ev := range fx.events {
+			for _, f := range obs {
+				f(ev)
+			}
+		}
+		for _, r := range fx.relays {
+			_ = det.d.SendDirect(wire.InboxRef{Dapplet: r, Inbox: ControlInbox}, "", fx.ask)
+		}
+		if fx.rumor != nil {
+			_ = det.cfg.Gossip.Broadcast(GossipTopic, fx.rumor)
+		}
 		det.mu.Lock()
 	}
 	det.posted, det.posting = nil, false
 	det.mu.Unlock()
 }
 
-// moveLocked records that p is now at addr. The next round heartbeats
-// it whatever the channel carries, so a peer that knew us at an old
-// address learns the new one. Caller holds det.mu.
-func (det *Detector) moveLocked(p *peerState, addr netsim.Addr) {
-	if p.addr == addr {
-		return
-	}
-	delete(det.byAddr, p.addr)
-	p.addr = addr
-	det.byAddr[addr] = p
-	p.lastHB = time.Time{}
-}
-
-// liftLocked returns p to Up with a fresh detection window and posts the
-// Up event. Caller holds det.mu; liftLocked releases it.
-func (det *Detector) liftLocked(p *peerState) {
-	p.state = Up
-	p.confirms = nil
-	p.meanIA, p.devIA = 0, 0 // a gap spanning the outage is no rhythm sample
-	det.armLocked(p, p.detectionTimeout(det.cfg))
-	ev := Event{Peer: p.name, Addr: p.addr, State: Up, Incarnation: p.lastInc}
-	det.postLocked(func() { det.emit(ev) })
-}
-
-// applyBeacon processes one incarnation-carrying liveness proof — a
-// heartbeat of round seq, or (seq 0) an incoming probe or a probe reply —
-// from a watched peer: it refreshes the peer's deadline, samples the
-// heartbeat rhythm, learns a restarted peer's new address, and lifts
-// Suspect/Down verdicts.
-func (det *Detector) applyBeacon(from string, inc, seq uint64, addr netsim.Addr) {
-	det.mu.Lock()
-	p, watched := det.peers[from]
-	if !watched || !det.beaconLocked(p, inc, seq, addr) || p.state == Up {
-		det.mu.Unlock()
-		return
-	}
-	// The peer's timer was pacing a Suspect escalation or the slow
-	// Down-probe cadence; liftLocked re-arms it.
-	det.liftLocked(p)
-}
-
-// beaconLocked applies one beacon's evidence to p, leaving its verdict
-// alone: it samples the heartbeat rhythm, refreshes lastBeacon and
-// learns a restarted peer's new address. It reports false, changing
-// nothing, for a beacon from an older incarnation. Caller holds det.mu.
-func (det *Detector) beaconLocked(p *peerState, inc, seq uint64, addr netsim.Addr) bool {
-	if inc < p.lastInc {
-		// A delayed beacon from a dead incarnation (it can linger in
-		// flight after the crash): honouring it would revert the peer's
-		// address and falsely lift a Down verdict.
-		return false
-	}
-	now := time.Now()
-	if p.state == Up && p.hbSeq != 0 && seq == p.hbSeq+1 && inc == p.lastInc {
-		// TCP-style smoothing: mean gains 1/8 of the error, deviation
-		// 1/4 of its magnitude.
-		if ia := now.Sub(p.lastBeacon); p.meanIA == 0 {
-			p.meanIA = ia
-		} else {
-			err := ia - p.meanIA
-			p.meanIA += err / 8
-			p.devIA += (err.Abs() - p.devIA) / 4
-		}
-	}
-	if seq != 0 {
-		p.hbSeq = seq
-	}
-	p.lastBeacon = now
-	p.lastInc = inc
-	det.moveLocked(p, addr) // a reincarnated peer announces its new address
-	return true
-}
-
-// fireHeartbeats runs when the heartbeat-round timer expires: one round,
-// then the timer moves to one Interval after this round was due, so the
-// timer's wake-up latency does not stretch the period peers learn (after
-// a stall longer than an Interval the cadence restarts from now). It is
-// re-armed only after the round's sends, so two rounds never overlap.
-func (det *Detector) fireHeartbeats() {
+// heartbeatRound runs when the heartbeat-round timer expires: the
+// machine's round, the detector's only O(peers) walk, whose cost is the
+// fan-out the wire sees anyway, then its heartbeats. The timer then
+// moves to one Interval after this round was due, so the timer's wake-up
+// latency does not stretch the period peers learn (after a stall longer
+// than an Interval the cadence restarts from now). It is re-armed only
+// after the round's sends, so two rounds never overlap.
+func (det *Detector) heartbeatRound() {
 	if !det.enter() {
 		return
 	}
 	defer det.wg.Done()
 	now := time.Now()
-	det.heartbeatRound(now)
 	det.mu.Lock()
+	if det.stopping {
+		det.mu.Unlock()
+		return
+	}
+	fx := det.m.round(now, det.d.Transport())
+	start := det.settleLocked(fx)
+	det.mu.Unlock()
+	if start {
+		handoff(det.drainPosted)
+	}
+	if len(fx.beats) > 0 {
+		hb := &heartbeatMsg{From: det.d.Name(), Seq: fx.seq, Inc: det.cfg.Incarnation}
+		for _, to := range fx.beats {
+			det.hbSent.Add(1)
+			_ = det.d.SendDirect(wire.InboxRef{Dapplet: to, Inbox: ControlInbox}, "", hb)
+		}
+	}
+	det.mu.Lock()
+	det.m.heartbeated(time.Now())
 	if !det.stopping {
 		det.hbDue = det.hbDue.Add(det.cfg.Interval)
 		if det.hbDue.Before(now) {
@@ -633,169 +527,13 @@ func (det *Detector) fireHeartbeats() {
 	det.mu.Unlock()
 }
 
-// heartbeatRound is one pass over the watched peers. It transmits a
-// heartbeat to every peer not considered Down whose channel has been
-// idle for an interval (peers the transport sent other frames more
-// recently are hearing from us anyway; Reliable.LastSent), and to every
-// peer it has not heartbeated since Watch or an address change. It lifts
-// every Suspect peer heard within a detection time, that is, since the
-// suspicion was raised, so a lift comes up to one Interval after the
-// frame that earned it. This is the
-// detector's only O(peers) walk, and its cost is the fan-out the wire
-// sees anyway: verdict deadlines fire as per-peer timers (see firePeer).
-func (det *Detector) heartbeatRound(now time.Time) {
-	det.mu.Lock()
-	if det.stopping {
-		det.mu.Unlock()
-		return
-	}
-	det.seq++
-	seq, inc := det.seq, det.cfg.Incarnation
-	// Our own last heartbeat is not traffic: only a frame sequenced
-	// after the round that sent it counts.
-	rel := det.d.Transport()
-	targets := det.scratchHB[:0]
-	var lifts []*peerState
-	for _, p := range det.peers {
-		switch p.state {
-		case Down:
-			continue // Down peers get the slow probe instead (see firePeer)
-		case Suspect: // heard again since the suspicion was raised
-			if now.Sub(det.heardLocked(p)) < p.detectionTimeout(det.cfg) {
-				lifts = append(lifts, p)
-			}
-		}
-		last := rel.LastSent(p.addr)
-		if p.lastHB.IsZero() || !last.After(p.lastHB) || now.Sub(last) >= det.cfg.Interval {
-			targets = append(targets, wire.InboxRef{Dapplet: p.addr, Inbox: ControlInbox})
-		}
-	}
-	det.scratchHB = targets
-	det.mu.Unlock()
-	// liftLocked releases det.mu, so the lifts are applied after the
-	// walk, each to a peer still watched and still Suspect.
-	for _, p := range lifts {
-		det.mu.Lock()
-		if det.peers[p.name] == p && p.state == Suspect {
-			det.liftLocked(p)
-		} else {
-			det.mu.Unlock()
-		}
-	}
-	if len(targets) == 0 {
-		return
-	}
-	hb := &heartbeatMsg{From: det.d.Name(), Seq: seq, Inc: inc}
-	for _, to := range targets {
-		det.hbSent.Add(1)
-		_ = det.d.SendDirect(to, "", hb)
-	}
-	det.mu.Lock()
-	sent := time.Now()
-	for _, to := range targets {
-		if p, ok := det.byAddr[to.Dapplet]; ok {
-			p.lastHB = sent
-		}
-	}
-	det.mu.Unlock()
-}
-
-// firePeer runs when p's verdict timer expires: the peer's detection
-// window may have run out. The timer is armed lazily: hearing the peer
-// never touches it, so a firing whose window turns out unexpired simply
-// re-arms for the remainder, under det.mu alone.
-// Escalations emit Suspect, then Down; a Down peer's timer switches to
-// pacing the address-learning probe at 1/8 the heartbeat rate — enough
-// for two detectors that declared each other Down across a healed
-// partition to rediscover one another, without a dead peer's
-// retransmission state growing at full heartbeat rate.
-func (det *Detector) firePeer(p *peerState) {
+// expire runs when name's verdict timer fires.
+func (det *Detector) expire(name string) {
 	if !det.enter() {
 		return
 	}
 	defer det.wg.Done()
-	now := time.Now()
-	det.mu.Lock()
-	if det.stopping || det.peers[p.name] != p {
-		det.mu.Unlock()
-		return
-	}
-	if left, ok := det.windowLeft(p, now); ok { // heard since the timer was set
-		p.timer.Reset(left)
-		det.mu.Unlock()
-		return
-	}
-	timeout := p.detectionTimeout(det.cfg)
-	elapsed := now.Sub(det.heardLocked(p))
-	quorum := det.quorum()
-	var (
-		next time.Duration
-		ev   Event
-		emit bool
-		// Quorum side effects resolved under det.mu, posted with the
-		// event (they send).
-		askRelays bool
-		rumor     uint8
-		haveRumor bool
-	)
-	switch p.state {
-	case Up:
-		p.state = Suspect
-		p.suspInc = p.lastInc
-		if quorum > 1 {
-			// This watcher is the suspicion's first confirmer; the rest
-			// must come from relays or gossip before Down.
-			p.confirms = map[string]bool{det.d.Name(): true}
-			askRelays = true
-			rumor, haveRumor = rumorSuspect, true
-		}
-		ev = Event{Peer: p.name, Addr: p.addr, State: Suspect, Incarnation: p.lastInc}
-		emit = true
-		next = 2*timeout - elapsed
-	case Suspect:
-		switch {
-		case quorum > 1 && len(p.confirms) < quorum:
-			// Window expired but the quorum has not: hold at Suspect (a
-			// partitioned watcher holds here forever), nudge the relays
-			// again in case their outcomes were lost, and recheck.
-			askRelays = true
-			next = timeout
-		default:
-			p.state = Down
-			p.confirms = nil
-			ev = Event{Peer: p.name, Addr: p.addr, State: Down, Incarnation: p.lastInc}
-			emit = true
-			if quorum > 1 {
-				rumor, haveRumor = rumorDown, true
-			}
-			next = det.cfg.Interval // first probe follows promptly
-		}
-	case Down:
-		if !p.probing {
-			p.probing = true
-			name, addr := p.name, p.addr
-			// Spawned under det.mu: the stopping check above then
-			// happens-before detach, so the thread is registered before
-			// the dapplet's Stop waits for threads.
-			det.d.Spawn(func() { det.probe(name, addr) })
-		}
-		p.timer.Reset(8 * det.cfg.Interval) // probe pacing: nothing to post
-		det.mu.Unlock()
-		return
-	}
-	p.timer.Reset(next) // an overdue deadline (next < 0) fires at once
-	name, addr, suspInc := p.name, p.addr, p.suspInc
-	det.postLocked(func() {
-		if emit {
-			det.emit(ev)
-		}
-		if askRelays {
-			det.launchIndirect(name, addr, suspInc)
-		}
-		if haveRumor {
-			det.spreadVerdict(name, addr, suspInc, rumor)
-		}
-	})
+	det.step(func(now time.Time) effects { return det.m.expire(now, name, det.d.Transport()) })
 }
 
 // probe issues one address-learning probe to a Down peer: an svc call to
@@ -810,13 +548,11 @@ func (det *Detector) probe(name string, addr netsim.Addr) {
 	var rep probeRepMsg
 	err := det.probeCaller().Call(ctx, wire.InboxRef{Dapplet: addr, Inbox: ControlInbox},
 		&probeMsg{From: det.d.Name(), Inc: det.cfg.Incarnation}, &rep)
-	det.mu.Lock()
-	if p, ok := det.peers[name]; ok {
-		p.probing = false
-	}
-	det.mu.Unlock()
-	if err != nil || rep.Name != name {
-		return
-	}
-	det.applyBeacon(name, rep.Inc, 0, addr)
+	det.step(func(now time.Time) effects {
+		det.m.probed(name)
+		if err != nil || rep.Name != name {
+			return effects{}
+		}
+		return det.m.beacon(now, name, rep.Inc, 0, addr)
+	})
 }

@@ -11,44 +11,8 @@ import (
 	"repro/internal/world"
 )
 
-// TestStaleIncarnationHeartbeatIgnored pins the incarnation ordering: a
-// delayed beacon from a dead incarnation (lower Inc) must not revert
-// the learned address or lift a Down verdict.
-func TestStaleIncarnationHeartbeatIgnored(t *testing.T) {
-	det := &Detector{
-		cfg:   Config{Interval: time.Second, Multiplier: 2}.withDefaults(),
-		peers: make(map[string]*peerState),
-	}
-	newAddr := netsim.Addr{Host: "new", Port: 2}
-	// The verdict timer does nothing: this detector has no dapplet, and
-	// the test drives applyBeacon by hand.
-	inert := time.AfterFunc(time.Hour, func() {})
-	t.Cleanup(func() { inert.Stop() })
-	det.peers["p"] = &peerState{name: "p", addr: newAddr, state: Down, lastInc: 2, lastBeacon: time.Now(), timer: inert}
-
-	det.applyBeacon("p", 1, 0, netsim.Addr{Host: "old", Port: 1})
-	p := det.peers["p"]
-	if p.state != Down {
-		t.Fatalf("stale beacon lifted the Down verdict (state=%v)", p.state)
-	}
-	if p.addr != newAddr || p.lastInc != 2 {
-		t.Fatalf("stale beacon reverted peer identity: addr=%v inc=%d", p.addr, p.lastInc)
-	}
-
-	// The current incarnation's beacon does lift it and resets the
-	// rhythm estimators (the outage gap is not a rhythm sample).
-	p.meanIA, p.devIA = time.Minute, time.Minute
-	det.applyBeacon("p", 2, 0, newAddr)
-	if p.state != Up {
-		t.Fatalf("current beacon did not lift the verdict (state=%v)", p.state)
-	}
-	if p.meanIA != 0 || p.devIA != 0 {
-		t.Fatalf("recovery did not reset interarrival estimators (mean=%v dev=%v)", p.meanIA, p.devIA)
-	}
-}
-
 // TestHeartbeatRoundAllocs checks that the heartbeat round collects its
-// targets in the detector's reused scratch buffer, so a round over peers
+// targets in the machine's reused buffer, so a round over peers
 // whose channels are all busy (nothing to send) allocates nothing. The
 // 1000 peers share one address, which a frame sent after their last
 // heartbeat keeps busy. AllocsPerRun counts every goroutine's
@@ -60,18 +24,16 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 	w := world.New(transport.Config{}, netsim.WithSeed(1))
 	t.Cleanup(w.Close)
 	d, sink := w.Dapplet("h", "bench", "d"), w.Dapplet("s", "bench", "sink")
-	det := &Detector{
-		d:      d,
-		cfg:    Config{Interval: time.Hour}.withDefaults(),
-		peers:  make(map[string]*peerState),
-		byAddr: make(map[netsim.Addr]*peerState),
+	det := Attach(d, Config{Interval: time.Hour}) // rounds driven by hand
+	for i := 0; i < 1000; i++ {
+		det.Watch(fmt.Sprintf("p%d", i), sink.Addr())
 	}
 	now := time.Now()
-	for i := 0; i < 1000; i++ {
-		name := fmt.Sprintf("p%d", i)
-		p := &peerState{name: name, addr: sink.Addr(), state: Up, lastBeacon: now, lastHB: now}
-		det.peers[name] = p
+	det.mu.Lock()
+	for _, p := range det.m.peers {
+		p.lastHB = now
 	}
+	det.mu.Unlock()
 	if err := d.SendDirect(wire.InboxRef{Dapplet: sink.Addr(), Inbox: "x"}, "", &wire.Text{S: "busy"}); err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +42,16 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 			t.Fatalf("the busy frame: %d delivered, %d unacknowledged after 5 s", sink.DeadLetters(), d.Transport().QueueDepth())
 		}
 	}
-	// Warm the scratch buffer through one all-idle round shape.
+	// Warm the machine's target buffer through one all-idle round shape.
 	det.mu.Lock()
-	det.scratchHB = append(det.scratchHB[:0], make([]wire.InboxRef, 1000)...)
+	det.m.beats = append(det.m.beats[:0], make([]netsim.Addr, 1000)...)
 	det.mu.Unlock()
-	allocs := testing.AllocsPerRun(16, func() {
-		det.heartbeatRound(time.Now())
-	})
+	allocs := testing.AllocsPerRun(16, det.heartbeatRound)
 	if allocs > 0 {
 		t.Fatalf("suppressed heartbeat round allocated %.1f objects/round at 1k peers, want 0", allocs)
+	}
+	if n := det.Stats().HeartbeatsSent; n != 0 {
+		t.Fatalf("%d heartbeats sent over a busy channel", n)
 	}
 }
 
@@ -112,7 +75,7 @@ func BenchmarkHeartbeatFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.heartbeatRound(time.Now())
+		det.heartbeatRound()
 	}
 }
 
@@ -129,7 +92,7 @@ func TestOwnHeartbeatIsNotTraffic(t *testing.T) {
 	det.Watch("sink", sink.Addr())
 	const rounds = 5
 	for range rounds {
-		det.heartbeatRound(time.Now())
+		det.heartbeatRound()
 	}
 	if got := det.hbSent.Load(); got != rounds {
 		t.Fatalf("%d back-to-back rounds over an idle channel sent %d heartbeats, want %d", rounds, got, rounds)
@@ -137,7 +100,7 @@ func TestOwnHeartbeatIsNotTraffic(t *testing.T) {
 	if err := d.SendDirect(wire.InboxRef{Dapplet: sink.Addr(), Inbox: "app"}, "", &wire.Text{S: "traffic"}); err != nil {
 		t.Fatal(err)
 	}
-	det.heartbeatRound(time.Now())
+	det.heartbeatRound()
 	if got := det.hbSent.Load(); got != rounds {
 		t.Fatalf("a round after an application frame sent a heartbeat (%d sent, want %d)", got, rounds)
 	}
@@ -148,7 +111,7 @@ func TestOwnHeartbeatIsNotTraffic(t *testing.T) {
 // suppressing the next heartbeat (Reliable.LastSent), so the peer must
 // count each as hearing from the sender. After a heartbeat, one such
 // frame suppresses the next heartbeat, and its arrival moves the peer's
-// liveness record of the sender (heardLocked: the later of its last
+// liveness record of the sender (verdicts.heard: the later of its last
 // beacon and the transport's LastHeard).
 func TestIndirectProbeTrafficIsHeard(t *testing.T) {
 	for _, msg := range []wire.Msg{
@@ -167,7 +130,7 @@ func TestIndirectProbeTrafficIsHeard(t *testing.T) {
 			heard := func() time.Time {
 				pdet.mu.Lock()
 				defer pdet.mu.Unlock()
-				return pdet.heardLocked(pdet.peers["d"])
+				return pdet.m.heard(pdet.m.peers["d"], peer.Transport())
 			}
 			awaitHeard := func(after time.Time, what string) time.Time {
 				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -180,7 +143,7 @@ func TestIndirectProbeTrafficIsHeard(t *testing.T) {
 				}
 			}
 			watched := heard() // Watch's grace window starts here
-			det.heartbeatRound(time.Now())
+			det.heartbeatRound()
 			if got := det.hbSent.Load(); got != 1 {
 				t.Fatalf("a round over an idle channel sent %d heartbeats, want 1", got)
 			}
@@ -188,11 +151,62 @@ func TestIndirectProbeTrafficIsHeard(t *testing.T) {
 			if err := d.SendDirect(wire.InboxRef{Dapplet: peer.Addr(), Inbox: ControlInbox}, "", msg); err != nil {
 				t.Fatal(err)
 			}
-			det.heartbeatRound(time.Now())
+			det.heartbeatRound()
 			if got := det.hbSent.Load(); got != 1 {
 				t.Fatalf("a round after %s sent a heartbeat (%d sent, want 1)", msg.Kind(), got)
 			}
 			awaitHeard(last, msg.Kind())
 		})
 	}
+}
+
+// TestDetectorUnderCoalescedTransport: the transport coalesces, but never
+// holds a frame for a clock: a heartbeat to a quiet peer is written when
+// it is sent (carrying the ack the peer's last heartbeat is owed), so
+// interarrival stays crisp with no flush after the fan-out round. On the
+// machines, fed that arrival pattern (each heartbeat arriving one delay
+// after its round, bare acks hearing nothing), the verdict holds Up
+// without a wobble; over netsim, heartbeats carry the acks their peers
+// are owed and a real crash is still detected.
+func TestDetectorUnderCoalescedTransport(t *testing.T) {
+	t.Run("steady", func(t *testing.T) {
+		w := &vworld{now: epoch, interval: 10 * ms, delay: 200 * time.Microsecond}
+		a, b := w.node("a", 2), w.node("b", 2)
+		w.watch(a, b)
+		w.watch(b, a)
+		w.run(50 * ms) // a round of heartbeats establishes Up
+		if st := a.m.peers["b"].state; st != Up {
+			t.Fatalf("a's verdict on b = %v; want up", st)
+		}
+		w.run(300 * ms) // steady state: several heartbeat rounds
+		if len(a.events)+len(b.events) != 0 || a.hbs < 30 || b.hbs < 30 {
+			t.Fatalf("verdicts wobbled under coalescing: a %v, b %v (%d and %d heartbeats)", a.events, b.events, a.hbs, b.hbs)
+		}
+	})
+	t.Run("netsim", func(t *testing.T) {
+		w := world.New(transport.Config{}, netsim.WithSeed(7))
+		t.Cleanup(w.Close)
+		a, b := w.Dapplet("ha", "test", "a"), w.Dapplet("hb", "test", "b")
+		cfg := Config{Interval: 10 * time.Millisecond, Multiplier: 2}
+		da, db := Attach(a, cfg), Attach(b, cfg)
+		downs := make(chan struct{}, 64)
+		da.OnEvent(func(ev Event) {
+			if ev.State == Down {
+				downs <- struct{}{}
+			}
+		})
+		da.Watch(b.Name(), b.Addr())
+		db.Watch(a.Name(), a.Addr())
+		for deadline := time.Now().Add(5 * time.Second); a.Transport().Stats().AcksPiggybacked == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no heartbeat carried the ack its peer was owed: %+v", a.Transport().Stats())
+			}
+		}
+		w.Net.Crash("hb")
+		select {
+		case <-downs:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no down verdict within 5s of the crash")
+		}
+	})
 }

@@ -38,6 +38,17 @@ func watchPair(a, b *core.Dapplet, cfg failure.Config) (<-chan failure.Event, *f
 	return events, da, db
 }
 
+// poll calls cond every millisecond until it holds, for at most d, and
+// reports whether it held.
+func poll(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return cond()
+		}
+	}
+	return true
+}
+
 func awaitState(t *testing.T, events <-chan failure.Event, want failure.State, within time.Duration) failure.Event {
 	t.Helper()
 	deadline := time.After(within)
@@ -236,42 +247,4 @@ func TestProbeRecoversOneSidedWatch(t *testing.T) {
 	if da.Stats().ProbesSent == 0 {
 		t.Fatal("verdict lifted without any probe")
 	}
-}
-
-func TestDetectorUnderCoalescedTransport(t *testing.T) {
-	// The transport coalesces, but never holds a frame for a clock: a
-	// heartbeat to a quiet peer is written when it is sent (carrying the
-	// ack the peer's last heartbeat is owed), so interarrival stays crisp
-	// with no flush after the fan-out round. The detector must hold a
-	// steady Up verdict and still detect a real crash promptly.
-	w := world.New(transport.Config{}, netsim.WithSeed(7))
-	t.Cleanup(w.Close)
-	a := w.Dapplet("ha", "test", "a")
-	b := w.Dapplet("hb", "test", "b")
-	events, da, _ := watchPair(a, b, failure.Config{Interval: 10 * time.Millisecond, Multiplier: 2})
-
-	// Let a round of heartbeats establish Up.
-	time.Sleep(50 * time.Millisecond)
-	if st, ok := da.Status("b"); !ok || st != failure.Up {
-		t.Fatalf("status(b) = %v, %v; want up", st, ok)
-	}
-	// Steady state: several heartbeat rounds with no Suspect wobble.
-	deadline := time.After(300 * time.Millisecond)
-steady:
-	for {
-		select {
-		case ev := <-events:
-			if ev.State != failure.Up {
-				t.Fatalf("verdict wobbled to %v under coalescing", ev.State)
-			}
-		case <-deadline:
-			break steady
-		}
-	}
-	st := a.Transport().Stats()
-	if st.AcksPiggybacked == 0 {
-		t.Fatalf("no heartbeat carried the ack its peer was owed: %+v", st)
-	}
-	w.Net.Crash("hb")
-	awaitState(t, events, failure.Down, 5*time.Second)
 }

@@ -10,21 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Verdict quorums: with Config.Gossip set, a watcher's Suspect no longer
-// escalates to Down on its own clock alone: it needs gossipQuorum
-// confirmers. Raising the suspicion
-// asks indirectProbes live peers to probe the target on the watcher's
-// behalf (SWIM's indirect probe — a relay on a different network path can
-// often reach a peer the watcher cannot), and spreads the suspicion as a
-// gossip rumor when an engine is attached. Down requires the detection
-// window AND a quorum of distinct confirmers — this watcher, relays whose
-// probes failed, gossip origins that suspect the same incarnation. A
-// single watcher cut off by a partition therefore stays at Suspect
-// forever: its relays answer "reachable", which refutes the suspicion
-// outright. Refutations also travel as alive rumors (a peer that hears
-// itself suspected announces its incarnation), and an alive rumor lifts
-// Suspect but never Down — only a direct incarnation-carrying beacon
-// lifts Down, so a stale rumor cannot resurrect a dead peer.
+// Verdict quorums: with Config.Gossip set, Down needs gossipQuorum
+// distinct confirmers as well as the detection window: this watcher,
+// relays whose indirect probes failed (SWIM's indirect probe: a relay on
+// another network path can often reach a peer the watcher cannot), and
+// gossip origins suspecting the same incarnation. A watcher cut off by a
+// partition stays at Suspect, since its relays answer "reachable", which
+// refutes the suspicion. A peer that hears itself suspected announces
+// its incarnation in an alive rumour, which lifts Suspect but never
+// Down: only a direct incarnation-carrying beacon lifts Down, so a stale
+// rumour cannot resurrect a dead peer. The rules are the verdict
+// machine's (verdict.go); this file holds their messages and handlers.
 
 // GossipTopic is the rumor topic failure verdicts spread on.
 const GossipTopic = "fail"
@@ -150,63 +146,19 @@ func init() {
 	wire.Register(&verdictRumor{})
 }
 
-// quorum reports the Down quorum: gossipQuorum with a gossip engine,
-// else 1.
-func (det *Detector) quorum() int {
-	if det.cfg.Gossip != nil {
-		return gossipQuorum
-	}
-	return 1
-}
-
 // GossipPeers returns the gossip inboxes of every peer this detector
 // currently holds Up — the canonical peer source for a gossip engine
 // riding the detector's membership view (gossip.Engine.SetPeerSource).
 func (det *Detector) GossipPeers() []wire.InboxRef {
 	det.mu.Lock()
 	defer det.mu.Unlock()
-	out := make([]wire.InboxRef, 0, len(det.peers))
-	for _, p := range det.peers {
+	out := make([]wire.InboxRef, 0, len(det.m.peers))
+	for _, p := range det.m.peers {
 		if p.state == Up {
 			out = append(out, gossip.Ref(p.addr))
 		}
 	}
 	return out
-}
-
-// launchIndirect asks up to indirectProbes live peers to probe the
-// suspected target on this watcher's behalf. Caller must not hold det.mu.
-func (det *Detector) launchIndirect(target string, addr netsim.Addr, inc uint64) {
-	det.mu.Lock()
-	relays := make([]netsim.Addr, 0, indirectProbes)
-	for _, q := range det.peers {
-		if q.name == target || q.state != Up {
-			continue
-		}
-		relays = append(relays, q.addr)
-		if len(relays) == indirectProbes {
-			break
-		}
-	}
-	det.mu.Unlock()
-	if len(relays) == 0 {
-		return
-	}
-	m := &iprobeMsg{Target: target, Host: addr.Host, Port: addr.Port, Inc: inc, From: det.d.Name()}
-	for _, r := range relays {
-		_ = det.d.SendDirect(wire.InboxRef{Dapplet: r, Inbox: ControlInbox}, "", m)
-	}
-}
-
-// spreadVerdict broadcasts a suspicion/down/alive rumor when a gossip
-// engine is attached. Caller must not hold det.mu.
-func (det *Detector) spreadVerdict(target string, addr netsim.Addr, inc uint64, verdict uint8) {
-	if det.cfg.Gossip == nil {
-		return
-	}
-	_ = det.cfg.Gossip.Broadcast(GossipTopic, &verdictRumor{
-		Target: target, Host: addr.Host, Port: addr.Port, Inc: inc, Verdict: verdict,
-	})
 }
 
 // handleIProbe serves a relay's side of an indirect probe: the actual
@@ -216,13 +168,11 @@ func (det *Detector) spreadVerdict(target string, addr netsim.Addr, inc uint64, 
 func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeMsg)
 	back := wire.InboxRef{Dapplet: c.From(), Inbox: ControlInbox}
-	target := m.Target
 	addr := netsim.Addr{Host: m.Host, Port: m.Port}
-	suspInc := m.Inc
-	det.mu.Lock()
-	stopping := det.stopping
-	det.mu.Unlock()
-	if stopping {
+	rep := &iprobeRepMsg{Target: m.Target, Relay: det.d.Name(), Inc: m.Inc}
+	det.mu.Lock() // spawned under det.mu, as settleLocked spawns probes
+	defer det.mu.Unlock()
+	if det.stopping {
 		return nil, nil
 	}
 	det.d.Spawn(func() {
@@ -232,10 +182,8 @@ func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 		var pr probeRepMsg
 		err := det.probeCaller().Call(ctx, wire.InboxRef{Dapplet: addr, Inbox: ControlInbox},
 			&probeMsg{From: det.d.Name(), Inc: det.cfg.Incarnation}, &pr)
-		rep := &iprobeRepMsg{Target: target, Relay: det.d.Name(), Inc: suspInc}
-		if err == nil && pr.Name == target {
-			rep.Reachable = true
-			rep.Inc = pr.Inc
+		if err == nil && pr.Name == rep.Target {
+			rep.Reachable, rep.Inc = true, pr.Inc
 		}
 		_ = det.d.SendDirect(back, "", rep)
 	})
@@ -246,54 +194,13 @@ func (det *Detector) handleIProbe(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 // suspicion: reachable refutes it, unreachable is one more confirmation.
 func (det *Detector) handleIProbeRep(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*iprobeRepMsg)
-	if m.Reachable {
-		det.refuteSuspicion(m.Target, m.Inc)
-	} else {
-		det.confirmSuspicion(m.Target, m.Relay, m.Inc)
-	}
-	return nil, nil
-}
-
-// refuteSuspicion lifts a Suspect verdict on evidence that the target's
-// suspected (or a newer) incarnation is alive — a relay reached it, or
-// an alive rumor arrived. Down is deliberately not lifted here: only a
-// direct beacon proves the channel to *this* watcher works again.
-func (det *Detector) refuteSuspicion(name string, inc uint64) {
-	det.mu.Lock()
-	p, ok := det.peers[name]
-	if !ok || p.state != Suspect || inc < p.suspInc {
-		det.mu.Unlock()
-		return
-	}
-	p.lastBeacon = time.Now()
-	det.liftLocked(p)
-}
-
-// confirmSuspicion records one more distinct confirmer of the current
-// suspicion and escalates to Down when both the detection window and the
-// quorum are met (the timer-driven recheck in firePeer covers the other
-// arrival order).
-func (det *Detector) confirmSuspicion(name, confirmer string, inc uint64) {
-	det.mu.Lock()
-	p, ok := det.peers[name]
-	if !ok || p.state != Suspect || p.confirms == nil || inc < p.suspInc {
-		det.mu.Unlock()
-		return
-	}
-	p.confirms[confirmer] = true
-	if _, resting := det.windowLeft(p, time.Now()); len(p.confirms) < det.quorum() || resting {
-		det.mu.Unlock()
-		return
-	}
-	p.state = Down
-	p.confirms = nil
-	det.armLocked(p, det.cfg.Interval) // switch to probe pacing
-	ev := Event{Peer: p.name, Addr: p.addr, State: Down, Incarnation: p.lastInc}
-	addr, suspInc := p.addr, p.suspInc
-	det.postLocked(func() {
-		det.emit(ev)
-		det.spreadVerdict(name, addr, suspInc, rumorDown)
+	det.step(func(now time.Time) effects {
+		if m.Reachable {
+			return det.m.refute(now, m.Target, m.Inc)
+		}
+		return det.m.confirm(now, m.Target, m.Relay, m.Inc, det.d.Transport())
 	})
+	return nil, nil
 }
 
 // onVerdictRumor is the detector's gossip handler, run on the goroutine
@@ -305,24 +212,21 @@ func (det *Detector) onVerdictRumor(origin string, body wire.Msg) {
 	if !ok {
 		return
 	}
-	switch m.Verdict {
-	case rumorAlive:
-		det.refuteSuspicion(m.Target, m.Inc)
-	case rumorSuspect, rumorDown:
-		if m.Target == det.d.Name() {
+	det.step(func(now time.Time) effects {
+		switch {
+		case m.Verdict == rumorAlive:
+			return det.m.refute(now, m.Target, m.Inc)
+		case m.Target != det.d.Name():
+			return det.m.confirm(now, m.Target, origin, m.Inc, det.d.Transport())
+		case m.Inc <= det.cfg.Incarnation:
 			// Someone suspects this very incarnation: shout back. A rumor
 			// about an older incarnation of this name is someone else's
 			// stale news and not ours to refute. The refutation waits for
 			// each peer's window, so it is posted: this handler runs on
 			// the receive goroutine, which reads the acknowledgements.
-			if m.Inc <= det.cfg.Incarnation {
-				det.mu.Lock()
-				det.postLocked(func() {
-					det.spreadVerdict(det.d.Name(), det.d.Addr(), det.cfg.Incarnation, rumorAlive)
-				})
-			}
-			return
+			a := det.d.Addr()
+			return effects{rumor: &verdictRumor{Target: m.Target, Host: a.Host, Port: a.Port, Inc: det.cfg.Incarnation, Verdict: rumorAlive}}
 		}
-		det.confirmSuspicion(m.Target, origin, m.Inc)
-	}
+		return effects{}
+	})
 }

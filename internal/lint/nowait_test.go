@@ -64,7 +64,7 @@ var exportedWaits = []struct {
 	{"core", "Outbox", []string{"Send"}, ""},
 	{"core", "Inbox", []string{"Receive", "ReceiveEnvelope"}, ""},
 	{"gossip", "Engine", []string{"Broadcast"}, " for each peer's window"},
-	{"relay", "Relay", []string{"Multicast", "Redrive"}, " for each neighbour's window"},
+	{"relay", "Relay", []string{"Multicast"}, " for each neighbour's window"},
 }
 
 // nowaitDirective, in a function's doc comment, makes the function a

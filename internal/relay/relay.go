@@ -275,8 +275,8 @@ func (r *Relay) Multicast(outbox, session string, lamport uint64, msg wire.Msg) 
 // starts here). The frame is encoded once, on the first neighbor that
 // qualifies, and the identical bytes go to each with send: the
 // dapplet's SendEncoded, which waits for the neighbour's window, on
-// Multicast's application thread and Redrive's control thread, and
-// ForwardEncoded, which never waits, on the receive goroutine. It
+// Multicast's application thread, and ForwardEncoded, which never
+// waits, for forwards and Redrive's re-flood. It
 // returns how many transmissions it made and the first send error.
 func (r *Relay) flood(session string, frame *wire.RelayFrame, neighbors []Member, inbound netsim.Addr, send func(wire.InboxRef, string, wire.Msg, wire.Body) error) (int, error) {
 	var (
@@ -313,7 +313,12 @@ func skipped(n Member, inbound netsim.Addr, origin string) bool {
 // Redrive re-floods the session's replay ring to the current tree
 // neighbors. The session layer calls it after a repair relink so frames
 // the failed relay swallowed reach the re-parented subtree; per-origin
-// sequence dedup makes the re-flood idempotent everywhere else.
+// sequence dedup makes the re-flood idempotent everywhere else. It
+// never waits: the re-flood is owed sends (ForwardEncoded), as a flood
+// of forwards is, and what it owes each neighbour is bounded by the
+// ring, DefaultReplay frames. So the relink handler runs it inline.
+//
+//wwlint:nowait the session layer's relink handler runs it on the receive goroutine
 func (r *Relay) Redrive(sid string) error {
 	r.mu.Lock()
 	st, ok := r.sessions[sid]
@@ -332,7 +337,7 @@ func (r *Relay) Redrive(sid string) error {
 
 	var firstErr error
 	for _, f := range frames {
-		if _, err := r.flood(sid, f, neighbors, netsim.Addr{}, r.d.SendEncoded); err != nil && firstErr == nil {
+		if _, err := r.flood(sid, f, neighbors, netsim.Addr{}, r.d.ForwardEncoded); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

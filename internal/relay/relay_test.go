@@ -366,6 +366,96 @@ func TestRedriveFillsGap(t *testing.T) {
 	}
 }
 
+// TestRelayHealAfterGiveUp cuts the hop m01-m02 of a chain until m01's
+// transport gives its forwards up, then heals it. The transport's floor
+// lets the broadcasts after the heal through to m02 in order, where they
+// wait behind the skipped ones; the origin's Redrive fills those, and
+// m02 delivers every broadcast exactly once, in order. Without the floor
+// nothing after the heal reaches m02, the redrive included.
+func TestRelayHealAfterGiveUp(t *testing.T) {
+	w := newWorldCfg(t, 3, transport.Config{RTO: 10 * time.Millisecond, MaxRetries: 3})
+	w.bindAll("s1", 1, 1) // a chain 0-1-2
+	child := w.dapplets[2]
+	tail := child.Inbox("bcast")
+	cast := func(prefix string, n int) {
+		for i := range n {
+			if err := w.relays[0].Multicast("out", "s1", 0, &wire.Text{S: fmt.Sprintf("%s%d", prefix, i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cast("a", 1)
+	drain(t, tail, 1)
+
+	w.Net.Partition([]string{"site2"})
+	cast("b", 5)
+	hop := w.dapplets[1].Transport()
+	for deadline := time.Now().Add(5 * time.Second); hop.Stats().Failures < 5; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("m01 gave up %d forwards to the cut m02, want 5", hop.Stats().Failures)
+		}
+	}
+	w.Net.Heal()
+	before := child.Transport().Stats().Delivered
+	cast("c", 5)
+	for deadline := time.Now().Add(5 * time.Second); child.Transport().Stats().Delivered < before+5; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the heal m02's transport delivered %d of the 5 later broadcasts: %+v",
+				child.Transport().Stats().Delivered-before, child.Transport().Stats())
+		}
+	}
+	if m, err := recvMsg(tail, 50*time.Millisecond); err == nil {
+		t.Fatalf("m02 delivered %q past the skipped broadcasts", m.(*wire.Text).S)
+	}
+	if err := w.relays[0].Redrive("s1"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"b0", "b1", "b2", "b3", "b4", "c0", "c1", "c2", "c3", "c4"}
+	if got := drain(t, tail, len(want)); !slices.Equal(got, want) {
+		t.Fatalf("m02 delivered %q, want %q", got, want)
+	}
+	if m, err := recvMsg(tail, 100*time.Millisecond); err == nil {
+		t.Fatalf("the redrive delivered %q twice", m.(*wire.Text).S)
+	}
+}
+
+// TestRedriveNeverWaits redrives a replay ring of 20 frames, five
+// windows, to a neighbour cut off from the origin: the re-flood is owed
+// sends, so Redrive returns at once rather than waiting for the window,
+// and after the heal the neighbour drops every copy as a duplicate.
+func TestRedriveNeverWaits(t *testing.T) {
+	const window = 4
+	w := newWorldCfg(t, 2, transport.Config{RTO: 20 * time.Millisecond, MaxRetries: 100, Window: window})
+	w.bindAll("s1", 1, 1)
+	in := w.dapplets[1].Inbox("bcast")
+	for i := range 5 * window {
+		if err := w.relays[0].Multicast("out", "s1", uint64(i+1), &wire.Text{S: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, in, 5*window)
+	w.Net.Partition([]string{"site1"})
+	done := make(chan error, 1)
+	go func() { done <- w.relays[0].Redrive("s1") }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Redrive waited for the cut neighbour's window")
+	}
+	w.Net.Heal()
+	for deadline := time.Now().Add(5 * time.Second); w.relays[1].Stats().DupDropped < 5*window; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the redriven copies never arrived: %+v", w.relays[1].Stats())
+		}
+	}
+	if m, err := recvMsg(in, 50*time.Millisecond); err == nil {
+		t.Fatalf("the redrive delivered %q twice", m.(*wire.Text).S)
+	}
+}
+
 // TestBindEpochGuard checks a stale (older-epoch) bind cannot roll the
 // tree back.
 func TestBindEpochGuard(t *testing.T) {

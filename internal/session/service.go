@@ -196,20 +196,7 @@ func Attach(d *core.Dapplet, policy Policy) *Service {
 			return &s.ack, nil
 		},
 		"session.relink": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
-			m := req.(*relinkMsg)
-			ack, redrive := s.onRelink(m)
-			if !redrive {
-				return ack, nil
-			}
-			// The re-flood waits for each neighbour's window, which
-			// this goroutine's acknowledgements open: it runs on a
-			// thread, and the ack follows it.
-			reply := c.Defer()
-			d.Spawn(func() {
-				_ = s.Relay().Redrive(m.SessionID)
-				reply.Send(ack, nil)
-			})
-			return nil, nil
+			return s.onRelink(req.(*relinkMsg)), nil
 		},
 	})
 	return s
@@ -343,17 +330,17 @@ func (s *Service) onTerminate(sid string) {
 	s.unpersist(sid)
 }
 
-// onRelink applies a relink to this dapplet's membership and returns the
-// ack, and whether the session's replay ring is to be re-flooded before
-// the ack is sent (see Relay.Redrive).
-func (s *Service) onRelink(m *relinkMsg) (ack *relinkAckMsg, redrive bool) {
-	ack = &relinkAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
+// onRelink applies a relink to this dapplet's membership, re-floods the
+// session's replay ring when asked (Relay.Redrive, which never waits),
+// and returns the ack.
+func (s *Service) onRelink(m *relinkMsg) *relinkAckMsg {
+	ack := &relinkAckMsg{SessionID: m.SessionID, Name: s.d.Name()}
 	s.mu.Lock()
 	mem, ok := s.members[m.SessionID]
 	s.mu.Unlock()
 	if !ok {
 		// Not a member: ack anyway so the initiator is not stuck.
-		return ack, false
+		return ack
 	}
 	mem.mu.Lock()
 	for _, b := range m.Remove {
@@ -397,11 +384,13 @@ func (s *Service) onRelink(m *relinkMsg) (ack *relinkAckMsg, redrive bool) {
 	mem.mu.Unlock()
 	if rebind != nil {
 		s.bindTree(m.SessionID, rebind, m.Roster, m.Depth, m.Epoch, false)
+	}
+	s.persist(mem)
+	if rebind != nil && m.Redrive {
 		// Re-flood the replay ring so frames a failed relay swallowed
 		// reach the re-parented subtree; per-origin sequence dedup makes
 		// this idempotent everywhere else.
-		redrive = m.Redrive
+		_ = s.Relay().Redrive(m.SessionID)
 	}
-	s.persist(mem)
-	return ack, redrive
+	return ack
 }

@@ -354,17 +354,19 @@ func (c *channel) receive(out []*[]byte, now time.Time, dgram []byte) ([]frame, 
 	if h.hasCum {
 		out = c.applyAck(out, h.cum, h.sel, h.hasSel, now)
 	}
-	if h.floor > 0 {
-		out = c.skip(out, h.floor, h.floorHdr, now)
+	// A floor taken, an out-of-order or duplicate frame, or ackEvery
+	// in-order ones owe the peer an ack at once: one for the datagram.
+	ackNow := h.floor > 0
+	if ackNow {
+		c.skip(h.floor, h.floorHdr)
 	}
-	for {
-		f, next, ok := nextFrame(dgram, off)
-		if !ok {
-			return c.deliv, out
-		}
-		off = next
-		out = c.data(out, f, now)
+	for f, next, ok := nextFrame(dgram, off); ok; f, next, ok = nextFrame(dgram, next) {
+		ackNow = c.data(f, now) || ackNow
 	}
+	if ackNow {
+		out = c.ackAtOnce(out, now)
+	}
+	return c.deliv, out
 }
 
 // applyAck releases window space for an acknowledgement, however it
@@ -482,18 +484,18 @@ func (c *channel) ackState() (cum, sel uint64, hasSel bool) {
 
 // data sequences one arriving data frame. In-order arrivals are
 // delivered at once and acked after ackEvery of them or AckDelay;
-// out-of-order and duplicate ones are acked at once. A frame that left
-// its header out takes it when it becomes in-order: both ends move the
-// header on record in seq order. now stamps lastHeard.
-func (c *channel) data(out []*[]byte, f frame, now time.Time) []*[]byte {
+// out-of-order and duplicate ones are acked at once (data reports an
+// ack owed now). A frame that left its header out takes it when it
+// becomes in-order: both ends move the header on record in seq order.
+// now stamps lastHeard.
+func (c *channel) data(f frame, now time.Time) (ackNow bool) {
 	c.lastHeard = now
-	ackNow := false
 	switch {
 	case f.seq < c.expected:
 		// Retransmission of something already delivered: the previous ack
 		// was likely lost, so re-ack immediately.
 		c.stats.dupsDropped.Add(1)
-		ackNow = true
+		return true
 	case f.seq == c.expected:
 		// In-order: deliver this message and any run it completes.
 		c.inOrder(f)
@@ -501,10 +503,12 @@ func (c *channel) data(out []*[]byte, f frame, now time.Time) []*[]byte {
 		c.stats.delivered.Add(uint64(n))
 		c.ackPending += n
 		if c.ackPending >= ackEvery {
-			ackNow = true
-		} else if c.ackDue.IsZero() {
+			return true
+		}
+		if c.ackDue.IsZero() {
 			c.ackDue = now.Add(c.cfg.AckDelay)
 		}
+		return false
 	default: // seq > expected
 		if _, dup := c.ooo[f.seq]; dup {
 			c.stats.dupsDropped.Add(1)
@@ -513,12 +517,8 @@ func (c *channel) data(out []*[]byte, f frame, now time.Time) []*[]byte {
 		}
 		// A gap is open: ack immediately, so the sender retransmits only
 		// the hole.
-		ackNow = true
+		return true
 	}
-	if ackNow {
-		out = c.ackAtOnce(out, now)
-	}
-	return out
 }
 
 // ackAtOnce sends the peer its ack now, with the staged frames, flushed,
@@ -551,7 +551,7 @@ func (c *channel) run() int {
 // it not yet delivered, counted and dropped from the reorder buffer, and
 // delivers the run from the floor on. A late copy of a skipped frame is
 // a duplicate. The peer is acked at once, so that it stops telling.
-func (c *channel) skip(out []*[]byte, floor uint64, hdr []byte, now time.Time) []*[]byte {
+func (c *channel) skip(floor uint64, hdr []byte) {
 	if floor > c.expected {
 		c.stats.skipped.Add(floor - c.expected)
 		for seq := range c.ooo {
@@ -562,7 +562,6 @@ func (c *channel) skip(out []*[]byte, floor uint64, hdr []byte, now time.Time) [
 		c.expected, c.rxHdr = floor, hdr
 		c.stats.delivered.Add(uint64(c.run()))
 	}
-	return c.ackAtOnce(out, now)
 }
 
 // inOrder delivers f, the next frame in order, resolving its header: its

@@ -340,6 +340,7 @@ func (d *duo) depth(i int) int { return len(d.ch[i].unacked) + len(d.ch[i].stage
 //     frame, or by an ack of a frame sent later than that copy (RACK);
 //   - a frame leaves with the ack its peer is owed, so no bare ack goes
 //     out where a frame could have carried it;
+//   - a datagram handed over is answered with at most one bare ack;
 //   - send refuses a frame with ErrBacklog only past the backlog bound,
 //     and Stats counts each refusal; an owed send is never refused.
 //
@@ -593,7 +594,8 @@ func (m *chanModel) step(i int) bool {
 }
 
 // handOver runs one hand-over of datagram d to end i: its ack is the
-// end's before anything it writes in answer.
+// end's before anything it writes in answer, and it is answered with at
+// most one bare ack.
 func (m *chanModel) handOver(i int, d dgramInfo, run func()) {
 	before := len(m.log)
 	if d.hasCum {
@@ -610,6 +612,15 @@ func (m *chanModel) handOver(i int, d dgramInfo, run func()) {
 	m.cur, m.curTo = &d, i
 	run()
 	m.cur = nil
+	bare := 0
+	for _, w := range m.log[before:] {
+		if w.from == i && len(w.frames) == 0 {
+			bare++
+		}
+	}
+	if bare > 1 {
+		m.fail("datagram %d answered with %d bare acks, want at most one", before-1, bare)
+	}
 	if len(d.frames) > 0 {
 		m.owedSince[i] = before
 	}

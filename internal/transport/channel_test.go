@@ -95,7 +95,7 @@ func TestChannelFloor(t *testing.T) {
 		name:      "frames behind the floor in one datagram",
 		dgrams:    [][]byte{floor(2, "x", frame(1, "", false), frame(2, "", false))},
 		delivered: []string{"2:x"},
-		skipped:   1, dups: 1, ackCum: 1,
+		skipped:   1, dups: 1, ackCum: 2,
 	}, {
 		name:      "a floor at or below expected changes nothing but is acked",
 		dgrams:    [][]byte{frame(1, "a", true), frame(2, "", false), floor(2, "z")},
@@ -134,6 +134,31 @@ func TestChannelFloor(t *testing.T) {
 				t.Errorf("answered with ack %v, cum %d; want cum %d", h.hasCum, h.cum, tc.ackCum)
 			}
 		})
+	}
+}
+
+// A datagram owes its sender one ack, however many of its frames ask for
+// one: a fresh channel handed frames 2–13 in one datagram, seq 1 missing,
+// answers with one bare ack whose bitmap holds all twelve.
+func TestChannelOneAckPerDatagram(t *testing.T) {
+	var st statCounters
+	c := newChannel(modelCfg.withDefaults(), &st)
+	d := appendHeader(nil, false, 0, 0, false)
+	for seq := uint64(2); seq <= 13; seq++ {
+		d = appendFrame(d, seq, []byte("h"), true, []byte{byte(seq)})
+	}
+	deliv, out := c.receive(nil, time.Unix(1, 0), d)
+	if len(deliv) != 0 {
+		t.Fatalf("delivered %d frames past the hole", len(deliv))
+	}
+	if len(out) != 1 {
+		t.Fatalf("answered with %d datagrams, want 1", len(out))
+	}
+	if h, off, _ := parseHeader(*out[0]); !h.hasCum || h.cum != 0 || !h.hasSel || h.sel != 1<<12-1 || off != len(*out[0]) {
+		t.Fatalf("answer: %+v, %d bytes of %d header; want a bare ack of cum 0 and bitmap %b", h, off, len(*out[0]), 1<<12-1)
+	}
+	if s := st.snapshot(); s.AcksSent != 1 {
+		t.Fatalf("AcksSent = %d, want 1", s.AcksSent)
 	}
 }
 
