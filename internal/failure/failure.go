@@ -409,18 +409,20 @@ func (det *Detector) OnEvent(f func(Event)) {
 }
 
 // step runs t, one transition of the verdict machine, under det.mu and
-// settles its effects, unless detach has begun.
-func (det *Detector) step(t func(now time.Time) effects) {
+// settles and returns its effects, unless detach has begun.
+func (det *Detector) step(t func(now time.Time) effects) effects {
 	det.mu.Lock()
 	if det.stopping {
 		det.mu.Unlock()
-		return
+		return effects{}
 	}
-	start := det.settleLocked(t(time.Now()))
+	fx := t(time.Now())
+	start := det.settleLocked(fx)
 	det.mu.Unlock()
 	if start {
 		handoff(det.drainPosted)
 	}
+	return fx
 }
 
 // settleLocked moves the verdict timers fx names and spawns its probe,
@@ -497,17 +499,7 @@ func (det *Detector) heartbeatRound() {
 	}
 	defer det.wg.Done()
 	now := time.Now()
-	det.mu.Lock()
-	if det.stopping {
-		det.mu.Unlock()
-		return
-	}
-	fx := det.m.round(now, det.d.Transport())
-	start := det.settleLocked(fx)
-	det.mu.Unlock()
-	if start {
-		handoff(det.drainPosted)
-	}
+	fx := det.step(func(time.Time) effects { return det.m.round(now, det.d.Transport()) })
 	if len(fx.beats) > 0 {
 		hb := &heartbeatMsg{From: det.d.Name(), Seq: fx.seq, Inc: det.cfg.Incarnation}
 		for _, to := range fx.beats {

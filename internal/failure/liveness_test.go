@@ -109,10 +109,12 @@ func TestDownLiftedWhileStreaming(t *testing.T) {
 }
 
 // A watched pair cut until each end has given up a frame the other
-// never saw, then healed, reads Up again at both ends within two probe periods (16
-// intervals) of the heal: the transport's floor lets the frames after
-// the heal through. Without it every later frame, probes included, waits
-// behind the abandoned ones, and Down never lifts.
+// never saw, then healed, reads Up again at both ends within two probe
+// periods of the heal: the transport's floor lets the frames after the
+// heal through. Without it every later frame, probes included, waits
+// behind the abandoned ones, and Down never lifts. The periods are
+// counted in probes, not read off the clock, so a stalled process
+// cannot fail the test.
 func TestDetectorHealsAfterGiveUp(t *testing.T) {
 	const interval = 20 * time.Millisecond
 	w := world.New(transport.Config{RTO: 10 * time.Millisecond, MaxRetries: 3}, netsim.WithSeed(44))
@@ -140,10 +142,16 @@ func TestDetectorHealsAfterGiveUp(t *testing.T) {
 		sa, sb := states()
 		t.Fatalf("cut pair: a reads b %v, b reads a %v; a %+v, b %+v", sa, sb, ta.Stats(), tb.Stats())
 	}
+	// One probe is in flight per Down peer, so a third probe started
+	// after the heal means the two before it have come back or timed out.
+	pa, pb := da.Stats().ProbesSent, db.Stats().ProbesSent
 	w.Net.Heal()
-	if !poll(16*interval, func() bool { sa, sb := states(); return sa == failure.Up && sb == failure.Up }) {
-		sa, sb := states()
-		t.Fatalf("16 intervals after the heal a reads b %v and b reads a %v, want both up; a %+v, b %+v",
+	settled := func(s failure.State, det *failure.Detector, before uint64) bool {
+		return s == failure.Up || det.Stats().ProbesSent >= before+3
+	}
+	poll(time.Minute, func() bool { sa, sb := states(); return settled(sa, da, pa) && settled(sb, db, pb) })
+	if sa, sb := states(); sa != failure.Up || sb != failure.Up {
+		t.Fatalf("two probe periods after the heal a reads b %v and b reads a %v, want both up; a %+v, b %+v",
 			sa, sb, ta.Stats(), tb.Stats())
 	}
 }

@@ -146,9 +146,11 @@ func TestCoalescingBusyPairDatagramRatio(t *testing.T) {
 }
 
 func TestPiggybackedAckEquivalence(t *testing.T) {
-	// A bidirectional workload delivers exactly the sequence sent, and
-	// the side with reverse traffic sends at most one ack, bare or on its
-	// own frames, for each datagram of frames.
+	// A bidirectional workload, whose acks may ride on the reverse
+	// traffic's frames, delivers exactly the sequence sent, and the side
+	// with reverse traffic sends at most one ack, bare or on its own
+	// frames, for each datagram of frames. That acks do ride on a busy
+	// pair's frames is checked by the coalescing tests (coalesce_test.go).
 	cfg := Config{RTO: 100 * time.Millisecond, MaxRetries: 100, Window: 256}
 	_, ra, rb := pairOn(t, "a", "b", cfg)
 	const total = 300
@@ -195,7 +197,7 @@ func TestPiggybackedAckEquivalence(t *testing.T) {
 			t.Fatalf("delivery %d is %q, want %q", i, got[i], want)
 		}
 	}
-	// b owes a one ack per datagram of frames, bare or riding on its own.
+	// b owes at most one ack per datagram of frames, bare or riding on its own.
 	sa, sb := ra.Stats(), rb.Stats()
 	if acks, dgrams := sb.AcksSent+sb.AcksPiggybacked, sa.DatagramsOut-sa.AcksSent; acks > dgrams {
 		t.Fatalf("b sent %d acks for %d datagrams of frames: %+v", acks, dgrams, sb)
