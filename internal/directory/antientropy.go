@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/gossip"
-	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -41,48 +40,21 @@ func (*dirDigestMsg) Kind() string { return "dir.digest" }
 
 // AppendBinary implements wire.Msg.
 func (m *dirDigestMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendStringSlice(dst, m.Writers)
-	dst = wire.AppendUvarint(dst, uint64(len(m.Seqs)))
-	for _, s := range m.Seqs {
-		dst = wire.AppendUvarint(dst, s)
-	}
-	return dst, nil
+	return appendVector(dst, m.Writers, m.Seqs), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *dirDigestMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	m.Writers = r.StringSlice()
-	if n := r.Count(); n > 0 {
-		m.Seqs = make([]uint64, n)
-		for i := range m.Seqs {
-			m.Seqs[i] = r.Uvarint()
-		}
-	} else {
-		m.Seqs = nil
-	}
+	m.Writers, m.Seqs = readVector(r)
 	return r.Done()
 }
 
-// deltaRec carries one record — live or tombstoned — with its governing
-// write stamp, the unit of anti-entropy transfer.
-type deltaRec struct {
-	Name    string
-	Typ     string
-	Host    string
-	Port    uint16
-	Dead    bool
-	Expired bool
-	Lam     uint64
-	Writer  string
-	Seq     uint64
-}
-
 // dirDeltaMsg answers a pull with the records the peer's digest shows it
-// is missing, plus the sender's own version vector for the receiver to
-// merge after applying them.
+// is missing, live or tombstoned, plus the sender's own version vector
+// for the receiver to merge after applying them.
 type dirDeltaMsg struct {
-	Recs    []deltaRec
+	Recs    []record
 	Writers []string
 	Seqs    []uint64
 }
@@ -93,55 +65,46 @@ func (*dirDeltaMsg) Kind() string { return "dir.delta" }
 // AppendBinary implements wire.Msg.
 func (m *dirDeltaMsg) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(len(m.Recs)))
-	for _, rec := range m.Recs {
-		dst = wire.AppendString(dst, rec.Name)
-		dst = wire.AppendString(dst, rec.Typ)
-		dst = wire.AppendString(dst, rec.Host)
-		dst = wire.AppendUvarint(dst, uint64(rec.Port))
-		dst = wire.AppendBool(dst, rec.Dead)
-		dst = wire.AppendBool(dst, rec.Expired)
-		dst = wire.AppendUvarint(dst, rec.Lam)
-		dst = wire.AppendString(dst, rec.Writer)
-		dst = wire.AppendUvarint(dst, rec.Seq)
+	for i := range m.Recs {
+		dst = m.Recs[i].append(dst)
 	}
-	dst = wire.AppendStringSlice(dst, m.Writers)
-	dst = wire.AppendUvarint(dst, uint64(len(m.Seqs)))
-	for _, s := range m.Seqs {
-		dst = wire.AppendUvarint(dst, s)
-	}
-	return dst, nil
+	return appendVector(dst, m.Writers, m.Seqs), nil
 }
 
 // UnmarshalBinary implements wire.Msg.
 func (m *dirDeltaMsg) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
+	m.Recs = nil
 	if n := r.Count(); n > 0 {
-		m.Recs = make([]deltaRec, n)
+		m.Recs = make([]record, n)
 		for i := range m.Recs {
-			rec := &m.Recs[i]
-			rec.Name = r.String()
-			rec.Typ = r.String()
-			rec.Host = r.String()
-			rec.Port = r.Port()
-			rec.Dead = r.Bool()
-			rec.Expired = r.Bool()
-			rec.Lam = r.Uvarint()
-			rec.Writer = r.String()
-			rec.Seq = r.Uvarint()
+			m.Recs[i].read(r)
 		}
-	} else {
-		m.Recs = nil
 	}
-	m.Writers = r.StringSlice()
-	if n := r.Count(); n > 0 {
-		m.Seqs = make([]uint64, n)
-		for i := range m.Seqs {
-			m.Seqs[i] = r.Uvarint()
-		}
-	} else {
-		m.Seqs = nil
-	}
+	m.Writers, m.Seqs = readVector(r)
 	return r.Done()
+}
+
+// appendVector encodes a version vector's parallel slices.
+func appendVector(dst []byte, writers []string, seqs []uint64) []byte {
+	dst = wire.AppendStringSlice(dst, writers)
+	dst = wire.AppendUvarint(dst, uint64(len(seqs)))
+	for _, s := range seqs {
+		dst = wire.AppendUvarint(dst, s)
+	}
+	return dst
+}
+
+// readVector decodes what appendVector wrote.
+func readVector(r *wire.Reader) (writers []string, seqs []uint64) {
+	writers = r.StringSlice()
+	if n := r.Count(); n > 0 {
+		seqs = make([]uint64, n)
+		for i := range seqs {
+			seqs[i] = r.Uvarint()
+		}
+	}
+	return writers, seqs
 }
 
 func init() {
@@ -187,66 +150,35 @@ func (s *Service) deltaFor(pd *dirDigestMsg) (*dirDeltaMsg, bool) {
 		}
 	}
 	s.mu.Lock()
-	var recs []deltaRec
-	for name, rec := range s.entries {
-		if rec.stamp.seq <= peer[rec.stamp.writer] {
-			continue
+	var recs []record
+	for _, r := range s.entries {
+		if r.Stamp.Seq > peer[r.Stamp.Writer] {
+			recs = append(recs, r)
 		}
-		recs = append(recs, deltaRec{
-			Name:    name,
-			Typ:     rec.entry.Type,
-			Host:    rec.entry.Addr.Host,
-			Port:    rec.entry.Addr.Port,
-			Dead:    rec.dead,
-			Expired: rec.expired,
-			Lam:     rec.stamp.lam,
-			Writer:  rec.stamp.writer,
-			Seq:     rec.stamp.seq,
-		})
 	}
 	writers, seqs := vectorSlices(s.vec)
 	s.mu.Unlock()
 	if len(recs) == 0 {
 		return nil, false
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Entry.Name < recs[j].Entry.Name })
 	return &dirDeltaMsg{Recs: recs, Writers: writers, Seqs: seqs}, true
 }
 
-// applyDelta folds a peer's delta in: each record lands under
-// last-writer-wins against what is already here, and the sender's vector
-// merges only once all records have — merging it earlier would vouch for
-// records not yet applied. Returns how many records changed local state.
-func (s *Service) applyDelta(m *dirDeltaMsg) int {
-	var ups []Update
-	s.mu.Lock()
-	for _, dr := range m.Recs {
-		st := wstamp{lam: dr.Lam, writer: dr.Writer, seq: dr.Seq}
-		s.d.Clock().ObserveRecv(st.lam)
-		if rec, ok := s.entries[dr.Name]; ok && !rec.stamp.less(st) {
-			continue
-		}
-		s.version++
-		nr := &record{
-			entry:   Entry{Name: dr.Name, Type: dr.Typ, Addr: netsim.Addr{Host: dr.Host, Port: dr.Port}},
-			version: s.version,
-			dead:    dr.Dead,
-			expired: dr.Dead && dr.Expired,
-			stamp:   st,
-		}
-		s.entries[dr.Name] = nr
-		ups = append(ups, Update{Entry: nr.entry, Version: nr.version, Removed: nr.dead, Expired: nr.expired})
+// applyDelta folds a peer's delta in: each record goes through put, and
+// the sender's vector merges only once all records have — merging it
+// earlier would vouch for records not yet applied.
+func (s *Service) applyDelta(m *dirDeltaMsg) {
+	for _, r := range m.Recs {
+		s.put(r)
 	}
+	s.mu.Lock()
 	for i, w := range m.Writers {
 		if i < len(m.Seqs) && m.Seqs[i] > s.vec[w] {
 			s.vec[w] = m.Seqs[i]
 		}
 	}
 	s.mu.Unlock()
-	for _, up := range ups {
-		s.notify(up)
-	}
-	return len(ups)
 }
 
 // dirExchange adapts a Service to gossip.Exchanger.
@@ -302,7 +234,7 @@ func (s *Service) Fingerprint() uint64 {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.entries))
 	for n, rec := range s.entries {
-		if !rec.dead {
+		if !rec.Dead {
 			names = append(names, n)
 		}
 	}
@@ -312,11 +244,11 @@ func (s *Service) Fingerprint() uint64 {
 		rec := s.entries[n]
 		h.Write([]byte(n))
 		h.Write([]byte{0})
-		h.Write([]byte(rec.entry.Type))
+		h.Write([]byte(rec.Entry.Type))
 		h.Write([]byte{0})
-		h.Write([]byte(rec.entry.Addr.Host))
+		h.Write([]byte(rec.Entry.Addr.Host))
 		h.Write([]byte{0})
-		h.Write([]byte(strconv.FormatUint(uint64(rec.entry.Addr.Port), 10)))
+		h.Write([]byte(strconv.FormatUint(uint64(rec.Entry.Addr.Port), 10)))
 		h.Write([]byte{0})
 	}
 	s.mu.Unlock()

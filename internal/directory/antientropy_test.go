@@ -68,7 +68,7 @@ func TestAntiEntropySpreadsLocalWrites(t *testing.T) {
 	waitFor(t, "anti-entropy convergence", func() bool { return converged(svcs) })
 	for i := 1; i < 8; i++ {
 		name := fmt.Sprintf("m%d", i)
-		e, _, ok := b.Lookup(name)
+		e, ok := b.Lookup(name)
 		if !ok {
 			t.Fatalf("replica b missing %s after convergence", name)
 		}
@@ -76,7 +76,7 @@ func TestAntiEntropySpreadsLocalWrites(t *testing.T) {
 			t.Fatalf("replica b has %s at %v", name, e.Addr)
 		}
 	}
-	if _, _, ok := b.Lookup("m0"); ok {
+	if _, ok := b.Lookup("m0"); ok {
 		t.Fatal("replica b resurrected a removed name")
 	}
 	va, vb := a.VersionVector(), b.VersionVector()
@@ -138,12 +138,12 @@ func TestAntiEntropyRestartedReplicaConverges(t *testing.T) {
 	waitFor(t, "post-restart convergence", func() bool { return converged(svcs) })
 	for i := 0; i < 12; i++ {
 		name := fmt.Sprintf("mid%d", i)
-		if _, _, ok := b.Lookup(name); !ok {
+		if _, ok := b.Lookup(name); !ok {
 			t.Fatalf("restarted replica missing %s", name)
 		}
 	}
 	for _, name := range []string{"pre0", "pre1"} {
-		if _, _, ok := b.Lookup(name); ok {
+		if _, ok := b.Lookup(name); ok {
 			t.Fatalf("restarted replica still resolves removed %s", name)
 		}
 	}
@@ -183,8 +183,8 @@ func TestLWWConvergesConflictingWrites(t *testing.T) {
 	w.Net.Heal()
 
 	waitFor(t, "LWW convergence", func() bool { return converged(svcs) })
-	ea, _, oka := a.Lookup("x")
-	eb, _, okb := b.Lookup("x")
+	ea, oka := a.Lookup("x")
+	eb, okb := b.Lookup("x")
 	if !oka || !okb {
 		t.Fatalf("lookup after convergence: a=%v b=%v", oka, okb)
 	}
@@ -196,6 +196,9 @@ func TestLWWConvergesConflictingWrites(t *testing.T) {
 // TestClientRotatesBackAfterHomeRecovers: a client that failed over to a
 // backup replica must return to its home (preferred) replica once the
 // home answers again, restoring read locality after transient outages.
+// The rotation keeps the cache: a name cached from the backup is still a
+// hit once the client is home, since stamps order records from any
+// replica.
 func TestClientRotatesBackAfterHomeRecovers(t *testing.T) {
 	w := newWorld(t, netsim.WithSeed(34))
 	a := w.Dapplet("dir-0-0", "t", "dir-0-0")
@@ -220,6 +223,12 @@ func TestClientRotatesBackAfterHomeRecovers(t *testing.T) {
 		return cli.Stats().Failovers >= 1
 	})
 
+	// Cache a name while the backup is preferred.
+	kept := directory.Entry{Name: "kept", Type: "t", Addr: netsim.Addr{Host: "k", Port: 1}}
+	if err := cli.Register(ctx, kept); err != nil {
+		t.Fatal(err)
+	}
+
 	w.Net.Restart("dir-0-0")
 	// Each miss probes remotely; once the rotate-back window elapses the
 	// client pings home and flips back.
@@ -227,4 +236,11 @@ func TestClientRotatesBackAfterHomeRecovers(t *testing.T) {
 		cli.Lookup(ctx, fmt.Sprintf("again-%d", time.Now().UnixNano()))
 		return cli.Stats().Rotations >= 1
 	})
+	hits := cli.Stats().Hits
+	if got, ok := cli.Lookup(ctx, kept.Name); !ok || got != kept {
+		t.Fatalf("lookup after rotating back = %+v %v, want %+v", got, ok, kept)
+	}
+	if cli.Stats().Hits != hits+1 {
+		t.Fatal("a name cached on the backup went remote after rotating back")
+	}
 }

@@ -29,8 +29,9 @@ type ClientStats struct {
 	// Rotations counts returns to a shard's home replica after it came
 	// back (see WithRotateBack).
 	Rotations uint64
-	// Evictions counts cache entries dropped by invalidation events or
-	// failover flushes.
+	// Evictions counts cache slots dropped: by a later tombstone (on an
+	// event, an ack or a lookup reply), by a failover flush, or by
+	// Invalidate or FlushCache.
 	Evictions uint64
 }
 
@@ -58,19 +59,10 @@ func (s ClientStats) Add(o ClientStats) ClientStats {
 	}
 }
 
-// cached is one cache slot: the entry plus the version that stamped it at
-// the replica the client is subscribed to. Like the netsim route cache,
-// the slot stays valid until a higher version invalidates it — here the
-// version arrives pushed on the watch channel rather than polled.
-type cached struct {
-	entry   Entry
-	version uint64
-}
-
 // Client is the initiator-side view of the replicated directory: lookups
-// are served from a version-stamped cache kept coherent by watch events,
-// misses are resolved from the owning shard's preferred replica, and a
-// silent replica is failed over transparently. Registrations and
+// are served from a cache of stamped records kept coherent by watch
+// events, misses are resolved from the owning shard's preferred replica,
+// and a silent replica is failed over transparently. Registrations and
 // removals fan out to every replica of the owning shard through the svc
 // caller's first-ack helper. Client implements Resolver, so an Initiator
 // accepts it interchangeably with the process-local Directory; every
@@ -93,7 +85,11 @@ type Client struct {
 
 	mu         sync.Mutex
 	rotateBack time.Duration
-	cache      map[string]cached
+	// cache holds live records only. Like the netsim route cache, a slot
+	// stays valid until a record with a later stamp replaces or evicts
+	// it; such records arrive on acks, lookup replies and events, from
+	// any replica, since stamps order records across replicas (take).
+	cache map[string]record
 	// lastWrite holds, per name, the wseq of this client's latest write
 	// to it.
 	lastWrite  map[string]uint64
@@ -143,7 +139,7 @@ func NewClient(d *core.Dapplet, cluster *Cluster, opts ...ClientOption) *Client 
 		caller:     svc.NewCaller(d),
 		timeout:    DefaultTimeout,
 		rotateBack: DefaultRotateBack,
-		cache:      make(map[string]cached),
+		cache:      make(map[string]record),
 		lastWrite:  make(map[string]uint64),
 		pref:       make([]int, cluster.NumShards()),
 		subbed:     make([]bool, cluster.NumShards()),
@@ -188,49 +184,40 @@ func (c *Client) Invalidate(name string) {
 func (c *Client) FlushCache() {
 	c.mu.Lock()
 	n := len(c.cache)
-	c.cache = make(map[string]cached)
+	c.cache = make(map[string]record)
 	c.mu.Unlock()
 	c.evictions.Add(uint64(n))
 }
 
 // onNotify receives the server-initiated pushes on the caller's reply
-// inbox — the watch events carrying invalidations.
+// inbox — the watch events, each a record that changed at a replica.
+// Events refresh or evict slots but never fill one: the cache is
+// demand-filled.
 func (c *Client) onNotify(env *wire.Envelope) {
-	if ev, ok := env.Body.(*eventMsg); ok {
-		c.onEvent(env, ev)
+	if r, ok := env.Body.(*record); ok {
+		c.mu.Lock()
+		c.takeLocked(r, false)
+		c.mu.Unlock()
 	}
 }
 
-// onEvent applies one invalidation event: a removal evicts the cached
-// entry, a registration refreshes it in place. Events are honoured only
-// from the shard's current preferred replica (version counters are
-// per-replica, so a stray event from a previously preferred replica
-// must not be compared against the new domain — whether the watch ack
-// has arrived yet is irrelevant to the domain), and only when they
-// carry a strictly newer version than the cache holds.
-func (c *Client) onEvent(env *wire.Envelope, ev *eventMsg) {
-	shard := c.cluster.ShardOf(ev.Name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sub := c.cluster.shards[shard][c.pref[shard]%len(c.cluster.shards[shard])]
-	if env.FromDapplet != sub.Dapplet {
-		return
-	}
-	have, ok := c.cache[ev.Name]
-	if !ok {
-		return // demand-filled cache: events never insert
-	}
-	if ev.Version <= have.version {
-		return // stale or echo of our own write
-	}
-	if ev.Removed {
-		delete(c.cache, ev.Name)
-		c.evictions.Add(1)
-		return
-	}
-	c.cache[ev.Name] = cached{
-		entry:   Entry{Name: ev.Name, Type: ev.Typ, Addr: ev.Addr},
-		version: ev.Version,
+// takeLocked is the cache's one rule for a record heard from a replica —
+// on an ack, a lookup reply or an event: it is taken only if its stamp
+// is later than the slot's. A live record refreshes the slot (or fills
+// an empty one, when fill is set); a tombstone evicts it. An echo of a
+// record already held is not later, and changes nothing. Caller holds
+// c.mu.
+func (c *Client) takeLocked(r *record, fill bool) {
+	have, ok := c.cache[r.Entry.Name]
+	switch {
+	case ok && !have.Stamp.less(r.Stamp):
+	case r.Dead:
+		if ok {
+			delete(c.cache, r.Entry.Name)
+			c.evictions.Add(1)
+		}
+	case ok || fill:
+		c.cache[r.Entry.Name] = *r
 	}
 }
 
@@ -243,9 +230,11 @@ func (c *Client) preferred(shard int) wire.InboxRef {
 }
 
 // failover advances the shard to its next replica, flushes the shard's
-// cached entries (version counters are per-replica, so entries stamped in
-// the old replica's domain cannot be compared in the new one), and
-// resubscribes to the new replica's watch channel.
+// cached entries, and resubscribes to the new replica's watch channel.
+// The flush is for the events this client missed while the abandoned
+// replica was silent: writes that reached the shard's other replicas
+// were never pushed to it, so a slot may be stale with nothing left to
+// evict it.
 func (c *Client) failover(shard int) {
 	c.mu.Lock()
 	rs := c.cluster.shards[shard]
@@ -317,8 +306,10 @@ func (c *Client) subscribe(shard int) {
 // maybeRotateBack probes a failed-over shard's home replica once the
 // rotate-back window has elapsed. The probe is a watch request: its ack
 // proves the home replica is answering again and doubles as the new
-// event subscription, so the flip back — preferred index to home,
-// generation bump, shard cache flush — needs no separate resubscribe.
+// event subscription, so the flip back — preferred index to home and a
+// generation bump — needs no separate resubscribe. The cache is kept:
+// its stamps order records from any replica, and the backup pushed
+// events until the home replica's subscription was in place.
 // At most one probe is in flight per shard, and a failover that lands
 // while the probe is pending wins: its generation bump voids the probe.
 func (c *Client) maybeRotateBack(shard int) {
@@ -361,16 +352,8 @@ func (c *Client) maybeRotateBack(shard int) {
 		c.subbed[shard] = true
 		c.subPending[shard] = false
 		c.awaySince[shard] = time.Time{}
-		dropped := 0
-		for name := range c.cache {
-			if c.cluster.ShardOf(name) == shard {
-				delete(c.cache, name)
-				dropped++
-			}
-		}
 		c.mu.Unlock()
 		c.rotations.Add(1)
-		c.evictions.Add(uint64(dropped))
 		_ = c.caller.Cast(abandoned, "", &unwatchMsg{ReplyTo: c.caller.ReplyRef()})
 	})
 }
@@ -381,49 +364,58 @@ func (c *Client) maybeRotateBack(shard int) {
 // covers a whole fan-out — every replica must order the write
 // identically. The stamp becomes name's latest local write, so an ack of
 // any earlier write to it arriving late cannot prime the cache.
-func (c *Client) stampWrite(name string) (lam uint64, writer string, seq uint64) {
-	lam = c.d.Clock().Tick()
+func (c *Client) stampWrite(name string) wstamp {
+	lam := c.d.Clock().Tick()
 	c.mu.Lock()
-	seq = c.wseq.Add(1)
+	seq := c.wseq.Add(1)
 	c.lastWrite[name] = seq
 	c.mu.Unlock()
-	return lam, c.writer, seq
+	return wstamp{Lam: lam, Writer: c.writer, Seq: seq}
 }
 
-// mutate fans one mutation (built per replica by mk) to every replica of
-// the owning shard and returns once the first replica acks — or every
-// replica fails, or ctx ends first. The straggling acks are collected on
-// background threads bounded by the caller's context plus the per-replica
-// timeout, so an abandoned mutation cannot leave threads retrying past
-// its cancellation; onPrefAck, when non-nil, runs with the acked version
-// whenever the shard's preferred (subscribed) replica answers — possibly
-// after mutate returns. Per-destination FIFO ordering still holds: all
-// requests are transmitted before the first await begins.
-func (c *Client) mutate(ctx context.Context, shard int, mk func(i int) wire.Msg, onPrefAck func(version uint64)) error {
-	c.mu.Lock()
+// put fans one write to every replica of the owning shard and returns
+// once the first replica acks — or every replica fails, or ctx ends
+// first. The straggling acks are collected on background threads bounded
+// by the caller's context plus the per-replica timeout, so an abandoned
+// write cannot leave threads retrying past its cancellation.
+// Per-destination FIFO ordering still holds: all requests are
+// transmitted before the first await begins.
+//
+// The first ack carries the record that governs the name at its replica,
+// and the cache takes it by the one rule unless this client has written
+// the name again since. So a write that lost last-writer-wins leaves the
+// winner in the cache, and a remove that won evicts the slot.
+func (c *Client) put(ctx context.Context, r *record) error {
+	shard := c.cluster.ShardOf(r.Entry.Name)
 	rs := c.cluster.shards[shard]
-	prefIdx := c.pref[shard] % len(rs)
-	c.mu.Unlock()
-
 	// The fan-out context: the caller's cancellation propagated to every
 	// straggler, bounded by the per-replica timeout. It is released when
 	// the last replica's outcome is in.
 	fctx, cancel := context.WithTimeout(ctx, c.timeout)
 	var outcomes atomic.Int64
-	_, _, err := c.caller.CallFirst(fctx, rs, mk, func(i int, m wire.Msg, err error) {
-		if err == nil && i == prefIdx && onPrefAck != nil {
-			if ack, isAck := m.(*ackMsg); isAck {
-				onPrefAck(ack.Version)
-			}
-		}
+	_, ack, err := c.caller.CallFirst(fctx, rs, func(int) wire.Msg { return r }, func(int, wire.Msg, error) {
 		if outcomes.Add(1) == int64(len(rs)) {
 			cancel()
 		}
 	})
-	if err != nil && ctx.Err() != nil {
-		return ctx.Err()
+	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		what := "registering"
+		if r.Dead {
+			what = "removing"
+		}
+		return fmt.Errorf("directory: no replica of shard %d acknowledged %s %q: %w", shard, what, r.Entry.Name, err)
 	}
-	return err
+	if gov, ok := ack.(*record); ok {
+		c.mu.Lock()
+		if c.lastWrite[r.Entry.Name] == r.Stamp.Seq {
+			c.takeLocked(gov, true)
+		}
+		c.mu.Unlock()
+	}
+	return nil
 }
 
 // Register adds or replaces an entry, fanning the registration to every
@@ -432,48 +424,13 @@ func (c *Client) mutate(ctx context.Context, shard int, mk func(i int) wire.Msg,
 // were unreachable catch up through the reliable layer's retransmission
 // when they return.
 func (c *Client) Register(ctx context.Context, e Entry) error {
-	shard := c.cluster.ShardOf(e.Name)
-	lam, writer, seq := c.stampWrite(e.Name)
-	err := c.mutate(ctx, shard, func(int) wire.Msg {
-		return &registerMsg{Name: e.Name, Typ: e.Type, Addr: e.Addr, Lam: lam, Writer: writer, Seq: seq}
-	}, func(version uint64) {
-		// Prime the cache from the subscribed replica's ack, whenever it
-		// arrives, with the same staleness guard as lookupRemote: a
-		// concurrent writer's higher-versioned entry (applied from a
-		// watch event) must not be clobbered by our own older ack. An ack
-		// that lands after this client's next write to the name — a
-		// Remove, say — answers a write that no longer stands.
-		c.mu.Lock()
-		if have, ok := c.cache[e.Name]; c.lastWrite[e.Name] == seq && (!ok || version > have.version) {
-			c.cache[e.Name] = cached{entry: e, version: version}
-		}
-		c.mu.Unlock()
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("directory: no replica of shard %d acknowledged registering %q: %w", shard, e.Name, err)
-	}
-	return nil
+	return c.put(ctx, &record{Entry: e, Stamp: c.stampWrite(e.Name)})
 }
 
 // Remove deletes an entry by name on every replica of the owning shard.
 // Removing a name that is not registered is not an error.
 func (c *Client) Remove(ctx context.Context, name string) error {
-	shard := c.cluster.ShardOf(name)
-	lam, writer, seq := c.stampWrite(name) // first: from here no earlier write's ack primes the cache
-	c.Invalidate(name)
-	err := c.mutate(ctx, shard, func(int) wire.Msg {
-		return &removeMsg{Name: name, Lam: lam, Writer: writer, Seq: seq}
-	}, nil)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("directory: no replica of shard %d acknowledged removing %q: %w", shard, name, err)
-	}
-	return nil
+	return c.put(ctx, &record{Entry: Entry{Name: name}, Dead: true, Stamp: c.stampWrite(name)})
 }
 
 // Lookup resolves a name: from the cache when a valid entry is held,
@@ -482,87 +439,69 @@ func (c *Client) Remove(ctx context.Context, name string) error {
 // failure — name unknown, every replica silent, or the context ended —
 // reports !ok.
 func (c *Client) Lookup(ctx context.Context, name string) (Entry, bool) {
-	c.mu.Lock()
-	if have, ok := c.cache[name]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return have.entry, true
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	e, _, found, err := c.lookupRemote(ctx, name)
-	if err != nil || !found {
-		return Entry{}, false
-	}
-	return e, true
+	e, err := c.MustLookup(ctx, name)
+	return e, err == nil
 }
 
 // MustLookup is Lookup but returns an error naming the missing dapplet
 // (or the unreachable shard, or the ended context).
 func (c *Client) MustLookup(ctx context.Context, name string) (Entry, error) {
 	c.mu.Lock()
-	if have, ok := c.cache[name]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return have.entry, nil
-	}
+	have, ok := c.cache[name]
 	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+		return have.Entry, nil
+	}
 	c.misses.Add(1)
-	e, _, found, err := c.lookupRemote(ctx, name)
+	r, err := c.lookupRemote(ctx, name)
 	if err != nil {
 		return Entry{}, err
 	}
-	if !found {
+	if r.Dead {
 		return Entry{}, fmt.Errorf("directory: no dapplet named %q", name)
 	}
-	return e, nil
+	return r.Entry, nil
 }
 
 // lookupRemote resolves a name from the owning shard, trying each replica
-// at most once starting from the preferred one. A found entry is cached
-// under the answering replica's version stamp. A per-replica attempt is
-// bounded by the replica timeout; the caller's context bounds (and can
-// cancel) the whole resolution, and its ending is not grounds for
-// failover — only a silent replica is.
-func (c *Client) lookupRemote(ctx context.Context, name string) (Entry, uint64, bool, error) {
+// at most once starting from the preferred one, and returns the record
+// that governs it there (a bare tombstone for an unknown name), which the
+// cache takes by the one rule. A per-replica attempt is bounded by the
+// replica timeout; the caller's context bounds (and can cancel) the whole
+// resolution, and its ending is not grounds for failover — only a silent
+// replica is.
+func (c *Client) lookupRemote(ctx context.Context, name string) (record, error) {
 	shard := c.cluster.ShardOf(name)
 	attempts := len(c.cluster.shards[shard])
 	for try := 0; try < attempts; try++ {
 		if err := ctx.Err(); err != nil {
-			return Entry{}, 0, false, err
+			return record{}, err
 		}
 		ref := c.preferred(shard)
 		tctx, cancel := context.WithTimeout(ctx, c.timeout)
-		var rep lookupRepMsg
+		var rep record
 		err := c.caller.Call(tctx, ref, &lookupMsg{Name: name}, &rep)
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
-				return Entry{}, 0, false, ctx.Err()
+				return record{}, ctx.Err()
 			}
 			c.failover(shard)
 			continue
 		}
+		c.mu.Lock()
+		c.takeLocked(&rep, true)
 		// The replica answers but our watch subscription never acked
 		// (e.g. it was slow at construction time): retry it now, or the
 		// cache would silently miss this replica's invalidations.
-		c.mu.Lock()
 		needSub := !c.subbed[shard] && !c.subPending[shard]
 		c.mu.Unlock()
 		if needSub {
 			c.subscribe(shard)
 		}
 		c.maybeRotateBack(shard)
-		if !rep.Found {
-			return Entry{}, rep.Version, false, nil
-		}
-		e := Entry{Name: rep.Name, Type: rep.Typ, Addr: rep.Addr}
-		c.mu.Lock()
-		if have, cachedAlready := c.cache[name]; !cachedAlready || rep.Version > have.version {
-			c.cache[name] = cached{entry: e, version: rep.Version}
-		}
-		c.mu.Unlock()
-		return e, rep.Version, true, nil
+		return rep, nil
 	}
-	return Entry{}, 0, false, fmt.Errorf("directory: no replica of shard %d answered lookup of %q", shard, name)
+	return record{}, fmt.Errorf("directory: no replica of shard %d answered lookup of %q", shard, name)
 }

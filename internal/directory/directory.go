@@ -12,7 +12,7 @@
 //   - The dapplet-hosted service (Serve, Cluster, Client): the name space
 //     is prefix-sharded across replica dapplets, registrations fan to
 //     every replica of the owning shard, lookups are cached at the client
-//     under version stamps and invalidated by pushed watch events, and a
+//     under write stamps and refreshed by pushed watch events, and a
 //     failure detector's Down verdict expires a dead dapplet's entries
 //     (failure.BindDirectory).
 package directory

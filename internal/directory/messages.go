@@ -1,86 +1,92 @@
 package directory
 
 import (
-	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
-// The directory service protocol: four request kinds (register, remove,
-// lookup, watch) and three server-originated kinds (ack, lookup reply,
-// watch event), all carried as binary wire messages on the "@dir" service
-// inbox. Correlation ids, reply inboxes and deadlines belong to the svc
-// framework (internal/svc) the requests travel on; the messages here
-// carry only directory payload. Watch events are pushed bare to the
+// The directory service protocol: one record kind and three requests
+// (lookup, watch, unwatch), all carried as binary wire messages on the
+// "@dir" service inbox. A record is the put request (a register, or a
+// remove when dead), the answer to a put or a lookup (the record that
+// governs the name at the answering replica) and the event pushed to
+// watchers. Correlation ids, reply inboxes and deadlines belong to the
+// svc framework (internal/svc) the requests travel on; a watch is
+// answered with an empty acknowledgement. Events are pushed bare to the
 // subscribed caller's reply inbox, outside any request/reply pair.
 
-// registerMsg adds or replaces one entry on a replica. Lam/Writer/Seq are
-// the client's write stamp: the same stamp fans out to every replica of
-// the shard, so they all order this write identically for
-// last-writer-wins reconciliation (see wstamp).
-type registerMsg struct {
-	Name   string
-	Typ    string
-	Addr   netsim.Addr
+// wstamp orders one write across replicas: Lam is the writer's Lamport
+// time when it issued the write, Writer its endpoint identity, Seq its
+// per-writer write sequence number. The triple totally orders all writes
+// — Lam first (causally later writes carry larger times, since every
+// message merges clocks), then Writer and Seq as tie-breaks — which is
+// what lets two replicas, or a client hearing from both, settle on the
+// same record whatever order the writes arrived in (last-writer-wins).
+type wstamp struct {
 	Lam    uint64
 	Writer string
 	Seq    uint64
 }
 
-// Kind implements wire.Msg.
-func (*registerMsg) Kind() string { return "dir.reg" }
-
-// AppendBinary implements wire.Msg.
-func (m *registerMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Name)
-	dst = wire.AppendString(dst, m.Typ)
-	dst = wire.AppendString(dst, m.Addr.Host)
-	dst = wire.AppendUvarint(dst, uint64(m.Addr.Port))
-	dst = wire.AppendUvarint(dst, m.Lam)
-	dst = wire.AppendString(dst, m.Writer)
-	return wire.AppendUvarint(dst, m.Seq), nil
+// less reports whether st orders strictly before o.
+func (st wstamp) less(o wstamp) bool {
+	if st.Lam != o.Lam {
+		return st.Lam < o.Lam
+	}
+	if st.Writer != o.Writer {
+		return st.Writer < o.Writer
+	}
+	return st.Seq < o.Seq
 }
 
-// UnmarshalBinary implements wire.Msg.
-func (m *registerMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.Name = r.String()
-	m.Typ = r.String()
-	m.Addr.Host = r.String()
-	m.Addr.Port = r.Port()
-	m.Lam = r.Uvarint()
-	m.Writer = r.String()
-	m.Seq = r.Uvarint()
-	return r.Done()
-}
-
-// removeMsg deletes one entry by name, under the client's write stamp
-// (same role as in registerMsg).
-type removeMsg struct {
-	Name   string
-	Lam    uint64
-	Writer string
-	Seq    uint64
+// record is one name's state, alive or tombstoned, under the stamp of
+// the write that produced it: a replica's slot, a client's cache slot
+// and the one message the protocol moves them in. Tombstones retain the
+// last entry (type, address) so a failure-driven expiry can be undone by
+// Reincarnate when the dapplet is heard from again.
+type record struct {
+	Entry   Entry
+	Dead    bool
+	Expired bool // dead via ExpireOwner, not Remove
+	Stamp   wstamp
 }
 
 // Kind implements wire.Msg.
-func (*removeMsg) Kind() string { return "dir.rm" }
+func (*record) Kind() string { return "dir.rec" }
 
 // AppendBinary implements wire.Msg.
-func (m *removeMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Name)
-	dst = wire.AppendUvarint(dst, m.Lam)
-	dst = wire.AppendString(dst, m.Writer)
-	return wire.AppendUvarint(dst, m.Seq), nil
-}
+func (r *record) AppendBinary(dst []byte) ([]byte, error) { return r.append(dst), nil }
 
 // UnmarshalBinary implements wire.Msg.
-func (m *removeMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.Name = r.String()
-	m.Lam = r.Uvarint()
-	m.Writer = r.String()
-	m.Seq = r.Uvarint()
-	return r.Done()
+func (r *record) UnmarshalBinary(data []byte) error {
+	rd := wire.NewReader(data)
+	r.read(rd)
+	return rd.Done()
+}
+
+// append encodes the record; a delta carries records back to back.
+func (r *record) append(dst []byte) []byte {
+	dst = wire.AppendString(dst, r.Entry.Name)
+	dst = wire.AppendString(dst, r.Entry.Type)
+	dst = wire.AppendString(dst, r.Entry.Addr.Host)
+	dst = wire.AppendUvarint(dst, uint64(r.Entry.Addr.Port))
+	dst = wire.AppendBool(dst, r.Dead)
+	dst = wire.AppendBool(dst, r.Expired)
+	dst = wire.AppendUvarint(dst, r.Stamp.Lam)
+	dst = wire.AppendString(dst, r.Stamp.Writer)
+	return wire.AppendUvarint(dst, r.Stamp.Seq)
+}
+
+// read decodes one record written by append.
+func (r *record) read(rd *wire.Reader) {
+	r.Entry.Name = rd.String()
+	r.Entry.Type = rd.String()
+	r.Entry.Addr.Host = rd.String()
+	r.Entry.Addr.Port = rd.Port()
+	r.Dead = rd.Bool()
+	r.Expired = rd.Bool()
+	r.Stamp.Lam = rd.Uvarint()
+	r.Stamp.Writer = rd.String()
+	r.Stamp.Seq = rd.Uvarint()
 }
 
 // lookupMsg resolves one name.
@@ -104,7 +110,7 @@ func (m *lookupMsg) UnmarshalBinary(data []byte) error {
 }
 
 // watchMsg subscribes the requesting caller's reply inbox (the svc
-// frame's ReplyTo) to the replica's invalidation events.
+// frame's ReplyTo) to the replica's records as they change.
 type watchMsg struct{}
 
 // Kind implements wire.Msg.
@@ -118,10 +124,9 @@ func (m *watchMsg) UnmarshalBinary(data []byte) error {
 	return wire.NewReader(data).Done()
 }
 
-// unwatchMsg unsubscribes an inbox from the replica's invalidation
-// events; a client failing over to another replica sends it one-way
-// (best effort, no reply) so the abandoned replica stops pushing events
-// it would discard anyway.
+// unwatchMsg unsubscribes an inbox from the replica's events; a client
+// leaving a replica sends it one-way (best effort, no reply) so the
+// abandoned replica stops pushing events to it.
 type unwatchMsg struct {
 	ReplyTo wire.InboxRef
 }
@@ -141,110 +146,9 @@ func (m *unwatchMsg) UnmarshalBinary(data []byte) error {
 	return r.Done()
 }
 
-// ackMsg answers a register, remove or watch request. Version is the
-// replica's version counter after the mutation (unchanged for a remove of
-// an unknown name); OK reports whether the request changed anything.
-type ackMsg struct {
-	Version uint64
-	OK      bool
-}
-
-// Kind implements wire.Msg.
-func (*ackMsg) Kind() string { return "dir.ack" }
-
-// AppendBinary implements wire.Msg.
-func (m *ackMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendUvarint(dst, m.Version)
-	return wire.AppendBool(dst, m.OK), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *ackMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.Version = r.Uvarint()
-	m.OK = r.Bool()
-	return r.Done()
-}
-
-// lookupRepMsg answers a lookup. Version stamps the entry with the
-// replica's version counter at resolution time, the basis of the client
-// cache's staleness check.
-type lookupRepMsg struct {
-	Name    string
-	Typ     string
-	Addr    netsim.Addr
-	Version uint64
-	Found   bool
-}
-
-// Kind implements wire.Msg.
-func (*lookupRepMsg) Kind() string { return "dir.rep" }
-
-// AppendBinary implements wire.Msg.
-func (m *lookupRepMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Name)
-	dst = wire.AppendString(dst, m.Typ)
-	dst = wire.AppendString(dst, m.Addr.Host)
-	dst = wire.AppendUvarint(dst, uint64(m.Addr.Port))
-	dst = wire.AppendUvarint(dst, m.Version)
-	return wire.AppendBool(dst, m.Found), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *lookupRepMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.Name = r.String()
-	m.Typ = r.String()
-	m.Addr.Host = r.String()
-	m.Addr.Port = r.Port()
-	m.Version = r.Uvarint()
-	m.Found = r.Bool()
-	return r.Done()
-}
-
-// eventMsg is pushed to watchers on every mutation: a register (Removed
-// false, entry fields set) or a removal/expiry (Removed true). A watcher
-// applies the event if its version exceeds the version it has cached.
-type eventMsg struct {
-	Name    string
-	Typ     string
-	Addr    netsim.Addr
-	Version uint64
-	Removed bool
-}
-
-// Kind implements wire.Msg.
-func (*eventMsg) Kind() string { return "dir.event" }
-
-// AppendBinary implements wire.Msg.
-func (m *eventMsg) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Name)
-	dst = wire.AppendString(dst, m.Typ)
-	dst = wire.AppendString(dst, m.Addr.Host)
-	dst = wire.AppendUvarint(dst, uint64(m.Addr.Port))
-	dst = wire.AppendUvarint(dst, m.Version)
-	return wire.AppendBool(dst, m.Removed), nil
-}
-
-// UnmarshalBinary implements wire.Msg.
-func (m *eventMsg) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	m.Name = r.String()
-	m.Typ = r.String()
-	m.Addr.Host = r.String()
-	m.Addr.Port = r.Port()
-	m.Version = r.Uvarint()
-	m.Removed = r.Bool()
-	return r.Done()
-}
-
 func init() {
-	wire.Register(&registerMsg{})
-	wire.Register(&removeMsg{})
+	wire.Register(&record{})
 	wire.Register(&lookupMsg{})
 	wire.Register(&watchMsg{})
 	wire.Register(&unwatchMsg{})
-	wire.Register(&ackMsg{})
-	wire.Register(&lookupRepMsg{})
-	wire.Register(&eventMsg{})
 }

@@ -126,7 +126,7 @@ func TestClientLateRegisterAckAfterRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the preferred replica to apply the registration", func() bool {
-		_, _, ok := svcs[0][0].Lookup(e.Name)
+		_, ok := svcs[0][0].Lookup(e.Name)
 		return ok
 	})
 	// Its ack is on the wire now, and lands whatever happens next; the
@@ -138,6 +138,38 @@ func TestClientLateRegisterAckAfterRemove(t *testing.T) {
 	time.Sleep(3 * slow) // the late ack lands
 	if got, ok := c.Lookup(ctx, e.Name); ok {
 		t.Fatalf("removed entry resolves to %+v: a late registration ack brought it back", got)
+	}
+}
+
+// A write that loses last-writer-wins at the replica is still acked. The
+// ack must leave the winner in the writer's cache, not the losing entry:
+// nothing else would ever evict it. b's clock runs ahead of a's, and the
+// slow link keeps a from hearing about b's write before it stamps its
+// own, so a's later write carries the earlier stamp.
+func TestLosingRegisterCachesWinner(t *testing.T) {
+	ctx := context.Background()
+	w := newWorld(t, netsim.WithSeed(9), netsim.WithTimeScale(1))
+	cl, svcs := buildCluster(t, w, 1, 1)
+	w.Net.SetLinkDelay("ha", "dir-0-0", netsim.Constant(50*time.Millisecond))
+	a := directory.NewClient(w.Dapplet("ha", "t", "a"), cl)
+	bD := w.Dapplet("hb", "t", "b")
+	b := directory.NewClient(bD, cl)
+	bD.Clock().ObserveRecv(1000)
+
+	hb := directory.Entry{Name: "x", Type: "t", Addr: netsim.Addr{Host: "hb", Port: 2}}
+	if err := b.Register(ctx, hb); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Register(ctx, directory.Entry{Name: "x", Type: "t", Addr: netsim.Addr{Host: "ha", Port: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	held, _ := svcs[0][0].Lookup("x")
+	if held != hb {
+		t.Fatalf("replica holds %+v, want b's entry %+v", held, hb)
+	}
+	got, ok := a.Lookup(ctx, "x")
+	if !ok || got != held {
+		t.Fatalf("client a resolves %s:%d, replica holds %s:%d", got.Addr.Host, got.Addr.Port, held.Addr.Host, held.Addr.Port)
 	}
 }
 
@@ -174,7 +206,7 @@ func TestClientCacheHitPath(t *testing.T) {
 
 // TestStaleVersionEviction drives the cache-coherence protocol: another
 // client's re-registration and removal must invalidate this client's
-// version-stamped cache entries through pushed watch events.
+// stamped cache entries through pushed watch events.
 func TestStaleVersionEviction(t *testing.T) {
 	ctx := context.Background()
 	w := newWorld(t, netsim.WithSeed(3))
@@ -356,7 +388,7 @@ func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 	// cached copy — no Remove anywhere.
 	w.Net.Crash("hw")
 	waitFor(t, "entry expiry on replica", func() bool {
-		_, _, ok := svc.Lookup("worker")
+		_, ok := svc.Lookup("worker")
 		return !ok
 	})
 	waitFor(t, "client cache eviction", func() bool {
@@ -372,7 +404,7 @@ func TestFailureDrivenExpiryAndReincarnation(t *testing.T) {
 	})
 	wdet2.Watch(svcD.Name(), svcD.Addr())
 	waitFor(t, "reincarnated entry", func() bool {
-		e, _, ok := svc.Lookup("worker")
+		e, ok := svc.Lookup("worker")
 		return ok && e.Addr == worker2.Addr() && e.Type == "node"
 	})
 	got, err := c.MustLookup(ctx, "worker")

@@ -254,7 +254,7 @@ func e10Cells(p Params) []Cell {
 				start := time.Now()
 				w.Net.Crash(host)
 				for {
-					if _, _, ok := svc.Lookup("worker"); !ok {
+					if _, ok := svc.Lookup("worker"); !ok {
 						break
 					}
 					if err := ctx.Err(); err != nil {

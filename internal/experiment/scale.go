@@ -65,7 +65,8 @@ func e11Cells(p Params) []Cell {
 					m(pre+"frames/dgram", ratio(ph.Frames, ph.Datagrams)),
 					m(pre+"sa-ack%", 100*ratio(ph.AcksStandalone, ph.AcksStandalone+ph.AcksPiggybacked)),
 					m(pre+"dirhit%", ph.DirHitRate*100), m(pre+"ops", ph.Ops), m(pre+"sessions", ph.Sessions),
-					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups), m(pre+"lostq", ph.LostQueue))
+					m(pre+"downs", ph.Downs), m(pre+"ups", ph.Ups), m(pre+"dgrams", ph.Datagrams),
+					m(pre+"lostq", ph.LostQueue), m(pre+"nolisten", ph.LostNoListener))
 			}
 			out = append(out, latencyMetrics("down", rep.DownLatency)...)
 			out = append(out, latencyMetrics("up", rep.UpLatency)...)
@@ -226,9 +227,11 @@ func e12Run(t Timer, frames int, w *world.World, udp bool, size, fanout int) ([]
 	}
 	// Wire bytes include the modelled per-datagram overhead; lostq counts
 	// datagrams dropped at a full receive queue, each one recovered by a
-	// retransmission the cell's frames/s pays for.
+	// retransmission the cell's frames/s pays for, and nolisten those sent
+	// to an address nothing listens on.
 	ns := w.Net.Stats()
-	return append(out, m("wireB/frame", ratio(ns.WireBytes, moved)), m("lostq", ns.LostQueue)), nil
+	return append(out, m("wireB/frame", ratio(ns.WireBytes, moved)), m("lostq", ns.LostQueue),
+		m("nolisten", ns.LostNoListener)), nil
 }
 
 // e14Cells is the large-group broadcast A/B: at each group size one

@@ -217,7 +217,7 @@ func TestPartitionedReplicaNoSpuriousExpiry(t *testing.T) {
 	w.Net.SetLoss("hd", "hm", 1)
 	time.Sleep(1500 * time.Millisecond)
 
-	e, _, found := dir.Lookup("m")
+	e, found := dir.Lookup("m")
 	if !found {
 		t.Fatal("partitioned replica expired a live member's entry")
 	}
@@ -282,7 +282,7 @@ func TestQuorumCrashExpiresEntry(t *testing.T) {
 	w.Net.Crash("hm")
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		if _, _, found := dir.Lookup("m"); !found {
+		if _, found := dir.Lookup("m"); !found {
 			return // expired
 		}
 		if time.Now().After(deadline) {

@@ -28,6 +28,7 @@ package gossip
 
 import (
 	"context"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -190,7 +191,11 @@ func Attach(d *core.Dapplet, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = int64(hashName(d.Name()))
+		// FNV-1a of the dapplet name: distinct per engine, and the same
+		// on every run.
+		h := fnv.New64a()
+		h.Write([]byte(d.Name()))
+		seed = int64(h.Sum64())
 	}
 	e := &Engine{
 		d:       d,
@@ -212,21 +217,6 @@ func Attach(d *core.Dapplet, cfg Config) *Engine {
 		e.mu.Unlock()
 	})
 	return e
-}
-
-// hashName is FNV-1a over the dapplet name, the engine's default rng
-// seed.
-func hashName(name string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return h
 }
 
 // Stats returns a snapshot of the engine's gossip counters.

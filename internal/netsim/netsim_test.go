@@ -98,8 +98,9 @@ func TestSendToClosedPortIsSilentlyDropped(t *testing.T) {
 	if err := a.Send(Addr{"h", 999}, []byte("x")); err != nil {
 		t.Fatalf("UDP-like send to closed port should not error: %v", err)
 	}
-	if got := n.Stats().Delivered; got != 0 {
-		t.Fatalf("delivered = %d, want 0", got)
+	// A no-listener drop, not a queue drop: the counters name causes.
+	if st := n.Stats(); st.Delivered != 0 || st.LostNoListener != 1 || st.LostQueue != 0 {
+		t.Fatalf("Delivered=%d LostNoListener=%d LostQueue=%d, want 0/1/0", st.Delivered, st.LostNoListener, st.LostQueue)
 	}
 }
 

@@ -86,17 +86,18 @@ type LinkParams struct {
 // balance Sent + Duplicated = Delivered + Lost* + reorder slots held is
 // exact once the network is quiescent.
 type Stats struct {
-	Sent        uint64        // datagrams submitted to Send
-	Delivered   uint64        // datagrams handed to a receive queue
-	LostLink    uint64        // dropped by link loss
-	LostQueue   uint64        // dropped at a full receive queue
-	LostCut     uint64        // dropped by a partition
-	LostCrash   uint64        // dropped because an endpoint's host was crashed
-	Duplicated  uint64        // extra copies delivered
-	Reordered   uint64        // datagrams deferred behind a successor
-	WireBytes   uint64        // payload bytes plus DefaultDatagramOverhead per datagram
-	MaxVirtual  time.Duration // max endpoint virtual clock
-	MeanVirtual time.Duration // mean endpoint virtual clock
+	Sent           uint64        // datagrams submitted to Send
+	Delivered      uint64        // datagrams handed to a receive queue
+	LostLink       uint64        // dropped by link loss
+	LostQueue      uint64        // dropped at a full receive queue, and nowhere else
+	LostNoListener uint64        // sent to an address no endpoint is bound to, like UDP to a closed port
+	LostCut        uint64        // dropped by a partition
+	LostCrash      uint64        // dropped because an endpoint's host was crashed
+	Duplicated     uint64        // extra copies delivered
+	Reordered      uint64        // datagrams deferred behind a successor
+	WireBytes      uint64        // payload bytes plus DefaultDatagramOverhead per datagram
+	MaxVirtual     time.Duration // max endpoint virtual clock
+	MeanVirtual    time.Duration // mean endpoint virtual clock
 }
 
 // Network is a simulated world-wide datagram network. All methods are safe
@@ -324,6 +325,7 @@ func (n *Network) Counters() Stats {
 		s.LostLink += sh.ctr.lostLink
 		s.LostCut += sh.ctr.lostCut
 		s.LostCrash += sh.ctr.lostCrash
+		s.LostNoListener += sh.ctr.noListener
 		s.Duplicated += sh.ctr.duplicated
 		s.Reordered += sh.ctr.reordered
 		s.WireBytes += sh.ctr.wireBytes
@@ -458,7 +460,7 @@ func (n *Network) route(from *Endpoint, to Addr, payload []byte) error {
 
 	if dst == nil {
 		// No listener: silently dropped, like UDP to a closed port.
-		s.ctr.lostQueue.Add(1)
+		s.ctr.noListener++
 		s.mu.Unlock()
 		return nil
 	}

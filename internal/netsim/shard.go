@@ -75,6 +75,7 @@ type shardCounters struct {
 	lostLink   uint64 // guarded by shard.mu
 	lostCut    uint64 // guarded by shard.mu
 	lostCrash  uint64 // guarded by shard.mu
+	noListener uint64 // guarded by shard.mu
 	duplicated uint64 // guarded by shard.mu
 	reordered  uint64 // guarded by shard.mu
 	wireBytes  uint64 // guarded by shard.mu

@@ -69,11 +69,11 @@ func TestConcurrentSendStatsBalance(t *testing.T) {
 			if st.Sent != senders*per {
 				t.Fatalf("Sent = %d, want %d", st.Sent, senders*per)
 			}
-			got := st.Delivered + st.LostLink + st.LostCut + st.LostQueue
+			got := st.Delivered + st.LostLink + st.LostCut + st.LostQueue + st.LostNoListener
 			want := st.Sent + st.Duplicated
 			if got != want {
-				t.Fatalf("counters do not balance: Delivered(%d)+LostLink(%d)+LostCut(%d)+LostQueue(%d) = %d, want Sent(%d)+Duplicated(%d) = %d",
-					st.Delivered, st.LostLink, st.LostCut, st.LostQueue, got, st.Sent, st.Duplicated, want)
+				t.Fatalf("counters do not balance: Delivered(%d)+LostLink(%d)+LostCut(%d)+LostQueue(%d)+LostNoListener(%d) = %d, want Sent(%d)+Duplicated(%d) = %d",
+					st.Delivered, st.LostLink, st.LostCut, st.LostQueue, st.LostNoListener, got, st.Sent, st.Duplicated, want)
 			}
 			if st.LostLink == 0 || st.Duplicated == 0 {
 				t.Fatalf("faults never fired (LostLink=%d Duplicated=%d); test is vacuous", st.LostLink, st.Duplicated)

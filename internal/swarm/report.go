@@ -34,12 +34,15 @@ type PhaseStats struct {
 	// WallSeconds is the phase's wall-clock length.
 	WallSeconds float64
 
-	// Delivered is the netsim datagrams delivered during the phase, and
-	// LostQueue the datagrams dropped at a full receive queue; the
-	// PerSec fields divide by the wall clock.
-	Delivered  uint64
-	MsgsPerSec float64
-	LostQueue  uint64
+	// Delivered is the netsim datagrams delivered during the phase,
+	// LostQueue the datagrams dropped at a full receive queue, and
+	// LostNoListener those sent to an address nothing listens on (the
+	// old ports of crashed or departed incarnations); the PerSec fields
+	// divide by the wall clock.
+	Delivered      uint64
+	MsgsPerSec     float64
+	LostQueue      uint64
+	LostNoListener uint64
 
 	// Frames and Datagrams are the reliable layer's logical
 	// transmissions (data frames, retransmits and standalone acks) vs

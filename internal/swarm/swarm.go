@@ -709,6 +709,7 @@ type counters struct {
 	at                 time.Time
 	delivered          uint64
 	lostQueue          uint64
+	noListener         uint64
 	hb                 uint64
 	frames, datagrams  uint64
 	acksSA, acksPB     uint64
@@ -727,7 +728,7 @@ type counters struct {
 func (s *Swarm) cumulative() counters {
 	c := counters{at: time.Now()} //wwlint:allow determinism report timestamps are wall-clock measurement, not replayed state
 	ns := s.Net.Counters()
-	c.delivered, c.lostQueue = ns.Delivered, ns.LostQueue
+	c.delivered, c.lostQueue, c.noListener = ns.Delivered, ns.LostQueue, ns.LostNoListener
 
 	s.mu.Lock()
 	st := s.retired
@@ -806,6 +807,7 @@ func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 		WallSeconds:     wall,
 		Delivered:       b.delivered - a.delivered,
 		LostQueue:       b.lostQueue - a.lostQueue,
+		LostNoListener:  b.noListener - a.noListener,
 		Frames:          b.frames - a.frames,
 		Datagrams:       b.datagrams - a.datagrams,
 		AcksStandalone:  b.acksSA - a.acksSA,

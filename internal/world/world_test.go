@@ -82,7 +82,7 @@ func TestDirectoryReplacesResolver(t *testing.T) {
 	found := 0
 	for _, shard := range w.DirServices {
 		for _, svc := range shard {
-			if e, _, ok := svc.Lookup("a"); ok && e.Addr == d.Addr() {
+			if e, ok := svc.Lookup("a"); ok && e.Addr == d.Addr() {
 				found++
 			}
 		}
