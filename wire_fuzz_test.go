@@ -8,8 +8,10 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -254,10 +256,11 @@ func TestMarshalRoundTripsByKindName(t *testing.T) {
 // the one at Lamport — may decode, and only when the whole frame does, to
 // the same envelope whatever header strings the decoder kept from earlier
 // inputs. The seeds are a zero and a populated frame of every registered
-// kind.
+// kind, then edgeSeeds.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	var shared wire.EnvelopeDecoder
-	for _, kind := range messageKinds(f) {
+	kinds := messageKinds(f)
+	for _, kind := range kinds {
 		for _, populated := range []bool{false, true} {
 			data, err := wire.MarshalEnvelope(kindsEnvelope(newPopulated(f, kind, populated)))
 			if err != nil {
@@ -265,6 +268,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			}
 			f.Add(data)
 		}
+	}
+	for _, data := range edgeSeeds(f, newPopulated(f, kinds[0], true)) {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := wire.UnmarshalEnvelope(data)
@@ -296,4 +302,39 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip is not a fixed point:\n was %#v\n now %#v", env, back)
 		}
 	})
+}
+
+// edgeSeeds returns frames around one populated body that the per-kind
+// seeds do not reach: headers the shared split decoder has not kept (empty,
+// changed, long enough for a two-byte length, the largest Lamport), and
+// malformed frames (empty, cut short by one byte, one byte too long, a
+// wrong magic byte) that must only error.
+func edgeSeeds(t testing.TB, body wire.Msg) [][]byte {
+	t.Helper()
+	marshal := func(e *wire.Envelope) []byte {
+		data, err := wire.MarshalEnvelope(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	whole := marshal(kindsEnvelope(body))
+	changed := kindsEnvelope(body)
+	changed.To.Inbox, changed.FromOutbox, changed.Session = "staff", "out2", "s-43"
+	long := kindsEnvelope(body)
+	long.Session = strings.Repeat("s", 200)
+	last := kindsEnvelope(body)
+	last.Lamport = math.MaxUint64
+	wrongMagic := bytes.Clone(whole)
+	wrongMagic[0] ^= 0xff
+	return [][]byte{
+		marshal(&wire.Envelope{Body: body}),
+		marshal(changed),
+		marshal(long),
+		marshal(last),
+		{},
+		whole[:len(whole)-1],
+		append(bytes.Clone(whole), 0),
+		wrongMagic,
+	}
 }
