@@ -124,13 +124,15 @@ type Object map[string]Method
 // application code and may wait — on a nested Call, say — so the inbox's
 // handler, which runs on the receive goroutine, only takes each
 // invocation's reply (svc.Ctx.Defer) and queues it for the object's
-// thread, which runs them one at a time in arrival order.
+// thread, which runs them one at a time in arrival order. The handler's
+// request is lent, so the queue holds a copy of it: by value, since its
+// method name is a decoded string and its arguments alias the frame.
 func Serve(d *core.Dapplet, name string, obj Object) Ref {
 	o := &served{obj: obj, wake: make(chan struct{}, 1)}
 	srv := svc.Serve(d, "@obj:"+name, svc.Handlers{
 		"rpc.call": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			o.mu.Lock()
-			o.q = append(o.q, invocation{call: req.(*callMsg), reply: c.Defer()})
+			o.q = append(o.q, invocation{call: *req.(*callMsg), reply: c.Defer()})
 			o.mu.Unlock()
 			select {
 			case o.wake <- struct{}{}:
@@ -157,7 +159,7 @@ type served struct {
 // invocation is one queued call and the reply it owes (a no-op Reply
 // for a bare, one-way call).
 type invocation struct {
-	call  *callMsg
+	call  callMsg
 	reply svc.Reply
 }
 
@@ -175,7 +177,7 @@ func (o *served) run(stopped <-chan struct{}) {
 		batch, o.q = o.q, batch[:0]
 		o.mu.Unlock()
 		for i, inv := range batch {
-			inv.reply.Send(o.invoke(inv.call))
+			inv.reply.Send(o.invoke(&inv.call))
 			batch[i] = invocation{}
 		}
 	}

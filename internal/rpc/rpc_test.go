@@ -344,3 +344,75 @@ func TestNestedCallFromMethod(t *testing.T) {
 		}
 	}
 }
+
+// TestQueuedCallsKeepTheirArgs queues two calls behind a method that
+// waits. The object's handler queues each call for the object's thread,
+// and the request it is handed is lent (its server decodes the next one
+// over it), so the queue must keep copies: each call reaches its method
+// with its own arguments. A queue of the lent requests themselves hands
+// both methods the arguments of whichever came last (and, in a race
+// build, which spoils lent requests, no method name at all).
+func TestQueuedCallsKeepTheirArgs(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(3))
+	server := w.Dapplet("h1", "t", "server")
+	release := make(chan struct{})
+	ref := rpc.Serve(server, "queue", rpc.Object{
+		"wait": func([]byte) ([]byte, error) { <-release; return nil, nil },
+		"echo": func(raw []byte) ([]byte, error) { return raw, nil },
+		"mark": func([]byte) ([]byte, error) { return nil, nil },
+	})
+	arrived := make(chan struct{}, 8)
+	server.OnRecv(func(env *wire.Envelope) {
+		if env.To.Inbox == ref.Inbox.Inbox {
+			arrived <- struct{}{}
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	awaitArrivals := func(n int) {
+		t.Helper()
+		for range n {
+			select {
+			case <-arrived:
+			case <-ctx.Done():
+				t.Fatal("the calls never reached the object")
+			}
+		}
+	}
+	cli := rpc.NewClient(w.Dapplet("h2", "t", "client"))
+	waited := make(chan error, 1)
+	go func() {
+		_, err := cli.Call(ctx, ref, "wait", nil)
+		waited <- err
+	}()
+	awaitArrivals(1)
+	type outcome struct {
+		n   int
+		err error
+	}
+	echoes := make([]chan outcome, 2)
+	for i := range echoes {
+		echoes[i] = make(chan outcome, 1)
+		go func() {
+			n, err := callInt(ctx, cli, ref, "echo", num(i))
+			echoes[i] <- outcome{n, err}
+		}()
+	}
+	awaitArrivals(len(echoes))
+	// Observers run just before their arrival's dispatch, on the one
+	// goroutine that delivers the server's arrivals: once a mark sent now
+	// arrives, both echoes are queued.
+	if err := cli.Cast(ref, "mark", nil); err != nil {
+		t.Fatal(err)
+	}
+	awaitArrivals(1)
+	close(release)
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range echoes {
+		if o := <-ch; o.err != nil || o.n != i {
+			t.Fatalf("echo(%d) = %d, %v", i, o.n, o.err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package session_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -18,11 +19,12 @@ import (
 // every cycle, so the decoders' interned strings keep the count down.
 //
 // The total is held at 16 members, and the slope between 16 and 48:
-// what one more member adds to a cycle. What a member must cost is its
-// request bodies, its view, its tree spec, its membership, its relay
-// neighbours, its durable record and the broadcast it is delivered
-// (about 10); a new site that allocates per member shows in the slope
-// however small it is beside the total.
+// what one more member adds to a cycle. What a member must cost is what
+// its invitation's decode makes (its view and tree spec), its
+// membership, its relay neighbours, its durable record and the
+// broadcast it is delivered (about 8; its request bodies are decoded
+// into its service's lent scratch); a new site that allocates per member
+// shows in the slope however small it is beside the total.
 func TestSessionSetupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -33,11 +35,11 @@ func TestSessionSetupAllocs(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	const budget = 240 // it reads 210–214; 406–409 while each member's invite, view, replies and relay state were allocated
+	const budget = 200 // it reads 161–166; 210–214 while each request was decoded afresh and one batch was read, 406–409 while each member's invite, view, replies and relay state were allocated
 	if small > budget {
 		t.Fatalf("one set-up, broadcast and terminate of a 16-member tree session allocates %.1f times, want <= %d", small, budget)
 	}
-	const perMember = 12 // it reads 9.9–10.7; about 22 before
+	const perMember = 9 // it reads 8.1–8.6; 9.9–10.7 while each request was decoded afresh, about 22 before
 	if slope := (large - small) / 32; slope > perMember {
 		t.Fatalf("each member past 16 adds %.1f allocations to a cycle (%.1f at 16, %.1f at 48), want <= %d", slope, small, large, perMember)
 	}
@@ -85,14 +87,19 @@ func setupAllocs(t *testing.T, members int) float64 {
 	for range 5 { // warm the pools, the free lists and the decoders
 		cycle()
 	}
-	const cycles = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range cycles {
-		cycle()
+	// The fewest of three batches: a retransmission, when a loaded box
+	// holds an ack back past the timeout, only ever adds allocations.
+	const batches, cycles = 3, 10
+	allocs := math.Inf(1)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range cycles {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/cycles)
 	}
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / cycles
 	t.Logf("%d members: %.1f allocations per cycle", members, allocs)
 	return allocs
 }

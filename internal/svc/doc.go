@@ -22,10 +22,16 @@
 //     it answers from that request's handler; on a call of its own (the
 //     failure detector's indirect probe) or on application code (an rpc
 //     method) it answers from a thread (core.Dapplet.Spawn). The *Ctx a
-//     handler gets, and its envelope, are valid until it returns; an
-//     answer given before then is framed in the server's own reply
-//     frame, so a correlated request costs the server one allocation,
-//     its decoded body.
+//     handler gets, its envelope and its request are lent, valid until
+//     it returns: a correlated request is decoded into the server's
+//     scratch (a wire.BodyScratch, one value per kind, decoded over by
+//     the next request of the kind), a bare one is the envelope's body,
+//     and an answer given before the handler returns is framed in the
+//     server's own reply frame, so a served request allocates nothing. A
+//     handler that keeps a request copies what it keeps (the token
+//     allocator's and an rpc object's queues hold copies by value); race
+//     builds spoil each correlated request once its handler returns, so
+//     one kept by mistake reads zeroes.
 //   - Caller owns a private reply inbox and matches responses to calls by
 //     correlation id. Call blocks under a context.Context — cancellation
 //     and deadlines work uniformly, returning context.Canceled or

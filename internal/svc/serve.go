@@ -3,6 +3,7 @@ package svc
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"repro/internal/core"
@@ -106,11 +107,16 @@ func (c *Ctx) Defer() Reply {
 // frames after this one, acknowledgements included, wait behind it. A
 // handler whose answer waits, on a later request or on a call of its
 // own, takes its reply with Ctx.Defer and answers from that later
-// request's handler or from a thread (core.Dapplet.Spawn) it starts. c
-// and the envelope it carries are lent: valid until the handler
-// returns. req is the handler's own. A handler must not hand a request
-// to its own served inbox (core.Dapplet.DeliverLocal): dispatches of
-// one inbox are serialised, so that one would wait for it.
+// request's handler or from a thread (core.Dapplet.Spawn) it starts. c,
+// the envelope it carries and req are all lent: valid until the handler
+// returns. The server decodes the next request of req's kind over it, so
+// a handler that keeps a request, or part of one, keeps a copy; a copy
+// by value suffices, since a decode makes every field of a registered
+// kind afresh or aliases it from the frame, never from the value it
+// decodes over. A
+// handler must not hand a request to its own served inbox
+// (core.Dapplet.DeliverLocal): dispatches of one inbox are serialised,
+// so that one would wait for it.
 type Handler func(c *Ctx, req wire.Msg) (wire.Msg, error)
 
 // Handlers maps request message kinds to their handlers: the typed
@@ -128,14 +134,17 @@ type Server struct {
 
 	// mu serialises dispatches: a request off the wire arrives on the
 	// receive goroutine, but DeliverLocal (a relay delivery, a snapshot's
-	// channel replay) runs one on its caller's, and ctx and rep are each
-	// dispatch's in turn. No handler waits, so neither does mu.
+	// channel replay) runs one on its caller's, and ctx, rep and reqs are
+	// each dispatch's in turn. No handler waits, so neither does mu.
 	mu sync.Mutex
 	// ctx is every request's Ctx, valid until its handler returns.
 	ctx Ctx
 	// rep is every answer's frame when the handler gives it, before it
 	// returns; a deferred Reply sends one of its own.
 	rep repMsg
+	// reqs holds the requests decoded from svc frames, one value per
+	// kind, each lent to its handler until it returns.
+	reqs wire.BodyScratch
 }
 
 // Serve makes the named inbox, which must not exist yet, a served inbox
@@ -157,28 +166,26 @@ func (s *Server) Ref() wire.InboxRef {
 }
 
 // dispatch serves one arriving envelope, which is lent, its svc frame
-// included: only the request decoded from the frame is allocated.
+// included, and lends the request to its handler: a bare registered
+// message is the envelope's body itself, a correlated request is decoded
+// into the server's scratch. Nothing is allocated.
 func (s *Server) dispatch(env *wire.Envelope) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := &s.ctx
 	rm, ok := env.Body.(*reqMsg)
 	if !ok {
-		// A bare registered message: one-way dispatch by its own kind, of
-		// a copy, since the envelope's body is lent and a handler owns
-		// its request.
+		// A bare registered message: one-way dispatch by its own kind.
 		if h := s.h[env.Body.Kind()]; h != nil {
-			if req, err := own(env.Body); err == nil {
-				*c = Ctx{env: env}
-				_, _ = h(c, req)
-			}
+			*c = Ctx{env: env}
+			_, _ = h(c, env.Body)
 		}
 		return
 	}
 	to := wire.InboxRef{Dapplet: env.FromDapplet, Inbox: rm.ReplyInbox}
 	*c = Ctx{env: env, rep: Reply{d: s.d, to: to, session: env.Session, seq: rm.Seq}}
 	var resp wire.Msg
-	req, err := wire.DecodeBody(rm.BodyID, rm.Body)
+	req, err := s.reqs.Decode(rm.BodyID, rm.Body)
 	if err != nil {
 		err = &Error{Code: CodeBadRequest, Msg: err.Error()}
 	} else if h := s.h[req.Kind()]; h == nil {
@@ -191,16 +198,21 @@ func (s *Server) dispatch(env *wire.Envelope) {
 	if !c.deferred && !c.OneWay() && !errors.Is(err, NoReply) {
 		c.rep.sendIn(&s.rep, resp, err)
 	}
+	if spoilLent && req != nil {
+		spoil(req)
+	}
 }
 
-// own returns a copy of m decoded from a fresh encoding of it, so that
-// the copy shares no memory with m.
-func own(m wire.Msg) (wire.Msg, error) {
-	body, err := wire.EncodeBody(m)
-	if err != nil {
-		return nil, err
+// spoil decodes the encoding of req's zero value over req, a lent
+// request whose handler has returned and whose answer, if given, is
+// sent. Race builds spoil every correlated request, so a handler that
+// kept one, or a thread it handed one to, reads zeroes (and the race
+// detector sees the write) instead of the next request of the kind. The
+// bare path is not spoilt: a DeliverLocal caller owns the envelope's
+// body.
+func spoil(req wire.Msg) {
+	zero := reflect.New(reflect.TypeOf(req).Elem()).Interface().(wire.Msg)
+	if b, err := zero.AppendBinary(nil); err == nil {
+		_ = req.UnmarshalBinary(b)
 	}
-	defer body.Release()
-	// The copy's byte fields alias its encoding, which nothing reuses.
-	return wire.DecodeBody(body.ID(), append([]byte(nil), body.Bytes()...))
 }

@@ -19,8 +19,8 @@ type AllocStats struct {
 // pendReq is a queued request ordered by logical timestamp, answered
 // through its deferred reply once granted or refused.
 type pendReq struct {
-	req   *reqMsg
-	want  Bag // explicit want with AllOf colours resolved
+	req   reqMsg // a copy: the handler's request is lent
+	want  Bag    // explicit want with AllOf colours resolved
 	reply svc.Reply
 }
 
@@ -103,7 +103,10 @@ func (a *Allocator) onTotal(*svc.Ctx, wire.Msg) (wire.Msg, error) {
 }
 
 // onRequest queues a request and answers it — now or from a later
-// request's or release's handler — through its deferred reply.
+// request's or release's handler — through its deferred reply. The
+// request is lent (the server decodes the next one over it), so the
+// queue keeps a copy by value: its strings are decoded afresh and its
+// bag and colours are made by each decode, never reused.
 func (a *Allocator) onRequest(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 	m := req.(*reqMsg)
 	a.mu.Lock()
@@ -122,7 +125,7 @@ func (a *Allocator) onRequest(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 		}
 	}
 
-	a.pending = append(a.pending, &pendReq{req: m, want: want, reply: c.Defer()})
+	a.pending = append(a.pending, &pendReq{req: *m, want: want, reply: c.Defer()})
 	// Conflicts are resolved in favour of the earlier timestamp, ties by
 	// lower id (§4.2): keep the queue sorted accordingly.
 	sort.SliceStable(a.pending, func(i, j int) bool {

@@ -9,9 +9,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/tokens"
 	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/internal/world"
 )
 
@@ -21,6 +23,7 @@ var ctx = context.Background()
 // tworld is a world with a token allocator on host "hub".
 type tworld struct {
 	*world.World
+	hub   *core.Dapplet
 	alloc *tokens.Allocator
 }
 
@@ -28,7 +31,8 @@ func newTWorld(t *testing.T, initial tokens.Bag, opts ...netsim.Option) *tworld 
 	t.Helper()
 	w := &tworld{World: world.New(transport.Config{RTO: 20 * time.Millisecond}, opts...)}
 	t.Cleanup(w.Close)
-	w.alloc = tokens.Serve(w.Dapplet("hub", "t", "allocator-host"), initial)
+	w.hub = w.Dapplet("hub", "t", "allocator-host")
+	w.alloc = tokens.Serve(w.hub, initial)
 	return w
 }
 
@@ -554,5 +558,74 @@ func TestAbandonedRequestReleasesLateGrant(t *testing.T) {
 	}
 	if err := waiter.Request(ctx, tokens.Bag{"mutex": 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueuedRequestsKeepTheirOwn queues two requests behind a holder.
+// The request the allocator's handler is handed is lent (its server
+// decodes the next one over it), so the queue must keep copies: on the
+// holder's release each queued request is granted its own want and
+// booked to its own requester, and once both give their tokens back the
+// holder gets them all again. An allocator that queued the lent request
+// itself books both grants to whichever request came last (to nobody in
+// a race build, which spoils lent requests), ignores a release, and the
+// last request times out.
+func TestQueuedRequestsKeepTheirOwn(t *testing.T) {
+	w := newTWorld(t, tokens.Bag{"file": 3})
+	arrived := make(chan struct{}, 8)
+	w.hub.OnRecv(func(env *wire.Envelope) {
+		if env.To.Inbox == tokens.AllocInbox {
+			arrived <- struct{}{}
+		}
+	})
+	holder := w.manager("h0", "holder")
+	mgrs := []*tokens.Manager{w.manager("h1", "one"), w.manager("h2", "two")}
+	bounded, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if err := holder.Request(bounded, tokens.Bag{"file": 3}); err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		g   tokens.Grant
+		err error
+	}
+	got := make([]chan outcome, len(mgrs))
+	for i, m := range mgrs {
+		got[i] = make(chan outcome, 1)
+		go func() {
+			g, err := m.RequestGrant(bounded, tokens.Bag{"file": i + 1})
+			got[i] <- outcome{g, err}
+		}()
+	}
+	for range 1 + len(mgrs) {
+		select {
+		case <-arrived:
+		case <-bounded.Done():
+			t.Fatal("the requests never reached the allocator")
+		}
+	}
+	// Observers run just before their arrival's dispatch, on the one
+	// goroutine that delivers the hub's arrivals, so the release, sent
+	// now, is dispatched once both requests are queued.
+	if err := holder.Release(tokens.Bag{"file": 3}); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range mgrs {
+		o := <-got[i]
+		if o.err != nil {
+			t.Fatalf("queued request %d: %v", i, o.err)
+		}
+		if o.g.Tokens.Count() != i+1 || o.g.Tokens["file"] != i+1 {
+			t.Fatalf("queued request %d granted %v, want %d files", i, o.g.Tokens, i+1)
+		}
+		if err := m.Release(o.g.Tokens); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := holder.Request(bounded, tokens.Bag{"file": 3}); err != nil {
+		t.Fatalf("the released tokens never came back: %v; free %v", err, w.alloc.Free())
+	}
+	if !w.alloc.ConservationHolds() {
+		t.Fatal("conservation violated")
 	}
 }

@@ -245,11 +245,59 @@ type EnvelopeDecoder struct {
 }
 
 // lentScratch is what EnvelopeDecoder.Lend reuses: the Envelope it hands
-// out, and bodies[id], the body value it decodes kind id into, each made
-// the first time it is needed.
+// out and the body values it decodes into.
 type lentScratch struct {
 	env    Envelope
-	bodies []Msg
+	bodies BodyScratch
+}
+
+// BodyScratch is a table of body values, one per kind, each made the
+// first time a body of its kind is decoded and decoded over by every
+// later one, so a decoder that lends what it decodes allocates nothing
+// once it has seen a kind: EnvelopeDecoder.Lend decodes envelope bodies
+// into one, and an svc server the requests nested in its frames. The
+// zero value is empty and ready to use; a BodyScratch is not safe for
+// concurrent use.
+type BodyScratch struct {
+	byID []Msg
+}
+
+// Decode decodes data, a body of kind id, over the scratch's value of
+// that kind and returns it. The result is lent: it is valid until the
+// next Decode of its kind, and its user must copy what it keeps. Every
+// kind's UnmarshalBinary sets each field, so nothing of the body before
+// shows through; strings it reads with Reader.ReuseString cost nothing
+// while the bytes repeat.
+func (s *BodyScratch) Decode(id uint16, data []byte) (Msg, error) {
+	m, err := s.value(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.UnmarshalBinary(data); err != nil {
+		return nil, fmt.Errorf("wire: decode %q body: %w", m.Kind(), err)
+	}
+	return m, nil
+}
+
+// value returns the scratch's value for kind id, making it the first
+// time.
+func (s *BodyScratch) value(id uint16) (Msg, error) {
+	if int(id) < len(s.byID) && s.byID[id] != nil {
+		return s.byID[id], nil
+	}
+	e := entryByID(id)
+	if e == nil {
+		return nil, fmt.Errorf("wire: unknown message kind id %d", id)
+	}
+	m, err := newMsg(e)
+	if err != nil {
+		return nil, err
+	}
+	if n := int(id) + 1; n > len(s.byID) {
+		s.byID = append(s.byID, make([]Msg, n-len(s.byID))...)
+	}
+	s.byID[id] = m
+	return m, nil
 }
 
 // The string header fields, indexing EnvelopeDecoder.last and hdr.
@@ -295,12 +343,10 @@ func (d *EnvelopeDecoder) Payload(payload []byte) (*Envelope, error) {
 }
 
 // Lend is Payload into the decoder's own scratch: one Envelope, and one
-// body value per kind, each made the first time it is needed and reused
-// by every later Lend. The result is lent, as bufio.Scanner.Bytes is: it
-// is valid until the decoder's next call, and its user must copy what it
-// keeps. A body is decoded over the previous value of its kind, so every
-// kind's UnmarshalBinary sets each field; strings it reads with
-// Reader.ReuseString cost nothing while the bytes repeat.
+// body value per kind (a BodyScratch), each made the first time it is
+// needed and reused by every later Lend. The result is lent, as
+// bufio.Scanner.Bytes is: it is valid until the decoder's next call, and
+// its user must copy what it keeps.
 func (d *EnvelopeDecoder) Lend(payload []byte) (*Envelope, error) {
 	r := Reader{data: payload}
 	lamport := r.Uvarint()
@@ -308,43 +354,17 @@ func (d *EnvelopeDecoder) Lend(payload []byte) (*Envelope, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wire: bad envelope: %w", err)
 	}
-	m, err := d.body(d.id)
+	if d.lent == nil {
+		d.lent = new(lentScratch)
+	}
+	m, err := d.lent.bodies.Decode(d.id, data)
 	if err != nil {
 		return nil, err
-	}
-	if err := m.UnmarshalBinary(data); err != nil {
-		return nil, fmt.Errorf("wire: decode %q body: %w", m.Kind(), err)
 	}
 	env := &d.lent.env
 	*env = headerEnvelope(&d.hdr)
 	env.Lamport, env.Body = lamport, m
 	return env, nil
-}
-
-// body returns the decoder's body value for kind id, making it (and the
-// scratch) the first time.
-func (d *EnvelopeDecoder) body(id uint16) (Msg, error) {
-	if d.lent == nil {
-		d.lent = new(lentScratch)
-	}
-	bodies := d.lent.bodies
-	if int(id) < len(bodies) && bodies[id] != nil {
-		return bodies[id], nil
-	}
-	e := entryByID(id)
-	if e == nil {
-		return nil, fmt.Errorf("wire: unknown message kind id %d", id)
-	}
-	m, err := newMsg(e)
-	if err != nil {
-		return nil, err
-	}
-	if n := int(id) + 1; n > len(bodies) {
-		bodies = append(bodies, make([]Msg, n-len(bodies))...)
-	}
-	bodies[id] = m
-	d.lent.bodies = bodies
-	return m, nil
 }
 
 // header reads the header half of a frame into hdr and returns the kind
