@@ -139,7 +139,6 @@ func TestSnapshotOfCalendarSession(t *testing.T) {
 		svc.SetPeers(peers)
 	}
 	coord := snapshot.NewCoordinator(w.Coordinator, members)
-	coord.SetTimeout(10 * time.Second)
 	g, err := coord.SnapshotClock(context.Background(), 1_000_000)
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,23 @@
 package directory
 
 import (
+	"context"
 	"hash/fnv"
+	"math/rand/v2"
 	"sort"
 	"strconv"
+	"time"
 
-	"repro/internal/gossip"
+	"repro/internal/svc"
 	"repro/internal/wire"
 )
 
-// Anti-entropy: replicas of a shard periodically reconcile through the
-// gossip substrate so a replica that was down through a churn phase
-// converges to the live view without anyone replaying missed fan-outs.
+// Anti-entropy: replicas of a shard periodically reconcile, each pulling
+// one random sibling a round (Reconcile), so a replica that was down
+// through a churn phase converges to the live view without anyone
+// replaying missed fan-outs. A pull is one svc call on "@dir": the
+// puller's digest (dir.digest) is answered with the records it is
+// missing (dir.delta).
 //
 // The digest is the replica's version vector (per-writer high-water
 // sequence numbers); the invariant every replica maintains is that
@@ -24,9 +30,6 @@ import (
 // last-writer-wins on the (lamport, writer, seq) stamp, so both replicas
 // settle on the same winner regardless of arrival order, and tombstones
 // travel like any record so removals and expiries propagate too.
-
-// GossipTopic is the anti-entropy topic directory replicas exchange on.
-const GossipTopic = "dir"
 
 // dirDigestMsg is a replica's version vector, sorted by writer: the
 // digest offered with every anti-entropy pull.
@@ -52,7 +55,8 @@ func (m *dirDigestMsg) UnmarshalBinary(data []byte) error {
 
 // dirDeltaMsg answers a pull with the records the peer's digest shows it
 // is missing, live or tombstoned, plus the sender's own version vector
-// for the receiver to merge after applying them.
+// for the receiver to merge after applying them; it is empty, vector
+// included, when the digest already covers the sender.
 type dirDeltaMsg struct {
 	Recs    []record
 	Writers []string
@@ -141,8 +145,9 @@ func (s *Service) digest() *dirDigestMsg {
 
 // deltaFor computes the records a peer at the given digest is missing:
 // every record whose governing stamp exceeds the peer's high-water mark
-// for its writer. ok is false when the peer already covers local state.
-func (s *Service) deltaFor(pd *dirDigestMsg) (*dirDeltaMsg, bool) {
+// for its writer. The delta is empty when the peer already covers local
+// state.
+func (s *Service) deltaFor(pd *dirDigestMsg) *dirDeltaMsg {
 	peer := make(map[string]uint64, len(pd.Writers))
 	for i, w := range pd.Writers {
 		if i < len(pd.Seqs) {
@@ -159,10 +164,10 @@ func (s *Service) deltaFor(pd *dirDigestMsg) (*dirDeltaMsg, bool) {
 	writers, seqs := vectorSlices(s.vec)
 	s.mu.Unlock()
 	if len(recs) == 0 {
-		return nil, false
+		return &dirDeltaMsg{}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Entry.Name < recs[j].Entry.Name })
-	return &dirDeltaMsg{Recs: recs, Writers: writers, Seqs: seqs}, true
+	return &dirDeltaMsg{Recs: recs, Writers: writers, Seqs: seqs}
 }
 
 // applyDelta folds a peer's delta in: each record goes through put, and
@@ -181,37 +186,80 @@ func (s *Service) applyDelta(m *dirDeltaMsg) {
 	s.mu.Unlock()
 }
 
-// dirExchange adapts a Service to gossip.Exchanger.
-type dirExchange struct{ s *Service }
-
-// Digest implements gossip.Exchanger.
-func (x dirExchange) Digest() wire.Msg { return x.s.digest() }
-
-// DeltaFor implements gossip.Exchanger.
-func (x dirExchange) DeltaFor(peerDigest wire.Msg) (wire.Msg, bool) {
-	pd, ok := peerDigest.(*dirDigestMsg)
-	if !ok {
-		return nil, false
-	}
-	d, ok := x.s.deltaFor(pd)
-	if !ok {
-		return nil, false
-	}
-	return d, true
+// ReplicaStats counts a replica's anti-entropy activity.
+type ReplicaStats struct {
+	// Rounds is the number of reconcile rounds run.
+	Rounds uint64
+	// Pulls is the number of digests sent to a sibling.
+	Pulls uint64
+	// Deltas is the number of non-empty deltas applied.
+	Deltas uint64
 }
 
-// Apply implements gossip.Exchanger.
-func (x dirExchange) Apply(delta wire.Msg) {
-	if m, ok := delta.(*dirDeltaMsg); ok {
-		x.s.applyDelta(m)
-	}
+// Stats returns a snapshot of the replica's anti-entropy counters.
+func (s *Service) Stats() ReplicaStats {
+	return ReplicaStats{Rounds: s.rounds.Load(), Pulls: s.pulls.Load(), Deltas: s.deltas.Load()}
 }
 
-// BindGossip registers the replica on the engine's "dir" anti-entropy
-// topic, starting periodic reconciliation. The engine's peers should be
-// the gossip inboxes of the other replicas of this shard.
-func BindGossip(g *gossip.Engine, s *Service) {
-	g.RegisterExchange(GossipTopic, dirExchange{s})
+// Reconcile starts the replica's anti-entropy loop: once every period it
+// pulls one random sibling, sending its digest to the sibling's "@dir"
+// inbox and applying the delta that comes back. siblings are the "@dir"
+// refs of its shard's replicas; its own is skipped. The loop stops with
+// the dapplet. Call it at most once.
+func (s *Service) Reconcile(siblings []wire.InboxRef, every time.Duration) {
+	self := s.d.Addr()
+	var sibs []wire.InboxRef
+	for _, r := range siblings {
+		if r.Dapplet != self {
+			sibs = append(sibs, r)
+		}
+	}
+	s.mu.Lock()
+	s.siblings = sibs
+	s.mu.Unlock()
+	caller := svc.NewCaller(s.d)
+	h := fnv.New64a()
+	h.Write([]byte(s.d.Name()))
+	rng := rand.New(rand.NewPCG(h.Sum64(), 0))
+	s.d.Spawn(func() {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.d.Stopped():
+				return
+			case <-t.C:
+			}
+			s.rounds.Add(1)
+			if len(sibs) > 0 {
+				s.pull(caller, sibs[rng.IntN(len(sibs))], 8*every)
+			}
+		}
+	})
+}
+
+// Siblings returns the shard siblings Reconcile was given, without this
+// replica's own ref.
+func (s *Service) Siblings() []wire.InboxRef {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.siblings
+}
+
+// pull performs one digest/delta exchange with a sibling. The deadline is
+// generous: under load a delta that arrives late is still worth applying
+// (one applied delta is a full catch-up), and a pull in flight holds up
+// only this replica's own loop.
+func (s *Service) pull(caller *svc.Caller, sib wire.InboxRef, within time.Duration) {
+	s.pulls.Add(1)
+	ctx, cancel := context.WithTimeout(context.Background(), within) //wwlint:allow ctxcheck replica reconcile-loop pull with no caller; bounded by 8 periods
+	defer cancel()
+	var rep dirDeltaMsg
+	if caller.Call(ctx, sib, s.digest(), &rep) != nil || len(rep.Recs) == 0 {
+		return
+	}
+	s.applyDelta(&rep)
+	s.deltas.Add(1)
 }
 
 // VersionVector returns a copy of the replica's version vector — each

@@ -8,29 +8,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 	"repro/internal/world"
 )
 
-// buildGossipShard hosts one shard of n replicas with anti-entropy bound
-// between them, replica r on host "dir-0-r".
+// buildGossipShard hosts one shard of n replicas reconciling with each
+// other every interval, replica r on host "dir-0-r".
 func buildGossipShard(t *testing.T, w *world.World, n int, interval time.Duration) ([]*directory.Service, []*core.Dapplet) {
 	t.Helper()
 	svcs := make([]*directory.Service, n)
 	daps := make([]*core.Dapplet, n)
-	engs := make([]*gossip.Engine, n)
 	refs := make([]wire.InboxRef, n)
 	for r := 0; r < n; r++ {
 		daps[r] = w.Dapplet(fmt.Sprintf("dir-0-%d", r), "t", fmt.Sprintf("dir-0-%d", r))
 		svcs[r] = directory.Serve(daps[r])
-		engs[r] = gossip.Attach(daps[r], gossip.Config{Interval: interval})
-		refs[r] = gossip.Ref(daps[r].Addr())
+		refs[r] = svcs[r].Ref()
 	}
 	for r := 0; r < n; r++ {
-		engs[r].SetPeers(refs)
-		directory.BindGossip(engs[r], svcs[r])
+		svcs[r].Reconcile(refs, interval)
 	}
 	return svcs, daps
 }
@@ -190,6 +186,49 @@ func TestLWWConvergesConflictingWrites(t *testing.T) {
 	}
 	if ea != eb {
 		t.Fatalf("replicas disagree after convergence: a=%+v b=%+v", ea, eb)
+	}
+}
+
+// TestReconcileStopsWithDapplet: a replica's reconcile loop pulls its
+// sibling every round while the dapplet runs, its sibling list leaves
+// out its own ref, and the loop ends when the dapplet stops.
+func TestReconcileStopsWithDapplet(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(15))
+	svcs, daps := buildGossipShard(t, w, 2, 5*time.Millisecond)
+	if sib := svcs[0].Siblings(); len(sib) != 1 || sib[0] != svcs[1].Ref() {
+		t.Fatalf("siblings of replica 0 = %v, want only replica 1", sib)
+	}
+	waitFor(t, "first rounds", func() bool {
+		st := svcs[0].Stats()
+		return st.Rounds >= 2 && st.Pulls >= 2
+	})
+	daps[0].Stop()
+	r := svcs[0].Stats().Rounds
+	// One round may be in flight when the dapplet stops; none follows.
+	time.Sleep(50 * time.Millisecond)
+	if got := svcs[0].Stats().Rounds; got > r+1 {
+		t.Fatalf("reconcile loop kept running after stop: rounds %d -> %d", r, got)
+	}
+}
+
+// TestEmptyDeltaAppliesNothing: replicas whose digests cover each other
+// keep pulling, but every answer is empty, and none is counted as an
+// applied delta.
+func TestEmptyDeltaAppliesNothing(t *testing.T) {
+	w := newWorld(t, netsim.WithSeed(16))
+	svcs, _ := buildGossipShard(t, w, 2, 5*time.Millisecond)
+	waitFor(t, "pulls between empty replicas", func() bool {
+		return svcs[0].Stats().Pulls >= 3 && svcs[1].Stats().Pulls >= 3
+	})
+	for i, s := range svcs {
+		if st := s.Stats(); st.Deltas != 0 {
+			t.Fatalf("replica %d applied %d deltas from empty siblings", i, st.Deltas)
+		}
+	}
+	svcs[0].Register(directory.Entry{Name: "x", Type: "t", Addr: netsim.Addr{Host: "h", Port: 1}})
+	waitFor(t, "the write reaching the sibling", func() bool { return converged(svcs) })
+	if st := svcs[1].Stats(); st.Deltas == 0 {
+		t.Fatal("replica 1 converged without applying a delta")
 	}
 }
 

@@ -3,6 +3,7 @@ package directory
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -55,12 +56,17 @@ type Service struct {
 	// expiries, reincarnations), making the replica a writer like any
 	// client.
 	selfSeq uint64
+	// siblings are the shard's other replicas, pulled by Reconcile.
+	siblings []wire.InboxRef
+
+	rounds, pulls, deltas atomic.Uint64
 }
 
 // Serve hosts a directory replica on the dapplet, consuming its "@dir"
 // inbox through the svc framework, and returns the service. Correlation
-// and reply routing are svc's; the handlers below only merge records and
-// answer with the one that governs the name.
+// and reply routing are svc's; the handlers below merge records and
+// answer with the one that governs the name, and answer a sibling's
+// anti-entropy digest with its delta (see Reconcile).
 func Serve(d *core.Dapplet) *Service {
 	s := &Service{d: d, entries: make(map[string]record), vec: make(map[string]uint64)}
 	svc.Serve(d, ServiceInbox, svc.Handlers{
@@ -87,6 +93,9 @@ func Serve(d *core.Dapplet) *Service {
 		"dir.unwatch": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			s.removeWatcher(req.(*unwatchMsg).ReplyTo)
 			return nil, nil
+		},
+		"dir.digest": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
+			return s.deltaFor(req.(*dirDigestMsg)), nil
 		},
 	})
 	return s

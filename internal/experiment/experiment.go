@@ -157,7 +157,7 @@ func All() []Experiment {
 		{"E10", "Replicated directory service: lookup scaling, caching, replica failover", e10Cells},
 		{"E11", "Swarm-scale churn harness: join/leave/crash churn, detector cost, footprint", e11Cells},
 		{"E12", "Batched I/O: frame coalescing and ack piggybacking, over netsim and loopback UDP", e12Cells},
-		{"E13", "Gossip substrate: verdict-quorum false-positive A/B, directory anti-entropy convergence", e13Cells},
+		{"E13", "Gossip: verdict-quorum false-positive A/B, directory anti-entropy convergence", e13Cells},
 		{"E14", "Relay-tree multicast: flat vs tree broadcast fan-out", e14Cells},
 	}
 }

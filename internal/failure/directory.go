@@ -14,12 +14,18 @@ import "repro/internal/directory"
 //     the address the heartbeat announced;
 //   - an explicit Remove stops the watch (expired entries stay watched at
 //     the detector's slow Down-probe rate, which is how a reincarnation
-//     is discovered).
+//     is discovered);
+//   - with Config.Gossip, rumours go to the replica's shard siblings
+//     (Service.Reconcile names them), not to the registered dapplets it
+//     watches.
 //
 // The detector and the replica must live on the same dapplet for the
 // verdicts to mean anything; note detection is bidirectional, so
 // registered dapplets must watch the replica back to be monitored.
 func BindDirectory(det *Detector, svc *directory.Service) {
+	det.mu.Lock()
+	det.replica = svc
+	det.mu.Unlock()
 	svc.OnUpdate(func(up directory.Update) {
 		switch {
 		case !up.Removed:

@@ -52,6 +52,16 @@
 // goroutines exist only while it is non-empty (work.go), so no goroutine
 // waits while the detector is idle, and none runs once it has stopped.
 //
+// With Config.Gossip a Down needs a quorum of two distinct confirmers
+// (quorum.go): a suspicion asks two live peers to probe the suspect
+// indirectly and is spread as an epidemic rumour on "@fail" itself —
+// each detector deduplicates it by origin and sequence, hands it to its
+// verdict machine once and forwards it, without waiting, to three random
+// peers for up to three hops. A member rumours to its live watched
+// peers; a directory replica's detector (BindDirectory) to the
+// replica's shard siblings. So a watcher cut off from a live peer holds
+// it Suspect instead of convicting it alone.
+//
 // A Detector is attached to a dapplet (Attach) and told whom to watch
 // (Watch); state changes are delivered to OnEvent observers and queried
 // with Status. BindSession forwards verdicts into the dapplet's session

@@ -3,12 +3,13 @@ package failure
 import (
 	"context"
 	"hash/fnv"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gossip"
+	"repro/internal/directory"
 	"repro/internal/netsim"
 	"repro/internal/svc"
 	"repro/internal/wire"
@@ -79,13 +80,13 @@ type Config struct {
 	// one).
 	Incarnation uint64
 	// Gossip, when set, spreads suspicions, Down verdicts and alive
-	// refutations as rumors on the engine's "fail" topic, and makes
-	// Down need a quorum of two distinct confirmers — this watcher,
-	// relays whose indirect probes failed, gossip origins suspecting the
-	// same incarnation — so a watcher partitioned away from a live peer
-	// stays at Suspect instead of committing a false Down (see
-	// quorum.go). Without it, this watcher's clock alone decides.
-	Gossip *gossip.Engine
+	// refutations as rumours on "@fail", and makes Down need a quorum of
+	// two distinct confirmers — this watcher, relays whose indirect
+	// probes failed, rumour origins suspecting the same incarnation — so
+	// a watcher partitioned away from a live peer stays at Suspect
+	// instead of committing a false Down (see quorum.go). Without it,
+	// this watcher's clock alone decides.
+	Gossip bool
 }
 
 func (c Config) withDefaults() Config {
@@ -214,18 +215,38 @@ type Detector struct {
 	// made; posting marks a goroutine doing it (see settleLocked).
 	posted  []effects
 	posting bool
+	// With Config.Gossip: rng samples rumour targets, rumorSeq numbers
+	// this detector's rumours, seen and seenQ remember the identities of
+	// the last rumorWindow rumours, and replica, once BindDirectory has
+	// joined the detector to one, names the targets (see quorum.go).
+	rng      *rand.Rand
+	rumorSeq uint64
+	seen     map[rumorKey]struct{}
+	seenQ    []rumorKey
+	replica  *directory.Service
 
-	hbSent atomic.Uint64
-	probes atomic.Uint64
+	hbSent     atomic.Uint64
+	probes     atomic.Uint64
+	rumorsSent atomic.Uint64
+	rumorsRecv atomic.Uint64
+	rumorsDup  atomic.Uint64
 }
 
-// Stats counts a detector's transmitted heartbeats and probes.
+// Stats counts a detector's transmitted heartbeats, probes and rumours.
 type Stats struct {
 	// HeartbeatsSent is the number of explicit heartbeat transmissions.
 	HeartbeatsSent uint64
 	// ProbesSent is the number of address-learning probes issued to Down
 	// peers (the svc request/reply that rediscovers a healed partition).
 	ProbesSent uint64
+	// RumorsSent is the number of rumour transmissions, originated and
+	// forwarded, one per target.
+	RumorsSent uint64
+	// RumorsReceived is the number of distinct rumours heard.
+	RumorsReceived uint64
+	// RumorsDuplicate is the number of arriving rumours dropped as
+	// already heard.
+	RumorsDuplicate uint64
 }
 
 // Attach equips a dapplet with a failure detector. The detector runs
@@ -243,7 +264,7 @@ type Stats struct {
 func Attach(d *core.Dapplet, cfg Config) *Detector {
 	cfg = cfg.withDefaults()
 	quorum := 1
-	if cfg.Gossip != nil {
+	if cfg.Gossip {
 		quorum = gossipQuorum
 	}
 	det := &Detector{
@@ -252,7 +273,7 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 		m:      newVerdicts(d.Name(), cfg.Interval, cfg.Multiplier, quorum),
 		timers: make(map[string]*time.Timer),
 	}
-	svc.Serve(d, ControlInbox, svc.Handlers{
+	h := svc.Handlers{
 		"fail.hb": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			hb := req.(*heartbeatMsg)
 			det.step(func(now time.Time) effects { return det.m.beacon(now, hb.From, hb.Inc, hb.Seq, c.From()) })
@@ -268,10 +289,13 @@ func Attach(d *core.Dapplet, cfg Config) *Detector {
 		},
 		"fail.iprobe":     det.handleIProbe,
 		"fail.iprobe-rep": det.handleIProbeRep,
-	})
-	if det.cfg.Gossip != nil {
-		det.cfg.Gossip.OnRumor(GossipTopic, det.onVerdictRumor)
 	}
+	if cfg.Gossip {
+		det.rng = rand.New(rand.NewPCG(nameHash(d.Name()), 0))
+		det.seen = make(map[rumorKey]struct{})
+		h["fail.rumor"] = det.handleRumor
+	}
+	svc.Serve(d, ControlInbox, h)
 	// Stagger the first round within a quarter interval so detectors
 	// attached together do not all fan out at the same instant.
 	first := det.cfg.Interval + hbStagger(d.Name(), det.cfg.Interval/4)
@@ -289,9 +313,16 @@ func hbStagger(name string, m time.Duration) time.Duration {
 	if m <= 0 {
 		return 0
 	}
+	return time.Duration(nameHash(name) % uint64(m))
+}
+
+// nameHash is the FNV-1a hash of a detector's name: its heartbeat
+// phase and its rumour sampling seed, distinct per detector and the same
+// on every run.
+func nameHash(name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return time.Duration(h.Sum64() % uint64(m))
+	return h.Sum64()
 }
 
 // probeCaller returns the detector's svc caller, creating it on first
@@ -332,8 +363,11 @@ func (det *Detector) enter() bool {
 // Stats returns the detector's heartbeat-economy counters.
 func (det *Detector) Stats() Stats {
 	return Stats{
-		HeartbeatsSent: det.hbSent.Load(),
-		ProbesSent:     det.probes.Load(),
+		HeartbeatsSent:  det.hbSent.Load(),
+		ProbesSent:      det.probes.Load(),
+		RumorsSent:      det.rumorsSent.Load(),
+		RumorsReceived:  det.rumorsRecv.Load(),
+		RumorsDuplicate: det.rumorsDup.Load(),
 	}
 }
 
@@ -478,7 +512,7 @@ func (det *Detector) drainPosted() {
 			_ = det.d.SendDirect(wire.InboxRef{Dapplet: r, Inbox: ControlInbox}, "", fx.ask)
 		}
 		if fx.rumor != nil {
-			_ = det.cfg.Gossip.Broadcast(GossipTopic, fx.rumor)
+			det.spread(fx.rumor)
 		}
 		det.mu.Lock()
 	}

@@ -8,19 +8,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/failure"
-	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// quorumDetector attaches a detector with a gossip engine fed by its
-// live-peer view: its Down verdicts need a quorum of two confirmers.
+// quorumDetector attaches a detector that rumours over its live-peer
+// view: its Down verdicts need a quorum of two confirmers.
 func quorumDetector(d *core.Dapplet, cfg failure.Config) *failure.Detector {
-	cfg.Gossip = gossip.Attach(d, gossip.Config{Interval: 20 * time.Millisecond})
-	det := failure.Attach(d, cfg)
-	cfg.Gossip.SetPeerSource(det.GossipPeers)
-	return det
+	cfg.Gossip = true
+	return failure.Attach(d, cfg)
 }
 
 // quorumMesh builds a full watch mesh of quorum detectors over the
@@ -293,12 +290,13 @@ func TestQuorumCrashExpiresEntry(t *testing.T) {
 }
 
 // TestSuspectLiftBesideParkedRumor: a detector's Up->Suspect transition
-// holds emitMu while its gossip rumor goes out, and that send can wait
-// on a full window for an acknowledgement only the dapplet's receive
-// goroutine reads. A frame from the suspect arriving meanwhile must not
-// hold that goroutine behind emitMu: the window must free once the
-// gossip peer is reachable, with no send failure, and a later frame
-// from the suspect must lift the verdict.
+// sends a rumour, and that send can wait on a full window for an
+// acknowledgement only the dapplet's receive goroutine reads. A frame
+// from the suspect arriving meanwhile must not hold that goroutine
+// behind the rumour: the window must free once the rumour's target is
+// reachable, with no send failure, and a later frame from the suspect
+// must lift the verdict. The detector is a directory replica's, so its
+// one rumour target is the sibling replica c.
 func TestSuspectLiftBesideParkedRumor(t *testing.T) {
 	w := newWorld(t)
 	// A's window to C is one frame deep; C is partitioned away, so the
@@ -307,9 +305,10 @@ func TestSuspectLiftBesideParkedRumor(t *testing.T) {
 	b := w.Dapplet("b", "t", "b")
 	c := w.Dapplet("c", "t", "c")
 	a.Inbox("app")
-	g := gossip.Attach(a, gossip.Config{Interval: time.Hour})
-	g.SetPeerSource(func() []wire.InboxRef { return []wire.InboxRef{gossip.Ref(c.Addr())} })
-	det := failure.Attach(a, failure.Config{Interval: 20 * time.Millisecond, Multiplier: 3, Gossip: g})
+	det := failure.Attach(a, failure.Config{Interval: 20 * time.Millisecond, Multiplier: 3, Gossip: true})
+	dir := directory.Serve(a)
+	failure.BindDirectory(det, dir)
+	dir.Reconcile([]wire.InboxRef{{Dapplet: c.Addr(), Inbox: directory.ServiceInbox}}, time.Hour)
 	events := make(chan failure.Event, 8)
 	det.OnEvent(func(ev failure.Event) { events <- ev })
 

@@ -43,7 +43,7 @@ type peer struct {
 	meanIA time.Duration
 	devIA  time.Duration
 	// confirms collects the distinct confirmers of the current suspicion
-	// (this watcher, failed indirect-probe relays, gossip origins);
+	// (this watcher, failed indirect-probe relays, rumour origins);
 	// non-nil only while Suspect under a quorum above one.
 	confirms map[string]bool
 	// suspInc is the incarnation the current suspicion was raised
@@ -251,7 +251,7 @@ func (m *verdicts) expire(now time.Time, name string, l link) (fx effects) {
 		fx.event(p)
 		if m.quorum > 1 {
 			// This watcher is the suspicion's first confirmer; the rest
-			// must come from relays or gossip before Down.
+			// must come from relays or rumours before Down.
 			p.confirms = map[string]bool{m.self: true}
 			m.askRelays(p, &fx)
 			fx.rumor = p.rumor(rumorSuspect)
@@ -285,7 +285,7 @@ func (m *verdicts) probed(name string) {
 }
 
 // confirm records one more distinct confirmer of name's current
-// suspicion — a relay whose indirect probe failed, or a gossip origin
+// suspicion — a relay whose indirect probe failed, or a rumour origin
 // suspecting the same incarnation — and makes it Down once both the
 // detection window and the quorum are met (expire covers the other
 // arrival order).

@@ -15,7 +15,7 @@ import (
 
 // TestVerdictsArePure keeps the verdict protocol a state machine that a
 // test can drive on a virtual clock: verdict.go imports none of sync,
-// core, svc, transport and gossip, calls no function of package time (it
+// core, svc, transport and directory, calls no function of package time (it
 // may use its types and constants, and convert to them), and starts no
 // goroutine.
 func TestVerdictsArePure(t *testing.T) {
@@ -28,7 +28,7 @@ func TestVerdictsArePure(t *testing.T) {
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
 		switch path {
-		case "sync", "sync/atomic", "repro/internal/core", "repro/internal/svc", "repro/internal/transport", "repro/internal/gossip":
+		case "sync", "sync/atomic", "repro/internal/core", "repro/internal/svc", "repro/internal/transport", "repro/internal/directory":
 			t.Errorf("verdict.go imports %s", path)
 		case "time":
 			timeName = "time"

@@ -7,13 +7,12 @@ import (
 )
 
 // longLivedPackages are the packages whose goroutines outlive a single
-// call: service hosts, detector loops, the gossip engine, relays, and
-// the transport. A looping goroutine launched there must be able to
+// call: service hosts, detector loops, directory reconcile loops,
+// relays, and the transport. A looping goroutine launched there must be able to
 // observe shutdown.
 var longLivedPackages = map[string]bool{
 	"svc":       true,
 	"failure":   true,
-	"gossip":    true,
 	"relay":     true,
 	"transport": true,
 	"directory": true,
@@ -26,7 +25,7 @@ var longLivedPackages = map[string]bool{
 var AnalyzerGoleak = &Analyzer{
 	Name: "goleak",
 	Doc: "a looping goroutine launched in a long-lived service package (svc, " +
-		"failure, gossip, relay, transport, directory) must observe shutdown " +
+		"failure, relay, transport, directory) must observe shutdown " +
 		"inside the loop: a select/receive on a done/ctx/close channel or a " +
 		"ctx.Err poll; otherwise Close leaks it",
 	Run: runGoleak,

@@ -18,17 +18,16 @@ import (
 var AnalyzerNowait = &Analyzer{
 	Name: "nowait",
 	Doc: "code reachable from a transport sink, a receive observer, an inline inbox, a timer callback, " +
-		"an svc handler, a gossip rumour handler, a Quiesce func or a //wwlint:nowait function must not call Reliable.AwaitWindow, " +
-		"Reliable.SendWait, another module package's context-first functions, core's, gossip's and relay's waiting sends and receives, " +
+		"an svc handler, a Quiesce func or a //wwlint:nowait function must not call Reliable.AwaitWindow, " +
+		"Reliable.SendWait, another module package's context-first functions, core's and relay's waiting sends and receives, " +
 		"or sync.Cond.Wait, or receive from a channel without a default",
 	Run: runNowait,
 }
 
 // nowaitRoots are the calls whose function argument runs where nothing
 // may wait: on a runtime timer, or on a transport's receive goroutine —
-// an inline inbox's func, an svc handler table's handlers, a gossip
-// rumour handler (run by the "@gossip" svc handler) — or while every
-// sender of a dapplet waits for it (Quiesce's func). Callees are matched
+// an inline inbox's func, an svc handler table's handlers — or while
+// every sender of a dapplet waits for it (Quiesce's func). Callees are matched
 // by package name, so a fixture module can stand in for the real
 // packages.
 var nowaitRoots = []struct {
@@ -42,7 +41,6 @@ var nowaitRoots = []struct {
 	{"core", "Dapplet", "HandleInline", 1},
 	{"core", "Dapplet", "Quiesce", 0},
 	{"svc", "", "Serve", 2},
-	{"gossip", "Engine", "OnRumor", 1},
 }
 
 // exportedWaits are the calls into other packages that wait on the
@@ -63,7 +61,6 @@ var exportedWaits = []struct {
 	{"core", "Dapplet", []string{"SendEncoded"}, ""},
 	{"core", "Outbox", []string{"Send"}, ""},
 	{"core", "Inbox", []string{"Receive", "ReceiveEnvelope"}, ""},
-	{"gossip", "Engine", []string{"Broadcast"}, " for each peer's window"},
 	{"relay", "Relay", []string{"Multicast"}, " for each neighbour's window"},
 }
 

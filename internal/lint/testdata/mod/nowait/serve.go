@@ -5,15 +5,13 @@ import (
 
 	"fixmod/core"
 	"fixmod/directory"
-	"fixmod/gossip"
 	"fixmod/svc"
 )
 
-// Service serves a handler table and a rumour topic.
+// Service serves a handler table.
 type Service struct {
 	d      *core.Dapplet
 	caller *svc.Caller
-	g      *gossip.Engine
 	dir    *directory.Client
 }
 
@@ -30,7 +28,6 @@ func (s *Service) Attach() {
 		},
 		"where": s.where,
 	})
-	s.g.OnRumor("topic", s.onRumor)
 }
 
 func (s *Service) ask(c *svc.Ctx, req any) (any, error) {
@@ -54,14 +51,8 @@ func (s *Service) where(c *svc.Ctx, req any) (any, error) {
 
 func check(ctx context.Context) { _ = ctx.Err() }
 
-// onRumor may forward a rumour but not originate one: Broadcast waits.
-func (s *Service) onRumor(origin string, body any) {
-	_ = s.g.Broadcast("topic", body) // want nowait:"Engine.Broadcast waits for each peer's window, reached from gossip.OnRumor callback → onRumor"
-}
-
 // Refute runs on an application thread: it may wait.
 func (s *Service) Refute(body any) {
-	_ = s.g.Broadcast("topic", body)
 	_ = s.caller.Call(context.TODO(), "peer", body)
 	_, _ = s.dir.Lookup(context.TODO(), "peer")
 }

@@ -54,7 +54,6 @@ var keepUnused = map[string]string{
 	"session.Membership.Tree":          "the tree tests observe each member's installed tree and epoch through it",
 	"session.Service.Membership":       "tests reach a participant's membership through it",
 	"session.Service.Sessions":         "tests observe linking and unlinking through it",
-	"snapshot.Coordinator.SetTimeout":  "lets tests reach the coordinator's timeout path in bounded time, until tests run on a virtual clock",
 	"snapshot.ReplayChannels":          "paper §4: replaying a checkpoint's recorded channel state; the replay tests drive it",
 	"snapshot.Service.Pending":         "tests observe that a member's snapshot runs drain through it",
 	"state.Store.Acquire":              "paper §2.2: the serializing policy beside TryAcquire's rejecting one; store and syncprim tests drive it",

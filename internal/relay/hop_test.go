@@ -123,7 +123,6 @@ func snapWorld(t *testing.T, n, window int) (*relayWorld, []snapshot.Member) {
 // dapplet, within 5 s.
 func (w *relayWorld) snapshotMarker(snaps []snapshot.Member) error {
 	coord := snapshot.NewCoordinator(w.Dapplet("coord", "coord", "coordinator"), snaps)
-	coord.SetTimeout(5 * time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_, err := coord.SnapshotMarker(ctx)

@@ -16,32 +16,29 @@ var ErrTimeout = errors.New("snapshot: timed out waiting for reports")
 
 var snapSeq atomic.Uint64
 
+// reportTimeout bounds the wait for member reports when the caller's
+// context has no deadline.
+const reportTimeout = 10 * time.Second
+
 // Coordinator assembles global snapshots of a fixed member set from a
 // dapplet (typically the session initiator).
 type Coordinator struct {
 	d       *core.Dapplet
 	members []Member
-	timeout time.Duration
 }
 
 // NewCoordinator creates a snapshot coordinator for the given members.
 func NewCoordinator(d *core.Dapplet, members []Member) *Coordinator {
-	return &Coordinator{
-		d:       d,
-		members: append([]Member(nil), members...),
-		timeout: 10 * time.Second,
-	}
+	return &Coordinator{d: d, members: append([]Member(nil), members...)}
 }
-
-// SetTimeout bounds how long the coordinator waits for member reports.
-func (c *Coordinator) SetTimeout(d time.Duration) { c.timeout = d }
 
 func (c *Coordinator) controlRef(m Member) wire.InboxRef {
 	return wire.InboxRef{Dapplet: m.Addr, Inbox: ControlInbox}
 }
 
 // gatherReports collects one report per member from in, bounded by the
-// coordinator timeout or the caller's ctx, whichever ends first.
+// caller's ctx, or by reportTimeout when ctx has no deadline; a wait
+// that runs out is ErrTimeout.
 func (c *Coordinator) gatherReports(ctx context.Context, in *core.Inbox, snapID string) (*Global, error) {
 	g := &Global{
 		ID:       snapID,
@@ -51,8 +48,11 @@ func (c *Coordinator) gatherReports(ctx context.Context, in *core.Inbox, snapID 
 		Recv:     make(map[ChannelKey]uint64),
 		Crossed:  make(map[ChannelKey]uint64),
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, reportTimeout)
+		defer cancel()
+	}
 	seen := make(map[string]bool)
 	for len(seen) < len(c.members) {
 		env, err := in.ReceiveEnvelopeContext(ctx)

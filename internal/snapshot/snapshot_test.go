@@ -135,9 +135,7 @@ func tokensIn(t *testing.T, g *snapshot.Global) int {
 }
 
 func coordinatorOn(sim *world.World, members []snapshot.Member) *snapshot.Coordinator {
-	c := snapshot.NewCoordinator(sim.Dapplet("coord", "coord", "coordinator"), members)
-	c.SetTimeout(10 * time.Second)
-	return c
+	return snapshot.NewCoordinator(sim.Dapplet("coord", "coord", "coordinator"), members)
 }
 
 func TestMarkerSnapshotConservesTokens(t *testing.T) {
@@ -401,7 +399,6 @@ func TestCoordinatorCrashMidSnapshot(t *testing.T) {
 	w.inject(t, 6)
 
 	coord := snapshot.NewCoordinator(sim.Dapplet("coord-host", "coord", "coord"), w.members)
-	coord.SetTimeout(500 * time.Millisecond)
 
 	// Crash the coordinator the moment the first member records its
 	// local state — the snapshot is then guaranteed to be mid-flight.
@@ -418,7 +415,9 @@ func TestCoordinatorCrashMidSnapshot(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.SnapshotMarker(context.Background())
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		defer cancel()
+		_, err := coord.SnapshotMarker(ctx)
 		done <- err
 	}()
 	select {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/failure"
-	"repro/internal/gossip"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -214,10 +213,9 @@ func (s *Swarm) opLeave(rng *rand.Rand) (bool, error) {
 	}
 	st := m.det.Stats()
 	rs := m.d.Transport().Stats()
-	gs := gossipStats(m)
 
 	s.mu.Lock()
-	s.retire(st, rs, gs)
+	s.retire(st, rs)
 	delete(s.members, m.name)
 	s.leaves++
 	s.ops++
@@ -254,10 +252,9 @@ func (s *Swarm) opCrash(rng *rand.Rand) (bool, error) {
 	}
 	st := m.det.Stats()
 	rs := m.d.Transport().Stats()
-	gs := gossipStats(m)
 
 	s.mu.Lock()
-	s.retire(st, rs, gs)
+	s.retire(st, rs)
 	// Stamped after the crash completed: a verdict cannot land before
 	// the process is actually dead, so the latency sample starts here.
 	s.crashedAt[m.name] = time.Now() //wwlint:allow determinism wall-clock crash stamp feeds detection-latency metrics, not the event log
@@ -403,22 +400,20 @@ func (s *Swarm) opSession(ctx context.Context, idx int, rng *rand.Rand) {
 	}
 }
 
-// retire folds a stopped member's detector, transport and gossip
-// counters into the running totals so phase deltas stay monotonic
-// across churn. Caller holds s.mu.
-func (s *Swarm) retire(st failure.Stats, rs transport.Stats, gs gossip.Stats) {
-	s.retired.HeartbeatsSent += st.HeartbeatsSent
+// retire folds a stopped member's detector and transport counters into
+// the running totals so phase deltas stay monotonic across churn. Caller
+// holds s.mu.
+func (s *Swarm) retire(st failure.Stats, rs transport.Stats) {
+	s.retired = addDetStats(s.retired, st)
 	s.retiredRel = addRelStats(s.retiredRel, rs)
-	s.retiredGsp = s.retiredGsp.Add(gs)
 }
 
-// gossipStats snapshots a member's gossip counters (zero when the swarm
-// runs without gossip).
-func gossipStats(m *member) gossip.Stats {
-	if m.gsp == nil {
-		return gossip.Stats{}
-	}
-	return m.gsp.Stats()
+// addDetStats sums the detector counters the report reads.
+func addDetStats(a, b failure.Stats) failure.Stats {
+	a.HeartbeatsSent += b.HeartbeatsSent
+	a.RumorsSent += b.RumorsSent
+	a.RumorsReceived += b.RumorsReceived
+	return a
 }
 
 // partitionDriver injects host partitions at the configured rate until

@@ -77,9 +77,10 @@ type PhaseStats struct {
 	Partitions uint64
 
 	// GossipRounds/GossipPulls/GossipDeltas count anti-entropy activity
-	// (rounds run, digest pulls issued, deltas applied) and RumorsSent/
-	// RumorsRecv the verdict rumor traffic, summed over every engine in
-	// the swarm. All zero when the run has gossip disabled.
+	// (rounds run, digest pulls issued, deltas applied), summed over the
+	// directory replicas, and RumorsSent/RumorsRecv the verdict rumour
+	// traffic, summed over every detector in the swarm. All zero when the
+	// run has gossip disabled.
 	GossipRounds uint64
 	GossipPulls  uint64
 	GossipDeltas uint64

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/failure"
-	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/svc"
 	"repro/internal/transport"
@@ -88,13 +87,12 @@ type Config struct {
 	// awaited until every watcher's verdict lands, over a single-shard
 	// network — two runs with the same seed produce identical event logs.
 	Lockstep bool
-	// GossipInterval, when positive, attaches a gossip engine to every
-	// member and directory replica: members spread verdict rumors over
-	// their detector's live-peer view, and each shard's replicas
-	// reconcile the directory by anti-entropy at this round period. Every
-	// detector then needs a quorum of two confirmers before a Down (as
-	// every failure detector with gossip does), so a partitioned watcher
-	// alone cannot produce a false Down.
+	// GossipInterval, when positive, turns gossip on: every detector
+	// spreads verdict rumours (a member's over its live watched peers, a
+	// replica's among its shard siblings) and needs a quorum of two
+	// confirmers before a Down, so a partitioned watcher alone cannot
+	// produce a false Down, and each shard's replicas reconcile the
+	// directory by anti-entropy at this round period.
 	GossipInterval time.Duration
 	// PartitionRate is the partition-injection rate (ops/sec) in timed
 	// churn: each op isolates one random live member's host from the
@@ -171,7 +169,6 @@ type member struct {
 	host  string
 	d     *core.Dapplet
 	det   *failure.Detector
-	gsp   *gossip.Engine
 	edges map[string]bool
 	live  bool
 	// liveIdx is the member's slot in Swarm.live while live, for O(1)
@@ -185,7 +182,6 @@ type dirReplica struct {
 	name string
 	d    *core.Dapplet
 	det  *failure.Detector
-	gsp  *gossip.Engine
 	svc  *directory.Service
 }
 
@@ -222,7 +218,6 @@ type Swarm struct {
 	revivedAt   map[string]time.Time
 	retired     failure.Stats
 	retiredRel  transport.Stats
-	retiredGsp  gossip.Stats
 	parted      map[string]bool
 
 	downs, ups                      uint64
@@ -319,34 +314,16 @@ func (s *Swarm) detConfig(name string) failure.Config {
 		Interval:    s.cfg.Interval,
 		Multiplier:  s.cfg.Multiplier,
 		Incarnation: uint64(s.RT.Incarnation(name)),
+		Gossip:      s.cfg.GossipInterval > 0,
 	}
-}
-
-// attachGossip attaches a gossip engine when the swarm runs with one,
-// threading it into the detector config so suspicions ride the rumor
-// mill. Engines are created inside the behaviors — a restarted dapplet
-// gets a fresh engine, like a fresh detector.
-func (s *Swarm) attachGossip(d *core.Dapplet, cfg *failure.Config) *gossip.Engine {
-	if s.cfg.GossipInterval <= 0 {
-		return nil
-	}
-	g := gossip.Attach(d, gossip.Config{Interval: s.cfg.GossipInterval, Seed: s.cfg.Seed})
-	cfg.Gossip = g
-	return g
 }
 
 // startMember is the swarm-member behavior: a detector and the echo
 // service. The harness wires watch edges and
 // registers the member after launch.
 func (s *Swarm) startMember(d *core.Dapplet) error {
-	cfg := s.detConfig(d.Name())
-	g := s.attachGossip(d, &cfg)
-	det := failure.Attach(d, cfg)
+	det := failure.Attach(d, s.detConfig(d.Name()))
 	det.OnEvent(s.observeVerdict)
-	if g != nil {
-		// Verdict rumors spread over the detector's own live-peer view.
-		g.SetPeerSource(det.GossipPeers)
-	}
 	svc.Serve(d, SessionInbox, svc.Handlers{
 		"swarm.echo": func(c *svc.Ctx, req wire.Msg) (wire.Msg, error) {
 			return req, nil
@@ -358,28 +335,22 @@ func (s *Swarm) startMember(d *core.Dapplet) error {
 		m = &member{name: d.Name(), edges: make(map[string]bool)}
 		s.members[d.Name()] = m
 	}
-	m.d, m.det, m.gsp = d, det, g
+	m.d, m.det = d, det
 	s.mu.Unlock()
 	return nil
 }
 
 // startDir is the swarm-dir behavior: a directory replica whose entries
 // are watched by (and expired through) its own detector. With gossip
-// enabled the replica also runs directory anti-entropy; its peer set is
-// pinned to its shard siblings by launchDirectory, so digests never
-// land on members (which serve no "dir" exchange).
+// enabled, launchDirectory starts its anti-entropy among its shard
+// siblings once every replica is up.
 func (s *Swarm) startDir(d *core.Dapplet) error {
-	cfg := s.detConfig(d.Name())
-	g := s.attachGossip(d, &cfg)
-	det := failure.Attach(d, cfg)
+	det := failure.Attach(d, s.detConfig(d.Name()))
 	det.OnEvent(s.observeVerdict)
 	dir := directory.Serve(d)
 	failure.BindDirectory(det, dir)
-	if g != nil {
-		directory.BindGossip(g, dir)
-	}
 	s.mu.Lock()
-	s.dirByName[d.Name()] = &dirReplica{name: d.Name(), d: d, det: det, gsp: g, svc: dir}
+	s.dirByName[d.Name()] = &dirReplica{name: d.Name(), d: d, det: det, svc: dir}
 	s.mu.Unlock()
 	return nil
 }
@@ -454,18 +425,11 @@ func (s *Swarm) launchDirectory() error {
 			refs[sh] = append(refs[sh], rep.svc.Ref())
 		}
 	}
-	// Anti-entropy runs within a shard: each replica's gossip peers are
-	// its shard siblings (the engine never pulls from itself).
-	for sh := range s.dirs {
-		var grefs []wire.InboxRef
-		for _, rep := range s.dirs[sh] {
-			if rep.gsp != nil {
-				grefs = append(grefs, gossip.Ref(rep.d.Addr()))
-			}
-		}
-		for _, rep := range s.dirs[sh] {
-			if rep.gsp != nil {
-				rep.gsp.SetPeers(grefs)
+	// Anti-entropy runs within a shard, among its replicas.
+	if s.cfg.GossipInterval > 0 {
+		for sh, shard := range s.dirs {
+			for _, rep := range shard {
+				rep.svc.Reconcile(refs[sh], s.cfg.GossipInterval)
 			}
 		}
 	}
@@ -710,11 +674,11 @@ type counters struct {
 	delivered          uint64
 	lostQueue          uint64
 	noListener         uint64
-	hb                 uint64
+	det                failure.Stats
 	frames, datagrams  uint64
 	acksSA, acksPB     uint64
 	dir                directory.ClientStats
-	gsp                gossip.Stats
+	ae                 directory.ReplicaStats
 	downs, ups         uint64
 	falseDowns         uint64
 	partitions         uint64
@@ -733,31 +697,25 @@ func (s *Swarm) cumulative() counters {
 	s.mu.Lock()
 	st := s.retired
 	rel := s.retiredRel
-	gs := s.retiredGsp
 	for _, m := range s.live {
 		if m.det != nil {
-			ds := m.det.Stats()
-			st.HeartbeatsSent += ds.HeartbeatsSent
+			st = addDetStats(st, m.det.Stats())
 		}
 		if m.d != nil {
 			rel = addRelStats(rel, m.d.Transport().Stats())
 		}
-		if m.gsp != nil {
-			gs = gs.Add(m.gsp.Stats())
-		}
 	}
 	for _, shard := range s.dirs {
 		for _, r := range shard {
-			ds := r.det.Stats()
-			st.HeartbeatsSent += ds.HeartbeatsSent
+			st = addDetStats(st, r.det.Stats())
 			rel = addRelStats(rel, r.d.Transport().Stats())
-			if r.gsp != nil {
-				gs = gs.Add(r.gsp.Stats())
-			}
+			as := r.svc.Stats()
+			c.ae.Rounds += as.Rounds
+			c.ae.Pulls += as.Pulls
+			c.ae.Deltas += as.Deltas
 		}
 	}
-	c.gsp = gs
-	c.hb = st.HeartbeatsSent
+	c.det = st
 	for _, ini := range s.inits {
 		c.dir = c.dir.Add(ini.client.Stats())
 		rel = addRelStats(rel, ini.d.Transport().Stats())
@@ -812,18 +770,18 @@ func (s *Swarm) phaseStats(name string, a, b counters) PhaseStats {
 		Datagrams:       b.datagrams - a.datagrams,
 		AcksStandalone:  b.acksSA - a.acksSA,
 		AcksPiggybacked: b.acksPB - a.acksPB,
-		Heartbeats:      b.hb - a.hb,
+		Heartbeats:      b.det.HeartbeatsSent - a.det.HeartbeatsSent,
 		DirLookups:      b.dir.Lookups() - a.dir.Lookups(),
 		DirHits:         b.dir.Hits - a.dir.Hits,
 		Downs:           b.downs - a.downs,
 		Ups:             b.ups - a.ups,
 		FalseDowns:      b.falseDowns - a.falseDowns,
 		Partitions:      b.partitions - a.partitions,
-		GossipRounds:    b.gsp.Rounds - a.gsp.Rounds,
-		GossipPulls:     b.gsp.Pulls - a.gsp.Pulls,
-		GossipDeltas:    b.gsp.DeltasApplied - a.gsp.DeltasApplied,
-		RumorsSent:      b.gsp.RumorsSent - a.gsp.RumorsSent,
-		RumorsRecv:      b.gsp.RumorsReceived - a.gsp.RumorsReceived,
+		GossipRounds:    b.ae.Rounds - a.ae.Rounds,
+		GossipPulls:     b.ae.Pulls - a.ae.Pulls,
+		GossipDeltas:    b.ae.Deltas - a.ae.Deltas,
+		RumorsSent:      b.det.RumorsSent - a.det.RumorsSent,
+		RumorsRecv:      b.det.RumorsReceived - a.det.RumorsReceived,
 		Ops:             b.ops - a.ops,
 		Joins:           b.joins - a.joins,
 		Leaves:          b.leaves - a.leaves,

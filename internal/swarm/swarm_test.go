@@ -160,9 +160,9 @@ func TestSwarmChurnUnderRace(t *testing.T) {
 // ~500-member swarm with verdict quorums, rumor spread, replicated
 // directory anti-entropy AND partition injection layered over the same
 // churn and session load as TestSwarmChurnUnderRace. Run under -race in
-// CI it sweeps the gossip engine, the quorum state machine and the
+// CI it sweeps the rumour handlers, the quorum state machine and the
 // partition driver for data races; the goroutine fence then proves
-// every gossip loop and indirect-probe thread stopped with its dapplet.
+// every reconcile loop and indirect-probe thread stopped with its dapplet.
 func TestSwarmPartitionChurnUnderRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm partition churn test is several seconds long")

@@ -65,8 +65,8 @@ func AppendInboxRef(dst []byte, r InboxRef) []byte {
 
 // AppendBody appends a nested encoded message — its dense kind id, then
 // its length-prefixed EncodeBody bytes. Every frame that carries another
-// message opaquely (svc.req/rep, gsp.pull/delta/rumor, relay.fwd) ends
-// with this pair, payload last.
+// message opaquely (svc.req/rep, relay.fwd) ends with this pair, payload
+// last.
 func AppendBody(dst []byte, id uint16, body []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(id))
 	return AppendBytes(dst, body)

@@ -131,7 +131,7 @@ func EncodeBody(m Msg) (Body, error) {
 
 // DecodeBody reconstructs a registered message from an encoded body — the
 // inverse of EncodeBody. The nested framing (dense kind id, payload
-// bytes; see AppendBody) is how the svc, gossip and relay layers carry an
+// bytes; see AppendBody) is how the svc and relay layers carry an
 // application message inside their own frames.
 func DecodeBody(id uint16, data []byte) (Msg, error) {
 	e := entryByID(id)

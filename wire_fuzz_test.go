@@ -306,9 +306,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 
 // edgeSeeds returns frames around one populated body that the per-kind
 // seeds do not reach: headers the shared split decoder has not kept (empty,
-// changed, long enough for a two-byte length, the largest Lamport), and
-// malformed frames (empty, cut short by one byte, one byte too long, a
-// wrong magic byte) that must only error.
+// changed twice, a session, an inbox and an outbox long enough for a
+// two-byte length, the largest Lamport), and malformed frames (empty, the
+// magic byte alone, cut in half, cut short by one byte, one byte too long,
+// two frames back to back, a wrong magic byte) that must only error.
 func edgeSeeds(t testing.TB, body wire.Msg) [][]byte {
 	t.Helper()
 	marshal := func(e *wire.Envelope) []byte {
@@ -321,8 +322,14 @@ func edgeSeeds(t testing.TB, body wire.Msg) [][]byte {
 	whole := marshal(kindsEnvelope(body))
 	changed := kindsEnvelope(body)
 	changed.To.Inbox, changed.FromOutbox, changed.Session = "staff", "out2", "s-43"
+	bare := kindsEnvelope(body)
+	bare.To.Inbox, bare.FromOutbox, bare.Session = "a", "", ""
 	long := kindsEnvelope(body)
 	long.Session = strings.Repeat("s", 200)
+	longInbox := kindsEnvelope(body)
+	longInbox.To.Inbox = strings.Repeat("i", 200)
+	longOutbox := kindsEnvelope(body)
+	longOutbox.FromOutbox = strings.Repeat("o", 200)
 	last := kindsEnvelope(body)
 	last.Lamport = math.MaxUint64
 	wrongMagic := bytes.Clone(whole)
@@ -330,11 +337,17 @@ func edgeSeeds(t testing.TB, body wire.Msg) [][]byte {
 	return [][]byte{
 		marshal(&wire.Envelope{Body: body}),
 		marshal(changed),
+		marshal(bare),
 		marshal(long),
+		marshal(longInbox),
+		marshal(longOutbox),
 		marshal(last),
 		{},
+		whole[:1],
+		whole[:len(whole)/2],
 		whole[:len(whole)-1],
 		append(bytes.Clone(whole), 0),
+		append(bytes.Clone(whole), whole...),
 		wrongMagic,
 	}
 }
